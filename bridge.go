@@ -225,29 +225,23 @@ type Config struct {
 	// Servers unreplicated processes otherwise). Renames whose old and
 	// new names hash to different groups fail with ErrCrossShard.
 	Servers int
-	// Replicas, when > 1 (3 is the useful minimum), makes each shard
-	// group a set of that many replicated Bridge Servers behind its own
-	// independent Raft-style log: every directory mutation commits to a
-	// quorum of its shard's group before it is acknowledged, a killed
-	// leader is replaced by election within its group, and clients follow
-	// NotLeader redirects transparently with a per-shard leader guess —
-	// an election on one shard never stalls traffic to the others. With
-	// DataDir set, each replica's consensus state persists in
+	// Replicas is the size of each shard group; 0 and 1 both mean a group
+	// of one (an unreplicated Bridge Server). Above 1 (3 is the useful
+	// minimum) each shard group is a set of that many Bridge Servers
+	// behind its own independent Raft-style log: every directory mutation
+	// commits to a quorum of its shard's group before it is acknowledged,
+	// a killed leader is replaced by election within its group, and
+	// clients follow NotLeader redirects transparently with a per-shard
+	// leader guess — an election on one shard never stalls traffic to the
+	// others. With DataDir set, each member's consensus state persists in
 	// <DataDir>/raft<flat>.disk (flat = shard*Replicas + member). Kill
-	// and revive replicas with Session.CrashServer/RestartServer
+	// and revive members with Session.CrashServer/RestartServer
 	// (addressed by shard and member) or a FaultInjector server schedule;
 	// inspect elections with Inspect().Raft(shard).
 	//
-	// Replicated mode restricts each shard group the same way, because
-	// the inner server becomes a deterministic replicated state machine:
-	// Health is disabled (heartbeat probe state is unreplicated and would
-	// diverge across members), ReadAhead is disabled (its buffers would
-	// serve reads that bypass the leader-lease check), disordered files
-	// are rejected with ErrBadArg (their arbitrary placement cannot be
-	// replayed deterministically from the log), and parallel-open jobs
-	// are rejected with ErrBadArg (job cursors are volatile per-process
-	// state that would vanish on failover). Ordered placement, every
-	// naive read/write, write-behind, and the tool view work per shard.
+	// What a replicated group offers, rejects with ErrBadArg (Health and
+	// ReadAhead here in New; disordered files and parallel-open jobs at
+	// the call) or gets wrong is DESIGN.md's feature × group-size table.
 	Replicas int
 	// DiskBlocks is each node's capacity in 1 KB blocks. Default 8192.
 	DiskBlocks int
@@ -353,11 +347,8 @@ func New(cfg Config) (*System, error) {
 	if cfg.Servers < 0 {
 		return nil, fmt.Errorf("%w: Servers = %d", ErrBadArg, cfg.Servers)
 	}
-	if cfg.Replicas < 0 {
-		return nil, fmt.Errorf("%w: Replicas = %d", ErrBadArg, cfg.Replicas)
-	}
-	if cfg.Replicas == 1 {
-		return nil, fmt.Errorf("%w: Replicas = 1 replicates nothing; use 0 (unreplicated) or >= 3 (quorum)", ErrBadArg)
+	if err := core.CheckGroup(cfg.Replicas, cfg.Health != nil, cfg.ReadAhead); err != nil {
+		return nil, err
 	}
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 4
@@ -459,7 +450,7 @@ func (s *System) Run(fn func(*Session) error) error {
 			}
 		}
 		s.cfg.Fault.Drive(rt, cl)
-		if len(cl.Replicas) > 0 {
+		if cl.GroupSize() > 1 {
 			s.cfg.Fault.DriveServers(rt, cl)
 		}
 	}
@@ -786,7 +777,7 @@ func (s *Session) RestartServer(shard, i int) error {
 }
 
 func (s *Session) checkReplica(op string, shard, i int) error {
-	if len(s.cl.Replicas) == 0 {
+	if s.cl.GroupSize() == 1 {
 		return fmt.Errorf("bridge: %s requires Config.Replicas", op)
 	}
 	if shard < 0 || shard >= s.cl.NumShards() {
@@ -802,7 +793,7 @@ func (s *Session) checkReplica(op string, shard, i int) error {
 // currently leading with an authoritative directory, or -1 when none is
 // (mid-election, or without Config.Replicas).
 func (s *Session) LeaderServer(shard int) int {
-	if len(s.cl.Replicas) == 0 || shard < 0 || shard >= s.cl.NumShards() {
+	if s.cl.GroupSize() == 1 || shard < 0 || shard >= s.cl.NumShards() {
 		return -1
 	}
 	return s.cl.LeaderServer(shard)
@@ -1096,13 +1087,13 @@ func (i Inspector) Recovery(idx int) (RecoveryReport, error) { return i.s.c.Reco
 // shard. A crashed replica reports the state it died with.
 func (i Inspector) Raft(shard int) []RaftStatus {
 	cl := i.s.cl
-	if len(cl.Replicas) == 0 || shard < 0 || shard >= cl.NumShards() {
+	r := cl.GroupSize()
+	if r == 1 || shard < 0 || shard >= cl.NumShards() {
 		return nil
 	}
-	r := cl.GroupSize()
 	out := make([]RaftStatus, r)
-	for j := 0; j < r; j++ {
-		out[j] = cl.Replicas[shard*r+j].RaftStatus()
+	for j := range out {
+		out[j] = cl.Servers[shard*r+j].RaftStatus()
 	}
 	return out
 }

@@ -160,7 +160,7 @@ func withCluster(dir string, m *manifest, disks []*disk.Disk, op opFunc) error {
 		return err
 	}
 	// Safe before Wait: under the virtual clock no process has run yet.
-	cl.Server.Restore(m.Dir)
+	cl.Servers[0].Restore(m.Dir)
 
 	var opErr error
 	rt.Go("bridgefs", func(proc sim.Proc) {
@@ -187,7 +187,7 @@ func withCluster(dir string, m *manifest, disks []*disk.Disk, op opFunc) error {
 		return opErr
 	}
 	// Persist: directory snapshot + disk images.
-	m.Dir = cl.Server.Snapshot()
+	m.Dir = cl.Servers[0].Snapshot()
 	raw, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package bridge
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"strings"
@@ -219,5 +220,92 @@ func TestFacadeDisordered(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestToolWritesNeedGroupOfOne pins the one known hole in the feature ×
+// group-size matrix as a loud failure: Copy and Sort write the destination
+// behind the Bridge Server's back and rely on Open asking the storage nodes
+// for the new size, which only a group of one does. Behind a replicated
+// group they must fail with the typed error instead of leaving a file that
+// stats and reads as empty; behind a group of one they keep working.
+func TestToolWritesNeedGroupOfOne(t *testing.T) {
+	for _, replicas := range []int{0, 1, 3} {
+		sys, err := New(Config{Nodes: 4, DiskBlocks: 512, Replicas: replicas, DiskLatency: time.Microsecond})
+		if err != nil {
+			t.Fatalf("Replicas=%d: %v", replicas, err)
+		}
+		err = sys.Run(func(s *Session) error {
+			if err := s.Create("src"); err != nil {
+				return err
+			}
+			for i := 0; i < 16; i++ {
+				if err := s.Append("src", []byte(fmt.Sprintf("%08d record", 97*i%16))); err != nil {
+					return err
+				}
+			}
+			_, cerr := s.Copy("src", "copied")
+			_, serr := s.Sort("src", "sorted", SortOptions{})
+			if replicas > 1 {
+				if !errors.Is(cerr, ErrBadArg) || !strings.Contains(cerr.Error(), "group of one") {
+					return fmt.Errorf("Copy = %v, want ErrBadArg naming the group-of-one requirement", cerr)
+				}
+				if !errors.Is(serr, ErrBadArg) || !strings.Contains(serr.Error(), "group of one") {
+					return fmt.Errorf("Sort = %v, want ErrBadArg naming the group-of-one requirement", serr)
+				}
+				return nil
+			}
+			if cerr != nil || serr != nil {
+				return fmt.Errorf("Copy = %v, Sort = %v; both must work on a group of one", cerr, serr)
+			}
+			for _, name := range []string{"copied", "sorted"} {
+				info, err := s.Stat(name)
+				if err != nil || info.Blocks != 16 {
+					return fmt.Errorf("Stat(%s) = %d blocks, %v; want 16", name, info.Blocks, err)
+				}
+				blocks, err := s.ReadAll(name)
+				if err != nil || len(blocks) != 16 {
+					return fmt.Errorf("ReadAll(%s) = %d blocks, %v; want 16", name, len(blocks), err)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("Replicas=%d: %v", replicas, err)
+		}
+	}
+}
+
+// TestConfigGroupSize pins the construction-time audit of the group-size
+// knob: 0 and 1 both mean a group of one, and the features a replicated
+// group cannot offer are rejected with ErrBadArg rather than switched off.
+func TestConfigGroupSize(t *testing.T) {
+	for _, cfg := range []Config{
+		{Replicas: 3, Health: &HealthConfig{}},
+		{Replicas: 3, ReadAhead: 2},
+		{Servers: 2, Replicas: 2, ReadAhead: 1},
+		{Replicas: -1},
+	} {
+		if _, err := New(cfg); !errors.Is(err, ErrBadArg) {
+			t.Errorf("New(%+v) = %v, want ErrBadArg", cfg, err)
+		}
+	}
+	for _, replicas := range []int{0, 1} {
+		sys, err := New(Config{Nodes: 2, Replicas: replicas, Health: &HealthConfig{}, ReadAhead: 2, DiskLatency: time.Microsecond})
+		if err != nil {
+			t.Fatalf("Replicas=%d: %v", replicas, err)
+		}
+		err = sys.Run(func(s *Session) error {
+			if s.LeaderServer(0) != -1 || s.Inspect().Raft(0) != nil {
+				return fmt.Errorf("a group of one reports consensus state")
+			}
+			if err := s.CrashServer(0, 0); err == nil {
+				return fmt.Errorf("CrashServer on a group of one: want an error")
+			}
+			return s.Create("f")
+		})
+		if err != nil {
+			t.Errorf("Replicas=%d: %v", replicas, err)
+		}
 	}
 }

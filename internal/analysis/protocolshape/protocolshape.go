@@ -17,7 +17,7 @@
 //     covers, so the LFS server protocol and the node-agent protocol in
 //     the same package do not pollute each other's exhaustiveness. A
 //     function's coverage includes the switches of same-package functions
-//     it calls, so split dispatchers (respErr + respErrAny) verify.
+//     it calls, so a dispatcher split across helpers still verifies.
 //   - R3: in a package that defines decodeErr, a reply's .Err string may
 //     not be rewrapped with errors.New or fmt.Errorf — that strips the
 //     sentinel mapping; it must go through decodeErr.

@@ -304,56 +304,105 @@ func (s *Server) lfsWriteN(p sim.Proc, ent *dirent, start int64, payloads [][]by
 	return s.gatherWriteVec(p, ent, calls, start, len(payloads))
 }
 
-// seqReadN reads up to max blocks at the client's cursor — the batched
-// naive path. Formulaic files go through the read-ahead cache when one is
-// configured, or a direct scatter-gather read; disordered files follow
-// their chain (inherently one block at a time, but still one client RPC).
-func (s *Server) seqReadN(p sim.Proc, client msg.Addr, name string, max int) ([][]byte, bool, error) {
+// readBlocks fetches count consecutive blocks of a formulaic file. A group
+// of one answers a single-block command (one) with the single-block LFS
+// call — the paper's naive path, one ReadReq per request; every other read,
+// and every read on a replicated group, is one vectored call per node.
+func (s *Server) readBlocks(p sim.Proc, ent *dirent, pos int64, count int, one bool) ([][]byte, error) {
+	if one && s.grp == nil {
+		data, err := s.lfsRead(p, ent, pos)
+		if err != nil {
+			return nil, err
+		}
+		s.one[0] = data
+		return s.one[:], nil
+	}
+	return s.lfsReadN(p, ent, pos, count)
+}
+
+// writeBlocks is readBlocks' twin: a group of one lands a single-block
+// command with the single-block LFS call; a logged write always lands as
+// vectors, the shape a takeover replays it in.
+func (s *Server) writeBlocks(p sim.Proc, ent *dirent, pos int64, payloads [][]byte, one bool) (int, error) {
+	if one && s.grp == nil {
+		if err := s.lfsWrite(p, ent, pos, payloads[0]); err != nil {
+			return 0, err
+		}
+		return 1, nil
+	}
+	return s.lfsWriteN(p, ent, pos, payloads)
+}
+
+// seqRead reads up to max blocks at the client's cursor — SeqRead (one set,
+// max 1) and its batched form SeqReadN. Formulaic files go through the
+// read-ahead cache when one is configured, or straight to the LFS layer;
+// disordered files follow their chain (inherently one block at a time, but
+// still one client RPC). The read happens first (so an error never advances
+// the cursor), then the cursor movement commits — which on a replicated
+// group makes the reply healable: a retransmission re-reads the same
+// recorded window.
+func (s *Server) seqRead(p sim.Proc, from msg.Addr, name string, max int, opID uint64, one bool) ([][]byte, bool, error) {
 	if max <= 0 {
 		return nil, false, fmt.Errorf("%w: batch of %d blocks", ErrBadArg, max)
 	}
 	if max > maxBatchBlocks {
 		max = maxBatchBlocks
 	}
-	ent, ok := s.dir[name]
-	if !ok {
-		return nil, false, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	if _, err := s.wbBarrier(p, ent); err != nil {
+	ent, err := s.lookup(name)
+	if err != nil {
 		return nil, false, err
 	}
-	key := cursorKey{client: client, name: name}
-	cur, ok := s.cursors[key]
-	if !ok {
+	if _, err := s.drainWB(p, name, from, opID); err != nil {
+		return nil, false, err
+	}
+	if err := s.lease(p); err != nil {
+		return nil, false, err
+	}
+	key := cursorKey{client: from, name: name}
+	cur := s.cursors[key]
+	if cur == nil && s.grp == nil {
+		// Implicit open: the open operation is only a hint, so a read
+		// without one still works; a group of one just pays the size
+		// refresh here. (A replicated group has no refresh to pay, and its
+		// cursor appears when the read below commits.)
 		if err := s.refreshSize(p, ent); err != nil {
 			return nil, false, err
 		}
-		cur = &cursor{}
-		s.cursors[key] = cur
+		if err := s.commit(p, rop{Kind: ropOpen, Client: from, Name: name}); err != nil {
+			return nil, false, err
+		}
+		cur = s.cursors[key]
 	}
-	if cur.readPos >= ent.meta.Blocks {
+	var pos int64
+	if cur != nil {
+		pos = cur.readPos
+	}
+	if pos >= ent.meta.Blocks {
+		// EOF replies commit nothing: the cursor does not move.
 		return nil, true, nil
 	}
 	count := max
-	if remain := ent.meta.Blocks - cur.readPos; int64(count) > remain {
+	if remain := ent.meta.Blocks - pos; int64(count) > remain {
 		count = int(remain)
 	}
-	var (
-		blocks [][]byte
-		err    error
-	)
-	if ent.meta.Spec.Kind == distrib.Disordered {
+	var blocks [][]byte
+	switch {
+	case ent.meta.Spec.Kind == distrib.Disordered:
 		blocks, err = s.readChainN(p, ent, cur, count)
-	} else if s.ra != nil {
-		blocks, err = s.ra.read(p, s, ent, client, cur.readPos, count)
-	} else {
-		blocks, err = s.lfsReadN(p, ent, cur.readPos, count)
+	case s.ra != nil:
+		blocks, err = s.ra.read(p, s, ent, from, pos, count)
+	default:
+		blocks, err = s.readBlocks(p, ent, pos, count, one)
 	}
 	if err != nil {
 		return nil, false, err
 	}
-	cur.readPos += int64(len(blocks))
-	return blocks, cur.readPos >= ent.meta.Blocks, nil
+	eof := pos+int64(count) >= ent.meta.Blocks
+	op := rop{Kind: ropSeqRead, Client: from, Op: opID, Name: name, At: pos, N: count, EOF: eof}
+	if err := s.commit(p, op); err != nil {
+		return nil, false, err
+	}
+	return blocks, eof, nil
 }
 
 // readChainN follows a disordered chain for count blocks, using (and
@@ -386,21 +435,24 @@ func (s *Server) readChainN(p sim.Proc, ent *dirent, cur *cursor, count int) ([]
 	return out, nil
 }
 
-// readAtN reads count blocks starting at blockNum — the batched random
-// read. It bypasses the read-ahead cache (which is a sequential-reader
-// optimization) and goes straight to scatter-gather.
-func (s *Server) readAtN(p sim.Proc, name string, blockNum int64, count int) ([][]byte, error) {
+// readAt reads count blocks starting at blockNum — RandRead (one set,
+// count 1) and its batched form RandReadN. It bypasses the read-ahead
+// cache (which is a sequential-reader optimization).
+func (s *Server) readAt(p sim.Proc, from msg.Addr, name string, blockNum int64, count int, one bool) ([][]byte, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("%w: batch of %d blocks", ErrBadArg, count)
 	}
 	if count > maxBatchBlocks {
 		count = maxBatchBlocks
 	}
-	ent, ok := s.dir[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+	ent, err := s.lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	if _, err := s.wbBarrier(p, ent); err != nil {
+	if _, err := s.drainWB(p, name, from, 0); err != nil {
+		return nil, err
+	}
+	if err := s.lease(p); err != nil {
 		return nil, err
 	}
 	if blockNum < 0 || blockNum >= ent.meta.Blocks {
@@ -425,18 +477,19 @@ func (s *Server) readAtN(p sim.Proc, name string, blockNum int64, count int) ([]
 		}
 		return out, nil
 	}
-	return s.lfsReadN(p, ent, blockNum, count)
+	return s.readBlocks(p, ent, blockNum, count, one)
 }
 
-// writeAtN writes len(payloads) consecutive blocks starting at blockNum
-// (append when blockNum is -1 or equals the size; a run may overwrite the
-// tail and extend past it). It returns how many blocks from the front of
-// the run landed; on partial failure the file size covers exactly the
-// contiguous prefix, so a retry of the same run is safe.
-func (s *Server) writeAtN(p sim.Proc, name string, blockNum int64, payloads [][]byte) (int, error) {
-	ent, ok := s.dir[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
+// write stores len(payloads) consecutive blocks starting at blockNum —
+// SeqWrite and RandWrite (one set, one payload) and the batched RandWriteN.
+// blockNum -1 or the current size appends; a run may overwrite the tail
+// and extend past it. It returns how many blocks from the front of the run
+// landed; on partial failure the file size covers exactly the contiguous
+// prefix, so a retry of the same run is safe.
+func (s *Server) write(p sim.Proc, from msg.Addr, name string, blockNum int64, payloads [][]byte, opID uint64, one bool) (int, error) {
+	ent, err := s.lookup(name)
+	if err != nil {
+		return 0, err
 	}
 	for _, payload := range payloads {
 		if len(payload) > PayloadBytes {
@@ -449,9 +502,20 @@ func (s *Server) writeAtN(p sim.Proc, name string, blockNum int64, payloads [][]
 	if len(payloads) > maxBatchBlocks {
 		return 0, fmt.Errorf("%w: batch of %d exceeds %d blocks", ErrBadArg, len(payloads), maxBatchBlocks)
 	}
-	// The batched path writes directly, so any write-behind state for the
-	// file drains first (it may own the tail this run starts at).
-	if _, err := s.wbBarrier(p, ent); err != nil {
+	s.raInvalidate(name)
+	disordered := ent.meta.Spec.Kind == distrib.Disordered
+	if one && s.wb != nil && !disordered && (blockNum < 0 || blockNum == ent.meta.Blocks) {
+		// A single-block append is what write-behind buffers.
+		if err := s.appendBehind(p, ent, payloads[0], from, opID); err != nil {
+			return 0, err
+		}
+		return 1, nil
+	}
+	// Everything else writes through, so any write-behind state for the
+	// file drains first (it may own the tail this run starts at). The
+	// drain can shrink the file on a deferred failure, hence the bounds
+	// check comes after it.
+	if _, err := s.drainWB(p, name, from, opID); err != nil {
 		return 0, err
 	}
 	if blockNum < 0 {
@@ -460,20 +524,41 @@ func (s *Server) writeAtN(p sim.Proc, name string, blockNum int64, payloads [][]
 	if blockNum > ent.meta.Blocks {
 		return 0, fmt.Errorf("%w: block %d beyond size %d", ErrBadArg, blockNum, ent.meta.Blocks)
 	}
-	s.raInvalidate(name)
-	if ent.meta.Spec.Kind == distrib.Disordered {
-		return s.writeAtNDisordered(p, ent, blockNum, payloads)
+	if disordered {
+		return s.writeDisordered(p, ent, blockNum, payloads)
 	}
-	written, err := s.lfsWriteN(p, ent, blockNum, payloads)
-	if end := blockNum + int64(written); end > ent.meta.Blocks {
-		ent.meta.Blocks = end
+	// The whole run — overwrite, append, or both — commits with its
+	// payloads (apply extends the size to cover it), so on a replicated
+	// group a retransmission heals and a failover replays the identical
+	// bytes. Then it lands on the storage nodes; a failed landing corrects
+	// the committed size with a fixup: appends shrink back to the durable
+	// prefix, interior overwrites keep the old size.
+	old := ent.meta.Blocks
+	op := rop{
+		Kind: ropWrite, Client: from, Op: opID, Name: name,
+		Meta: Meta{FileID: ent.meta.FileID}, At: blockNum, N: len(payloads), Data: payloads,
+	}
+	if err := s.commit(p, op); err != nil {
+		return 0, err
+	}
+	written, err := s.writeBlocks(p, ent, blockNum, payloads, one)
+	if err != nil {
+		fixSize := blockNum + int64(written)
+		if old > fixSize {
+			fixSize = old
+		}
+		fix := rop{Kind: ropFixup, Client: from, Op: opID, Name: name, Blocks: fixSize}
+		if cerr := s.commit(p, fix); cerr != nil {
+			return written, cerr
+		}
 	}
 	return written, err
 }
 
-// writeAtNDisordered applies a batched write to a chain file one block at
-// a time (the chain serializes placement), preserving prefix semantics.
-func (s *Server) writeAtNDisordered(p sim.Proc, ent *dirent, blockNum int64, payloads [][]byte) (int, error) {
+// writeDisordered applies a write to a chain file one block at a time (the
+// chain serializes placement), preserving prefix semantics. Only a group
+// of one has chain files; their size and chain state live in the entry.
+func (s *Server) writeDisordered(p sim.Proc, ent *dirent, blockNum int64, payloads [][]byte) (int, error) {
 	for i, payload := range payloads {
 		b := blockNum + int64(i)
 		var err error

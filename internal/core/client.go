@@ -257,7 +257,7 @@ func (c *Client) callAt(to msg.Addr, body any) (*msg.Message, error) {
 		if err != nil {
 			errText = err.Error()
 		} else if m != nil {
-			errText = respErrAny(m.Body)
+			errText = respErr(m.Body)
 		}
 		sp.EndErr(c.mc.Proc().Now(), errText)
 	}
@@ -295,7 +295,7 @@ func (c *Client) callRedirect(shard int, body any, sp obs.SpanRef) (*msg.Message
 		if err != nil {
 			return nil, err
 		}
-		es := respErrAny(m.Body)
+		es := respErr(m.Body)
 		if !strings.Contains(es, ErrNotLeader.Error()) {
 			return m, nil
 		}

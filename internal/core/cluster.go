@@ -34,20 +34,20 @@ type ClusterConfig struct {
 	// Disks, if non-nil, supplies pre-loaded disks (for image
 	// persistence); len must equal P and each is mounted, not formatted.
 	Disks []*disk.Disk
-	// Replicas, when > 1, makes each shard group a Raft-replicated set of
-	// that many Bridge Servers instead of a single process. With Servers
-	// shard groups the cluster runs Servers×Replicas replica processes,
-	// each on its own processor node (P+1 onward, group-major order) so
-	// partitions and crashes hit replicas independently. Each group runs
-	// its own independent consensus over its own hash partition of the
-	// namespace.
+	// Replicas is the size of each shard group; 0 and 1 both mean a group
+	// of one. Above 1 each group is a Raft-replicated set of that many
+	// Bridge Servers running its own independent consensus over its own
+	// hash partition of the namespace, every member on its own processor
+	// node (P+1 onward, group-major order) so partitions and crashes hit
+	// members independently. A replicated group rejects Server.Health and
+	// Server.ReadAhead (DESIGN.md, feature × group-size).
 	Replicas int
-	// RaftSeed seeds the replicas' jittered election timeouts (derived
-	// per replica). Default 1.
+	// RaftSeed seeds the members' jittered election timeouts (derived
+	// per member). Default 1.
 	RaftSeed int64
-	// RaftDir, when non-empty, backs each replica's consensus state with
+	// RaftDir, when non-empty, backs each member's consensus state with
 	// a durable file-backed disk (<RaftDir>/raft<i>.disk) so a killed
-	// replica recovers its log on restart. Empty keeps the log in memory
+	// member recovers its log on restart. Empty keeps the log in memory
 	// (still survives Crash/Restart within one simulation, since the
 	// store object is reused).
 	RaftDir string
@@ -56,27 +56,30 @@ type ClusterConfig struct {
 // Cluster is a running Bridge system.
 type Cluster struct {
 	Net *msg.Network
-	// Server is the first (or only) Bridge Server; Servers lists all of
-	// them.
-	Server  *Server
+	// Servers lists every Bridge Server, flat in group-major order:
+	// member j of shard group g at index g*GroupSize()+j.
 	Servers []*Server
-	// Replicas lists the replicated servers when ClusterConfig.Replicas
-	// is set, flat in group-major order (replica j of shard g at index
-	// g*GroupSize()+j); Server/Servers stay nil in that mode.
-	Replicas []*ReplicaServer
-	Nodes    []*lfs.Node
+	Nodes   []*lfs.Node
 
 	rt        sim.Runtime
-	shards    int // shard-group count in replicated mode
-	groupSize int // replicas per shard group
-	specs     []ReplicaSpec
+	groupSize int // members per shard group
+	boots     []serverBoot
 	raftDisks []*disk.Disk
-	repCfg    Config
-	nodeIDs   []msg.NodeID
 }
 
-// StartCluster boots the node and server processes on rt. The server runs
-// on node 0; storage nodes are 1..P.
+// serverBoot is what (re)starts one server: RestartServer boots a crashed
+// member from the same configuration and consensus store.
+type serverBoot struct {
+	cfg  Config
+	spec *memberSpec
+}
+
+// StartCluster boots the node and server processes on rt: storage nodes
+// are 1..P, and Servers × max(Replicas,1) Bridge Servers in group-major
+// order. Groups of one all run on node 0 (the paper's diskless server
+// node), told apart by port; the members of a replicated group each get a
+// processor node of their own past the storage nodes and share one port
+// name.
 func StartCluster(rt sim.Runtime, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.P == 0 {
 		cfg.P = 4
@@ -87,16 +90,26 @@ func StartCluster(rt sim.Runtime, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Disks != nil && len(cfg.Disks) != cfg.P {
 		return nil, fmt.Errorf("%w: %d disks for %d nodes", ErrBadArg, len(cfg.Disks), cfg.P)
 	}
+	if cfg.Servers == 0 {
+		cfg.Servers = 1
+	}
+	if cfg.Servers < 1 {
+		return nil, fmt.Errorf("%w: Servers = %d", ErrBadArg, cfg.Servers)
+	}
+	if err := CheckGroup(cfg.Replicas, cfg.Server.Health != nil, cfg.Server.ReadAhead); err != nil {
+		return nil, err
+	}
 	netCfg := msg.DefaultConfig()
 	if cfg.Net != nil {
 		netCfg = *cfg.Net
 	}
 	network := msg.NewNetwork(rt, netCfg)
-	cl := &Cluster{Net: network, rt: rt}
-	ids := make([]msg.NodeID, cfg.P)
+	cl := &Cluster{Net: network, rt: rt, groupSize: 1}
+	if cfg.Replicas > 1 {
+		cl.groupSize = cfg.Replicas
+	}
 	for i := 0; i < cfg.P; i++ {
 		id := msg.NodeID(i + 1)
-		ids[i] = id
 		var existing *disk.Disk
 		if cfg.Disks != nil {
 			existing = cfg.Disks[i]
@@ -107,159 +120,118 @@ func StartCluster(rt sim.Runtime, cfg ClusterConfig) (*Cluster, error) {
 		}
 		cl.Nodes = append(cl.Nodes, node)
 	}
-	if cfg.Servers == 0 {
-		cfg.Servers = 1
-	}
-	if cfg.Servers < 1 {
-		return nil, fmt.Errorf("%w: Servers = %d", ErrBadArg, cfg.Servers)
-	}
-	if cfg.Replicas < 0 {
-		return nil, fmt.Errorf("%w: Replicas = %d", ErrBadArg, cfg.Replicas)
-	}
-	if cfg.Replicas > 1 {
-		if err := cl.startReplicas(rt, cfg, ids); err != nil {
-			return nil, err
-		}
-		return cl, nil
-	}
-	for i := 0; i < cfg.Servers; i++ {
-		scfg := cfg.Server
-		scfg.Node = 0
-		if i > 0 {
-			scfg.PortName = fmt.Sprintf("%s.%d", PortName, i)
-		}
-		scfg.IDBase = uint32(i)
-		scfg.IDStride = uint32(cfg.Servers)
-		cl.Servers = append(cl.Servers, StartServer(rt, network, scfg, ids))
-	}
-	cl.Server = cl.Servers[0]
-	return cl, nil
-}
-
-// startReplicas boots the sharded replicated-server variant: Servers
-// shard groups of Replicas Bridge Servers each, every replica on its own
-// processor node past the storage nodes (group-major: replica j of shard
-// g on node P+1+g*Replicas+j), with consensus state optionally persisted
-// through file-backed disks under RaftDir (raft<flat>.disk). Each group
-// runs an independent Raft instance over disjoint peers, so elections and
-// commits on one shard never couple to another.
-func (cl *Cluster) startReplicas(rt sim.Runtime, cfg ClusterConfig, ids []msg.NodeID) error {
 	if cfg.RaftSeed == 0 {
 		cfg.RaftSeed = 1
 	}
-	shards, r := cfg.Servers, cfg.Replicas
-	cl.shards, cl.groupSize = shards, r
-	n := shards * r
 	port := cfg.Server.PortName
 	if port == "" {
 		port = PortName
 	}
-	cl.specs = make([]ReplicaSpec, n)
-	cl.raftDisks = make([]*disk.Disk, n)
-	cl.repCfg = cfg.Server
-	cl.nodeIDs = ids
-	for g := 0; g < shards; g++ {
-		peers := make([]msg.Addr, r)
-		for j := 0; j < r; j++ {
-			peers[j] = msg.Addr{Node: msg.NodeID(cfg.P + 1 + g*r + j), Port: port}
+	size := cl.groupSize
+	for g := 0; g < cfg.Servers; g++ {
+		peers := make([]msg.Addr, size)
+		for j := range peers {
+			peers[j] = msg.Addr{Node: msg.NodeID(cfg.P + 1 + g*size + j), Port: port}
 		}
-		for j := 0; j < r; j++ {
-			flat := g*r + j
-			var store raft.Store
-			if cfg.RaftDir != "" {
-				dcfg := disk.Config{
-					BlockSize: 1024,
-					NumBlocks: 1024,
-					Timing:    disk.FixedTiming{Latency: 500 * time.Microsecond},
-					WriteBack: true,
-					SyncTime:  time.Millisecond,
+		for j := 0; j < size; j++ {
+			boot := serverBoot{cfg: cfg.Server}
+			boot.cfg.IDBase = uint32(g)
+			boot.cfg.IDStride = uint32(cfg.Servers)
+			if size == 1 {
+				boot.cfg.Node = 0
+				if g > 0 {
+					boot.cfg.PortName = fmt.Sprintf("%s.%d", PortName, g)
 				}
-				st, err := disk.OpenFileStore(filepath.Join(cfg.RaftDir, fmt.Sprintf("raft%d.disk", flat)), 1024, 1024)
-				if err != nil {
-					return fmt.Errorf("core: open raft disk %d: %w", flat, err)
-				}
-				d, err := disk.NewWithStore(dcfg, st)
-				if err != nil {
-					return fmt.Errorf("core: raft disk %d: %w", flat, err)
-				}
-				cl.raftDisks[flat] = d
-				ds, err := raft.NewDiskStore(d)
-				if err != nil {
-					return fmt.Errorf("core: raft store %d: %w", flat, err)
-				}
-				store = ds
 			} else {
-				store = &raft.MemStore{}
+				flat := g*size + j
+				store, d, err := openRaftStore(cfg.RaftDir, flat)
+				if err != nil {
+					return nil, err
+				}
+				cl.raftDisks = append(cl.raftDisks, d)
+				boot.cfg.Node = peers[j].Node
+				boot.spec = &memberSpec{
+					id:    j,
+					shard: g,
+					peers: peers,
+					seed:  DeriveSeed(cfg.RaftSeed, fmt.Sprintf("raft.replica.%d", flat)),
+					store: store,
+				}
 			}
-			cl.specs[flat] = ReplicaSpec{
-				ID:    j,
-				Shard: g,
-				Peers: peers,
-				Seed:  DeriveSeed(cfg.RaftSeed, fmt.Sprintf("raft.replica.%d", flat)),
-				Store: store,
-			}
+			cl.boots = append(cl.boots, boot)
 		}
 	}
-	for flat := 0; flat < n; flat++ {
-		scfg := cfg.Server
-		scfg.Node = cl.specs[flat].Peers[cl.specs[flat].ID].Node
-		scfg.IDBase = uint32(cl.specs[flat].Shard)
-		scfg.IDStride = uint32(shards)
-		cl.Replicas = append(cl.Replicas, StartReplica(rt, cl.Net, scfg, ids, cl.specs[flat]))
+	// Every consensus store opens before any server boots, so a bad
+	// RaftDir fails the start before a server process exists.
+	for _, boot := range cl.boots {
+		cl.Servers = append(cl.Servers, startServer(rt, network, boot.cfg, cl.NodeIDs(), boot.spec))
+	}
+	return cl, nil
+}
+
+// CheckGroup validates a directory group size against the features a
+// replicated group cannot offer: Replicas > 1 together with a health
+// monitor (its probe state is unreplicated and would diverge across
+// members) or read-ahead (its buffers would serve reads that bypass the
+// leader-lease check) is rejected with ErrBadArg rather than silently
+// switched off. 0 and 1 both mean a group of one.
+func CheckGroup(replicas int, health bool, readAhead int) error {
+	switch {
+	case replicas < 0:
+		return fmt.Errorf("%w: Replicas = %d", ErrBadArg, replicas)
+	case replicas > 1 && health:
+		return fmt.Errorf("%w: Health is unsupported with Replicas = %d: heartbeat state is not replicated", ErrBadArg, replicas)
+	case replicas > 1 && readAhead > 0:
+		return fmt.Errorf("%w: ReadAhead is unsupported with Replicas = %d: its buffers would bypass the leader lease", ErrBadArg, replicas)
 	}
 	return nil
 }
 
-// NumShards returns the number of directory shard groups: Servers in
-// replicated mode, the server count otherwise (each unreplicated server
-// is its own hash partition), and 1 for a single server.
-func (cl *Cluster) NumShards() int {
-	if len(cl.Replicas) > 0 {
-		return cl.shards
+// openRaftStore opens member flat's consensus store: a file-backed disk
+// under dir (raft<flat>.disk), or memory when dir is empty (d is nil).
+func openRaftStore(dir string, flat int) (store raft.Store, d *disk.Disk, err error) {
+	if dir == "" {
+		return &raft.MemStore{}, nil, nil
 	}
-	return len(cl.Servers)
+	dcfg := disk.Config{
+		BlockSize: 1024,
+		NumBlocks: 1024,
+		Timing:    disk.FixedTiming{Latency: 500 * time.Microsecond},
+		WriteBack: true,
+		SyncTime:  time.Millisecond,
+	}
+	st, err := disk.OpenFileStore(filepath.Join(dir, fmt.Sprintf("raft%d.disk", flat)), 1024, 1024)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: open raft disk %d: %w", flat, err)
+	}
+	if d, err = disk.NewWithStore(dcfg, st); err != nil {
+		return nil, nil, fmt.Errorf("core: raft disk %d: %w", flat, err)
+	}
+	if store, err = raft.NewDiskStore(d); err != nil {
+		return nil, nil, fmt.Errorf("core: raft store %d: %w", flat, err)
+	}
+	return store, d, nil
 }
 
-// GroupSize returns the number of replicas per shard group (1 outside
-// replicated mode).
-func (cl *Cluster) GroupSize() int {
-	if len(cl.Replicas) > 0 {
-		return cl.groupSize
-	}
-	return 1
-}
+// NumShards returns the number of directory shard groups.
+func (cl *Cluster) NumShards() int { return len(cl.Servers) / cl.groupSize }
+
+// GroupSize returns the number of members per shard group (1 for an
+// unreplicated directory).
+func (cl *Cluster) GroupSize() int { return cl.groupSize }
 
 // ShardGroups returns the topology as the client consumes it: one address
-// list per shard group, replicas in member order.
+// list per shard group, members in order.
 func (cl *Cluster) ShardGroups() [][]msg.Addr {
-	if len(cl.Replicas) > 0 {
-		out := make([][]msg.Addr, cl.shards)
-		for g := 0; g < cl.shards; g++ {
-			members := make([]msg.Addr, cl.groupSize)
-			for j := 0; j < cl.groupSize; j++ {
-				members[j] = cl.Replicas[g*cl.groupSize+j].Addr()
-			}
-			out[g] = members
-		}
-		return out
-	}
-	out := make([][]msg.Addr, len(cl.Servers))
+	out := make([][]msg.Addr, cl.NumShards())
 	for i, s := range cl.Servers {
-		out[i] = []msg.Addr{s.Addr()}
+		out[i/cl.groupSize] = append(out[i/cl.groupSize], s.Addr())
 	}
 	return out
 }
 
-// ServerAddrs returns every Bridge Server's request address (the replica
-// addresses in replicated mode).
+// ServerAddrs returns every Bridge Server's request address.
 func (cl *Cluster) ServerAddrs() []msg.Addr {
-	if len(cl.Replicas) > 0 {
-		addrs := make([]msg.Addr, len(cl.Replicas))
-		for i, r := range cl.Replicas {
-			addrs[i] = r.Addr()
-		}
-		return addrs
-	}
 	addrs := make([]msg.Addr, len(cl.Servers))
 	for i, s := range cl.Servers {
 		addrs[i] = s.Addr()
@@ -267,9 +239,9 @@ func (cl *Cluster) ServerAddrs() []msg.Addr {
 	return addrs
 }
 
-// RaftDisks returns each replica's consensus disk, nil entries where the
-// log is memory-backed (no RaftDir) — and an empty slice outside
-// replicated mode. The facade attaches the fault injector's crash model
+// RaftDisks returns each member's consensus disk, nil entries where the
+// log is memory-backed (no RaftDir) — and an empty slice for groups of
+// one. The facade attaches the fault injector's crash model
 // to them so kill-9 semantics govern the consensus state too.
 func (cl *Cluster) RaftDisks() []*disk.Disk { return cl.raftDisks }
 
@@ -288,7 +260,7 @@ func (cl *Cluster) Runtime() sim.Runtime { return cl.rt }
 // NewClient creates a Bridge client for proc homed on the given node,
 // wired to every server in the cluster.
 func (cl *Cluster) NewClient(proc sim.Proc, node msg.NodeID, name string) *Client {
-	if len(cl.Replicas) > 0 {
+	if cl.groupSize > 1 {
 		return NewReplicatedClient(proc, cl.Net, node, name, cl.ShardGroups())
 	}
 	return NewMultiClient(proc, cl.Net, node, name, cl.ServerAddrs())
@@ -322,49 +294,44 @@ func (cl *Cluster) Stop() {
 	for _, s := range cl.Servers {
 		s.Stop()
 	}
-	for _, r := range cl.Replicas {
-		r.Stop()
-	}
 	for _, n := range cl.Nodes {
 		n.Stop()
 	}
 }
 
-// CrashServer kills replica i of shard group shard with kill-9 semantics
+// CrashServer kills member i of shard group shard with kill-9 semantics
 // at virtual time now: its port closes, volatile state (write-behind
 // buffers, parked requests) is gone, and the consensus disk drops
-// unsynced writes. The signature matches fault.ServerController.
+// unsynced writes. Only members of a replicated group can be crashed and
+// restarted — a group of one's directory is its only copy. The signature
+// matches fault.ServerController.
 func (cl *Cluster) CrashServer(shard, i int, now time.Duration) {
 	flat := shard*cl.groupSize + i
-	cl.Replicas[flat].Crash()
+	cl.Servers[flat].Stop()
 	if d := cl.raftDisks[flat]; d != nil {
 		d.Crash(now)
 	}
 }
 
-// RestartServer boots a fresh process for crashed replica i of shard
+// RestartServer boots a fresh process for crashed member i of shard
 // group shard: the consensus disk comes back with its surviving blocks
-// and the replica reloads its term, log, and snapshot from it, rebuilding
+// and the member reloads its term, log, and snapshot from it, rebuilding
 // the shard's directory by replay.
 func (cl *Cluster) RestartServer(shard, i int) {
 	flat := shard*cl.groupSize + i
 	if d := cl.raftDisks[flat]; d != nil {
 		d.Restore()
 	}
-	scfg := cl.repCfg
-	scfg.Node = cl.specs[flat].Peers[cl.specs[flat].ID].Node
-	scfg.IDBase = uint32(cl.specs[flat].Shard)
-	scfg.IDStride = uint32(cl.shards)
-	cl.Replicas[flat] = StartReplica(cl.rt, cl.Net, scfg, cl.nodeIDs, cl.specs[flat])
+	boot := cl.boots[flat]
+	cl.Servers[flat] = startServer(cl.rt, cl.Net, boot.cfg, cl.NodeIDs(), boot.spec)
 }
 
-// LeaderServer returns the index within shard group shard of the replica
-// that currently leads with an authoritative directory (ready to serve),
-// or -1 when the group has none. The signature matches
-// fault.ServerController.
+// LeaderServer returns the index within shard group shard of the member
+// whose directory is currently authoritative (ready to serve), or -1 when
+// the group has none. The signature matches fault.ServerController.
 func (cl *Cluster) LeaderServer(shard int) int {
 	for j := 0; j < cl.groupSize; j++ {
-		if cl.Replicas[shard*cl.groupSize+j].IsLeader() {
+		if cl.Servers[shard*cl.groupSize+j].IsLeader() {
 			return j
 		}
 	}

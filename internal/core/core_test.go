@@ -296,8 +296,8 @@ func TestGetInfo(t *testing.T) {
 		if info.P != 5 || len(info.Nodes) != 5 {
 			t.Errorf("Info = %+v, want P=5", info)
 		}
-		if info.Server != cl.Server.Addr() {
-			t.Errorf("Info.Server = %v, want %v", info.Server, cl.Server.Addr())
+		if info.Server != cl.Servers[0].Addr() {
+			t.Errorf("Info.Server = %v, want %v", info.Server, cl.Servers[0].Addr())
 		}
 	})
 }
@@ -559,5 +559,5 @@ func TestFailedNodeSurfacesError(t *testing.T) {
 // cfgServerTimeout shortens the server's LFS timeout so failure tests run
 // quickly in virtual time.
 func cfgServerTimeout(cl *Cluster) {
-	cl.Server.cfg.LFSTimeout = 2 * time.Second
+	cl.Servers[0].cfg.LFSTimeout = 2 * time.Second
 }

@@ -63,7 +63,7 @@ func TestClusterDeterminism(t *testing.T) {
 func TestServerSurvivesUnknownRequest(t *testing.T) {
 	withCluster(t, fastCfg(2), func(p sim.Proc, cl *Cluster, c *Client) {
 		type bogus struct{ X int }
-		m, err := c.Msg().Call(cl.Server.Addr(), bogus{X: 1}, 8)
+		m, err := c.Msg().Call(cl.Servers[0].Addr(), bogus{X: 1}, 8)
 		if err != nil {
 			t.Errorf("Call: %v", err)
 			return
@@ -114,7 +114,7 @@ func TestSnapshotRestoreRoundTripsEverything(t *testing.T) {
 	if err := rt.Wait(); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	snap := cl.Server.Snapshot()
+	snap := cl.Servers[0].Snapshot()
 	if snap.NextID == 0 || len(snap.Files) != 1 || snap.Files[0].Name != "one" {
 		t.Fatalf("Snapshot = %+v", snap)
 	}
@@ -126,7 +126,7 @@ func TestSnapshotRestoreRoundTripsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartCluster 2: %v", err)
 	}
-	cl2.Server.Restore(snap)
+	cl2.Servers[0].Restore(snap)
 	rt2.Go("verify", func(p sim.Proc) {
 		defer cl2.Stop()
 		c := cl2.NewClient(p, 0, "snap2")

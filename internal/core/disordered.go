@@ -63,9 +63,6 @@ func (s *Server) lfsWriteLoc(p sim.Proc, ent *dirent, node msg.NodeID, local uin
 // appendDisordered adds a block to the chain: write the new block, then
 // rewrite the old tail to point at it.
 func (s *Server) appendDisordered(p sim.Proc, ent *dirent, payload []byte) error {
-	if len(payload) > PayloadBytes {
-		return fmt.Errorf("%w: payload %d exceeds %d", ErrBadArg, len(payload), PayloadBytes)
-	}
 	ci := ent.meta.Chain
 	if ci == nil {
 		return fmt.Errorf("%w: disordered file without chain state", ErrBadArg)
@@ -156,9 +153,6 @@ func (s *Server) readChainBlock(p sim.Proc, ent *dirent, loc chainLoc) (payload 
 // overwriteDisordered rewrites block n's payload in place, preserving its
 // chain links. It walks to the block first.
 func (s *Server) overwriteDisordered(p sim.Proc, ent *dirent, n int64, payload []byte) error {
-	if len(payload) > PayloadBytes {
-		return fmt.Errorf("%w: payload %d exceeds %d", ErrBadArg, len(payload), PayloadBytes)
-	}
 	ci := ent.meta.Chain
 	loc := chainLoc{node: ci.HeadNode, local: ci.HeadLocal}
 	for i := int64(0); i < n; i++ {

@@ -193,7 +193,7 @@ func TestDisorderedSnapshotRestore(t *testing.T) {
 	if err := rt.Wait(); err != nil {
 		t.Fatalf("phase1: %v", err)
 	}
-	snap := cl.Server.Snapshot()
+	snap := cl.Servers[0].Snapshot()
 
 	// Second life: the same disks remounted, with the directory restored.
 	rt2 := sim.NewVirtual()
@@ -203,7 +203,7 @@ func TestDisorderedSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartCluster 2: %v", err)
 	}
-	cl2.Server.Restore(snap)
+	cl2.Servers[0].Restore(snap)
 	rt2.Go("phase2", func(p sim.Proc) {
 		defer cl2.Stop()
 		c := cl2.NewClient(p, 0, "snap-cli2")

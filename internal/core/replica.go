@@ -1,34 +1,35 @@
-// Replicated Bridge Server: the directory state machine behind a
-// Raft-style replicated log.
+// The commit seam: the Bridge Server's directory as a state machine, and
+// the optional Raft membership it is plugged into.
 //
-// Each replica embeds a plain Server as its directory state machine and
-// LFS effect engine, but drives a different loop on the same port: client
-// requests and consensus traffic share the replica's address, and the
-// loop type-switches between them. Every directory mutation is validated
-// against the committed state, encoded as a log operation (rop) carrying
-// everything needed to re-apply it — including write payloads — and
-// proposed through raft. Only after the entry commits does the leader
-// mutate its directory (by applying the entry, exactly as every follower
-// does), execute the LFS side effects, and reply.
+// Every directory mutation — in either mode — is validated against the
+// current state, described as a log operation (rop) carrying everything
+// needed to re-apply it, and handed to commit. apply is the only code that
+// changes directory membership, the id counter, and cursors. A group of one
+// commits by applying inline: no consensus node, no encoding, no message.
+// A member of a replicated group proposes the operation through raft and
+// applies it — exactly as every follower does — once it commits; only then
+// does the leader execute the LFS side effects and reply. Client requests
+// and consensus traffic share the member's address, and its request loop
+// type-switches between them.
 //
-// Because ops carry their payloads, LFS effects are re-executable from
-// the log alone: a fresh leader first re-runs the effects of every
-// committed entry it still retains (creates tolerate exists, deletes
-// tolerate not-found, writes land the same bytes at the same absolute
-// blocks), so an entry the dead leader committed but never acted on is
-// made real before any new request is served. Snapshots carry the recent
-// effect tail (rsnap.Pending) so compaction never destroys an entry whose
-// effect might still be owed.
+// Because ops carry their payloads, LFS effects are re-executable from the
+// log alone: a fresh leader first re-runs the effects of every committed
+// entry it still retains (creates tolerate exists, deletes tolerate
+// not-found, writes land the same bytes at the same absolute blocks), so
+// an entry the dead leader committed but never acted on is made real
+// before any new request is served. Snapshots carry the recent effect tail
+// (rsnap.Pending) so compaction never destroys an entry whose effect might
+// still be owed.
 //
 // Exactly-once semantics ride the log too: the reply-relevant outcome of
 // every OpID-carrying operation is recorded in a replicated op table
 // during apply, so a client retransmission — to the same leader or to its
-// successor — heals the recorded reply instead of re-running the
-// mutation.
+// successor — heals the recorded reply instead of re-running the mutation.
+// (A group of one has no successor; its volatile reply cache in dispatch
+// does that job.)
 //
-// Scope: disordered placements and parallel-transfer jobs are rejected in
-// replicated mode, the health monitor and read-ahead are disabled, and a
-// failover while a file has dirty write-behind state surfaces
+// DESIGN.md's feature × group-size table lists what a replicated group
+// rejects; a failover while a file has dirty write-behind state surfaces
 // ErrDeferredWrite conservatively (acknowledged blocks beyond the durable
 // prefix roll back).
 package core
@@ -43,8 +44,6 @@ import (
 	"time"
 
 	"bridge/internal/distrib"
-	"bridge/internal/efs"
-	"bridge/internal/lfs"
 	"bridge/internal/msg"
 	"bridge/internal/obs"
 	"bridge/internal/raft"
@@ -65,12 +64,12 @@ const (
 	raftCommitBound = 900 * time.Millisecond
 )
 
-// rop is one replicated directory operation: a log entry's payload. All
-// fields are scalars or slices (no maps) so gob encoding is
-// deterministic.
+// rop is one directory operation: what commit takes and apply consumes, and
+// a replicated log entry's payload. All fields are scalars or slices (no
+// maps) so gob encoding is deterministic.
 type rop struct {
 	Kind   uint8
-	Client msg.Addr // requesting client, for the replicated op table
+	Client msg.Addr // requesting client, for cursors and the replicated op table
 	Op     uint64   // client OpID; 0 = not recorded
 	Name   string
 	New    string   // rename target
@@ -117,7 +116,7 @@ type opKey struct {
 	Op     uint64
 }
 
-// rsnap is the gob-encoded state-machine snapshot installed on replicas
+// rsnap is the gob-encoded state-machine snapshot installed on members
 // that fall behind compaction. Slices are sorted so identical states
 // encode identically.
 type rsnap struct {
@@ -146,8 +145,8 @@ type rsnapOp struct {
 	Rec    ropRec
 }
 
-// raftMetrics are the replica set's typed metric handles, registered once
-// per set on the network's shared registry.
+// raftMetrics are the replicated groups' typed metric handles, registered
+// once on the network's shared registry.
 type raftMetrics struct {
 	elections    obs.Counter
 	leaderWins   obs.Counter
@@ -177,7 +176,7 @@ func newRaftMetrics(r *obs.Registry) raftMetrics {
 // shardMetrics are one shard group's typed metric handles, named by shard
 // index so a sharded directory's load balance and per-group consensus
 // traffic are visible side by side. Registration is idempotent, so the
-// group's replicas share one set of counters.
+// group's members share one set of counters.
 type shardMetrics struct {
 	requests  obs.Counter
 	committed obs.Counter
@@ -192,35 +191,38 @@ func newShardMetrics(r *obs.Registry, shard int) shardMetrics {
 	}
 }
 
-// ReplicaSpec wires one replica into its set.
-type ReplicaSpec struct {
-	// ID is this replica's index within its shard group; Peers maps every
+// memberSpec wires one server into its replicated group.
+type memberSpec struct {
+	// id is this member's index within its shard group; peers maps every
 	// group-member id to its request/consensus address.
-	ID    int
-	Peers []msg.Addr
-	// Shard is the directory shard group this replica belongs to. Groups
-	// are independent Raft instances over disjoint peer sets; the shard
-	// index names the group in metrics, introspection, and fault
-	// schedules.
-	Shard int
-	// Seed drives this replica's jittered election timeouts; derive it
-	// per replica so elections never tie.
-	Seed int64
-	// Store persists the consensus state across restarts.
-	Store raft.Store
+	id    int
+	peers []msg.Addr
+	// shard is the directory shard group the member belongs to. Groups are
+	// independent Raft instances over disjoint peer sets; the shard index
+	// names the group in metrics, introspection, and fault schedules.
+	shard int
+	// seed drives the member's jittered election timeouts; derived per
+	// member so elections never tie.
+	seed int64
+	// store persists the consensus state across restarts. Restarting a
+	// killed member with the same spec reloads its log and term from it,
+	// and the state machine rebuilds by replay.
+	store raft.Store
 }
 
-// ReplicaServer is one member of a replicated Bridge Server set.
-type ReplicaServer struct {
-	s    *Server
+// member is a server's membership of a replicated group: the consensus
+// node and everything a successor needs that the directory itself does not
+// hold. A group of one has none (Server.grp is nil), so the methods apply
+// calls are nil-safe: with no successor there is no failover state to keep.
+type member struct {
 	node *raft.Node
-	spec ReplicaSpec
+	spec memberSpec
 	rm   raftMetrics
 	sm   shardMetrics
 
-	// Replicated state beyond the inner server's directory: the op table
-	// (exactly-once replies), write-behind watermarks, armed deferred
-	// errors, and the recent effect tail.
+	// Replicated state beyond the directory: the op table (exactly-once
+	// replies), write-behind watermarks, armed deferred errors, and the
+	// recent effect tail.
 	ops      map[opKey]ropRec
 	opQ      []opKey
 	wbLow    map[string]int64  // committed durable size of wb-dirty files
@@ -235,118 +237,104 @@ type ReplicaServer struct {
 	tall   raft.Tallies // last tallies diffed into the metrics
 }
 
-// StartReplica boots one replica process. The same spec (with the same
-// Store) restarts a killed replica: its log and term reload from the
-// store, and the state machine rebuilds by replay.
-func StartReplica(rt sim.Runtime, net *msg.Network, cfg Config, nodes []msg.NodeID, spec ReplicaSpec) *ReplicaServer {
-	// The inner server is the state machine and effect engine only: no
-	// health monitor (its probes are unreplicated state), no read-ahead
-	// (its buffers would serve reads that bypass the lease check).
-	cfg.Health = nil
-	cfg.ReadAhead = 0
-	peerIDs := make([]int, len(spec.Peers))
-	for i := range spec.Peers {
+func newMember(net *msg.Network, spec memberSpec) *member {
+	peerIDs := make([]int, len(spec.peers))
+	for i := range spec.peers {
 		peerIDs[i] = i
 	}
-	r := &ReplicaServer{
-		s: newServer(net, cfg, nodes),
+	return &member{
 		node: raft.New(raft.Config{
-			ID:    spec.ID,
+			ID:    spec.id,
 			Peers: peerIDs,
-			Seed:  spec.Seed,
-			Store: spec.Store,
+			Seed:  spec.seed,
+			Store: spec.store,
 		}),
 		spec:     spec,
 		rm:       newRaftMetrics(net.Stats().Registry()),
-		sm:       newShardMetrics(net.Stats().Registry(), spec.Shard),
+		sm:       newShardMetrics(net.Stats().Registry(), spec.shard),
 		ops:      make(map[opKey]ropRec),
 		wbLow:    make(map[string]int64),
 		deferred: make(map[string]string),
 	}
-	rt.Go(fmt.Sprintf("%v/r%d", r.s.port.Addr(), spec.ID), func(p sim.Proc) { r.run(p) })
-	return r
 }
 
-// Addr returns the replica's request (and consensus) address.
-func (r *ReplicaServer) Addr() msg.Addr { return r.s.port.Addr() }
-
-// ID returns the replica's index within its shard group.
-func (r *ReplicaServer) ID() int { return r.spec.ID }
-
-// Shard returns the directory shard group this replica belongs to.
-func (r *ReplicaServer) Shard() int { return r.spec.Shard }
-
-// RaftStatus returns a snapshot of the replica's consensus state.
-func (r *ReplicaServer) RaftStatus() raft.Status { return r.node.Status() }
-
-// IsLeader reports whether this replica currently leads and has committed
-// an entry of its own term (so its directory view is authoritative).
-func (r *ReplicaServer) IsLeader() bool {
-	return !r.dead.Load() && r.node.ReadyToLead()
+// RaftStatus returns a snapshot of the server's consensus state (the zero
+// Status for a group of one).
+func (s *Server) RaftStatus() raft.Status {
+	if s.grp == nil {
+		return raft.Status{}
+	}
+	return s.grp.node.Status()
 }
 
-// Crash kills the replica process without cleanup: the port closes, the
-// loop exits at its next step, and nothing volatile survives. The caller
-// crashes the raft store's disk alongside.
-func (r *ReplicaServer) Crash() {
-	r.dead.Store(true)
-	r.s.port.Close()
+// IsLeader reports whether this server's directory view is authoritative:
+// always for a group of one; for a member, when it leads and has committed
+// an entry of its own term.
+func (s *Server) IsLeader() bool {
+	return s.grp == nil || !s.grp.dead.Load() && s.grp.node.ReadyToLead()
 }
 
-// Stop shuts the replica down (alias of Crash; the consensus state is
-// durable, so there is nothing gentler to do).
-func (r *ReplicaServer) Stop() { r.Crash() }
+// crashed reports whether a member was killed; its loop exits at the next
+// step and nothing more is sent.
+func (s *Server) crashed() bool { return s.grp != nil && s.grp.dead.Load() }
 
-func (r *ReplicaServer) run(p sim.Proc) {
-	s := r.s
-	s.lc = msg.NewClient(p, s.net, s.cfg.Node, s.cfg.PortName+".lfscli")
-	snap, err := r.node.Load(p, p.Now())
+// loadLog reloads a member's consensus state from its store before the
+// first request. False means the store is unreadable (disk down): the
+// member stays dead.
+func (s *Server) loadLog(p sim.Proc) bool {
+	g := s.grp
+	if g == nil {
+		return true
+	}
+	snap, err := g.node.Load(p, p.Now())
 	if err != nil {
-		// The consensus store is unreadable (disk down): stay dead.
-		r.dead.Store(true)
-		s.lc.Close()
-		return
+		g.dead.Store(true)
+		return false
 	}
 	if snap != nil {
-		r.restore(snap)
+		s.restore(snap)
 	}
-	r.applied = r.node.Status().SnapIndex
-	for {
-		if r.dead.Load() {
-			s.lc.Close()
-			return
+	g.applied = g.node.Status().SnapIndex
+	return true
+}
+
+// next returns the next client request. A group of one blocks on its port
+// and never arms a timer. A member first re-serves requests parked during
+// a commit, and otherwise waits out its consensus deadline, ticking the
+// node and stepping consensus traffic until a client request arrives.
+func (s *Server) next(p sim.Proc) (*msg.Message, bool) {
+	g := s.grp
+	if g == nil {
+		return s.port.Recv(p)
+	}
+	for !g.dead.Load() {
+		if len(g.parked) > 0 {
+			m := g.parked[0]
+			g.parked = g.parked[1:]
+			return m, true
 		}
-		if len(r.parked) > 0 {
-			m := r.parked[0]
-			r.parked = r.parked[1:]
-			r.serve(p, m)
-			r.pump(p)
-			continue
-		}
-		wait := r.node.Deadline() - p.Now()
+		wait := g.node.Deadline() - p.Now()
 		if wait < 0 {
 			wait = 0
 		}
 		m, ok, timedOut := s.port.RecvTimeout(p, wait)
 		if !ok && !timedOut {
-			r.dead.Store(true)
-			s.lc.Close()
-			return
+			g.dead.Store(true)
+			break
 		}
-		if r.dead.Load() {
-			s.lc.Close()
-			return
+		if g.dead.Load() {
+			break
 		}
-		r.node.Tick(p.Now())
+		g.node.Tick(p.Now())
+		if m != nil && !isRaftMsg(m.Body) {
+			return m, true
+		}
 		if m != nil {
-			if isRaftMsg(m.Body) {
-				r.node.Step(m.Body, p.Now())
-			} else {
-				r.serve(p, m)
-			}
+			g.node.Step(m.Body, p.Now())
 		}
-		r.pump(p)
+		s.pump(p)
 	}
+	return nil, false
 }
 
 func isRaftMsg(body any) bool {
@@ -357,21 +345,26 @@ func isRaftMsg(body any) bool {
 	return false
 }
 
-// pump drains the consensus node: installs snapshots, applies committed
-// entries, compacts, persists, and transmits.
-func (r *ReplicaServer) pump(p sim.Proc) {
+// pump drains a member's consensus node: installs snapshots, applies
+// committed entries, compacts, persists, and transmits. A group of one has
+// nothing to pump.
+func (s *Server) pump(p sim.Proc) {
+	g := s.grp
+	if g == nil {
+		return
+	}
 	for {
-		if inst := r.node.TakeInstalled(); inst != nil {
-			r.restore(inst.Data)
-			r.applied = inst.Index
+		if inst := g.node.TakeInstalled(); inst != nil {
+			s.restore(inst.Data)
+			g.applied = inst.Index
 			continue
 		}
-		ents := r.node.TakeCommitted()
+		ents := g.node.TakeCommitted()
 		if len(ents) == 0 {
 			break
 		}
 		for _, e := range ents {
-			r.applied = e.Index
+			g.applied = e.Index
 			if e.Data == nil {
 				continue
 			}
@@ -379,148 +372,186 @@ func (r *ReplicaServer) pump(p sim.Proc) {
 			if err != nil {
 				continue // unreachable: we encoded it
 			}
-			r.apply(op)
+			s.apply(op)
 		}
 	}
-	if r.node.Status().Role != raft.Leader {
-		r.tookOver = false
+	if g.node.Status().Role != raft.Leader {
+		g.tookOver = false
 	}
-	r.maybeCompact()
-	out, err := r.node.Flush(p)
+	s.maybeCompact()
+	out, err := g.node.Flush(p)
 	if err != nil {
-		// The consensus store failed (disk crash): the replica is dead.
-		r.dead.Store(true)
+		// The consensus store failed (disk crash): the member is dead.
+		g.dead.Store(true)
 		return
 	}
 	for _, o := range out {
-		if o.To == r.spec.ID || o.To < 0 || o.To >= len(r.spec.Peers) {
+		if o.To == g.spec.id || o.To < 0 || o.To >= len(g.spec.peers) {
 			continue
 		}
-		_ = r.s.net.Send(p, r.s.cfg.Node, r.spec.Peers[o.To], &msg.Message{
-			From: r.s.port.Addr(),
+		_ = s.net.Send(p, s.cfg.Node, g.spec.peers[o.To], &msg.Message{
+			From: s.port.Addr(),
 			Body: o.Msg,
 			Size: o.Size,
 		})
 	}
-	r.syncMetrics()
+	g.syncMetrics()
 }
 
-func (r *ReplicaServer) maybeCompact() {
-	st := r.node.Status()
-	if st.LastIndex-st.SnapIndex < raftSnapshotEvery || r.applied <= st.SnapIndex {
+func (s *Server) maybeCompact() {
+	g := s.grp
+	st := g.node.Status()
+	if st.LastIndex-st.SnapIndex < raftSnapshotEvery || g.applied <= st.SnapIndex {
 		return
 	}
-	// The snapshot is the state through r.applied; rsnap.Pending keeps
+	// The snapshot is the state through g.applied; rsnap.Pending keeps
 	// the effect tail alive across the compaction.
-	r.node.Compact(r.applied, r.encodeSnapshot())
+	g.node.Compact(g.applied, s.encodeSnapshot())
 }
 
-func (r *ReplicaServer) syncMetrics() {
-	t := r.node.Tallies()
+func (g *member) syncMetrics() {
+	t := g.node.Tallies()
 	d := raft.Tallies{
-		Elections:    t.Elections - r.tall.Elections,
-		LeaderWins:   t.LeaderWins - r.tall.LeaderWins,
-		StepDowns:    t.StepDowns - r.tall.StepDowns,
-		Committed:    t.Committed - r.tall.Committed,
-		SnapInstalls: t.SnapInstalls - r.tall.SnapInstalls,
+		Elections:    t.Elections - g.tall.Elections,
+		LeaderWins:   t.LeaderWins - g.tall.LeaderWins,
+		StepDowns:    t.StepDowns - g.tall.StepDowns,
+		Committed:    t.Committed - g.tall.Committed,
+		SnapInstalls: t.SnapInstalls - g.tall.SnapInstalls,
 	}
-	r.tall = t
-	r.rm.elections.Add(d.Elections)
-	r.rm.leaderWins.Add(d.LeaderWins)
-	r.rm.stepDowns.Add(d.StepDowns)
-	r.rm.committed.Add(d.Committed)
-	r.rm.snapInstalls.Add(d.SnapInstalls)
-	r.sm.committed.Add(d.Committed)
+	g.tall = t
+	g.rm.elections.Add(d.Elections)
+	g.rm.leaderWins.Add(d.LeaderWins)
+	g.rm.stepDowns.Add(d.StepDowns)
+	g.rm.committed.Add(d.Committed)
+	g.rm.snapInstalls.Add(d.SnapInstalls)
+	g.sm.committed.Add(d.Committed)
 }
 
-// ---- the replicated state machine ----
+// ---- the directory state machine ----
 
 // record stores an operation's outcome in the replicated op table (FIFO
-// bounded, like the single server's reply cache).
-func (r *ReplicaServer) record(op rop, rec ropRec) {
-	if op.Op == 0 {
+// bounded, like a group of one's reply cache).
+func (g *member) record(op rop, rec ropRec) {
+	if g == nil || op.Op == 0 {
 		return
 	}
 	k := opKey{Client: op.Client, Op: op.Op}
-	if _, exists := r.ops[k]; !exists {
-		if len(r.opQ) >= dedupCap {
-			delete(r.ops, r.opQ[0])
-			r.opQ = r.opQ[1:]
+	if _, exists := g.ops[k]; !exists {
+		if len(g.opQ) >= dedupCap {
+			delete(g.ops, g.opQ[0])
+			g.opQ = g.opQ[1:]
 		}
-		r.opQ = append(r.opQ, k)
+		g.opQ = append(g.opQ, k)
 	}
-	r.ops[k] = rec
+	g.ops[k] = rec
 }
 
-func (r *ReplicaServer) unrecord(client msg.Addr, op uint64) {
-	if op == 0 {
+func (g *member) unrecord(client msg.Addr, op uint64) {
+	if g == nil || op == 0 {
 		return
 	}
 	k := opKey{Client: client, Op: op}
-	if _, exists := r.ops[k]; !exists {
+	if _, exists := g.ops[k]; !exists {
 		return
 	}
-	delete(r.ops, k)
-	for i, q := range r.opQ {
+	delete(g.ops, k)
+	for i, q := range g.opQ {
 		if q == k {
-			r.opQ = append(r.opQ[:i], r.opQ[i+1:]...)
+			g.opQ = append(g.opQ[:i], g.opQ[i+1:]...)
 			break
 		}
 	}
 }
 
-func (r *ReplicaServer) noteFx(op rop) {
-	r.recentFx = append(r.recentFx, op)
-	if len(r.recentFx) > raftPendingFx {
-		r.recentFx = r.recentFx[len(r.recentFx)-raftPendingFx:]
+// noteFx keeps op in the recent effect tail a takeover replays.
+func (g *member) noteFx(op rop) {
+	if g == nil {
+		return
+	}
+	g.recentFx = append(g.recentFx, op)
+	if len(g.recentFx) > raftPendingFx {
+		g.recentFx = g.recentFx[len(g.recentFx)-raftPendingFx:]
 	}
 }
 
-// dropFileState clears the replica-level per-file maps when a file leaves
-// the directory.
-func (r *ReplicaServer) dropFileState(name string) {
-	delete(r.wbLow, name)
-	delete(r.deferred, name)
+// moveFile re-keys (to != "") or clears (to == "") the per-file
+// write-behind watermark and armed deferred error when a file is renamed
+// or leaves the directory.
+func (g *member) moveFile(name, to string) {
+	if g == nil {
+		return
+	}
+	low, dirty := g.wbLow[name]
+	text, armed := g.deferred[name]
+	delete(g.wbLow, name)
+	delete(g.deferred, name)
+	if to == "" {
+		return
+	}
+	if dirty {
+		g.wbLow[to] = low
+	}
+	if armed {
+		g.deferred[to] = text
+	}
 }
 
-// apply is the deterministic state transition: every replica runs it with
-// the same ops in the same order and ends in the same state. It touches
-// no I/O — LFS effects are the leader's job, after commit.
-func (r *ReplicaServer) apply(op rop) {
-	s := r.s
+// dirty reports the committed durable size of a file the log marks as
+// write-behind dirty. A group of one logs no markers, so nothing is.
+func (g *member) dirty(name string) (int64, bool) {
+	if g == nil {
+		return 0, false
+	}
+	low, dirty := g.wbLow[name]
+	return low, dirty
+}
+
+// unregister removes a file and its cursors from the directory.
+func (s *Server) unregister(name string) {
+	delete(s.dir, name)
+	for k := range s.cursors {
+		if k.name == name {
+			delete(s.cursors, k)
+		}
+	}
+	s.grp.moveFile(name, "")
+}
+
+// apply is the deterministic state transition, and the only code that
+// changes directory membership, the id counter, and cursor existence or
+// position. A group of one runs it inline from commit; every member of a
+// replicated group runs it with the same ops in the same order and ends in
+// the same state. It touches no I/O — LFS effects are the serving
+// server's job, after commit.
+func (s *Server) apply(op rop) {
+	g := s.grp
 	switch op.Kind {
 	case ropCreate:
 		s.nextID = op.NextID
 		meta := op.Meta
 		s.dir[meta.Name] = &dirent{meta: meta, hints: make(map[msg.NodeID]int32)}
-		r.record(op, ropRec{Kind: op.Kind, Name: op.Name, Meta: meta})
-		r.noteFx(op)
+		g.record(op, ropRec{Kind: op.Kind, Name: op.Name, Meta: meta})
+		g.noteFx(op)
 	case ropDelete, ropRelease:
-		ent, ok := s.dir[op.Name]
 		rec := ropRec{Kind: op.Kind, Name: op.Name}
-		if ok {
+		if ent, ok := s.dir[op.Name]; ok {
 			rec.Meta = ent.meta
-			delete(s.dir, op.Name)
-			for k := range s.cursors {
-				if k.name == op.Name {
-					delete(s.cursors, k)
-				}
-			}
-			r.dropFileState(op.Name)
+			s.unregister(op.Name)
 		}
-		r.record(op, rec)
+		g.record(op, rec)
 		if op.Kind == ropDelete {
-			r.noteFx(op)
+			g.noteFx(op)
 		}
 	case ropRename:
 		ent, ok := s.dir[op.Name]
 		if !ok {
-			r.record(op, ropRec{Kind: op.Kind, Name: op.New})
+			g.record(op, ropRec{Kind: op.Kind, Name: op.New})
 			break
 		}
 		delete(s.dir, op.Name)
 		ent.meta.Name = op.New
 		s.dir[op.New] = ent
+		// Re-key open cursors so sequential readers keep their position.
 		for k, c := range s.cursors {
 			if k.name == op.Name {
 				delete(s.cursors, k)
@@ -529,15 +560,8 @@ func (r *ReplicaServer) apply(op rop) {
 				s.cursors[nk] = c
 			}
 		}
-		if low, dirty := r.wbLow[op.Name]; dirty {
-			delete(r.wbLow, op.Name)
-			r.wbLow[op.New] = low
-		}
-		if d, armed := r.deferred[op.Name]; armed {
-			delete(r.deferred, op.Name)
-			r.deferred[op.New] = d
-		}
-		r.record(op, ropRec{Kind: op.Kind, Name: op.New, Meta: ent.meta})
+		g.moveFile(op.Name, op.New)
+		g.record(op, ropRec{Kind: op.Kind, Name: op.New, Meta: ent.meta})
 	case ropOpen:
 		if _, ok := s.dir[op.Name]; ok {
 			s.cursors[cursorKey{client: op.Client, name: op.Name}] = &cursor{}
@@ -550,8 +574,8 @@ func (r *ReplicaServer) apply(op rop) {
 		if end := op.At + int64(op.N); end > ent.meta.Blocks {
 			ent.meta.Blocks = end
 		}
-		r.record(op, ropRec{Kind: op.Kind, Name: op.Name, At: op.At, N: op.N})
-		r.noteFx(op)
+		g.record(op, ropRec{Kind: op.Kind, Name: op.Name, At: op.At, N: op.N})
+		g.noteFx(op)
 	case ropSeqRead:
 		if _, ok := s.dir[op.Name]; !ok {
 			break
@@ -563,10 +587,10 @@ func (r *ReplicaServer) apply(op rop) {
 			s.cursors[key] = cur
 		}
 		cur.readPos = op.At + int64(op.N)
-		r.record(op, ropRec{Kind: op.Kind, Name: op.Name, At: op.At, N: op.N, EOF: op.EOF})
+		g.record(op, ropRec{Kind: op.Kind, Name: op.Name, At: op.At, N: op.N, EOF: op.EOF})
 	case ropWBDirty:
 		if _, ok := s.dir[op.Name]; ok {
-			r.wbLow[op.Name] = op.Blocks
+			g.wbLow[op.Name] = op.Blocks
 		}
 	case ropWBFlushed:
 		ent, ok := s.dir[op.Name]
@@ -579,9 +603,9 @@ func (r *ReplicaServer) apply(op rop) {
 			ent.meta.Blocks = op.Blocks
 		}
 		if op.N == 1 {
-			delete(r.wbLow, op.Name)
+			delete(g.wbLow, op.Name)
 		} else {
-			r.wbLow[op.Name] = op.Blocks
+			g.wbLow[op.Name] = op.Blocks
 		}
 	case ropWBFail:
 		ent, ok := s.dir[op.Name]
@@ -589,54 +613,43 @@ func (r *ReplicaServer) apply(op rop) {
 			break
 		}
 		ent.meta.Blocks = op.Blocks
-		delete(r.wbLow, op.Name)
+		delete(g.wbLow, op.Name)
 		if op.Op != 0 {
 			// The failing operation consumes the error itself; record it
 			// so a retransmission replays the same failure.
-			r.record(op, ropRec{Kind: op.Kind, Name: op.Name, ErrS: op.ErrS})
+			g.record(op, ropRec{Kind: op.Kind, Name: op.Name, ErrS: op.ErrS})
 		} else {
-			r.deferred[op.Name] = op.ErrS
+			g.deferred[op.Name] = op.ErrS
 		}
 	case ropWBClear:
-		delete(r.deferred, op.Name)
-		r.record(op, ropRec{Kind: op.Kind, Name: op.Name, ErrS: op.ErrS})
+		delete(g.deferred, op.Name)
+		g.record(op, ropRec{Kind: op.Kind, Name: op.Name, ErrS: op.ErrS})
 	case ropFixup:
-		if op.Blocks < 0 {
-			if _, ok := s.dir[op.Name]; ok {
-				delete(s.dir, op.Name)
-				for k := range s.cursors {
-					if k.name == op.Name {
-						delete(s.cursors, k)
-					}
-				}
-				r.dropFileState(op.Name)
+		if ent, ok := s.dir[op.Name]; ok {
+			if op.Blocks < 0 {
+				s.unregister(op.Name)
+			} else {
+				ent.meta.Blocks = op.Blocks
 			}
-		} else if ent, ok := s.dir[op.Name]; ok {
-			ent.meta.Blocks = op.Blocks
 		}
 		// The op the fixup corrects failed: forget its record so a
 		// retransmission re-executes instead of healing a stale reply.
-		r.unrecord(op.Client, op.Op)
+		g.unrecord(op.Client, op.Op)
 	}
 }
 
 // encodeSnapshot captures the replicated state machine. Identical states
 // encode to identical bytes (sorted slices, gob, no maps).
-func (r *ReplicaServer) encodeSnapshot() []byte {
-	s := r.s
+func (s *Server) encodeSnapshot() []byte {
+	g := s.grp
 	snap := rsnap{NextID: s.nextID}
-	names := make([]string, 0, len(s.dir))
-	for name := range s.dir {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range s.sortedNames() {
 		f := rsnapFile{Meta: s.dir[name].meta}
-		if low, dirty := r.wbLow[name]; dirty {
+		if low, dirty := g.wbLow[name]; dirty {
 			f.WBDirty = true
 			f.Meta.Blocks = low
 		}
-		f.Deferred = r.deferred[name]
+		f.Deferred = g.deferred[name]
 		snap.Files = append(snap.Files, f)
 	}
 	for k, c := range s.cursors {
@@ -652,55 +665,55 @@ func (r *ReplicaServer) encodeSnapshot() []byte {
 		}
 		return a.Name < b.Name
 	})
-	for _, k := range r.opQ {
-		if rec, ok := r.ops[k]; ok {
+	for _, k := range g.opQ {
+		if rec, ok := g.ops[k]; ok {
 			snap.Ops = append(snap.Ops, rsnapOp{Client: k.Client, Op: k.Op, Rec: rec})
 		}
 	}
-	snap.Pending = append([]rop(nil), r.recentFx...)
+	snap.Pending = append([]rop(nil), g.recentFx...)
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		panic(fmt.Sprintf("bridge: encode replica snapshot: %v", err))
+		panic(fmt.Sprintf("bridge: encode directory snapshot: %v", err))
 	}
 	return buf.Bytes()
 }
 
 // restore resets the state machine to a snapshot.
-func (r *ReplicaServer) restore(data []byte) {
+func (s *Server) restore(data []byte) {
 	var snap rsnap
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		panic(fmt.Sprintf("bridge: decode replica snapshot: %v", err))
+		panic(fmt.Sprintf("bridge: decode directory snapshot: %v", err))
 	}
-	s := r.s
+	g := s.grp
 	s.dir = make(map[string]*dirent)
 	s.cursors = make(map[cursorKey]*cursor)
 	s.nextID = snap.NextID
-	r.ops = make(map[opKey]ropRec)
-	r.opQ = r.opQ[:0]
-	r.wbLow = make(map[string]int64)
-	r.deferred = make(map[string]string)
+	g.ops = make(map[opKey]ropRec)
+	g.opQ = g.opQ[:0]
+	g.wbLow = make(map[string]int64)
+	g.deferred = make(map[string]string)
 	for _, f := range snap.Files {
 		s.dir[f.Meta.Name] = &dirent{meta: f.Meta, hints: make(map[msg.NodeID]int32)}
 		if f.WBDirty {
-			r.wbLow[f.Meta.Name] = f.Meta.Blocks
+			g.wbLow[f.Meta.Name] = f.Meta.Blocks
 		}
 		if f.Deferred != "" {
-			r.deferred[f.Meta.Name] = f.Deferred
+			g.deferred[f.Meta.Name] = f.Deferred
 		}
 	}
 	for _, c := range snap.Cursors {
 		s.cursors[cursorKey{client: c.Client, name: c.Name}] = &cursor{readPos: c.Pos}
 	}
 	for _, o := range snap.Ops {
-		r.opQ = append(r.opQ, opKey{Client: o.Client, Op: o.Op})
-		r.ops[opKey{Client: o.Client, Op: o.Op}] = o.Rec
+		g.opQ = append(g.opQ, opKey{Client: o.Client, Op: o.Op})
+		g.ops[opKey{Client: o.Client, Op: o.Op}] = o.Rec
 	}
-	r.recentFx = append([]rop(nil), snap.Pending...)
+	g.recentFx = append([]rop(nil), snap.Pending...)
 	// Volatile leader-side buffers never survive a snapshot install.
 	if s.wb != nil {
 		s.wb = newWBCache(s.cfg.WriteBehind)
 	}
-	r.tookOver = false
+	g.tookOver = false
 }
 
 func encodeRop(op rop) []byte {
@@ -717,125 +730,107 @@ func decodeRop(data []byte) (rop, error) {
 	return op, err
 }
 
-// ---- consensus-side plumbing for the serving path ----
+// ---- the seam ----
 
-func (r *ReplicaServer) notLeaderError() error {
-	return fmt.Errorf("%w (leader=%d)", ErrNotLeader, r.node.LeaderHint())
+func (s *Server) notLeaderError() error {
+	return fmt.Errorf("%w (leader=%d)", ErrNotLeader, s.grp.node.LeaderHint())
 }
 
-func (r *ReplicaServer) leaseOK(p sim.Proc) bool {
-	return r.node.LeaseValid(p.Now())
-}
-
-// commit proposes op and waits until it applies on this replica, pumping
-// consensus traffic and parking client requests meanwhile. An error means
-// leadership was lost first; the client retries, and the op table makes
-// the retry safe.
-func (r *ReplicaServer) commit(p sim.Proc, op rop) error {
-	idx, term, ok := r.node.Propose(encodeRop(op), p.Now())
-	if !ok {
-		return r.notLeaderError()
+// lease refuses to answer from directory state a member can no longer
+// prove current. A group of one is always its own leader.
+func (s *Server) lease(p sim.Proc) error {
+	if g := s.grp; g != nil && !g.node.LeaseValid(p.Now()) {
+		return s.notLeaderError()
 	}
-	r.rm.proposals.Add(1)
-	start := p.Now()
-	r.pump(p)
-	for r.applied < idx {
-		if r.dead.Load() {
-			return r.notLeaderError()
-		}
-		st := r.node.Status()
-		if st.Term != term || st.Role != raft.Leader {
-			return r.notLeaderError()
-		}
-		if p.Now()-start > raftCommitBound {
-			return r.notLeaderError()
-		}
-		wait := r.node.Deadline() - p.Now()
-		if wait < 0 {
-			wait = 0
-		}
-		m, ok2, timedOut := r.s.port.RecvTimeout(p, wait)
-		if !ok2 && !timedOut {
-			r.dead.Store(true)
-			return r.notLeaderError()
-		}
-		r.node.Tick(p.Now())
-		if m != nil {
-			if isRaftMsg(m.Body) {
-				r.node.Step(m.Body, p.Now())
-			} else {
-				r.parked = append(r.parked, m)
-			}
-		}
-		r.pump(p)
-	}
-	if r.node.Status().Term != term {
-		return r.notLeaderError()
-	}
-	r.rm.commitWait.Add(p.Now() - start)
 	return nil
 }
 
-// ---- serving ----
-
-func (r *ReplicaServer) serve(p sim.Proc, req *msg.Message) {
-	s := r.s
-	rec := s.net.Recorder()
-	if rec != nil {
-		at := p.Now()
-		sp := rec.Start(at, req.Trace, req.Span, "server."+opName(req.Body), int(s.cfg.Node))
-		sp.SetQueueWait(s.net.QueueWait(at, req))
-		s.curSpan = sp
-		s.lc.SetTrace(req.Trace, sp.ID())
+// commit makes op part of the directory. A group of one applies it inline.
+// A member proposes it and waits until it applies here, pumping consensus
+// traffic and parking client requests meanwhile; an error means leadership
+// was lost first — the client retries, and the op table makes the retry
+// safe.
+func (s *Server) commit(p sim.Proc, op rop) error {
+	g := s.grp
+	if g == nil {
+		s.apply(op)
+		return nil
 	}
-	if s.cfg.OpCPU > 0 {
-		p.Sleep(s.cfg.OpCPU)
+	idx, term, ok := g.node.Propose(encodeRop(op), p.Now())
+	if !ok {
+		return s.notLeaderError()
 	}
-	body := r.dispatch(p, req)
-	if !r.dead.Load() {
-		_ = s.net.Send(p, s.cfg.Node, req.From, &msg.Message{
-			From:  s.port.Addr(),
-			ReqID: req.ReqID,
-			Body:  body,
-			Size:  WireSize(body),
-			Trace: req.Trace,
-			Span:  req.Span,
-		})
+	g.rm.proposals.Add(1)
+	start := p.Now()
+	s.pump(p)
+	for g.applied < idx {
+		if g.dead.Load() {
+			return s.notLeaderError()
+		}
+		st := g.node.Status()
+		if st.Term != term || st.Role != raft.Leader {
+			return s.notLeaderError()
+		}
+		if p.Now()-start > raftCommitBound {
+			return s.notLeaderError()
+		}
+		wait := g.node.Deadline() - p.Now()
+		if wait < 0 {
+			wait = 0
+		}
+		m, ok2, timedOut := s.port.RecvTimeout(p, wait)
+		if !ok2 && !timedOut {
+			g.dead.Store(true)
+			return s.notLeaderError()
+		}
+		g.node.Tick(p.Now())
+		if m != nil {
+			if isRaftMsg(m.Body) {
+				g.node.Step(m.Body, p.Now())
+			} else {
+				g.parked = append(g.parked, m)
+			}
+		}
+		s.pump(p)
 	}
-	if rec != nil {
-		s.curSpan.EndErr(p.Now(), respErrAny(body))
-		s.curSpan = obs.SpanRef{}
-		s.lc.SetTrace(0, 0)
+	if g.node.Status().Term != term {
+		return s.notLeaderError()
 	}
+	g.rm.commitWait.Add(p.Now() - start)
+	return nil
 }
 
-func (r *ReplicaServer) dispatch(p sim.Proc, req *msg.Message) any {
-	r.sm.requests.Add(1)
-	if !r.node.ReadyToLead() {
-		r.rm.redirects.Add(1)
-		return respWithErr(req.Body, errString(r.notLeaderError()))
+// admit is a member's gate in front of handle: a request reaches the
+// handlers only on a leader whose directory is authoritative and whose
+// predecessor's owed effects are real, and only if it has not already
+// committed. done means reply is the answer (a redirect, or a reply healed
+// from the op table).
+func (s *Server) admit(p sim.Proc, req *msg.Message, op uint64) (reply any, done bool) {
+	g := s.grp
+	g.sm.requests.Add(1)
+	ready := g.node.ReadyToLead()
+	if ready && !g.tookOver {
+		s.takeover(p)
+		ready = !g.dead.Load() && g.node.ReadyToLead()
 	}
-	if !r.tookOver {
-		r.takeover(p)
-		if r.dead.Load() || !r.node.ReadyToLead() {
-			r.rm.redirects.Add(1)
-			return respWithErr(req.Body, errString(r.notLeaderError()))
+	if !ready {
+		g.rm.redirects.Add(1)
+		return respWithErr(req.Body, errString(s.notLeaderError())), true
+	}
+	if op != 0 {
+		if rec, hit := g.ops[opKey{Client: req.From, Op: op}]; hit {
+			g.rm.heals.Add(1)
+			s.curSpan.Annotate("healed from op table")
+			return s.heal(p, req.Body, rec), true
 		}
 	}
-	if op, hasOp := opIDOf(req.Body); hasOp && op != 0 {
-		if rec, hit := r.ops[opKey{Client: req.From, Op: op}]; hit {
-			r.rm.heals.Add(1)
-			r.s.curSpan.Annotate("healed from op table")
-			return r.heal(p, req.Body, rec)
-		}
-	}
-	return r.handle(p, req)
+	return nil, false
 }
 
 // heal rebuilds the reply of an already-committed operation from its
 // replicated record. Reads re-fetch the same blocks (same position, same
 // bytes); mutations answer from the record without re-running.
-func (r *ReplicaServer) heal(p sim.Proc, body any, rec ropRec) any {
+func (s *Server) heal(p sim.Proc, body any, rec ropRec) any {
 	if rec.Kind == ropWBFail || rec.Kind == ropWBClear {
 		return respWithErr(body, rec.ErrS)
 	}
@@ -856,167 +851,92 @@ func (r *ReplicaServer) heal(p sim.Proc, body any, rec ropRec) any {
 		return RandWriteNResp{Written: rec.N, Err: rec.ErrS}
 	case FlushReq:
 		return FlushResp{Err: rec.ErrS}
-	case SeqReadReq:
-		data, err := r.healRead1(p, rec)
-		return SeqReadResp{Data: data, EOF: false, Err: errString(err)}
-	case SeqReadNReq:
-		blocks, eof, err := r.healReadN(p, rec)
-		return SeqReadNResp{Blocks: blocks, EOF: eof, Err: errString(err)}
+	case SeqReadReq, SeqReadNReq:
+		ent, err := s.lookup(rec.Name)
+		if err != nil {
+			return respWithErr(body, err.Error())
+		}
+		if _, one := body.(SeqReadReq); one {
+			data, err := s.lfsRead(p, ent, rec.At)
+			return SeqReadResp{Data: data, Err: errString(err)}
+		}
+		blocks, err := s.lfsReadN(p, ent, rec.At, rec.N)
+		return SeqReadNResp{Blocks: blocks, EOF: rec.EOF, Err: errString(err)}
 	}
 	return respWithErr(body, rec.ErrS)
 }
 
-func (r *ReplicaServer) healRead1(p sim.Proc, rec ropRec) ([]byte, error) {
-	ent, ok := r.s.dir[rec.Name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, rec.Name)
+// ---- write-behind markers ----
+//
+// A replicated group logs where each buffered file's durable prefix ends,
+// so a successor knows how far to roll an interrupted buffer back. A group
+// of one has no successor to tell: mark is its only question, and dirty
+// (above) answers "nothing" for it.
+
+// mark commits a write-behind marker on a replicated group.
+func (s *Server) mark(p sim.Proc, op rop) error {
+	if s.grp == nil {
+		return nil
 	}
-	return r.s.lfsRead(p, ent, rec.At)
+	return s.commit(p, op)
 }
-
-func (r *ReplicaServer) healReadN(p sim.Proc, rec ropRec) ([][]byte, bool, error) {
-	ent, ok := r.s.dir[rec.Name]
-	if !ok {
-		return nil, false, fmt.Errorf("%w: %s", ErrNotFound, rec.Name)
-	}
-	blocks, err := r.s.lfsReadN(p, ent, rec.At, rec.N)
-	return blocks, rec.EOF, err
-}
-
-func (r *ReplicaServer) handle(p sim.Proc, req *msg.Message) any {
-	s := r.s
-	from := req.From
-	switch b := req.Body.(type) {
-	case CreateReq:
-		meta, err := r.rcreate(p, b, from)
-		return CreateResp{Meta: meta, Err: errString(err)}
-	case DeleteReq:
-		freed, err := r.rdelete(p, b, from)
-		return DeleteResp{Freed: freed, Err: errString(err)}
-	case RenameReq:
-		meta, err := r.rrename(p, b, from)
-		return RenameResp{Meta: meta, Err: errString(err)}
-	case ReleaseReq:
-		meta, err := r.rrelease(p, b, from)
-		return ReleaseResp{Meta: meta, Err: errString(err)}
-	case OpenReq:
-		meta, err := r.ropen(p, b, from)
-		return OpenResp{Meta: meta, Err: errString(err)}
-	case StatReq:
-		meta, err := r.rstat(p, b.Name, from)
-		return StatResp{Meta: meta, Err: errString(err)}
-	case FlushReq:
-		flushed, err := r.rflush(p, b, from)
-		return FlushResp{Flushed: flushed, Err: errString(err)}
-	case SeqWriteReq:
-		err := r.rseqWrite(p, b, from)
-		return SeqWriteResp{Err: errString(err)}
-	case SeqReadReq:
-		data, eof, err := r.rseqRead(p, b, from)
-		return SeqReadResp{Data: data, EOF: eof, Err: errString(err)}
-	case SeqReadNReq:
-		blocks, eof, err := r.rseqReadN(p, b, from)
-		return SeqReadNResp{Blocks: blocks, EOF: eof, Err: errString(err)}
-	case RandReadReq:
-		data, err := r.rreadAt(p, b.Name, b.BlockNum, 1, from)
-		var one []byte
-		if err == nil {
-			one = data[0]
-		}
-		return RandReadResp{Data: one, Err: errString(err)}
-	case RandReadNReq:
-		blocks, err := r.rreadAt(p, b.Name, b.BlockNum, b.Count, from)
-		return RandReadNResp{Blocks: blocks, Err: errString(err)}
-	case RandWriteReq:
-		_, err := r.rwriteAt(p, b.Name, b.BlockNum, [][]byte{b.Data}, b.OpID, from)
-		return RandWriteResp{Err: errString(err)}
-	case RandWriteNReq:
-		written, err := r.rwriteAt(p, b.Name, b.BlockNum, b.Blocks, b.OpID, from)
-		return RandWriteNResp{Written: written, Err: errString(err)}
-	case ParallelOpenReq:
-		return ParallelOpenResp{Err: errString(r.noParallel())}
-	case ParallelReadReq:
-		return ParallelReadResp{Err: errString(r.noParallel())}
-	case ParallelWriteReq:
-		return ParallelWriteResp{Err: errString(r.noParallel())}
-	case CloseJobReq:
-		return CloseJobResp{Err: errString(r.noParallel())}
-	case ListReq, GetInfoReq, HealthReq:
-		// Pure views of replicated (or static) state.
-		if _, isList := req.Body.(ListReq); isList && !r.leaseOK(p) {
-			return respWithErr(req.Body, errString(r.notLeaderError()))
-		}
-		return s.handle(p, req)
-	case RepairNodeReq, FsckReq, ScrubReq, RecoveryReq:
-		// Storage-node sweeps: drain replicated write-behind state first
-		// so the inner barrier finds nothing to do, then delegate.
-		if !r.leaseOK(p) {
-			return respWithErr(req.Body, errString(r.notLeaderError()))
-		}
-		op, _ := opIDOf(req.Body)
-		if err := r.drainWBAll(p, from, op); err != nil {
-			return respWithErr(req.Body, errString(err))
-		}
-		return s.handle(p, req)
-	default:
-		return s.handle(p, req)
-	}
-}
-
-func (r *ReplicaServer) noParallel() error {
-	return fmt.Errorf("%w: parallel transfer jobs are unsupported on a replicated server", ErrBadArg)
-}
-
-// ---- write-behind marker plumbing ----
 
 // surfaceDeferred consumes a failover-armed deferred-write error exactly
 // once: the clearing rides the log recorded under the surfacing op, so a
 // retransmission — to this leader or its successor — replays the same
 // error instead of losing or doubling it.
-func (r *ReplicaServer) surfaceDeferred(p sim.Proc, name string, from msg.Addr, opID uint64) error {
-	text, armed := r.deferred[name]
+func (s *Server) surfaceDeferred(p sim.Proc, name string, from msg.Addr, opID uint64) error {
+	if s.grp == nil {
+		return nil
+	}
+	text, armed := s.grp.deferred[name]
 	if !armed {
 		return nil
 	}
 	clear := rop{Kind: ropWBClear, Client: from, Op: opID, Name: name, ErrS: text}
-	if err := r.commit(p, clear); err != nil {
+	if err := s.commit(p, clear); err != nil {
 		return err
 	}
 	return errors.New(text)
 }
 
-// drainWB surfaces any armed deferred error, then drains the file's
-// write-behind state and commits the matching marker so every replica's
-// committed size catches up with what landed.
-func (r *ReplicaServer) drainWB(p sim.Proc, name string, from msg.Addr, opID uint64) (int, error) {
-	if err := r.surfaceDeferred(p, name, from, opID); err != nil {
-		return 0, err
-	}
-	s := r.s
-	ent, ok := s.dir[name]
-	if !ok || s.wb == nil {
+// drainWB is the write-behind barrier every handler runs before it reads
+// or overwrites a file, asks its size, or moves its name: it surfaces any
+// armed deferred error, then lands the file's buffered blocks and commits
+// the matching marker so every member's committed size catches up with
+// what landed. A deferred write failure surfaces here, exactly once,
+// wrapped in ErrDeferredWrite.
+func (s *Server) drainWB(p sim.Proc, name string, from msg.Addr, opID uint64) (int, error) {
+	if s.wb == nil {
 		return 0, nil
 	}
-	_, dirty := r.wbLow[name]
+	if err := s.surfaceDeferred(p, name, from, opID); err != nil {
+		return 0, err
+	}
+	ent, ok := s.dir[name]
+	if !ok {
+		return 0, nil
+	}
+	_, dirty := s.grp.dirty(name)
 	if !dirty && s.wb.entries[name] == nil {
 		return 0, nil
 	}
-	if !r.leaseOK(p) {
-		return 0, r.notLeaderError()
+	if err := s.lease(p); err != nil {
+		return 0, err
 	}
 	flushed, err := s.wbBarrier(p, ent)
 	if err != nil {
 		// Acknowledged blocks were rolled back (wbBarrier already shrank
 		// the size); replicate the rollback under the surfacing op.
 		fail := rop{Kind: ropWBFail, Client: from, Op: opID, Name: name, Blocks: ent.meta.Blocks, ErrS: err.Error()}
-		if cerr := r.commit(p, fail); cerr != nil {
+		if cerr := s.mark(p, fail); cerr != nil {
 			return flushed, cerr
 		}
 		return flushed, err
 	}
-	if _, still := r.wbLow[name]; still {
+	if dirty {
 		done := rop{Kind: ropWBFlushed, Name: name, Blocks: ent.meta.Blocks, N: 1}
-		if cerr := r.commit(p, done); cerr != nil {
+		if cerr := s.mark(p, done); cerr != nil {
 			return flushed, cerr
 		}
 	}
@@ -1024,17 +944,21 @@ func (r *ReplicaServer) drainWB(p sim.Proc, name string, from msg.Addr, opID uin
 }
 
 // drainWBAll drains every file with write-behind or deferred state, in
-// name order.
-func (r *ReplicaServer) drainWBAll(p sim.Proc, from msg.Addr, opID uint64) error {
-	names := map[string]bool{}
-	for name := range r.wbLow {
+// name order for determinism. All files are drained even if one fails; the
+// first error (in name order) is reported.
+func (s *Server) drainWBAll(p sim.Proc, from msg.Addr, opID uint64) (int, error) {
+	if s.wb == nil {
+		return 0, nil
+	}
+	names := make(map[string]bool, len(s.wb.entries))
+	for name := range s.wb.entries {
 		names[name] = true
 	}
-	for name := range r.deferred {
-		names[name] = true
-	}
-	if r.s.wb != nil {
-		for name := range r.s.wb.entries {
+	if g := s.grp; g != nil {
+		for name := range g.wbLow {
+			names[name] = true
+		}
+		for name := range g.deferred {
 			names[name] = true
 		}
 	}
@@ -1043,25 +967,55 @@ func (r *ReplicaServer) drainWBAll(p sim.Proc, from msg.Addr, opID uint64) error
 		sorted = append(sorted, name)
 	}
 	sort.Strings(sorted)
+	total := 0
+	var firstErr error
 	for _, name := range sorted {
-		if _, err := r.drainWB(p, name, from, opID); err != nil {
+		n, err := s.drainWB(p, name, from, opID)
+		total += n
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return total, firstErr
+}
+
+// appendBehind acknowledges one sequential append into the write-behind
+// buffer. On a replicated group the file is first marked dirty at its
+// committed size, a failed window flush replicates its rollback under this
+// op, and the durable watermark follows the landed prefix.
+func (s *Server) appendBehind(p sim.Proc, ent *dirent, payload []byte, from msg.Addr, opID uint64) error {
+	name := ent.meta.Name
+	if err := s.surfaceDeferred(p, name, from, opID); err != nil {
+		return err
+	}
+	if err := s.lease(p); err != nil {
+		return err
+	}
+	if _, dirty := s.grp.dirty(name); !dirty {
+		if err := s.mark(p, rop{Kind: ropWBDirty, Name: name, Blocks: ent.meta.Blocks}); err != nil {
 			return err
 		}
 	}
+	if err := s.wbAppend(p, ent, payload); err != nil {
+		// A window flush inside the buffer failed and acknowledged
+		// blocks rolled back; replicate the rollback under this op.
+		fail := rop{Kind: ropWBFail, Client: from, Op: opID, Name: name, Blocks: ent.meta.Blocks, ErrS: err.Error()}
+		if cerr := s.mark(p, fail); cerr != nil {
+			return cerr
+		}
+		return err
+	}
+	s.syncWBWindow(p, name)
 	return nil
 }
 
 // syncWBWindow opportunistically advances the replicated durable
 // watermark of a buffered file to the landed prefix, bounding how far a
 // failover can roll the size back.
-func (r *ReplicaServer) syncWBWindow(p sim.Proc, name string) {
-	s := r.s
-	low, dirty := r.wbLow[name]
-	if !dirty || s.wb == nil {
-		return
-	}
+func (s *Server) syncWBWindow(p sim.Proc, name string) {
+	low, dirty := s.grp.dirty(name)
 	e := s.wb.entries[name]
-	if e == nil {
+	if !dirty || e == nil {
 		return
 	}
 	durable := e.bufStart
@@ -1069,7 +1023,7 @@ func (r *ReplicaServer) syncWBWindow(p sim.Proc, name string) {
 		durable = e.pendStart
 	}
 	if durable > low {
-		if err := r.commit(p, rop{Kind: ropWBFlushed, Name: name, Blocks: durable}); err != nil {
+		if err := s.commit(p, rop{Kind: ropWBFlushed, Name: name, Blocks: durable}); err != nil {
 			// Leadership is gone: the watermark stays put, and the next
 			// leader's takeover rolls the file back further — safe, just
 			// less precise.
@@ -1086,10 +1040,11 @@ func (r *ReplicaServer) syncWBWindow(p sim.Proc, name string) {
 // have committed them without acting — and reconciles write-behind state:
 // whatever was buffered on the dead leader is gone, so each dirty file
 // rolls back to its durable prefix and arms a deferred-write error.
-func (r *ReplicaServer) takeover(p sim.Proc) {
-	r.tookOver = true
-	replay := append([]rop(nil), r.recentFx...)
-	for _, e := range r.node.CommittedSince(r.node.Status().SnapIndex) {
+func (s *Server) takeover(p sim.Proc) {
+	g := s.grp
+	g.tookOver = true
+	replay := append([]rop(nil), g.recentFx...)
+	for _, e := range g.node.CommittedSince(g.node.Status().SnapIndex) {
 		if e.Data == nil {
 			continue
 		}
@@ -1100,30 +1055,30 @@ func (r *ReplicaServer) takeover(p sim.Proc) {
 		replay = append(replay, op)
 	}
 	for _, op := range replay {
-		r.replayEffect(p, op)
-		r.breathe(p)
-		if r.dead.Load() || r.node.Status().Role != raft.Leader {
-			r.tookOver = false
+		s.replayEffect(p, op)
+		s.breathe(p)
+		if g.dead.Load() || g.node.Status().Role != raft.Leader {
+			g.tookOver = false
 			return
 		}
 	}
-	names := make([]string, 0, len(r.wbLow))
-	for name := range r.wbLow {
+	names := make([]string, 0, len(g.wbLow))
+	for name := range g.wbLow {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if r.s.wb != nil && r.s.wb.entries[name] != nil {
+		if s.wb != nil && s.wb.entries[name] != nil {
 			// Our own live buffer (we led before without losing it).
 			continue
 		}
-		ent, ok := r.s.dir[name]
+		ent, ok := s.dir[name]
 		if !ok {
 			continue
 		}
-		prefix, err := r.wbRecoverSize(p, ent, r.wbLow[name])
+		prefix, err := s.wbRecoverSize(p, ent, g.wbLow[name])
 		if err != nil {
-			prefix = r.wbLow[name]
+			prefix = g.wbLow[name]
 		}
 		fail := rop{
 			Kind:   ropWBFail,
@@ -1132,8 +1087,8 @@ func (r *ReplicaServer) takeover(p sim.Proc) {
 			ErrS: fmt.Sprintf("%s: %s: leader failover with a dirty write-behind buffer; size rolled back to %d durable blocks",
 				ErrDeferredWrite.Error(), name, prefix),
 		}
-		if cerr := r.commit(p, fail); cerr != nil {
-			r.tookOver = false
+		if cerr := s.commit(p, fail); cerr != nil {
+			g.tookOver = false
 			return
 		}
 	}
@@ -1145,31 +1100,31 @@ func (r *ReplicaServer) takeover(p sim.Proc) {
 // replay is real disk I/O; without breathing, a replay tail longer than
 // the peers' election timeout goes silent, the peers elect over the new
 // leader's head, and — since every new leader must take over again — the
-// replica set livelocks in flapping elections.
-func (r *ReplicaServer) breathe(p sim.Proc) {
+// group livelocks in flapping elections.
+func (s *Server) breathe(p sim.Proc) {
+	g := s.grp
 	for {
-		m, ok := r.s.port.TryRecv(p)
+		m, ok := s.port.TryRecv(p)
 		if !ok {
 			break
 		}
 		if isRaftMsg(m.Body) {
-			r.node.Step(m.Body, p.Now())
+			g.node.Step(m.Body, p.Now())
 		} else {
-			r.parked = append(r.parked, m)
+			g.parked = append(g.parked, m)
 		}
 	}
-	r.node.Tick(p.Now())
-	r.pump(p)
+	g.node.Tick(p.Now())
+	s.pump(p)
 }
 
 // replayEffect idempotently re-executes one entry's LFS side effect.
-func (r *ReplicaServer) replayEffect(p sim.Proc, op rop) {
-	s := r.s
+func (s *Server) replayEffect(p sim.Proc, op rop) {
 	switch op.Kind {
 	case ropCreate:
-		_ = s.lfsCreate(p, op.Meta.Nodes, op.Meta.LFSFileID, false, true)
+		_ = s.lfsCreate(p, op.Meta.Nodes, op.Meta.LFSFileID, false)
 	case ropDelete:
-		_, _ = r.effectDelete(p, op.Meta)
+		_, _ = s.lfsDelete(p, op.Meta)
 	case ropWrite:
 		ent, ok := s.dir[op.Name]
 		if !ok || ent.meta.FileID != op.Meta.FileID {
@@ -1183,48 +1138,13 @@ func (r *ReplicaServer) replayEffect(p sim.Proc, op rop) {
 			// shrink the committed size to the durable prefix and forget
 			// the op's success record.
 			fix := rop{Kind: ropFixup, Client: op.Client, Op: op.Op, Name: op.Name, Blocks: op.At + int64(written)}
-			if cerr := r.commit(p, fix); cerr != nil {
-				// Leadership is gone mid-takeover; the loop above aborts
-				// and the next leader replays this entry again.
+			if cerr := s.commit(p, fix); cerr != nil {
+				// Leadership is gone mid-takeover; the loop in takeover
+				// aborts and the next leader replays this entry again.
 				return
 			}
 		}
 	}
-}
-
-// effectDelete removes the constituent LFS files of a (already
-// unregistered) file, tolerating nodes that never had it.
-func (r *ReplicaServer) effectDelete(p sim.Proc, meta Meta) (int, error) {
-	s := r.s
-	op := lfs.DeleteReq{FileID: meta.LFSFileID}
-	ids := make([]uint64, 0, len(meta.Nodes))
-	for _, n := range meta.Nodes {
-		id, err := s.lc.Start(msg.Addr{Node: n, Port: lfs.PortName}, op, lfs.WireSize(op))
-		if err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrLFSFailed, err)
-		}
-		ids = append(ids, id)
-	}
-	ms, gerr := s.lc.GatherTimeout(ids, s.cfg.LFSTimeout)
-	freed := 0
-	var firstErr error
-	for _, m := range ms {
-		if m == nil {
-			continue
-		}
-		resp := m.Body.(lfs.DeleteResp)
-		freed += resp.Freed
-		if err := resp.Status.Err(); err != nil && !errors.Is(err, efs.ErrNotFound) && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if gerr != nil && firstErr == nil {
-		firstErr = gerr
-	}
-	if firstErr != nil {
-		return freed, fmt.Errorf("%w: %v", ErrLFSFailed, firstErr)
-	}
-	return freed, nil
 }
 
 // wbRecoverSize computes the durable contiguous prefix of a wb-dirty file
@@ -1232,376 +1152,26 @@ func (r *ReplicaServer) effectDelete(p sim.Proc, meta Meta) (int, error) {
 // count, and the prefix ends at the first global block whose node ran
 // out. This is refreshSize's sum made hole-aware — the dead leader's
 // in-flight window may have landed on some nodes and not others.
-func (r *ReplicaServer) wbRecoverSize(p sim.Proc, ent *dirent, low int64) (int64, error) {
-	s := r.s
-	op := lfs.StatReq{FileID: ent.meta.LFSFileID}
-	ids := make([]uint64, 0, len(ent.meta.Nodes))
-	for _, n := range ent.meta.Nodes {
-		id, err := s.lc.Start(msg.Addr{Node: n, Port: lfs.PortName}, op, lfs.WireSize(op))
-		if err != nil {
-			return low, fmt.Errorf("%w: %v", ErrLFSFailed, err)
-		}
-		ids = append(ids, id)
-	}
-	ms, err := s.lc.GatherTimeout(ids, s.cfg.LFSTimeout)
+func (s *Server) wbRecoverSize(p sim.Proc, ent *dirent, low int64) (int64, error) {
+	counts := make([]int64, len(ent.meta.Nodes))
+	total, err := s.lfsStat(p, ent, counts)
 	if err != nil {
-		return low, fmt.Errorf("%w: %v", ErrLFSFailed, err)
-	}
-	counts := make(map[msg.NodeID]int64, len(ms))
-	var total int64
-	for i, m := range ms {
-		resp := m.Body.(lfs.StatResp)
-		if err := resp.Status.Err(); err != nil {
-			return low, fmt.Errorf("%w: %v", ErrLFSFailed, err)
-		}
-		counts[ent.meta.Nodes[i]] = int64(resp.Info.Blocks)
-		total += int64(resp.Info.Blocks)
+		return low, err
 	}
 	l, err := distrib.New(ent.meta.Spec)
 	if err != nil {
 		return low, err
 	}
-	used := make(map[msg.NodeID]int64, len(counts))
+	used := make([]int64, len(counts))
 	var g int64
 	for g = 0; g < total; g++ {
-		node := ent.meta.Nodes[l.NodeFor(g)]
-		used[node]++
-		if used[node] > counts[node] {
+		i := l.NodeFor(g)
+		used[i]++
+		if used[i] > counts[i] {
 			break
 		}
 	}
 	return g, nil
-}
-
-// ---- replicated operation handlers ----
-
-func (r *ReplicaServer) rcreate(p sim.Proc, b CreateReq, from msg.Addr) (Meta, error) {
-	s := r.s
-	if b.Spec.Kind == distrib.Disordered {
-		return Meta{}, fmt.Errorf("%w: disordered placement is unsupported on a replicated server", ErrBadArg)
-	}
-	meta, next, err := s.planCreate(b)
-	if err != nil {
-		// Unlike the single server, a rejected create burns no id: the
-		// burn would be unreplicated state.
-		return Meta{}, err
-	}
-	op := rop{Kind: ropCreate, Client: from, Op: b.OpID, Name: b.Name, Meta: meta, NextID: next}
-	if err := r.commit(p, op); err != nil {
-		return Meta{}, err
-	}
-	if err := s.lfsCreate(p, meta.Nodes, meta.LFSFileID, false, true); err != nil {
-		fix := rop{Kind: ropFixup, Client: from, Op: b.OpID, Name: b.Name, Blocks: -1}
-		if cerr := r.commit(p, fix); cerr != nil {
-			return Meta{}, cerr
-		}
-		return Meta{}, err
-	}
-	return meta, nil
-}
-
-func (r *ReplicaServer) rdelete(p sim.Proc, b DeleteReq, from msg.Addr) (int, error) {
-	s := r.s
-	ent, ok := s.dir[b.Name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, b.Name)
-	}
-	s.wbDrop(p, ent) // quiesce in-flight buffered writes; the file dies anyway
-	meta := ent.meta
-	op := rop{Kind: ropDelete, Client: from, Op: b.OpID, Name: b.Name, Meta: meta}
-	if err := r.commit(p, op); err != nil {
-		return 0, err
-	}
-	return r.effectDelete(p, meta)
-}
-
-func (r *ReplicaServer) rrename(p sim.Proc, b RenameReq, from msg.Addr) (Meta, error) {
-	s := r.s
-	if b.Name == "" || b.NewName == "" {
-		return Meta{}, fmt.Errorf("%w: empty name", ErrBadArg)
-	}
-	ent, ok := s.dir[b.Name]
-	if !ok {
-		return Meta{}, fmt.Errorf("%w: %s", ErrNotFound, b.Name)
-	}
-	if b.NewName == b.Name {
-		return ent.meta, nil
-	}
-	if _, exists := s.dir[b.NewName]; exists {
-		return Meta{}, fmt.Errorf("%w: %s", ErrExists, b.NewName)
-	}
-	if _, err := r.drainWB(p, b.Name, from, b.OpID); err != nil {
-		return Meta{}, err
-	}
-	op := rop{Kind: ropRename, Client: from, Op: b.OpID, Name: b.Name, New: b.NewName}
-	if err := r.commit(p, op); err != nil {
-		return Meta{}, err
-	}
-	if moved, ok := s.dir[b.NewName]; ok {
-		return moved.meta, nil
-	}
-	return Meta{}, fmt.Errorf("%w: %s", ErrNotFound, b.Name)
-}
-
-func (r *ReplicaServer) rrelease(p sim.Proc, b ReleaseReq, from msg.Addr) (Meta, error) {
-	s := r.s
-	ent, ok := s.dir[b.Name]
-	if !ok {
-		return Meta{}, fmt.Errorf("%w: %s", ErrNotFound, b.Name)
-	}
-	s.wbDrop(p, ent)
-	meta := ent.meta
-	op := rop{Kind: ropRelease, Client: from, Op: b.OpID, Name: b.Name}
-	if err := r.commit(p, op); err != nil {
-		return Meta{}, err
-	}
-	return meta, nil
-}
-
-func (r *ReplicaServer) ropen(p sim.Proc, b OpenReq, from msg.Addr) (Meta, error) {
-	s := r.s
-	if _, ok := s.dir[b.Name]; !ok {
-		return Meta{}, fmt.Errorf("%w: %s", ErrNotFound, b.Name)
-	}
-	if _, err := r.drainWB(p, b.Name, from, 0); err != nil {
-		return Meta{}, err
-	}
-	op := rop{Kind: ropOpen, Client: from, Name: b.Name}
-	if err := r.commit(p, op); err != nil {
-		return Meta{}, err
-	}
-	if ent, ok := s.dir[b.Name]; ok {
-		return ent.meta, nil
-	}
-	return Meta{}, fmt.Errorf("%w: %s", ErrNotFound, b.Name)
-}
-
-func (r *ReplicaServer) rstat(p sim.Proc, name string, from msg.Addr) (Meta, error) {
-	s := r.s
-	if _, ok := s.dir[name]; !ok {
-		return Meta{}, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	if _, err := r.drainWB(p, name, from, 0); err != nil {
-		return Meta{}, err
-	}
-	if !r.leaseOK(p) {
-		return Meta{}, r.notLeaderError()
-	}
-	if ent, ok := s.dir[name]; ok {
-		return ent.meta, nil
-	}
-	return Meta{}, fmt.Errorf("%w: %s", ErrNotFound, name)
-}
-
-func (r *ReplicaServer) rflush(p sim.Proc, b FlushReq, from msg.Addr) (int, error) {
-	s := r.s
-	if b.Name == "" {
-		if err := r.drainWBAll(p, from, b.OpID); err != nil {
-			return 0, err
-		}
-		if !r.leaseOK(p) {
-			return 0, r.notLeaderError()
-		}
-		return 0, s.syncNodes(p, s.nodes)
-	}
-	ent, ok := s.dir[b.Name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, b.Name)
-	}
-	flushed, err := r.drainWB(p, b.Name, from, b.OpID)
-	if err != nil {
-		return flushed, err
-	}
-	if !r.leaseOK(p) {
-		return flushed, r.notLeaderError()
-	}
-	return flushed, s.syncNodes(p, ent.meta.Nodes)
-}
-
-func (r *ReplicaServer) rseqWrite(p sim.Proc, b SeqWriteReq, from msg.Addr) error {
-	s := r.s
-	ent, ok := s.dir[b.Name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, b.Name)
-	}
-	if err := r.surfaceDeferred(p, b.Name, from, b.OpID); err != nil {
-		return err
-	}
-	if s.wb != nil {
-		if !r.leaseOK(p) {
-			return r.notLeaderError()
-		}
-		if _, dirty := r.wbLow[b.Name]; !dirty {
-			mark := rop{Kind: ropWBDirty, Name: b.Name, Blocks: ent.meta.Blocks}
-			if err := r.commit(p, mark); err != nil {
-				return err
-			}
-		}
-		if err := s.wbAppend(p, ent, b.Data); err != nil {
-			// A window flush inside the buffer failed and acknowledged
-			// blocks rolled back; replicate the rollback under this op.
-			fail := rop{Kind: ropWBFail, Client: from, Op: b.OpID, Name: b.Name, Blocks: ent.meta.Blocks, ErrS: err.Error()}
-			if cerr := r.commit(p, fail); cerr != nil {
-				return cerr
-			}
-			return err
-		}
-		r.syncWBWindow(p, b.Name)
-		return nil
-	}
-	_, err := r.writeLogged(p, ent, ent.meta.Blocks, [][]byte{b.Data}, b.OpID, from)
-	return err
-}
-
-// writeLogged commits a write whose payloads ride the log (apply extends
-// the size to cover it), then lands it on the storage nodes. A failed
-// landing corrects the committed size via a fixup entry: appends shrink
-// back to the durable prefix, interior overwrites keep the old size.
-func (r *ReplicaServer) writeLogged(p sim.Proc, ent *dirent, at int64, payloads [][]byte, opID uint64, from msg.Addr) (int, error) {
-	s := r.s
-	old := ent.meta.Blocks
-	op := rop{
-		Kind: ropWrite, Client: from, Op: opID, Name: ent.meta.Name,
-		Meta: Meta{FileID: ent.meta.FileID}, At: at, N: len(payloads), Data: payloads,
-	}
-	if err := r.commit(p, op); err != nil {
-		return 0, err
-	}
-	written, err := s.lfsWriteN(p, ent, at, payloads)
-	if err != nil {
-		fixSize := at + int64(written)
-		if old > fixSize {
-			fixSize = old
-		}
-		fix := rop{Kind: ropFixup, Client: from, Op: opID, Name: ent.meta.Name, Blocks: fixSize}
-		if cerr := r.commit(p, fix); cerr != nil {
-			return written, cerr
-		}
-		return written, err
-	}
-	return written, nil
-}
-
-func (r *ReplicaServer) rseqRead(p sim.Proc, b SeqReadReq, from msg.Addr) ([]byte, bool, error) {
-	blocks, eof, err := r.seqReadCommon(p, b.Name, 1, b.OpID, from)
-	if err != nil {
-		return nil, false, err
-	}
-	// The single-block protocol reports EOF only on a read past the end;
-	// the last block itself arrives with EOF false (matching Server).
-	if len(blocks) == 0 {
-		return nil, eof, nil
-	}
-	return blocks[0], false, nil
-}
-
-func (r *ReplicaServer) rseqReadN(p sim.Proc, b SeqReadNReq, from msg.Addr) ([][]byte, bool, error) {
-	if b.Max <= 0 {
-		return nil, false, fmt.Errorf("%w: batch of %d blocks", ErrBadArg, b.Max)
-	}
-	max := b.Max
-	if max > maxBatchBlocks {
-		max = maxBatchBlocks
-	}
-	return r.seqReadCommon(p, b.Name, max, b.OpID, from)
-}
-
-// seqReadCommon reads up to max blocks at the client's cursor. The read
-// happens first (so an error never advances the cursor), then the cursor
-// movement commits through the log — making the reply healable: a
-// retransmission re-reads the same recorded window.
-func (r *ReplicaServer) seqReadCommon(p sim.Proc, name string, max int, opID uint64, from msg.Addr) ([][]byte, bool, error) {
-	s := r.s
-	ent, ok := s.dir[name]
-	if !ok {
-		return nil, false, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	if _, err := r.drainWB(p, name, from, opID); err != nil {
-		return nil, false, err
-	}
-	if !r.leaseOK(p) {
-		return nil, false, r.notLeaderError()
-	}
-	var pos int64
-	if cur, open := s.cursors[cursorKey{client: from, name: name}]; open {
-		pos = cur.readPos
-	}
-	if pos >= ent.meta.Blocks {
-		// EOF replies commit nothing: the cursor does not move.
-		return nil, true, nil
-	}
-	count := max
-	if remain := ent.meta.Blocks - pos; int64(count) > remain {
-		count = int(remain)
-	}
-	blocks, err := s.lfsReadN(p, ent, pos, count)
-	if err != nil {
-		return nil, false, err
-	}
-	eof := pos+int64(count) >= ent.meta.Blocks
-	op := rop{Kind: ropSeqRead, Client: from, Op: opID, Name: name, At: pos, N: count, EOF: eof}
-	if err := r.commit(p, op); err != nil {
-		return nil, false, err
-	}
-	return blocks, eof, nil
-}
-
-func (r *ReplicaServer) rreadAt(p sim.Proc, name string, blockNum int64, count int, from msg.Addr) ([][]byte, error) {
-	s := r.s
-	if count <= 0 {
-		return nil, fmt.Errorf("%w: batch of %d blocks", ErrBadArg, count)
-	}
-	if count > maxBatchBlocks {
-		count = maxBatchBlocks
-	}
-	ent, ok := s.dir[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	if _, err := r.drainWB(p, name, from, 0); err != nil {
-		return nil, err
-	}
-	if !r.leaseOK(p) {
-		return nil, r.notLeaderError()
-	}
-	if blockNum < 0 || blockNum >= ent.meta.Blocks {
-		return nil, fmt.Errorf("%w: block %d of %d", ErrEOF, blockNum, ent.meta.Blocks)
-	}
-	if remain := ent.meta.Blocks - blockNum; int64(count) > remain {
-		count = int(remain)
-	}
-	return s.lfsReadN(p, ent, blockNum, count)
-}
-
-func (r *ReplicaServer) rwriteAt(p sim.Proc, name string, blockNum int64, payloads [][]byte, opID uint64, from msg.Addr) (int, error) {
-	s := r.s
-	ent, ok := s.dir[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	for _, payload := range payloads {
-		if len(payload) > PayloadBytes {
-			return 0, fmt.Errorf("%w: payload %d exceeds %d", ErrBadArg, len(payload), PayloadBytes)
-		}
-	}
-	if len(payloads) == 0 {
-		return 0, nil
-	}
-	if len(payloads) > maxBatchBlocks {
-		return 0, fmt.Errorf("%w: batch of %d exceeds %d blocks", ErrBadArg, len(payloads), maxBatchBlocks)
-	}
-	if _, err := r.drainWB(p, name, from, opID); err != nil {
-		return 0, err
-	}
-	if blockNum < 0 {
-		blockNum = ent.meta.Blocks
-	}
-	if blockNum > ent.meta.Blocks {
-		return 0, fmt.Errorf("%w: block %d beyond size %d", ErrBadArg, blockNum, ent.meta.Blocks)
-	}
-	// The whole run — overwrite, append, or both — rides the log, so a
-	// retransmission heals and a failover replays the identical bytes.
-	return r.writeLogged(p, ent, blockNum, payloads, opID, from)
 }
 
 // respWithErr builds the matching error reply for any request kind — the

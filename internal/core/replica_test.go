@@ -93,8 +93,8 @@ func TestReplicatedBasicOps(t *testing.T) {
 		// Every replica converges on the same committed prefix.
 		p.Sleep(200 * time.Millisecond)
 		lead := awaitLeader(t, p, cl)
-		want := cl.Replicas[lead].RaftStatus().Commit
-		for i, r := range cl.Replicas {
+		want := cl.Servers[lead].RaftStatus().Commit
+		for i, r := range cl.Servers {
 			if got := r.RaftStatus().Commit; got != want {
 				t.Errorf("replica %d commit = %d, leader has %d", i, got, want)
 			}
@@ -147,8 +147,8 @@ func TestReplicatedLeaderFailover(t *testing.T) {
 			t.Fatalf("Create(post-restart): %v", err)
 		}
 		p.Sleep(500 * time.Millisecond)
-		want := cl.Replicas[newLead].RaftStatus().Commit
-		if got := cl.Replicas[lead].RaftStatus().Commit; got != want {
+		want := cl.Servers[newLead].RaftStatus().Commit
+		if got := cl.Servers[lead].RaftStatus().Commit; got != want {
 			t.Errorf("restarted replica commit = %d, leader has %d", got, want)
 		}
 	})
@@ -167,13 +167,13 @@ func TestReplicatedMinorityPartition(t *testing.T) {
 		inj := fault.New(1)
 		cl.Net.SetFault(inj)
 		start, healAt := p.Now(), p.Now()+4*time.Second
-		leadNode := cl.Replicas[lead].Addr().Node
-		for i, r := range cl.Replicas {
+		leadNode := cl.Servers[lead].Addr().Node
+		for i, r := range cl.Servers {
 			if i != lead {
 				inj.Partition(start, healAt, leadNode, r.Addr().Node)
 			}
 		}
-		stranded := cl.Replicas[lead].RaftStatus().Commit
+		stranded := cl.Servers[lead].RaftStatus().Commit
 		// The mutation must commit exactly once, on the majority side.
 		// The client may try the stranded leader first; it can no longer
 		// reach a quorum, so it must refuse rather than acknowledge.
@@ -184,7 +184,7 @@ func TestReplicatedMinorityPartition(t *testing.T) {
 		if maj == lead {
 			t.Fatalf("stranded replica %d still reports leadership with commit authority", lead)
 		}
-		if got := cl.Replicas[lead].RaftStatus().Commit; got > stranded {
+		if got := cl.Servers[lead].RaftStatus().Commit; got > stranded {
 			t.Errorf("stranded leader advanced commit %d -> %d during partition", stranded, got)
 		}
 		// Heal and converge: everyone agrees on one directory.
@@ -192,8 +192,8 @@ func TestReplicatedMinorityPartition(t *testing.T) {
 			p.Sleep(50 * time.Millisecond)
 		}
 		p.Sleep(time.Second)
-		want := cl.Replicas[maj].RaftStatus().Commit
-		for i, r := range cl.Replicas {
+		want := cl.Servers[maj].RaftStatus().Commit
+		for i, r := range cl.Servers {
 			if got := r.RaftStatus().Commit; got != want {
 				t.Errorf("replica %d commit = %d, want %d", i, got, want)
 			}
@@ -222,7 +222,7 @@ func TestReplicatedDedupAcrossFailover(t *testing.T) {
 		// Hand-retransmit the last committed write with its original op
 		// id: the server must detect the duplicate and not append again.
 		lead := awaitLeader(t, p, cl)
-		addr := cl.Replicas[lead].Addr()
+		addr := cl.Servers[lead].Addr()
 		body := SeqWriteReq{OpID: c.nextOp, Name: "f", Data: payload(3)}
 		m, err := c.callAt(addr, body)
 		if err != nil {

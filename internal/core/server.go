@@ -41,11 +41,13 @@ type Config struct {
 	LFSRetry *RetryPolicy
 	// Health, when set, runs a heartbeat monitor over the storage nodes
 	// and fast-fails calls to nodes it has declared dead. Off by default.
+	// A replicated group rejects it (DESIGN.md, feature × group-size).
 	Health *HealthConfig
 	// ReadAhead, when positive, buffers sequential reads in windows of
 	// ReadAhead stripes (ReadAhead×p blocks) per (client, file) and
 	// prefetches the next window asynchronously. Off by default so the
-	// naive per-block path keeps the paper's measured behavior.
+	// naive per-block path keeps the paper's measured behavior. A
+	// replicated group rejects it (DESIGN.md, feature × group-size).
 	ReadAhead int
 	// WriteBehind, when positive, acknowledges sequential appends to
 	// formulaic files as soon as they are buffered and flushes them in
@@ -71,20 +73,31 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Server is the Bridge Server: a single centralized process, as in the
-// prototype ("though this need not be the case").
+// Server is the Bridge Server: one process speaking the Table 1 command
+// set over one directory. It is "a single centralized process, though this
+// need not be the case": grp optionally makes it one member of a
+// Raft-replicated group sharing that directory, and every handler below is
+// written once for both — validate, drain write-behind, check the lease,
+// commit, run the LFS effect, fix up — which degenerates correctly for a
+// group of one, whose commit is an inline apply and whose lease never
+// lapses.
 type Server struct {
 	net   *msg.Network
 	cfg   Config
 	nodes []msg.NodeID
 	port  *msg.Port
 
-	lc      *msg.Client // for talking to LFS instances; owned by the server process
+	lc *msg.Client // for talking to LFS instances; owned by the server process
+	// dir, nextID and the cursors are the directory state machine: only
+	// apply (and snapshot restore) changes their membership.
 	dir     map[string]*dirent
 	cursors map[cursorKey]*cursor
 	jobs    map[uint64]*job
 	nextID  uint32
 	nextJob uint64
+	// grp is the server's membership of a replicated directory group; nil
+	// for a group of one.
+	grp *member
 
 	retry     *retrier       // nil = no LFS retransmission
 	health    *healthTracker // nil = no monitoring
@@ -94,6 +107,11 @@ type Server struct {
 	nextLFSOp uint64
 	dedup     map[dedupKey]any
 	dedupQ    []dedupKey
+	// one carries a single-block command's block to or from the shared
+	// batched handlers without allocating a slice per request. The server
+	// is single-threaded and the slot is consumed before the next request
+	// is handled (log entries hold their own decoded copy).
+	one [1][]byte
 
 	m srvMetrics
 	// curSpan is the span of the request currently being dispatched; the
@@ -127,7 +145,8 @@ type cursor struct {
 	readPos int64
 	// chain is the location of the next block to read in a disordered
 	// file (valid when chainValid is set); it lets sequential reads
-	// follow the chain at one LFS read per block.
+	// follow the chain at one LFS read per block. It is a volatile hint,
+	// not directory state: losing it costs a walk from the head.
 	chain      chainLoc
 	chainValid bool
 }
@@ -153,12 +172,7 @@ type DirSnapshot struct {
 // and its state must not be read while it runs.
 func (s *Server) Snapshot() DirSnapshot {
 	snap := DirSnapshot{NextID: s.nextID, NextJob: s.nextJob}
-	names := make([]string, 0, len(s.dir))
-	for name := range s.dir {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range s.sortedNames() {
 		snap.Files = append(snap.Files, s.dir[name].meta)
 	}
 	return snap
@@ -174,21 +188,11 @@ func (s *Server) Restore(snap DirSnapshot) {
 	}
 }
 
-// StartServer creates the Bridge Server process. nodes lists the storage
-// nodes in interleaving order.
-func StartServer(rt sim.Runtime, net *msg.Network, cfg Config, nodes []msg.NodeID) *Server {
-	s := newServer(net, cfg, nodes)
-	if s.health != nil {
-		s.startMonitor(rt)
-	}
-	rt.Go(s.port.Addr().String(), func(p sim.Proc) { s.run(p) })
-	return s
-}
-
-// newServer builds a Server without spawning its request loop or health
-// monitor. The replicated server embeds one as its directory state machine
-// and LFS effect engine, driving a different loop on the same port.
-func newServer(net *msg.Network, cfg Config, nodes []msg.NodeID) *Server {
+// startServer creates a Bridge Server process. nodes lists the storage
+// nodes in interleaving order; spec, when non-nil, makes the server a
+// member of a replicated group (StartCluster has checked that the
+// configuration is one a replicated group accepts).
+func startServer(rt sim.Runtime, net *msg.Network, cfg Config, nodes []msg.NodeID, spec *memberSpec) *Server {
 	cfg.applyDefaults()
 	s := &Server{
 		net:     net,
@@ -209,6 +213,7 @@ func newServer(net *msg.Network, cfg Config, nodes []msg.NodeID) *Server {
 	}
 	if cfg.Health != nil {
 		s.health = newHealthTracker(*cfg.Health)
+		s.startMonitor(rt)
 	}
 	if cfg.ReadAhead > 0 {
 		s.ra = newRACache(cfg.ReadAhead)
@@ -216,52 +221,76 @@ func newServer(net *msg.Network, cfg Config, nodes []msg.NodeID) *Server {
 	if cfg.WriteBehind > 0 {
 		s.wb = newWBCache(cfg.WriteBehind)
 	}
+	procName := s.port.Addr().String()
+	if spec != nil {
+		s.grp = newMember(net, *spec)
+		procName = fmt.Sprintf("%v/r%d", s.port.Addr(), spec.id)
+	}
+	rt.Go(procName, s.run)
 	return s
 }
 
-// Addr returns the server's request address.
+// Addr returns the server's request (and, for a member, consensus) address.
 func (s *Server) Addr() msg.Addr { return s.port.Addr() }
 
-// Stop closes the server port; the server process exits after draining.
-// The health monitor, if any, stops with it.
+// Stop closes the server port. A group of one exits after draining its
+// queue, and its health monitor stops with it. A member stops dead, with
+// kill-9 semantics — nothing volatile survives and nothing more is sent;
+// its consensus state is durable, so there is nothing gentler to do (the
+// caller crashes the raft store's disk alongside to model a power loss).
 func (s *Server) Stop() {
+	if s.grp != nil {
+		s.grp.dead.Store(true)
+	}
 	s.port.Close()
 	if s.monStop != nil {
 		s.monStop.Close()
 	}
 }
 
+// run is the server process: the one request loop.
 func (s *Server) run(p sim.Proc) {
 	s.lc = msg.NewClient(p, s.net, s.cfg.Node, s.cfg.PortName+".lfscli")
+	defer s.lc.Close()
+	if !s.loadLog(p) {
+		return
+	}
 	for {
-		req, ok := s.port.Recv(p)
+		req, ok := s.next(p)
 		if !ok {
-			// Close job ports in job-id order: closing unblocks their
-			// workers, and that order is observable virtual-time state.
-			ids := make([]uint64, 0, len(s.jobs))
-			for id := range s.jobs {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, id := range ids {
-				s.jobs[id].port.Close()
-			}
-			s.lc.Close()
-			return
+			break
 		}
-		rec := s.net.Recorder()
-		if rec != nil {
-			at := p.Now()
-			sp := rec.Start(at, req.Trace, req.Span, "server."+opName(req.Body), int(s.cfg.Node))
-			sp.SetQueueWait(s.net.QueueWait(at, req))
-			s.curSpan = sp
-			// LFS calls made while handling this request parent under it.
-			s.lc.SetTrace(req.Trace, sp.ID())
-		}
-		if s.cfg.OpCPU > 0 {
-			p.Sleep(s.cfg.OpCPU)
-		}
-		body := s.dispatch(p, req)
+		s.serve(p, req)
+		s.pump(p)
+	}
+	// Close job ports in job-id order: closing unblocks their workers,
+	// and that order is observable virtual-time state.
+	ids := make([]uint64, 0, len(s.jobs))
+	for id := range s.jobs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		s.jobs[id].port.Close()
+	}
+}
+
+// serve handles one client request: span, CPU charge, dispatch, reply.
+func (s *Server) serve(p sim.Proc, req *msg.Message) {
+	rec := s.net.Recorder()
+	if rec != nil {
+		at := p.Now()
+		sp := rec.Start(at, req.Trace, req.Span, "server."+opName(req.Body), int(s.cfg.Node))
+		sp.SetQueueWait(s.net.QueueWait(at, req))
+		s.curSpan = sp
+		// LFS calls made while handling this request parent under it.
+		s.lc.SetTrace(req.Trace, sp.ID())
+	}
+	if s.cfg.OpCPU > 0 {
+		p.Sleep(s.cfg.OpCPU)
+	}
+	body := s.dispatch(p, req)
+	if !s.crashed() {
 		_ = s.net.Send(p, s.cfg.Node, req.From, &msg.Message{
 			From:  s.port.Addr(),
 			ReqID: req.ReqID,
@@ -270,86 +299,61 @@ func (s *Server) run(p sim.Proc) {
 			Trace: req.Trace,
 			Span:  req.Span,
 		})
-		if rec != nil {
-			s.curSpan.EndErr(p.Now(), respErrAny(body))
-			s.curSpan = obs.SpanRef{}
-			s.lc.SetTrace(0, 0)
-		}
+	}
+	if rec != nil {
+		s.curSpan.EndErr(p.Now(), respErr(body))
+		s.curSpan = obs.SpanRef{}
+		s.lc.SetTrace(0, 0)
 	}
 }
 
-// opIDOf extracts the dedup operation id from requests that carry one.
-func opIDOf(body any) (uint64, bool) {
+// opIDOf extracts the dedup operation id from requests that carry one (0
+// otherwise).
+func opIDOf(body any) uint64 {
 	switch b := body.(type) {
 	case CreateReq:
-		return b.OpID, true
+		return b.OpID
 	case DeleteReq:
-		return b.OpID, true
+		return b.OpID
 	case RenameReq:
-		return b.OpID, true
+		return b.OpID
 	case SeqReadReq:
-		return b.OpID, true
+		return b.OpID
 	case SeqReadNReq:
-		return b.OpID, true
+		return b.OpID
 	case SeqWriteReq:
-		return b.OpID, true
+		return b.OpID
 	case RandWriteReq:
-		return b.OpID, true
+		return b.OpID
 	case RandWriteNReq:
-		return b.OpID, true
+		return b.OpID
 	case RepairNodeReq:
-		return b.OpID, true
+		return b.OpID
 	case FsckReq:
-		return b.OpID, true
+		return b.OpID
 	case FlushReq:
-		return b.OpID, true
+		return b.OpID
 	case ReleaseReq:
-		return b.OpID, true
+		return b.OpID
 	default:
-		return 0, false
+		return 0
 	}
 }
 
-// respErr returns the transported error string of a cacheable reply.
-func respErr(body any) string {
-	switch b := body.(type) {
-	case CreateResp:
-		return b.Err
-	case DeleteResp:
-		return b.Err
-	case RenameResp:
-		return b.Err
-	case SeqReadResp:
-		return b.Err
-	case SeqReadNResp:
-		return b.Err
-	case SeqWriteResp:
-		return b.Err
-	case RandWriteResp:
-		return b.Err
-	case RandWriteNResp:
-		return b.Err
-	case RepairNodeResp:
-		return b.Err
-	case FsckResp:
-		return b.Err
-	case RecoveryResp:
-		return b.Err
-	case FlushResp:
-		return b.Err
-	case ReleaseResp:
-		return b.Err
-	default:
-		return ""
-	}
-}
-
-// dispatch wraps handle with retransmission dedup: a request whose
-// (client, OpID) was already executed successfully gets the cached reply,
-// so lost replies and duplicated messages never re-run a mutation.
+// dispatch wraps handle with retransmission dedup, so lost replies and
+// duplicated messages never re-run a mutation. The two group sizes
+// remember different things: a member's replicated op table (admit)
+// survives a failover and re-reads healed data from the LFS; a group of
+// one keeps the successful reply itself in a volatile cache.
 func (s *Server) dispatch(p sim.Proc, req *msg.Message) any {
-	op, hasOp := opIDOf(req.Body)
-	if !hasOp || op == 0 {
+	op := opIDOf(req.Body)
+	if s.grp != nil {
+		if reply, done := s.admit(p, req, op); done {
+			return reply
+		}
+		return s.handle(p, req)
+	}
+	if op == 0 {
 		return s.handle(p, req)
 	}
 	key := dedupKey{client: req.From, op: op}
@@ -371,52 +375,66 @@ func (s *Server) dispatch(p sim.Proc, req *msg.Message) any {
 	return body
 }
 
+// handle is the one dispatch over the command set: one handler per
+// command, whatever the group size.
 func (s *Server) handle(p sim.Proc, req *msg.Message) any {
+	from := req.From
 	switch r := req.Body.(type) {
 	case CreateReq:
-		meta, err := s.create(p, r)
+		meta, err := s.create(p, from, r)
 		return CreateResp{Meta: meta, Err: errString(err)}
 	case DeleteReq:
-		freed, err := s.delete(p, r.Name)
+		_, freed, err := s.remove(p, from, r.Name, r.OpID, ropDelete)
 		return DeleteResp{Freed: freed, Err: errString(err)}
 	case RenameReq:
-		meta, err := s.rename(p, r.Name, r.NewName)
+		meta, err := s.rename(p, from, r)
 		return RenameResp{Meta: meta, Err: errString(err)}
 	case OpenReq:
-		meta, err := s.open(p, req.From, r.Name)
+		meta, err := s.open(p, from, r.Name, true)
 		return OpenResp{Meta: meta, Err: errString(err)}
 	case StatReq:
-		meta, err := s.stat(p, r.Name)
+		meta, err := s.open(p, from, r.Name, false)
 		return StatResp{Meta: meta, Err: errString(err)}
 	case FlushReq:
-		flushed, err := s.flush(p, r.Name)
+		flushed, err := s.flush(p, from, r)
 		return FlushResp{Flushed: flushed, Err: errString(err)}
 	case ReleaseReq:
-		meta, err := s.release(p, r.Name)
+		meta, _, err := s.remove(p, from, r.Name, r.OpID, ropRelease)
 		return ReleaseResp{Meta: meta, Err: errString(err)}
 	case SeqReadReq:
-		data, eof, err := s.seqRead(p, req.From, r.Name)
-		return SeqReadResp{Data: data, EOF: eof, Err: errString(err)}
+		blocks, eof, err := s.seqRead(p, from, r.Name, 1, r.OpID, true)
+		// The single-block protocol reports EOF only on a read past the
+		// end; the last block itself arrives with EOF false.
+		if len(blocks) == 0 {
+			return SeqReadResp{EOF: eof, Err: errString(err)}
+		}
+		return SeqReadResp{Data: blocks[0]}
 	case SeqReadNReq:
-		blocks, eof, err := s.seqReadN(p, req.From, r.Name, r.Max)
+		blocks, eof, err := s.seqRead(p, from, r.Name, r.Max, r.OpID, false)
 		return SeqReadNResp{Blocks: blocks, EOF: eof, Err: errString(err)}
 	case SeqWriteReq:
-		err := s.writeAt(p, r.Name, -1, r.Data)
+		s.one[0] = r.Data
+		_, err := s.write(p, from, r.Name, -1, s.one[:], r.OpID, true)
 		return SeqWriteResp{Err: errString(err)}
 	case RandReadReq:
-		data, err := s.readAt(p, r.Name, r.BlockNum)
-		return RandReadResp{Data: data, Err: errString(err)}
+		blocks, err := s.readAt(p, from, r.Name, r.BlockNum, 1, true)
+		if err != nil {
+			return RandReadResp{Err: err.Error()}
+		}
+		return RandReadResp{Data: blocks[0]}
 	case RandReadNReq:
-		blocks, err := s.readAtN(p, r.Name, r.BlockNum, r.Count)
+		blocks, err := s.readAt(p, from, r.Name, r.BlockNum, r.Count, false)
 		return RandReadNResp{Blocks: blocks, Err: errString(err)}
 	case RandWriteReq:
-		err := s.writeAt(p, r.Name, r.BlockNum, r.Data)
+		s.one[0] = r.Data
+		_, err := s.write(p, from, r.Name, r.BlockNum, s.one[:], r.OpID, true)
 		return RandWriteResp{Err: errString(err)}
 	case RandWriteNReq:
-		written, err := s.writeAtN(p, r.Name, r.BlockNum, r.Blocks)
+		written, err := s.write(p, from, r.Name, r.BlockNum, r.Blocks, r.OpID, false)
 		return RandWriteNResp{Written: written, Err: errString(err)}
 	case ParallelOpenReq:
-		return s.parallelOpen(p, r)
+		id, meta, err := s.parallelOpen(p, r)
+		return ParallelOpenResp{JobID: id, Meta: meta, Err: errString(err)}
 	case ParallelReadReq:
 		delivered, eof, err := s.parallelRead(p, r.JobID)
 		return ParallelReadResp{Delivered: delivered, EOF: eof, Err: errString(err)}
@@ -431,12 +449,10 @@ func (s *Server) handle(p sim.Proc, req *msg.Message) any {
 		}
 		return CloseJobResp{Err: ErrNoJob.Error()}
 	case ListReq:
-		names := make([]string, 0, len(s.dir))
-		for name := range s.dir {
-			names = append(names, name)
+		if err := s.lease(p); err != nil {
+			return ListResp{Err: err.Error()}
 		}
-		sort.Strings(names)
-		return ListResp{Names: names}
+		return ListResp{Names: s.sortedNames()}
 	case GetInfoReq:
 		return GetInfoResp{Info: Info{
 			P:      len(s.nodes),
@@ -453,13 +469,13 @@ func (s *Server) handle(p sim.Proc, req *msg.Message) any {
 		}
 		return HealthResp{States: s.health.snapshot(s.nodes)}
 	case RepairNodeReq:
-		files, err := s.repairNode(p, r.Node)
+		files, err := s.repairNode(p, from, r)
 		return RepairNodeResp{Files: files, Err: errString(err)}
 	case FsckReq:
-		rep, fixes, err := s.fsck(p, r)
+		rep, fixes, err := s.fsck(p, from, r)
 		return FsckResp{Report: rep, Fixes: fixes, Err: errString(err)}
 	case ScrubReq:
-		rep, err := s.scrub(p, r.Node)
+		rep, err := s.scrub(p, from, r.Node)
 		return ScrubResp{Report: rep, Err: errString(err)}
 	case RecoveryReq:
 		rep, err := s.recovery(p, r.Node)
@@ -476,37 +492,60 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// create allocates a file id, builds the placement, and creates the
-// constituent LFS file on every node.
-func (s *Server) create(p sim.Proc, r CreateReq) (Meta, error) {
-	meta, next, err := s.planCreate(r)
-	// Ids burn on placement failures past the allocation point, matching
-	// the historical behavior; planCreate reports how far it got.
-	s.nextID = next
+// lookup finds a file's directory entry.
+func (s *Server) lookup(name string) (*dirent, error) {
+	if ent, ok := s.dir[name]; ok {
+		return ent, nil
+	}
+	return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+}
+
+// sortedNames lists the directory in name order, the order every sweep
+// and snapshot uses so runs replay deterministically.
+func (s *Server) sortedNames() []string {
+	names := make([]string, 0, len(s.dir))
+	for name := range s.dir {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// create validates the request, commits the new directory entry, and then
+// creates the constituent LFS file on every node; if that fails the entry
+// is taken back out.
+func (s *Server) create(p sim.Proc, from msg.Addr, r CreateReq) (Meta, error) {
+	if r.Spec.Kind == distrib.Disordered && s.grp != nil {
+		return Meta{}, fmt.Errorf("%w: disordered placement is unsupported on a replicated server", ErrBadArg)
+	}
+	meta, err := s.planCreate(r)
 	if err != nil {
 		return Meta{}, err
 	}
-	if err := s.lfsCreate(p, meta.Nodes, meta.LFSFileID, r.Tree, false); err != nil {
+	op := rop{Kind: ropCreate, Client: from, Op: r.OpID, Name: r.Name, Meta: meta, NextID: s.nextID + 1}
+	if err := s.commit(p, op); err != nil {
 		return Meta{}, err
 	}
-	s.dir[r.Name] = &dirent{meta: meta, hints: make(map[msg.NodeID]int32)}
+	if err := s.lfsCreate(p, meta.Nodes, meta.LFSFileID, r.Tree); err != nil {
+		fix := rop{Kind: ropFixup, Client: from, Op: r.OpID, Name: r.Name, Blocks: -1}
+		if cerr := s.commit(p, fix); cerr != nil {
+			return Meta{}, cerr
+		}
+		return Meta{}, err
+	}
 	return meta, nil
 }
 
 // planCreate validates a create request against the current directory and
 // resolves its placement without touching any state: it returns the
-// metadata the file would get and the id counter value the caller must
-// adopt (advanced past the allocation point even on late errors, so the
-// single server's id-burning behavior is preserved). The replicated
-// server runs the same plan, ships the result through the log, and every
-// replica applies the identical insert.
-func (s *Server) planCreate(r CreateReq) (Meta, uint32, error) {
-	next := s.nextID
+// metadata the file gets once the create commits. A rejected create burns
+// no file id — the counter moves only inside apply.
+func (s *Server) planCreate(r CreateReq) (Meta, error) {
 	if r.Name == "" {
-		return Meta{}, next, fmt.Errorf("%w: empty name", ErrBadArg)
+		return Meta{}, fmt.Errorf("%w: empty name", ErrBadArg)
 	}
 	if _, dup := s.dir[r.Name]; dup {
-		return Meta{}, next, fmt.Errorf("%w: %s", ErrExists, r.Name)
+		return Meta{}, fmt.Errorf("%w: %s", ErrExists, r.Name)
 	}
 	spec := r.Spec
 	if spec.Kind == 0 {
@@ -516,27 +555,26 @@ func (s *Server) planCreate(r CreateReq) (Meta, uint32, error) {
 		spec.P = len(s.nodes)
 	}
 	if spec.P > len(s.nodes) {
-		return Meta{}, next, fmt.Errorf("%w: P %d exceeds cluster size %d", ErrBadArg, spec.P, len(s.nodes))
+		return Meta{}, fmt.Errorf("%w: P %d exceeds cluster size %d", ErrBadArg, spec.P, len(s.nodes))
 	}
 	if spec.Kind == distrib.Chunked && spec.TotalBlocks == 0 {
-		return Meta{}, next, distrib.ErrNeedSize
+		return Meta{}, distrib.ErrNeedSize
 	}
 	if spec.Kind != distrib.Disordered {
 		if _, err := distrib.New(spec); err != nil {
-			return Meta{}, next, err
+			return Meta{}, err
 		}
 	}
-	next++
-	fileID := s.cfg.IDBase + next*s.cfg.IDStride
+	fileID := s.cfg.IDBase + (s.nextID+1)*s.cfg.IDStride
 	nodes := append([]msg.NodeID(nil), s.nodes[:spec.P]...)
 	if len(r.Subset) > 0 {
 		if len(r.Subset) != spec.P {
-			return Meta{}, next, fmt.Errorf("%w: subset of %d nodes for P=%d", ErrBadArg, len(r.Subset), spec.P)
+			return Meta{}, fmt.Errorf("%w: subset of %d nodes for P=%d", ErrBadArg, len(r.Subset), spec.P)
 		}
 		nodes = nodes[:0]
 		for _, idx := range r.Subset {
 			if idx < 0 || idx >= len(s.nodes) {
-				return Meta{}, next, fmt.Errorf("%w: subset index %d out of range", ErrBadArg, idx)
+				return Meta{}, fmt.Errorf("%w: subset index %d out of range", ErrBadArg, idx)
 			}
 			nodes = append(nodes, s.nodes[idx])
 		}
@@ -551,15 +589,16 @@ func (s *Server) planCreate(r CreateReq) (Meta, uint32, error) {
 	if spec.Kind == distrib.Disordered {
 		meta.Chain = &ChainInfo{LocalCounts: make([]int64, spec.P)}
 	}
-	return meta, next, nil
+	return meta, nil
 }
 
 // lfsCreate creates the constituent LFS file on every placement node —
 // starting all the LFS operations before waiting for them, with
 // sequential initiation (the paper's measured behavior), or through the
-// embedded binary tree when tree is set. tolerateExists makes it
-// idempotent for replay after a leader failover.
-func (s *Server) lfsCreate(p sim.Proc, nodes []msg.NodeID, fileID uint32, tree, tolerateExists bool) error {
+// embedded binary tree when tree is set. On a replicated group a takeover
+// may replay the effect, so a node that already has the file is fine; a
+// group of one runs each effect once and reports it.
+func (s *Server) lfsCreate(p sim.Proc, nodes []msg.NodeID, fileID uint32, tree bool) error {
 	op := lfs.CreateReq{FileID: fileID}
 	if tree {
 		if err := lfs.TreeBroadcast(s.lc, nodes, op, lfs.WireSize(op)); err != nil {
@@ -581,7 +620,7 @@ func (s *Server) lfsCreate(p sim.Proc, nodes []msg.NodeID, fileID uint32, tree, 
 	}
 	for _, m := range ms {
 		if err := m.Body.(lfs.CreateResp).Status.Err(); err != nil {
-			if tolerateExists && errors.Is(err, efs.ErrExists) {
+			if s.grp != nil && errors.Is(err, efs.ErrExists) {
 				continue
 			}
 			return fmt.Errorf("%w: %v", ErrLFSFailed, err)
@@ -590,18 +629,44 @@ func (s *Server) lfsCreate(p sim.Proc, nodes []msg.NodeID, fileID uint32, tree, 
 	return nil
 }
 
-// delete removes the constituent LFS files in parallel; each LFS traverses
-// its local chain freeing blocks, so the operation takes O(n/p).
-func (s *Server) delete(p sim.Proc, name string) (int, error) {
-	ent, ok := s.dir[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
+// remove takes a file out of the directory and returns its final
+// metadata. Delete (kind ropDelete) then frees the constituent LFS files in
+// parallel — each LFS traverses its local chain freeing blocks, so the
+// operation takes O(n/p). Release (kind ropRelease) leaves them to the
+// caller, the toolkit's parallel delete, which frees them on the nodes.
+// Buffered write-behind data has nowhere to go and is dropped; cursors and
+// read-ahead windows go with the entry.
+func (s *Server) remove(p sim.Proc, from msg.Addr, name string, opID uint64, kind uint8) (Meta, int, error) {
+	ent, err := s.lookup(name)
+	if err != nil {
+		return Meta{}, 0, err
 	}
 	s.raInvalidate(name)
 	s.wbDrop(p, ent)
-	op := lfs.DeleteReq{FileID: ent.meta.LFSFileID}
-	ids := make([]uint64, 0, len(ent.meta.Nodes))
-	for _, n := range ent.meta.Nodes {
+	meta := ent.meta
+	op := rop{Kind: kind, Client: from, Op: opID, Name: name}
+	if kind == ropDelete {
+		// The entry carries the placement so a takeover can replay the
+		// frees after the directory has forgotten the file.
+		op.Meta = meta
+	}
+	if err := s.commit(p, op); err != nil {
+		return Meta{}, 0, err
+	}
+	if kind == ropRelease {
+		return meta, 0, nil
+	}
+	freed, err := s.lfsDelete(p, meta)
+	return meta, freed, err
+}
+
+// lfsDelete removes the constituent LFS files of an (already unregistered)
+// file. On a replicated group a takeover may replay the effect, so a node
+// that no longer has the file is fine.
+func (s *Server) lfsDelete(p sim.Proc, meta Meta) (int, error) {
+	op := lfs.DeleteReq{FileID: meta.LFSFileID}
+	ids := make([]uint64, 0, len(meta.Nodes))
+	for _, n := range meta.Nodes {
 		id, err := s.lc.Start(msg.Addr{Node: n, Port: lfs.PortName}, op, lfs.WireSize(op))
 		if err != nil {
 			return 0, fmt.Errorf("%w: %v", ErrLFSFailed, err)
@@ -617,18 +682,16 @@ func (s *Server) delete(p sim.Proc, name string) (int, error) {
 		}
 		resp := m.Body.(lfs.DeleteResp)
 		freed += resp.Freed
-		if err := resp.Status.Err(); err != nil && firstErr == nil {
+		err := resp.Status.Err()
+		if s.grp != nil && errors.Is(err, efs.ErrNotFound) {
+			continue
+		}
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	if gerr != nil && firstErr == nil {
 		firstErr = gerr
-	}
-	delete(s.dir, name)
-	for k := range s.cursors {
-		if k.name == name {
-			delete(s.cursors, k)
-		}
 	}
 	if firstErr != nil {
 		return freed, fmt.Errorf("%w: %v", ErrLFSFailed, firstErr)
@@ -640,60 +703,59 @@ func (s *Server) delete(p sim.Proc, name string) (int, error) {
 // by file id, not name, so this is a pure directory mutation: no storage
 // node is touched. Dirty write-behind state is drained first so a deferred
 // failure surfaces against the name the writes were acknowledged under.
-func (s *Server) rename(p sim.Proc, name, newName string) (Meta, error) {
-	if name == "" || newName == "" {
+func (s *Server) rename(p sim.Proc, from msg.Addr, r RenameReq) (Meta, error) {
+	if r.Name == "" || r.NewName == "" {
 		return Meta{}, fmt.Errorf("%w: empty name", ErrBadArg)
 	}
-	ent, ok := s.dir[name]
-	if !ok {
-		return Meta{}, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	if newName == name {
-		return ent.meta, nil
-	}
-	if _, exists := s.dir[newName]; exists {
-		return Meta{}, fmt.Errorf("%w: %s", ErrExists, newName)
-	}
-	if _, err := s.wbBarrier(p, ent); err != nil {
+	ent, err := s.lookup(r.Name)
+	if err != nil {
 		return Meta{}, err
 	}
-	s.raInvalidate(name)
-	delete(s.dir, name)
-	ent.meta.Name = newName
-	s.dir[newName] = ent
-	// Re-key open cursors so sequential readers keep their position.
-	for k, c := range s.cursors {
-		if k.name == name {
-			delete(s.cursors, k)
-			nk := k
-			nk.name = newName
-			s.cursors[nk] = c
-		}
+	if r.NewName == r.Name {
+		return ent.meta, nil
+	}
+	if _, exists := s.dir[r.NewName]; exists {
+		return Meta{}, fmt.Errorf("%w: %s", ErrExists, r.NewName)
+	}
+	if _, err := s.drainWB(p, r.Name, from, r.OpID); err != nil {
+		return Meta{}, err
+	}
+	s.raInvalidate(r.Name)
+	op := rop{Kind: ropRename, Client: from, Op: r.OpID, Name: r.Name, New: r.NewName}
+	if err := s.commit(p, op); err != nil {
+		return Meta{}, err
 	}
 	return ent.meta, nil
 }
 
 // flush drains the write-behind state of one file (or of every file when
-// name is empty) and then syncs the touched storage nodes, making every
-// acknowledged write durable. It is the explicit group-commit barrier; a
-// deferred write failure surfaces here, wrapped in ErrDeferredWrite.
-func (s *Server) flush(p sim.Proc, name string) (int, error) {
-	if name == "" {
-		flushed, err := s.wbBarrierAll(p)
-		if err != nil {
-			return flushed, err
+// the name is empty) and then syncs the touched storage nodes, making
+// every acknowledged write durable. It is the explicit group-commit
+// barrier; a deferred write failure surfaces here, wrapped in
+// ErrDeferredWrite.
+func (s *Server) flush(p sim.Proc, from msg.Addr, r FlushReq) (int, error) {
+	var (
+		flushed int
+		err     error
+		nodes   = s.nodes
+	)
+	if r.Name == "" {
+		flushed, err = s.drainWBAll(p, from, r.OpID)
+	} else {
+		var ent *dirent
+		if ent, err = s.lookup(r.Name); err != nil {
+			return 0, err
 		}
-		return flushed, s.syncNodes(p, s.nodes)
+		nodes = ent.meta.Nodes
+		flushed, err = s.drainWB(p, r.Name, from, r.OpID)
 	}
-	ent, ok := s.dir[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
+	if err == nil {
+		err = s.lease(p)
 	}
-	flushed, err := s.wbBarrier(p, ent)
 	if err != nil {
 		return flushed, err
 	}
-	return flushed, s.syncNodes(p, ent.meta.Nodes)
+	return flushed, s.syncNodes(p, nodes)
 }
 
 // syncNodes issues a parallel metadata sync to the given storage nodes —
@@ -723,35 +785,51 @@ func (s *Server) syncNodes(p sim.Proc, nodes []msg.NodeID) error {
 	return nil
 }
 
-// release atomically unregisters a file from the Bridge directory and
-// returns its final metadata, without touching the constituent LFS files:
-// the caller — the toolkit's parallel delete — owns freeing them on the
-// nodes. Write-behind state is quiesced and dropped (the file is being
-// destroyed), cursors and read-ahead windows are discarded.
-func (s *Server) release(p sim.Proc, name string) (Meta, error) {
-	ent, ok := s.dir[name]
-	if !ok {
-		return Meta{}, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	s.raInvalidate(name)
-	s.wbDrop(p, ent)
-	meta := ent.meta
-	delete(s.dir, name)
-	for k := range s.cursors {
-		if k.name == name {
-			delete(s.cursors, k)
+// lfsStat stats every constituent LFS file in parallel and returns the
+// file's total block count, filling counts (when non-nil) with each
+// placement node's share.
+func (s *Server) lfsStat(p sim.Proc, ent *dirent, counts []int64) (int64, error) {
+	op := lfs.StatReq{FileID: ent.meta.LFSFileID}
+	ids := make([]uint64, 0, len(ent.meta.Nodes))
+	for _, n := range ent.meta.Nodes {
+		if s.health != nil && s.health.get(n) == Dead {
+			return 0, fmt.Errorf("%w: n%d", ErrNodeDown, n)
 		}
+		id, err := s.lc.Start(msg.Addr{Node: n, Port: lfs.PortName}, op, lfs.WireSize(op))
+		if err != nil {
+			return 0, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		}
+		ids = append(ids, id)
 	}
-	return meta, nil
+	ms, err := s.lc.GatherTimeout(ids, s.cfg.LFSTimeout)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+	}
+	var total int64
+	for i, m := range ms {
+		resp := m.Body.(lfs.StatResp)
+		if err := resp.Status.Err(); err != nil {
+			return 0, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		}
+		if counts != nil {
+			counts[i] = int64(resp.Info.Blocks)
+		}
+		total += int64(resp.Info.Blocks)
+	}
+	return total, nil
 }
 
-// refreshSize recomputes the file's block count by statting every
-// constituent LFS file in parallel — the startup work that Open pays for.
-// Disordered files keep their count in the chain state (tools cannot write
-// them behind the server's back, since only the server knows the chain).
+// refreshSize settles who knows a file's size at an open, stat or implicit
+// open. A group of one asks the storage nodes — the startup work that Open
+// pays for — because tools write constituent files behind its back. A
+// replicated group trusts its log, the only size every member agrees on
+// (so tool writes behind it are a known hole: DESIGN.md). Disordered files
+// keep their count in the chain state (tools cannot write them behind the
+// server's back, since only the server knows the chain). The caller has
+// drained write-behind.
 func (s *Server) refreshSize(p sim.Proc, ent *dirent) error {
-	if _, err := s.wbBarrier(p, ent); err != nil {
-		return err
+	if s.grp != nil {
+		return nil
 	}
 	if ent.meta.Spec.Kind == distrib.Disordered {
 		var total int64
@@ -761,52 +839,35 @@ func (s *Server) refreshSize(p sim.Proc, ent *dirent) error {
 		ent.meta.Blocks = total
 		return nil
 	}
-	op := lfs.StatReq{FileID: ent.meta.LFSFileID}
-	ids := make([]uint64, 0, len(ent.meta.Nodes))
-	for _, n := range ent.meta.Nodes {
-		if s.health != nil && s.health.get(n) == Dead {
-			return fmt.Errorf("%w: n%d", ErrNodeDown, n)
-		}
-		id, err := s.lc.Start(msg.Addr{Node: n, Port: lfs.PortName}, op, lfs.WireSize(op))
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrLFSFailed, err)
-		}
-		ids = append(ids, id)
-	}
-	ms, err := s.lc.GatherTimeout(ids, s.cfg.LFSTimeout)
+	total, err := s.lfsStat(p, ent, nil)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrLFSFailed, err)
-	}
-	var total int64
-	for _, m := range ms {
-		resp := m.Body.(lfs.StatResp)
-		if err := resp.Status.Err(); err != nil {
-			return fmt.Errorf("%w: %v", ErrLFSFailed, err)
-		}
-		total += int64(resp.Info.Blocks)
+		return err
 	}
 	ent.meta.Blocks = total
 	return nil
 }
 
-func (s *Server) open(p sim.Proc, client msg.Addr, name string) (Meta, error) {
-	ent, ok := s.dir[name]
-	if !ok {
-		return Meta{}, fmt.Errorf("%w: %s", ErrNotFound, name)
+// open serves Open and Stat: both settle the file's size and return its
+// metadata; Open (rewind set) also creates or rewinds the client's
+// sequential cursor. That commit proves leadership by itself; Stat commits
+// nothing, so it answers only under the lease.
+func (s *Server) open(p sim.Proc, from msg.Addr, name string, rewind bool) (Meta, error) {
+	ent, err := s.lookup(name)
+	if err != nil {
+		return Meta{}, err
+	}
+	if _, err := s.drainWB(p, name, from, 0); err != nil {
+		return Meta{}, err
 	}
 	if err := s.refreshSize(p, ent); err != nil {
 		return Meta{}, err
 	}
-	s.cursors[cursorKey{client: client, name: name}] = &cursor{}
-	return ent.meta, nil
-}
-
-func (s *Server) stat(p sim.Proc, name string) (Meta, error) {
-	ent, ok := s.dir[name]
-	if !ok {
-		return Meta{}, fmt.Errorf("%w: %s", ErrNotFound, name)
+	if rewind {
+		err = s.commit(p, rop{Kind: ropOpen, Client: from, Name: name})
+	} else {
+		err = s.lease(p)
 	}
-	if err := s.refreshSize(p, ent); err != nil {
+	if err != nil {
 		return Meta{}, err
 	}
 	return ent.meta, nil
@@ -897,9 +958,6 @@ func (ent *dirent) hintFor(node msg.NodeID) int32 {
 
 // lfsWrite stores one global block through the right LFS.
 func (s *Server) lfsWrite(p sim.Proc, ent *dirent, blockNum int64, payload []byte) error {
-	if len(payload) > PayloadBytes {
-		return fmt.Errorf("%w: payload %d exceeds %d", ErrBadArg, len(payload), PayloadBytes)
-	}
 	l, err := ent.meta.Layout()
 	if err != nil {
 		return err
@@ -929,35 +987,49 @@ func (s *Server) lfsWrite(p sim.Proc, ent *dirent, blockNum int64, payload []byt
 	return nil
 }
 
-// repairNode re-registers on storage node index idx the LFS file of every
-// Bridge file placed there. A restarted node's EFS directory reverts to
-// its last-synced state, so files created after that sync are gone at the
-// LFS level even though the Bridge directory still lists them; re-creating
-// them (tolerating "exists" for the survivors) makes every placement
-// reachable again, with the lost blocks left for replica-layer repair.
-// Iteration is in sorted name order so chaos runs replay deterministically.
-func (s *Server) repairNode(p sim.Proc, idx int) (int, error) {
+// nodeAt validates a storage-node index from a maintenance request.
+func (s *Server) nodeAt(idx int) (msg.NodeID, error) {
 	if idx < 0 || idx >= len(s.nodes) {
 		return 0, fmt.Errorf("%w: node index %d of %d", ErrBadArg, idx, len(s.nodes))
 	}
-	node := s.nodes[idx]
-	// Acknowledged writes must land (or fail visibly) before the sweep
-	// re-registers files: an in-flight group commit to the restarted node
-	// surfaces here as a deferred-write error rather than being lost.
-	if _, err := s.wbBarrierAll(p); err != nil {
+	return s.nodes[idx], nil
+}
+
+// sweepBarrier precedes a storage-node sweep (repair, fsck, scrub): the
+// server must still hold its lease, and every acknowledged write must land
+// (or fail visibly) first, so the sweep sees every acknowledged block and
+// an in-flight group commit to a restarted node surfaces as a
+// deferred-write error rather than being lost.
+func (s *Server) sweepBarrier(p sim.Proc, from msg.Addr, opID uint64) error {
+	if err := s.lease(p); err != nil {
+		return err
+	}
+	_, err := s.drainWBAll(p, from, opID)
+	return err
+}
+
+// repairNode re-registers on storage node index r.Node the LFS file of
+// every Bridge file placed there. A restarted node's EFS directory reverts
+// to its last-synced state, so files created after that sync are gone at
+// the LFS level even though the Bridge directory still lists them;
+// re-creating them (tolerating "exists" for the survivors) makes every
+// placement reachable again, with the lost blocks left for replica-layer
+// repair. Iteration is in sorted name order so chaos runs replay
+// deterministically.
+func (s *Server) repairNode(p sim.Proc, from msg.Addr, r RepairNodeReq) (int, error) {
+	node, err := s.nodeAt(r.Node)
+	if err != nil {
+		return 0, err
+	}
+	if err := s.sweepBarrier(p, from, r.OpID); err != nil {
 		return 0, err
 	}
 	if s.ra != nil {
 		// Any buffered or in-flight block might predate the crash.
 		s.ra.invalidateAll(s)
 	}
-	names := make([]string, 0, len(s.dir))
-	for name := range s.dir {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	repaired := 0
-	for _, name := range names {
+	for _, name := range s.sortedNames() {
 		ent := s.dir[name]
 		placed := false
 		for _, n := range ent.meta.Nodes {
@@ -986,16 +1058,16 @@ func (s *Server) repairNode(p sim.Proc, idx int) (int, error) {
 }
 
 // fsck runs the LFS-level consistency checker on one storage node.
-func (s *Server) fsck(p sim.Proc, r FsckReq) (efs.CheckReport, int, error) {
-	if r.Node < 0 || r.Node >= len(s.nodes) {
-		return efs.CheckReport{}, 0, fmt.Errorf("%w: node index %d of %d", ErrBadArg, r.Node, len(s.nodes))
+func (s *Server) fsck(p sim.Proc, from msg.Addr, r FsckReq) (efs.CheckReport, int, error) {
+	node, err := s.nodeAt(r.Node)
+	if err != nil {
+		return efs.CheckReport{}, 0, err
 	}
-	// Drain write-behind first so the checker sees every acknowledged block.
-	if _, err := s.wbBarrierAll(p); err != nil {
+	if err := s.sweepBarrier(p, from, r.OpID); err != nil {
 		return efs.CheckReport{}, 0, err
 	}
 	req := lfs.CheckReq{Repair: r.Repair}
-	m, err := s.lfsCall(p, s.nodes[r.Node], req, lfs.WireSize(req))
+	m, err := s.lfsCall(p, node, req, lfs.WireSize(req))
 	if err != nil {
 		return efs.CheckReport{}, 0, fmt.Errorf("%w: %v", ErrLFSFailed, err)
 	}
@@ -1005,11 +1077,15 @@ func (s *Server) fsck(p sim.Proc, r FsckReq) (efs.CheckReport, int, error) {
 
 // recovery fetches one storage node's boot recovery report.
 func (s *Server) recovery(p sim.Proc, idx int) (lfs.RecoveryReport, error) {
-	if idx < 0 || idx >= len(s.nodes) {
-		return lfs.RecoveryReport{}, fmt.Errorf("%w: node index %d of %d", ErrBadArg, idx, len(s.nodes))
+	node, err := s.nodeAt(idx)
+	if err != nil {
+		return lfs.RecoveryReport{}, err
+	}
+	if err := s.lease(p); err != nil {
+		return lfs.RecoveryReport{}, err
 	}
 	req := lfs.RecoveryReq{}
-	m, err := s.lfsCall(p, s.nodes[idx], req, lfs.WireSize(req))
+	m, err := s.lfsCall(p, node, req, lfs.WireSize(req))
 	if err != nil {
 		return lfs.RecoveryReport{}, fmt.Errorf("%w: %v", ErrLFSFailed, err)
 	}
@@ -1018,16 +1094,16 @@ func (s *Server) recovery(p sim.Proc, idx int) (lfs.RecoveryReport, error) {
 }
 
 // scrub runs a full checksum-verification sweep on one storage node.
-func (s *Server) scrub(p sim.Proc, idx int) (efs.ScrubReport, error) {
-	if idx < 0 || idx >= len(s.nodes) {
-		return efs.ScrubReport{}, fmt.Errorf("%w: node index %d of %d", ErrBadArg, idx, len(s.nodes))
+func (s *Server) scrub(p sim.Proc, from msg.Addr, idx int) (efs.ScrubReport, error) {
+	node, err := s.nodeAt(idx)
+	if err != nil {
+		return efs.ScrubReport{}, err
 	}
-	// Drain write-behind first so the sweep sees every acknowledged block.
-	if _, err := s.wbBarrierAll(p); err != nil {
+	if err := s.sweepBarrier(p, from, 0); err != nil {
 		return efs.ScrubReport{}, err
 	}
 	req := lfs.ScrubReq{Full: true}
-	m, err := s.lfsCall(p, s.nodes[idx], req, lfs.WireSize(req))
+	m, err := s.lfsCall(p, node, req, lfs.WireSize(req))
 	if err != nil {
 		return efs.ScrubReport{}, fmt.Errorf("%w: %v", ErrLFSFailed, err)
 	}
@@ -1035,134 +1111,26 @@ func (s *Server) scrub(p sim.Proc, idx int) (efs.ScrubReport, error) {
 	return resp.Report, resp.Status.Err()
 }
 
-func (s *Server) seqRead(p sim.Proc, client msg.Addr, name string) ([]byte, bool, error) {
-	ent, ok := s.dir[name]
-	if !ok {
-		return nil, false, fmt.Errorf("%w: %s", ErrNotFound, name)
+// parallelOpen groups the workers into a job on the file. Job cursors are
+// volatile per-process state that would vanish on failover, so only a
+// group of one offers jobs; with no job to name, the other job commands
+// answer ErrNoJob on a replicated group.
+func (s *Server) parallelOpen(p sim.Proc, r ParallelOpenReq) (uint64, Meta, error) {
+	if s.grp != nil {
+		return 0, Meta{}, fmt.Errorf("%w: parallel transfer jobs are unsupported on a replicated server", ErrBadArg)
 	}
-	if _, err := s.wbBarrier(p, ent); err != nil {
-		return nil, false, err
-	}
-	key := cursorKey{client: client, name: name}
-	cur, ok := s.cursors[key]
-	if !ok {
-		// Implicit open: the open operation is only a hint, so a read
-		// without one still works; it just pays the size refresh here.
-		if err := s.refreshSize(p, ent); err != nil {
-			return nil, false, err
-		}
-		cur = &cursor{}
-		s.cursors[key] = cur
-	}
-	if cur.readPos >= ent.meta.Blocks {
-		return nil, true, nil
-	}
-	if ent.meta.Spec.Kind == distrib.Disordered {
-		var (
-			payload []byte
-			next    chainLoc
-			hasNext bool
-			err     error
-		)
-		if cur.chainValid {
-			payload, next, hasNext, err = s.readChainBlock(p, ent, cur.chain)
-		} else {
-			payload, next, hasNext, err = s.readChainAt(p, ent, cur.readPos)
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		cur.chain, cur.chainValid = next, hasNext
-		cur.readPos++
-		return payload, false, nil
-	}
-	var (
-		data []byte
-		err  error
-	)
-	if s.ra != nil {
-		var blocks [][]byte
-		blocks, err = s.ra.read(p, s, ent, client, cur.readPos, 1)
-		if err == nil {
-			data = blocks[0]
-		}
-	} else {
-		data, err = s.lfsRead(p, ent, cur.readPos)
-	}
+	ent, err := s.lookup(r.Name)
 	if err != nil {
-		return nil, false, err
-	}
-	cur.readPos++
-	return data, false, nil
-}
-
-// writeAt writes block blockNum, or appends when blockNum is -1 or equals
-// the current size.
-func (s *Server) writeAt(p sim.Proc, name string, blockNum int64, payload []byte) error {
-	ent, ok := s.dir[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	s.raInvalidate(name)
-	if blockNum < 0 || blockNum == ent.meta.Blocks {
-		if ent.meta.Spec.Kind == distrib.Disordered {
-			return s.appendDisordered(p, ent, payload)
-		}
-		if s.wb != nil {
-			return s.wbAppend(p, ent, payload)
-		}
-		if err := s.lfsWrite(p, ent, ent.meta.Blocks, payload); err != nil {
-			return err
-		}
-		ent.meta.Blocks++
-		return nil
-	}
-	if blockNum > ent.meta.Blocks {
-		return fmt.Errorf("%w: block %d beyond size %d", ErrBadArg, blockNum, ent.meta.Blocks)
-	}
-	// Overwrites go straight to the LFS layer, so the write-behind state —
-	// which may still own the target block — drains first. The barrier can
-	// shrink the file on a deferred failure, hence the re-check.
-	if _, err := s.wbBarrier(p, ent); err != nil {
-		return err
-	}
-	if blockNum >= ent.meta.Blocks {
-		return fmt.Errorf("%w: block %d beyond size %d", ErrBadArg, blockNum, ent.meta.Blocks)
-	}
-	if ent.meta.Spec.Kind == distrib.Disordered {
-		return s.overwriteDisordered(p, ent, blockNum, payload)
-	}
-	return s.lfsWrite(p, ent, blockNum, payload)
-}
-
-func (s *Server) readAt(p sim.Proc, name string, blockNum int64) ([]byte, error) {
-	ent, ok := s.dir[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	if _, err := s.wbBarrier(p, ent); err != nil {
-		return nil, err
-	}
-	if blockNum < 0 || blockNum >= ent.meta.Blocks {
-		return nil, fmt.Errorf("%w: block %d of %d", ErrEOF, blockNum, ent.meta.Blocks)
-	}
-	if ent.meta.Spec.Kind == distrib.Disordered {
-		payload, _, _, err := s.readChainAt(p, ent, blockNum)
-		return payload, err
-	}
-	return s.lfsRead(p, ent, blockNum)
-}
-
-func (s *Server) parallelOpen(p sim.Proc, r ParallelOpenReq) ParallelOpenResp {
-	ent, ok := s.dir[r.Name]
-	if !ok {
-		return ParallelOpenResp{Err: fmt.Sprintf("%v: %s", ErrNotFound, r.Name)}
+		return 0, Meta{}, err
 	}
 	if len(r.Workers) == 0 {
-		return ParallelOpenResp{Err: fmt.Sprintf("%v: no workers", ErrBadArg)}
+		return 0, Meta{}, fmt.Errorf("%w: no workers", ErrBadArg)
+	}
+	if _, err := s.wbBarrier(p, ent); err != nil {
+		return 0, Meta{}, err
 	}
 	if err := s.refreshSize(p, ent); err != nil {
-		return ParallelOpenResp{Err: err.Error()}
+		return 0, Meta{}, err
 	}
 	s.nextJob++
 	j := &job{
@@ -1172,7 +1140,7 @@ func (s *Server) parallelOpen(p sim.Proc, r ParallelOpenReq) ParallelOpenResp {
 		port:    s.net.NewPort(msg.Addr{Node: s.cfg.Node, Port: fmt.Sprintf("%s.job%d", s.cfg.PortName, s.nextJob)}),
 	}
 	s.jobs[j.id] = j
-	return ParallelOpenResp{JobID: j.id, Meta: ent.meta}
+	return j.id, ent.meta, nil
 }
 
 // parallelRead transfers the next t blocks, one to each worker. When t
@@ -1184,9 +1152,9 @@ func (s *Server) parallelRead(p sim.Proc, jobID uint64) (int, bool, error) {
 	if !ok {
 		return 0, false, ErrNoJob
 	}
-	ent, ok := s.dir[j.name]
-	if !ok {
-		return 0, false, fmt.Errorf("%w: %s", ErrNotFound, j.name)
+	ent, err := s.lookup(j.name)
+	if err != nil {
+		return 0, false, err
 	}
 	if _, err := s.wbBarrier(p, ent); err != nil {
 		return 0, false, err
@@ -1263,9 +1231,9 @@ func (s *Server) parallelWrite(p sim.Proc, jobID uint64) (int, error) {
 	if !ok {
 		return 0, ErrNoJob
 	}
-	ent, ok := s.dir[j.name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, j.name)
+	ent, err := s.lookup(j.name)
+	if err != nil {
+		return 0, err
 	}
 	s.raInvalidate(j.name)
 	if _, err := s.wbBarrier(p, ent); err != nil {

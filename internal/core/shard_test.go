@@ -141,12 +141,12 @@ func TestShardedBasicOps(t *testing.T) {
 		p.Sleep(300 * time.Millisecond)
 		for g := 0; g < shards; g++ {
 			lead := awaitShardLeader(t, p, cl, g)
-			want := cl.Replicas[g*3+lead].RaftStatus().Commit
+			want := cl.Servers[g*3+lead].RaftStatus().Commit
 			if want == 0 {
 				t.Errorf("shard %d committed nothing", g)
 			}
 			for j := 0; j < 3; j++ {
-				if got := cl.Replicas[g*3+j].RaftStatus().Commit; got != want {
+				if got := cl.Servers[g*3+j].RaftStatus().Commit; got != want {
 					t.Errorf("shard %d replica %d commit = %d, leader has %d", g, j, got, want)
 				}
 			}
@@ -256,7 +256,7 @@ func TestShardedLeaderKillIsolation(t *testing.T) {
 		// last committed write to the new leader must answer from the
 		// replicated op table, not append again.
 		body := SeqWriteReq{OpID: c.nextOp, Name: f0, Data: payload(1)}
-		m, err := c.callAt(cl.Replicas[0*3+newLead].Addr(), body)
+		m, err := c.callAt(cl.Servers[0*3+newLead].Addr(), body)
 		if err != nil {
 			t.Fatalf("retransmit: %v", err)
 		}
@@ -272,8 +272,8 @@ func TestShardedLeaderKillIsolation(t *testing.T) {
 			t.Fatalf("SeqWrite after restart: %v", err)
 		}
 		p.Sleep(time.Second)
-		want := cl.Replicas[0*3+newLead].RaftStatus().Commit
-		if got := cl.Replicas[0*3+lead0].RaftStatus().Commit; got != want {
+		want := cl.Servers[0*3+newLead].RaftStatus().Commit
+		if got := cl.Servers[0*3+lead0].RaftStatus().Commit; got != want {
 			t.Errorf("revived shard-0 replica commit = %d, leader has %d", got, want)
 		}
 	})

@@ -62,21 +62,38 @@ func opName(body any) string {
 	}
 }
 
-// respErrAny returns the transported error string of any reply type, for
-// span closure. respErr covers only the cacheable subset; this covers the
-// whole protocol.
-func respErrAny(body any) string {
-	if s := respErr(body); s != "" {
-		return s
-	}
+// respErr returns the transported error string of any reply kind: what
+// closes a span, decides whether a reply is cacheable, and tells the client
+// a redirect from an answer.
+func respErr(body any) string {
 	switch b := body.(type) {
+	case CreateResp:
+		return b.Err
+	case DeleteResp:
+		return b.Err
+	case RenameResp:
+		return b.Err
 	case OpenResp:
 		return b.Err
 	case StatResp:
 		return b.Err
+	case FlushResp:
+		return b.Err
+	case ReleaseResp:
+		return b.Err
+	case SeqReadResp:
+		return b.Err
+	case SeqReadNResp:
+		return b.Err
+	case SeqWriteResp:
+		return b.Err
 	case RandReadResp:
 		return b.Err
 	case RandReadNResp:
+		return b.Err
+	case RandWriteResp:
+		return b.Err
+	case RandWriteNResp:
 		return b.Err
 	case ParallelOpenResp:
 		return b.Err
@@ -92,7 +109,13 @@ func respErrAny(body any) string {
 		return b.Err
 	case HealthResp:
 		return b.Err
+	case RepairNodeResp:
+		return b.Err
+	case FsckResp:
+		return b.Err
 	case ScrubResp:
+		return b.Err
+	case RecoveryResp:
 		return b.Err
 	default:
 		return ""

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"bridge/internal/sim"
 )
@@ -17,7 +16,8 @@ import (
 // The contract for acknowledged-but-unflushed data:
 //
 //   - Every read, overwrite, size refresh, delete, and maintenance sweep
-//     drains the file's buffer first (wbBarrier), so no operation can
+//     drains the file's buffer first (drainWB, which wraps wbBarrier with
+//     the replicated group's markers), so no operation can
 //     observe a size the data hasn't caught up to, and the read-ahead
 //     cache can never serve a block the write path still owns.
 //   - An explicit Flush (Client.Flush / FlushAll, Session.Sync above) is
@@ -65,9 +65,6 @@ func (w *wbCache) window(ent *dirent) int {
 // flushing a full window asynchronously. The file's logical size advances
 // on acknowledgement; wbFail rolls it back if the landing later fails.
 func (s *Server) wbAppend(p sim.Proc, ent *dirent, payload []byte) error {
-	if len(payload) > PayloadBytes {
-		return fmt.Errorf("%w: payload %d exceeds %d bytes", ErrBadArg, len(payload), PayloadBytes)
-	}
 	e := s.wb.entries[ent.meta.Name]
 	if e == nil {
 		e = &wbEntry{}
@@ -162,35 +159,6 @@ func (s *Server) wbBarrier(p sim.Proc, ent *dirent) (int, error) {
 	}
 	delete(s.wb.entries, ent.meta.Name)
 	return flushed, nil
-}
-
-// wbBarrierAll drains every file with write-behind state, in name order for
-// determinism. All files are drained even if one fails; the first error (in
-// name order) is reported.
-func (s *Server) wbBarrierAll(p sim.Proc) (int, error) {
-	if s.wb == nil || len(s.wb.entries) == 0 {
-		return 0, nil
-	}
-	names := make([]string, 0, len(s.wb.entries))
-	for name := range s.wb.entries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	total := 0
-	var firstErr error
-	for _, name := range names {
-		ent, ok := s.dir[name]
-		if !ok {
-			delete(s.wb.entries, name)
-			continue
-		}
-		n, err := s.wbBarrier(p, ent)
-		total += n
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return total, firstErr
 }
 
 // wbDrop quiesces a file's write-behind state without flushing the buffer:

@@ -55,10 +55,8 @@ func Filter(pc sim.Proc, c *core.Client, src, dst string, f Transform) (CopyStat
 	for _, r := range results {
 		total += r.(int64)
 	}
-	// The workers wrote behind the Bridge Server's back; refresh its size
-	// cache so naive access to the destination works immediately.
-	if _, err := c.Open(dst); err != nil {
-		return CopyStats{}, fmt.Errorf("tools: refreshing %s: %w", dst, err)
+	if err := refreshSize(c, dst, total); err != nil {
+		return CopyStats{}, err
 	}
 	return CopyStats{Blocks: total}, nil
 }

@@ -135,13 +135,7 @@ func Sort(pc sim.Proc, c *core.Client, src, dst string, opts SortOptions) (SortS
 		}
 	}
 	st.Merge = pc.Now() - mergeStart
-	// The merge writers wrote behind the Bridge Server's back; refresh
-	// its size cache so naive access to the destination works
-	// immediately.
-	if _, err := c.Open(dst); err != nil {
-		return st, fmt.Errorf("tools: refreshing %s: %w", dst, err)
-	}
-	return st, nil
+	return st, refreshSize(c, dst, st.Records)
 }
 
 // runMergeNode runs one node's share of a merge pass: its reader process
