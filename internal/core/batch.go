@@ -33,21 +33,32 @@ type vecRun struct {
 
 // splitRange partitions [start, start+count) by layout into per-node runs,
 // returned in node-index order. Global block numbers ascend within each run.
+// The runs' locals (and globals) are capacity-clipped windows of one array
+// sized by a counting pass, so a split costs three objects however many
+// blocks and nodes it spans.
 func splitRange(ent *dirent, l distrib.Layout, start int64, count int) []vecRun {
 	byNode := make([]vecRun, len(ent.meta.Nodes))
 	for b := start; b < start+int64(count); b++ {
-		idx := l.NodeFor(b)
+		byNode[l.NodeFor(b)].nodeIdx++ // block count, until the windows are cut
+	}
+	locals := make([]uint32, count)
+	globals := make([]int64, count)
+	off := 0
+	for idx := range byNode {
 		r := &byNode[idx]
-		if r.locals == nil {
-			r.nodeIdx = idx
-			r.node = ent.meta.Nodes[idx]
-		}
+		n := r.nodeIdx
+		r.nodeIdx, r.node = idx, ent.meta.Nodes[idx]
+		r.locals, r.globals = locals[off:off:off+n], globals[off:off:off+n]
+		off += n
+	}
+	for b := start; b < start+int64(count); b++ {
+		r := &byNode[l.NodeFor(b)]
 		r.locals = append(r.locals, uint32(l.LocalFor(b)))
 		r.globals = append(r.globals, b)
 	}
-	runs := make([]vecRun, 0, len(byNode))
+	runs := byNode[:0]
 	for _, r := range byNode {
-		if r.locals != nil {
+		if len(r.locals) > 0 {
 			runs = append(runs, r)
 		}
 	}
@@ -109,7 +120,7 @@ func (s *Server) awaitVec(p sim.Proc, c vecCall) (*msg.Message, error) {
 // start: one vectored call per node, all started before any is awaited.
 // The calls return in node-index order for gatherReadVec.
 func (s *Server) startReadVec(ent *dirent, start int64, count int) ([]vecCall, error) {
-	l, err := ent.meta.Layout()
+	l, err := ent.layout()
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +204,7 @@ func abortAfter(s *Server, calls []vecCall, i int, err error) error {
 // started before any is awaited. On a start failure every already-started
 // call is discarded and nothing is in flight.
 func (s *Server) startWriteVec(ent *dirent, start int64, payloads [][]byte) ([]vecCall, error) {
-	l, err := ent.meta.Layout()
+	l, err := ent.layout()
 	if err != nil {
 		return nil, err
 	}

@@ -134,6 +134,24 @@ const dedupCap = 2048
 type dirent struct {
 	meta  Meta
 	hints map[msg.NodeID]int32
+	// lay memoizes layout() for laySpec; see there.
+	lay     distrib.Layout
+	laySpec distrib.Spec
+}
+
+// layout is ent.meta.Layout() built once per placement spec instead of once
+// per block request. A layout is a pure function of its spec (the hashed
+// one memoizes a prefix, which only saves work when shared), so the key is
+// the spec itself and no writer of meta.Spec needs to know about the memo.
+func (ent *dirent) layout() (distrib.Layout, error) {
+	if ent.lay == nil || ent.laySpec != ent.meta.Spec {
+		l, err := ent.meta.Layout()
+		if err != nil {
+			return nil, err
+		}
+		ent.lay, ent.laySpec = l, ent.meta.Spec
+	}
+	return ent.lay, nil
 }
 
 type cursorKey struct {
@@ -914,7 +932,7 @@ func (s *Server) nodeIndex(id msg.NodeID) int {
 // lfsRead fetches one global block through the right LFS and returns its
 // payload.
 func (s *Server) lfsRead(p sim.Proc, ent *dirent, blockNum int64) ([]byte, error) {
-	l, err := ent.meta.Layout()
+	l, err := ent.layout()
 	if err != nil {
 		return nil, err
 	}
@@ -958,7 +976,7 @@ func (ent *dirent) hintFor(node msg.NodeID) int32 {
 
 // lfsWrite stores one global block through the right LFS.
 func (s *Server) lfsWrite(p sim.Proc, ent *dirent, blockNum int64, payload []byte) error {
-	l, err := ent.meta.Layout()
+	l, err := ent.layout()
 	if err != nil {
 		return err
 	}
@@ -1159,7 +1177,7 @@ func (s *Server) parallelRead(p sim.Proc, jobID uint64) (int, bool, error) {
 	if _, err := s.wbBarrier(p, ent); err != nil {
 		return 0, false, err
 	}
-	l, err := ent.meta.Layout()
+	l, err := ent.layout()
 	if err != nil {
 		return 0, false, err
 	}
@@ -1270,7 +1288,7 @@ func (s *Server) parallelWrite(p sim.Proc, jobID uint64) (int, error) {
 		sort.Slice(blocks, func(a, b int) bool { return blocks[a].Seq < blocks[b].Seq })
 		// Overlap the group's LFS writes: start them all (the blocks of
 		// a group land on distinct nodes under round-robin), then wait.
-		l, err := ent.meta.Layout()
+		l, err := ent.layout()
 		if err != nil {
 			return written, err
 		}

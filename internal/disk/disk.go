@@ -505,7 +505,9 @@ func (d *Disk) ReadBlock(p sim.Proc, bn int) ([]byte, error) {
 // ReadTrack returns copies of every block in the track containing bn for a
 // single access charge. first is the block number of the first returned
 // block. This models a full-track read under one rotation and is the basis
-// of the EFS read-ahead buffer.
+// of the EFS read-ahead buffer. Each returned block is a separate, fresh
+// buffer the disk keeps no reference to: the caller owns them (the EFS block
+// cache adopts them as its entries without copying again).
 func (d *Disk) ReadTrack(p sim.Proc, bn int) (first int, blocks [][]byte, err error) {
 	d.mu.Lock()
 	if err := d.check(bn); err != nil {

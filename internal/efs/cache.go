@@ -1,7 +1,5 @@
 package efs
 
-import "container/list"
-
 // blockCache is the LRU cache of recently-accessed blocks the paper
 // describes: "a cache of recently-accessed blocks makes sequential access
 // more efficient by keeping neighboring blocks (and their pointers) in
@@ -10,17 +8,29 @@ import "container/list"
 // The cache also feeds the block-location map: whenever a used data block
 // enters the cache, its (file, block-number) → disk-address mapping is
 // learned, so later lookups can skip the linked-list walk.
+//
+// Entries live in one slice and link to each other by index, so an insert
+// allocates no list node, and an evicted entry's block buffer is reused for
+// the block that displaces it. Buffers are allocated on first use only and
+// an invalidated slot gives its buffer back, so the cache never holds more
+// block memory than the blocks it caches.
 type blockCache struct {
-	cap int
-	ll  *list.List // front = most recently used
-	m   map[int32]*list.Element
+	cap     int
+	entries []cacheEntry
+	m       map[int32]int32 // disk address → index into entries
+	head    int32           // most recently used, noEntry when empty
+	tail    int32           // least recently used
+	free    int32           // invalidated slots, chained through next
 }
 
+const noEntry int32 = -1
+
 type cacheEntry struct {
-	addr   int32
-	data   []byte // private copy, BlockSize bytes
-	key    fileKey
-	hasKey bool
+	addr       int32
+	prev, next int32
+	data       []byte // owned by the cache, BlockSize bytes; never handed out
+	key        fileKey
+	hasKey     bool
 }
 
 type fileKey struct {
@@ -32,74 +42,117 @@ func newBlockCache(capacity int) *blockCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &blockCache{cap: capacity, ll: list.New(), m: make(map[int32]*list.Element)}
+	return &blockCache{cap: capacity, m: make(map[int32]int32), head: noEntry, tail: noEntry, free: noEntry}
 }
 
 // get returns a copy of the cached block, if present.
 func (c *blockCache) get(addr int32) ([]byte, bool) {
-	el, ok := c.m[addr]
+	i, ok := c.m[addr]
 	if !ok {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	out := make([]byte, len(e.data))
-	copy(out, e.data)
+	c.unlink(i)
+	c.pushFront(i)
+	data := c.entries[i].data
+	out := make([]byte, len(data))
+	copy(out, data)
 	return out, true
 }
 
 // put inserts or refreshes a block, returning the location key of any
 // evicted used block so the owner can drop its location-map entry, plus the
 // location key learned from the inserted block (if it is a used data
-// block).
-func (c *blockCache) put(addr int32, data []byte) (evicted fileKey, hasEvicted bool, learned fileKey, hasLearned bool) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	h := decodeHeader(cp)
+// block). The cache keeps a private copy of data unless owned is set: then
+// the caller gives the buffer up, the cache adopts it uncopied, and the
+// caller must not touch it afterwards.
+func (c *blockCache) put(addr int32, data []byte, owned bool) (evicted fileKey, hasEvicted bool, learned fileKey, hasLearned bool) {
+	h := decodeHeader(data)
 	var key fileKey
 	hasKey := h.Flags&flagUsed != 0 && h.Flags&flagDirOverflow == 0
 	if hasKey {
 		key = fileKey{fileID: h.FileID, blockNum: h.BlockNum}
 		learned, hasLearned = key, true
 	}
-	if el, ok := c.m[addr]; ok {
-		e := el.Value.(*cacheEntry)
+	i, ok := c.m[addr]
+	if ok {
 		// The block may have changed identity (freed, reallocated).
-		if e.hasKey && (!hasKey || e.key != key) {
+		if e := &c.entries[i]; e.hasKey && (!hasKey || e.key != key) {
 			evicted, hasEvicted = e.key, true
 		}
-		e.data, e.key, e.hasKey = cp, key, hasKey
-		c.ll.MoveToFront(el)
-		return evicted, hasEvicted, learned, hasLearned
-	}
-	el := c.ll.PushFront(&cacheEntry{addr: addr, data: cp, key: key, hasKey: hasKey})
-	c.m[addr] = el
-	if c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		e := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
-		delete(c.m, e.addr)
-		if e.hasKey {
-			evicted, hasEvicted = e.key, true
+		c.unlink(i)
+	} else {
+		switch {
+		case c.free != noEntry:
+			i = c.free
+			c.free = c.entries[i].next
+		case len(c.entries) < c.cap:
+			c.entries = append(c.entries, cacheEntry{})
+			i = int32(len(c.entries) - 1)
+		default:
+			i = c.tail
+			e := &c.entries[i]
+			if e.hasKey {
+				evicted, hasEvicted = e.key, true
+			}
+			c.unlink(i)
+			delete(c.m, e.addr)
 		}
+		c.m[addr] = i
 	}
+	e := &c.entries[i]
+	e.addr, e.key, e.hasKey = addr, key, hasKey
+	if owned {
+		e.data = data
+	} else {
+		if len(e.data) != len(data) {
+			e.data = make([]byte, len(data))
+		}
+		copy(e.data, data)
+	}
+	c.pushFront(i)
 	return evicted, hasEvicted, learned, hasLearned
 }
 
 // invalidate drops a block, returning its location key if it had one.
 func (c *blockCache) invalidate(addr int32) (fileKey, bool) {
-	el, ok := c.m[addr]
+	i, ok := c.m[addr]
 	if !ok {
 		return fileKey{}, false
 	}
-	e := el.Value.(*cacheEntry)
-	c.ll.Remove(el)
+	c.unlink(i)
 	delete(c.m, addr)
-	if e.hasKey {
-		return e.key, true
-	}
-	return fileKey{}, false
+	e := &c.entries[i]
+	e.next, c.free = c.free, i
+	e.data = nil // the slot may sit unused for long; don't pin 1 KB to it
+	return e.key, e.hasKey
 }
 
 // len returns the number of cached blocks.
-func (c *blockCache) len() int { return c.ll.Len() }
+func (c *blockCache) len() int { return len(c.m) }
+
+// unlink takes entry i out of the recency list.
+func (c *blockCache) unlink(i int32) {
+	e := &c.entries[i]
+	if e.prev != noEntry {
+		c.entries[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next != noEntry {
+		c.entries[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+}
+
+// pushFront makes the unlinked entry i the most recently used.
+func (c *blockCache) pushFront(i int32) {
+	e := &c.entries[i]
+	e.prev, e.next = noEntry, c.head
+	if c.head != noEntry {
+		c.entries[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}

@@ -37,13 +37,22 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // blockSum computes the checksum of a full block image at disk address
 // addr, treating the 4 bytes at sumOff as zero.
 func blockSum(addr int32, buf []byte, sumOff int) uint32 {
-	var seed [4]byte
-	binary.LittleEndian.PutUint32(seed[:], uint32(addr))
-	var zero [4]byte
-	sum := crc32.Update(0, crcTable, seed[:])
+	sum := sumWord(0, uint32(addr))
 	sum = crc32.Update(sum, crcTable, buf[:sumOff])
-	sum = crc32.Update(sum, crcTable, zero[:])
+	sum = sumWord(sum, 0)
 	return crc32.Update(sum, crcTable, buf[sumOff+4:])
+}
+
+// sumWord is crc32.Update(sum, crcTable, w) for the four little-endian
+// bytes w of v. A slice handed to crc32.Update escapes, so a stack array
+// there costs one heap object per word per checksum; four table steps don't.
+func sumWord(sum, v uint32) uint32 {
+	sum = ^sum
+	for i := 0; i < 4; i++ {
+		sum = crcTable[byte(sum)^byte(v)] ^ sum>>8
+		v >>= 8
+	}
+	return ^sum
 }
 
 // seal stamps the checksum into a block image about to be written at addr.

@@ -1,13 +1,41 @@
 package efs
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"bridge/internal/sim"
 )
+
+// TestBlockSumIsTheOnDiskFormat pins blockSum to its definition — CRC-32C
+// over the little-endian address, then the image with the checksum field
+// read as zero — computed the plain way with crc32.Update. blockSum's
+// table-stepped words exist only to keep that off the heap; a volume sealed
+// by either must verify under the other.
+func TestBlockSumIsTheOnDiskFormat(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, BlockSize)
+	for i := 0; i < 200; i++ {
+		rng.Read(buf)
+		addr := int32(rng.Uint32())
+		for _, off := range []int{dataSumOff, superSumOff, bucketSumOff} {
+			var word [4]byte
+			binary.LittleEndian.PutUint32(word[:], uint32(addr))
+			want := crc32.Update(0, crcTable, word[:])
+			want = crc32.Update(want, crcTable, buf[:off])
+			want = crc32.Update(want, crcTable, make([]byte, 4))
+			want = crc32.Update(want, crcTable, buf[off+4:])
+			if got := blockSum(addr, buf, off); got != want {
+				t.Fatalf("blockSum(%d, _, %d) = %#x, want %#x", addr, off, got, want)
+			}
+		}
+	}
+}
 
 // flipByte mutates one stored byte of block addr directly on the device,
 // simulating silent bit rot (no error, wrong contents).

@@ -81,10 +81,28 @@ type FS struct {
 	// examine); see scrub.go.
 	scrubNext int32
 	stats     *stats.Counters
+	m         fsMetrics
 	// jnl is the write-ahead intent journal state; nil on unjournaled
 	// volumes. replay describes the journal replay done at mount, if any.
 	jnl    *journal
 	replay *ReplayStats
+}
+
+// fsMetrics are the volume's per-block counters as typed handles on the
+// registry behind Stats, registered once so the read path neither locks the
+// registry nor hashes a name.
+type fsMetrics struct {
+	cacheHits, cacheMisses, locHits, walks, walkSteps obs.Counter
+}
+
+func newFSMetrics(reg *obs.Registry) fsMetrics {
+	return fsMetrics{
+		cacheHits:   reg.Counter("efs.cache_hits", "blocks", "block reads served by the block cache or a deferred journal write"),
+		cacheMisses: reg.Counter("efs.cache_misses", "blocks", "block reads that went to disk for the whole track"),
+		locHits:     reg.Counter("efs.loc_hits", "blocks", "block lookups resolved by the location map without a walk"),
+		walks:       reg.Counter("efs.walks", "ops", "block lookups that walked the file's linked list"),
+		walkSteps:   reg.Counter("efs.walk_steps", "blocks", "links followed by list walks"),
+	}
 }
 
 // bucketChain is a loaded directory bucket plus its overflow blocks.
@@ -113,6 +131,7 @@ func Format(p sim.Proc, d *disk.Disk, opts Options) (*FS, error) {
 	if dataStart+opts.JournalBlocks >= n {
 		return nil, fmt.Errorf("efs: volume too small: %d blocks, %d needed for metadata", n, dataStart+opts.JournalBlocks)
 	}
+	st := stats.New()
 	fs := &FS{
 		d: d,
 		sb: superblock{
@@ -126,7 +145,8 @@ func Format(p sim.Proc, d *disk.Disk, opts Options) (*FS, error) {
 		cache:   newBlockCache(opts.CacheBlocks),
 		loc:     make(map[fileKey]int32),
 		buckets: make(map[int]*bucketChain),
-		stats:   stats.New(),
+		stats:   st,
+		m:       newFSMetrics(st.Registry()),
 	}
 	for i := 0; i < dataStart; i++ {
 		fs.bm.set(i)
@@ -205,6 +225,7 @@ func Mount(p sim.Proc, d *disk.Disk, opts Options) (*FS, error) {
 		loc:     make(map[fileKey]int32),
 		buckets: make(map[int]*bucketChain),
 		stats:   st,
+		m:       newFSMetrics(st.Registry()),
 		replay:  replay,
 	}
 	if sb.JournalBlocks > 0 {
@@ -247,17 +268,17 @@ func (fs *FS) readCached(p sim.Proc, addr int32) ([]byte, error) {
 	// is stale until the next commit applies it.
 	if fs.jnl != nil {
 		if b, ok := fs.jnl.data[addr]; ok {
-			fs.stats.Add("efs.cache_hits", 1)
+			fs.m.cacheHits.Add(1)
 			out := make([]byte, len(b))
 			copy(out, b)
 			return out, nil
 		}
 	}
 	if b, ok := fs.cache.get(addr); ok {
-		fs.stats.Add("efs.cache_hits", 1)
+		fs.m.cacheHits.Add(1)
 		return b, nil
 	}
-	fs.stats.Add("efs.cache_misses", 1)
+	fs.m.cacheMisses.Add(1)
 	first, blocks, err := fs.d.ReadTrack(p, int(addr))
 	if err != nil {
 		return nil, fmt.Errorf("efs: reading block %d: %w", addr, err)
@@ -265,7 +286,9 @@ func (fs *FS) readCached(p sim.Proc, addr int32) ([]byte, error) {
 	var out []byte
 	for i, b := range blocks {
 		a := int32(first + i)
-		fs.cacheInsert(a, b)
+		// ReadTrack's buffers are fresh copies nobody else holds: the
+		// cache adopts them, and the caller gets its own copy.
+		fs.cacheInsert(a, b, true)
 		if a == addr {
 			out = make([]byte, len(b))
 			copy(out, b)
@@ -286,25 +309,19 @@ func (fs *FS) writeThrough(p sim.Proc, addr int32, data []byte) error {
 	if err := fs.d.WriteBlock(p, int(addr), data); err != nil {
 		return fmt.Errorf("efs: writing block %d: %w", addr, err)
 	}
-	fs.cacheInsert(addr, data)
+	fs.cacheInsert(addr, data, false)
 	return nil
 }
 
-// cacheInsert puts a block into the cache and maintains the location map.
-func (fs *FS) cacheInsert(addr int32, data []byte) {
-	// Only data-region blocks can teach file locations.
-	if int(addr) < int(fs.sb.DataStart) {
-		evicted, hasEvicted, _, _ := fs.cache.put(addr, data)
-		if hasEvicted {
-			delete(fs.loc, evicted)
-		}
-		return
-	}
-	evicted, hasEvicted, learned, hasLearned := fs.cache.put(addr, data)
+// cacheInsert puts a block into the cache (copied, or adopted when owned;
+// see blockCache.put) and maintains the location map.
+func (fs *FS) cacheInsert(addr int32, data []byte, owned bool) {
+	evicted, hasEvicted, learned, hasLearned := fs.cache.put(addr, data, owned)
 	if hasEvicted {
 		delete(fs.loc, evicted)
 	}
-	if hasLearned {
+	// Only data-region blocks can teach file locations.
+	if hasLearned && int(addr) >= int(fs.sb.DataStart) {
 		fs.loc[learned] = addr
 	}
 }
@@ -387,7 +404,7 @@ func (fs *FS) Sync(p sim.Proc) error {
 			if err := fs.d.WriteBlock(p, int(bb.addr), buf); err != nil {
 				return fmt.Errorf("efs: flushing directory: %w", err)
 			}
-			fs.cacheInsert(bb.addr, buf)
+			fs.cacheInsert(bb.addr, buf, false)
 			bb.dirty = false
 		}
 	}

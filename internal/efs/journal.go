@@ -206,7 +206,7 @@ func (fs *FS) deferImage(addr int32, buf []byte) {
 	j.data[addr] = buf
 	j.img[addr] = true
 	delete(j.fixes, addr)
-	fs.cacheInsert(addr, buf)
+	fs.cacheInsert(addr, buf, false)
 }
 
 // deferFix defers the append path's old-tail header rewrite: the journal
@@ -223,7 +223,7 @@ func (fs *FS) deferFix(addr int32, buf []byte) {
 	if !j.img[addr] {
 		j.fixes[addr] = decodeHeader(buf)
 	}
-	fs.cacheInsert(addr, buf)
+	fs.cacheInsert(addr, buf, false)
 }
 
 // dropDeferred forgets any deferred write for addr (the block is being
@@ -427,7 +427,7 @@ func (fs *FS) commit(p sim.Proc) error {
 		if err := fs.d.WriteBlock(p, int(w.addr), w.buf); err != nil {
 			return fmt.Errorf("efs: applying block %d: %w", w.addr, err)
 		}
-		fs.cacheInsert(w.addr, w.buf)
+		fs.cacheInsert(w.addr, w.buf, false)
 	}
 	j.data = make(map[int32][]byte)
 	j.order = j.order[:0]

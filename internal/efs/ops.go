@@ -665,7 +665,7 @@ func (fs *FS) findBlock(p sim.Proc, e *dirEntry, fileID, blockNum uint32, hint i
 		if sumOK(addr, raw, dataSumOff) {
 			h := decodeHeader(raw)
 			if h.FileID == fileID && h.BlockNum == blockNum && h.Flags&flagUsed != 0 {
-				fs.stats.Add("efs.loc_hits", 1)
+				fs.m.locHits.Add(1)
 				return addr, raw, nil
 			}
 		} else {
@@ -712,7 +712,7 @@ func (fs *FS) findBlock(p sim.Proc, e *dirEntry, fileID, blockNum uint32, hint i
 		}
 	}
 
-	fs.stats.Add("efs.walks", 1)
+	fs.m.walks.Add(1)
 	addr, num := best.addr, best.num
 	for {
 		raw, err := fs.readCached(p, addr)
@@ -730,7 +730,7 @@ func (fs *FS) findBlock(p sim.Proc, e *dirEntry, fileID, blockNum uint32, hint i
 		if num == blockNum {
 			return addr, raw, nil
 		}
-		fs.stats.Add("efs.walk_steps", 1)
+		fs.m.walkSteps.Add(1)
 		if num < blockNum {
 			addr, num = h.Next, num+1
 		} else {

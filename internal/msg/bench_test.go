@@ -29,6 +29,7 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 			}
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := rt.Wait(); err != nil {
 		b.Fatal(err)
@@ -87,6 +88,7 @@ func BenchmarkScatterGather(b *testing.B) {
 			}
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := rt.Wait(); err != nil {
 		b.Fatal(err)

@@ -13,6 +13,7 @@ func BenchmarkVirtualQueueRoundTrip(b *testing.B) {
 	ping := rt.NewQueue("ping")
 	pong := rt.NewQueue("pong")
 	n := b.N
+	b.ReportAllocs()
 	rt.Go("echo", func(p Proc) {
 		for {
 			v, ok := ping.Recv(p)
@@ -39,6 +40,7 @@ func BenchmarkVirtualQueueRoundTrip(b *testing.B) {
 func BenchmarkVirtualTimers(b *testing.B) {
 	rt := NewVirtual()
 	n := b.N
+	b.ReportAllocs()
 	rt.Go("sleeper", func(p Proc) {
 		for i := 0; i < n; i++ {
 			p.Sleep(time.Millisecond)

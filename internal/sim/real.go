@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"container/heap"
+	"slices"
 	"sync"
 	"time"
 )
@@ -124,7 +124,7 @@ func (q *rQueue) sendAt(v any, at time.Duration) bool {
 		return false
 	}
 	q.seq++
-	heap.Push(&q.items, vitem{v: v, at: at, seq: q.seq})
+	q.items.push(vitem{v: v, at: at, seq: q.seq})
 	q.wakeOneLocked()
 	q.mu.Unlock()
 	return true
@@ -135,7 +135,7 @@ func (q *rQueue) wakeOneLocked() {
 		return
 	}
 	ch := q.waiters[0]
-	q.waiters = q.waiters[1:]
+	q.waiters = slices.Delete(q.waiters, 0, 1)
 	close(ch)
 }
 
@@ -149,7 +149,7 @@ func (q *rQueue) wakeAllLocked() {
 func (q *rQueue) removeWaiterLocked(ch chan struct{}) {
 	for i, w := range q.waiters {
 		if w == ch {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+			q.waiters = slices.Delete(q.waiters, i, i+1)
 			return
 		}
 	}
@@ -162,8 +162,7 @@ func (q *rQueue) recv(deadline time.Duration) (any, bool, bool) {
 		q.mu.Lock()
 		now := q.rt.Now()
 		if q.items.Len() > 0 && q.items[0].at <= now {
-			v := q.items[0].v
-			heap.Pop(&q.items)
+			v := q.items.pop().v
 			// More items may already be available for other waiters.
 			if q.items.Len() > 0 && q.items[0].at <= now {
 				q.wakeOneLocked()
@@ -223,9 +222,7 @@ func (q *rQueue) TryRecv(Proc) (any, bool, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.items.Len() > 0 && q.items[0].at <= q.rt.Now() {
-		v := q.items[0].v
-		heap.Pop(&q.items)
-		return v, true, false
+		return q.items.pop().v, true, false
 	}
 	return nil, false, q.closed && q.items.Len() == 0
 }

@@ -29,13 +29,17 @@ type vRuntime struct {
 	now     time.Duration
 	started bool
 	active  *vproc
-	ready   []*vproc
+	ready   procFIFO
 	timers  timerHeap
 	waiting int // processes blocked on queues with no pending timer
 	err     error
-	queues  []*vQueue
+	queues  []*vQueue // open queues, in creation order
 	seq     uint64
 	wg      sync.WaitGroup
+
+	// slowSleep disables Sleep's in-place clock advance. Only the order
+	// test sets it, to hold the fast path to the scheduler it shortcuts.
+	slowSleep bool
 }
 
 var _ Runtime = (*vRuntime)(nil)
@@ -57,7 +61,7 @@ func (rt *vRuntime) Err() error {
 func (rt *vRuntime) Go(name string, fn func(Proc)) {
 	p := &vproc{rt: rt, name: name, runCh: make(chan struct{}, 1), heapIdx: -1}
 	rt.mu.Lock()
-	rt.ready = append(rt.ready, p)
+	rt.ready.push(p)
 	// If the simulation is already running but momentarily idle (all
 	// other processes exited), restart the scheduler.
 	if rt.started && rt.active == nil {
@@ -114,9 +118,8 @@ func (rt *vRuntime) nextSeq() uint64 {
 // queue is closed so that processes can unwind.
 func (rt *vRuntime) schedule() {
 	for {
-		if len(rt.ready) > 0 {
-			p := rt.ready[0]
-			rt.ready = rt.ready[1:]
+		if rt.ready.n > 0 {
+			p := rt.ready.pop()
 			rt.active = p
 			p.runCh <- struct{}{}
 			return
@@ -133,7 +136,7 @@ func (rt *vRuntime) schedule() {
 					p.waitQ = nil
 				}
 				p.reason = wakeTimer
-				rt.ready = append(rt.ready, p)
+				rt.ready.push(p)
 			}
 			continue
 		}
@@ -141,7 +144,11 @@ func (rt *vRuntime) schedule() {
 			if rt.err == nil {
 				rt.err = rt.deadlockError()
 			}
-			for _, q := range rt.queues {
+			// closeLocked drops the queue from rt.queues; detach the
+			// list first so the loop does not edit what it ranges over.
+			qs := rt.queues
+			rt.queues = nil
+			for _, q := range qs {
 				q.closeLocked()
 			}
 			continue
@@ -192,6 +199,17 @@ func (p *vproc) Sleep(d time.Duration) {
 	}
 	p.wakeAt = rt.now + d
 	p.wseq = rt.nextSeq()
+	// With nothing ready and no timer due at or before wakeAt, this
+	// process is the scheduler's next pick: its timer would be the heap's
+	// minimum, popped alone and run at once. Advance the clock in place.
+	// A timer due at the same instant was registered earlier (smaller
+	// wseq) and goes first, hence the strict comparison.
+	if rt.ready.n == 0 && (len(rt.timers) == 0 || rt.timers[0].wakeAt > p.wakeAt) && !rt.slowSleep {
+		rt.now = p.wakeAt
+		p.reason = wakeTimer
+		rt.mu.Unlock()
+		return
+	}
 	heap.Push(&rt.timers, p)
 	p.park()
 	rt.mu.Unlock()
@@ -213,7 +231,36 @@ func (p *vproc) park() {
 	rt.mu.Lock()
 }
 
-// timerHeap orders processes by (wakeAt, wseq).
+// procFIFO is the ready list: a ring that reuses its storage, so a wake-up
+// allocates nothing once the ring has grown to the widest burst.
+type procFIFO struct {
+	buf  []*vproc // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (f *procFIFO) push(p *vproc) {
+	if f.n == len(f.buf) {
+		grown := make([]*vproc, max(8, 2*len(f.buf)))
+		for i := 0; i < f.n; i++ {
+			grown[i] = f.buf[(f.head+i)&(len(f.buf)-1)]
+		}
+		f.buf, f.head = grown, 0
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = p
+	f.n++
+}
+
+func (f *procFIFO) pop() *vproc {
+	p := f.buf[f.head]
+	f.buf[f.head] = nil
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
+	return p
+}
+
+// timerHeap orders processes by (wakeAt, wseq). Its elements are pointers,
+// which container/heap boxes without allocating.
 type timerHeap []*vproc
 
 func (h timerHeap) Len() int { return len(h) }

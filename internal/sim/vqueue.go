@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"slices"
 	"time"
 )
 
@@ -52,7 +53,7 @@ func (q *vQueue) sendLocked(v any, at time.Duration) bool {
 	if q.closed {
 		return false
 	}
-	heap.Push(&q.items, vitem{v: v, at: at, seq: q.rt.nextSeq()})
+	q.items.push(vitem{v: v, at: at, seq: q.rt.nextSeq()})
 	q.wakeOneLocked(wakeItem)
 	return true
 }
@@ -63,7 +64,7 @@ func (q *vQueue) wakeOneLocked(reason wakeReason) {
 		return
 	}
 	w := q.waiters[0]
-	q.waiters = q.waiters[1:]
+	q.waiters = slices.Delete(q.waiters, 0, 1) // shifts in place, nils the vacated slot
 	w.waitQ = nil
 	if w.heapIdx >= 0 {
 		heap.Remove(&q.rt.timers, w.heapIdx)
@@ -71,13 +72,13 @@ func (q *vQueue) wakeOneLocked(reason wakeReason) {
 		q.rt.waiting--
 	}
 	w.reason = reason
-	q.rt.ready = append(q.rt.ready, w)
+	q.rt.ready.push(w)
 }
 
 func (q *vQueue) removeWaiter(p *vproc) {
 	for i, w := range q.waiters {
 		if w == p {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+			q.waiters = slices.Delete(q.waiters, i, i+1)
 			return
 		}
 	}
@@ -90,10 +91,8 @@ func (q *vQueue) Recv(pi Proc) (any, bool) {
 	defer rt.mu.Unlock()
 	for {
 		if q.items.Len() > 0 {
-			if head := &q.items[0]; head.at <= rt.now {
-				v := head.v
-				heap.Pop(&q.items)
-				return v, true
+			if q.items[0].at <= rt.now {
+				return q.items.pop().v, true
 			}
 			// Wait as both a queue waiter (an earlier-available item
 			// may arrive) and a timer at the head's availability.
@@ -123,9 +122,7 @@ func (q *vQueue) TryRecv(Proc) (any, bool, bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if q.items.Len() > 0 && q.items[0].at <= rt.now {
-		v := q.items[0].v
-		heap.Pop(&q.items)
-		return v, true, false
+		return q.items.pop().v, true, false
 	}
 	return nil, false, q.closed && q.items.Len() == 0
 }
@@ -141,9 +138,7 @@ func (q *vQueue) RecvTimeout(pi Proc, d time.Duration) (any, bool, bool) {
 	deadline := rt.now + d
 	for {
 		if q.items.Len() > 0 && q.items[0].at <= rt.now {
-			v := q.items[0].v
-			heap.Pop(&q.items)
-			return v, true, false
+			return q.items.pop().v, true, false
 		}
 		if q.closed && q.items.Len() == 0 {
 			return nil, false, false
@@ -183,28 +178,72 @@ func (q *vQueue) closeLocked() {
 			q.rt.waiting--
 		}
 		w.reason = wakeClosed
-		q.rt.ready = append(q.rt.ready, w)
+		q.rt.ready.push(w)
 	}
 	q.waiters = nil
+	// A closed queue has no waiters and can gain none without a timer, so
+	// neither deadlock unwinding nor its report needs it any more. Search
+	// from the end: short-lived reply ports are the usual case.
+	qs := q.rt.queues
+	for i := len(qs) - 1; i >= 0; i-- {
+		if qs[i] == q {
+			q.rt.queues = slices.Delete(qs, i, i+1)
+			break
+		}
+	}
 }
 
-// itemHeap orders items by (at, seq) so simultaneous sends preserve FIFO.
+// itemHeap is a binary min-heap of items ordered by (at, seq), so
+// simultaneous sends preserve FIFO. The order is total (seq is unique per
+// runtime or queue), so every correct heap pops the same sequence; push and
+// pop are typed because container/heap would box each vitem into an any,
+// one allocation per call. Shared by the virtual and wall-clock queues.
 type itemHeap []vitem
 
 func (h itemHeap) Len() int { return len(h) }
-func (h itemHeap) Less(i, j int) bool {
+
+func (h itemHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h itemHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *itemHeap) Push(x any)   { *h = append(*h, x.(vitem)) }
-func (h *itemHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = vitem{}
-	*h = old[:n-1]
-	return it
+
+func (h *itemHeap) push(it vitem) {
+	*h = append(*h, it)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the minimum item; the heap must not be empty.
+func (h *itemHeap) pop() vitem {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = vitem{}
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && s.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && s.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	return top
 }
