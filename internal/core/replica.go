@@ -36,9 +36,9 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -65,8 +65,7 @@ const (
 )
 
 // rop is one directory operation: what commit takes and apply consumes, and
-// a replicated log entry's payload. All fields are scalars or slices (no
-// maps) so gob encoding is deterministic.
+// a replicated log entry's payload (logcodec.go is its encoding).
 type rop struct {
 	Kind   uint8
 	Client msg.Addr // requesting client, for cursors and the replicated op table
@@ -103,12 +102,20 @@ const (
 // rebuild its reply for a retransmission.
 type ropRec struct {
 	Kind uint8
+	EOF  bool
 	Name string
-	Meta Meta
+	Meta *Meta // what a healed Create, Rename or Release answers with; nil otherwise
 	At   int64
 	N    int
-	EOF  bool
 	ErrS string
+}
+
+// meta is the recorded metadata, zero when the operation recorded none.
+func (r *ropRec) meta() Meta {
+	if r.Meta == nil {
+		return Meta{}
+	}
+	return *r.Meta
 }
 
 type opKey struct {
@@ -116,9 +123,8 @@ type opKey struct {
 	Op     uint64
 }
 
-// rsnap is the gob-encoded state-machine snapshot installed on members
-// that fall behind compaction. Slices are sorted so identical states
-// encode identically.
+// rsnap is the state-machine snapshot installed on members that fall behind
+// compaction. Slices are sorted so identical states encode identically.
 type rsnap struct {
 	NextID  uint32
 	Files   []rsnapFile
@@ -152,6 +158,8 @@ type raftMetrics struct {
 	leaderWins   obs.Counter
 	stepDowns    obs.Counter
 	committed    obs.Counter
+	appendsSent  obs.Counter
+	appendRejs   obs.Counter
 	snapInstalls obs.Counter
 	redirects    obs.Counter
 	heals        obs.Counter
@@ -165,6 +173,8 @@ func newRaftMetrics(r *obs.Registry) raftMetrics {
 		leaderWins:   r.Counter("bridge.raft_leader_wins", "wins", "Elections won: leadership changes across the replica set."),
 		stepDowns:    r.Counter("bridge.raft_stepdowns", "stepdowns", "Leaderships lost to a higher term or lost quorum."),
 		committed:    r.Counter("bridge.raft_entries_committed", "entries", "Replicated log entries delivered to replica state machines."),
+		appendsSent:  r.Counter("bridge.raft_appends_sent", "messages", "AppendEntries requests leaders sent, entries and heartbeats; steady replication sends one per follower per entry."),
+		appendRejs:   r.Counter("bridge.raft_append_rejects", "messages", "AppendEntries rejections leaders received: a lost, overtaken or conflicting request the follower asked to have resent."),
 		snapInstalls: r.Counter("bridge.raft_snap_installs", "snapshots", "State-machine snapshots installed on lagging replicas."),
 		redirects:    r.Counter("bridge.raft_notleader_redirects", "requests", "Client requests answered with a not-leader redirect."),
 		heals:        r.Counter("bridge.raft_heals", "requests", "Retransmitted operations healed from the replicated op table."),
@@ -223,7 +233,7 @@ type member struct {
 	// Replicated state beyond the directory: the op table (exactly-once
 	// replies), write-behind watermarks, armed deferred errors, and the
 	// recent effect tail.
-	ops      map[opKey]ropRec
+	ops      map[opKey]*ropRec
 	opQ      []opKey
 	wbLow    map[string]int64  // committed durable size of wb-dirty files
 	deferred map[string]string // failover-armed deferred-write errors
@@ -232,9 +242,21 @@ type member struct {
 	applied  uint64 // last log index applied to the state machine
 	tookOver bool   // this leadership already replayed owed effects
 
-	parked []*msg.Message // client requests held while an entry commits
-	dead   atomic.Bool
-	tall   raft.Tallies // last tallies diffed into the metrics
+	parked  []*msg.Message // client requests held while an entry commits
+	enc     []byte         // log-entry encode scratch, reused across commits
+	snapCap int            // capacity hint for the next snapshot
+	ports   portTab        // client port names shared by decoded ops
+	dead    atomic.Bool
+	fault   error        // why the member halted itself; set before dead
+	tall    raft.Tallies // last tallies diffed into the metrics
+}
+
+// halt kills a member that can no longer follow its group: its consensus
+// store failed, or a committed record did not decode and applying past it
+// would fork this directory from its peers'.
+func (g *member) halt(err error) {
+	g.fault = err
+	g.dead.Store(true)
 }
 
 func newMember(net *msg.Network, spec memberSpec) *member {
@@ -252,7 +274,8 @@ func newMember(net *msg.Network, spec memberSpec) *member {
 		spec:     spec,
 		rm:       newRaftMetrics(net.Stats().Registry()),
 		sm:       newShardMetrics(net.Stats().Registry(), spec.shard),
-		ops:      make(map[opKey]ropRec),
+		ops:      make(map[opKey]*ropRec),
+		ports:    make(portTab),
 		wbLow:    make(map[string]int64),
 		deferred: make(map[string]string),
 	}
@@ -274,6 +297,15 @@ func (s *Server) IsLeader() bool {
 	return s.grp == nil || !s.grp.dead.Load() && s.grp.node.ReadyToLead()
 }
 
+// Fault reports why a member halted itself: nil while it runs, after a
+// crash from outside, and for a group of one.
+func (s *Server) Fault() error {
+	if s.grp == nil || !s.grp.dead.Load() {
+		return nil
+	}
+	return s.grp.fault
+}
+
 // crashed reports whether a member was killed; its loop exits at the next
 // step and nothing more is sent.
 func (s *Server) crashed() bool { return s.grp != nil && s.grp.dead.Load() }
@@ -287,12 +319,12 @@ func (s *Server) loadLog(p sim.Proc) bool {
 		return true
 	}
 	snap, err := g.node.Load(p, p.Now())
-	if err != nil {
-		g.dead.Store(true)
-		return false
+	if err == nil && snap != nil {
+		err = s.restore(snap)
 	}
-	if snap != nil {
-		s.restore(snap)
+	if err != nil {
+		g.halt(fmt.Errorf("bridge: load replicated log: %w", err))
+		return false
 	}
 	g.applied = g.node.Status().SnapIndex
 	return true
@@ -355,7 +387,10 @@ func (s *Server) pump(p sim.Proc) {
 	}
 	for {
 		if inst := g.node.TakeInstalled(); inst != nil {
-			s.restore(inst.Data)
+			if err := s.restore(inst.Data); err != nil {
+				g.halt(fmt.Errorf("bridge: install snapshot through entry %d: %w", inst.Index, err))
+				return
+			}
 			g.applied = inst.Index
 			continue
 		}
@@ -364,15 +399,15 @@ func (s *Server) pump(p sim.Proc) {
 			break
 		}
 		for _, e := range ents {
+			if e.Data != nil {
+				op, err := decodeRop(e.Data, g.ports)
+				if err != nil {
+					g.halt(fmt.Errorf("bridge: committed log entry %d: %w", e.Index, err))
+					return
+				}
+				s.apply(op)
+			}
 			g.applied = e.Index
-			if e.Data == nil {
-				continue
-			}
-			op, err := decodeRop(e.Data)
-			if err != nil {
-				continue // unreachable: we encoded it
-			}
-			s.apply(op)
 		}
 	}
 	if g.node.Status().Role != raft.Leader {
@@ -382,7 +417,7 @@ func (s *Server) pump(p sim.Proc) {
 	out, err := g.node.Flush(p)
 	if err != nil {
 		// The consensus store failed (disk crash): the member is dead.
-		g.dead.Store(true)
+		g.halt(fmt.Errorf("bridge: persist replicated log: %w", err))
 		return
 	}
 	for _, o := range out {
@@ -410,30 +445,31 @@ func (s *Server) maybeCompact() {
 }
 
 func (g *member) syncMetrics() {
-	t := g.node.Tallies()
-	d := raft.Tallies{
-		Elections:    t.Elections - g.tall.Elections,
-		LeaderWins:   t.LeaderWins - g.tall.LeaderWins,
-		StepDowns:    t.StepDowns - g.tall.StepDowns,
-		Committed:    t.Committed - g.tall.Committed,
-		SnapInstalls: t.SnapInstalls - g.tall.SnapInstalls,
-	}
+	t, was := g.node.Tallies(), g.tall
 	g.tall = t
-	g.rm.elections.Add(d.Elections)
-	g.rm.leaderWins.Add(d.LeaderWins)
-	g.rm.stepDowns.Add(d.StepDowns)
-	g.rm.committed.Add(d.Committed)
-	g.rm.snapInstalls.Add(d.SnapInstalls)
-	g.sm.committed.Add(d.Committed)
+	g.rm.elections.Add(t.Elections - was.Elections)
+	g.rm.leaderWins.Add(t.LeaderWins - was.LeaderWins)
+	g.rm.stepDowns.Add(t.StepDowns - was.StepDowns)
+	g.rm.committed.Add(t.Committed - was.Committed)
+	g.rm.snapInstalls.Add(t.SnapInstalls - was.SnapInstalls)
+	g.rm.appendsSent.Add(t.AppendsSent - was.AppendsSent)
+	g.rm.appendRejs.Add(t.AppendRejects - was.AppendRejects)
+	g.sm.committed.Add(t.Committed - was.Committed)
 }
 
 // ---- the directory state machine ----
 
 // record stores an operation's outcome in the replicated op table (FIFO
-// bounded, like a group of one's reply cache).
-func (g *member) record(op rop, rec ropRec) {
+// bounded, like a group of one's reply cache), with a copy of meta when
+// the healed reply carries metadata. Only a recording member allocates.
+func (g *member) record(op rop, rec ropRec, meta *Meta) {
 	if g == nil || op.Op == 0 {
 		return
+	}
+	kept := rec
+	if meta != nil {
+		m := *meta
+		kept.Meta = &m
 	}
 	k := opKey{Client: op.Client, Op: op.Op}
 	if _, exists := g.ops[k]; !exists {
@@ -443,7 +479,7 @@ func (g *member) record(op rop, rec ropRec) {
 		}
 		g.opQ = append(g.opQ, k)
 	}
-	g.ops[k] = rec
+	g.ops[k] = &kept
 }
 
 func (g *member) unrecord(client msg.Addr, op uint64) {
@@ -468,10 +504,13 @@ func (g *member) noteFx(op rop) {
 	if g == nil {
 		return
 	}
-	g.recentFx = append(g.recentFx, op)
-	if len(g.recentFx) > raftPendingFx {
-		g.recentFx = g.recentFx[len(g.recentFx)-raftPendingFx:]
+	if len(g.recentFx) == raftPendingFx {
+		// Shift in place: re-slicing forward would walk the tail off its
+		// backing array and reallocate it every few ops.
+		copy(g.recentFx, g.recentFx[1:])
+		g.recentFx = g.recentFx[:raftPendingFx-1]
 	}
+	g.recentFx = append(g.recentFx, op)
 }
 
 // moveFile re-keys (to != "") or clears (to == "") the per-file
@@ -528,24 +567,33 @@ func (s *Server) apply(op rop) {
 	switch op.Kind {
 	case ropCreate:
 		s.nextID = op.NextID
-		meta := op.Meta
-		s.dir[meta.Name] = &dirent{meta: meta, hints: make(map[msg.NodeID]int32)}
-		g.record(op, ropRec{Kind: op.Kind, Name: op.Name, Meta: meta})
+		// A file on the cluster's first P nodes in order — any placed
+		// without a Subset — shares the server's list, never written,
+		// rather than holding a copy of its own.
+		if n := len(op.Meta.Nodes); n <= len(s.nodes) && slices.Equal(op.Meta.Nodes, s.nodes[:n]) {
+			op.Meta.Nodes = s.nodes[:n:n]
+		}
+		s.dir[op.Meta.Name] = &dirent{meta: op.Meta, hints: make(map[msg.NodeID]int32)}
+		g.record(op, ropRec{Kind: op.Kind, Name: op.Name}, &op.Meta)
 		g.noteFx(op)
 	case ropDelete, ropRelease:
-		rec := ropRec{Kind: op.Kind, Name: op.Name}
+		var meta *Meta
 		if ent, ok := s.dir[op.Name]; ok {
-			rec.Meta = ent.meta
+			if op.Kind == ropRelease {
+				// A healed Release answers with the metadata; a healed
+				// Delete answers with nothing, so its record holds none.
+				meta = &ent.meta
+			}
 			s.unregister(op.Name)
 		}
-		g.record(op, rec)
+		g.record(op, ropRec{Kind: op.Kind, Name: op.Name}, meta)
 		if op.Kind == ropDelete {
 			g.noteFx(op)
 		}
 	case ropRename:
 		ent, ok := s.dir[op.Name]
 		if !ok {
-			g.record(op, ropRec{Kind: op.Kind, Name: op.New})
+			g.record(op, ropRec{Kind: op.Kind, Name: op.New}, nil)
 			break
 		}
 		delete(s.dir, op.Name)
@@ -561,7 +609,7 @@ func (s *Server) apply(op rop) {
 			}
 		}
 		g.moveFile(op.Name, op.New)
-		g.record(op, ropRec{Kind: op.Kind, Name: op.New, Meta: ent.meta})
+		g.record(op, ropRec{Kind: op.Kind, Name: op.New}, &ent.meta)
 	case ropOpen:
 		if _, ok := s.dir[op.Name]; ok {
 			s.cursors[cursorKey{client: op.Client, name: op.Name}] = &cursor{}
@@ -574,7 +622,7 @@ func (s *Server) apply(op rop) {
 		if end := op.At + int64(op.N); end > ent.meta.Blocks {
 			ent.meta.Blocks = end
 		}
-		g.record(op, ropRec{Kind: op.Kind, Name: op.Name, At: op.At, N: op.N})
+		g.record(op, ropRec{Kind: op.Kind, Name: op.Name, At: op.At, N: op.N}, nil)
 		g.noteFx(op)
 	case ropSeqRead:
 		if _, ok := s.dir[op.Name]; !ok {
@@ -587,7 +635,7 @@ func (s *Server) apply(op rop) {
 			s.cursors[key] = cur
 		}
 		cur.readPos = op.At + int64(op.N)
-		g.record(op, ropRec{Kind: op.Kind, Name: op.Name, At: op.At, N: op.N, EOF: op.EOF})
+		g.record(op, ropRec{Kind: op.Kind, Name: op.Name, At: op.At, N: op.N, EOF: op.EOF}, nil)
 	case ropWBDirty:
 		if _, ok := s.dir[op.Name]; ok {
 			g.wbLow[op.Name] = op.Blocks
@@ -617,13 +665,13 @@ func (s *Server) apply(op rop) {
 		if op.Op != 0 {
 			// The failing operation consumes the error itself; record it
 			// so a retransmission replays the same failure.
-			g.record(op, ropRec{Kind: op.Kind, Name: op.Name, ErrS: op.ErrS})
+			g.record(op, ropRec{Kind: op.Kind, Name: op.Name, ErrS: op.ErrS}, nil)
 		} else {
 			g.deferred[op.Name] = op.ErrS
 		}
 	case ropWBClear:
 		delete(g.deferred, op.Name)
-		g.record(op, ropRec{Kind: op.Kind, Name: op.Name, ErrS: op.ErrS})
+		g.record(op, ropRec{Kind: op.Kind, Name: op.Name, ErrS: op.ErrS}, nil)
 	case ropFixup:
 		if ent, ok := s.dir[op.Name]; ok {
 			if op.Blocks < 0 {
@@ -639,10 +687,14 @@ func (s *Server) apply(op rop) {
 }
 
 // encodeSnapshot captures the replicated state machine. Identical states
-// encode to identical bytes (sorted slices, gob, no maps).
+// encode to identical bytes (sorted slices, no maps).
 func (s *Server) encodeSnapshot() []byte {
 	g := s.grp
-	snap := rsnap{NextID: s.nextID}
+	snap := rsnap{
+		NextID: s.nextID,
+		Files:  make([]rsnapFile, 0, len(s.dir)),
+		Ops:    make([]rsnapOp, 0, len(g.opQ)),
+	}
 	for _, name := range s.sortedNames() {
 		f := rsnapFile{Meta: s.dir[name].meta}
 		if low, dirty := g.wbLow[name]; dirty {
@@ -667,28 +719,29 @@ func (s *Server) encodeSnapshot() []byte {
 	})
 	for _, k := range g.opQ {
 		if rec, ok := g.ops[k]; ok {
-			snap.Ops = append(snap.Ops, rsnapOp{Client: k.Client, Op: k.Op, Rec: rec})
+			snap.Ops = append(snap.Ops, rsnapOp{Client: k.Client, Op: k.Op, Rec: *rec})
 		}
 	}
-	snap.Pending = append([]rop(nil), g.recentFx...)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		panic(fmt.Sprintf("bridge: encode directory snapshot: %v", err))
-	}
-	return buf.Bytes()
+	snap.Pending = g.recentFx
+	// Sized from the last snapshot plus room for the op table to have
+	// grown: no scratch buffer of snapshot size stays live between them.
+	buf := appendSnap(make([]byte, 0, g.snapCap), &snap)
+	g.snapCap = len(buf) + len(buf)/8
+	return buf
 }
 
-// restore resets the state machine to a snapshot.
-func (s *Server) restore(data []byte) {
-	var snap rsnap
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		panic(fmt.Sprintf("bridge: decode directory snapshot: %v", err))
+// restore resets the state machine to a snapshot; bytes that are not one
+// leave it untouched.
+func (s *Server) restore(data []byte) error {
+	snap, err := decodeSnap(data, s.grp.ports)
+	if err != nil {
+		return err
 	}
 	g := s.grp
 	s.dir = make(map[string]*dirent)
 	s.cursors = make(map[cursorKey]*cursor)
 	s.nextID = snap.NextID
-	g.ops = make(map[opKey]ropRec)
+	g.ops = make(map[opKey]*ropRec, len(snap.Ops))
 	g.opQ = g.opQ[:0]
 	g.wbLow = make(map[string]int64)
 	g.deferred = make(map[string]string)
@@ -704,30 +757,18 @@ func (s *Server) restore(data []byte) {
 	for _, c := range snap.Cursors {
 		s.cursors[cursorKey{client: c.Client, name: c.Name}] = &cursor{readPos: c.Pos}
 	}
-	for _, o := range snap.Ops {
+	for i := range snap.Ops {
+		o := &snap.Ops[i]
 		g.opQ = append(g.opQ, opKey{Client: o.Client, Op: o.Op})
-		g.ops[opKey{Client: o.Client, Op: o.Op}] = o.Rec
+		g.ops[opKey{Client: o.Client, Op: o.Op}] = &o.Rec
 	}
-	g.recentFx = append([]rop(nil), snap.Pending...)
+	g.recentFx = snap.Pending
 	// Volatile leader-side buffers never survive a snapshot install.
 	if s.wb != nil {
 		s.wb = newWBCache(s.cfg.WriteBehind)
 	}
 	g.tookOver = false
-}
-
-func encodeRop(op rop) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(op); err != nil {
-		panic(fmt.Sprintf("bridge: encode log op: %v", err))
-	}
-	return buf.Bytes()
-}
-
-func decodeRop(data []byte) (rop, error) {
-	var op rop
-	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&op)
-	return op, err
+	return nil
 }
 
 // ---- the seam ----
@@ -756,7 +797,8 @@ func (s *Server) commit(p sim.Proc, op rop) error {
 		s.apply(op)
 		return nil
 	}
-	idx, term, ok := g.node.Propose(encodeRop(op), p.Now())
+	g.enc = appendRop(g.enc[:0], &op)
+	idx, term, ok := g.node.Propose(bytes.Clone(g.enc), p.Now())
 	if !ok {
 		return s.notLeaderError()
 	}
@@ -830,19 +872,19 @@ func (s *Server) admit(p sim.Proc, req *msg.Message, op uint64) (reply any, done
 // heal rebuilds the reply of an already-committed operation from its
 // replicated record. Reads re-fetch the same blocks (same position, same
 // bytes); mutations answer from the record without re-running.
-func (s *Server) heal(p sim.Proc, body any, rec ropRec) any {
+func (s *Server) heal(p sim.Proc, body any, rec *ropRec) any {
 	if rec.Kind == ropWBFail || rec.Kind == ropWBClear {
 		return respWithErr(body, rec.ErrS)
 	}
 	switch body.(type) {
 	case CreateReq:
-		return CreateResp{Meta: rec.Meta, Err: rec.ErrS}
+		return CreateResp{Meta: rec.meta(), Err: rec.ErrS}
 	case DeleteReq:
 		return DeleteResp{Err: rec.ErrS}
 	case RenameReq:
-		return RenameResp{Meta: rec.Meta, Err: rec.ErrS}
+		return RenameResp{Meta: rec.meta(), Err: rec.ErrS}
 	case ReleaseReq:
-		return ReleaseResp{Meta: rec.Meta, Err: rec.ErrS}
+		return ReleaseResp{Meta: rec.meta(), Err: rec.ErrS}
 	case SeqWriteReq:
 		return SeqWriteResp{Err: rec.ErrS}
 	case RandWriteReq:
@@ -1048,9 +1090,10 @@ func (s *Server) takeover(p sim.Proc) {
 		if e.Data == nil {
 			continue
 		}
-		op, err := decodeRop(e.Data)
+		op, err := decodeRop(e.Data, g.ports)
 		if err != nil {
-			continue
+			g.halt(fmt.Errorf("bridge: committed log entry %d: %w", e.Index, err))
+			return
 		}
 		replay = append(replay, op)
 	}

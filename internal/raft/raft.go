@@ -100,6 +100,7 @@ type Tallies struct {
 	SnapInstalls  int64 // snapshots installed from a leader
 	AppendsSent   int64 // AppendReq messages queued (entries and heartbeats)
 	AppendsRecvOK int64 // AppendReq accepted from the leader
+	AppendRejects int64 // AppendResp rejections received as leader
 }
 
 // Install is a snapshot delivered by a leader; the owner must reset its
@@ -419,7 +420,9 @@ func (n *Node) broadcastAppend(now time.Duration) {
 	}
 }
 
-// sendAppend queues replication traffic for one peer. Callers hold n.mu.
+// sendAppend queues replication traffic for one peer and advances next[to]
+// past what it sent (optimistic next): an entry goes to a follower once,
+// and only a reject brings next back. Callers hold n.mu.
 func (n *Node) sendAppend(to int, now time.Duration) {
 	ni := n.next[to]
 	if ni <= n.snapIndex {
@@ -435,6 +438,7 @@ func (n *Node) sendAppend(to int, now time.Duration) {
 			end = len(n.log)
 		}
 		ents = append([]Entry(nil), n.log[from:end]...)
+		n.next[to] = ni + uint64(len(ents))
 	}
 	n.tallies.AppendsSent++
 	n.send(to, AppendReq{
@@ -501,15 +505,11 @@ func (n *Node) Step(body any, now time.Duration) {
 			}
 			return
 		}
-		// Consistency miss: back off to the follower's hint and retry.
-		ni := n.next[b.From] - 1
-		if hint := b.MatchIndex + 1; hint < ni {
-			ni = hint
-		}
-		if ni < 1 {
-			ni = 1
-		}
-		n.next[b.From] = ni
+		// Consistency miss, or an AppendReq lost or overtaken: resume from
+		// the follower's hint. Never below match+1 — a reject that old was
+		// answered before entries the follower has since acknowledged.
+		n.tallies.AppendRejects++
+		n.next[b.From] = max(b.MatchIndex, n.match[b.From]) + 1
 		n.sendAppend(b.From, now)
 	case SnapReq:
 		n.maybeAdvanceTerm(b.Term, now)
@@ -659,7 +659,7 @@ func (n *Node) Flush(p sim.Proc) ([]Outbound, error) {
 			SnapIndex: n.snapIndex,
 			SnapTerm:  n.snapTerm,
 			Snapshot:  n.snapshot,
-			Entries:   append([]Entry(nil), n.log...),
+			Entries:   n.log, // read by Save outside the lock: only this caller, the owner, writes it
 		}
 	}
 	n.mu.Unlock()

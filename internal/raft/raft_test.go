@@ -21,6 +21,9 @@ func (f fakeProc) Go(string, func(sim.Proc)) {
 }
 func (f fakeProc) Runtime() sim.Runtime { return nil }
 
+// roundEvery is the virtual time one harness round takes.
+const roundEvery = 5 * time.Millisecond
+
 // harness wires N nodes through in-memory inboxes with a hand-cranked
 // clock, delivering in node order each round so runs are deterministic.
 type harness struct {
@@ -31,6 +34,21 @@ type harness struct {
 	inbox map[int][]any
 	down  map[int]bool
 	cut   map[[2]int]bool // blocked directed links
+
+	// route, when set, decides each message's fate: one delivery per
+	// returned delay, in rounds past the normal one (nil drops it,
+	// {0} is the default, {0, 3} duplicates).
+	route func(from, to int, m any) []int
+	late  []lateMsg
+	round int
+	// check, when set, runs after every Step.
+	check func()
+}
+
+type lateMsg struct {
+	due int
+	to  int
+	m   any
 }
 
 func newHarness(t *testing.T, n int) *harness {
@@ -60,6 +78,16 @@ func (h *harness) addNode(id int, st Store) {
 
 // step runs one round: tick due timers, flush, route, deliver.
 func (h *harness) step() {
+	h.round++
+	held := h.late[:0]
+	for _, l := range h.late {
+		if l.due > h.round {
+			held = append(held, l)
+		} else if !h.down[l.to] {
+			h.inbox[l.to] = append(h.inbox[l.to], l.m)
+		}
+	}
+	h.late = held
 	for _, id := range h.ids {
 		if h.down[id] {
 			continue
@@ -70,6 +98,9 @@ func (h *harness) step() {
 		}
 		for _, m := range h.inbox[id] {
 			nd.Step(m, h.now)
+			if h.check != nil {
+				h.check()
+			}
 		}
 		h.inbox[id] = nil
 		out, err := nd.Flush(fakeProc{&h.now})
@@ -80,10 +111,20 @@ func (h *harness) step() {
 			if h.down[o.To] || h.cut[[2]int{id, o.To}] {
 				continue
 			}
-			h.inbox[o.To] = append(h.inbox[o.To], o.Msg)
+			delays := []int{0}
+			if h.route != nil {
+				delays = h.route(id, o.To, o.Msg)
+			}
+			for _, d := range delays {
+				if d == 0 {
+					h.inbox[o.To] = append(h.inbox[o.To], o.Msg)
+				} else {
+					h.late = append(h.late, lateMsg{due: h.round + d, to: o.To, m: o.Msg})
+				}
+			}
 		}
 	}
-	h.now += 5 * time.Millisecond
+	h.now += roundEvery
 }
 
 func (h *harness) run(rounds int) {

@@ -15,6 +15,12 @@ import (
 // recover after a kill to keep its promises — the current term, who it
 // voted for in that term, the compacted snapshot, and the log suffix
 // beyond it. It is written atomically as one image.
+//
+// Snapshot is immutable: a Node replaces the slice (Compact, a leader's
+// install) and never writes into it, so a Store may retain it and hand it
+// back without copying. Entries handed to Save is the node's live log,
+// which its owner will append to and truncate once Save returns: a Store
+// that keeps it must copy it.
 type State struct {
 	Term      uint64
 	VotedFor  int
@@ -48,11 +54,10 @@ func (m *MemStore) Save(p sim.Proc, st State) error {
 	return nil
 }
 
+// cloneState copies the log suffix and shares the immutable snapshot.
 func cloneState(st State) State {
-	out := st
-	out.Snapshot = append([]byte(nil), st.Snapshot...)
-	out.Entries = append([]Entry(nil), st.Entries...)
-	return out
+	st.Entries = append([]Entry(nil), st.Entries...)
+	return st
 }
 
 // DiskStore persists State on a simulated disk with a ping-pong layout:
