@@ -267,6 +267,16 @@ func run() error {
 	if rep.RSStorageOverhead < 1.30 || rep.RSStorageOverhead > 1.40 {
 		return fmt.Errorf("RS(6,2) storage overhead %.3fx out of the ~1.33x band", rep.RSStorageOverhead)
 	}
+	// Overlap gates: a mirror append and an RS(6,2) append are one scatter
+	// each — every copy, data block and parity cell on a different node,
+	// written side by side — so each must cost at most 1.10x a plain
+	// per-block write. Redundancy costs disks, not round trips.
+	if rep.MirrorAppendBlkSimMs > 1.10*rep.WriteBlkSimMs {
+		return fmt.Errorf("mirror append %.2f ms/block exceeds 1.10x the plain write's %.2f", rep.MirrorAppendBlkSimMs, rep.WriteBlkSimMs)
+	}
+	if rep.RSAppendBlkSimMs > 1.10*rep.WriteBlkSimMs {
+		return fmt.Errorf("RS(6,2) append %.2f ms/block exceeds 1.10x the plain write's %.2f", rep.RSAppendBlkSimMs, rep.WriteBlkSimMs)
+	}
 	// Failover gate: the client-observed outage from a leader kill-9 to
 	// the first successful post-election Open must stay under 3 simulated
 	// seconds — one dead-leader detection timeout (1s) plus an election
@@ -313,6 +323,7 @@ func run() error {
 		{"batched_write_jnl_blk_sim_ms", rep.BatchedWriteJnlBlkSimMs, base.BatchedWriteJnlBlkSimMs},
 		{"wb_write_blk_sim_ms", rep.WBWriteBlkSimMs, base.WBWriteBlkSimMs},
 		{"pdelete_total_sim_ms", rep.PDeleteTotSimMs, base.PDeleteTotSimMs},
+		{"mirror_append_blk_sim_ms", rep.MirrorAppendBlkSimMs, base.MirrorAppendBlkSimMs},
 		{"rs_append_blk_sim_ms", rep.RSAppendBlkSimMs, base.RSAppendBlkSimMs},
 		{"replicated_open_sim_ms", rep.ReplicatedOpenSimMs, base.ReplicatedOpenSimMs},
 		{"failover_sim_ms", rep.FailoverSimMs, base.FailoverSimMs},

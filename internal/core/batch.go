@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"bridge/internal/distrib"
@@ -14,10 +13,9 @@ import (
 // consecutive global blocks is split by the file's layout into one vectored
 // LFS call per constituent node, all calls are started before any reply is
 // awaited (so all p disks seek concurrently), and replies are gathered in
-// node-index order for determinism. Per-node timeouts compose with the
-// health fast-fail and LFSRetry exactly like the single-block path: a
-// retransmitted vector reuses its body verbatim, so the per-op OpID dedup
-// still holds.
+// node-index order for determinism. Each call is an lfsStart and an
+// lfsFinish, the single-block path's own halves, so health fast-fail,
+// in-flight abandon and LFSRetry behave identically for both.
 
 // maxBatchBlocks bounds one batched request, keeping reply messages (and
 // the server's working set per request) within reason.
@@ -65,55 +63,23 @@ func splitRange(ent *dirent, l distrib.Layout, start int64, count int) []vecRun 
 	return runs
 }
 
-// vecCall is one started vectored LFS call awaiting its reply.
+// vecCall is one started vectored LFS call and the run it carries.
 type vecCall struct {
-	run  vecRun
-	id   uint64
-	body any
-	size int
+	lfsPend
+	run vecRun
 }
 
-// startVec health-checks the node and starts a vectored call on it.
-func (s *Server) startVec(run vecRun, body any, size int) (vecCall, error) {
-	if s.health != nil && s.health.get(run.node) == Dead {
-		return vecCall{}, fmt.Errorf("%w: n%d", ErrNodeDown, run.node)
-	}
-	id, err := s.lc.Start(msg.Addr{Node: run.node, Port: lfs.PortName}, body, size)
+// startVec starts a vectored call for run. On failure every call already
+// started for the same range is discarded, so nothing is left in flight.
+func (s *Server) startVec(calls []vecCall, run vecRun, body any, size int) ([]vecCall, error) {
+	c, err := s.lfsStart(run.node, body, size)
 	if err != nil {
-		return vecCall{}, fmt.Errorf("%w: %v", ErrLFSFailed, err)
-	}
-	return vecCall{run: run, id: id, body: body, size: size}, nil
-}
-
-// awaitVec collects one vectored call's reply, retransmitting timeouts
-// under the configured retry policy (the body — and so any OpID in it — is
-// reused verbatim) and reporting full timeouts to the health tracker. The
-// original call's id is discarded before each retransmission so a late
-// reply to it cannot be mistaken for the retry's.
-func (s *Server) awaitVec(p sim.Proc, c vecCall) (*msg.Message, error) {
-	m, err := s.lc.AwaitTimeout(c.id, s.cfg.LFSTimeout)
-	if s.retry != nil {
-		to := msg.Addr{Node: c.run.node, Port: lfs.PortName}
-		for retry := 1; retry < s.retry.p.Attempts && errors.Is(err, msg.ErrTimeout); retry++ {
-			s.lc.Discard(c.id)
-			p.Sleep(s.retry.backoff(retry))
-			s.m.lfsRetries.Add(1)
-			s.curSpan.Annotate(fmt.Sprintf("lfs retry %d n%d", retry, c.run.node))
-			if s.health != nil && s.health.get(c.run.node) == Dead {
-				return nil, fmt.Errorf("%w: n%d", ErrNodeDown, c.run.node)
-			}
-			c.id, err = s.lc.Start(to, c.body, c.size)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrLFSFailed, err)
-			}
-			m, err = s.lc.AwaitTimeout(c.id, s.cfg.LFSTimeout)
+		for _, started := range calls {
+			s.lc.Discard(started.id)
 		}
+		return nil, err
 	}
-	if errors.Is(err, msg.ErrTimeout) {
-		s.lc.Discard(c.id)
-		s.reportProbe(p.Now(), c.run.node, false)
-	}
-	return m, err
+	return append(calls, vecCall{lfsPend: c, run: run}), nil
 }
 
 // startReadVec scatters a read of count consecutive global blocks from
@@ -128,14 +94,9 @@ func (s *Server) startReadVec(ent *dirent, start int64, count int) ([]vecCall, e
 	calls := make([]vecCall, 0, len(runs))
 	for _, run := range runs {
 		req := lfs.ReadVecReq{FileID: ent.meta.LFSFileID, Blocks: run.locals, Hint: ent.hintFor(run.node)}
-		c, err := s.startVec(run, req, lfs.WireSize(req))
-		if err != nil {
-			for _, started := range calls {
-				s.lc.Discard(started.id)
-			}
+		if calls, err = s.startVec(calls, run, req, lfs.WireSize(req)); err != nil {
 			return nil, err
 		}
-		calls = append(calls, c)
 	}
 	return calls, nil
 }
@@ -147,12 +108,9 @@ func (s *Server) startReadVec(ent *dirent, start int64, count int) ([]vecCall, e
 func (s *Server) gatherReadVec(p sim.Proc, ent *dirent, calls []vecCall, start int64, count int) ([][]byte, error) {
 	out := make([][]byte, count)
 	for i, c := range calls {
-		m, err := s.awaitVec(p, c)
+		m, err := s.lfsFinish(p, c.lfsPend)
 		if err != nil {
-			if !errors.Is(err, ErrNodeDown) {
-				err = fmt.Errorf("%w: %v", ErrLFSFailed, err)
-			}
-			return nil, abortAfter(s, calls, i, err)
+			return nil, abortAfter(s, calls, i, lfsErr(err))
 		}
 		resp := m.Body.(lfs.ReadVecResp)
 		if err := resp.Status.Err(); err != nil {
@@ -223,14 +181,9 @@ func (s *Server) startWriteVec(ent *dirent, start int64, payloads [][]byte) ([]v
 		}
 		s.nextLFSOp++
 		req := lfs.WriteVecReq{FileID: ent.meta.LFSFileID, Blocks: vw, Hint: ent.hintFor(run.node), OpID: s.nextLFSOp}
-		c, err := s.startVec(run, req, lfs.WireSize(req))
-		if err != nil {
-			for _, started := range calls {
-				s.lc.Discard(started.id)
-			}
+		if calls, err = s.startVec(calls, run, req, lfs.WireSize(req)); err != nil {
 			return nil, err
 		}
-		calls = append(calls, c)
 	}
 	return calls, nil
 }
@@ -245,11 +198,9 @@ func (s *Server) gatherWriteVec(p sim.Proc, ent *dirent, calls []vecCall, start 
 	blockErr := make([]error, count)
 	var callErr error
 	for _, c := range calls {
-		m, err := s.awaitVec(p, c)
+		m, err := s.lfsFinish(p, c.lfsPend)
 		if err != nil {
-			if !errors.Is(err, ErrNodeDown) {
-				err = fmt.Errorf("%w: %v", ErrLFSFailed, err)
-			}
+			err = lfsErr(err)
 			for _, g := range c.run.globals {
 				blockErr[g-start] = err
 			}

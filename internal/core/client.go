@@ -159,6 +159,12 @@ func nameOf(body any) (string, bool) {
 		return b.Name, true
 	case RandWriteNReq:
 		return b.Name, true
+	case ScatterReq:
+		// Scatter sends one request per shard, so any item names it.
+		if len(b.Items) == 0 {
+			return "", false
+		}
+		return b.Items[0].Name, true
 	case ParallelOpenReq:
 		return b.Name, true
 	default:
@@ -345,7 +351,7 @@ func (c *Client) callOnce(to msg.Addr, body any) (*msg.Message, error) {
 var sentinels = []error{
 	ErrNotFound, ErrExists, ErrEOF, ErrBadBlock, ErrNoJob, ErrBadArg,
 	ErrNodeDown, ErrLFSFailed, ErrDeferredWrite, ErrNotLeader,
-	ErrCrossShard, efs.ErrCorrupt, distrib.ErrNeedSize,
+	ErrCrossShard, ErrSkipped, efs.ErrCorrupt, distrib.ErrNeedSize,
 }
 
 // decodeErr rebuilds a sentinel-wrapped error from its transported string
@@ -596,6 +602,83 @@ func (c *Client) WriteAtN(name string, blockNum int64, payloads [][]byte) (int, 
 	}
 	r := m.Body.(RandWriteNResp)
 	return r.Written, decodeErr(r.Err)
+}
+
+// ScatterResults holds one outcome per item of a Scatter. It is nil when
+// every item was a write that landed.
+type ScatterResults []ScatterResult
+
+// At returns item i's payload (reads) and error.
+func (rs ScatterResults) At(i int) ([]byte, error) {
+	if rs == nil {
+		return nil, nil
+	}
+	return rs[i].Data, decodeErr(rs[i].Err)
+}
+
+// Scatter runs single-block reads and positional writes on several files
+// in one server round trip, the server starting every item's storage-node
+// call before it waits for any. Each item has its own outcome; the error
+// return means the request as a whole did not run. Reads are independent;
+// the writes of one request are admitted together (see ScatterReq), and a
+// write that was admitted but failed leaves its file's size covering
+// exactly what landed. Items whose names live on different directory shards
+// travel as one request per shard, one after another in shard order, each
+// admitting its own writes.
+func (c *Client) Scatter(items []ScatterItem) (ScatterResults, error) {
+	if len(items) == 0 {
+		return nil, nil
+	}
+	shard, split := c.shardFor(items[0].Name), false
+	for i := range items[1:] {
+		split = split || c.shardFor(items[i+1].Name) != shard
+	}
+	if !split {
+		return c.scatterShard(items)
+	}
+	out := make(ScatterResults, len(items))
+	var sub []ScatterItem
+	var at []int
+	for g := range c.groups {
+		sub, at = sub[:0], at[:0]
+		for i := range items {
+			if c.shardFor(items[i].Name) == g {
+				sub, at = append(sub, items[i]), append(at, i)
+			}
+		}
+		if len(sub) == 0 {
+			continue
+		}
+		res, err := c.scatterShard(sub)
+		if err != nil {
+			return nil, err
+		}
+		for k, i := range at {
+			if res != nil {
+				out[i] = res[k]
+			}
+		}
+	}
+	return out, nil
+}
+
+// scatterShard sends items, all of one shard, as one ScatterReq. A request
+// with writes takes an operation id for itself and one for each item.
+func (c *Client) scatterShard(items []ScatterItem) (ScatterResults, error) {
+	req := ScatterReq{Items: items}
+	for i := range items {
+		if items[i].Write {
+			req.OpID = c.opID()
+			c.nextOp += uint64(len(items))
+			break
+		}
+	}
+	m, err := c.call(req)
+	if err != nil {
+		return nil, err
+	}
+	r := m.Body.(ScatterResp)
+	return r.Results, decodeErr(r.Err)
 }
 
 // AppendN appends the payloads as consecutive blocks in one call.

@@ -25,6 +25,7 @@ func errClass(err error) string {
 		{"ErrNotFound", ErrNotFound}, {"ErrExists", ErrExists}, {"ErrEOF", ErrEOF},
 		{"ErrBadArg", ErrBadArg}, {"ErrNoJob", ErrNoJob}, {"ErrNotLeader", ErrNotLeader},
 		{"ErrDeferredWrite", ErrDeferredWrite}, {"ErrLFSFailed", ErrLFSFailed},
+		{"ErrSkipped", ErrSkipped},
 	} {
 		if errors.Is(err, c.err) {
 			return c.name
@@ -154,6 +155,34 @@ func groupScript(c *Client) (seen, flushed []string) {
 	bs, err = c.ReadAtN("a", 0, 64)
 	blocks("readatn a all", bs, false, err)
 
+	// Scatter: reads and positional writes on two files in one request
+	// (the read of a's block 5 follows its overwrite), then one whose
+	// out-of-range write rejects the write beside it.
+	scatter := func(what string, items []ScatterItem) {
+		res, err := c.Scatter(items)
+		line := what + ": " + errClass(err)
+		for i := range items {
+			data, ierr := res.At(i)
+			line += fmt.Sprintf(" [%s %s]", errClass(ierr), head(data))
+		}
+		log("%s", line)
+	}
+	scatter("scatter a+b", []ScatterItem{
+		{Name: "a", BlockNum: 3},
+		{Name: "b", BlockNum: 0, Write: true, Data: payload(200)},
+		{Name: "a", BlockNum: 5, Write: true, Data: payload(105)},
+		{Name: "a", BlockNum: 5},
+		{Name: "a", BlockNum: 99},
+		{Name: name, BlockNum: 0},
+	})
+	scatter("scatter rejected", []ScatterItem{
+		{Name: "b", BlockNum: 1, Write: true, Data: payload(201)},
+		{Name: "a", BlockNum: 99, Write: true, Data: payload(199)},
+		{Name: "b", BlockNum: 0},
+	})
+	m, err = c.Stat("b")
+	meta("stat b after scatters", m, err)
+
 	// Flush, then rename with a live cursor.
 	f, err := c.Flush("a")
 	errOnly("flush a", err)
@@ -221,7 +250,7 @@ func TestGroupSizeDifferential(t *testing.T) {
 		}
 	}
 	base := runs[0]
-	if len(base.seen) < 70 {
+	if len(base.seen) < 73 {
 		t.Fatalf("script recorded only %d calls", len(base.seen))
 	}
 	for _, want := range []string{
@@ -231,6 +260,9 @@ func TestGroupSizeDifferential(t *testing.T) {
 		"readat a at size: ErrEOF",
 		"writeat a past size: ErrBadArg",
 		"stat a grown: ok name=\"a\" id=1 blocks=15",
+		"scatter a+b: ok [ok block-103|] [ok ] [ok ] [ok block-105|] [ErrEOF ] [ErrNotFound ]",
+		"scatter rejected: ok [ErrSkipped ] [ErrBadArg ] [ok block-200|]",
+		"stat b after scatters: ok name=\"b\" id=2 blocks=1",
 		"rename a onto b: ErrExists",
 		"seqread c keeps cursor: ok eof=false [block-2|]",
 		"delete c: ok freed=16",

@@ -68,6 +68,10 @@ var (
 	// rejects the pair before any server sees it. Pick a new name that
 	// hashes to the file's current shard, or copy + delete.
 	ErrCrossShard = errors.New("bridge: rename crosses directory shards")
+	// ErrSkipped marks a write item of a scatter that was never attempted
+	// because another write item of the same request could not start: the
+	// file it names is untouched.
+	ErrSkipped = errors.New("bridge: scatter write not attempted")
 )
 
 // ErrCorrupt is efs.ErrCorrupt re-exported: a block failed checksum
@@ -373,6 +377,46 @@ type (
 	// RandWriteResp acknowledges a random write.
 	RandWriteResp struct{ Err string }
 
+	// ScatterItem is one single-block operation of a ScatterReq: a read
+	// of block BlockNum, or (Write set) a positional write of Data at
+	// BlockNum, which appends when BlockNum equals the file's size.
+	ScatterItem struct {
+		Name     string
+		BlockNum int64
+		Write    bool
+		Data     []byte
+	}
+	// ScatterReq carries single-block reads and positional writes on
+	// several files in one request. The server starts every item's LFS
+	// call before it awaits any, so blocks on different nodes move side
+	// by side, and answers each item separately. Reads are independent.
+	// Writes are admitted together: if any write item is invalid or
+	// targets a node already declared dead, none is committed or started.
+	// Disordered files, whose blocks are found by walking a chain, are
+	// refused.
+	// Write item i is recorded under operation id OpID+1+i (a request
+	// with no write item carries OpID 0), so a retransmission applies
+	// each write at most once.
+	ScatterReq struct {
+		Items []ScatterItem
+		OpID  uint64
+	}
+	// ScatterResult is one item's outcome: the payload read, or the
+	// item's own error.
+	ScatterResult struct {
+		Data []byte
+		Err  string
+	}
+	// ScatterResp answers a ScatterReq. Results is nil when every item
+	// was a write that landed. Err reports a failure of the request as a
+	// whole: before anything was committed, or because leadership was
+	// lost part-way, which the client's retransmission to the new leader
+	// completes.
+	ScatterResp struct {
+		Results []ScatterResult
+		Err     string
+	}
+
 	// FlushReq forces the server's write-behind buffer down to the LFS
 	// layer and syncs the touched nodes — the explicit group-commit
 	// barrier. Name selects one file; "" flushes every buffered file on
@@ -582,6 +626,18 @@ func WireSize(body any) int {
 		return n
 	case RandWriteNResp:
 		return 16
+	case ScatterReq:
+		n := 16
+		for i := range b.Items {
+			n += 24 + len(b.Items[i].Name) + len(b.Items[i].Data)
+		}
+		return n
+	case ScatterResp:
+		n := 16
+		for i := range b.Results {
+			n += 8 + len(b.Results[i].Data) + len(b.Results[i].Err)
+		}
+		return n
 	case WorkerData:
 		return 24 + len(b.Data)
 	case WorkerBlock:

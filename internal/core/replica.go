@@ -482,6 +482,15 @@ func (g *member) record(op rop, rec ropRec, meta *Meta) {
 	g.ops[k] = &kept
 }
 
+// recorded reports whether the op table holds client's operation op.
+func (g *member) recorded(client msg.Addr, op uint64) bool {
+	if g == nil || op == 0 {
+		return false
+	}
+	_, hit := g.ops[opKey{Client: client, Op: op}]
+	return hit
+}
+
 func (g *member) unrecord(client msg.Addr, op uint64) {
 	if g == nil || op == 0 {
 		return
@@ -1249,6 +1258,8 @@ func respWithErr(body any, e string) any {
 		return RandWriteResp{Err: e}
 	case RandWriteNReq:
 		return RandWriteNResp{Err: e}
+	case ScatterReq:
+		return ScatterResp{Err: e}
 	case ParallelOpenReq:
 		return ParallelOpenResp{Err: e}
 	case ParallelReadReq:

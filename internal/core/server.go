@@ -112,6 +112,9 @@ type Server struct {
 	// is single-threaded and the slot is consumed before the next request
 	// is handled (log entries hold their own decoded copy).
 	one [1][]byte
+	// sc is the per-item state of the scatter being handled, reused from
+	// one request to the next like one.
+	sc []scatterCall
 
 	m srvMetrics
 	// curSpan is the span of the request currently being dispatched; the
@@ -345,6 +348,8 @@ func opIDOf(body any) uint64 {
 		return b.OpID
 	case RandWriteNReq:
 		return b.OpID
+	case ScatterReq:
+		return b.OpID
 	case RepairNodeReq:
 		return b.OpID
 	case FsckReq:
@@ -450,6 +455,12 @@ func (s *Server) handle(p sim.Proc, req *msg.Message) any {
 	case RandWriteNReq:
 		written, err := s.write(p, from, r.Name, r.BlockNum, r.Blocks, r.OpID, false)
 		return RandWriteNResp{Written: written, Err: errString(err)}
+	case ScatterReq:
+		results, err := s.scatter(p, from, r)
+		if results == nil && err == nil {
+			return scatterLanded
+		}
+		return ScatterResp{Results: results, Err: errString(err)}
 	case ParallelOpenReq:
 		id, meta, err := s.parallelOpen(p, r)
 		return ParallelOpenResp{JobID: id, Meta: meta, Err: errString(err)}
@@ -782,8 +793,8 @@ func (s *Server) syncNodes(p sim.Proc, nodes []msg.NodeID) error {
 	op := lfs.SyncReq{}
 	ids := make([]uint64, 0, len(nodes))
 	for _, n := range nodes {
-		if s.health != nil && s.health.get(n) == Dead {
-			return fmt.Errorf("%w: n%d", ErrNodeDown, n)
+		if err := s.down(n); err != nil {
+			return err
 		}
 		id, err := s.lc.Start(msg.Addr{Node: n, Port: lfs.PortName}, op, lfs.WireSize(op))
 		if err != nil {
@@ -810,8 +821,8 @@ func (s *Server) lfsStat(p sim.Proc, ent *dirent, counts []int64) (int64, error)
 	op := lfs.StatReq{FileID: ent.meta.LFSFileID}
 	ids := make([]uint64, 0, len(ent.meta.Nodes))
 	for _, n := range ent.meta.Nodes {
-		if s.health != nil && s.health.get(n) == Dead {
-			return 0, fmt.Errorf("%w: n%d", ErrNodeDown, n)
+		if err := s.down(n); err != nil {
+			return 0, err
 		}
 		id, err := s.lc.Start(msg.Addr{Node: n, Port: lfs.PortName}, op, lfs.WireSize(op))
 		if err != nil {
@@ -891,31 +902,107 @@ func (s *Server) open(p sim.Proc, from msg.Addr, name string, rewind bool) (Meta
 	return ent.meta, nil
 }
 
-// lfsCall is the single-block LFS call path: it fast-fails on nodes the
-// health monitor has declared dead, retransmits timeouts under the
-// configured retry policy (the body — and so any LFS OpID in it — is
-// reused verbatim), and reports full timeouts to the health tracker.
-func (s *Server) lfsCall(p sim.Proc, node msg.NodeID, body any, size int) (*msg.Message, error) {
+// lfsPend is one started LFS call awaiting its reply: what a start half
+// hands its finish half. Every call the data path makes on one storage node
+// — a single block or a vector, alone or side by side with others — goes
+// through lfsStart and lfsFinish.
+type lfsPend struct {
+	node msg.NodeID
+	id   uint64
+	body any
+	size int
+}
+
+// down is the health fast-fail: ErrNodeDown for a node the monitor has
+// declared dead, nil otherwise (and always without a monitor).
+func (s *Server) down(node msg.NodeID) error {
 	if s.health != nil && s.health.get(node) == Dead {
-		return nil, fmt.Errorf("%w: n%d", ErrNodeDown, node)
+		return fmt.Errorf("%w: n%d", ErrNodeDown, node)
 	}
-	to := msg.Addr{Node: node, Port: lfs.PortName}
-	m, err := s.lc.CallTimeout(to, body, size, s.cfg.LFSTimeout)
+	return nil
+}
+
+// lfsStart fast-fails on a dead node and otherwise sends the request
+// without waiting for its reply.
+func (s *Server) lfsStart(node msg.NodeID, body any, size int) (lfsPend, error) {
+	if err := s.down(node); err != nil {
+		return lfsPend{}, err
+	}
+	id, err := s.lc.Start(msg.Addr{Node: node, Port: lfs.PortName}, body, size)
+	if err != nil {
+		return lfsPend{}, lfsErr(err)
+	}
+	return lfsPend{node: node, id: id, body: body, size: size}, nil
+}
+
+// lfsAwait waits for a started call's reply for up to LFSTimeout. Under a
+// health monitor it waits one heartbeat period at a time and abandons the
+// call with ErrNodeDown once the node is declared dead, so a call already in
+// flight when its node fails costs the monitor's detection time instead of
+// the whole timeout. An abandoned call's outcome is unknown, exactly like a
+// timed-out one's.
+func (s *Server) lfsAwait(c lfsPend) (*msg.Message, error) {
+	if s.health == nil {
+		return s.lc.AwaitTimeout(c.id, s.cfg.LFSTimeout)
+	}
+	every := s.health.cfg.Every
+	for left := s.cfg.LFSTimeout; ; left -= every {
+		m, err := s.lc.AwaitTimeout(c.id, min(left, every))
+		if !errors.Is(err, msg.ErrTimeout) {
+			return m, err
+		}
+		if derr := s.down(c.node); derr != nil {
+			s.lc.Discard(c.id)
+			return nil, derr
+		}
+		if left <= every {
+			return nil, err
+		}
+	}
+}
+
+// lfsFinish collects a started call's reply, retransmitting timeouts under
+// the configured retry policy (the body — and so any LFS OpID in it — is
+// reused verbatim, so the node's dedup still holds) and reporting full
+// timeouts to the health tracker. A timed-out call's id is discarded so a
+// late reply to it cannot be mistaken for a retransmission's.
+func (s *Server) lfsFinish(p sim.Proc, c lfsPend) (*msg.Message, error) {
+	m, err := s.lfsAwait(c)
 	if s.retry != nil {
 		for retry := 1; retry < s.retry.p.Attempts && errors.Is(err, msg.ErrTimeout); retry++ {
+			s.lc.Discard(c.id)
 			p.Sleep(s.retry.backoff(retry))
 			s.m.lfsRetries.Add(1)
-			s.curSpan.Annotate(fmt.Sprintf("lfs retry %d n%d", retry, node))
-			if s.health != nil && s.health.get(node) == Dead {
-				return nil, fmt.Errorf("%w: n%d", ErrNodeDown, node)
+			s.curSpan.Annotate(fmt.Sprintf("lfs retry %d n%d", retry, c.node))
+			if c, err = s.lfsStart(c.node, c.body, c.size); err != nil {
+				return nil, err
 			}
-			m, err = s.lc.CallTimeout(to, body, size, s.cfg.LFSTimeout)
+			m, err = s.lfsAwait(c)
 		}
 	}
 	if errors.Is(err, msg.ErrTimeout) {
-		s.reportProbe(p.Now(), node, false)
+		s.lc.Discard(c.id)
+		s.reportProbe(p.Now(), c.node, false)
 	}
 	return m, err
+}
+
+// lfsCall is a start and its finish back to back.
+func (s *Server) lfsCall(p sim.Proc, node msg.NodeID, body any, size int) (*msg.Message, error) {
+	c, err := s.lfsStart(node, body, size)
+	if err != nil {
+		return nil, err
+	}
+	return s.lfsFinish(p, c)
+}
+
+// lfsErr classifies a failed LFS call for the client: a node marked down
+// stays ErrNodeDown, anything else is ErrLFSFailed (once).
+func lfsErr(err error) error {
+	if errors.Is(err, ErrNodeDown) || errors.Is(err, ErrLFSFailed) {
+		return err
+	}
+	return fmt.Errorf("%w: %v", ErrLFSFailed, err)
 }
 
 // nodeIndex maps a storage node's network ID back to its 0-based cluster
@@ -929,22 +1016,22 @@ func (s *Server) nodeIndex(id msg.NodeID) int {
 	return -1
 }
 
-// lfsRead fetches one global block through the right LFS and returns its
-// payload.
-func (s *Server) lfsRead(p sim.Proc, ent *dirent, blockNum int64) ([]byte, error) {
+// lfsReadStart starts the read of one global block on the right LFS.
+func (s *Server) lfsReadStart(ent *dirent, blockNum int64) (lfsPend, error) {
 	l, err := ent.layout()
 	if err != nil {
-		return nil, err
+		return lfsPend{}, err
 	}
 	node := ent.meta.Nodes[l.NodeFor(blockNum)]
-	local := l.LocalFor(blockNum)
-	req := lfs.ReadReq{FileID: ent.meta.LFSFileID, BlockNum: uint32(local), Hint: ent.hintFor(node)}
-	m, err := s.lfsCall(p, node, req, lfs.WireSize(req))
+	req := lfs.ReadReq{FileID: ent.meta.LFSFileID, BlockNum: uint32(l.LocalFor(blockNum)), Hint: ent.hintFor(node)}
+	return s.lfsStart(node, req, lfs.WireSize(req))
+}
+
+// lfsReadFinish collects a started read and returns the block's payload.
+func (s *Server) lfsReadFinish(p sim.Proc, ent *dirent, blockNum int64, c lfsPend) ([]byte, error) {
+	m, err := s.lfsFinish(p, c)
 	if err != nil {
-		if errors.Is(err, ErrNodeDown) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		return nil, lfsErr(err)
 	}
 	resp := m.Body.(lfs.ReadResp)
 	if err := resp.Status.Err(); err != nil {
@@ -955,16 +1042,26 @@ func (s *Server) lfsRead(p sim.Proc, ent *dirent, blockNum int64) ([]byte, error
 			// is named by its cluster index — the space Fsck, Scrub, and
 			// RepairNode operate in.
 			return nil, fmt.Errorf("%w: node %d lfs file %d local block %d (global block %d): %v",
-				ErrLFSFailed, s.nodeIndex(node), ent.meta.LFSFileID, local, blockNum, err)
+				ErrLFSFailed, s.nodeIndex(c.node), ent.meta.LFSFileID, c.body.(lfs.ReadReq).BlockNum, blockNum, err)
 		}
 		return nil, fmt.Errorf("%w: %v", ErrLFSFailed, err)
 	}
-	ent.hints[node] = resp.Addr
+	ent.hints[c.node] = resp.Addr
 	_, payload, err := DecodeBlock(resp.Data)
 	if err != nil {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// lfsRead fetches one global block through the right LFS and returns its
+// payload.
+func (s *Server) lfsRead(p sim.Proc, ent *dirent, blockNum int64) ([]byte, error) {
+	c, err := s.lfsReadStart(ent, blockNum)
+	if err != nil {
+		return nil, err
+	}
+	return s.lfsReadFinish(p, ent, blockNum, c)
 }
 
 func (ent *dirent) hintFor(node msg.NodeID) int32 {
@@ -974,14 +1071,13 @@ func (ent *dirent) hintFor(node msg.NodeID) int32 {
 	return -1
 }
 
-// lfsWrite stores one global block through the right LFS.
-func (s *Server) lfsWrite(p sim.Proc, ent *dirent, blockNum int64, payload []byte) error {
+// lfsWriteStart starts the write of one global block on the right LFS.
+func (s *Server) lfsWriteStart(ent *dirent, blockNum int64, payload []byte) (lfsPend, error) {
 	l, err := ent.layout()
 	if err != nil {
-		return err
+		return lfsPend{}, err
 	}
 	node := ent.meta.Nodes[l.NodeFor(blockNum)]
-	local := l.LocalFor(blockNum)
 	data := EncodeBlock(BlockHeader{
 		FileID:      ent.meta.FileID,
 		GlobalBlock: blockNum,
@@ -989,20 +1085,31 @@ func (s *Server) lfsWrite(p sim.Proc, ent *dirent, blockNum int64, payload []byt
 		Start:       uint16(ent.meta.Spec.Start),
 	}, payload)
 	s.nextLFSOp++
-	req := lfs.WriteReq{FileID: ent.meta.LFSFileID, BlockNum: uint32(local), Data: data, Hint: ent.hintFor(node), OpID: s.nextLFSOp}
-	m, err := s.lfsCall(p, node, req, lfs.WireSize(req))
+	req := lfs.WriteReq{FileID: ent.meta.LFSFileID, BlockNum: uint32(l.LocalFor(blockNum)), Data: data, Hint: ent.hintFor(node), OpID: s.nextLFSOp}
+	return s.lfsStart(node, req, lfs.WireSize(req))
+}
+
+// lfsWriteFinish collects a started write.
+func (s *Server) lfsWriteFinish(p sim.Proc, ent *dirent, c lfsPend) error {
+	m, err := s.lfsFinish(p, c)
 	if err != nil {
-		if errors.Is(err, ErrNodeDown) {
-			return err
-		}
-		return fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		return lfsErr(err)
 	}
 	resp := m.Body.(lfs.WriteResp)
 	if err := resp.Status.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrLFSFailed, err)
 	}
-	ent.hints[node] = resp.Addr
+	ent.hints[c.node] = resp.Addr
 	return nil
+}
+
+// lfsWrite stores one global block through the right LFS.
+func (s *Server) lfsWrite(p sim.Proc, ent *dirent, blockNum int64, payload []byte) error {
+	c, err := s.lfsWriteStart(ent, blockNum, payload)
+	if err != nil {
+		return err
+	}
+	return s.lfsWriteFinish(p, ent, c)
 }
 
 // nodeAt validates a storage-node index from a maintenance request.

@@ -35,6 +35,8 @@ func opName(body any) string {
 		return "writeat"
 	case RandWriteNReq:
 		return "writeatn"
+	case ScatterReq:
+		return "scatter"
 	case ParallelOpenReq:
 		return "popen"
 	case ParallelReadReq:
@@ -95,6 +97,20 @@ func respErr(body any) string {
 		return b.Err
 	case RandWriteNResp:
 		return b.Err
+	case ScatterResp:
+		// The request's own failure, or else its first failed item's: a
+		// partly failed scatter is not a cacheable success, closes its
+		// spans with that error, and redirects like any other reply when
+		// the item failed for want of leadership.
+		if b.Err != "" {
+			return b.Err
+		}
+		for i := range b.Results {
+			if b.Results[i].Err != "" {
+				return b.Results[i].Err
+			}
+		}
+		return ""
 	case ParallelOpenResp:
 		return b.Err
 	case ParallelReadResp:

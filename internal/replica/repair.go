@@ -18,51 +18,57 @@ import (
 	"bridge/internal/core"
 	"bridge/internal/distrib"
 	"bridge/internal/obs"
-	"bridge/internal/stats"
 )
 
-// repairMetrics are the replica layer's typed metric handles. Registration
-// is idempotent on the network's shared registry, so fetching the set on
-// each use is cheap and every Mirror/Parity over the same network
-// aggregates into the same metrics.
-type repairMetrics struct {
-	degradedCopies       obs.Counter
-	overflowBlocks       obs.Counter
-	resilveredBlocks     obs.Counter
-	parityDegradedWrites obs.Counter
-	rebuiltBlocks        obs.Counter
-	parityRebuilt        obs.Counter
-	readRepairMirror     obs.Counter
-	readRepairParity     obs.Counter
-	readRepairBlocks     obs.Counter
-	rsParityWrites       obs.Counter
-	rsDegradedWrites     obs.Counter
-	rsReconstructions    obs.Counter
-	rsReadRepairs        obs.Counter
-	rsRebuilt            obs.Counter
+// metrics are the replica layer's typed metric handles. Every handle over
+// one network shares one registry, so they aggregate into the same metrics;
+// a handle resolves them once, when it is created or opened.
+type metrics struct {
+	degradedCopies        obs.Counter
+	overflowBlocks        obs.Counter
+	resilveredBlocks      obs.Counter
+	mirrorFallbackReads   obs.Counter
+	parityDegradedWrites  obs.Counter
+	parityReconstructions obs.Counter
+	rebuiltBlocks         obs.Counter
+	parityRebuilt         obs.Counter
+	readRepairMirror      obs.Counter
+	readRepairParity      obs.Counter
+	readRepairBlocks      obs.Counter
+	rsParityWrites        obs.Counter
+	rsDegradedWrites      obs.Counter
+	rsReconstructions     obs.Counter
+	rsReadRepairs         obs.Counter
+	rsRebuilt             obs.Counter
 }
 
 // RegisterMetrics registers the replica layer's metric descriptions on r
-// without touching any values. Normal operation registers them lazily on
-// first use; documentation generation calls this to see the full set.
-func RegisterMetrics(r *obs.Registry) { metricsOn(r) }
+// without touching any values. Normal operation registers them when the
+// first handle is made; documentation generation calls this to see the
+// full set.
+func RegisterMetrics(r *obs.Registry) { newMetrics(r) }
 
-func metricsOn(r *obs.Registry) repairMetrics {
-	return repairMetrics{
-		degradedCopies:       r.Counter("replica.degraded_copies", "copies", "Mirror copies that opened a gap after a node failure."),
-		overflowBlocks:       r.Counter("replica.overflow_blocks", "blocks", "Blocks diverted to overflow files during degraded appends."),
-		resilveredBlocks:     r.Counter("replica.resilvered_blocks", "blocks", "Blocks rewritten while resilvering a mirror copy."),
-		parityDegradedWrites: r.Counter("replica.parity_degraded_writes", "stripes", "Parity stripes left stale by a degraded append."),
-		rebuiltBlocks:        r.Counter("replica.rebuilt_blocks", "blocks", "Data blocks reconstructed during a parity rebuild."),
-		parityRebuilt:        r.Counter("replica.parity_rebuilt", "blocks", "Parity blocks recomputed during a rebuild."),
-		readRepairMirror:     r.Counter("bridge.readrepair_mirror", "repairs", "Corrupt blocks rewritten in place from the healthy mirror copy."),
-		readRepairParity:     r.Counter("bridge.readrepair_parity", "repairs", "Corrupt blocks rewritten in place from parity reconstruction."),
-		readRepairBlocks:     r.Counter("bridge.readrepair_blocks", "blocks", "Total blocks repaired on read across all replica schemes."),
-		rsParityWrites:       r.Counter("bridge.rs_parity_writes", "cells", "Parity cell writes (fresh or read-modify-write) by Reed–Solomon appends."),
-		rsDegradedWrites:     r.Counter("bridge.rs_degraded_writes", "stripes", "Reed–Solomon stripes left stale by a degraded append."),
-		rsReconstructions:    r.Counter("bridge.rs_reconstructions", "blocks", "Data blocks decoded from k surviving cells of a Reed–Solomon stripe."),
-		rsReadRepairs:        r.Counter("bridge.rs_readrepairs", "repairs", "Corrupt blocks rewritten in place from Reed–Solomon reconstruction."),
-		rsRebuilt:            r.Counter("bridge.rs_rebuilt", "cells", "Data and parity cells rewritten by a Reed–Solomon rebuild."),
+// metricsOn resolves the handles on the registry of c's network.
+func metricsOn(c *core.Client) metrics { return newMetrics(c.Msg().Net().Stats().Registry()) }
+
+func newMetrics(r *obs.Registry) metrics {
+	return metrics{
+		degradedCopies:        r.Counter("replica.degraded_copies", "copies", "Mirror copies that opened a gap after a node failure."),
+		overflowBlocks:        r.Counter("replica.overflow_blocks", "blocks", "Blocks diverted to overflow files during degraded appends."),
+		resilveredBlocks:      r.Counter("replica.resilvered_blocks", "blocks", "Blocks rewritten while resilvering a mirror copy."),
+		mirrorFallbackReads:   r.Counter("bridge.mirror_fallback_reads", "blocks", "Mirror reads served from the shadow copy because the primary's block was unreachable or corrupt."),
+		parityDegradedWrites:  r.Counter("replica.parity_degraded_writes", "stripes", "Parity stripes left stale by a degraded append."),
+		parityReconstructions: r.Counter("bridge.parity_reconstructions", "blocks", "Data blocks decoded from the rest of a parity stripe."),
+		rebuiltBlocks:         r.Counter("replica.rebuilt_blocks", "blocks", "Data blocks reconstructed during a parity rebuild."),
+		parityRebuilt:         r.Counter("replica.parity_rebuilt", "blocks", "Parity blocks recomputed during a rebuild."),
+		readRepairMirror:      r.Counter("bridge.readrepair_mirror", "repairs", "Corrupt blocks rewritten in place from the healthy mirror copy."),
+		readRepairParity:      r.Counter("bridge.readrepair_parity", "repairs", "Corrupt blocks rewritten in place from parity reconstruction."),
+		readRepairBlocks:      r.Counter("bridge.readrepair_blocks", "blocks", "Total blocks repaired on read across all replica schemes."),
+		rsParityWrites:        r.Counter("bridge.rs_parity_writes", "cells", "Parity cells written by Reed–Solomon appends, one per cell that landed."),
+		rsDegradedWrites:      r.Counter("bridge.rs_degraded_writes", "stripes", "Reed–Solomon stripes left stale by a degraded append."),
+		rsReconstructions:     r.Counter("bridge.rs_reconstructions", "blocks", "Data blocks decoded from k surviving cells of a Reed–Solomon stripe."),
+		rsReadRepairs:         r.Counter("bridge.rs_readrepairs", "repairs", "Corrupt blocks rewritten in place from Reed–Solomon reconstruction."),
+		rsRebuilt:             r.Counter("bridge.rs_rebuilt", "cells", "Data and parity cells rewritten by a Reed–Solomon rebuild."),
 	}
 }
 
@@ -75,56 +81,38 @@ func nodeFailure(err error) bool {
 	return errors.Is(err, core.ErrNodeDown)
 }
 
-func (m *Mirror) stats() *stats.Counters { return m.c.Msg().Net().Stats() }
-
-func (m *Mirror) met() repairMetrics { return metricsOn(m.stats().Registry()) }
-
-func (m *Mirror) emit(kind, format string, args ...any) {
-	if t := m.c.Msg().Net().Tracer(); t != nil {
-		t.Emitf(m.c.Msg().Proc().Now(), kind, format, args...)
+// emit records a replica-layer event on the network's tracer, if any.
+func emit(c *core.Client, kind, format string, args ...any) {
+	if t := c.Msg().Net().Tracer(); t != nil {
+		t.Emitf(c.Msg().Proc().Now(), kind, format, args...)
 	}
 }
 
-// appendCopy appends block n to copy i, opening a gap and diverting to the
-// overflow file when the copy's next position lands on a dead node.
-func (m *Mirror) appendCopy(i int, n int64, payload []byte) error {
-	cs := &m.cp[i]
-	if cs.gapStart >= 0 {
-		return m.appendOverflow(cs, payload)
+// locate maps the copy's block n to the file and block that hold it: from
+// an open gap on, the overflow file.
+func (cs *copyState) locate(n int64) (string, int64) {
+	if cs.gapStart >= 0 && n >= cs.gapStart {
+		return cs.ovfName, n - cs.gapStart
 	}
-	err := m.c.SeqWrite(cs.name, payload)
-	if err == nil {
+	return cs.name, n
+}
+
+// ensureOverflow creates the overflow file of a copy with an open gap, on
+// the currently healthy nodes, if it does not exist yet.
+func (m *Mirror) ensureOverflow(cs *copyState) error {
+	if cs.gapStart < 0 || cs.ovfName != "" {
 		return nil
 	}
-	if !nodeFailure(err) {
+	subset, err := m.healthySubset()
+	if err != nil {
 		return err
 	}
-	cs.gapStart = n
-	m.met().degradedCopies.Add(1)
-	m.emit("replica.degrade", "%s gap opens at block %d (%v)", cs.name, n, err)
-	return m.appendOverflow(cs, payload)
-}
-
-// appendOverflow stores the block in the copy's overflow file, creating it
-// on the currently healthy nodes on first use.
-func (m *Mirror) appendOverflow(cs *copyState, payload []byte) error {
-	if cs.ovfName == "" {
-		subset, err := m.healthySubset()
-		if err != nil {
-			return err
-		}
-		name := cs.name + ".ovf"
-		spec := distrib.Spec{Kind: distrib.RoundRobin, P: len(subset)}
-		if _, err := m.c.CreateSubset(name, spec, subset); err != nil {
-			return fmt.Errorf("replica: creating overflow file: %w", err)
-		}
-		cs.ovfName = name
+	name := cs.name + ".ovf"
+	spec := distrib.Spec{Kind: distrib.RoundRobin, P: len(subset)}
+	if _, err := m.c.CreateSubset(name, spec, subset); err != nil {
+		return fmt.Errorf("replica: creating overflow file: %w", err)
 	}
-	if err := m.c.SeqWrite(cs.ovfName, payload); err != nil {
-		return fmt.Errorf("replica: appending overflow: %w", err)
-	}
-	cs.ovfLen++
-	m.met().overflowBlocks.Add(1)
+	cs.ovfName = name
 	return nil
 }
 
@@ -147,31 +135,32 @@ func (m *Mirror) healthySubset() ([]int, error) {
 	return subset, nil
 }
 
+// held is locate for a block the copy must already hold.
+func (cs *copyState) held(n int64) (string, int64, error) {
+	name, at := cs.locate(n)
+	if name != cs.name && at >= cs.ovfLen {
+		return "", 0, fmt.Errorf("replica: block %d past overflow of %s", n, cs.name)
+	}
+	return name, at, nil
+}
+
 // readCopy reads block n of copy i, honoring an open gap: diverted blocks
 // are served from the overflow file.
 func (m *Mirror) readCopy(i int, n int64) ([]byte, error) {
-	cs := &m.cp[i]
-	if cs.gapStart >= 0 && n >= cs.gapStart {
-		k := n - cs.gapStart
-		if cs.ovfName == "" || k >= cs.ovfLen {
-			return nil, fmt.Errorf("replica: block %d past overflow of %s", n, cs.name)
-		}
-		return m.c.ReadAt(cs.ovfName, k)
+	name, at, err := m.cp[i].held(n)
+	if err != nil {
+		return nil, err
 	}
-	return m.c.ReadAt(cs.name, n)
+	return m.c.ReadAt(name, at)
 }
 
 // writeCopy overwrites block n of copy i in place, honoring an open gap.
 func (m *Mirror) writeCopy(i int, n int64, data []byte) error {
-	cs := &m.cp[i]
-	if cs.gapStart >= 0 && n >= cs.gapStart {
-		k := n - cs.gapStart
-		if cs.ovfName == "" || k >= cs.ovfLen {
-			return fmt.Errorf("replica: block %d past overflow of %s", n, cs.name)
-		}
-		return m.c.WriteAt(cs.ovfName, k, data)
+	name, at, err := m.cp[i].held(n)
+	if err != nil {
+		return err
 	}
-	return m.c.WriteAt(cs.name, n, data)
+	return m.c.WriteAt(name, at, data)
 }
 
 // readRepair rewrites copy i's corrupt block n with the verified data just
@@ -181,12 +170,12 @@ func (m *Mirror) writeCopy(i int, n int64, data []byte) error {
 // block stays corrupt on disk and the scrubber or the next read retries.
 func (m *Mirror) readRepair(i int, n int64, data []byte, cause error) {
 	if err := m.writeCopy(i, n, data); err != nil {
-		m.emit("replica.readrepair", "%s block %d repair failed: %v", m.cp[i].name, n, err)
+		emit(m.c, "replica.readrepair", "%s block %d repair failed: %v", m.cp[i].name, n, err)
 		return
 	}
-	m.met().readRepairMirror.Add(1)
-	m.met().readRepairBlocks.Add(1)
-	m.emit("replica.readrepair", "%s block %d rewritten from mirror (%v)", m.cp[i].name, n, cause)
+	m.met.readRepairMirror.Add(1)
+	m.met.readRepairBlocks.Add(1)
+	emit(m.c, "replica.readrepair", "%s block %d rewritten from mirror (%v)", m.cp[i].name, n, cause)
 }
 
 // Resilver restores full redundancy after the failed node has been
@@ -220,7 +209,7 @@ func (m *Mirror) Resilver() (int64, error) {
 				return repaired, fmt.Errorf("replica: rewriting block %d: %w", b, err)
 			}
 			repaired++
-			m.met().resilveredBlocks.Add(1)
+			m.met.resilveredBlocks.Add(1)
 		}
 		if cs.gapStart < 0 {
 			continue
@@ -236,107 +225,15 @@ func (m *Mirror) Resilver() (int64, error) {
 				return repaired, fmt.Errorf("replica: restoring block %d: %w", cs.gapStart+k, err)
 			}
 			repaired++
-			m.met().resilveredBlocks.Add(1)
+			m.met.resilveredBlocks.Add(1)
 		}
 		if cs.ovfName != "" {
 			if _, err := m.c.Delete(cs.ovfName); err != nil {
 				return repaired, fmt.Errorf("replica: deleting overflow file: %w", err)
 			}
 		}
-		m.emit("replica.resilver", "%s gap [%d,%d) closed", cs.name, cs.gapStart, cs.gapStart+cs.ovfLen)
+		emit(m.c, "replica.resilver", "%s gap [%d,%d) closed", cs.name, cs.gapStart, cs.gapStart+cs.ovfLen)
 		cs.gapStart, cs.ovfName, cs.ovfLen = -1, "", 0
-	}
-	return repaired, nil
-}
-
-func (pf *Parity) stats() *stats.Counters { return pf.c.Msg().Net().Stats() }
-
-func (pf *Parity) met() repairMetrics { return metricsOn(pf.stats().Registry()) }
-
-func (pf *Parity) emit(kind, format string, args ...any) {
-	if t := pf.c.Msg().Net().Tracer(); t != nil {
-		t.Emitf(pf.c.Msg().Proc().Now(), kind, format, args...)
-	}
-}
-
-// degradeStripe records a stale parity stripe and surfaces the typed
-// degraded-write error. The stripe's parity is untouched (still the XOR of
-// the stripe minus the new block), so reconstruction of OTHER stripes is
-// unaffected; only this stripe has lost its redundancy until Rebuild.
-func (pf *Parity) degradeStripe(stripe int64, cause error) error {
-	if pf.dirty == nil {
-		pf.dirty = make(map[int64]bool)
-	}
-	pf.dirty[stripe] = true
-	pf.met().parityDegradedWrites.Add(1)
-	pf.emit("replica.degrade", "%s parity stripe %d stale (%v)", pf.name, stripe, cause)
-	return fmt.Errorf("%w: parity stripe %d: %v", ErrDegradedWrite, stripe, cause)
-}
-
-// Degraded reports whether any stripe's parity is stale.
-func (pf *Parity) Degraded() bool { return len(pf.dirty) > 0 }
-
-// readRepair rewrites corrupt data block n with its just-computed
-// reconstruction. Failure is not fatal to the read — the block stays
-// corrupt on disk and the scrubber or the next read retries.
-func (pf *Parity) readRepair(n int64, data []byte, cause error) {
-	if err := pf.c.WriteAt(pf.name, n, data); err != nil {
-		pf.emit("replica.readrepair", "%s block %d repair failed: %v", pf.name, n, err)
-		return
-	}
-	pf.met().readRepairParity.Add(1)
-	pf.met().readRepairBlocks.Add(1)
-	pf.emit("replica.readrepair", "%s block %d rewritten from parity stripe (%v)", pf.name, n, cause)
-}
-
-// Rebuild restores full redundancy after a failed node has been restarted
-// and core.Client.RepairNode has re-registered its files: unreadable data
-// blocks are reconstructed from their stripes in ascending order, then
-// stale or unreadable parity blocks are recomputed. The file stays
-// readable throughout. It returns the number of blocks written.
-func (pf *Parity) Rebuild() (int64, error) {
-	dataP := int64(pf.p - 1)
-	var repaired int64
-	for b := int64(0); b < pf.blocks; b++ {
-		if _, err := pf.c.ReadAt(pf.name, b); err == nil {
-			continue
-		}
-		rec, err := pf.Reconstruct(b)
-		if err != nil {
-			return repaired, fmt.Errorf("replica: rebuilding data block %d: %w", b, err)
-		}
-		if err := pf.c.WriteAt(pf.name, b, rec); err != nil {
-			return repaired, fmt.Errorf("replica: rewriting data block %d: %w", b, err)
-		}
-		repaired++
-		pf.met().rebuiltBlocks.Add(1)
-	}
-	stripes := (pf.blocks + dataP - 1) / dataP
-	for s := int64(0); s < stripes; s++ {
-		if !pf.dirty[s] {
-			if _, err := pf.c.ReadAt(parityName(pf.name), s); err == nil {
-				continue
-			}
-		}
-		acc := make([]byte, core.PayloadBytes)
-		for b := s * dataP; b < (s+1)*dataP && b < pf.blocks; b++ {
-			data, err := pf.c.ReadAt(pf.name, b)
-			if err != nil {
-				return repaired, fmt.Errorf("replica: reading block %d for parity: %w", b, err)
-			}
-			for j, by := range data {
-				acc[j] ^= by
-			}
-		}
-		if err := pf.c.WriteAt(parityName(pf.name), s, acc); err != nil {
-			return repaired, fmt.Errorf("replica: rewriting parity stripe %d: %w", s, err)
-		}
-		delete(pf.dirty, s)
-		repaired++
-		pf.met().parityRebuilt.Add(1)
-	}
-	if repaired > 0 {
-		pf.emit("replica.rebuild", "%s restored %d blocks", pf.name, repaired)
 	}
 	return repaired, nil
 }

@@ -17,8 +17,8 @@
 //     on the remaining node holds the XOR of each local stripe — the
 //     single-failure-correcting scheme later popularized as RAID-4, shown
 //     here to work fine with MIMD block-level interleaving. Storage cost
-//     p/(p-1), write cost ~3 accesses per block (data write plus parity
-//     read-modify-write).
+//     p/(p-1), write cost 2 accesses per block (the data block and the
+//     stripe's parity block, side by side; see stripes.go).
 package replica
 
 import (
@@ -55,6 +55,7 @@ type Mirror struct {
 	p       int
 	blocks  int64 // logical length (both copies when healthy)
 	cp      [2]copyState
+	met     metrics
 }
 
 // copyState is one mirror copy's degraded-write bookkeeping. While a gap
@@ -84,7 +85,7 @@ func CreateMirror(pc sim.Proc, c *core.Client, name string, p int) (*Mirror, err
 		return nil, fmt.Errorf("replica: creating shadow: %w", err)
 	}
 	m := &Mirror{c: c, name: name, primary: primary, shadow: shadow, p: p}
-	m.initCopies()
+	m.init()
 	return m, nil
 }
 
@@ -102,13 +103,14 @@ func OpenMirror(pc sim.Proc, c *core.Client, name string) (*Mirror, error) {
 	if shadow.Blocks > m.blocks {
 		m.blocks = shadow.Blocks
 	}
-	m.initCopies()
+	m.init()
 	return m, nil
 }
 
-func (m *Mirror) initCopies() {
+func (m *Mirror) init() {
 	m.cp[0] = copyState{name: m.name, gapStart: -1}
 	m.cp[1] = copyState{name: shadowName(m.name), gapStart: -1}
+	m.met = metricsOn(m.c)
 }
 
 // Blocks returns the mirrored file's logical length.
@@ -119,19 +121,69 @@ func (m *Mirror) Degraded() bool {
 	return m.cp[0].gapStart >= 0 || m.cp[1].gapStart >= 0
 }
 
-// Append writes the payload to both copies. A copy whose next position
-// lands on a dead node degrades instead of failing: the block goes to an
-// overflow file on the surviving nodes, and Resilver folds it back later.
+// Append writes the payload to both copies as one scatter of two positional
+// writes — block n of each copy, so an Append retried after a failure
+// rewrites what landed instead of appending it again. A copy whose position
+// lands on a dead node degrades instead of failing: a gap opens, the block
+// goes to an overflow file on the surviving nodes, and Resilver folds it
+// back later.
 func (m *Mirror) Append(payload []byte) error {
 	n := m.blocks
-	if err := m.appendCopy(0, n, payload); err != nil {
-		return fmt.Errorf("replica: appending primary: %w", err)
+	var landed [2]bool
+	for {
+		items := make([]core.ScatterItem, 0, 2)
+		for i := range m.cp {
+			if landed[i] {
+				continue
+			}
+			if err := m.ensureOverflow(&m.cp[i]); err != nil {
+				return err
+			}
+			name, at := m.cp[i].locate(n)
+			items = append(items, core.ScatterItem{Name: name, BlockNum: at, Write: true, Data: payload})
+		}
+		res, err := m.c.Scatter(items)
+		if err != nil {
+			return fmt.Errorf("replica: appending: %w", err)
+		}
+		// A write that cannot start (its node is known dead) has the server
+		// reject the whole scatter; one that dies in flight fails alone.
+		// Either way the copy opens its gap and the next round diverts it.
+		progress, at := false, 0
+		var skipped error
+		for i := range m.cp {
+			if landed[i] {
+				continue
+			}
+			cs := &m.cp[i]
+			_, err := res.At(at)
+			at++
+			switch {
+			case err == nil:
+				landed[i], progress = true, true
+				if k := n - cs.gapStart; cs.gapStart >= 0 && k >= cs.ovfLen {
+					cs.ovfLen = k + 1
+					m.met.overflowBlocks.Add(1)
+				}
+			case nodeFailure(err) && cs.gapStart < 0:
+				progress = true
+				cs.gapStart = n
+				m.met.degradedCopies.Add(1)
+				emit(m.c, "replica.degrade", "%s gap opens at block %d (%v)", cs.name, n, err)
+			case errors.Is(err, core.ErrSkipped):
+				skipped = err
+			default:
+				return fmt.Errorf("replica: appending %s: %w", [2]string{"primary", "shadow"}[i], err)
+			}
+		}
+		if landed[0] && landed[1] {
+			m.blocks++
+			return nil
+		}
+		if !progress {
+			return fmt.Errorf("replica: appending: %w", skipped)
+		}
 	}
-	if err := m.appendCopy(1, n, payload); err != nil {
-		return fmt.Errorf("replica: appending shadow: %w", err)
-	}
-	m.blocks++
-	return nil
 }
 
 // Read returns block n, falling back to the mirror copy if the primary's
@@ -145,6 +197,7 @@ func (m *Mirror) Read(n int64) ([]byte, error) {
 	}
 	data, err2 := m.readCopy(1, n)
 	if err2 == nil {
+		m.met.mirrorFallbackReads.Add(1)
 		if errors.Is(err, core.ErrCorrupt) {
 			m.readRepair(0, n, data, err)
 		}
@@ -153,20 +206,9 @@ func (m *Mirror) Read(n int64) ([]byte, error) {
 	return nil, fmt.Errorf("%w: primary %v; shadow %v", ErrBothCopiesLost, err, err2)
 }
 
-// Parity is a Bridge file with a dedicated parity column. The handle
-// caches the data block count so that degraded reads never need a size
-// refresh (which would contact the failed node).
-type Parity struct {
-	c      *core.Client
-	name   string
-	data   core.Meta
-	parity core.Meta
-	p      int   // total nodes including the parity node
-	blocks int64 // cached data block count
-	// dirty marks stripes whose parity block is stale after a degraded
-	// append; Rebuild recomputes them.
-	dirty map[int64]bool
-}
+// Parity is a Bridge file with a dedicated parity column: stripes whose one
+// parity row is all ones, so each parity block is the XOR of its stripe.
+type Parity struct{ stripes }
 
 func parityName(name string) string { return name + ".parity" }
 
@@ -181,15 +223,13 @@ func CreateParity(pc sim.Proc, c *core.Client, name string, p int) (*Parity, err
 	for i := range subset {
 		subset[i] = i
 	}
-	data, err := c.CreateSubset(name, distrib.Spec{Kind: distrib.RoundRobin, P: p - 1}, subset)
-	if err != nil {
+	if _, err := c.CreateSubset(name, distrib.Spec{Kind: distrib.RoundRobin, P: p - 1}, subset); err != nil {
 		return nil, fmt.Errorf("replica: creating data file: %w", err)
 	}
-	parity, err := c.CreateSubset(parityName(name), distrib.Spec{Kind: distrib.RoundRobin, P: 1}, []int{p - 1})
-	if err != nil {
+	if _, err := c.CreateSubset(parityName(name), distrib.Spec{Kind: distrib.RoundRobin, P: 1}, []int{p - 1}); err != nil {
 		return nil, fmt.Errorf("replica: creating parity file: %w", err)
 	}
-	return &Parity{c: c, name: name, data: data, parity: parity, p: p}, nil
+	return newParity(c, name, p, 0), nil
 }
 
 // OpenParity opens an existing parity-protected file. Both constituent
@@ -200,103 +240,35 @@ func OpenParity(pc sim.Proc, c *core.Client, name string, p int) (*Parity, error
 	if err != nil {
 		return nil, fmt.Errorf("replica: opening data file: %w", err)
 	}
-	parity, err := c.Open(parityName(name))
-	if err != nil {
+	if _, err := c.Open(parityName(name)); err != nil {
 		return nil, fmt.Errorf("replica: opening parity file: %w", err)
 	}
-	return &Parity{c: c, name: name, data: data, parity: parity, p: p, blocks: data.Blocks}, nil
+	return newParity(c, name, p, data.Blocks), nil
 }
 
-// Blocks returns the number of data blocks.
-func (pf *Parity) Blocks() int64 { return pf.blocks }
-
-// Append writes the payload as the next data block and folds it into the
-// stripe's parity block (read-modify-write). If the parity node is
-// unreachable the data write still counts: Append marks the stripe stale
-// and returns ErrDegradedWrite so the caller knows redundancy is reduced
-// until Rebuild runs.
-func (pf *Parity) Append(payload []byte) error {
-	if len(payload) != core.PayloadBytes {
-		return fmt.Errorf("replica: parity requires %d-byte payloads, got %d", core.PayloadBytes, len(payload))
-	}
-	n := pf.blocks
-	if err := pf.c.SeqWrite(pf.name, payload); err != nil {
-		return fmt.Errorf("replica: appending data: %w", err)
-	}
-	pf.blocks++
-	// Stripe s covers data blocks with LocalFor == s; parity block s is
-	// their XOR.
-	dataP := int64(pf.p - 1)
-	stripe := n / dataP
-	if n%dataP == 0 {
-		// New stripe: parity starts as a copy of the payload.
-		if err := pf.c.WriteAt(parityName(pf.name), stripe, payload); err != nil {
-			return pf.degradeStripe(stripe, err)
-		}
-		return nil
-	}
-	old, err := pf.c.ReadAt(parityName(pf.name), stripe)
-	if err != nil {
-		return pf.degradeStripe(stripe, fmt.Errorf("reading parity: %w", err))
-	}
-	upd := make([]byte, core.PayloadBytes)
-	copy(upd, old)
-	for i, b := range payload {
-		upd[i] ^= b
-	}
-	if err := pf.c.WriteAt(parityName(pf.name), stripe, upd); err != nil {
-		return pf.degradeStripe(stripe, err)
-	}
-	return nil
-}
-
-// Read returns data block n, reconstructing it from the rest of its stripe
-// and the parity column if its node has failed. When the block failed its
-// checksum (rather than its node being down), the reconstruction is written
-// back over the bad block — read-repair — before it is returned.
-func (pf *Parity) Read(n int64) ([]byte, error) {
-	data, err := pf.c.ReadAt(pf.name, n)
-	if err == nil {
-		return data, nil
-	}
-	rec, rerr := pf.Reconstruct(n)
-	if rerr != nil {
-		return nil, rerr
-	}
-	if errors.Is(err, core.ErrCorrupt) {
-		pf.readRepair(n, rec, err)
-	}
-	return rec, nil
-}
-
-// Reconstruct rebuilds data block n from the surviving members of its
-// stripe plus parity, without touching the block itself.
-func (pf *Parity) Reconstruct(n int64) ([]byte, error) {
-	if n < 0 || n >= pf.blocks {
-		return nil, fmt.Errorf("replica: block %d out of range", n)
-	}
-	dataP := int64(pf.p - 1)
-	stripe := n / dataP
-	if pf.dirty[stripe] {
-		return nil, fmt.Errorf("%w: parity stripe %d is stale", ErrTooManyFailures, stripe)
-	}
-	acc := make([]byte, core.PayloadBytes)
-	parityBlock, err := pf.c.ReadAt(parityName(pf.name), stripe)
-	if err != nil {
-		return nil, fmt.Errorf("%w: parity column also unreadable: %v", ErrTooManyFailures, err)
-	}
-	copy(acc, parityBlock)
-	for m := stripe * dataP; m < (stripe+1)*dataP && m < pf.blocks; m++ {
-		if m == n {
-			continue
-		}
-		sib, err := pf.c.ReadAt(pf.name, m)
-		if err != nil {
-			return nil, fmt.Errorf("%w: stripe member %d unreadable: %v", ErrTooManyFailures, m, err)
-		}
-		for i, b := range sib {
-			acc[i] ^= b
+func newParity(c *core.Client, name string, p int, blocks int64) *Parity {
+	k := p - 1
+	enc := make([][]byte, k+1)
+	for i := range enc {
+		enc[i] = make([]byte, k)
+		if i < k {
+			enc[i][i] = 1
 		}
 	}
-	return acc, nil
+	for i := range enc[k] {
+		enc[k][i] = 1
+	}
+	met := metricsOn(c)
+	return &Parity{stripes{
+		c: c, name: name, cols: []string{parityName(name)}, enc: enc, k: k,
+		cell: core.PayloadBytes, blocks: blocks, what: "parity",
+		met: stripeMetrics{
+			degradedWrites:   met.parityDegradedWrites,
+			reconstructions:  met.parityReconstructions,
+			readRepairs:      met.readRepairParity,
+			readRepairBlocks: met.readRepairBlocks,
+			rebuiltData:      met.rebuiltBlocks,
+			rebuiltParity:    met.parityRebuilt,
+		},
+	}}
 }

@@ -8,7 +8,6 @@
 package replica
 
 import (
-	"errors"
 	"fmt"
 
 	"bridge/internal/core"
@@ -44,20 +43,9 @@ func (o *RSOptions) applyDefaults() error {
 	return nil
 }
 
-// RS is a Reed–Solomon protected Bridge file. The handle caches the data
-// block count so degraded reads never need a size refresh (which would
-// contact a failed node).
-type RS struct {
-	c      *core.Client
-	name   string
-	opts   RSOptions
-	enc    [][]byte // (k+m)×k systematic encoding matrix
-	data   core.Meta
-	blocks int64
-	// dirty marks stripes with at least one stale parity cell after a
-	// degraded append; Rebuild recomputes them.
-	dirty map[int64]bool
-}
+// RS is a Reed–Solomon protected Bridge file: stripes whose m parity rows
+// are independent GF(2^8) combinations.
+type RS struct{ stripes }
 
 func rsParityName(name string, j int) string { return fmt.Sprintf("%s.rs%d", name, j) }
 
@@ -71,8 +59,7 @@ func CreateRS(pc sim.Proc, c *core.Client, name string, opts RSOptions) (*RS, er
 	for i := range subset {
 		subset[i] = i
 	}
-	data, err := c.CreateSubset(name, distrib.Spec{Kind: distrib.RoundRobin, P: opts.K}, subset)
-	if err != nil {
+	if _, err := c.CreateSubset(name, distrib.Spec{Kind: distrib.RoundRobin, P: opts.K}, subset); err != nil {
 		return nil, fmt.Errorf("replica: creating RS data file: %w", err)
 	}
 	for j := 0; j < opts.M; j++ {
@@ -81,7 +68,7 @@ func CreateRS(pc sim.Proc, c *core.Client, name string, opts RSOptions) (*RS, er
 			return nil, fmt.Errorf("replica: creating RS parity file %d: %w", j, err)
 		}
 	}
-	return &RS{c: c, name: name, opts: opts, enc: rsEncodingMatrix(opts.K, opts.M), data: data}, nil
+	return newRS(c, name, opts, 0), nil
 }
 
 // OpenRS opens an existing Reed–Solomon file. Every constituent file must
@@ -100,11 +87,29 @@ func OpenRS(pc sim.Proc, c *core.Client, name string, opts RSOptions) (*RS, erro
 			return nil, fmt.Errorf("replica: opening RS parity file %d: %w", j, err)
 		}
 	}
-	return &RS{c: c, name: name, opts: opts, enc: rsEncodingMatrix(opts.K, opts.M), data: data, blocks: data.Blocks}, nil
+	return newRS(c, name, opts, data.Blocks), nil
 }
 
-// Blocks returns the number of data blocks.
-func (rs *RS) Blocks() int64 { return rs.blocks }
+func newRS(c *core.Client, name string, opts RSOptions, blocks int64) *RS {
+	cols := make([]string, opts.M)
+	for j := range cols {
+		cols[j] = rsParityName(name, j)
+	}
+	met := metricsOn(c)
+	return &RS{stripes{
+		c: c, name: name, cols: cols, enc: rsEncodingMatrix(opts.K, opts.M), k: opts.K,
+		cell: opts.BlockBytes, blocks: blocks, what: "RS",
+		met: stripeMetrics{
+			parityWrites:     met.rsParityWrites,
+			degradedWrites:   met.rsDegradedWrites,
+			reconstructions:  met.rsReconstructions,
+			readRepairs:      met.rsReadRepairs,
+			readRepairBlocks: met.readRepairBlocks,
+			rebuiltData:      met.rsRebuilt,
+			rebuiltParity:    met.rsRebuilt,
+		},
+	}}
+}
 
 // StorageBlocks stats the data file and every parity column and returns
 // the total blocks the file occupies — data plus parity. Dividing by
@@ -116,239 +121,12 @@ func (rs *RS) StorageBlocks() (int64, error) {
 		return 0, err
 	}
 	total := meta.Blocks
-	for j := 0; j < rs.opts.M; j++ {
-		pm, err := rs.c.Stat(rsParityName(rs.name, j))
+	for _, col := range rs.cols {
+		pm, err := rs.c.Stat(col)
 		if err != nil {
 			return 0, err
 		}
 		total += pm.Blocks
 	}
 	return total, nil
-}
-
-// Degraded reports whether any stripe's parity is stale.
-func (rs *RS) Degraded() bool { return len(rs.dirty) > 0 }
-
-func (rs *RS) met() repairMetrics { return metricsOn(rs.c.Msg().Net().Stats().Registry()) }
-
-func (rs *RS) emit(kind, format string, args ...any) {
-	if t := rs.c.Msg().Net().Tracer(); t != nil {
-		t.Emitf(rs.c.Msg().Proc().Now(), kind, format, args...)
-	}
-}
-
-// Append writes the payload as the next data block and folds it into each
-// of the m parity cells of its stripe — a read-modify-write per parity
-// column, or a plain write at a stripe's first cell. If a parity node is
-// unreachable the data write still counts: the stripe is marked stale and
-// ErrDegradedWrite tells the caller redundancy is reduced until Rebuild.
-func (rs *RS) Append(payload []byte) error {
-	if len(payload) != rs.opts.BlockBytes {
-		return fmt.Errorf("replica: RS requires %d-byte payloads, got %d", rs.opts.BlockBytes, len(payload))
-	}
-	n := rs.blocks
-	if err := rs.c.SeqWrite(rs.name, payload); err != nil {
-		return fmt.Errorf("replica: appending RS data: %w", err)
-	}
-	rs.blocks++
-	k := int64(rs.opts.K)
-	stripe, cell := n/k, int(n%k)
-	var degradeErr error
-	for j := 0; j < rs.opts.M; j++ {
-		if err := rs.updateParity(j, stripe, cell, payload); err != nil && degradeErr == nil {
-			degradeErr = err
-		}
-	}
-	if degradeErr != nil {
-		return rs.degradeStripe(stripe, degradeErr)
-	}
-	return nil
-}
-
-// updateParity folds data cell `cell` of `stripe` into parity column j:
-// P_j ^= E[k+j][cell]·d, with the stripe's first cell writing fresh
-// parity instead of reading back a block that does not exist yet.
-func (rs *RS) updateParity(j int, stripe int64, cell int, payload []byte) error {
-	coef := rs.enc[rs.opts.K+j][cell]
-	upd := make([]byte, rs.opts.BlockBytes)
-	if cell > 0 {
-		old, err := rs.c.ReadAt(rsParityName(rs.name, j), stripe)
-		if err != nil {
-			return fmt.Errorf("reading parity %d: %w", j, err)
-		}
-		copy(upd, old)
-	}
-	gfMulAdd(upd, payload, coef)
-	if err := rs.c.WriteAt(rsParityName(rs.name, j), stripe, upd); err != nil {
-		return fmt.Errorf("writing parity %d: %w", j, err)
-	}
-	rs.met().rsParityWrites.Add(1)
-	return nil
-}
-
-// degradeStripe records a stale stripe and surfaces the typed
-// degraded-write error.
-func (rs *RS) degradeStripe(stripe int64, cause error) error {
-	if rs.dirty == nil {
-		rs.dirty = make(map[int64]bool)
-	}
-	rs.dirty[stripe] = true
-	rs.met().rsDegradedWrites.Add(1)
-	rs.emit("replica.degrade", "%s RS stripe %d stale (%v)", rs.name, stripe, cause)
-	return fmt.Errorf("%w: RS stripe %d: %v", ErrDegradedWrite, stripe, cause)
-}
-
-// Read returns data block n, reconstructing it from any k surviving cells
-// of its stripe if it is unreachable. When the block failed its checksum
-// (rather than its node being down), the reconstruction is written back
-// over the bad block — read-repair — before it is returned.
-func (rs *RS) Read(n int64) ([]byte, error) {
-	data, err := rs.c.ReadAt(rs.name, n)
-	if err == nil {
-		return data, nil
-	}
-	rec, rerr := rs.Reconstruct(n)
-	if rerr != nil {
-		return nil, rerr
-	}
-	if errors.Is(err, core.ErrCorrupt) {
-		rs.readRepair(n, rec, err)
-	}
-	return rec, nil
-}
-
-// Reconstruct rebuilds data block n from any k readable cells of its
-// stripe (sibling data blocks count as unit-vector rows, parity cells as
-// their encoding rows; cells past EOF are known zeros), without touching
-// the block itself.
-func (rs *RS) Reconstruct(n int64) ([]byte, error) {
-	if n < 0 || n >= rs.blocks {
-		return nil, fmt.Errorf("replica: block %d out of range", n)
-	}
-	k := rs.opts.K
-	stripe := n / int64(k)
-	if rs.dirty[stripe] {
-		return nil, fmt.Errorf("%w: RS stripe %d parity is stale", ErrTooManyFailures, stripe)
-	}
-	rows := make([][]byte, 0, k)
-	vals := make([][]byte, 0, k)
-	var firstErr error
-	for i := 0; i < k && len(rows) < k; i++ {
-		g := stripe*int64(k) + int64(i)
-		if g == n {
-			continue
-		}
-		cell := make([]byte, rs.opts.BlockBytes)
-		if g < rs.blocks {
-			data, err := rs.c.ReadAt(rs.name, g)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("data cell %d: %v", g, err)
-				}
-				continue
-			}
-			copy(cell, data)
-		}
-		rows = append(rows, rs.enc[i])
-		vals = append(vals, cell)
-	}
-	for j := 0; j < rs.opts.M && len(rows) < k; j++ {
-		pcell, err := rs.c.ReadAt(rsParityName(rs.name, j), stripe)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("parity cell %d: %v", j, err)
-			}
-			continue
-		}
-		cell := make([]byte, rs.opts.BlockBytes)
-		copy(cell, pcell)
-		rows = append(rows, rs.enc[k+j])
-		vals = append(vals, cell)
-	}
-	if len(rows) < k {
-		return nil, fmt.Errorf("%w: %d of %d cells readable (%v)", ErrTooManyFailures, len(rows), k, firstErr)
-	}
-	inv, err := gfMatInv(rows)
-	if err != nil {
-		// Any k rows of the encoding matrix are invertible by construction.
-		return nil, fmt.Errorf("replica: RS decode matrix: %w", err)
-	}
-	out := make([]byte, rs.opts.BlockBytes)
-	want := int(n % int64(k))
-	for r := 0; r < k; r++ {
-		gfMulAdd(out, vals[r], inv[want][r])
-	}
-	rs.met().rsReconstructions.Add(1)
-	return out, nil
-}
-
-// readRepair rewrites corrupt data block n with its just-computed
-// reconstruction. Failure is not fatal to the read — the block stays
-// corrupt on disk and the scrubber or the next read retries.
-func (rs *RS) readRepair(n int64, data []byte, cause error) {
-	if err := rs.c.WriteAt(rs.name, n, data); err != nil {
-		rs.emit("replica.readrepair", "%s block %d repair failed: %v", rs.name, n, err)
-		return
-	}
-	rs.met().rsReadRepairs.Add(1)
-	rs.met().readRepairBlocks.Add(1)
-	rs.emit("replica.readrepair", "%s block %d rewritten from RS reconstruction (%v)", rs.name, n, cause)
-}
-
-// Rebuild restores full redundancy after failures: unreadable data blocks
-// are reconstructed in ascending order (keeping every node's local writes
-// sequential), then stale or unreadable parity cells are recomputed from
-// the repaired data. The file stays readable throughout. It returns the
-// number of cells written.
-func (rs *RS) Rebuild() (int64, error) {
-	k := int64(rs.opts.K)
-	var repaired int64
-	for b := int64(0); b < rs.blocks; b++ {
-		if _, err := rs.c.ReadAt(rs.name, b); err == nil {
-			continue
-		}
-		rec, err := rs.Reconstruct(b)
-		if err != nil {
-			return repaired, fmt.Errorf("replica: rebuilding RS data block %d: %w", b, err)
-		}
-		if err := rs.c.WriteAt(rs.name, b, rec); err != nil {
-			return repaired, fmt.Errorf("replica: rewriting RS data block %d: %w", b, err)
-		}
-		repaired++
-		rs.met().rsRebuilt.Add(1)
-	}
-	stripes := (rs.blocks + k - 1) / k
-	for s := int64(0); s < stripes; s++ {
-		for j := 0; j < rs.opts.M; j++ {
-			if !rs.dirty[s] {
-				if _, err := rs.c.ReadAt(rsParityName(rs.name, j), s); err == nil {
-					continue
-				}
-			}
-			acc := make([]byte, rs.opts.BlockBytes)
-			for i := int64(0); i < k; i++ {
-				g := s*k + i
-				if g >= rs.blocks {
-					break
-				}
-				data, err := rs.c.ReadAt(rs.name, g)
-				if err != nil {
-					return repaired, fmt.Errorf("replica: reading RS block %d for parity: %w", g, err)
-				}
-				cell := make([]byte, rs.opts.BlockBytes)
-				copy(cell, data)
-				gfMulAdd(acc, cell, rs.enc[int(k)+j][i])
-			}
-			if err := rs.c.WriteAt(rsParityName(rs.name, j), s, acc); err != nil {
-				return repaired, fmt.Errorf("replica: rewriting RS parity %d stripe %d: %w", j, s, err)
-			}
-			repaired++
-			rs.met().rsRebuilt.Add(1)
-		}
-		delete(rs.dirty, s)
-	}
-	if repaired > 0 {
-		rs.emit("replica.rebuild", "%s restored %d cells", rs.name, repaired)
-	}
-	return repaired, nil
 }
