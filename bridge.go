@@ -274,16 +274,20 @@ type Config struct {
 	// TimeScale compresses real time: 0.001 makes a 15ms disk access
 	// cost 15µs of host time. Only used with RealTime. Default 0.001.
 	TimeScale float64
-	// Health enables the Bridge Server's heartbeat monitor. Calls to a
-	// node marked Dead fast-fail with ErrNodeDown instead of waiting out
-	// the LFS timeout, which is what lets mirrored and parity reads fail
-	// over quickly. Use &HealthConfig{} for the defaults.
+	// Health enables the Bridge Server's heartbeat monitor. Every call the
+	// server makes to a node marked Dead — data, metadata or maintenance —
+	// fast-fails with ErrNodeDown instead of waiting out the LFS timeout,
+	// and a call in flight when its node dies is abandoned as soon as the
+	// monitor says so, which is what lets mirrored and parity reads fail
+	// over quickly. Delete still frees the live nodes' blocks before it
+	// reports the dead one. Use &HealthConfig{} for the defaults.
 	Health *HealthConfig
 	// Retry enables capped exponential backoff with deterministic jitter:
-	// the session's server calls and the server's single-block LFS calls
-	// retransmit on timeout. Requests carry operation ids, so retransmitted
-	// writes are deduplicated, never applied twice. Use &RetryPolicy{} for
-	// the defaults. With Fault set, the jitter seeds are derived from the
+	// the session's server calls and every call the server makes to a
+	// storage node retransmit on timeout. Requests carry operation ids, so
+	// retransmitted writes are deduplicated, never applied twice, and a
+	// retransmitted create or delete that finds its own first attempt's
+	// work done counts as done. Use &RetryPolicy{} for the defaults. With Fault set, the jitter seeds are derived from the
 	// injector's seed, so one seed determines the whole chaos run.
 	Retry *RetryPolicy
 	// LFSTimeout bounds each Bridge Server → LFS call (default 60s). Pair

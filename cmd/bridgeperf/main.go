@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	bridgeperf [-out BENCH_pr10.json] [-check BENCH_pr10.json] [-tolerance 0.10] [-trace out.json]
+//	bridgeperf [-out BENCH.json] [-check BENCH.json] [-tolerance 0.10] [-trace out.json]
 //
 // -trace additionally writes the observed batched-read run's Chrome
 // trace_event JSON (load in about://tracing or Perfetto).
@@ -25,10 +25,12 @@ import (
 	"bridge/internal/experiments"
 )
 
-// Report is the BENCH_pr10.json schema. All *SimMs fields are simulated
+// Report is the BENCH.json schema. All *SimMs fields are simulated
 // milliseconds (lower is better); RecPerSec is simulated throughput
 // (higher is better).
 type Report struct {
+	// PR is frozen at 10, the last PR that named the baseline after itself;
+	// the field stays so that renaming the file moved none of its bytes.
 	PR    int    `json:"pr"`
 	Scale string `json:"scale"`
 	P     int    `json:"p"`
@@ -101,7 +103,7 @@ func simMs(d time.Duration) float64 { return float64(d) / float64(time.Milliseco
 
 func run() error {
 	var (
-		out       = flag.String("out", "BENCH_pr10.json", "where to write the metrics report")
+		out       = flag.String("out", "BENCH.json", "where to write the metrics report")
 		check     = flag.String("check", "", "baseline report to compare against (empty = no comparison)")
 		tolerance = flag.Float64("tolerance", 0.10, "allowed fractional regression per metric")
 		traceOut  = flag.String("trace", "", "write the observed batched-read run's Chrome trace JSON here")

@@ -69,14 +69,19 @@ type vecCall struct {
 	run vecRun
 }
 
+// discardVec abandons started vectored calls nobody will gather.
+func (s *Server) discardVec(calls []vecCall) {
+	for _, c := range calls {
+		s.lfsDiscard(c.lfsPend)
+	}
+}
+
 // startVec starts a vectored call for run. On failure every call already
 // started for the same range is discarded, so nothing is left in flight.
 func (s *Server) startVec(calls []vecCall, run vecRun, body any, size int) ([]vecCall, error) {
-	c, err := s.lfsStart(run.node, body, size)
+	c, err := s.lfsStart(run.node, lfs.PortName, body, size)
 	if err != nil {
-		for _, started := range calls {
-			s.lc.Discard(started.id)
-		}
+		s.discardVec(calls)
 		return nil, err
 	}
 	return append(calls, vecCall{lfsPend: c, run: run}), nil
@@ -151,9 +156,7 @@ func (s *Server) lfsReadN(p sim.Proc, ent *dirent, start int64, count int) ([][]
 
 // abortAfter discards the replies not yet awaited (calls after index i).
 func abortAfter(s *Server, calls []vecCall, i int, err error) error {
-	for _, c := range calls[i+1:] {
-		s.lc.Discard(c.id)
-	}
+	s.discardVec(calls[i+1:])
 	return err
 }
 
@@ -266,12 +269,12 @@ func (s *Server) lfsWriteN(p sim.Proc, ent *dirent, start int64, payloads [][]by
 	return s.gatherWriteVec(p, ent, calls, start, len(payloads))
 }
 
-// readBlocks fetches count consecutive blocks of a formulaic file. A group
-// of one answers a single-block command (one) with the single-block LFS
-// call — the paper's naive path, one ReadReq per request; every other read,
-// and every read on a replicated group, is one vectored call per node.
+// readBlocks fetches count consecutive blocks of a formulaic file. A
+// single-block command (one) is answered with the single-block LFS call —
+// the paper's naive path, one ReadReq per request; every other read is one
+// vectored call per node.
 func (s *Server) readBlocks(p sim.Proc, ent *dirent, pos int64, count int, one bool) ([][]byte, error) {
-	if one && s.grp == nil {
+	if one {
 		data, err := s.lfsRead(p, ent, pos)
 		if err != nil {
 			return nil, err
@@ -282,11 +285,11 @@ func (s *Server) readBlocks(p sim.Proc, ent *dirent, pos int64, count int, one b
 	return s.lfsReadN(p, ent, pos, count)
 }
 
-// writeBlocks is readBlocks' twin: a group of one lands a single-block
-// command with the single-block LFS call; a logged write always lands as
-// vectors, the shape a takeover replays it in.
+// writeBlocks is readBlocks' twin. (A takeover replays every logged write as
+// vectors; the writes are positional, so the shape it first landed in does
+// not matter.)
 func (s *Server) writeBlocks(p sim.Proc, ent *dirent, pos int64, payloads [][]byte, one bool) (int, error) {
-	if one && s.grp == nil {
+	if one {
 		if err := s.lfsWrite(p, ent, pos, payloads[0]); err != nil {
 			return 0, err
 		}
@@ -424,20 +427,7 @@ func (s *Server) readAt(p sim.Proc, from msg.Addr, name string, blockNum int64, 
 		count = int(remain)
 	}
 	if ent.meta.Spec.Kind == distrib.Disordered {
-		out := make([][]byte, 0, count)
-		payload, next, hasNext, err := s.readChainAt(p, ent, blockNum)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, payload)
-		for len(out) < count && hasNext {
-			payload, next, hasNext, err = s.readChainBlock(p, ent, next)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, payload)
-		}
-		return out, nil
+		return s.readChainN(p, ent, &cursor{readPos: blockNum}, count)
 	}
 	return s.readBlocks(p, ent, blockNum, count, one)
 }

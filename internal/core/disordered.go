@@ -30,34 +30,25 @@ func scatterNode(fileID uint32, blockNum int64, p int) int {
 	return int(x % uint64(p))
 }
 
-// lfsReadLoc reads a raw block at an explicit (node, local) location.
-func (s *Server) lfsReadLoc(p sim.Proc, ent *dirent, node msg.NodeID, local uint32) ([]byte, error) {
+// lfsReadLoc reads the block at an explicit (node, local) location: the
+// single-block read's halves, aimed by the chain instead of a layout.
+func (s *Server) lfsReadLoc(p sim.Proc, ent *dirent, node msg.NodeID, local uint32) (BlockHeader, []byte, error) {
 	req := lfs.ReadReq{FileID: ent.meta.LFSFileID, BlockNum: local, Hint: ent.hintFor(node)}
-	m, err := s.lc.CallTimeout(msg.Addr{Node: node, Port: lfs.PortName}, req, lfs.WireSize(req), s.cfg.LFSTimeout)
+	c, err := s.lfsStart(node, lfs.PortName, req, lfs.WireSize(req))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		return BlockHeader{}, nil, err
 	}
-	resp := m.Body.(lfs.ReadResp)
-	if err := resp.Status.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrLFSFailed, err)
-	}
-	ent.hints[node] = resp.Addr
-	return resp.Data, nil
+	return s.lfsReadFinish(p, ent, -1, c) // the chain, not a global number, locates the block
 }
 
 // lfsWriteLoc writes a raw block at an explicit (node, local) location.
 func (s *Server) lfsWriteLoc(p sim.Proc, ent *dirent, node msg.NodeID, local uint32, data []byte) error {
 	req := lfs.WriteReq{FileID: ent.meta.LFSFileID, BlockNum: local, Data: data, Hint: ent.hintFor(node)}
-	m, err := s.lc.CallTimeout(msg.Addr{Node: node, Port: lfs.PortName}, req, lfs.WireSize(req), s.cfg.LFSTimeout)
+	c, err := s.lfsStart(node, lfs.PortName, req, lfs.WireSize(req))
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		return err
 	}
-	resp := m.Body.(lfs.WriteResp)
-	if err := resp.Status.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrLFSFailed, err)
-	}
-	ent.hints[node] = resp.Addr
-	return nil
+	return s.lfsWriteFinish(p, ent, c)
 }
 
 // appendDisordered adds a block to the chain: write the new block, then
@@ -82,11 +73,7 @@ func (s *Server) appendDisordered(p sim.Proc, ent *dirent, payload []byte) error
 	} else {
 		// Read-modify-write the old tail's next pointer.
 		tailNode := ent.meta.Nodes[ci.TailNode]
-		raw, err := s.lfsReadLoc(p, ent, tailNode, ci.TailLocal)
-		if err != nil {
-			return err
-		}
-		h, tailPayload, err := DecodeBlock(raw)
+		h, tailPayload, err := s.lfsReadLoc(p, ent, tailNode, ci.TailLocal)
 		if err != nil {
 			return err
 		}
@@ -139,11 +126,7 @@ func (s *Server) readChainBlock(p sim.Proc, ent *dirent, loc chainLoc) (payload 
 	if int(loc.node) >= len(ent.meta.Nodes) {
 		return nil, chainLoc{}, false, fmt.Errorf("%w: chain node %d out of range", ErrBadBlock, loc.node)
 	}
-	raw, err := s.lfsReadLoc(p, ent, ent.meta.Nodes[loc.node], loc.local)
-	if err != nil {
-		return nil, chainLoc{}, false, err
-	}
-	h, pl, err := DecodeBlock(raw)
+	h, pl, err := s.lfsReadLoc(p, ent, ent.meta.Nodes[loc.node], loc.local)
 	if err != nil {
 		return nil, chainLoc{}, false, err
 	}
@@ -165,11 +148,7 @@ func (s *Server) overwriteDisordered(p sim.Proc, ent *dirent, n int64, payload [
 		}
 		loc = nx
 	}
-	raw, err := s.lfsReadLoc(p, ent, ent.meta.Nodes[loc.node], loc.local)
-	if err != nil {
-		return err
-	}
-	h, _, err := DecodeBlock(raw)
+	h, _, err := s.lfsReadLoc(p, ent, ent.meta.Nodes[loc.node], loc.local)
 	if err != nil {
 		return err
 	}

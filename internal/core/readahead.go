@@ -170,9 +170,7 @@ func (c *raCache) prefetch(s *Server, ent *dirent, e *raEntry) {
 // dropPend abandons the entry's in-flight prefetch, discarding the
 // correlation ids so late replies are dropped on receipt.
 func (c *raCache) dropPend(s *Server, e *raEntry) {
-	for _, call := range e.pend {
-		s.lc.Discard(call.id)
-	}
+	s.discardVec(e.pend)
 	e.pend, e.pendStart, e.pendCount = nil, 0, 0
 }
 

@@ -232,7 +232,7 @@ func (s *Server) scatterWrite(p sim.Proc, from msg.Addr, it *ScatterItem, c *sca
 func (s *Server) scatterFinish(p sim.Proc, from msg.Addr, it *ScatterItem, c *scatterCall) {
 	c.started = false
 	if !it.Write {
-		c.data, c.err = s.lfsReadFinish(p, c.ent, it.BlockNum, c.pend)
+		_, c.data, c.err = s.lfsReadFinish(p, c.ent, it.BlockNum, c.pend)
 		return
 	}
 	if c.err = s.lfsWriteFinish(p, c.ent, c.pend); c.err != nil {

@@ -455,7 +455,6 @@ func (f *failOn) Deliver(_ time.Duration, _ msg.NodeID, to msg.Addr, m *msg.Mess
 	return msg.Fate{Drop: true}
 }
 
-func isLFSRead(body any) bool  { _, ok := body.(lfs.ReadReq); return ok }
 func isLFSWrite(body any) bool { _, ok := body.(lfs.WriteReq); return ok }
 
 // sameFile reports whether a file has exactly the given size and blocks.
@@ -584,44 +583,4 @@ func TestScatterRejectedTouchesNothing(t *testing.T) {
 			t.Errorf("x block 0 after the abandoned append: %v, want ErrEOF", err)
 		}
 	})
-}
-
-// TestInFlightAbandon is test (e): a call already waiting on a node when
-// the health monitor declares it dead is abandoned with ErrNodeDown within
-// the monitor's detection time; without a monitor it still waits out
-// LFSTimeout.
-func TestInFlightAbandon(t *testing.T) {
-	const lfsTimeout = 20 * time.Second
-	for _, health := range []bool{true, false} {
-		cfg := wrenCfg(4)
-		cfg.Server.LFSTimeout = lfsTimeout
-		bound := lfsTimeout + time.Second
-		if health {
-			cfg.Server.Health = &HealthConfig{}
-			h := HealthConfig{}.applyDefaults()
-			bound = time.Duration(h.DeadAfter)*(h.Every+h.Timeout) + h.Every
-		}
-		withCluster(t, cfg, func(p sim.Proc, cl *Cluster, c *Client) {
-			if _, err := c.Create("f"); err != nil {
-				t.Errorf("create: %v", err)
-				return
-			}
-			for i := 0; i < 4; i++ {
-				if err := c.SeqWrite("f", payload(i)); err != nil {
-					t.Errorf("SeqWrite: %v", err)
-					return
-				}
-			}
-			cl.Net.SetFault(&failOn{cl: cl, node: 1, match: isLFSRead})
-			start := p.Now()
-			_, err := c.ReadAt("f", 1) // in flight on node 1 when it dies
-			took := p.Now() - start
-			switch {
-			case health && (!errors.Is(err, ErrNodeDown) || took > bound):
-				t.Errorf("with a monitor the call returned %v after %v; want ErrNodeDown within %v", err, took, bound)
-			case !health && (!errors.Is(err, ErrLFSFailed) || took < lfsTimeout || took > bound):
-				t.Errorf("without a monitor the call returned %v after %v; want ErrLFSFailed after LFSTimeout %v", err, took, lfsTimeout)
-			}
-		})
-	}
 }

@@ -36,11 +36,12 @@ type Config struct {
 	// so their LFS file ids never collide. Defaults: 0 and 1.
 	IDBase   uint32
 	IDStride uint32
-	// LFSRetry, when set, retransmits timed-out single-block LFS calls
-	// (reads, writes, stats) under the policy. Off by default.
+	// LFSRetry, when set, retransmits every timed-out call to a storage
+	// node (lfsFinish) under the policy. Off by default.
 	LFSRetry *RetryPolicy
-	// Health, when set, runs a heartbeat monitor over the storage nodes
-	// and fast-fails calls to nodes it has declared dead. Off by default.
+	// Health, when set, runs a heartbeat monitor over the storage nodes;
+	// calls to a node it has declared dead fast-fail, and one in flight is
+	// abandoned (lfsStart, lfsAwait). Off by default.
 	// A replicated group rejects it (DESIGN.md, feature × group-size).
 	Health *HealthConfig
 	// ReadAhead, when positive, buffers sequential reads in windows of
@@ -113,8 +114,9 @@ type Server struct {
 	// is handled (log entries hold their own decoded copy).
 	one [1][]byte
 	// sc is the per-item state of the scatter being handled, reused from
-	// one request to the next like one.
-	sc []scatterCall
+	// one request to the next like one; fan is the same for a fan-out.
+	sc  []scatterCall
+	fan []fanCall
 
 	m srvMetrics
 	// curSpan is the span of the request currently being dispatched; the
@@ -624,34 +626,38 @@ func (s *Server) planCreate(r CreateReq) (Meta, error) {
 // lfsCreate creates the constituent LFS file on every placement node —
 // starting all the LFS operations before waiting for them, with
 // sequential initiation (the paper's measured behavior), or through the
-// embedded binary tree when tree is set. On a replicated group a takeover
-// may replay the effect, so a node that already has the file is fine; a
-// group of one runs each effect once and reports it.
+// embedded binary tree when tree is set: one call to the agent of the root,
+// nodes[0], which answers for its whole subtree. Nothing is sent when a node
+// is already declared dead. A node that already has the file is fine when
+// the effect may have run before (ranBefore); otherwise it runs once and
+// reports it.
 func (s *Server) lfsCreate(p sim.Proc, nodes []msg.NodeID, fileID uint32, tree bool) error {
 	op := lfs.CreateReq{FileID: fileID}
 	if tree {
-		if err := lfs.TreeBroadcast(s.lc, nodes, op, lfs.WireSize(op)); err != nil {
+		if err := s.anyDown(nodes); err != nil {
+			return err
+		}
+		req := lfs.TreeReq{Targets: nodes, Op: op, OpSize: lfs.WireSize(op)}
+		c, err := s.lfsStart(nodes[0], lfs.AgentPortName, req, req.OpSize+16)
+		if err != nil {
+			return err
+		}
+		m, err := s.lfsFinish(p, c)
+		if err != nil {
+			return lfsErr(err)
+		}
+		if err := m.Body.(lfs.TreeResp).Status.Err(); err != nil && !(s.ranBefore(c, m) && errors.Is(err, efs.ErrExists)) {
 			return fmt.Errorf("%w: %v", ErrLFSFailed, err)
 		}
 		return nil
 	}
-	ids := make([]uint64, 0, len(nodes))
-	for _, n := range nodes {
-		id, err := s.lc.Start(msg.Addr{Node: n, Port: lfs.PortName}, op, lfs.WireSize(op))
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrLFSFailed, err)
-		}
-		ids = append(ids, id)
-	}
-	ms, err := s.lc.GatherTimeout(ids, s.cfg.LFSTimeout)
+	calls, err := s.lfsFanout(p, nodes, op, lfs.WireSize(op), false)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		return err
 	}
-	for _, m := range ms {
-		if err := m.Body.(lfs.CreateResp).Status.Err(); err != nil {
-			if s.grp != nil && errors.Is(err, efs.ErrExists) {
-				continue
-			}
+	for _, c := range calls {
+		err := c.reply.Body.(lfs.CreateResp).Status.Err()
+		if err != nil && !(s.ranBefore(c.lfsPend, c.reply) && errors.Is(err, efs.ErrExists)) {
 			return fmt.Errorf("%w: %v", ErrLFSFailed, err)
 		}
 	}
@@ -690,42 +696,27 @@ func (s *Server) remove(p sim.Proc, from msg.Addr, name string, opID uint64, kin
 }
 
 // lfsDelete removes the constituent LFS files of an (already unregistered)
-// file. On a replicated group a takeover may replay the effect, so a node
-// that no longer has the file is fine.
+// file. It is the one best-effort fan-out: the directory has forgotten the
+// file, so every node that can be reached frees its share and the first
+// failure is reported afterwards. A node that no longer has the file is fine
+// when the effect may have run before (ranBefore; what that run freed is
+// then lost to the count).
 func (s *Server) lfsDelete(p sim.Proc, meta Meta) (int, error) {
 	op := lfs.DeleteReq{FileID: meta.LFSFileID}
-	ids := make([]uint64, 0, len(meta.Nodes))
-	for _, n := range meta.Nodes {
-		id, err := s.lc.Start(msg.Addr{Node: n, Port: lfs.PortName}, op, lfs.WireSize(op))
-		if err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrLFSFailed, err)
-		}
-		ids = append(ids, id)
-	}
-	ms, gerr := s.lc.GatherTimeout(ids, s.cfg.LFSTimeout)
+	calls, firstErr := s.lfsFanout(p, meta.Nodes, op, lfs.WireSize(op), true)
 	freed := 0
-	var firstErr error
-	for _, m := range ms {
-		if m == nil {
+	for _, c := range calls {
+		if c.reply == nil {
 			continue
 		}
-		resp := m.Body.(lfs.DeleteResp)
+		resp := c.reply.Body.(lfs.DeleteResp)
 		freed += resp.Freed
 		err := resp.Status.Err()
-		if s.grp != nil && errors.Is(err, efs.ErrNotFound) {
-			continue
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
+		if err != nil && firstErr == nil && !(s.ranBefore(c.lfsPend, c.reply) && errors.Is(err, efs.ErrNotFound)) {
+			firstErr = fmt.Errorf("%w: %v", ErrLFSFailed, err)
 		}
 	}
-	if gerr != nil && firstErr == nil {
-		firstErr = gerr
-	}
-	if firstErr != nil {
-		return freed, fmt.Errorf("%w: %v", ErrLFSFailed, firstErr)
-	}
-	return freed, nil
+	return freed, firstErr
 }
 
 // rename moves a file to a new name. The constituent LFS files are keyed
@@ -791,23 +782,12 @@ func (s *Server) flush(p sim.Proc, from msg.Addr, r FlushReq) (int, error) {
 // the scatter-gather barrier behind an explicit Flush.
 func (s *Server) syncNodes(p sim.Proc, nodes []msg.NodeID) error {
 	op := lfs.SyncReq{}
-	ids := make([]uint64, 0, len(nodes))
-	for _, n := range nodes {
-		if err := s.down(n); err != nil {
-			return err
-		}
-		id, err := s.lc.Start(msg.Addr{Node: n, Port: lfs.PortName}, op, lfs.WireSize(op))
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrLFSFailed, err)
-		}
-		ids = append(ids, id)
-	}
-	ms, err := s.lc.GatherTimeout(ids, s.cfg.LFSTimeout)
+	calls, err := s.lfsFanout(p, nodes, op, lfs.WireSize(op), false)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		return err
 	}
-	for _, m := range ms {
-		if err := m.Body.(lfs.SyncResp).Status.Err(); err != nil {
+	for _, c := range calls {
+		if err := c.reply.Body.(lfs.SyncResp).Status.Err(); err != nil {
 			return fmt.Errorf("%w: %v", ErrLFSFailed, err)
 		}
 	}
@@ -819,24 +799,13 @@ func (s *Server) syncNodes(p sim.Proc, nodes []msg.NodeID) error {
 // placement node's share.
 func (s *Server) lfsStat(p sim.Proc, ent *dirent, counts []int64) (int64, error) {
 	op := lfs.StatReq{FileID: ent.meta.LFSFileID}
-	ids := make([]uint64, 0, len(ent.meta.Nodes))
-	for _, n := range ent.meta.Nodes {
-		if err := s.down(n); err != nil {
-			return 0, err
-		}
-		id, err := s.lc.Start(msg.Addr{Node: n, Port: lfs.PortName}, op, lfs.WireSize(op))
-		if err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrLFSFailed, err)
-		}
-		ids = append(ids, id)
-	}
-	ms, err := s.lc.GatherTimeout(ids, s.cfg.LFSTimeout)
+	calls, err := s.lfsFanout(p, ent.meta.Nodes, op, lfs.WireSize(op), false)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		return 0, err
 	}
 	var total int64
-	for i, m := range ms {
-		resp := m.Body.(lfs.StatResp)
+	for i, c := range calls {
+		resp := c.reply.Body.(lfs.StatResp)
 		if err := resp.Status.Err(); err != nil {
 			return 0, fmt.Errorf("%w: %v", ErrLFSFailed, err)
 		}
@@ -902,109 +871,6 @@ func (s *Server) open(p sim.Proc, from msg.Addr, name string, rewind bool) (Meta
 	return ent.meta, nil
 }
 
-// lfsPend is one started LFS call awaiting its reply: what a start half
-// hands its finish half. Every call the data path makes on one storage node
-// — a single block or a vector, alone or side by side with others — goes
-// through lfsStart and lfsFinish.
-type lfsPend struct {
-	node msg.NodeID
-	id   uint64
-	body any
-	size int
-}
-
-// down is the health fast-fail: ErrNodeDown for a node the monitor has
-// declared dead, nil otherwise (and always without a monitor).
-func (s *Server) down(node msg.NodeID) error {
-	if s.health != nil && s.health.get(node) == Dead {
-		return fmt.Errorf("%w: n%d", ErrNodeDown, node)
-	}
-	return nil
-}
-
-// lfsStart fast-fails on a dead node and otherwise sends the request
-// without waiting for its reply.
-func (s *Server) lfsStart(node msg.NodeID, body any, size int) (lfsPend, error) {
-	if err := s.down(node); err != nil {
-		return lfsPend{}, err
-	}
-	id, err := s.lc.Start(msg.Addr{Node: node, Port: lfs.PortName}, body, size)
-	if err != nil {
-		return lfsPend{}, lfsErr(err)
-	}
-	return lfsPend{node: node, id: id, body: body, size: size}, nil
-}
-
-// lfsAwait waits for a started call's reply for up to LFSTimeout. Under a
-// health monitor it waits one heartbeat period at a time and abandons the
-// call with ErrNodeDown once the node is declared dead, so a call already in
-// flight when its node fails costs the monitor's detection time instead of
-// the whole timeout. An abandoned call's outcome is unknown, exactly like a
-// timed-out one's.
-func (s *Server) lfsAwait(c lfsPend) (*msg.Message, error) {
-	if s.health == nil {
-		return s.lc.AwaitTimeout(c.id, s.cfg.LFSTimeout)
-	}
-	every := s.health.cfg.Every
-	for left := s.cfg.LFSTimeout; ; left -= every {
-		m, err := s.lc.AwaitTimeout(c.id, min(left, every))
-		if !errors.Is(err, msg.ErrTimeout) {
-			return m, err
-		}
-		if derr := s.down(c.node); derr != nil {
-			s.lc.Discard(c.id)
-			return nil, derr
-		}
-		if left <= every {
-			return nil, err
-		}
-	}
-}
-
-// lfsFinish collects a started call's reply, retransmitting timeouts under
-// the configured retry policy (the body — and so any LFS OpID in it — is
-// reused verbatim, so the node's dedup still holds) and reporting full
-// timeouts to the health tracker. A timed-out call's id is discarded so a
-// late reply to it cannot be mistaken for a retransmission's.
-func (s *Server) lfsFinish(p sim.Proc, c lfsPend) (*msg.Message, error) {
-	m, err := s.lfsAwait(c)
-	if s.retry != nil {
-		for retry := 1; retry < s.retry.p.Attempts && errors.Is(err, msg.ErrTimeout); retry++ {
-			s.lc.Discard(c.id)
-			p.Sleep(s.retry.backoff(retry))
-			s.m.lfsRetries.Add(1)
-			s.curSpan.Annotate(fmt.Sprintf("lfs retry %d n%d", retry, c.node))
-			if c, err = s.lfsStart(c.node, c.body, c.size); err != nil {
-				return nil, err
-			}
-			m, err = s.lfsAwait(c)
-		}
-	}
-	if errors.Is(err, msg.ErrTimeout) {
-		s.lc.Discard(c.id)
-		s.reportProbe(p.Now(), c.node, false)
-	}
-	return m, err
-}
-
-// lfsCall is a start and its finish back to back.
-func (s *Server) lfsCall(p sim.Proc, node msg.NodeID, body any, size int) (*msg.Message, error) {
-	c, err := s.lfsStart(node, body, size)
-	if err != nil {
-		return nil, err
-	}
-	return s.lfsFinish(p, c)
-}
-
-// lfsErr classifies a failed LFS call for the client: a node marked down
-// stays ErrNodeDown, anything else is ErrLFSFailed (once).
-func lfsErr(err error) error {
-	if errors.Is(err, ErrNodeDown) || errors.Is(err, ErrLFSFailed) {
-		return err
-	}
-	return fmt.Errorf("%w: %v", ErrLFSFailed, err)
-}
-
 // nodeIndex maps a storage node's network ID back to its 0-based cluster
 // index (its position in interleaving order), or -1 if unknown.
 func (s *Server) nodeIndex(id msg.NodeID) int {
@@ -1024,14 +890,15 @@ func (s *Server) lfsReadStart(ent *dirent, blockNum int64) (lfsPend, error) {
 	}
 	node := ent.meta.Nodes[l.NodeFor(blockNum)]
 	req := lfs.ReadReq{FileID: ent.meta.LFSFileID, BlockNum: uint32(l.LocalFor(blockNum)), Hint: ent.hintFor(node)}
-	return s.lfsStart(node, req, lfs.WireSize(req))
+	return s.lfsStart(node, lfs.PortName, req, lfs.WireSize(req))
 }
 
-// lfsReadFinish collects a started read and returns the block's payload.
-func (s *Server) lfsReadFinish(p sim.Proc, ent *dirent, blockNum int64, c lfsPend) ([]byte, error) {
+// lfsReadFinish collects a started read and returns the block's Bridge
+// header and payload. blockNum only names the block in a corruption report.
+func (s *Server) lfsReadFinish(p sim.Proc, ent *dirent, blockNum int64, c lfsPend) (BlockHeader, []byte, error) {
 	m, err := s.lfsFinish(p, c)
 	if err != nil {
-		return nil, lfsErr(err)
+		return BlockHeader{}, nil, lfsErr(err)
 	}
 	resp := m.Body.(lfs.ReadResp)
 	if err := resp.Status.Err(); err != nil {
@@ -1041,17 +908,13 @@ func (s *Server) lfsReadFinish(p sim.Proc, ent *dirent, blockNum int64, c lfsPen
 			// replicated one the replica layer uses it to repair. The node
 			// is named by its cluster index — the space Fsck, Scrub, and
 			// RepairNode operate in.
-			return nil, fmt.Errorf("%w: node %d lfs file %d local block %d (global block %d): %v",
+			return BlockHeader{}, nil, fmt.Errorf("%w: node %d lfs file %d local block %d (global block %d): %v",
 				ErrLFSFailed, s.nodeIndex(c.node), ent.meta.LFSFileID, c.body.(lfs.ReadReq).BlockNum, blockNum, err)
 		}
-		return nil, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		return BlockHeader{}, nil, fmt.Errorf("%w: %v", ErrLFSFailed, err)
 	}
 	ent.hints[c.node] = resp.Addr
-	_, payload, err := DecodeBlock(resp.Data)
-	if err != nil {
-		return nil, err
-	}
-	return payload, nil
+	return DecodeBlock(resp.Data)
 }
 
 // lfsRead fetches one global block through the right LFS and returns its
@@ -1061,7 +924,8 @@ func (s *Server) lfsRead(p sim.Proc, ent *dirent, blockNum int64) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	return s.lfsReadFinish(p, ent, blockNum, c)
+	_, payload, err := s.lfsReadFinish(p, ent, blockNum, c)
+	return payload, err
 }
 
 func (ent *dirent) hintFor(node msg.NodeID) int32 {
@@ -1086,7 +950,7 @@ func (s *Server) lfsWriteStart(ent *dirent, blockNum int64, payload []byte) (lfs
 	}, payload)
 	s.nextLFSOp++
 	req := lfs.WriteReq{FileID: ent.meta.LFSFileID, BlockNum: uint32(l.LocalFor(blockNum)), Data: data, Hint: ent.hintFor(node), OpID: s.nextLFSOp}
-	return s.lfsStart(node, req, lfs.WireSize(req))
+	return s.lfsStart(node, lfs.PortName, req, lfs.WireSize(req))
 }
 
 // lfsWriteFinish collects a started write.
@@ -1167,9 +1031,9 @@ func (s *Server) repairNode(p sim.Proc, from msg.Addr, r RepairNodeReq) (int, er
 			continue
 		}
 		op := lfs.CreateReq{FileID: ent.meta.LFSFileID}
-		m, err := s.lc.CallTimeout(msg.Addr{Node: node, Port: lfs.PortName}, op, lfs.WireSize(op), s.cfg.LFSTimeout)
+		m, err := s.lfsCall(p, node, op, lfs.WireSize(op))
 		if err != nil {
-			return repaired, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+			return repaired, lfsErr(err)
 		}
 		if err := m.Body.(lfs.CreateResp).Status.Err(); err != nil && !errors.Is(err, efs.ErrExists) {
 			return repaired, fmt.Errorf("%w: %v", ErrLFSFailed, err)
@@ -1194,7 +1058,7 @@ func (s *Server) fsck(p sim.Proc, from msg.Addr, r FsckReq) (efs.CheckReport, in
 	req := lfs.CheckReq{Repair: r.Repair}
 	m, err := s.lfsCall(p, node, req, lfs.WireSize(req))
 	if err != nil {
-		return efs.CheckReport{}, 0, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		return efs.CheckReport{}, 0, lfsErr(err)
 	}
 	resp := m.Body.(lfs.CheckResp)
 	return resp.Report, resp.Fixes, resp.Status.Err()
@@ -1212,7 +1076,7 @@ func (s *Server) recovery(p sim.Proc, idx int) (lfs.RecoveryReport, error) {
 	req := lfs.RecoveryReq{}
 	m, err := s.lfsCall(p, node, req, lfs.WireSize(req))
 	if err != nil {
-		return lfs.RecoveryReport{}, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		return lfs.RecoveryReport{}, lfsErr(err)
 	}
 	resp := m.Body.(lfs.RecoveryResp)
 	return resp.Report, resp.Status.Err()
@@ -1230,7 +1094,7 @@ func (s *Server) scrub(p sim.Proc, from msg.Addr, idx int) (efs.ScrubReport, err
 	req := lfs.ScrubReq{Full: true}
 	m, err := s.lfsCall(p, node, req, lfs.WireSize(req))
 	if err != nil {
-		return efs.ScrubReport{}, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		return efs.ScrubReport{}, lfsErr(err)
 	}
 	resp := m.Body.(lfs.ScrubResp)
 	return resp.Report, resp.Status.Err()
@@ -1284,57 +1148,42 @@ func (s *Server) parallelRead(p sim.Proc, jobID uint64) (int, bool, error) {
 	if _, err := s.wbBarrier(p, ent); err != nil {
 		return 0, false, err
 	}
-	l, err := ent.layout()
-	if err != nil {
-		return 0, false, err
-	}
 	t := len(j.workers)
 	pWidth := ent.meta.Spec.P
 	delivered := 0
 	for gStart := 0; gStart < t; gStart += pWidth {
-		gEnd := gStart + pWidth
-		if gEnd > t {
-			gEnd = t
+		gEnd := min(gStart+pWidth, t)
+		// Start the group's reads (they fall on distinct nodes under
+		// round-robin), then deliver them in worker order. After a failure
+		// the rest of the group is discarded.
+		var err error
+		calls := make([]lfsPend, 0, gEnd-gStart)
+		for i := gStart; i < gEnd && j.readPos+int64(i) < ent.meta.Blocks && err == nil; i++ {
+			var c lfsPend
+			if c, err = s.lfsReadStart(ent, j.readPos+int64(i)); err == nil {
+				calls = append(calls, c)
+			}
 		}
-		type pending struct {
-			worker int
-			seq    int64
-			reqID  uint64
-		}
-		var batch []pending
-		for i := gStart; i < gEnd; i++ {
-			seq := j.readPos + int64(i)
-			if seq >= ent.meta.Blocks {
-				break
-			}
-			node := ent.meta.Nodes[l.NodeFor(seq)]
-			req := lfs.ReadReq{FileID: ent.meta.LFSFileID, BlockNum: uint32(l.LocalFor(seq)), Hint: ent.hintFor(node)}
-			id, err := s.lc.Start(msg.Addr{Node: node, Port: lfs.PortName}, req, lfs.WireSize(req))
+		for k, c := range calls {
 			if err != nil {
-				return delivered, false, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+				s.lfsDiscard(c)
+				continue
 			}
-			batch = append(batch, pending{worker: i, seq: seq, reqID: id})
-		}
-		for _, b := range batch {
-			m, err := s.lc.AwaitTimeout(b.reqID, s.cfg.LFSTimeout)
-			if err != nil {
-				return delivered, false, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+			seq := j.readPos + int64(gStart+k)
+			var payload []byte
+			if _, payload, err = s.lfsReadFinish(p, ent, seq, c); err != nil {
+				continue
 			}
-			resp := m.Body.(lfs.ReadResp)
-			if err := resp.Status.Err(); err != nil {
-				return delivered, false, fmt.Errorf("%w: %v", ErrLFSFailed, err)
-			}
-			_, payload, err := DecodeBlock(resp.Data)
-			if err != nil {
-				return delivered, false, err
-			}
-			wd := WorkerData{JobID: j.id, Seq: b.seq, Data: payload}
-			_ = s.net.Send(p, s.cfg.Node, j.workers[b.worker], &msg.Message{
+			wd := WorkerData{JobID: j.id, Seq: seq, Data: payload}
+			_ = s.net.Send(p, s.cfg.Node, j.workers[gStart+k], &msg.Message{
 				From: s.port.Addr(), Body: wd, Size: WireSize(wd),
 			})
 			delivered++
 		}
-		if len(batch) < gEnd-gStart {
+		if err != nil {
+			return delivered, false, err
+		}
+		if len(calls) < gEnd-gStart {
 			break // hit EOF inside this group
 		}
 	}
@@ -1393,57 +1242,43 @@ func (s *Server) parallelWrite(p sim.Proc, jobID uint64) (int, error) {
 			blocks = append(blocks, wb)
 		}
 		sort.Slice(blocks, func(a, b int) bool { return blocks[a].Seq < blocks[b].Seq })
+		// The group's data blocks must all precede its first EOF.
+		n := 0
+		for _, wb := range blocks {
+			switch {
+			case wb.EOF:
+				done = true
+			case done:
+				return written, fmt.Errorf("%w: worker data after another worker's EOF", ErrBadArg)
+			case len(wb.Data) > PayloadBytes:
+				return written, fmt.Errorf("%w: payload %d exceeds %d", ErrBadArg, len(wb.Data), PayloadBytes)
+			default:
+				n++
+			}
+		}
 		// Overlap the group's LFS writes: start them all (the blocks of
 		// a group land on distinct nodes under round-robin), then wait.
-		l, err := ent.layout()
+		// After a failure the rest of the group is discarded: the size
+		// covers exactly the prefix that landed.
+		var err error
+		base := ent.meta.Blocks
+		calls := make([]lfsPend, 0, n)
+		for i := 0; i < n && err == nil; i++ {
+			var c lfsPend
+			if c, err = s.lfsWriteStart(ent, base+int64(i), blocks[i].Data); err == nil {
+				calls = append(calls, c)
+			}
+		}
+		for _, c := range calls {
+			if err != nil {
+				s.lfsDiscard(c)
+			} else if err = s.lfsWriteFinish(p, ent, c); err == nil {
+				ent.meta.Blocks++
+				written++
+			}
+		}
 		if err != nil {
 			return written, err
-		}
-		base := ent.meta.Blocks
-		type pendingWrite struct {
-			reqID uint64
-			node  msg.NodeID
-		}
-		var pends []pendingWrite
-		for _, wb := range blocks {
-			if wb.EOF {
-				done = true
-				continue
-			}
-			if done {
-				return written, fmt.Errorf("%w: worker data after another worker's EOF", ErrBadArg)
-			}
-			if len(wb.Data) > PayloadBytes {
-				return written, fmt.Errorf("%w: payload %d exceeds %d", ErrBadArg, len(wb.Data), PayloadBytes)
-			}
-			blockNum := base + int64(len(pends))
-			node := ent.meta.Nodes[l.NodeFor(blockNum)]
-			data := EncodeBlock(BlockHeader{
-				FileID:      ent.meta.FileID,
-				GlobalBlock: blockNum,
-				P:           uint16(ent.meta.Spec.P),
-				Start:       uint16(ent.meta.Spec.Start),
-			}, wb.Data)
-			s.nextLFSOp++
-			req := lfs.WriteReq{FileID: ent.meta.LFSFileID, BlockNum: uint32(l.LocalFor(blockNum)), Data: data, Hint: ent.hintFor(node), OpID: s.nextLFSOp}
-			id, err := s.lc.Start(msg.Addr{Node: node, Port: lfs.PortName}, req, lfs.WireSize(req))
-			if err != nil {
-				return written, fmt.Errorf("%w: %v", ErrLFSFailed, err)
-			}
-			pends = append(pends, pendingWrite{reqID: id, node: node})
-		}
-		for _, pw := range pends {
-			m, err := s.lc.AwaitTimeout(pw.reqID, s.cfg.LFSTimeout)
-			if err != nil {
-				return written, fmt.Errorf("%w: %v", ErrLFSFailed, err)
-			}
-			resp := m.Body.(lfs.WriteResp)
-			if err := resp.Status.Err(); err != nil {
-				return written, fmt.Errorf("%w: %v", ErrLFSFailed, err)
-			}
-			ent.hints[pw.node] = resp.Addr
-			ent.meta.Blocks++
-			written++
 		}
 	}
 	return written, nil

@@ -187,17 +187,3 @@ func SpawnAll(c *msg.Client, nodes []msg.NodeID, name string, fn WorkerFunc) err
 	}
 	return nil
 }
-
-// TreeBroadcast delivers op to the LFS server of every listed node through
-// the embedded binary tree rooted at nodes[0], returning the first error.
-func TreeBroadcast(c *msg.Client, nodes []msg.NodeID, op any, opSize int) error {
-	if len(nodes) == 0 {
-		return nil
-	}
-	m, err := c.Call(msg.Addr{Node: nodes[0], Port: AgentPortName},
-		TreeReq{Targets: nodes, Op: op, OpSize: opSize}, opSize+16)
-	if err != nil {
-		return err
-	}
-	return m.Body.(TreeResp).Status.Err()
-}

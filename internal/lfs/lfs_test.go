@@ -165,6 +165,18 @@ func TestAgentSpawnWorker(t *testing.T) {
 	}
 }
 
+// treeBroadcast delivers op to the LFS server of every listed node through
+// the embedded binary tree rooted at nodes[0], returning the first error: the
+// Bridge Server's tree initiation (core.Server.lfsCreate) without its timeout.
+func treeBroadcast(c *msg.Client, nodes []msg.NodeID, op any, opSize int) error {
+	m, err := c.Call(msg.Addr{Node: nodes[0], Port: AgentPortName},
+		TreeReq{Targets: nodes, Op: op, OpSize: opSize}, opSize+16)
+	if err != nil {
+		return err
+	}
+	return m.Body.(TreeResp).Status.Err()
+}
+
 func TestTreeBroadcastCreatesEverywhere(t *testing.T) {
 	const p = 8
 	rt, net, nodes := testCluster(p, Config{DiskBlocks: 256, Timing: disk.FixedTiming{}})
@@ -175,8 +187,8 @@ func TestTreeBroadcastCreatesEverywhere(t *testing.T) {
 		for i := range ids {
 			ids[i] = msg.NodeID(i + 1)
 		}
-		if err := TreeBroadcast(c, ids, CreateReq{FileID: 99}, WireSize(CreateReq{})); err != nil {
-			t.Errorf("TreeBroadcast: %v", err)
+		if err := treeBroadcast(c, ids, CreateReq{FileID: 99}, WireSize(CreateReq{})); err != nil {
+			t.Errorf("tree create: %v", err)
 			return
 		}
 		lc := &Client{C: c}
@@ -203,9 +215,9 @@ func TestTreeBroadcastPropagatesErrors(t *testing.T) {
 			t.Errorf("setup create: %v", err)
 			return
 		}
-		err := TreeBroadcast(c, ids, CreateReq{FileID: 5}, 8)
+		err := treeBroadcast(c, ids, CreateReq{FileID: 5}, 8)
 		if !errors.Is(err, efs.ErrExists) {
-			t.Errorf("TreeBroadcast = %v, want ErrExists from node 3", err)
+			t.Errorf("tree create = %v, want ErrExists from node 3", err)
 		}
 	})
 	if err := rt.Wait(); err != nil {
@@ -230,7 +242,7 @@ func TestTreeBroadcastScalesLogarithmically(t *testing.T) {
 			proc.Sleep(time.Second) // let boot-time formatting finish
 			start := proc.Now()
 			if tree {
-				if err := TreeBroadcast(c, ids, CreateReq{FileID: 9}, 8); err != nil {
+				if err := treeBroadcast(c, ids, CreateReq{FileID: 9}, 8); err != nil {
 					t.Errorf("tree: %v", err)
 				}
 			} else {

@@ -140,6 +140,11 @@ func (c *Client) Discard(id uint64) {
 	}
 }
 
+// Parked returns how many replies are held for a later Await and how many
+// discarded ids still expect one: the two tables a caller that finishes or
+// discards everything it starts leaves empty.
+func (c *Client) Parked() (pending, discarded int) { return len(c.pending), len(c.discard) }
+
 // park stores a reply for a later Await, unless its id was discarded.
 func (c *Client) park(m *Message) {
 	if _, dead := c.discard[m.ReqID]; dead {
@@ -202,13 +207,19 @@ func (c *Client) Call(to Addr, body any, size int) (*Message, error) {
 	return c.Await(id)
 }
 
-// CallTimeout is Call with a deadline on the reply.
+// CallTimeout is Call with a deadline on the reply. The caller never sees
+// the correlation id, so a call that times out is discarded here: its late
+// reply is dropped on receipt instead of parked for nobody.
 func (c *Client) CallTimeout(to Addr, body any, size int, d time.Duration) (*Message, error) {
 	id, err := c.Start(to, body, size)
 	if err != nil {
 		return nil, err
 	}
-	return c.AwaitTimeout(id, d)
+	m, err := c.AwaitTimeout(id, d)
+	if errors.Is(err, ErrTimeout) {
+		c.Discard(id)
+	}
+	return m, err
 }
 
 // Gather collects the replies for all the given correlation ids, in id

@@ -1,7 +1,9 @@
 package msg
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"bridge/internal/sim"
 )
@@ -46,6 +48,46 @@ func TestDiscardSetBounded(t *testing.T) {
 		if len(c.discardQ) > 2*discardCap {
 			t.Errorf("queue grew to %d entries despite replies resolving them, want <= %d",
 				len(c.discardQ), 2*discardCap)
+		}
+	})
+	if err := rt.Wait(); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+}
+
+// TestCallTimeoutStrandsNothing: CallTimeout never shows its caller the
+// correlation id, so it must discard a timed-out call itself — otherwise
+// every late reply parks in pending for the life of the client. Its users
+// (the health monitor's ping, a Bridge client's retried call) time out by
+// design.
+func TestCallTimeoutStrandsNothing(t *testing.T) {
+	rt := sim.NewVirtual()
+	net := NewNetwork(rt, zeroCPU())
+	srv := net.NewPort(Addr{Node: 1, Port: "slow"})
+	rt.Go("server", func(p sim.Proc) {
+		Serve(p, net, 1, srv, func(p sim.Proc, req *Message) (any, int) {
+			p.Sleep(50 * time.Millisecond) // slower than the caller's deadline
+			return req.Body, 8
+		})
+	})
+	rt.Go("client", func(p sim.Proc) {
+		defer srv.Close()
+		c := NewClient(p, net, 0, "cli")
+		defer c.Close()
+		const calls = 50
+		for i := 0; i < calls; i++ {
+			if _, err := c.CallTimeout(srv.Addr(), i, 8, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
+				t.Errorf("call %d: %v, want ErrTimeout", i, err)
+			}
+		}
+		// Let every late reply arrive; a call that is answered in time
+		// receives them all on the way.
+		p.Sleep(calls * 100 * time.Millisecond)
+		if _, err := c.CallTimeout(srv.Addr(), calls, 8, time.Second); err != nil {
+			t.Errorf("last call: %v", err)
+		}
+		if pending, discarded := c.Parked(); pending != 0 || discarded != 0 {
+			t.Errorf("after %d timed-out calls and their late replies: %d parked, %d discarded ids", calls, pending, discarded)
 		}
 	})
 	if err := rt.Wait(); err != nil {
