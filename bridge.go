@@ -159,7 +159,10 @@ var (
 // XORCipher returns a reversible encryption filter.
 func XORCipher(key []byte) Transform { return tools.XORCipher(key) }
 
-// Sentinel errors, re-exported.
+// Sentinel errors, re-exported. Test for them with errors.Is: a failure
+// that crossed a message comes back as its class's sentinel wrapped around
+// the far side's message. The class travels as a code, so what a file is
+// named or a message happens to say never changes what an error is.
 var (
 	ErrNotFound = core.ErrNotFound
 	ErrExists   = core.ErrExists

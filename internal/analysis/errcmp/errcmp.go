@@ -1,4 +1,6 @@
-// Package errcmp flags ==/!= comparison against sentinel error variables.
+// Package errcmp flags the two ways of classifying an error that break
+// silently: ==/!= against a sentinel error variable, and a search for a
+// sentinel's text.
 //
 // The retry layer, the fault injector and the replica layer all wrap
 // errors (fmt.Errorf with %w) to add context — ErrLFSFailed wraps the LFS
@@ -8,6 +10,14 @@
 // producer and consumer. errors.Is is the only comparison that survives
 // wrapping; switch statements over an error value are the same bug in
 // different syntax.
+//
+// An error that crossed a message boundary arrives as a code and a detail
+// (msg.Status); its class is the code. Searching the detail for
+// ErrX.Error() — strings.Contains, Index, HasPrefix, HasSuffix, EqualFold,
+// or ==/!= against the text — classifies by words a file name or a wrapped
+// message can also spell, which is how a Stat of the missing file
+// "log: bridge: not leader" once sent the client hunting for a leader.
+// Non-test code may not do it; the class comes from the status's code.
 package errcmp
 
 import (
@@ -22,9 +32,10 @@ import (
 // Analyzer is the errcmp check.
 var Analyzer = &analysis.Analyzer{
 	Name: "errcmp",
-	Doc: "flag ==/!= against sentinel errors instead of errors.Is\n\n" +
+	Doc: "flag ==/!= against sentinel errors, and searches for their text, instead of errors.Is\n\n" +
 		"Direct comparison breaks as soon as a retry or fault layer wraps " +
-		"the error; use errors.Is(err, ErrX).",
+		"the error; use errors.Is(err, ErrX). Matching ErrX.Error() inside " +
+		"a string classifies an error by its text; use the status's code.",
 	Run: run,
 }
 
@@ -35,6 +46,7 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
+		byText := !analysis.IsTestFile(pass.Fset, f.Pos())
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.BinaryExpr:
@@ -49,6 +61,34 @@ func run(pass *analysis.Pass) error {
 						pass.Reportf(n.OpPos,
 							"%s compared with %s: use errors.Is, which still matches once the retry/fault layers wrap the error",
 							n.Op, v.Name())
+						return true
+					}
+					if v := sentinelText(pass, side); v != nil && byText {
+						pass.Reportf(n.OpPos,
+							"%s against %s.Error() classifies an error by its text: compare the status's code, or use errors.Is",
+							n.Op, v.Name())
+						return true
+					}
+				}
+			case *ast.CallExpr:
+				fn := analysis.Callee(pass.TypesInfo, n)
+				if !byText || fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "strings" || len(n.Args) != 2 {
+					return true
+				}
+				// The pattern is the second argument; EqualFold has two.
+				pattern := n.Args[1:]
+				switch fn.Name() {
+				case "Contains", "Index", "HasPrefix", "HasSuffix":
+				case "EqualFold":
+					pattern = n.Args
+				default:
+					return true
+				}
+				for _, arg := range pattern {
+					if v := sentinelText(pass, arg); v != nil {
+						pass.Reportf(n.Pos(),
+							"strings.%s for %s.Error() classifies an error by its text: compare the status's code, or use errors.Is",
+							fn.Name(), v.Name())
 						return true
 					}
 				}
@@ -75,6 +115,19 @@ func run(pass *analysis.Pass) error {
 func isNil(pass *analysis.Pass, e ast.Expr) bool {
 	tv, ok := pass.TypesInfo.Types[e]
 	return ok && tv.IsNil()
+}
+
+// sentinelText resolves e to the sentinel X of an `X.Error()` call, or nil.
+func sentinelText(pass *analysis.Pass, e ast.Expr) *types.Var {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return nil
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Error" {
+		return nil
+	}
+	return sentinelVar(pass, sel.X)
 }
 
 // sentinelVar resolves e to a package-level `var ErrX = ...` of type error,

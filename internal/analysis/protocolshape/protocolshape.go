@@ -3,12 +3,13 @@
 //
 // These packages speak typed request/reply protocols: every XxxReq has an
 // XxxResp, serve loops dispatch on type switches that must stay exhaustive
-// as kinds are added, reply errors travel as strings and must be decoded
-// back into sentinels, and the write-dedup cache replays a reply only
+// as kinds are added, and the write-dedup cache replays a reply only
 // after a type assertion that must name the matching kind (PR 3's replay
 // bug was exactly a kind-confused assertion). None of these conventions is
 // enforced by the compiler — a missing switch case falls into the default
-// arm and misbehaves quietly — so this analyzer checks four shapes:
+// arm and misbehaves quietly — so this analyzer checks three shapes. (How a
+// reply says it failed needs no shape check: every reply embeds msg.Status,
+// and errcmp keeps anything from classifying an error by its text.)
 //
 //   - R1: every named type XxxReq has a sibling XxxResp, and vice versa.
 //   - R2: a type switch that covers most (≥60%) but not all of a
@@ -18,9 +19,6 @@
 //     the same package do not pollute each other's exhaustiveness. A
 //     function's coverage includes the switches of same-package functions
 //     it calls, so a dispatcher split across helpers still verifies.
-//   - R3: in a package that defines decodeErr, a reply's .Err string may
-//     not be rewrapped with errors.New or fmt.Errorf — that strips the
-//     sentinel mapping; it must go through decodeErr.
 //   - R4: inside a `case XxxReq:` clause, a type assertion to a reply
 //     type must assert XxxResp, not some other kind.
 package protocolshape
@@ -40,8 +38,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "protocolshape",
 	Doc: "flag wire-protocol shape violations in internal/lfs, internal/core, and internal/raft\n\n" +
 		"Req/Resp types must come in pairs, dispatch type switches must be " +
-		"exhaustive over their protocol's kinds, reply error strings must " +
-		"be decoded with decodeErr rather than rewrapped, and dedup replay " +
+		"exhaustive over their protocol's kinds, and dedup replay " +
 		"assertions must name the handler's own reply kind.",
 	Run: run,
 }
@@ -58,9 +55,6 @@ func run(pass *analysis.Pass) error {
 	kinds := protocolKinds(pass)
 	checkPairing(pass, kinds)
 	checkCoverage(pass, kinds)
-	if pass.Pkg.Scope().Lookup("decodeErr") != nil {
-		checkRewrap(pass)
-	}
 	checkReplayKind(pass)
 	return nil
 }
@@ -262,59 +256,6 @@ func reportCover(pass *analysis.Pass, kinds map[string]*kindInfo, sw token.Pos, 
 	pass.Reportf(sw,
 		"type switch covers %d of %d %s kinds; missing %s: add the missing case or the kind falls to the default arm",
 		nCov, len(all), class, strings.Join(missing, ", "))
-}
-
-// checkRewrap is R3: reply .Err strings must go through decodeErr.
-func checkRewrap(pass *analysis.Pass) {
-	info := pass.TypesInfo
-	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := analysis.Callee(info, call)
-			if fn == nil || fn.Pkg() == nil {
-				return true
-			}
-			wrap := (fn.Pkg().Path() == "errors" && fn.Name() == "New") ||
-				(fn.Pkg().Path() == "fmt" && fn.Name() == "Errorf")
-			if !wrap {
-				return true
-			}
-			for _, arg := range call.Args {
-				if sel := respErrSelector(pass, arg); sel != nil {
-					pass.Reportf(call.Pos(),
-						"reply error string rewrapped with %s.%s: decode it with decodeErr so sentinel errors survive the wire",
-						fn.Pkg().Name(), fn.Name())
-					return true
-				}
-			}
-			return true
-		})
-	}
-}
-
-// respErrSelector finds a `.Err` selector on a same-package Resp value
-// inside expr.
-func respErrSelector(pass *analysis.Pass, expr ast.Expr) *ast.SelectorExpr {
-	var found *ast.SelectorExpr
-	ast.Inspect(expr, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Err" {
-			return true
-		}
-		name := typeName(pass.TypesInfo.TypeOf(sel.X))
-		if strings.HasSuffix(name, "Resp") && name != "Resp" {
-			found = sel
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // checkReplayKind is R4: a reply-type assertion inside a single-kind Req

@@ -4,11 +4,6 @@
 // second, independent one.
 package lfs
 
-import (
-	"errors"
-	"fmt"
-)
-
 type (
 	CreateReq  struct{ FileID uint32 }
 	CreateResp struct{ Err string }
@@ -98,28 +93,6 @@ func kindB(body any) string {
 		return "ping"
 	}
 	return "unknown"
-}
-
-// decodeErr is the only sanctioned path from a wire error string back to
-// an error value.
-func decodeErr(s string) error {
-	if s == "" {
-		return nil
-	}
-	return errors.New(s)
-}
-
-// Rewrapping the raw string strips the sentinel mapping.
-func badWrap(r ReadResp) error {
-	return errors.New(r.Err) // want `reply error string rewrapped`
-}
-
-func badWrapf(r WriteResp) error {
-	return fmt.Errorf("write failed: %s", r.Err) // want `reply error string rewrapped`
-}
-
-func goodWrap(r ReadResp) error {
-	return decodeErr(r.Err)
 }
 
 // Dedup replay must assert the handler's own reply kind: asserting a

@@ -48,3 +48,36 @@ func TestAllocsScatter(t *testing.T) {
 		}
 	})
 }
+
+// boxed keeps a reply alive as Message.Body would; noErr is a success the
+// compiler cannot see through.
+var (
+	boxed any
+	noErr error
+)
+
+// TestAllocsBoxedReplies guards the representation of msg.Status. Every
+// reply is boxed into Message.Body, so what a success costs there is paid on
+// every call: an acknowledgement — a reply that is nothing but its status —
+// must fit the interface word and allocate nothing, and a reply with a
+// payload allocates only itself. A status of two words (a code beside a
+// string, say) costs naive_write one allocation per op.
+func TestAllocsBoxedReplies(t *testing.T) {
+	data := payload(1)
+	meta := Meta{Name: "f"}
+	for _, tc := range []struct {
+		name string
+		box  func()
+		want float64
+	}{
+		{"SeqWriteResp", func() { boxed = SeqWriteResp{Status: statusFor(noErr)} }, 0},
+		{"RandWriteResp", func() { boxed = RandWriteResp{Status: statusFor(noErr)} }, 0},
+		{"SeqReadResp", func() { boxed = SeqReadResp{Data: data, Status: statusFor(noErr)} }, 1},
+		{"RandReadResp", func() { boxed = RandReadResp{Data: data, Status: statusFor(noErr)} }, 1},
+		{"CreateResp", func() { boxed = CreateResp{Meta: meta, Status: statusFor(noErr)} }, 1},
+	} {
+		if got := testing.AllocsPerRun(100, tc.box); got != tc.want {
+			t.Errorf("boxing a successful %s allocates %v objects, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -118,16 +118,16 @@ func (s *Server) gatherReadVec(p sim.Proc, ent *dirent, calls []vecCall, start i
 			return nil, abortAfter(s, calls, i, lfsErr(err))
 		}
 		resp := m.Body.(lfs.ReadVecResp)
-		if err := resp.Status.Err(); err != nil {
-			return nil, abortAfter(s, calls, i, fmt.Errorf("%w: %v", ErrLFSFailed, err))
+		if err := lfs.Err(resp.Status); err != nil {
+			return nil, abortAfter(s, calls, i, fmt.Errorf("%w: %w", ErrLFSFailed, err))
 		}
 		if len(resp.Blocks) != len(c.run.globals) {
 			return nil, abortAfter(s, calls, i, fmt.Errorf("%w: vectored read returned %d of %d blocks",
 				ErrLFSFailed, len(resp.Blocks), len(c.run.globals)))
 		}
 		for j, v := range resp.Blocks {
-			if err := v.Status.Err(); err != nil {
-				return nil, abortAfter(s, calls, i, fmt.Errorf("%w: block %d: %v", ErrLFSFailed, c.run.globals[j], err))
+			if err := lfs.Err(v.Status); err != nil {
+				return nil, abortAfter(s, calls, i, fmt.Errorf("%w: block %d: %w", ErrLFSFailed, c.run.globals[j], err))
 			}
 			ent.hints[c.run.node] = v.Addr
 			_, payload, err := DecodeBlock(v.Data)
@@ -213,11 +213,11 @@ func (s *Server) gatherWriteVec(p sim.Proc, ent *dirent, calls []vecCall, start 
 			continue
 		}
 		resp := m.Body.(lfs.WriteVecResp)
-		if err := resp.Status.Err(); err != nil || len(resp.Blocks) != len(c.run.globals) {
+		if err := lfs.Err(resp.Status); err != nil || len(resp.Blocks) != len(c.run.globals) {
 			if err == nil {
 				err = fmt.Errorf("vectored write returned %d of %d blocks", len(resp.Blocks), len(c.run.globals))
 			}
-			wrapped := fmt.Errorf("%w: %v", ErrLFSFailed, err)
+			wrapped := fmt.Errorf("%w: %w", ErrLFSFailed, err)
 			for _, g := range c.run.globals {
 				blockErr[g-start] = wrapped
 			}
@@ -228,8 +228,8 @@ func (s *Server) gatherWriteVec(p sim.Proc, ent *dirent, calls []vecCall, start 
 		}
 		for j, v := range resp.Blocks {
 			g := c.run.globals[j]
-			if err := v.Status.Err(); err != nil {
-				blockErr[g-start] = fmt.Errorf("%w: block %d: %v", ErrLFSFailed, g, err)
+			if err := lfs.Err(v.Status); err != nil {
+				blockErr[g-start] = fmt.Errorf("%w: block %d: %w", ErrLFSFailed, g, err)
 				continue
 			}
 			okBlock[g-start] = true

@@ -263,7 +263,7 @@ func (c *Client) callAt(to msg.Addr, body any) (*msg.Message, error) {
 		if err != nil {
 			errText = err.Error()
 		} else if m != nil {
-			errText = respErr(m.Body)
+			errText = respStatus(m.Body).Detail()
 		}
 		sp.EndErr(c.mc.Proc().Now(), errText)
 	}
@@ -301,23 +301,23 @@ func (c *Client) callRedirect(shard int, body any, sp obs.SpanRef) (*msg.Message
 		if err != nil {
 			return nil, err
 		}
-		es := respErr(m.Body)
-		if !strings.Contains(es, ErrNotLeader.Error()) {
+		st := respStatus(m.Body)
+		if st.Code() != codeNotLeader {
 			return m, nil
 		}
-		if hint, ok := parseLeaderHint(es); ok && hint >= 0 && hint < len(group) && hint != c.leaders[shard] {
+		if hint, ok := parseLeaderHint(st.Detail()); ok && hint >= 0 && hint < len(group) && hint != c.leaders[shard] {
 			c.leaders[shard] = hint
 		} else {
 			c.leaders[shard] = (c.leaders[shard] + 1) % len(group)
 		}
 	}
 	// Out of attempts: surface whatever we last saw — a timeout or a
-	// NotLeader reply the caller decodes into ErrNotLeader.
+	// NotLeader reply, which the caller's reply turns into ErrNotLeader.
 	return m, err
 }
 
-// parseLeaderHint extracts N from the "leader=N" fragment of a NotLeader
-// error string.
+// parseLeaderHint extracts N from the "leader=N" fragment of a not-leader
+// reply's detail, as notLeaderError wrote it.
 func parseLeaderHint(s string) (int, bool) {
 	i := strings.Index(s, "leader=")
 	if i < 0 {
@@ -347,49 +347,6 @@ func (c *Client) callOnce(to msg.Addr, body any) (*msg.Message, error) {
 	return c.mc.Call(to, body, WireSize(body))
 }
 
-// sentinels used to reconstruct typed errors from transported strings.
-var sentinels = []error{
-	ErrNotFound, ErrExists, ErrEOF, ErrBadBlock, ErrNoJob, ErrBadArg,
-	ErrNodeDown, ErrLFSFailed, ErrDeferredWrite, ErrNotLeader,
-	ErrCrossShard, ErrSkipped, efs.ErrCorrupt, distrib.ErrNeedSize,
-}
-
-// decodeErr rebuilds a sentinel-wrapped error from its transported string
-// so callers can use errors.Is across the message boundary. The sentinel
-// whose text appears earliest in the string wins (ties go to the longest
-// text), so an error whose detail merely mentions another sentinel — e.g.
-// an LFS failure complaining about a "file not found" block — is
-// classified by its own prefix, not by whichever sentinel happens to come
-// first in the table.
-func decodeErr(s string) error {
-	if s == "" {
-		return nil
-	}
-	var best error
-	bestPos := -1
-	for _, base := range sentinels {
-		pos := strings.Index(s, base.Error())
-		if pos < 0 {
-			continue
-		}
-		if bestPos < 0 || pos < bestPos ||
-			(pos == bestPos && len(base.Error()) > len(best.Error())) {
-			best, bestPos = base, pos
-		}
-	}
-	if best != nil {
-		if errors.Is(best, ErrLFSFailed) && strings.Contains(s, efs.ErrCorrupt.Error()) {
-			// An LFS failure whose detail is the corrupt-volume status is
-			// genuinely both: the transport classification (ErrLFSFailed)
-			// and an integrity failure. Wrap both so errors.Is matches
-			// either — read-repair keys on the ErrCorrupt side.
-			return fmt.Errorf("%w: %w (%s)", best, efs.ErrCorrupt, s)
-		}
-		return fmt.Errorf("%w (%s)", best, s)
-	}
-	return errors.New(s)
-}
-
 // Create creates an interleaved file across all nodes with round-robin
 // placement — the common case.
 func (c *Client) Create(name string) (Meta, error) {
@@ -399,12 +356,8 @@ func (c *Client) Create(name string) (Meta, error) {
 // CreateSpec creates a file with explicit placement; tree selects
 // binary-tree initiation of the per-LFS creates.
 func (c *Client) CreateSpec(name string, spec distrib.Spec, tree bool) (Meta, error) {
-	m, err := c.call(CreateReq{Name: name, Spec: spec, Tree: tree, OpID: c.opID()})
-	if err != nil {
-		return Meta{}, err
-	}
-	r := m.Body.(CreateResp)
-	return r.Meta, decodeErr(r.Err)
+	r, err := reply[CreateResp](c.call(CreateReq{Name: name, Spec: spec, Tree: tree, OpID: c.opID()}))
+	return r.Meta, err
 }
 
 // CreateDisordered creates a linked-list file whose blocks scatter
@@ -418,22 +371,14 @@ func (c *Client) CreateDisordered(name string) (Meta, error) {
 // storage nodes (indices into the node list); len(subset) must equal
 // spec.P.
 func (c *Client) CreateSubset(name string, spec distrib.Spec, subset []int) (Meta, error) {
-	m, err := c.call(CreateReq{Name: name, Spec: spec, Subset: subset, OpID: c.opID()})
-	if err != nil {
-		return Meta{}, err
-	}
-	r := m.Body.(CreateResp)
-	return r.Meta, decodeErr(r.Err)
+	r, err := reply[CreateResp](c.call(CreateReq{Name: name, Spec: spec, Subset: subset, OpID: c.opID()}))
+	return r.Meta, err
 }
 
 // Delete removes a file, returning the total number of blocks freed.
 func (c *Client) Delete(name string) (int, error) {
-	m, err := c.call(DeleteReq{Name: name, OpID: c.opID()})
-	if err != nil {
-		return 0, err
-	}
-	r := m.Body.(DeleteResp)
-	return r.Freed, decodeErr(r.Err)
+	r, err := reply[DeleteResp](c.call(DeleteReq{Name: name, OpID: c.opID()}))
+	return r.Freed, err
 }
 
 // Flush forces the server's write-behind buffer for the file down to the
@@ -443,12 +388,8 @@ func (c *Client) Delete(name string) (int, error) {
 // in ErrDeferredWrite, after the file's size has been rolled back to the
 // contiguous prefix that landed.
 func (c *Client) Flush(name string) (int, error) {
-	m, err := c.callAt(c.serverFor(name), FlushReq{Name: name, OpID: c.opID()})
-	if err != nil {
-		return 0, err
-	}
-	r := m.Body.(FlushResp)
-	return r.Flushed, decodeErr(r.Err)
+	r, err := reply[FlushResp](c.callAt(c.serverFor(name), FlushReq{Name: name, OpID: c.opID()}))
+	return r.Flushed, err
 }
 
 // FlushAll flushes every buffered file on every server — the whole-session
@@ -458,16 +399,9 @@ func (c *Client) FlushAll() (int, error) {
 	total := 0
 	var firstErr error
 	for _, srv := range c.targets() {
-		m, err := c.callAt(srv, FlushReq{OpID: c.opID()})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		r := m.Body.(FlushResp)
+		r, err := reply[FlushResp](c.callAt(srv, FlushReq{OpID: c.opID()}))
 		total += r.Flushed
-		if err := decodeErr(r.Err); err != nil && firstErr == nil {
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -485,57 +419,37 @@ func (c *Client) Rename(name, newName string) (Meta, error) {
 		return Meta{}, fmt.Errorf("%w: %q (shard %d) -> %q (shard %d)",
 			ErrCrossShard, name, c.shardFor(name), newName, c.shardFor(newName))
 	}
-	m, err := c.call(RenameReq{Name: name, NewName: newName, OpID: c.opID()})
-	if err != nil {
-		return Meta{}, err
-	}
-	r := m.Body.(RenameResp)
-	return r.Meta, decodeErr(r.Err)
+	r, err := reply[RenameResp](c.call(RenameReq{Name: name, NewName: newName, OpID: c.opID()}))
+	return r.Meta, err
 }
 
 // Release atomically unregisters a file from the Bridge directory and
 // returns its final metadata — the parallel delete tool's first step. The
 // constituent LFS files are untouched; freeing them is the caller's job.
 func (c *Client) Release(name string) (Meta, error) {
-	m, err := c.call(ReleaseReq{Name: name, OpID: c.opID()})
-	if err != nil {
-		return Meta{}, err
-	}
-	r := m.Body.(ReleaseResp)
-	return r.Meta, decodeErr(r.Err)
+	r, err := reply[ReleaseResp](c.call(ReleaseReq{Name: name, OpID: c.opID()}))
+	return r.Meta, err
 }
 
 // Open opens a file: the server refreshes its size and resets this client's
 // sequential-read cursor. There is no close.
 func (c *Client) Open(name string) (Meta, error) {
-	m, err := c.call(OpenReq{Name: name})
-	if err != nil {
-		return Meta{}, err
-	}
-	r := m.Body.(OpenResp)
-	return r.Meta, decodeErr(r.Err)
+	r, err := reply[OpenResp](c.call(OpenReq{Name: name}))
+	return r.Meta, err
 }
 
 // Stat returns a file's metadata (with a fresh size) without touching
 // cursors.
 func (c *Client) Stat(name string) (Meta, error) {
-	m, err := c.call(StatReq{Name: name})
-	if err != nil {
-		return Meta{}, err
-	}
-	r := m.Body.(StatResp)
-	return r.Meta, decodeErr(r.Err)
+	r, err := reply[StatResp](c.call(StatReq{Name: name}))
+	return r.Meta, err
 }
 
 // SeqRead returns the next block's payload at this client's cursor; eof is
 // true at end of file.
 func (c *Client) SeqRead(name string) (data []byte, eof bool, err error) {
-	m, err := c.call(SeqReadReq{Name: name, OpID: c.opID()})
-	if err != nil {
-		return nil, false, err
-	}
-	r := m.Body.(SeqReadResp)
-	return r.Data, r.EOF, decodeErr(r.Err)
+	r, err := reply[SeqReadResp](c.call(SeqReadReq{Name: name, OpID: c.opID()}))
+	return r.Data, r.EOF, err
 }
 
 // SeqReadN returns up to max blocks at this client's cursor in one call —
@@ -543,51 +457,33 @@ func (c *Client) SeqRead(name string) (data []byte, eof bool, err error) {
 // across the constituent nodes (and its read-ahead cache, when enabled).
 // eof is true once the cursor has reached end of file.
 func (c *Client) SeqReadN(name string, max int) (blocks [][]byte, eof bool, err error) {
-	m, err := c.call(SeqReadNReq{Name: name, Max: max, OpID: c.opID()})
-	if err != nil {
-		return nil, false, err
-	}
-	r := m.Body.(SeqReadNResp)
-	return r.Blocks, r.EOF, decodeErr(r.Err)
+	r, err := reply[SeqReadNResp](c.call(SeqReadNReq{Name: name, Max: max, OpID: c.opID()}))
+	return r.Blocks, r.EOF, err
 }
 
 // SeqWrite appends one block (payload up to PayloadBytes).
 func (c *Client) SeqWrite(name string, payload []byte) error {
-	m, err := c.call(SeqWriteReq{Name: name, Data: payload, OpID: c.opID()})
-	if err != nil {
-		return err
-	}
-	return decodeErr(m.Body.(SeqWriteResp).Err)
+	_, err := reply[SeqWriteResp](c.call(SeqWriteReq{Name: name, Data: payload, OpID: c.opID()}))
+	return err
 }
 
 // ReadAt reads block blockNum (the random-read command).
 func (c *Client) ReadAt(name string, blockNum int64) ([]byte, error) {
-	m, err := c.call(RandReadReq{Name: name, BlockNum: blockNum})
-	if err != nil {
-		return nil, err
-	}
-	r := m.Body.(RandReadResp)
-	return r.Data, decodeErr(r.Err)
+	r, err := reply[RandReadResp](c.call(RandReadReq{Name: name, BlockNum: blockNum}))
+	return r.Data, err
 }
 
 // ReadAtN reads up to count consecutive blocks starting at blockNum with
 // one request; the server fans the range out across its nodes.
 func (c *Client) ReadAtN(name string, blockNum int64, count int) ([][]byte, error) {
-	m, err := c.call(RandReadNReq{Name: name, BlockNum: blockNum, Count: count})
-	if err != nil {
-		return nil, err
-	}
-	r := m.Body.(RandReadNResp)
-	return r.Blocks, decodeErr(r.Err)
+	r, err := reply[RandReadNResp](c.call(RandReadNReq{Name: name, BlockNum: blockNum, Count: count}))
+	return r.Blocks, err
 }
 
 // WriteAt writes block blockNum; blockNum equal to the file size appends.
 func (c *Client) WriteAt(name string, blockNum int64, payload []byte) error {
-	m, err := c.call(RandWriteReq{Name: name, BlockNum: blockNum, Data: payload, OpID: c.opID()})
-	if err != nil {
-		return err
-	}
-	return decodeErr(m.Body.(RandWriteResp).Err)
+	_, err := reply[RandWriteResp](c.call(RandWriteReq{Name: name, BlockNum: blockNum, Data: payload, OpID: c.opID()}))
+	return err
 }
 
 // WriteAtN writes the payloads as consecutive blocks starting at blockNum
@@ -596,12 +492,8 @@ func (c *Client) WriteAt(name string, blockNum int64, payload []byte) error {
 // failure the file covers exactly that contiguous prefix, so retrying the
 // remainder is safe.
 func (c *Client) WriteAtN(name string, blockNum int64, payloads [][]byte) (int, error) {
-	m, err := c.call(RandWriteNReq{Name: name, BlockNum: blockNum, Blocks: payloads, OpID: c.opID()})
-	if err != nil {
-		return 0, err
-	}
-	r := m.Body.(RandWriteNResp)
-	return r.Written, decodeErr(r.Err)
+	r, err := reply[RandWriteNResp](c.call(RandWriteNReq{Name: name, BlockNum: blockNum, Blocks: payloads, OpID: c.opID()}))
+	return r.Written, err
 }
 
 // ScatterResults holds one outcome per item of a Scatter. It is nil when
@@ -613,7 +505,7 @@ func (rs ScatterResults) At(i int) ([]byte, error) {
 	if rs == nil {
 		return nil, nil
 	}
-	return rs[i].Data, decodeErr(rs[i].Err)
+	return rs[i].Data, statusErr(rs[i].Status)
 }
 
 // Scatter runs single-block reads and positional writes on several files
@@ -673,12 +565,8 @@ func (c *Client) scatterShard(items []ScatterItem) (ScatterResults, error) {
 			break
 		}
 	}
-	m, err := c.call(req)
-	if err != nil {
-		return nil, err
-	}
-	r := m.Body.(ScatterResp)
-	return r.Results, decodeErr(r.Err)
+	r, err := reply[ScatterResp](c.call(req))
+	return r.Results, err
 }
 
 // AppendN appends the payloads as consecutive blocks in one call.
@@ -691,12 +579,8 @@ func (c *Client) AppendN(name string, payloads [][]byte) (int, error) {
 func (c *Client) List() ([]string, error) {
 	var all []string
 	for _, srv := range c.targets() {
-		m, err := c.callAt(srv, ListReq{})
+		r, err := reply[ListResp](c.callAt(srv, ListReq{}))
 		if err != nil {
-			return nil, err
-		}
-		r := m.Body.(ListResp)
-		if err := decodeErr(r.Err); err != nil {
 			return nil, err
 		}
 		all = append(all, r.Names...)
@@ -714,12 +598,8 @@ func (c *Client) Health() ([]NodeHealth, error) {
 	var out []NodeHealth
 	idx := make(map[msg.NodeID]int)
 	for _, srv := range c.targets() {
-		m, err := c.callAt(srv, HealthReq{})
+		r, err := reply[HealthResp](c.callAt(srv, HealthReq{}))
 		if err != nil {
-			return nil, err
-		}
-		r := m.Body.(HealthResp)
-		if err := decodeErr(r.Err); err != nil {
 			return nil, err
 		}
 		for _, st := range r.States {
@@ -744,13 +624,9 @@ func (c *Client) Health() ([]NodeHealth, error) {
 func (c *Client) RepairNode(i int) (int, error) {
 	total := 0
 	for _, srv := range c.targets() {
-		m, err := c.callAt(srv, RepairNodeReq{Node: i, OpID: c.opID()})
-		if err != nil {
-			return total, err
-		}
-		r := m.Body.(RepairNodeResp)
+		r, err := reply[RepairNodeResp](c.callAt(srv, RepairNodeReq{Node: i, OpID: c.opID()}))
 		total += r.Files
-		if err := decodeErr(r.Err); err != nil {
+		if err != nil {
 			return total, err
 		}
 	}
@@ -760,53 +636,33 @@ func (c *Client) RepairNode(i int) (int, error) {
 // Fsck runs the LFS-level consistency checker on storage node index i. The
 // request routes to the first server (any server can reach any node).
 func (c *Client) Fsck(i int) (efs.CheckReport, error) {
-	m, err := c.callAt(c.first(), FsckReq{Node: i})
-	if err != nil {
-		return efs.CheckReport{}, err
-	}
-	r := m.Body.(FsckResp)
-	return r.Report, decodeErr(r.Err)
+	r, err := reply[FsckResp](c.callAt(c.first(), FsckReq{Node: i}))
+	return r.Report, err
 }
 
 // FsckRepair runs the checker with bitmap repair on storage node index i,
 // returning the post-repair report and the number of bitmap corrections.
 func (c *Client) FsckRepair(i int) (efs.CheckReport, int, error) {
-	m, err := c.callAt(c.first(), FsckReq{Node: i, Repair: true, OpID: c.opID()})
-	if err != nil {
-		return efs.CheckReport{}, 0, err
-	}
-	r := m.Body.(FsckResp)
-	return r.Report, r.Fixes, decodeErr(r.Err)
+	r, err := reply[FsckResp](c.callAt(c.first(), FsckReq{Node: i, Repair: true, OpID: c.opID()}))
+	return r.Report, r.Fixes, err
 }
 
 // Recovery fetches storage node index i's boot recovery report: journal
 // replay stats plus the fsck that verified the remounted volume. It fails
 // with ErrNotFound when the node was freshly formatted or is not journaled.
 func (c *Client) Recovery(i int) (lfs.RecoveryReport, error) {
-	m, err := c.callAt(c.first(), RecoveryReq{Node: i})
-	if err != nil {
-		return lfs.RecoveryReport{}, err
-	}
-	r := m.Body.(RecoveryResp)
-	return r.Report, decodeErr(r.Err)
+	r, err := reply[RecoveryResp](c.callAt(c.first(), RecoveryReq{Node: i}))
+	return r.Report, err
 }
 
 // Scrub runs a full checksum-verification sweep on storage node index i.
 func (c *Client) Scrub(i int) (efs.ScrubReport, error) {
-	m, err := c.callAt(c.first(), ScrubReq{Node: i})
-	if err != nil {
-		return efs.ScrubReport{}, err
-	}
-	r := m.Body.(ScrubResp)
-	return r.Report, decodeErr(r.Err)
+	r, err := reply[ScrubResp](c.callAt(c.first(), ScrubReq{Node: i}))
+	return r.Report, err
 }
 
 // GetInfo returns the cluster structure: the entry point for tools.
 func (c *Client) GetInfo() (Info, error) {
-	m, err := c.call(GetInfoReq{})
-	if err != nil {
-		return Info{}, err
-	}
-	r := m.Body.(GetInfoResp)
-	return r.Info, decodeErr(r.Err)
+	r, err := reply[GetInfoResp](c.call(GetInfoReq{}))
+	return r.Info, err
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -63,13 +64,11 @@ func TestClusterDeterminism(t *testing.T) {
 func TestServerSurvivesUnknownRequest(t *testing.T) {
 	withCluster(t, fastCfg(2), func(p sim.Proc, cl *Cluster, c *Client) {
 		type bogus struct{ X int }
-		m, err := c.Msg().Call(cl.Servers[0].Addr(), bogus{X: 1}, 8)
-		if err != nil {
-			t.Errorf("Call: %v", err)
-			return
-		}
-		if resp, ok := m.Body.(CloseJobResp); !ok || resp.Err == "" {
-			t.Errorf("unknown request reply = %+v", m.Body)
+		// The reply has no kind the caller could have expected; whatever
+		// kind it does expect, it gets a typed error, not a panic.
+		_, err := reply[StatResp](c.callAt(cl.Servers[0].Addr(), bogus{X: 1}))
+		if !errors.Is(err, ErrBadArg) {
+			t.Errorf("unknown request = %v, want ErrBadArg", err)
 		}
 		// The server still works afterwards.
 		if _, err := c.Create("after"); err != nil {

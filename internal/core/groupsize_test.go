@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"bridge/internal/distrib"
 	"bridge/internal/msg"
@@ -295,6 +296,79 @@ func TestGroupSizeDifferential(t *testing.T) {
 		if one, three := runs[i], runs[i+2]; !reflect.DeepEqual(one.flushed, three.flushed) {
 			t.Errorf("WriteBehind=%d: flushed counts %v at group size 1, %v at 3", one.wb, one.flushed, three.flushed)
 		}
+	}
+}
+
+// TestNamesAreNotErrorText: a failure's class is its code, so a file whose
+// name spells out a sentinel's text fails exactly like any other file, at
+// both group sizes — the same class and no other, no redirect or
+// retransmission, and the same simulated time as a plain name of equal
+// length. (When the client found the class by searching the reply's text, a
+// Stat of the missing "x bridge: not leader" on a replicated group hunted
+// for a leader 18 times and came back ErrNotLeader.)
+func TestNamesAreNotErrorText(t *testing.T) {
+	only := func(err, want error) bool {
+		for _, s := range classes {
+			if s != nil && errors.Is(err, s) != errors.Is(want, s) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, replicas := range []int{1, 3} {
+		cfg := fastCfg(4)
+		cfg.Replicas = replicas
+		withCluster(t, cfg, func(p sim.Proc, cl *Cluster, c *Client) {
+			retries := func() int64 { return cl.Net.Stats().Get("bridge.client_retries") }
+			timed := func(fn func() error) (error, time.Duration) {
+				start := p.Now()
+				err := fn()
+				return err, p.Now() - start
+			}
+			stat := func(name string) func() error {
+				return func() error { _, err := c.Stat(name); return err }
+			}
+			create := func(name string) func() error {
+				return func() error { _, err := c.Create(name); return err }
+			}
+			near := func(a, b time.Duration) bool { return a-b <= time.Millisecond && b-a <= time.Millisecond }
+			_, _ = c.Stat("find the leader first")
+			for _, sentinel := range classes {
+				if sentinel == nil {
+					continue
+				}
+				name := "x " + sentinel.Error()
+				plain := strings.Repeat("p", len(name))
+				before := retries()
+
+				_, plainTook := timed(stat(plain))
+				err, took := timed(stat(name))
+				if !only(err, ErrNotFound) || !near(took, plainTook) {
+					t.Errorf("Replicas=%d: Stat(%q) = %v in %v; want ErrNotFound alone in the %v a plain name takes", replicas, name, err, took, plainTook)
+				}
+
+				if err := create(plain)(); err != nil {
+					t.Errorf("Replicas=%d: Create(%q): %v", replicas, plain, err)
+				}
+				if err := create(name)(); err != nil {
+					t.Errorf("Replicas=%d: Create(%q): %v", replicas, name, err)
+				}
+				_, plainTook = timed(create(plain))
+				err, took = timed(create(name))
+				if !only(err, ErrExists) || !near(took, plainTook) {
+					t.Errorf("Replicas=%d: second Create(%q) = %v in %v; want ErrExists alone in the %v a plain name takes", replicas, name, err, took, plainTook)
+				}
+				if _, err := c.Delete(plain); err != nil {
+					t.Errorf("Replicas=%d: Delete(%q): %v", replicas, plain, err)
+				}
+				if _, err := c.Delete(name); err != nil {
+					t.Errorf("Replicas=%d: Delete(%q): %v", replicas, name, err)
+				}
+				if moved := retries() - before; moved != 0 {
+					t.Errorf("Replicas=%d: %d redirects or retransmissions over the calls on %q", replicas, moved, name)
+				}
+			}
+		})
 	}
 }
 

@@ -21,12 +21,8 @@ type Job struct {
 // ParallelOpen groups the given worker addresses into a job on the file.
 func (c *Client) ParallelOpen(name string, workers []msg.Addr) (*Job, error) {
 	srv := c.serverFor(name)
-	m, err := c.callAt(srv, ParallelOpenReq{Name: name, Workers: workers})
+	r, err := reply[ParallelOpenResp](c.callAt(srv, ParallelOpenReq{Name: name, Workers: workers}))
 	if err != nil {
-		return nil, err
-	}
-	r := m.Body.(ParallelOpenResp)
-	if err := decodeErr(r.Err); err != nil {
 		return nil, err
 	}
 	return &Job{ID: r.JobID, Meta: r.Meta, c: c, srv: srv, t: len(workers)}, nil
@@ -39,31 +35,20 @@ func (j *Job) Workers() int { return j.t }
 // parallelism as the interleaving allows. It returns how many blocks went
 // out and whether the file is exhausted.
 func (j *Job) Read() (delivered int, eof bool, err error) {
-	m, err := j.c.callAt(j.srv, ParallelReadReq{JobID: j.ID})
-	if err != nil {
-		return 0, false, err
-	}
-	r := m.Body.(ParallelReadResp)
-	return r.Delivered, r.EOF, decodeErr(r.Err)
+	r, err := reply[ParallelReadResp](j.c.callAt(j.srv, ParallelReadReq{JobID: j.ID}))
+	return r.Delivered, r.EOF, err
 }
 
 // Write appends up to t blocks, one received from each worker in parallel.
 func (j *Job) Write() (written int, err error) {
-	m, err := j.c.callAt(j.srv, ParallelWriteReq{JobID: j.ID})
-	if err != nil {
-		return 0, err
-	}
-	r := m.Body.(ParallelWriteResp)
-	return r.Written, decodeErr(r.Err)
+	r, err := reply[ParallelWriteResp](j.c.callAt(j.srv, ParallelWriteReq{JobID: j.ID}))
+	return r.Written, err
 }
 
 // Close releases the job state at the server.
 func (j *Job) Close() error {
-	m, err := j.c.callAt(j.srv, CloseJobReq{JobID: j.ID})
-	if err != nil {
-		return err
-	}
-	return decodeErr(m.Body.(CloseJobResp).Err)
+	_, err := reply[CloseJobResp](j.c.callAt(j.srv, CloseJobReq{JobID: j.ID}))
+	return err
 }
 
 // JobWorker is the worker side of a parallel open. Each worker process

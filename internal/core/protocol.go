@@ -58,9 +58,10 @@ var (
 	// that did land.
 	ErrDeferredWrite = errors.New("bridge: deferred write-behind write failed")
 	// ErrNotLeader reports that a replicated Bridge Server refused an
-	// operation because it is not the Raft leader. The reply's error string
+	// operation because it is not the Raft leader. The reply's detail
 	// carries a "(leader=N)" hint when the replica knows who is; the client
-	// redirect loop parses it and retries against that replica.
+	// redirect loop reads it out of a reply whose code is not-leader and
+	// retries against that replica.
 	ErrNotLeader = errors.New("bridge: not leader")
 	// ErrCrossShard reports a rename whose old and new names hash to
 	// different directory shards. Rename is a single-shard directory
@@ -76,8 +77,9 @@ var (
 
 // ErrCorrupt is efs.ErrCorrupt re-exported: a block failed checksum
 // verification somewhere beneath a Bridge operation. It survives transport
-// (decodeErr re-wraps it), so clients can classify integrity failures with
-// errors.Is even when another sentinel is the primary classification.
+// (it has a code of its own, and one shared with ErrLFSFailed), so clients
+// can classify integrity failures with errors.Is even when the storage
+// node's failure is the primary classification.
 var ErrCorrupt = efs.ErrCorrupt
 
 // BlockHeader is the 40-byte Bridge header at the front of every block's
@@ -246,7 +248,7 @@ type (
 	// CreateResp acknowledges a CreateReq.
 	CreateResp struct {
 		Meta Meta
-		Err  string
+		msg.Status
 	}
 
 	// DeleteReq deletes a file on every constituent LFS in parallel.
@@ -257,7 +259,7 @@ type (
 	// DeleteResp reports total blocks freed across all LFS instances.
 	DeleteResp struct {
 		Freed int
-		Err   string
+		msg.Status
 	}
 
 	// RenameReq atomically moves a file to a new name within the flat
@@ -272,7 +274,7 @@ type (
 	// RenameResp returns the moved file's metadata under its new name.
 	RenameResp struct {
 		Meta Meta
-		Err  string
+		msg.Status
 	}
 
 	// OpenReq opens a file. Open is a hint: the server refreshes its
@@ -281,7 +283,7 @@ type (
 	// OpenResp returns the file's structural information.
 	OpenResp struct {
 		Meta Meta
-		Err  string
+		msg.Status
 	}
 
 	// SeqReadReq reads the next block at the caller's cursor. It carries
@@ -295,7 +297,7 @@ type (
 	SeqReadResp struct {
 		Data []byte
 		EOF  bool
-		Err  string
+		msg.Status
 	}
 
 	// SeqWriteReq appends one block. The OpID is what makes a retried
@@ -306,7 +308,7 @@ type (
 		OpID uint64
 	}
 	// SeqWriteResp acknowledges an append.
-	SeqWriteResp struct{ Err string }
+	SeqWriteResp struct{ msg.Status }
 
 	// SeqReadNReq reads up to Max blocks at the caller's cursor in one
 	// request — the batched naive path. The server splits the run by the
@@ -324,7 +326,7 @@ type (
 	SeqReadNResp struct {
 		Blocks [][]byte
 		EOF    bool
-		Err    string
+		msg.Status
 	}
 
 	// RandReadNReq reads Count blocks starting at BlockNum in one
@@ -337,7 +339,7 @@ type (
 	// RandReadNResp returns the payloads in file order.
 	RandReadNResp struct {
 		Blocks [][]byte
-		Err    string
+		msg.Status
 	}
 
 	// RandWriteNReq writes len(Blocks) consecutive blocks starting at
@@ -353,7 +355,7 @@ type (
 	// landed; on partial failure Written counts the contiguous prefix.
 	RandWriteNResp struct {
 		Written int
-		Err     string
+		msg.Status
 	}
 
 	// RandReadReq reads block BlockNum.
@@ -364,7 +366,7 @@ type (
 	// RandReadResp returns the payload.
 	RandReadResp struct {
 		Data []byte
-		Err  string
+		msg.Status
 	}
 
 	// RandWriteReq writes block BlockNum (append when BlockNum == size).
@@ -375,7 +377,7 @@ type (
 		OpID     uint64
 	}
 	// RandWriteResp acknowledges a random write.
-	RandWriteResp struct{ Err string }
+	RandWriteResp struct{ msg.Status }
 
 	// ScatterItem is one single-block operation of a ScatterReq: a read
 	// of block BlockNum, or (Write set) a positional write of Data at
@@ -402,19 +404,19 @@ type (
 		OpID  uint64
 	}
 	// ScatterResult is one item's outcome: the payload read, or the
-	// item's own error.
+	// item's own failure.
 	ScatterResult struct {
 		Data []byte
-		Err  string
+		msg.Status
 	}
 	// ScatterResp answers a ScatterReq. Results is nil when every item
-	// was a write that landed. Err reports a failure of the request as a
-	// whole: before anything was committed, or because leadership was
-	// lost part-way, which the client's retransmission to the new leader
-	// completes.
+	// was a write that landed. Its own status reports a failure of the
+	// request as a whole: before anything was committed, or because
+	// leadership was lost part-way, which the client's retransmission to
+	// the new leader completes.
 	ScatterResp struct {
 		Results []ScatterResult
-		Err     string
+		msg.Status
 	}
 
 	// FlushReq forces the server's write-behind buffer down to the LFS
@@ -429,7 +431,7 @@ type (
 	// FlushResp reports how many buffered blocks the barrier pushed out.
 	FlushResp struct {
 		Flushed int
-		Err     string
+		msg.Status
 	}
 
 	// ReleaseReq atomically unregisters a file from the Bridge directory
@@ -445,7 +447,7 @@ type (
 	// ReleaseResp returns the released file's metadata.
 	ReleaseResp struct {
 		Meta Meta
-		Err  string
+		msg.Status
 	}
 
 	// StatReq returns a file's metadata without opening it.
@@ -453,7 +455,7 @@ type (
 	// StatResp carries the metadata.
 	StatResp struct {
 		Meta Meta
-		Err  string
+		msg.Status
 	}
 
 	// ParallelOpenReq groups the calling process (the job controller)
@@ -466,7 +468,7 @@ type (
 	ParallelOpenResp struct {
 		JobID uint64
 		Meta  Meta
-		Err   string
+		msg.Status
 	}
 
 	// ParallelReadReq transfers the next t blocks, one to each worker.
@@ -475,7 +477,7 @@ type (
 	ParallelReadResp struct {
 		Delivered int
 		EOF       bool
-		Err       string
+		msg.Status
 	}
 
 	// ParallelWriteReq appends t blocks, one received from each worker.
@@ -483,14 +485,14 @@ type (
 	// ParallelWriteResp acknowledges the round.
 	ParallelWriteResp struct {
 		Written int
-		Err     string
+		msg.Status
 	}
 
 	// CloseJobReq discards job state (the only stateful part of the
 	// interface, so jobs do get an explicit end).
 	CloseJobReq struct{ JobID uint64 }
 	// CloseJobResp acknowledges a CloseJobReq.
-	CloseJobResp struct{ Err string }
+	CloseJobResp struct{ msg.Status }
 
 	// ListReq asks for all file names in the Bridge directory (an
 	// extension beyond Table 1; every usable file system needs it).
@@ -498,7 +500,7 @@ type (
 	// ListResp returns the names, sorted.
 	ListResp struct {
 		Names []string
-		Err   string
+		msg.Status
 	}
 
 	// GetInfoReq asks for the cluster structure.
@@ -506,7 +508,7 @@ type (
 	// GetInfoResp returns it.
 	GetInfoResp struct {
 		Info Info
-		Err  string
+		msg.Status
 	}
 
 	// HealthReq asks for the server's view of every storage node (requires
@@ -515,7 +517,7 @@ type (
 	// HealthResp returns the node states in interleaving order.
 	HealthResp struct {
 		States []NodeHealth
-		Err    string
+		msg.Status
 	}
 
 	// RepairNodeReq re-registers, on storage node index Node, the LFS file
@@ -530,7 +532,7 @@ type (
 	// RepairNodeResp reports how many files were re-registered.
 	RepairNodeResp struct {
 		Files int
-		Err   string
+		msg.Status
 	}
 
 	// FsckReq runs the LFS-level consistency checker on storage node
@@ -546,7 +548,7 @@ type (
 	FsckResp struct {
 		Report efs.CheckReport
 		Fixes  int
-		Err    string
+		msg.Status
 	}
 
 	// ScrubReq runs a full checksum-verification sweep over every
@@ -555,7 +557,7 @@ type (
 	// ScrubResp returns the sweep report.
 	ScrubResp struct {
 		Report efs.ScrubReport
-		Err    string
+		msg.Status
 	}
 
 	// RecoveryReq fetches storage node index Node's boot recovery report:
@@ -565,7 +567,7 @@ type (
 	// RecoveryResp returns it.
 	RecoveryResp struct {
 		Report lfs.RecoveryReport
-		Err    string
+		msg.Status
 	}
 
 	// WorkerData is the one-way message a job read sends to a worker.
@@ -635,7 +637,7 @@ func WireSize(body any) int {
 	case ScatterResp:
 		n := 16
 		for i := range b.Results {
-			n += 8 + len(b.Results[i].Data) + len(b.Results[i].Err)
+			n += 8 + len(b.Results[i].Data) + len(b.Results[i].Detail())
 		}
 		return n
 	case WorkerData:

@@ -36,7 +36,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -866,7 +865,7 @@ func (s *Server) admit(p sim.Proc, req *msg.Message, op uint64) (reply any, done
 	}
 	if !ready {
 		g.rm.redirects.Add(1)
-		return respWithErr(req.Body, errString(s.notLeaderError())), true
+		return statusReply(req.Body, statusFor(s.notLeaderError())), true
 	}
 	if op != 0 {
 		if rec, hit := g.ops[opKey{Client: req.From, Op: op}]; hit {
@@ -883,38 +882,31 @@ func (s *Server) admit(p sim.Proc, req *msg.Message, op uint64) (reply any, done
 // bytes); mutations answer from the record without re-running.
 func (s *Server) heal(p sim.Proc, body any, rec *ropRec) any {
 	if rec.Kind == ropWBFail || rec.Kind == ropWBClear {
-		return respWithErr(body, rec.ErrS)
+		return statusReply(body, msg.Failed(codeDeferredWrite, rec.ErrS))
 	}
 	switch body.(type) {
 	case CreateReq:
-		return CreateResp{Meta: rec.meta(), Err: rec.ErrS}
-	case DeleteReq:
-		return DeleteResp{Err: rec.ErrS}
+		return CreateResp{Meta: rec.meta()}
 	case RenameReq:
-		return RenameResp{Meta: rec.meta(), Err: rec.ErrS}
+		return RenameResp{Meta: rec.meta()}
 	case ReleaseReq:
-		return ReleaseResp{Meta: rec.meta(), Err: rec.ErrS}
-	case SeqWriteReq:
-		return SeqWriteResp{Err: rec.ErrS}
-	case RandWriteReq:
-		return RandWriteResp{Err: rec.ErrS}
+		return ReleaseResp{Meta: rec.meta()}
 	case RandWriteNReq:
-		return RandWriteNResp{Written: rec.N, Err: rec.ErrS}
-	case FlushReq:
-		return FlushResp{Err: rec.ErrS}
+		return RandWriteNResp{Written: rec.N}
 	case SeqReadReq, SeqReadNReq:
 		ent, err := s.lookup(rec.Name)
 		if err != nil {
-			return respWithErr(body, err.Error())
+			return statusReply(body, statusFor(err))
 		}
 		if _, one := body.(SeqReadReq); one {
 			data, err := s.lfsRead(p, ent, rec.At)
-			return SeqReadResp{Data: data, Err: errString(err)}
+			return SeqReadResp{Data: data, Status: statusFor(err)}
 		}
 		blocks, err := s.lfsReadN(p, ent, rec.At, rec.N)
-		return SeqReadNResp{Blocks: blocks, EOF: rec.EOF, Err: errString(err)}
+		return SeqReadNResp{Blocks: blocks, EOF: rec.EOF, Status: statusFor(err)}
 	}
-	return respWithErr(body, rec.ErrS)
+	// Every other recorded operation answers with a bare success.
+	return statusReply(body, msg.Status{})
 }
 
 // ---- write-behind markers ----
@@ -948,7 +940,7 @@ func (s *Server) surfaceDeferred(p sim.Proc, name string, from msg.Addr, opID ui
 	if err := s.commit(p, clear); err != nil {
 		return err
 	}
-	return errors.New(text)
+	return deferredErr(text)
 }
 
 // drainWB is the write-behind barrier every handler runs before it reads
@@ -1226,63 +1218,64 @@ func (s *Server) wbRecoverSize(p sim.Proc, ent *dirent, low int64) (int64, error
 	return g, nil
 }
 
-// respWithErr builds the matching error reply for any request kind — the
-// not-leader redirect and op-table heals need one for every operation.
-func respWithErr(body any, e string) any {
+// statusReply builds the reply of a request's own kind that carries nothing
+// but a status — the not-leader redirect and op-table heals need one for
+// every operation.
+func statusReply(body any, st msg.Status) any {
 	switch body.(type) {
 	case CreateReq:
-		return CreateResp{Err: e}
+		return CreateResp{Status: st}
 	case DeleteReq:
-		return DeleteResp{Err: e}
+		return DeleteResp{Status: st}
 	case RenameReq:
-		return RenameResp{Err: e}
+		return RenameResp{Status: st}
 	case OpenReq:
-		return OpenResp{Err: e}
+		return OpenResp{Status: st}
 	case StatReq:
-		return StatResp{Err: e}
+		return StatResp{Status: st}
 	case FlushReq:
-		return FlushResp{Err: e}
+		return FlushResp{Status: st}
 	case ReleaseReq:
-		return ReleaseResp{Err: e}
+		return ReleaseResp{Status: st}
 	case SeqReadReq:
-		return SeqReadResp{Err: e}
+		return SeqReadResp{Status: st}
 	case SeqReadNReq:
-		return SeqReadNResp{Err: e}
+		return SeqReadNResp{Status: st}
 	case SeqWriteReq:
-		return SeqWriteResp{Err: e}
+		return SeqWriteResp{Status: st}
 	case RandReadReq:
-		return RandReadResp{Err: e}
+		return RandReadResp{Status: st}
 	case RandReadNReq:
-		return RandReadNResp{Err: e}
+		return RandReadNResp{Status: st}
 	case RandWriteReq:
-		return RandWriteResp{Err: e}
+		return RandWriteResp{Status: st}
 	case RandWriteNReq:
-		return RandWriteNResp{Err: e}
+		return RandWriteNResp{Status: st}
 	case ScatterReq:
-		return ScatterResp{Err: e}
+		return ScatterResp{Status: st}
 	case ParallelOpenReq:
-		return ParallelOpenResp{Err: e}
+		return ParallelOpenResp{Status: st}
 	case ParallelReadReq:
-		return ParallelReadResp{Err: e}
+		return ParallelReadResp{Status: st}
 	case ParallelWriteReq:
-		return ParallelWriteResp{Err: e}
+		return ParallelWriteResp{Status: st}
 	case CloseJobReq:
-		return CloseJobResp{Err: e}
+		return CloseJobResp{Status: st}
 	case ListReq:
-		return ListResp{Err: e}
+		return ListResp{Status: st}
 	case GetInfoReq:
-		return GetInfoResp{Err: e}
+		return GetInfoResp{Status: st}
 	case HealthReq:
-		return HealthResp{Err: e}
+		return HealthResp{Status: st}
 	case RepairNodeReq:
-		return RepairNodeResp{Err: e}
+		return RepairNodeResp{Status: st}
 	case FsckReq:
-		return FsckResp{Err: e}
+		return FsckResp{Status: st}
 	case ScrubReq:
-		return ScrubResp{Err: e}
+		return ScrubResp{Status: st}
 	case RecoveryReq:
-		return RecoveryResp{Err: e}
+		return RecoveryResp{Status: st}
 	default:
-		return CloseJobResp{Err: e}
+		return st
 	}
 }

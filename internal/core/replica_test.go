@@ -229,8 +229,8 @@ func TestReplicatedDedupAcrossFailover(t *testing.T) {
 			t.Fatalf("retransmit: %v", err)
 		}
 		resp := m.Body.(SeqWriteResp)
-		if resp.Err != "" {
-			t.Fatalf("retransmit answered %q", resp.Err)
+		if !resp.OK() {
+			t.Fatalf("retransmit answered %q", resp.Detail())
 		}
 		if meta, err := c.Stat("f"); err != nil || meta.Blocks != 4 {
 			t.Fatalf("Stat = %+v, %v; want 4 blocks (dedup failed)", meta, err)

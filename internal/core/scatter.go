@@ -150,7 +150,7 @@ func (s *Server) scatter(p sim.Proc, from msg.Addr, r ScatterReq) ([]ScatterResu
 		if results == nil {
 			results = make([]ScatterResult, n)
 		}
-		results[i] = ScatterResult{Data: c.data, Err: errString(c.err)}
+		results[i] = ScatterResult{Data: c.data, Status: statusFor(c.err)}
 		if c.err != nil {
 			s.curSpan.Annotate(fmt.Sprintf("item %d %s: %v", i, r.Items[i].Name, c.err))
 		}

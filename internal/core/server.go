@@ -324,7 +324,7 @@ func (s *Server) serve(p sim.Proc, req *msg.Message) {
 		})
 	}
 	if rec != nil {
-		s.curSpan.EndErr(p.Now(), respErr(body))
+		s.curSpan.EndErr(p.Now(), respStatus(body).Detail())
 		s.curSpan = obs.SpanRef{}
 		s.lc.SetTrace(0, 0)
 	}
@@ -389,7 +389,7 @@ func (s *Server) dispatch(p sim.Proc, req *msg.Message) any {
 	}
 	body := s.handle(p, req)
 	// Cache successes only: a failed attempt should be re-executable.
-	if respErr(body) == "" {
+	if respStatus(body).OK() {
 		if len(s.dedupQ) >= dedupCap {
 			delete(s.dedup, s.dedupQ[0])
 			s.dedupQ = s.dedupQ[1:]
@@ -407,81 +407,81 @@ func (s *Server) handle(p sim.Proc, req *msg.Message) any {
 	switch r := req.Body.(type) {
 	case CreateReq:
 		meta, err := s.create(p, from, r)
-		return CreateResp{Meta: meta, Err: errString(err)}
+		return CreateResp{Meta: meta, Status: statusFor(err)}
 	case DeleteReq:
 		_, freed, err := s.remove(p, from, r.Name, r.OpID, ropDelete)
-		return DeleteResp{Freed: freed, Err: errString(err)}
+		return DeleteResp{Freed: freed, Status: statusFor(err)}
 	case RenameReq:
 		meta, err := s.rename(p, from, r)
-		return RenameResp{Meta: meta, Err: errString(err)}
+		return RenameResp{Meta: meta, Status: statusFor(err)}
 	case OpenReq:
 		meta, err := s.open(p, from, r.Name, true)
-		return OpenResp{Meta: meta, Err: errString(err)}
+		return OpenResp{Meta: meta, Status: statusFor(err)}
 	case StatReq:
 		meta, err := s.open(p, from, r.Name, false)
-		return StatResp{Meta: meta, Err: errString(err)}
+		return StatResp{Meta: meta, Status: statusFor(err)}
 	case FlushReq:
 		flushed, err := s.flush(p, from, r)
-		return FlushResp{Flushed: flushed, Err: errString(err)}
+		return FlushResp{Flushed: flushed, Status: statusFor(err)}
 	case ReleaseReq:
 		meta, _, err := s.remove(p, from, r.Name, r.OpID, ropRelease)
-		return ReleaseResp{Meta: meta, Err: errString(err)}
+		return ReleaseResp{Meta: meta, Status: statusFor(err)}
 	case SeqReadReq:
 		blocks, eof, err := s.seqRead(p, from, r.Name, 1, r.OpID, true)
 		// The single-block protocol reports EOF only on a read past the
 		// end; the last block itself arrives with EOF false.
 		if len(blocks) == 0 {
-			return SeqReadResp{EOF: eof, Err: errString(err)}
+			return SeqReadResp{EOF: eof, Status: statusFor(err)}
 		}
 		return SeqReadResp{Data: blocks[0]}
 	case SeqReadNReq:
 		blocks, eof, err := s.seqRead(p, from, r.Name, r.Max, r.OpID, false)
-		return SeqReadNResp{Blocks: blocks, EOF: eof, Err: errString(err)}
+		return SeqReadNResp{Blocks: blocks, EOF: eof, Status: statusFor(err)}
 	case SeqWriteReq:
 		s.one[0] = r.Data
 		_, err := s.write(p, from, r.Name, -1, s.one[:], r.OpID, true)
-		return SeqWriteResp{Err: errString(err)}
+		return SeqWriteResp{Status: statusFor(err)}
 	case RandReadReq:
 		blocks, err := s.readAt(p, from, r.Name, r.BlockNum, 1, true)
 		if err != nil {
-			return RandReadResp{Err: err.Error()}
+			return RandReadResp{Status: statusFor(err)}
 		}
 		return RandReadResp{Data: blocks[0]}
 	case RandReadNReq:
 		blocks, err := s.readAt(p, from, r.Name, r.BlockNum, r.Count, false)
-		return RandReadNResp{Blocks: blocks, Err: errString(err)}
+		return RandReadNResp{Blocks: blocks, Status: statusFor(err)}
 	case RandWriteReq:
 		s.one[0] = r.Data
 		_, err := s.write(p, from, r.Name, r.BlockNum, s.one[:], r.OpID, true)
-		return RandWriteResp{Err: errString(err)}
+		return RandWriteResp{Status: statusFor(err)}
 	case RandWriteNReq:
 		written, err := s.write(p, from, r.Name, r.BlockNum, r.Blocks, r.OpID, false)
-		return RandWriteNResp{Written: written, Err: errString(err)}
+		return RandWriteNResp{Written: written, Status: statusFor(err)}
 	case ScatterReq:
 		results, err := s.scatter(p, from, r)
 		if results == nil && err == nil {
 			return scatterLanded
 		}
-		return ScatterResp{Results: results, Err: errString(err)}
+		return ScatterResp{Results: results, Status: statusFor(err)}
 	case ParallelOpenReq:
 		id, meta, err := s.parallelOpen(p, r)
-		return ParallelOpenResp{JobID: id, Meta: meta, Err: errString(err)}
+		return ParallelOpenResp{JobID: id, Meta: meta, Status: statusFor(err)}
 	case ParallelReadReq:
 		delivered, eof, err := s.parallelRead(p, r.JobID)
-		return ParallelReadResp{Delivered: delivered, EOF: eof, Err: errString(err)}
+		return ParallelReadResp{Delivered: delivered, EOF: eof, Status: statusFor(err)}
 	case ParallelWriteReq:
 		written, err := s.parallelWrite(p, r.JobID)
-		return ParallelWriteResp{Written: written, Err: errString(err)}
+		return ParallelWriteResp{Written: written, Status: statusFor(err)}
 	case CloseJobReq:
 		if j, ok := s.jobs[r.JobID]; ok {
 			j.port.Close()
 			delete(s.jobs, r.JobID)
 			return CloseJobResp{}
 		}
-		return CloseJobResp{Err: ErrNoJob.Error()}
+		return CloseJobResp{Status: statusFor(ErrNoJob)}
 	case ListReq:
 		if err := s.lease(p); err != nil {
-			return ListResp{Err: err.Error()}
+			return ListResp{Status: statusFor(err)}
 		}
 		return ListResp{Names: s.sortedNames()}
 	case GetInfoReq:
@@ -501,26 +501,20 @@ func (s *Server) handle(p sim.Proc, req *msg.Message) any {
 		return HealthResp{States: s.health.snapshot(s.nodes)}
 	case RepairNodeReq:
 		files, err := s.repairNode(p, from, r)
-		return RepairNodeResp{Files: files, Err: errString(err)}
+		return RepairNodeResp{Files: files, Status: statusFor(err)}
 	case FsckReq:
 		rep, fixes, err := s.fsck(p, from, r)
-		return FsckResp{Report: rep, Fixes: fixes, Err: errString(err)}
+		return FsckResp{Report: rep, Fixes: fixes, Status: statusFor(err)}
 	case ScrubReq:
 		rep, err := s.scrub(p, from, r.Node)
-		return ScrubResp{Report: rep, Err: errString(err)}
+		return ScrubResp{Report: rep, Status: statusFor(err)}
 	case RecoveryReq:
 		rep, err := s.recovery(p, r.Node)
-		return RecoveryResp{Report: rep, Err: errString(err)}
+		return RecoveryResp{Report: rep, Status: statusFor(err)}
 	default:
-		return CloseJobResp{Err: fmt.Sprintf("bridge: unknown request %T", req.Body)}
+		// A request of no known kind has no reply kind either: a bare status.
+		return statusFor(fmt.Errorf("%w: unknown request %T", ErrBadArg, req.Body))
 	}
-}
-
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
 }
 
 // lookup finds a file's directory entry.
@@ -646,8 +640,8 @@ func (s *Server) lfsCreate(p sim.Proc, nodes []msg.NodeID, fileID uint32, tree b
 		if err != nil {
 			return lfsErr(err)
 		}
-		if err := m.Body.(lfs.TreeResp).Status.Err(); err != nil && !(s.ranBefore(c, m) && errors.Is(err, efs.ErrExists)) {
-			return fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		if err := lfs.Err(m.Body.(lfs.TreeResp).Status); err != nil && !(s.ranBefore(c, m) && errors.Is(err, efs.ErrExists)) {
+			return fmt.Errorf("%w: %w", ErrLFSFailed, err)
 		}
 		return nil
 	}
@@ -656,9 +650,9 @@ func (s *Server) lfsCreate(p sim.Proc, nodes []msg.NodeID, fileID uint32, tree b
 		return err
 	}
 	for _, c := range calls {
-		err := c.reply.Body.(lfs.CreateResp).Status.Err()
+		err := lfs.Err(c.reply.Body.(lfs.CreateResp).Status)
 		if err != nil && !(s.ranBefore(c.lfsPend, c.reply) && errors.Is(err, efs.ErrExists)) {
-			return fmt.Errorf("%w: %v", ErrLFSFailed, err)
+			return fmt.Errorf("%w: %w", ErrLFSFailed, err)
 		}
 	}
 	return nil
@@ -711,9 +705,9 @@ func (s *Server) lfsDelete(p sim.Proc, meta Meta) (int, error) {
 		}
 		resp := c.reply.Body.(lfs.DeleteResp)
 		freed += resp.Freed
-		err := resp.Status.Err()
+		err := lfs.Err(resp.Status)
 		if err != nil && firstErr == nil && !(s.ranBefore(c.lfsPend, c.reply) && errors.Is(err, efs.ErrNotFound)) {
-			firstErr = fmt.Errorf("%w: %v", ErrLFSFailed, err)
+			firstErr = fmt.Errorf("%w: %w", ErrLFSFailed, err)
 		}
 	}
 	return freed, firstErr
@@ -787,8 +781,8 @@ func (s *Server) syncNodes(p sim.Proc, nodes []msg.NodeID) error {
 		return err
 	}
 	for _, c := range calls {
-		if err := c.reply.Body.(lfs.SyncResp).Status.Err(); err != nil {
-			return fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		if err := lfs.Err(c.reply.Body.(lfs.SyncResp).Status); err != nil {
+			return fmt.Errorf("%w: %w", ErrLFSFailed, err)
 		}
 	}
 	return nil
@@ -806,8 +800,8 @@ func (s *Server) lfsStat(p sim.Proc, ent *dirent, counts []int64) (int64, error)
 	var total int64
 	for i, c := range calls {
 		resp := c.reply.Body.(lfs.StatResp)
-		if err := resp.Status.Err(); err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		if err := lfs.Err(resp.Status); err != nil {
+			return 0, fmt.Errorf("%w: %w", ErrLFSFailed, err)
 		}
 		if counts != nil {
 			counts[i] = int64(resp.Info.Blocks)
@@ -901,17 +895,17 @@ func (s *Server) lfsReadFinish(p sim.Proc, ent *dirent, blockNum int64, c lfsPen
 		return BlockHeader{}, nil, lfsErr(err)
 	}
 	resp := m.Body.(lfs.ReadResp)
-	if err := resp.Status.Err(); err != nil {
+	if err := lfs.Err(resp.Status); err != nil {
 		if errors.Is(err, efs.ErrCorrupt) {
 			// Integrity failures name the exact node and block: for an
 			// unreplicated file this is the fail-fast diagnostic; for a
 			// replicated one the replica layer uses it to repair. The node
 			// is named by its cluster index — the space Fsck, Scrub, and
 			// RepairNode operate in.
-			return BlockHeader{}, nil, fmt.Errorf("%w: node %d lfs file %d local block %d (global block %d): %v",
+			return BlockHeader{}, nil, fmt.Errorf("%w: node %d lfs file %d local block %d (global block %d): %w",
 				ErrLFSFailed, s.nodeIndex(c.node), ent.meta.LFSFileID, c.body.(lfs.ReadReq).BlockNum, blockNum, err)
 		}
-		return BlockHeader{}, nil, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		return BlockHeader{}, nil, fmt.Errorf("%w: %w", ErrLFSFailed, err)
 	}
 	ent.hints[c.node] = resp.Addr
 	return DecodeBlock(resp.Data)
@@ -960,8 +954,8 @@ func (s *Server) lfsWriteFinish(p sim.Proc, ent *dirent, c lfsPend) error {
 		return lfsErr(err)
 	}
 	resp := m.Body.(lfs.WriteResp)
-	if err := resp.Status.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrLFSFailed, err)
+	if err := lfs.Err(resp.Status); err != nil {
+		return fmt.Errorf("%w: %w", ErrLFSFailed, err)
 	}
 	ent.hints[c.node] = resp.Addr
 	return nil
@@ -1035,8 +1029,8 @@ func (s *Server) repairNode(p sim.Proc, from msg.Addr, r RepairNodeReq) (int, er
 		if err != nil {
 			return repaired, lfsErr(err)
 		}
-		if err := m.Body.(lfs.CreateResp).Status.Err(); err != nil && !errors.Is(err, efs.ErrExists) {
-			return repaired, fmt.Errorf("%w: %v", ErrLFSFailed, err)
+		if err := lfs.Err(m.Body.(lfs.CreateResp).Status); err != nil && !errors.Is(err, efs.ErrExists) {
+			return repaired, fmt.Errorf("%w: %w", ErrLFSFailed, err)
 		}
 		// Any cached block-address hint for this node predates the crash.
 		delete(ent.hints, node)
@@ -1061,7 +1055,7 @@ func (s *Server) fsck(p sim.Proc, from msg.Addr, r FsckReq) (efs.CheckReport, in
 		return efs.CheckReport{}, 0, lfsErr(err)
 	}
 	resp := m.Body.(lfs.CheckResp)
-	return resp.Report, resp.Fixes, resp.Status.Err()
+	return resp.Report, resp.Fixes, lfs.Err(resp.Status)
 }
 
 // recovery fetches one storage node's boot recovery report.
@@ -1079,7 +1073,7 @@ func (s *Server) recovery(p sim.Proc, idx int) (lfs.RecoveryReport, error) {
 		return lfs.RecoveryReport{}, lfsErr(err)
 	}
 	resp := m.Body.(lfs.RecoveryResp)
-	return resp.Report, resp.Status.Err()
+	return resp.Report, lfs.Err(resp.Status)
 }
 
 // scrub runs a full checksum-verification sweep on one storage node.
@@ -1097,7 +1091,7 @@ func (s *Server) scrub(p sim.Proc, from msg.Addr, idx int) (efs.ScrubReport, err
 		return efs.ScrubReport{}, lfsErr(err)
 	}
 	resp := m.Body.(lfs.ScrubResp)
-	return resp.Report, resp.Status.Err()
+	return resp.Report, lfs.Err(resp.Status)
 }
 
 // parallelOpen groups the workers into a job on the file. Job cursors are

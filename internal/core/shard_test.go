@@ -156,8 +156,7 @@ func TestShardedBasicOps(t *testing.T) {
 
 // TestShardedCrossShardRename pins the cross-shard rename contract: a
 // rename whose names hash to different groups fails client-side with
-// ErrCrossShard, a same-shard rename succeeds, and the sentinel survives
-// a decodeErr round trip.
+// ErrCrossShard, and a same-shard rename succeeds.
 func TestShardedCrossShardRename(t *testing.T) {
 	const shards = 2
 	withCluster(t, shardCfg(4, shards), func(p sim.Proc, cl *Cluster, c *Client) {
@@ -183,13 +182,12 @@ func TestShardedCrossShardRename(t *testing.T) {
 	})
 }
 
-// TestErrCrossShardRoundTrip pins transport encoding: the sentinel's text
-// reconstructs the typed error through decodeErr, as every server reply
-// error must.
+// TestErrCrossShardRoundTrip pins transport encoding: the sentinel has a
+// code that rebuilds the typed error, as every server reply error must.
 func TestErrCrossShardRoundTrip(t *testing.T) {
-	wire := fmt.Sprintf("%v: %q (shard 1) -> %q (shard 0)", ErrCrossShard, "a", "b")
-	if err := decodeErr(wire); !errors.Is(err, ErrCrossShard) {
-		t.Fatalf("decodeErr(%q) = %v, want ErrCrossShard", wire, err)
+	wire := statusFor(fmt.Errorf("%w: %q (shard 1) -> %q (shard 0)", ErrCrossShard, "a", "b"))
+	if err := statusErr(wire); !errors.Is(err, ErrCrossShard) {
+		t.Fatalf("statusErr(code %d, %q) = %v, want ErrCrossShard", wire.Code(), wire.Detail(), err)
 	}
 }
 
@@ -260,8 +258,8 @@ func TestShardedLeaderKillIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("retransmit: %v", err)
 		}
-		if resp := m.Body.(SeqWriteResp); resp.Err != "" {
-			t.Fatalf("retransmit answered %q", resp.Err)
+		if resp := m.Body.(SeqWriteResp); !resp.OK() {
+			t.Fatalf("retransmit answered %q", resp.Detail())
 		}
 		if meta, err := c.Stat(f0); err != nil || meta.Blocks != 2 {
 			t.Fatalf("Stat(%s) = %+v, %v; want 2 blocks (dedup failed)", f0, meta, err)

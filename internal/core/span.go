@@ -64,80 +64,6 @@ func opName(body any) string {
 	}
 }
 
-// respErr returns the transported error string of any reply kind: what
-// closes a span, decides whether a reply is cacheable, and tells the client
-// a redirect from an answer.
-func respErr(body any) string {
-	switch b := body.(type) {
-	case CreateResp:
-		return b.Err
-	case DeleteResp:
-		return b.Err
-	case RenameResp:
-		return b.Err
-	case OpenResp:
-		return b.Err
-	case StatResp:
-		return b.Err
-	case FlushResp:
-		return b.Err
-	case ReleaseResp:
-		return b.Err
-	case SeqReadResp:
-		return b.Err
-	case SeqReadNResp:
-		return b.Err
-	case SeqWriteResp:
-		return b.Err
-	case RandReadResp:
-		return b.Err
-	case RandReadNResp:
-		return b.Err
-	case RandWriteResp:
-		return b.Err
-	case RandWriteNResp:
-		return b.Err
-	case ScatterResp:
-		// The request's own failure, or else its first failed item's: a
-		// partly failed scatter is not a cacheable success, closes its
-		// spans with that error, and redirects like any other reply when
-		// the item failed for want of leadership.
-		if b.Err != "" {
-			return b.Err
-		}
-		for i := range b.Results {
-			if b.Results[i].Err != "" {
-				return b.Results[i].Err
-			}
-		}
-		return ""
-	case ParallelOpenResp:
-		return b.Err
-	case ParallelReadResp:
-		return b.Err
-	case ParallelWriteResp:
-		return b.Err
-	case CloseJobResp:
-		return b.Err
-	case ListResp:
-		return b.Err
-	case GetInfoResp:
-		return b.Err
-	case HealthResp:
-		return b.Err
-	case RepairNodeResp:
-		return b.Err
-	case FsckResp:
-		return b.Err
-	case ScrubResp:
-		return b.Err
-	case RecoveryResp:
-		return b.Err
-	default:
-		return ""
-	}
-}
-
 // srvMetrics are the server's typed metric handles, registered once at
 // StartServer on the network's shared registry (so the servers of a
 // distributed cluster aggregate into the same metrics).

@@ -482,6 +482,63 @@ func TestAppendCostTwoAccessesSteadyState(t *testing.T) {
 	})
 }
 
+// failWrite is a disk.FaultHook that fails every write to one block.
+type failWrite struct{ bn int }
+
+func (f failWrite) BeforeOp(_ time.Duration, _ string, op disk.Op, bn int) (time.Duration, error) {
+	if op == disk.OpWrite && bn == f.bn {
+		return 0, errors.New("injected write failure")
+	}
+	return 0, nil
+}
+
+// An append whose last step fails — the rewrite of the old tail's next
+// pointer, after the new blocks are down — takes its allocation back: the
+// file, the free count and fsck are as they were. A single-block WriteBlock
+// append is a run of one and undoes itself like any other run.
+func TestFailedTailFixLeaksNothing(t *testing.T) {
+	appends := []struct {
+		name string
+		do   func(p sim.Proc, fs *FS) error
+	}{
+		{"WriteBlock", func(p sim.Proc, fs *FS) error {
+			_, err := fs.WriteBlock(p, 1, 3, fill(9, 8), -1)
+			return err
+		}},
+		{"AppendRun", func(p sim.Proc, fs *FS) error {
+			_, err := fs.AppendRun(p, 1, 3, [][]byte{fill(9, 8), fill(9, 8)})
+			return err
+		}},
+	}
+	for _, a := range appends {
+		name, appendTo := a.name, a.do
+		d := fastDisk(256)
+		run(t, func(p sim.Proc) {
+			fs, _ := Format(p, d, Options{})
+			fs.Create(p, 1)
+			for i := 0; i < 3; i++ {
+				fs.WriteBlock(p, 1, uint32(i), fill(1, 8), -1)
+			}
+			info, _ := fs.Stat(p, 1)
+			free := fs.FreeBlocks()
+			d.SetFault(failWrite{bn: int(info.Last)}, "d")
+			if err := appendTo(p, fs); err == nil {
+				t.Errorf("%s: append with an unwritable tail succeeded", name)
+			}
+			d.SetFault(nil, "")
+			if got := fs.FreeBlocks(); got != free {
+				t.Errorf("%s: FreeBlocks %d -> %d after a failed append", name, free, got)
+			}
+			if after, _ := fs.Stat(p, 1); after != info {
+				t.Errorf("%s: file changed: %+v -> %+v", name, info, after)
+			}
+			if rep, err := fs.Check(p); err != nil || !rep.OK() {
+				t.Errorf("%s: fsck after a failed append: %v %v", name, err, rep.Problems)
+			}
+		})
+	}
+}
+
 func TestStatReflectsChain(t *testing.T) {
 	d := fastDisk(256)
 	run(t, func(p sim.Proc) {

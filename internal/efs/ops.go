@@ -89,7 +89,9 @@ func (fs *FS) WriteBlock(p sim.Proc, fileID, blockNum uint32, data []byte, hint 
 	var addr int32
 	switch {
 	case blockNum == uint32(e.Blocks):
-		addr, err = fs.appendBlock(p, bb, e, fileID, data)
+		var one [1]int32
+		err = fs.appendRun(p, bb, e, fileID, [][]byte{data}, one[:])
+		addr = one[0]
 	case blockNum < uint32(e.Blocks):
 		addr, err = fs.overwriteBlock(p, e, fileID, blockNum, data, hint)
 	default:
@@ -104,96 +106,14 @@ func (fs *FS) WriteBlock(p sim.Proc, fileID, blockNum uint32, data []byte, hint 
 	return addr, nil
 }
 
-// appendBlock allocates and writes a new tail block, then rewrites the old
-// tail's next pointer (two device accesses in steady state — the dominant
-// cost of the paper's 31 ms sequential write).
-func (fs *FS) appendBlock(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32, data []byte) (int32, error) {
-	near := nilAddr
-	if e.Last != nilAddr {
-		near = e.Last + 1
-	}
-	addr := fs.allocBlock(near)
-	if addr == nilAddr {
-		return nilAddr, ErrNoSpace
-	}
-	if fs.jnl != nil && fs.jnl.logged[addr] {
-		// The freed-and-reused address still has a live intent record from
-		// an earlier commit. The new block goes down write-through, outside
-		// the journal, so a crash now would let replay clobber it with the
-		// stale record. Checkpoint first to retire the old records.
-		if err := fs.checkpoint(p); err != nil {
-			fs.freeBlock(addr)
-			return nilAddr, err
-		}
-	}
-	blockNum := uint32(e.Blocks)
-	h := blockHeader{
-		FileID:   fileID,
-		BlockNum: blockNum,
-		Next:     addr, // circular: a single block points at itself
-		Prev:     addr,
-		DataLen:  uint16(len(data)),
-		Flags:    flagUsed,
-	}
-	if e.Blocks > 0 {
-		h.Next = e.First // tail wraps to head
-		h.Prev = e.Last
-	}
-	buf := make([]byte, BlockSize)
-	encodeHeader(buf, h)
-	copy(buf[HeaderBytes:], data)
-	if err := fs.writeThrough(p, addr, buf); err != nil {
-		fs.freeBlock(addr)
-		return nilAddr, err
-	}
-	if e.Blocks > 0 {
-		// Update the old tail's next pointer, write-through.
-		old, err := fs.readCached(p, e.Last)
-		if err != nil {
-			return nilAddr, err
-		}
-		if err := verifyData(e.Last, old); err != nil {
-			fs.invalidate(e.Last)
-			return nilAddr, fmt.Errorf("tail of file %d: %w", fileID, err)
-		}
-		oh := decodeHeader(old)
-		if oh.FileID != fileID || oh.Flags&flagUsed == 0 {
-			return nilAddr, fmt.Errorf("%w: tail of file %d at %d is not its block", ErrCorrupt, fileID, e.Last)
-		}
-		oh.Next = addr
-		encodeHeader(old, oh)
-		if fs.jnl != nil {
-			// The old tail is committed state: rewriting it in place could
-			// tear under a crash, so the update is journaled as a link fix
-			// and only applied once the intent record is durable.
-			fs.deferFix(e.Last, old)
-		} else if err := fs.writeThrough(p, e.Last, old); err != nil {
-			return nilAddr, err
-		}
-	} else {
-		e.First = addr
-	}
-	e.Last = addr
-	e.Blocks++
-	bb.dirty = true
-	return addr, nil
-}
-
 // AppendRun appends a run of blocks in one operation: the whole run is
 // allocated up front (near-chained for locality), every new block is written
 // once with its final links already in place, and the old tail's next
 // pointer is fixed exactly once for the entire run — one device access per
-// block plus one tail fix, instead of the two accesses per block the
-// per-block append path pays. startBlock must equal the file's current size
-// (the caller's view of the append point; a stale view gets ErrNotAppend so
-// the caller can fall back to the per-block path).
-//
-// The run is atomic: the old tail's pointer is rewritten only after every
-// new block is durably down, so a failure mid-run frees the whole
-// allocation and leaves the file exactly as it was — the written blocks are
-// unreachable and their bitmap bits are cleared, the same freed-but-flagged
-// state a fast delete leaves, which the bitmap-authoritative liveData guard
-// and Fsck already tolerate.
+// block plus one tail fix, instead of the two accesses per block that
+// appending the blocks one at a time pays. startBlock must equal the file's
+// current size (the caller's view of the append point; a stale view gets
+// ErrNotAppend so the caller can fall back to the per-block path).
 func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, datas [][]byte) ([]int32, error) {
 	if len(datas) == 0 {
 		return nil, nil
@@ -211,8 +131,39 @@ func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, datas [][]byte) (
 	if startBlock != uint32(e.Blocks) {
 		return nil, fmt.Errorf("%w: run at block %d of file %d (size %d)", ErrNotAppend, startBlock, fileID, e.Blocks)
 	}
-	// Allocate the whole run first so a full volume fails before any write.
 	addrs := make([]int32, len(datas))
+	if err := fs.appendRun(p, bb, e, fileID, datas, addrs); err != nil {
+		return nil, err
+	}
+	if err := fs.maybeCommit(p); err != nil {
+		return addrs, err
+	}
+	return addrs, nil
+}
+
+// appendRun is the one append: WriteBlock's append case is a run of one
+// (two device accesses in steady state, the new block and the old tail's
+// pointer — the dominant cost of the paper's 31 ms sequential write). It
+// appends datas at the file's tail and fills addrs, the caller's scratch of
+// the same length, with the new blocks' addresses.
+//
+// The run is atomic: the old tail's pointer is rewritten only after every
+// new block is durably down, so a failure mid-run frees the whole
+// allocation and leaves the file exactly as it was — the written blocks are
+// unreachable and their bitmap bits are cleared, the same freed-but-flagged
+// state a fast delete leaves, which the bitmap-authoritative liveData guard
+// and Fsck already tolerate.
+func (fs *FS) appendRun(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32, datas [][]byte, addrs []int32) error {
+	// undo frees the first n allocations; nothing links to the run yet, so
+	// that restores the file exactly.
+	undo := func(n int, err error) error {
+		for _, a := range addrs[:n] {
+			fs.invalidate(a)
+			fs.freeBlock(a)
+		}
+		return err
+	}
+	// Allocate the whole run first so a full volume fails before any write.
 	near := nilAddr
 	if e.Last != nilAddr {
 		near = e.Last + 1
@@ -220,28 +171,26 @@ func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, datas [][]byte) (
 	for j := range addrs {
 		addrs[j] = fs.allocBlock(near)
 		if addrs[j] == nilAddr {
-			for _, a := range addrs[:j] {
-				fs.freeBlock(a)
-			}
-			return nil, ErrNoSpace
+			return undo(j, ErrNoSpace)
 		}
 		near = addrs[j] + 1
 	}
 	if fs.jnl != nil {
 		for _, a := range addrs {
 			if fs.jnl.logged[a] {
-				// A reused address still has a live intent record; retire the
-				// old records before writing through it (see appendBlock).
+				// The freed-and-reused address still has a live intent record
+				// from an earlier commit. The new block goes down
+				// write-through, outside the journal, so a crash now would
+				// let replay clobber it with the stale record. Checkpoint
+				// first to retire the old records.
 				if err := fs.checkpoint(p); err != nil {
-					for _, a := range addrs {
-						fs.freeBlock(a)
-					}
-					return nil, err
+					return undo(len(addrs), err)
 				}
 				break
 			}
 		}
 	}
+	startBlock := uint32(e.Blocks)
 	head := e.First
 	if e.Blocks == 0 {
 		head = addrs[0]
@@ -250,7 +199,7 @@ func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, datas [][]byte) (
 		h := blockHeader{
 			FileID:   fileID,
 			BlockNum: startBlock + uint32(j),
-			Next:     head, // tail wraps to head
+			Next:     head, // tail wraps to head (a single block points at itself)
 			Prev:     addrs[j],
 			DataLen:  uint16(len(data)),
 			Flags:    flagUsed,
@@ -267,13 +216,7 @@ func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, datas [][]byte) (
 		encodeHeader(buf, h)
 		copy(buf[HeaderBytes:], data)
 		if err := fs.writeThrough(p, addrs[j], buf); err != nil {
-			// Nothing links to the run yet: freeing every allocation (written
-			// blocks included) restores the file exactly.
-			for _, a := range addrs {
-				fs.invalidate(a)
-				fs.freeBlock(a)
-			}
-			return nil, err
+			return undo(len(addrs), err)
 		}
 	}
 	if e.Blocks > 0 {
@@ -284,30 +227,21 @@ func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, datas [][]byte) (
 		}
 		if err != nil {
 			fs.invalidate(e.Last)
-			for _, a := range addrs {
-				fs.invalidate(a)
-				fs.freeBlock(a)
-			}
-			return nil, fmt.Errorf("tail of file %d: %w", fileID, err)
+			return undo(len(addrs), fmt.Errorf("tail of file %d: %w", fileID, err))
 		}
 		oh := decodeHeader(old)
 		if oh.FileID != fileID || oh.Flags&flagUsed == 0 {
-			for _, a := range addrs {
-				fs.invalidate(a)
-				fs.freeBlock(a)
-			}
-			return nil, fmt.Errorf("%w: tail of file %d at %d is not its block", ErrCorrupt, fileID, e.Last)
+			return undo(len(addrs), fmt.Errorf("%w: tail of file %d at %d is not its block", ErrCorrupt, fileID, e.Last))
 		}
 		oh.Next = addrs[0]
 		encodeHeader(old, oh)
 		if fs.jnl != nil {
+			// The old tail is committed state: rewriting it in place could
+			// tear under a crash, so the update is journaled as a link fix
+			// and only applied once the intent record is durable.
 			fs.deferFix(e.Last, old)
 		} else if err := fs.writeThrough(p, e.Last, old); err != nil {
-			for _, a := range addrs {
-				fs.invalidate(a)
-				fs.freeBlock(a)
-			}
-			return nil, err
+			return undo(len(addrs), err)
 		}
 	} else {
 		e.First = addrs[0]
@@ -315,10 +249,7 @@ func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, datas [][]byte) (
 	e.Last = addrs[len(addrs)-1]
 	e.Blocks += int32(len(datas))
 	bb.dirty = true
-	if err := fs.maybeCommit(p); err != nil {
-		return addrs, err
-	}
-	return addrs, nil
+	return nil
 }
 
 // overwriteBlock rewrites an existing block's data in place, preserving its

@@ -31,7 +31,7 @@ type (
 		Fn   WorkerFunc
 	}
 	// SpawnResp acknowledges that the worker has been started.
-	SpawnResp struct{ Status Status }
+	SpawnResp struct{ msg.Status }
 
 	// TreeReq broadcasts an LFS operation to Targets through an embedded
 	// binary tree: the receiving agent is Targets[0]; it forwards the
@@ -44,7 +44,7 @@ type (
 	}
 	// TreeResp reports subtree completion; Status carries the first
 	// error encountered in the subtree.
-	TreeResp struct{ Status Status }
+	TreeResp struct{ msg.Status }
 )
 
 type agent struct {
@@ -84,14 +84,14 @@ func (a *agent) run(p sim.Proc) {
 			st := a.tree(p, c, r)
 			_ = c.Reply(req, TreeResp{Status: st}, 8)
 		default:
-			_ = c.Reply(req, TreeResp{Status: Status{Code: CodeIO, Detail: "agent: unknown request"}}, 8)
+			_ = c.Reply(req, msg.Failed(CodeIO, "agent: unknown request"), 8)
 		}
 	}
 }
 
 // tree performs the local op and forwards to the two child subtrees,
 // overlapping all three.
-func (a *agent) tree(p sim.Proc, c *msg.Client, r TreeReq) Status {
+func (a *agent) tree(p sim.Proc, c *msg.Client, r TreeReq) msg.Status {
 	rest := r.Targets
 	if len(rest) > 0 && rest[0] == a.node {
 		rest = rest[1:]
@@ -105,64 +105,44 @@ func (a *agent) tree(p sim.Proc, c *msg.Client, r TreeReq) Status {
 		id, err := c.Start(msg.Addr{Node: half[0], Port: AgentPortName},
 			TreeReq{Targets: half, Op: r.Op, OpSize: r.OpSize}, r.OpSize+16)
 		if err != nil {
-			return statusFor(err)
+			return StatusFor(err)
 		}
 		ids = append(ids, id)
 	}
 	// Local delivery to this node's LFS.
 	localID, err := c.Start(lfsAddr(a.node), r.Op, r.OpSize)
 	if err != nil {
-		return statusFor(err)
+		return StatusFor(err)
 	}
-	st := Status{}
-	if m, err := c.Await(localID); err != nil {
-		st = statusFor(err)
-	} else if s := statusOf(m.Body); s.Code != CodeOK && st.Code == CodeOK {
-		st = s
-	}
+	// The subtree's first failure, this node's own before its children's.
+	st := awaitStatus(c, localID)
 	for _, id := range ids {
-		m, err := c.Await(id)
-		if err != nil {
-			if st.Code == CodeOK {
-				st = statusFor(err)
-			}
-			continue
-		}
-		if s := m.Body.(TreeResp).Status; s.Code != CodeOK && st.Code == CodeOK {
+		if s := awaitStatus(c, id); st.OK() {
 			st = s
 		}
 	}
 	return st
 }
 
-// statusOf extracts the Status from any LFS reply body.
-func statusOf(body any) Status {
-	switch b := body.(type) {
-	case CreateResp:
-		return b.Status
-	case DeleteResp:
-		return b.Status
-	case ReadResp:
-		return b.Status
-	case WriteResp:
-		return b.Status
-	case StatResp:
-		return b.Status
-	case SyncResp:
-		return b.Status
-	default:
-		return Status{Code: CodeIO, Detail: "agent: unknown reply"}
+// awaitStatus collects a started call's outcome: the status its reply
+// embeds, whatever the reply's kind, or the failure to get one.
+func awaitStatus(c *msg.Client, id uint64) msg.Status {
+	m, err := c.Await(id)
+	if err != nil {
+		return StatusFor(err)
 	}
+	st, ok := msg.StatusOf(m.Body)
+	if !ok {
+		return msg.Failed(CodeIO, "agent: unknown reply")
+	}
+	return st
 }
 
 // Spawn asks the agent on node to start a worker; it returns once the
 // worker process has been created.
 func Spawn(c *msg.Client, node msg.NodeID, name string, fn WorkerFunc) error {
-	m, err := c.Call(msg.Addr{Node: node, Port: AgentPortName}, SpawnReq{Name: name, Fn: fn}, 64)
-	if err != nil {
-		return err
-	}
-	return m.Body.(SpawnResp).Status.Err()
+	_, err := reply[SpawnResp](c.Call(msg.Addr{Node: node, Port: AgentPortName}, SpawnReq{Name: name, Fn: fn}, 64))
+	return err
 }
 
 // SpawnAll starts a worker on every listed node, overlapping the spawns,
@@ -181,7 +161,7 @@ func SpawnAll(c *msg.Client, nodes []msg.NodeID, name string, fn WorkerFunc) err
 		return err
 	}
 	for _, m := range ms {
-		if err := m.Body.(SpawnResp).Status.Err(); err != nil {
+		if _, err := reply[SpawnResp](m, nil); err != nil {
 			return err
 		}
 	}

@@ -64,12 +64,12 @@ func (cc *chaosClient) call(body any) (any, bool) {
 
 func (cc *chaosClient) create(fileID uint32) bool {
 	b, ok := cc.call(CreateReq{FileID: fileID})
-	return ok && b.(CreateResp).Status.Err() == nil
+	return ok && Err(b.(CreateResp).Status) == nil
 }
 
 func (cc *chaosClient) write(fileID, bn uint32, data []byte) bool {
 	b, ok := cc.call(WriteReq{FileID: fileID, BlockNum: bn, Data: data, Hint: -1})
-	return ok && b.(WriteResp).Status.Err() == nil
+	return ok && Err(b.(WriteResp).Status) == nil
 }
 
 func (cc *chaosClient) read(fileID, bn uint32) ([]byte, bool) {
@@ -78,7 +78,7 @@ func (cc *chaosClient) read(fileID, bn uint32) ([]byte, bool) {
 		return nil, false
 	}
 	r := b.(ReadResp)
-	if r.Status.Err() != nil {
+	if Err(r.Status) != nil {
 		return nil, false
 	}
 	return r.Data, true
@@ -86,7 +86,7 @@ func (cc *chaosClient) read(fileID, bn uint32) ([]byte, bool) {
 
 func (cc *chaosClient) sync() bool {
 	b, ok := cc.call(SyncReq{})
-	return ok && b.(SyncResp).Status.Err() == nil
+	return ok && Err(b.(SyncResp).Status) == nil
 }
 
 func (cc *chaosClient) recovery() (RecoveryReport, bool) {
@@ -95,7 +95,7 @@ func (cc *chaosClient) recovery() (RecoveryReport, bool) {
 		return RecoveryReport{}, false
 	}
 	r := b.(RecoveryResp)
-	if r.Status.Err() != nil {
+	if Err(r.Status) != nil {
 		return RecoveryReport{}, false
 	}
 	return r.Report, true

@@ -23,7 +23,7 @@ func TestWriteDedupKindMismatch(t *testing.T) {
 		addr := nodes[0].Addr()
 
 		m, err := mc.Call(addr, CreateReq{FileID: 7}, WireSize(CreateReq{FileID: 7}))
-		if err != nil || m.Body.(CreateResp).Status.Err() != nil {
+		if err != nil || Err(m.Body.(CreateResp).Status) != nil {
 			t.Errorf("Create: %v / %v", err, m)
 			return
 		}
@@ -34,7 +34,7 @@ func TestWriteDedupKindMismatch(t *testing.T) {
 			t.Errorf("WriteVec: %v", err)
 			return
 		}
-		if vr := m.Body.(WriteVecResp); vr.Status.Err() != nil || vr.Blocks[0].Status.Err() != nil {
+		if vr := m.Body.(WriteVecResp); Err(vr.Status) != nil || Err(vr.Blocks[0].Status) != nil {
 			t.Errorf("WriteVec status: %+v", vr)
 			return
 		}
@@ -51,14 +51,14 @@ func TestWriteDedupKindMismatch(t *testing.T) {
 			t.Errorf("scalar write on vec-cached op replied %T, want WriteResp", m.Body)
 			return
 		}
-		if wr.Status.Err() != nil {
-			t.Errorf("scalar write status: %v", wr.Status.Err())
+		if Err(wr.Status) != nil {
+			t.Errorf("scalar write status: %v", Err(wr.Status))
 			return
 		}
 		// And the converse: a vectored write reusing a scalar-cached op.
 		wreq = WriteReq{FileID: 7, BlockNum: 2, Data: []byte("scalar-2"), Hint: -1, OpID: 2}
 		m, err = mc.Call(addr, wreq, WireSize(wreq))
-		if err != nil || m.Body.(WriteResp).Status.Err() != nil {
+		if err != nil || Err(m.Body.(WriteResp).Status) != nil {
 			t.Errorf("Write op 2: %v / %v", err, m)
 			return
 		}
@@ -73,7 +73,7 @@ func TestWriteDedupKindMismatch(t *testing.T) {
 			t.Errorf("vec write on scalar-cached op replied %T, want WriteVecResp", m.Body)
 			return
 		}
-		if vr.Status.Err() != nil || vr.Blocks[0].Status.Err() != nil {
+		if Err(vr.Status) != nil || Err(vr.Blocks[0].Status) != nil {
 			t.Errorf("vec write op 2 status: %+v", vr)
 			return
 		}
@@ -87,8 +87,8 @@ func TestWriteDedupKindMismatch(t *testing.T) {
 				return
 			}
 			rr := m.Body.(ReadResp)
-			if rr.Status.Err() != nil || !bytes.Equal(rr.Data, w) {
-				t.Errorf("block %d = %q (%v), want %q", bn, rr.Data, rr.Status.Err(), w)
+			if Err(rr.Status) != nil || !bytes.Equal(rr.Data, w) {
+				t.Errorf("block %d = %q (%v), want %q", bn, rr.Data, Err(rr.Status), w)
 			}
 		}
 	})

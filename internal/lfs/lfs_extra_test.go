@@ -1,6 +1,8 @@
 package lfs
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -54,14 +56,15 @@ func TestUnknownLFSRequest(t *testing.T) {
 		defer stopAll(nodes)
 		c := NewClient(p, net, 0, "cli")
 		type junk struct{}
-		m, err := c.C.Call(lfsAddr(nodes[0].ID), junk{}, 8)
-		if err != nil {
-			t.Errorf("Call: %v", err)
-			return
+		// The reply has no kind the caller could have expected; whatever
+		// kind it does expect, it gets the failure as an error, not a panic.
+		_, err := reply[CreateResp](c.C.Call(lfsAddr(nodes[0].ID), junk{}, 8))
+		if err == nil || !strings.Contains(err.Error(), "lfs: unknown request") {
+			t.Errorf("unknown request = %v, want the server's failure", err)
 		}
-		resp, ok := m.Body.(SyncResp)
-		if !ok || resp.Status.Code != CodeIO {
-			t.Errorf("unknown request reply = %+v", m.Body)
+		_, err = reply[TreeResp](c.C.Call(nodes[0].AgentAddr(), junk{}, 8))
+		if err == nil || !strings.Contains(err.Error(), "agent: unknown request") {
+			t.Errorf("unknown agent request = %v, want the agent's failure", err)
 		}
 		// Server still alive.
 		if err := c.Create(nodes[0].ID, 5); err != nil {
@@ -78,18 +81,29 @@ func TestStatusErrRoundTrip(t *testing.T) {
 		efs.ErrNotFound, efs.ErrExists, efs.ErrNoSpace, efs.ErrBadBlockNum,
 		efs.ErrNotAppend, efs.ErrTooLarge, efs.ErrCorrupt,
 	} {
-		st := statusFor(base)
-		back := st.Err()
-		if back == nil || !strings.Contains(back.Error(), base.Error()) {
+		st := StatusFor(fmt.Errorf("file 7: %w", base))
+		back := Err(st)
+		if !errors.Is(back, base) || !strings.Contains(back.Error(), "file 7") {
 			t.Errorf("round trip of %v = %v", base, back)
 		}
+		for _, other := range classes[CodeNotFound:] {
+			if other != base && errors.Is(back, other) {
+				t.Errorf("round trip of %v is also %v", base, other)
+			}
+		}
 	}
-	if statusFor(nil).Err() != nil {
+	if Err(StatusFor(nil)) != nil {
 		t.Error("nil error did not round trip to nil")
 	}
+	// An error of no EFS class keeps its text, and so does an unknown code.
+	for _, st := range []msg.Status{StatusFor(errors.New("disk on fire")), msg.Failed(200, "disk on fire")} {
+		if back := Err(st); back == nil || !strings.Contains(back.Error(), "disk on fire") {
+			t.Errorf("Err(%+v) = %v", st.Fail, back)
+		}
+	}
 	// Detail prefix deduplication.
-	st := Status{Code: CodeNotFound, Detail: efs.ErrNotFound.Error() + ": file 7"}
-	if got := st.Err().Error(); strings.Count(got, "efs: file not found") != 1 {
+	st := msg.Failed(CodeNotFound, efs.ErrNotFound.Error()+": file 7")
+	if got := Err(st).Error(); strings.Count(got, "efs: file not found") != 1 {
 		t.Errorf("duplicated prefix: %q", got)
 	}
 }

@@ -169,12 +169,9 @@ func TestAgentSpawnWorker(t *testing.T) {
 // the embedded binary tree rooted at nodes[0], returning the first error: the
 // Bridge Server's tree initiation (core.Server.lfsCreate) without its timeout.
 func treeBroadcast(c *msg.Client, nodes []msg.NodeID, op any, opSize int) error {
-	m, err := c.Call(msg.Addr{Node: nodes[0], Port: AgentPortName},
-		TreeReq{Targets: nodes, Op: op, OpSize: opSize}, opSize+16)
-	if err != nil {
-		return err
-	}
-	return m.Body.(TreeResp).Status.Err()
+	_, err := reply[TreeResp](c.Call(msg.Addr{Node: nodes[0], Port: AgentPortName},
+		TreeReq{Targets: nodes, Op: op, OpSize: opSize}, opSize+16))
+	return err
 }
 
 func TestTreeBroadcastCreatesEverywhere(t *testing.T) {
@@ -218,6 +215,13 @@ func TestTreeBroadcastPropagatesErrors(t *testing.T) {
 		err := treeBroadcast(c, ids, CreateReq{FileID: 5}, 8)
 		if !errors.Is(err, efs.ErrExists) {
 			t.Errorf("tree create = %v, want ErrExists from node 3", err)
+		}
+		// Any operation may ride the tree, and its failure keeps the class
+		// the node gave it: these volumes are unjournaled, so none has a
+		// recovery report.
+		err = treeBroadcast(c, ids, RecoveryReq{}, 8)
+		if !errors.Is(err, efs.ErrNotFound) {
+			t.Errorf("tree recovery = %v, want the nodes' own ErrNotFound", err)
 		}
 	})
 	if err := rt.Wait(); err != nil {

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"bridge/internal/efs"
+	"bridge/internal/msg"
 )
 
 // PortName is the LFS server port on every storage node.
@@ -25,69 +26,60 @@ const AgentPortName = "agent"
 // may create node-local scratch files with ids at or above this base.
 const ScratchBase uint32 = 1 << 30
 
-// ErrCode is a transportable error class; it survives the trip through a
-// message where a Go error value would not (on a real network).
-type ErrCode uint8
-
+// The LFS protocol's failure classes: what the msg.Status embedded in every
+// LFS and agent reply (and every per-block result of a vectored one) holds
+// when the operation failed. A code survives the trip through a message
+// where a Go error value would not (on a real network).
 const (
-	CodeOK ErrCode = iota
-	CodeNotFound
+	CodeNotFound msg.Code = iota + 1
 	CodeExists
 	CodeNoSpace
 	CodeBadBlockNum
 	CodeNotAppend
 	CodeTooLarge
 	CodeCorrupt
-	CodeIO
+	CodeIO // anything else: no class, only its text
 )
 
-// codeFor classifies an EFS error for transport.
-func codeFor(err error) ErrCode {
-	switch {
-	case err == nil:
-		return CodeOK
-	case errors.Is(err, efs.ErrNotFound):
-		return CodeNotFound
-	case errors.Is(err, efs.ErrExists):
-		return CodeExists
-	case errors.Is(err, efs.ErrNoSpace):
-		return CodeNoSpace
-	case errors.Is(err, efs.ErrBadBlockNum):
-		return CodeBadBlockNum
-	case errors.Is(err, efs.ErrNotAppend):
-		return CodeNotAppend
-	case errors.Is(err, efs.ErrTooLarge):
-		return CodeTooLarge
-	case errors.Is(err, efs.ErrCorrupt):
-		return CodeCorrupt
-	default:
-		return CodeIO
-	}
+// classes is the one table between the codes and the EFS sentinels they
+// stand for; StatusFor reads it one way and Err the other. CodeIO, and any
+// code from outside the table, stands for errIO.
+var classes = [...]error{
+	CodeNotFound:    efs.ErrNotFound,
+	CodeExists:      efs.ErrExists,
+	CodeNoSpace:     efs.ErrNoSpace,
+	CodeBadBlockNum: efs.ErrBadBlockNum,
+	CodeNotAppend:   efs.ErrNotAppend,
+	CodeTooLarge:    efs.ErrTooLarge,
+	CodeCorrupt:     efs.ErrCorrupt,
 }
 
-// Err reconstructs a sentinel-wrapped error from a transported code.
-func (c ErrCode) Err(detail string) error {
-	var base error
-	switch c {
-	case CodeOK:
-		return nil
-	case CodeNotFound:
-		base = efs.ErrNotFound
-	case CodeExists:
-		base = efs.ErrExists
-	case CodeNoSpace:
-		base = efs.ErrNoSpace
-	case CodeBadBlockNum:
-		base = efs.ErrBadBlockNum
-	case CodeNotAppend:
-		base = efs.ErrNotAppend
-	case CodeTooLarge:
-		base = efs.ErrTooLarge
-	case CodeCorrupt:
-		base = efs.ErrCorrupt
-	default:
-		base = errors.New("lfs: I/O error")
+var errIO = errors.New("lfs: I/O error")
+
+// StatusFor classifies an error for transport: the status a reply embeds.
+func StatusFor(err error) msg.Status {
+	if err == nil {
+		return msg.Status{}
 	}
+	for c := CodeNotFound; int(c) < len(classes); c++ {
+		if errors.Is(err, classes[c]) {
+			return msg.Failed(c, err.Error())
+		}
+	}
+	return msg.Failed(CodeIO, err.Error())
+}
+
+// Err rebuilds the error a transported status stands for: nil for a
+// success, otherwise its code's sentinel wrapped around the detail.
+func Err(st msg.Status) error {
+	if st.OK() {
+		return nil
+	}
+	base := errIO
+	if c := int(st.Code()); c > 0 && c < len(classes) {
+		base = classes[c]
+	}
+	detail := st.Detail()
 	if detail == "" {
 		return base
 	}
@@ -98,22 +90,6 @@ func (c ErrCode) Err(detail string) error {
 	return fmt.Errorf("%w: %s", base, detail)
 }
 
-// Status is the common reply trailer.
-type Status struct {
-	Code   ErrCode
-	Detail string
-}
-
-// Err converts the status to an error (nil when CodeOK).
-func (s Status) Err() error { return s.Code.Err(s.Detail) }
-
-func statusFor(err error) Status {
-	if err == nil {
-		return Status{}
-	}
-	return Status{Code: codeFor(err), Detail: err.Error()}
-}
-
 // Request and reply bodies. Replies carry the disk address of the block
 // touched, which the stateless protocol returns to callers as the hint for
 // their next request.
@@ -121,7 +97,7 @@ type (
 	// CreateReq registers a new local file.
 	CreateReq struct{ FileID uint32 }
 	// CreateResp acknowledges a CreateReq.
-	CreateResp struct{ Status Status }
+	CreateResp struct{ msg.Status }
 
 	// DeleteReq removes a local file. Fast skips the per-block flag-clear
 	// rewrite on unjournaled volumes (bitmap-only free), the mode the
@@ -133,8 +109,8 @@ type (
 	}
 	// DeleteResp reports the number of blocks freed.
 	DeleteResp struct {
-		Freed  int
-		Status Status
+		Freed int
+		msg.Status
 	}
 
 	// ReadReq reads one logical block, with an optional disk-address
@@ -146,9 +122,9 @@ type (
 	}
 	// ReadResp returns the block data and its disk address.
 	ReadResp struct {
-		Data   []byte
-		Addr   int32
-		Status Status
+		Data []byte
+		Addr int32
+		msg.Status
 	}
 
 	// WriteReq writes one logical block (append when BlockNum equals the
@@ -164,8 +140,8 @@ type (
 	}
 	// WriteResp returns the written block's disk address.
 	WriteResp struct {
-		Addr   int32
-		Status Status
+		Addr int32
+		msg.Status
 	}
 
 	// ReadVecReq reads a run of logical blocks in one request — the
@@ -180,16 +156,16 @@ type (
 	}
 	// VecRead is one block's result within a ReadVecResp.
 	VecRead struct {
-		Data   []byte
-		Addr   int32
-		Status Status
+		Data []byte
+		Addr int32
+		msg.Status
 	}
 	// ReadVecResp returns one VecRead per requested block, in request
 	// order. Status covers the request as a whole (bad file id, unknown
 	// request); per-block failures live in the entries.
 	ReadVecResp struct {
 		Blocks []VecRead
-		Status Status
+		msg.Status
 	}
 
 	// VecWrite is one block of a WriteVecReq.
@@ -210,27 +186,27 @@ type (
 	}
 	// VecWritten is one block's result within a WriteVecResp.
 	VecWritten struct {
-		Addr   int32
-		Status Status
+		Addr int32
+		msg.Status
 	}
 	// WriteVecResp returns one VecWritten per block, in request order.
 	WriteVecResp struct {
 		Blocks []VecWritten
-		Status Status
+		msg.Status
 	}
 
 	// StatReq asks for a file's directory information.
 	StatReq struct{ FileID uint32 }
 	// StatResp returns it.
 	StatResp struct {
-		Info   efs.FileInfo
-		Status Status
+		Info efs.FileInfo
+		msg.Status
 	}
 
 	// SyncReq flushes metadata write-behind.
 	SyncReq struct{}
 	// SyncResp acknowledges a SyncReq.
-	SyncResp struct{ Status Status }
+	SyncResp struct{ msg.Status }
 
 	// UsageReq asks for the volume's capacity and free space.
 	UsageReq struct{}
@@ -238,13 +214,13 @@ type (
 	UsageResp struct {
 		TotalBlocks int
 		FreeBlocks  int
-		Status      Status
+		msg.Status
 	}
 
 	// PingReq is the health monitor's heartbeat; it touches nothing.
 	PingReq struct{}
 	// PingResp acknowledges a PingReq.
-	PingResp struct{ Status Status }
+	PingResp struct{ msg.Status }
 
 	// CheckReq runs the volume consistency checker (fsck); Repair also
 	// rebuilds the allocation bitmap from the chains.
@@ -254,7 +230,7 @@ type (
 	CheckResp struct {
 		Report efs.CheckReport
 		Fixes  int
-		Status Status
+		msg.Status
 	}
 
 	// ScrubReq verifies block checksums on the volume: a Full sweep covers
@@ -265,7 +241,7 @@ type (
 	// ScrubResp returns the sweep report.
 	ScrubResp struct {
 		Report efs.ScrubReport
-		Status Status
+		msg.Status
 	}
 
 	// RecoveryReq asks for the node's most recent boot recovery report.
@@ -275,7 +251,7 @@ type (
 	// recover).
 	RecoveryResp struct {
 		Report RecoveryReport
-		Status Status
+		msg.Status
 	}
 )
 
@@ -332,7 +308,7 @@ func WireSize(body any) int {
 		return 16 + 12*len(b.Report.Errors)
 	case UsageResp:
 		return 16
-	case CreateResp, SyncResp, PingResp:
+	case CreateResp, SyncResp, PingResp, msg.Status:
 		return 8
 	case CheckResp:
 		n := 16

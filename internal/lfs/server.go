@@ -302,7 +302,11 @@ func (n *Node) serve(p sim.Proc, mount bool) {
 			Trace: req.Trace,
 			Span:  req.Span,
 		})
-		sp.EndErr(p.Now(), respStatusText(body))
+		errText := ""
+		if st, _ := msg.StatusOf(body); !st.OK() {
+			errText = Err(st).Error()
+		}
+		sp.EndErr(p.Now(), errText)
 	}
 }
 
@@ -337,44 +341,6 @@ func reqKind(body any) string {
 		return "recovery"
 	}
 	return "unknown"
-}
-
-// respStatusText renders a reply's overall status for span closure; "" on
-// success. Per-block statuses inside vectored replies stay per-block.
-func respStatusText(body any) string {
-	var err error
-	switch r := body.(type) {
-	case CreateResp:
-		err = r.Status.Err()
-	case DeleteResp:
-		err = r.Status.Err()
-	case ReadResp:
-		err = r.Status.Err()
-	case WriteResp:
-		err = r.Status.Err()
-	case ReadVecResp:
-		err = r.Status.Err()
-	case WriteVecResp:
-		err = r.Status.Err()
-	case StatResp:
-		err = r.Status.Err()
-	case SyncResp:
-		err = r.Status.Err()
-	case PingResp:
-		err = r.Status.Err()
-	case CheckResp:
-		err = r.Status.Err()
-	case ScrubResp:
-		err = r.Status.Err()
-	case UsageResp:
-		err = r.Status.Err()
-	case RecoveryResp:
-		err = r.Status.Err()
-	}
-	if err != nil {
-		return err.Error()
-	}
-	return ""
 }
 
 // recoverVolume verifies a journaled volume after a mount. The journal
@@ -456,7 +422,7 @@ func (n *Node) appendRunVec(p sim.Proc, r WriteVecReq) (resp WriteVecResp, allOK
 	}
 	resp = WriteVecResp{Blocks: make([]VecWritten, len(r.Blocks))}
 	if err != nil {
-		st := statusFor(err)
+		st := StatusFor(err)
 		for i := range resp.Blocks {
 			resp.Blocks[i] = VecWritten{Addr: -1, Status: st}
 		}
@@ -482,7 +448,7 @@ func (n *Node) dedupPut(key writeKey, resp any) {
 func (n *Node) handle(p sim.Proc, req *msg.Message) any {
 	switch r := req.Body.(type) {
 	case CreateReq:
-		return CreateResp{Status: statusFor(n.fs.Create(p, r.FileID))}
+		return CreateResp{Status: StatusFor(n.fs.Create(p, r.FileID))}
 	case DeleteReq:
 		var freed int
 		var err error
@@ -491,10 +457,10 @@ func (n *Node) handle(p sim.Proc, req *msg.Message) any {
 		} else {
 			freed, err = n.fs.Delete(p, r.FileID)
 		}
-		return DeleteResp{Freed: freed, Status: statusFor(err)}
+		return DeleteResp{Freed: freed, Status: StatusFor(err)}
 	case ReadReq:
 		data, addr, err := n.fs.ReadBlock(p, r.FileID, r.BlockNum, r.Hint)
-		return ReadResp{Data: data, Addr: addr, Status: statusFor(err)}
+		return ReadResp{Data: data, Addr: addr, Status: StatusFor(err)}
 	case WriteReq:
 		key := writeKey{from: req.From, op: r.OpID}
 		if r.OpID != 0 {
@@ -508,7 +474,7 @@ func (n *Node) handle(p sim.Proc, req *msg.Message) any {
 			}
 		}
 		addr, err := n.fs.WriteBlock(p, r.FileID, r.BlockNum, r.Data, r.Hint)
-		resp := WriteResp{Addr: addr, Status: statusFor(err)}
+		resp := WriteResp{Addr: addr, Status: StatusFor(err)}
 		if r.OpID != 0 && err == nil {
 			n.dedupPut(key, resp)
 		}
@@ -518,7 +484,7 @@ func (n *Node) handle(p sim.Proc, req *msg.Message) any {
 		hint := r.Hint
 		for i, bn := range r.Blocks {
 			data, addr, err := n.fs.ReadBlock(p, r.FileID, bn, hint)
-			resp.Blocks[i] = VecRead{Data: data, Addr: addr, Status: statusFor(err)}
+			resp.Blocks[i] = VecRead{Data: data, Addr: addr, Status: StatusFor(err)}
 			if err == nil {
 				// Chain the returned address as the next block's hint:
 				// consecutive local blocks usually sit near each other.
@@ -542,7 +508,7 @@ func (n *Node) handle(p sim.Proc, req *msg.Message) any {
 			allOK = true
 			for i, w := range r.Blocks {
 				addr, err := n.fs.WriteBlock(p, r.FileID, w.BlockNum, w.Data, hint)
-				resp.Blocks[i] = VecWritten{Addr: addr, Status: statusFor(err)}
+				resp.Blocks[i] = VecWritten{Addr: addr, Status: StatusFor(err)}
 				if err == nil {
 					hint = addr
 				} else {
@@ -558,16 +524,16 @@ func (n *Node) handle(p sim.Proc, req *msg.Message) any {
 		return PingResp{}
 	case StatReq:
 		info, err := n.fs.Stat(p, r.FileID)
-		return StatResp{Info: info, Status: statusFor(err)}
+		return StatResp{Info: info, Status: StatusFor(err)}
 	case SyncReq:
-		return SyncResp{Status: statusFor(n.fs.Sync(p))}
+		return SyncResp{Status: StatusFor(n.fs.Sync(p))}
 	case CheckReq:
 		if r.Repair {
 			rep, fixes, err := n.fs.Repair(p)
-			return CheckResp{Report: rep, Fixes: fixes, Status: statusFor(err)}
+			return CheckResp{Report: rep, Fixes: fixes, Status: StatusFor(err)}
 		}
 		rep, err := n.fs.Check(p)
-		return CheckResp{Report: rep, Status: statusFor(err)}
+		return CheckResp{Report: rep, Status: StatusFor(err)}
 	case ScrubReq:
 		var rep efs.ScrubReport
 		var err error
@@ -587,7 +553,7 @@ func (n *Node) handle(p sim.Proc, req *msg.Message) any {
 				n.sm.sweeps.Add(1)
 			}
 		}
-		return ScrubResp{Report: rep, Status: statusFor(err)}
+		return ScrubResp{Report: rep, Status: StatusFor(err)}
 	case UsageReq:
 		return UsageResp{
 			TotalBlocks: n.Disk.Config().NumBlocks,
@@ -595,14 +561,12 @@ func (n *Node) handle(p sim.Proc, req *msg.Message) any {
 		}
 	case RecoveryReq:
 		if n.recovery == nil {
-			return RecoveryResp{Status: Status{
-				Code:   CodeNotFound,
-				Detail: "lfs: no recovery report (volume was freshly formatted or is not journaled)",
-			}}
+			return RecoveryResp{Status: msg.Failed(CodeNotFound,
+				"lfs: no recovery report (volume was freshly formatted or is not journaled)")}
 		}
 		return RecoveryResp{Report: *n.recovery}
 	default:
-		return SyncResp{Status: Status{Code: CodeIO, Detail: "lfs: unknown request"}}
+		return msg.Failed(CodeIO, "lfs: unknown request")
 	}
 }
 
@@ -621,34 +585,33 @@ func NewClient(proc sim.Proc, net *msg.Network, node msg.NodeID, name string) *C
 // lfsAddr returns the LFS port of a node.
 func lfsAddr(node msg.NodeID) msg.Addr { return msg.Addr{Node: node, Port: PortName} }
 
+// reply ends every call to an LFS server or agent: the transport error, or
+// else the reply as the kind the call expects with its status as an error.
+func reply[T msg.Reply](m *msg.Message, err error) (T, error) {
+	r, st, err := msg.ReplyAs[T](m, err)
+	if err == nil {
+		err = Err(st)
+	}
+	return r, err
+}
+
 // Create registers a file on the target node.
 func (c *Client) Create(node msg.NodeID, fileID uint32) error {
-	m, err := c.C.Call(lfsAddr(node), CreateReq{FileID: fileID}, WireSize(CreateReq{}))
-	if err != nil {
-		return err
-	}
-	return m.Body.(CreateResp).Status.Err()
+	_, err := reply[CreateResp](c.C.Call(lfsAddr(node), CreateReq{FileID: fileID}, WireSize(CreateReq{})))
+	return err
 }
 
 // Delete removes a file on the target node, returning blocks freed.
 func (c *Client) Delete(node msg.NodeID, fileID uint32) (int, error) {
-	m, err := c.C.Call(lfsAddr(node), DeleteReq{FileID: fileID}, WireSize(DeleteReq{}))
-	if err != nil {
-		return 0, err
-	}
-	r := m.Body.(DeleteResp)
-	return r.Freed, r.Status.Err()
+	r, err := reply[DeleteResp](c.C.Call(lfsAddr(node), DeleteReq{FileID: fileID}, WireSize(DeleteReq{})))
+	return r.Freed, err
 }
 
 // DeleteFast removes a file with the bitmap-only fast free (no per-block
 // flag-clear rewrite) — the mode the parallel delete tool uses.
 func (c *Client) DeleteFast(node msg.NodeID, fileID uint32) (int, error) {
-	m, err := c.C.Call(lfsAddr(node), DeleteReq{FileID: fileID, Fast: true}, WireSize(DeleteReq{}))
-	if err != nil {
-		return 0, err
-	}
-	r := m.Body.(DeleteResp)
-	return r.Freed, r.Status.Err()
+	r, err := reply[DeleteResp](c.C.Call(lfsAddr(node), DeleteReq{FileID: fileID, Fast: true}, WireSize(DeleteReq{})))
+	return r.Freed, err
 }
 
 // Read reads a block; addr is the returned hint for the next call.
@@ -658,8 +621,8 @@ func (c *Client) Read(node msg.NodeID, fileID, blockNum uint32, hint int32) (dat
 	if err != nil {
 		return nil, -1, err
 	}
-	r := m.Body.(ReadResp)
-	return r.Data, r.Addr, r.Status.Err()
+	r, err := reply[ReadResp](m, nil)
+	return r.Data, r.Addr, err
 }
 
 // Write writes a block; addr is the returned hint.
@@ -669,113 +632,75 @@ func (c *Client) Write(node msg.NodeID, fileID, blockNum uint32, data []byte, hi
 	if err != nil {
 		return -1, err
 	}
-	r := m.Body.(WriteResp)
-	return r.Addr, r.Status.Err()
+	r, err := reply[WriteResp](m, nil)
+	return r.Addr, err
 }
 
 // ReadVec reads a run of blocks in one request; results come back per
 // block, in request order.
 func (c *Client) ReadVec(node msg.NodeID, fileID uint32, blocks []uint32, hint int32) ([]VecRead, error) {
 	req := ReadVecReq{FileID: fileID, Blocks: blocks, Hint: hint}
-	m, err := c.C.Call(lfsAddr(node), req, WireSize(req))
-	if err != nil {
-		return nil, err
-	}
-	r := m.Body.(ReadVecResp)
-	return r.Blocks, r.Status.Err()
+	r, err := reply[ReadVecResp](c.C.Call(lfsAddr(node), req, WireSize(req)))
+	return r.Blocks, err
 }
 
 // WriteVec writes a run of blocks in one request; results come back per
 // block, in request order.
 func (c *Client) WriteVec(node msg.NodeID, fileID uint32, blocks []VecWrite, hint int32) ([]VecWritten, error) {
 	req := WriteVecReq{FileID: fileID, Blocks: blocks, Hint: hint}
-	m, err := c.C.Call(lfsAddr(node), req, WireSize(req))
-	if err != nil {
-		return nil, err
-	}
-	r := m.Body.(WriteVecResp)
-	return r.Blocks, r.Status.Err()
+	r, err := reply[WriteVecResp](c.C.Call(lfsAddr(node), req, WireSize(req)))
+	return r.Blocks, err
 }
 
 // Stat returns a file's directory information.
 func (c *Client) Stat(node msg.NodeID, fileID uint32) (efs.FileInfo, error) {
-	m, err := c.C.Call(lfsAddr(node), StatReq{FileID: fileID}, WireSize(StatReq{}))
-	if err != nil {
-		return efs.FileInfo{}, err
-	}
-	r := m.Body.(StatResp)
-	return r.Info, r.Status.Err()
+	r, err := reply[StatResp](c.C.Call(lfsAddr(node), StatReq{FileID: fileID}, WireSize(StatReq{})))
+	return r.Info, err
 }
 
 // Sync flushes the node's metadata.
 func (c *Client) Sync(node msg.NodeID) error {
-	m, err := c.C.Call(lfsAddr(node), SyncReq{}, WireSize(SyncReq{}))
-	if err != nil {
-		return err
-	}
-	return m.Body.(SyncResp).Status.Err()
+	_, err := reply[SyncResp](c.C.Call(lfsAddr(node), SyncReq{}, WireSize(SyncReq{})))
+	return err
 }
 
 // SyncTimeout is Sync with a deadline, for shutdown paths that must not
 // hang on a node that stops answering.
 func (c *Client) SyncTimeout(node msg.NodeID, d time.Duration) error {
-	m, err := c.C.CallTimeout(lfsAddr(node), SyncReq{}, WireSize(SyncReq{}), d)
-	if err != nil {
-		return err
-	}
-	return m.Body.(SyncResp).Status.Err()
+	_, err := reply[SyncResp](c.C.CallTimeout(lfsAddr(node), SyncReq{}, WireSize(SyncReq{}), d))
+	return err
 }
 
 // Usage returns the node's capacity and free space in blocks.
 func (c *Client) Usage(node msg.NodeID) (total, free int, err error) {
-	m, err := c.C.Call(lfsAddr(node), UsageReq{}, WireSize(UsageReq{}))
-	if err != nil {
-		return 0, 0, err
-	}
-	r := m.Body.(UsageResp)
-	return r.TotalBlocks, r.FreeBlocks, r.Status.Err()
+	r, err := reply[UsageResp](c.C.Call(lfsAddr(node), UsageReq{}, WireSize(UsageReq{})))
+	return r.TotalBlocks, r.FreeBlocks, err
 }
 
 // Check runs the volume consistency checker on the node.
 func (c *Client) Check(node msg.NodeID) (efs.CheckReport, error) {
-	m, err := c.C.Call(lfsAddr(node), CheckReq{}, WireSize(CheckReq{}))
-	if err != nil {
-		return efs.CheckReport{}, err
-	}
-	r := m.Body.(CheckResp)
-	return r.Report, r.Status.Err()
+	r, err := reply[CheckResp](c.C.Call(lfsAddr(node), CheckReq{}, WireSize(CheckReq{})))
+	return r.Report, err
 }
 
 // Scrub verifies block checksums on the node: a full sweep when full is
 // true, otherwise one budgeted increment from the scrubber's cursor.
 func (c *Client) Scrub(node msg.NodeID, full bool) (efs.ScrubReport, error) {
 	req := ScrubReq{Full: full}
-	m, err := c.C.Call(lfsAddr(node), req, WireSize(req))
-	if err != nil {
-		return efs.ScrubReport{}, err
-	}
-	r := m.Body.(ScrubResp)
-	return r.Report, r.Status.Err()
+	r, err := reply[ScrubResp](c.C.Call(lfsAddr(node), req, WireSize(req)))
+	return r.Report, err
 }
 
 // Recovery returns the node's boot recovery report: journal replay stats
 // plus the fsck that verified the remounted volume.
 func (c *Client) Recovery(node msg.NodeID) (RecoveryReport, error) {
-	m, err := c.C.Call(lfsAddr(node), RecoveryReq{}, WireSize(RecoveryReq{}))
-	if err != nil {
-		return RecoveryReport{}, err
-	}
-	r := m.Body.(RecoveryResp)
-	return r.Report, r.Status.Err()
+	r, err := reply[RecoveryResp](c.C.Call(lfsAddr(node), RecoveryReq{}, WireSize(RecoveryReq{})))
+	return r.Report, err
 }
 
 // Repair runs the checker with bitmap repair on the node.
 func (c *Client) Repair(node msg.NodeID) (efs.CheckReport, int, error) {
 	req := CheckReq{Repair: true}
-	m, err := c.C.Call(lfsAddr(node), req, WireSize(req))
-	if err != nil {
-		return efs.CheckReport{}, 0, err
-	}
-	r := m.Body.(CheckResp)
-	return r.Report, r.Fixes, r.Status.Err()
+	r, err := reply[CheckResp](c.C.Call(lfsAddr(node), req, WireSize(req)))
+	return r.Report, r.Fixes, err
 }

@@ -180,8 +180,8 @@ func deleteEverywhere(ctrl *msg.Client, nodes []msg.NodeID, fileID uint32) error
 		return err
 	}
 	for _, m := range ms {
-		if err := m.Body.(lfs.DeleteResp).Status.Err(); err != nil {
-			return err
+		if st, _ := msg.StatusOf(m.Body); !st.OK() {
+			return lfs.Err(st)
 		}
 	}
 	return nil

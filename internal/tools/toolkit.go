@@ -12,6 +12,7 @@
 package tools
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -42,11 +43,22 @@ type WorkerCtx struct {
 // delivered back to the controller.
 type WorkerFn func(ctx *WorkerCtx) (any, error)
 
-// workerDone is the completion message workers send to the controller.
+// workerDone is the completion message workers send to the controller. A
+// worker talks to its own LFS, so its failures are made of the LFS
+// protocol's classes and its status is built with that table.
 type workerDone struct {
 	Index  int
 	Result any
-	Err    string
+	msg.Status
+}
+
+// err rebuilds the worker's failure with its class; one that has none stays
+// an opaque error with its text.
+func (d workerDone) err() error {
+	if d.Code() == lfs.CodeIO {
+		return errors.New(d.Detail())
+	}
+	return lfs.Err(d.Status)
 }
 
 // RunOnNodes exports fn to every listed node, runs the workers in parallel,
@@ -78,10 +90,7 @@ func RunOnNodes(pc sim.Proc, network *msg.Network, nodes []msg.NodeID, name stri
 			}
 			defer ctx.LFS.C.Close()
 			result, err := fn(ctx)
-			d := workerDone{Index: i, Result: result}
-			if err != nil {
-				d.Err = err.Error()
-			}
+			d := workerDone{Index: i, Result: result, Status: lfs.StatusFor(err)}
 			_ = network.Send(p, self, doneAddr, &msg.Message{From: ctx.LFS.C.Addr(), Body: d, Size: 64})
 		}
 		req := lfs.SpawnReq{Name: fmt.Sprintf("%s.w%d", name, i), Fn: worker}
@@ -109,8 +118,8 @@ func RunOnNodes(pc sim.Proc, network *msg.Network, nodes []msg.NodeID, name stri
 		}
 		d := m.Body.(workerDone)
 		results[d.Index] = d.Result
-		if d.Err != "" && firstErr == nil {
-			firstErr = fmt.Errorf("tools: worker %d: %s", d.Index, d.Err)
+		if err := d.err(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("tools: worker %d: %w", d.Index, err)
 		}
 	}
 	return results, firstErr

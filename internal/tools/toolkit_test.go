@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bridge/internal/core"
+	"bridge/internal/efs"
 	"bridge/internal/sim"
 	"bridge/internal/workload"
 )
@@ -169,6 +170,49 @@ func TestConcurrentToolsDoNotCollide(t *testing.T) {
 			if got, err := workload.ReadAll(p, c, name); err != nil || len(got) != 24 {
 				t.Errorf("%s = %d blocks, %v", name, len(got), err)
 			}
+		}
+	})
+}
+
+// A tool's workers "become part of the file system", so a tool fails like
+// it: the class of the storage node's failure survives the worker's
+// completion message and RunOnNodes' wrapping.
+func TestToolFailureKeepsItsClass(t *testing.T) {
+	withCluster(t, fastCfg(4), func(p sim.Proc, cl *core.Cluster, c *core.Client) {
+		if err := workload.Fill(p, c, "src", workload.Records(1, 16, 64)); err != nil {
+			t.Error(err)
+			return
+		}
+		// Rot node 1's second block on the medium, and have a scrub drop the
+		// node's cached clean copy so reads verify against it.
+		node := cl.Nodes[1]
+		phys := node.FS().DataStart() + 1
+		raw, err := node.Disk.ReadBlock(p, phys)
+		if err != nil {
+			t.Errorf("raw read: %v", err)
+			return
+		}
+		raw[200] ^= 0x04
+		if err := node.Disk.WriteBlock(p, phys, raw); err != nil {
+			t.Errorf("raw write: %v", err)
+			return
+		}
+		if rep, err := c.Scrub(1); err != nil || len(rep.Errors) != 1 {
+			t.Errorf("Scrub = %+v, %v; want one rotted block", rep, err)
+			return
+		}
+		if _, err := Copy(p, c, "src", "dst"); !errors.Is(err, efs.ErrCorrupt) {
+			t.Errorf("Copy over a rotted block = %v, want efs.ErrCorrupt", err)
+		}
+		if _, err := Grep(p, c, "src", []byte("x")); !errors.Is(err, efs.ErrCorrupt) {
+			t.Errorf("Grep over a rotted block = %v, want efs.ErrCorrupt", err)
+		}
+		// A failure of no EFS class keeps its text and nothing else.
+		_, err = RunOnNodes(p, cl.Net, cl.NodeIDs(), "boom", func(*WorkerCtx) (any, error) {
+			return nil, errors.New("worker exploded")
+		})
+		if err == nil || err.Error() != "tools: worker 0: worker exploded" {
+			t.Errorf("opaque worker failure = %v", err)
 		}
 	})
 }
