@@ -5,26 +5,22 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strconv"
 	"testing"
 	"time"
 
+	"bridge/internal/chaosseed"
 	"bridge/internal/fault"
 	"bridge/internal/msg"
 )
 
 // failoverSeed reads the chaos seed from BRIDGE_FAILOVER_SEED (CI matrix),
-// defaulting to 7.
+// defaulting to 7. A test that fails under it prints the command that
+// repeats it.
 func failoverSeed(t *testing.T) int64 {
 	t.Helper()
-	if v := os.Getenv("BRIDGE_FAILOVER_SEED"); v != "" {
-		seed, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			t.Fatalf("BRIDGE_FAILOVER_SEED = %q: %v", v, err)
-		}
-		return seed
-	}
-	return 7
+	seed, _ := chaosseed.FromEnv(t, "BRIDGE_FAILOVER_SEED", 7)
+	chaosseed.Repro(t, "BRIDGE_FAILOVER_SEED", seed, ".")
+	return seed
 }
 
 // failoverWorkload is the deterministic client program whose observed

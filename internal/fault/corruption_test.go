@@ -3,23 +3,21 @@ package fault_test
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 
 	"bridge"
+	"bridge/internal/chaosseed"
 )
 
 // corruptionSeed lets CI vary the chaos seed (BRIDGE_CHAOS_SEED) without a
-// code change; the replay assertions hold for any seed.
-func corruptionSeed() int64 {
-	if s := os.Getenv("BRIDGE_CHAOS_SEED"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return v
-		}
-	}
-	return 7
+// code change; the replay assertions hold for any seed. A test that fails
+// under it prints the command that repeats it.
+func corruptionSeed(t *testing.T) int64 {
+	t.Helper()
+	seed, _ := chaosseed.FromEnv(t, "BRIDGE_CHAOS_SEED", 7)
+	chaosseed.Repro(t, "BRIDGE_CHAOS_SEED", seed, "./internal/fault/")
+	return seed
 }
 
 func mirrorPayload(i int) []byte {
@@ -233,11 +231,11 @@ func runCorruptionChaos(t *testing.T, seed int64) (string, [][]byte) {
 }
 
 func TestCorruptionChaosRepairsAndVerifies(t *testing.T) {
-	runCorruptionChaos(t, corruptionSeed())
+	runCorruptionChaos(t, corruptionSeed(t))
 }
 
 func TestCorruptionChaosReplaysExactly(t *testing.T) {
-	seed := corruptionSeed()
+	seed := corruptionSeed(t)
 	tr1, c1 := runCorruptionChaos(t, seed)
 	if t.Failed() {
 		return

@@ -104,7 +104,7 @@ func runObsChaos(t *testing.T, seed int64) (bridge.Inspector, string) {
 // and repair, every span is closed exactly once by the time the simulation
 // drains, and that failures and retransmissions are visible on the spans.
 func TestObsChaosSpanLifecycle(t *testing.T) {
-	insp, _ := runObsChaos(t, corruptionSeed())
+	insp, _ := runObsChaos(t, corruptionSeed(t))
 	if n := insp.OpenSpans(); n != 0 {
 		t.Errorf("OpenSpans = %d, want 0 after drain", n)
 	}
@@ -135,7 +135,7 @@ func TestObsChaosSpanLifecycle(t *testing.T) {
 // read that detects silent corruption and repairs it in place from the
 // mirror copy must still close every span exactly once.
 func TestObsReadRepairSpanLifecycle(t *testing.T) {
-	inj := bridge.NewFaultInjector(corruptionSeed())
+	inj := bridge.NewFaultInjector(corruptionSeed(t))
 	sys, err := bridge.New(bridge.Config{
 		Nodes:       4,
 		DiskBlocks:  256,
@@ -194,7 +194,7 @@ func TestObsReadRepairSpanLifecycle(t *testing.T) {
 // run to be byte-identical across same-seed runs. When BRIDGE_TRACE_OUT is
 // set the first run's trace is written there (the CI artifact).
 func TestObsChaosTraceReplaysExactly(t *testing.T) {
-	seed := corruptionSeed()
+	seed := corruptionSeed(t)
 	_, tr1 := runObsChaos(t, seed)
 	if t.Failed() {
 		return

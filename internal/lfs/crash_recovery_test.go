@@ -6,11 +6,11 @@ import (
 	"math/rand"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"bridge/internal/chaosseed"
 	"bridge/internal/disk"
 	"bridge/internal/efs"
 	"bridge/internal/msg"
@@ -294,11 +294,10 @@ func runChaosKill9(t *testing.T, seed int64, dir string, rounds int) string {
 
 // crashSeeds lets CI vary the kill-9 seed (BRIDGE_CRASH_SEED) without a
 // code change; the recovery assertions hold for any seed.
-func crashSeeds() []int64 {
-	if s := os.Getenv("BRIDGE_CRASH_SEED"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return []int64{v}
-		}
+func crashSeeds(t *testing.T) []int64 {
+	t.Helper()
+	if seed, ok := chaosseed.FromEnv(t, "BRIDGE_CRASH_SEED", 0); ok {
+		return []int64{seed}
 	}
 	return []int64{7, 1042}
 }
@@ -311,8 +310,9 @@ func crashSeeds() []int64 {
 // With BRIDGE_CRASH_TRACE_OUT set, the trace is also written to
 // "<out>.seed<N>" so CI can cmp traces across processes.
 func TestChaosKill9Recovery(t *testing.T) {
-	for _, seed := range crashSeeds() {
+	for _, seed := range crashSeeds(t) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			chaosseed.Repro(t, "BRIDGE_CRASH_SEED", seed, "./internal/lfs/")
 			tr1 := runChaosKill9(t, seed, t.TempDir(), 24)
 			tr2 := runChaosKill9(t, seed, t.TempDir(), 24)
 			if tr1 != tr2 {

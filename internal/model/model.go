@@ -15,6 +15,7 @@
 package model
 
 import (
+	"math/bits"
 	"time"
 )
 
@@ -47,6 +48,10 @@ type Params struct {
 	// InCore is the sort's in-core buffer in records.
 	InCore int
 }
+
+// runBlocks is how many blocks a tool moves per LFS request (r): the constant
+// of the same name in internal/tools/column.go, and like it not a parameter.
+const runBlocks = 8
 
 // Default returns the constants matching the simulator's defaults.
 func Default() Params {
@@ -138,44 +143,86 @@ func (p Params) ToolStartup(procs int) time.Duration {
 	return time.Duration(procs)*(p.SendCPU+p.RecvCPU) + p.SpawnCPU + 2*p.transfer(false)
 }
 
+// ceilDiv is the number of size-n pieces that cover total.
+func ceilDiv(total, n int) int { return (total + n - 1) / n }
+
+// readColumn is a tool reading a local file front to back: one LFS round
+// trip per run of runBlocks, one device access per track.
+func (p Params) readColumn(blocks int) time.Duration {
+	return time.Duration(ceilDiv(blocks, runBlocks))*p.lfsCall(0, true) +
+		time.Duration(ceilDiv(blocks, p.BlocksPerTrack))*p.DiskLatency
+}
+
+// appendColumn is a tool writing a local file: one LFS round trip per run,
+// and per run one access for each block plus one for the old tail's pointer
+// (r+1 accesses per r blocks, where block-at-a-time paid 2 per block).
+func (p Params) appendColumn(blocks int) time.Duration {
+	runs := ceilDiv(blocks, runBlocks)
+	return time.Duration(runs)*p.lfsCall(0, true) + time.Duration(blocks+runs)*p.DiskLatency
+}
+
+// discardColumn is freeing a scratch file: one request, and the chain walk's
+// track reads — the bitmap-only free rewrites nothing.
+func (p Params) discardColumn(blocks int) time.Duration {
+	return p.lfsCall(0, true) + time.Duration(ceilDiv(blocks, p.BlocksPerTrack))*p.DiskLatency
+}
+
 // CopyTime predicts the copy tool: each node moves records/procs blocks
-// with local LFS calls (read amortized by the track buffer, write two
-// accesses), plus startup and completion.
+// through its one LFS and disk, a run at a time, plus startup and completion.
+// (The worker's read-ahead hides none of this: reads and appends queue at the
+// same LFS, so the round trips add up whoever waits for them.)
 func (p Params) CopyTime(records, procs int) time.Duration {
-	perNode := (records + procs - 1) / procs
-	perBlock := p.lfsCall(p.seqReadDevice(), true) + p.lfsCall(p.appendDevice(), true)
-	return time.Duration(perNode)*perBlock + 2*p.ToolStartup(procs)
+	perNode := ceilDiv(records, procs)
+	return p.readColumn(perNode) + p.appendColumn(perNode) + 2*p.ToolStartup(procs)
 }
 
-// SortLocalTime predicts the local external sort phase on each node:
-// run formation (read + write every block) plus ceil(log2(runs)) two-way
-// merge passes (read + write every block, then discard the inputs).
+// SortLocalTime predicts the local external sort phase on each node: run
+// formation (read and write every block, sort InCore at a time) and then
+// pairwise merges until one run is left, each reading and writing the blocks
+// of its two inputs and discarding them. An odd run out waits a round, so
+// the blocks moved are counted merge by merge, not as passes x blocks.
 func (p Params) SortLocalTime(records, procs int) time.Duration {
-	perNode := (records + procs - 1) / procs
-	if perNode == 0 {
-		return 0
+	perNode := ceilDiv(records, procs)
+	log2InCore := max(1, bits.Len(uint(p.InCore-1))) // compares per record of an in-core sort
+	total := p.readColumn(perNode) + p.appendColumn(perNode) +
+		time.Duration(perNode*log2InCore)*p.SortCPUPerRecord
+	var runs []int
+	for left := perNode; left > 0; left -= p.InCore {
+		runs = append(runs, min(left, p.InCore))
 	}
-	runs := (perNode + p.InCore - 1) / p.InCore
-	passes := 0
-	for r := runs; r > 1; r = (r + 1) / 2 {
-		passes++
+	for len(runs) > 1 {
+		var next []int
+		for i := 0; i+1 < len(runs); i += 2 {
+			m := runs[i] + runs[i+1]
+			total += p.readColumn(m) + p.appendColumn(m) + time.Duration(m)*p.SortCPUPerRecord +
+				p.discardColumn(runs[i]) + p.discardColumn(runs[i+1])
+			next = append(next, m)
+		}
+		if len(runs)%2 == 1 {
+			next = append(next, runs[len(runs)-1])
+		}
+		runs = next
 	}
-	perBlockPass := p.lfsCall(p.seqReadDevice(), true) + p.lfsCall(p.appendDevice(), true) + p.SortCPUPerRecord
-	formation := time.Duration(perNode) * perBlockPass
-	merge := time.Duration(perNode*passes) * (perBlockPass + p.DeletePerBlock())
-	return formation + merge
+	return total
 }
 
-// TokenCycle is the serial cost per emitted record in the token-ring
-// merge: one token hop plus the emitting reader's next sequential read.
+// TokenCycle is the serial cost per emitted record in the token-ring merge.
+// The holder receives the token, sends its record to a writer and the token
+// to its successor; its next record is already in core (the column reader
+// runs a track ahead), so no LFS call is on the token's path. With keys in
+// random order every second record on average comes from the other input,
+// which costs one more hop that emits nothing.
 func (p Params) TokenCycle() time.Duration {
-	hop := p.msgCost() + p.transfer(false)
-	return hop + p.lfsCall(p.seqReadDevice(), true)
+	emit := p.RecvCPU + 2*p.SendCPU + p.RemoteLatency
+	cross := p.RecvCPU + p.SendCPU + p.RemoteLatency
+	return emit + cross/2
 }
 
-// WriterCycle is the per-record cost at one destination writer.
+// WriterCycle is the per-record cost at one node of a merge group: its
+// writer's share of a run append plus its reader's share of a track read,
+// which queue at the node's one LFS and disk.
 func (p Params) WriterCycle() time.Duration {
-	return p.lfsCall(p.appendDevice(), true)
+	return (p.readColumn(runBlocks) + p.appendColumn(runBlocks)) / time.Duration(runBlocks)
 }
 
 // MergePassTime predicts one merge pass over the whole file on p nodes:
@@ -192,11 +239,12 @@ func (p Params) MergePassTime(records, procs, t int) time.Duration {
 	return time.Duration(perGroup) * cycle
 }
 
-// SortMergeTime predicts the whole merge phase: log2(procs) passes.
+// SortMergeTime predicts the whole merge phase: log2(procs) passes, each
+// followed by every node discarding its column of the pass's input.
 func (p Params) SortMergeTime(records, procs int) time.Duration {
 	var total time.Duration
 	for t := 2; t <= procs; t *= 2 {
-		total += p.MergePassTime(records, procs, t)
+		total += p.MergePassTime(records, procs, t) + p.discardColumn(ceilDiv(records, procs))
 	}
 	return total
 }

@@ -66,34 +66,36 @@ func Filter(pc sim.Proc, c *core.Client, src, dst string, f Transform) (CopyStat
 // in the blocks it copies: since the header "pointers" are
 // block-number/LFS-instance pairs, they remain valid in the new file.
 func ecopy(ctx *WorkerCtx, src, dst core.Meta, f Transform) (int64, error) {
-	local := src.LocalBlocks(ctx.Index)
 	layout, err := src.Layout()
 	if err != nil {
 		return 0, err
 	}
-	readHint, writeHint := int32(-1), int32(-1)
-	for j := int64(0); j < local; j++ {
-		raw, addr, err := ctx.LFS.Read(ctx.Node, src.LFSFileID, uint32(j), readHint)
+	rd := newColReader(ctx.LFS, ctx.Node, src.LFSFileID, src.LocalBlocks(ctx.Index))
+	defer rd.stop()
+	wr := newColWriter(ctx.LFS, ctx.Node, dst.LFSFileID)
+	for {
+		raw, j, err := rd.next()
 		if err != nil {
-			return j, fmt.Errorf("ecopy read %d: %w", j, err)
+			return j, fmt.Errorf("ecopy read: %w", err)
 		}
-		readHint = addr
-		out := raw
+		if raw == nil {
+			break
+		}
 		if f != nil {
 			h, payload, err := core.DecodeBlock(raw)
 			if err != nil {
 				return j, fmt.Errorf("ecopy decode %d: %w", j, err)
 			}
-			global := layout.GlobalFor(ctx.Index, j)
-			out = core.EncodeBlock(h, f(global, payload))
+			raw = core.EncodeBlock(h, f(layout.GlobalFor(ctx.Index, j), payload))
 		}
-		waddr, err := ctx.LFS.Write(ctx.Node, dst.LFSFileID, uint32(j), out, writeHint)
-		if err != nil {
-			return j, fmt.Errorf("ecopy write %d: %w", j, err)
+		if err := wr.put(raw); err != nil {
+			return j, fmt.Errorf("ecopy write: %w", err)
 		}
-		writeHint = waddr
 	}
-	return local, nil
+	if err := wr.flush(); err != nil {
+		return rd.pos, fmt.Errorf("ecopy write: %w", err)
+	}
+	return rd.pos, nil
 }
 
 // Standard one-to-one filters.

@@ -57,24 +57,31 @@ func Grep(pc sim.Proc, c *core.Client, name string, pattern []byte) (GrepResult,
 	return out, nil
 }
 
-func grepWorker(ctx *WorkerCtx, meta core.Meta, pattern []byte) (GrepResult, error) {
+// scanColumn hands fn the payload of every block of this node's column of
+// the file, in order, with its local number: the loop of every tool that
+// only reads.
+func scanColumn(ctx *WorkerCtx, meta core.Meta, fn func(local int64, payload []byte)) (int64, error) {
+	rd := newColReader(ctx.LFS, ctx.Node, meta.LFSFileID, meta.LocalBlocks(ctx.Index))
+	defer rd.stop()
+	for {
+		raw, j, err := rd.next()
+		if err != nil || raw == nil {
+			return j, err
+		}
+		_, payload, err := core.DecodeBlock(raw)
+		if err != nil {
+			return j, fmt.Errorf("decode %d: %w", j, err)
+		}
+		fn(j, payload)
+	}
+}
+
+func grepWorker(ctx *WorkerCtx, meta core.Meta, pattern []byte) (res GrepResult, err error) {
 	layout, err := meta.Layout()
 	if err != nil {
 		return GrepResult{}, err
 	}
-	local := meta.LocalBlocks(ctx.Index)
-	res := GrepResult{Blocks: local}
-	hint := int32(-1)
-	for j := int64(0); j < local; j++ {
-		raw, addr, err := ctx.LFS.Read(ctx.Node, meta.LFSFileID, uint32(j), hint)
-		if err != nil {
-			return res, fmt.Errorf("grep read %d: %w", j, err)
-		}
-		hint = addr
-		_, payload, err := core.DecodeBlock(raw)
-		if err != nil {
-			return res, fmt.Errorf("grep decode %d: %w", j, err)
-		}
+	res.Blocks, err = scanColumn(ctx, meta, func(j int64, payload []byte) {
 		global := layout.GlobalFor(ctx.Index, j)
 		off := 0
 		for {
@@ -85,6 +92,9 @@ func grepWorker(ctx *WorkerCtx, meta core.Meta, pattern []byte) (GrepResult, err
 			res.Matches = append(res.Matches, Match{GlobalBlock: global, Offset: off + i})
 			off += i + 1
 		}
+	})
+	if err != nil {
+		return res, fmt.Errorf("grep: %w", err)
 	}
 	return res, nil
 }
@@ -123,23 +133,14 @@ func WC(pc sim.Proc, c *core.Client, name string) (WCResult, error) {
 	return out, nil
 }
 
-func wcWorker(ctx *WorkerCtx, meta core.Meta) (WCResult, error) {
-	local := meta.LocalBlocks(ctx.Index)
-	res := WCResult{Blocks: local}
-	hint := int32(-1)
-	for j := int64(0); j < local; j++ {
-		raw, addr, err := ctx.LFS.Read(ctx.Node, meta.LFSFileID, uint32(j), hint)
-		if err != nil {
-			return res, fmt.Errorf("wc read %d: %w", j, err)
-		}
-		hint = addr
-		_, payload, err := core.DecodeBlock(raw)
-		if err != nil {
-			return res, fmt.Errorf("wc decode %d: %w", j, err)
-		}
+func wcWorker(ctx *WorkerCtx, meta core.Meta) (res WCResult, err error) {
+	res.Blocks, err = scanColumn(ctx, meta, func(_ int64, payload []byte) {
 		res.Bytes += int64(len(payload))
 		res.Words += int64(len(bytes.Fields(payload)))
 		res.Lines += int64(bytes.Count(payload, []byte{'\n'}))
+	})
+	if err != nil {
+		return res, fmt.Errorf("wc: %w", err)
 	}
 	return res, nil
 }

@@ -158,14 +158,30 @@ func keyOf(raw []byte, keyBytes int) ([]byte, error) {
 	return payload[:keyBytes], nil
 }
 
-// mergeReaderStats reports a reader's work.
-type mergeReaderStats struct {
-	Emitted int64
+// nextKeyed is next for the sort: the block with its key, both nil at the end.
+func (r *colReader) nextKeyed(keyBytes int) (raw, key []byte, err error) {
+	raw, num, err := r.next()
+	if err != nil || raw == nil {
+		return nil, nil, err
+	}
+	if key, err = keyOf(raw, keyBytes); err != nil {
+		return nil, nil, fmt.Errorf("block %d: %w", num, err)
+	}
+	return raw, key, nil
+}
+
+// stopAll ends a merge that cannot finish: every process of the group gets a
+// mergeStop in place of the token or record it is waiting for.
+func (g *mergeGroup) stopAll(p sim.Proc, network *msg.Network, node msg.NodeID) {
+	for _, ports := range [][]*msg.Port{g.readerPorts, g.writerPorts} {
+		for _, port := range ports {
+			_ = network.Send(p, node, port.Addr(), &msg.Message{Body: mergeStop{}, Size: mergeWireSize(mergeStop{})})
+		}
+	}
 }
 
 // runReader executes the Figure 4 process for position i of the group.
-func (g *mergeGroup) runReader(p sim.Proc, network *msg.Network, node msg.NodeID, i int) (mergeReaderStats, error) {
-	st := mergeReaderStats{}
+func (g *mergeGroup) runReader(p sim.Proc, network *msg.Network, node msg.NodeID, i int) error {
 	lc := lfs.NewClient(p, network, node, fmt.Sprintf("mg%d.p%d.g%d.rc%d", g.seq, g.pass, g.group, i))
 	defer lc.C.Close()
 	port := g.readerPorts[i]
@@ -173,31 +189,15 @@ func (g *mergeGroup) runReader(p sim.Proc, network *msg.Network, node msg.NodeID
 
 	info, err := lc.Stat(node, g.inFile)
 	if err != nil {
-		return st, fmt.Errorf("merge reader %d: stat input: %w", i, err)
+		return fmt.Errorf("merge reader %d: stat input: %w", i, err)
 	}
-	total := int64(info.Blocks)
-	var (
-		pos  int64
-		hint int32 = -1
-		cur  []byte
-		key  []byte
-	)
-	readNext := func() error {
-		if pos >= total {
-			cur, key = nil, nil
-			return nil
+	rd := newColReader(lc, node, g.inFile, int64(info.Blocks))
+	defer rd.stop()
+	var cur, key []byte
+	readNext := func() (err error) {
+		if cur, key, err = rd.nextKeyed(g.keyBytes); err != nil {
+			return fmt.Errorf("merge reader %d: %w", i, err)
 		}
-		raw, addr, err := lc.Read(node, g.inFile, uint32(pos), hint)
-		if err != nil {
-			return fmt.Errorf("merge reader %d: read %d: %w", i, pos, err)
-		}
-		hint = addr
-		k, err := keyOf(raw, g.keyBytes)
-		if err != nil {
-			return fmt.Errorf("merge reader %d: block %d: %w", i, pos, err)
-		}
-		cur, key = raw, k
-		pos++
 		return nil
 	}
 	atEOF := func() bool { return cur == nil }
@@ -207,7 +207,6 @@ func (g *mergeGroup) runReader(p sim.Proc, network *msg.Network, node msg.NodeID
 	emit := func(seq int64) {
 		rec := mergeRecord{Seq: seq, Raw: cur}
 		send(g.writerFor(seq), rec)
-		st.Emitted++
 	}
 	finishAll := func(totalRecords int64) {
 		// DONE: stop every other reader and tell the writers the total.
@@ -222,16 +221,16 @@ func (g *mergeGroup) runReader(p sim.Proc, network *msg.Network, node msg.NodeID
 	}
 
 	if err := readNext(); err != nil {
-		return st, err
+		return err
 	}
 	for {
 		m, ok := port.Recv(p)
 		if !ok {
-			return st, nil
+			return nil
 		}
 		switch tok := m.Body.(type) {
 		case mergeStop:
-			return st, nil
+			return nil
 		case mergeToken:
 			switch {
 			case tok.Start:
@@ -245,12 +244,12 @@ func (g *mergeGroup) runReader(p sim.Proc, network *msg.Network, node msg.NodeID
 					// Both inputs exhausted: tok.Seq is the total
 					// number of records written.
 					finishAll(tok.Seq)
-					return st, nil
+					return nil
 				}
 				emit(tok.Seq)
 				send(g.ringNext(i), mergeToken{End: true, Seq: tok.Seq + 1, Orig: tok.Orig})
 				if err := readNext(); err != nil {
-					return st, err
+					return err
 				}
 			default:
 				if atEOF() {
@@ -263,28 +262,22 @@ func (g *mergeGroup) runReader(p sim.Proc, network *msg.Network, node msg.NodeID
 					emit(tok.Seq)
 					send(g.ringNext(i), mergeToken{Key: tok.Key, Orig: tok.Orig, Seq: tok.Seq + 1})
 					if err := readNext(); err != nil {
-						return st, err
+						return err
 					}
 				} else {
 					send(tok.Orig, mergeToken{Key: key, Orig: me, Seq: tok.Seq})
 				}
 			}
 		default:
-			return st, fmt.Errorf("merge reader %d: unexpected message %T", i, m.Body)
+			return fmt.Errorf("merge reader %d: unexpected message %T", i, m.Body)
 		}
 	}
-}
-
-// mergeWriterStats reports a writer's work.
-type mergeWriterStats struct {
-	Written int64
 }
 
 // runWriter consumes this destination column's records (sequence numbers
 // congruent to i mod t), reassembling order with a small reorder buffer,
 // and appends them as local blocks of the output file.
-func (g *mergeGroup) runWriter(p sim.Proc, network *msg.Network, node msg.NodeID, i int) (mergeWriterStats, error) {
-	st := mergeWriterStats{}
+func (g *mergeGroup) runWriter(p sim.Proc, network *msg.Network, node msg.NodeID, i int) error {
 	t := int64(len(g.nodes))
 	lc := lfs.NewClient(p, network, node, fmt.Sprintf("mg%d.p%d.g%d.wc%d", g.seq, g.pass, g.group, i))
 	defer lc.C.Close()
@@ -293,15 +286,14 @@ func (g *mergeGroup) runWriter(p sim.Proc, network *msg.Network, node msg.NodeID
 	// column here. The final pass writes into the Bridge-created
 	// destination, which already exists on every node.
 	if err := lc.Create(node, g.outFile); err != nil && !errors.Is(err, efs.ErrExists) {
-		return st, fmt.Errorf("merge writer %d: creating output: %w", i, err)
+		return fmt.Errorf("merge writer %d: creating output: %w", i, err)
 	}
 
 	var (
-		pending    = make(map[int64][]byte)
-		nextSeq    = int64(i)
-		localBlock uint32
-		hint       int32 = -1
-		expected         = int64(-1)
+		pending  = make(map[int64][]byte)
+		nextSeq  = int64(i)
+		out      = newColWriter(lc, node, g.outFile)
+		expected = int64(-1)
 	)
 	drain := func() error {
 		for {
@@ -318,43 +310,36 @@ func (g *mergeGroup) runWriter(p sim.Proc, network *msg.Network, node msg.NodeID
 			}
 			h.GlobalBlock = nextSeq
 			h.P = uint16(len(g.nodes))
-			out := core.EncodeBlock(h, payload)
-			addr, err := lc.Write(node, g.outFile, localBlock, out, hint)
-			if err != nil {
-				return fmt.Errorf("merge writer %d: write %d: %w", i, localBlock, err)
+			if err := out.put(core.EncodeBlock(h, payload)); err != nil {
+				return fmt.Errorf("merge writer %d: %w", i, err)
 			}
-			hint = addr
-			localBlock++
-			st.Written++
 			nextSeq += t
 		}
 	}
-	expectedFor := func(total int64) int64 {
-		if total <= int64(i) {
-			return 0
-		}
-		return (total-1-int64(i))/t + 1
-	}
 	for {
-		if expected >= 0 && st.Written == expected {
-			return st, nil
+		if expected >= 0 && int64(out.at) == expected {
+			if err := out.flush(); err != nil {
+				return fmt.Errorf("merge writer %d: %w", i, err)
+			}
+			return nil
 		}
 		m, ok := port.Recv(p)
 		if !ok {
-			return st, nil
+			return nil
 		}
 		switch b := m.Body.(type) {
 		case mergeRecord:
 			pending[b.Seq] = b.Raw
 			if err := drain(); err != nil {
-				return st, err
+				return err
 			}
 		case mergeFinish:
-			expected = expectedFor(b.Total)
+			// This column's share of b.Total records dealt round-robin.
+			expected = (b.Total + t - 1 - int64(i)) / t
 		case mergeStop:
-			return st, nil
+			return nil
 		default:
-			return st, fmt.Errorf("merge writer %d: unexpected message %T", i, m.Body)
+			return fmt.Errorf("merge writer %d: unexpected message %T", i, m.Body)
 		}
 	}
 }

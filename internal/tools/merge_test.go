@@ -120,12 +120,10 @@ func runOneMerge(t *testing.T, tWidth int, keysA, keysB []uint64) [][]byte {
 			i := i
 			node := nodes[i]
 			proc.Go(fmt.Sprintf("mr%d", i), func(p sim.Proc) {
-				_, err := g.runReader(p, cl.Net, node, i)
-				join.Send(err)
+				join.Send(g.runReader(p, cl.Net, node, i))
 			})
 			proc.Go(fmt.Sprintf("mw%d", i), func(p sim.Proc) {
-				_, err := g.runWriter(p, cl.Net, node, i)
-				join.Send(err)
+				join.Send(g.runWriter(p, cl.Net, node, i))
 			})
 		}
 		for i := 0; i < 2*tWidth; i++ {

@@ -1,6 +1,7 @@
 package tools
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -51,9 +52,8 @@ type SortStats struct {
 // token-ring parallel merge combine the p sorted columns into one file
 // interleaved across all p nodes. Records are one block each, as the paper
 // assumes; p must be a power of two.
-func Sort(pc sim.Proc, c *core.Client, src, dst string, opts SortOptions) (SortStats, error) {
+func Sort(pc sim.Proc, c *core.Client, src, dst string, opts SortOptions) (st SortStats, err error) {
 	opts.applyDefaults()
-	var st SortStats
 	meta, err := openMeta(c, src)
 	if err != nil {
 		return st, err
@@ -75,21 +75,28 @@ func Sort(pc sim.Proc, c *core.Client, src, dst string, opts SortOptions) (SortS
 	}
 	network := c.Msg().Net()
 	seq := toolSeq.Add(1)
-	// Intermediate pass files use one scratch id per pass, the same on
-	// every node (each node holds exactly one column of one group's
-	// file per pass).
+	// The output of pass k: one scratch id per intermediate pass, the same on
+	// every node (each node holds exactly one column of one group's file per
+	// pass), and the destination for the last. Pass 0 is the local sorts.
 	passFile := func(k int) uint32 {
+		if k == passes {
+			return dstMeta.LFSFileID
+		}
 		return lfs.ScratchBase + 100_000 + uint32(seq%1000)*64 + uint32(k)
 	}
-	phase1Out := dstMeta.LFSFileID
-	if passes > 0 {
-		phase1Out = passFile(0)
-	}
+	// A sort that fails leaves no scratch behind: whichever pass files exist
+	// by then go, best effort — the failure being reported may be a node
+	// that can no longer answer.
+	defer func() {
+		for k := 0; err != nil && k < passes; k++ {
+			_ = discardEverywhere(c.Msg(), meta.Nodes, passFile(k), spawnAckTimeout)
+		}
+	}()
 
 	// Phase 1: parallel local external sorts.
 	t0 := pc.Now()
 	results, err := RunOnNodes(pc, network, meta.Nodes, "sortlocal", func(ctx *WorkerCtx) (any, error) {
-		return localSortWorker(ctx, meta, phase1Out, phase1Out != dstMeta.LFSFileID, seq, opts)
+		return localSortWorker(ctx, meta, passFile(0), passes > 0, seq, opts)
 	})
 	if err != nil {
 		return st, fmt.Errorf("tools: local sort phase: %w", err)
@@ -104,14 +111,10 @@ func Sort(pc sim.Proc, c *core.Client, src, dst string, opts SortOptions) (SortS
 	mergeStart := pc.Now()
 	for k := 1; k <= passes; k++ {
 		tWidth := 1 << k
-		out := dstMeta.LFSFileID
-		if k < passes {
-			out = passFile(k)
-		}
 		groups := make([]*mergeGroup, p/tWidth)
 		for g := range groups {
 			groups[g] = newMergeGroup(network, seq*100+uint64(k), k, g,
-				meta.Nodes[g*tWidth:(g+1)*tWidth], passFile(k-1), out, opts.KeyBytes)
+				meta.Nodes[g*tWidth:(g+1)*tWidth], passFile(k-1), passFile(k), opts.KeyBytes)
 		}
 		passStart := pc.Now()
 		for _, g := range groups {
@@ -130,7 +133,7 @@ func Sort(pc sim.Proc, c *core.Client, src, dst string, opts SortOptions) (SortS
 		}
 		st.PassTimes = append(st.PassTimes, pc.Now()-passStart)
 		// Discard the old files in parallel.
-		if err := deleteEverywhere(c.Msg(), meta.Nodes, passFile(k-1)); err != nil {
+		if err := discardEverywhere(c.Msg(), meta.Nodes, passFile(k-1), 0); err != nil {
 			return st, fmt.Errorf("tools: discarding pass %d input: %w", k, err)
 		}
 	}
@@ -139,17 +142,21 @@ func Sort(pc sim.Proc, c *core.Client, src, dst string, opts SortOptions) (SortS
 }
 
 // runMergeNode runs one node's share of a merge pass: its reader process
-// and its writer process, concurrently.
+// and its writer process, concurrently. One that fails stops the rest of its
+// group, which would otherwise wait for a token or a record that never comes.
 func runMergeNode(ctx *WorkerCtx, g *mergeGroup, pos int, seq uint64, pass int) (any, error) {
 	done := ctx.Proc.Runtime().NewQueue(fmt.Sprintf("mg%d.p%d.n%d.join", seq, pass, ctx.Node))
-	ctx.Proc.Go(fmt.Sprintf("mg%d.p%d.reader%d", seq, pass, pos), func(p sim.Proc) {
-		_, err := g.runReader(p, ctx.Net, ctx.Node, pos)
-		done.Send(err)
-	})
-	ctx.Proc.Go(fmt.Sprintf("mg%d.p%d.writer%d", seq, pass, pos), func(p sim.Proc) {
-		_, err := g.runWriter(p, ctx.Net, ctx.Node, pos)
-		done.Send(err)
-	})
+	spawn := func(role string, run func(sim.Proc, *msg.Network, msg.NodeID, int) error) {
+		ctx.Proc.Go(fmt.Sprintf("mg%d.p%d.%s%d", seq, pass, role, pos), func(p sim.Proc) {
+			err := run(p, ctx.Net, ctx.Node, pos)
+			if err != nil {
+				g.stopAll(p, ctx.Net, ctx.Node)
+			}
+			done.Send(err)
+		})
+	}
+	spawn("reader", g.runReader)
+	spawn("writer", g.runWriter)
 	var firstErr error
 	for i := 0; i < 2; i++ {
 		v, ok := done.Recv(ctx.Proc)
@@ -164,9 +171,14 @@ func runMergeNode(ctx *WorkerCtx, g *mergeGroup, pos int, seq uint64, pass int) 
 	return nil, firstErr
 }
 
-// deleteEverywhere removes a node-local file id on every node, overlapped.
-func deleteEverywhere(ctrl *msg.Client, nodes []msg.NodeID, fileID uint32) error {
-	op := lfs.DeleteReq{FileID: fileID}
+// discardEverywhere frees a scratch file id every node holds a column of,
+// overlapped, the way the delete tool frees: bitmap only, a chain walk and no
+// per-block rewrite. A node that has no such file is fine (a failed sort
+// discards what may not exist yet). It waits as long as the chain walks take;
+// a bound > 0 gives up on a node that does not answer by then, which only the
+// failure path needs.
+func discardEverywhere(ctrl *msg.Client, nodes []msg.NodeID, fileID uint32, bound time.Duration) error {
+	op := lfs.DeleteReq{FileID: fileID, Fast: true}
 	ids := make([]uint64, 0, len(nodes))
 	for _, n := range nodes {
 		id, err := ctrl.Start(msg.Addr{Node: n, Port: lfs.PortName}, op, lfs.WireSize(op))
@@ -175,98 +187,104 @@ func deleteEverywhere(ctrl *msg.Client, nodes []msg.NodeID, fileID uint32) error
 		}
 		ids = append(ids, id)
 	}
-	ms, err := ctrl.Gather(ids)
-	if err != nil {
-		return err
+	var ms []*msg.Message
+	var err error
+	if bound > 0 {
+		ms, err = ctrl.GatherTimeout(ids, bound)
+	} else {
+		ms, err = ctrl.Gather(ids)
 	}
-	for _, m := range ms {
-		if st, _ := msg.StatusOf(m.Body); !st.OK() {
-			return lfs.Err(st)
+	for i, m := range ms {
+		if m == nil {
+			ctrl.Discard(ids[i])
+		} else if st, _ := msg.StatusOf(m.Body); !st.OK() && st.Code() != lfs.CodeNotFound && err == nil {
+			err = lfs.Err(st)
 		}
 	}
-	return nil
+	return err
 }
 
 // localSortWorker externally sorts one node's column of src into outFile:
 // in-core runs of opts.InCore records, then repeated 2-way run merges. The
 // expected time is the paper's O((n/p)(1+log c) + (n/p) log(n/(c p))).
-func localSortWorker(ctx *WorkerCtx, src core.Meta, outFile uint32, createOut bool, seq uint64, opts SortOptions) (int64, error) {
+func localSortWorker(ctx *WorkerCtx, src core.Meta, outFile uint32, createOut bool, seq uint64, opts SortOptions) (_ int64, err error) {
 	l := src.LocalBlocks(ctx.Index)
 	if createOut {
 		if err := ctx.LFS.Create(ctx.Node, outFile); err != nil {
 			return 0, fmt.Errorf("local sort: creating output: %w", err)
 		}
 	}
-	if l == 0 {
-		return 0, nil
-	}
 	runBase := lfs.ScratchBase + 200_000 + uint32(seq%1000)*1024
 	nextRun := runBase
-	newRunID := func() uint32 {
+	// newRun creates the next run file, or names outFile when the output
+	// of this step is the whole column.
+	newRun := func(last bool) (uint32, error) {
+		if last {
+			return outFile, nil
+		}
 		id := nextRun
 		nextRun++
-		return id
+		if err := ctx.LFS.Create(ctx.Node, id); err != nil {
+			return 0, fmt.Errorf("local sort: creating run: %w", err)
+		}
+		return id, nil
 	}
+	// A worker that fails leaves no run file behind; most are gone already.
+	defer func() {
+		for id := runBase; err != nil && id < nextRun; id++ {
+			_, _ = ctx.LFS.DeleteFast(ctx.Node, id)
+		}
+	}()
 
 	// Run formation: read up to InCore records, sort in core, write out.
 	var runs []uint32
-	hint := int32(-1)
+	rd := newColReader(ctx.LFS, ctx.Node, src.LFSFileID, l)
+	defer rd.stop()
 	for start := int64(0); start < l; start += int64(opts.InCore) {
-		end := start + int64(opts.InCore)
-		if end > l {
-			end = l
-		}
-		batch := make([]rawRecord, 0, end-start)
-		for j := start; j < end; j++ {
-			raw, addr, err := ctx.LFS.Read(ctx.Node, src.LFSFileID, uint32(j), hint)
+		batch := make([]rawRecord, 0, min(int64(opts.InCore), l-start))
+		for len(batch) < cap(batch) {
+			raw, key, err := rd.nextKeyed(opts.KeyBytes)
 			if err != nil {
-				return 0, fmt.Errorf("local sort: read %d: %w", j, err)
-			}
-			hint = addr
-			key, err := keyOf(raw, opts.KeyBytes)
-			if err != nil {
-				return 0, fmt.Errorf("local sort: block %d: %w", j, err)
+				return 0, fmt.Errorf("local sort: %w", err)
 			}
 			batch = append(batch, rawRecord{key: key, raw: raw})
 		}
 		// In-core sort CPU: ~n log2(c) comparisons.
 		ctx.Proc.Sleep(time.Duration(len(batch)*log2ceil(opts.InCore)) * opts.CPUPerRecord)
-		sort.SliceStable(batch, func(a, b int) bool { return lessKey(batch[a].key, batch[b].key) })
-		target := outFile
-		if l > int64(opts.InCore) {
-			target = newRunID()
-			if err := ctx.LFS.Create(ctx.Node, target); err != nil {
-				return 0, fmt.Errorf("local sort: creating run: %w", err)
-			}
+		sort.SliceStable(batch, func(a, b int) bool { return bytes.Compare(batch[a].key, batch[b].key) < 0 })
+		target, err := newRun(l <= int64(opts.InCore))
+		if err != nil {
+			return 0, err
+		}
+		if target != outFile {
 			runs = append(runs, target)
 		}
-		whint := int32(-1)
-		for j, r := range batch {
-			addr, err := ctx.LFS.Write(ctx.Node, target, uint32(j), r.raw, whint)
-			if err != nil {
+		wr := newColWriter(ctx.LFS, ctx.Node, target)
+		for _, r := range batch {
+			if err := wr.put(r.raw); err != nil {
 				return 0, fmt.Errorf("local sort: writing run: %w", err)
 			}
-			whint = addr
+		}
+		if err := wr.flush(); err != nil {
+			return 0, fmt.Errorf("local sort: writing run: %w", err)
 		}
 	}
 	// Merge runs pairwise until one remains; the final merge writes the
-	// output file directly.
+	// output file directly. (Two or more runs always end in a merge of
+	// exactly two, so no single run is ever left to move.)
 	for len(runs) > 1 {
 		var next []uint32
 		for i := 0; i+1 < len(runs); i += 2 {
-			target := outFile
-			if len(runs) > 2 {
-				target = newRunID()
-				if err := ctx.LFS.Create(ctx.Node, target); err != nil {
-					return 0, fmt.Errorf("local sort: creating merge target: %w", err)
-				}
+			target, err := newRun(len(runs) == 2)
+			if err != nil {
+				return 0, err
 			}
 			if err := localMerge2(ctx, runs[i], runs[i+1], target, opts); err != nil {
 				return 0, err
 			}
 			for _, in := range runs[i : i+2] {
-				if _, err := ctx.LFS.Delete(ctx.Node, in); err != nil {
-					return 0, fmt.Errorf("local sort: deleting run: %w", err)
+				if _, err := ctx.LFS.DeleteFast(ctx.Node, in); err != nil {
+					return 0, fmt.Errorf("local sort: discarding run: %w", err)
 				}
 			}
 			if target != outFile {
@@ -278,31 +296,12 @@ func localSortWorker(ctx *WorkerCtx, src core.Meta, outFile uint32, createOut bo
 		}
 		runs = next
 	}
-	if len(runs) == 1 {
-		// A single leftover run (odd run counts collapse to one): move
-		// it into the output file.
-		if err := localMerge2(ctx, runs[0], 0, outFile, opts); err != nil {
-			return 0, err
-		}
-		if _, err := ctx.LFS.Delete(ctx.Node, runs[0]); err != nil {
-			return 0, fmt.Errorf("local sort: deleting final run: %w", err)
-		}
-	}
 	return l, nil
 }
 
 type rawRecord struct {
 	key []byte
 	raw []byte
-}
-
-func lessKey(a, b []byte) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 func log2ceil(n int) int {
@@ -316,92 +315,41 @@ func log2ceil(n int) int {
 	return k
 }
 
-// localMerge2 merges runs a and b (b may be 0 for a 1-input copy) into
-// target, sequentially, charging CPUPerRecord per record moved.
-func localMerge2(ctx *WorkerCtx, a, b uint32, target uint32, opts SortOptions) error {
-	type cursorState struct {
-		file  uint32
-		pos   int64
-		size  int64
-		hint  int32
-		raw   []byte
-		key   []byte
-		alive bool
+// localMerge2 merges runs a and b into target, sequentially, charging
+// CPUPerRecord per record moved.
+func localMerge2(ctx *WorkerCtx, a, b, target uint32, opts SortOptions) error {
+	var in [2]struct {
+		rd       *colReader
+		raw, key []byte
 	}
-	open := func(file uint32) (*cursorState, error) {
-		if file == 0 {
-			return &cursorState{}, nil
-		}
+	for i, file := range [2]uint32{a, b} {
 		info, err := ctx.LFS.Stat(ctx.Node, file)
 		if err != nil {
-			return nil, fmt.Errorf("local merge: stat run: %w", err)
+			return fmt.Errorf("local merge: stat run %d: %w", file, err)
 		}
-		return &cursorState{file: file, size: int64(info.Blocks), hint: -1, alive: true}, nil
-	}
-	advance := func(cs *cursorState) error {
-		if !cs.alive || cs.pos >= cs.size {
-			cs.alive = false
-			cs.raw, cs.key = nil, nil
-			return nil
+		in[i].rd = newColReader(ctx.LFS, ctx.Node, file, int64(info.Blocks))
+		defer in[i].rd.stop()
+		if in[i].raw, in[i].key, err = in[i].rd.nextKeyed(opts.KeyBytes); err != nil {
+			return fmt.Errorf("local merge: %w", err)
 		}
-		raw, addr, err := ctx.LFS.Read(ctx.Node, cs.file, uint32(cs.pos), cs.hint)
-		if err != nil {
-			return fmt.Errorf("local merge: read: %w", err)
-		}
-		cs.hint = addr
-		key, err := keyOf(raw, opts.KeyBytes)
-		if err != nil {
-			return err
-		}
-		cs.raw, cs.key = raw, key
-		cs.pos++
-		return nil
 	}
-	ca, err := open(a)
-	if err != nil {
-		return err
-	}
-	cb, err := open(b)
-	if err != nil {
-		return err
-	}
-	if err := advance(ca); err != nil {
-		return err
-	}
-	if err := advance(cb); err != nil {
-		return err
-	}
-	// Find the append position in the target (it may already hold
-	// earlier merged runs... it does not in this scheme, but stat keeps
-	// this robust).
-	tinfo, err := ctx.LFS.Stat(ctx.Node, target)
-	if err != nil {
-		return fmt.Errorf("local merge: stat target: %w", err)
-	}
-	out := uint32(tinfo.Blocks)
-	whint := int32(-1)
-	for ca.raw != nil || cb.raw != nil {
-		var cur *cursorState
-		switch {
-		case ca.raw == nil:
-			cur = cb
-		case cb.raw == nil:
-			cur = ca
-		case lessKey(cb.key, ca.key):
-			cur = cb
-		default:
-			cur = ca
+	out := newColWriter(ctx.LFS, ctx.Node, target)
+	for in[0].raw != nil || in[1].raw != nil {
+		cur := &in[0]
+		if cur.raw == nil || (in[1].raw != nil && bytes.Compare(in[1].key, cur.key) < 0) {
+			cur = &in[1]
 		}
 		ctx.Proc.Sleep(opts.CPUPerRecord)
-		addr, err := ctx.LFS.Write(ctx.Node, target, out, cur.raw, whint)
+		err := out.put(cur.raw)
+		if err == nil {
+			cur.raw, cur.key, err = cur.rd.nextKeyed(opts.KeyBytes)
+		}
 		if err != nil {
-			return fmt.Errorf("local merge: write: %w", err)
+			return fmt.Errorf("local merge: %w", err)
 		}
-		whint = addr
-		out++
-		if err := advance(cur); err != nil {
-			return err
-		}
+	}
+	if err := out.flush(); err != nil {
+		return fmt.Errorf("local merge: %w", err)
 	}
 	return nil
 }

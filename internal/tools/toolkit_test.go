@@ -60,27 +60,29 @@ func contains(s, sub string) bool {
 }
 
 func TestWorkersRunOnTheirNodes(t *testing.T) {
-	// The whole point of tools: worker LFS traffic must be node-local.
-	withCluster(t, fastCfg(4), func(p sim.Proc, cl *core.Cluster, c *core.Client) {
-		recs := workload.Records(21, 32, 64)
-		if err := workload.Fill(p, c, "f", recs); err != nil {
-			t.Error(err)
-			return
-		}
-		local0 := cl.Net.Stats().Get("msg.local")
-		remote0 := cl.Net.Stats().Get("msg.remote")
-		if _, err := Copy(p, c, "f", "f2"); err != nil {
-			t.Errorf("Copy: %v", err)
-			return
-		}
-		localD := cl.Net.Stats().Get("msg.local") - local0
-		remoteD := cl.Net.Stats().Get("msg.remote") - remote0
-		// Startup/completion messages are remote; the per-block traffic
-		// (4 messages per block pair) must dominate and be local.
-		if localD < remoteD*3 {
-			t.Errorf("tool traffic not node-local: %d local vs %d remote", localD, remoteD)
-		}
-	})
+	// The whole point of tools: no block crosses the interconnect. What does
+	// cross is the server conversation, the spawns and the completion wave,
+	// and none of that knows how long the file is — so a copy of eight times
+	// the blocks must put exactly as many bytes on the wire.
+	remoteBytes := func(blocks int) (moved int64) {
+		withCluster(t, fastCfg(4), func(p sim.Proc, cl *core.Cluster, c *core.Client) {
+			if err := workload.Fill(p, c, "f", workload.Records(21, blocks, 64)); err != nil {
+				t.Error(err)
+				return
+			}
+			before := cl.Net.Stats().Get("msg.remote_bytes")
+			if st, err := Copy(p, c, "f", "f2"); err != nil || st.Blocks != int64(blocks) {
+				t.Errorf("Copy = %+v, %v", st, err)
+				return
+			}
+			moved = cl.Net.Stats().Get("msg.remote_bytes") - before
+		})
+		return moved
+	}
+	small, large := remoteBytes(32), remoteBytes(256)
+	if small == 0 || large != small {
+		t.Errorf("a copy of 32 blocks put %d bytes on the interconnect, one of 256 blocks %d: block data left its node", small, large)
+	}
 }
 
 func TestFilterRefusesNonRoundRobin(t *testing.T) {
@@ -183,22 +185,9 @@ func TestToolFailureKeepsItsClass(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		// Rot node 1's second block on the medium, and have a scrub drop the
-		// node's cached clean copy so reads verify against it.
-		node := cl.Nodes[1]
-		phys := node.FS().DataStart() + 1
-		raw, err := node.Disk.ReadBlock(p, phys)
-		if err != nil {
-			t.Errorf("raw read: %v", err)
-			return
-		}
-		raw[200] ^= 0x04
-		if err := node.Disk.WriteBlock(p, phys, raw); err != nil {
-			t.Errorf("raw write: %v", err)
-			return
-		}
-		if rep, err := c.Scrub(1); err != nil || len(rep.Errors) != 1 {
-			t.Errorf("Scrub = %+v, %v; want one rotted block", rep, err)
+		src, err := c.Open("src")
+		if err != nil || !rot(t, p, cl, c, 1, src.LFSFileID, 1) {
+			t.Errorf("rotting node 1's second block: %v", err)
 			return
 		}
 		if _, err := Copy(p, c, "src", "dst"); !errors.Is(err, efs.ErrCorrupt) {

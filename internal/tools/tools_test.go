@@ -293,13 +293,6 @@ func checkSorted(t *testing.T, p sim.Proc, c *core.Client, dst string, want [][]
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestSortToolAcrossWidths(t *testing.T) {
 	for _, P := range []int{1, 2, 4, 8} {
 		P := P
