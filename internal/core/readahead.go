@@ -1,25 +1,44 @@
 package core
 
 import (
+	"slices"
+
 	"bridge/internal/msg"
+	"bridge/internal/obs"
 	"bridge/internal/sim"
 )
 
 // Server-side read-ahead for naive sequential readers. The per-block
 // SeqRead interface pays one full round trip per block; with a stripe
 // buffer the server instead fetches a whole window (ReadAhead stripes of p
-// blocks) with one scatter-gather and, as soon as a window is served,
-// starts prefetching the next one asynchronously — so by the time the
-// reader's cursor arrives, the blocks are usually waiting. The cache lives
-// entirely inside the single-threaded server process: entries are keyed by
-// (client, file), mutations to a file drop its entries before any block is
-// written, and abandoned prefetches are Discarded so their late replies
-// cannot be observed. That makes the cache invisible to clients except in
-// timing: no interleaving of readers and writers can serve stale bytes.
+// blocks) with one scatter-gather and keeps the next raDepth windows in
+// flight — so by the time the reader's cursor arrives, the blocks are
+// usually waiting. A request starts only the windows its own blocks run
+// into; the top-up for the next request is started after the reply has gone
+// out (raAhead, from the request loop). The cache lives entirely inside the
+// single-threaded server process: entries are keyed by (client, file),
+// mutations to a file drop its entries before any block is written, and
+// abandoned prefetches are Discarded so their late replies cannot be
+// observed. That makes the cache invisible to clients except in timing: no
+// interleaving of readers and writers can serve stale bytes.
 
 // raEntryCap bounds the number of (client, file) stripe buffers; old
-// entries evict FIFO.
+// entries evict FIFO. With raDepth it bounds the cache's memory: at most
+// raEntryCap × (1 + raDepth) windows of at most maxBatchBlocks blocks.
 const raEntryCap = 64
+
+// raDepth is how many windows a reader keeps in flight past the one it is
+// served from. One is too few: a request's worth of server work (≈15–17 ms
+// on stream_read) is shorter than an LFS round trip with a 15 ms track read,
+// so a window started one request ahead is still in flight when the reader
+// gets there. At two the last node's reply to a track-read window still
+// lands a fraction of a millisecond after its gather begins; three is the
+// least depth at which no fill waits (TestReadAheadStaysAhead). stream_read
+// (ReadN(32), 32-block windows over 8 nodes) by depth, sim ms/op and slowest
+// op: 1 → 0.654, 30.0; 2 → 0.484, 30.9; 3 → 0.467 (the server's messaging
+// floor), 31.7; 4 → 0.467, 38.1 — deeper windows only queue on the disks,
+// and the slowest op waits behind them.
+const raDepth = 3
 
 // raKey identifies one sequential reader's buffer.
 type raKey struct {
@@ -27,23 +46,34 @@ type raKey struct {
 	name   string
 }
 
-// raEntry is one reader's window plus its in-flight prefetch.
+// raWindow is a started, not yet gathered, vectored read of count blocks
+// from start.
+type raWindow struct {
+	calls []vecCall
+	start int64
+	count int
+}
+
+// raEntry is one reader's window plus the windows in flight after it.
 type raEntry struct {
 	start  int64    // global block number of blocks[0]
 	blocks [][]byte // contiguous run of payloads
-
-	// pend holds the started (not yet awaited) vectored reads of the next
-	// window, covering [pendStart, pendStart+pendCount).
-	pend      []vecCall
-	pendStart int64
-	pendCount int
+	// pend[:npend] are the windows in flight, in file order; next is the
+	// first block neither buffered nor in flight.
+	pend  [raDepth]raWindow
+	npend int
+	next  int64
 }
 
 type raCache struct {
 	stripes int // window size in stripes (of p blocks each)
 	entries map[raKey]*raEntry
-	order   []raKey // FIFO eviction; may hold keys already invalidated
+	order   []raKey // FIFO eviction order of the live entries
 	byName  map[string][]raKey
+	// due is the reader the request being served left short of raDepth
+	// windows in flight, for raAhead to top up; nil when there is none.
+	due    *raEntry
+	dueEnt *dirent
 }
 
 func newRACache(stripes int) *raCache {
@@ -54,14 +84,12 @@ func newRACache(stripes int) *raCache {
 	}
 }
 
-// window is the fetch size for a file: ReadAhead stripes of p blocks.
-func (c *raCache) window(ent *dirent) int {
-	w := c.stripes * ent.meta.Spec.P
-	if w < 1 {
-		w = 1
-	}
-	if w > maxBatchBlocks {
-		w = maxBatchBlocks
+// window is the fetch size at pos: ReadAhead stripes of p blocks, clipped
+// to the file's end.
+func (c *raCache) window(ent *dirent, pos int64) int {
+	w := max(1, min(c.stripes*ent.meta.Spec.P, maxBatchBlocks))
+	if remain := ent.meta.Blocks - pos; int64(w) > remain {
+		w = int(remain)
 	}
 	return w
 }
@@ -79,112 +107,131 @@ func (c *raCache) read(p sim.Proc, s *Server, ent *dirent, client msg.Addr, pos 
 	if !ok {
 		e = c.insert(s, key)
 	}
+	end := pos + int64(count)
 	out := make([][]byte, 0, count)
-	for count > 0 {
+	for pos < end {
 		if off := pos - e.start; off >= 0 && off < int64(len(e.blocks)) {
-			n := int64(len(e.blocks)) - off
-			if int64(count) < n {
-				n = int64(count)
-			}
+			n := min(int64(len(e.blocks))-off, end-pos)
 			out = append(out, e.blocks[off:off+n]...)
 			s.m.raHits.Add(n)
 			pos += n
-			count -= int(n)
 			continue
 		}
-		if e.pend != nil && pos >= e.pendStart && pos < e.pendStart+int64(e.pendCount) {
-			if err := c.fill(p, s, ent, e); err != nil {
-				// A failed prefetch falls through to a fresh synchronous
-				// fetch, which gets its own retries.
-				e.start, e.blocks = 0, nil
-				continue
-			}
+		if w := e.pend[0]; e.npend > 0 && pos >= w.start && pos < w.start+int64(w.count) {
+			c.fill(p, s, ent, e, end)
 			continue
 		}
-		// Miss: the reader is outside both windows (cold start, or the
-		// cursor moved — e.g. a re-open). Abandon any prefetch and fetch
-		// a window synchronously, then pipeline the next.
-		c.dropPend(s, e)
-		w := c.window(ent)
-		if remain := ent.meta.Blocks - pos; int64(w) > remain {
-			w = int(remain)
-		}
+		// Miss: the reader is outside every window (cold start, the cursor
+		// moved — e.g. a re-open — or a prefetch failed). Abandon the
+		// windows in flight and fetch one synchronously, with its own
+		// retries.
+		c.drop(s, e)
+		w := c.window(ent, pos)
 		blocks, err := s.lfsReadN(p, ent, pos, w)
 		if err != nil {
 			return nil, err
 		}
-		e.start, e.blocks = pos, blocks
-		c.prefetch(s, ent, e)
+		e.start, e.blocks, e.next = pos, blocks, pos+int64(w)
+		if end > e.next {
+			c.prefetch(s, ent, e)
+		}
 		// The blocks this request takes from the fresh window had to wait
 		// for the fetch, so they count as misses (per block, matching the
 		// ra_hits unit); the window's remainder serves later requests as
 		// hits, which is the read-ahead payoff.
-		n := int64(len(blocks))
-		if int64(count) < n {
-			n = int64(count)
-		}
+		n := min(int64(w), end-pos)
 		out = append(out, blocks[:n]...)
 		s.m.raMisses.Add(n)
 		s.curSpan.Annotate("ra miss")
 		pos += n
-		count -= int(n)
+	}
+	if e.npend < raDepth && e.next < ent.meta.Blocks {
+		c.due, c.dueEnt = e, ent
 	}
 	return out, nil
 }
 
-// fill gathers the entry's in-flight prefetch into its window and starts
-// the next prefetch. The pending set is consumed either way: on error the
-// remaining replies are discarded by gatherReadVec.
-func (c *raCache) fill(p sim.Proc, s *Server, ent *dirent, e *raEntry) error {
-	calls, start, n := e.pend, e.pendStart, e.pendCount
-	e.pend, e.pendStart, e.pendCount = nil, 0, 0
-	blocks, err := s.gatherReadVec(p, ent, calls, start, n)
+// fill gathers the entry's first window in flight into its buffer. When the
+// request's blocks run past that window (to end) and nothing after it is in
+// flight, the next window is started before the gather, so a batch larger
+// than a window still overlaps each fetch with the one before. A failed
+// gather discards the window's remaining replies and leaves the buffer as it
+// was, so the read misses at the failed window's blocks.
+func (c *raCache) fill(p sim.Proc, s *Server, ent *dirent, e *raEntry, end int64) {
+	w := e.pend[0]
+	copy(e.pend[:], e.pend[1:e.npend])
+	e.npend--
+	e.pend[e.npend] = raWindow{}
+	if e.npend == 0 && end > w.start+int64(w.count) {
+		c.prefetch(s, ent, e)
+	}
+	blocks, err := s.gatherReadVec(p, ent, w.calls, w.start, w.count)
 	if err != nil {
-		return err
+		return
 	}
 	s.m.raFills.Add(1)
-	e.start, e.blocks = start, blocks
-	c.prefetch(s, ent, e)
-	return nil
+	e.start, e.blocks = w.start, blocks
 }
 
-// prefetch starts (but does not await) a vectored read of the window after
-// the entry's current one. Best-effort: a node that cannot even be started
-// just leaves the prefetch off, and the demand path reports the error.
-func (c *raCache) prefetch(s *Server, ent *dirent, e *raEntry) {
-	next := e.start + int64(len(e.blocks))
-	if next >= ent.meta.Blocks {
-		return
+// prefetch starts (but does not await) a vectored read of the window at the
+// entry's next block and reports whether it did. Best-effort: at the end of
+// the file, with raDepth windows already in flight, or on a node that cannot
+// even be started it leaves the prefetch off, and the demand path reports
+// any error.
+func (c *raCache) prefetch(s *Server, ent *dirent, e *raEntry) bool {
+	if e.npend == raDepth || e.next >= ent.meta.Blocks {
+		return false
 	}
-	w := c.window(ent)
-	if remain := ent.meta.Blocks - next; int64(w) > remain {
-		w = int(remain)
-	}
-	calls, err := s.startReadVec(ent, next, w)
+	w := c.window(ent, e.next)
+	calls, err := s.startReadVec(ent, e.next, w)
 	if err != nil {
+		return false
+	}
+	e.pend[e.npend] = raWindow{calls: calls, start: e.next, count: w}
+	e.npend++
+	e.next += int64(w)
+	return true
+}
+
+// drop abandons every window the entry has in flight, discarding their
+// correlation ids so late replies are dropped on receipt.
+func (c *raCache) drop(s *Server, e *raEntry) {
+	for i := range e.pend[:e.npend] {
+		s.discardVec(e.pend[i].calls)
+		e.pend[i] = raWindow{}
+	}
+	e.npend = 0
+}
+
+// raAhead is the request loop's post-reply step: it tops the reader the last
+// request served up to raDepth windows in flight. The sends go out after the
+// reply, so they no longer sit between the client and its answer, and each
+// window is started raDepth requests before it is needed. The step is traced
+// as server.prefetch, a child of the request (parent) that queued it.
+func (s *Server) raAhead(p sim.Proc, trace obs.TraceID, parent obs.SpanID) {
+	if s.ra == nil || s.ra.due == nil {
 		return
 	}
-	e.pend, e.pendStart, e.pendCount = calls, next, w
+	e, ent := s.ra.due, s.ra.dueEnt
+	s.ra.due, s.ra.dueEnt = nil, nil
+	rec := s.net.Recorder()
+	var sp obs.SpanRef
+	if rec != nil {
+		sp = rec.Start(p.Now(), trace, parent, "server.prefetch", int(s.cfg.Node))
+		s.lc.SetTrace(trace, sp.ID())
+	}
+	for s.ra.prefetch(s, ent, e) {
+	}
+	if rec != nil {
+		sp.End(p.Now(), nil)
+		s.lc.SetTrace(0, 0)
+	}
 }
 
-// dropPend abandons the entry's in-flight prefetch, discarding the
-// correlation ids so late replies are dropped on receipt.
-func (c *raCache) dropPend(s *Server, e *raEntry) {
-	s.discardVec(e.pend)
-	e.pend, e.pendStart, e.pendCount = nil, 0, 0
-}
-
-// insert adds an empty entry, evicting FIFO past the cap. Keys in order
-// whose entries were invalidated are skipped lazily.
+// insert adds an empty entry, evicting the oldest past the cap.
 func (c *raCache) insert(s *Server, key raKey) *raEntry {
-	for len(c.entries) >= raEntryCap && len(c.order) > 0 {
-		old := c.order[0]
-		c.order = c.order[1:]
-		if e, ok := c.entries[old]; ok {
-			c.dropPend(s, e)
-			delete(c.entries, old)
-			c.removeName(old)
-		}
+	for len(c.entries) >= raEntryCap {
+		c.remove(s, c.order[0])
 	}
 	e := &raEntry{}
 	c.entries[key] = e
@@ -193,15 +240,18 @@ func (c *raCache) insert(s *Server, key raKey) *raEntry {
 	return e
 }
 
-func (c *raCache) removeName(key raKey) {
-	keys := c.byName[key.name]
-	for i, k := range keys {
-		if k == key {
-			c.byName[key.name] = append(keys[:i], keys[i+1:]...)
-			break
-		}
+// remove forgets one reader's entry, abandoning its windows in flight.
+func (c *raCache) remove(s *Server, key raKey) {
+	e := c.entries[key]
+	c.drop(s, e)
+	if c.due == e {
+		c.due, c.dueEnt = nil, nil
 	}
-	if len(c.byName[key.name]) == 0 {
+	delete(c.entries, key)
+	c.order = slices.DeleteFunc(c.order, func(k raKey) bool { return k == key })
+	if keys := slices.DeleteFunc(c.byName[key.name], func(k raKey) bool { return k == key }); len(keys) > 0 {
+		c.byName[key.name] = keys
+	} else {
 		delete(c.byName, key.name)
 	}
 }
@@ -210,31 +260,21 @@ func (c *raCache) removeName(key raKey) {
 // mutation of the file's data or removal of the file, so a buffer can
 // never outlive the bytes it caches.
 func (c *raCache) invalidate(s *Server, name string) {
-	keys := c.byName[name]
-	if len(keys) == 0 {
+	if len(c.byName[name]) == 0 {
 		return
 	}
-	for _, key := range keys {
-		if e, ok := c.entries[key]; ok {
-			c.dropPend(s, e)
-			delete(c.entries, key)
-		}
+	for len(c.byName[name]) > 0 {
+		c.remove(s, c.byName[name][0])
 	}
-	delete(c.byName, name)
 	s.m.raInvalidations.Add(1)
 }
 
 // invalidateAll empties the cache — used after node repair, when any
 // buffered block might predate the crash.
 func (c *raCache) invalidateAll(s *Server) {
-	for _, key := range c.order {
-		if e, ok := c.entries[key]; ok {
-			c.dropPend(s, e)
-			delete(c.entries, key)
-		}
+	for len(c.order) > 0 {
+		c.remove(s, c.order[0])
 	}
-	c.order = c.order[:0]
-	c.byName = make(map[string][]raKey)
 }
 
 // raInvalidate drops read-ahead state for a file, if the cache is on.

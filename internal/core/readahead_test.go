@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
+	"bridge/internal/msg"
+	"bridge/internal/obs"
 	"bridge/internal/sim"
 )
 
@@ -290,4 +294,377 @@ func TestReadAheadBatchedRoundTrip(t *testing.T) {
 			t.Error("interleaved batched reads recorded no read-ahead hits")
 		}
 	})
+}
+
+// raProgram is a seeded program over two files: two sequential readers
+// using SeqRead and SeqReadN with batches below, equal to and above the
+// window (4 and 8 blocks at ReadAhead 1 and 2 on four nodes), Open rewinds,
+// and a third client doing WriteAt, AppendN, Delete and re-Create. Every
+// reader then reads both files to the end. It returns what the clients
+// saw, one line per call.
+func raProgram(p sim.Proc, cl *Cluster, a *Client, seed int64) []string {
+	var seen []string
+	log := func(format string, args ...any) { seen = append(seen, fmt.Sprintf(format, args...)) }
+	read := func(what string, bs [][]byte, eof bool, err error) {
+		heads := make([]string, len(bs))
+		for i, b := range bs {
+			heads[i] = head(b)
+		}
+		log("%s: %s eof=%v %v", what, errClass(err), eof, heads)
+	}
+	b := cl.NewClient(p, 0, "ra-diff-b")
+	defer b.Close()
+	w := cl.NewClient(p, 0, "ra-diff-w")
+	defer w.Close()
+	readers := []*Client{a, b}
+	files := []string{"f", "g"}
+	next := 0
+	appendN := func(name string, n int) {
+		blocks := make([][]byte, n)
+		for i := range blocks {
+			blocks[i] = payload(next)
+			next++
+		}
+		got, err := w.AppendN(name, blocks)
+		log("appendn %s %d: %s %d", name, n, errClass(err), got)
+	}
+	for _, f := range files {
+		_, err := w.Create(f)
+		log("create %s: %s", f, errClass(err))
+		appendN(f, 40)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	batches := []int{3, 4, 5, 8, 13, 21}
+	for i := 0; i < 300; i++ {
+		if ra := cl.Servers[0].ra; ra != nil {
+			for _, k := range ra.order {
+				if err := raContiguous(ra.entries[k]); err != nil {
+					log("call %d: %s's entry for %s: %v", i, k.client.Port, k.name, err)
+				}
+			}
+		}
+		ri, f := rng.Intn(len(readers)), files[rng.Intn(len(files))]
+		r := readers[ri]
+		switch k := rng.Intn(20); {
+		case k < 6:
+			data, eof, err := r.SeqRead(f)
+			var bs [][]byte
+			if data != nil {
+				bs = [][]byte{data}
+			}
+			read(fmt.Sprintf("r%d seqread %s", ri, f), bs, eof, err)
+		case k < 12:
+			n := batches[rng.Intn(len(batches))]
+			bs, eof, err := r.SeqReadN(f, n)
+			read(fmt.Sprintf("r%d seqreadn %s %d", ri, f, n), bs, eof, err)
+		case k < 14:
+			m, err := r.Open(f)
+			log("r%d open %s: %s blocks=%d", ri, f, errClass(err), m.Blocks)
+		case k < 16:
+			m, _ := w.Stat(f)
+			at := rng.Int63n(m.Blocks + 2)
+			err := w.WriteAt(f, at, payload(next))
+			next++
+			log("writeat %s %d: %s", f, at, errClass(err))
+		case k < 19:
+			appendN(f, 1+rng.Intn(12))
+		default:
+			_, err := w.Delete(f)
+			log("delete %s: %s", f, errClass(err))
+			if rng.Intn(2) == 0 {
+				_, err := w.Create(f)
+				log("create %s: %s", f, errClass(err))
+				appendN(f, rng.Intn(30))
+			}
+		}
+	}
+	for ri, r := range readers {
+		for _, f := range files {
+			for {
+				bs, eof, err := r.SeqReadN(f, 16)
+				read(fmt.Sprintf("r%d drain %s", ri, f), bs, eof, err)
+				if eof || err != nil {
+					break
+				}
+			}
+		}
+	}
+	return seen
+}
+
+// raContiguous checks that an entry's windows in flight continue its
+// buffered window without a gap or an overlap, up to its next block. Every
+// rewind, miss and failed fill must drop the windows it leaves behind.
+func raContiguous(e *raEntry) error {
+	if e.npend == 0 {
+		return nil
+	}
+	at := e.start + int64(len(e.blocks))
+	for _, w := range e.pend[:e.npend] {
+		if w.start != at {
+			return fmt.Errorf("a window in flight at %d, want %d", w.start, at)
+		}
+		at += int64(w.count)
+	}
+	if at != e.next {
+		return fmt.Errorf("windows in flight end at %d, next is %d", at, e.next)
+	}
+	return nil
+}
+
+// TestReadAheadDifferential runs raProgram at ReadAhead 0, 1 and 2. The
+// cache may change timing only, so every setting must return the same
+// bytes, EOFs and errors; and once every reader has stopped at the end of
+// the file or been invalidated, nothing the cache started may be left
+// parked in the server's LFS client.
+func TestReadAheadDifferential(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		var base []string
+		for _, stripes := range []int{0, 1, 2} {
+			cfg := wrenCfg(4)
+			cfg.Server.ReadAhead = stripes
+			var seen []string
+			withCluster(t, cfg, func(p sim.Proc, cl *Cluster, a *Client) {
+				seen = raProgram(p, cl, a, seed)
+				if stripes == 0 {
+					return
+				}
+				st := cl.Net.Stats()
+				for _, name := range []string{"bridge.ra_hits", "bridge.ra_misses", "bridge.ra_fills", "bridge.ra_invalidations"} {
+					if st.Get(name) == 0 {
+						t.Errorf("seed %d ReadAhead=%d: %s is 0; the program never exercised it", seed, stripes, name)
+					}
+				}
+				p.Sleep(time.Second) // anything still on its way arrives
+				if pending, _ := cl.Servers[0].lc.Parked(); pending != 0 {
+					t.Errorf("seed %d ReadAhead=%d: %d replies parked in the server's LFS client", seed, stripes, pending)
+				}
+				if n := len(cl.Servers[0].ra.order); n > raEntryCap {
+					t.Errorf("seed %d ReadAhead=%d: %d keys in the eviction order", seed, stripes, n)
+				}
+			})
+			if stripes == 0 {
+				base = seen
+				continue
+			}
+			for i := range base {
+				if i >= len(seen) || seen[i] != base[i] {
+					got := "<nothing>"
+					if i < len(seen) {
+						got = seen[i]
+					}
+					t.Errorf("seed %d ReadAhead=%d diverges from no read-ahead at call %d:\n got  %s\n want %s", seed, stripes, i, got, base[i])
+					break
+				}
+			}
+		}
+	}
+}
+
+// TestReadAheadStaysAhead pins the pipeline's payoff on stream_read's shape:
+// a steady sequential reader of 32-block windows over eight nodes, from a
+// file far larger than the nodes' caches, so every other window costs each
+// node a 15 ms track read. Each window is started raDepth requests before it
+// is read, after the reply that queued it, so from the third request on no
+// fill waits for a reply: a request's server time is exactly OpCPU, the
+// reply's send and a whole number of receives (a window's replies may be
+// taken off the port while the server gathers the one before), and the
+// requests receive no more replies than the windows they read. The
+// post-reply step, a server.prefetch span under the request with the LFS
+// calls under it, is exactly one send per node per window.
+func TestReadAheadStaysAhead(t *testing.T) {
+	const nodes, window, windows = 8, 32, 48 // 192 blocks a node, 128 cached
+	cfg := wrenCfg(nodes)
+	cfg.Server.ReadAhead = window / nodes
+	withCluster(t, cfg, func(p sim.Proc, cl *Cluster, c *Client) {
+		if _, err := c.Create("f"); err != nil {
+			t.Errorf("Create: %v", err)
+			return
+		}
+		for i := 0; i < windows; i++ {
+			blocks := make([][]byte, window)
+			for j := range blocks {
+				blocks[j] = payload(i*window + j)
+			}
+			if _, err := c.AppendN("f", blocks); err != nil {
+				t.Errorf("AppendN: %v", err)
+				return
+			}
+		}
+		if _, err := c.Open("f"); err != nil {
+			t.Errorf("Open: %v", err)
+			return
+		}
+		rec := obs.NewRecorder(obs.Config{})
+		cl.Net.SetRecorder(rec)
+		defer cl.Net.SetRecorder(nil)
+		for i := 0; i < windows; i++ {
+			got, _, err := c.SeqReadN("f", window)
+			if err != nil || len(got) != window || !bytes.Equal(got[0], payload(i*window)) {
+				t.Errorf("SeqReadN %d: %d blocks, %v", i, len(got), err)
+				return
+			}
+		}
+		net := msg.DefaultConfig()
+		fixed := 500*time.Microsecond + net.SendCPU // OpCPU and the reply
+		kinds := map[obs.SpanID]string{}
+		var reqs, prefetches []obs.Span
+		for _, sp := range rec.Spans() {
+			kinds[sp.ID] = sp.Kind
+			switch sp.Kind {
+			case "server.seqreadn":
+				reqs = append(reqs, sp)
+			case "server.prefetch":
+				prefetches = append(prefetches, sp)
+			}
+		}
+		if len(reqs) != windows {
+			t.Errorf("%d server.seqreadn spans, want %d", len(reqs), windows)
+			return
+		}
+		var received time.Duration
+		for i, sp := range reqs[2:] {
+			d := sp.End - sp.Start - fixed
+			if d < 0 || d%net.RecvCPU != 0 {
+				t.Errorf("request %d: the server took %v, %v more than OpCPU, a send and whole receives: it waited for a reply",
+					i+2, sp.End-sp.Start, d%net.RecvCPU)
+			}
+			received += d
+		}
+		if want := time.Duration(nodes*(windows-2)) * net.RecvCPU; received > want {
+			t.Errorf("requests 2 on spent %v receiving, more than the %v their windows' replies cost", received, want)
+		}
+		// The first request starts raDepth windows, every later one the one
+		// it consumed, until the file runs out.
+		if want := windows - raDepth; len(prefetches) != want {
+			t.Errorf("%d server.prefetch spans, want %d", len(prefetches), want)
+		}
+		under := map[obs.SpanID]int{}
+		for _, sp := range rec.Spans() {
+			if kinds[sp.Parent] == "server.prefetch" && strings.HasPrefix(sp.Kind, "lfs.") {
+				under[sp.Parent]++
+			}
+		}
+		for i, sp := range prefetches {
+			n := int64(raDepth)
+			if i > 0 {
+				n = 1
+			}
+			if kinds[sp.Parent] != "server.seqreadn" {
+				t.Errorf("prefetch %d: parent is %q, want the request that queued it", i, kinds[sp.Parent])
+			}
+			if d := sp.End - sp.Start; d != time.Duration(n*nodes)*net.SendCPU {
+				t.Errorf("prefetch %d took %v, want %d sends", i, d, n*nodes)
+			}
+			if under[sp.ID] != int(n*nodes) {
+				t.Errorf("prefetch %d has %d LFS calls under it, want %d", i, under[sp.ID], n*nodes)
+			}
+		}
+		if open := rec.OpenSpans(); open != 0 {
+			t.Errorf("%d spans left open", open)
+		}
+	})
+}
+
+// TestReadAheadBatchPastTheWindow: a batch larger than the window waits
+// for its first window only. Each later window it runs into is started
+// before the one before it is gathered, so a cold 40-block SeqReadN over
+// 4-block windows is one synchronous fetch and nine prefetches.
+func TestReadAheadBatchPastTheWindow(t *testing.T) {
+	withCluster(t, raCfg(4, 1), func(p sim.Proc, cl *Cluster, c *Client) {
+		const n = 40
+		if _, err := c.Create("f"); err != nil {
+			t.Errorf("Create: %v", err)
+			return
+		}
+		for i := 0; i < n; i++ {
+			if err := c.SeqWrite("f", payload(i)); err != nil {
+				t.Errorf("SeqWrite %d: %v", i, err)
+				return
+			}
+		}
+		got, eof, err := c.SeqReadN("f", n)
+		if err != nil || !eof || len(got) != n {
+			t.Errorf("SeqReadN: %d blocks, eof=%v, %v", len(got), eof, err)
+			return
+		}
+		for i, b := range got {
+			if !bytes.Equal(b, payload(i)) {
+				t.Errorf("block %d: %q", i, head(b))
+			}
+		}
+		st := cl.Net.Stats()
+		if misses, fills := st.Get("bridge.ra_misses"), st.Get("bridge.ra_fills"); misses != 4 || fills != n/4-1 {
+			t.Errorf("%d blocks missed and %d windows filled; want 4 and %d", misses, fills, n/4-1)
+		}
+	})
+}
+
+// TestReadAheadOrderHoldsLiveKeysOnly: the FIFO eviction order names live
+// entries only. Each round below reads (inserting the reader's entry),
+// writes (invalidating it) and rewinds; when invalidation left the key in
+// the order, every round added one, and 500 rounds left 0 entries behind
+// 500 keys.
+func TestReadAheadOrderHoldsLiveKeysOnly(t *testing.T) {
+	withCluster(t, raCfg(4, 2), func(p sim.Proc, cl *Cluster, c *Client) {
+		if _, err := c.Create("f"); err != nil {
+			t.Errorf("Create: %v", err)
+			return
+		}
+		for i := 0; i < 8; i++ {
+			if err := c.SeqWrite("f", payload(i)); err != nil {
+				t.Errorf("SeqWrite: %v", err)
+				return
+			}
+		}
+		ra := cl.Servers[0].ra
+		for i := 0; i < 10000; i++ {
+			if _, _, err := c.SeqRead("f"); err != nil {
+				t.Errorf("round %d: SeqRead: %v", i, err)
+				return
+			}
+			if err := c.WriteAt("f", 0, payload(i)); err != nil {
+				t.Errorf("round %d: WriteAt: %v", i, err)
+				return
+			}
+			if _, err := c.Open("f"); err != nil {
+				t.Errorf("round %d: Open: %v", i, err)
+				return
+			}
+		}
+		if len(ra.order) > raEntryCap || len(ra.order) != len(ra.entries) {
+			t.Errorf("%d keys in the eviction order for %d entries; want one per entry, at most %d",
+				len(ra.order), len(ra.entries), raEntryCap)
+		}
+	})
+}
+
+// TestReadAheadEvictsReinsertedKeyInItsPlace: a key invalidated and then
+// inserted again is evicted from its new place at the back of the FIFO.
+// (When the stale key stayed at the front, the first eviction at the cap
+// took the newest live entry for that key instead of the oldest entry.)
+func TestReadAheadEvictsReinsertedKeyInItsPlace(t *testing.T) {
+	s := &Server{m: newSrvMetrics(obs.NewRegistry())}
+	c := newRACache(1)
+	key := func(format string, args ...any) raKey {
+		return raKey{client: msg.Addr{Port: "cli"}, name: fmt.Sprintf(format, args...)}
+	}
+	cached := func(k raKey) bool { _, ok := c.entries[k]; return ok }
+	c.insert(s, key("a"))
+	c.invalidate(s, "a")
+	for i := 0; i < raEntryCap-1; i++ {
+		c.insert(s, key("b%d", i))
+	}
+	c.insert(s, key("a")) // the cache is full, a the newest entry
+	for i := 0; i < raEntryCap-1; i++ {
+		c.insert(s, key("c%d", i))
+		if cached(key("b%d", i)) || !cached(key("a")) {
+			t.Fatalf("insert %d past the cap: b%d cached %v, a cached %v; want b%d evicted and a kept",
+				i, i, cached(key("b%d", i)), cached(key("a")), i)
+		}
+	}
+	c.insert(s, key("d"))
+	if cached(key("a")) || len(c.order) != raEntryCap {
+		t.Errorf("a outlived its turn (%d keys in the order)", len(c.order))
+	}
 }

@@ -283,7 +283,8 @@ func (s *Server) run(p sim.Proc) {
 		if !ok {
 			break
 		}
-		s.serve(p, req)
+		span := s.serve(p, req)
+		s.raAhead(p, req.Trace, span)
 		s.pump(p)
 	}
 	// Close job ports in job-id order: closing unblocks their workers,
@@ -298,14 +299,17 @@ func (s *Server) run(p sim.Proc) {
 	}
 }
 
-// serve handles one client request: span, CPU charge, dispatch, reply.
-func (s *Server) serve(p sim.Proc, req *msg.Message) {
+// serve handles one client request: span, CPU charge, dispatch, reply. It
+// returns the request's span (0 when untraced), the parent of any work the
+// request leaves for after its reply.
+func (s *Server) serve(p sim.Proc, req *msg.Message) obs.SpanID {
 	rec := s.net.Recorder()
+	var id obs.SpanID
 	if rec != nil {
 		at := p.Now()
 		sp := rec.Start(at, req.Trace, req.Span, "server."+opName(req.Body), int(s.cfg.Node))
 		sp.SetQueueWait(s.net.QueueWait(at, req))
-		s.curSpan = sp
+		s.curSpan, id = sp, sp.ID()
 		// LFS calls made while handling this request parent under it.
 		s.lc.SetTrace(req.Trace, sp.ID())
 	}
@@ -328,6 +332,7 @@ func (s *Server) serve(p sim.Proc, req *msg.Message) {
 		s.curSpan = obs.SpanRef{}
 		s.lc.SetTrace(0, 0)
 	}
+	return id
 }
 
 // opIDOf extracts the dedup operation id from requests that carry one (0

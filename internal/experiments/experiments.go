@@ -68,9 +68,9 @@ type Config struct {
 	JournalBlocks int
 }
 
-// raStripes is the read-ahead depth the batched-naive experiments use: two
-// stripes buffered per reader, so one window serves while the next
-// prefetches.
+// raStripes is the read-ahead window size the batched-naive experiments
+// use, in stripes of p blocks: a window of 2p blocks. How many windows are
+// in flight behind it is the server's own constant (core's raDepth).
 const raStripes = 2
 
 func (c *Config) applyDefaults() {
