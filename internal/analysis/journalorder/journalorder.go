@@ -19,10 +19,17 @@
 //   - An increment of a journal epoch field must have a Sync on every
 //     path from function entry — checkpoint may not invalidate records
 //     whose home writes are still volatile.
+//   - Held tails (uncommitted append tails kept in memory until their link
+//     is final) must be released, by a writeHeld call, before the barrier:
+//     in a function that appends journal records, every Sync must have a
+//     writeHeld on every path from function entry, and no writeHeld may be
+//     reachable from a Sync. A tail released after the barrier is a block
+//     the durable commit names as a file's last but a crash can lose.
 //
 // The analyzer only runs on internal/efs. The homeWrite type, the journal
-// cursor field, and the epoch field are the contract's named carriers;
-// renaming them is an API change that should revisit this check.
+// cursor field, the epoch field and the writeHeld method are the contract's
+// named carriers; renaming them is an API change that should revisit this
+// check.
 package journalorder
 
 import (
@@ -41,12 +48,14 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "flag journal write-ahead ordering violations in internal/efs\n\n" +
 		"Deferred home writes must be dominated by a Sync barrier (after " +
 		"the journal records are appended), and a checkpoint's epoch bump " +
-		"must be dominated by a Sync of the applied home writes.",
+		"must be dominated by a Sync of the applied home writes. Held tails " +
+		"must be released (writeHeld) before a group commit's barrier.",
 	Run: run,
 }
 
 const (
 	synced cfg.FactSet = 1 << iota
+	released
 )
 
 func run(pass *analysis.Pass) error {
@@ -68,6 +77,7 @@ func checkFunc(pass *analysis.Pass, g *cfg.Graph) {
 	var homeApplies []*ast.CallExpr // WriteBlock of a homeWrite-derived address
 	var journalAppends int          // WriteBlock addressed through the journal cursor
 	var epochBumps []ast.Node
+	var syncs, releases []*ast.CallExpr // barriers; writeHeld calls
 
 	ast.Inspect(g.Func, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -77,6 +87,12 @@ func checkFunc(pass *analysis.Pass, g *cfg.Graph) {
 			}
 		case *ast.CallExpr:
 			fn := analysis.Callee(info, n)
+			if fn != nil && fn.Name() == "Sync" {
+				syncs = append(syncs, n)
+			}
+			if fn != nil && fn.Name() == "writeHeld" {
+				releases = append(releases, n)
+			}
 			if fn == nil || fn.Name() != "WriteBlock" || len(n.Args) < 2 {
 				return true
 			}
@@ -98,7 +114,8 @@ func checkFunc(pass *analysis.Pass, g *cfg.Graph) {
 		}
 		return true
 	})
-	if len(homeApplies) == 0 && len(epochBumps) == 0 {
+	commits := journalAppends > 0 && len(syncs) > 0
+	if len(homeApplies) == 0 && len(epochBumps) == 0 && len(releases) == 0 && !commits {
 		return
 	}
 
@@ -108,6 +125,8 @@ func checkFunc(pass *analysis.Pass, g *cfg.Graph) {
 			if call, ok := c.(*ast.CallExpr); ok {
 				if fn := analysis.Callee(info, call); fn != nil && fn.Name() == "Sync" {
 					facts |= synced
+				} else if fn != nil && fn.Name() == "writeHeld" {
+					facts |= released
 				}
 			}
 			return true
@@ -131,6 +150,42 @@ func checkFunc(pass *analysis.Pass, g *cfg.Graph) {
 				"journal epoch bumped before the applied home writes are synced: checkpoint must Sync before invalidating its intent records")
 		}
 	}
+	if commits {
+		for _, sync := range syncs {
+			if flow.Before(sync)&released == 0 {
+				pass.Reportf(sync.Pos(),
+					"journal barrier reached without releasing held tails: a writeHeld must run before this Sync on every path, or the commit names a last block no write covers")
+			}
+		}
+	}
+	for _, rel := range releases {
+		for _, sync := range syncs {
+			if nodeReaches(g, sync, rel) {
+				pass.Reportf(rel.Pos(),
+					"held tails released after the journal barrier: this writeHeld is reachable from a Sync, so a crash can lose a tail the durable commit names")
+				break
+			}
+		}
+	}
+}
+
+// nodeReaches reports whether some path runs from just after node a to
+// node b.
+func nodeReaches(g *cfg.Graph, a, b ast.Node) bool {
+	ba, ia := g.BlockOf(a.Pos())
+	bb, ib := g.BlockOf(b.Pos())
+	if ba == nil || bb == nil {
+		return false
+	}
+	if ba == bb && ia < ib {
+		return true
+	}
+	for _, e := range ba.Succs {
+		if g.Reaches(e.To, bb) {
+			return true
+		}
+	}
+	return false
 }
 
 // refsField reports whether expr contains a selector .field on a value

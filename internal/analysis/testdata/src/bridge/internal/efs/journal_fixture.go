@@ -1,7 +1,8 @@
 // Package efs is a fixture standing in for the real extent file system:
 // its import path ends in internal/efs, so the journalorder analyzer
 // applies. It models the group-commit shapes the analyzer must prove or
-// refute: journal append, Sync barrier, home-write apply, epoch bump.
+// refute: held-tail release, journal append, Sync barrier, home-write
+// apply, epoch bump.
 package efs
 
 type proc struct{}
@@ -29,9 +30,14 @@ type fsys struct {
 
 func encode(w homeWrite) []byte { return w.buf }
 
-// The correct group commit: append intent records, harden them, then
-// apply the home writes.
+// writeHeld writes the uncommitted tails held in memory: the commit about
+// to run names them files' last blocks, so its barrier must cover them.
+func (fs *fsys) writeHeld(p proc) {}
+
+// The correct group commit: release the held tails, append intent
+// records, harden them, then apply the home writes.
 func (fs *fsys) commitGood(p proc, writes []homeWrite) {
+	fs.writeHeld(p)
 	for i, w := range writes {
 		fs.d.WriteBlock(p, int(fs.jnl.cursor)+i, encode(w))
 	}
@@ -44,6 +50,7 @@ func (fs *fsys) commitGood(p proc, writes []homeWrite) {
 // Applying home writes with the barrier missing: a crash between append
 // and apply leaves a half-applied extent with no redo record on disk.
 func (fs *fsys) commitNoBarrier(p proc, writes []homeWrite) {
+	fs.writeHeld(p)
 	for i, w := range writes {
 		fs.d.WriteBlock(p, int(fs.jnl.cursor)+i, encode(w))
 	}
@@ -55,6 +62,7 @@ func (fs *fsys) commitNoBarrier(p proc, writes []homeWrite) {
 // The barrier present on only one branch is a barrier missing: the must
 // analysis intersects paths.
 func (fs *fsys) commitBranch(p proc, writes []homeWrite, fast bool) {
+	fs.writeHeld(p)
 	for i, w := range writes {
 		fs.d.WriteBlock(p, int(fs.jnl.cursor)+i, encode(w))
 	}
@@ -63,6 +71,49 @@ func (fs *fsys) commitBranch(p proc, writes []homeWrite, fast bool) {
 	}
 	for _, w := range writes {
 		fs.d.WriteBlock(p, int(w.addr), w.buf) // want `home write applied before the journal barrier`
+	}
+}
+
+// Held tails released after the barrier: the durable commit names a
+// file's last block that a crash before the release loses.
+func (fs *fsys) commitHeldAfterBarrier(p proc, writes []homeWrite) {
+	for i, w := range writes {
+		fs.d.WriteBlock(p, int(fs.jnl.cursor)+i, encode(w))
+	}
+	fs.d.Sync(p)    // want `journal barrier reached without releasing held tails`
+	fs.writeHeld(p) // want `held tails released after the journal barrier`
+	for _, w := range writes {
+		fs.d.WriteBlock(p, int(w.addr), w.buf)
+	}
+}
+
+// Released on one branch only: the barrier is reached on the other path
+// with the tails still held.
+func (fs *fsys) commitHeldOnOneBranch(p proc, writes []homeWrite, some bool) {
+	if some {
+		fs.writeHeld(p)
+	}
+	for i, w := range writes {
+		fs.d.WriteBlock(p, int(fs.jnl.cursor)+i, encode(w))
+	}
+	fs.d.Sync(p) // want `journal barrier reached without releasing held tails`
+	for _, w := range writes {
+		fs.d.WriteBlock(p, int(w.addr), w.buf)
+	}
+}
+
+// A release inside a loop that also issues the barrier runs after it on
+// the second pass.
+func (fs *fsys) commitHeldInLoop(p proc, groups [][]homeWrite) {
+	for _, writes := range groups {
+		fs.writeHeld(p) // want `held tails released after the journal barrier`
+		for i, w := range writes {
+			fs.d.WriteBlock(p, int(fs.jnl.cursor)+i, encode(w))
+		}
+		fs.d.Sync(p)
+		for _, w := range writes {
+			fs.d.WriteBlock(p, int(w.addr), w.buf)
+		}
 	}
 }
 

@@ -155,9 +155,12 @@ func (s *Server) startMonitor(rt sim.Runtime) {
 		defer hc.Close()
 		for {
 			for _, n := range s.nodes {
+				// A node that answers but could not boot its volume fails
+				// the ping with a status: it is as down as a silent one.
 				ping := lfs.PingReq{}
-				_, err := hc.CallTimeout(msg.Addr{Node: n, Port: lfs.PortName}, ping, lfs.WireSize(ping), cfg.Timeout)
-				s.reportProbe(p.Now(), n, err == nil)
+				m, err := hc.CallTimeout(msg.Addr{Node: n, Port: lfs.PortName}, ping, lfs.WireSize(ping), cfg.Timeout)
+				_, st, err := msg.ReplyAs[lfs.PingResp](m, err)
+				s.reportProbe(p.Now(), n, err == nil && st.OK())
 			}
 			if _, ok, timedOut := stop.RecvTimeout(p, cfg.Every); !timedOut && !ok {
 				return

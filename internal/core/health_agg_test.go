@@ -2,7 +2,10 @@ package core
 
 import (
 	"testing"
+	"time"
 
+	"bridge/internal/disk"
+	"bridge/internal/efs"
 	"bridge/internal/msg"
 	"bridge/internal/sim"
 )
@@ -65,4 +68,48 @@ func TestHealthAggregatesWorstAcrossServers(t *testing.T) {
 			t.Errorf("node %d = %v, want %v (worst across servers)", st.Node, st.State, want[st.Node])
 		}
 	}
+}
+
+// A storage node whose volume does not boot answers every request with the
+// boot error. The heartbeat monitor must count that answer as a missed
+// probe — the node is as down as a silent one — while the node it can boot
+// stays Healthy.
+func TestHealthCountsUnbootableNodeDead(t *testing.T) {
+	disks := []*disk.Disk{
+		disk.New(disk.Config{NumBlocks: 2048, Timing: disk.FixedTiming{}}),
+		disk.New(disk.Config{NumBlocks: 2048, Timing: disk.FixedTiming{}}),
+	}
+	rt := sim.NewVirtual()
+	if err := rt.Run("format", func(p sim.Proc) {
+		for _, d := range disks {
+			if _, err := efs.Format(p, d, efs.Options{}); err != nil {
+				t.Errorf("Format: %v", err)
+				return
+			}
+		}
+		// Zero the second volume's bitmap: its mount fails its checksum.
+		bitmap := 1 + 16 // after the superblock and the default 16 buckets
+		if err := disks[1].WriteBlock(p, bitmap, make([]byte, efs.BlockSize)); err != nil {
+			t.Errorf("WriteBlock: %v", err)
+		}
+	}); err != nil {
+		t.Fatalf("sim: %v", err)
+	}
+	cfg := fastCfg(2)
+	cfg.Disks = disks
+	cfg.Server.Health = &HealthConfig{}
+	withCluster(t, cfg, func(p sim.Proc, cl *Cluster, c *Client) {
+		p.Sleep(5 * time.Second)
+		got, err := c.Health()
+		if err != nil {
+			t.Errorf("Health: %v", err)
+			return
+		}
+		want := map[msg.NodeID]HealthState{cl.Nodes[0].ID: Healthy, cl.Nodes[1].ID: Dead}
+		for _, st := range got {
+			if st.State != want[st.Node] {
+				t.Errorf("node %d = %v, want %v", st.Node, st.State, want[st.Node])
+			}
+		}
+	})
 }

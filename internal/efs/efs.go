@@ -155,14 +155,11 @@ func Format(p sim.Proc, d *disk.Disk, opts Options) (*FS, error) {
 	for i := n - opts.JournalBlocks; i < n; i++ {
 		fs.bm.set(i)
 	}
-	// Write superblock and empty directory buckets; preload the bucket
-	// cache so Create on a fresh volume needs no directory reads.
-	buf := make([]byte, BlockSize)
-	encodeSuper(buf, fs.sb)
-	seal(0, buf, superSumOff)
-	if err := d.WriteBlock(p, 0, buf); err != nil {
-		return nil, fmt.Errorf("efs: formatting superblock: %w", err)
-	}
+	// Write empty directory buckets, the bitmap and the journal header;
+	// preload the bucket cache so Create on a fresh volume needs no
+	// directory reads. The superblock goes last, after a barrier: it is the
+	// format's commit point, so a device whose format never reached its
+	// last barrier has none and Mount reports ErrUnformatted.
 	empty := make([]byte, BlockSize)
 	encodeBucket(empty, dirBucket{Overflow: nilAddr})
 	for i := 0; i < opts.DirBuckets; i++ {
@@ -189,10 +186,19 @@ func Format(p sim.Proc, d *disk.Disk, opts Options) (*FS, error) {
 		if err := writeJournalHeader(p, d, fs.jnl.end, fs.sb.JournalBlocks, fs.jnl.epoch); err != nil {
 			return nil, err
 		}
-		// A fresh journaled volume starts stable.
-		if err := d.Sync(p); err != nil {
-			return nil, fmt.Errorf("efs: format barrier: %w", err)
-		}
+	}
+	if err := d.Sync(p); err != nil {
+		return nil, fmt.Errorf("efs: format barrier: %w", err)
+	}
+	buf := make([]byte, BlockSize)
+	encodeSuper(buf, fs.sb)
+	seal(0, buf, superSumOff)
+	if err := d.WriteBlock(p, 0, buf); err != nil {
+		return nil, fmt.Errorf("efs: formatting superblock: %w", err)
+	}
+	// A fresh volume starts stable.
+	if err := d.Sync(p); err != nil {
+		return nil, fmt.Errorf("efs: format barrier: %w", err)
 	}
 	return fs, nil
 }

@@ -495,7 +495,9 @@ func (f failWrite) BeforeOp(_ time.Duration, _ string, op disk.Op, bn int) (time
 // An append whose last step fails — the rewrite of the old tail's next
 // pointer, after the new blocks are down — takes its allocation back: the
 // file, the free count and fsck are as they were. A single-block WriteBlock
-// append is a run of one and undoes itself like any other run.
+// append is a run of one and undoes itself like any other run. On a
+// journaled volume the old tail is held, and the failed write is its first:
+// the tail stays held with its wrap link, and the next Sync writes it.
 func TestFailedTailFixLeaksNothing(t *testing.T) {
 	appends := []struct {
 		name string
@@ -510,32 +512,55 @@ func TestFailedTailFixLeaksNothing(t *testing.T) {
 			return err
 		}},
 	}
-	for _, a := range appends {
-		name, appendTo := a.name, a.do
-		d := fastDisk(256)
-		run(t, func(p sim.Proc) {
-			fs, _ := Format(p, d, Options{})
-			fs.Create(p, 1)
-			for i := 0; i < 3; i++ {
-				fs.WriteBlock(p, 1, uint32(i), fill(1, 8), -1)
-			}
-			info, _ := fs.Stat(p, 1)
-			free := fs.FreeBlocks()
-			d.SetFault(failWrite{bn: int(info.Last)}, "d")
-			if err := appendTo(p, fs); err == nil {
-				t.Errorf("%s: append with an unwritable tail succeeded", name)
-			}
-			d.SetFault(nil, "")
-			if got := fs.FreeBlocks(); got != free {
-				t.Errorf("%s: FreeBlocks %d -> %d after a failed append", name, free, got)
-			}
-			if after, _ := fs.Stat(p, 1); after != info {
-				t.Errorf("%s: file changed: %+v -> %+v", name, info, after)
-			}
-			if rep, err := fs.Check(p); err != nil || !rep.OK() {
-				t.Errorf("%s: fsck after a failed append: %v %v", name, err, rep.Problems)
-			}
-		})
+	for _, journal := range []int{0, 32} {
+		for _, a := range appends {
+			name, appendTo := fmt.Sprintf("%s/journal%d", a.name, journal), a.do
+			d := fastDisk(256)
+			run(t, func(p sim.Proc) {
+				fs, _ := Format(p, d, Options{JournalBlocks: journal})
+				fs.Create(p, 1)
+				for i := 0; i < 3; i++ {
+					fs.WriteBlock(p, 1, uint32(i), fill(byte(i+1), 8), -1)
+				}
+				info, _ := fs.Stat(p, 1)
+				free := fs.FreeBlocks()
+				d.SetFault(failWrite{bn: int(info.Last)}, "d")
+				if err := appendTo(p, fs); err == nil {
+					t.Errorf("%s: append with an unwritable tail succeeded", name)
+				}
+				d.SetFault(nil, "")
+				if got := fs.FreeBlocks(); got != free {
+					t.Errorf("%s: FreeBlocks %d -> %d after a failed append", name, free, got)
+				}
+				if after, _ := fs.Stat(p, 1); after != info {
+					t.Errorf("%s: file changed: %+v -> %+v", name, info, after)
+				}
+				if rep, err := fs.Check(p); err != nil || !rep.OK() {
+					t.Errorf("%s: fsck after a failed append: %v %v", name, err, rep.Problems)
+				}
+				if journal == 0 {
+					return
+				}
+				if !fs.jnl.held[info.Last] || decodeHeader(fs.jnl.data[info.Last]).Next != info.First {
+					t.Errorf("%s: the old tail is no longer held with its wrap link", name)
+				}
+				if err := fs.Sync(p); err != nil {
+					t.Fatalf("%s: Sync: %v", name, err)
+				}
+				fs2, err := Mount(p, d, Options{})
+				if err != nil {
+					t.Fatalf("%s: Mount: %v", name, err)
+				}
+				if rep, err := fs2.Check(p); err != nil || !rep.OK() {
+					t.Errorf("%s: fsck after remount: %v %v", name, err, rep.Problems)
+				}
+				for i := 0; i < 3; i++ {
+					if got, _, err := fs2.ReadBlock(p, 1, uint32(i), -1); err != nil || !bytes.Equal(got, fill(byte(i+1), 8)) {
+						t.Errorf("%s: block %d after remount: %v", name, i, err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -27,6 +27,16 @@ package efs
 // update, so replay can rewrite the header over whatever data survived.
 // This keeps journal traffic per append at 28 bytes instead of a block.
 //
+// An append whose old tail was never committed needs no record at all. The
+// last block of every append run is held in memory (in data, marked held)
+// instead of written: its next pointer is not final until the file's next
+// append, and until a commit names it the file's last block no committed
+// state references it. The next append sets the held tail's link and writes
+// it through — one access, no record — and a commit writes every held tail
+// before its barrier, so the barrier covers it like any other write-through
+// append. Each appended block is written once. Only an old tail that is
+// committed state still goes through a link fix.
+//
 // Entries within one commit share an ascending contiguous sequence, and the
 // last carries a commit flag; replay applies the longest valid prefix that
 // ends at a commit flag, so a commit is all-or-nothing even when it spans
@@ -93,6 +103,7 @@ type journal struct {
 	order  []int32               // insertion order of data
 	img    map[int32]bool        // subset of data journaled as full images
 	fixes  map[int32]blockHeader // subset journaled as link fixes
+	held   map[int32]bool        // subset never journaled: uncommitted tails, at most one per file
 	free   []int32               // deferred bitmap frees
 	logged map[int32]bool        // addresses with live intent records (this epoch)
 
@@ -137,6 +148,7 @@ func newJournal(sb superblock, m jmetrics) *journal {
 		data:     make(map[int32][]byte),
 		img:      make(map[int32]bool),
 		fixes:    make(map[int32]blockHeader),
+		held:     make(map[int32]bool),
 		logged:   make(map[int32]bool),
 		m:        m,
 	}
@@ -194,19 +206,31 @@ func (fs *FS) pendingFreeSet() map[int32]bool {
 	return s
 }
 
-// deferImage defers a full-image write of a data-region block: the sealed
-// image is journaled verbatim at the next commit and only then written
-// home. Used for overwrites and rebuilds, where the data area changes.
-func (fs *FS) deferImage(addr int32, buf []byte) {
+// deferData records buf, sealed, as the authoritative image of addr until
+// the next commit (or, for a held tail, until its write); the caller says
+// how the commit treats it.
+func (fs *FS) deferData(addr int32, buf []byte) {
 	j := fs.jnl
 	seal(addr, buf, dataSumOff)
 	if _, ok := j.data[addr]; !ok {
 		j.order = append(j.order, addr)
 	}
 	j.data[addr] = buf
-	j.img[addr] = true
-	delete(j.fixes, addr)
 	fs.cacheInsert(addr, buf, false)
+}
+
+// deferImage defers a full-image write of a data-region block: the sealed
+// image is journaled verbatim at the next commit and only then written
+// home. Used for overwrites and rebuilds, where the data area changes. A
+// held tail is not committed state, so its new image simply replaces the
+// held one and is still written once, unjournaled.
+func (fs *FS) deferImage(addr int32, buf []byte) {
+	j := fs.jnl
+	fs.deferData(addr, buf)
+	if !j.held[addr] {
+		j.img[addr] = true
+		delete(j.fixes, addr)
+	}
 }
 
 // deferFix defers the append path's old-tail header rewrite: the journal
@@ -214,20 +238,23 @@ func (fs *FS) deferImage(addr int32, buf []byte) {
 // untouched. If the block already has a deferred full image, the image
 // absorbs the new header and no fix record is needed.
 func (fs *FS) deferFix(addr int32, buf []byte) {
-	j := fs.jnl
-	seal(addr, buf, dataSumOff)
-	if _, ok := j.data[addr]; !ok {
-		j.order = append(j.order, addr)
+	fs.deferData(addr, buf)
+	if !fs.jnl.img[addr] {
+		fs.jnl.fixes[addr] = decodeHeader(buf)
 	}
-	j.data[addr] = buf
-	if !j.img[addr] {
-		j.fixes[addr] = decodeHeader(buf)
-	}
-	fs.cacheInsert(addr, buf, false)
 }
 
-// dropDeferred forgets any deferred write for addr (the block is being
-// deleted; writing it would be wasted work on a doomed block).
+// holdTail keeps the image of an uncommitted tail in memory until its next
+// pointer is final: the file's next append or the next commit writes it
+// (see the header comment).
+func (fs *FS) holdTail(addr int32, buf []byte) {
+	fs.deferData(addr, buf)
+	fs.jnl.held[addr] = true
+}
+
+// dropDeferred forgets any deferred write for addr: the block is being
+// deleted (writing it would be wasted work on a doomed block), or it is a
+// held tail that has just been written through.
 func (j *journal) dropDeferred(addr int32) {
 	if _, ok := j.data[addr]; !ok {
 		return
@@ -235,6 +262,7 @@ func (j *journal) dropDeferred(addr int32) {
 	delete(j.data, addr)
 	delete(j.img, addr)
 	delete(j.fixes, addr)
+	delete(j.held, addr)
 	for i, a := range j.order {
 		if a == addr {
 			j.order = append(j.order[:i], j.order[i+1:]...)
@@ -251,13 +279,14 @@ func (fs *FS) deferFree(addr int32) {
 }
 
 // maybeCommit group-commits the journal once enough deferred work has
-// accumulated to approach the entry region's capacity.
+// accumulated to approach the entry region's capacity. Held tails take no
+// journal space, so they do not count.
 func (fs *FS) maybeCommit(p sim.Proc) error {
 	j := fs.jnl
 	if j == nil {
 		return nil
 	}
-	weight := len(j.order)
+	weight := len(j.order) - len(j.held)
 	for _, ch := range fs.buckets {
 		for _, bb := range ch.blocks {
 			if bb.dirty {
@@ -277,12 +306,44 @@ type homeWrite struct {
 	buf  []byte
 }
 
-// commit is Sync on a journaled volume: deferred frees land in the bitmap,
-// every deferred home write plus dirty metadata is logged as intent
-// records, one sync barrier makes the records (and all earlier
-// write-through data) durable, and only then do the home writes go down.
+// writeHeld writes every held tail through and releases it. Each one's
+// link is final: the commit about to run names it its file's last block.
+// A failure releases none, and the next commit writes them all again.
+func (fs *FS) writeHeld(p sim.Proc) error {
+	j := fs.jnl
+	if len(j.held) == 0 {
+		return nil
+	}
+	for _, a := range j.order {
+		if j.held[a] {
+			if err := fs.writeThrough(p, a, j.data[a]); err != nil {
+				return err
+			}
+		}
+	}
+	kept := j.order[:0]
+	for _, a := range j.order {
+		if j.held[a] {
+			delete(j.data, a)
+			delete(j.held, a)
+		} else {
+			kept = append(kept, a)
+		}
+	}
+	j.order = kept
+	return nil
+}
+
+// commit is Sync on a journaled volume: held tails are written through,
+// deferred frees land in the bitmap, every deferred home write plus dirty
+// metadata is logged as intent records, one sync barrier makes the records
+// (and all earlier write-through data, held tails included) durable, and
+// only then do the home writes go down.
 func (fs *FS) commit(p sim.Proc) error {
 	j := fs.jnl
+	if err := fs.writeHeld(p); err != nil {
+		return err
+	}
 	for _, a := range j.free {
 		fs.bm.clear(int(a))
 	}
@@ -611,6 +672,18 @@ func hasMagic(raw []byte, magic [8]byte) bool {
 	return true
 }
 
+// restoresSuper reports whether replaying entries rewrites the superblock.
+func restoresSuper(entries []jEntry) bool {
+	for _, ent := range entries {
+		for _, a := range ent.imgAddr {
+			if a == 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // applyEntries replays decoded entries against the device: full images go
 // down verbatim; link fixes rewrite the header over the surviving data area
 // unless the expected header is already in place. Idempotent — replaying
@@ -651,7 +724,8 @@ func applyEntries(p sim.Proc, d *disk.Disk, entries []jEntry, st *ReplayStats) e
 // the journal checkpointed to a fresh epoch. It handles the two torn-write
 // bootstrap cases — a torn superblock (recovered from a journaled image
 // found via the fixed-address header) and a torn journal header (rebuilt
-// with an epoch newer than any record on disk). Returns the decoded
+// with an epoch newer than any record on disk). A superblock that is
+// neither valid nor restored by a record is ErrUnformatted. Returns the decoded
 // superblock, the replay stats (nil for unjournaled volumes), and the
 // journal's fresh epoch. Journal metrics are registered on reg only when
 // the volume turns out to be journaled.
@@ -680,7 +754,7 @@ func mountJournal(p sim.Proc, d *disk.Disk, reg *obs.Registry) (superblock, *Rep
 	}
 	jb, epoch, hdrOK := decodeJournalHeader(hdrAddr, hraw)
 	if !sbOK && !hdrOK {
-		return superblock{}, nil, 0, fmt.Errorf("%w: superblock checksum mismatch and no journal header", ErrCorrupt)
+		return superblock{}, nil, 0, ErrUnformatted
 	}
 	if sbOK {
 		if hdrOK && jb != sb.JournalBlocks {
@@ -697,6 +771,11 @@ func mountJournal(p sim.Proc, d *disk.Disk, reg *obs.Registry) (superblock, *Rep
 		entries, torn, err := scanJournal(p, d, start, hdrAddr, epoch)
 		if err != nil {
 			return superblock{}, nil, 0, err
+		}
+		if !sbOK && !restoresSuper(entries) {
+			// Checked before replay writes anything: a format cut short
+			// before its superblock leaves the header and no records.
+			return superblock{}, nil, 0, ErrUnformatted
 		}
 		st.Epoch, st.TornTail = epoch, torn
 		if err := applyEntries(p, d, entries, st); err != nil {

@@ -3,6 +3,7 @@ package efs
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -285,7 +286,24 @@ func quickCrashCase(t *testing.T, seed int64, verbose bool) bool {
 			nOps := 40 + rng.Intn(80)
 			for i := 0; i < nOps; i++ {
 				file := uint32(rng.Intn(6))
-				switch rng.Intn(8) {
+				switch rng.Intn(9) {
+				case 8:
+					blocks, exists := model[file]
+					if !exists {
+						continue
+					}
+					run := make([][]byte, 2+rng.Intn(3))
+					for j := range run {
+						run[j] = fill(byte(rng.Intn(256)), 1+rng.Intn(200))
+					}
+					if _, err := fs.AppendRun(p, file, uint32(len(blocks)), run); err != nil {
+						fail("op %d: append run %d/%d: %v", i, file, len(blocks), err)
+						return
+					}
+					if verbose {
+						t.Logf("op %d: append run %d/%d+%d", i, file, len(blocks), len(run))
+					}
+					model[file] = append(blocks, run...)
 				case 0, 1:
 					if _, exists := model[file]; exists {
 						continue
@@ -349,8 +367,29 @@ func quickCrashCase(t *testing.T, seed int64, verbose bool) bool {
 			for f, blocks := range model {
 				sealed[f] = append([][]byte(nil), blocks...)
 			}
-			// Uncommitted tail: ops on fresh file ids only, never synced,
-			// so the sealed files' fate is unambiguous after the crash.
+			// Uncommitted tail, never synced: appends onto sealed files —
+			// their committed tails go through link fixes, the new ones are
+			// held — and ops on fresh file ids, so the sealed blocks' fate is
+			// unambiguous after the crash.
+			ids := make([]uint32, 0, len(sealed))
+			for f := range sealed {
+				ids = append(ids, f)
+			}
+			slices.Sort(ids)
+			for _, f := range ids {
+				blocks := sealed[f]
+				if rng.Intn(2) == 0 {
+					continue
+				}
+				if _, err := fs.AppendRun(p, f, uint32(len(blocks)), [][]byte{fill(byte(f), 60), fill(byte(f), 61)}); err != nil {
+					fail("tail append run %d: %v", f, err)
+					return
+				}
+				if _, err := fs.WriteBlock(p, f, uint32(len(blocks)+2), fill(byte(f), 62), -1); err != nil {
+					fail("tail append %d: %v", f, err)
+					return
+				}
+			}
 			for f := uint32(100); f < 103; f++ {
 				if err := fs.Create(p, f); err != nil {
 					fail("tail create %d: %v", f, err)

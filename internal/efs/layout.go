@@ -52,6 +52,14 @@ var (
 	ErrNotAppend   = errors.New("efs: write beyond end of file")
 	ErrCorrupt     = errors.New("efs: corrupt volume")
 	ErrTooLarge    = errors.New("efs: data larger than block data area")
+
+	// ErrUnformatted is the corruption Mount reports when the device holds
+	// no superblock and no journal record restores one. Format writes the
+	// superblock last, after a barrier, and nothing rewrites it in place,
+	// so that is what a device whose format never finished looks like —
+	// and also a device whose block 0 was destroyed. Either way nothing on
+	// it can be mounted; formatting it again is the caller's call.
+	ErrUnformatted = fmt.Errorf("%w: no superblock (format never finished)", ErrCorrupt)
 )
 
 // Block header flags.

@@ -110,10 +110,11 @@ func (fs *FS) WriteBlock(p sim.Proc, fileID, blockNum uint32, data []byte, hint 
 // allocated up front (near-chained for locality), every new block is written
 // once with its final links already in place, and the old tail's next
 // pointer is fixed exactly once for the entire run — one device access per
-// block plus one tail fix, instead of the two accesses per block that
-// appending the blocks one at a time pays. startBlock must equal the file's
-// current size (the caller's view of the append point; a stale view gets
-// ErrNotAppend so the caller can fall back to the per-block path).
+// block plus one tail fix (on a journaled volume just one per block: see
+// appendRun), instead of the two accesses per block that appending the
+// blocks one at a time pays on an unjournaled one. startBlock must equal
+// the file's current size (the caller's view of the append point; a stale
+// view gets ErrNotAppend so the caller can fall back to the per-block path).
 func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, datas [][]byte) ([]int32, error) {
 	if len(datas) == 0 {
 		return nil, nil
@@ -141,18 +142,23 @@ func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, datas [][]byte) (
 	return addrs, nil
 }
 
-// appendRun is the one append: WriteBlock's append case is a run of one
-// (two device accesses in steady state, the new block and the old tail's
-// pointer — the dominant cost of the paper's 31 ms sequential write). It
+// appendRun is the one append: WriteBlock's append case is a run of one. It
 // appends datas at the file's tail and fills addrs, the caller's scratch of
 // the same length, with the new blocks' addresses.
 //
+// On an unjournaled volume a run of k blocks costs k+1 device accesses: the
+// new blocks, then the old tail's pointer — for k = 1 the two accesses of
+// the paper's 31 ms sequential write. On a journaled volume it costs k: the
+// run's last block is held in memory until its link is final (holdTail),
+// an old tail that is itself held is written through now with its link set,
+// and only a committed old tail is left to a journaled link fix.
+//
 // The run is atomic: the old tail's pointer is rewritten only after every
-// new block is durably down, so a failure mid-run frees the whole
-// allocation and leaves the file exactly as it was — the written blocks are
-// unreachable and their bitmap bits are cleared, the same freed-but-flagged
-// state a fast delete leaves, which the bitmap-authoritative liveData guard
-// and Fsck already tolerate.
+// new block is written, so a failure mid-run frees the whole allocation and
+// leaves the file exactly as it was — a held old tail keeps its held image
+// and wrap link, the written blocks are unreachable and their bitmap bits
+// are cleared, the same freed-but-flagged state a fast delete leaves, which
+// the bitmap-authoritative liveData guard and Fsck already tolerate.
 func (fs *FS) appendRun(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32, datas [][]byte, addrs []int32) error {
 	// undo frees the first n allocations; nothing links to the run yet, so
 	// that restores the file exactly.
@@ -195,6 +201,7 @@ func (fs *FS) appendRun(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32,
 	if e.Blocks == 0 {
 		head = addrs[0]
 	}
+	var held []byte // the run's last block, on a journaled volume
 	for j, data := range datas {
 		h := blockHeader{
 			FileID:   fileID,
@@ -215,41 +222,69 @@ func (fs *FS) appendRun(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32,
 		buf := make([]byte, BlockSize)
 		encodeHeader(buf, h)
 		copy(buf[HeaderBytes:], data)
+		if fs.jnl != nil && j+1 == len(datas) {
+			held = buf
+			continue
+		}
 		if err := fs.writeThrough(p, addrs[j], buf); err != nil {
 			return undo(len(addrs), err)
 		}
 	}
 	if e.Blocks > 0 {
 		// One tail fix for the whole run.
-		old, err := fs.readCached(p, e.Last)
-		if err == nil {
-			err = verifyData(e.Last, old)
-		}
-		if err != nil {
-			fs.invalidate(e.Last)
-			return undo(len(addrs), fmt.Errorf("tail of file %d: %w", fileID, err))
-		}
-		oh := decodeHeader(old)
-		if oh.FileID != fileID || oh.Flags&flagUsed == 0 {
-			return undo(len(addrs), fmt.Errorf("%w: tail of file %d at %d is not its block", ErrCorrupt, fileID, e.Last))
-		}
-		oh.Next = addrs[0]
-		encodeHeader(old, oh)
-		if fs.jnl != nil {
-			// The old tail is committed state: rewriting it in place could
-			// tear under a crash, so the update is journaled as a link fix
-			// and only applied once the intent record is durable.
-			fs.deferFix(e.Last, old)
-		} else if err := fs.writeThrough(p, e.Last, old); err != nil {
+		if err := fs.linkTail(p, e, fileID, addrs[0]); err != nil {
 			return undo(len(addrs), err)
 		}
 	} else {
 		e.First = addrs[0]
 	}
+	if held != nil {
+		fs.holdTail(addrs[len(addrs)-1], held)
+	}
 	e.Last = addrs[len(addrs)-1]
 	e.Blocks += int32(len(datas))
 	bb.dirty = true
 	return nil
+}
+
+// linkTail points the file's old tail at next, the first block of a run
+// whose blocks are written. A held tail is referenced by no committed state
+// and its link is final now, so it is written once, with no record; it is
+// released only when the write lands, so a failure keeps the held image and
+// its wrap link. A committed tail on a journaled volume could tear if
+// rewritten in place, so its update is journaled as a link fix and applied
+// once the intent record is durable. An unjournaled volume writes through.
+func (fs *FS) linkTail(p sim.Proc, e *dirEntry, fileID uint32, next int32) error {
+	if j := fs.jnl; j != nil && j.held[e.Last] {
+		old := append([]byte(nil), j.data[e.Last]...)
+		oh := decodeHeader(old)
+		oh.Next = next
+		encodeHeader(old, oh)
+		if err := fs.writeThrough(p, e.Last, old); err != nil {
+			return err
+		}
+		j.dropDeferred(e.Last)
+		return nil
+	}
+	old, err := fs.readCached(p, e.Last)
+	if err == nil {
+		err = verifyData(e.Last, old)
+	}
+	if err != nil {
+		fs.invalidate(e.Last)
+		return fmt.Errorf("tail of file %d: %w", fileID, err)
+	}
+	oh := decodeHeader(old)
+	if oh.FileID != fileID || oh.Flags&flagUsed == 0 {
+		return fmt.Errorf("%w: tail of file %d at %d is not its block", ErrCorrupt, fileID, e.Last)
+	}
+	oh.Next = next
+	encodeHeader(old, oh)
+	if fs.jnl != nil {
+		fs.deferFix(e.Last, old)
+		return nil
+	}
+	return fs.writeThrough(p, e.Last, old)
 }
 
 // overwriteBlock rewrites an existing block's data in place, preserving its

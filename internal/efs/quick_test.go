@@ -3,6 +3,7 @@ package efs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,7 +14,7 @@ import (
 
 // modelOp is one step of the model-based test.
 type modelOp struct {
-	Kind  uint8 // create / write / read / delete / stat / sync-remount
+	Kind  uint8 // create / write / read / delete / stat / sync-remount / append run
 	File  uint8
 	Block uint8
 	Fill  byte
@@ -22,8 +23,18 @@ type modelOp struct {
 // TestQuickModelEquivalence drives an EFS volume and a trivial in-memory
 // model with the same random operation sequence and requires identical
 // observable behavior, including error classes. This is the main integrity
-// test for the directory, the chain walks, the cache, and the bitmap.
+// test for the directory, the chain walks, the cache, and the bitmap. It
+// runs on an unjournaled volume and on a journaled one, where appends,
+// overwrites and deletes meet held tails.
 func TestQuickModelEquivalence(t *testing.T) {
+	for _, journal := range []int{0, 32} {
+		t.Run(fmt.Sprintf("journal%d", journal), func(t *testing.T) {
+			quickModelEquivalence(t, journal)
+		})
+	}
+}
+
+func quickModelEquivalence(t *testing.T, journal int) {
 	f := func(ops []modelOp, seed int64) bool {
 		if len(ops) > 120 {
 			ops = ops[:120]
@@ -34,7 +45,7 @@ func TestQuickModelEquivalence(t *testing.T) {
 		okAll := true
 		rt := sim.NewVirtual()
 		err := rt.Run("model", func(p sim.Proc) {
-			fs, err := Format(p, d, Options{DirBuckets: 4, CacheBlocks: 8})
+			fs, err := Format(p, d, Options{DirBuckets: 4, CacheBlocks: 8, JournalBlocks: journal})
 			if err != nil {
 				okAll = false
 				return
@@ -45,7 +56,26 @@ func TestQuickModelEquivalence(t *testing.T) {
 			}
 			for i, op := range ops {
 				file := op.File % 6
-				switch op.Kind % 6 {
+				switch op.Kind % 7 {
+				case 6: // append a run
+					blocks, exists := model[file]
+					run := make([][]byte, 1+int(op.Block)%4)
+					for j := range run {
+						run[j] = bytes.Repeat([]byte{op.Fill + byte(j)}, 1+int(op.Fill)%32)
+					}
+					_, err := fs.AppendRun(p, uint32(file), uint32(len(blocks)), run)
+					switch {
+					case !exists:
+						if !errors.Is(err, ErrNotFound) {
+							fail("op %d: append run to missing file: %v", i, err)
+							return
+						}
+					case err != nil:
+						fail("op %d: append run of %d to file %d: %v", i, len(run), file, err)
+						return
+					default:
+						model[file] = append(blocks, run...)
+					}
 				case 0: // create
 					err := fs.Create(p, uint32(file))
 					_, exists := model[file]

@@ -36,7 +36,7 @@ type ScrubReport struct {
 // volume. A budget <= 0 means one full pass from the cursor's position.
 func (fs *FS) ScrubStep(p sim.Proc, budget time.Duration) (ScrubReport, error) {
 	var rep ScrubReport
-	overflow, dirtyMeta, err := fs.scrubSets(p)
+	overflow, stale, err := fs.scrubSets(p)
 	if err != nil {
 		return rep, err
 	}
@@ -49,7 +49,7 @@ func (fs *FS) ScrubStep(p sim.Proc, budget time.Duration) (ScrubReport, error) {
 		fs.scrubNext = 0
 	}
 	for {
-		fs.scrubBlock(p, fs.scrubNext, &rep, overflow, dirtyMeta)
+		fs.scrubBlock(p, fs.scrubNext, &rep, overflow, stale)
 		fs.scrubNext++
 		if fs.scrubNext >= n {
 			fs.scrubNext = 0
@@ -71,13 +71,14 @@ func (fs *FS) ScrubAll(p sim.Proc) (ScrubReport, error) {
 }
 
 // scrubSets loads every directory chain so the sweep can tell overflow
-// buckets apart from data blocks, and knows which metadata blocks are dirty
-// in memory (their on-disk copy is stale until the next Sync, so checking it
-// would be meaningless — a freshly allocated overflow bucket may not have
-// been written at all yet).
-func (fs *FS) scrubSets(p sim.Proc) (overflow, dirtyMeta map[int32]bool, err error) {
+// buckets apart from data blocks, and knows which allocated blocks have an
+// on-disk copy nobody vouches for until the next Sync, so checking it would
+// be meaningless: metadata dirty in memory (a freshly allocated overflow
+// bucket may not have been written at all yet) and blocks whose free is
+// pending (a deleted file's held tail never was).
+func (fs *FS) scrubSets(p sim.Proc) (overflow, stale map[int32]bool, err error) {
 	overflow = make(map[int32]bool)
-	dirtyMeta = make(map[int32]bool)
+	stale = make(map[int32]bool)
 	for idx := 0; idx < int(fs.sb.DirBuckets); idx++ {
 		ch, err := fs.loadChainByIndex(p, idx)
 		if err != nil {
@@ -88,22 +89,27 @@ func (fs *FS) scrubSets(p sim.Proc) (overflow, dirtyMeta map[int32]bool, err err
 				overflow[bb.addr] = true
 			}
 			if bb.dirty {
-				dirtyMeta[bb.addr] = true
+				stale[bb.addr] = true
 			}
 		}
 	}
-	return overflow, dirtyMeta, nil
+	if fs.jnl != nil {
+		for _, a := range fs.jnl.free {
+			stale[a] = true
+		}
+	}
+	return overflow, stale, nil
 }
 
 // scrubBlock examines a single block. I/O and verification failures are
 // recorded in the report, never returned: a scrub sweep must survive the
 // very corruption it exists to find.
-func (fs *FS) scrubBlock(p sim.Proc, addr int32, rep *ScrubReport, overflow, dirtyMeta map[int32]bool) {
+func (fs *FS) scrubBlock(p sim.Proc, addr int32, rep *ScrubReport, overflow, stale map[int32]bool) {
 	a := int(addr)
 	if a >= int(fs.sb.DataStart) && !fs.bm.isSet(a) {
 		return // free block: no contents to vouch for, no cost
 	}
-	if dirtyMeta[addr] {
+	if stale[addr] {
 		return // on-disk copy is stale until the next Sync
 	}
 	if fs.deferred(addr) {

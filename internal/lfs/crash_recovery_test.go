@@ -2,6 +2,7 @@ package lfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -45,9 +46,10 @@ func (h *chaosHook) OnCrash(now time.Duration, label string, pending []int) disk
 // chaosClient wraps the LFS client with timeouts, so calls into a crashed
 // node end the round instead of deadlocking the simulation.
 type chaosClient struct {
-	c    *Client
-	node msg.NodeID
-	down bool
+	c       *Client
+	node    msg.NodeID
+	down    bool
+	refused error // the boot failure a node that could not boot answered with
 }
 
 func (cc *chaosClient) call(body any) (any, bool) {
@@ -57,6 +59,11 @@ func (cc *chaosClient) call(body any) (any, bool) {
 	m, err := cc.c.C.CallTimeout(lfsAddr(cc.node), body, WireSize(body), 5*time.Second)
 	if err != nil {
 		cc.down = true
+		return nil, false
+	}
+	if st, refused := m.Body.(msg.Status); refused {
+		// The node answers, but its volume did not boot.
+		cc.down, cc.refused = true, Err(st)
 		return nil, false
 	}
 	return m.Body, true
@@ -70,6 +77,74 @@ func (cc *chaosClient) create(fileID uint32) bool {
 func (cc *chaosClient) write(fileID, bn uint32, data []byte) bool {
 	b, ok := cc.call(WriteReq{FileID: fileID, BlockNum: bn, Data: data, Hint: -1})
 	return ok && Err(b.(WriteResp).Status) == nil
+}
+
+// appendRun appends datas at block bn in one WriteVecReq, which the node
+// serves as one efs.AppendRun.
+func (cc *chaosClient) appendRun(fileID, bn uint32, datas [][]byte) bool {
+	req := WriteVecReq{FileID: fileID, Hint: -1}
+	for i, d := range datas {
+		req.Blocks = append(req.Blocks, VecWrite{BlockNum: bn + uint32(i), Data: d})
+	}
+	b, ok := cc.call(req)
+	if !ok {
+		return false
+	}
+	r := b.(WriteVecResp)
+	for _, w := range r.Blocks {
+		if Err(w.Status) != nil {
+			return false
+		}
+	}
+	return Err(r.Status) == nil
+}
+
+func (cc *chaosClient) delete(fileID uint32) bool {
+	b, ok := cc.call(DeleteReq{FileID: fileID})
+	return ok && Err(b.(DeleteResp).Status) == nil
+}
+
+// chaosOp runs one seeded operation on file f and mirrors it in model: an
+// append of one block or of a run, or — unless appendOnly — an overwrite of
+// a random block (the tail included) or a delete and re-create. It reports
+// whether the node answered.
+func chaosOp(cc *chaosClient, rng *rand.Rand, model map[uint32][][]byte, f uint32, appendOnly bool) bool {
+	blocks := model[f]
+	data := func() []byte { return bytes.Repeat([]byte{byte(rng.Intn(256))}, 1+rng.Intn(200)) }
+	kind := rng.Intn(12)
+	if appendOnly {
+		kind = 4 + rng.Intn(8)
+	}
+	switch {
+	case kind == 0:
+		if !cc.delete(f) || !cc.create(f) {
+			return false
+		}
+		model[f] = nil
+	case kind <= 3 && len(blocks) > 0:
+		bn := rng.Intn(len(blocks))
+		d := data()
+		if !cc.write(f, uint32(bn), d) {
+			return false
+		}
+		blocks[bn] = d
+	case kind <= 7:
+		run := make([][]byte, 2+rng.Intn(4))
+		for i := range run {
+			run[i] = data()
+		}
+		if !cc.appendRun(f, uint32(len(blocks)), run) {
+			return false
+		}
+		model[f] = append(blocks, run...)
+	default:
+		d := data()
+		if !cc.write(f, uint32(len(blocks)), d) {
+			return false
+		}
+		model[f] = append(blocks, d)
+	}
+	return true
 }
 
 func (cc *chaosClient) read(fileID, bn uint32) ([]byte, bool) {
@@ -89,16 +164,19 @@ func (cc *chaosClient) sync() bool {
 	return ok && Err(b.(SyncResp).Status) == nil
 }
 
-func (cc *chaosClient) recovery() (RecoveryReport, bool) {
+// recovery returns the node's boot report. fresh is true when the boot
+// formatted the device — a format a crash cut short is redone — and so had
+// nothing to recover.
+func (cc *chaosClient) recovery() (rep RecoveryReport, fresh, ok bool) {
 	b, ok := cc.call(RecoveryReq{})
 	if !ok {
-		return RecoveryReport{}, false
+		return rep, false, false
 	}
 	r := b.(RecoveryResp)
-	if Err(r.Status) != nil {
-		return RecoveryReport{}, false
+	if err := Err(r.Status); err != nil {
+		return rep, errors.Is(err, efs.ErrNotFound), errors.Is(err, efs.ErrNotFound)
 	}
-	return r.Report, true
+	return r.Report, false, true
 }
 
 func sortedIDs(m map[uint32][][]byte) []uint32 {
@@ -154,7 +232,14 @@ func runChaosKill9(t *testing.T, seed int64, dir string, rounds int) string {
 		rt.Go("workload", func(p sim.Proc) {
 			cc := &chaosClient{c: NewClient(p, net, 0, "chaos"), node: node.ID}
 			if round > 0 {
-				if rep, ok := cc.recovery(); ok {
+				if rep, fresh, ok := cc.recovery(); fresh {
+					// Only a format that never finished is formatted again,
+					// and it cannot have held anything committed.
+					if len(sealed) > 0 {
+						t.Errorf("round %d: a volume holding %d committed files was formatted again", round, len(sealed))
+					}
+					fmt.Fprintf(&trace, "  recovery: format redone\n")
+				} else if ok {
 					if !rep.Journaled {
 						t.Errorf("round %d: remounted volume reports no journal", round)
 					}
@@ -169,6 +254,9 @@ func runChaosKill9(t *testing.T, seed int64, dir string, rounds int) string {
 						rep.Replay.Entries, rep.Replay.Images, rep.Replay.Fixes,
 						rep.Replay.TornTail, rep.Fsck.Files)
 				} else {
+					if cc.refused != nil {
+						t.Errorf("round %d: %v", round, cc.refused)
+					}
 					fmt.Fprintf(&trace, "  recovery: node down\n")
 					return
 				}
@@ -203,35 +291,44 @@ func runChaosKill9(t *testing.T, seed int64, dir string, rounds int) string {
 				}
 				model[f] = nil
 			}
+			// Appends (single blocks and runs) interleave with overwrites —
+			// the tail's too — and delete-and-recreate, so a crash can land
+			// between any append and the next, with a file's tail held.
 			nOps := 12 + rngOps.Intn(12)
 			for i := 0; i < nOps; i++ {
-				f := base + uint32(rngOps.Intn(3))
-				blocks := model[f]
-				data := bytes.Repeat([]byte{byte(rngOps.Intn(256))}, 1+rngOps.Intn(200))
-				bn := uint32(len(blocks))
-				if len(blocks) > 0 && rngOps.Intn(3) == 0 {
-					bn = uint32(rngOps.Intn(len(blocks)))
-				}
-				if !cc.write(f, bn, data) {
+				if !chaosOp(cc, rngOps, model, base+uint32(rngOps.Intn(3)), false) {
 					fmt.Fprintf(&trace, "  workload: down at op %d\n", i)
 					return
 				}
-				if int(bn) == len(blocks) {
-					model[f] = append(blocks, data)
-				} else {
-					blocks[bn] = data
-				}
 			}
-			if cc.sync() {
-				// The Sync ack is the commit point: everything in the model
-				// is now durable and must survive every later crash.
+			if !cc.sync() {
+				fmt.Fprintf(&trace, "  workload: down at sync\n")
+				return
+			}
+			// The Sync ack is the commit point: everything in the model is
+			// now durable and must survive every later crash.
+			seal := func() {
 				for f, blocks := range model {
 					sealed[f] = append([][]byte(nil), blocks...)
 				}
-				fmt.Fprintf(&trace, "  committed %d ops across 3 files\n", nOps)
-			} else {
-				fmt.Fprintf(&trace, "  workload: down at sync\n")
 			}
+			seal()
+			fmt.Fprintf(&trace, "  committed %d ops across 3 files\n", nOps)
+			// More appends onto committed tails, then a second commit; a
+			// crash before it must leave the first commit's bytes intact.
+			more := 2 + rngOps.Intn(6)
+			for i := 0; i < more; i++ {
+				if !chaosOp(cc, rngOps, model, base+uint32(rngOps.Intn(3)), true) {
+					fmt.Fprintf(&trace, "  workload: down at append %d\n", i)
+					return
+				}
+			}
+			if !cc.sync() {
+				fmt.Fprintf(&trace, "  workload: down at second sync\n")
+				return
+			}
+			seal()
+			fmt.Fprintf(&trace, "  committed %d more appends\n", more)
 		})
 		if err := rt.Wait(); err != nil {
 			t.Fatalf("round %d: sim: %v", round, err)
@@ -249,12 +346,16 @@ func runChaosKill9(t *testing.T, seed int64, dir string, rounds int) string {
 	rt.Go("final", func(p sim.Proc) {
 		defer node.Stop()
 		cc := &chaosClient{c: NewClient(p, net, 0, "final"), node: node.ID}
-		rep, ok := cc.recovery()
-		if !ok {
-			t.Error("final boot: no recovery report")
+		rep, fresh, ok := cc.recovery()
+		switch {
+		case fresh:
+			if len(sealed) > 0 {
+				t.Errorf("final boot: a volume holding %d committed files was formatted again", len(sealed))
+			}
+		case !ok:
+			t.Errorf("final boot: no recovery report (%v)", cc.refused)
 			return
-		}
-		if !rep.Journaled || !rep.Clean() {
+		case !rep.Journaled || !rep.Clean():
 			t.Errorf("final boot: recovery not clean: journaled %v, fsck err %q, problems %v",
 				rep.Journaled, rep.FsckErr, rep.Fsck.Problems)
 		}
@@ -325,5 +426,173 @@ func TestChaosKill9Recovery(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFormatKilledAtEveryWrite kills a journaled node's first boot inside
+// its Format — during every write and every barrier, keeping none, all, or
+// a seeded part of the unsynced writes — and boots it again. Every second
+// boot must come up with a clean, empty volume: a format cut short before
+// its last barrier is formatted again, a finished one is mounted.
+func TestFormatKilledAtEveryWrite(t *testing.T) {
+	cfg := Config{DiskBlocks: 256, EFS: efs.Options{JournalBlocks: 16, DirBuckets: 4, CacheBlocks: 8}}
+	// Format on this geometry: six 15 ms writes (four buckets, the bitmap,
+	// the journal header), a 5 ms barrier, the superblock, a barrier.
+	const formatEnds = 115 * time.Millisecond
+
+	var wantFree int
+	reformatted, mounted := 0, 0
+	for i, at := 0, time.Millisecond; at <= formatEnds+10*time.Millisecond; i, at = i+1, at+2500*time.Microsecond {
+		var hook disk.CrashHook // nil: every unsynced write is lost
+		switch i % 3 {
+		case 1:
+			hook = keepAll{}
+		case 2:
+			hook = &chaosHook{rng: rand.New(rand.NewSource(int64(i))), trace: &strings.Builder{}}
+		}
+		rt := sim.NewVirtual()
+		net := msg.NewNetwork(rt, msg.DefaultConfig())
+		first, err := StartNode(rt, net, 1, cfg, nil)
+		if err != nil {
+			t.Fatalf("StartNode: %v", err)
+		}
+		first.Disk.SetCrashHook(hook)
+		rt.Go("crasher", func(p sim.Proc) {
+			p.Sleep(at)
+			first.Crash(p.Now())
+		})
+		if err := rt.Wait(); err != nil {
+			t.Fatalf("kill at %v: sim: %v", at, err)
+		}
+		d := first.Disk
+		d.Restore()
+
+		rt = sim.NewVirtual()
+		net = msg.NewNetwork(rt, msg.DefaultConfig())
+		node, err := StartNode(rt, net, 1, cfg, d)
+		if err != nil {
+			t.Fatalf("kill at %v: second boot: %v", at, err)
+		}
+		rt.Go("check", func(p sim.Proc) {
+			defer node.Stop()
+			cc := &chaosClient{c: NewClient(p, net, 0, "check"), node: node.ID}
+			rep, fresh, ok := cc.recovery()
+			switch {
+			case fresh:
+				reformatted++
+			case ok && rep.Journaled && rep.Clean() && rep.Fsck.Files == 0:
+				mounted++
+			default:
+				t.Errorf("kill at %v: second boot: recovery %+v (refused: %v)", at, rep, cc.refused)
+				return
+			}
+			b, ok := cc.call(CheckReq{})
+			if !ok {
+				t.Errorf("kill at %v: fsck: node down (%v)", at, cc.refused)
+				return
+			}
+			if ck := b.(CheckResp); Err(ck.Status) != nil || !ck.Report.OK() || ck.Report.Files != 0 {
+				t.Errorf("kill at %v: fsck of the second boot: %v %+v", at, Err(ck.Status), ck.Report)
+			}
+			b, ok = cc.call(UsageReq{})
+			if !ok {
+				t.Errorf("kill at %v: usage: node down", at)
+				return
+			}
+			if wantFree == 0 {
+				wantFree = b.(UsageResp).FreeBlocks
+			} else if got := b.(UsageResp).FreeBlocks; got != wantFree {
+				t.Errorf("kill at %v: %d free blocks, want %d", at, got, wantFree)
+			}
+		})
+		if err := rt.Wait(); err != nil {
+			t.Fatalf("kill at %v: second boot: sim: %v", at, err)
+		}
+	}
+	if reformatted == 0 || mounted == 0 {
+		t.Errorf("%d boots formatted again and %d mounted; the sweep must reach both", reformatted, mounted)
+	}
+}
+
+// keepAll is a crash hook under which every unsynced write survives.
+type keepAll struct{}
+
+func (keepAll) OnCrash(time.Duration, string, []int) disk.CrashOutcome {
+	return disk.CrashOutcome{Keep: 1 << 30}
+}
+
+// TestHeldTailsLiveFsckAndKill: a journaled node's files end in held tails
+// — runs and single appends onto a committed file and onto new ones, a held
+// tail overwritten, a file deleted with its tail held — and fsck and a full
+// scrub of the live volume find nothing. Then the node is killed, before
+// or after a Sync: the remount is clean and holds exactly what the last
+// acknowledged Sync committed.
+func TestHeldTailsLiveFsckAndKill(t *testing.T) {
+	for _, syncLast := range []bool{false, true} {
+		rt := sim.NewVirtual()
+		net := msg.NewNetwork(rt, msg.DefaultConfig())
+		cfg := Config{DiskBlocks: 1024, EFS: efs.Options{JournalBlocks: 32, CacheBlocks: 16}}
+		node, err := StartNode(rt, net, 1, cfg, nil)
+		if err != nil {
+			t.Fatalf("StartNode: %v", err)
+		}
+		rt.Go("client", func(p sim.Proc) {
+			defer node.Stop()
+			cc := &chaosClient{c: NewClient(p, net, 0, "cli"), node: node.ID}
+			blk := func(b byte) []byte { return bytes.Repeat([]byte{b}, 50+int(b)) }
+			model := map[uint32][][]byte{1: {blk(1), blk(2), blk(3)}}
+			ok := cc.create(1) && cc.appendRun(1, 0, model[1]) && cc.sync()
+			sealed := map[uint32][][]byte{1: model[1]}
+			model[1] = append(model[1], blk(4), blk(5), blk(6))
+			model[2] = [][]byte{blk(7), blk(8)}
+			ok = ok && cc.appendRun(1, 3, model[1][3:5]) && cc.write(1, 5, blk(6)) &&
+				cc.write(1, 5, blk(9)) && // the held tail
+				cc.create(2) && cc.appendRun(2, 0, model[2]) &&
+				cc.create(3) && cc.appendRun(3, 0, [][]byte{blk(10), blk(11)}) && cc.delete(3)
+			model[1][5] = blk(9)
+			if !ok {
+				t.Errorf("syncLast %v: workload failed (%v)", syncLast, cc.refused)
+				return
+			}
+			b, ok := cc.call(CheckReq{})
+			if ck := b.(CheckResp); !ok || Err(ck.Status) != nil || !ck.Report.OK() || ck.Report.ChainBlocks != 8 {
+				t.Errorf("syncLast %v: live fsck with held tails: %v %+v", syncLast, Err(ck.Status), ck.Report)
+			}
+			b, ok = cc.call(ScrubReq{Full: true})
+			if sc := b.(ScrubResp); !ok || Err(sc.Status) != nil || len(sc.Report.Errors) != 0 {
+				t.Errorf("syncLast %v: live scrub with held tails: %v %+v", syncLast, Err(sc.Status), sc.Report.Errors)
+			}
+			if syncLast {
+				if !cc.sync() {
+					t.Errorf("Sync failed")
+					return
+				}
+				sealed = model
+			}
+			node.Crash(p.Now())
+			node.Restart(rt)
+
+			cc = &chaosClient{c: NewClient(p, net, 0, "after"), node: node.ID}
+			if rep, _, ok := cc.recovery(); !ok || !rep.Journaled || !rep.Clean() {
+				t.Errorf("syncLast %v: recovery %+v", syncLast, rep)
+				return
+			}
+			for f := uint32(1); f <= 3; f++ {
+				b, ok := cc.call(StatReq{FileID: f})
+				st := b.(StatResp)
+				if want, exists := sealed[f]; !ok || (exists && (Err(st.Status) != nil || st.Info.Blocks != len(want))) || (!exists && Err(st.Status) == nil) {
+					t.Errorf("syncLast %v: file %d after the kill: %+v %v, want %d blocks", syncLast, f, st.Info, Err(st.Status), len(sealed[f]))
+					continue
+				}
+				for bn, want := range sealed[f] {
+					if got, ok := cc.read(f, uint32(bn)); !ok || !bytes.Equal(got, want) {
+						t.Errorf("syncLast %v: file %d block %d differs after the kill", syncLast, f, bn)
+					}
+				}
+			}
+		})
+		if err := rt.Wait(); err != nil {
+			t.Fatalf("sim: %v", err)
+		}
 	}
 }

@@ -127,9 +127,10 @@ func TestWireSizeCoversProtocol(t *testing.T) {
 	}
 }
 
-func TestNodeBootFailureClosesPort(t *testing.T) {
-	// A node whose disk is too small to format must close its port so
-	// clients see failure rather than hanging.
+func TestNodeBootFailureAnswersTyped(t *testing.T) {
+	// A node whose disk is too small to format answers every request with
+	// the boot error as a typed status, so clients learn why at once
+	// instead of timing out.
 	rt := sim.NewVirtual()
 	net := msg.NewNetwork(rt, msg.DefaultConfig())
 	bad, err := StartNode(rt, net, 1, Config{DiskBlocks: 4, Timing: disk.FixedTiming{}}, nil)
@@ -139,9 +140,9 @@ func TestNodeBootFailureClosesPort(t *testing.T) {
 	rt.Go("client", func(p sim.Proc) {
 		defer bad.Stop()
 		c := NewClient(p, net, 0, "cli")
-		m, err := c.C.CallTimeout(lfsAddr(1), StatReq{FileID: 1}, 8, 50*time.Millisecond)
-		if err == nil {
-			t.Errorf("call to unbootable node succeeded: %+v", m.Body)
+		_, err := reply[StatResp](c.C.CallTimeout(lfsAddr(1), StatReq{FileID: 1}, 8, 50*time.Millisecond))
+		if !errors.Is(err, errIO) || !strings.Contains(err.Error(), "cannot boot its volume") {
+			t.Errorf("call to unbootable node: %v; want the boot failure as a typed status", err)
 		}
 	})
 	if err := rt.Wait(); err != nil {

@@ -123,7 +123,8 @@ const writeDedupCap = 1024
 // disk and starts the LFS server and agent processes. If existing is
 // non-nil, that disk is mounted instead of formatting a new one; with
 // cfg.DiskDir set, a durable file-backed store is opened (and mounted when
-// it already holds a volume). Only the file-backed path can fail.
+// it already holds a volume). A device whose format never finished is
+// formatted again (see boot). Only the file-backed path can fail.
 func StartNode(rt sim.Runtime, net *msg.Network, id msg.NodeID, cfg Config, existing *disk.Disk) (*Node, error) {
 	cfg.applyDefaults()
 	reg := net.Stats().Registry()
@@ -234,19 +235,16 @@ func (n *Node) QueueLen() int { return n.port.QueueLen() }
 
 func (n *Node) serve(p sim.Proc, mount bool) {
 	bootStart := p.Now()
-	var err error
-	if mount {
-		n.fs, err = efs.Mount(p, n.Disk, n.cfg.EFS)
-	} else {
-		n.fs, err = efs.Format(p, n.Disk, n.cfg.EFS)
-	}
+	mounted, err := n.boot(p, mount)
 	if err != nil {
-		// A node that cannot boot its volume serves nothing; close the
-		// port so clients see it as failed rather than hanging forever.
+		// A boot the disk failed under is a crash: the node stays silent.
+		if !n.Disk.Failed() {
+			n.refuse(p, err)
+		}
 		n.port.Close()
 		return
 	}
-	if mount && n.fs.Journaled() {
+	if mounted && n.fs.Journaled() {
 		n.recoverVolume(p, bootStart)
 	}
 	n.dedup = make(map[writeKey]any)
@@ -307,6 +305,42 @@ func (n *Node) serve(p sim.Proc, mount bool) {
 			errText = Err(st).Error()
 		}
 		sp.EndErr(p.Now(), errText)
+	}
+}
+
+// boot mounts the node's volume, or formats it when mount is false or the
+// device holds no complete volume (efs.ErrUnformatted: a format that a crash
+// cut short is redone, not left to fail every boot). mounted reports whether
+// an existing volume came up.
+func (n *Node) boot(p sim.Proc, mount bool) (mounted bool, err error) {
+	if mount {
+		n.fs, err = efs.Mount(p, n.Disk, n.cfg.EFS)
+		if !errors.Is(err, efs.ErrUnformatted) {
+			return err == nil, err
+		}
+	}
+	n.fs, err = efs.Format(p, n.Disk, n.cfg.EFS)
+	return false, err
+}
+
+// refuse serves a node whose volume did not boot: every request is answered
+// with the boot error as a typed status until the port closes, so callers
+// learn why instead of timing out. Once the node crashes it answers nothing.
+func (n *Node) refuse(p sim.Proc, bootErr error) {
+	st := StatusFor(fmt.Errorf("lfs: node %d cannot boot its volume: %w", n.ID, bootErr))
+	for {
+		req, ok := n.port.Recv(p)
+		if !ok || n.Disk.Failed() {
+			return
+		}
+		_ = n.net.Send(p, n.ID, req.From, &msg.Message{
+			From:  n.port.Addr(),
+			ReqID: req.ReqID,
+			Body:  st,
+			Size:  WireSize(st),
+			Trace: req.Trace,
+			Span:  req.Span,
+		})
 	}
 }
 
