@@ -806,19 +806,18 @@ func (s *Session) LeaderServer(shard int) int {
 	return s.cl.LeaderServer(shard)
 }
 
-// Sync flushes every live storage node's volume — a journal commit plus a
-// disk barrier — making everything written so far durable: with
-// Config.DataDir set, a later process that remounts the same directory
-// recovers it. With Config.WriteBehind it first drains every buffered
-// append, so Sync is the full barrier: once it returns, every
-// acknowledged write is on the media. Run also syncs on clean shutdown,
-// so an explicit Sync is only needed to bound what a crash can lose
-// mid-session.
+// Sync flushes every storage node's volume — a journal commit plus a disk
+// barrier — making everything written so far durable: with Config.DataDir
+// set, a later process that remounts the same directory recovers it. With
+// Config.WriteBehind it first drains every buffered append, so Sync is the
+// full barrier: once it returns, every acknowledged write is on the media.
+// It is one FlushAll: each shard's server drains its buffers and then syncs
+// every node in parallel, so a node is synced once per shard. Run also
+// syncs on clean shutdown, so an explicit Sync is only needed to bound what
+// a crash can lose mid-session.
 func (s *Session) Sync() error {
-	if _, err := s.c.FlushAll(); err != nil {
-		return err
-	}
-	return s.cl.SyncAll(s.proc)
+	_, err := s.c.FlushAll()
+	return err
 }
 
 // Flush drains one file's write-behind buffer and syncs its constituent

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	bridgebench [-exp all|table2|table3|table4|placement|createtree|popen|methods|faults|obs|latency]
+//	bridgebench [-exp all|table2|table3|table4|placement|createtree|popen|methods|faults|writes|obs|latency]
 //	            [-records N] [-incore N] [-ps 2,4,8,16,32] [-quick] [-trace out.json]
 //
 // The default is the paper's full configuration: a 10 MB file of 10240
@@ -33,7 +33,7 @@ func main() {
 
 func run() error {
 	var (
-		exp      = flag.String("exp", "all", "experiment: all, table2, table3, table4, placement, createtree, popen, methods, disordered, servers, utilization, model, faults, scrub, corruption, obs, latency")
+		exp      = flag.String("exp", "all", "experiment: all, table2, table3, table4, placement, createtree, popen, methods, disordered, servers, utilization, model, faults, writes, scrub, corruption, obs, latency")
 		records  = flag.Int("records", 0, "records per workload file (0 = paper's 10240)")
 		inCore   = flag.Int("incore", 0, "sort tool in-core buffer in records (0 = paper's 512)")
 		psFlag   = flag.String("ps", "", "comma-separated processor sweep (default 2,4,8,16,32)")
@@ -183,6 +183,19 @@ func run() error {
 			return err
 		}
 		experiments.RenderFaults(w, rep)
+		done()
+	}
+	if want("writes") {
+		done := section("Write campaign: group commit, parallel delete, RS k+m")
+		wcfg := cfg
+		if *psFlag == "" {
+			wcfg.Ps = []int{4, 8, 16}
+		}
+		pts, err := experiments.WriteCampaign(wcfg)
+		if err != nil {
+			return err
+		}
+		experiments.RenderWriteCampaign(w, pts, wcfg.Records)
 		done()
 	}
 	// The integrity experiments sweep p ∈ {2, 4, 8}: the recovery pipeline's

@@ -70,6 +70,57 @@ func TestCleanShutdownDurable(t *testing.T) {
 	}
 }
 
+// TestSessionSyncOnceEachNodePerShard: Session.Sync is one FlushAll, in
+// which every shard's server syncs every storage node in parallel — so each
+// node receives exactly one SyncReq per shard, and no second, one-node-at-a-
+// time pass follows.
+func TestSessionSyncOnceEachNodePerShard(t *testing.T) {
+	const nodes, shards = 4, 2
+	for _, replicas := range []int{1, 3} {
+		cfg := Config{Nodes: nodes, Servers: shards, Replicas: replicas, Obs: &ObsConfig{}}
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		syncs := func(s *Session) map[int]int {
+			n := map[int]int{}
+			for _, sp := range s.Inspect().Spans() {
+				if sp.Kind == "lfs.sync" {
+					n[sp.Node]++
+				}
+			}
+			return n
+		}
+		err = sys.Run(func(s *Session) error {
+			for _, name := range []string{"a", "b", "c", "d"} {
+				if err := s.Create(name); err != nil {
+					return err
+				}
+				if err := s.Append(name, robustPayload(0)); err != nil {
+					return err
+				}
+			}
+			before := syncs(s)
+			if err := s.Sync(); err != nil {
+				return err
+			}
+			after := syncs(s)
+			if len(after) != nodes {
+				t.Errorf("Replicas=%d: syncs reached %d nodes, want %d", replicas, len(after), nodes)
+			}
+			for node, n := range after {
+				if got := n - before[node]; got != shards {
+					t.Errorf("Replicas=%d: node %d received %d SyncReqs, want one per shard (%d)", replicas, node, got, shards)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("Replicas=%d: run: %v", replicas, err)
+		}
+	}
+}
+
 // TestSessionSyncDurable proves the explicit barrier: after Session.Sync
 // returns, the data is on stable storage even if the process never exits
 // cleanly — modeled here by kill-9ing every node before the run ends.

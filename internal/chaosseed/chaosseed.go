@@ -1,6 +1,6 @@
 // Package chaosseed is how the env-seeded chaos suites (BRIDGE_CHAOS_SEED,
-// BRIDGE_CRASH_SEED, BRIDGE_FAILOVER_SEED) pick their seed, and how a run
-// that fails says what repeats it.
+// BRIDGE_CRASH_SEED, BRIDGE_FAILOVER_SEED, BRIDGE_WB_SEED) pick their seed,
+// and how a run that fails says what repeats it.
 package chaosseed
 
 import (

@@ -160,10 +160,28 @@ func abortAfter(s *Server, calls []vecCall, i int, err error) error {
 	return err
 }
 
+// writeVecReq builds one node's share of a vectored write of payloads, the
+// consecutive global blocks from start: run's blocks with their Bridge
+// headers, under a fresh OpID for the node's dedup.
+func (s *Server) writeVecReq(ent *dirent, run vecRun, start int64, payloads [][]byte) lfs.WriteVecReq {
+	vw := make([]lfs.VecWrite, len(run.locals))
+	for j, local := range run.locals {
+		g := run.globals[j]
+		vw[j] = lfs.VecWrite{BlockNum: local, Data: EncodeBlock(BlockHeader{
+			FileID:      ent.meta.FileID,
+			GlobalBlock: g,
+			P:           uint16(ent.meta.Spec.P),
+			Start:       uint16(ent.meta.Spec.Start),
+		}, payloads[g-start])}
+	}
+	s.nextLFSOp++
+	return lfs.WriteVecReq{FileID: ent.meta.LFSFileID, Blocks: vw, Hint: ent.hintFor(run.node), OpID: s.nextLFSOp}
+}
+
 // startWriteVec scatters a write of consecutive global blocks from start:
-// one vectored LFS call per node, each carrying its own OpID for dedup, all
-// started before any is awaited. On a start failure every already-started
-// call is discarded and nothing is in flight.
+// one vectored LFS call per node, all started before any is awaited. On a
+// start failure every already-started call is discarded and nothing is in
+// flight.
 func (s *Server) startWriteVec(ent *dirent, start int64, payloads [][]byte) ([]vecCall, error) {
 	l, err := ent.layout()
 	if err != nil {
@@ -172,18 +190,7 @@ func (s *Server) startWriteVec(ent *dirent, start int64, payloads [][]byte) ([]v
 	runs := splitRange(ent, l, start, len(payloads))
 	calls := make([]vecCall, 0, len(runs))
 	for _, run := range runs {
-		vw := make([]lfs.VecWrite, len(run.locals))
-		for j, local := range run.locals {
-			g := run.globals[j]
-			vw[j] = lfs.VecWrite{BlockNum: local, Data: EncodeBlock(BlockHeader{
-				FileID:      ent.meta.FileID,
-				GlobalBlock: g,
-				P:           uint16(ent.meta.Spec.P),
-				Start:       uint16(ent.meta.Spec.Start),
-			}, payloads[g-start])}
-		}
-		s.nextLFSOp++
-		req := lfs.WriteVecReq{FileID: ent.meta.LFSFileID, Blocks: vw, Hint: ent.hintFor(run.node), OpID: s.nextLFSOp}
+		req := s.writeVecReq(ent, run, start, payloads)
 		if calls, err = s.startVec(calls, run, req, lfs.WireSize(req)); err != nil {
 			return nil, err
 		}
@@ -191,17 +198,26 @@ func (s *Server) startWriteVec(ent *dirent, start int64, payloads [][]byte) ([]v
 	return calls, nil
 }
 
-// gatherWriteVec collects the replies of a startWriteVec covering count
-// blocks from start. All replies are gathered (no early abort: later nodes'
-// writes may have landed and their hints matter); the return value counts
-// the contiguous prefix of global blocks that succeeded, with the first
-// failure — in global block order — as the error.
-func (s *Server) gatherWriteVec(p sim.Proc, ent *dirent, calls []vecCall, start int64, count int) (int, error) {
+// gatherWriteVec collects the replies of the vectored write calls covering
+// count blocks from start; polled, when not nil, holds replies already taken
+// by lfsPoll (nil where none was), by call. All replies are gathered (no
+// early abort: later nodes' writes may have landed and their hints matter);
+// the return value counts the contiguous prefix of global blocks that
+// succeeded, with the first failure — in global block order — as the error.
+func (s *Server) gatherWriteVec(p sim.Proc, ent *dirent, calls []vecCall, polled []*msg.Message, start int64, count int) (int, error) {
 	okBlock := make([]bool, count)
 	blockErr := make([]error, count)
 	var callErr error
-	for _, c := range calls {
-		m, err := s.lfsFinish(p, c.lfsPend)
+	for i, c := range calls {
+		var (
+			m   *msg.Message
+			err error
+		)
+		if polled != nil && polled[i] != nil {
+			m = polled[i]
+		} else {
+			m, err = s.lfsFinish(p, c.lfsPend)
+		}
 		if err != nil {
 			err = lfsErr(err)
 			for _, g := range c.run.globals {
@@ -256,8 +272,8 @@ func (s *Server) gatherWriteVec(p sim.Proc, ent *dirent, calls []vecCall, start 
 
 // lfsWriteN stores consecutive global blocks starting at start: the
 // synchronous scatter-gather write (startWriteVec + gatherWriteVec in one
-// step). The write-behind cache uses the two phases separately to overlap
-// one window's flush with the next window's fill.
+// step). The write-behind cache builds, starts and gathers the same calls a
+// node at a time (writebehind.go).
 func (s *Server) lfsWriteN(p sim.Proc, ent *dirent, start int64, payloads [][]byte) (int, error) {
 	if len(payloads) == 0 {
 		return 0, nil
@@ -266,7 +282,7 @@ func (s *Server) lfsWriteN(p sim.Proc, ent *dirent, start int64, payloads [][]by
 	if err != nil {
 		return 0, err
 	}
-	return s.gatherWriteVec(p, ent, calls, start, len(payloads))
+	return s.gatherWriteVec(p, ent, calls, nil, start, len(payloads))
 }
 
 // readBlocks fetches count consecutive blocks of a formulaic file. A

@@ -11,7 +11,8 @@ import (
 
 // The one way the Bridge Server reaches a storage node. Every message it
 // sends to one — a single block or a vector, a metadata fan-out, a chain
-// link, a job transfer, a tree initiation — is an lfsStart and an lfsFinish,
+// link, a job transfer, a tree initiation — is an lfsStart and an lfsFinish
+// (write-behind's idle steps may take an arrived reply early with lfsPoll),
 // so all of them fast-fail on a node declared dead, are abandoned in flight
 // when one dies, retransmit under LFSRetry, and on a full timeout discard
 // their id and count as a missed probe. Nothing outside this file touches
@@ -111,6 +112,12 @@ func (s *Server) lfsFinish(p sim.Proc, c lfsPend) (*msg.Message, error) {
 	}
 	return m, err
 }
+
+// lfsPoll is lfsFinish without the wait: the reply to c if it has already
+// arrived (charged like any received message), or ok false at no virtual
+// time. A miss leaves the call to a later poll or to its lfsFinish, which
+// owns every timeout, abandon and retransmission.
+func (s *Server) lfsPoll(c lfsPend) (*msg.Message, bool) { return s.lc.TryAwait(c.id) }
 
 // lfsCall is a start on the node's LFS port and its finish back to back.
 func (s *Server) lfsCall(p sim.Proc, node msg.NodeID, body any, size int) (*msg.Message, error) {

@@ -379,7 +379,7 @@ func TestJobAndTreeCreatePinned(t *testing.T) {
 func TestOneLFSPath(t *testing.T) {
 	methods := map[string]bool{
 		"Start": true, "Call": true, "CallTimeout": true, "Await": true, "AwaitTimeout": true,
-		"Gather": true, "GatherTimeout": true, "Discard": true,
+		"TryAwait": true, "Gather": true, "GatherTimeout": true, "Discard": true,
 	}
 	files, err := filepath.Glob("*.go")
 	if err != nil {

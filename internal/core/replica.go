@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bridge/internal/distrib"
 	"bridge/internal/msg"
 	"bridge/internal/obs"
 	"bridge/internal/raft"
@@ -924,13 +923,16 @@ func (s *Server) mark(p sim.Proc, op rop) error {
 	return s.commit(p, op)
 }
 
-// surfaceDeferred consumes a failover-armed deferred-write error exactly
-// once: the clearing rides the log recorded under the surfacing op, so a
-// retransmission — to this leader or its successor — replays the same
-// error instead of losing or doubling it.
+// surfaceDeferred consumes a parked deferred-write error exactly once. A
+// group of one takes it out of its cache. On a replicated group (armed by a
+// failover or a failed idle step) the clearing rides the log recorded under
+// the surfacing op, so a retransmission — to this leader or its successor —
+// replays the same error instead of losing or doubling it.
 func (s *Server) surfaceDeferred(p sim.Proc, name string, from msg.Addr, opID uint64) error {
 	if s.grp == nil {
-		return nil
+		err := s.wb.parked[name]
+		delete(s.wb.parked, name)
+		return err
 	}
 	text, armed := s.grp.deferred[name]
 	if !armed {
@@ -941,6 +943,33 @@ func (s *Server) surfaceDeferred(p sim.Proc, name string, from msg.Addr, opID ui
 		return err
 	}
 	return deferredErr(text)
+}
+
+// parkDeferred keeps the deferred-write error of a window that failed in an
+// idle step, where no request waits for it, until the next operation on the
+// file. A group of one holds it in its write-behind cache; a replicated
+// group commits the rollback client-less (ropWBFail), which arms it exactly
+// as a takeover does.
+func (s *Server) parkDeferred(p sim.Proc, ent *dirent, err error) {
+	if s.grp == nil {
+		s.wb.parked[ent.meta.Name] = err
+		return
+	}
+	fail := rop{Kind: ropWBFail, Name: ent.meta.Name, Blocks: ent.meta.Blocks, ErrS: err.Error()}
+	if cerr := s.commit(p, fail); cerr != nil {
+		// Leadership is gone: the successor's takeover rolls the file
+		// back to its durable watermark and arms the error instead.
+		return
+	}
+}
+
+// wbMayStep reports whether the server may do write-behind work between
+// requests: always for a group of one; for a member, only as a live leader
+// inside its lease with no client request parked — a deposed leader must not
+// land blocks over its successor's.
+func (s *Server) wbMayStep(p sim.Proc) bool {
+	g := s.grp
+	return g == nil || !g.dead.Load() && len(g.parked) == 0 && g.node.LeaseValid(p.Now())
 }
 
 // drainWB is the write-behind barrier every handler runs before it reads
@@ -993,8 +1022,11 @@ func (s *Server) drainWBAll(p sim.Proc, from msg.Addr, opID uint64) (int, error)
 	if s.wb == nil {
 		return 0, nil
 	}
-	names := make(map[string]bool, len(s.wb.entries))
+	names := make(map[string]bool, len(s.wb.entries)+len(s.wb.parked))
 	for name := range s.wb.entries {
+		names[name] = true
+	}
+	for name := range s.wb.parked {
 		names[name] = true
 	}
 	if g := s.grp; g != nil {
@@ -1040,8 +1072,9 @@ func (s *Server) appendBehind(p sim.Proc, ent *dirent, payload []byte, from msg.
 		}
 	}
 	if err := s.wbAppend(p, ent, payload); err != nil {
-		// A window flush inside the buffer failed and acknowledged
-		// blocks rolled back; replicate the rollback under this op.
+		// The previous window, finished inline by the one this append
+		// armed, failed and acknowledged blocks rolled back; replicate
+		// the rollback under this op.
 		fail := rop{Kind: ropWBFail, Client: from, Op: opID, Name: name, Blocks: ent.meta.Blocks, ErrS: err.Error()}
 		if cerr := s.mark(p, fail); cerr != nil {
 			return cerr
@@ -1062,8 +1095,8 @@ func (s *Server) syncWBWindow(p sim.Proc, name string) {
 		return
 	}
 	durable := e.bufStart
-	if e.pend != nil {
-		durable = e.pendStart
+	if e.win.runs != nil {
+		durable = e.win.start
 	}
 	if durable > low {
 		if err := s.commit(p, rop{Kind: ropWBFlushed, Name: name, Blocks: durable}); err != nil {
@@ -1120,7 +1153,9 @@ func (s *Server) takeover(p sim.Proc) {
 		if !ok {
 			continue
 		}
-		prefix, err := s.wbRecoverSize(p, ent, g.wbLow[name])
+		// The dead leader's window may have landed on some nodes and not
+		// others; landedSize stops at the first hole.
+		prefix, err := s.landedSize(p, ent)
 		if err != nil {
 			prefix = g.wbLow[name]
 		}
@@ -1189,33 +1224,6 @@ func (s *Server) replayEffect(p sim.Proc, op rop) {
 			}
 		}
 	}
-}
-
-// wbRecoverSize computes the durable contiguous prefix of a wb-dirty file
-// after a failover: per-node LFS stats give each node's landed block
-// count, and the prefix ends at the first global block whose node ran
-// out. This is refreshSize's sum made hole-aware — the dead leader's
-// in-flight window may have landed on some nodes and not others.
-func (s *Server) wbRecoverSize(p sim.Proc, ent *dirent, low int64) (int64, error) {
-	counts := make([]int64, len(ent.meta.Nodes))
-	total, err := s.lfsStat(p, ent, counts)
-	if err != nil {
-		return low, err
-	}
-	l, err := distrib.New(ent.meta.Spec)
-	if err != nil {
-		return low, err
-	}
-	used := make([]int64, len(counts))
-	var g int64
-	for g = 0; g < total; g++ {
-		i := l.NodeFor(g)
-		used[i]++
-		if used[i] > counts[i] {
-			break
-		}
-	}
-	return g, nil
 }
 
 // statusReply builds the reply of a request's own kind that carries nothing

@@ -53,9 +53,10 @@ type Config struct {
 	// WriteBehind, when positive, acknowledges sequential appends to
 	// formulaic files as soon as they are buffered and flushes them in
 	// windows of WriteBehind stripes (WriteBehind×p blocks) as vectored
-	// group commits, overlapping one window's flush with the next window's
-	// fill. Every read, overwrite, or size query drains the buffer first;
-	// Flush is the explicit durability barrier. Off by default.
+	// group commits, started and gathered in the server's idle time while
+	// the next window fills. Every read, overwrite, or size query drains
+	// the buffer first; Flush is the explicit durability barrier. Off by
+	// default.
 	WriteBehind int
 }
 
@@ -119,11 +120,13 @@ type Server struct {
 	fan []fanCall
 
 	m srvMetrics
-	// curSpan is the span of the request currently being dispatched; the
-	// server is single-threaded, so retry paths deep in the call tree can
-	// annotate it without plumbing. Zero between requests or when tracing
-	// is off.
-	curSpan obs.SpanRef
+	// curSpan is the span of the request currently being dispatched, and
+	// curTrace its trace; the server is single-threaded, so retry paths deep
+	// in the call tree can annotate it, and work it leaves for later can
+	// parent under it, without plumbing. Zero between requests or when
+	// tracing is off.
+	curSpan  obs.SpanRef
+	curTrace obs.TraceID
 }
 
 // dedupKey identifies one client operation for retransmission dedup.
@@ -271,7 +274,9 @@ func (s *Server) Stop() {
 	}
 }
 
-// run is the server process: the one request loop.
+// run is the server process: the one request loop. After each reply it does
+// the work no client waits for: the read-ahead top-up, then write-behind
+// steps for as long as no request is queued.
 func (s *Server) run(p sim.Proc) {
 	s.lc = msg.NewClient(p, s.net, s.cfg.Node, s.cfg.PortName+".lfscli")
 	defer s.lc.Close()
@@ -285,6 +290,8 @@ func (s *Server) run(p sim.Proc) {
 		}
 		span := s.serve(p, req)
 		s.raAhead(p, req.Trace, span)
+		for s.port.QueueLen() == 0 && s.wbStep(p) {
+		}
 		s.pump(p)
 	}
 	// Close job ports in job-id order: closing unblocks their workers,
@@ -309,7 +316,7 @@ func (s *Server) serve(p sim.Proc, req *msg.Message) obs.SpanID {
 		at := p.Now()
 		sp := rec.Start(at, req.Trace, req.Span, "server."+opName(req.Body), int(s.cfg.Node))
 		sp.SetQueueWait(s.net.QueueWait(at, req))
-		s.curSpan, id = sp, sp.ID()
+		s.curSpan, s.curTrace, id = sp, req.Trace, sp.ID()
 		// LFS calls made while handling this request parent under it.
 		s.lc.SetTrace(req.Trace, sp.ID())
 	}
@@ -329,7 +336,7 @@ func (s *Server) serve(p sim.Proc, req *msg.Message) obs.SpanID {
 	}
 	if rec != nil {
 		s.curSpan.EndErr(p.Now(), respStatus(body).Detail())
-		s.curSpan = obs.SpanRef{}
+		s.curSpan, s.curTrace = obs.SpanRef{}, 0
 		s.lc.SetTrace(0, 0)
 	}
 	return id
@@ -793,32 +800,58 @@ func (s *Server) syncNodes(p sim.Proc, nodes []msg.NodeID) error {
 	return nil
 }
 
-// lfsStat stats every constituent LFS file in parallel and returns the
-// file's total block count, filling counts (when non-nil) with each
-// placement node's share.
-func (s *Server) lfsStat(p sim.Proc, ent *dirent, counts []int64) (int64, error) {
+// landedSize is a formulaic file's size as its storage nodes hold it: the
+// contiguous prefix of global blocks they have all landed. One parallel stat
+// gives each node's block count. Without a hole the prefix is their sum, and
+// for a closed-form layout the sum's last block being the highest any node
+// holds proves there is none. A group commit that landed on some nodes and
+// not others (a deferred write failure, a failover mid-window) leaves holes;
+// then the prefix ends at the first global block whose node ran out.
+func (s *Server) landedSize(p sim.Proc, ent *dirent) (int64, error) {
 	op := lfs.StatReq{FileID: ent.meta.LFSFileID}
 	calls, err := s.lfsFanout(p, ent.meta.Nodes, op, lfs.WireSize(op), false)
 	if err != nil {
 		return 0, err
 	}
 	var total int64
-	for i, c := range calls {
+	for _, c := range calls {
 		resp := c.reply.Body.(lfs.StatResp)
 		if err := lfs.Err(resp.Status); err != nil {
 			return 0, fmt.Errorf("%w: %w", ErrLFSFailed, err)
 		}
-		if counts != nil {
-			counts[i] = int64(resp.Info.Blocks)
-		}
 		total += int64(resp.Info.Blocks)
 	}
-	return total, nil
+	l, err := ent.layout()
+	if err != nil {
+		return 0, err
+	}
+	count := func(i int) int64 { return int64(calls[i].reply.Body.(lfs.StatResp).Info.Blocks) }
+	if ent.meta.Spec.Kind != distrib.Hashed { // hashed has no closed-form inverse
+		top := int64(-1)
+		for i := range calls {
+			if n := count(i); n > 0 {
+				top = max(top, l.GlobalFor(i, n-1))
+			}
+		}
+		if top == total-1 {
+			return total, nil
+		}
+	}
+	used := make([]int64, len(calls))
+	var g int64
+	for ; g < total; g++ {
+		i := l.NodeFor(g)
+		if used[i]++; used[i] > count(i) {
+			break
+		}
+	}
+	return g, nil
 }
 
 // refreshSize settles who knows a file's size at an open, stat or implicit
-// open. A group of one asks the storage nodes — the startup work that Open
-// pays for — because tools write constituent files behind its back. A
+// open. A group of one asks the storage nodes (landedSize) — the startup
+// work that Open pays for — because tools write constituent files behind
+// its back. A
 // replicated group trusts its log, the only size every member agrees on
 // (so tool writes behind it are a known hole: DESIGN.md). Disordered files
 // keep their count in the chain state (tools cannot write them behind the
@@ -836,11 +869,11 @@ func (s *Server) refreshSize(p sim.Proc, ent *dirent) error {
 		ent.meta.Blocks = total
 		return nil
 	}
-	total, err := s.lfsStat(p, ent, nil)
+	size, err := s.landedSize(p, ent)
 	if err != nil {
 		return err
 	}
-	ent.meta.Blocks = total
+	ent.meta.Blocks = size
 	return nil
 }
 
@@ -1114,7 +1147,7 @@ func (s *Server) parallelOpen(p sim.Proc, r ParallelOpenReq) (uint64, Meta, erro
 	if len(r.Workers) == 0 {
 		return 0, Meta{}, fmt.Errorf("%w: no workers", ErrBadArg)
 	}
-	if _, err := s.wbBarrier(p, ent); err != nil {
+	if _, err := s.drainWB(p, r.Name, msg.Addr{}, 0); err != nil {
 		return 0, Meta{}, err
 	}
 	if err := s.refreshSize(p, ent); err != nil {
@@ -1144,7 +1177,7 @@ func (s *Server) parallelRead(p sim.Proc, jobID uint64) (int, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	if _, err := s.wbBarrier(p, ent); err != nil {
+	if _, err := s.drainWB(p, j.name, msg.Addr{}, 0); err != nil {
 		return 0, false, err
 	}
 	t := len(j.workers)
@@ -1209,7 +1242,7 @@ func (s *Server) parallelWrite(p sim.Proc, jobID uint64) (int, error) {
 		return 0, err
 	}
 	s.raInvalidate(j.name)
-	if _, err := s.wbBarrier(p, ent); err != nil {
+	if _, err := s.drainWB(p, j.name, msg.Addr{}, 0); err != nil {
 		return 0, err
 	}
 	t := len(j.workers)

@@ -3,8 +3,15 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
+	"time"
 
+	"bridge/internal/disk"
+	"bridge/internal/msg"
+	"bridge/internal/obs"
 	"bridge/internal/sim"
 )
 
@@ -224,5 +231,340 @@ func TestWriteBehindSpeedsUpAppends(t *testing.T) {
 	behind := elapsed(wb)
 	if behind*3 >= naive {
 		t.Fatalf("write-behind %dns vs naive %dns: want at least 3x faster", behind, naive)
+	}
+}
+
+// wbStepProgram appends windows of single blocks to each of files in turn,
+// one block at a time, on stream_write's shape — eight nodes with 15 ms
+// disks, 32-block windows — under a span recorder, and ends with FlushAll.
+// It returns each append's duration as the client saw it and the spans.
+func wbStepProgram(t *testing.T, files []string, windows int) (appends []time.Duration, spans []obs.Span) {
+	const nodes, stripes = 8, 4
+	cfg := wrenCfg(nodes)
+	cfg.Server.WriteBehind = stripes
+	withCluster(t, cfg, func(p sim.Proc, cl *Cluster, c *Client) {
+		for _, f := range files {
+			if _, err := c.Create(f); err != nil {
+				t.Errorf("Create %s: %v", f, err)
+				return
+			}
+		}
+		rec := obs.NewRecorder(obs.Config{})
+		cl.Net.SetRecorder(rec)
+		defer cl.Net.SetRecorder(nil)
+		for i := 0; i < windows*nodes*stripes; i++ {
+			for _, f := range files {
+				start := p.Now()
+				if err := c.SeqWrite(f, payload(i)); err != nil {
+					t.Errorf("SeqWrite %s %d: %v", f, i, err)
+					return
+				}
+				appends = append(appends, p.Now()-start)
+			}
+		}
+		if _, err := c.FlushAll(); err != nil {
+			t.Errorf("FlushAll: %v", err)
+		}
+		spans = rec.Spans()
+	})
+	return appends, spans
+}
+
+// wbSteps sorts a run's server.wbflush spans by the window they stepped —
+// the request that armed it, in arming order — and marks the steps that
+// started a node's write (an lfs.writevec under them) as sends.
+func wbSteps(spans []obs.Span) (windows []obs.SpanID, steps map[obs.SpanID][]obs.Span, sends map[obs.SpanID]bool) {
+	kinds := map[obs.SpanID]string{}
+	steps, sends = map[obs.SpanID][]obs.Span{}, map[obs.SpanID]bool{}
+	for _, sp := range spans {
+		kinds[sp.ID] = sp.Kind
+	}
+	for _, sp := range spans {
+		if sp.Kind == "lfs.writevec" && kinds[sp.Parent] == "server.wbflush" {
+			sends[sp.Parent] = true
+		}
+		if sp.Kind == "server.wbflush" {
+			if steps[sp.Parent] == nil {
+				windows = append(windows, sp.Parent)
+			}
+			steps[sp.Parent] = append(steps[sp.Parent], sp)
+		}
+	}
+	return windows, steps, sends
+}
+
+// renderSpans prints spans one a line, in creation order, for byte-for-byte
+// comparison between runs.
+func renderSpans(spans []obs.Span) string {
+	var b strings.Builder
+	for _, sp := range spans {
+		fmt.Fprintf(&b, "%d<%d %s n%d %v..%v q%v %s\n", sp.ID, sp.Parent, sp.Kind, sp.Node, sp.Start, sp.End, sp.QueueWait, sp.Err)
+	}
+	return b.String()
+}
+
+// TestWriteBehindFlushOffRequestPath pins where the group commit runs: in
+// the request loop's idle steps, not inside the append that fills a window.
+// On stream_write's shape, over ten windows:
+//
+//   - no append takes longer than the first (which finds the server idle:
+//     the bare round trip) plus one message's CPU — before, the append that
+//     filled a window gathered the last window's eight replies and started
+//     eight writes inline, ≈16.7 ms against 3.9;
+//   - a step costs exactly one message's CPU — a send or a receive — so a
+//     request that arrives mid-flush waits at most that long, and some do;
+//   - every window the final flush does not finish lands in sixteen steps
+//     under the request that armed it: one send per node, then one gather
+//     per node.
+//
+// Two files buffering at once are stepped in arming order: all of the
+// first window's sends, then the second's, and the first's gathers before
+// the second's; and repeated runs — which would differ if the order came
+// from a map — are identical span for span. With BRIDGE_WB_TRACE_OUT set,
+// the two-file trace is written to <path>.steps, so CI can also compare it
+// across processes.
+func TestWriteBehindFlushOffRequestPath(t *testing.T) {
+	net := msg.DefaultConfig()
+	step := max(net.SendCPU, net.RecvCPU)
+	appends, spans := wbStepProgram(t, []string{"f"}, 10)
+	if len(appends) == 0 {
+		t.Fatal("the program appended nothing")
+	}
+	rtt := appends[0]
+	for i, d := range appends {
+		if d > rtt+step {
+			t.Errorf("append %d took %v: more than the %v round trip plus one step", i, d, rtt)
+		}
+	}
+	waited := 0
+	for _, sp := range spans {
+		if sp.Kind != "server.seqwrite" {
+			continue
+		}
+		if sp.QueueWait > step {
+			t.Errorf("a request waited %v behind write-behind steps, more than one step (%v)", sp.QueueWait, step)
+		}
+		if sp.QueueWait > 0 {
+			waited++
+		}
+	}
+	if waited == 0 {
+		t.Error("no request arrived mid-step: the yield rule went unexercised")
+	}
+	windows, steps, sends := wbSteps(spans)
+	if len(windows) != 10 {
+		t.Fatalf("%d windows stepped, want 10", len(windows))
+	}
+	for i, w := range windows {
+		sent := 0
+		for _, sp := range steps[w] {
+			want := net.RecvCPU
+			if sends[sp.ID] {
+				want = net.SendCPU
+				sent++
+			}
+			if d := sp.End - sp.Start; d != want {
+				t.Errorf("window %d: a step took %v, want one message's CPU (%v)", i, d, want)
+			}
+		}
+		if i < len(windows)-1 && (len(steps[w]) != 16 || sent != 8) {
+			t.Errorf("window %d: %d steps, %d of them sends; want 16 and 8", i, len(steps[w]), sent)
+		}
+	}
+
+	// Two files: f's window arms one request before g's.
+	var trace string
+	for run := 0; run < 3; run++ {
+		_, spans := wbStepProgram(t, []string{"f", "g"}, 2)
+		got := renderSpans(spans)
+		if run > 0 {
+			if got != trace {
+				t.Fatalf("run %d's spans differ from run 0's: the step order is not fixed", run)
+			}
+			continue
+		}
+		trace = got
+		windows, _, sends := wbSteps(spans)
+		if len(windows) < 2 {
+			t.Fatalf("%d windows stepped, want at least 2", len(windows))
+		}
+		f, g := windows[0], windows[1]
+		var sendOrder, gatherOrder []obs.SpanID
+		for _, sp := range spans { // creation order
+			switch {
+			case sp.Kind != "server.wbflush" || sp.Parent != f && sp.Parent != g:
+			case sends[sp.ID]:
+				sendOrder = append(sendOrder, sp.Parent)
+			default:
+				gatherOrder = append(gatherOrder, sp.Parent)
+			}
+		}
+		want := append(slicesRepeat(f, 8), slicesRepeat(g, 8)...)
+		if fmt.Sprint(sendOrder) != fmt.Sprint(want) || fmt.Sprint(gatherOrder) != fmt.Sprint(want) {
+			t.Errorf("steps of two windows (f=%d armed before g=%d):\n sends   %v\n gathers %v\nwant each %v",
+				f, g, sendOrder, gatherOrder, want)
+		}
+	}
+	if out := os.Getenv("BRIDGE_WB_TRACE_OUT"); out != "" {
+		if err := os.WriteFile(out+".steps", []byte(trace), 0o644); err != nil {
+			t.Fatalf("dump trace: %v", err)
+		}
+	}
+}
+
+// slicesRepeat is n copies of id.
+func slicesRepeat(id obs.SpanID, n int) []obs.SpanID {
+	out := make([]obs.SpanID, n)
+	for i := range out {
+		out[i] = id
+	}
+	return out
+}
+
+// writeFault fails every write to the disk it is installed on while armed.
+type writeFault struct{ armed bool }
+
+func (f *writeFault) BeforeOp(_ time.Duration, _ string, op disk.Op, _ int) (time.Duration, error) {
+	if f.armed && op == disk.OpWrite {
+		return 0, errors.New("injected write failure")
+	}
+	return 0, nil
+}
+
+// leaderOf is the server answering for shard 0: the only one for a group of
+// one, the leader of a replicated group.
+func leaderOf(cl *Cluster) *Server {
+	for _, s := range cl.Servers {
+		if s.IsLeader() {
+			return s
+		}
+	}
+	return cl.Servers[0]
+}
+
+// TestWriteBehindStepFailureSurfacesOnce: a window whose failure an idle
+// step gathers — a disk failure on one node, with no request on the file in
+// flight — rolls the file back to its landed prefix at once, and parks the
+// error. The next operation on the file surfaces it exactly once as
+// ErrDeferredWrite: an Append (which is not buffered), a Flush, a read or a
+// Stat; a Delete drops it with the file, and a file re-created under the
+// name sees nothing. Afterwards the size is the landed prefix, Stat
+// included, and the file takes appends again. Both group sizes keep the
+// contract: a replicated group parks the error by committing the rollback.
+func TestWriteBehindStepFailureSurfacesOnce(t *testing.T) {
+	// 4 nodes × 2 stripes: the second window, blocks 8..15, fails on node
+	// 1, so only block 8 of it (node 0's) is in the landed prefix.
+	const window, failNode = 8, 1
+	const prefix = window + failNode
+	for _, replicas := range []int{1, 3} {
+		for _, next := range []string{"append", "flush", "read", "stat", "delete"} {
+			cfg := wbCfg(4, 2)
+			cfg.Replicas = replicas
+			withCluster(t, cfg, func(p sim.Proc, cl *Cluster, c *Client) {
+				cell := fmt.Sprintf("Replicas=%d/%s", replicas, next)
+				for _, name := range []string{"f", "g"} {
+					if _, err := c.Create(name); err != nil {
+						t.Errorf("%s: Create %s: %v", cell, name, err)
+						return
+					}
+				}
+				// idle gives the server request gaps to step in, touching
+				// only g, until done holds.
+				idle := func(done func(s *Server) bool) bool {
+					for i := 0; i < 64; i++ {
+						if done(leaderOf(cl)) {
+							return true
+						}
+						if _, err := c.List(); err != nil {
+							t.Errorf("%s: List: %v", cell, err)
+							return false
+						}
+					}
+					return false
+				}
+				for i := 0; i < window; i++ {
+					if err := c.SeqWrite("f", payload(i)); err != nil {
+						t.Errorf("%s: SeqWrite %d: %v", cell, i, err)
+						return
+					}
+				}
+				if !idle(func(s *Server) bool { return len(s.wb.armed) == 0 }) {
+					t.Errorf("%s: the first window never landed in idle steps", cell)
+					return
+				}
+				fault := &writeFault{armed: true}
+				cl.Nodes[failNode].Disk.SetFault(fault, "victim")
+				for i := window; i < 2*window; i++ {
+					if err := c.SeqWrite("f", payload(i)); err != nil {
+						t.Errorf("%s: SeqWrite %d: %v", cell, i, err)
+						return
+					}
+				}
+				parked := func(s *Server) bool {
+					if s.grp != nil {
+						return s.grp.deferred["f"] != ""
+					}
+					return s.wb.parked["f"] != nil
+				}
+				if !idle(parked) {
+					t.Errorf("%s: no idle step found the failed window", cell)
+					return
+				}
+				fault.armed = false
+				srv := leaderOf(cl)
+				if got := srv.dir["f"].meta.Blocks; got != prefix || srv.wb.entries["f"] != nil {
+					t.Errorf("%s: after the failed step the size is %d (want the landed prefix %d), write-behind state %v",
+						cell, got, prefix, srv.wb.entries["f"] != nil)
+				}
+
+				var err error
+				switch next {
+				case "append":
+					err = c.SeqWrite("f", payload(100))
+				case "flush":
+					_, err = c.Flush("f")
+				case "read":
+					_, err = c.ReadAt("f", 0)
+				case "stat":
+					_, err = c.Stat("f")
+				case "delete":
+					if _, err := c.Delete("f"); err != nil {
+						t.Errorf("%s: %v; want the delete to drop the parked error", cell, err)
+					}
+					if _, err := c.Create("f"); err != nil {
+						t.Errorf("%s: re-create: %v", cell, err)
+					}
+					if m, err := c.Stat("f"); err != nil || m.Blocks != 0 {
+						t.Errorf("%s: the re-created file: %d blocks, %v", cell, m.Blocks, err)
+					}
+					if _, err := c.FlushAll(); err != nil {
+						t.Errorf("%s: FlushAll: %v", cell, err)
+					}
+					return
+				}
+				if !errors.Is(err, ErrDeferredWrite) {
+					t.Errorf("%s: the next operation: %v; want ErrDeferredWrite", cell, err)
+				}
+				// Once: the error is consumed, and the size is the prefix.
+				if m, err := c.Stat("f"); err != nil || m.Blocks != prefix {
+					t.Errorf("%s: Stat after the error: %d blocks, %v; want %d", cell, m.Blocks, err, prefix)
+				}
+				if _, err := c.FlushAll(); err != nil {
+					t.Errorf("%s: FlushAll after the error: %v", cell, err)
+				}
+				if got, err := c.ReadAt("f", prefix-1); err != nil || !bytes.Equal(got, payload(prefix-1)) {
+					t.Errorf("%s: ReadAt %d (landed): %v", cell, prefix-1, err)
+				}
+				if _, err := c.ReadAt("f", prefix); !errors.Is(err, ErrEOF) {
+					t.Errorf("%s: ReadAt %d = %v; want ErrEOF past the rolled-back size", cell, prefix, err)
+				}
+				if err := c.SeqWrite("f", payload(200)); err != nil {
+					t.Errorf("%s: append after the error: %v", cell, err)
+				}
+				if got, err := c.ReadAt("f", prefix); err != nil || !bytes.Equal(got, payload(200)) {
+					t.Errorf("%s: the append after the error did not land at %d: %v", cell, prefix, err)
+				}
+			})
+		}
 	}
 }

@@ -6,6 +6,9 @@
 package experiments
 
 import (
+	"fmt"
+	"io"
+	"text/tabwriter"
 	"time"
 
 	"bridge/internal/core"
@@ -167,4 +170,34 @@ func writeCampaignAt(p int, cfg Config) (WriteCampaignPoint, error) {
 		return nil
 	})
 	return pt, err
+}
+
+// RenderWriteCampaign writes the write campaign's three tables: sequential
+// appends, whole-file deletes and redundant appends, one row per p.
+func RenderWriteCampaign(w io.Writer, pts []WriteCampaignPoint, records int) {
+	ms := func(d time.Duration) string { return fmt.Sprintf("%.1f ms/blk", float64(d)/float64(time.Millisecond)) }
+	fmt.Fprintf(w, "Sequential appends (%d-record file, write-behind windows of %d stripes, timed through the final Flush)\n", records, wbStripes)
+	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "p\tnaive\twrite-behind\tspeedup")
+	for _, pt := range pts {
+		fmt.Fprintf(tw, "%d\t%s\t%.2f ms/blk\t%.1fx\n", pt.P, ms(pt.NaiveWritePerBlock),
+			float64(pt.WBWritePerBlock)/float64(time.Millisecond), pt.WriteSpeedup())
+	}
+	tw.Flush()
+	fmt.Fprintln(w, "\nWhole-file delete")
+	tw = tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "p\tserial\tparallel (tool)\tspeedup")
+	for _, pt := range pts {
+		fmt.Fprintf(tw, "%d\t%.0f ms\t%.0f ms\t%.1fx\n", pt.P, float64(pt.SerialDeleteTotal)/float64(time.Millisecond),
+			float64(pt.ParallelDeleteTotal)/float64(time.Millisecond), pt.DeleteSpeedup())
+	}
+	tw.Flush()
+	fmt.Fprintln(w, "\nRedundant appends")
+	tw = tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "p\tmirror\tRS(k,2)\tmirror storage\tRS storage")
+	for _, pt := range pts {
+		fmt.Fprintf(tw, "%d\t%s\tRS(%d,%d): %s\t%.2fx\t%.2fx\n", pt.P, ms(pt.MirrorAppendPerBlock),
+			pt.RSK, pt.RSM, ms(pt.RSAppendPerBlock), pt.MirrorOverhead, pt.RSOverhead)
+	}
+	tw.Flush()
 }

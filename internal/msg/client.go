@@ -172,6 +172,29 @@ func (c *Client) Await(id uint64) (*Message, error) {
 	}
 }
 
+// TryAwait is Await without the wait: it returns the reply with the given
+// correlation id if it has already arrived, and ok false otherwise — a miss
+// costs no virtual time and allocates nothing. Like Await it takes off the
+// port every message that has arrived ahead of the one it wants, parking
+// replies to other requests and dropping replies to discarded ids, and each
+// message it takes is charged RecvCPU; messages still in transit stay put.
+func (c *Client) TryAwait(id uint64) (m *Message, ok bool) {
+	if m, ok := c.pending[id]; ok {
+		delete(c.pending, id)
+		return m, true
+	}
+	for {
+		m, ok := c.port.TryRecv(c.proc)
+		if !ok {
+			return nil, false
+		}
+		if m.ReqID == id {
+			return m, true
+		}
+		c.park(m)
+	}
+}
+
 // AwaitTimeout is Await with a deadline across the whole wait.
 func (c *Client) AwaitTimeout(id uint64, d time.Duration) (*Message, error) {
 	if m, ok := c.pending[id]; ok {

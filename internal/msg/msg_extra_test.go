@@ -112,6 +112,67 @@ func TestAwaitBuffersInterleavedReplies(t *testing.T) {
 	}
 }
 
+// TestTryAwaitTakesOnlyWhatArrived: TryAwait returns a reply only once it
+// has arrived; on the way it drops a discarded id's reply and parks another
+// request's, charging RecvCPU for exactly the messages it takes off the port.
+func TestTryAwaitTakesOnlyWhatArrived(t *testing.T) {
+	rt := sim.NewVirtual()
+	cfg := DefaultConfig()
+	net := NewNetwork(rt, cfg)
+	srv := net.NewPort(Addr{Node: 1, Port: "srv"})
+	rt.Go("server", func(p sim.Proc) {
+		var reqs []*Message
+		for i := 0; i < 3; i++ {
+			m, ok := srv.Recv(p)
+			if !ok {
+				return
+			}
+			reqs = append(reqs, m)
+		}
+		// c and b answer at once, a after a while.
+		for _, i := range []int{2, 1} {
+			net.Send(p, 1, reqs[i].From, &Message{ReqID: reqs[i].ReqID, Body: reqs[i].Body})
+		}
+		p.Sleep(50 * time.Millisecond)
+		net.Send(p, 1, reqs[0].From, &Message{ReqID: reqs[0].ReqID, Body: reqs[0].Body})
+	})
+	rt.Go("client", func(p sim.Proc) {
+		c := NewClient(p, net, 0, "cli")
+		a, _ := c.Start(srv.Addr(), "a", 8)
+		b, _ := c.Start(srv.Addr(), "b", 8)
+		cid, _ := c.Start(srv.Addr(), "c", 8)
+		c.Discard(cid)
+		p.Sleep(20 * time.Millisecond) // b and c have arrived, a has not
+		took := func(what string, id uint64, want string, cost time.Duration) {
+			t.Helper()
+			start := p.Now()
+			m, ok := c.TryAwait(id)
+			got := ""
+			if ok {
+				got = m.Body.(string)
+			}
+			if got != want || p.Now()-start != cost {
+				t.Errorf("%s: got %q after %v, want %q after %v", what, got, p.Now()-start, want, cost)
+			}
+		}
+		took("a before it arrived", a, "", 2*cfg.RecvCPU) // drops c, parks b
+		if pending, discarded := c.Parked(); pending != 1 || discarded != 0 {
+			t.Errorf("after the miss: %d parked, %d discarded ids; want 1, 0", pending, discarded)
+		}
+		took("b, parked", b, "b", 0)
+		took("a again", a, "", 0)
+		p.Sleep(100 * time.Millisecond)
+		took("a, arrived", a, "a", cfg.RecvCPU)
+		if pending, discarded := c.Parked(); pending != 0 || discarded != 0 {
+			t.Errorf("at the end: %d parked, %d discarded ids", pending, discarded)
+		}
+		srv.Close()
+	})
+	if err := rt.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+}
+
 func TestAwaitTimeoutFindsPendingReply(t *testing.T) {
 	rt := sim.NewVirtual()
 	net := NewNetwork(rt, zeroCPU())
