@@ -15,6 +15,7 @@ import (
 	"bridge/internal/analysis/simdeterminism"
 	"bridge/internal/analysis/spanend"
 	"bridge/internal/analysis/syncerr"
+	"bridge/internal/analysis/untimedwait"
 )
 
 // All returns every analyzer in the bridgevet suite, in report order.
@@ -30,6 +31,7 @@ func All() []*analysis.Analyzer {
 		journalorder.Analyzer,
 		protocolshape.Analyzer,
 		syncerr.Analyzer,
+		untimedwait.Analyzer,
 	}
 }
 

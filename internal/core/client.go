@@ -342,9 +342,9 @@ func parseLeaderHint(s string) (int, bool) {
 
 func (c *Client) callOnce(to msg.Addr, body any) (*msg.Message, error) {
 	if c.timeout > 0 {
-		return c.mc.CallTimeout(to, body, WireSize(body), c.timeout)
+		return c.mc.CallTimeout(to, body, WireSize(body), c.timeout) //bridgevet:allow untimedwait — the client protocol, not a storage node
 	}
-	return c.mc.Call(to, body, WireSize(body))
+	return c.mc.Call(to, body, WireSize(body)) //bridgevet:allow untimedwait — the client protocol, not a storage node
 }
 
 // Create creates an interleaved file across all nodes with round-robin

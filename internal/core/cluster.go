@@ -275,14 +275,14 @@ func (cl *Cluster) NewClient(proc sim.Proc, node msg.NodeID, name string) *Clien
 // that cannot ack is equivalent to one that crashed at shutdown, which
 // recovery already handles, so callers may treat the error as advisory.
 func (cl *Cluster) SyncAll(p sim.Proc) error {
-	lc := lfs.NewClient(p, cl.Net, 0, "core.syncall")
+	lc := &lfs.Client{C: msg.NewClient(p, cl.Net, 0, "core.syncall"), Policy: lfs.Policy{Timeout: 10 * time.Second}}
 	defer lc.C.Close()
 	var firstErr error
 	for _, n := range cl.Nodes {
 		if n.Disk.Failed() {
 			continue
 		}
-		if err := lc.SyncTimeout(n.ID, 10*time.Second); err != nil && firstErr == nil {
+		if err := lc.Sync(n.ID); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("core: sync node %d: %w", n.ID, err)
 		}
 	}

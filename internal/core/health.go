@@ -151,16 +151,15 @@ func (s *Server) startMonitor(rt sim.Runtime) {
 	stop := s.net.NewPort(msg.Addr{Node: s.cfg.Node, Port: s.cfg.PortName + ".hmon.stop"})
 	s.monStop = stop
 	rt.Go(s.cfg.PortName+".hmon", func(p sim.Proc) {
-		hc := msg.NewClient(p, s.net, s.cfg.Node, s.cfg.PortName+".hmon.cli")
-		defer hc.Close()
+		// No down-view: the monitor goes on asking a Dead node to see it recover.
+		hc := &lfs.Client{C: msg.NewClient(p, s.net, s.cfg.Node, s.cfg.PortName+".hmon.cli"), Policy: lfs.Policy{Timeout: cfg.Timeout}}
+		defer hc.C.Close()
 		for {
 			for _, n := range s.nodes {
 				// A node that answers but could not boot its volume fails
 				// the ping with a status: it is as down as a silent one.
-				ping := lfs.PingReq{}
-				m, err := hc.CallTimeout(msg.Addr{Node: n, Port: lfs.PortName}, ping, lfs.WireSize(ping), cfg.Timeout)
-				_, st, err := msg.ReplyAs[lfs.PingResp](m, err)
-				s.reportProbe(p.Now(), n, err == nil && st.OK())
+				err := hc.Ping(n)
+				s.reportProbe(p.Now(), n, err == nil)
 			}
 			if _, ok, timedOut := stop.RecvTimeout(p, cfg.Every); !timedOut && !ok {
 				return

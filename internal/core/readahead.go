@@ -218,13 +218,13 @@ func (s *Server) raAhead(p sim.Proc, trace obs.TraceID, parent obs.SpanID) {
 	var sp obs.SpanRef
 	if rec != nil {
 		sp = rec.Start(p.Now(), trace, parent, "server.prefetch", int(s.cfg.Node))
-		s.lc.SetTrace(trace, sp.ID())
+		s.lc.C.SetTrace(trace, sp.ID())
 	}
 	for s.ra.prefetch(s, ent, e) {
 	}
 	if rec != nil {
 		sp.End(p.Now(), nil)
-		s.lc.SetTrace(0, 0)
+		s.lc.C.SetTrace(0, 0)
 	}
 }
 

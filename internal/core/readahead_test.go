@@ -436,7 +436,7 @@ func TestReadAheadDifferential(t *testing.T) {
 					}
 				}
 				p.Sleep(time.Second) // anything still on its way arrives
-				if pending, _ := cl.Servers[0].lc.Parked(); pending != 0 {
+				if pending, _ := cl.Servers[0].lc.C.Parked(); pending != 0 {
 					t.Errorf("seed %d ReadAhead=%d: %d replies parked in the server's LFS client", seed, stripes, pending)
 				}
 				if n := len(cl.Servers[0].ra.order); n > raEntryCap {

@@ -147,7 +147,7 @@ func (s *Server) wbStartRun(e *wbEntry) error {
 	if err != nil {
 		for i, c := range w.calls {
 			if w.polled[i] == nil {
-				s.lfsDiscard(c.lfsPend)
+				s.lc.Discard(c.Call)
 			}
 		}
 		start := w.start
@@ -211,7 +211,7 @@ func (s *Server) wbStep(p sim.Proc) bool {
 	var sp obs.SpanRef
 	if rec != nil {
 		sp = rec.Start(at, w.trace, w.parent, "server.wbflush", int(s.cfg.Node))
-		s.lc.SetTrace(w.trace, sp.ID())
+		s.lc.C.SetTrace(w.trace, sp.ID())
 	}
 	var err error
 	if m == nil {
@@ -227,7 +227,7 @@ func (s *Server) wbStep(p sim.Proc) bool {
 	}
 	if rec != nil {
 		sp.End(p.Now(), err)
-		s.lc.SetTrace(0, 0)
+		s.lc.C.SetTrace(0, 0)
 	}
 	return true
 }
@@ -245,7 +245,7 @@ func (s *Server) wbPick() (e *wbEntry, i int, m *msg.Message) {
 			if w.polled[i] != nil {
 				continue
 			}
-			if m, ok := s.lfsPoll(c.lfsPend); ok {
+			if m, ok := s.lc.Poll(c.Call); ok {
 				return e, i, m
 			}
 		}

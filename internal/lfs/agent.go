@@ -64,12 +64,12 @@ func startAgent(rt sim.Runtime, net *msg.Network, node msg.NodeID) *agent {
 }
 
 func (a *agent) run(p sim.Proc) {
-	c := msg.NewClient(p, a.net, a.node, AgentPortName+".cli")
+	c := NewClient(p, a.net, a.node, AgentPortName+".cli")
 	spawned := 0
 	for {
 		req, ok := a.port.Recv(p)
 		if !ok {
-			c.Close()
+			c.C.Close()
 			return
 		}
 		switch r := req.Body.(type) {
@@ -79,45 +79,45 @@ func (a *agent) run(p sim.Proc) {
 			name := fmt.Sprintf("n%d/%s#%d", a.node, r.Name, spawned)
 			node := a.node
 			p.Go(name, func(wp sim.Proc) { r.Fn(wp, node) })
-			_ = c.Reply(req, SpawnResp{}, 8)
+			_ = c.C.Reply(req, SpawnResp{}, 8)
 		case TreeReq:
-			st := a.tree(p, c, r)
-			_ = c.Reply(req, TreeResp{Status: st}, 8)
+			st := a.tree(c, r)
+			_ = c.C.Reply(req, TreeResp{Status: st}, 8)
 		default:
-			_ = c.Reply(req, msg.Failed(CodeIO, "agent: unknown request"), 8)
+			_ = c.C.Reply(req, msg.Failed(CodeIO, "agent: unknown request"), 8)
 		}
 	}
 }
 
 // tree performs the local op and forwards to the two child subtrees,
-// overlapping all three.
-func (a *agent) tree(p sim.Proc, c *msg.Client, r TreeReq) msg.Status {
+// overlapping all three. A dead node in the subtree fails it with CodeTimeout.
+func (a *agent) tree(c *Client, r TreeReq) msg.Status {
 	rest := r.Targets
 	if len(rest) > 0 && rest[0] == a.node {
 		rest = rest[1:]
 	}
-	var ids []uint64
+	var calls []Call
 	mid := (len(rest) + 1) / 2
 	for _, half := range [][]msg.NodeID{rest[:mid], rest[mid:]} {
 		if len(half) == 0 {
 			continue
 		}
-		id, err := c.Start(msg.Addr{Node: half[0], Port: AgentPortName},
+		call, err := c.Start(msg.Addr{Node: half[0], Port: AgentPortName},
 			TreeReq{Targets: half, Op: r.Op, OpSize: r.OpSize}, r.OpSize+16)
 		if err != nil {
 			return StatusFor(err)
 		}
-		ids = append(ids, id)
+		calls = append(calls, call)
 	}
 	// Local delivery to this node's LFS.
-	localID, err := c.Start(lfsAddr(a.node), r.Op, r.OpSize)
+	local, err := c.Start(lfsAddr(a.node), r.Op, r.OpSize)
 	if err != nil {
 		return StatusFor(err)
 	}
 	// The subtree's first failure, this node's own before its children's.
-	st := awaitStatus(c, localID)
-	for _, id := range ids {
-		if s := awaitStatus(c, id); st.OK() {
+	st := awaitStatus(c, local)
+	for _, call := range calls {
+		if s := awaitStatus(c, call); st.OK() {
 			st = s
 		}
 	}
@@ -126,44 +126,13 @@ func (a *agent) tree(p sim.Proc, c *msg.Client, r TreeReq) msg.Status {
 
 // awaitStatus collects a started call's outcome: the status its reply
 // embeds, whatever the reply's kind, or the failure to get one.
-func awaitStatus(c *msg.Client, id uint64) msg.Status {
-	m, err := c.Await(id)
+func awaitStatus(c *Client, call Call) msg.Status {
+	m, err := c.Await(call)
 	if err != nil {
 		return StatusFor(err)
 	}
-	st, ok := msg.StatusOf(m.Body)
-	if !ok {
-		return msg.Failed(CodeIO, "agent: unknown reply")
+	if st, ok := msg.StatusOf(m.Body); ok {
+		return st
 	}
-	return st
-}
-
-// Spawn asks the agent on node to start a worker; it returns once the
-// worker process has been created.
-func Spawn(c *msg.Client, node msg.NodeID, name string, fn WorkerFunc) error {
-	_, err := reply[SpawnResp](c.Call(msg.Addr{Node: node, Port: AgentPortName}, SpawnReq{Name: name, Fn: fn}, 64))
-	return err
-}
-
-// SpawnAll starts a worker on every listed node, overlapping the spawns,
-// and waits for all acknowledgements. fn receives the node it runs on.
-func SpawnAll(c *msg.Client, nodes []msg.NodeID, name string, fn WorkerFunc) error {
-	ids := make([]uint64, 0, len(nodes))
-	for _, n := range nodes {
-		id, err := c.Start(msg.Addr{Node: n, Port: AgentPortName}, SpawnReq{Name: name, Fn: fn}, 64)
-		if err != nil {
-			return err
-		}
-		ids = append(ids, id)
-	}
-	ms, err := c.Gather(ids)
-	if err != nil {
-		return err
-	}
-	for _, m := range ms {
-		if _, err := reply[SpawnResp](m, nil); err != nil {
-			return err
-		}
-	}
-	return nil
+	return msg.Failed(CodeIO, "agent: unknown reply")
 }

@@ -38,7 +38,8 @@ const (
 	CodeNotAppend
 	CodeTooLarge
 	CodeCorrupt
-	CodeIO // anything else: no class, only its text
+	CodeTimeout // a node the call, or a forward it made, waited on did not answer
+	CodeIO      // anything else: no class, only its text
 )
 
 // classes is the one table between the codes and the EFS sentinels they
@@ -52,6 +53,7 @@ var classes = [...]error{
 	CodeNotAppend:   efs.ErrNotAppend,
 	CodeTooLarge:    efs.ErrTooLarge,
 	CodeCorrupt:     efs.ErrCorrupt,
+	CodeTimeout:     msg.ErrTimeout,
 }
 
 var errIO = errors.New("lfs: I/O error")

@@ -603,138 +603,3 @@ func (n *Node) handle(p sim.Proc, req *msg.Message) any {
 		return msg.Failed(CodeIO, "lfs: unknown request")
 	}
 }
-
-// Client is a typed convenience wrapper over msg.Client for talking to LFS
-// servers. It tracks nothing: hints are the caller's business, exactly as
-// in the stateless protocol.
-type Client struct {
-	C *msg.Client
-}
-
-// NewClient creates an LFS client for a process homed on the given node.
-func NewClient(proc sim.Proc, net *msg.Network, node msg.NodeID, name string) *Client {
-	return &Client{C: msg.NewClient(proc, net, node, name)}
-}
-
-// lfsAddr returns the LFS port of a node.
-func lfsAddr(node msg.NodeID) msg.Addr { return msg.Addr{Node: node, Port: PortName} }
-
-// reply ends every call to an LFS server or agent: the transport error, or
-// else the reply as the kind the call expects with its status as an error.
-func reply[T msg.Reply](m *msg.Message, err error) (T, error) {
-	r, st, err := msg.ReplyAs[T](m, err)
-	if err == nil {
-		err = Err(st)
-	}
-	return r, err
-}
-
-// Create registers a file on the target node.
-func (c *Client) Create(node msg.NodeID, fileID uint32) error {
-	_, err := reply[CreateResp](c.C.Call(lfsAddr(node), CreateReq{FileID: fileID}, WireSize(CreateReq{})))
-	return err
-}
-
-// Delete removes a file on the target node, returning blocks freed.
-func (c *Client) Delete(node msg.NodeID, fileID uint32) (int, error) {
-	r, err := reply[DeleteResp](c.C.Call(lfsAddr(node), DeleteReq{FileID: fileID}, WireSize(DeleteReq{})))
-	return r.Freed, err
-}
-
-// DeleteFast removes a file with the bitmap-only fast free (no per-block
-// flag-clear rewrite) — the mode the parallel delete tool uses.
-func (c *Client) DeleteFast(node msg.NodeID, fileID uint32) (int, error) {
-	r, err := reply[DeleteResp](c.C.Call(lfsAddr(node), DeleteReq{FileID: fileID, Fast: true}, WireSize(DeleteReq{})))
-	return r.Freed, err
-}
-
-// Read reads a block; addr is the returned hint for the next call.
-func (c *Client) Read(node msg.NodeID, fileID, blockNum uint32, hint int32) (data []byte, addr int32, err error) {
-	req := ReadReq{FileID: fileID, BlockNum: blockNum, Hint: hint}
-	m, err := c.C.Call(lfsAddr(node), req, WireSize(req))
-	if err != nil {
-		return nil, -1, err
-	}
-	r, err := reply[ReadResp](m, nil)
-	return r.Data, r.Addr, err
-}
-
-// Write writes a block; addr is the returned hint.
-func (c *Client) Write(node msg.NodeID, fileID, blockNum uint32, data []byte, hint int32) (int32, error) {
-	req := WriteReq{FileID: fileID, BlockNum: blockNum, Data: data, Hint: hint}
-	m, err := c.C.Call(lfsAddr(node), req, WireSize(req))
-	if err != nil {
-		return -1, err
-	}
-	r, err := reply[WriteResp](m, nil)
-	return r.Addr, err
-}
-
-// ReadVec reads a run of blocks in one request; results come back per
-// block, in request order.
-func (c *Client) ReadVec(node msg.NodeID, fileID uint32, blocks []uint32, hint int32) ([]VecRead, error) {
-	req := ReadVecReq{FileID: fileID, Blocks: blocks, Hint: hint}
-	r, err := reply[ReadVecResp](c.C.Call(lfsAddr(node), req, WireSize(req)))
-	return r.Blocks, err
-}
-
-// WriteVec writes a run of blocks in one request; results come back per
-// block, in request order.
-func (c *Client) WriteVec(node msg.NodeID, fileID uint32, blocks []VecWrite, hint int32) ([]VecWritten, error) {
-	req := WriteVecReq{FileID: fileID, Blocks: blocks, Hint: hint}
-	r, err := reply[WriteVecResp](c.C.Call(lfsAddr(node), req, WireSize(req)))
-	return r.Blocks, err
-}
-
-// Stat returns a file's directory information.
-func (c *Client) Stat(node msg.NodeID, fileID uint32) (efs.FileInfo, error) {
-	r, err := reply[StatResp](c.C.Call(lfsAddr(node), StatReq{FileID: fileID}, WireSize(StatReq{})))
-	return r.Info, err
-}
-
-// Sync flushes the node's metadata.
-func (c *Client) Sync(node msg.NodeID) error {
-	_, err := reply[SyncResp](c.C.Call(lfsAddr(node), SyncReq{}, WireSize(SyncReq{})))
-	return err
-}
-
-// SyncTimeout is Sync with a deadline, for shutdown paths that must not
-// hang on a node that stops answering.
-func (c *Client) SyncTimeout(node msg.NodeID, d time.Duration) error {
-	_, err := reply[SyncResp](c.C.CallTimeout(lfsAddr(node), SyncReq{}, WireSize(SyncReq{}), d))
-	return err
-}
-
-// Usage returns the node's capacity and free space in blocks.
-func (c *Client) Usage(node msg.NodeID) (total, free int, err error) {
-	r, err := reply[UsageResp](c.C.Call(lfsAddr(node), UsageReq{}, WireSize(UsageReq{})))
-	return r.TotalBlocks, r.FreeBlocks, err
-}
-
-// Check runs the volume consistency checker on the node.
-func (c *Client) Check(node msg.NodeID) (efs.CheckReport, error) {
-	r, err := reply[CheckResp](c.C.Call(lfsAddr(node), CheckReq{}, WireSize(CheckReq{})))
-	return r.Report, err
-}
-
-// Scrub verifies block checksums on the node: a full sweep when full is
-// true, otherwise one budgeted increment from the scrubber's cursor.
-func (c *Client) Scrub(node msg.NodeID, full bool) (efs.ScrubReport, error) {
-	req := ScrubReq{Full: full}
-	r, err := reply[ScrubResp](c.C.Call(lfsAddr(node), req, WireSize(req)))
-	return r.Report, err
-}
-
-// Recovery returns the node's boot recovery report: journal replay stats
-// plus the fsck that verified the remounted volume.
-func (c *Client) Recovery(node msg.NodeID) (RecoveryReport, error) {
-	r, err := reply[RecoveryResp](c.C.Call(lfsAddr(node), RecoveryReq{}, WireSize(RecoveryReq{})))
-	return r.Report, err
-}
-
-// Repair runs the checker with bitmap repair on the node.
-func (c *Client) Repair(node msg.NodeID) (efs.CheckReport, int, error) {
-	req := CheckReq{Repair: true}
-	r, err := reply[CheckResp](c.C.Call(lfsAddr(node), req, WireSize(req)))
-	return r.Report, r.Fixes, err
-}

@@ -65,9 +65,11 @@ func BenchmarkScatterGather(b *testing.B) {
 				}
 				ids[j] = id
 			}
-			if _, err := c.Gather(ids); err != nil {
-				b.Errorf("Gather: %v", err)
-				return
+			for _, id := range ids {
+				if _, err := c.Await(id); err != nil {
+					b.Errorf("Await: %v", err)
+					return
+				}
 			}
 		}
 		for _, a := range addrs {

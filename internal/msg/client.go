@@ -9,7 +9,7 @@ import (
 	"bridge/internal/sim"
 )
 
-// ErrTimeout is returned by CallTimeout and GatherTimeout when the deadline
+// ErrTimeout is returned by AwaitTimeout and CallTimeout when the deadline
 // expires before the reply arrives — typically because the destination node
 // has failed.
 var ErrTimeout = errors.New("msg: call timed out")
@@ -89,7 +89,7 @@ func (c *Client) Send(to Addr, body any, size int) error {
 }
 
 // Start sends a request and returns its correlation id without waiting for
-// the reply; use Await or Gather to collect it. This is how the Bridge
+// the reply; use Await to collect it. This is how the Bridge
 // Server and tools overlap operations on many LFS instances.
 func (c *Client) Start(to Addr, body any, size int) (uint64, error) {
 	c.nextReq++
@@ -243,44 +243,6 @@ func (c *Client) CallTimeout(to Addr, body any, size int, d time.Duration) (*Mes
 		c.Discard(id)
 	}
 	return m, err
-}
-
-// Gather collects the replies for all the given correlation ids, in id
-// order.
-func (c *Client) Gather(ids []uint64) ([]*Message, error) {
-	out := make([]*Message, len(ids))
-	for i, id := range ids {
-		m, err := c.Await(id)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = m
-	}
-	return out, nil
-}
-
-// GatherTimeout is Gather with a single deadline across all replies.
-// Replies that arrived in time are returned even when others timed out; the
-// error reports the first failure.
-func (c *Client) GatherTimeout(ids []uint64, d time.Duration) ([]*Message, error) {
-	deadline := c.proc.Now() + d
-	out := make([]*Message, len(ids))
-	var firstErr error
-	for i, id := range ids {
-		remain := deadline - c.proc.Now()
-		if remain < 0 {
-			remain = 0
-		}
-		m, err := c.AwaitTimeout(id, remain)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		out[i] = m
-	}
-	return out, firstErr
 }
 
 // Reply answers a received request, preserving its correlation id and

@@ -126,7 +126,7 @@ func TestStartGatherOverlapped(t *testing.T) {
 	rt := sim.NewVirtual()
 	net := NewNetwork(rt, zeroCPU())
 	// Three servers with different response delays; replies arrive out of
-	// order but Gather returns them in request order.
+	// order but are awaited in request order.
 	delays := []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond}
 	addrs := make([]Addr, len(delays))
 	for i, d := range delays {
@@ -153,13 +153,13 @@ func TestStartGatherOverlapped(t *testing.T) {
 			}
 			ids[i] = id
 		}
-		ms, err := c.Gather(ids)
-		if err != nil {
-			t.Errorf("Gather: %v", err)
-			return
-		}
 		want := []int{30, 10, 20}
-		for i, m := range ms {
+		for i, id := range ids {
+			m, err := c.Await(id)
+			if err != nil {
+				t.Errorf("Await: %v", err)
+				return
+			}
 			if m.Body != want[i] {
 				t.Errorf("reply %d = %v, want %v", i, m.Body, want[i])
 			}
@@ -261,37 +261,4 @@ func TestDuplicatePortPanics(t *testing.T) {
 	net := NewNetwork(rt, zeroCPU())
 	net.NewPort(Addr{Node: 0, Port: "x"})
 	net.NewPort(Addr{Node: 0, Port: "x"})
-}
-
-func TestGatherTimeoutPartialFailure(t *testing.T) {
-	rt := sim.NewVirtual()
-	net := NewNetwork(rt, zeroCPU())
-	alive := net.NewPort(Addr{Node: 1, Port: "alive"})
-	deadPort := net.NewPort(Addr{Node: 2, Port: "dead"})
-	deadPort.Close()
-	rt.Go("server", func(p sim.Proc) {
-		req, ok := alive.Recv(p)
-		if !ok {
-			return
-		}
-		net.Send(p, 1, req.From, &Message{ReqID: req.ReqID, Body: "ok"})
-	})
-	rt.Go("client", func(p sim.Proc) {
-		c := NewClient(p, net, 0, "cli")
-		id1, _ := c.Start(alive.Addr(), "r", 4)
-		id2, _ := c.Start(deadPort.Addr(), "r", 4)
-		ms, err := c.GatherTimeout([]uint64{id1, id2}, 40*time.Millisecond)
-		if !errors.Is(err, ErrTimeout) {
-			t.Errorf("GatherTimeout err = %v, want ErrTimeout", err)
-		}
-		if ms[0] == nil || ms[0].Body != "ok" {
-			t.Errorf("live reply = %v, want ok", ms[0])
-		}
-		if ms[1] != nil {
-			t.Errorf("dead reply = %v, want nil", ms[1])
-		}
-	})
-	if err := rt.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
 }

@@ -17,6 +17,7 @@ import (
 	"bridge/internal/disk"
 	"bridge/internal/efs"
 	"bridge/internal/lfs"
+	"bridge/internal/msg"
 	"bridge/internal/sim"
 	"bridge/internal/workload"
 )
@@ -352,7 +353,7 @@ func TestColumnReaderStopLeavesNothingParked(t *testing.T) {
 		if raw, num, err := rd.next(); err != nil || raw == nil || num != 0 {
 			t.Errorf("next = %d bytes, block %d, %v", len(raw), num, err)
 		}
-		if rd.id == 0 {
+		if rd.call.ID == 0 {
 			t.Error("no run in flight behind the one being consumed")
 		}
 		rd.stop()
@@ -520,34 +521,29 @@ func (d slowReads) BeforeOp(_ time.Duration, _ string, op disk.Op, _ int) (time.
 	return 0, nil
 }
 
-// A sort that works waits for its scratch discards however long their chain
-// walks take: the bound that gives up on a dead node is the failure path's.
-func TestSortWaitsForASlowDiscard(t *testing.T) {
+// A tool call slower than the bound fails with msg.ErrTimeout, exactly like a
+// call to a node that will never answer, and leaves nothing parked in the
+// tool's client.
+func TestToolCallPastTheBoundTimesOut(t *testing.T) {
 	const P, perNode = 2, 32
-	// A cache smaller than a column, so the chain walks reach the device.
+	// A cache smaller than a column, so the copy's reads reach the device.
 	cfg := core.ClusterConfig{P: P, Node: lfs.Config{DiskBlocks: 512, Timing: disk.FixedTiming{},
 		EFS: efs.Options{CacheBlocks: 16}}}
 	withCluster(t, cfg, func(p sim.Proc, cl *core.Cluster, c *core.Client) {
-		recs := workload.Records(5, P*perNode, 64)
-		if err := workload.Fill(p, c, "src", recs); err != nil {
+		if err := workload.Fill(p, c, "src", workload.Records(5, P*perNode, 64)); err != nil {
 			t.Error(err)
 			return
 		}
 		for _, n := range cl.Nodes {
-			n.Disk.SetFault(slowReads(2*time.Minute), "slow")
+			n.Disk.SetFault(slowReads(lfs.DefaultTimeout+time.Second), "slow")
 		}
 		start := p.Now()
-		st, err := Sort(p, c, "src", "sorted", SortOptions{InCore: perNode})
-		if err != nil {
-			t.Errorf("Sort: %v", err)
-			return
+		_, err := Copy(p, c, "src", "dst")
+		if took := p.Now() - start; !errors.Is(err, msg.ErrTimeout) || took > 2*lfs.DefaultTimeout {
+			t.Errorf("Copy over reads slower than the bound = %v after %v; want msg.ErrTimeout after one bound", err, took)
 		}
-		if discard := p.Now() - start - st.LocalSort - st.PassTimes[0]; discard <= spawnAckTimeout {
-			t.Errorf("the discard took %v: not longer than the %v a dead node is given", discard, spawnAckTimeout)
+		if pending, discarded := c.Msg().Parked(); pending != 0 || discarded != 0 {
+			t.Errorf("the tool's client holds %d parked replies and %d discarded ids", pending, discarded)
 		}
-		for _, n := range cl.Nodes {
-			n.Disk.SetFault(nil, "") // the server reads with a timeout
-		}
-		checkSorted(t, p, c, "sorted", recs, 8)
 	})
 }

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"bridge/internal/core"
 	"bridge/internal/lfs"
@@ -66,18 +65,19 @@ func (d workerDone) err() error {
 // interaction — "(1) a brief phase of communication with the Bridge Server
 // ... (2) the creation of subprocesses on all the LFS nodes, and (3) a
 // lengthy series of interactions between the subprocesses and the instances
-// of LFS", followed by an O(log p)-cheap completion wave.
+// of LFS", followed by an O(log p)-cheap completion wave. Every call a worker
+// makes is bounded (lfs.Client), so the wait for completions needs no bound.
 func RunOnNodes(pc sim.Proc, network *msg.Network, nodes []msg.NodeID, name string, fn WorkerFn) ([]any, error) {
 	seq := toolSeq.Add(1)
-	ctrl := msg.NewClient(pc, network, 0, fmt.Sprintf("tool.%s.%d.ctl", name, seq))
-	defer ctrl.Close()
+	ctrl := lfs.NewClient(pc, network, 0, fmt.Sprintf("tool.%s.%d.ctl", name, seq))
+	defer ctrl.C.Close()
 	donePort := network.NewPort(msg.Addr{Node: 0, Port: fmt.Sprintf("tool.%s.%d.done", name, seq)})
 	defer donePort.Close()
 	doneAddr := donePort.Addr()
 
 	// Start all the spawns before waiting for any acknowledgement, like
 	// the server's Create: initiation is sequential, execution overlaps.
-	spawnIDs := make([]uint64, 0, len(nodes))
+	spawns := make([]lfs.Call, 0, len(nodes))
 	for i, node := range nodes {
 		i := i
 		worker := func(p sim.Proc, self msg.NodeID) {
@@ -94,25 +94,23 @@ func RunOnNodes(pc sim.Proc, network *msg.Network, nodes []msg.NodeID, name stri
 			_ = network.Send(p, self, doneAddr, &msg.Message{From: ctx.LFS.C.Addr(), Body: d, Size: 64})
 		}
 		req := lfs.SpawnReq{Name: fmt.Sprintf("%s.w%d", name, i), Fn: worker}
-		id, err := ctrl.Start(msg.Addr{Node: node, Port: lfs.AgentPortName}, req, 64)
+		call, err := ctrl.Start(msg.Addr{Node: node, Port: lfs.AgentPortName}, req, 64)
 		if err != nil {
 			return nil, fmt.Errorf("tools: spawning worker on node %d: %w", node, err)
 		}
-		spawnIDs = append(spawnIDs, id)
+		spawns = append(spawns, call)
 	}
-	// A dead node's agent silently drops the spawn; bound the wait so the
-	// tool fails cleanly instead of relying on global deadlock detection.
-	if _, err := ctrl.GatherTimeout(spawnIDs, spawnAckTimeout); err != nil {
-		return nil, fmt.Errorf("tools: spawn acknowledgement: %w", err)
+	// A dead node's agent drops the spawn; the workers started report to a closed port.
+	for _, call := range spawns {
+		if _, err := ctrl.Await(call); err != nil {
+			return nil, fmt.Errorf("tools: spawn acknowledgement from node %d: %w", call.Node, err)
+		}
 	}
 
 	results := make([]any, len(nodes))
 	var firstErr error
 	for range nodes {
-		m, ok, timedOut := donePort.RecvTimeout(pc, workerTimeout)
-		if timedOut {
-			return nil, fmt.Errorf("tools: worker completion timed out after %v", workerTimeout)
-		}
+		m, ok := donePort.Recv(pc)
 		if !ok {
 			return nil, fmt.Errorf("tools: completion port closed")
 		}
@@ -124,14 +122,6 @@ func RunOnNodes(pc sim.Proc, network *msg.Network, nodes []msg.NodeID, name stri
 	}
 	return results, firstErr
 }
-
-// Timeouts for tool orchestration, in simulated time. Spawns are quick;
-// worker bodies can legitimately run for tens of simulated minutes (a
-// full-scale local sort), so the completion bound is generous.
-const (
-	spawnAckTimeout = 5 * time.Minute
-	workerTimeout   = 24 * time.Hour
-)
 
 // openMeta opens a file through the Bridge Server and validates that the
 // tool can address it (tools need the interleaved structure).
