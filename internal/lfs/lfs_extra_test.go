@@ -32,7 +32,7 @@ func TestUsageAndCheckOverProtocol(t *testing.T) {
 		if err != nil || free0-free1 != 10 {
 			t.Errorf("Usage after writes: free %d -> %d, %v", free0, free1, err)
 		}
-		rep, err := c.Check(node)
+		rep, err := c.Check(node, 512)
 		if err != nil {
 			t.Errorf("Check: %v", err)
 			return
@@ -40,7 +40,7 @@ func TestUsageAndCheckOverProtocol(t *testing.T) {
 		if !rep.OK() || rep.Files != 1 || rep.ChainBlocks != 10 {
 			t.Errorf("Check = %+v", rep)
 		}
-		rep, fixes, err := c.Repair(node)
+		rep, fixes, err := c.Repair(node, 512)
 		if err != nil || fixes != 0 || !rep.OK() {
 			t.Errorf("Repair clean volume = %d fixes, %v", fixes, err)
 		}
@@ -58,11 +58,11 @@ func TestUnknownLFSRequest(t *testing.T) {
 		type junk struct{}
 		// The reply has no kind the caller could have expected; whatever
 		// kind it does expect, it gets the failure as an error, not a panic.
-		_, err := reply[CreateResp](c.C.Call(lfsAddr(nodes[0].ID), junk{}, 8))
+		_, err := Reply[CreateResp](c.C.Call(lfsAddr(nodes[0].ID), junk{}, 8))
 		if err == nil || !strings.Contains(err.Error(), "lfs: unknown request") {
 			t.Errorf("unknown request = %v, want the server's failure", err)
 		}
-		_, err = reply[TreeResp](c.C.Call(nodes[0].AgentAddr(), junk{}, 8))
+		_, err = Reply[TreeResp](c.C.Call(nodes[0].AgentAddr(), junk{}, 8))
 		if err == nil || !strings.Contains(err.Error(), "agent: unknown request") {
 			t.Errorf("unknown agent request = %v, want the agent's failure", err)
 		}
@@ -140,9 +140,56 @@ func TestNodeBootFailureAnswersTyped(t *testing.T) {
 	rt.Go("client", func(p sim.Proc) {
 		defer bad.Stop()
 		c := NewClient(p, net, 0, "cli")
-		_, err := reply[StatResp](c.C.CallTimeout(lfsAddr(1), StatReq{FileID: 1}, 8, 50*time.Millisecond))
+		_, err := Reply[StatResp](c.C.CallTimeout(lfsAddr(1), StatReq{FileID: 1}, 8, 50*time.Millisecond))
 		if !errors.Is(err, errIO) || !strings.Contains(err.Error(), "cannot boot its volume") {
 			t.Errorf("call to unbootable node: %v; want the boot failure as a typed status", err)
+		}
+	})
+	if err := rt.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+}
+
+// A call that walks a chain takes as long as the chain, and on a fragmented
+// volume every block is a disk access. Its bound grows with the blocks it may
+// walk, so a check, a repair and a delete that each take longer than the
+// client's bound still answer; a delete that owns up to no walk times out.
+func TestChainWalksOutlastTheBound(t *testing.T) {
+	const files, blocks = 8, 100
+	rt, net, nodes := testCluster(1, Config{DiskBlocks: 1024, Timing: disk.FixedTiming{Latency: 15 * time.Millisecond}})
+	rt.Go("client", func(p sim.Proc) {
+		defer stopAll(nodes)
+		c := NewClient(p, net, 0, "cli")
+		node := nodes[0].ID
+		// A block of each file in turn: no two blocks of a file share a track.
+		for f := uint32(1); f <= files; f++ {
+			c.Create(node, f)
+		}
+		for b := uint32(0); b < blocks; b++ {
+			for f := uint32(1); f <= files; f++ {
+				if _, err := c.Write(node, f, b, []byte("x"), -1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+		c.Timeout = time.Second
+		walks := []struct {
+			name string
+			run  func() error
+		}{
+			{"Check", func() error { _, err := c.Check(node, 1024); return err }},
+			{"Repair", func() error { _, _, err := c.Repair(node, 1024); return err }},
+			{"Delete", func() error { _, err := c.Delete(node, 1, blocks, true); return err }},
+		}
+		for _, w := range walks {
+			start := p.Now()
+			if err := w.run(); err != nil || p.Now()-start <= c.Timeout {
+				t.Errorf("%s = %v after %v; want success after more than the %v bound", w.name, err, p.Now()-start, c.Timeout)
+			}
+		}
+		if _, err := c.Delete(node, 2, 0, true); !errors.Is(err, msg.ErrTimeout) {
+			t.Errorf("Delete with no walk allowed = %v, want msg.ErrTimeout", err)
 		}
 	})
 	if err := rt.Wait(); err != nil {
