@@ -1,5 +1,5 @@
 // Package core is the fixture's Bridge Server: outside lfscall.go its
-// lfs.Client only abandons a call.
+// lfs.Client only abandons a call, and polls none.
 package core
 
 import "bridge/internal/lfs"
@@ -12,6 +12,12 @@ func (s *Server) bypass(id uint64) error {
 }
 
 func (s *Server) abandon(id uint64) { s.lc.Discard(id) }
+
+// A poll is the windowed stream's alone.
+func (s *Server) peek(id uint64) bool {
+	_, ok := s.lc.Poll(id) // want `lfs\.Client\.Poll outside the windowed stream`
+	return ok
+}
 
 // Another lfs.Client in the package, a shutdown sync's, is not the server's.
 func syncAll(lc *lfs.Client, id uint64) error {

@@ -15,3 +15,6 @@ func (c *Client) Await(id uint64) (*msg.Message, error) {
 }
 
 func (c *Client) Discard(id uint64) { c.C.Discard(id) }
+
+// Poll takes a reply that has already arrived.
+func (c *Client) Poll(id uint64) (*msg.Message, bool) { return c.C.TryAwait(id) }

@@ -23,5 +23,9 @@ func Abandon(c *msg.Client, id uint64) { c.Discard(id) }
 type queue struct{}
 
 func (queue) Await(int) error { return nil }
+func (queue) Poll(int) bool   { return false }
 
-func Other(q queue) error { return q.Await(1) }
+func Other(q queue) error {
+	q.Poll(1)
+	return q.Await(1)
+}

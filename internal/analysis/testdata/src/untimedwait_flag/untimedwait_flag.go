@@ -4,6 +4,7 @@ package untimedwait_flag
 import (
 	"time"
 
+	"bridge/internal/lfs"
 	"bridge/internal/msg"
 )
 
@@ -20,6 +21,12 @@ func OwnBound(c *msg.Client, id uint64) error {
 
 func Poll(c *msg.Client, id uint64) bool {
 	_, ok := c.TryAwait(id) // want `msg\.Client\.TryAwait waits`
+	return ok
+}
+
+// A tool keeping its own window polls outside the stream.
+func ToolPoll(lc *lfs.Client, id uint64) bool {
+	_, ok := lc.Poll(id) // want `lfs\.Client\.Poll outside the windowed stream`
 	return ok
 }
 

@@ -6,10 +6,12 @@
 // bounded await, abandon in flight, discard on give-up. A process that waits
 // on a msg.Client itself — Await, AwaitTimeout, TryAwait, Call, CallTimeout —
 // makes up a rule of its own, and an un-timed one wedges the process for good
-// when the node it waits on dies. Elsewhere in core the server's lfs.Client
-// (s.lc) only abandons or peeks: lfscall.go adds its retries and probe report.
-// Test files are exempt: the virtual runtime reports a test's wait that never
-// ends as a deadlock.
+// when the node it waits on dies. Only the windowed stream
+// (internal/lfs/stream.go) polls an lfs.Client for a reply that has already
+// arrived, in every package. Elsewhere in core the server's lfs.Client (s.lc)
+// only abandons: lfscall.go adds its retries and probe report. Test files are
+// exempt: the virtual runtime reports a test's wait that never ends as a
+// deadlock.
 package untimedwait
 
 import (
@@ -24,13 +26,13 @@ import (
 // Analyzer is the untimedwait check.
 var Analyzer = &analysis.Analyzer{
 	Name: "untimedwait",
-	Doc: "flag msg.Client reply waits outside internal/msg and internal/lfs/client.go\n\n" +
+	Doc: "flag msg.Client reply waits outside internal/msg and internal/lfs/client.go, and lfs.Client.Poll outside internal/lfs/stream.go\n\n" +
 		"Every call to a storage node goes through lfs.Client, whose policy " +
 		"bounds the wait and abandons a call to a node that died.",
 	Run: run,
 }
 
-const msgPath = "bridge/internal/msg"
+const msgPath, lfsPath = "bridge/internal/msg", "bridge/internal/lfs"
 
 // waits are the msg.Client methods that block for, or take, a reply.
 var waits = map[string]bool{"Await": true, "AwaitTimeout": true, "TryAwait": true, "Call": true, "CallTimeout": true}
@@ -41,10 +43,11 @@ func run(pass *analysis.Pass) error {
 	}
 	for _, f := range pass.Files {
 		file := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-		ruleFile := pass.Pkg.Path() == "bridge/internal/lfs" && file == "client.go"
-		if ruleFile || analysis.IsTestFile(pass.Fset, f.Pos()) {
+		inLFS := pass.Pkg.Path() == lfsPath
+		if inLFS && file == "client.go" || analysis.IsTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
+		pollRule := !inLFS || file != "stream.go"
 		serverRule := pass.Pkg.Path() == "bridge/internal/core" && file != "lfscall.go"
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -58,7 +61,10 @@ func run(pass *analysis.Pass) error {
 				pass.Reportf(call.Pos(),
 					"msg.Client.%s waits for a reply outside lfs.Client: start and await the call through an lfs.Client, whose policy bounds it",
 					fn.Name())
-			case serverRule && fn.Name() != "Discard" && fn.Name() != "Poll" && on(fn, "bridge/internal/lfs.Client") &&
+			case pollRule && fn.Name() == "Poll" && on(fn, lfsPath+".Client"):
+				pass.Reportf(call.Pos(),
+					"lfs.Client.Poll outside the windowed stream: keep the call on an lfs.Stream, whose Step polls it")
+			case serverRule && fn.Name() != "Discard" && on(fn, lfsPath+".Client") &&
 				strings.HasSuffix(types.ExprString(call.Fun), ".lc."+fn.Name()):
 				pass.Reportf(call.Pos(),
 					"the server's lfs.Client.%s outside lfscall.go skips LFSRetry and the missed-probe report: use lfsStart and lfsFinish",

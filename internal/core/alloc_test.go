@@ -5,8 +5,12 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"bridge/internal/distrib"
+	"bridge/internal/lfs"
+	"bridge/internal/msg"
+	"bridge/internal/obs"
 	"bridge/internal/sim"
 )
 
@@ -80,4 +84,93 @@ func TestAllocsBoxedReplies(t *testing.T) {
 			t.Errorf("boxing a successful %s allocates %v objects, want %v", tc.name, got, tc.want)
 		}
 	}
+}
+
+// TestAllocsStream guards what the windowed stream costs its policies. On a
+// server of the test's own process, over one file's first window (8 blocks on
+// four nodes of paper-speed disks): a Step that finds no reply allocates
+// nothing; a read-ahead fill (prefetch, then fill) allocates no more than
+// lfsReadN of the same blocks; and a write-behind landing (arm, then idle
+// steps until it has landed) no more than lfsWriteN of them.
+func TestAllocsStream(t *testing.T) {
+	const stripes, p4 = 2, 4
+	const window = stripes * p4
+	withCluster(t, wrenCfg(p4), func(p sim.Proc, cl *Cluster, c *Client) {
+		payloads := make([][]byte, window)
+		for i := range payloads {
+			payloads[i] = payload(i)
+		}
+		if _, err := c.Create("f"); err != nil {
+			t.Errorf("Create: %v", err)
+			return
+		}
+		if _, err := c.AppendN("f", payloads); err != nil {
+			t.Errorf("AppendN: %v", err)
+			return
+		}
+		s := &Server{net: cl.Net, m: newSrvMetrics(obs.NewRegistry()), wb: newWBCache(stripes)}
+		s.lc = lfs.NewClient(p, cl.Net, 0, "allocs-lfs")
+		defer s.lc.C.Close()
+		s.vec = vecStream{C: s.lc, Finish: func(_ *lfs.Client, c vecCall) (*msg.Message, error) { return s.lfsFinish(p, c.lfsPend) }}
+		ent := &dirent{meta: cl.Servers[0].dir["f"].meta, hints: make(map[msg.NodeID]int32)}
+
+		ra, re := newRACache(stripes), &raEntry{st: s.newStream()}
+		if !ra.prefetch(s, ent, re) {
+			t.Error("no window to prefetch")
+			return
+		}
+		miss := testing.AllocsPerRun(100, func() {
+			if re.st.Step() {
+				t.Error("a step took a reply before any disk answered")
+			}
+		})
+		re.st.Drop()
+
+		readN := testing.AllocsPerRun(50, func() {
+			if _, err := s.lfsReadN(ent, 0, window); err != nil {
+				t.Errorf("lfsReadN: %v", err)
+			}
+		})
+		fill := testing.AllocsPerRun(50, func() {
+			re.next, re.blocks = 0, nil
+			ra.prefetch(s, ent, re)
+			ra.fill(s, ent, re, 0)
+			if len(re.blocks) != window {
+				t.Errorf("fill buffered %d blocks, want %d", len(re.blocks), window)
+			}
+		})
+
+		writeN := testing.AllocsPerRun(50, func() {
+			if n, err := s.lfsWriteN(ent, 0, payloads); err != nil || n != window {
+				t.Errorf("lfsWriteN: %d, %v", n, err)
+			}
+		})
+		we := &wbEntry{ent: ent, st: s.newStream()}
+		landing := testing.AllocsPerRun(50, func() {
+			s.wb.entries["f"] = we
+			we.bufStart, we.buf = 0, payloads
+			if err := s.wbArm(we); err != nil {
+				t.Errorf("wbArm: %v", err)
+				return
+			}
+			for len(s.wb.armed) > 0 {
+				if !s.wbStep(p) {
+					p.Sleep(time.Millisecond)
+				}
+			}
+		})
+		t.Logf("step miss %v; fill %v, lfsReadN %v; landing %v, lfsWriteN %v objects", miss, fill, readN, landing, writeN)
+		if miss != 0 {
+			t.Errorf("a step that finds nothing allocates %v objects", miss)
+		}
+		if fill > readN {
+			t.Errorf("a read-ahead fill allocates %v objects, lfsReadN of the same blocks %v", fill, readN)
+		}
+		if landing > writeN {
+			t.Errorf("a write-behind landing allocates %v objects, lfsWriteN of the same blocks %v", landing, writeN)
+		}
+		if pending, _ := s.lc.C.Parked(); pending != 0 {
+			t.Errorf("%d replies parked after the windows were taken", pending)
+		}
+	})
 }

@@ -10,12 +10,10 @@ import (
 )
 
 // Scatter-gather I/O: the batched counterpart of lfsRead/lfsWrite. A run of
-// consecutive global blocks is split by the file's layout into one vectored
-// LFS call per constituent node, all calls are started before any reply is
-// awaited (so all p disks seek concurrently), and replies are gathered in
-// node-index order for determinism. Each call is an lfsStart and an
-// lfsFinish, the single-block path's own halves, so health fast-fail,
-// in-flight abandon and LFSRetry behave identically for both.
+// consecutive global blocks is a window on a stream (lfs.Stream): one
+// vectored LFS call per node, all started before any is awaited, taken in
+// node-index order. Each call is the single-block path's halves, lfsStart and
+// lfsFinish, so fast-fail, in-flight abandon and LFSRetry are the same.
 
 // maxBatchBlocks bounds one batched request, keeping reply messages (and
 // the server's working set per request) within reason.
@@ -69,220 +67,163 @@ type vecCall struct {
 	run vecRun
 }
 
-// discardVec abandons started vectored calls nobody will gather.
-func (s *Server) discardVec(calls []vecCall) {
-	for _, c := range calls {
-		s.lc.Discard(c.Call)
+// vecStream holds vectored calls in flight; the server's finish each call
+// through lfsFinish.
+type vecStream = lfs.Stream[vecCall]
+
+func (s *Server) newStream() vecStream { return vecStream{C: s.lc, Finish: s.vec.Finish} }
+
+// startRun starts one node's share of the window from start on st: a
+// vectored read of run's blocks, or with payloads a write of them with their
+// Bridge headers, under a fresh OpID for the node's dedup.
+func (s *Server) startRun(st *vecStream, ent *dirent, run vecRun, start int64, payloads [][]byte) error {
+	var body any
+	if payloads == nil {
+		body = lfs.ReadVecReq{FileID: ent.meta.LFSFileID, Blocks: run.locals, Hint: ent.hintFor(run.node)}
+	} else {
+		vw := make([]lfs.VecWrite, len(run.locals))
+		for j, local := range run.locals {
+			g := run.globals[j]
+			vw[j] = lfs.VecWrite{BlockNum: local, Data: EncodeBlock(BlockHeader{
+				FileID:      ent.meta.FileID,
+				GlobalBlock: g,
+				P:           uint16(ent.meta.Spec.P),
+				Start:       uint16(ent.meta.Spec.Start),
+			}, payloads[g-start])}
+		}
+		s.nextLFSOp++
+		body = lfs.WriteVecReq{FileID: ent.meta.LFSFileID, Blocks: vw, Hint: ent.hintFor(run.node), OpID: s.nextLFSOp}
 	}
+	c, err := s.lfsStart(run.node, lfs.PortName, body, lfs.WireSize(body))
+	return st.Start(vecCall{lfsPend: c, run: run}, err)
 }
 
-// startVec starts a vectored call for run. On failure every call already
-// started for the same range is discarded, so nothing is left in flight.
-func (s *Server) startVec(calls []vecCall, run vecRun, body any, size int) ([]vecCall, error) {
-	c, err := s.lfsStart(run.node, lfs.PortName, body, size)
-	if err != nil {
-		s.discardVec(calls)
-		return nil, err
-	}
-	return append(calls, vecCall{lfsPend: c, run: run}), nil
-}
-
-// startReadVec scatters a read of count consecutive global blocks from
-// start: one vectored call per node, all started before any is awaited.
-// The calls return in node-index order for gatherReadVec.
-func (s *Server) startReadVec(ent *dirent, start int64, count int) ([]vecCall, error) {
+// openVec opens a window of count consecutive global blocks from start on st
+// — a read, or with payloads a write of them — and starts every run of it. A
+// run that cannot start leaves nothing of the window in flight.
+func (s *Server) openVec(st *vecStream, ent *dirent, start int64, count int, payloads [][]byte) error {
 	l, err := ent.layout()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	runs := splitRange(ent, l, start, count)
-	calls := make([]vecCall, 0, len(runs))
-	for _, run := range runs {
-		req := lfs.ReadVecReq{FileID: ent.meta.LFSFileID, Blocks: run.locals, Hint: ent.hintFor(run.node)}
-		if calls, err = s.startVec(calls, run, req, lfs.WireSize(req)); err != nil {
-			return nil, err
+	st.Open(start, count)
+	for _, run := range splitRange(ent, l, start, count) {
+		if err := s.startRun(st, ent, run, start, payloads); err != nil {
+			return err
 		}
 	}
-	return calls, nil
+	return nil
 }
 
-// gatherReadVec collects the replies of a startReadVec in node-index
-// order and returns the payloads in global block order. The whole read
-// fails on the first per-block failure (in node-index, then block order),
-// with outstanding replies discarded.
-func (s *Server) gatherReadVec(p sim.Proc, ent *dirent, calls []vecCall, start int64, count int) ([][]byte, error) {
-	out := make([][]byte, count)
-	for i, c := range calls {
-		m, err := s.lfsFinish(p, c.lfsPend)
-		if err != nil {
-			return nil, abortAfter(s, calls, i, lfsErr(err))
-		}
-		resp, err := lfs.Reply[lfs.ReadVecResp](m, nil)
-		if err != nil {
-			return nil, abortAfter(s, calls, i, fmt.Errorf("%w: %w", ErrLFSFailed, err))
-		}
-		if len(resp.Blocks) != len(c.run.globals) {
-			return nil, abortAfter(s, calls, i, fmt.Errorf("%w: vectored read returned %d of %d blocks",
-				ErrLFSFailed, len(resp.Blocks), len(c.run.globals)))
-		}
-		for j, v := range resp.Blocks {
-			if err := lfs.Err(v.Status); err != nil {
-				return nil, abortAfter(s, calls, i, fmt.Errorf("%w: block %d: %w", ErrLFSFailed, c.run.globals[j], err))
-			}
-			ent.hints[c.run.node] = v.Addr
-			_, payload, err := DecodeBlock(v.Data)
-			if err != nil {
-				return nil, abortAfter(s, calls, i, err)
-			}
-			out[c.run.globals[j]-start] = payload
-		}
+// takeRead takes st's oldest window, a read, and returns its payloads in
+// global block order. The first failure (in node-index, then block order)
+// fails the read, and the window's replies not yet taken are discarded.
+func (s *Server) takeRead(st *vecStream, ent *dirent) (out [][]byte, err error) {
+	start, count := st.Window(0)
+	out = make([][]byte, count)
+	st.Take(func(c vecCall, m *msg.Message, ferr error) bool {
+		err = readRun(ent, c.run, m, ferr, out, start)
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
+// readRun places one node's reply to a vectored read into out, the window
+// from start.
+func readRun(ent *dirent, run vecRun, m *msg.Message, err error, out [][]byte, start int64) error {
+	if err != nil {
+		return lfsErr(err)
+	}
+	resp, err := lfs.Reply[lfs.ReadVecResp](m, nil)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrLFSFailed, err)
+	}
+	if len(resp.Blocks) != len(run.globals) {
+		return fmt.Errorf("%w: vectored read returned %d of %d blocks", ErrLFSFailed, len(resp.Blocks), len(run.globals))
+	}
+	for j, v := range resp.Blocks {
+		if err := lfs.Err(v.Status); err != nil {
+			return fmt.Errorf("%w: block %d: %w", ErrLFSFailed, run.globals[j], err)
+		}
+		ent.hints[run.node] = v.Addr
+		_, payload, err := DecodeBlock(v.Data)
+		if err != nil {
+			return err
+		}
+		out[run.globals[j]-start] = payload
+	}
+	return nil
+}
+
+// takeWrite takes st's oldest window, a write, reply by reply (later nodes'
+// writes may have landed, and their hints matter). It returns the landed
+// prefix of global blocks, with the first failure in block order as the error.
+func (s *Server) takeWrite(st *vecStream, ent *dirent) (int, error) {
+	start, count := st.Window(0)
+	landed := make([]bool, count)
+	blockErr := make([]error, count)
+	st.Take(func(c vecCall, m *msg.Message, err error) bool {
+		var resp lfs.WriteVecResp
+		if err != nil {
+			err = lfsErr(err)
+		} else if resp, err = lfs.Reply[lfs.WriteVecResp](m, nil); err != nil {
+			err = fmt.Errorf("%w: %w", ErrLFSFailed, err)
+		} else if len(resp.Blocks) != len(c.run.globals) {
+			err = fmt.Errorf("%w: vectored write returned %d of %d blocks", ErrLFSFailed, len(resp.Blocks), len(c.run.globals))
+		}
+		for j, g := range c.run.globals {
+			bad := err
+			if bad == nil {
+				if bad = lfs.Err(resp.Blocks[j].Status); bad != nil {
+					bad = fmt.Errorf("%w: block %d: %w", ErrLFSFailed, g, bad)
+				}
+			}
+			if bad != nil {
+				blockErr[g-start] = bad
+				continue
+			}
+			landed[g-start] = true
+			ent.hints[c.run.node] = resp.Blocks[j].Addr
+		}
+		return true
+	})
+	prefix := 0
+	for prefix < count && landed[prefix] {
+		prefix++
+	}
+	if prefix == count {
+		return prefix, nil
+	}
+	return prefix, blockErr[prefix] // a failed call claims all of its run's blocks
+}
+
 // lfsReadN fetches count consecutive global blocks starting at start with
 // one vectored LFS call per node, so all the constituent disks seek
-// concurrently. Payloads return in global block order.
-func (s *Server) lfsReadN(p sim.Proc, ent *dirent, start int64, count int) ([][]byte, error) {
+// concurrently: a window opened and taken at once. Payloads return in global
+// block order.
+func (s *Server) lfsReadN(ent *dirent, start int64, count int) ([][]byte, error) {
 	if count <= 0 {
 		return nil, nil
 	}
-	calls, err := s.startReadVec(ent, start, count)
-	if err != nil {
+	if err := s.openVec(&s.vec, ent, start, count, nil); err != nil {
 		return nil, err
 	}
-	return s.gatherReadVec(p, ent, calls, start, count)
+	return s.takeRead(&s.vec, ent)
 }
 
-// abortAfter discards the replies not yet awaited (calls after index i).
-func abortAfter(s *Server, calls []vecCall, i int, err error) error {
-	s.discardVec(calls[i+1:])
-	return err
-}
-
-// writeVecReq builds one node's share of a vectored write of payloads, the
-// consecutive global blocks from start: run's blocks with their Bridge
-// headers, under a fresh OpID for the node's dedup.
-func (s *Server) writeVecReq(ent *dirent, run vecRun, start int64, payloads [][]byte) lfs.WriteVecReq {
-	vw := make([]lfs.VecWrite, len(run.locals))
-	for j, local := range run.locals {
-		g := run.globals[j]
-		vw[j] = lfs.VecWrite{BlockNum: local, Data: EncodeBlock(BlockHeader{
-			FileID:      ent.meta.FileID,
-			GlobalBlock: g,
-			P:           uint16(ent.meta.Spec.P),
-			Start:       uint16(ent.meta.Spec.Start),
-		}, payloads[g-start])}
-	}
-	s.nextLFSOp++
-	return lfs.WriteVecReq{FileID: ent.meta.LFSFileID, Blocks: vw, Hint: ent.hintFor(run.node), OpID: s.nextLFSOp}
-}
-
-// startWriteVec scatters a write of consecutive global blocks from start:
-// one vectored LFS call per node, all started before any is awaited. On a
-// start failure every already-started call is discarded and nothing is in
-// flight.
-func (s *Server) startWriteVec(ent *dirent, start int64, payloads [][]byte) ([]vecCall, error) {
-	l, err := ent.layout()
-	if err != nil {
-		return nil, err
-	}
-	runs := splitRange(ent, l, start, len(payloads))
-	calls := make([]vecCall, 0, len(runs))
-	for _, run := range runs {
-		req := s.writeVecReq(ent, run, start, payloads)
-		if calls, err = s.startVec(calls, run, req, lfs.WireSize(req)); err != nil {
-			return nil, err
-		}
-	}
-	return calls, nil
-}
-
-// gatherWriteVec collects the replies of the vectored write calls covering
-// count blocks from start; polled, when not nil, holds replies already taken
-// by lfsPoll (nil where none was), by call. All replies are gathered (no
-// early abort: later nodes' writes may have landed and their hints matter);
-// the return value counts the contiguous prefix of global blocks that
-// succeeded, with the first failure — in global block order — as the error.
-func (s *Server) gatherWriteVec(p sim.Proc, ent *dirent, calls []vecCall, polled []*msg.Message, start int64, count int) (int, error) {
-	okBlock := make([]bool, count)
-	blockErr := make([]error, count)
-	var callErr error
-	for i, c := range calls {
-		var (
-			m   *msg.Message
-			err error
-		)
-		if polled != nil && polled[i] != nil {
-			m = polled[i]
-		} else {
-			m, err = s.lfsFinish(p, c.lfsPend)
-		}
-		if err != nil {
-			err = lfsErr(err)
-			for _, g := range c.run.globals {
-				blockErr[g-start] = err
-			}
-			if callErr == nil {
-				callErr = err
-			}
-			continue
-		}
-		resp, err := lfs.Reply[lfs.WriteVecResp](m, nil)
-		if err != nil || len(resp.Blocks) != len(c.run.globals) {
-			if err == nil {
-				err = fmt.Errorf("vectored write returned %d of %d blocks", len(resp.Blocks), len(c.run.globals))
-			}
-			wrapped := fmt.Errorf("%w: %w", ErrLFSFailed, err)
-			for _, g := range c.run.globals {
-				blockErr[g-start] = wrapped
-			}
-			if callErr == nil {
-				callErr = wrapped
-			}
-			continue
-		}
-		for j, v := range resp.Blocks {
-			g := c.run.globals[j]
-			if err := lfs.Err(v.Status); err != nil {
-				blockErr[g-start] = fmt.Errorf("%w: block %d: %w", ErrLFSFailed, g, err)
-				continue
-			}
-			okBlock[g-start] = true
-			ent.hints[c.run.node] = v.Addr
-		}
-	}
-	prefix := 0
-	for prefix < len(okBlock) && okBlock[prefix] {
-		prefix++
-	}
-	if prefix == len(okBlock) {
-		return prefix, nil
-	}
-	// First failure in global order wins; a node-level error may have
-	// claimed a later block than a per-block failure did.
-	if err := blockErr[prefix]; err != nil {
-		return prefix, err
-	}
-	if callErr != nil {
-		return prefix, callErr
-	}
-	return prefix, fmt.Errorf("%w: block %d failed", ErrLFSFailed, start+int64(prefix))
-}
-
-// lfsWriteN stores consecutive global blocks starting at start: the
-// synchronous scatter-gather write (startWriteVec + gatherWriteVec in one
-// step). The write-behind cache builds, starts and gathers the same calls a
-// node at a time (writebehind.go).
-func (s *Server) lfsWriteN(p sim.Proc, ent *dirent, start int64, payloads [][]byte) (int, error) {
+// lfsWriteN is lfsReadN's twin: it stores consecutive global blocks from
+// start and returns the landed prefix (takeWrite).
+func (s *Server) lfsWriteN(ent *dirent, start int64, payloads [][]byte) (int, error) {
 	if len(payloads) == 0 {
 		return 0, nil
 	}
-	calls, err := s.startWriteVec(ent, start, payloads)
-	if err != nil {
+	if err := s.openVec(&s.vec, ent, start, len(payloads), payloads); err != nil {
 		return 0, err
 	}
-	return s.gatherWriteVec(p, ent, calls, nil, start, len(payloads))
+	return s.takeWrite(&s.vec, ent)
 }
 
 // readBlocks fetches count consecutive blocks of a formulaic file. A
@@ -298,7 +239,7 @@ func (s *Server) readBlocks(p sim.Proc, ent *dirent, pos int64, count int, one b
 		s.one[0] = data
 		return s.one[:], nil
 	}
-	return s.lfsReadN(p, ent, pos, count)
+	return s.lfsReadN(ent, pos, count)
 }
 
 // writeBlocks is readBlocks' twin. (A takeover replays every logged write as
@@ -311,7 +252,7 @@ func (s *Server) writeBlocks(p sim.Proc, ent *dirent, pos int64, payloads [][]by
 		}
 		return 1, nil
 	}
-	return s.lfsWriteN(p, ent, pos, payloads)
+	return s.lfsWriteN(ent, pos, payloads)
 }
 
 // seqRead reads up to max blocks at the client's cursor — SeqRead (one set,
@@ -371,7 +312,7 @@ func (s *Server) seqRead(p sim.Proc, from msg.Addr, name string, max int, opID u
 	case ent.meta.Spec.Kind == distrib.Disordered:
 		blocks, err = s.readChainN(p, ent, cur, count)
 	case s.ra != nil:
-		blocks, err = s.ra.read(p, s, ent, from, pos, count)
+		blocks, err = s.ra.read(s, ent, from, pos, count)
 	default:
 		blocks, err = s.readBlocks(p, ent, pos, count, one)
 	}

@@ -8,36 +8,26 @@ import (
 	"bridge/internal/sim"
 )
 
-// Server-side read-ahead for naive sequential readers. The per-block
-// SeqRead interface pays one full round trip per block; with a stripe
-// buffer the server instead fetches a whole window (ReadAhead stripes of p
-// blocks) with one scatter-gather and keeps the next raDepth windows in
-// flight — so by the time the reader's cursor arrives, the blocks are
-// usually waiting. A request starts only the windows its own blocks run
-// into; the top-up for the next request is started after the reply has gone
-// out (raAhead, from the request loop). The cache lives entirely inside the
-// single-threaded server process: entries are keyed by (client, file),
-// mutations to a file drop its entries before any block is written, and
-// abandoned prefetches are Discarded so their late replies cannot be
-// observed. That makes the cache invisible to clients except in timing: no
-// interleaving of readers and writers can serve stale bytes.
+// Server-side read-ahead for naive sequential readers (DESIGN.md "Windowed
+// streams"). Instead of one round trip per block, the server fetches a whole
+// window (ReadAhead stripes of p blocks) with one scatter-gather and keeps
+// the next raDepth windows in flight on the reader's stream. A request starts
+// only the windows its own blocks run into; raAhead, after the reply, tops
+// the reader up. Entries are keyed by (client, file), and a mutation drops a
+// file's entries — their windows in flight discarded — before any block is
+// written, so no interleaving of readers and writers can serve stale bytes.
 
-// raEntryCap bounds the number of (client, file) stripe buffers; old
-// entries evict FIFO. With raDepth it bounds the cache's memory: at most
-// raEntryCap × (1 + raDepth) windows of at most maxBatchBlocks blocks.
+// raEntryCap bounds the (client, file) buffers, evicted FIFO, and so memory:
+// at most raEntryCap × (1 + raDepth) windows of at most maxBatchBlocks blocks.
 const raEntryCap = 64
 
 // raDepth is how many windows a reader keeps in flight past the one it is
-// served from. One is too few: a request's worth of server work (≈15–17 ms
-// on stream_read) is shorter than an LFS round trip with a 15 ms track read,
-// so a window started one request ahead is still in flight when the reader
-// gets there. At two the last node's reply to a track-read window still
-// lands a fraction of a millisecond after its gather begins; three is the
-// least depth at which no fill waits (TestReadAheadStaysAhead). stream_read
-// (ReadN(32), 32-block windows over 8 nodes) by depth, sim ms/op and slowest
-// op: 1 → 0.654, 30.0; 2 → 0.484, 30.9; 3 → 0.467 (the server's messaging
-// floor), 31.7; 4 → 0.467, 38.1 — deeper windows only queue on the disks,
-// and the slowest op waits behind them.
+// served from. A request's server work (≈15–17 ms on stream_read) is shorter
+// than an LFS round trip with a 15 ms track read; three is the least depth at
+// which no fill waits (TestReadAheadStaysAhead). stream_read (ReadN(32),
+// 32-block windows over 8 nodes) by depth, sim ms/op and slowest op: 1 →
+// 0.654, 30.0; 2 → 0.484, 30.9; 3 → 0.467 (the messaging floor), 31.7; 4 →
+// 0.467, 38.1 — deeper windows only queue on the disks.
 const raDepth = 3
 
 // raKey identifies one sequential reader's buffer.
@@ -46,23 +36,12 @@ type raKey struct {
 	name   string
 }
 
-// raWindow is a started, not yet gathered, vectored read of count blocks
-// from start.
-type raWindow struct {
-	calls []vecCall
-	start int64
-	count int
-}
-
 // raEntry is one reader's window plus the windows in flight after it.
 type raEntry struct {
-	start  int64    // global block number of blocks[0]
-	blocks [][]byte // contiguous run of payloads
-	// pend[:npend] are the windows in flight, in file order; next is the
-	// first block neither buffered nor in flight.
-	pend  [raDepth]raWindow
-	npend int
-	next  int64
+	start  int64     // global block number of blocks[0]
+	blocks [][]byte  // contiguous run of payloads
+	st     vecStream // the windows in flight, in file order
+	next   int64     // the first block neither buffered nor in flight
 }
 
 type raCache struct {
@@ -101,7 +80,7 @@ func (c *raCache) window(ent *dirent, pos int64) int {
 // covered by an in-flight prefetch) when requested, a miss had to wait for
 // a synchronous fetch — so hits/(hits+misses) is the cache hit rate.
 // Callers guarantee pos+count is within the file.
-func (c *raCache) read(p sim.Proc, s *Server, ent *dirent, client msg.Addr, pos int64, count int) ([][]byte, error) {
+func (c *raCache) read(s *Server, ent *dirent, client msg.Addr, pos int64, count int) ([][]byte, error) {
 	key := raKey{client: client, name: ent.meta.Name}
 	e, ok := c.entries[key]
 	if !ok {
@@ -117,17 +96,17 @@ func (c *raCache) read(p sim.Proc, s *Server, ent *dirent, client msg.Addr, pos 
 			pos += n
 			continue
 		}
-		if w := e.pend[0]; e.npend > 0 && pos >= w.start && pos < w.start+int64(w.count) {
-			c.fill(p, s, ent, e, end)
-			continue
+		if e.st.Windows() > 0 {
+			if at, n := e.st.Window(0); pos >= at && pos < at+int64(n) {
+				c.fill(s, ent, e, end)
+				continue
+			}
 		}
-		// Miss: the reader is outside every window (cold start, the cursor
-		// moved — e.g. a re-open — or a prefetch failed). Abandon the
-		// windows in flight and fetch one synchronously, with its own
-		// retries.
-		c.drop(s, e)
+		// Miss (cold start, a rewind, a failed prefetch): drop the windows
+		// in flight and fetch one synchronously, with its own retries.
+		e.st.Drop()
 		w := c.window(ent, pos)
-		blocks, err := s.lfsReadN(p, ent, pos, w)
+		blocks, err := s.lfsReadN(ent, pos, w)
 		if err != nil {
 			return nil, err
 		}
@@ -135,79 +114,58 @@ func (c *raCache) read(p sim.Proc, s *Server, ent *dirent, client msg.Addr, pos 
 		if end > e.next {
 			c.prefetch(s, ent, e)
 		}
-		// The blocks this request takes from the fresh window had to wait
-		// for the fetch, so they count as misses (per block, matching the
-		// ra_hits unit); the window's remainder serves later requests as
-		// hits, which is the read-ahead payoff.
+		// The blocks taken from the fresh window waited for it: misses, per
+		// block; its remainder serves later requests as hits.
 		n := min(int64(w), end-pos)
 		out = append(out, blocks[:n]...)
 		s.m.raMisses.Add(n)
 		s.curSpan.Annotate("ra miss")
 		pos += n
 	}
-	if e.npend < raDepth && e.next < ent.meta.Blocks {
+	if e.st.Windows() < raDepth && e.next < ent.meta.Blocks {
 		c.due, c.dueEnt = e, ent
 	}
 	return out, nil
 }
 
-// fill gathers the entry's first window in flight into its buffer. When the
-// request's blocks run past that window (to end) and nothing after it is in
-// flight, the next window is started before the gather, so a batch larger
-// than a window still overlaps each fetch with the one before. A failed
-// gather discards the window's remaining replies and leaves the buffer as it
-// was, so the read misses at the failed window's blocks.
-func (c *raCache) fill(p sim.Proc, s *Server, ent *dirent, e *raEntry, end int64) {
-	w := e.pend[0]
-	copy(e.pend[:], e.pend[1:e.npend])
-	e.npend--
-	e.pend[e.npend] = raWindow{}
-	if e.npend == 0 && end > w.start+int64(w.count) {
+// fill takes the entry's oldest window into its buffer. When the request runs
+// past it (to end) and nothing after it is in flight, the next is started
+// first, so a batch larger than a window overlaps each fetch with the one
+// before. A failed take leaves the buffer as it was: the read misses there.
+func (c *raCache) fill(s *Server, ent *dirent, e *raEntry, end int64) {
+	at, n := e.st.Window(0)
+	if e.st.Windows() == 1 && end > at+int64(n) {
 		c.prefetch(s, ent, e)
 	}
-	blocks, err := s.gatherReadVec(p, ent, w.calls, w.start, w.count)
+	blocks, err := s.takeRead(&e.st, ent)
 	if err != nil {
 		return
 	}
 	s.m.raFills.Add(1)
-	e.start, e.blocks = w.start, blocks
+	e.start, e.blocks = at, blocks
 }
 
-// prefetch starts (but does not await) a vectored read of the window at the
-// entry's next block and reports whether it did. Best-effort: at the end of
-// the file, with raDepth windows already in flight, or on a node that cannot
-// even be started it leaves the prefetch off, and the demand path reports
-// any error.
+// prefetch opens the window at the entry's next block and reports whether it
+// did: not at the end of the file, at raDepth windows in flight, or on a node
+// that cannot even be started (the demand path reports that error).
 func (c *raCache) prefetch(s *Server, ent *dirent, e *raEntry) bool {
-	if e.npend == raDepth || e.next >= ent.meta.Blocks {
+	if e.st.Windows() == raDepth || e.next >= ent.meta.Blocks {
 		return false
 	}
-	w := c.window(ent, e.next)
-	calls, err := s.startReadVec(ent, e.next, w)
-	if err != nil {
-		return false
-	}
-	e.pend[e.npend] = raWindow{calls: calls, start: e.next, count: w}
-	e.npend++
+	// next moves first: the window is in flight while its runs are sent.
+	at := e.next
+	w := c.window(ent, at)
 	e.next += int64(w)
+	if s.openVec(&e.st, ent, at, w, nil) != nil {
+		e.next = at
+		return false
+	}
 	return true
 }
 
-// drop abandons every window the entry has in flight, discarding their
-// correlation ids so late replies are dropped on receipt.
-func (c *raCache) drop(s *Server, e *raEntry) {
-	for i := range e.pend[:e.npend] {
-		s.discardVec(e.pend[i].calls)
-		e.pend[i] = raWindow{}
-	}
-	e.npend = 0
-}
-
 // raAhead is the request loop's post-reply step: it tops the reader the last
-// request served up to raDepth windows in flight. The sends go out after the
-// reply, so they no longer sit between the client and its answer, and each
-// window is started raDepth requests before it is needed. The step is traced
-// as server.prefetch, a child of the request (parent) that queued it.
+// request served up to raDepth windows in flight, its sends off the client's
+// path, traced as server.prefetch under the request (parent) that queued it.
 func (s *Server) raAhead(p sim.Proc, trace obs.TraceID, parent obs.SpanID) {
 	if s.ra == nil || s.ra.due == nil {
 		return
@@ -231,9 +189,9 @@ func (s *Server) raAhead(p sim.Proc, trace obs.TraceID, parent obs.SpanID) {
 // insert adds an empty entry, evicting the oldest past the cap.
 func (c *raCache) insert(s *Server, key raKey) *raEntry {
 	for len(c.entries) >= raEntryCap {
-		c.remove(s, c.order[0])
+		c.remove(c.order[0])
 	}
-	e := &raEntry{}
+	e := &raEntry{st: s.newStream()}
 	c.entries[key] = e
 	c.order = append(c.order, key)
 	c.byName[key.name] = append(c.byName[key.name], key)
@@ -241,9 +199,9 @@ func (c *raCache) insert(s *Server, key raKey) *raEntry {
 }
 
 // remove forgets one reader's entry, abandoning its windows in flight.
-func (c *raCache) remove(s *Server, key raKey) {
+func (c *raCache) remove(key raKey) {
 	e := c.entries[key]
-	c.drop(s, e)
+	e.st.Drop()
 	if c.due == e {
 		c.due, c.dueEnt = nil, nil
 	}
@@ -256,24 +214,22 @@ func (c *raCache) remove(s *Server, key raKey) {
 	}
 }
 
-// invalidate drops every reader's buffer for a file. Called before any
-// mutation of the file's data or removal of the file, so a buffer can
-// never outlive the bytes it caches.
+// invalidate drops every reader's buffer for a file, before any mutation or
+// removal of it, so a buffer can never outlive the bytes it caches.
 func (c *raCache) invalidate(s *Server, name string) {
 	if len(c.byName[name]) == 0 {
 		return
 	}
 	for len(c.byName[name]) > 0 {
-		c.remove(s, c.byName[name][0])
+		c.remove(c.byName[name][0])
 	}
 	s.m.raInvalidations.Add(1)
 }
 
-// invalidateAll empties the cache — used after node repair, when any
-// buffered block might predate the crash.
-func (c *raCache) invalidateAll(s *Server) {
+// invalidateAll empties the cache: after a node repair, anything may predate the crash.
+func (c *raCache) invalidateAll() {
 	for len(c.order) > 0 {
-		c.remove(s, c.order[0])
+		c.remove(c.order[0])
 	}
 }
 

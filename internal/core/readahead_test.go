@@ -396,15 +396,16 @@ func raProgram(p sim.Proc, cl *Cluster, a *Client, seed int64) []string {
 // buffered window without a gap or an overlap, up to its next block. Every
 // rewind, miss and failed fill must drop the windows it leaves behind.
 func raContiguous(e *raEntry) error {
-	if e.npend == 0 {
+	if e.st.Windows() == 0 {
 		return nil
 	}
 	at := e.start + int64(len(e.blocks))
-	for _, w := range e.pend[:e.npend] {
-		if w.start != at {
-			return fmt.Errorf("a window in flight at %d, want %d", w.start, at)
+	for i := 0; i < e.st.Windows(); i++ {
+		start, count := e.st.Window(i)
+		if start != at {
+			return fmt.Errorf("a window in flight at %d, want %d", start, at)
 		}
-		at += int64(w.count)
+		at += int64(count)
 	}
 	if at != e.next {
 		return fmt.Errorf("windows in flight end at %d, next is %d", at, e.next)

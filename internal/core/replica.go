@@ -770,8 +770,13 @@ func (s *Server) restore(data []byte) error {
 		g.ops[opKey{Client: o.Client, Op: o.Op}] = &o.Rec
 	}
 	g.recentFx = snap.Pending
-	// Volatile leader-side buffers never survive a snapshot install.
+	// Volatile leader-side buffers never survive a snapshot install; a
+	// deposed leader's windows are dropped, not taken (the takeover
+	// reconciles what landed), so nothing of them parks in s.lc.
 	if s.wb != nil {
+		for _, e := range s.wb.armed {
+			e.st.Drop()
+		}
 		s.wb = newWBCache(s.cfg.WriteBehind)
 	}
 	g.tookOver = false
@@ -901,7 +906,7 @@ func (s *Server) heal(p sim.Proc, body any, rec *ropRec) any {
 			data, err := s.lfsRead(p, ent, rec.At)
 			return SeqReadResp{Data: data, Status: statusFor(err)}
 		}
-		blocks, err := s.lfsReadN(p, ent, rec.At, rec.N)
+		blocks, err := s.lfsReadN(ent, rec.At, rec.N)
 		return SeqReadNResp{Blocks: blocks, EOF: rec.EOF, Status: statusFor(err)}
 	}
 	// Every other recorded operation answers with a bare success.
@@ -996,7 +1001,7 @@ func (s *Server) drainWB(p sim.Proc, name string, from msg.Addr, opID uint64) (i
 	if err := s.lease(p); err != nil {
 		return 0, err
 	}
-	flushed, err := s.wbBarrier(p, ent)
+	flushed, err := s.wbBarrier(ent)
 	if err != nil {
 		// Acknowledged blocks were rolled back (wbBarrier already shrank
 		// the size); replicate the rollback under the surfacing op.
@@ -1071,7 +1076,7 @@ func (s *Server) appendBehind(p sim.Proc, ent *dirent, payload []byte, from msg.
 			return err
 		}
 	}
-	if err := s.wbAppend(p, ent, payload); err != nil {
+	if err := s.wbAppend(ent, payload); err != nil {
 		// The previous window, finished inline by the one this append
 		// armed, failed and acknowledged blocks rolled back; replicate
 		// the rollback under this op.
@@ -1095,8 +1100,8 @@ func (s *Server) syncWBWindow(p sim.Proc, name string) {
 		return
 	}
 	durable := e.bufStart
-	if e.win.runs != nil {
-		durable = e.win.start
+	if e.st.Windows() > 0 {
+		durable, _ = e.st.Window(0)
 	}
 	if durable > low {
 		if err := s.commit(p, rop{Kind: ropWBFlushed, Name: name, Blocks: durable}); err != nil {
@@ -1211,7 +1216,7 @@ func (s *Server) replayEffect(p sim.Proc, op rop) {
 			// write's effect is moot.
 			return
 		}
-		written, err := s.lfsWriteN(p, ent, op.At, op.Data)
+		written, err := s.lfsWriteN(ent, op.At, op.Data)
 		if err != nil && op.At+int64(op.N) >= ent.meta.Blocks {
 			// The replay cannot land and the entry owns the file's tail:
 			// shrink the committed size to the durable prefix and forget

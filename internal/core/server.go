@@ -118,6 +118,9 @@ type Server struct {
 	// one request to the next like one; fan is the same for a fan-out.
 	sc  []scatterCall
 	fan []fanCall
+	// vec is the stream of a synchronous vectored read or write (lfsReadN,
+	// lfsWriteN), empty between them; its Finish is every server stream's.
+	vec vecStream
 
 	m srvMetrics
 	// curSpan is the span of the request currently being dispatched, and
@@ -284,6 +287,7 @@ func (s *Server) run(p sim.Proc) {
 	if s.health != nil {
 		s.lc.Down, s.lc.Every = s.down, s.health.cfg.Every
 	}
+	s.vec = vecStream{C: s.lc, Finish: func(_ *lfs.Client, c vecCall) (*msg.Message, error) { return s.lfsFinish(p, c.lfsPend) }}
 	if !s.loadLog(p) {
 		return
 	}
@@ -686,7 +690,7 @@ func (s *Server) remove(p sim.Proc, from msg.Addr, name string, opID uint64, kin
 		return Meta{}, 0, err
 	}
 	s.raInvalidate(name)
-	s.wbDrop(p, ent)
+	s.wbDrop(ent)
 	meta := ent.meta
 	op := rop{Kind: kind, Client: from, Op: opID, Name: name}
 	if kind == ropDelete {
@@ -1049,7 +1053,7 @@ func (s *Server) repairNode(p sim.Proc, from msg.Addr, r RepairNodeReq) (int, er
 	}
 	if s.ra != nil {
 		// Any buffered or in-flight block might predate the crash.
-		s.ra.invalidateAll(s)
+		s.ra.invalidateAll()
 	}
 	repaired := 0
 	for _, name := range s.sortedNames() {

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"bridge/internal/disk"
+	"bridge/internal/distrib"
 	"bridge/internal/msg"
 	"bridge/internal/obs"
 	"bridge/internal/sim"
@@ -567,4 +569,317 @@ func TestWriteBehindStepFailureSurfacesOnce(t *testing.T) {
 			})
 		}
 	}
+}
+
+// deposeHook cuts a leader's node off from its peers while cut is set, and
+// holds every reply to its LFS client back by hold.
+type deposeHook struct {
+	leader msg.NodeID
+	peers  []msg.NodeID
+	lfscli msg.Addr
+	cut    bool
+	hold   time.Duration
+}
+
+func (h *deposeHook) Deliver(_ time.Duration, from msg.NodeID, to msg.Addr, _ *msg.Message) msg.Fate {
+	if h.cut && (from == h.leader && slices.Contains(h.peers, to.Node) || to.Node == h.leader && slices.Contains(h.peers, from)) {
+		return msg.Fate{Drop: true}
+	}
+	if to == h.lfscli {
+		return msg.Fate{ExtraDelay: h.hold}
+	}
+	return msg.Fate{}
+}
+
+// wbDeposedInstall drives a three-member group with write-behind through a
+// snapshot install on a deposed leader. The leader arms a window of "f" and
+// starts its runs, whose replies are held back; it is cut off from its peers;
+// the majority elects a successor and compacts its log past the deposed
+// leader's; the cut heals and the deposed member installs the snapshot with
+// the runs still in flight. Once their replies have arrived the member is
+// made leader again, so its LFS client reads its port. It returns the member
+// and how many calls it had in flight at the install.
+func wbDeposedInstall(t *testing.T, p sim.Proc, cl *Cluster, c *Client) (*Server, int) {
+	if _, err := c.Create("f"); err != nil {
+		t.Errorf("Create: %v", err)
+		return nil, 0
+	}
+	lead := awaitLeader(t, p, cl)
+	srv := cl.Servers[lead]
+	hook := &deposeHook{
+		leader: srv.Addr().Node,
+		lfscli: msg.Addr{Node: srv.Addr().Node, Port: srv.cfg.PortName + ".lfscli"},
+		hold:   2 * time.Second,
+	}
+	for i, m := range cl.Servers {
+		if i != lead {
+			hook.peers = append(hook.peers, m.Addr().Node)
+		}
+	}
+	cl.Net.SetFault(hook)
+	defer cl.Net.SetFault(nil)
+	for i := 0; i < 8; i++ {
+		if err := c.SeqWrite("f", payload(i)); err != nil {
+			t.Errorf("SeqWrite %d: %v", i, err)
+			return nil, 0
+		}
+	}
+	hook.cut = true
+	p.Sleep(20 * time.Millisecond)
+	e := srv.wb.entries["f"]
+	if e == nil || e.st.Len() == 0 {
+		t.Errorf("the leader started none of its window's runs before the cut")
+		return nil, 0
+	}
+	inflight := e.st.Len()
+	for i := 0; i < 2*raftSnapshotEvery; i++ {
+		if _, err := c.Create(fmt.Sprintf("g%d", i)); err != nil {
+			t.Errorf("Create g%d: %v", i, err)
+			return nil, 0
+		}
+	}
+	installs := srv.grp.node.Tallies().SnapInstalls
+	hook.cut = false
+	p.Sleep(3 * time.Second)
+	if srv.grp.node.Tallies().SnapInstalls == installs {
+		t.Errorf("the deposed leader installed no snapshot")
+		return nil, 0
+	}
+	hook.hold = 0
+	for round := 0; cl.LeaderServer(0) != lead; round++ {
+		if round == 8 {
+			t.Errorf("the deposed member never led again")
+			return nil, 0
+		}
+		other := awaitLeader(t, p, cl)
+		if other == lead {
+			break
+		}
+		cl.CrashServer(0, other, p.Now())
+		if _, err := c.Create(fmt.Sprintf("h%d", round)); err != nil {
+			t.Errorf("Create h%d: %v", round, err)
+			return nil, 0
+		}
+		cl.RestartServer(0, other)
+		p.Sleep(time.Second)
+	}
+	if _, err := c.Create("after"); err != nil {
+		t.Errorf("Create after: %v", err)
+	}
+	return srv, inflight
+}
+
+// TestWriteBehindSnapshotInstallDropsWindows: a snapshot install resets a
+// member's write-behind state through its streams' drop, so the runs a
+// deposed leader left in flight are discarded: once their replies arrive,
+// none is parked in its LFS client for good.
+func TestWriteBehindSnapshotInstallDropsWindows(t *testing.T) {
+	cfg := repCfg(4)
+	cfg.Server = Config{WriteBehind: 2}
+	withCluster(t, cfg, func(p sim.Proc, cl *Cluster, c *Client) {
+		srv, inflight := wbDeposedInstall(t, p, cl, c)
+		if srv == nil {
+			return
+		}
+		t.Logf("%d calls in flight at the install; now %v, leader %d", inflight, p.Now(), cl.LeaderServer(0))
+		if pending, discarded := srv.lc.C.Parked(); pending != 0 || discarded != 0 {
+			t.Errorf("%d calls were in flight at the install; its LFS client holds %d parked replies and %d discarded ids",
+				inflight, pending, discarded)
+		}
+	})
+}
+
+// wbArmedOK checks the arming-order list against the entries: it names each
+// file with a live window exactly once, no other, and in the order the test
+// armed them (order).
+func wbArmedOK(s *Server, order []string) error {
+	listed := make(map[*wbEntry]bool)
+	at := 0
+	for _, e := range s.wb.armed {
+		name := e.ent.meta.Name
+		switch {
+		case listed[e]:
+			return fmt.Errorf("%s listed twice in %d", name, len(s.wb.armed))
+		case e.st.Windows() == 0:
+			return fmt.Errorf("%s listed without a live window", name)
+		case s.wb.entries[name] != e:
+			return fmt.Errorf("%s listed, but no longer its file's entry", name)
+		}
+		listed[e] = true
+		for at < len(order) && order[at] != name {
+			at++
+		}
+		if at == len(order) {
+			return fmt.Errorf("%s listed out of arming order %v", name, order)
+		}
+		at++
+	}
+	for name, e := range s.wb.entries {
+		if e.st.Windows() > 0 && !listed[e] {
+			return fmt.Errorf("%s has a live window but is not listed", name)
+		}
+	}
+	return nil
+}
+
+// TestWriteBehindArmedHoldsLiveWindowsOnly is the write side's twin of
+// TestReadAheadOrderHoldsLiveKeysOnly. After each way a window retires — its
+// replies taken by steps, finished by a barrier, a run that fails to start, a
+// failure a step finds, its file deleted with calls in flight, a snapshot
+// install on a deposed leader — the arming-order list holds exactly the files
+// with a live window, each once, in arming order; and once the replies have
+// arrived and the server has read its port, its LFS client holds no parked
+// reply and no discarded id.
+func TestWriteBehindArmedHoldsLiveWindowsOnly(t *testing.T) {
+	type env struct {
+		p  sim.Proc
+		cl *Cluster
+		c  *Client
+		s  *Server
+	}
+	// fill appends a window of name, which arms it.
+	fill := func(v env, name string) bool {
+		for i := 0; i < 8; i++ {
+			if err := v.c.SeqWrite(name, payload(i)); err != nil {
+				t.Errorf("SeqWrite %s %d: %v", name, i, err)
+				return false
+			}
+		}
+		return true
+	}
+	// idle gives the server request gaps to step in until done holds.
+	idle := func(v env, done func() bool) bool {
+		for i := 0; i < 256 && !done(); i++ {
+			if _, err := v.c.List(); err != nil {
+				t.Errorf("List: %v", err)
+				return false
+			}
+		}
+		return done()
+	}
+	parked := func(v env) func() bool { return func() bool { return v.s.wb.parked["f"] != nil } }
+	for _, row := range []struct {
+		name   string
+		health bool
+		retire func(v env, check func(stage string, order ...string)) bool
+	}{
+		{"landed by steps", false, func(v env, check func(string, ...string)) bool {
+			if !fill(v, "f") || !fill(v, "g") {
+				return false
+			}
+			check("armed", "f", "g")
+			if !idle(v, func() bool { return len(v.s.wb.armed) == 0 }) {
+				t.Error("the windows never landed in steps")
+			}
+			check("landed")
+			return true
+		}},
+		{"finished by a barrier", false, func(v env, check func(string, ...string)) bool {
+			if !fill(v, "f") || !fill(v, "g") {
+				return false
+			}
+			check("armed", "f", "g")
+			for _, name := range []string{"g", "f"} {
+				if _, err := v.c.Flush(name); err != nil {
+					t.Errorf("Flush %s: %v", name, err)
+				}
+				check("flushed "+name, "f", "g")
+			}
+			return true
+		}},
+		{"a run that fails to start", true, func(v env, check func(string, ...string)) bool {
+			v.cl.FailNode(1)
+			v.p.Sleep(10 * time.Second) // the monitor declares node 1 dead
+			if !fill(v, "f") {
+				return false
+			}
+			if !idle(v, parked(v)) {
+				t.Error("no step found the run that cannot start")
+			}
+			check("failed to start")
+			return true
+		}},
+		{"a window that fails in a step", false, func(v env, check func(string, ...string)) bool {
+			fault := &writeFault{armed: true}
+			v.cl.Nodes[1].Disk.SetFault(fault, "victim")
+			defer func() { fault.armed = false }()
+			if !fill(v, "g") || !fill(v, "f") {
+				return false
+			}
+			check("armed", "g", "f")
+			if !idle(v, parked(v)) {
+				t.Error("no step found the failed window")
+			}
+			check("failed in a step", "g", "f")
+			return true
+		}},
+		{"a file deleted with calls in flight", false, func(v env, check func(string, ...string)) bool {
+			if !fill(v, "g") || !fill(v, "f") {
+				return false
+			}
+			if _, err := v.c.Delete("f"); err != nil {
+				t.Errorf("Delete: %v", err)
+			}
+			check("deleted", "g", "f")
+			return true
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := wrenCfg(4)
+			cfg.Server = Config{WriteBehind: 2}
+			if row.health {
+				cfg.Server.Health = &HealthConfig{}
+			}
+			withCluster(t, cfg, func(p sim.Proc, cl *Cluster, c *Client) {
+				v := env{p: p, cl: cl, c: c, s: cl.Servers[0]}
+				// s lives on node 0 alone: reading it makes the server read
+				// its LFS client's port, whichever node is failed.
+				if _, err := c.CreateSpec("s", distrib.Spec{P: 1}, false); err != nil {
+					t.Errorf("Create s: %v", err)
+					return
+				}
+				if _, err := c.AppendN("s", [][]byte{payload(0)}); err != nil {
+					t.Errorf("AppendN s: %v", err)
+					return
+				}
+				for _, name := range []string{"f", "g"} {
+					if _, err := c.Create(name); err != nil {
+						t.Errorf("Create %s: %v", name, err)
+						return
+					}
+				}
+				check := func(stage string, order ...string) {
+					if err := wbArmedOK(v.s, order); err != nil {
+						t.Errorf("%s: %v", stage, err)
+					}
+				}
+				if !row.retire(v, check) {
+					return
+				}
+				p.Sleep(time.Second)
+				if _, err := c.ReadAt("s", 0); err != nil {
+					t.Errorf("ReadAt s: %v", err)
+				}
+				if pending, discarded := v.s.lc.C.Parked(); pending != 0 || discarded != 0 {
+					t.Errorf("the server's LFS client holds %d parked replies and %d discarded ids", pending, discarded)
+				}
+			})
+		})
+	}
+	t.Run("a snapshot install", func(t *testing.T) {
+		cfg := repCfg(4)
+		cfg.Server = Config{WriteBehind: 2}
+		withCluster(t, cfg, func(p sim.Proc, cl *Cluster, c *Client) {
+			s, _ := wbDeposedInstall(t, p, cl, c)
+			if s == nil {
+				return
+			}
+			if err := wbArmedOK(s, nil); err != nil {
+				t.Errorf("after the install: %v", err)
+			}
+			if pending, discarded := s.lc.C.Parked(); pending != 0 || discarded != 0 {
+				t.Errorf("the member's LFS client holds %d parked replies and %d discarded ids", pending, discarded)
+			}
+		})
+	})
 }

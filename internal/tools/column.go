@@ -17,42 +17,25 @@ import (
 // so a tool cannot starve a naive client of the same node.
 const runBlocks = 8
 
-// colReader reads one local file front to back, the address hint threaded
-// from run to run. The request for the run after the one being consumed is
-// always in flight: without it a merge reader's token stalls behind the
-// co-located writer's run (merge phase 137 s, with it 98 s), and it costs the
-// single-process loops nothing (local sort 75.2 s, with it 74.6 s).
+// colReader reads one local file front to back on a stream, the address
+// hint threaded from run to run.
 type colReader struct {
-	lc    *lfs.Client
-	node  msg.NodeID
-	file  uint32
-	size  int64         // blocks in the file
-	pos   int64         // the block next hands out
-	asked int64         // the first block no request has asked for
-	call  lfs.Call      // the request in flight, ID 0 for none
-	run   []lfs.VecRead // the rest of the run being consumed; run[0] is block pos
+	st   lfs.Stream[lfs.Call]
+	node msg.NodeID
+	file uint32
+	size int64         // blocks in the file
+	pos  int64         // the block next hands out
+	run  []lfs.VecRead // the rest of the run being taken; run[0] is block pos
 }
+
+// colReadDepth is how many runs a reader keeps in flight past the one it hands
+// out: one. Without it a merge reader's token stalls behind the co-located
+// writer's run (merge phase 137 s, with it 98 s), and it costs the
+// single-process loops nothing (local sort 75.2 s, with it 74.6 s).
+const colReadDepth = 1
 
 func newColReader(lc *lfs.Client, node msg.NodeID, file uint32, size int64) *colReader {
-	return &colReader{lc: lc, node: node, file: file, size: size}
-}
-
-// ask starts the request for the next run, if the file has one.
-func (r *colReader) ask(hint int32) error {
-	n := min(r.size-r.asked, runBlocks)
-	if n <= 0 {
-		return nil
-	}
-	req := lfs.ReadVecReq{FileID: r.file, Blocks: make([]uint32, n), Hint: hint}
-	for i := range req.Blocks {
-		req.Blocks[i] = uint32(r.asked) + uint32(i)
-	}
-	call, err := r.lc.Start(msg.Addr{Node: r.node, Port: lfs.PortName}, req, lfs.WireSize(req))
-	if err != nil {
-		return err
-	}
-	r.call, r.asked = call, r.asked+n
-	return nil
+	return &colReader{st: lfs.Stream[lfs.Call]{C: lc, Finish: (*lfs.Client).Await}, node: node, file: file, size: size}
 }
 
 // next returns the file's next raw block and its number; raw is nil at the
@@ -62,22 +45,39 @@ func (r *colReader) next() (raw []byte, num int64, err error) {
 	if r.pos >= r.size {
 		return nil, r.pos, nil
 	}
-	if len(r.run) == 0 {
-		if r.call.ID == 0 {
-			if err := r.ask(-1); err != nil {
-				return nil, r.pos, err
+	hint := int32(-1)
+	for len(r.run) == 0 || r.st.Windows() < colReadDepth {
+		if len(r.run) == 0 && r.st.Windows() > 0 {
+			r.st.Take(func(_ lfs.Call, m *msg.Message, werr error) bool {
+				var resp lfs.ReadVecResp
+				resp, err = lfs.Reply[lfs.ReadVecResp](m, werr)
+				r.run = resp.Blocks
+				return true
+			})
+			if err != nil {
+				return nil, r.pos, fmt.Errorf("run at block %d: %w", r.pos, err)
 			}
+			hint = r.run[len(r.run)-1].Addr
+			continue
 		}
-		call := r.call
-		r.call = lfs.Call{}
-		resp, err := lfs.Reply[lfs.ReadVecResp](r.lc.Await(call))
-		if err != nil {
-			return nil, r.pos, fmt.Errorf("run at block %d: %w", r.pos, err)
+		from := r.pos + int64(len(r.run)) // the run after those handed out or in flight
+		if n := r.st.Windows(); n > 0 {
+			at, count := r.st.Window(n - 1)
+			from = at + int64(count)
 		}
-		r.run = resp.Blocks
-		if err := r.ask(r.run[len(r.run)-1].Addr); err != nil {
+		n := min(r.size-from, runBlocks)
+		if n <= 0 {
+			break
+		}
+		req := lfs.ReadVecReq{FileID: r.file, Blocks: make([]uint32, n), Hint: hint}
+		for i := range req.Blocks {
+			req.Blocks[i] = uint32(from) + uint32(i)
+		}
+		r.st.Open(from, int(n))
+		if err := r.st.Start(r.st.C.Start(msg.Addr{Node: r.node, Port: lfs.PortName}, req, lfs.WireSize(req))); err != nil {
 			return nil, r.pos, err
 		}
+		hint = -1
 	}
 	b := r.run[0]
 	if !b.OK() {
@@ -88,32 +88,30 @@ func (r *colReader) next() (raw []byte, num int64, err error) {
 	return b.Data, r.pos - 1, nil
 }
 
-// stop abandons the request in flight, if any. A reader that may return before
-// the end of its file defers it, so the reply is dropped on receipt instead of
-// parked forever in a client that lives on.
-func (r *colReader) stop() {
-	if r.call.ID != 0 {
-		r.lc.Discard(r.call)
-		r.call = lfs.Call{}
-	}
-}
+// stop drops the runs in flight. A reader that may return before the end of
+// its file defers it, so no reply is parked forever in a client that lives on.
+func (r *colReader) stop() { r.st.Drop() }
 
-// colWriter appends to one local file, a run per request.
+// colWriter appends to one local file on a stream, a run per request.
 type colWriter struct {
-	lc   *lfs.Client
+	st   lfs.Stream[lfs.Call]
 	node msg.NodeID
 	file uint32
 	at   uint32 // the block the next put lands on
 	run  []lfs.VecWrite
 }
 
+// colWriteDepth is how many runs a writer leaves in flight when put or flush
+// returns: none, so a put that fails leaves only whole earlier runs behind
+// (and a landed run's slice is the next run's).
+const colWriteDepth = 0
+
 // newColWriter writes file from its start: every tool output is a new file.
 func newColWriter(lc *lfs.Client, node msg.NodeID, file uint32) *colWriter {
-	return &colWriter{lc: lc, node: node, file: file}
+	return &colWriter{st: lfs.Stream[lfs.Call]{C: lc, Finish: (*lfs.Client).Await}, node: node, file: file}
 }
 
-// put appends one raw block; it reaches the node when the run fills or on
-// flush, so a writer that fails leaves only whole earlier runs behind.
+// put appends one raw block; it reaches the node when the run fills or on flush.
 func (w *colWriter) put(raw []byte) error {
 	w.run = append(w.run, lfs.VecWrite{BlockNum: w.at, Data: raw})
 	w.at++
@@ -123,19 +121,35 @@ func (w *colWriter) put(raw []byte) error {
 	return w.flush()
 }
 
-// flush writes out the partial run; a writer is done only after it.
+// flush writes out the partial run, and lands runs until at most
+// colWriteDepth are in flight; a writer is done only after it.
 func (w *colWriter) flush() error {
 	if len(w.run) == 0 {
 		return nil
 	}
-	res, err := w.lc.WriteVec(w.node, w.file, w.run, -1) // appends take no hint
-	if err != nil {
+	req := lfs.WriteVecReq{FileID: w.file, Blocks: w.run, Hint: -1} // appends take no hint
+	w.st.Open(int64(w.run[0].BlockNum), len(w.run))
+	if err := w.st.Start(w.st.C.Start(msg.Addr{Node: w.node, Port: lfs.PortName}, req, lfs.WireSize(req))); err != nil {
 		return fmt.Errorf("run at block %d: %w", w.run[0].BlockNum, err)
 	}
-	for i, b := range res {
-		if !b.OK() {
-			return fmt.Errorf("block %d: %w", w.run[i].BlockNum, lfs.Err(b.Status))
-		}
+	var err error
+	for err == nil && w.st.Windows() > colWriteDepth {
+		at, _ := w.st.Window(0)
+		w.st.Take(func(_ lfs.Call, m *msg.Message, werr error) bool {
+			resp, rerr := lfs.Reply[lfs.WriteVecResp](m, werr)
+			if rerr != nil {
+				err = fmt.Errorf("run at block %d: %w", at, rerr)
+			}
+			for i, b := range resp.Blocks {
+				if err == nil && !b.OK() {
+					err = fmt.Errorf("block %d: %w", at+int64(i), lfs.Err(b.Status))
+				}
+			}
+			return true
+		})
+	}
+	if err != nil {
+		return err
 	}
 	w.run = w.run[:0]
 	return nil

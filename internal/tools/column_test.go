@@ -353,7 +353,7 @@ func TestColumnReaderStopLeavesNothingParked(t *testing.T) {
 		if raw, num, err := rd.next(); err != nil || raw == nil || num != 0 {
 			t.Errorf("next = %d bytes, block %d, %v", len(raw), num, err)
 		}
-		if rd.call.ID == 0 {
+		if rd.st.Windows() == 0 {
 			t.Error("no run in flight behind the one being consumed")
 		}
 		rd.stop()
