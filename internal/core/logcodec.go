@@ -130,6 +130,19 @@ func appendRop(b []byte, op *rop) []byte {
 
 // appendSnap appends snap's encoding to b.
 func appendSnap(b []byte, snap *rsnap) []byte {
+	b = appendSnapHead(b, snap)
+	b = binary.AppendUvarint(b, uint64(len(snap.Ops)))
+	for i := range snap.Ops {
+		o := &snap.Ops[i]
+		b = appendSnapOp(b, opKey{Client: o.Client, Op: o.Op}, &o.Rec)
+	}
+	return appendSnapPending(b, snap.Pending)
+}
+
+// appendSnapHead appends a snapshot's fields up to its op table: the
+// version, NextID, Files and Cursors. The op table follows as a count and
+// that many appendSnapOp, then appendSnapPending ends the record.
+func appendSnapHead(b []byte, snap *rsnap) []byte {
 	b = append(b, logFormat)
 	b = binary.AppendUvarint(b, uint64(snap.NextID))
 	b = binary.AppendUvarint(b, uint64(len(snap.Files)))
@@ -145,16 +158,40 @@ func appendSnap(b []byte, snap *rsnap) []byte {
 		b = appendStr(b, c.Name)
 		b = binary.AppendVarint(b, c.Pos)
 	}
-	b = binary.AppendUvarint(b, uint64(len(snap.Ops)))
-	for i := range snap.Ops {
-		o := &snap.Ops[i]
-		b = appendAddr(b, o.Client)
-		b = binary.AppendUvarint(b, o.Op)
-		b = appendRec(b, &o.Rec)
+	return b
+}
+
+// appendSnapOp appends one op-table record.
+func appendSnapOp(b []byte, k opKey, rec *ropRec) []byte {
+	b = appendAddr(b, k.Client)
+	b = binary.AppendUvarint(b, k.Op)
+	return appendRec(b, rec)
+}
+
+// appendOpTable appends a live op table exactly as appendSnap appends the
+// rsnap.Ops built from it: the records ops holds for opQ's keys, in opQ
+// order, with no copy of them in between.
+func appendOpTable(b []byte, opQ []opKey, ops map[opKey]*ropRec) []byte {
+	n := 0
+	for _, k := range opQ {
+		if _, ok := ops[k]; ok {
+			n++
+		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(snap.Pending)))
-	for i := range snap.Pending {
-		b = appendRopFields(b, &snap.Pending[i])
+	b = binary.AppendUvarint(b, uint64(n))
+	for _, k := range opQ {
+		if rec, ok := ops[k]; ok {
+			b = appendSnapOp(b, k, rec)
+		}
+	}
+	return b
+}
+
+// appendSnapPending appends a snapshot's pending effect tail.
+func appendSnapPending(b []byte, pending []rop) []byte {
+	b = binary.AppendUvarint(b, uint64(len(pending)))
+	for i := range pending {
+		b = appendRopFields(b, &pending[i])
 	}
 	return b
 }

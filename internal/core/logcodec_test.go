@@ -219,6 +219,51 @@ func TestLogCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeSnapshotMatchesAppendSnap: encodeSnapshot writes the op table
+// straight from the member's opQ and ops; its bytes must be what appendSnap
+// makes of an rsnap whose Ops hold those records in opQ order.
+func TestEncodeSnapshotMatchesAppendSnap(t *testing.T) {
+	withCluster(t, repCfg(4), func(p sim.Proc, cl *Cluster, c *Client) {
+		for _, name := range []string{"a", "b", "c"} {
+			if _, err := c.Create(name); err != nil {
+				t.Errorf("Create(%s): %v", name, err)
+				return
+			}
+		}
+		if err := c.SeqWrite("a", payload(0)); err != nil {
+			t.Errorf("SeqWrite: %v", err)
+			return
+		}
+		if _, err := c.Delete("b"); err != nil {
+			t.Errorf("Delete: %v", err)
+			return
+		}
+		p.Sleep(200 * time.Millisecond)
+		for i, s := range cl.Servers {
+			g := s.grp
+			enc := s.encodeSnapshot()
+			snap, err := decodeSnap(enc, nil)
+			if err != nil {
+				t.Errorf("member %d: decode: %v", i, err)
+				return
+			}
+			want := make([]rsnapOp, 0, len(g.opQ))
+			for _, k := range g.opQ {
+				if rec, ok := g.ops[k]; ok {
+					want = append(want, rsnapOp{Client: k.Client, Op: k.Op, Rec: *rec})
+				}
+			}
+			if len(want) == 0 || !reflect.DeepEqual(snap.Ops, want) {
+				t.Errorf("member %d: op table encoded as %+v, want %+v", i, snap.Ops, want)
+			}
+			snap.Ops = want
+			if !bytes.Equal(enc, appendSnap(nil, &snap)) {
+				t.Errorf("member %d: encodeSnapshot and appendSnap disagree", i)
+			}
+		}
+	})
+}
+
 func TestLogCodecRejects(t *testing.T) {
 	op := rop{Kind: ropOpen, Client: msg.Addr{Node: 1, Port: "c"}, Name: "f"}
 	good := appendRop(nil, &op)
@@ -340,7 +385,8 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	})
 }
 
-// tamper rewrites crashed member j's stored consensus state.
+// tamper rewrites crashed member j's stored consensus state: the edited
+// state goes back as one edit that replaces the snapshot and the whole log.
 func tamper(t *testing.T, cl *Cluster, j int, edit func(*raft.State)) {
 	t.Helper()
 	store := cl.boots[j].spec.store
@@ -349,7 +395,11 @@ func tamper(t *testing.T, cl *Cluster, j int, edit func(*raft.State)) {
 		t.Fatalf("member %d has no stored state (ok=%v err=%v)", j, ok, err)
 	}
 	edit(&st)
-	if err := store.Save(nil, st); err != nil {
+	if err := store.Save(nil, raft.Edit{
+		Term: st.Term, VotedFor: st.VotedFor,
+		Snap: true, SnapIndex: st.SnapIndex, SnapTerm: st.SnapTerm, Snapshot: st.Snapshot,
+		From: st.SnapIndex + 1, Entries: st.Entries,
+	}); err != nil {
 		t.Fatal(err)
 	}
 }

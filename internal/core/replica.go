@@ -700,7 +700,6 @@ func (s *Server) encodeSnapshot() []byte {
 	snap := rsnap{
 		NextID: s.nextID,
 		Files:  make([]rsnapFile, 0, len(s.dir)),
-		Ops:    make([]rsnapOp, 0, len(g.opQ)),
 	}
 	for _, name := range s.sortedNames() {
 		f := rsnapFile{Meta: s.dir[name].meta}
@@ -724,15 +723,11 @@ func (s *Server) encodeSnapshot() []byte {
 		}
 		return a.Name < b.Name
 	})
-	for _, k := range g.opQ {
-		if rec, ok := g.ops[k]; ok {
-			snap.Ops = append(snap.Ops, rsnapOp{Client: k.Client, Op: k.Op, Rec: *rec})
-		}
-	}
-	snap.Pending = g.recentFx
 	// Sized from the last snapshot plus room for the op table to have
 	// grown: no scratch buffer of snapshot size stays live between them.
-	buf := appendSnap(make([]byte, 0, g.snapCap), &snap)
+	buf := appendSnapHead(make([]byte, 0, g.snapCap), &snap)
+	buf = appendOpTable(buf, g.opQ, g.ops)
+	buf = appendSnapPending(buf, g.recentFx)
 	g.snapCap = len(buf) + len(buf)/8
 	return buf
 }

@@ -3,7 +3,7 @@ package raft
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -142,7 +142,14 @@ type Node struct {
 	beatAt    time.Duration         // next heartbeat (leader)
 	electedAt time.Duration
 
+	// What the next Flush saves: dirty is set by any persistent change,
+	// snapDirty when the snapshot was replaced, logFrom to the lowest index
+	// appended or truncated (0: the log is unchanged).
 	dirty     bool
+	snapDirty bool
+	logFrom   uint64
+
+	lease     []time.Duration // leaseExpiry's scratch, one slot per peer
 	out       []Outbound
 	installed *Install
 	tallies   Tallies
@@ -163,6 +170,7 @@ func New(cfg Config) *Node {
 		next:     make(map[int]uint64),
 		match:    make(map[int]uint64),
 		acked:    make(map[int]time.Duration),
+		lease:    make([]time.Duration, len(cfg.Peers)),
 	}
 	return n
 }
@@ -184,7 +192,13 @@ func (n *Node) Load(p sim.Proc, now time.Duration) ([]byte, error) {
 		n.snapIndex = st.SnapIndex
 		n.snapTerm = st.SnapTerm
 		n.snapshot = st.Snapshot
-		n.log = st.Entries
+		// A store that crashed between persisting a snapshot and the log
+		// truncation it allows still holds the entries the snapshot
+		// covers; anything else must continue right after it.
+		n.log = dropThrough(st.Entries, st.SnapIndex)
+		if len(n.log) > 0 && n.log[0].Index != n.snapIndex+1 {
+			return nil, fmt.Errorf("raft: stored log resumes at index %d after a snapshot through %d", n.log[0].Index, n.snapIndex)
+		}
 	}
 	n.commit = n.snapIndex
 	n.delivered = n.snapIndex
@@ -252,20 +266,18 @@ func (n *Node) LeaseValid(now time.Duration) bool {
 
 // leaseExpiry computes the lease end. Callers hold n.mu.
 func (n *Node) leaseExpiry(now time.Duration) time.Duration {
-	times := make([]time.Duration, 0, len(n.cfg.Peers))
-	for _, id := range n.cfg.Peers {
+	times := n.lease
+	for i, id := range n.cfg.Peers {
 		if id == n.cfg.ID {
-			times = append(times, now)
-			continue
-		}
-		if t, ok := n.acked[id]; ok {
-			times = append(times, t)
+			times[i] = now
+		} else if t, ok := n.acked[id]; ok {
+			times[i] = t
 		} else {
-			times = append(times, -1)
+			times[i] = -1
 		}
 	}
-	sort.Slice(times, func(i, j int) bool { return times[i] > times[j] })
-	base := times[n.majority()-1]
+	slices.Sort(times)
+	base := times[len(times)-n.majority()] // the majority-th freshest
 	if base < 0 {
 		return 0
 	}
@@ -386,8 +398,16 @@ func (n *Node) appendLocal(data []byte) Entry {
 	e := Entry{Index: n.lastIndex() + 1, Term: n.term, Data: data}
 	n.log = append(n.log, e)
 	n.match[n.cfg.ID] = e.Index
-	n.dirty = true
+	n.logEdited(e.Index)
 	return e
+}
+
+// logEdited notes that the log changed from index i on. Callers hold n.mu.
+func (n *Node) logEdited(i uint64) {
+	if n.logFrom == 0 || i < n.logFrom {
+		n.logFrom = i
+	}
+	n.dirty = true
 }
 
 // Propose appends data to the replicated log. It returns the entry's
@@ -572,7 +592,7 @@ func (n *Node) stepAppend(b AppendReq, now time.Duration) {
 	if b.PrevIndex > n.snapIndex && n.termAt(b.PrevIndex) != b.PrevTerm {
 		// Conflict at the consistency point: drop it and everything after.
 		n.log = n.log[:b.PrevIndex-n.snapIndex-1]
-		n.dirty = true
+		n.logEdited(b.PrevIndex)
 		n.send(b.Leader, AppendResp{Term: n.term, From: n.cfg.ID, Ok: false, MatchIndex: n.lastIndex(), SentAt: b.SentAt})
 		return
 	}
@@ -587,7 +607,7 @@ func (n *Node) stepAppend(b AppendReq, now time.Duration) {
 			n.log = n.log[:e.Index-n.snapIndex-1]
 		}
 		n.log = append(n.log, e)
-		n.dirty = true
+		n.logEdited(e.Index)
 	}
 	m := b.PrevIndex + uint64(len(b.Entries))
 	if m < n.lastIndex() && len(b.Entries) == 0 {
@@ -606,9 +626,10 @@ func (n *Node) stepAppend(b AppendReq, now time.Duration) {
 func (n *Node) installSnapshot(b SnapReq) {
 	if b.Index < n.lastIndex() && n.termAt(b.Index) == b.SnapTerm {
 		// The snapshot is a prefix of our log: keep the suffix.
-		n.log = append([]Entry(nil), n.log[b.Index-n.snapIndex:]...)
+		n.log = dropThrough(n.log, b.Index)
 	} else {
 		n.log = nil
+		n.logEdited(b.Index + 1)
 	}
 	n.snapIndex = b.Index
 	n.snapTerm = b.SnapTerm
@@ -620,6 +641,7 @@ func (n *Node) installSnapshot(b SnapReq) {
 		n.delivered = b.Index
 	}
 	n.installed = &Install{Index: b.Index, Data: b.Data}
+	n.snapDirty = true
 	n.dirty = true
 	n.tallies.SnapInstalls++
 }
@@ -644,27 +666,31 @@ func (n *Node) advanceCommit() {
 	}
 }
 
-// Flush persists dirty state (before any message promising it can leave)
-// and returns the queued outbound messages. Call after every Tick, Step,
-// Propose, or Compact.
+// Flush persists what changed since the last Flush (before any message
+// promising it can leave) and returns the queued outbound messages. Call
+// after every Tick, Step, Propose, or Compact.
 func (n *Node) Flush(p sim.Proc) ([]Outbound, error) {
 	n.mu.Lock()
 	dirty := n.dirty
-	n.dirty = false
-	var st State
+	var e Edit
 	if dirty {
-		st = State{
-			Term:      n.term,
-			VotedFor:  n.votedFor,
-			SnapIndex: n.snapIndex,
-			SnapTerm:  n.snapTerm,
-			Snapshot:  n.snapshot,
-			Entries:   n.log, // read by Save outside the lock: only this caller, the owner, writes it
+		e = Edit{Term: n.term, VotedFor: n.votedFor}
+		if n.snapDirty {
+			e.Snap, e.SnapIndex, e.SnapTerm, e.Snapshot = true, n.snapIndex, n.snapTerm, n.snapshot
+		}
+		if n.logFrom != 0 {
+			// An edit below the snapshot is subsumed by it: the store
+			// drops what the snapshot covers and takes the whole log.
+			e.From = max(n.logFrom, n.snapIndex+1)
+			// Read by Save outside the lock: only this caller, the owner,
+			// writes the log.
+			e.Entries = n.log[e.From-n.snapIndex-1:]
 		}
 	}
+	n.dirty, n.snapDirty, n.logFrom = false, false, 0
 	n.mu.Unlock()
 	if dirty {
-		if err := n.cfg.Store.Save(p, st); err != nil {
+		if err := n.cfg.Store.Save(p, e); err != nil {
 			return nil, err
 		}
 	}
@@ -738,10 +764,11 @@ func (n *Node) Compact(index uint64, snap []byte) {
 		return
 	}
 	term := n.termAt(index)
-	n.log = append([]Entry(nil), n.log[index-n.snapIndex:]...)
+	n.log = dropThrough(n.log, index)
 	n.snapIndex = index
 	n.snapTerm = term
 	n.snapshot = snap
+	n.snapDirty = true
 	n.dirty = true
 }
 

@@ -43,6 +43,10 @@ type harness struct {
 	round int
 	// check, when set, runs after every Step.
 	check func()
+	// flushed, when set, runs after every Flush.
+	flushed func(id int)
+	// proc drives the stores; a fakeProc unless a test sets a real one.
+	proc sim.Proc
 }
 
 type lateMsg struct {
@@ -62,6 +66,7 @@ func newHarness(t *testing.T, n int) *harness {
 	for i := 0; i < n; i++ {
 		h.ids = append(h.ids, i)
 	}
+	h.proc = fakeProc{&h.now}
 	for _, id := range h.ids {
 		h.addNode(id, &MemStore{})
 	}
@@ -70,7 +75,7 @@ func newHarness(t *testing.T, n int) *harness {
 
 func (h *harness) addNode(id int, st Store) {
 	nd := New(Config{ID: id, Peers: append([]int(nil), h.ids...), Seed: int64(1000 + id), Store: st})
-	if _, err := nd.Load(fakeProc{&h.now}, h.now); err != nil {
+	if _, err := nd.Load(h.proc, h.now); err != nil {
 		h.t.Fatalf("load node %d: %v", id, err)
 	}
 	h.nodes[id] = nd
@@ -103,9 +108,12 @@ func (h *harness) step() {
 			}
 		}
 		h.inbox[id] = nil
-		out, err := nd.Flush(fakeProc{&h.now})
+		out, err := nd.Flush(h.proc)
 		if err != nil {
 			h.t.Fatalf("flush node %d: %v", id, err)
+		}
+		if h.flushed != nil {
+			h.flushed(id)
 		}
 		for _, o := range out {
 			if h.down[o.To] || h.cut[[2]int{id, o.To}] {
@@ -369,15 +377,13 @@ func TestDiskStoreSurvivesCrash(t *testing.T) {
 			t.Errorf("fresh load: ok=%v err=%v", ok, err)
 			return
 		}
-		s1 := State{Term: 3, VotedFor: 1, Entries: []Entry{{Index: 1, Term: 2, Data: []byte("a")}}}
-		if err := st.Save(p, s1); err != nil {
+		e1 := Edit{Term: 3, VotedFor: 1, From: 1, Entries: []Entry{{Index: 1, Term: 2, Data: []byte("a")}}}
+		if err := st.Save(p, e1); err != nil {
 			t.Errorf("save 1: %v", err)
 			return
 		}
-		s2 := s1
-		s2.Term = 4
-		s2.Entries = append(append([]Entry(nil), s1.Entries...), Entry{Index: 2, Term: 4, Data: []byte("b")})
-		if err := st.Save(p, s2); err != nil {
+		e2 := Edit{Term: 4, VotedFor: 1, From: 2, Entries: []Entry{{Index: 2, Term: 4, Data: []byte("b")}}}
+		if err := st.Save(p, e2); err != nil {
 			t.Errorf("save 2: %v", err)
 			return
 		}

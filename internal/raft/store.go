@@ -14,13 +14,11 @@ import (
 // State is the persistent consensus state: everything a replica must
 // recover after a kill to keep its promises — the current term, who it
 // voted for in that term, the compacted snapshot, and the log suffix
-// beyond it. It is written atomically as one image.
+// beyond it. Load returns it whole.
 //
 // Snapshot is immutable: a Node replaces the slice (Compact, a leader's
 // install) and never writes into it, so a Store may retain it and hand it
-// back without copying. Entries handed to Save is the node's live log,
-// which its owner will append to and truncate once Save returns: a Store
-// that keeps it must copy it.
+// back without copying.
 type State struct {
 	Term      uint64
 	VotedFor  int
@@ -30,49 +28,109 @@ type State struct {
 	Entries   []Entry
 }
 
-// Store persists consensus state. Save must be a durability barrier: when
-// it returns, a crash cannot roll the state back past it. Load reports
-// ok=false on a fresh (never-saved) store.
-type Store interface {
-	Load(p sim.Proc) (st State, ok bool, err error)
-	Save(p sim.Proc, st State) error
+// Edit is what one Flush changed in the persistent state. A store applies
+// it to the state it holds, in this order:
+//   - Term and VotedFor, which are always current;
+//   - the snapshot, when Snap is set (Compact or an install replaced it),
+//     dropping every entry it covers;
+//   - the log edit, when From is nonzero: entries from index From on are
+//     cut and Entries, the log from From on, takes their place.
+//
+// The snapshot goes first because the log truncation a compaction allows
+// depends on it: a store that persists the parts separately must make the
+// snapshot durable before the log edit. Entries is the node's live log,
+// which its owner appends to and truncates once Save returns: a Store that
+// keeps it must copy it.
+type Edit struct {
+	Term     uint64
+	VotedFor int
+
+	Snap      bool
+	SnapIndex uint64
+	SnapTerm  uint64
+	Snapshot  []byte
+
+	From    uint64
+	Entries []Entry
 }
 
-// MemStore is an always-durable in-memory Store for tests.
+// Store persists consensus state. Save must be a durability barrier: when
+// it returns, a crash cannot roll the state back past it. Load reports
+// ok=false on a fresh (never-saved) store; a Node calls it before any
+// Save, and the Entries it returns become the node's log, so the store
+// must not keep them.
+type Store interface {
+	Load(p sim.Proc) (st State, ok bool, err error)
+	Save(p sim.Proc, e Edit) error
+}
+
+// apply edits st in place; its Entries must not be shared.
+func (st *State) apply(e Edit) {
+	st.Term, st.VotedFor = e.Term, e.VotedFor
+	if e.Snap {
+		st.SnapIndex, st.SnapTerm, st.Snapshot = e.SnapIndex, e.SnapTerm, e.Snapshot
+		st.Entries = dropThrough(st.Entries, e.SnapIndex)
+	}
+	if e.From != 0 {
+		keep := len(st.Entries)
+		if len(st.Entries) > 0 {
+			keep = min(max(int(e.From)-int(st.Entries[0].Index), 0), keep)
+		}
+		clear(st.Entries[keep:])
+		st.Entries = append(st.Entries[:keep], e.Entries...)
+	}
+}
+
+// dropThrough removes the entries with index <= i from the front of ents,
+// shifting the rest down so the backing array is reused and the dropped
+// payloads are released.
+func dropThrough(ents []Entry, i uint64) []Entry {
+	k := 0
+	for k < len(ents) && ents[k].Index <= i {
+		k++
+	}
+	n := copy(ents, ents[k:])
+	clear(ents[n:])
+	return ents[:n]
+}
+
+// MemStore is an always-durable in-memory Store. It holds its own copy of
+// the state and applies each Edit in place, so a save costs the entries it
+// adds, not the whole log.
 type MemStore struct {
 	st State
 	ok bool
 }
 
-// Load returns the last saved state.
-func (m *MemStore) Load(p sim.Proc) (State, bool, error) { return cloneState(m.st), m.ok, nil }
+// Load returns a copy of the saved state.
+func (m *MemStore) Load(p sim.Proc) (State, bool, error) {
+	st := m.st
+	st.Entries = append([]Entry(nil), st.Entries...)
+	return st, m.ok, nil
+}
 
-// Save retains a copy of st.
-func (m *MemStore) Save(p sim.Proc, st State) error {
-	m.st = cloneState(st)
+// Save applies e to the held state.
+func (m *MemStore) Save(p sim.Proc, e Edit) error {
+	m.st.apply(e)
 	m.ok = true
 	return nil
 }
 
-// cloneState copies the log suffix and shares the immutable snapshot.
-func cloneState(st State) State {
-	st.Entries = append([]Entry(nil), st.Entries...)
-	return st
-}
-
 // DiskStore persists State on a simulated disk with a ping-pong layout:
 // blocks 0 and 1 are alternating CRC'd headers, the rest splits into two
-// payload regions written on alternating saves. A save gob-encodes the
-// whole state, writes the payload blocks that changed since that region
-// was last written, then the header, then syncs — so a torn save (the
-// header missing or corrupt) falls back to the other region's intact
-// image, and a Save that returned can never be lost. The disk should run
-// write-back so the sync is the only barrier per save.
+// payload regions written on alternating saves. A save applies the edit to
+// the state it holds, gob-encodes that whole state, writes the payload
+// blocks that changed since that region was last written, then the header,
+// then syncs — so a torn save (the header missing or corrupt) falls back to
+// the other region's intact image, the snapshot and the log edit land
+// together, and a Save that returned can never be lost. The disk should
+// run write-back so the sync is the only barrier per save.
 type DiskStore struct {
 	d            *disk.Disk
 	bs           int
 	regionBlocks int
 	seq          uint64
+	st           State       // the state as of the last Load or Save
 	last         [2][][]byte // per-region block images as of their last save
 }
 
@@ -89,11 +147,13 @@ func NewDiskStore(d *disk.Disk) (*DiskStore, error) {
 }
 
 // Load reads both headers, validates their payloads, and returns the
-// state with the highest intact sequence number. It also resets the
-// dirty-block cache, so it must be called after every disk Restore.
+// state with the highest intact sequence number. It also resets the held
+// state and the dirty-block cache, so it must be called after every disk
+// Restore.
 func (s *DiskStore) Load(p sim.Proc) (State, bool, error) {
 	s.last = [2][][]byte{}
 	s.seq = 0
+	s.st = State{}
 	var (
 		best    State
 		bestSeq uint64
@@ -134,6 +194,8 @@ func (s *DiskStore) Load(p sim.Proc) (State, bool, error) {
 	if !found {
 		return State{}, false, nil
 	}
+	s.st = best
+	s.st.Entries = append([]Entry(nil), best.Entries...)
 	return best, true, nil
 }
 
@@ -151,13 +213,14 @@ func (s *DiskStore) readRegion(p sim.Proc, region, length int) ([]byte, error) {
 	return buf[:length], nil
 }
 
-// Save writes st to the next region and syncs. Only blocks that differ
-// from the region's previous image hit the disk, so steady-state saves
-// (an appended entry, a term bump) cost a couple of block writes plus the
-// sync barrier.
-func (s *DiskStore) Save(p sim.Proc, st State) error {
+// Save applies e, writes the whole state to the next region and syncs.
+// Only blocks that differ from the region's previous image hit the disk,
+// so steady-state saves (an appended entry, a term bump) cost a couple of
+// block writes plus the sync barrier.
+func (s *DiskStore) Save(p sim.Proc, e Edit) error {
+	s.st.apply(e)
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&s.st); err != nil {
 		return fmt.Errorf("raft: encode state: %w", err)
 	}
 	img := buf.Bytes()

@@ -72,11 +72,15 @@ func (rt *vRuntime) Go(name string, fn func(Proc)) {
 	go func() {
 		defer rt.wg.Done()
 		<-p.runCh
+		// Deferred, so a process that ends in runtime.Goexit (t.Fatal,
+		// t.SkipNow) still passes the scheduler on.
+		defer func() {
+			rt.mu.Lock()
+			rt.active = nil
+			rt.schedule()
+			rt.mu.Unlock()
+		}()
 		fn(p)
-		rt.mu.Lock()
-		rt.active = nil
-		rt.schedule()
-		rt.mu.Unlock()
 	}()
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -349,6 +350,44 @@ func TestVirtualSpawnFromProc(t *testing.T) {
 	}
 	if n.Load() != 4 {
 		t.Errorf("children run = %d, want 4", n.Load())
+	}
+}
+
+// TestGoexitReleasesScheduler: a process that ends in runtime.Goexit, as
+// t.Fatal inside a process does, still hands the scheduler on, so the
+// other processes finish and Wait returns.
+func TestGoexitReleasesScheduler(t *testing.T) {
+	rt := NewVirtual()
+	var at time.Duration
+	rt.Go("quitter", func(p Proc) {
+		p.Sleep(time.Millisecond)
+		runtime.Goexit()
+	})
+	rt.Go("sleeper", func(p Proc) {
+		p.Sleep(5 * time.Millisecond)
+		at = p.Now()
+	})
+	done := make(chan error, 1)
+	go func() { done <- rt.Wait() }()
+	// Wait returns within a few goroutine switches. A scheduler left with
+	// the exited process active never returns, so yield a bounded number
+	// of times instead of blocking the test binary on it.
+	for i := 0; ; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+			if at != 5*time.Millisecond {
+				t.Fatalf("sleeper woke at %v, want 5ms", at)
+			}
+			return
+		default:
+		}
+		if i == 1_000_000 {
+			t.Fatal("Wait did not return after a process called runtime.Goexit")
+		}
+		runtime.Gosched()
 	}
 }
 
