@@ -1,6 +1,7 @@
 // Command bridgeperf is the CI perf-regression gate: it runs the
-// quick-scale naive-read and copy experiments under the deterministic
-// virtual clock, writes their simulated-time metrics as JSON, and fails
+// quick-scale experiments (reads, writes, the copy and sort tools, scrub,
+// journal, failover, sharding) under the deterministic virtual clock,
+// writes their simulated-time metrics as JSON, and fails
 // if the batched read path loses its headline speedup or if any metric
 // regresses against a committed baseline.
 //
@@ -44,6 +45,12 @@ type Report struct {
 	WriteBlkSimMs  float64 `json:"write_blk_sim_ms"`
 	CreateSimMs    float64 `json:"create_sim_ms"`
 	DeleteTotSimMs float64 `json:"delete_total_sim_ms"`
+
+	// The sort tool (Table 4) at the same scale: its local phase, three
+	// runs of 32 / 32 / 16 records a node joined two at a time, and its
+	// three token-ring merge passes.
+	SortLocalSimMs float64 `json:"sort_local_sim_ms"`
+	SortMergeSimMs float64 `json:"sort_merge_sim_ms"`
 
 	// Integrity costs: the same batched read with every node's idle-time
 	// scrubber running, and the fraction it adds over the plain run.
@@ -124,6 +131,11 @@ func run() error {
 		return fmt.Errorf("table3: %w", err)
 	}
 	cp := copyRows[0]
+	sortRows, err := experiments.Table4Sort(cfg)
+	if err != nil {
+		return fmt.Errorf("table4: %w", err)
+	}
+	sr := sortRows[0]
 	scrub, err := experiments.ScrubOverhead(cfg)
 	if err != nil {
 		return fmt.Errorf("scrub overhead: %w", err)
@@ -165,6 +177,8 @@ func run() error {
 		WriteBlkSimMs:       simMs(pt.WritePerBlock),
 		CreateSimMs:         simMs(pt.CreateTime),
 		DeleteTotSimMs:      simMs(pt.DeleteTotal),
+		SortLocalSimMs:      simMs(sr.Local),
+		SortMergeSimMs:      simMs(sr.Merge),
 
 		BatchedReadScrubBlkSimMs: simMs(so.Scrubbed),
 		ScrubOverheadFrac:        so.Overhead(),
@@ -205,12 +219,13 @@ func run() error {
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("naive read  %8.3f ms/blk\nbatched read%8.3f ms/blk (%.1fx)\nwith scrub  %8.3f ms/blk (+%.1f%%)\nwith obs    %8.3f ms/blk (+%.1f%%)\nbatched write%7.3f ms/blk\nwith journal%8.3f ms/blk (%+.1f%%)\ncopy tool   %8.0f ms (%.0f rec/s)\nwb write    %8.3f ms/blk (%.1fx)\npar. delete %8.0f ms (%.1fx)\nRS(6,2) app %8.3f ms/blk (%.3fx storage; mirror %.3f ms/blk at 2x)\nrepl. open  %8.3f ms\nfailover    %8.0f ms outage\nmeta ops/s  %8.0f at 1 shard, %.0f at 4 shards (%.1fx)\nwrote %s\n",
+	fmt.Printf("naive read  %8.3f ms/blk\nbatched read%8.3f ms/blk (%.1fx)\nwith scrub  %8.3f ms/blk (+%.1f%%)\nwith obs    %8.3f ms/blk (+%.1f%%)\nbatched write%7.3f ms/blk\nwith journal%8.3f ms/blk (%+.1f%%)\ncopy tool   %8.0f ms (%.0f rec/s)\nsort tool   %8.0f ms local + %.0f ms merge\nwb write    %8.3f ms/blk (%.1fx)\npar. delete %8.0f ms (%.1fx)\nRS(6,2) app %8.3f ms/blk (%.3fx storage; mirror %.3f ms/blk at 2x)\nrepl. open  %8.3f ms\nfailover    %8.0f ms outage\nmeta ops/s  %8.0f at 1 shard, %.0f at 4 shards (%.1fx)\nwrote %s\n",
 		rep.NaiveReadBlkSimMs, rep.BatchedReadBlkSimMs, rep.BatchedReadSpeedup,
 		rep.BatchedReadScrubBlkSimMs, 100*rep.ScrubOverheadFrac,
 		rep.BatchedReadObsBlkSimMs, 100*rep.ObsOverheadFrac,
 		rep.BatchedWriteBlkSimMs, rep.BatchedWriteJnlBlkSimMs, 100*rep.JournalOverheadFrac,
 		rep.CopyToolSimMs, rep.CopyRecPerSec,
+		rep.SortLocalSimMs, rep.SortMergeSimMs,
 		rep.WBWriteBlkSimMs, rep.WBWriteSpeedup,
 		rep.PDeleteTotSimMs, rep.PDeleteSpeedup,
 		rep.RSAppendBlkSimMs, rep.RSStorageOverhead, rep.MirrorAppendBlkSimMs,
@@ -319,6 +334,8 @@ func run() error {
 		{"write_blk_sim_ms", rep.WriteBlkSimMs, base.WriteBlkSimMs},
 		{"create_sim_ms", rep.CreateSimMs, base.CreateSimMs},
 		{"delete_total_sim_ms", rep.DeleteTotSimMs, base.DeleteTotSimMs},
+		{"sort_local_sim_ms", rep.SortLocalSimMs, base.SortLocalSimMs},
+		{"sort_merge_sim_ms", rep.SortMergeSimMs, base.SortMergeSimMs},
 		{"batched_read_scrub_blk_sim_ms", rep.BatchedReadScrubBlkSimMs, base.BatchedReadScrubBlkSimMs},
 		{"batched_read_obs_blk_sim_ms", rep.BatchedReadObsBlkSimMs, base.BatchedReadObsBlkSimMs},
 		{"batched_write_blk_sim_ms", rep.BatchedWriteBlkSimMs, base.BatchedWriteBlkSimMs},

@@ -16,6 +16,7 @@ package model
 
 import (
 	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -178,9 +179,10 @@ func (p Params) CopyTime(records, procs int) time.Duration {
 
 // SortLocalTime predicts the local external sort phase on each node: run
 // formation (read and write every block, sort InCore at a time) and then
-// pairwise merges until one run is left, each reading and writing the blocks
-// of its two inputs and discarding them. An odd run out waits a round, so
-// the blocks moved are counted merge by merge, not as passes x blocks.
+// two-way merges of the two shortest runs until one is left, each reading and
+// writing the blocks of its two inputs and discarding them — the tool's
+// order, so the blocks moved are counted merge by merge, not as passes x
+// blocks.
 func (p Params) SortLocalTime(records, procs int) time.Duration {
 	perNode := ceilDiv(records, procs)
 	log2InCore := max(1, bits.Len(uint(p.InCore-1))) // compares per record of an in-core sort
@@ -191,31 +193,25 @@ func (p Params) SortLocalTime(records, procs int) time.Duration {
 		runs = append(runs, min(left, p.InCore))
 	}
 	for len(runs) > 1 {
-		var next []int
-		for i := 0; i+1 < len(runs); i += 2 {
-			m := runs[i] + runs[i+1]
-			total += p.readColumn(m) + p.appendColumn(m) + time.Duration(m)*p.SortCPUPerRecord +
-				p.discardColumn(runs[i]) + p.discardColumn(runs[i+1])
-			next = append(next, m)
-		}
-		if len(runs)%2 == 1 {
-			next = append(next, runs[len(runs)-1])
-		}
-		runs = next
+		slices.Sort(runs)
+		m := runs[0] + runs[1]
+		total += p.readColumn(m) + p.appendColumn(m) + time.Duration(m)*p.SortCPUPerRecord +
+			p.discardColumn(runs[0]) + p.discardColumn(runs[1])
+		runs = append(runs[2:], m)
 	}
 	return total
 }
 
 // TokenCycle is the serial cost per emitted record in the token-ring merge.
-// The holder receives the token, sends its record to a writer and the token
-// to its successor; its next record is already in core (the column reader
-// runs a track ahead), so no LFS call is on the token's path. With keys in
-// random order every second record on average comes from the other input,
-// which costs one more hop that emits nothing.
+// The holder receives the token and sends it to its successor; its record's
+// send to a writer follows, off the token's path, and its next record is
+// already in core (the column reader runs a track ahead), so no LFS call is
+// on the token's path either. With keys in random order every second record
+// on average comes from the other input, which costs one more hop that emits
+// nothing.
 func (p Params) TokenCycle() time.Duration {
-	emit := p.RecvCPU + 2*p.SendCPU + p.RemoteLatency
-	cross := p.RecvCPU + p.SendCPU + p.RemoteLatency
-	return emit + cross/2
+	hop := p.RecvCPU + p.SendCPU + p.RemoteLatency
+	return hop + hop/2
 }
 
 // WriterCycle is the per-record cost at one node of a merge group: its

@@ -56,7 +56,14 @@ func TestModelMatchesSimulatedCopy(t *testing.T) {
 }
 
 func TestModelMatchesSimulatedSort(t *testing.T) {
+	// Every column outgrows the EFS block cache, as at paper scale (at 512
+	// records a p=8 column is read back from the cache and the model's
+	// track reads overstate its local phase by 10%). Neither row's run
+	// count is a power of two — 9 runs a node at p=2, 64/64/2 at p=8 — so
+	// the local phase's merge order shows: pairing runs in order would put
+	// the model 22-24% above the simulator.
 	cfg := simCfg()
+	cfg.Records = 1040
 	rows, err := experiments.Table4Sort(cfg)
 	if err != nil {
 		t.Fatalf("Table4Sort: %v", err)
@@ -64,10 +71,9 @@ func TestModelMatchesSimulatedSort(t *testing.T) {
 	m := model.Default()
 	m.InCore = cfg.InCore
 	for _, r := range rows {
-		// Closed forms ignore queueing between the reader, the token,
-		// and the shared disk, so the tolerance is looser here.
-		within(t, fmt.Sprintf("sort local p=%d", r.P), m.SortLocalTime(cfg.Records, r.P), r.Local, 0.40)
-		within(t, fmt.Sprintf("sort merge p=%d", r.P), m.SortMergeTime(cfg.Records, r.P), r.Merge, 0.50)
+		// Within 5% at this scale, 2% at paper scale.
+		within(t, fmt.Sprintf("sort local p=%d", r.P), m.SortLocalTime(cfg.Records, r.P), r.Local, 0.10)
+		within(t, fmt.Sprintf("sort merge p=%d", r.P), m.SortMergeTime(cfg.Records, r.P), r.Merge, 0.10)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 
 // runBlocks is the length of a run: one LFS round trip, one track read, or
 // runBlocks+1 device accesses appended (block at a time: 2 per block). Lengths
-// 4 / 8 / 16 / 32 measure 10.62 / 9.66 / 9.21 / 9.01 sim ms/op on
-// tool_copy_sort; 8, one track, holds a node's LFS at most 135 ms per request,
-// so a tool cannot starve a naive client of the same node.
+// 4 / 8 / 16 / 32 measure 9.93 / 8.99 / 8.55 / 8.38 sim ms/op on
+// tool_copy_sort (seed 1988); 8, one track, holds a node's LFS at most 135 ms
+// per request, so a tool cannot starve a naive client of the same node.
 const runBlocks = 8
 
 // colReader reads one local file front to back on a stream, the address
@@ -30,8 +30,8 @@ type colReader struct {
 
 // colReadDepth is how many runs a reader keeps in flight past the one it hands
 // out: one. Without it a merge reader's token stalls behind the co-located
-// writer's run (merge phase 137 s, with it 98 s), and it costs the
-// single-process loops nothing (local sort 75.2 s, with it 74.6 s).
+// writer's run (tool_copy_sort's merge phase 142.5 s, with it 90.0 s), and
+// the single-process loops gain a little (local sort 70.9 s, with it 69.2 s).
 const colReadDepth = 1
 
 func newColReader(lc *lfs.Client, node msg.NodeID, file uint32, size int64) *colReader {
@@ -103,7 +103,8 @@ type colWriter struct {
 
 // colWriteDepth is how many runs a writer leaves in flight when put or flush
 // returns: none, so a put that fails leaves only whole earlier runs behind
-// (and a landed run's slice is the next run's).
+// (and a landed run's slice is the next run's). Depth 1, drained at the end,
+// would take 1.1 s off tool_copy_sort's 184 s.
 const colWriteDepth = 0
 
 // newColWriter writes file from its start: every tool output is a new file.

@@ -21,12 +21,14 @@ import (
 // the name (port) of the process holding that record, and the sequence
 // number of the next destination record. A process holding the token
 // compares the token's key with its least unwritten local key: if its own
-// record sorts first (or ties), it emits the record to the destination
-// writer for that sequence number and forwards the token along its own
-// ring; otherwise it sends a fresh token back to the originator.
-// Correctness rests on the invariant the paper states: the token is never
-// passed twice in a row without a record being written, and records are
-// written in nondecreasing key order.
+// record sorts first (or ties), it forwards the token along its own ring
+// and then emits the record to the destination writer for that sequence
+// number — the record's send is off the token's serial path; otherwise it
+// sends a fresh token back to the originator. Correctness rests on the
+// paper's invariant, restated for that order: every token hop that writes is
+// followed by its holder emitting that record before it receives again — so
+// each sequence number is emitted once, in nondecreasing key order. Writers
+// reorder by sequence number, since a record may arrive after its successors.
 
 // Messages of the merge protocol.
 type (
@@ -246,8 +248,8 @@ func (g *mergeGroup) runReader(p sim.Proc, network *msg.Network, node msg.NodeID
 					finishAll(tok.Seq)
 					return nil
 				}
-				emit(tok.Seq)
 				send(g.ringNext(i), mergeToken{End: true, Seq: tok.Seq + 1, Orig: tok.Orig})
+				emit(tok.Seq)
 				if err := readNext(); err != nil {
 					return err
 				}
@@ -259,8 +261,8 @@ func (g *mergeGroup) runReader(p sim.Proc, network *msg.Network, node msg.NodeID
 					continue
 				}
 				if bytes.Compare(key, tok.Key) <= 0 {
-					emit(tok.Seq)
 					send(g.ringNext(i), mergeToken{Key: tok.Key, Orig: tok.Orig, Seq: tok.Seq + 1})
+					emit(tok.Seq)
 					if err := readNext(); err != nil {
 						return err
 					}

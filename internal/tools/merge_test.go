@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"bridge/internal/core"
 	"bridge/internal/disk"
@@ -83,6 +84,14 @@ func readColumns(proc sim.Proc, network *msg.Network, nodes []msg.NodeID, fileID
 // runOneMerge executes a single merge group over fresh LFS columns.
 func runOneMerge(t *testing.T, tWidth int, keysA, keysB []uint64) [][]byte {
 	t.Helper()
+	merged, _ := runTimedMerge(t, tWidth, keysA, keysB)
+	return merged
+}
+
+// runTimedMerge is runOneMerge that also returns how long the merge took,
+// from its Start token until every reader and writer is done.
+func runTimedMerge(t *testing.T, tWidth int, keysA, keysB []uint64) ([][]byte, time.Duration) {
+	t.Helper()
 	rt := sim.NewVirtual()
 	cl, err := core.StartCluster(rt, core.ClusterConfig{
 		P:    tWidth,
@@ -93,6 +102,7 @@ func runOneMerge(t *testing.T, tWidth int, keysA, keysB []uint64) [][]byte {
 	}
 	var merged [][]byte
 	var mergeErr error
+	var took time.Duration
 	rt.Go("merge-driver", func(proc sim.Proc) {
 		defer cl.Stop()
 		nodes := cl.NodeIDs()
@@ -114,6 +124,7 @@ func runOneMerge(t *testing.T, tWidth int, keysA, keysB []uint64) [][]byte {
 		}
 		seq := toolSeq.Add(1)
 		g := newMergeGroup(cl.Net, seq, 1, 0, nodes, inID, outID, mergeTestKeyBytes)
+		start := proc.Now()
 		g.start(proc, cl.Net)
 		join := rt.NewQueue("merge-join")
 		for i := 0; i < tWidth; i++ {
@@ -136,6 +147,7 @@ func runOneMerge(t *testing.T, tWidth int, keysA, keysB []uint64) [][]byte {
 				mergeErr = err
 			}
 		}
+		took = proc.Now() - start
 		g.close()
 		if mergeErr != nil {
 			return
@@ -148,7 +160,7 @@ func runOneMerge(t *testing.T, tWidth int, keysA, keysB []uint64) [][]byte {
 	if mergeErr != nil {
 		t.Fatalf("merge: %v", mergeErr)
 	}
-	return merged
+	return merged, took
 }
 
 // verifyMerge checks sortedness and multiset preservation.
@@ -212,6 +224,30 @@ func TestMergeDisjointRanges(t *testing.T) {
 	hi := []uint64{100, 200, 300}
 	verifyMerge(t, runOneMerge(t, 4, lo, hi), lo, hi)
 	verifyMerge(t, runOneMerge(t, 4, hi, lo), hi, lo)
+}
+
+func TestMergeTokenLeavesBeforeItsRecord(t *testing.T) {
+	// All of A sorts before all of B and the disks take no time, so the
+	// token binds: every record costs it exactly one hop along its ring —
+	// the holder's receive and send and the transfer. The record's own send
+	// to its writer follows the token's, off that path; a holder that
+	// shipped the record first would add a SendCPU to every hop (≈2.9 ms a
+	// record against ≈2.1 ms).
+	const tWidth, perInput = 8, 256
+	lo, hi := make([]uint64, perInput), make([]uint64, perInput)
+	for i := range lo {
+		lo[i], hi[i] = uint64(i), uint64(perInput+i)
+	}
+	merged, took := runTimedMerge(t, tWidth, lo, hi)
+	verifyMerge(t, merged, lo, hi)
+	cfg := msg.DefaultConfig() // the cluster's cost model
+	tok := mergeToken{Key: make([]byte, mergeTestKeyBytes)}
+	hop := cfg.RemoteLatency + time.Duration(int64(mergeWireSize(tok)+cfg.HeaderBytes)*int64(time.Second)/cfg.BytesPerSec)
+	perRecord := cfg.RecvCPU + cfg.SendCPU + hop
+	if bound := time.Duration(1.05 * float64(len(merged)) * float64(perRecord)); took > bound {
+		t.Errorf("merging %d records took %v (%v a record), want at most %v: one hop of %v a record",
+			len(merged), took, took/time.Duration(len(merged)), bound, perRecord)
+	}
 }
 
 func TestQuickMergeRandomInputs(t *testing.T) {

@@ -2,7 +2,9 @@ package tools
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -234,7 +236,7 @@ func localSortWorker(ctx *WorkerCtx, src core.Meta, outFile uint32, createOut bo
 	}()
 
 	// Run formation: read up to InCore records, sort in core, write out.
-	var runs []uint32
+	var runs []sortRun
 	rd := newColReader(ctx.LFS, ctx.Node, src.LFSFileID, l)
 	defer rd.stop()
 	for start := int64(0); start < l; start += int64(opts.InCore) {
@@ -254,7 +256,7 @@ func localSortWorker(ctx *WorkerCtx, src core.Meta, outFile uint32, createOut bo
 			return 0, err
 		}
 		if target != outFile {
-			runs = append(runs, target)
+			runs = append(runs, sortRun{target, int64(len(batch))})
 		}
 		wr := newColWriter(ctx.LFS, ctx.Node, target)
 		for _, r := range batch {
@@ -266,34 +268,43 @@ func localSortWorker(ctx *WorkerCtx, src core.Meta, outFile uint32, createOut bo
 			return 0, fmt.Errorf("local sort: writing run: %w", err)
 		}
 	}
-	// Merge runs pairwise until one remains; the final merge writes the
-	// output file directly. (Two or more runs always end in a merge of
-	// exactly two, so no single run is ever left to move.)
+	// Merge the two shortest runs until one remains, ties to the older (its
+	// id is the lower) — the optimal order of two-way merges, which moves
+	// each block as few times as any can; the final merge writes the output
+	// file directly. (Two or more runs always end in a merge of exactly two,
+	// so no single run is ever left to move.)
 	for len(runs) > 1 {
-		var next []uint32
-		for i := 0; i+1 < len(runs); i += 2 {
-			target, err := newRun(len(runs) == 2)
-			if err != nil {
-				return 0, err
-			}
-			if err := localMerge2(ctx, runs[i], runs[i+1], target, opts); err != nil {
-				return 0, err
-			}
-			for _, in := range runs[i : i+2] {
-				if _, err := ctx.LFS.Delete(ctx.Node, in, l, true); err != nil {
-					return 0, fmt.Errorf("local sort: discarding run: %w", err)
-				}
-			}
-			if target != outFile {
-				next = append(next, target)
+		slices.SortFunc(runs, func(x, y sortRun) int {
+			return cmp.Or(cmp.Compare(x.blocks, y.blocks), cmp.Compare(x.file, y.file))
+		})
+		a, b := runs[0], runs[1]
+		if b.file < a.file {
+			a, b = b, a // the older run goes first
+		}
+		target, err := newRun(len(runs) == 2)
+		if err != nil {
+			return 0, err
+		}
+		if err := localMerge2(ctx, a.file, b.file, target, opts); err != nil {
+			return 0, err
+		}
+		for _, in := range [2]uint32{a.file, b.file} {
+			if _, err := ctx.LFS.Delete(ctx.Node, in, l, true); err != nil {
+				return 0, fmt.Errorf("local sort: discarding run: %w", err)
 			}
 		}
-		if len(runs)%2 == 1 {
-			next = append(next, runs[len(runs)-1])
+		runs = runs[2:]
+		if target != outFile {
+			runs = append(runs, sortRun{target, a.blocks + b.blocks})
 		}
-		runs = next
 	}
 	return l, nil
+}
+
+// sortRun is one sorted run file of a local sort and its length in blocks.
+type sortRun struct {
+	file   uint32
+	blocks int64
 }
 
 type rawRecord struct {

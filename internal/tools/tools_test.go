@@ -3,6 +3,7 @@ package tools
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -443,5 +444,52 @@ func TestSortTimingPhases(t *testing.T) {
 			t.Errorf("PassTimes = %d entries, want 2", len(st.PassTimes))
 		}
 		checkSorted(t, p, c, "sorted", recs, 8)
+	})
+}
+
+func TestLocalMergeJoinsShortestRuns(t *testing.T) {
+	// 35 records in core 8 at a time: runs of 8, 8, 8, 8 and 3. Joining the
+	// two shortest each time writes runs of 11, 16, 19 and the 35-block
+	// column; pairing in order, the odd run out waiting a round, would write
+	// 16, 16, 32 and 35.
+	const n, inCore = 35, 8
+	runs := []int{8, 8, 8, 8, 3}
+	// A file appended from empty in runs costs a device write per block
+	// and one per run after the first, for the old tail's link.
+	appendWrites := func(blocks int) int64 { return int64(blocks + (blocks+runBlocks-1)/runBlocks - 1) }
+	var want int64
+	for _, r := range runs {
+		want += appendWrites(r)
+	}
+	for len(runs) > 1 {
+		slices.Sort(runs)
+		m := runs[0] + runs[1]
+		want += appendWrites(m)
+		runs = append(runs[2:], m)
+	}
+	withCluster(t, fastCfg(1), func(p sim.Proc, cl *core.Cluster, c *core.Client) {
+		if err := workload.Fill(p, c, "src", workload.Records(15, n, 64)); err != nil {
+			t.Error(err)
+			return
+		}
+		meta, err := openMeta(c, "src")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		stats := cl.Nodes[0].FS().Disk().Stats()
+		before := stats.Get("disk.writes")
+		_, err = RunOnNodes(p, cl.Net, meta.Nodes, "sortlocal", func(ctx *WorkerCtx) (any, error) {
+			opts := SortOptions{InCore: inCore}
+			opts.applyDefaults()
+			return localSortWorker(ctx, meta, lfs.ScratchBase+1, true, toolSeq.Add(1), opts)
+		})
+		if err != nil {
+			t.Errorf("local sort: %v", err)
+			return
+		}
+		if got := stats.Get("disk.writes") - before; got != want {
+			t.Errorf("local sort of runs 8/8/8/8/3 made %d device writes, want %d (shortest runs first)", got, want)
+		}
 	})
 }
