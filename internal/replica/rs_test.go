@@ -156,9 +156,9 @@ func TestRSThreeErasuresFail(t *testing.T) {
 	})
 }
 
-// A degraded append (parity node down) keeps the data durable, marks the
-// stripe stale, and Rebuild restores full redundancy after the node
-// returns.
+// An append with a parity node down diverts that column's cell to an
+// overflow file, so the stripe keeps every cell; Rebuild folds the overflow
+// back after the node returns.
 func TestRSDegradedWriteThenRebuild(t *testing.T) {
 	withRobustCluster(t, 5, func(proc sim.Proc, cl *core.Cluster, c *core.Client) {
 		rs, err := CreateRS(proc, c, "f", RSOptions{K: 3, M: 2})
@@ -172,13 +172,12 @@ func TestRSDegradedWriteThenRebuild(t *testing.T) {
 				return
 			}
 		}
-		// Parity node rs1 (cluster index 4) dies; appends degrade but land.
+		// Parity node rs1 (cluster index 4) dies; appends divert and land.
 		cl.FailNode(4)
 		detect(proc)
 		for i := 6; i < 9; i++ {
-			err := rs.Append(fullPayload(i))
-			if !errors.Is(err, ErrDegradedWrite) {
-				t.Errorf("Append %d with parity node dead = %v; want ErrDegradedWrite", i, err)
+			if err := rs.Append(fullPayload(i)); err != nil {
+				t.Errorf("Append %d with parity node dead = %v; want nil", i, err)
 				return
 			}
 		}
@@ -186,10 +185,17 @@ func TestRSDegradedWriteThenRebuild(t *testing.T) {
 			t.Error("file not marked degraded")
 			return
 		}
-		// All data still reads (directly — the data nodes are healthy).
+		// All data still reads (directly — the data nodes are healthy), and
+		// the stripe written degraded still decodes from its cells.
 		for i := int64(0); i < 9; i++ {
 			if data, err := rs.Read(i); err != nil || !bytes.Equal(data, fullPayload(int(i))) {
 				t.Errorf("degraded Read %d: %v", i, err)
+				return
+			}
+		}
+		for i := int64(6); i < 9; i++ {
+			if data, err := rs.Reconstruct(i); err != nil || !bytes.Equal(data, fullPayload(int(i))) {
+				t.Errorf("Reconstruct %d of the diverted stripe: %v", i, err)
 				return
 			}
 		}
