@@ -1,7 +1,7 @@
 // Bridgevet machine-checks the sim determinism contract (see DESIGN.md,
 // "Determinism contract & static enforcement"). It runs ten analyzers —
 // simdeterminism, maporder, rawgoroutine, lockedblock, errcmp, obsexport,
-// spanend, journalorder, protocolshape, syncerr — over Go packages and
+// spanend, journalorder, syncerr, untimedwait — over Go packages and
 // reports every violation.
 //
 // It speaks three protocols:

@@ -10,7 +10,6 @@ import (
 	"bridge/internal/analysis/lockedblock"
 	"bridge/internal/analysis/maporder"
 	"bridge/internal/analysis/obsexport"
-	"bridge/internal/analysis/protocolshape"
 	"bridge/internal/analysis/rawgoroutine"
 	"bridge/internal/analysis/simdeterminism"
 	"bridge/internal/analysis/spanend"
@@ -29,7 +28,6 @@ func All() []*analysis.Analyzer {
 		obsexport.Analyzer,
 		spanend.Analyzer,
 		journalorder.Analyzer,
-		protocolshape.Analyzer,
 		syncerr.Analyzer,
 		untimedwait.Analyzer,
 	}

@@ -16,7 +16,7 @@ func TestDirectiveFixture(t *testing.T) {
 
 func TestNames(t *testing.T) {
 	want := []string{"simdeterminism", "maporder", "rawgoroutine", "lockedblock", "errcmp", "obsexport",
-		"spanend", "journalorder", "protocolshape", "syncerr", "untimedwait"}
+		"spanend", "journalorder", "syncerr", "untimedwait"}
 	got := suite.Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)

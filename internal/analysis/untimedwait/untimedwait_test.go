@@ -5,7 +5,6 @@ import (
 
 	"bridge/internal/analysis"
 	"bridge/internal/analysis/analysistest"
-	"bridge/internal/analysis/protocolshape"
 	"bridge/internal/analysis/untimedwait"
 )
 
@@ -15,10 +14,6 @@ func TestUntimedWait(t *testing.T) {
 		"untimedwait_clean",    // lfs.Client's Await, Start, Discard, another type's Await and Poll
 		"bridge/internal/msg",  // the message layer waits on its own client
 		"bridge/internal/core", // the server's client outside and inside lfscall.go, and a Poll
+		"bridge/internal/lfs",  // the file that holds the rule, and the stream's, which polls
 	)
-	// So do the file that holds the rule and the stream's, which polls. The
-	// lfs fixture is protocolshape's too, and its wants are protocolshape's
-	// findings.
-	analysistest.Run(t, "../testdata", []*analysis.Analyzer{untimedwait.Analyzer, protocolshape.Analyzer},
-		"bridge/internal/lfs")
 }

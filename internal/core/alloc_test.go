@@ -174,3 +174,40 @@ func TestAllocsStream(t *testing.T) {
 		}
 	})
 }
+
+// TestAllocsCommandTable guards what reading the command table costs a
+// request: finding its entry, its span name, its price, the name it routes
+// by and its operation id allocate nothing, and a reply built from the table
+// that carries only a status boxes like a hand-written one.
+func TestAllocsCommandTable(t *testing.T) {
+	var req any = SeqWriteReq{Name: "f", Data: payload(1), OpID: 3}
+	var resp any = SeqReadResp{Data: payload(1)}
+	create := commands.Of(CreateReq{})
+	c := commands.Of(req)
+	var name string
+	var n int
+	var op uint64
+	for _, tc := range []struct {
+		name string
+		run  func()
+		want float64
+	}{
+		{"entry", func() { c = commands.Of(req) }, 0},
+		{"name", func() { name = commands.Of(req).Name }, 0},
+		{"request price", func() { n = WireSize(req) }, 0},
+		{"reply price", func() { n = WireSize(resp) }, 0},
+		{"route", func() { name, _ = c.Route(req) }, 0},
+		{"op id", func() { op = c.OpID(req) }, 0},
+		// Like the literals of TestAllocsBoxedReplies: an acknowledgement
+		// fits the interface word, a reply with a payload is one object.
+		{"status-only SeqWriteResp", func() { boxed = c.Status(statusFor(noErr)) }, 0},
+		{"status-only CreateResp", func() { boxed = create.Status(statusFor(noErr)) }, 1},
+	} {
+		if got := testing.AllocsPerRun(100, tc.run); got != tc.want {
+			t.Errorf("%s allocates %v objects, want %v", tc.name, got, tc.want)
+		}
+	}
+	if _, ok := c.Status(msg.Status{}).(SeqWriteResp); !ok || name != "f" || n != 16+len(payload(1)) || op != 3 {
+		t.Errorf("the table answered %q, %d, %d", name, n, op)
+	}
+}

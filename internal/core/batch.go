@@ -94,7 +94,7 @@ func (s *Server) startRun(st *vecStream, ent *dirent, run vecRun, start int64, p
 		s.nextLFSOp++
 		body = lfs.WriteVecReq{FileID: ent.meta.LFSFileID, Blocks: vw, Hint: ent.hintFor(run.node), OpID: s.nextLFSOp}
 	}
-	c, err := s.lfsStart(run.node, lfs.PortName, body, lfs.WireSize(body))
+	c, err := s.lfsStart(run.node, lfs.PortName, body)
 	return st.Start(vecCall{lfsPend: c, run: run}, err)
 }
 

@@ -129,49 +129,6 @@ func (c *Client) serverFor(name string) msg.Addr {
 	return c.groups[g][c.leaders[g]]
 }
 
-// nameOf extracts the routing name from a request body; bodies without a
-// name (GetInfo) go to the first server.
-func nameOf(body any) (string, bool) {
-	switch b := body.(type) {
-	case CreateReq:
-		return b.Name, true
-	case DeleteReq:
-		return b.Name, true
-	case RenameReq:
-		return b.Name, true
-	case OpenReq:
-		return b.Name, true
-	case StatReq:
-		return b.Name, true
-	case ReleaseReq:
-		return b.Name, true
-	case SeqReadReq:
-		return b.Name, true
-	case SeqReadNReq:
-		return b.Name, true
-	case SeqWriteReq:
-		return b.Name, true
-	case RandReadReq:
-		return b.Name, true
-	case RandReadNReq:
-		return b.Name, true
-	case RandWriteReq:
-		return b.Name, true
-	case RandWriteNReq:
-		return b.Name, true
-	case ScatterReq:
-		// Scatter sends one request per shard, so any item names it.
-		if len(b.Items) == 0 {
-			return "", false
-		}
-		return b.Items[0].Name, true
-	case ParallelOpenReq:
-		return b.Name, true
-	default:
-		return "", false
-	}
-}
-
 // SetTimeout changes the per-call timeout (0 disables).
 func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
 
@@ -211,30 +168,39 @@ func (c *Client) Msg() *msg.Client { return c.mc }
 // Close releases the client's reply port.
 func (c *Client) Close() { c.mc.Close() }
 
+// call sends a request to the server its command routes it to: the home of
+// the name it carries, or the first server.
 func (c *Client) call(body any) (*msg.Message, error) {
-	to := c.first()
-	if name, ok := nameOf(body); ok {
+	cmd, to := commands.Of(body), c.first()
+	if name, ok := cmd.Route(body); ok {
 		to = c.serverFor(name)
 	}
-	return c.callAt(to, body)
+	return c.send(to, cmd, body)
 }
 
 // callAt targets a specific server (used for job requests, which must go
-// to the server that owns the job). With a retry policy installed, calls
-// that time out are retransmitted with the same body — and so the same
-// OpID — under capped exponential backoff. In replicated mode the target
-// pins the shard group (and seeds its leader guess); the redirect loop
-// still hunts within the group, since the named replica may not lead.
+// to the server that owns the job).
+func (c *Client) callAt(to msg.Addr, body any) (*msg.Message, error) {
+	return c.send(to, commands.Of(body), body)
+}
+
+// send is every call's end: the request goes to the given server. With a
+// retry policy installed, calls that time out are retransmitted with the
+// same body — and so the same OpID — under capped exponential backoff. In
+// replicated mode the target pins the shard group (and seeds its leader
+// guess); the redirect loop still hunts within the group, since the named
+// replica may not lead.
 //
-// When the network has a recorder, every callAt opens a fresh trace whose
+// When the network has a recorder, every call opens a fresh trace whose
 // root span is the client operation; the server, LFS, and disk layers hang
 // their spans off it via the context stamped on the outgoing messages.
-func (c *Client) callAt(to msg.Addr, body any) (*msg.Message, error) {
+func (c *Client) send(to msg.Addr, cmd *command, body any) (*msg.Message, error) {
+	size := cmd.Size(body)
 	rec := c.mc.Net().Recorder()
 	var sp obs.SpanRef
 	if rec != nil {
 		tr := rec.NewTrace()
-		sp = rec.Start(c.mc.Proc().Now(), tr, 0, "client."+opName(body), int(c.mc.Node()))
+		sp = rec.Start(c.mc.Proc().Now(), tr, 0, "client."+cmd.Name, int(c.mc.Node()))
 		c.mc.SetTrace(tr, sp.ID())
 		defer c.mc.SetTrace(0, 0)
 	}
@@ -246,15 +212,15 @@ func (c *Client) callAt(to msg.Addr, body any) (*msg.Message, error) {
 			shard = ix.shard
 			c.leaders[shard] = ix.index
 		}
-		m, err = c.callRedirect(shard, body, sp)
+		m, err = c.callRedirect(shard, body, size, sp)
 	} else {
-		m, err = c.callOnce(to, body)
+		m, err = c.callOnce(to, body, size)
 		if c.retry != nil {
 			for retry := 1; retry < c.retry.p.Attempts && errors.Is(err, msg.ErrTimeout); retry++ {
 				c.mc.Proc().Sleep(c.retry.backoff(retry))
 				c.retries.Add(1)
 				sp.Annotate(fmt.Sprintf("retry %d", retry))
-				m, err = c.callOnce(to, body)
+				m, err = c.callOnce(to, body, size)
 			}
 		}
 	}
@@ -282,7 +248,7 @@ const redirectBackoff = 20 * time.Millisecond
 // routing to the others. Mutating requests carry OpIDs, so a retry whose
 // original was executed replays the recorded reply instead of running
 // twice.
-func (c *Client) callRedirect(shard int, body any, sp obs.SpanRef) (*msg.Message, error) {
+func (c *Client) callRedirect(shard int, body any, size int, sp obs.SpanRef) (*msg.Message, error) {
 	group := c.groups[shard]
 	attempts := 6 * len(group)
 	var m *msg.Message
@@ -293,7 +259,7 @@ func (c *Client) callRedirect(shard int, body any, sp obs.SpanRef) (*msg.Message
 			c.retries.Add(1)
 			sp.Annotate(fmt.Sprintf("redirect %d to shard %d replica %d", attempt, shard, c.leaders[shard]))
 		}
-		m, err = c.callOnce(group[c.leaders[shard]], body)
+		m, err = c.callOnce(group[c.leaders[shard]], body, size)
 		if errors.Is(err, msg.ErrTimeout) {
 			c.leaders[shard] = (c.leaders[shard] + 1) % len(group)
 			continue
@@ -340,11 +306,11 @@ func parseLeaderHint(s string) (int, bool) {
 	return n, found
 }
 
-func (c *Client) callOnce(to msg.Addr, body any) (*msg.Message, error) {
+func (c *Client) callOnce(to msg.Addr, body any, size int) (*msg.Message, error) {
 	if c.timeout > 0 {
-		return c.mc.CallTimeout(to, body, WireSize(body), c.timeout) //bridgevet:allow untimedwait — the client protocol, not a storage node
+		return c.mc.CallTimeout(to, body, size, c.timeout) //bridgevet:allow untimedwait — the client protocol, not a storage node
 	}
-	return c.mc.Call(to, body, WireSize(body)) //bridgevet:allow untimedwait — the client protocol, not a storage node
+	return c.mc.Call(to, body, size) //bridgevet:allow untimedwait — the client protocol, not a storage node
 }
 
 // Create creates an interleaved file across all nodes with round-robin

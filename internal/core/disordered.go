@@ -34,7 +34,7 @@ func scatterNode(fileID uint32, blockNum int64, p int) int {
 // single-block read's halves, aimed by the chain instead of a layout.
 func (s *Server) lfsReadLoc(p sim.Proc, ent *dirent, node msg.NodeID, local uint32) (BlockHeader, []byte, error) {
 	req := lfs.ReadReq{FileID: ent.meta.LFSFileID, BlockNum: local, Hint: ent.hintFor(node)}
-	c, err := s.lfsStart(node, lfs.PortName, req, lfs.WireSize(req))
+	c, err := s.lfsStart(node, lfs.PortName, req)
 	if err != nil {
 		return BlockHeader{}, nil, err
 	}
@@ -44,7 +44,7 @@ func (s *Server) lfsReadLoc(p sim.Proc, ent *dirent, node msg.NodeID, local uint
 // lfsWriteLoc writes a raw block at an explicit (node, local) location.
 func (s *Server) lfsWriteLoc(p sim.Proc, ent *dirent, node msg.NodeID, local uint32, data []byte) error {
 	req := lfs.WriteReq{FileID: ent.meta.LFSFileID, BlockNum: local, Data: data, Hint: ent.hintFor(node)}
-	c, err := s.lfsStart(node, lfs.PortName, req, lfs.WireSize(req))
+	c, err := s.lfsStart(node, lfs.PortName, req)
 	if err != nil {
 		return err
 	}

@@ -21,7 +21,7 @@ type Job struct {
 // ParallelOpen groups the given worker addresses into a job on the file.
 func (c *Client) ParallelOpen(name string, workers []msg.Addr) (*Job, error) {
 	srv := c.serverFor(name)
-	r, err := reply[ParallelOpenResp](c.callAt(srv, ParallelOpenReq{Name: name, Workers: workers}))
+	r, err := reply[ParallelOpenResp](c.callAt(srv, ParallelOpenReq{Name: name, Workers: workers, OpID: c.opID()}))
 	if err != nil {
 		return nil, err
 	}
@@ -35,19 +35,19 @@ func (j *Job) Workers() int { return j.t }
 // parallelism as the interleaving allows. It returns how many blocks went
 // out and whether the file is exhausted.
 func (j *Job) Read() (delivered int, eof bool, err error) {
-	r, err := reply[ParallelReadResp](j.c.callAt(j.srv, ParallelReadReq{JobID: j.ID}))
+	r, err := reply[ParallelReadResp](j.c.callAt(j.srv, ParallelReadReq{JobID: j.ID, OpID: j.c.opID()}))
 	return r.Delivered, r.EOF, err
 }
 
 // Write appends up to t blocks, one received from each worker in parallel.
 func (j *Job) Write() (written int, err error) {
-	r, err := reply[ParallelWriteResp](j.c.callAt(j.srv, ParallelWriteReq{JobID: j.ID}))
+	r, err := reply[ParallelWriteResp](j.c.callAt(j.srv, ParallelWriteReq{JobID: j.ID, OpID: j.c.opID()}))
 	return r.Written, err
 }
 
 // Close releases the job state at the server.
 func (j *Job) Close() error {
-	_, err := reply[CloseJobResp](j.c.callAt(j.srv, CloseJobReq{JobID: j.ID}))
+	_, err := reply[CloseJobResp](j.c.callAt(j.srv, CloseJobReq{JobID: j.ID, OpID: j.c.opID()}))
 	return err
 }
 
@@ -102,7 +102,5 @@ func (w *JobWorker) Supply(p sim.Proc, payload []byte, eof bool) error {
 		return fmt.Errorf("%w: expected poke, got %T", ErrBadArg, m.Body)
 	}
 	wb := WorkerBlock{JobID: poke.JobID, Seq: poke.Seq, Data: payload, EOF: eof}
-	return w.net.Send(p, w.node, m.From, &msg.Message{
-		From: w.port.Addr(), Body: wb, Size: WireSize(wb),
-	})
+	return w.net.Send(p, w.node, m.From, oneWayMsg(w.port.Addr(), wb))
 }

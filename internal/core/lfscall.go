@@ -20,7 +20,6 @@ type lfsPend struct {
 	lfs.Call
 	port string
 	body any
-	size int
 }
 
 // down is the health fast-fail: ErrNodeDown for a node the monitor has
@@ -44,12 +43,12 @@ func (s *Server) anyDown(nodes []msg.NodeID) error {
 
 // lfsStart sends the request to the node's port (lfs.PortName, or the agent's
 // for a tree initiation) without waiting for its reply.
-func (s *Server) lfsStart(node msg.NodeID, port string, body any, size int) (lfsPend, error) {
-	c, err := s.lc.Start(msg.Addr{Node: node, Port: port}, body, size)
+func (s *Server) lfsStart(node msg.NodeID, port string, body any) (lfsPend, error) {
+	c, err := s.lc.Start(msg.Addr{Node: node, Port: port}, body)
 	if err != nil {
 		return lfsPend{}, lfsErr(err)
 	}
-	return lfsPend{Call: c, port: port, body: body, size: size}, nil
+	return lfsPend{Call: c, port: port, body: body}, nil
 }
 
 // lfsFinish collects a started call's reply, retransmitting timeouts under
@@ -63,7 +62,7 @@ func (s *Server) lfsFinish(p sim.Proc, c lfsPend) (*msg.Message, error) {
 			p.Sleep(s.retry.backoff(retry))
 			s.m.lfsRetries.Add(1)
 			s.curSpan.Annotate(fmt.Sprintf("lfs retry %d n%d", retry, c.Node))
-			if c, err = s.lfsStart(c.Node, c.port, c.body, c.size); err != nil {
+			if c, err = s.lfsStart(c.Node, c.port, c.body); err != nil {
 				return nil, err
 			}
 			m, err = s.lc.Await(c.Call)
@@ -76,8 +75,8 @@ func (s *Server) lfsFinish(p sim.Proc, c lfsPend) (*msg.Message, error) {
 }
 
 // lfsCall is a start on the node's LFS port and its finish back to back.
-func (s *Server) lfsCall(p sim.Proc, node msg.NodeID, body any, size int) (*msg.Message, error) {
-	c, err := s.lfsStart(node, lfs.PortName, body, size)
+func (s *Server) lfsCall(p sim.Proc, node msg.NodeID, body any) (*msg.Message, error) {
+	c, err := s.lfsStart(node, lfs.PortName, body)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +86,7 @@ func (s *Server) lfsCall(p sim.Proc, node msg.NodeID, body any, size int) (*msg.
 // lfsCallAs is lfsCall for a reply of kind T: the call's failure as lfsErr,
 // else the reply with its status as an error (lfs.Reply).
 func lfsCallAs[T msg.Reply](s *Server, p sim.Proc, node msg.NodeID, body any) (T, error) {
-	m, err := s.lfsCall(p, node, body, lfs.WireSize(body))
+	m, err := s.lfsCall(p, node, body)
 	if err != nil {
 		var zero T
 		return zero, lfsErr(err)
@@ -126,7 +125,7 @@ type fanCall struct {
 // ends it, the rest discarded. bestEffort (delete, which must free what it
 // can reach) instead leaves out what cannot start, collects every reply that
 // comes and reports the first failure.
-func (s *Server) lfsFanout(p sim.Proc, nodes []msg.NodeID, body any, size int, bestEffort bool) ([]fanCall, error) {
+func (s *Server) lfsFanout(p sim.Proc, nodes []msg.NodeID, body any, bestEffort bool) ([]fanCall, error) {
 	if !bestEffort {
 		if err := s.anyDown(nodes); err != nil {
 			return nil, err
@@ -135,7 +134,7 @@ func (s *Server) lfsFanout(p sim.Proc, nodes []msg.NodeID, body any, size int, b
 	var firstErr error
 	calls := s.fan[:0]
 	for _, n := range nodes {
-		c, err := s.lfsStart(n, lfs.PortName, body, size)
+		c, err := s.lfsStart(n, lfs.PortName, body)
 		if err == nil {
 			calls = append(calls, fanCall{lfsPend: c})
 		} else if firstErr == nil {

@@ -459,10 +459,13 @@ type (
 	}
 
 	// ParallelOpenReq groups the calling process (the job controller)
-	// and its workers into a job.
+	// and its workers into a job. Every job command carries an OpID: each
+	// changes the server's job state, so a retransmission must get the
+	// first reply back, not open, move or close again.
 	ParallelOpenReq struct {
 		Name    string
 		Workers []msg.Addr
+		OpID    uint64
 	}
 	// ParallelOpenResp returns the job id.
 	ParallelOpenResp struct {
@@ -472,7 +475,7 @@ type (
 	}
 
 	// ParallelReadReq transfers the next t blocks, one to each worker.
-	ParallelReadReq struct{ JobID uint64 }
+	ParallelReadReq struct{ JobID, OpID uint64 }
 	// ParallelReadResp tells the controller how many blocks went out.
 	ParallelReadResp struct {
 		Delivered int
@@ -481,7 +484,7 @@ type (
 	}
 
 	// ParallelWriteReq appends t blocks, one received from each worker.
-	ParallelWriteReq struct{ JobID uint64 }
+	ParallelWriteReq struct{ JobID, OpID uint64 }
 	// ParallelWriteResp acknowledges the round.
 	ParallelWriteResp struct {
 		Written int
@@ -490,7 +493,7 @@ type (
 
 	// CloseJobReq discards job state (the only stateful part of the
 	// interface, so jobs do get an explicit end).
-	CloseJobReq struct{ JobID uint64 }
+	CloseJobReq struct{ JobID, OpID uint64 }
 	// CloseJobResp acknowledges a CloseJobReq.
 	CloseJobResp struct{ msg.Status }
 
@@ -592,93 +595,3 @@ type (
 		EOF   bool // worker has no more data
 	}
 )
-
-// WireSize estimates on-wire payload sizes for the bandwidth model.
-func WireSize(body any) int {
-	switch b := body.(type) {
-	case SeqReadResp:
-		return 16 + len(b.Data)
-	case RandReadResp:
-		return 16 + len(b.Data)
-	case SeqWriteReq:
-		return 16 + len(b.Name) + len(b.Data)
-	case RandWriteReq:
-		return 24 + len(b.Name) + len(b.Data)
-	case SeqReadNReq:
-		return 24 + len(b.Name)
-	case SeqReadNResp:
-		n := 16
-		for _, blk := range b.Blocks {
-			n += 8 + len(blk)
-		}
-		return n
-	case RandReadNReq:
-		return 32 + len(b.Name)
-	case RandReadNResp:
-		n := 16
-		for _, blk := range b.Blocks {
-			n += 8 + len(blk)
-		}
-		return n
-	case RandWriteNReq:
-		n := 32 + len(b.Name)
-		for _, blk := range b.Blocks {
-			n += 8 + len(blk)
-		}
-		return n
-	case RandWriteNResp:
-		return 16
-	case ScatterReq:
-		n := 16
-		for i := range b.Items {
-			n += 24 + len(b.Items[i].Name) + len(b.Items[i].Data)
-		}
-		return n
-	case ScatterResp:
-		n := 16
-		for i := range b.Results {
-			n += 8 + len(b.Results[i].Data) + len(b.Results[i].Detail())
-		}
-		return n
-	case WorkerData:
-		return 24 + len(b.Data)
-	case WorkerBlock:
-		return 24 + len(b.Data)
-	case CreateReq:
-		return 40 + len(b.Name)
-	case CreateResp:
-		return 64
-	case OpenReq:
-		return 8 + len(b.Name)
-	case RenameReq:
-		return 24 + len(b.Name) + len(b.NewName)
-	case RenameResp:
-		return 64
-	case FlushReq:
-		return 16 + len(b.Name)
-	case ReleaseReq:
-		return 16 + len(b.Name)
-	case OpenResp, StatResp, ReleaseResp:
-		return 64
-	case ParallelOpenReq:
-		return 16 + len(b.Name) + 8*len(b.Workers)
-	case GetInfoResp:
-		return 64
-	case FsckResp:
-		n := 24
-		for _, p := range b.Report.Problems {
-			n += len(p)
-		}
-		return n
-	case ScrubResp:
-		return 24 + 12*len(b.Report.Errors)
-	case RecoveryResp:
-		n := 64
-		for _, p := range b.Report.Fsck.Problems {
-			n += len(p)
-		}
-		return n
-	default:
-		return 24
-	}
-}

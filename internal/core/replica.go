@@ -356,7 +356,7 @@ func (s *Server) next(p sim.Proc) (*msg.Message, bool) {
 			break
 		}
 		g.node.Tick(p.Now())
-		if m != nil && !isRaftMsg(m.Body) {
+		if m != nil && !raft.IsMessage(m.Body) {
 			return m, true
 		}
 		if m != nil {
@@ -365,14 +365,6 @@ func (s *Server) next(p sim.Proc) (*msg.Message, bool) {
 		s.pump(p)
 	}
 	return nil, false
-}
-
-func isRaftMsg(body any) bool {
-	switch body.(type) {
-	case raft.VoteReq, raft.VoteResp, raft.AppendReq, raft.AppendResp, raft.SnapReq, raft.SnapResp:
-		return true
-	}
-	return false
 }
 
 // pump drains a member's consensus node: installs snapshots, applies
@@ -834,7 +826,7 @@ func (s *Server) commit(p sim.Proc, op rop) error {
 		}
 		g.node.Tick(p.Now())
 		if m != nil {
-			if isRaftMsg(m.Body) {
+			if raft.IsMessage(m.Body) {
 				g.node.Step(m.Body, p.Now())
 			} else {
 				g.parked = append(g.parked, m)
@@ -854,7 +846,7 @@ func (s *Server) commit(p sim.Proc, op rop) error {
 // predecessor's owed effects are real, and only if it has not already
 // committed. done means reply is the answer (a redirect, or a reply healed
 // from the op table).
-func (s *Server) admit(p sim.Proc, req *msg.Message, op uint64) (reply any, done bool) {
+func (s *Server) admit(p sim.Proc, req *msg.Message, c *command, op uint64) (reply any, done bool) {
 	g := s.grp
 	g.sm.requests.Add(1)
 	ready := g.node.ReadyToLead()
@@ -864,13 +856,13 @@ func (s *Server) admit(p sim.Proc, req *msg.Message, op uint64) (reply any, done
 	}
 	if !ready {
 		g.rm.redirects.Add(1)
-		return statusReply(req.Body, statusFor(s.notLeaderError())), true
+		return c.Status(statusFor(s.notLeaderError())), true
 	}
 	if op != 0 {
 		if rec, hit := g.ops[opKey{Client: req.From, Op: op}]; hit {
 			g.rm.heals.Add(1)
 			s.curSpan.Annotate("healed from op table")
-			return s.heal(p, req.Body, rec), true
+			return s.heal(p, c, req.Body, rec), true
 		}
 	}
 	return nil, false
@@ -879,9 +871,9 @@ func (s *Server) admit(p sim.Proc, req *msg.Message, op uint64) (reply any, done
 // heal rebuilds the reply of an already-committed operation from its
 // replicated record. Reads re-fetch the same blocks (same position, same
 // bytes); mutations answer from the record without re-running.
-func (s *Server) heal(p sim.Proc, body any, rec *ropRec) any {
+func (s *Server) heal(p sim.Proc, c *command, body any, rec *ropRec) any {
 	if rec.Kind == ropWBFail || rec.Kind == ropWBClear {
-		return statusReply(body, msg.Failed(codeDeferredWrite, rec.ErrS))
+		return c.Status(msg.Failed(codeDeferredWrite, rec.ErrS))
 	}
 	switch body.(type) {
 	case CreateReq:
@@ -895,7 +887,7 @@ func (s *Server) heal(p sim.Proc, body any, rec *ropRec) any {
 	case SeqReadReq, SeqReadNReq:
 		ent, err := s.lookup(rec.Name)
 		if err != nil {
-			return statusReply(body, statusFor(err))
+			return c.Status(statusFor(err))
 		}
 		if _, one := body.(SeqReadReq); one {
 			data, err := s.lfsRead(p, ent, rec.At)
@@ -905,7 +897,7 @@ func (s *Server) heal(p sim.Proc, body any, rec *ropRec) any {
 		return SeqReadNResp{Blocks: blocks, EOF: rec.EOF, Status: statusFor(err)}
 	}
 	// Every other recorded operation answers with a bare success.
-	return statusReply(body, msg.Status{})
+	return c.Status(msg.Status{})
 }
 
 // ---- write-behind markers ----
@@ -1187,7 +1179,7 @@ func (s *Server) breathe(p sim.Proc) {
 		if !ok {
 			break
 		}
-		if isRaftMsg(m.Body) {
+		if raft.IsMessage(m.Body) {
 			g.node.Step(m.Body, p.Now())
 		} else {
 			g.parked = append(g.parked, m)
@@ -1223,67 +1215,5 @@ func (s *Server) replayEffect(p sim.Proc, op rop) {
 				return
 			}
 		}
-	}
-}
-
-// statusReply builds the reply of a request's own kind that carries nothing
-// but a status — the not-leader redirect and op-table heals need one for
-// every operation.
-func statusReply(body any, st msg.Status) any {
-	switch body.(type) {
-	case CreateReq:
-		return CreateResp{Status: st}
-	case DeleteReq:
-		return DeleteResp{Status: st}
-	case RenameReq:
-		return RenameResp{Status: st}
-	case OpenReq:
-		return OpenResp{Status: st}
-	case StatReq:
-		return StatResp{Status: st}
-	case FlushReq:
-		return FlushResp{Status: st}
-	case ReleaseReq:
-		return ReleaseResp{Status: st}
-	case SeqReadReq:
-		return SeqReadResp{Status: st}
-	case SeqReadNReq:
-		return SeqReadNResp{Status: st}
-	case SeqWriteReq:
-		return SeqWriteResp{Status: st}
-	case RandReadReq:
-		return RandReadResp{Status: st}
-	case RandReadNReq:
-		return RandReadNResp{Status: st}
-	case RandWriteReq:
-		return RandWriteResp{Status: st}
-	case RandWriteNReq:
-		return RandWriteNResp{Status: st}
-	case ScatterReq:
-		return ScatterResp{Status: st}
-	case ParallelOpenReq:
-		return ParallelOpenResp{Status: st}
-	case ParallelReadReq:
-		return ParallelReadResp{Status: st}
-	case ParallelWriteReq:
-		return ParallelWriteResp{Status: st}
-	case CloseJobReq:
-		return CloseJobResp{Status: st}
-	case ListReq:
-		return ListResp{Status: st}
-	case GetInfoReq:
-		return GetInfoResp{Status: st}
-	case HealthReq:
-		return HealthResp{Status: st}
-	case RepairNodeReq:
-		return RepairNodeResp{Status: st}
-	case FsckReq:
-		return FsckResp{Status: st}
-	case ScrubReq:
-		return ScrubResp{Status: st}
-	case RecoveryReq:
-		return RecoveryResp{Status: st}
-	default:
-		return st
 	}
 }

@@ -54,10 +54,10 @@ type scatterCall struct {
 // request, before anything was committed or after leadership was lost; item
 // failures travel in the results, which are nil when every item was a write
 // that landed.
-func (s *Server) scatter(p sim.Proc, from msg.Addr, r ScatterReq) ([]ScatterResult, error) {
+func (s *Server) scatter(p sim.Proc, from msg.Addr, r ScatterReq) (ScatterResp, error) {
 	n := len(r.Items)
 	if n > maxBatchBlocks {
-		return nil, fmt.Errorf("%w: scatter of %d exceeds %d items", ErrBadArg, n, maxBatchBlocks)
+		return ScatterResp{}, fmt.Errorf("%w: scatter of %d exceeds %d items", ErrBadArg, n, maxBatchBlocks)
 	}
 	// serve charged the request's OpCPU; every further item costs the same.
 	if n > 1 && s.cfg.OpCPU > 0 {
@@ -91,11 +91,11 @@ func (s *Server) scatter(p sim.Proc, from msg.Addr, r ScatterReq) ([]ScatterResu
 			s.raInvalidate(r.Items[i].Name)
 		}
 		if _, err := s.drainWB(p, r.Items[i].Name, from, r.OpID); err != nil {
-			return nil, err
+			return ScatterResp{}, err
 		}
 	}
 	if err := s.lease(p); err != nil {
-		return nil, err
+		return ScatterResp{}, err
 	}
 	s.admitWrites(r.Items, calls)
 
@@ -138,7 +138,7 @@ func (s *Server) scatter(p sim.Proc, from msg.Addr, r ScatterReq) ([]ScatterResu
 		}
 	}
 	if lost != nil {
-		return nil, lost
+		return ScatterResp{}, lost
 	}
 
 	var results []ScatterResult
@@ -155,7 +155,7 @@ func (s *Server) scatter(p sim.Proc, from msg.Addr, r ScatterReq) ([]ScatterResu
 			s.curSpan.Annotate(fmt.Sprintf("item %d %s: %v", i, r.Items[i].Name, c.err))
 		}
 	}
-	return results, nil
+	return ScatterResp{Results: results}, nil
 }
 
 // admitWrites decides whether the scatter's writes may start: every write

@@ -318,11 +318,12 @@ func (s *Server) run(p sim.Proc) {
 // returns the request's span (0 when untraced), the parent of any work the
 // request leaves for after its reply.
 func (s *Server) serve(p sim.Proc, req *msg.Message) obs.SpanID {
+	c := commands.Of(req.Body)
 	rec := s.net.Recorder()
 	var id obs.SpanID
 	if rec != nil {
 		at := p.Now()
-		sp := rec.Start(at, req.Trace, req.Span, "server."+opName(req.Body), int(s.cfg.Node))
+		sp := rec.Start(at, req.Trace, req.Span, "server."+c.Name, int(s.cfg.Node))
 		sp.SetQueueWait(s.net.QueueWait(at, req))
 		s.curSpan, s.curTrace, id = sp, req.Trace, sp.ID()
 		// LFS calls made while handling this request parent under it.
@@ -331,13 +332,13 @@ func (s *Server) serve(p sim.Proc, req *msg.Message) obs.SpanID {
 	if s.cfg.OpCPU > 0 {
 		p.Sleep(s.cfg.OpCPU)
 	}
-	body := s.dispatch(p, req)
+	body := s.dispatch(p, req, c)
 	if !s.crashed() {
 		_ = s.net.Send(p, s.cfg.Node, req.From, &msg.Message{
 			From:  s.port.Addr(),
 			ReqID: req.ReqID,
 			Body:  body,
-			Size:  WireSize(body),
+			Size:  c.Size(body),
 			Trace: req.Trace,
 			Span:  req.Span,
 		})
@@ -350,56 +351,21 @@ func (s *Server) serve(p sim.Proc, req *msg.Message) obs.SpanID {
 	return id
 }
 
-// opIDOf extracts the dedup operation id from requests that carry one (0
-// otherwise).
-func opIDOf(body any) uint64 {
-	switch b := body.(type) {
-	case CreateReq:
-		return b.OpID
-	case DeleteReq:
-		return b.OpID
-	case RenameReq:
-		return b.OpID
-	case SeqReadReq:
-		return b.OpID
-	case SeqReadNReq:
-		return b.OpID
-	case SeqWriteReq:
-		return b.OpID
-	case RandWriteReq:
-		return b.OpID
-	case RandWriteNReq:
-		return b.OpID
-	case ScatterReq:
-		return b.OpID
-	case RepairNodeReq:
-		return b.OpID
-	case FsckReq:
-		return b.OpID
-	case FlushReq:
-		return b.OpID
-	case ReleaseReq:
-		return b.OpID
-	default:
-		return 0
-	}
-}
-
-// dispatch wraps handle with retransmission dedup, so lost replies and
-// duplicated messages never re-run a mutation. The two group sizes
-// remember different things: a member's replicated op table (admit)
-// survives a failover and re-reads healed data from the LFS; a group of
-// one keeps the successful reply itself in a volatile cache.
-func (s *Server) dispatch(p sim.Proc, req *msg.Message) any {
-	op := opIDOf(req.Body)
+// dispatch runs the request's handler behind retransmission dedup, so lost
+// replies and duplicated messages never re-run a mutation. The two group
+// sizes remember different things: a member's replicated op table (admit)
+// survives a failover and re-reads healed data from the LFS; a group of one
+// keeps the successful reply itself in a volatile cache.
+func (s *Server) dispatch(p sim.Proc, req *msg.Message, c *command) any {
+	op := c.OpID(req.Body)
 	if s.grp != nil {
-		if reply, done := s.admit(p, req, op); done {
+		if reply, done := s.admit(p, req, c, op); done {
 			return reply
 		}
-		return s.handle(p, req)
+		return c.Serve(s, p, req.From, req.Body)
 	}
 	if op == 0 {
-		return s.handle(p, req)
+		return c.Serve(s, p, req.From, req.Body)
 	}
 	key := dedupKey{client: req.From, op: op}
 	if cached, hit := s.dedup[key]; hit {
@@ -407,7 +373,7 @@ func (s *Server) dispatch(p sim.Proc, req *msg.Message) any {
 		s.curSpan.Annotate("dedup hit")
 		return cached
 	}
-	body := s.handle(p, req)
+	body := c.Serve(s, p, req.From, req.Body)
 	// Cache successes only: a failed attempt should be re-executable.
 	if respStatus(body).OK() {
 		if len(s.dedupQ) >= dedupCap {
@@ -418,123 +384,6 @@ func (s *Server) dispatch(p sim.Proc, req *msg.Message) any {
 		s.dedupQ = append(s.dedupQ, key)
 	}
 	return body
-}
-
-// handle is the one dispatch over the command set: one handler per
-// command, whatever the group size.
-func (s *Server) handle(p sim.Proc, req *msg.Message) any {
-	from := req.From
-	switch r := req.Body.(type) {
-	case CreateReq:
-		meta, err := s.create(p, from, r)
-		return CreateResp{Meta: meta, Status: statusFor(err)}
-	case DeleteReq:
-		_, freed, err := s.remove(p, from, r.Name, r.OpID, ropDelete)
-		return DeleteResp{Freed: freed, Status: statusFor(err)}
-	case RenameReq:
-		meta, err := s.rename(p, from, r)
-		return RenameResp{Meta: meta, Status: statusFor(err)}
-	case OpenReq:
-		meta, err := s.open(p, from, r.Name, true)
-		return OpenResp{Meta: meta, Status: statusFor(err)}
-	case StatReq:
-		meta, err := s.open(p, from, r.Name, false)
-		return StatResp{Meta: meta, Status: statusFor(err)}
-	case FlushReq:
-		flushed, err := s.flush(p, from, r)
-		return FlushResp{Flushed: flushed, Status: statusFor(err)}
-	case ReleaseReq:
-		meta, _, err := s.remove(p, from, r.Name, r.OpID, ropRelease)
-		return ReleaseResp{Meta: meta, Status: statusFor(err)}
-	case SeqReadReq:
-		blocks, eof, err := s.seqRead(p, from, r.Name, 1, r.OpID, true)
-		// The single-block protocol reports EOF only on a read past the
-		// end; the last block itself arrives with EOF false.
-		if len(blocks) == 0 {
-			return SeqReadResp{EOF: eof, Status: statusFor(err)}
-		}
-		return SeqReadResp{Data: blocks[0]}
-	case SeqReadNReq:
-		blocks, eof, err := s.seqRead(p, from, r.Name, r.Max, r.OpID, false)
-		return SeqReadNResp{Blocks: blocks, EOF: eof, Status: statusFor(err)}
-	case SeqWriteReq:
-		s.one[0] = r.Data
-		_, err := s.write(p, from, r.Name, -1, s.one[:], r.OpID, true)
-		return SeqWriteResp{Status: statusFor(err)}
-	case RandReadReq:
-		blocks, err := s.readAt(p, from, r.Name, r.BlockNum, 1, true)
-		if err != nil {
-			return RandReadResp{Status: statusFor(err)}
-		}
-		return RandReadResp{Data: blocks[0]}
-	case RandReadNReq:
-		blocks, err := s.readAt(p, from, r.Name, r.BlockNum, r.Count, false)
-		return RandReadNResp{Blocks: blocks, Status: statusFor(err)}
-	case RandWriteReq:
-		s.one[0] = r.Data
-		_, err := s.write(p, from, r.Name, r.BlockNum, s.one[:], r.OpID, true)
-		return RandWriteResp{Status: statusFor(err)}
-	case RandWriteNReq:
-		written, err := s.write(p, from, r.Name, r.BlockNum, r.Blocks, r.OpID, false)
-		return RandWriteNResp{Written: written, Status: statusFor(err)}
-	case ScatterReq:
-		results, err := s.scatter(p, from, r)
-		if results == nil && err == nil {
-			return scatterLanded
-		}
-		return ScatterResp{Results: results, Status: statusFor(err)}
-	case ParallelOpenReq:
-		id, meta, err := s.parallelOpen(p, r)
-		return ParallelOpenResp{JobID: id, Meta: meta, Status: statusFor(err)}
-	case ParallelReadReq:
-		delivered, eof, err := s.parallelRead(p, r.JobID)
-		return ParallelReadResp{Delivered: delivered, EOF: eof, Status: statusFor(err)}
-	case ParallelWriteReq:
-		written, err := s.parallelWrite(p, r.JobID)
-		return ParallelWriteResp{Written: written, Status: statusFor(err)}
-	case CloseJobReq:
-		if j, ok := s.jobs[r.JobID]; ok {
-			j.port.Close()
-			delete(s.jobs, r.JobID)
-			return CloseJobResp{}
-		}
-		return CloseJobResp{Status: statusFor(ErrNoJob)}
-	case ListReq:
-		if err := s.lease(p); err != nil {
-			return ListResp{Status: statusFor(err)}
-		}
-		return ListResp{Names: s.sortedNames()}
-	case GetInfoReq:
-		return GetInfoResp{Info: Info{
-			P:      len(s.nodes),
-			Nodes:  append([]msg.NodeID(nil), s.nodes...),
-			Server: s.port.Addr(),
-		}}
-	case HealthReq:
-		if s.health == nil {
-			states := make([]NodeHealth, len(s.nodes))
-			for i, n := range s.nodes {
-				states[i] = NodeHealth{Node: n, State: Healthy}
-			}
-			return HealthResp{States: states}
-		}
-		return HealthResp{States: s.health.snapshot(s.nodes)}
-	case RepairNodeReq:
-		files, err := s.repairNode(p, from, r)
-		return RepairNodeResp{Files: files, Status: statusFor(err)}
-	case FsckReq:
-		rep, fixes, err := s.fsck(p, from, r)
-		return FsckResp{Report: rep, Fixes: fixes, Status: statusFor(err)}
-	case ScrubReq:
-		rep, err := s.scrub(p, from, r.Node)
-		return ScrubResp{Report: rep, Status: statusFor(err)}
-	case RecoveryReq:
-		rep, err := s.recovery(p, r.Node)
-		return RecoveryResp{Report: rep, Status: statusFor(err)}
-	default:
-		// A request of no known kind has no reply kind either: a bare status.
-		return statusFor(fmt.Errorf("%w: unknown request %T", ErrBadArg, req.Body))
-	}
 }
 
 // lookup finds a file's directory entry.
@@ -559,26 +408,26 @@ func (s *Server) sortedNames() []string {
 // create validates the request, commits the new directory entry, and then
 // creates the constituent LFS file on every node; if that fails the entry
 // is taken back out.
-func (s *Server) create(p sim.Proc, from msg.Addr, r CreateReq) (Meta, error) {
+func (s *Server) create(p sim.Proc, from msg.Addr, r CreateReq) (CreateResp, error) {
 	if r.Spec.Kind == distrib.Disordered && s.grp != nil {
-		return Meta{}, fmt.Errorf("%w: disordered placement is unsupported on a replicated server", ErrBadArg)
+		return CreateResp{}, fmt.Errorf("%w: disordered placement is unsupported on a replicated server", ErrBadArg)
 	}
 	meta, err := s.planCreate(r)
 	if err != nil {
-		return Meta{}, err
+		return CreateResp{}, err
 	}
 	op := rop{Kind: ropCreate, Client: from, Op: r.OpID, Name: r.Name, Meta: meta, NextID: s.nextID + 1}
 	if err := s.commit(p, op); err != nil {
-		return Meta{}, err
+		return CreateResp{}, err
 	}
 	if err := s.lfsCreate(p, meta.Nodes, meta.LFSFileID, r.Tree); err != nil {
 		fix := rop{Kind: ropFixup, Client: from, Op: r.OpID, Name: r.Name, Blocks: -1}
 		if cerr := s.commit(p, fix); cerr != nil {
-			return Meta{}, cerr
+			return CreateResp{}, cerr
 		}
-		return Meta{}, err
+		return CreateResp{}, err
 	}
-	return meta, nil
+	return CreateResp{Meta: meta}, nil
 }
 
 // planCreate validates a create request against the current directory and
@@ -646,13 +495,13 @@ func (s *Server) planCreate(r CreateReq) (Meta, error) {
 // the effect may have run before (ranBefore); otherwise it runs once and
 // reports it.
 func (s *Server) lfsCreate(p sim.Proc, nodes []msg.NodeID, fileID uint32, tree bool) error {
-	op := lfs.CreateReq{FileID: fileID}
+	var op any = lfs.CreateReq{FileID: fileID}
 	if tree {
 		if err := s.anyDown(nodes); err != nil {
 			return err
 		}
 		req := lfs.TreeReq{Targets: nodes, Op: op, OpSize: lfs.WireSize(op)}
-		c, err := s.lfsStart(nodes[0], lfs.AgentPortName, req, req.OpSize+16)
+		c, err := s.lfsStart(nodes[0], lfs.AgentPortName, req)
 		if err != nil {
 			return err
 		}
@@ -665,7 +514,7 @@ func (s *Server) lfsCreate(p sim.Proc, nodes []msg.NodeID, fileID uint32, tree b
 		}
 		return nil
 	}
-	calls, err := s.lfsFanout(p, nodes, op, lfs.WireSize(op), false)
+	calls, err := s.lfsFanout(p, nodes, op, false)
 	if err != nil {
 		return err
 	}
@@ -716,7 +565,7 @@ func (s *Server) remove(p sim.Proc, from msg.Addr, name string, opID uint64, kin
 // then lost to the count).
 func (s *Server) lfsDelete(p sim.Proc, meta Meta) (int, error) {
 	op := lfs.DeleteReq{FileID: meta.LFSFileID}
-	calls, firstErr := s.lfsFanout(p, meta.Nodes, op, lfs.WireSize(op), true)
+	calls, firstErr := s.lfsFanout(p, meta.Nodes, op, true)
 	freed := 0
 	for _, c := range calls {
 		if c.reply == nil {
@@ -735,29 +584,29 @@ func (s *Server) lfsDelete(p sim.Proc, meta Meta) (int, error) {
 // by file id, not name, so this is a pure directory mutation: no storage
 // node is touched. Dirty write-behind state is drained first so a deferred
 // failure surfaces against the name the writes were acknowledged under.
-func (s *Server) rename(p sim.Proc, from msg.Addr, r RenameReq) (Meta, error) {
+func (s *Server) rename(p sim.Proc, from msg.Addr, r RenameReq) (RenameResp, error) {
 	if r.Name == "" || r.NewName == "" {
-		return Meta{}, fmt.Errorf("%w: empty name", ErrBadArg)
+		return RenameResp{}, fmt.Errorf("%w: empty name", ErrBadArg)
 	}
 	ent, err := s.lookup(r.Name)
 	if err != nil {
-		return Meta{}, err
+		return RenameResp{}, err
 	}
 	if r.NewName == r.Name {
-		return ent.meta, nil
+		return RenameResp{Meta: ent.meta}, nil
 	}
 	if _, exists := s.dir[r.NewName]; exists {
-		return Meta{}, fmt.Errorf("%w: %s", ErrExists, r.NewName)
+		return RenameResp{}, fmt.Errorf("%w: %s", ErrExists, r.NewName)
 	}
 	if _, err := s.drainWB(p, r.Name, from, r.OpID); err != nil {
-		return Meta{}, err
+		return RenameResp{}, err
 	}
 	s.raInvalidate(r.Name)
 	op := rop{Kind: ropRename, Client: from, Op: r.OpID, Name: r.Name, New: r.NewName}
 	if err := s.commit(p, op); err != nil {
-		return Meta{}, err
+		return RenameResp{}, err
 	}
-	return ent.meta, nil
+	return RenameResp{Meta: ent.meta}, nil
 }
 
 // flush drains the write-behind state of one file (or of every file when
@@ -765,7 +614,7 @@ func (s *Server) rename(p sim.Proc, from msg.Addr, r RenameReq) (Meta, error) {
 // every acknowledged write durable. It is the explicit group-commit
 // barrier; a deferred write failure surfaces here, wrapped in
 // ErrDeferredWrite.
-func (s *Server) flush(p sim.Proc, from msg.Addr, r FlushReq) (int, error) {
+func (s *Server) flush(p sim.Proc, from msg.Addr, r FlushReq) (FlushResp, error) {
 	var (
 		flushed int
 		err     error
@@ -776,7 +625,7 @@ func (s *Server) flush(p sim.Proc, from msg.Addr, r FlushReq) (int, error) {
 	} else {
 		var ent *dirent
 		if ent, err = s.lookup(r.Name); err != nil {
-			return 0, err
+			return FlushResp{}, err
 		}
 		nodes = ent.meta.Nodes
 		flushed, err = s.drainWB(p, r.Name, from, r.OpID)
@@ -785,16 +634,16 @@ func (s *Server) flush(p sim.Proc, from msg.Addr, r FlushReq) (int, error) {
 		err = s.lease(p)
 	}
 	if err != nil {
-		return flushed, err
+		return FlushResp{Flushed: flushed}, err
 	}
-	return flushed, s.syncNodes(p, nodes)
+	return FlushResp{Flushed: flushed}, s.syncNodes(p, nodes)
 }
 
 // syncNodes issues a parallel metadata sync to the given storage nodes —
 // the scatter-gather barrier behind an explicit Flush.
 func (s *Server) syncNodes(p sim.Proc, nodes []msg.NodeID) error {
 	op := lfs.SyncReq{}
-	calls, err := s.lfsFanout(p, nodes, op, lfs.WireSize(op), false)
+	calls, err := s.lfsFanout(p, nodes, op, false)
 	if err != nil {
 		return err
 	}
@@ -815,7 +664,7 @@ func (s *Server) syncNodes(p sim.Proc, nodes []msg.NodeID) error {
 // then the prefix ends at the first global block whose node ran out.
 func (s *Server) landedSize(p sim.Proc, ent *dirent) (int64, error) {
 	op := lfs.StatReq{FileID: ent.meta.LFSFileID}
-	calls, err := s.lfsFanout(p, ent.meta.Nodes, op, lfs.WireSize(op), false)
+	calls, err := s.lfsFanout(p, ent.meta.Nodes, op, false)
 	if err != nil {
 		return 0, err
 	}
@@ -928,7 +777,7 @@ func (s *Server) lfsReadStart(ent *dirent, blockNum int64) (lfsPend, error) {
 	}
 	node := ent.meta.Nodes[l.NodeFor(blockNum)]
 	req := lfs.ReadReq{FileID: ent.meta.LFSFileID, BlockNum: uint32(l.LocalFor(blockNum)), Hint: ent.hintFor(node)}
-	return s.lfsStart(node, lfs.PortName, req, lfs.WireSize(req))
+	return s.lfsStart(node, lfs.PortName, req)
 }
 
 // lfsReadFinish collects a started read and returns the block's Bridge
@@ -988,7 +837,7 @@ func (s *Server) lfsWriteStart(ent *dirent, blockNum int64, payload []byte) (lfs
 	}, payload)
 	s.nextLFSOp++
 	req := lfs.WriteReq{FileID: ent.meta.LFSFileID, BlockNum: uint32(l.LocalFor(blockNum)), Data: data, Hint: ent.hintFor(node), OpID: s.nextLFSOp}
-	return s.lfsStart(node, lfs.PortName, req, lfs.WireSize(req))
+	return s.lfsStart(node, lfs.PortName, req)
 }
 
 // lfsWriteFinish collects a started write.
@@ -1043,13 +892,13 @@ func (s *Server) sweepBarrier(p sim.Proc, from msg.Addr, opID uint64) error {
 // placement reachable again, with the lost blocks left for replica-layer
 // repair. Iteration is in sorted name order so chaos runs replay
 // deterministically.
-func (s *Server) repairNode(p sim.Proc, from msg.Addr, r RepairNodeReq) (int, error) {
+func (s *Server) repairNode(p sim.Proc, from msg.Addr, r RepairNodeReq) (RepairNodeResp, error) {
 	node, err := s.nodeAt(r.Node)
 	if err != nil {
-		return 0, err
+		return RepairNodeResp{}, err
 	}
 	if err := s.sweepBarrier(p, from, r.OpID); err != nil {
-		return 0, err
+		return RepairNodeResp{}, err
 	}
 	if s.ra != nil {
 		// Any buffered or in-flight block might predate the crash.
@@ -1069,80 +918,80 @@ func (s *Server) repairNode(p sim.Proc, from msg.Addr, r RepairNodeReq) (int, er
 			continue
 		}
 		op := lfs.CreateReq{FileID: ent.meta.LFSFileID}
-		m, err := s.lfsCall(p, node, op, lfs.WireSize(op))
+		m, err := s.lfsCall(p, node, op)
 		if err != nil {
-			return repaired, lfsErr(err)
+			return RepairNodeResp{Files: repaired}, lfsErr(err)
 		}
 		if _, err := lfs.Reply[lfs.CreateResp](m, nil); err != nil && !errors.Is(err, efs.ErrExists) {
-			return repaired, fmt.Errorf("%w: %w", ErrLFSFailed, err)
+			return RepairNodeResp{Files: repaired}, fmt.Errorf("%w: %w", ErrLFSFailed, err)
 		}
 		// Any cached block-address hint for this node predates the crash.
 		delete(ent.hints, node)
 		repaired++
 	}
 	s.m.nodeRepairs.Add(1)
-	return repaired, nil
+	return RepairNodeResp{Files: repaired}, nil
 }
 
 // fsck runs the LFS-level consistency checker on one storage node.
-func (s *Server) fsck(p sim.Proc, from msg.Addr, r FsckReq) (efs.CheckReport, int, error) {
+func (s *Server) fsck(p sim.Proc, from msg.Addr, r FsckReq) (FsckResp, error) {
 	node, err := s.nodeAt(r.Node)
 	if err != nil {
-		return efs.CheckReport{}, 0, err
+		return FsckResp{}, err
 	}
 	if err := s.sweepBarrier(p, from, r.OpID); err != nil {
-		return efs.CheckReport{}, 0, err
+		return FsckResp{}, err
 	}
 	resp, err := lfsCallAs[lfs.CheckResp](s, p, node, lfs.CheckReq{Repair: r.Repair})
-	return resp.Report, resp.Fixes, err
+	return FsckResp{Report: resp.Report, Fixes: resp.Fixes}, err
 }
 
 // recovery fetches one storage node's boot recovery report.
-func (s *Server) recovery(p sim.Proc, idx int) (lfs.RecoveryReport, error) {
-	node, err := s.nodeAt(idx)
+func (s *Server) recovery(p sim.Proc, _ msg.Addr, r RecoveryReq) (RecoveryResp, error) {
+	node, err := s.nodeAt(r.Node)
 	if err != nil {
-		return lfs.RecoveryReport{}, err
+		return RecoveryResp{}, err
 	}
 	if err := s.lease(p); err != nil {
-		return lfs.RecoveryReport{}, err
+		return RecoveryResp{}, err
 	}
 	resp, err := lfsCallAs[lfs.RecoveryResp](s, p, node, lfs.RecoveryReq{})
-	return resp.Report, err
+	return RecoveryResp{Report: resp.Report}, err
 }
 
 // scrub runs a full checksum-verification sweep on one storage node.
-func (s *Server) scrub(p sim.Proc, from msg.Addr, idx int) (efs.ScrubReport, error) {
-	node, err := s.nodeAt(idx)
+func (s *Server) scrub(p sim.Proc, from msg.Addr, r ScrubReq) (ScrubResp, error) {
+	node, err := s.nodeAt(r.Node)
 	if err != nil {
-		return efs.ScrubReport{}, err
+		return ScrubResp{}, err
 	}
 	if err := s.sweepBarrier(p, from, 0); err != nil {
-		return efs.ScrubReport{}, err
+		return ScrubResp{}, err
 	}
 	resp, err := lfsCallAs[lfs.ScrubResp](s, p, node, lfs.ScrubReq{Full: true})
-	return resp.Report, err
+	return ScrubResp{Report: resp.Report}, err
 }
 
 // parallelOpen groups the workers into a job on the file. Job cursors are
 // volatile per-process state that would vanish on failover, so only a
 // group of one offers jobs; with no job to name, the other job commands
 // answer ErrNoJob on a replicated group.
-func (s *Server) parallelOpen(p sim.Proc, r ParallelOpenReq) (uint64, Meta, error) {
+func (s *Server) parallelOpen(p sim.Proc, _ msg.Addr, r ParallelOpenReq) (ParallelOpenResp, error) {
 	if s.grp != nil {
-		return 0, Meta{}, fmt.Errorf("%w: parallel transfer jobs are unsupported on a replicated server", ErrBadArg)
+		return ParallelOpenResp{}, fmt.Errorf("%w: parallel transfer jobs are unsupported on a replicated server", ErrBadArg)
 	}
 	ent, err := s.lookup(r.Name)
 	if err != nil {
-		return 0, Meta{}, err
+		return ParallelOpenResp{}, err
 	}
 	if len(r.Workers) == 0 {
-		return 0, Meta{}, fmt.Errorf("%w: no workers", ErrBadArg)
+		return ParallelOpenResp{}, fmt.Errorf("%w: no workers", ErrBadArg)
 	}
 	if _, err := s.drainWB(p, r.Name, msg.Addr{}, 0); err != nil {
-		return 0, Meta{}, err
+		return ParallelOpenResp{}, err
 	}
 	if err := s.refreshSize(p, ent); err != nil {
-		return 0, Meta{}, err
+		return ParallelOpenResp{}, err
 	}
 	s.nextJob++
 	j := &job{
@@ -1152,24 +1001,24 @@ func (s *Server) parallelOpen(p sim.Proc, r ParallelOpenReq) (uint64, Meta, erro
 		port:    s.net.NewPort(msg.Addr{Node: s.cfg.Node, Port: fmt.Sprintf("%s.job%d", s.cfg.PortName, s.nextJob)}),
 	}
 	s.jobs[j.id] = j
-	return j.id, ent.meta, nil
+	return ParallelOpenResp{JobID: j.id, Meta: ent.meta}, nil
 }
 
 // parallelRead transfers the next t blocks, one to each worker. When t
 // exceeds the interleaving breadth p, the server performs groups of p disk
 // accesses in parallel until the request is satisfied ("virtual
 // parallelism"), which forces the workers to proceed in lock step.
-func (s *Server) parallelRead(p sim.Proc, jobID uint64) (int, bool, error) {
-	j, ok := s.jobs[jobID]
+func (s *Server) parallelRead(p sim.Proc, _ msg.Addr, r ParallelReadReq) (ParallelReadResp, error) {
+	j, ok := s.jobs[r.JobID]
 	if !ok {
-		return 0, false, ErrNoJob
+		return ParallelReadResp{}, ErrNoJob
 	}
 	ent, err := s.lookup(j.name)
 	if err != nil {
-		return 0, false, err
+		return ParallelReadResp{}, err
 	}
 	if _, err := s.drainWB(p, j.name, msg.Addr{}, 0); err != nil {
-		return 0, false, err
+		return ParallelReadResp{}, err
 	}
 	t := len(j.workers)
 	pWidth := ent.meta.Spec.P
@@ -1198,13 +1047,11 @@ func (s *Server) parallelRead(p sim.Proc, jobID uint64) (int, bool, error) {
 				continue
 			}
 			wd := WorkerData{JobID: j.id, Seq: seq, Data: payload}
-			_ = s.net.Send(p, s.cfg.Node, j.workers[gStart+k], &msg.Message{
-				From: s.port.Addr(), Body: wd, Size: WireSize(wd),
-			})
+			_ = s.net.Send(p, s.cfg.Node, j.workers[gStart+k], oneWayMsg(s.port.Addr(), wd))
 			delivered++
 		}
 		if err != nil {
-			return delivered, false, err
+			return ParallelReadResp{Delivered: delivered}, err
 		}
 		if len(calls) < gEnd-gStart {
 			break // hit EOF inside this group
@@ -1213,28 +1060,26 @@ func (s *Server) parallelRead(p sim.Proc, jobID uint64) (int, bool, error) {
 	// Tell workers past the end of file that this round has nothing.
 	for i := delivered; i < t; i++ {
 		wd := WorkerData{JobID: j.id, Seq: j.readPos + int64(i), EOF: true}
-		_ = s.net.Send(p, s.cfg.Node, j.workers[i], &msg.Message{
-			From: s.port.Addr(), Body: wd, Size: WireSize(wd),
-		})
+		_ = s.net.Send(p, s.cfg.Node, j.workers[i], oneWayMsg(s.port.Addr(), wd))
 	}
 	j.readPos += int64(delivered)
-	return delivered, j.readPos >= ent.meta.Blocks, nil
+	return ParallelReadResp{Delivered: delivered, EOF: j.readPos >= ent.meta.Blocks}, nil
 }
 
 // parallelWrite appends t blocks, one from each worker, in lock-step groups
 // of p.
-func (s *Server) parallelWrite(p sim.Proc, jobID uint64) (int, error) {
-	j, ok := s.jobs[jobID]
+func (s *Server) parallelWrite(p sim.Proc, _ msg.Addr, r ParallelWriteReq) (ParallelWriteResp, error) {
+	j, ok := s.jobs[r.JobID]
 	if !ok {
-		return 0, ErrNoJob
+		return ParallelWriteResp{}, ErrNoJob
 	}
 	ent, err := s.lookup(j.name)
 	if err != nil {
-		return 0, err
+		return ParallelWriteResp{}, err
 	}
 	s.raInvalidate(j.name)
 	if _, err := s.drainWB(p, j.name, msg.Addr{}, 0); err != nil {
-		return 0, err
+		return ParallelWriteResp{}, err
 	}
 	t := len(j.workers)
 	pWidth := ent.meta.Spec.P
@@ -1248,19 +1093,17 @@ func (s *Server) parallelWrite(p sim.Proc, jobID uint64) (int, error) {
 		// Poke the group's workers, then collect their blocks.
 		for i := gStart; i < gEnd; i++ {
 			wp := WorkerPoke{JobID: j.id, Seq: ent.meta.Blocks + int64(i-gStart)}
-			_ = s.net.Send(p, s.cfg.Node, j.workers[i], &msg.Message{
-				From: j.port.Addr(), Body: wp, Size: WireSize(wp),
-			})
+			_ = s.net.Send(p, s.cfg.Node, j.workers[i], oneWayMsg(j.port.Addr(), wp))
 		}
 		blocks := make([]WorkerBlock, 0, gEnd-gStart)
 		for i := gStart; i < gEnd; i++ {
 			m, ok, timedOut := j.port.RecvTimeout(p, s.cfg.LFSTimeout)
 			if timedOut || !ok {
-				return written, fmt.Errorf("%w: worker block missing", ErrLFSFailed)
+				return ParallelWriteResp{Written: written}, fmt.Errorf("%w: worker block missing", ErrLFSFailed)
 			}
 			wb, isWB := m.Body.(WorkerBlock)
 			if !isWB {
-				return written, fmt.Errorf("%w: unexpected %T on job port", ErrBadArg, m.Body)
+				return ParallelWriteResp{Written: written}, fmt.Errorf("%w: unexpected %T on job port", ErrBadArg, m.Body)
 			}
 			blocks = append(blocks, wb)
 		}
@@ -1272,9 +1115,9 @@ func (s *Server) parallelWrite(p sim.Proc, jobID uint64) (int, error) {
 			case wb.EOF:
 				done = true
 			case done:
-				return written, fmt.Errorf("%w: worker data after another worker's EOF", ErrBadArg)
+				return ParallelWriteResp{Written: written}, fmt.Errorf("%w: worker data after another worker's EOF", ErrBadArg)
 			case len(wb.Data) > PayloadBytes:
-				return written, fmt.Errorf("%w: payload %d exceeds %d", ErrBadArg, len(wb.Data), PayloadBytes)
+				return ParallelWriteResp{Written: written}, fmt.Errorf("%w: payload %d exceeds %d", ErrBadArg, len(wb.Data), PayloadBytes)
 			default:
 				n++
 			}
@@ -1301,8 +1144,8 @@ func (s *Server) parallelWrite(p sim.Proc, jobID uint64) (int, error) {
 			}
 		}
 		if err != nil {
-			return written, err
+			return ParallelWriteResp{Written: written}, err
 		}
 	}
-	return written, nil
+	return ParallelWriteResp{Written: written}, nil
 }

@@ -2,68 +2,6 @@ package core
 
 import "bridge/internal/obs"
 
-// opName returns the short protocol name of a request body, used to build
-// span kinds ("client.seqreadn", "server.create"). Unknown bodies — which
-// the server answers with an error — get "unknown".
-func opName(body any) string {
-	switch body.(type) {
-	case CreateReq:
-		return "create"
-	case DeleteReq:
-		return "delete"
-	case RenameReq:
-		return "rename"
-	case OpenReq:
-		return "open"
-	case StatReq:
-		return "stat"
-	case FlushReq:
-		return "flush"
-	case ReleaseReq:
-		return "release"
-	case SeqReadReq:
-		return "seqread"
-	case SeqReadNReq:
-		return "seqreadn"
-	case SeqWriteReq:
-		return "seqwrite"
-	case RandReadReq:
-		return "readat"
-	case RandReadNReq:
-		return "readatn"
-	case RandWriteReq:
-		return "writeat"
-	case RandWriteNReq:
-		return "writeatn"
-	case ScatterReq:
-		return "scatter"
-	case ParallelOpenReq:
-		return "popen"
-	case ParallelReadReq:
-		return "pread"
-	case ParallelWriteReq:
-		return "pwrite"
-	case CloseJobReq:
-		return "closejob"
-	case ListReq:
-		return "list"
-	case GetInfoReq:
-		return "getinfo"
-	case HealthReq:
-		return "health"
-	case RepairNodeReq:
-		return "repairnode"
-	case FsckReq:
-		return "fsck"
-	case ScrubReq:
-		return "scrub"
-	case RecoveryReq:
-		return "recovery"
-	default:
-		return "unknown"
-	}
-}
-
 // srvMetrics are the server's typed metric handles, registered once at
 // StartServer on the network's shared registry (so the servers of a
 // distributed cluster aggregate into the same metrics).

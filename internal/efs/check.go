@@ -16,6 +16,16 @@ type CheckReport struct {
 // OK reports whether the volume passed.
 func (r CheckReport) OK() bool { return len(r.Problems) == 0 }
 
+// TextBytes is the length of the findings' text, what a report costs on the
+// wire beyond its fixed part.
+func (r CheckReport) TextBytes() int {
+	n := 0
+	for _, p := range r.Problems {
+		n += len(p)
+	}
+	return n
+}
+
 func (r *CheckReport) problemf(format string, args ...any) {
 	r.Problems = append(r.Problems, fmt.Sprintf(format, args...))
 }

@@ -48,9 +48,11 @@ type (
 )
 
 type agent struct {
-	net  *msg.Network
-	node msg.NodeID
-	port *msg.Port
+	net     *msg.Network
+	node    msg.NodeID
+	port    *msg.Port
+	c       *Client // the agent process's own calls
+	spawned int
 }
 
 func startAgent(rt sim.Runtime, net *msg.Network, node msg.NodeID) *agent {
@@ -64,34 +66,33 @@ func startAgent(rt sim.Runtime, net *msg.Network, node msg.NodeID) *agent {
 }
 
 func (a *agent) run(p sim.Proc) {
-	c := NewClient(p, a.net, a.node, AgentPortName+".cli")
-	spawned := 0
+	a.c = NewClient(p, a.net, a.node, AgentPortName+".cli")
 	for {
 		req, ok := a.port.Recv(p)
 		if !ok {
-			c.C.Close()
+			a.c.C.Close()
 			return
 		}
-		switch r := req.Body.(type) {
-		case SpawnReq:
-			p.Sleep(spawnCPU)
-			spawned++
-			name := fmt.Sprintf("n%d/%s#%d", a.node, r.Name, spawned)
-			node := a.node
-			p.Go(name, func(wp sim.Proc) { r.Fn(wp, node) })
-			_ = c.C.Reply(req, SpawnResp{}, 8)
-		case TreeReq:
-			st := a.tree(c, r)
-			_ = c.C.Reply(req, TreeResp{Status: st}, 8)
-		default:
-			_ = c.C.Reply(req, msg.Failed(CodeIO, "agent: unknown request"), 8)
-		}
+		c := agentCommands.Of(req.Body)
+		body := c.Serve(a, p, req.From, req.Body)
+		_ = a.c.C.Reply(req, body, c.Size(body))
 	}
+}
+
+// spawn starts a tool worker on the agent's node.
+func (a *agent) spawn(p sim.Proc, _ msg.Addr, r SpawnReq) (SpawnResp, error) {
+	p.Sleep(spawnCPU)
+	a.spawned++
+	name := fmt.Sprintf("n%d/%s#%d", a.node, r.Name, a.spawned)
+	node := a.node
+	p.Go(name, func(wp sim.Proc) { r.Fn(wp, node) })
+	return SpawnResp{}, nil
 }
 
 // tree performs the local op and forwards to the two child subtrees,
 // overlapping all three. A dead node in the subtree fails it with CodeTimeout.
-func (a *agent) tree(c *Client, r TreeReq) msg.Status {
+func (a *agent) tree(r TreeReq) msg.Status {
+	c := a.c
 	rest := r.Targets
 	if len(rest) > 0 && rest[0] == a.node {
 		rest = rest[1:]
@@ -102,15 +103,15 @@ func (a *agent) tree(c *Client, r TreeReq) msg.Status {
 		if len(half) == 0 {
 			continue
 		}
-		call, err := c.Start(msg.Addr{Node: half[0], Port: AgentPortName},
-			TreeReq{Targets: half, Op: r.Op, OpSize: r.OpSize}, r.OpSize+16)
+		sub := TreeReq{Targets: half, Op: r.Op, OpSize: r.OpSize}
+		call, err := c.Start(msg.Addr{Node: half[0], Port: AgentPortName}, sub)
 		if err != nil {
 			return StatusFor(err)
 		}
 		calls = append(calls, call)
 	}
 	// Local delivery to this node's LFS.
-	local, err := c.Start(lfsAddr(a.node), r.Op, r.OpSize)
+	local, err := c.Start(lfsAddr(a.node), r.Op)
 	if err != nil {
 		return StatusFor(err)
 	}

@@ -36,8 +36,9 @@ func TestAllocsLFSClientCall(t *testing.T) {
 				t.Errorf("ReadVec: %v", err)
 			}
 		})
+		size := WireSize(req)
 		raw = testing.AllocsPerRun(1000, func() {
-			if _, err := lc.C.Call(lfsAddr(1), req, WireSize(req)); err != nil {
+			if _, err := lc.C.Call(lfsAddr(1), req, size); err != nil {
 				t.Errorf("Call: %v", err)
 			}
 		})
@@ -47,5 +48,35 @@ func TestAllocsLFSClientCall(t *testing.T) {
 	}
 	if policy > raw {
 		t.Errorf("a ReadVec through the policy allocates %v objects, msg.Client.Call %v", policy, raw)
+	}
+}
+
+// TestAllocsCommandTable guards what reading the command tables costs a
+// request: finding its entry, its span name and the price of its request and
+// reply allocate nothing. It skips under the race detector, whose
+// instrumentation allocates.
+func TestAllocsCommandTable(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	var req any = WriteVecReq{FileID: 1, Blocks: []VecWrite{{Data: make([]byte, 64)}}, OpID: 3}
+	var resp any = WriteVecResp{Blocks: make([]VecWritten, 1)}
+	var name string
+	var n int
+	for _, tc := range []struct {
+		what string
+		run  func()
+	}{
+		{"entry and name", func() { name = nodeCommands.Of(req).Name }},
+		{"agent entry", func() { name = agentCommands.Of(TreeResp{}).Name }},
+		{"request price", func() { n = WireSize(req) }},
+		{"reply price", func() { n = WireSize(resp) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.run); got != 0 {
+			t.Errorf("%s allocates %v objects, want 0", tc.what, got)
+		}
+	}
+	if name != "unknown" || n != 16 {
+		t.Errorf("the tables answered %q, %d", name, n)
 	}
 }

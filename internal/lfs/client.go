@@ -53,14 +53,14 @@ func NewClient(proc sim.Proc, net *msg.Network, node msg.NodeID, name string) *C
 }
 
 // Start fails at once on a node the down-view names, and otherwise sends the
-// request without waiting for its reply.
-func (c *Client) Start(to msg.Addr, body any, size int) (Call, error) {
+// request, priced by WireSize, without waiting for its reply.
+func (c *Client) Start(to msg.Addr, body any) (Call, error) {
 	if c.Down != nil {
 		if err := c.Down(to.Node); err != nil {
 			return Call{}, err
 		}
 	}
-	id, err := c.C.Start(to, body, size)
+	id, err := c.C.Start(to, body, WireSize(body))
 	return Call{Node: to.Node, ID: id}, err
 }
 
@@ -122,9 +122,9 @@ func Reply[T msg.Reply](m *msg.Message, err error) (T, error) {
 }
 
 // call is a Start and an AwaitWalk back to back on the node's LFS port.
-func call[T msg.Reply](c *Client, node msg.NodeID, body any, size int, walk int64) (T, error) {
+func call[T msg.Reply](c *Client, node msg.NodeID, body any, walk int64) (T, error) {
 	var m *msg.Message
-	pc, err := c.Start(lfsAddr(node), body, size)
+	pc, err := c.Start(lfsAddr(node), body)
 	if err == nil {
 		m, err = c.AwaitWalk(pc, walk)
 	}
@@ -133,7 +133,7 @@ func call[T msg.Reply](c *Client, node msg.NodeID, body any, size int, walk int6
 
 // Create registers a file on the target node.
 func (c *Client) Create(node msg.NodeID, fileID uint32) error {
-	_, err := call[CreateResp](c, node, CreateReq{FileID: fileID}, WireSize(CreateReq{}), 0)
+	_, err := call[CreateResp](c, node, CreateReq{FileID: fileID}, 0)
 	return err
 }
 
@@ -141,21 +141,21 @@ func (c *Client) Create(node msg.NodeID, fileID uint32) error {
 // blocks freed. fast frees through the bitmap only, with no per-block
 // flag-clear rewrite — the mode the parallel delete tool uses.
 func (c *Client) Delete(node msg.NodeID, fileID uint32, blocks int64, fast bool) (int, error) {
-	r, err := call[DeleteResp](c, node, DeleteReq{FileID: fileID, Fast: fast}, WireSize(DeleteReq{}), blocks)
+	r, err := call[DeleteResp](c, node, DeleteReq{FileID: fileID, Fast: fast}, blocks)
 	return r.Freed, err
 }
 
 // Read reads a block; addr is the returned hint for the next call.
 func (c *Client) Read(node msg.NodeID, fileID, blockNum uint32, hint int32) (data []byte, addr int32, err error) {
 	req := ReadReq{FileID: fileID, BlockNum: blockNum, Hint: hint}
-	r, err := call[ReadResp](c, node, req, WireSize(req), 0)
+	r, err := call[ReadResp](c, node, req, 0)
 	return r.Data, r.Addr, err
 }
 
 // Write writes a block; addr is the returned hint.
 func (c *Client) Write(node msg.NodeID, fileID, blockNum uint32, data []byte, hint int32) (int32, error) {
 	req := WriteReq{FileID: fileID, BlockNum: blockNum, Data: data, Hint: hint}
-	r, err := call[WriteResp](c, node, req, WireSize(req), 0)
+	r, err := call[WriteResp](c, node, req, 0)
 	return r.Addr, err
 }
 
@@ -163,7 +163,7 @@ func (c *Client) Write(node msg.NodeID, fileID, blockNum uint32, data []byte, hi
 // block, in request order.
 func (c *Client) ReadVec(node msg.NodeID, fileID uint32, blocks []uint32, hint int32) ([]VecRead, error) {
 	req := ReadVecReq{FileID: fileID, Blocks: blocks, Hint: hint}
-	r, err := call[ReadVecResp](c, node, req, WireSize(req), 0)
+	r, err := call[ReadVecResp](c, node, req, 0)
 	return r.Blocks, err
 }
 
@@ -171,39 +171,39 @@ func (c *Client) ReadVec(node msg.NodeID, fileID uint32, blocks []uint32, hint i
 // block, in request order.
 func (c *Client) WriteVec(node msg.NodeID, fileID uint32, blocks []VecWrite, hint int32) ([]VecWritten, error) {
 	req := WriteVecReq{FileID: fileID, Blocks: blocks, Hint: hint}
-	r, err := call[WriteVecResp](c, node, req, WireSize(req), 0)
+	r, err := call[WriteVecResp](c, node, req, 0)
 	return r.Blocks, err
 }
 
 // Stat returns a file's directory information.
 func (c *Client) Stat(node msg.NodeID, fileID uint32) (efs.FileInfo, error) {
-	r, err := call[StatResp](c, node, StatReq{FileID: fileID}, WireSize(StatReq{}), 0)
+	r, err := call[StatResp](c, node, StatReq{FileID: fileID}, 0)
 	return r.Info, err
 }
 
 // Ping is the health monitor's heartbeat: nil if the node answers and its
 // volume booted.
 func (c *Client) Ping(node msg.NodeID) error {
-	_, err := call[PingResp](c, node, PingReq{}, WireSize(PingReq{}), 0)
+	_, err := call[PingResp](c, node, PingReq{}, 0)
 	return err
 }
 
 // Sync flushes the node's metadata.
 func (c *Client) Sync(node msg.NodeID) error {
-	_, err := call[SyncResp](c, node, SyncReq{}, WireSize(SyncReq{}), 0)
+	_, err := call[SyncResp](c, node, SyncReq{}, 0)
 	return err
 }
 
 // Usage returns the node's capacity and free space in blocks.
 func (c *Client) Usage(node msg.NodeID) (total, free int, err error) {
-	r, err := call[UsageResp](c, node, UsageReq{}, WireSize(UsageReq{}), 0)
+	r, err := call[UsageResp](c, node, UsageReq{}, 0)
 	return r.TotalBlocks, r.FreeBlocks, err
 }
 
 // Check runs the volume consistency checker on a node of blocks blocks: it
 // walks every chained block.
 func (c *Client) Check(node msg.NodeID, blocks int64) (efs.CheckReport, error) {
-	r, err := call[CheckResp](c, node, CheckReq{}, WireSize(CheckReq{}), blocks)
+	r, err := call[CheckResp](c, node, CheckReq{}, blocks)
 	return r.Report, err
 }
 
@@ -211,6 +211,6 @@ func (c *Client) Check(node msg.NodeID, blocks int64) (efs.CheckReport, error) {
 // walk, then Check's.
 func (c *Client) Repair(node msg.NodeID, blocks int64) (efs.CheckReport, int, error) {
 	req := CheckReq{Repair: true}
-	r, err := call[CheckResp](c, node, req, WireSize(req), 2*blocks)
+	r, err := call[CheckResp](c, node, req, 2*blocks)
 	return r.Report, r.Fixes, err
 }

@@ -13,7 +13,9 @@ import (
 // (client, OpID) across both write kinds, so if a client's op counter ever
 // restarts (server restart) while the node keeps its cache, a WriteReq can
 // land on a cached WriteVecResp — which must be re-executed, not replayed
-// into the caller's type assertion.
+// into the caller's type assertion. Both directions are covered; deduped
+// reads the cache as the handler's own reply type, which is what makes a
+// cross-kind hit a miss.
 func TestWriteDedupKindMismatch(t *testing.T) {
 	rt, net, nodes := testCluster(1, Config{DiskBlocks: 512, Timing: disk.FixedTiming{}})
 	rt.Go("client", func(p sim.Proc) {

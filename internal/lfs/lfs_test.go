@@ -171,7 +171,7 @@ func TestAgentSpawnWorker(t *testing.T) {
 func spawnAll(c *Client, nodes []msg.NodeID, name string, fn WorkerFunc) error {
 	calls := make([]Call, 0, len(nodes))
 	for _, n := range nodes {
-		call, err := c.Start(msg.Addr{Node: n, Port: AgentPortName}, SpawnReq{Name: name, Fn: fn}, 64)
+		call, err := c.Start(msg.Addr{Node: n, Port: AgentPortName}, SpawnReq{Name: name, Fn: fn})
 		if err != nil {
 			return err
 		}

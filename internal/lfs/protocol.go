@@ -269,60 +269,3 @@ type RecoveryReport struct {
 
 // Clean reports whether recovery left the volume verified consistent.
 func (r RecoveryReport) Clean() bool { return r.FsckErr == "" && r.Fsck.OK() }
-
-// WireSize estimates the on-wire payload size of a protocol body, used by
-// the network bandwidth model.
-func WireSize(body any) int {
-	switch b := body.(type) {
-	case ReadReq:
-		return 16
-	case ReadResp:
-		return 12 + len(b.Data)
-	case WriteReq:
-		return 16 + len(b.Data)
-	case WriteResp:
-		return 12
-	case ReadVecReq:
-		return 16 + 4*len(b.Blocks)
-	case ReadVecResp:
-		n := 8
-		for _, v := range b.Blocks {
-			n += 8 + len(v.Data)
-		}
-		return n
-	case WriteVecReq:
-		n := 24
-		for _, v := range b.Blocks {
-			n += 8 + len(v.Data)
-		}
-		return n
-	case WriteVecResp:
-		return 8 + 8*len(b.Blocks)
-	case CreateReq, DeleteReq, StatReq, SyncReq, CheckReq, UsageReq, PingReq, ScrubReq, RecoveryReq:
-		return 8
-	case RecoveryResp:
-		n := 64
-		for _, p := range b.Report.Fsck.Problems {
-			n += len(p)
-		}
-		return n
-	case ScrubResp:
-		return 16 + 12*len(b.Report.Errors)
-	case UsageResp:
-		return 16
-	case CreateResp, SyncResp, PingResp, msg.Status:
-		return 8
-	case CheckResp:
-		n := 16
-		for _, p := range b.Report.Problems {
-			n += len(p)
-		}
-		return n
-	case DeleteResp:
-		return 12
-	case StatResp:
-		return 24
-	default:
-		return 16
-	}
-}

@@ -275,11 +275,12 @@ func (n *Node) serve(p sim.Proc, mount bool) {
 			// with a recovery report whose fsck the crash itself garbled.
 			return
 		}
+		c := nodeCommands.Of(req.Body)
 		var sp obs.SpanRef
 		rec := n.net.Recorder()
 		if rec != nil {
 			at := p.Now()
-			sp = rec.Start(at, req.Trace, req.Span, "lfs."+reqKind(req.Body), int(n.ID))
+			sp = rec.Start(at, req.Trace, req.Span, "lfs."+c.Name, int(n.ID))
 			sp.SetQueueWait(n.net.QueueWait(at, req))
 			// Device accesses during this request belong to its trace.
 			n.Disk.SetTrace(req.Trace, sp.ID())
@@ -287,7 +288,7 @@ func (n *Node) serve(p sim.Proc, mount bool) {
 		if n.cfg.OpCPU > 0 {
 			p.Sleep(n.cfg.OpCPU)
 		}
-		body := n.handle(p, req)
+		body := c.Serve(n, p, req.From, req.Body)
 		if rec != nil {
 			n.Disk.SetTrace(0, 0)
 		}
@@ -296,7 +297,7 @@ func (n *Node) serve(p sim.Proc, mount bool) {
 			From:  n.port.Addr(),
 			ReqID: req.ReqID,
 			Body:  body,
-			Size:  WireSize(body),
+			Size:  c.Size(body),
 			Trace: req.Trace,
 			Span:  req.Span,
 		})
@@ -342,39 +343,6 @@ func (n *Node) refuse(p sim.Proc, bootErr error) {
 			Span:  req.Span,
 		})
 	}
-}
-
-// reqKind names a request type for span kinds ("lfs.read", "lfs.writevec").
-func reqKind(body any) string {
-	switch body.(type) {
-	case CreateReq:
-		return "create"
-	case DeleteReq:
-		return "delete"
-	case ReadReq:
-		return "read"
-	case WriteReq:
-		return "write"
-	case ReadVecReq:
-		return "readvec"
-	case WriteVecReq:
-		return "writevec"
-	case PingReq:
-		return "ping"
-	case StatReq:
-		return "stat"
-	case SyncReq:
-		return "sync"
-	case CheckReq:
-		return "check"
-	case ScrubReq:
-		return "scrub"
-	case UsageReq:
-		return "usage"
-	case RecoveryReq:
-		return "recovery"
-	}
-	return "unknown"
 }
 
 // recoverVolume verifies a journaled volume after a mount. The journal
@@ -435,13 +403,13 @@ func (n *Node) scrubTick(p sim.Proc) {
 // per-block path. The run is all-or-nothing: on failure every block reports
 // the same error and the file is unchanged, which the Bridge Server's
 // contiguous-prefix accounting handles as a zero-length prefix.
-func (n *Node) appendRunVec(p sim.Proc, r WriteVecReq) (resp WriteVecResp, allOK, ran bool) {
+func (n *Node) appendRunVec(p sim.Proc, r WriteVecReq) (resp WriteVecResp, ran bool) {
 	if len(r.Blocks) < 2 {
-		return WriteVecResp{}, false, false
+		return WriteVecResp{}, false
 	}
 	for i, w := range r.Blocks {
 		if w.BlockNum != r.Blocks[0].BlockNum+uint32(i) {
-			return WriteVecResp{}, false, false
+			return WriteVecResp{}, false
 		}
 	}
 	datas := make([][]byte, len(r.Blocks))
@@ -452,7 +420,7 @@ func (n *Node) appendRunVec(p sim.Proc, r WriteVecReq) (resp WriteVecResp, allOK
 	if errors.Is(err, efs.ErrNotAppend) {
 		// The run does not start at the file's append point (an overwrite
 		// batch, or a stale size): per-block dispatch decides block by block.
-		return WriteVecResp{}, false, false
+		return WriteVecResp{}, false
 	}
 	resp = WriteVecResp{Blocks: make([]VecWritten, len(r.Blocks))}
 	if err != nil {
@@ -460,146 +428,67 @@ func (n *Node) appendRunVec(p sim.Proc, r WriteVecReq) (resp WriteVecResp, allOK
 		for i := range resp.Blocks {
 			resp.Blocks[i] = VecWritten{Addr: -1, Status: st}
 		}
-		return resp, false, true
+		return resp, true
 	}
 	for i, addr := range addrs {
 		resp.Blocks[i] = VecWritten{Addr: addr}
 	}
-	return resp, true, true
+	return resp, true
 }
 
-// dedupPut caches a successful write reply under the FIFO capacity bound.
-func (n *Node) dedupPut(key writeKey, resp any) {
-	if len(n.dedupQ) >= writeDedupCap {
-		delete(n.dedup, n.dedupQ[0])
-		n.dedupQ = n.dedupQ[1:]
-	}
-	n.dedup[key] = resp
-	n.dedupQ = append(n.dedupQ, key)
-}
-
-// handle executes one EFS operation.
-func (n *Node) handle(p sim.Proc, req *msg.Message) any {
-	switch r := req.Body.(type) {
-	case CreateReq:
-		return CreateResp{Status: StatusFor(n.fs.Create(p, r.FileID))}
-	case DeleteReq:
-		var freed int
-		var err error
-		if r.Fast {
-			freed, err = n.fs.DeleteFast(p, r.FileID)
-		} else {
-			freed, err = n.fs.Delete(p, r.FileID)
-		}
-		return DeleteResp{Freed: freed, Status: StatusFor(err)}
-	case ReadReq:
-		data, addr, err := n.fs.ReadBlock(p, r.FileID, r.BlockNum, r.Hint)
-		return ReadResp{Data: data, Addr: addr, Status: StatusFor(err)}
-	case WriteReq:
-		key := writeKey{from: req.From, op: r.OpID}
-		if r.OpID != 0 {
-			// A hit must be the same op kind; a cached WriteVecResp under
-			// this key means the key was reused across kinds (e.g. the
-			// core server's op counter reset across a restart while this
-			// node kept its cache), so re-execute rather than reply with
-			// a body the caller cannot type-assert.
-			if resp, hit := n.dedup[key].(WriteResp); hit {
-				return resp
-			}
-		}
-		addr, err := n.fs.WriteBlock(p, r.FileID, r.BlockNum, r.Data, r.Hint)
-		resp := WriteResp{Addr: addr, Status: StatusFor(err)}
-		if r.OpID != 0 && err == nil {
-			n.dedupPut(key, resp)
-		}
-		return resp
-	case ReadVecReq:
-		resp := ReadVecResp{Blocks: make([]VecRead, len(r.Blocks))}
-		hint := r.Hint
-		for i, bn := range r.Blocks {
-			data, addr, err := n.fs.ReadBlock(p, r.FileID, bn, hint)
-			resp.Blocks[i] = VecRead{Data: data, Addr: addr, Status: StatusFor(err)}
-			if err == nil {
-				// Chain the returned address as the next block's hint:
-				// consecutive local blocks usually sit near each other.
-				hint = addr
-			}
-		}
-		return resp
-	case WriteVecReq:
-		key := writeKey{from: req.From, op: r.OpID}
-		if r.OpID != 0 {
-			// Kind-checked like WriteReq: a cached WriteResp under this
-			// key is a cross-kind key reuse, not a retransmission.
-			if resp, hit := n.dedup[key].(WriteVecResp); hit {
-				return resp
-			}
-		}
-		resp, allOK, ran := n.appendRunVec(p, r)
-		if !ran {
-			resp = WriteVecResp{Blocks: make([]VecWritten, len(r.Blocks))}
-			hint := r.Hint
-			allOK = true
-			for i, w := range r.Blocks {
-				addr, err := n.fs.WriteBlock(p, r.FileID, w.BlockNum, w.Data, hint)
-				resp.Blocks[i] = VecWritten{Addr: addr, Status: StatusFor(err)}
-				if err == nil {
-					hint = addr
-				} else {
-					allOK = false
-				}
-			}
-		}
-		if r.OpID != 0 && allOK {
-			n.dedupPut(key, resp)
-		}
-		return resp
-	case PingReq:
-		return PingResp{}
-	case StatReq:
-		info, err := n.fs.Stat(p, r.FileID)
-		return StatResp{Info: info, Status: StatusFor(err)}
-	case SyncReq:
-		return SyncResp{Status: StatusFor(n.fs.Sync(p))}
-	case CheckReq:
-		if r.Repair {
-			rep, fixes, err := n.fs.Repair(p)
-			return CheckResp{Report: rep, Fixes: fixes, Status: StatusFor(err)}
-		}
-		rep, err := n.fs.Check(p)
-		return CheckResp{Report: rep, Status: StatusFor(err)}
-	case ScrubReq:
-		var rep efs.ScrubReport
-		var err error
-		if r.Full {
-			rep, err = n.fs.ScrubAll(p)
-		} else {
-			budget := time.Duration(0)
-			if n.cfg.Scrub != nil {
-				budget = n.cfg.Scrub.Budget
-			}
-			rep, err = n.fs.ScrubStep(p, budget)
-		}
+// readVec serves a ReadVecReq, block by block.
+func (n *Node) readVec(p sim.Proc, _ msg.Addr, r ReadVecReq) (ReadVecResp, error) {
+	resp := ReadVecResp{Blocks: make([]VecRead, len(r.Blocks))}
+	hint := r.Hint
+	for i, bn := range r.Blocks {
+		data, addr, err := n.fs.ReadBlock(p, r.FileID, bn, hint)
+		resp.Blocks[i] = VecRead{Data: data, Addr: addr, Status: StatusFor(err)}
 		if err == nil {
-			n.sm.blocks.Add(int64(rep.Scanned))
-			n.sm.errors.Add(int64(len(rep.Errors)))
-			if rep.Wrapped {
-				n.sm.sweeps.Add(1)
-			}
+			// Chain the returned address as the next block's hint:
+			// consecutive local blocks usually sit near each other.
+			hint = addr
 		}
-		return ScrubResp{Report: rep, Status: StatusFor(err)}
-	case UsageReq:
-		return UsageResp{
-			TotalBlocks: n.Disk.Config().NumBlocks,
-			FreeBlocks:  n.fs.FreeBlocks(),
-		}
-	case RecoveryReq:
-		if n.recovery == nil {
-			return RecoveryResp{Status: msg.Failed(CodeNotFound,
-				"lfs: no recovery report (volume was freshly formatted or is not journaled)")}
-		}
-		return RecoveryResp{Report: *n.recovery}
-	default:
-		return msg.Failed(CodeIO, "lfs: unknown request")
 	}
+	return resp, nil
+}
+
+// writeVec serves a WriteVecReq: as one append run when it is one, else
+// block by block with each written address chained as the next hint.
+func (n *Node) writeVec(p sim.Proc, _ msg.Addr, r WriteVecReq) (WriteVecResp, error) {
+	if resp, ran := n.appendRunVec(p, r); ran {
+		return resp, nil
+	}
+	resp := WriteVecResp{Blocks: make([]VecWritten, len(r.Blocks))}
+	hint := r.Hint
+	for i, w := range r.Blocks {
+		addr, err := n.fs.WriteBlock(p, r.FileID, w.BlockNum, w.Data, hint)
+		resp.Blocks[i] = VecWritten{Addr: addr, Status: StatusFor(err)}
+		if err == nil {
+			hint = addr
+		}
+	}
+	return resp, nil
+}
+
+// scrub serves a ScrubReq: a full sweep, or one budgeted increment.
+func (n *Node) scrub(p sim.Proc, _ msg.Addr, r ScrubReq) (ScrubResp, error) {
+	var rep efs.ScrubReport
+	var err error
+	if r.Full {
+		rep, err = n.fs.ScrubAll(p)
+	} else {
+		budget := time.Duration(0)
+		if n.cfg.Scrub != nil {
+			budget = n.cfg.Scrub.Budget
+		}
+		rep, err = n.fs.ScrubStep(p, budget)
+	}
+	if err == nil {
+		n.sm.blocks.Add(int64(rep.Scanned))
+		n.sm.errors.Add(int64(len(rep.Errors)))
+		if rep.Wrapped {
+			n.sm.sweeps.Add(1)
+		}
+	}
+	return ScrubResp{Report: rep}, err
 }

@@ -24,42 +24,20 @@ import (
 	"bridge/internal/raft"
 )
 
-// bodies is every message body the protocols send: the Req and Resp types of
-// core/protocol.go, lfs/protocol.go, lfs/agent.go and raft/wire.go (the test
-// walks those files and fails on a type missing here), the job-transfer
-// one-ways, and the bare status that answers an unknown request. The one
-// exemption is lfs.SpawnReq, which carries a func and cannot cross a wire.
-var bodies = []any{
-	msg.Status{},
-	lfs.CreateReq{}, lfs.CreateResp{}, lfs.DeleteReq{}, lfs.DeleteResp{},
-	lfs.ReadReq{}, lfs.ReadResp{}, lfs.WriteReq{}, lfs.WriteResp{},
-	lfs.ReadVecReq{}, lfs.ReadVecResp{}, lfs.WriteVecReq{}, lfs.WriteVecResp{},
-	lfs.StatReq{}, lfs.StatResp{}, lfs.SyncReq{}, lfs.SyncResp{},
-	lfs.UsageReq{}, lfs.UsageResp{}, lfs.PingReq{}, lfs.PingResp{},
-	lfs.CheckReq{}, lfs.CheckResp{}, lfs.ScrubReq{}, lfs.ScrubResp{},
-	lfs.RecoveryReq{}, lfs.RecoveryResp{},
-	lfs.SpawnResp{}, lfs.TreeReq{}, lfs.TreeResp{},
-	core.CreateReq{}, core.CreateResp{}, core.DeleteReq{}, core.DeleteResp{},
-	core.RenameReq{}, core.RenameResp{}, core.OpenReq{}, core.OpenResp{},
-	core.StatReq{}, core.StatResp{}, core.FlushReq{}, core.FlushResp{},
-	core.ReleaseReq{}, core.ReleaseResp{},
-	core.SeqReadReq{}, core.SeqReadResp{}, core.SeqWriteReq{}, core.SeqWriteResp{},
-	core.SeqReadNReq{}, core.SeqReadNResp{},
-	core.RandReadReq{}, core.RandReadResp{}, core.RandWriteReq{}, core.RandWriteResp{},
-	core.RandReadNReq{}, core.RandReadNResp{}, core.RandWriteNReq{}, core.RandWriteNResp{},
-	core.ScatterReq{}, core.ScatterResp{},
-	core.ListReq{}, core.ListResp{}, core.GetInfoReq{}, core.GetInfoResp{},
-	core.HealthReq{}, core.HealthResp{}, core.RepairNodeReq{}, core.RepairNodeResp{},
-	core.FsckReq{}, core.FsckResp{}, core.ScrubReq{}, core.ScrubResp{},
-	core.RecoveryReq{}, core.RecoveryResp{},
-	core.ParallelOpenReq{}, core.ParallelOpenResp{},
-	core.ParallelReadReq{}, core.ParallelReadResp{},
-	core.ParallelWriteReq{}, core.ParallelWriteResp{},
-	core.CloseJobReq{}, core.CloseJobResp{},
-	core.WorkerData{}, core.WorkerPoke{}, core.WorkerBlock{},
-	raft.VoteReq{}, raft.VoteResp{}, raft.AppendReq{}, raft.AppendResp{},
-	raft.SnapReq{}, raft.SnapResp{},
-}
+// bodies is every message body the protocols send, read from their command
+// tables: the Bridge Server's (with the job-transfer one-ways), the LFS
+// server's and node agent's (with the bare status that answers a request no
+// table declares) and the consensus protocol's. The one body gob cannot
+// carry is lfs.SpawnReq, whose worker is a func: it is left out.
+var bodies = func() []any {
+	var out []any
+	for _, v := range append(append(core.Bodies(), lfs.Bodies()...), raft.Bodies()...) {
+		if _, spawn := v.(lfs.SpawnReq); !spawn {
+			out = append(out, v)
+		}
+	}
+	return out
+}()
 
 // RegisterTypes registers every protocol body with gob. Call once per
 // process before sending.

@@ -3,17 +3,14 @@ package tcpnet
 import (
 	"errors"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"path"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
+	"bridge/internal/core"
 	"bridge/internal/lfs"
 	"bridge/internal/msg"
+	"bridge/internal/raft"
 )
 
 func twoPeers(t *testing.T) (*Peer, *Peer) {
@@ -204,58 +201,44 @@ func fill(v reflect.Value) {
 	}
 }
 
-// TestEveryProtocolBodyOverWire walks the four files that declare the
-// protocols and sends a filled-in value of every Req and Resp type they
-// declare (and the bare status) from one peer to another: a type that
-// RegisterTypes forgot fails in Send, a field gob cannot carry fails the
-// comparison. lfs.SpawnReq, whose payload is a func, is the one exemption.
+// TestEveryProtocolBodyOverWire sends a filled-in value of every body the
+// command tables of the Bridge, LFS, node-agent and consensus protocols
+// declare from one peer to another: a type that RegisterTypes left out fails
+// in Send, a field gob cannot carry fails the comparison. lfs.SpawnReq, whose
+// payload is a func, is the one exemption.
 func TestEveryProtocolBodyOverWire(t *testing.T) {
-	registered := map[string]reflect.Type{}
+	registered := map[reflect.Type]bool{}
 	for _, v := range bodies {
-		rt := reflect.TypeOf(v)
-		registered[path.Base(rt.PkgPath())+"."+rt.Name()] = rt
+		registered[reflect.TypeOf(v)] = true
 	}
-	names := []string{"msg.Status"}
-	fset := token.NewFileSet()
-	for _, file := range []string{"../../core/protocol.go", "../../lfs/protocol.go", "../../lfs/agent.go", "../../raft/wire.go"} {
-		f, err := parser.ParseFile(fset, file, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if ts, ok := n.(*ast.TypeSpec); ok && (strings.HasSuffix(ts.Name.Name, "Req") || strings.HasSuffix(ts.Name.Name, "Resp")) {
-				names = append(names, f.Name.Name+"."+ts.Name.Name)
-			}
-			return true
-		})
-	}
-	if len(names) < 80 {
-		t.Fatalf("the walk found only %d protocol bodies: %v", len(names), names)
+	all := append(append(core.Bodies(), lfs.Bodies()...), raft.Bodies()...)
+	if len(all) < 80 {
+		t.Fatalf("the tables declare only %d protocol bodies: %v", len(all), all)
 	}
 
 	a, b := twoPeers(t)
 	sink := b.NewPort(msg.Addr{Node: 2, Port: "sink"})
-	for _, name := range names {
-		if name == "lfs.SpawnReq" {
+	for _, v := range all {
+		rt := reflect.TypeOf(v)
+		if rt == reflect.TypeOf(lfs.SpawnReq{}) {
 			continue
 		}
-		rt, ok := registered[name]
-		if !ok {
-			t.Errorf("%s is not in tcpnet's bodies: Send would fail with \"gob: type not registered for interface\"", name)
+		if !registered[rt] {
+			t.Errorf("%v is not in tcpnet's bodies: Send would fail with \"gob: type not registered for interface\"", rt)
 			continue
 		}
 		want := reflect.New(rt).Elem()
 		fill(want)
 		if err := a.Send(sink.Addr(), &msg.Message{ReqID: 1, Body: want.Interface()}); err != nil {
-			t.Errorf("%s: Send: %v", name, err)
+			t.Errorf("%v: Send: %v", rt, err)
 			continue
 		}
 		m, ok := sink.Recv()
 		if !ok {
-			t.Fatalf("%s: sink closed", name)
+			t.Fatalf("%v: sink closed", rt)
 		}
 		if !reflect.DeepEqual(m.Body, want.Interface()) {
-			t.Errorf("%s crossed the wire as %+v, sent %+v", name, m.Body, want.Interface())
+			t.Errorf("%v crossed the wire as %+v, sent %+v", rt, m.Body, want.Interface())
 		}
 	}
 }

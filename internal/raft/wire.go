@@ -13,7 +13,11 @@
 // replicas, and a heartbeat-ack leader lease for local reads.
 package raft
 
-import "time"
+import (
+	"time"
+
+	"bridge/internal/msg"
+)
 
 // Entry is one replicated log record. Data is opaque to the raft layer;
 // a nil Data is the no-op barrier a fresh leader commits to learn the
@@ -84,27 +88,35 @@ type SnapResp struct {
 	MatchIndex uint64
 }
 
-// WireSize estimates a message's bytes on the wire for the transport's
-// latency model.
-func WireSize(body any) int {
-	switch b := body.(type) {
-	case VoteReq:
-		return 40
-	case VoteResp:
-		return 24
-	case AppendReq:
+// The consensus protocol is declared once, in exchanges: each entry pairs a
+// request with its reply and prices both for the transport's latency model
+// (msg.Table). The owning server tells consensus traffic from client
+// requests by it, and the TCP transport registers its bodies from it.
+// Node.Step's switch is the algorithm, not a list of the protocol.
+var exchanges = msg.NewTable[any](24, nil, nil,
+	msg.Cmd(msg.Def[any, VoteReq, VoteResp]{ReqSize: msg.Flat[VoteReq](40), RespSize: msg.Flat[VoteResp](24)}),
+	msg.Cmd(msg.Def[any, AppendReq, AppendResp]{RespSize: msg.Flat[AppendResp](40), ReqSize: func(b AppendReq) int {
 		n := 64
 		for _, e := range b.Entries {
 			n += 24 + len(e.Data)
 		}
 		return n
-	case AppendResp:
-		return 40
-	case SnapReq:
-		return 48 + len(b.Data)
-	case SnapResp:
-		return 32
-	default:
-		return 24
-	}
+	}}),
+	msg.Cmd(msg.Def[any, SnapReq, SnapResp]{ReqSize: func(b SnapReq) int { return 48 + len(b.Data) }, RespSize: msg.Flat[SnapResp](32)}),
+)
+
+// WireSize estimates a message's bytes on the wire for the transport's
+// latency model.
+func WireSize(body any) int {
+	n, _ := exchanges.Price(body)
+	return n
 }
+
+// IsMessage reports whether body belongs to the consensus protocol.
+func IsMessage(body any) bool {
+	_, ok := exchanges.Price(body)
+	return ok
+}
+
+// Bodies returns a zero value of every consensus message, in exchange order.
+func Bodies() []any { return exchanges.Bodies() }

@@ -74,7 +74,7 @@ func (r *colReader) next() (raw []byte, num int64, err error) {
 			req.Blocks[i] = uint32(from) + uint32(i)
 		}
 		r.st.Open(from, int(n))
-		if err := r.st.Start(r.st.C.Start(msg.Addr{Node: r.node, Port: lfs.PortName}, req, lfs.WireSize(req))); err != nil {
+		if err := r.st.Start(r.st.C.Start(msg.Addr{Node: r.node, Port: lfs.PortName}, req)); err != nil {
 			return nil, r.pos, err
 		}
 		hint = -1
@@ -130,7 +130,7 @@ func (w *colWriter) flush() error {
 	}
 	req := lfs.WriteVecReq{FileID: w.file, Blocks: w.run, Hint: -1} // appends take no hint
 	w.st.Open(int64(w.run[0].BlockNum), len(w.run))
-	if err := w.st.Start(w.st.C.Start(msg.Addr{Node: w.node, Port: lfs.PortName}, req, lfs.WireSize(req))); err != nil {
+	if err := w.st.Start(w.st.C.Start(msg.Addr{Node: w.node, Port: lfs.PortName}, req)); err != nil {
 		return fmt.Errorf("run at block %d: %w", w.run[0].BlockNum, err)
 	}
 	var err error

@@ -184,7 +184,7 @@ func discardEverywhere(ctrl *lfs.Client, src core.Meta, fileID uint32) error {
 	op := lfs.DeleteReq{FileID: fileID, Fast: true}
 	calls := make([]lfs.Call, 0, len(src.Nodes))
 	for _, n := range src.Nodes {
-		call, err := ctrl.Start(msg.Addr{Node: n, Port: lfs.PortName}, op, lfs.WireSize(op))
+		call, err := ctrl.Start(msg.Addr{Node: n, Port: lfs.PortName}, op)
 		if err != nil {
 			return err
 		}

@@ -94,7 +94,7 @@ func RunOnNodes(pc sim.Proc, network *msg.Network, nodes []msg.NodeID, name stri
 			_ = network.Send(p, self, doneAddr, &msg.Message{From: ctx.LFS.C.Addr(), Body: d, Size: 64})
 		}
 		req := lfs.SpawnReq{Name: fmt.Sprintf("%s.w%d", name, i), Fn: worker}
-		call, err := ctrl.Start(msg.Addr{Node: node, Port: lfs.AgentPortName}, req, 64)
+		call, err := ctrl.Start(msg.Addr{Node: node, Port: lfs.AgentPortName}, req)
 		if err != nil {
 			return nil, fmt.Errorf("tools: spawning worker on node %d: %w", node, err)
 		}
