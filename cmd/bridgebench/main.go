@@ -4,7 +4,8 @@
 //
 // Usage:
 //
-//	bridgebench [-exp all|table2|table3|table4|placement|createtree|popen|methods|faults|writes|obs|latency]
+//	bridgebench [-exp all|table2|table3|table4|placement|createtree|popen|methods|disordered|servers|
+//	                   utilization|model|faults|writes|scrub|corruption|obs|latency]
 //	            [-records N] [-incore N] [-ps 2,4,8,16,32] [-quick] [-trace out.json]
 //
 // The default is the paper's full configuration: a 10 MB file of 10240
@@ -15,7 +16,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -23,6 +26,142 @@ import (
 	"bridge/internal/experiments"
 	"bridge/internal/model"
 )
+
+// experiment is one -exp name: run measures and renders it over cfg.Ps,
+// which is ps, the experiment's own sweep, unless -ps is given.
+type experiment struct {
+	name, title string
+	ps          []int
+	run         func(w io.Writer, cfg experiments.Config) error
+}
+
+var exps = []experiment{
+	{"table2", "Table 2: basic operations", nil, func(w io.Writer, cfg experiments.Config) error {
+		res, err := experiments.Table2(cfg)
+		if err == nil {
+			res.Render(w)
+		}
+		return err
+	}},
+	{"table3", "Table 3: copy tool", nil, func(w io.Writer, cfg experiments.Config) error {
+		rows, err := experiments.Table3Copy(cfg)
+		if err == nil {
+			experiments.RenderCopy(w, rows, cfg.Records)
+		}
+		return err
+	}},
+	{"table4", "Table 4: merge sort tool", nil, func(w io.Writer, cfg experiments.Config) error {
+		rows, err := experiments.Table4Sort(cfg)
+		if err == nil {
+			experiments.RenderSort(w, rows, cfg.Records)
+		}
+		return err
+	}},
+	{"placement", "Ablation A1: placement strategies", nil, func(w io.Writer, cfg experiments.Config) error {
+		rows, reorg, err := experiments.Placement(cfg)
+		if err == nil {
+			experiments.RenderPlacement(w, rows, reorg)
+		}
+		return err
+	}},
+	{"createtree", "Ablation A2: Create initiation", nil, func(w io.Writer, cfg experiments.Config) error {
+		rows, err := experiments.CreateTree(cfg)
+		if err == nil {
+			experiments.RenderCreateTree(w, rows)
+		}
+		return err
+	}},
+	{"popen", "Ablation A3: parallel-open width", nil, func(w io.Writer, cfg experiments.Config) error {
+		rows, err := experiments.ParallelOpen(cfg, 8, []int{1, 2, 4, 8, 16, 32})
+		if err == nil {
+			experiments.RenderParallelOpen(w, rows, 8, cfg.Records)
+		}
+		return err
+	}},
+	{"methods", "Ablation A4a: access methods", nil, func(w io.Writer, cfg experiments.Config) error {
+		rows, err := experiments.ToolVsNaive(cfg, 8)
+		if err == nil {
+			experiments.RenderAccessMethods(w, rows, cfg.Records)
+		}
+		return err
+	}},
+	{"disordered", "Ablation A5: disordered files", nil, func(w io.Writer, cfg experiments.Config) error {
+		res, err := experiments.Disordered(cfg, 8)
+		if err == nil {
+			experiments.RenderDisordered(w, res)
+		}
+		return err
+	}},
+	{"servers", "Ablation A6: distributed Bridge Servers", nil, func(w io.Writer, cfg experiments.Config) error {
+		rows, err := experiments.ServerScaling(cfg, 8, 8)
+		if err == nil {
+			experiments.RenderServerScaling(w, rows, 8)
+		}
+		return err
+	}},
+	{"utilization", "Disk utilization: naive vs tool", nil, func(w io.Writer, cfg experiments.Config) error {
+		rows, err := experiments.Utilization(cfg, 8)
+		if err == nil {
+			experiments.RenderUtilization(w, rows, 8, cfg.Records)
+		}
+		return err
+	}},
+	{"model", "Analytical model vs simulation", nil, func(w io.Writer, cfg experiments.Config) error {
+		rows, err := experiments.ModelComparison(cfg)
+		if err == nil {
+			m := model.Default()
+			m.InCore = cfg.InCore
+			experiments.RenderModel(w, rows, m.MergeSaturationWidth())
+		}
+		return err
+	}},
+	{"faults", "Ablation A4b: faults, mirroring, parity", nil, func(w io.Writer, cfg experiments.Config) error {
+		rep, err := experiments.Faults(cfg, 4)
+		if err == nil {
+			experiments.RenderFaults(w, rep)
+		}
+		return err
+	}},
+	{"writes", "Write campaign: group commit, parallel delete, RS k+m", []int{4, 8, 16}, func(w io.Writer, cfg experiments.Config) error {
+		pts, err := experiments.WriteCampaign(cfg)
+		if err == nil {
+			experiments.RenderWriteCampaign(w, pts, cfg.Records)
+		}
+		return err
+	}},
+	{"scrub", "Integrity: scrub overhead on the batched naive read", integrityPs, func(w io.Writer, cfg experiments.Config) error {
+		pts, err := experiments.ScrubOverhead(cfg)
+		if err == nil {
+			experiments.RenderScrubOverhead(w, pts, cfg.Records)
+		}
+		return err
+	}},
+	{"corruption", "Integrity: silent-corruption recovery", integrityPs, func(w io.Writer, cfg experiments.Config) error {
+		pts, err := experiments.CorruptionRecovery(cfg)
+		if err == nil {
+			experiments.RenderCorruption(w, pts)
+		}
+		return err
+	}},
+	{"obs", "Observability: recorder overhead on the batched naive read", integrityPs, func(w io.Writer, cfg experiments.Config) error {
+		pts, err := experiments.ObsOverhead(cfg)
+		if err == nil {
+			experiments.RenderObsOverhead(w, pts, cfg.Records)
+		}
+		return err
+	}},
+	{"latency", "Observability: per-layer latency breakdown", []int{8}, func(w io.Writer, cfg experiments.Config) error {
+		rows, err := experiments.LatencyBreakdown(cfg)
+		if err == nil {
+			experiments.RenderLatencyBreakdown(w, rows, cfg.Ps[0], cfg.Records)
+		}
+		return err
+	}},
+}
+
+// integrityPs is the integrity and observability experiments' sweep: the
+// recovery pipeline's shape is established well before the full one.
+var integrityPs = []int{2, 4, 8}
 
 func main() {
 	if err := run(); err != nil {
@@ -32,8 +171,12 @@ func main() {
 }
 
 func run() error {
+	names := []string{"all"}
+	for _, e := range exps {
+		names = append(names, e.name)
+	}
 	var (
-		exp      = flag.String("exp", "all", "experiment: all, table2, table3, table4, placement, createtree, popen, methods, disordered, servers, utilization, model, faults, writes, scrub, corruption, obs, latency")
+		exp      = flag.String("exp", "all", "experiment: "+strings.Join(names, ", "))
 		records  = flag.Int("records", 0, "records per workload file (0 = paper's 10240)")
 		inCore   = flag.Int("incore", 0, "sort tool in-core buffer in records (0 = paper's 512)")
 		psFlag   = flag.String("ps", "", "comma-separated processor sweep (default 2,4,8,16,32)")
@@ -41,6 +184,9 @@ func run() error {
 		traceOut = flag.String("trace", "", "write an observed batched-read run's Chrome trace JSON here")
 	)
 	flag.Parse()
+	if !slices.Contains(names, *exp) {
+		return fmt.Errorf("unknown -exp %q; valid: %s", *exp, strings.Join(names, ", "))
+	}
 
 	cfg := experiments.PaperScale()
 	if *quick {
@@ -52,7 +198,8 @@ func run() error {
 	if *inCore > 0 {
 		cfg.InCore = *inCore
 	}
-	if *psFlag != "" {
+	psSet := *psFlag != ""
+	if psSet {
 		cfg.Ps = nil
 		for _, s := range strings.Split(*psFlag, ",") {
 			p, err := strconv.Atoi(strings.TrimSpace(s))
@@ -64,190 +211,27 @@ func run() error {
 	}
 
 	w := os.Stdout
-	section := func(name string) func() {
-		fmt.Fprintf(w, "\n================ %s ================\n", name)
-		start := time.Now()
-		return func() { fmt.Fprintf(w, "[host time: %v]\n", time.Since(start).Round(time.Millisecond)) }
-	}
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-
 	fmt.Fprintf(w, "Bridge reproduction benchmark harness\n")
 	fmt.Fprintf(w, "workload: %d records of %d bytes; disks: %v fixed latency; p sweep: %v; sort in-core: %d\n",
 		cfg.Records, cfg.PayloadBytes, cfg.DiskLatency, cfg.Ps, cfg.InCore)
-
-	if want("table2") {
-		done := section("Table 2: basic operations")
-		res, err := experiments.Table2(cfg)
-		if err != nil {
+	for _, e := range exps {
+		if *exp != "all" && *exp != e.name {
+			continue
+		}
+		fmt.Fprintf(w, "\n================ %s ================\n", e.title)
+		start := time.Now()
+		ecfg := cfg
+		if !psSet && e.ps != nil {
+			ecfg.Ps = e.ps
+		}
+		if err := e.run(w, ecfg); err != nil {
 			return err
 		}
-		res.Render(w)
-		done()
-	}
-	if want("table3") {
-		done := section("Table 3: copy tool")
-		rows, err := experiments.Table3Copy(cfg)
-		if err != nil {
-			return err
-		}
-		experiments.RenderCopy(w, rows, cfg.Records)
-		done()
-	}
-	if want("table4") {
-		done := section("Table 4: merge sort tool")
-		rows, err := experiments.Table4Sort(cfg)
-		if err != nil {
-			return err
-		}
-		experiments.RenderSort(w, rows, cfg.Records)
-		done()
-	}
-	if want("placement") {
-		done := section("Ablation A1: placement strategies")
-		rows, reorg, err := experiments.Placement(cfg)
-		if err != nil {
-			return err
-		}
-		experiments.RenderPlacement(w, rows, reorg)
-		done()
-	}
-	if want("createtree") {
-		done := section("Ablation A2: Create initiation")
-		rows, err := experiments.CreateTree(cfg)
-		if err != nil {
-			return err
-		}
-		experiments.RenderCreateTree(w, rows)
-		done()
-	}
-	if want("popen") {
-		done := section("Ablation A3: parallel-open width")
-		rows, err := experiments.ParallelOpen(cfg, 8, []int{1, 2, 4, 8, 16, 32})
-		if err != nil {
-			return err
-		}
-		experiments.RenderParallelOpen(w, rows, 8, cfg.Records)
-		done()
-	}
-	if want("methods") {
-		done := section("Ablation A4a: access methods")
-		rows, err := experiments.ToolVsNaive(cfg, 8)
-		if err != nil {
-			return err
-		}
-		experiments.RenderAccessMethods(w, rows, cfg.Records)
-		done()
-	}
-	if want("disordered") {
-		done := section("Ablation A5: disordered files")
-		res, err := experiments.Disordered(cfg, 8)
-		if err != nil {
-			return err
-		}
-		experiments.RenderDisordered(w, res)
-		done()
-	}
-	if want("servers") {
-		done := section("Ablation A6: distributed Bridge Servers")
-		rows, err := experiments.ServerScaling(cfg, 8, 8)
-		if err != nil {
-			return err
-		}
-		experiments.RenderServerScaling(w, rows, 8)
-		done()
-	}
-	if want("utilization") {
-		done := section("Disk utilization: naive vs tool")
-		rows, err := experiments.Utilization(cfg, 8)
-		if err != nil {
-			return err
-		}
-		experiments.RenderUtilization(w, rows, 8, cfg.Records)
-		done()
-	}
-	if want("model") {
-		done := section("Analytical model vs simulation")
-		rows, err := experiments.ModelComparison(cfg)
-		if err != nil {
-			return err
-		}
-		m := model.Default()
-		m.InCore = cfg.InCore
-		experiments.RenderModel(w, rows, m.MergeSaturationWidth())
-		done()
-	}
-	if want("faults") {
-		done := section("Ablation A4b: faults, mirroring, parity")
-		rep, err := experiments.Faults(cfg, 4)
-		if err != nil {
-			return err
-		}
-		experiments.RenderFaults(w, rep)
-		done()
-	}
-	if want("writes") {
-		done := section("Write campaign: group commit, parallel delete, RS k+m")
-		wcfg := cfg
-		if *psFlag == "" {
-			wcfg.Ps = []int{4, 8, 16}
-		}
-		pts, err := experiments.WriteCampaign(wcfg)
-		if err != nil {
-			return err
-		}
-		experiments.RenderWriteCampaign(w, pts, wcfg.Records)
-		done()
-	}
-	// The integrity experiments sweep p ∈ {2, 4, 8}: the recovery pipeline's
-	// shape is established well before the full paper sweep.
-	icfg := cfg
-	if *psFlag == "" {
-		icfg.Ps = []int{2, 4, 8}
-	}
-	if want("scrub") {
-		done := section("Integrity: scrub overhead on the batched naive read")
-		pts, err := experiments.ScrubOverhead(icfg)
-		if err != nil {
-			return err
-		}
-		experiments.RenderScrubOverhead(w, pts, icfg.Records)
-		done()
-	}
-	if want("corruption") {
-		done := section("Integrity: silent-corruption recovery")
-		pts, err := experiments.CorruptionRecovery(icfg)
-		if err != nil {
-			return err
-		}
-		experiments.RenderCorruption(w, pts)
-		done()
-	}
-	if want("obs") {
-		done := section("Observability: recorder overhead on the batched naive read")
-		pts, err := experiments.ObsOverhead(icfg)
-		if err != nil {
-			return err
-		}
-		experiments.RenderObsOverhead(w, pts, icfg.Records)
-		done()
-	}
-	if want("latency") {
-		done := section("Observability: per-layer latency breakdown")
-		lcfg := cfg
-		lcfg.Ps = []int{8}
-		if *psFlag != "" {
-			lcfg.Ps = cfg.Ps[:1]
-		}
-		rows, err := experiments.LatencyBreakdown(lcfg)
-		if err != nil {
-			return err
-		}
-		experiments.RenderLatencyBreakdown(w, rows, lcfg.Ps[0], lcfg.Records)
-		done()
+		fmt.Fprintf(w, "[host time: %v]\n", time.Since(start).Round(time.Millisecond))
 	}
 	if *traceOut != "" {
 		p := 8
-		if *psFlag != "" {
+		if psSet {
 			p = cfg.Ps[0]
 		}
 		f, err := os.Create(*traceOut)

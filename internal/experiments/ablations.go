@@ -41,7 +41,9 @@ type ChunkReorgRow struct {
 
 // Placement runs the Section 3 ablation analytically.
 func Placement(cfg Config) ([]PlacementRow, []ChunkReorgRow, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(); err != nil {
+		return nil, nil, err
+	}
 	const windows = 2000
 	var rows []PlacementRow
 	for _, p := range cfg.Ps {
@@ -99,7 +101,9 @@ type CreateTreeRow struct {
 
 // CreateTree measures Create with both initiation strategies.
 func CreateTree(cfg Config) ([]CreateTreeRow, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(); err != nil {
+		return nil, err
+	}
 	rows := make([]CreateTreeRow, 0, len(cfg.Ps))
 	for _, p := range cfg.Ps {
 		row := CreateTreeRow{P: p}
@@ -145,7 +149,9 @@ type ParallelOpenRow struct {
 // simulates the extra parallelism in lock-step groups of p and the curve
 // flattens — "hidden serialization ... may lead to unexpected performance".
 func ParallelOpen(cfg Config, p int, widths []int) ([]ParallelOpenRow, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(p); err != nil {
+		return nil, err
+	}
 	if len(widths) == 0 {
 		widths = []int{1, 2, 4, 8, 16, 32}
 	}
@@ -216,7 +222,9 @@ type AccessMethodRow struct {
 // conventional file system, through the naive interface of a p-node Bridge
 // (striping only), through a parallel-open job, and as a tool.
 func ToolVsNaive(cfg Config, p int) ([]AccessMethodRow, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(p); err != nil {
+		return nil, err
+	}
 	var rows []AccessMethodRow
 
 	// Conventional sequential file system: one node, one server.
@@ -423,7 +431,9 @@ type FaultReport struct {
 // Faults runs the Section 7 experiment on a p-node cluster with a reduced
 // record count (failure handling is timeout-driven).
 func Faults(cfg Config, p int) (*FaultReport, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(p); err != nil {
+		return nil, err
+	}
 	// Responsive failover: the workload here is tiny, so a short
 	// failure-detection timeout keeps the single-threaded server from
 	// head-of-line blocking on the dead node.

@@ -42,7 +42,9 @@ func (pt ScrubOverheadPoint) Overhead() float64 {
 // workload file twice per processor count — once on a plain cluster, once
 // with the default idle-time scrubber running on every node.
 func ScrubOverhead(cfg Config) ([]ScrubOverheadPoint, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(); err != nil {
+		return nil, err
+	}
 	if cfg.CacheBlocks == 0 {
 		// Match Table 2's small cache so the "no scrub" column equals its
 		// batched-naive row and the comparison is apples to apples.
@@ -127,16 +129,7 @@ const corruptionFlips = 2
 // shadow block i on node (i+1) mod p — so that every node is hit but no
 // logical block ever loses both copies.
 func CorruptionRecovery(cfg Config) ([]CorruptionPoint, error) {
-	cfg.applyDefaults()
-	var pts []CorruptionPoint
-	for _, p := range cfg.Ps {
-		pt, err := corruptionRecoveryAt(p, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("corruption recovery p=%d: %w", p, err)
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
+	return sweep(cfg, corruptionRecoveryAt)
 }
 
 func corruptionRecoveryAt(p int, cfg Config) (CorruptionPoint, error) {

@@ -30,7 +30,9 @@ type DisorderedResult struct {
 
 // Disordered measures both file kinds on one cluster.
 func Disordered(cfg Config, p int) (*DisorderedResult, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(p); err != nil {
+		return nil, err
+	}
 	n := cfg.Records
 	if n > 256 {
 		n = 256 // random chain access is O(n) LFS reads; keep the walk sane

@@ -97,6 +97,36 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// prepare applies the defaults and rejects a processor count below 1,
+// in c.Ps or in ps (an experiment's own p arguments), before anything
+// divides by it.
+func (c *Config) prepare(ps ...int) error {
+	c.applyDefaults()
+	for _, p := range append(ps, c.Ps...) {
+		if p < 1 {
+			return fmt.Errorf("%w: p = %d", core.ErrBadArg, p)
+		}
+	}
+	return nil
+}
+
+// sweep prepares cfg and measures at(p, cfg) for each p in cfg.Ps, in
+// order.
+func sweep[T any](cfg Config, at func(p int, cfg Config) (T, error)) ([]T, error) {
+	if err := cfg.prepare(); err != nil {
+		return nil, err
+	}
+	out := make([]T, 0, len(cfg.Ps))
+	for _, p := range cfg.Ps {
+		pt, err := at(p, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("p=%d: %w", p, err)
+		}
+		out = append(out, pt)
+	}
+	return out, nil
+}
+
 // PaperScale returns the paper's full-scale configuration.
 func PaperScale() Config {
 	var c Config
@@ -106,7 +136,8 @@ func PaperScale() Config {
 
 // QuickScale returns a reduced configuration (1/16 of the records, smaller
 // in-core buffer to preserve the run/merge structure) that keeps every
-// experiment's shape while running quickly; used by `go test -bench`.
+// experiment's shape while running quickly; used by `bridgebench -quick`
+// and the BENCH.json golden test.
 func QuickScale() Config {
 	c := PaperScale()
 	c.Records = 640
@@ -114,12 +145,12 @@ func QuickScale() Config {
 	return c
 }
 
-// clusterFor boots a cluster of p storage nodes sized for the workload.
-func clusterFor(rt sim.Runtime, p int, cfg Config) (*core.Cluster, error) {
+// clusterFor sizes a cluster of p storage nodes for the workload.
+func clusterFor(p int, cfg Config) core.ClusterConfig {
 	perNode := cfg.Records/p + 1
 	// Source + destination + sort runs in flight + metadata headroom.
 	blocks := perNode*5 + 256
-	return core.StartCluster(rt, core.ClusterConfig{
+	return core.ClusterConfig{
 		P: p,
 		Node: lfs.Config{
 			DiskBlocks: blocks,
@@ -130,14 +161,19 @@ func clusterFor(rt sim.Runtime, p int, cfg Config) (*core.Cluster, error) {
 		// A full-scale delete legitimately takes minutes of simulated
 		// time at small p; the failure-detection timeout must dwarf it.
 		Server: core.Config{LFSTimeout: cfg.LFSTimeout, ReadAhead: cfg.ReadAhead, WriteBehind: cfg.WriteBehind},
-	})
+	}
 }
 
 // runSim executes fn as a controller process on a fresh cluster of p nodes
 // and returns the first error from fn or the simulation.
 func runSim(p int, cfg Config, fn func(proc sim.Proc, cl *core.Cluster, c *core.Client) error) error {
+	return runOn(clusterFor(p, cfg), fn)
+}
+
+// runOn is runSim on a cluster booted from cc.
+func runOn(cc core.ClusterConfig, fn func(proc sim.Proc, cl *core.Cluster, c *core.Client) error) error {
 	rt := sim.NewVirtual()
-	cl, err := clusterFor(rt, p, cfg)
+	cl, err := core.StartCluster(rt, cc)
 	if err != nil {
 		return err
 	}
@@ -155,6 +191,22 @@ func runSim(p int, cfg Config, fn func(proc sim.Proc, cl *core.Cluster, c *core.
 		return err
 	}
 	return fnErr
+}
+
+// awaitAll receives n results from done, each an error or nil, and
+// returns the first error among them.
+func awaitAll(proc sim.Proc, done sim.Queue, n int) error {
+	var first error
+	for i := 0; i < n; i++ {
+		v, ok := done.Recv(proc)
+		if !ok {
+			return fmt.Errorf("done queue closed")
+		}
+		if err, _ := v.(error); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // fill writes the standard record workload into name.

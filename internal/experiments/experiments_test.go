@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
+
+	"bridge/internal/core"
 )
 
 // tinyScale keeps the experiment tests fast while preserving structure.
@@ -312,7 +316,7 @@ func TestScrubOverheadExperiment(t *testing.T) {
 		t.Fatalf("points = %d", len(pts))
 	}
 	// The scrubber runs only in idle disk time: the hot read path must pay
-	// essentially nothing (the PR gate in cmd/bridgeperf is 5%).
+	// essentially nothing (TestBenchGolden's gate at p = 8 is 5%).
 	if over := pts[0].Overhead(); over > 0.05 {
 		t.Errorf("scrub overhead = %.1f%%, want <= 5%%", over*100)
 	}
@@ -410,5 +414,45 @@ func TestWriteCampaignShapes(t *testing.T) {
 	// RS(6,2) at p=8 sits near (6+2)/6.
 	if o := pts[1].RSOverhead; o < 1.30 || o > 1.40 {
 		t.Errorf("RS(6,2) overhead %.3fx, want ~1.33x", o)
+	}
+}
+
+// TestProcessorCountBelowOne: every experiment rejects p < 1, whether it
+// comes from cfg.Ps or its own p argument, with ErrBadArg and no panic.
+func TestProcessorCountBelowOne(t *testing.T) {
+	exps := []struct {
+		name string
+		run  func(Config, int) error
+	}{
+		{"Table2", func(c Config, _ int) error { _, err := Table2(c); return err }},
+		{"Table3Copy", func(c Config, _ int) error { _, err := Table3Copy(c); return err }},
+		{"Table4Sort", func(c Config, _ int) error { _, err := Table4Sort(c); return err }},
+		{"Placement", func(c Config, _ int) error { _, _, err := Placement(c); return err }},
+		{"CreateTree", func(c Config, _ int) error { _, err := CreateTree(c); return err }},
+		{"ParallelOpen", func(c Config, p int) error { _, err := ParallelOpen(c, p, nil); return err }},
+		{"ToolVsNaive", func(c Config, p int) error { _, err := ToolVsNaive(c, p); return err }},
+		{"Faults", func(c Config, p int) error { _, err := Faults(c, p); return err }},
+		{"Disordered", func(c Config, p int) error { _, err := Disordered(c, p); return err }},
+		{"ServerScaling", func(c Config, p int) error { _, err := ServerScaling(c, p, 8); return err }},
+		{"Utilization", func(c Config, p int) error { _, err := Utilization(c, p); return err }},
+		{"ModelComparison", func(c Config, _ int) error { _, err := ModelComparison(c); return err }},
+		{"WriteCampaign", func(c Config, _ int) error { _, err := WriteCampaign(c); return err }},
+		{"ScrubOverhead", func(c Config, _ int) error { _, err := ScrubOverhead(c); return err }},
+		{"CorruptionRecovery", func(c Config, _ int) error { _, err := CorruptionRecovery(c); return err }},
+		{"ObsOverhead", func(c Config, _ int) error { _, err := ObsOverhead(c); return err }},
+		{"WriteObsTrace", func(c Config, p int) error { return WriteObsTrace(c, p, io.Discard) }},
+		{"LatencyBreakdown", func(c Config, _ int) error { _, err := LatencyBreakdown(c); return err }},
+		{"JournalOverhead", func(c Config, _ int) error { _, err := JournalOverhead(c); return err }},
+		{"Failover", func(c Config, _ int) error { _, err := Failover(c); return err }},
+		{"MetadataScaling", func(c Config, p int) error { _, err := MetadataScaling(c, p, 8, 24, nil); return err }},
+	}
+	for _, p := range []int{0, -1} {
+		for _, e := range exps {
+			cfg := tinyScale()
+			cfg.Ps = []int{p}
+			if err := e.run(cfg, p); !errors.Is(err, core.ErrBadArg) {
+				t.Errorf("%s at p = %d: %v, want ErrBadArg", e.name, p, err)
+			}
+		}
 	}
 }

@@ -38,23 +38,13 @@ type FailoverPoint struct {
 
 // Failover measures the leader-kill outage across cfg.Ps.
 func Failover(cfg Config) ([]FailoverPoint, error) {
-	cfg.applyDefaults()
-	out := make([]FailoverPoint, 0, len(cfg.Ps))
-	for _, p := range cfg.Ps {
-		pt, err := failoverAt(p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pt)
-	}
-	return out, nil
+	return sweep(cfg, failoverAt)
 }
 
 func failoverAt(p int, cfg Config) (FailoverPoint, error) {
 	pt := FailoverPoint{P: p, Replicas: failoverReplicas}
-	rt := sim.NewVirtual()
 	perNode := cfg.Records/p + 1
-	cl, err := core.StartCluster(rt, core.ClusterConfig{
+	err := runOn(core.ClusterConfig{
 		P: p,
 		Node: lfs.Config{
 			DiskBlocks: perNode*2 + 256,
@@ -63,49 +53,33 @@ func failoverAt(p int, cfg Config) (FailoverPoint, error) {
 		},
 		Replicas: failoverReplicas,
 		Server:   core.Config{LFSTimeout: cfg.LFSTimeout},
-	})
-	if err != nil {
-		return pt, err
-	}
-	var fnErr error
-	rt.Go("experiment", func(proc sim.Proc) {
-		defer cl.Stop()
-		c := cl.NewClient(proc, 0, "exp-cli")
-		defer c.Close()
-		fnErr = func() error {
-			if _, err := c.Create("f"); err != nil {
-				return err
-			}
-			for i := 0; i < 32; i++ {
-				if err := c.SeqWrite("f", make([]byte, cfg.PayloadBytes)); err != nil {
-					return err
-				}
-			}
-			start := proc.Now()
-			if _, err := c.Open("f"); err != nil {
-				return err
-			}
-			pt.SteadyOpen = proc.Now() - start
-			lead := cl.LeaderServer(0)
-			if lead < 0 {
-				return errors.New("no leader after a served workload")
-			}
-			killAt := proc.Now()
-			cl.CrashServer(0, lead, killAt)
-			// One call: the replicated client absorbs the dead-leader
-			// timeout, the redirects, and the new leader's takeover.
-			if _, err := c.Open("f"); err != nil {
-				return fmt.Errorf("open after leader kill: %w", err)
-			}
-			pt.FailoverTime = proc.Now() - killAt
-			return nil
-		}()
-	})
-	if err := rt.Wait(); err != nil {
-		if fnErr != nil {
-			return pt, fmt.Errorf("%w (sim: %v)", fnErr, err)
+	}, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
+		if _, err := c.Create("f"); err != nil {
+			return err
 		}
-		return pt, err
-	}
-	return pt, fnErr
+		for i := 0; i < 32; i++ {
+			if err := c.SeqWrite("f", make([]byte, cfg.PayloadBytes)); err != nil {
+				return err
+			}
+		}
+		start := proc.Now()
+		if _, err := c.Open("f"); err != nil {
+			return err
+		}
+		pt.SteadyOpen = proc.Now() - start
+		lead := cl.LeaderServer(0)
+		if lead < 0 {
+			return errors.New("no leader after a served workload")
+		}
+		killAt := proc.Now()
+		cl.CrashServer(0, lead, killAt)
+		// One call: the replicated client absorbs the dead-leader
+		// timeout, the redirects, and the new leader's takeover.
+		if _, err := c.Open("f"); err != nil {
+			return fmt.Errorf("open after leader kill: %w", err)
+		}
+		pt.FailoverTime = proc.Now() - killAt
+		return nil
+	})
+	return pt, err
 }

@@ -41,7 +41,9 @@ const journalBlocksForBench = 48
 // JournalOverhead measures the batched sequential append twice per
 // processor count — on plain volumes, then on journaled ones.
 func JournalOverhead(cfg Config) ([]JournalOverheadPoint, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(); err != nil {
+		return nil, err
+	}
 	var pts []JournalOverheadPoint
 	for _, p := range cfg.Ps {
 		pt := JournalOverheadPoint{P: p}

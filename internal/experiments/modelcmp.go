@@ -29,7 +29,9 @@ func (r ModelRow) Err() float64 {
 // way the paper reports that "the results we obtain for the constants on
 // the Butterfly agree quite nicely with empirical data".
 func ModelComparison(cfg Config) ([]ModelRow, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(); err != nil {
+		return nil, err
+	}
 	m := model.Default()
 	m.InCore = cfg.InCore
 	m.DiskLatency = cfg.DiskLatency

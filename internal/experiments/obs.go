@@ -40,7 +40,9 @@ func (pt ObsOverheadPoint) Overhead() float64 {
 // ObsOverhead measures the batched sequential read twice per processor
 // count — plain, then with a recorder capturing every span.
 func ObsOverhead(cfg Config) ([]ObsOverheadPoint, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(); err != nil {
+		return nil, err
+	}
 	if cfg.CacheBlocks == 0 {
 		cfg.CacheBlocks = 16 // match Table 2's batched-naive row
 	}
@@ -60,9 +62,11 @@ func ObsOverhead(cfg Config) ([]ObsOverheadPoint, error) {
 }
 
 // WriteObsTrace runs the observed batched read at p and writes the run's
-// Chrome trace_event JSON to w — the `bridgeperf -trace` artifact.
+// Chrome trace_event JSON to w — the `bridgebench -trace` artifact.
 func WriteObsTrace(cfg Config, p int, w io.Writer) error {
-	cfg.applyDefaults()
+	if err := cfg.prepare(p); err != nil {
+		return err
+	}
 	if cfg.CacheBlocks == 0 {
 		cfg.CacheBlocks = 16
 	}
@@ -185,7 +189,9 @@ func measureObserved(p int, cfg Config, fn func(proc sim.Proc, c *core.Client) e
 // methods the paper compares — per-block naive read, batched naive read,
 // and the parallel copy tool — at the first configured processor count.
 func LatencyBreakdown(cfg Config) ([]LatencyRow, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(); err != nil {
+		return nil, err
+	}
 	if cfg.CacheBlocks == 0 {
 		cfg.CacheBlocks = 16
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -211,9 +210,4 @@ func RenderLabeledChart(w io.Writer, pts []LabeledPoint, width, height int, yLab
 	}
 	fmt.Fprintf(w, "%8s +%s\n", "0", strings.Repeat("-", width))
 	fmt.Fprintf(w, "%8s  0%sp=%.0f   (%s vs p)\n", "", strings.Repeat(" ", width-8), maxX, yLabel)
-}
-
-// SortRowsByP orders measurement rows for stable rendering.
-func SortRowsByP(rows []CopyRow) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].P < rows[j].P })
 }

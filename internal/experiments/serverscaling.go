@@ -29,16 +29,17 @@ type ServerScalingRow struct {
 // ServerScaling runs `clients` concurrent naive readers, each over its own
 // file, against 1, 2, and 4 Bridge Server processes on a p-node cluster.
 func ServerScaling(cfg Config, p, clients int) ([]ServerScalingRow, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(p); err != nil {
+		return nil, err
+	}
 	perClient := cfg.Records / clients
 	if perClient < 8 {
 		perClient = 8
 	}
 	var rows []ServerScalingRow
 	for _, servers := range []int{1, 2, 4} {
-		servers := servers
-		rt := sim.NewVirtual()
-		cl, err := core.StartCluster(rt, core.ClusterConfig{
+		var makespan time.Duration
+		err := runOn(core.ClusterConfig{
 			P: p,
 			Node: lfs.Config{
 				DiskBlocks: perClient*clients*2/p + 512,
@@ -47,26 +48,16 @@ func ServerScaling(cfg Config, p, clients int) ([]ServerScalingRow, error) {
 			},
 			Servers: servers,
 			Server:  core.Config{LFSTimeout: cfg.LFSTimeout},
-		})
-		if err != nil {
-			return nil, err
-		}
-		var makespan time.Duration
-		var firstErr error
-		rt.Go("driver", func(proc sim.Proc) {
-			defer cl.Stop()
-			c := cl.NewClient(proc, 0, "ss-driver")
-			defer c.Close()
+		}, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
 			// Fill one file per client.
 			for i := 0; i < clients; i++ {
 				recs := workload.Records(cfg.Seed+int64(i), perClient, cfg.PayloadBytes)
 				if err := workload.Fill(proc, c, fmt.Sprintf("f%d", i), recs); err != nil {
-					firstErr = err
-					return
+					return err
 				}
 			}
 			// Concurrent readers.
-			done := rt.NewQueue("ss-done")
+			done := proc.Runtime().NewQueue("ss-done")
 			start := proc.Now()
 			for i := 0; i < clients; i++ {
 				i := i
@@ -80,34 +71,19 @@ func ServerScaling(cfg Config, p, clients int) ([]ServerScalingRow, error) {
 					}
 					for {
 						_, eof, err := rc.SeqRead(name)
-						if err != nil {
+						if err != nil || eof {
 							done.Send(err)
-							return
-						}
-						if eof {
-							done.Send(nil)
 							return
 						}
 					}
 				})
 			}
-			for i := 0; i < clients; i++ {
-				v, ok := done.Recv(proc)
-				if !ok {
-					firstErr = fmt.Errorf("done queue closed")
-					return
-				}
-				if err, isErr := v.(error); isErr && err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
+			err := awaitAll(proc, done, clients)
 			makespan = proc.Now() - start
+			return err
 		})
-		if err := rt.Wait(); err != nil {
-			return nil, err
-		}
-		if firstErr != nil {
-			return nil, fmt.Errorf("serverscaling k=%d: %w", servers, firstErr)
+		if err != nil {
+			return nil, fmt.Errorf("serverscaling k=%d: %w", servers, err)
 		}
 		rows = append(rows, ServerScalingRow{
 			Servers:   servers,

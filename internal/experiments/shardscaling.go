@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"text/tabwriter"
 	"time"
 
 	"bridge/internal/core"
@@ -39,15 +37,16 @@ type MetadataScalingRow struct {
 // groups), so the workload spreads over every shard without
 // hand-placing files.
 func MetadataScaling(cfg Config, p, clients, filesPerClient int, shardCounts []int) ([]MetadataScalingRow, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(p); err != nil {
+		return nil, err
+	}
 	if len(shardCounts) == 0 {
 		shardCounts = []int{1, 4}
 	}
 	var rows []MetadataScalingRow
 	for _, shards := range shardCounts {
-		shards := shards
-		rt := sim.NewVirtual()
-		cl, err := core.StartCluster(rt, core.ClusterConfig{
+		var makespan time.Duration
+		err := runOn(core.ClusterConfig{
 			P: p,
 			Node: lfs.Config{
 				DiskBlocks: 4096,
@@ -56,15 +55,8 @@ func MetadataScaling(cfg Config, p, clients, filesPerClient int, shardCounts []i
 			Servers:  shards,
 			Replicas: metaScalingReplicas,
 			Server:   core.Config{LFSTimeout: cfg.LFSTimeout},
-		})
-		if err != nil {
-			return nil, err
-		}
-		var makespan time.Duration
-		var firstErr error
-		rt.Go("driver", func(proc sim.Proc) {
-			defer cl.Stop()
-			done := rt.NewQueue("ms-done")
+		}, func(proc sim.Proc, cl *core.Cluster, _ *core.Client) error {
+			done := proc.Runtime().NewQueue("ms-done")
 			start := proc.Now()
 			for i := 0; i < clients; i++ {
 				i := i
@@ -91,23 +83,12 @@ func MetadataScaling(cfg Config, p, clients, filesPerClient int, shardCounts []i
 					done.Send(nil)
 				})
 			}
-			for i := 0; i < clients; i++ {
-				v, ok := done.Recv(proc)
-				if !ok {
-					firstErr = fmt.Errorf("done queue closed")
-					return
-				}
-				if err, isErr := v.(error); isErr && err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
+			err := awaitAll(proc, done, clients)
 			makespan = proc.Now() - start
+			return err
 		})
-		if err := rt.Wait(); err != nil {
-			return nil, err
-		}
-		if firstErr != nil {
-			return nil, fmt.Errorf("metadatascaling shards=%d: %w", shards, firstErr)
+		if err != nil {
+			return nil, fmt.Errorf("metadatascaling shards=%d: %w", shards, err)
 		}
 		ops := clients * filesPerClient * 4 // create + 2 stats + delete
 		rows = append(rows, MetadataScalingRow{
@@ -120,20 +101,4 @@ func MetadataScaling(cfg Config, p, clients, filesPerClient int, shardCounts []i
 		})
 	}
 	return rows, nil
-}
-
-// RenderMetadataScaling writes the comparison.
-func RenderMetadataScaling(w io.Writer, rows []MetadataScalingRow, p int) {
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "Sharded directory: metadata throughput vs shard groups (%d nodes, %d clients, Replicas=%d)\n",
-		p, rows[0].Clients, rows[0].Replicas)
-	fmt.Fprintln(w, "(create/stat/stat/delete cycles; zero-latency disks isolate the metadata path)")
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "shards\tops\tmakespan\tdirectory ops/s")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%d\t%s\t%.0f\n", r.Shards, r.Ops, fmtDur(r.Makespan), r.OpsPerSec)
-	}
-	tw.Flush()
 }

@@ -61,7 +61,9 @@ var PaperTable2 = map[string]string{
 // the naive interface to the Bridge server in order to read and write files
 // sequentially").
 func Table2(cfg Config) (*Table2Result, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(); err != nil {
+		return nil, err
+	}
 	if cfg.CacheBlocks == 0 {
 		// A small cache (two tracks) keeps sequential reads track-
 		// buffered without letting whole test files go cache-resident,

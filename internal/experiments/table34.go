@@ -46,7 +46,9 @@ type CopyRow struct {
 // Table3Copy reproduces Table 3 and the copy records/second figure: the
 // copy tool over the standard file for each processor count.
 func Table3Copy(cfg Config) ([]CopyRow, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(); err != nil {
+		return nil, err
+	}
 	rows := make([]CopyRow, 0, len(cfg.Ps))
 	for _, p := range cfg.Ps {
 		var elapsed time.Duration
@@ -103,7 +105,9 @@ type SortRow struct {
 // over the standard file for each (power-of-two) processor count,
 // reporting the local-sort and merge phases separately.
 func Table4Sort(cfg Config) ([]SortRow, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(); err != nil {
+		return nil, err
+	}
 	rows := make([]SortRow, 0, len(cfg.Ps))
 	for _, p := range cfg.Ps {
 		if p&(p-1) != 0 {

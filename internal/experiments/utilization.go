@@ -29,7 +29,9 @@ type UtilizationRow struct {
 // Utilization copies the standard file through the naive interface and as
 // a tool on a p-node cluster, measuring per-disk busy fractions.
 func Utilization(cfg Config, p int) ([]UtilizationRow, error) {
-	cfg.applyDefaults()
+	if err := cfg.prepare(p); err != nil {
+		return nil, err
+	}
 	var rows []UtilizationRow
 	for _, method := range []string{"naive interface", "copy tool"} {
 		method := method

@@ -65,16 +65,7 @@ func (pt WriteCampaignPoint) DeleteSpeedup() float64 {
 
 // WriteCampaign measures the write-path suite across cfg.Ps.
 func WriteCampaign(cfg Config) ([]WriteCampaignPoint, error) {
-	cfg.applyDefaults()
-	out := make([]WriteCampaignPoint, 0, len(cfg.Ps))
-	for _, p := range cfg.Ps {
-		pt, err := writeCampaignAt(p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pt)
-	}
-	return out, nil
+	return sweep(cfg, writeCampaignAt)
 }
 
 func writeCampaignAt(p int, cfg Config) (WriteCampaignPoint, error) {
