@@ -37,6 +37,17 @@ type FaultHook interface {
 	BeforeOp(now time.Duration, label string, op Op, bn int) (extra time.Duration, err error)
 }
 
+// LatentFaults is an optional extension of FaultHook for the faults that
+// stay on the medium until the block is next written. A track read consults
+// BeforeOp for the block it was called for only; it asks Latent about every
+// other block it transfers, and leaves a latent block's bytes out, so a bad
+// block cannot reach the caller through its neighbour's read. Latent must
+// be deterministic and draw no randomness (a seeded schedule stays put);
+// d.mu is held across the call, so it must not block.
+type LatentFaults interface {
+	Latent(label string, bn int) bool
+}
+
 // Corrupter is an optional extension of FaultHook for silent faults — the
 // ones BeforeOp cannot express because the access *succeeds*. If the hook
 // installed with SetFault also implements Corrupter, reads let it mutate the
@@ -127,9 +138,10 @@ type Disk struct {
 	stats     *stats.Counters
 	tracer    *trace.Tracer // nil = tracing off
 	name      string
-	fault     FaultHook // nil = no fault injection
-	corrupter Corrupter // d.fault's Corrupter side, if it has one
-	label     string    // device name passed to the fault hook
+	fault     FaultHook    // nil = no fault injection
+	corrupter Corrupter    // d.fault's Corrupter side, if it has one
+	latent    LatentFaults // d.fault's LatentFaults side, if it has one
+	label     string       // device name passed to the fault hook
 	m         diskMetrics
 	crash     CrashHook // nil = crashes drop every unsynced write
 	mu        sync.Mutex
@@ -138,6 +150,7 @@ type Disk struct {
 	trace     obs.TraceID   // current trace context, set by the owning LFS
 	parent    obs.SpanID
 	blocks    [][]byte // nil entry = never-written (zero) block
+	zero      []byte   // the image ReadTrack hands out for a never-written block
 	head      int      // last accessed block, for seek modeling
 	failed    bool
 
@@ -176,6 +189,7 @@ func New(cfg Config) *Disk {
 		cfg:     cfg,
 		stats:   st,
 		blocks:  make([][]byte, cfg.NumBlocks),
+		zero:    make([]byte, cfg.BlockSize),
 		pending: make(map[int][]byte),
 		m: diskMetrics{
 			ops:         reg.Counter("disk.ops", "ops", "device accesses charged"),
@@ -248,6 +262,7 @@ func (d *Disk) SetFault(h FaultHook, label string) {
 	d.mu.Lock()
 	d.fault, d.label = h, label
 	d.corrupter, _ = h.(Corrupter)
+	d.latent, _ = h.(LatentFaults)
 	d.mu.Unlock()
 }
 
@@ -386,9 +401,10 @@ func (d *Disk) Sync(p sim.Proc) error {
 	return err
 }
 
-// commit stores a block image on the stable medium, writing through to the
-// backing store if there is one. Callers hold d.mu. A host-level store
-// write failure is remembered and surfaced by the store's next Sync.
+// commit stores a block image, a buffer the device owns, on the stable
+// medium, writing through to the backing store if there is one. Callers
+// hold d.mu. A host-level store write failure is remembered and surfaced by
+// the store's next Sync.
 func (d *Disk) commit(bn int, b []byte) {
 	d.blocks[bn] = b
 	if d.store != nil {
@@ -502,19 +518,21 @@ func (d *Disk) ReadBlock(p sim.Proc, bn int) ([]byte, error) {
 	return out, nil
 }
 
-// ReadTrack returns copies of every block in the track containing bn for a
-// single access charge. first is the block number of the first returned
-// block. This models a full-track read under one rotation and is the basis
-// of the EFS read-ahead buffer. Each returned block is a separate, fresh
-// buffer the disk keeps no reference to: the caller owns them (the EFS block
-// cache adopts them as its entries without copying again).
-func (d *Disk) ReadTrack(p sim.Proc, bn int) (first int, blocks [][]byte, err error) {
+// ReadTrack reads the whole track containing bn for a single access charge
+// and hands each block's image to fn, in ascending block order, under the
+// device lock. This models a full-track read under one rotation and is the
+// basis of the EFS read-ahead buffer. The image is the device's own buffer
+// (one shared zero block for every never-written block), valid only during
+// the call: fn copies what it keeps, changes nothing, and must not call
+// back into the device. A neighbour of bn with a latent fault (see
+// LatentFaults) is left out; bn's own fault fails the read.
+func (d *Disk) ReadTrack(p sim.Proc, bn int, fn func(bn int, img []byte)) error {
 	d.mu.Lock()
 	if err := d.check(bn); err != nil {
 		d.mu.Unlock()
-		return 0, nil, err
+		return err
 	}
-	first = d.track(bn) * d.cfg.BlocksPerTrack
+	first := d.track(bn) * d.cfg.BlocksPerTrack
 	last := first + d.cfg.BlocksPerTrack
 	if last > d.cfg.NumBlocks {
 		last = d.cfg.NumBlocks
@@ -523,22 +541,30 @@ func (d *Disk) ReadTrack(p sim.Proc, bn int) (first int, blocks [][]byte, err er
 	if ferr != nil {
 		d.mu.Unlock()
 		charge(p, ft+extra)
-		return 0, nil, ferr
+		return ferr
 	}
 	t := d.access(p, OpRead, first, last-first)
-	blocks = make([][]byte, last-first)
-	for i := range blocks {
-		// Ascending block order keeps corruption application replayable.
-		d.corrupt(p, first+i)
-		blocks[i] = d.copyOut(first + i)
+	for b := first; b < last; b++ {
+		// Ascending block order keeps corruption application replayable;
+		// a latent block still spins past the head, so it is offered to
+		// the corrupter like any other.
+		d.corrupt(p, b)
+		if b != bn && d.latent != nil && d.latent.Latent(d.label, b) {
+			continue
+		}
+		img := d.image(b)
+		if img == nil {
+			img = d.zero
+		}
+		fn(b, img)
 	}
 	d.mu.Unlock()
 	charge(p, t+extra)
-	return first, blocks, nil
+	return nil
 }
 
-// WriteBlock stores data into block bn, charging one access. len(data) must
-// equal the block size.
+// WriteBlock stores a copy of data into block bn, charging one access;
+// the caller keeps data. len(data) must equal the block size.
 func (d *Disk) WriteBlock(p sim.Proc, bn int, data []byte) error {
 	d.mu.Lock()
 	if err := d.check(bn); err != nil {
@@ -565,24 +591,32 @@ func (d *Disk) WriteBlock(p sim.Proc, bn int, data []byte) error {
 			target = to
 		}
 	}
-	b := make([]byte, d.cfg.BlockSize)
-	copy(b, data)
 	if d.cfg.WriteBack {
 		// Buffer in the volatile write cache. A rewrite of an already
 		// buffered block moves it to the back of the order, so the
 		// surviving-prefix crash model can never keep a newer write while
 		// dropping an older one.
-		if _, ok := d.pending[target]; ok {
+		b, ok := d.pending[target]
+		if ok {
 			for i, bn := range d.pendingOrder {
 				if bn == target {
 					d.pendingOrder = append(d.pendingOrder[:i], d.pendingOrder[i+1:]...)
 					break
 				}
 			}
+		} else {
+			b = make([]byte, d.cfg.BlockSize)
+			d.pending[target] = b
 		}
-		d.pending[target] = b
+		copy(b, data)
 		d.pendingOrder = append(d.pendingOrder, target)
 	} else {
+		// Write-through: the new image overwrites the stable one in place.
+		b := d.blocks[target]
+		if b == nil {
+			b = make([]byte, d.cfg.BlockSize)
+		}
+		copy(b, data)
 		d.commit(target, b)
 	}
 	d.mu.Unlock()
@@ -623,7 +657,9 @@ func (d *Disk) copyOut(bn int) []byte {
 
 // Peek returns the raw block image as a read would see it (buffered writes
 // included) without charging time or copying; for tests and image
-// persistence only. A nil result means a never-written block.
+// persistence only. A nil result means a never-written block. The image is
+// live: the next write to the block changes it in place, so a caller that
+// compares across writes copies it first.
 func (d *Disk) Peek(bn int) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -635,7 +671,8 @@ func (d *Disk) Peek(bn int) []byte {
 
 // PeekStable returns the raw stable (synced) image of block bn, ignoring
 // the volatile write cache; for crash tests comparing medium state. A nil
-// result means the block was never made stable.
+// result means the block was never made stable. The image is live: the
+// next write that reaches the medium for this block changes it in place.
 func (d *Disk) PeekStable(bn int) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()

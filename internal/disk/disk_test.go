@@ -3,10 +3,12 @@ package disk
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"bridge/internal/israce"
 	"bridge/internal/sim"
 )
 
@@ -81,20 +83,18 @@ func TestReadTrackSingleCharge(t *testing.T) {
 			d.WriteBlock(p, i, data)
 		}
 		start := p.Now()
-		first, blocks, err := d.ReadTrack(p, 11)
+		var bns []int
+		err := d.ReadTrack(p, 11, func(bn int, img []byte) {
+			bns = append(bns, bn)
+			if img[0] != byte(bn) {
+				t.Errorf("track block %d has wrong contents", bn)
+			}
+		})
 		if err != nil {
 			t.Fatalf("ReadTrack: %v", err)
 		}
-		if first != 8 {
-			t.Errorf("first = %d, want 8", first)
-		}
-		if len(blocks) != 8 {
-			t.Fatalf("len(blocks) = %d, want 8", len(blocks))
-		}
-		for i, b := range blocks {
-			if b[0] != byte(8+i) {
-				t.Errorf("track block %d has wrong contents", i)
-			}
+		if len(bns) != 8 || bns[0] != 8 || bns[7] != 15 {
+			t.Fatalf("ReadTrack handed out blocks %v, want 8..15", bns)
 		}
 		if d := p.Now() - start; d != 15*time.Millisecond {
 			t.Errorf("track read charged %v, want one access (15ms)", d)
@@ -105,12 +105,18 @@ func TestReadTrackSingleCharge(t *testing.T) {
 func TestReadTrackPartialAtEnd(t *testing.T) {
 	d := New(Config{NumBlocks: 12, BlocksPerTrack: 8, Timing: FixedTiming{}})
 	run(t, func(p sim.Proc) {
-		first, blocks, err := d.ReadTrack(p, 10)
+		var bns []int
+		err := d.ReadTrack(p, 10, func(bn int, img []byte) {
+			bns = append(bns, bn)
+			if len(img) != 1024 || img[0] != 0 {
+				t.Errorf("never-written block %d reads as %d bytes, first %d", bn, len(img), img[0])
+			}
+		})
 		if err != nil {
 			t.Fatalf("ReadTrack: %v", err)
 		}
-		if first != 8 || len(blocks) != 4 {
-			t.Errorf("ReadTrack = first %d len %d, want 8, 4", first, len(blocks))
+		if len(bns) != 4 || bns[0] != 8 {
+			t.Errorf("ReadTrack handed out blocks %v, want 8..11", bns)
 		}
 	})
 }
@@ -269,4 +275,75 @@ func TestQuickDiskActsLikeMap(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAllocsWriteBlockRewrite: a write-through over a block that already
+// has a stable image copies into that image in place, and a track read
+// lends out the device's own images, so neither allocates.
+func TestAllocsWriteBlockRewrite(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	d := New(Config{NumBlocks: 16, BlocksPerTrack: 8, Timing: FixedTiming{}})
+	run(t, func(p sim.Proc) {
+		data := bytes.Repeat([]byte{1}, 1024)
+		if err := d.WriteBlock(p, 3, data); err != nil {
+			t.Fatalf("WriteBlock: %v", err)
+		}
+		img := d.PeekStable(3)
+		allocs := testing.AllocsPerRun(1000, func() {
+			data[0]++
+			if err := d.WriteBlock(p, 3, data); err != nil {
+				t.Errorf("WriteBlock: %v", err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("rewriting a written block allocates %v objects, want 0", allocs)
+		}
+		if got := d.PeekStable(3); &got[0] != &img[0] || got[0] != data[0] {
+			t.Errorf("the rewrite did not land in the block's existing image")
+		}
+		sum := 0
+		allocs = testing.AllocsPerRun(1000, func() {
+			if err := d.ReadTrack(p, 3, func(bn int, img []byte) { sum += int(img[0]) }); err != nil {
+				t.Errorf("ReadTrack: %v", err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("a track read allocates %v objects, want 0", allocs)
+		}
+	})
+}
+
+// latentAt is a FaultHook with a latent fault on a set of blocks: reads of
+// them fail, and a track read must keep their bytes from every caller.
+type latentAt map[int]bool
+
+func (l latentAt) BeforeOp(_ time.Duration, _ string, op Op, bn int) (time.Duration, error) {
+	if op == OpRead && l[bn] {
+		return 0, errors.New("latent fault")
+	}
+	return 0, nil
+}
+
+func (l latentAt) Latent(_ string, bn int) bool { return l[bn] }
+
+// TestReadTrackKeepsLatentNeighboursOut: a track read of a healthy block
+// succeeds but leaves out a neighbour with a latent fault, and a track read
+// issued for the faulty block itself fails.
+func TestReadTrackKeepsLatentNeighboursOut(t *testing.T) {
+	d := New(Config{NumBlocks: 16, BlocksPerTrack: 8, Timing: FixedTiming{}})
+	d.SetFault(latentAt{11: true}, "d")
+	run(t, func(p sim.Proc) {
+		var bns []int
+		if err := d.ReadTrack(p, 10, func(bn int, _ []byte) { bns = append(bns, bn) }); err != nil {
+			t.Fatalf("ReadTrack(10): %v", err)
+		}
+		if want := []int{8, 9, 10, 12, 13, 14, 15}; !slices.Equal(bns, want) {
+			t.Errorf("ReadTrack(10) handed out %v, want %v", bns, want)
+		}
+		if err := d.ReadTrack(p, 11, func(int, []byte) { t.Error("a failed track read handed out an image") }); err == nil {
+			t.Error("ReadTrack(11) of the latent block succeeded")
+		}
+	})
 }

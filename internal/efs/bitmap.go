@@ -68,20 +68,18 @@ func (b *bitmap) scan(from, to int) int {
 // free returns the number of unallocated blocks.
 func (b *bitmap) free() int { return b.n - b.used }
 
-// encodeInto serializes bitmap words into the given block-sized buffers,
-// leaving each block's checksum tail untouched for the caller to stamp.
-func (b *bitmap) encodeInto(blocks [][]byte) {
-	wordsPerBlock := bitmapWordsPerBlock
-	for bi, blk := range blocks {
-		for w := 0; w < wordsPerBlock; w++ {
-			idx := bi*wordsPerBlock + w
-			var v uint64
-			if idx < len(b.words) {
-				v = b.words[idx]
-			}
-			putUint64(blk[w*8:], v)
+// encodeBlock serializes the words of bitmap block bi into dst, a
+// block-sized buffer, zeroing the rest of it; the caller stamps the
+// checksum tail.
+func (b *bitmap) encodeBlock(dst []byte, bi int) {
+	for w := 0; w < bitmapWordsPerBlock; w++ {
+		var v uint64
+		if idx := bi*bitmapWordsPerBlock + w; idx < len(b.words) {
+			v = b.words[idx]
 		}
+		putUint64(dst[w*8:], v)
 	}
+	clear(dst[bitmapWordsPerBlock*8:])
 }
 
 // decodeFrom fills bitmap words from block-sized buffers and recomputes the

@@ -10,10 +10,11 @@ package efs
 // learned, so later lookups can skip the linked-list walk.
 //
 // Entries live in one slice and link to each other by index, so an insert
-// allocates no list node, and an evicted entry's block buffer is reused for
-// the block that displaces it. Buffers are allocated on first use only and
-// an invalidated slot gives its buffer back, so the cache never holds more
-// block memory than the blocks it caches.
+// allocates no list node. Each slot owns one block buffer, allocated on the
+// slot's first use and kept for life: an evicted or invalidated slot's
+// buffer takes the next block that lands there, so a cache holds at most cap
+// buffers and a warm one allocates none. put copies an image in; get hands
+// the slot's buffer out read-only, valid until the next call on the cache.
 type blockCache struct {
 	cap     int
 	entries []cacheEntry
@@ -28,7 +29,7 @@ const noEntry int32 = -1
 type cacheEntry struct {
 	addr       int32
 	prev, next int32
-	data       []byte // owned by the cache, BlockSize bytes; never handed out
+	data       []byte // owned by the slot, BlockSize bytes; lent out read-only by get
 	key        fileKey
 	hasKey     bool
 }
@@ -45,7 +46,9 @@ func newBlockCache(capacity int) *blockCache {
 	return &blockCache{cap: capacity, m: make(map[int32]int32), head: noEntry, tail: noEntry, free: noEntry}
 }
 
-// get returns a copy of the cached block, if present.
+// get returns the cached image of addr, if present, and makes it the most
+// recently used. The image is the cache's own buffer: the caller must not
+// change it, and it is valid only until the next call on the cache.
 func (c *blockCache) get(addr int32) ([]byte, bool) {
 	i, ok := c.m[addr]
 	if !ok {
@@ -53,19 +56,23 @@ func (c *blockCache) get(addr int32) ([]byte, bool) {
 	}
 	c.unlink(i)
 	c.pushFront(i)
-	data := c.entries[i].data
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, true
+	return c.entries[i].data, true
 }
 
-// put inserts or refreshes a block, returning the location key of any
-// evicted used block so the owner can drop its location-map entry, plus the
-// location key learned from the inserted block (if it is a used data
-// block). The cache keeps a private copy of data unless owned is set: then
-// the caller gives the buffer up, the cache adopts it uncopied, and the
-// caller must not touch it afterwards.
-func (c *blockCache) put(addr int32, data []byte, owned bool) (evicted fileKey, hasEvicted bool, learned fileKey, hasLearned bool) {
+// peek is get without the recency update.
+func (c *blockCache) peek(addr int32) ([]byte, bool) {
+	i, ok := c.m[addr]
+	if !ok {
+		return nil, false
+	}
+	return c.entries[i].data, true
+}
+
+// put copies data in as the image of addr, returning the location key of
+// any evicted used block so the owner can drop its location-map entry, plus
+// the location key learned from the inserted block (if it is a used data
+// block). The caller keeps data.
+func (c *blockCache) put(addr int32, data []byte) (evicted fileKey, hasEvicted bool, learned fileKey, hasLearned bool) {
 	h := decodeHeader(data)
 	var key fileKey
 	hasKey := h.Flags&flagUsed != 0 && h.Flags&flagDirOverflow == 0
@@ -101,14 +108,10 @@ func (c *blockCache) put(addr int32, data []byte, owned bool) (evicted fileKey, 
 	}
 	e := &c.entries[i]
 	e.addr, e.key, e.hasKey = addr, key, hasKey
-	if owned {
-		e.data = data
-	} else {
-		if len(e.data) != len(data) {
-			e.data = make([]byte, len(data))
-		}
-		copy(e.data, data)
+	if len(e.data) != len(data) {
+		e.data = make([]byte, len(data))
 	}
+	copy(e.data, data)
 	c.pushFront(i)
 	return evicted, hasEvicted, learned, hasLearned
 }
@@ -123,7 +126,6 @@ func (c *blockCache) invalidate(addr int32) (fileKey, bool) {
 	delete(c.m, addr)
 	e := &c.entries[i]
 	e.next, c.free = c.free, i
-	e.data = nil // the slot may sit unused for long; don't pin 1 KB to it
 	return e.key, e.hasKey
 }
 

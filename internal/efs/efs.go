@@ -71,6 +71,9 @@ type FS struct {
 	bm    *bitmap
 	cache *blockCache
 	loc   map[fileKey]int32
+	// scratch is the block the volume encodes an image in when the disk
+	// and the cache, which each copy what they keep, are its only readers.
+	scratch []byte
 	// buckets caches directory bucket chains by home bucket index.
 	buckets map[int]*bucketChain
 	dirty   struct {
@@ -144,6 +147,7 @@ func Format(p sim.Proc, d *disk.Disk, opts Options) (*FS, error) {
 		bm:      newBitmap(n),
 		cache:   newBlockCache(opts.CacheBlocks),
 		loc:     make(map[fileKey]int32),
+		scratch: make([]byte, BlockSize),
 		buckets: make(map[int]*bucketChain),
 		stats:   st,
 		m:       newFSMetrics(st.Registry()),
@@ -229,6 +233,7 @@ func Mount(p sim.Proc, d *disk.Disk, opts Options) (*FS, error) {
 		bm:      newBitmap(int(sb.NumBlocks)),
 		cache:   newBlockCache(opts.CacheBlocks),
 		loc:     make(map[fileKey]int32),
+		scratch: make([]byte, BlockSize),
 		buckets: make(map[int]*bucketChain),
 		stats:   st,
 		m:       newFSMetrics(st.Registry()),
@@ -266,8 +271,11 @@ func (fs *FS) FreeBlocks() int { return fs.bm.free() }
 // DataStart returns the first data-region block address.
 func (fs *FS) DataStart() int { return int(fs.sb.DataStart) }
 
-// readCached returns block addr through the cache; a miss reads the whole
-// containing track (full-track buffering).
+// readCached returns the image of block addr through the cache; a miss
+// reads the whole containing track (full-track buffering). The image is the
+// cache's own buffer, or the journal's for a deferred write: the caller must
+// not change it, and it is valid only until the next call that touches the
+// cache. A caller that hands the bytes out or changes them copies first.
 func (fs *FS) readCached(p sim.Proc, addr int32) ([]byte, error) {
 	// A deferred (journaled but uncommitted) home write is authoritative:
 	// the on-disk copy — and any cached copy refreshed from a track read —
@@ -275,9 +283,7 @@ func (fs *FS) readCached(p sim.Proc, addr int32) ([]byte, error) {
 	if fs.jnl != nil {
 		if b, ok := fs.jnl.data[addr]; ok {
 			fs.m.cacheHits.Add(1)
-			out := make([]byte, len(b))
-			copy(out, b)
-			return out, nil
+			return b, nil
 		}
 	}
 	if b, ok := fs.cache.get(addr); ok {
@@ -285,44 +291,46 @@ func (fs *FS) readCached(p sim.Proc, addr int32) ([]byte, error) {
 		return b, nil
 	}
 	fs.m.cacheMisses.Add(1)
-	first, blocks, err := fs.d.ReadTrack(p, int(addr))
+	// A cache smaller than a track can lose addr to the rest of its own
+	// track; the caller then gets a copy of its own.
+	var own []byte
+	small := fs.cache.cap < fs.d.Config().BlocksPerTrack
+	err := fs.d.ReadTrack(p, int(addr), func(bn int, img []byte) {
+		fs.cacheInsert(int32(bn), img)
+		if small && int32(bn) == addr {
+			own = append([]byte(nil), img...)
+		}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("efs: reading block %d: %w", addr, err)
 	}
-	var out []byte
-	for i, b := range blocks {
-		a := int32(first + i)
-		// ReadTrack's buffers are fresh copies nobody else holds: the
-		// cache adopts them, and the caller gets its own copy.
-		fs.cacheInsert(a, b, true)
-		if a == addr {
-			out = make([]byte, len(b))
-			copy(out, b)
-		}
+	if b, ok := fs.cache.peek(addr); ok {
+		return b, nil
 	}
-	if out == nil {
+	if own == nil {
 		return nil, fmt.Errorf("%w: track read missed block %d", ErrCorrupt, addr)
 	}
-	return out, nil
+	return own, nil
 }
 
 // writeThrough writes a block to disk and refreshes the cache. Data-block
 // writes in EFS are write-through; only directory and bitmap metadata are
 // written behind (flushed on Sync). The block image is sealed here so every
-// data-block write path stamps a checksum.
+// data-block write path stamps a checksum. The disk and the cache each copy
+// data, so the caller may reuse it (the scratch block) once this returns;
+// a failed write leaves the cached image alone.
 func (fs *FS) writeThrough(p sim.Proc, addr int32, data []byte) error {
 	seal(addr, data, dataSumOff)
 	if err := fs.d.WriteBlock(p, int(addr), data); err != nil {
 		return fmt.Errorf("efs: writing block %d: %w", addr, err)
 	}
-	fs.cacheInsert(addr, data, false)
+	fs.cacheInsert(addr, data)
 	return nil
 }
 
-// cacheInsert puts a block into the cache (copied, or adopted when owned;
-// see blockCache.put) and maintains the location map.
-func (fs *FS) cacheInsert(addr int32, data []byte, owned bool) {
-	evicted, hasEvicted, learned, hasLearned := fs.cache.put(addr, data, owned)
+// cacheInsert copies a block into the cache and maintains the location map.
+func (fs *FS) cacheInsert(addr int32, data []byte) {
+	evicted, hasEvicted, learned, hasLearned := fs.cache.put(addr, data)
 	if hasEvicted {
 		delete(fs.loc, evicted)
 	}
@@ -330,6 +338,16 @@ func (fs *FS) cacheInsert(addr int32, data []byte, owned bool) {
 	if hasLearned && int(addr) >= int(fs.sb.DataStart) {
 		fs.loc[learned] = addr
 	}
+}
+
+// imageBuf returns the buffer to build a data block image in: the scratch
+// block when the image goes to the disk and the cache, a fresh one when the
+// journal will keep it as a deferred write.
+func (fs *FS) imageBuf() []byte {
+	if fs.jnl != nil {
+		return make([]byte, BlockSize)
+	}
+	return fs.scratch
 }
 
 // invalidate drops a block from the cache and location map.
@@ -342,30 +360,7 @@ func (fs *FS) invalidate(addr int32) {
 // loadChain returns the directory bucket chain for a file id, reading
 // bucket blocks on first use.
 func (fs *FS) loadChain(p sim.Proc, fileID uint32) (*bucketChain, error) {
-	idx := bucketFor(fileID, int(fs.sb.DirBuckets))
-	if ch, ok := fs.buckets[idx]; ok {
-		return ch, nil
-	}
-	ch := &bucketChain{}
-	addr := int32(1 + idx)
-	for addr != nilAddr {
-		raw, err := fs.readCached(p, addr)
-		if err != nil {
-			return nil, err
-		}
-		if err := verifyBucket(addr, raw); err != nil {
-			fs.invalidate(addr)
-			return nil, err
-		}
-		b, err := decodeBucket(raw)
-		if err != nil {
-			return nil, err
-		}
-		ch.blocks = append(ch.blocks, &bucketBlock{addr: addr, b: b})
-		addr = b.Overflow
-	}
-	fs.buckets[idx] = ch
-	return ch, nil
+	return fs.loadChainByIndex(p, bucketFor(fileID, int(fs.sb.DirBuckets)))
 }
 
 // findEntry returns the bucket block and entry index holding fileID.
@@ -404,13 +399,13 @@ func (fs *FS) Sync(p sim.Proc) error {
 			if !bb.dirty {
 				continue
 			}
-			buf := make([]byte, BlockSize)
+			buf := fs.scratch
 			encodeBucket(buf, bb.b)
 			seal(bb.addr, buf, bucketSumOff)
 			if err := fs.d.WriteBlock(p, int(bb.addr), buf); err != nil {
 				return fmt.Errorf("efs: flushing directory: %w", err)
 			}
-			fs.cacheInsert(bb.addr, buf, false)
+			fs.cacheInsert(bb.addr, buf)
 			bb.dirty = false
 		}
 	}
@@ -420,7 +415,8 @@ func (fs *FS) Sync(p sim.Proc) error {
 		}
 	}
 	if fs.dirty.super {
-		buf := make([]byte, BlockSize)
+		buf := fs.scratch
+		clear(buf)
 		encodeSuper(buf, fs.sb)
 		seal(0, buf, superSumOff)
 		if err := fs.d.WriteBlock(p, 0, buf); err != nil {
@@ -432,15 +428,11 @@ func (fs *FS) Sync(p sim.Proc) error {
 }
 
 func (fs *FS) flushBitmap(p sim.Proc) error {
-	blocks := make([][]byte, fs.sb.BitmapBlocks)
-	for i := range blocks {
-		blocks[i] = make([]byte, BlockSize)
-	}
-	fs.bm.encodeInto(blocks)
-	for i, b := range blocks {
+	for i := 0; i < int(fs.sb.BitmapBlocks); i++ {
 		addr := 1 + int(fs.sb.DirBuckets) + i
-		seal(int32(addr), b, bitmapSumOff)
-		if err := fs.d.WriteBlock(p, addr, b); err != nil {
+		fs.bm.encodeBlock(fs.scratch, i)
+		seal(int32(addr), fs.scratch, bitmapSumOff)
+		if err := fs.d.WriteBlock(p, addr, fs.scratch); err != nil {
 			return fmt.Errorf("efs: flushing bitmap: %w", err)
 		}
 	}

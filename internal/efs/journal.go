@@ -207,8 +207,9 @@ func (fs *FS) pendingFreeSet() map[int32]bool {
 }
 
 // deferData records buf, sealed, as the authoritative image of addr until
-// the next commit (or, for a held tail, until its write); the caller says
-// how the commit treats it.
+// the next commit (or, for a held tail, until its write); the journal keeps
+// buf, so the caller hands over a buffer of its own, and says how the
+// commit treats it.
 func (fs *FS) deferData(addr int32, buf []byte) {
 	j := fs.jnl
 	seal(addr, buf, dataSumOff)
@@ -216,7 +217,7 @@ func (fs *FS) deferData(addr int32, buf []byte) {
 		j.order = append(j.order, addr)
 	}
 	j.data[addr] = buf
-	fs.cacheInsert(addr, buf, false)
+	fs.cacheInsert(addr, buf)
 }
 
 // deferImage defers a full-image write of a data-region block: the sealed
@@ -383,13 +384,10 @@ func (fs *FS) commit(p sim.Proc) error {
 		}
 	}
 	if fs.dirty.bitmap {
-		blocks := make([][]byte, fs.sb.BitmapBlocks)
-		for i := range blocks {
-			blocks[i] = make([]byte, BlockSize)
-		}
-		fs.bm.encodeInto(blocks)
-		for i, b := range blocks {
+		for i := 0; i < int(fs.sb.BitmapBlocks); i++ {
 			addr := int32(1 + int(fs.sb.DirBuckets) + i)
+			b := make([]byte, BlockSize)
+			fs.bm.encodeBlock(b, i)
 			seal(addr, b, bitmapSumOff)
 			writes = append(writes, homeWrite{addr, b})
 			imgs = append(imgs, homeWrite{addr, b})
@@ -488,7 +486,7 @@ func (fs *FS) commit(p sim.Proc) error {
 		if err := fs.d.WriteBlock(p, int(w.addr), w.buf); err != nil {
 			return fmt.Errorf("efs: applying block %d: %w", w.addr, err)
 		}
-		fs.cacheInsert(w.addr, w.buf, false)
+		fs.cacheInsert(w.addr, w.buf)
 	}
 	j.data = make(map[int32][]byte)
 	j.order = j.order[:0]

@@ -90,6 +90,13 @@ func encodeHeader(dst []byte, h blockHeader) {
 	dst[20], dst[21], dst[22], dst[23] = 0, 0, 0, 0
 }
 
+// encodeData builds a whole data block image in dst: header h, then data,
+// zero-padded to the end of the block.
+func encodeData(dst []byte, h blockHeader, data []byte) {
+	encodeHeader(dst, h)
+	clear(dst[HeaderBytes+copy(dst[HeaderBytes:], data):])
+}
+
 func decodeHeader(src []byte) blockHeader {
 	return blockHeader{
 		FileID:   binary.LittleEndian.Uint32(src[0:]),

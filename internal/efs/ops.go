@@ -70,8 +70,11 @@ func (fs *FS) ReadBlock(p sim.Proc, fileID, blockNum uint32, hint int32) (data [
 	if err != nil {
 		return nil, nilAddr, err
 	}
-	h := decodeHeader(raw)
-	return raw[HeaderBytes : HeaderBytes+int(h.DataLen)], addr, nil
+	// The one copy a read makes: raw is the cache's (or the journal's)
+	// image, and the result leaves EFS as the reply.
+	data = make([]byte, decodeHeader(raw).DataLen)
+	copy(data, raw[HeaderBytes:])
+	return data, addr, nil
 }
 
 // WriteBlock writes logical block blockNum. blockNum equal to the file size
@@ -219,14 +222,13 @@ func (fs *FS) appendRun(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32,
 		} else if e.Blocks > 0 {
 			h.Prev = e.Last
 		}
-		buf := make([]byte, BlockSize)
-		encodeHeader(buf, h)
-		copy(buf[HeaderBytes:], data)
 		if fs.jnl != nil && j+1 == len(datas) {
-			held = buf
+			held = make([]byte, BlockSize) // the journal keeps a held tail
+			encodeData(held, h, data)
 			continue
 		}
-		if err := fs.writeThrough(p, addrs[j], buf); err != nil {
+		encodeData(fs.scratch, h, data)
+		if err := fs.writeThrough(p, addrs[j], fs.scratch); err != nil {
 			return undo(len(addrs), err)
 		}
 	}
@@ -256,7 +258,8 @@ func (fs *FS) appendRun(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32,
 // once the intent record is durable. An unjournaled volume writes through.
 func (fs *FS) linkTail(p sim.Proc, e *dirEntry, fileID uint32, next int32) error {
 	if j := fs.jnl; j != nil && j.held[e.Last] {
-		old := append([]byte(nil), j.data[e.Last]...)
+		old := fs.scratch
+		copy(old, j.data[e.Last])
 		oh := decodeHeader(old)
 		oh.Next = next
 		encodeHeader(old, oh)
@@ -266,18 +269,20 @@ func (fs *FS) linkTail(p sim.Proc, e *dirEntry, fileID uint32, next int32) error
 		j.dropDeferred(e.Last)
 		return nil
 	}
-	old, err := fs.readCached(p, e.Last)
+	raw, err := fs.readCached(p, e.Last)
 	if err == nil {
-		err = verifyData(e.Last, old)
+		err = verifyData(e.Last, raw)
 	}
 	if err != nil {
 		fs.invalidate(e.Last)
 		return fmt.Errorf("tail of file %d: %w", fileID, err)
 	}
-	oh := decodeHeader(old)
+	oh := decodeHeader(raw)
 	if oh.FileID != fileID || oh.Flags&flagUsed == 0 {
 		return fmt.Errorf("%w: tail of file %d at %d is not its block", ErrCorrupt, fileID, e.Last)
 	}
+	old := fs.imageBuf()
+	copy(old, raw)
 	oh.Next = next
 	encodeHeader(old, oh)
 	if fs.jnl != nil {
@@ -302,18 +307,14 @@ func (fs *FS) overwriteBlock(p sim.Proc, e *dirEntry, fileID, blockNum uint32, d
 	}
 	h := decodeHeader(raw)
 	h.DataLen = uint16(len(data))
-	encodeHeader(raw, h)
-	area := raw[HeaderBytes:]
-	for i := range area {
-		area[i] = 0
-	}
-	copy(area, data)
+	buf := fs.imageBuf()
+	encodeData(buf, h, data)
 	if fs.jnl != nil {
 		// In-place overwrite of committed data: journal the full image.
-		fs.deferImage(addr, raw)
+		fs.deferImage(addr, buf)
 		return addr, nil
 	}
-	if err := fs.writeThrough(p, addr, raw); err != nil {
+	if err := fs.writeThrough(p, addr, buf); err != nil {
 		return nilAddr, err
 	}
 	return addr, nil
@@ -336,9 +337,8 @@ func (fs *FS) rebuildBlock(p sim.Proc, e *dirEntry, fileID, blockNum uint32, dat
 		DataLen:  uint16(len(data)),
 		Flags:    flagUsed,
 	}
-	buf := make([]byte, BlockSize)
-	encodeHeader(buf, h)
-	copy(buf[HeaderBytes:], data)
+	buf := fs.imageBuf()
+	encodeData(buf, h, data)
 	if fs.jnl != nil {
 		fs.deferImage(addr, buf)
 		return addr, nil
@@ -515,8 +515,9 @@ func (fs *FS) deleteFile(p sim.Proc, fileID uint32, fast bool) (int, error) {
 			// Explicitly mark the block free on disk, as EFS did for
 			// resiliency.
 			h.Flags = 0
-			encodeHeader(raw, h)
-			if err := fs.writeThrough(p, addr, raw); err != nil {
+			copy(fs.scratch, raw)
+			encodeHeader(fs.scratch, h)
+			if err := fs.writeThrough(p, addr, fs.scratch); err != nil {
 				return freed, err
 			}
 			fs.invalidate(addr)
@@ -540,8 +541,6 @@ func (fs *FS) deleteFile(p sim.Proc, fileID uint32, fast bool) (int, error) {
 func (fs *FS) ListFiles(p sim.Proc) ([]uint32, error) {
 	var ids []uint32
 	for idx := 0; idx < int(fs.sb.DirBuckets); idx++ {
-		// loadChain keys by bucket index; synthesize an id that hashes
-		// there by probing (bucketFor is deterministic, so scan ids).
 		ch, err := fs.loadChainByIndex(p, idx)
 		if err != nil {
 			return nil, err
@@ -555,7 +554,8 @@ func (fs *FS) ListFiles(p sim.Proc) ([]uint32, error) {
 	return ids, nil
 }
 
-// loadChainByIndex is loadChain keyed directly by bucket index.
+// loadChainByIndex returns directory bucket chain idx, reading its blocks
+// on first use.
 func (fs *FS) loadChainByIndex(p sim.Proc, idx int) (*bucketChain, error) {
 	if ch, ok := fs.buckets[idx]; ok {
 		return ch, nil

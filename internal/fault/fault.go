@@ -394,6 +394,14 @@ func (in *Injector) BeforeOp(now time.Duration, label string, op disk.Op, bn int
 	return extra, nil
 }
 
+// Latent implements disk.LatentFaults: whether a bad block planted on the
+// labeled disk has not been rewritten yet. It draws no randomness.
+func (in *Injector) Latent(label string, bn int) bool {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.badBlocks[diskBlock{label, bn}]
+}
+
 // CorruptBlock implements disk.Corrupter: called on every read of a stored
 // block, it may flip a seeded bit in the device's own buffer — the read then
 // succeeds with wrong contents. One-shot rot planted with Bitrot applies at
