@@ -240,7 +240,9 @@ type Config struct {
 	// clients follow NotLeader redirects transparently with a per-shard
 	// leader guess — an election on one shard never stalls traffic to the
 	// others. With DataDir set, each member's consensus state persists in
-	// <DataDir>/raft<flat>.disk (flat = shard*Replicas + member). Kill
+	// <DataDir>/raft<flat>.disk (flat = shard*Replicas + member), and
+	// <DataDir>/raft.starts counts the Runs on it, so that each Run's
+	// session is a new client to the op tables an earlier Run left. Kill
 	// and revive members with Session.CrashServer/RestartServer
 	// (addressed by shard and member) or a FaultInjector server schedule;
 	// inspect elections with Inspect().Raft(shard).

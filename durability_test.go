@@ -1,6 +1,8 @@
 package bridge
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -188,5 +190,39 @@ func TestSessionSyncDurable(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("remount run: %v", err)
+	}
+}
+
+// TestReplicatedRerunIsANewClient reruns a replicated directory on its
+// DataDir: each Run's session client is a new client, though it has the
+// same address as the last Run's and its replicas recover that Run's op
+// table. Its operations must run, not be answered from (or refused by) its
+// predecessor's records.
+func TestReplicatedRerunIsANewClient(t *testing.T) {
+	cfg := Config{Nodes: 4, DiskBlocks: 512, Journal: 64, DataDir: t.TempDir(), Replicas: 3}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	names := []string{"a", "b", "c"}
+	for run, name := range names {
+		err := sys.Run(func(s *Session) error {
+			if err := s.Create(name); err != nil {
+				return fmt.Errorf("create %s: %w", name, err)
+			}
+			if err := s.Append(name, robustPayload(run)); err != nil {
+				return fmt.Errorf("append %s: %w", name, err)
+			}
+			for i, prev := range names[:run+1] {
+				got, err := s.ReadAt(prev, 0)
+				if err != nil || !bytes.Equal(got, robustPayload(i)) {
+					return fmt.Errorf("%s block 0: %v, err %v", prev, got[:min(len(got), 8)], err)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
 	}
 }

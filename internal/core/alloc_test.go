@@ -211,3 +211,35 @@ func TestAllocsCommandTable(t *testing.T) {
 		t.Errorf("the table answered %q, %d, %d", name, n, op)
 	}
 }
+
+// TestAllocsSessionDedup guards a group of one's client sessions: answering
+// a retransmission from the session and replacing a client's session with its
+// next operation allocate nothing, so keeping one reply per client costs no
+// more per request than the reply itself.
+func TestAllocsSessionDedup(t *testing.T) {
+	withCluster(t, fastCfg(1), func(p sim.Proc, cl *Cluster, c *Client) {
+		srv := cl.Servers[0]
+		var ok any = SeqWriteResp{}
+		type opBody struct{ op uint64 }
+		body := &opBody{op: 1}
+		cmd := &command{
+			OpID:  func(req any) uint64 { return req.(*opBody).op },
+			Serve: func(*Server, sim.Proc, msg.Addr, any) any { return ok },
+		}
+		req := &msg.Message{From: c.mc.Addr(), Body: body}
+		srv.dispatch(p, req, cmd)
+		hits := srv.m.dedupHits.Value()
+		if got := testing.AllocsPerRun(100, func() { boxed = srv.dispatch(p, req, cmd) }); got != 0 {
+			t.Errorf("a dedup hit allocates %v objects, want 0", got)
+		}
+		if srv.m.dedupHits.Value() == hits {
+			t.Error("the retransmissions were not answered from the session")
+		}
+		if got := testing.AllocsPerRun(100, func() { body.op++; boxed = srv.dispatch(p, req, cmd) }); got != 0 {
+			t.Errorf("replacing a client's session allocates %v objects, want 0", got)
+		}
+		if s := srv.sessions[req.From]; s.op != body.op || len(srv.sessions) != 1 {
+			t.Errorf("session %+v of %d; want op %d, one client", s, len(srv.sessions), body.op)
+		}
+	})
+}

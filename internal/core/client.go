@@ -17,7 +17,10 @@ import (
 
 // Client is the naive-view Bridge client: ordinary sequential file access
 // with the server transparently forwarding to the right LFS. A Client is
-// owned by a single process.
+// owned by a single process and has one request in flight: it sends op k+1
+// only once it has k's reply or has given up on k. So a server refuses an op
+// below a client's latest as a stale duplicate (ErrStaleOp), and a client
+// reusing a closed client's address draws its op ids above that client's.
 //
 // A Client may talk to one Bridge Server or to a distributed collection of
 // them (the paper: "the same functionality could be provided by a
@@ -91,6 +94,7 @@ func newShardClient(proc sim.Proc, net *msg.Network, node msg.NodeID, name strin
 		timeout: 10 * time.Minute, // covers the longest legitimate operation
 		retries: net.Stats().Registry().Counter("bridge.client_retries", "calls", "Client-level retransmissions of timed-out Bridge calls."),
 	}
+	c.nextOp = opBase(0, c.mc.Incarnation())
 	for g, members := range groups {
 		if len(members) == 0 {
 			panic("core: empty server group")
@@ -138,6 +142,11 @@ func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
 // back instead of running twice. Pair this with a timeout well below the
 // longest backoff-free operation.
 func (c *Client) SetRetry(p RetryPolicy) { c.retry = newRetrier(p) }
+
+// opBase is a client's first op id, less one: above the ids of every client
+// that held its address before, in this cluster (the reply port's
+// incarnation) or in an earlier start on the same replicated state.
+func opBase(start, incarnation uint64) uint64 { return start<<48 | incarnation<<32 }
 
 // opID returns the next operation id for a mutating request.
 func (c *Client) opID() uint64 {
@@ -527,7 +536,7 @@ func (c *Client) scatterShard(items []ScatterItem) (ScatterResults, error) {
 	for i := range items {
 		if items[i].Write {
 			req.OpID = c.opID()
-			c.nextOp += uint64(len(items))
+			c.nextOp = req.lastOp()
 			break
 		}
 	}

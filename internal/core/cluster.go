@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"bridge/internal/disk"
@@ -47,7 +49,8 @@ type ClusterConfig struct {
 	RaftSeed int64
 	// RaftDir, when non-empty, backs each member's consensus state with
 	// a durable file-backed disk (<RaftDir>/raft<i>.disk) so a killed
-	// member recovers its log on restart. Empty keeps the log in memory
+	// member recovers its log on restart, and <RaftDir>/raft.starts counts
+	// the clusters started on it (countStart). Empty keeps the log in memory
 	// (still survives Crash/Restart within one simulation, since the
 	// store object is reused).
 	RaftDir string
@@ -62,7 +65,8 @@ type Cluster struct {
 	Nodes   []*lfs.Node
 
 	rt        sim.Runtime
-	groupSize int // members per shard group
+	groupSize int    // members per shard group
+	start     uint64 // clusters started on RaftDir before this one
 	boots     []serverBoot
 	raftDisks []*disk.Disk
 }
@@ -128,6 +132,12 @@ func StartCluster(rt sim.Runtime, cfg ClusterConfig) (*Cluster, error) {
 		port = PortName
 	}
 	size := cl.groupSize
+	if size > 1 && cfg.RaftDir != "" {
+		var err error
+		if cl.start, err = countStart(cfg.RaftDir); err != nil {
+			return nil, fmt.Errorf("core: count cluster starts: %w", err)
+		}
+	}
 	for g := 0; g < cfg.Servers; g++ {
 		peers := make([]msg.Addr, size)
 		for j := range peers {
@@ -213,6 +223,23 @@ func openRaftStore(dir string, flat int) (store raft.Store, d *disk.Disk, err er
 	return store, d, nil
 }
 
+// countStart returns how many clusters started on dir's replicated state
+// before this one, and counts this one: each start's clients draw op ids
+// above every earlier start's, whose op tables that state keeps (opBase).
+func countStart(dir string) (n uint64, err error) {
+	path := filepath.Join(dir, "raft.starts")
+	b, err := os.ReadFile(path)
+	if err == nil {
+		n, err = strconv.ParseUint(string(b), 10, 64)
+	} else if os.IsNotExist(err) {
+		err = nil
+	}
+	if err == nil {
+		err = os.WriteFile(path, strconv.AppendUint(nil, n+1, 10), 0o644)
+	}
+	return n, err
+}
+
 // NumShards returns the number of directory shard groups.
 func (cl *Cluster) NumShards() int { return len(cl.Servers) / cl.groupSize }
 
@@ -261,7 +288,9 @@ func (cl *Cluster) Runtime() sim.Runtime { return cl.rt }
 // wired to every server in the cluster.
 func (cl *Cluster) NewClient(proc sim.Proc, node msg.NodeID, name string) *Client {
 	if cl.groupSize > 1 {
-		return NewReplicatedClient(proc, cl.Net, node, name, cl.ShardGroups())
+		c := NewReplicatedClient(proc, cl.Net, node, name, cl.ShardGroups())
+		c.nextOp = opBase(cl.start, c.mc.Incarnation())
+		return c
 	}
 	return NewMultiClient(proc, cl.Net, node, name, cl.ServerAddrs())
 }

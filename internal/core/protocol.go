@@ -73,6 +73,10 @@ var (
 	// because another write item of the same request could not start: the
 	// file it names is untouched.
 	ErrSkipped = errors.New("bridge: scatter write not attempted")
+	// ErrStaleOp refuses a stale duplicate: a copy of an operation older
+	// than the client's latest, which never runs. Its sender stopped
+	// waiting for it when it sent the next one (see Client).
+	ErrStaleOp = errors.New("bridge: stale duplicate operation")
 )
 
 // ErrCorrupt is efs.ErrCorrupt re-exported: a block failed checksum

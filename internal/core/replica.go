@@ -25,8 +25,8 @@
 // every OpID-carrying operation is recorded in a replicated op table
 // during apply, so a client retransmission — to the same leader or to its
 // successor — heals the recorded reply instead of re-running the mutation.
-// (A group of one has no successor; its volatile reply cache in dispatch
-// does that job.)
+// (A group of one has no successor; its volatile client sessions in
+// dispatch do that job.)
 //
 // DESIGN.md's feature × group-size table lists what a replicated group
 // rejects; a failover while a file has dirty write-behind state surfaces
@@ -120,6 +120,10 @@ type opKey struct {
 	Client msg.Addr
 	Op     uint64
 }
+
+// clientOps indexes the op table by client: the highest op id recorded for
+// it, and how many of its records the table holds.
+type clientOps struct{ top, n uint64 }
 
 // rsnap is the state-machine snapshot installed on members that fall behind
 // compaction. Slices are sorted so identical states encode identically.
@@ -233,9 +237,10 @@ type member struct {
 	// recent effect tail.
 	ops      map[opKey]*ropRec
 	opQ      []opKey
-	wbLow    map[string]int64  // committed durable size of wb-dirty files
-	deferred map[string]string // failover-armed deferred-write errors
-	recentFx []rop             // last raftPendingFx effect-carrying ops
+	tops     map[msg.Addr]clientOps // per client in ops, for admit's stale check
+	wbLow    map[string]int64       // committed durable size of wb-dirty files
+	deferred map[string]string      // failover-armed deferred-write errors
+	recentFx []rop                  // last raftPendingFx effect-carrying ops
 
 	applied  uint64 // last log index applied to the state machine
 	tookOver bool   // this leadership already replayed owed effects
@@ -273,6 +278,7 @@ func newMember(net *msg.Network, spec memberSpec) *member {
 		rm:       newRaftMetrics(net.Stats().Registry()),
 		sm:       newShardMetrics(net.Stats().Registry(), spec.shard),
 		ops:      make(map[opKey]*ropRec),
+		tops:     make(map[msg.Addr]clientOps),
 		ports:    make(portTab),
 		wbLow:    make(map[string]int64),
 		deferred: make(map[string]string),
@@ -450,8 +456,8 @@ func (g *member) syncMetrics() {
 // ---- the directory state machine ----
 
 // record stores an operation's outcome in the replicated op table (FIFO
-// bounded, like a group of one's reply cache), with a copy of meta when
-// the healed reply carries metadata. Only a recording member allocates.
+// bounded by dedupCap records), with a copy of meta when the healed reply
+// carries metadata. Only a recording member allocates.
 func (g *member) record(op rop, rec ropRec, meta *Meta) {
 	if g == nil || op.Op == 0 {
 		return
@@ -464,12 +470,29 @@ func (g *member) record(op rop, rec ropRec, meta *Meta) {
 	k := opKey{Client: op.Client, Op: op.Op}
 	if _, exists := g.ops[k]; !exists {
 		if len(g.opQ) >= dedupCap {
-			delete(g.ops, g.opQ[0])
+			g.forget(g.opQ[0])
 			g.opQ = g.opQ[1:]
 		}
-		g.opQ = append(g.opQ, k)
+		g.keep(k)
 	}
 	g.ops[k] = &kept
+}
+
+// keep queues record k, and counts it for its client.
+func (g *member) keep(k opKey) {
+	g.opQ = append(g.opQ, k)
+	t := g.tops[k.Client]
+	g.tops[k.Client] = clientOps{max(t.top, k.Op), t.n + 1}
+}
+
+// forget drops record k from the op table and its client's count.
+func (g *member) forget(k opKey) {
+	delete(g.ops, k)
+	if t := g.tops[k.Client]; t.n > 1 {
+		g.tops[k.Client] = clientOps{t.top, t.n - 1}
+	} else {
+		delete(g.tops, k.Client)
+	}
 }
 
 // recorded reports whether the op table holds client's operation op.
@@ -486,15 +509,9 @@ func (g *member) unrecord(client msg.Addr, op uint64) {
 		return
 	}
 	k := opKey{Client: client, Op: op}
-	if _, exists := g.ops[k]; !exists {
-		return
-	}
-	delete(g.ops, k)
-	for i, q := range g.opQ {
-		if q == k {
-			g.opQ = append(g.opQ[:i], g.opQ[i+1:]...)
-			break
-		}
+	if i := slices.Index(g.opQ, k); i >= 0 {
+		g.forget(k)
+		g.opQ = slices.Delete(g.opQ, i, i+1)
 	}
 }
 
@@ -737,6 +754,7 @@ func (s *Server) restore(data []byte) error {
 	s.nextID = snap.NextID
 	g.ops = make(map[opKey]*ropRec, len(snap.Ops))
 	g.opQ = g.opQ[:0]
+	g.tops = make(map[msg.Addr]clientOps)
 	g.wbLow = make(map[string]int64)
 	g.deferred = make(map[string]string)
 	for _, f := range snap.Files {
@@ -753,7 +771,7 @@ func (s *Server) restore(data []byte) error {
 	}
 	for i := range snap.Ops {
 		o := &snap.Ops[i]
-		g.opQ = append(g.opQ, opKey{Client: o.Client, Op: o.Op})
+		g.keep(opKey{Client: o.Client, Op: o.Op})
 		g.ops[opKey{Client: o.Client, Op: o.Op}] = &o.Rec
 	}
 	g.recentFx = snap.Pending
@@ -857,6 +875,14 @@ func (s *Server) admit(p sim.Proc, req *msg.Message, c *command, op uint64) (rep
 	if !ready {
 		g.rm.redirects.Add(1)
 		return c.Status(statusFor(s.notLeaderError())), true
+	}
+	// A stale duplicate: the client has a record above every id it spans.
+	last := op
+	if sc, ok := req.Body.(ScatterReq); ok {
+		last = sc.lastOp()
+	}
+	if t := g.tops[req.From]; op != 0 && t.top > last {
+		return s.refuseStale(c, op, t.top), true
 	}
 	if op != 0 {
 		if rec, hit := g.ops[opKey{Client: req.From, Op: op}]; hit {

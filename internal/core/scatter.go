@@ -30,14 +30,20 @@ import (
 // write, because admit heals a whole request from one record, and a scatter
 // whose first write committed and whose second did not must not heal as
 // done; instead each write item is checked against the op table on its own.
-// (A group of one keeps the whole reply in its volatile cache, like every
+// (A group of one keeps the whole reply in the client's session, like every
 // other command, and re-executes a partly failed scatter: positional writes
 // of the same bytes are idempotent.)
 
 // scatterLanded is the reply to a scatter whose every item was a write that
 // landed — every redundant append — boxed once, so that neither the reply
-// nor the 2048 entries of the reply cache cost an object each.
+// nor the client sessions holding it cost an object each.
 var scatterLanded any = ScatterResp{}
+
+// itemOp is item i's operation id, and lastOp the highest id the request
+// spans: the client's next operation takes an id above it, and admit refuses
+// the request as stale only below it.
+func (r ScatterReq) itemOp(i int) uint64 { return r.OpID + 1 + uint64(i) }
+func (r ScatterReq) lastOp() uint64      { return r.itemOp(len(r.Items) - 1) }
 
 // scatterCall is the server's state for one item of the scatter in hand.
 type scatterCall struct {
@@ -127,7 +133,7 @@ func (s *Server) scatter(p sim.Proc, from msg.Addr, r ScatterReq) (ScatterResp, 
 			c.err = fmt.Errorf("%w: block %d beyond size %d", ErrBadArg, it.BlockNum, c.ent.meta.Blocks)
 		default:
 			if r.OpID != 0 {
-				c.op = r.OpID + 1 + uint64(i)
+				c.op = r.itemOp(i)
 			}
 			lost = s.scatterWrite(p, from, it, c)
 		}

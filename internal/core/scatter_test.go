@@ -241,7 +241,7 @@ func TestScatterExactlyOnceGroupOfOne(t *testing.T) {
 		}
 		retries, hits := c.retries.Value(), srv.m.dedupHits.Value()
 		if retries == 0 || hits == 0 {
-			t.Errorf("%d client retransmissions, %d answered from the reply cache: the seed must exercise both", retries, hits)
+			t.Errorf("%d client retransmissions, %d answered from the session: the seed must exercise both", retries, hits)
 		}
 		for k, name := range []string{"x", "y"} {
 			blocks, err := c.ReadAtN(name, 0, n+1)
@@ -256,7 +256,9 @@ func TestScatterExactlyOnceGroupOfOne(t *testing.T) {
 			}
 		}
 		// A retransmission gets the first reply: a mixed scatter's read
-		// answer comes back from the cache even after the block changed.
+		// answer comes back from the client's session even after another
+		// client changed the block. (The client itself sends nothing in
+		// between: its next operation would make the copy stale.)
 		req := ScatterReq{OpID: c.opID(), Items: []ScatterItem{
 			{Name: "x", BlockNum: 0},
 			{Name: "y", BlockNum: 0, Write: true, Data: payload(77)},
@@ -267,7 +269,9 @@ func TestScatterExactlyOnceGroupOfOne(t *testing.T) {
 			t.Errorf("mixed scatter: %v", err)
 			return
 		}
-		if err := c.WriteAt("x", 0, payload(78)); err != nil {
+		other := cl.NewClient(p, 0, "other")
+		defer other.Close()
+		if err := other.WriteAt("x", 0, payload(78)); err != nil {
 			t.Errorf("WriteAt: %v", err)
 			return
 		}
@@ -276,7 +280,7 @@ func TestScatterExactlyOnceGroupOfOne(t *testing.T) {
 			t.Errorf("retransmission answered %+v, %v; the first reply was %+v", again.Body, err, first.Body)
 		}
 		if srv.nextLFSOp != 2*n+2 {
-			t.Errorf("the retransmission ran again: %d storage-node writes, want %d", srv.nextLFSOp, 2*n+2)
+			t.Errorf("the retransmission ran again: %d storage-node writes, want %d (the scatter's and the other client's)", srv.nextLFSOp, 2*n+2)
 		}
 	})
 }

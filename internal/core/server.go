@@ -107,8 +107,8 @@ type Server struct {
 	wb        *wbCache       // nil = no write-behind
 	monStop   *msg.Port
 	nextLFSOp uint64
-	dedup     map[dedupKey]any
-	dedupQ    []dedupKey
+	sessions  map[msg.Addr]session // a group of one's dedup (dispatch)
+	sessQ     []msg.Addr           // sessions' clients, oldest first
 	// one carries a single-block command's block to or from the shared
 	// batched handlers without allocating a slice per request. The server
 	// is single-threaded and the slot is consumed before the next request
@@ -132,14 +132,15 @@ type Server struct {
 	curTrace obs.TraceID
 }
 
-// dedupKey identifies one client operation for retransmission dedup.
-type dedupKey struct {
-	client msg.Addr
-	op     uint64
+// session is a client's latest operation: its id and, if that attempt
+// succeeded, its reply.
+type session struct {
+	op    uint64
+	reply any
 }
 
-// dedupCap bounds the reply cache; old entries evict FIFO. It only needs
-// to cover replies whose retransmissions may still be in flight.
+// dedupCap bounds the clients a group of one keeps a session for, and the
+// records of a member's op table; the oldest is evicted first.
 const dedupCap = 2048
 
 type dirent struct {
@@ -224,15 +225,15 @@ func (s *Server) Restore(snap DirSnapshot) {
 func startServer(rt sim.Runtime, net *msg.Network, cfg Config, nodes []msg.NodeID, spec *memberSpec) *Server {
 	cfg.applyDefaults()
 	s := &Server{
-		net:     net,
-		cfg:     cfg,
-		nodes:   append([]msg.NodeID(nil), nodes...),
-		port:    net.NewPort(msg.Addr{Node: cfg.Node, Port: cfg.PortName}),
-		dir:     make(map[string]*dirent),
-		cursors: make(map[cursorKey]*cursor),
-		jobs:    make(map[uint64]*job),
-		dedup:   make(map[dedupKey]any),
-		m:       newSrvMetrics(net.Stats().Registry()),
+		net:      net,
+		cfg:      cfg,
+		nodes:    append([]msg.NodeID(nil), nodes...),
+		port:     net.NewPort(msg.Addr{Node: cfg.Node, Port: cfg.PortName}),
+		dir:      make(map[string]*dirent),
+		cursors:  make(map[cursorKey]*cursor),
+		jobs:     make(map[uint64]*job),
+		sessions: make(map[msg.Addr]session),
+		m:        newSrvMetrics(net.Stats().Registry()),
 	}
 	if cfg.LFSRetry != nil {
 		// Fold the port name into the jitter seed so the servers of a
@@ -355,7 +356,8 @@ func (s *Server) serve(p sim.Proc, req *msg.Message) obs.SpanID {
 // replies and duplicated messages never re-run a mutation. The two group
 // sizes remember different things: a member's replicated op table (admit)
 // survives a failover and re-reads healed data from the LFS; a group of one
-// keeps the successful reply itself in a volatile cache.
+// keeps each client's latest operation and its reply in volatile memory.
+// In both, a copy of an operation older than the latest is refused unrun.
 func (s *Server) dispatch(p sim.Proc, req *msg.Message, c *command) any {
 	op := c.OpID(req.Body)
 	if s.grp != nil {
@@ -367,23 +369,35 @@ func (s *Server) dispatch(p sim.Proc, req *msg.Message, c *command) any {
 	if op == 0 {
 		return c.Serve(s, p, req.From, req.Body)
 	}
-	key := dedupKey{client: req.From, op: op}
-	if cached, hit := s.dedup[key]; hit {
+	last, known := s.sessions[req.From]
+	switch {
+	case known && op < last.op:
+		return s.refuseStale(c, op, last.op)
+	case known && op == last.op && last.reply != nil:
 		s.m.dedupHits.Add(1)
 		s.curSpan.Annotate("dedup hit")
-		return cached
+		return last.reply
+	case !known:
+		if len(s.sessQ) >= dedupCap {
+			delete(s.sessions, s.sessQ[0])
+			s.sessQ = s.sessQ[1:]
+		}
+		s.sessQ = append(s.sessQ, req.From)
 	}
 	body := c.Serve(s, p, req.From, req.Body)
-	// Cache successes only: a failed attempt should be re-executable.
-	if respStatus(body).OK() {
-		if len(s.dedupQ) >= dedupCap {
-			delete(s.dedup, s.dedupQ[0])
-			s.dedupQ = s.dedupQ[1:]
-		}
-		s.dedup[key] = body
-		s.dedupQ = append(s.dedupQ, key)
+	last = session{op: op}
+	if respStatus(body).OK() { // a failed attempt's retransmission runs again
+		last.reply = body
 	}
+	s.sessions[req.From] = last
 	return body
+}
+
+// refuseStale answers a stale duplicate of op, the client being at latest.
+func (s *Server) refuseStale(c *command, op, latest uint64) any {
+	s.m.dedupStale.Add(1)
+	s.curSpan.Annotate("stale duplicate")
+	return c.Status(statusFor(fmt.Errorf("%w: op %d, client at %d", ErrStaleOp, op, latest)))
 }
 
 // lookup finds a file's directory entry.

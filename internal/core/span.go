@@ -8,6 +8,7 @@ import "bridge/internal/obs"
 type srvMetrics struct {
 	lfsRetries        obs.Counter
 	dedupHits         obs.Counter
+	dedupStale        obs.Counter
 	nodeRepairs       obs.Counter
 	raHits            obs.Counter
 	raMisses          obs.Counter
@@ -23,7 +24,8 @@ type srvMetrics struct {
 func newSrvMetrics(r *obs.Registry) srvMetrics {
 	return srvMetrics{
 		lfsRetries:        r.Counter("bridge.lfs_retries", "calls", "Server-side retransmissions of timed-out LFS calls."),
-		dedupHits:         r.Counter("bridge.dedup_hits", "requests", "Retransmitted client operations answered from the reply cache."),
+		dedupHits:         r.Counter("bridge.dedup_hits", "requests", "Retransmitted client operations answered from the client's session."),
+		dedupStale:        r.Counter("bridge.dedup_stale", "requests", "Stale duplicates, below their client's latest operation, refused unrun."),
 		nodeRepairs:       r.Counter("bridge.node_repairs", "repairs", "RepairNode sweeps that re-registered files on a restarted node."),
 		raHits:            r.Counter("bridge.ra_hits", "blocks", "Sequential-read blocks served from the read-ahead buffer."),
 		raMisses:          r.Counter("bridge.ra_misses", "blocks", "Sequential-read blocks that waited for a synchronous window fetch."),

@@ -31,6 +31,7 @@ const (
 	codeSkipped
 	codeCorrupt
 	codeNeedSize
+	codeStaleOp
 )
 
 // errLFSCorrupt is the one failure with two classes: a storage node's
@@ -56,6 +57,7 @@ var classes = [...]error{
 	codeSkipped:       ErrSkipped,
 	codeCorrupt:       ErrCorrupt,
 	codeNeedSize:      distrib.ErrNeedSize,
+	codeStaleOp:       ErrStaleOp,
 }
 
 // statusFor is the server's half: the status a reply embeds for err. The

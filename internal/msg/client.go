@@ -77,6 +77,9 @@ func (c *Client) Node() NodeID { return c.node }
 // Addr returns the client's reply address.
 func (c *Client) Addr() Addr { return c.port.Addr() }
 
+// Incarnation is the reply port's (see Port.Incarnation).
+func (c *Client) Incarnation() uint64 { return c.port.Incarnation() }
+
 // Proc returns the owning process.
 func (c *Client) Proc() sim.Proc { return c.proc }
 

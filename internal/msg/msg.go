@@ -185,14 +185,18 @@ func (n *Network) SetFault(h FaultHook) { n.fault = h }
 // NewPort registers a port at addr. It panics if the address is already
 // registered and still open, since that is always a wiring bug. A closed
 // port (a failed node's service) may be re-registered: that is how a
-// restarted node comes back.
+// restarted node comes back, and the new port's Incarnation counts it.
 func (n *Network) NewPort(addr Addr) *Port {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if dup, ok := n.ports[addr]; ok && !dup.isClosed() {
+	dup := n.ports[addr]
+	if dup != nil && !dup.isClosed() {
 		panic(fmt.Sprintf("msg: duplicate port %v", addr))
 	}
 	p := &Port{net: n, addr: addr, q: n.rt.NewQueue(addr.String())}
+	if dup != nil {
+		p.incarnation = dup.incarnation + 1
+	}
 	n.ports[addr] = p
 	return p
 }
@@ -279,9 +283,10 @@ func (n *Network) QueueWait(now time.Duration, m *Message) time.Duration {
 
 // Port is a receive endpoint.
 type Port struct {
-	net  *Network
-	addr Addr
-	q    sim.Queue
+	net         *Network
+	addr        Addr
+	q           sim.Queue
+	incarnation uint64 // how many ports held addr before this one
 
 	mu     sync.Mutex
 	closed bool
@@ -296,6 +301,10 @@ func (p *Port) isClosed() bool {
 
 // Addr returns the port's address.
 func (p *Port) Addr() Addr { return p.addr }
+
+// Incarnation is how many earlier ports held the address, so a sender can
+// tell its requests from a closed predecessor's.
+func (p *Port) Incarnation() uint64 { return p.incarnation }
 
 // QueueLen returns the number of messages waiting in the port's queue —
 // the per-node queue-depth gauge sampled by the observability sampler.

@@ -262,3 +262,21 @@ func TestDuplicatePortPanics(t *testing.T) {
 	net.NewPort(Addr{Node: 0, Port: "x"})
 	net.NewPort(Addr{Node: 0, Port: "x"})
 }
+
+// A closed port's address may be opened again; each new port counts the
+// ports that held the address before it, and other addresses start at 0.
+func TestReopenedPortCountsIncarnations(t *testing.T) {
+	rt := sim.NewVirtual()
+	net := NewNetwork(rt, zeroCPU())
+	a := Addr{Node: 0, Port: "x"}
+	for want := uint64(0); want < 3; want++ {
+		p := net.NewPort(a)
+		if got := p.Incarnation(); got != want {
+			t.Errorf("port %d at %v: incarnation %d", want, a, got)
+		}
+		p.Close()
+	}
+	if got := net.NewPort(Addr{Node: 1, Port: "x"}).Incarnation(); got != 0 {
+		t.Errorf("a fresh address: incarnation %d, want 0", got)
+	}
+}
