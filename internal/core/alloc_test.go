@@ -212,10 +212,14 @@ func TestAllocsCommandTable(t *testing.T) {
 	}
 }
 
-// TestAllocsSessionDedup guards a group of one's client sessions: answering
-// a retransmission from the session and replacing a client's session with its
-// next operation allocate nothing, so keeping one reply per client costs no
-// more per request than the reply itself.
+// TestAllocsSessionDedup guards both group sizes' client sessions. In a
+// group of one, answering a retransmission from the session and replacing a
+// client's session with its next operation allocate nothing, so keeping one
+// reply per client costs no more per request than the reply itself. In a
+// member, healing a retransmission from its record, finding a request stale
+// and replacing a session's records with the next request's allocate
+// nothing either. (The stale refusal's reply then carries a formatted
+// status, as every failure does.)
 func TestAllocsSessionDedup(t *testing.T) {
 	withCluster(t, fastCfg(1), func(p sim.Proc, cl *Cluster, c *Client) {
 		srv := cl.Servers[0]
@@ -238,8 +242,48 @@ func TestAllocsSessionDedup(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() { body.op++; boxed = srv.dispatch(p, req, cmd) }); got != 0 {
 			t.Errorf("replacing a client's session allocates %v objects, want 0", got)
 		}
-		if s := srv.sessions[req.From]; s.op != body.op || len(srv.sessions) != 1 {
-			t.Errorf("session %+v of %d; want op %d, one client", s, len(srv.sessions), body.op)
+		if s := srv.sessions.m[req.From]; s.op != body.op || len(srv.sessions.m) != 1 {
+			t.Errorf("session %+v of %d; want op %d, one client", s, len(srv.sessions.m), body.op)
+		}
+	})
+	withCluster(t, repCfg(1), func(p sim.Proc, cl *Cluster, c *Client) {
+		if _, err := c.Create("f"); err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		if err := c.SeqWrite("f", payload(0)); err != nil {
+			t.Errorf("SeqWrite: %v", err)
+			return
+		}
+		srv := cl.Servers[awaitLeader(t, p, cl)]
+		g, op := srv.grp, c.nextOp
+		var body any = SeqWriteReq{Name: "f", Data: payload(0), OpID: op}
+		req, cmd := &msg.Message{From: c.mc.Addr(), Body: body}, commands.Of(body)
+		heals := g.rm.heals.Value()
+		var done bool
+		if got := testing.AllocsPerRun(100, func() { boxed, done = srv.admit(p, req, cmd, op) }); got != 0 {
+			t.Errorf("a member's heal allocates %v objects, want 0", got)
+		}
+		if r, isWrite := boxed.(SeqWriteResp); !done || !isWrite || !r.OK() || g.rm.heals.Value() == heals {
+			t.Errorf("the retransmission answered %+v (done %v); want a healed SeqWriteResp", boxed, done)
+		}
+		var d int
+		if got := testing.AllocsPerRun(100, func() { _, d = g.sess.check(req.From, op-1) }); got != 0 || d >= 0 {
+			t.Errorf("finding op %d stale allocates %v objects (compared %d), want 0 (below 0)", op-1, got, d)
+		}
+		// Replacing records runs in apply on every member; a detached
+		// member keeps the group's own state untouched.
+		m := &member{}
+		next := rop{Kind: ropWrite, Client: req.From, Op: op}
+		m.record(next, ropRec{Kind: ropWrite, N: 1}, nil)
+		if got := testing.AllocsPerRun(100, func() {
+			next.Op++
+			m.record(next, ropRec{Kind: ropWrite, N: 1}, nil)
+		}); got != 0 {
+			t.Errorf("replacing a member's session allocates %v objects, want 0", got)
+		}
+		if ss := m.sess.m[req.From]; ss.op != next.Op || len(ss.held) != 1 || len(m.sess.m) != 1 {
+			t.Errorf("session at %d holding %d records, of %d; want op %d, one record, one client", ss.op, len(ss.held), len(m.sess.m), next.Op)
 		}
 	})
 }

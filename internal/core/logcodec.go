@@ -2,10 +2,11 @@
 // ropRec, Meta/ChainInfo and rsnap.
 //
 // A record is a format-version byte followed by the struct's fields in
-// declaration order. Unsigned integers are uvarints, signed ones zigzag
-// varints, Kind fields and booleans one byte, strings and byte slices a
-// uvarint length then the bytes, slices a uvarint count then the elements,
-// an optional struct (ChainInfo, a record's Meta) a presence byte first.
+// declaration order (rop.Item only when set, flagged in the Kind byte).
+// Unsigned integers are uvarints, signed ones zigzag varints, Kind fields
+// and booleans one byte, strings and byte slices a uvarint length then the
+// bytes, slices a uvarint count then the elements, an optional struct
+// (ChainInfo, a record's Meta) a presence byte first.
 // Every value has exactly one encoding — varints must be minimal, booleans 0
 // or 1, integers inside their field's range, nothing may follow the last
 // field — so identical states encode to identical bytes and whatever decodes
@@ -25,7 +26,13 @@ import (
 )
 
 // logFormat is the version byte that opens every log entry and snapshot.
-const logFormat byte = 1
+// Version 1 had no rop.Item and a snapshot kept a FIFO of op records, not
+// sessions: it is refused, not misread.
+const logFormat byte = 2
+
+// itemFlag marks a rop's Kind byte when an Item follows its Op. Only a
+// scatter's write items carry one, so every other entry keeps its length.
+const itemFlag = 0x80
 
 // LogFormatError reports a replicated log entry or snapshot written in a
 // format this build does not read — such as the gob streams of earlier
@@ -91,9 +98,16 @@ func appendMeta(b []byte, m *Meta) []byte {
 // appendRopFields appends op without the version byte (a snapshot's
 // pending tail shares the snapshot's).
 func appendRopFields(b []byte, op *rop) []byte {
-	b = append(b, op.Kind)
+	if op.Item == 0 {
+		b = append(b, op.Kind)
+	} else {
+		b = append(b, op.Kind|itemFlag)
+	}
 	b = appendAddr(b, op.Client)
 	b = binary.AppendUvarint(b, op.Op)
+	if op.Item != 0 {
+		b = binary.AppendUvarint(b, op.Item)
+	}
 	b = appendStr(b, op.Name)
 	b = appendStr(b, op.New)
 	b = appendMeta(b, &op.Meta)
@@ -128,21 +142,9 @@ func appendRop(b []byte, op *rop) []byte {
 	return appendRopFields(append(b, logFormat), op)
 }
 
-// appendSnap appends snap's encoding to b.
+// appendSnap appends snap's encoding to b. A session's records follow its
+// request's id, each as its own id's offset from it.
 func appendSnap(b []byte, snap *rsnap) []byte {
-	b = appendSnapHead(b, snap)
-	b = binary.AppendUvarint(b, uint64(len(snap.Ops)))
-	for i := range snap.Ops {
-		o := &snap.Ops[i]
-		b = appendSnapOp(b, opKey{Client: o.Client, Op: o.Op}, &o.Rec)
-	}
-	return appendSnapPending(b, snap.Pending)
-}
-
-// appendSnapHead appends a snapshot's fields up to its op table: the
-// version, NextID, Files and Cursors. The op table follows as a count and
-// that many appendSnapOp, then appendSnapPending ends the record.
-func appendSnapHead(b []byte, snap *rsnap) []byte {
 	b = append(b, logFormat)
 	b = binary.AppendUvarint(b, uint64(snap.NextID))
 	b = binary.AppendUvarint(b, uint64(len(snap.Files)))
@@ -158,40 +160,19 @@ func appendSnapHead(b []byte, snap *rsnap) []byte {
 		b = appendStr(b, c.Name)
 		b = binary.AppendVarint(b, c.Pos)
 	}
-	return b
-}
-
-// appendSnapOp appends one op-table record.
-func appendSnapOp(b []byte, k opKey, rec *ropRec) []byte {
-	b = appendAddr(b, k.Client)
-	b = binary.AppendUvarint(b, k.Op)
-	return appendRec(b, rec)
-}
-
-// appendOpTable appends a live op table exactly as appendSnap appends the
-// rsnap.Ops built from it: the records ops holds for opQ's keys, in opQ
-// order, with no copy of them in between.
-func appendOpTable(b []byte, opQ []opKey, ops map[opKey]*ropRec) []byte {
-	n := 0
-	for _, k := range opQ {
-		if _, ok := ops[k]; ok {
-			n++
+	b = binary.AppendUvarint(b, uint64(len(snap.Sessions)))
+	for _, x := range snap.Sessions {
+		b = appendAddr(b, x.Client)
+		b = binary.AppendUvarint(b, x.Op)
+		b = binary.AppendUvarint(b, uint64(len(x.Recs)))
+		for i := range x.Recs {
+			b = binary.AppendUvarint(b, x.Recs[i].Op-x.Op)
+			b = appendRec(b, &x.Recs[i].Rec)
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(n))
-	for _, k := range opQ {
-		if rec, ok := ops[k]; ok {
-			b = appendSnapOp(b, k, rec)
-		}
-	}
-	return b
-}
-
-// appendSnapPending appends a snapshot's pending effect tail.
-func appendSnapPending(b []byte, pending []rop) []byte {
-	b = binary.AppendUvarint(b, uint64(len(pending)))
-	for i := range pending {
-		b = appendRopFields(b, &pending[i])
+	b = binary.AppendUvarint(b, uint64(len(snap.Pending)))
+	for i := range snap.Pending {
+		b = appendRopFields(b, &snap.Pending[i])
 	}
 	return b
 }
@@ -204,6 +185,7 @@ const (
 	minMetaBytes = 11
 	minRopBytes  = 14 + minMetaBytes
 	minRecBytes  = 7
+	minSessBytes = 4 // client, op, record count
 )
 
 // logDec reads one record. The first failure sticks: every later read
@@ -382,10 +364,9 @@ func (d *logDec) meta(m *Meta) {
 	}
 }
 
-// kind reads an operation kind; one outside the twelve would apply as a
+// kind checks an operation kind; one outside the twelve would apply as a
 // silent no-op here and as something else on a build that knows it.
-func (d *logDec) kind() uint8 {
-	k := d.u8()
+func (d *logDec) kind(k uint8) uint8 {
 	if k < ropCreate || k > ropFixup {
 		d.fail("unknown operation kind")
 	}
@@ -393,9 +374,16 @@ func (d *logDec) kind() uint8 {
 }
 
 func (d *logDec) rop(op *rop) {
-	op.Kind = d.kind()
+	k := d.u8()
+	op.Kind = d.kind(k &^ itemFlag)
 	op.Client = d.addr()
 	op.Op = d.u64()
+	if k&itemFlag != 0 {
+		// Only a write item has one, and a request id is at least 1.
+		if op.Item = d.uvarint(max(op.Op, 1) - 1); op.Item == 0 || op.Kind != ropWrite {
+			d.fail("scatter item out of range")
+		}
+	}
 	op.Name = d.str()
 	op.New = d.str()
 	d.meta(&op.Meta)
@@ -414,7 +402,7 @@ func (d *logDec) rop(op *rop) {
 }
 
 func (d *logDec) rec(r *ropRec) {
-	r.Kind = d.kind()
+	r.Kind = d.kind(d.u8())
 	r.EOF = d.flag()
 	r.Name = d.str()
 	if d.flag() {
@@ -424,6 +412,23 @@ func (d *logDec) rec(r *ropRec) {
 	r.At = d.varint()
 	r.N = d.num()
 	r.ErrS = d.str()
+}
+
+// session reads one client session; its records' ids ascend from the
+// request's.
+func (d *logDec) session(x *rsnapSession) {
+	x.Client, x.Op = d.addr(), d.u64()
+	if n := d.count(1 + minRecBytes); n > 0 {
+		x.Recs = make([]opRec, n)
+		for i := range x.Recs {
+			r := &x.Recs[i]
+			r.Op = x.Op + d.uvarint(math.MaxUint64-x.Op)
+			if i > 0 && r.Op <= x.Recs[i-1].Op {
+				d.fail("session records out of order")
+			}
+			d.rec(&r.Rec)
+		}
+	}
 }
 
 // decodeRop decodes one log entry's payload.
@@ -454,13 +459,17 @@ func decodeSnap(data []byte, ports portTab) (rsnap, error) {
 			snap.Cursors[i] = rsnapCursor{Client: d.addr(), Name: d.str(), Pos: d.varint()}
 		}
 	}
-	if n := d.count(3 + minRecBytes); n > 0 {
-		snap.Ops = make([]rsnapOp, n)
-		for i := range snap.Ops {
-			o := &snap.Ops[i]
-			o.Client = d.addr()
-			o.Op = d.u64()
-			d.rec(&o.Rec)
+	if n := d.count(minSessBytes); n > dedupCap {
+		d.fail("more sessions than dedupCap")
+	} else if n > 0 {
+		snap.Sessions = make([]rsnapSession, n)
+		seen := make(map[msg.Addr]bool, n)
+		for i := range snap.Sessions {
+			x := &snap.Sessions[i]
+			if d.session(x); seen[x.Client] {
+				d.fail("a client with two sessions")
+			}
+			seen[x.Client] = true
 		}
 	}
 	if n := d.count(minRopBytes); n > 0 {

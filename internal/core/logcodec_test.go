@@ -21,6 +21,14 @@ import (
 // descriptor. Snapshots began the same way.
 var oldGobRop = []byte{0xff, 0x85, 0x7f, 0x03, 0x01, 0x01, 0x03, 0x72, 0x6f, 0x70, 0x01, 0xff, 0x80, 0x00, 0x01, 0x0d}
 
+// Format 1, the last before sessions: a one-block write of "f" (op 4712,
+// with no Item), and a snapshot whose op table holds one write record.
+var (
+	format1Write = []byte{0x1, 0x6, 0x0, 0xc, 0x62, 0x72, 0x69, 0x64, 0x67, 0x65, 0x2e, 0x63, 0x6c, 0x69, 0x2e, 0x33,
+		0xe8, 0x24, 0x1, 0x66, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x2, 0x2, 0x1, 0x1, 0x7, 0x0, 0x0, 0x0}
+	format1Snap = []byte{0x1, 0x3, 0x0, 0x0, 0x1, 0x0, 0x1, 0x63, 0x9, 0x6, 0x0, 0x1, 0x66, 0x0, 0x0, 0x2, 0x0, 0x0}
+)
+
 var codecNames = []string{"", "f", "m3.17.4-a9", "dir/with/slashes", "naïve-ファイル-✓", strings.Repeat("long", 40)}
 
 func randName(rng *rand.Rand) string { return codecNames[rng.Intn(len(codecNames))] }
@@ -97,6 +105,10 @@ func randRop(rng *rand.Rand, kind uint8) rop {
 		op.ErrS = "bridge: deferred write: node 3 did not answer — 再試行"
 	}
 	if kind == ropWrite {
+		if op.Op > 1 && rng.Intn(2) == 0 {
+			// A scatter's write item: its offset from the request's id.
+			op.Item = 1 + uint64(rng.Int63n(int64(min(op.Op-1, maxBatchBlocks))))
+		}
 		for i := 1 + rng.Intn(4); i > 0; i-- {
 			blk := make([]byte, 1+rng.Intn(PayloadBytes))
 			rng.Read(blk)
@@ -120,18 +132,30 @@ func randSnap(rng *rand.Rand) rsnap {
 	for i := rng.Intn(4); i > 0; i-- {
 		snap.Cursors = append(snap.Cursors, rsnapCursor{Client: randAddr(rng), Name: randName(rng), Pos: randInt64(rng)})
 	}
-	for i := rng.Intn(12); i > 0; i-- {
-		o := rsnapOp{Client: randAddr(rng), Op: rng.Uint64(), Rec: ropRec{
-			Kind: randKind(rng), EOF: rng.Intn(2) == 0, Name: randName(rng), At: randInt64(rng), N: rng.Intn(64),
-		}}
-		if rng.Intn(2) == 0 {
-			m := randMeta(rng)
-			o.Rec.Meta = &m
+	seen := map[msg.Addr]bool{}
+	for i := rng.Intn(6); i > 0; i-- {
+		x := rsnapSession{Client: randAddr(rng), Op: 1 + rng.Uint64()>>uint(1+rng.Intn(63))}
+		if seen[x.Client] {
+			continue
 		}
-		if o.Rec.Kind == ropWBFail {
-			o.Rec.ErrS = "bridge: deferred write"
+		seen[x.Client] = true
+		// A request's own record, a scatter's write items, or both.
+		next := x.Op + uint64(rng.Intn(2))
+		for j := rng.Intn(4); j > 0; j-- {
+			r := opRec{Op: next, Rec: ropRec{
+				Kind: randKind(rng), EOF: rng.Intn(2) == 0, Name: randName(rng), At: randInt64(rng), N: rng.Intn(64),
+			}}
+			if rng.Intn(2) == 0 {
+				m := randMeta(rng)
+				r.Rec.Meta = &m
+			}
+			if r.Rec.Kind == ropWBFail {
+				r.Rec.ErrS = "bridge: deferred write"
+			}
+			x.Recs = append(x.Recs, r)
+			next += 1 + uint64(rng.Intn(3))
 		}
-		snap.Ops = append(snap.Ops, o)
+		snap.Sessions = append(snap.Sessions, x)
 	}
 	for i := rng.Intn(raftPendingFx + 1); i > 0; i-- {
 		snap.Pending = append(snap.Pending, randRop(rng, randKind(rng)))
@@ -211,6 +235,12 @@ func TestLogCodecRoundTrip(t *testing.T) {
 			checkStrict(t, fmt.Sprintf("snapshot %d", i), enc, func(b []byte) error { _, err := decodeSnap(b, nil); return err })
 		}
 	}
+	// Only a scatter's write items grew in format 2: any other entry is
+	// format 1's bytes under the new version byte.
+	w := rop{Kind: ropWrite, Client: msg.Addr{Port: "bridge.cli.3"}, Op: 4712, Name: "f", At: 1, N: 1, Data: [][]byte{{7}}}
+	if enc := appendRop(nil, &w); enc[0] != logFormat || !bytes.Equal(enc[1:], format1Write[1:]) {
+		t.Fatalf("a write with no Item encodes to %x, want format 1's %x", enc, format1Write)
+	}
 	// A directory operation without a payload is tens of bytes, not the
 	// half kilobyte of a self-describing stream.
 	small := rop{Kind: ropDelete, Client: msg.Addr{Node: 0, Port: "bridge.cli.3"}, Op: 4711, Name: "m3.17.4-a9"}
@@ -219,9 +249,9 @@ func TestLogCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEncodeSnapshotMatchesAppendSnap: encodeSnapshot writes the op table
-// straight from the member's opQ and ops; its bytes must be what appendSnap
-// makes of an rsnap whose Ops hold those records in opQ order.
+// TestEncodeSnapshotMatchesAppendSnap: a member's snapshot holds its live
+// sessions, oldest client first — a scatter's write items among them — and
+// its bytes are what appendSnap makes of what it decodes to.
 func TestEncodeSnapshotMatchesAppendSnap(t *testing.T) {
 	withCluster(t, repCfg(4), func(p sim.Proc, cl *Cluster, c *Client) {
 		for _, name := range []string{"a", "b", "c"} {
@@ -238,6 +268,15 @@ func TestEncodeSnapshotMatchesAppendSnap(t *testing.T) {
 			t.Errorf("Delete: %v", err)
 			return
 		}
+		other := cl.NewClient(p, 0, "other")
+		defer other.Close()
+		if _, err := other.Scatter([]ScatterItem{
+			{Name: "a", BlockNum: 1, Write: true, Data: payload(1)},
+			{Name: "c", BlockNum: 0, Write: true, Data: payload(2)},
+		}); err != nil {
+			t.Errorf("Scatter: %v", err)
+			return
+		}
 		p.Sleep(200 * time.Millisecond)
 		for i, s := range cl.Servers {
 			g := s.grp
@@ -247,16 +286,15 @@ func TestEncodeSnapshotMatchesAppendSnap(t *testing.T) {
 				t.Errorf("member %d: decode: %v", i, err)
 				return
 			}
-			want := make([]rsnapOp, 0, len(g.opQ))
-			for _, k := range g.opQ {
-				if rec, ok := g.ops[k]; ok {
-					want = append(want, rsnapOp{Client: k.Client, Op: k.Op, Rec: *rec})
-				}
+			want := make([]rsnapSession, 0, len(g.sess.q))
+			for _, client := range g.sess.q {
+				ss := g.sess.m[client]
+				want = append(want, rsnapSession{Client: client, Op: ss.op, Recs: ss.held})
 			}
-			if len(want) == 0 || !reflect.DeepEqual(snap.Ops, want) {
-				t.Errorf("member %d: op table encoded as %+v, want %+v", i, snap.Ops, want)
+			if len(want) != 2 || len(want[1].Recs) != 2 || !reflect.DeepEqual(snap.Sessions, want) {
+				t.Errorf("member %d: sessions encoded as %+v, want %+v: two clients, the second's scatter of two items", i, snap.Sessions, want)
 			}
-			snap.Ops = want
+			snap.Sessions = want
 			if !bytes.Equal(enc, appendSnap(nil, &snap)) {
 				t.Errorf("member %d: encodeSnapshot and appendSnap disagree", i)
 			}
@@ -267,6 +305,7 @@ func TestEncodeSnapshotMatchesAppendSnap(t *testing.T) {
 func TestLogCodecRejects(t *testing.T) {
 	op := rop{Kind: ropOpen, Client: msg.Addr{Node: 1, Port: "c"}, Name: "f"}
 	good := appendRop(nil, &op)
+	item := appendRop(nil, &rop{Kind: ropWrite, Client: op.Client, Op: 5, Item: 2, Name: "f"})
 	mutate := func(at int, v byte) []byte {
 		b := bytes.Clone(good)
 		b[at] = v
@@ -283,20 +322,49 @@ func TestLogCodecRejects(t *testing.T) {
 		{"boolean 2", mutate(len(good)-2, 2)},
 		{"overlong varint", append(bytes.Clone(good[:2]), 0x82, 0x00)},
 		{"length past the end", mutate(len(good)-1, 200)},
+		// A scatter's write item, op 5 of request 3: its Item is byte 6.
+		{"overlong item", append(append(bytes.Clone(item[:6]), 0x82, 0x00), item[7:]...)},
+		{"item at its op", func() []byte { b := bytes.Clone(item); b[6] = 5; return b }()},
+		{"item of op 0", func() []byte { b := bytes.Clone(item); b[5], b[6] = 0, 1; return b }()},
+		{"item flagged zero", func() []byte { b := bytes.Clone(item); b[6] = 0; return b }()},
+		{"item on a create", func() []byte { b := bytes.Clone(item); b[1] = ropCreate | itemFlag; return b }()},
 	} {
 		if _, err := decodeRop(tc.data, nil); !errors.Is(err, errLogCorrupt) || errors.As(err, &fe) {
 			t.Errorf("%s: err = %v, want errLogCorrupt", tc.what, err)
 		}
 	}
-	// An image of the old format names its version rather than decoding
+	if op, err := decodeRop(item, nil); err != nil || op.request() != 3 {
+		t.Errorf("the scatter item decodes to %+v, %v; want request 3", op, err)
+	}
+	twice := rsnap{Sessions: []rsnapSession{{Client: op.Client, Op: 1}, {Client: op.Client, Op: 2}}}
+	unordered := rsnap{Sessions: []rsnapSession{{Client: op.Client, Op: 1, Recs: []opRec{{Op: 3}, {Op: 2}}}}}
+	for what, snap := range map[string]rsnap{"a client twice": twice, "records out of order": unordered} {
+		for i := range snap.Sessions {
+			for j := range snap.Sessions[i].Recs {
+				snap.Sessions[i].Recs[j].Rec.Kind = ropWrite
+			}
+		}
+		if _, err := decodeSnap(appendSnap(nil, &snap), nil); !errors.Is(err, errLogCorrupt) {
+			t.Errorf("snapshot with %s: err = %v, want errLogCorrupt", what, err)
+		}
+	}
+	// An image of an older format names its version rather than decoding
 	// into garbage or panicking.
-	for what, decode := range map[string]func([]byte) error{
-		"log entry": func(b []byte) error { _, err := decodeRop(b, nil); return err },
-		"snapshot":  func(b []byte) error { _, err := decodeSnap(b, nil); return err },
+	decodeEntry := func(b []byte) error { _, err := decodeRop(b, nil); return err }
+	decodeSnapshot := func(b []byte) error { _, err := decodeSnap(b, nil); return err }
+	for _, tc := range []struct {
+		what    string
+		decode  func([]byte) error
+		data    []byte
+		version byte
+	}{
+		{"log entry in the old gob format", decodeEntry, oldGobRop, 0xff},
+		{"snapshot in the old gob format", decodeSnapshot, oldGobRop, 0xff},
+		{"write entry in format 1", decodeEntry, format1Write, 1},
+		{"snapshot in format 1", decodeSnapshot, format1Snap, 1},
 	} {
-		err := decode(oldGobRop)
-		if !errors.As(err, &fe) || fe.Version != 0xff {
-			t.Errorf("%s in the old gob format: err = %v, want a LogFormatError for version 255", what, err)
+		if err := tc.decode(tc.data); !errors.As(err, &fe) || fe.Version != tc.version {
+			t.Errorf("%s: err = %v, want a LogFormatError for version %d", tc.what, err, tc.version)
 		}
 	}
 	// A count the record could not hold is refused before anything is
@@ -336,6 +404,8 @@ func FuzzDecodeRop(f *testing.F) {
 		f.Add(appendRop(nil, &op))
 	}
 	f.Add(oldGobRop)
+	f.Add(format1Write)
+	f.Add(appendRop(nil, &rop{Kind: ropWrite, Client: msg.Addr{Port: "c"}, Op: 1<<32 + 9, Item: 3, Name: "f", N: 1, Data: [][]byte{{7}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		op, err := decodeRop(data, nil)
 		if err != nil {
@@ -356,6 +426,10 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		f.Add(appendSnap(nil, &snap))
 	}
 	f.Add(oldGobRop)
+	f.Add(format1Snap)
+	scatter := rsnap{Sessions: []rsnapSession{{Client: msg.Addr{Port: "c"}, Op: 1<<32 + 6,
+		Recs: []opRec{{Op: 1<<32 + 7, Rec: ropRec{Kind: ropWrite, N: 1}}, {Op: 1<<32 + 9, Rec: ropRec{Kind: ropWrite, N: 1}}}}}}
+	f.Add(appendSnap(nil, &scatter))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &Server{grp: &member{}}
 		err := s.restore(data)
@@ -372,7 +446,10 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if got := appendSnap(nil, &snap); !bytes.Equal(got, data) {
 			t.Fatalf("accepted %x, which re-encodes to %x", data, got)
 		}
-		n := len(snap.Files) + len(snap.Cursors) + len(snap.Ops) + len(snap.Pending)
+		n := len(snap.Files) + len(snap.Cursors) + len(snap.Sessions) + len(snap.Pending)
+		for i := range snap.Sessions {
+			n += len(snap.Sessions[i].Client.Port) + len(snap.Sessions[i].Recs)
+		}
 		for i := range snap.Files {
 			n += snap.Files[i].Meta.footprint() + len(snap.Files[i].Deferred)
 		}
@@ -456,7 +533,8 @@ func TestUndecodableEntryHaltsMember(t *testing.T) {
 
 // TestOldFormatSnapshotFailsLoad: a member restarted over a snapshot in the
 // old gob format stays down with the typed error, instead of panicking or
-// booting an empty directory.
+// booting an empty directory. TestFormat1EntryFailsLoad is its sibling for
+// a log entry of the format before sessions.
 func TestOldFormatSnapshotFailsLoad(t *testing.T) {
 	withCluster(t, repCfg(4), func(p sim.Proc, cl *Cluster, c *Client) {
 		if _, err := c.Create("a"); err != nil {
@@ -473,6 +551,37 @@ func TestOldFormatSnapshotFailsLoad(t *testing.T) {
 		var fe *LogFormatError
 		if err := awaitFault(t, p, cl, victim); !errors.As(err, &fe) || fe.Version != 0xff {
 			t.Fatalf("fault = %v, want a LogFormatError for version 255", err)
+		}
+		if _, err := c.Create("b"); err != nil {
+			t.Fatalf("Create after one member stayed down: %v", err)
+		}
+	})
+}
+
+// TestFormat1EntryFailsLoad: a member restarted over a log entry of format
+// 1, a write whose scatter request id it cannot know, stays down with a
+// LogFormatError for version 1 instead of misreading it.
+func TestFormat1EntryFailsLoad(t *testing.T) {
+	withCluster(t, repCfg(4), func(p sim.Proc, cl *Cluster, c *Client) {
+		if _, err := c.Create("a"); err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		p.Sleep(200 * time.Millisecond)
+		victim := (awaitLeader(t, p, cl) + 1) % 3
+		cl.CrashServer(0, victim, p.Now())
+		tamper(t, cl, victim, func(st *raft.State) {
+			for i := range st.Entries {
+				if st.Entries[i].Data != nil {
+					st.Entries[i].Data = format1Write
+					return
+				}
+			}
+			t.Fatal("no payload-carrying entry retained")
+		})
+		cl.RestartServer(0, victim)
+		var fe *LogFormatError
+		if err := awaitFault(t, p, cl, victim); !errors.As(err, &fe) || fe.Version != 1 {
+			t.Fatalf("fault = %v, want a LogFormatError for version 1", err)
 		}
 		if _, err := c.Create("b"); err != nil {
 			t.Fatalf("Create after one member stayed down: %v", err)

@@ -22,11 +22,11 @@
 // still be owed.
 //
 // Exactly-once semantics ride the log too: the reply-relevant outcome of
-// every OpID-carrying operation is recorded in a replicated op table
-// during apply, so a client retransmission — to the same leader or to its
-// successor — heals the recorded reply instead of re-running the mutation.
-// (A group of one has no successor; its volatile client sessions in
-// dispatch do that job.)
+// every OpID-carrying operation is recorded during apply in its client's
+// replicated session, which holds the client's latest request only, so a
+// client retransmission — to the same leader or to its successor — heals the
+// recorded reply instead of re-running the mutation. (A group of one has no
+// successor; its volatile client sessions in dispatch do that job.)
 //
 // DESIGN.md's feature × group-size table lists what a replicated group
 // rejects; a failover while a file has dirty write-behind state surfaces
@@ -36,6 +36,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -66,8 +67,9 @@ const (
 // a replicated log entry's payload (logcodec.go is its encoding).
 type rop struct {
 	Kind   uint8
-	Client msg.Addr // requesting client, for cursors and the replicated op table
+	Client msg.Addr // requesting client, for cursors and its replicated session
 	Op     uint64   // client OpID; 0 = not recorded
+	Item   uint64   // a scatter's write item i: i+1, Op's offset from the request's OpID
 	Name   string
 	New    string   // rename target
 	Meta   Meta     // create: the fully resolved metadata
@@ -116,23 +118,31 @@ func (r *ropRec) meta() Meta {
 	return *r.Meta
 }
 
-type opKey struct {
-	Client msg.Addr
-	Op     uint64
+// request is the id of the client request op belongs to: Op, less a scatter
+// write item's offset.
+func (op *rop) request() uint64 { return op.Op - op.Item }
+
+// opRec is one record in a member's session: a committed operation of the
+// client's latest request, the request's own (Op is the session's) or one of
+// its scatter write items. A session keeps them sorted by Op.
+type opRec struct {
+	Op  uint64
+	Rec ropRec
 }
 
-// clientOps indexes the op table by client: the highest op id recorded for
-// it, and how many of its records the table holds.
-type clientOps struct{ top, n uint64 }
+// findRec returns the index of op's record in recs, or where it would go.
+func findRec(recs []opRec, op uint64) (int, bool) {
+	return slices.BinarySearchFunc(recs, op, func(r opRec, op uint64) int { return cmp.Compare(r.Op, op) })
+}
 
 // rsnap is the state-machine snapshot installed on members that fall behind
 // compaction. Slices are sorted so identical states encode identically.
 type rsnap struct {
-	NextID  uint32
-	Files   []rsnapFile
-	Cursors []rsnapCursor
-	Ops     []rsnapOp // FIFO order
-	Pending []rop     // recent effect-carrying ops, for takeover replay
+	NextID   uint32
+	Files    []rsnapFile
+	Cursors  []rsnapCursor
+	Sessions []rsnapSession // oldest client first
+	Pending  []rop          // recent effect-carrying ops, for takeover replay
 }
 
 type rsnapFile struct {
@@ -147,10 +157,10 @@ type rsnapCursor struct {
 	Pos    int64
 }
 
-type rsnapOp struct {
+type rsnapSession struct {
 	Client msg.Addr
 	Op     uint64
-	Rec    ropRec
+	Recs   []opRec
 }
 
 // raftMetrics are the replicated groups' typed metric handles, registered
@@ -179,7 +189,7 @@ func newRaftMetrics(r *obs.Registry) raftMetrics {
 		appendRejs:   r.Counter("bridge.raft_append_rejects", "messages", "AppendEntries rejections leaders received: a lost, overtaken or conflicting request the follower asked to have resent."),
 		snapInstalls: r.Counter("bridge.raft_snap_installs", "snapshots", "State-machine snapshots installed on lagging replicas."),
 		redirects:    r.Counter("bridge.raft_notleader_redirects", "requests", "Client requests answered with a not-leader redirect."),
-		heals:        r.Counter("bridge.raft_heals", "requests", "Retransmitted operations healed from the replicated op table."),
+		heals:        r.Counter("bridge.raft_heals", "requests", "Retransmitted operations healed from a replicated client session."),
 		proposals:    r.Counter("bridge.raft_proposals", "entries", "Directory operations proposed into the replicated log."),
 		commitWait:   r.Timer("bridge.raft_commit_wait", "Virtual time leaders spent waiting for their own entries to commit."),
 	}
@@ -232,15 +242,13 @@ type member struct {
 	rm   raftMetrics
 	sm   shardMetrics
 
-	// Replicated state beyond the directory: the op table (exactly-once
-	// replies), write-behind watermarks, armed deferred errors, and the
-	// recent effect tail.
-	ops      map[opKey]*ropRec
-	opQ      []opKey
-	tops     map[msg.Addr]clientOps // per client in ops, for admit's stale check
-	wbLow    map[string]int64       // committed durable size of wb-dirty files
-	deferred map[string]string      // failover-armed deferred-write errors
-	recentFx []rop                  // last raftPendingFx effect-carrying ops
+	// Replicated state beyond the directory: the client sessions
+	// (exactly-once replies), write-behind watermarks, armed deferred
+	// errors, and the recent effect tail.
+	sess     sessionTab[[]opRec]
+	wbLow    map[string]int64  // committed durable size of wb-dirty files
+	deferred map[string]string // failover-armed deferred-write errors
+	recentFx []rop             // last raftPendingFx effect-carrying ops
 
 	applied  uint64 // last log index applied to the state machine
 	tookOver bool   // this leadership already replayed owed effects
@@ -277,8 +285,6 @@ func newMember(net *msg.Network, spec memberSpec) *member {
 		spec:     spec,
 		rm:       newRaftMetrics(net.Stats().Registry()),
 		sm:       newShardMetrics(net.Stats().Registry(), spec.shard),
-		ops:      make(map[opKey]*ropRec),
-		tops:     make(map[msg.Addr]clientOps),
 		ports:    make(portTab),
 		wbLow:    make(map[string]int64),
 		deferred: make(map[string]string),
@@ -455,63 +461,45 @@ func (g *member) syncMetrics() {
 
 // ---- the directory state machine ----
 
-// record stores an operation's outcome in the replicated op table (FIFO
-// bounded by dedupCap records), with a copy of meta when the healed reply
-// carries metadata. Only a recording member allocates.
+// record stores an operation's outcome in its client's session, with a copy
+// of meta when the healed reply carries metadata. An operation of a newer
+// request replaces the session's records, one of an older request is not
+// kept: its client has moved on.
 func (g *member) record(op rop, rec ropRec, meta *Meta) {
 	if g == nil || op.Op == 0 {
 		return
 	}
-	kept := rec
+	ss, d := g.sess.open(op.Client, op.request())
+	switch {
+	case d < 0:
+		return
+	case d > 0:
+		ss.held = ss.held[:0]
+	}
 	if meta != nil {
 		m := *meta
-		kept.Meta = &m
+		rec.Meta = &m
 	}
-	k := opKey{Client: op.Client, Op: op.Op}
-	if _, exists := g.ops[k]; !exists {
-		if len(g.opQ) >= dedupCap {
-			g.forget(g.opQ[0])
-			g.opQ = g.opQ[1:]
-		}
-		g.keep(k)
-	}
-	g.ops[k] = &kept
-}
-
-// keep queues record k, and counts it for its client.
-func (g *member) keep(k opKey) {
-	g.opQ = append(g.opQ, k)
-	t := g.tops[k.Client]
-	g.tops[k.Client] = clientOps{max(t.top, k.Op), t.n + 1}
-}
-
-// forget drops record k from the op table and its client's count.
-func (g *member) forget(k opKey) {
-	delete(g.ops, k)
-	if t := g.tops[k.Client]; t.n > 1 {
-		g.tops[k.Client] = clientOps{t.top, t.n - 1}
+	if i, found := findRec(ss.held, op.Op); found {
+		ss.held[i].Rec = rec
 	} else {
-		delete(g.tops, k.Client)
+		ss.held = slices.Insert(ss.held, i, opRec{Op: op.Op, Rec: rec})
 	}
 }
 
-// recorded reports whether the op table holds client's operation op.
+// recorded reports whether client's session holds a record of operation op.
 func (g *member) recorded(client msg.Addr, op uint64) bool {
-	if g == nil || op == 0 {
+	if g == nil || g.sess.m[client] == nil {
 		return false
 	}
-	_, hit := g.ops[opKey{Client: client, Op: op}]
+	_, hit := findRec(g.sess.m[client].held, op)
 	return hit
 }
 
 func (g *member) unrecord(client msg.Addr, op uint64) {
-	if g == nil || op == 0 {
-		return
-	}
-	k := opKey{Client: client, Op: op}
-	if i := slices.Index(g.opQ, k); i >= 0 {
-		g.forget(k)
-		g.opQ = slices.Delete(g.opQ, i, i+1)
+	if g.recorded(client, op) {
+		ss := g.sess.m[client]
+		ss.held = slices.DeleteFunc(ss.held, func(r opRec) bool { return r.Op == op })
 	}
 }
 
@@ -638,7 +626,7 @@ func (s *Server) apply(op rop) {
 		if end := op.At + int64(op.N); end > ent.meta.Blocks {
 			ent.meta.Blocks = end
 		}
-		g.record(op, ropRec{Kind: op.Kind, Name: op.Name, At: op.At, N: op.N}, nil)
+		g.record(op, ropRec{Kind: op.Kind, N: op.N}, nil)
 		g.noteFx(op)
 	case ropSeqRead:
 		if _, ok := s.dir[op.Name]; !ok {
@@ -732,11 +720,15 @@ func (s *Server) encodeSnapshot() []byte {
 		}
 		return a.Name < b.Name
 	})
-	// Sized from the last snapshot plus room for the op table to have
+	snap.Sessions = make([]rsnapSession, 0, len(g.sess.q))
+	for _, client := range g.sess.q {
+		ss := g.sess.m[client]
+		snap.Sessions = append(snap.Sessions, rsnapSession{Client: client, Op: ss.op, Recs: ss.held})
+	}
+	snap.Pending = g.recentFx
+	// Sized from the last snapshot plus room for the directory to have
 	// grown: no scratch buffer of snapshot size stays live between them.
-	buf := appendSnapHead(make([]byte, 0, g.snapCap), &snap)
-	buf = appendOpTable(buf, g.opQ, g.ops)
-	buf = appendSnapPending(buf, g.recentFx)
+	buf := appendSnap(make([]byte, 0, g.snapCap), &snap)
 	g.snapCap = len(buf) + len(buf)/8
 	return buf
 }
@@ -752,9 +744,7 @@ func (s *Server) restore(data []byte) error {
 	s.dir = make(map[string]*dirent)
 	s.cursors = make(map[cursorKey]*cursor)
 	s.nextID = snap.NextID
-	g.ops = make(map[opKey]*ropRec, len(snap.Ops))
-	g.opQ = g.opQ[:0]
-	g.tops = make(map[msg.Addr]clientOps)
+	g.sess = sessionTab[[]opRec]{m: make(map[msg.Addr]*session[[]opRec], len(snap.Sessions))}
 	g.wbLow = make(map[string]int64)
 	g.deferred = make(map[string]string)
 	for _, f := range snap.Files {
@@ -769,10 +759,9 @@ func (s *Server) restore(data []byte) error {
 	for _, c := range snap.Cursors {
 		s.cursors[cursorKey{client: c.Client, name: c.Name}] = &cursor{readPos: c.Pos}
 	}
-	for i := range snap.Ops {
-		o := &snap.Ops[i]
-		g.keep(opKey{Client: o.Client, Op: o.Op})
-		g.ops[opKey{Client: o.Client, Op: o.Op}] = &o.Rec
+	for _, x := range snap.Sessions {
+		g.sess.m[x.Client] = &session[[]opRec]{op: x.Op, held: x.Recs}
+		g.sess.q = append(g.sess.q, x.Client)
 	}
 	g.recentFx = snap.Pending
 	// Volatile leader-side buffers never survive a snapshot install; a
@@ -806,7 +795,7 @@ func (s *Server) lease(p sim.Proc) error {
 // commit makes op part of the directory. A group of one applies it inline.
 // A member proposes it and waits until it applies here, pumping consensus
 // traffic and parking client requests meanwhile; an error means leadership
-// was lost first — the client retries, and the op table makes the retry
+// was lost first — the client retries, and its session makes the retry
 // safe.
 func (s *Server) commit(p sim.Proc, op rop) error {
 	g := s.grp
@@ -863,7 +852,7 @@ func (s *Server) commit(p sim.Proc, op rop) error {
 // handlers only on a leader whose directory is authoritative and whose
 // predecessor's owed effects are real, and only if it has not already
 // committed. done means reply is the answer (a redirect, or a reply healed
-// from the op table).
+// from the client's session).
 func (s *Server) admit(p sim.Proc, req *msg.Message, c *command, op uint64) (reply any, done bool) {
 	g := s.grp
 	g.sm.requests.Add(1)
@@ -876,19 +865,20 @@ func (s *Server) admit(p sim.Proc, req *msg.Message, c *command, op uint64) (rep
 		g.rm.redirects.Add(1)
 		return c.Status(statusFor(s.notLeaderError())), true
 	}
-	// A stale duplicate: the client has a record above every id it spans.
-	last := op
-	if sc, ok := req.Body.(ScatterReq); ok {
-		last = sc.lastOp()
+	if op == 0 {
+		return nil, false
 	}
-	if t := g.tops[req.From]; op != 0 && t.top > last {
-		return s.refuseStale(c, op, t.top), true
-	}
-	if op != 0 {
-		if rec, hit := g.ops[opKey{Client: req.From, Op: op}]; hit {
+	// The client's session is its latest request that committed anything:
+	// an older request is a stale duplicate, the same one heals from its
+	// record (a scatter's write items heal one by one, in scatterWrite).
+	switch ss, d := g.sess.check(req.From, op); {
+	case d < 0:
+		return s.refuseStale(c, op, ss.op), true
+	case d == 0:
+		if i, found := findRec(ss.held, op); found {
 			g.rm.heals.Add(1)
-			s.curSpan.Annotate("healed from op table")
-			return s.heal(p, c, req.Body, rec), true
+			s.curSpan.Annotate("healed from session")
+			return s.heal(p, c, req.Body, &ss.held[i].Rec), true
 		}
 	}
 	return nil, false

@@ -26,10 +26,11 @@ import (
 // waits for an earlier one on its file unless both are reads.
 //
 // Exactly-once: write item i commits as a ropWrite recorded under its own
-// operation id, OpID+1+i. The request's OpID itself is never recorded by a
+// operation id, OpID+1+i, in the session of the request (its Item, i+1,
+// leads back to the OpID). The request's OpID itself is never recorded by a
 // write, because admit heals a whole request from one record, and a scatter
 // whose first write committed and whose second did not must not heal as
-// done; instead each write item is checked against the op table on its own.
+// done; instead each write item is checked against the session on its own.
 // (A group of one keeps the whole reply in the client's session, like every
 // other command, and re-executes a partly failed scatter: positional writes
 // of the same bytes are idempotent.)
@@ -135,7 +136,7 @@ func (s *Server) scatter(p sim.Proc, from msg.Addr, r ScatterReq) (ScatterResp, 
 			if r.OpID != 0 {
 				c.op = r.itemOp(i)
 			}
-			lost = s.scatterWrite(p, from, it, c)
+			lost = s.scatterWrite(p, from, r.OpID, it, c)
 		}
 	}
 	for i := range calls {
@@ -205,21 +206,22 @@ func (s *Server) admitWrites(items []ScatterItem, calls []scatterCall) {
 	}
 }
 
-// scatterWrite commits one admitted write item under its own operation id
-// and starts its landing. A write the op table already holds was committed
-// by an earlier transmission of the request — and landed then, or by the
-// takeover that followed — so it is done. The returned error is a failed
-// commit: leadership is gone and the request with it.
-func (s *Server) scatterWrite(p sim.Proc, from msg.Addr, it *ScatterItem, c *scatterCall) error {
+// scatterWrite commits one admitted write item of request reqOp under its
+// own operation id and starts its landing. A write the client's session
+// already holds was committed by an earlier transmission of the request —
+// and landed then, or by the takeover that followed — so it is done. The
+// returned error is a failed commit: leadership is gone and the request
+// with it.
+func (s *Server) scatterWrite(p sim.Proc, from msg.Addr, reqOp uint64, it *ScatterItem, c *scatterCall) error {
 	if s.grp.recorded(from, c.op) {
 		s.grp.rm.heals.Add(1)
-		s.curSpan.Annotate("write item healed from op table")
+		s.curSpan.Annotate("write item healed from session")
 		return nil
 	}
 	c.old = c.ent.meta.Blocks
 	s.one[0] = it.Data
 	op := rop{
-		Kind: ropWrite, Client: from, Op: c.op, Name: it.Name,
+		Kind: ropWrite, Client: from, Op: c.op, Item: c.op - reqOp, Name: it.Name,
 		Meta: Meta{FileID: c.ent.meta.FileID}, At: it.BlockNum, N: 1, Data: s.one[:],
 	}
 	if err := s.commit(p, op); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -107,8 +108,7 @@ type Server struct {
 	wb        *wbCache       // nil = no write-behind
 	monStop   *msg.Port
 	nextLFSOp uint64
-	sessions  map[msg.Addr]session // a group of one's dedup (dispatch)
-	sessQ     []msg.Addr           // sessions' clients, oldest first
+	sessions  sessionTab[any] // a group of one's dedup (dispatch): replies
 	// one carries a single-block command's block to or from the shared
 	// batched handlers without allocating a slice per request. The server
 	// is single-threaded and the slot is consumed before the next request
@@ -132,16 +132,61 @@ type Server struct {
 	curTrace obs.TraceID
 }
 
-// session is a client's latest operation: its id and, if that attempt
-// succeeded, its reply.
-type session struct {
-	op    uint64
-	reply any
+// session is a client's latest request: its op id and what the request left
+// to answer a retransmission with — in a group of one the reply, if that
+// attempt succeeded; in a member of a replicated group the records of what
+// it committed.
+type session[T any] struct {
+	op   uint64
+	held T
 }
 
-// dedupCap bounds the clients a group of one keeps a session for, and the
-// records of a member's op table; the oldest is evicted first.
+// sessionTab is both group sizes' retransmission dedup: one session per
+// client address, for at most dedupCap clients, the oldest evicted first.
+// The zero table is empty.
+type sessionTab[T any] struct {
+	m map[msg.Addr]*session[T]
+	q []msg.Addr // the sessions' clients, oldest first
+}
+
+// dedupCap bounds the clients a sessionTab keeps a session for. Each holds
+// one request's reply or records: at worst a scatter's, of maxBatchBlocks
+// blocks or items (DESIGN.md "Client sessions" states the bytes).
 const dedupCap = 2048
+
+// check compares op with client's session (nil if it has none) as
+// cmp.Compare does, and leaves the table as it is: above 0 op is the
+// client's next request, 0 a retransmission, below 0 a stale duplicate — a
+// copy the client stopped waiting for.
+func (t *sessionTab[T]) check(client msg.Addr, op uint64) (*session[T], int) {
+	if ss := t.m[client]; ss != nil {
+		return ss, cmp.Compare(op, ss.op)
+	}
+	return nil, 1
+}
+
+// open is check that makes a newer op the client's session, opening one for
+// a new client; the caller then resets what that session holds.
+func (t *sessionTab[T]) open(client msg.Addr, op uint64) (*session[T], int) {
+	ss, d := t.check(client, op)
+	if d <= 0 {
+		return ss, d
+	}
+	if ss == nil {
+		if t.m == nil {
+			t.m = make(map[msg.Addr]*session[T])
+		}
+		if len(t.q) >= dedupCap {
+			delete(t.m, t.q[0])
+			t.q = t.q[1:]
+		}
+		ss = new(session[T])
+		t.m[client] = ss
+		t.q = append(t.q, client)
+	}
+	ss.op = op
+	return ss, d
+}
 
 type dirent struct {
 	meta  Meta
@@ -225,15 +270,14 @@ func (s *Server) Restore(snap DirSnapshot) {
 func startServer(rt sim.Runtime, net *msg.Network, cfg Config, nodes []msg.NodeID, spec *memberSpec) *Server {
 	cfg.applyDefaults()
 	s := &Server{
-		net:      net,
-		cfg:      cfg,
-		nodes:    append([]msg.NodeID(nil), nodes...),
-		port:     net.NewPort(msg.Addr{Node: cfg.Node, Port: cfg.PortName}),
-		dir:      make(map[string]*dirent),
-		cursors:  make(map[cursorKey]*cursor),
-		jobs:     make(map[uint64]*job),
-		sessions: make(map[msg.Addr]session),
-		m:        newSrvMetrics(net.Stats().Registry()),
+		net:     net,
+		cfg:     cfg,
+		nodes:   append([]msg.NodeID(nil), nodes...),
+		port:    net.NewPort(msg.Addr{Node: cfg.Node, Port: cfg.PortName}),
+		dir:     make(map[string]*dirent),
+		cursors: make(map[cursorKey]*cursor),
+		jobs:    make(map[uint64]*job),
+		m:       newSrvMetrics(net.Stats().Registry()),
 	}
 	if cfg.LFSRetry != nil {
 		// Fold the port name into the jitter seed so the servers of a
@@ -353,11 +397,11 @@ func (s *Server) serve(p sim.Proc, req *msg.Message) obs.SpanID {
 }
 
 // dispatch runs the request's handler behind retransmission dedup, so lost
-// replies and duplicated messages never re-run a mutation. The two group
-// sizes remember different things: a member's replicated op table (admit)
-// survives a failover and re-reads healed data from the LFS; a group of one
-// keeps each client's latest operation and its reply in volatile memory.
-// In both, a copy of an operation older than the latest is refused unrun.
+// replies and duplicated messages never re-run a mutation. Both group sizes
+// keep each client's latest request in a session (sessionTab) and refuse an
+// older one unrun. A group of one answers a retransmission from the reply it
+// kept in volatile memory; a member's sessions are replicated (admit), so
+// they survive a failover, and re-read healed data from the LFS.
 func (s *Server) dispatch(p sim.Proc, req *msg.Message, c *command) any {
 	op := c.OpID(req.Body)
 	if s.grp != nil {
@@ -369,27 +413,20 @@ func (s *Server) dispatch(p sim.Proc, req *msg.Message, c *command) any {
 	if op == 0 {
 		return c.Serve(s, p, req.From, req.Body)
 	}
-	last, known := s.sessions[req.From]
+	ss, d := s.sessions.open(req.From, op)
 	switch {
-	case known && op < last.op:
-		return s.refuseStale(c, op, last.op)
-	case known && op == last.op && last.reply != nil:
+	case d < 0:
+		return s.refuseStale(c, op, ss.op)
+	case d == 0 && ss.held != nil:
 		s.m.dedupHits.Add(1)
 		s.curSpan.Annotate("dedup hit")
-		return last.reply
-	case !known:
-		if len(s.sessQ) >= dedupCap {
-			delete(s.sessions, s.sessQ[0])
-			s.sessQ = s.sessQ[1:]
-		}
-		s.sessQ = append(s.sessQ, req.From)
+		return ss.held
 	}
 	body := c.Serve(s, p, req.From, req.Body)
-	last = session{op: op}
+	ss.held = nil
 	if respStatus(body).OK() { // a failed attempt's retransmission runs again
-		last.reply = body
+		ss.held = body
 	}
-	s.sessions[req.From] = last
 	return body
 }
 

@@ -1,9 +1,12 @@
 package efs
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"bridge/internal/disk"
 	"bridge/internal/sim"
 )
 
@@ -231,4 +234,73 @@ func TestCheckWithOverflowBuckets(t *testing.T) {
 			t.Errorf("Files = %d, want 150", rep.Files)
 		}
 	})
+}
+
+// TestRewritePastTwoUnconfirmableLinks: the block a repair rewrites has a
+// rotted next link, and the walk from the tail stops at another corrupt block
+// whose prev link names the wrong block (a misdirected write's victim). No
+// walk from either end reaches the rewrite's successor, so the repair finds
+// it as the verified block whose own prev link names the rewritten one:
+// through the location map a track read filled, or by searching the volume
+// when nothing maps it. Both corrupt blocks are then rewritten and the volume
+// checks clean.
+func TestRewritePastTwoUnconfirmableLinks(t *testing.T) {
+	for _, perTrack := range []int{8, 1} {
+		t.Run(fmt.Sprintf("track%d", perTrack), func(t *testing.T) {
+			d := disk.New(disk.Config{NumBlocks: 512, BlocksPerTrack: perTrack, Timing: disk.FixedTiming{}})
+			run(t, func(p sim.Proc) {
+				fs, err := Format(p, d, Options{})
+				if err != nil {
+					t.Fatalf("Format: %v", err)
+				}
+				if err := fs.Create(p, 1); err != nil {
+					t.Fatalf("Create: %v", err)
+				}
+				var addrs []int32
+				for i := 0; i < 6; i++ {
+					a, err := fs.WriteBlock(p, 1, uint32(i), fill(byte(i+1), 8), -1)
+					if err != nil {
+						t.Fatalf("WriteBlock %d: %v", i, err)
+					}
+					addrs = append(addrs, a)
+				}
+				if err := fs.Sync(p); err != nil {
+					t.Fatalf("Sync: %v", err)
+				}
+				for _, c := range []struct {
+					block  int
+					mutate func(h *blockHeader)
+				}{
+					{1, func(h *blockHeader) { h.Next = addrs[5] + 100 }},
+					{4, func(h *blockHeader) { h.Prev = addrs[0] }},
+				} {
+					if err := corruptBlock(p, fs, addrs[c.block], c.mutate); err != nil {
+						t.Fatalf("corrupt block %d: %v", c.block, err)
+					}
+				}
+				fs, err = Mount(p, d, Options{}) // nothing cached, nothing mapped
+				if err != nil {
+					t.Fatalf("Mount: %v", err)
+				}
+				want := map[int][]byte{1: fill(0xb1, 8), 4: fill(0xb4, 8)}
+				for _, bn := range []int{1, 4} {
+					if _, err := fs.WriteBlock(p, 1, uint32(bn), want[bn], -1); err != nil {
+						t.Fatalf("rewriting corrupt block %d: %v", bn, err)
+					}
+				}
+				for bn := 0; bn < 6; bn++ {
+					w, ok := want[bn]
+					if !ok {
+						w = fill(byte(bn+1), 8)
+					}
+					if got, _, err := fs.ReadBlock(p, 1, uint32(bn), -1); err != nil || !bytes.Equal(got, w) {
+						t.Errorf("block %d after the repair: %x, %v; want %x", bn, got, err, w)
+					}
+				}
+				if rep, err := fs.Check(p); err != nil || !rep.OK() {
+					t.Errorf("Check after the repair: %v %v", err, rep.Problems)
+				}
+			})
+		})
+	}
 }

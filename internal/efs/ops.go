@@ -382,22 +382,29 @@ func (fs *FS) locateForRewrite(p sim.Proc, e *dirEntry, fileID, blockNum uint32)
 // walkEither walks to logical block `to` in the preferred direction, falling
 // back to the opposite one when an unconfirmable corrupt block lies on the
 // preferred path — with more than one corrupt block in a chain, the two ends
-// reach different targets.
+// reach different targets. When both ends stop short (a corrupt block whose
+// rotted link names no neighbor on one side, another on the other), the
+// preferred walk runs once more searching the volume for each such block's
+// neighbor.
 func (fs *FS) walkEither(p sim.Proc, e *dirEntry, fileID, to uint32, forward bool) (int32, error) {
-	addr, err := fs.walkRepair(p, e, fileID, to, forward)
+	addr, err := fs.walkRepair(p, e, fileID, to, forward, false)
 	if err == nil || !errors.Is(err, ErrCorrupt) {
 		return addr, err
 	}
-	if alt, altErr := fs.walkRepair(p, e, fileID, to, !forward); altErr == nil {
-		return alt, nil
+	for _, dir := range [2]bool{!forward, forward} {
+		if alt, altErr := fs.walkRepair(p, e, fileID, to, dir, dir == forward); altErr == nil {
+			return alt, nil
+		}
 	}
 	return nilAddr, err
 }
 
 // walkRepair returns the disk address of logical block `to`, walking forward
 // from First (or backward from Last) and stepping over corrupt blocks when
-// their link is confirmed by the named neighbor's verified back pointer.
-func (fs *FS) walkRepair(p sim.Proc, e *dirEntry, fileID, to uint32, forward bool) (int32, error) {
+// their link is confirmed by the named neighbor's verified back pointer. With
+// search, a corrupt block whose link names no such neighbor is stepped over
+// to the one linkedTo finds.
+func (fs *FS) walkRepair(p sim.Proc, e *dirEntry, fileID, to uint32, forward, search bool) (int32, error) {
 	at := e.First
 	n := uint32(0)
 	if !forward {
@@ -426,7 +433,13 @@ func (fs *FS) walkRepair(p sim.Proc, e *dirEntry, fileID, to uint32, forward boo
 		} else {
 			fs.invalidate(at)
 			if !fs.confirmLink(p, cand, fileID, candNum, at, forward) {
-				return nilAddr, fmt.Errorf("%w: file %d block %d at %d is corrupt and its neighbor cannot confirm the chain", ErrCorrupt, fileID, n, at)
+				found := false
+				if search {
+					cand, found = fs.linkedTo(p, fileID, candNum, at, forward)
+				}
+				if !found {
+					return nilAddr, fmt.Errorf("%w: file %d block %d at %d is corrupt and its neighbor cannot confirm the chain", ErrCorrupt, fileID, n, at)
+				}
 			}
 		}
 		at, n = cand, candNum
@@ -452,6 +465,24 @@ func (fs *FS) confirmLink(p sim.Proc, cand int32, fileID, num uint32, back int32
 		return h.Prev == back
 	}
 	return h.Next == back
+}
+
+// linkedTo finds the neighbor (fileID, num) of the corrupt block at back
+// whose own verified link names back: the block the location map holds for
+// it, else the nearest such block of the data region, searched outward from
+// back. Only a repair walk that found no other way pays for the search.
+func (fs *FS) linkedTo(p sim.Proc, fileID, num uint32, back int32, forward bool) (int32, bool) {
+	if a, ok := fs.loc[fileKey{fileID: fileID, blockNum: num}]; ok && fs.confirmLink(p, a, fileID, num, back, forward) {
+		return a, true
+	}
+	for d := int32(1); back-d >= int32(fs.sb.DataStart) || back+d < fs.dataEnd(); d++ {
+		for _, a := range [2]int32{back + d, back - d} {
+			if fs.confirmLink(p, a, fileID, num, back, forward) {
+				return a, true
+			}
+		}
+	}
+	return nilAddr, false
 }
 
 // Delete removes a file, traversing the chain and explicitly freeing each
