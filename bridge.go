@@ -593,7 +593,8 @@ func (s *Session) Open(name string) (FileInfo, error) { return s.c.Open(name) }
 // Stat returns a file's metadata with a freshly computed size.
 func (s *Session) Stat(name string) (FileInfo, error) { return s.c.Stat(name) }
 
-// Append appends one block (payload up to PayloadBytes).
+// Append appends one block (payload up to PayloadBytes). The caller may
+// reuse payload once the call returns.
 func (s *Session) Append(name string, payload []byte) error {
 	return s.c.SeqWrite(name, payload)
 }
@@ -635,19 +636,22 @@ func (s *Session) ReadAtN(name string, n int64, count int) ([][]byte, error) {
 	return s.c.ReadAtN(name, n, count)
 }
 
-// WriteAt writes block n (n == size appends).
+// WriteAt writes block n (n == size appends). The caller may reuse payload
+// once the call returns.
 func (s *Session) WriteAt(name string, n int64, payload []byte) error {
 	return s.c.WriteAt(name, n, payload)
 }
 
 // WriteAtN writes the payloads as consecutive blocks starting at block n
 // (-1 appends), returning how many landed; on partial failure the file
-// covers exactly the returned contiguous prefix.
+// covers exactly the returned contiguous prefix. The caller may reuse the
+// payloads once the call returns.
 func (s *Session) WriteAtN(name string, n int64, payloads [][]byte) (int, error) {
 	return s.c.WriteAtN(name, n, payloads)
 }
 
-// AppendN appends the payloads as consecutive blocks in one request.
+// AppendN appends the payloads as consecutive blocks in one request. The
+// caller may reuse the payloads once the call returns.
 func (s *Session) AppendN(name string, payloads [][]byte) (int, error) {
 	return s.c.AppendN(name, payloads)
 }

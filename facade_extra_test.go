@@ -309,3 +309,59 @@ func TestConfigGroupSize(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteBehindReusedBuffer: a caller that writes every block from one
+// buffer, refilled between calls, reads back each block as it was written
+// under write-behind, whose acknowledged appends (and WriteAts at the file
+// size) outlive the call. The server keeps its own copy; holding the
+// caller's slice would read back the last fill in every buffered block.
+func TestWriteBehindReusedBuffer(t *testing.T) {
+	for _, replicas := range []int{0, 3} {
+		t.Run(fmt.Sprintf("replicas%d", replicas), func(t *testing.T) {
+			// A window of 4 stripes on 4 nodes is 16 blocks: all 8 stay
+			// buffered until the reads drain them.
+			sys, err := New(Config{Nodes: 4, Replicas: replicas, WriteBehind: 4, DiskLatency: time.Nanosecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const blocks = 8
+			fillOf := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, PayloadBytes) }
+			err = sys.Run(func(s *Session) error {
+				if err := s.Create("f"); err != nil {
+					return err
+				}
+				buf := make([]byte, PayloadBytes)
+				for i := 0; i < blocks; i++ {
+					copy(buf, fillOf(i))
+					var err error
+					if i%2 == 0 {
+						err = s.Append("f", buf)
+					} else {
+						err = s.WriteAt("f", int64(i), buf)
+					}
+					if err != nil {
+						return fmt.Errorf("write %d: %w", i, err)
+					}
+				}
+				clear(buf)
+				wrong := 0
+				for i := 0; i < blocks; i++ {
+					got, err := s.ReadAt("f", int64(i))
+					if err != nil {
+						return fmt.Errorf("read %d: %w", i, err)
+					}
+					if !bytes.Equal(got, fillOf(i)) {
+						wrong++
+					}
+				}
+				if wrong > 0 {
+					return fmt.Errorf("%d of %d blocks read back wrong", wrong, blocks)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		})
+	}
+}

@@ -3,7 +3,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -284,6 +286,71 @@ func TestAllocsSessionDedup(t *testing.T) {
 		}
 		if ss := m.sess.m[req.From]; ss.op != next.Op || len(ss.held) != 1 || len(m.sess.m) != 1 {
 			t.Errorf("session at %d holding %d records, of %d; want op %d, one record, one client", ss.op, len(ss.held), len(m.sess.m), next.Op)
+		}
+	})
+}
+
+// TestAllocsServerWrite guards the bytes a server write allocates per block,
+// every process of the cluster counted: on a group of one over unjournaled
+// volumes, rewrites of blocks that exist, whose images the disk and EFS
+// rewrite in place, so what is left is the path above them. The Bridge
+// header travels beside the client's payload down to EFS; a 1 KB block
+// built for it above the LFS costs about 1000 bytes a block more than the
+// bounds allow. Each bound sits halfway between the figure with that block
+// (WriteAt 1752, WriteAtN(8) 1451 B) and the figure without it (776, 491).
+func TestAllocsServerWrite(t *testing.T) {
+	const blocks, rounds, vec = 64, 16, 8
+	withCluster(t, fastCfg(4), func(p sim.Proc, cl *Cluster, c *Client) {
+		data := make([][]byte, blocks)
+		for i := range data {
+			data[i] = bytes.Repeat([]byte{byte(i)}, PayloadBytes)
+		}
+		if _, err := c.Create("f"); err != nil {
+			t.Errorf("Create: %v", err)
+			return
+		}
+		if _, err := c.AppendN("f", data); err != nil {
+			t.Errorf("AppendN: %v", err)
+			return
+		}
+		perBlock := func(pass func() error) float64 {
+			if err := pass(); err != nil { // the first rewrite warms every cache
+				t.Error(err)
+				return 0
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for r := 0; r < rounds; r++ {
+				if err := pass(); err != nil {
+					t.Error(err)
+					return 0
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return float64(after.TotalAlloc-before.TotalAlloc) / (rounds * blocks)
+		}
+		one := perBlock(func() error {
+			for i, d := range data {
+				if err := c.WriteAt("f", int64(i), d); err != nil {
+					return fmt.Errorf("WriteAt %d: %w", i, err)
+				}
+			}
+			return nil
+		})
+		batched := perBlock(func() error {
+			for i := 0; i < blocks; i += vec {
+				if n, err := c.WriteAtN("f", int64(i), data[i:i+vec]); err != nil || n != vec {
+					return fmt.Errorf("WriteAtN at %d: %d, %w", i, n, err)
+				}
+			}
+			return nil
+		})
+		t.Logf("bytes per block: WriteAt %.0f, WriteAtN(%d) %.0f", one, vec, batched)
+		if one > 1264 {
+			t.Errorf("WriteAt allocates %.0f bytes per block, want <= 1264", one)
+		}
+		if batched > 971 {
+			t.Errorf("WriteAtN(%d) allocates %.0f bytes per block, want <= 971", vec, batched)
 		}
 	})
 }

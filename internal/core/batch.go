@@ -84,12 +84,8 @@ func (s *Server) startRun(st *vecStream, ent *dirent, run vecRun, start int64, p
 		vw := make([]lfs.VecWrite, len(run.locals))
 		for j, local := range run.locals {
 			g := run.globals[j]
-			vw[j] = lfs.VecWrite{BlockNum: local, Data: EncodeBlock(BlockHeader{
-				FileID:      ent.meta.FileID,
-				GlobalBlock: g,
-				P:           uint16(ent.meta.Spec.P),
-				Start:       uint16(ent.meta.Spec.Start),
-			}, payloads[g-start])}
+			payload := payloads[g-start]
+			vw[j] = lfs.VecWrite{BlockNum: local, Head: ent.headFor(g, len(payload)), Data: payload}
 		}
 		s.nextLFSOp++
 		body = lfs.WriteVecReq{FileID: ent.meta.LFSFileID, Blocks: vw, Hint: ent.hintFor(run.node), OpID: s.nextLFSOp}

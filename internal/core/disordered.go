@@ -41,9 +41,10 @@ func (s *Server) lfsReadLoc(p sim.Proc, ent *dirent, node msg.NodeID, local uint
 	return s.lfsReadFinish(p, ent, -1, c) // the chain, not a global number, locates the block
 }
 
-// lfsWriteLoc writes a raw block at an explicit (node, local) location.
-func (s *Server) lfsWriteLoc(p sim.Proc, ent *dirent, node msg.NodeID, local uint32, data []byte) error {
-	req := lfs.WriteReq{FileID: ent.meta.LFSFileID, BlockNum: local, Data: data, Hint: ent.hintFor(node)}
+// lfsWriteLoc writes the block of header h and payload at an explicit
+// (node, local) location.
+func (s *Server) lfsWriteLoc(p sim.Proc, ent *dirent, node msg.NodeID, local uint32, h BlockHeader, payload []byte) error {
+	req := lfs.WriteReq{FileID: ent.meta.LFSFileID, BlockNum: local, Head: headOf(h, len(payload)), Data: payload, Hint: ent.hintFor(node)}
 	c, err := s.lfsStart(node, lfs.PortName, req)
 	if err != nil {
 		return err
@@ -60,12 +61,8 @@ func (s *Server) appendDisordered(p sim.Proc, ent *dirent, payload []byte) error
 	}
 	idx := scatterNode(ent.meta.FileID, ent.meta.Blocks, len(ent.meta.Nodes))
 	local := uint32(ci.LocalCounts[idx])
-	data := EncodeBlock(BlockHeader{
-		FileID:      ent.meta.FileID,
-		GlobalBlock: ent.meta.Blocks,
-		P:           uint16(ent.meta.Spec.P),
-	}, payload)
-	if err := s.lfsWriteLoc(p, ent, ent.meta.Nodes[idx], local, data); err != nil {
+	h := BlockHeader{FileID: ent.meta.FileID, GlobalBlock: ent.meta.Blocks, P: uint16(ent.meta.Spec.P)}
+	if err := s.lfsWriteLoc(p, ent, ent.meta.Nodes[idx], local, h, payload); err != nil {
 		return err
 	}
 	if ent.meta.Blocks == 0 {
@@ -78,7 +75,7 @@ func (s *Server) appendDisordered(p sim.Proc, ent *dirent, payload []byte) error
 			return err
 		}
 		h.HasNext, h.NextNode, h.NextLocal = true, uint16(idx), local
-		if err := s.lfsWriteLoc(p, ent, tailNode, ci.TailLocal, EncodeBlock(h, tailPayload)); err != nil {
+		if err := s.lfsWriteLoc(p, ent, tailNode, ci.TailLocal, h, tailPayload); err != nil {
 			return err
 		}
 	}
@@ -153,5 +150,5 @@ func (s *Server) overwriteDisordered(p sim.Proc, ent *dirent, n int64, payload [
 		return err
 	}
 	h.GlobalBlock = n
-	return s.lfsWriteLoc(p, ent, ent.meta.Nodes[loc.node], loc.local, EncodeBlock(h, payload))
+	return s.lfsWriteLoc(p, ent, ent.meta.Nodes[loc.node], loc.local, h, payload)
 }

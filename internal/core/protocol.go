@@ -32,7 +32,7 @@ import (
 // Bridge block geometry: each 1000-byte LFS data area carries a 40-byte
 // Bridge header and 960 bytes of payload, matching the paper.
 const (
-	HeaderBytes  = 40
+	HeaderBytes  = lfs.HeadBytes               // 40
 	PayloadBytes = efs.DataBytes - HeaderBytes // 960
 )
 
@@ -105,28 +105,45 @@ type BlockHeader struct {
 	NextLocal uint32 // local block number of the next block
 }
 
-// EncodeBlock builds a full LFS data area (efs.DataBytes) from a header and
-// payload. It panics if the payload exceeds PayloadBytes, which is always a
-// caller bug.
-func EncodeBlock(h BlockHeader, payload []byte) []byte {
-	if len(payload) > PayloadBytes {
-		panic(fmt.Sprintf("core: payload %d exceeds %d", len(payload), PayloadBytes))
+// PutHeader writes h into dst[:HeaderBytes] as the header of a block whose
+// payload is n bytes; h.PayloadLen is ignored. A caller that owns a whole
+// block rewrites its header in place with it. It panics if n exceeds
+// PayloadBytes, which is always a caller bug.
+func PutHeader(dst []byte, h BlockHeader, n int) {
+	if n > PayloadBytes {
+		panic(fmt.Sprintf("core: payload %d exceeds %d", n, PayloadBytes))
 	}
-	buf := make([]byte, efs.DataBytes)
-	copy(buf, blockMagic[:])
-	binary.LittleEndian.PutUint32(buf[4:], h.FileID)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(h.GlobalBlock))
-	binary.LittleEndian.PutUint16(buf[16:], h.P)
-	binary.LittleEndian.PutUint16(buf[18:], h.Start)
-	binary.LittleEndian.PutUint16(buf[20:], uint16(len(payload)))
+	dst = dst[:HeaderBytes]
+	clear(dst) // bytes 29..39 are reserved
+	copy(dst, blockMagic[:])
+	binary.LittleEndian.PutUint32(dst[4:], h.FileID)
+	binary.LittleEndian.PutUint64(dst[8:], uint64(h.GlobalBlock))
+	binary.LittleEndian.PutUint16(dst[16:], h.P)
+	binary.LittleEndian.PutUint16(dst[18:], h.Start)
+	binary.LittleEndian.PutUint16(dst[20:], uint16(n))
 	if h.HasNext {
-		buf[22] = 1
-		binary.LittleEndian.PutUint16(buf[23:], h.NextNode)
-		binary.LittleEndian.PutUint32(buf[25:], h.NextLocal)
+		dst[22] = 1
+		binary.LittleEndian.PutUint16(dst[23:], h.NextNode)
+		binary.LittleEndian.PutUint32(dst[25:], h.NextLocal)
 	}
-	// bytes 29..39 reserved.
+}
+
+// headOf is h as the head an LFS write carries beside a payload of n bytes:
+// the server's writes send the client's payload as it came.
+func headOf(h BlockHeader, n int) lfs.Head {
+	hd := lfs.Head{Len: HeaderBytes}
+	PutHeader(hd.Buf[:], h, n)
+	return hd
+}
+
+// EncodeBlock builds a whole LFS data area from a header and payload in a
+// new buffer: the form a tool that writes raw blocks puts. It panics as
+// PutHeader does.
+func EncodeBlock(h BlockHeader, payload []byte) []byte {
+	buf := make([]byte, HeaderBytes+len(payload))
+	PutHeader(buf, h, len(payload))
 	copy(buf[HeaderBytes:], payload)
-	return buf[:HeaderBytes+len(payload)]
+	return buf
 }
 
 // DecodeBlock splits an LFS data area into header and payload.

@@ -880,15 +880,21 @@ func (s *Server) lfsWriteStart(ent *dirent, blockNum int64, payload []byte) (lfs
 		return lfsPend{}, err
 	}
 	node := ent.meta.Nodes[l.NodeFor(blockNum)]
-	data := EncodeBlock(BlockHeader{
+	s.nextLFSOp++
+	req := lfs.WriteReq{FileID: ent.meta.LFSFileID, BlockNum: uint32(l.LocalFor(blockNum)),
+		Head: ent.headFor(blockNum, len(payload)), Data: payload, Hint: ent.hintFor(node), OpID: s.nextLFSOp}
+	return s.lfsStart(node, lfs.PortName, req)
+}
+
+// headFor is the head of a formulaic file's global block blockNum, whose
+// payload is n bytes.
+func (ent *dirent) headFor(blockNum int64, n int) lfs.Head {
+	return headOf(BlockHeader{
 		FileID:      ent.meta.FileID,
 		GlobalBlock: blockNum,
 		P:           uint16(ent.meta.Spec.P),
 		Start:       uint16(ent.meta.Spec.Start),
-	}, payload)
-	s.nextLFSOp++
-	req := lfs.WriteReq{FileID: ent.meta.LFSFileID, BlockNum: uint32(l.LocalFor(blockNum)), Data: data, Hint: ent.hintFor(node), OpID: s.nextLFSOp}
-	return s.lfsStart(node, lfs.PortName, req)
+	}, n)
 }
 
 // lfsWriteFinish collects a started write.

@@ -34,8 +34,9 @@ import (
 //     ropWBFail for a replicated group). Deleting the file drops it.
 type wbEntry struct {
 	ent      *dirent
-	buf      [][]byte  // acknowledged payloads not yet armed
+	buf      [][]byte  // acknowledged payloads not yet armed, copies in win
 	bufStart int64     // global block number of buf[0]
+	win      []byte    // one window's copies: new per window, never reused
 	st       vecStream // the live window, if any, and its calls
 	// What the live window flushes, one vectored write per run, and the
 	// request that armed it, under which its steps are traced.
@@ -66,20 +67,30 @@ func newWBCache(stripes int) *wbCache {
 // wbAppend buffers one appended block and acknowledges it immediately,
 // arming the window it fills. The file's logical size advances on
 // acknowledgement; wbFail rolls it back if the landing later fails.
+//
+// The buffer outlives the request, and its caller may reuse payload once
+// the append returns, so the buffer keeps a copy: the one place above the
+// LFS that copies a payload. A window's copies share one buffer, dropped
+// with the window and never reused, so no landing in flight can see a
+// later window's bytes.
 func (s *Server) wbAppend(ent *dirent, payload []byte) error {
 	e := s.wb.entries[ent.meta.Name]
 	if e == nil {
 		e = &wbEntry{ent: ent, st: s.newStream()}
 		s.wb.entries[ent.meta.Name] = e
 	}
+	// A window is stripes blocks per node: one vectored run for each.
+	window := max(1, min(s.wb.stripes*ent.meta.Spec.P, maxBatchBlocks))
 	if len(e.buf) == 0 {
 		e.bufStart = ent.meta.Blocks
+		e.win = make([]byte, 0, window*PayloadBytes)
 	}
-	e.buf = append(e.buf, payload)
+	at := len(e.win)
+	e.win = append(e.win, payload...)
+	e.buf = append(e.buf, e.win[at:len(e.win):len(e.win)])
 	ent.meta.Blocks++
 	s.m.wbBuffered.Add(1)
-	// A window is stripes blocks per node: one vectored run for each.
-	if len(e.buf) >= max(1, min(s.wb.stripes*ent.meta.Spec.P, maxBatchBlocks)) {
+	if len(e.buf) >= window {
 		return s.wbArm(e)
 	}
 	return nil
@@ -104,7 +115,7 @@ func (s *Server) wbArm(e *wbEntry) error {
 	s.wb.armed = append(s.wb.armed, e)
 	s.m.wbFlushes.Add(1)
 	s.m.wbFlushedBlocks.Add(int64(len(e.buf)))
-	e.buf = nil
+	e.buf, e.win = nil, nil
 	return nil
 }
 
@@ -219,7 +230,7 @@ func (s *Server) wbBarrier(ent *dirent) (int, error) {
 	}
 	if n := len(e.buf); n > 0 {
 		start, buf := e.bufStart, e.buf
-		e.buf = nil
+		e.buf, e.win = nil, nil
 		prefix, err := s.lfsWriteN(ent, start, buf)
 		if err != nil {
 			return flushed + prefix, s.wbFail(e, start+int64(prefix), err)

@@ -101,7 +101,7 @@ func warmVolume(t *testing.T, p sim.Proc, cacheBlocks, n int) *FS {
 	if err := fs.Create(p, 99); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if _, err := fs.AppendRun(p, 99, 0, blocksOf(n, 1)); err != nil {
+	if _, err := fs.AppendRun(p, 99, 0, nil, blocksOf(n, 1)); err != nil {
 		t.Fatalf("AppendRun: %v", err)
 	}
 	if _, err := fs.DeleteFast(p, 99); err != nil {
@@ -125,7 +125,7 @@ func fileOf(t *testing.T, p sim.Proc, fs *FS, id uint32, n int) []int32 {
 	if err := fs.Create(p, id); err != nil {
 		t.Fatalf("Create %d: %v", id, err)
 	}
-	addrs, err := fs.AppendRun(p, id, 0, blocksOf(n, byte(id)))
+	addrs, err := fs.AppendRun(p, id, 0, nil, blocksOf(n, byte(id)))
 	if err != nil {
 		t.Fatalf("AppendRun %d: %v", id, err)
 	}

@@ -508,7 +508,7 @@ func TestFailedTailFixLeaksNothing(t *testing.T) {
 			return err
 		}},
 		{"AppendRun", func(p sim.Proc, fs *FS) error {
-			_, err := fs.AppendRun(p, 1, 3, [][]byte{fill(9, 8), fill(9, 8)})
+			_, err := fs.AppendRun(p, 1, 3, nil, [][]byte{fill(9, 8), fill(9, 8)})
 			return err
 		}},
 	}

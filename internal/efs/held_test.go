@@ -89,7 +89,7 @@ func TestJournaledAppendWritesEachBlockOnce(t *testing.T) {
 				if k == 1 {
 					_, err = fs.WriteBlock(p, 1, size, fill(byte(i), 30), -1)
 				} else {
-					_, err = fs.AppendRun(p, 1, size, runOf(k, byte(16*i)))
+					_, err = fs.AppendRun(p, 1, size, nil, runOf(k, byte(16*i)))
 				}
 				if err != nil {
 					t.Fatalf("append %d: %v", i, err)
@@ -159,7 +159,7 @@ func TestHeldTailOverwriteAndDelete(t *testing.T) {
 			if err := fs.Create(p, f); err != nil {
 				t.Fatalf("Create: %v", err)
 			}
-			if _, err := fs.AppendRun(p, f, 0, runOf(3, byte(16*f))); err != nil {
+			if _, err := fs.AppendRun(p, f, 0, nil, runOf(3, byte(16*f))); err != nil {
 				t.Fatalf("AppendRun: %v", err)
 			}
 		}
@@ -230,7 +230,7 @@ func TestScrubAndCheckSeeHeldTails(t *testing.T) {
 		for f := uint32(1); f <= 4; f++ {
 			fs.Create(p, f)
 			for i := 0; i < int(f); i++ {
-				if _, err := fs.AppendRun(p, f, uint32(3*i), runOf(3, byte(f))); err != nil {
+				if _, err := fs.AppendRun(p, f, uint32(3*i), nil, runOf(3, byte(f))); err != nil {
 					t.Fatalf("AppendRun: %v", err)
 				}
 				blocks += 3
@@ -248,7 +248,7 @@ func TestScrubAndCheckSeeHeldTails(t *testing.T) {
 		// A deleted file's blocks stay allocated until the commit, and its
 		// held tail was never written: the scrub must not read it.
 		fs.Create(p, 5)
-		if _, err := fs.AppendRun(p, 5, 0, runOf(3, 5)); err != nil {
+		if _, err := fs.AppendRun(p, 5, 0, nil, runOf(3, 5)); err != nil {
 			t.Fatalf("AppendRun: %v", err)
 		}
 		if _, err := fs.Delete(p, 5); err != nil {
@@ -316,7 +316,7 @@ func runHeldOps(p sim.Proc, d *disk.Disk, ops []heldOp, states *[]volState) {
 			if op.n == 1 {
 				_, err = fs.WriteBlock(p, op.file, op.at, run[0], -1)
 			} else {
-				_, err = fs.AppendRun(p, op.file, op.at, run)
+				_, err = fs.AppendRun(p, op.file, op.at, nil, run)
 			}
 			model[op.file] = append(model[op.file], run...)
 		case 'w':

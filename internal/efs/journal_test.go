@@ -296,7 +296,7 @@ func quickCrashCase(t *testing.T, seed int64, verbose bool) bool {
 					for j := range run {
 						run[j] = fill(byte(rng.Intn(256)), 1+rng.Intn(200))
 					}
-					if _, err := fs.AppendRun(p, file, uint32(len(blocks)), run); err != nil {
+					if _, err := fs.AppendRun(p, file, uint32(len(blocks)), nil, run); err != nil {
 						fail("op %d: append run %d/%d: %v", i, file, len(blocks), err)
 						return
 					}
@@ -381,7 +381,7 @@ func quickCrashCase(t *testing.T, seed int64, verbose bool) bool {
 				if rng.Intn(2) == 0 {
 					continue
 				}
-				if _, err := fs.AppendRun(p, f, uint32(len(blocks)), [][]byte{fill(byte(f), 60), fill(byte(f), 61)}); err != nil {
+				if _, err := fs.AppendRun(p, f, uint32(len(blocks)), nil, [][]byte{fill(byte(f), 60), fill(byte(f), 61)}); err != nil {
 					fail("tail append run %d: %v", f, err)
 					return
 				}

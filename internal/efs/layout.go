@@ -90,11 +90,12 @@ func encodeHeader(dst []byte, h blockHeader) {
 	dst[20], dst[21], dst[22], dst[23] = 0, 0, 0, 0
 }
 
-// encodeData builds a whole data block image in dst: header h, then data,
-// zero-padded to the end of the block.
-func encodeData(dst []byte, h blockHeader, data []byte) {
+// encodeData builds a whole data block image in dst: header h, then the
+// data area — head, then data — zero-padded to the end of the block.
+func encodeData(dst []byte, h blockHeader, head, data []byte) {
 	encodeHeader(dst, h)
-	clear(dst[HeaderBytes+copy(dst[HeaderBytes:], data):])
+	n := HeaderBytes + copy(dst[HeaderBytes:], head)
+	clear(dst[n+copy(dst[n:], data):])
 }
 
 func decodeHeader(src []byte) blockHeader {

@@ -81,8 +81,15 @@ func (fs *FS) ReadBlock(p sim.Proc, fileID, blockNum uint32, hint int32) (data [
 // appends; smaller overwrites in place; larger is an error. It returns the
 // block's disk address for use as a hint.
 func (fs *FS) WriteBlock(p sim.Proc, fileID, blockNum uint32, data []byte, hint int32) (int32, error) {
-	if len(data) > DataBytes {
-		return nilAddr, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(data))
+	return fs.WriteBlockHead(p, fileID, blockNum, nil, data, hint)
+}
+
+// WriteBlockHead is WriteBlock of a block whose data area is head, then
+// data: a writer that puts a header before a payload hands both over as
+// they are. EFS keeps neither slice; each is copied into the block's image.
+func (fs *FS) WriteBlockHead(p sim.Proc, fileID, blockNum uint32, head, data []byte, hint int32) (int32, error) {
+	if n := len(head) + len(data); n > DataBytes {
+		return nilAddr, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
 	bb, i, err := fs.findEntry(p, fileID)
 	if err != nil {
@@ -93,10 +100,10 @@ func (fs *FS) WriteBlock(p sim.Proc, fileID, blockNum uint32, data []byte, hint 
 	switch {
 	case blockNum == uint32(e.Blocks):
 		var one [1]int32
-		err = fs.appendRun(p, bb, e, fileID, [][]byte{data}, one[:])
+		err = fs.appendRun(p, bb, e, fileID, [][]byte{head}, [][]byte{data}, one[:])
 		addr = one[0]
 	case blockNum < uint32(e.Blocks):
-		addr, err = fs.overwriteBlock(p, e, fileID, blockNum, data, hint)
+		addr, err = fs.overwriteBlock(p, e, fileID, blockNum, head, data, hint)
 	default:
 		return nilAddr, fmt.Errorf("%w: block %d of file %d (size %d)", ErrNotAppend, blockNum, fileID, e.Blocks)
 	}
@@ -118,13 +125,15 @@ func (fs *FS) WriteBlock(p sim.Proc, fileID, blockNum uint32, data []byte, hint 
 // blocks one at a time pays on an unjournaled one. startBlock must equal
 // the file's current size (the caller's view of the append point; a stale
 // view gets ErrNotAppend so the caller can fall back to the per-block path).
-func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, datas [][]byte) ([]int32, error) {
+// Block j's data area is heads[j], then datas[j]; a nil heads gives every
+// block an empty head. As in WriteBlock, EFS keeps no slice it is handed.
+func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, heads, datas [][]byte) ([]int32, error) {
 	if len(datas) == 0 {
 		return nil, nil
 	}
-	for _, d := range datas {
-		if len(d) > DataBytes {
-			return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(d))
+	for j, d := range datas {
+		if n := len(headAt(heads, j)) + len(d); n > DataBytes {
+			return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 		}
 	}
 	bb, i, err := fs.findEntry(p, fileID)
@@ -136,7 +145,7 @@ func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, datas [][]byte) (
 		return nil, fmt.Errorf("%w: run at block %d of file %d (size %d)", ErrNotAppend, startBlock, fileID, e.Blocks)
 	}
 	addrs := make([]int32, len(datas))
-	if err := fs.appendRun(p, bb, e, fileID, datas, addrs); err != nil {
+	if err := fs.appendRun(p, bb, e, fileID, heads, datas, addrs); err != nil {
 		return nil, err
 	}
 	if err := fs.maybeCommit(p); err != nil {
@@ -146,8 +155,9 @@ func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, datas [][]byte) (
 }
 
 // appendRun is the one append: WriteBlock's append case is a run of one. It
-// appends datas at the file's tail and fills addrs, the caller's scratch of
-// the same length, with the new blocks' addresses.
+// appends the blocks of heads and datas (one of each per block) at the
+// file's tail and fills addrs, the caller's scratch of the same length, with
+// the new blocks' addresses.
 //
 // On an unjournaled volume a run of k blocks costs k+1 device accesses: the
 // new blocks, then the old tail's pointer — for k = 1 the two accesses of
@@ -162,7 +172,7 @@ func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, datas [][]byte) (
 // and wrap link, the written blocks are unreachable and their bitmap bits
 // are cleared, the same freed-but-flagged state a fast delete leaves, which
 // the bitmap-authoritative liveData guard and Fsck already tolerate.
-func (fs *FS) appendRun(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32, datas [][]byte, addrs []int32) error {
+func (fs *FS) appendRun(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32, heads, datas [][]byte, addrs []int32) error {
 	// undo frees the first n allocations; nothing links to the run yet, so
 	// that restores the file exactly.
 	undo := func(n int, err error) error {
@@ -206,12 +216,13 @@ func (fs *FS) appendRun(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32,
 	}
 	var held []byte // the run's last block, on a journaled volume
 	for j, data := range datas {
+		hd := headAt(heads, j)
 		h := blockHeader{
 			FileID:   fileID,
 			BlockNum: startBlock + uint32(j),
 			Next:     head, // tail wraps to head (a single block points at itself)
 			Prev:     addrs[j],
-			DataLen:  uint16(len(data)),
+			DataLen:  uint16(len(hd) + len(data)),
 			Flags:    flagUsed,
 		}
 		if j+1 < len(addrs) {
@@ -224,10 +235,10 @@ func (fs *FS) appendRun(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32,
 		}
 		if fs.jnl != nil && j+1 == len(datas) {
 			held = make([]byte, BlockSize) // the journal keeps a held tail
-			encodeData(held, h, data)
+			encodeData(held, h, hd, data)
 			continue
 		}
-		encodeData(fs.scratch, h, data)
+		encodeData(fs.scratch, h, hd, data)
 		if err := fs.writeThrough(p, addrs[j], fs.scratch); err != nil {
 			return undo(len(addrs), err)
 		}
@@ -247,6 +258,14 @@ func (fs *FS) appendRun(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32,
 	e.Blocks += int32(len(datas))
 	bb.dirty = true
 	return nil
+}
+
+// headAt returns block j's head in a run: none when heads is nil.
+func headAt(heads [][]byte, j int) []byte {
+	if heads == nil {
+		return nil
+	}
+	return heads[j]
 }
 
 // linkTail points the file's old tail at next, the first block of a run
@@ -297,18 +316,18 @@ func (fs *FS) linkTail(p sim.Proc, e *dirEntry, fileID uint32, next int32) error
 // succeeds: the block is rebuilt from its verified chain neighbors — this is
 // what lets read-repair rewrite a rotted block through the ordinary write
 // path.
-func (fs *FS) overwriteBlock(p sim.Proc, e *dirEntry, fileID, blockNum uint32, data []byte, hint int32) (int32, error) {
+func (fs *FS) overwriteBlock(p sim.Proc, e *dirEntry, fileID, blockNum uint32, head, data []byte, hint int32) (int32, error) {
 	addr, raw, err := fs.findBlock(p, e, fileID, blockNum, hint)
 	if err != nil {
 		if !errors.Is(err, ErrCorrupt) {
 			return nilAddr, err
 		}
-		return fs.rebuildBlock(p, e, fileID, blockNum, data)
+		return fs.rebuildBlock(p, e, fileID, blockNum, head, data)
 	}
 	h := decodeHeader(raw)
-	h.DataLen = uint16(len(data))
+	h.DataLen = uint16(len(head) + len(data))
 	buf := fs.imageBuf()
-	encodeData(buf, h, data)
+	encodeData(buf, h, head, data)
 	if fs.jnl != nil {
 		// In-place overwrite of committed data: journal the full image.
 		fs.deferImage(addr, buf)
@@ -324,7 +343,7 @@ func (fs *FS) overwriteBlock(p sim.Proc, e *dirEntry, fileID, blockNum uint32, d
 // contents: the disk address and link targets are recovered from verified
 // neighbors only (the predecessor's next pointer and the successor's
 // address), and the header is reconstructed from scratch.
-func (fs *FS) rebuildBlock(p sim.Proc, e *dirEntry, fileID, blockNum uint32, data []byte) (int32, error) {
+func (fs *FS) rebuildBlock(p sim.Proc, e *dirEntry, fileID, blockNum uint32, head, data []byte) (int32, error) {
 	addr, next, prev, err := fs.locateForRewrite(p, e, fileID, blockNum)
 	if err != nil {
 		return nilAddr, err
@@ -334,11 +353,11 @@ func (fs *FS) rebuildBlock(p sim.Proc, e *dirEntry, fileID, blockNum uint32, dat
 		BlockNum: blockNum,
 		Next:     next,
 		Prev:     prev,
-		DataLen:  uint16(len(data)),
+		DataLen:  uint16(len(head) + len(data)),
 		Flags:    flagUsed,
 	}
 	buf := fs.imageBuf()
-	encodeData(buf, h, data)
+	encodeData(buf, h, head, data)
 	if fs.jnl != nil {
 		fs.deferImage(addr, buf)
 		return addr, nil

@@ -63,9 +63,17 @@ func TestReadBlockResultIsTheCallersOwn(t *testing.T) {
 	}
 }
 
-// TestWriteArgumentsAreTheCallersOwn: scribbling over the slices passed to
-// WriteBlock or AppendRun after the call returns changes nothing EFS keeps.
+// TestWriteArgumentsAreTheCallersOwn: scribbling over the heads and data
+// passed to WriteBlockHead or AppendRun after the call returns changes
+// nothing EFS keeps — the cache, the journal's held tail and deferred
+// image, the disk. Every write kind runs on both volume kinds: an append, a
+// run (whose last block a journaled volume holds), an append behind a held
+// tail, an overwrite (a deferred image when journaled), and the rebuild of
+// a corrupt block. Each block reads back as written before and after the
+// journal commit, and after a remount.
 func TestWriteArgumentsAreTheCallersOwn(t *testing.T) {
+	headOf := func(bn int) []byte { return fill(byte(0x10+bn), 40) }
+	dataOf := func(bn int) []byte { return fill(byte(bn+1), 60) }
 	for _, journal := range []int{0, 32} {
 		d := fastDisk(256)
 		run(t, func(p sim.Proc) {
@@ -74,36 +82,85 @@ func TestWriteArgumentsAreTheCallersOwn(t *testing.T) {
 				t.Fatalf("Format: %v", err)
 			}
 			fs.Create(p, 1)
-			one := fill(1, 60)
-			if _, err := fs.WriteBlock(p, 1, 0, one, -1); err != nil {
-				t.Fatalf("WriteBlock append: %v", err)
-			}
-			run := [][]byte{fill(2, 60), fill(3, 60), fill(4, 60)}
-			if _, err := fs.AppendRun(p, 1, 1, run); err != nil {
-				t.Fatalf("AppendRun: %v", err)
-			}
-			over := fill(5, 60)
-			if _, err := fs.WriteBlock(p, 1, 2, over, -1); err != nil {
-				t.Fatalf("WriteBlock overwrite: %v", err)
-			}
-			for _, b := range append(run, one, over) {
-				for i := range b {
-					b[i] = 0xEE
+			want := map[uint32][]byte{}
+			// scribble overwrites what a call was handed, after noting
+			// what block bn must read back.
+			scribble := func(bn uint32, parts ...[]byte) {
+				want[bn] = bytes.Join(parts, nil)
+				for _, b := range parts {
+					for i := range b {
+						b[i] = 0xEE
+					}
 				}
 			}
+			check := func(when string, fs *FS) {
+				for bn := uint32(0); bn < uint32(len(want)); bn++ {
+					got, addr, err := fs.ReadBlock(p, 1, bn, -1)
+					if err != nil || !bytes.Equal(got, want[bn]) {
+						t.Errorf("journal %d, %s: block %d = %v, %v; want %v", journal, when, bn, got[:min(len(got), 4)], err, want[bn][:4])
+						continue
+					}
+					if when == "before the commit" {
+						continue // a held tail and a deferred image are not on disk yet
+					}
+					if img := d.Peek(int(addr)); !bytes.Equal(img[HeaderBytes:HeaderBytes+len(want[bn])], want[bn]) {
+						t.Errorf("journal %d, %s: disk image of block %d sees the caller's scribble", journal, when, bn)
+					}
+				}
+			}
+
+			head, data := headOf(0), dataOf(0)
+			if _, err := fs.WriteBlockHead(p, 1, 0, head, data, -1); err != nil {
+				t.Fatalf("WriteBlockHead append: %v", err)
+			}
+			scribble(0, head, data)
+			heads := [][]byte{headOf(1), headOf(2), headOf(3)}
+			datas := [][]byte{dataOf(1), dataOf(2), dataOf(3)}
+			if _, err := fs.AppendRun(p, 1, 1, heads, datas); err != nil {
+				t.Fatalf("AppendRun: %v", err)
+			}
+			for j := range heads {
+				scribble(uint32(1+j), heads[j], datas[j])
+			}
+			// On a journaled volume block 3 is the held tail, written now
+			// with its link to this append, which is held in turn.
+			head, data = headOf(4), dataOf(4)
+			if _, err := fs.WriteBlockHead(p, 1, 4, head, data, -1); err != nil {
+				t.Fatalf("WriteBlockHead behind the tail: %v", err)
+			}
+			scribble(4, head, data)
+			head, data = headOf(5), dataOf(5)
+			if _, err := fs.WriteBlockHead(p, 1, 1, head, data, -1); err != nil {
+				t.Fatalf("WriteBlockHead overwrite: %v", err)
+			}
+			scribble(1, head, data)
+			check("before the commit", fs)
 			if err := fs.Sync(p); err != nil {
 				t.Fatalf("Sync: %v", err)
 			}
-			for bn, want := range []byte{1, 2, 5, 4} {
-				got, addr, err := fs.ReadBlock(p, 1, uint32(bn), -1)
-				if err != nil || !bytes.Equal(got, fill(want, 60)) {
-					t.Errorf("journal %d: block %d = %v, %v; want 60 x %d", journal, bn, got[:min(len(got), 4)], err, want)
-					continue
-				}
-				if img := d.Peek(int(addr)); !bytes.Equal(img[HeaderBytes:HeaderBytes+60], fill(want, 60)) {
-					t.Errorf("journal %d: disk image of block %d sees the caller's scribble", journal, bn)
-				}
+			check("after the commit", fs)
+
+			_, addr, err := fs.ReadBlock(p, 1, 2, -1)
+			if err != nil {
+				t.Fatalf("ReadBlock 2: %v", err)
 			}
+			flipByte(t, p, fs, addr, HeaderBytes+50)
+			fs.invalidate(addr)
+			head, data = headOf(6), dataOf(6)
+			if _, err := fs.WriteBlockHead(p, 1, 2, head, data, -1); err != nil {
+				t.Fatalf("WriteBlockHead rebuild of corrupt block 2: %v", err)
+			}
+			scribble(2, head, data)
+			if err := fs.Sync(p); err != nil {
+				t.Fatalf("Sync after the rebuild: %v", err)
+			}
+			check("after the rebuild", fs)
+
+			fs2, err := Mount(p, d, Options{JournalBlocks: journal})
+			if err != nil {
+				t.Fatalf("Mount: %v", err)
+			}
+			check("after a remount", fs2)
 		})
 	}
 }
@@ -139,7 +196,7 @@ func TestFailedWriteThroughKeepsCacheEqualToDisk(t *testing.T) {
 				t.Fatalf("Format: %v", err)
 			}
 			fs.Create(p, 1)
-			addrs, err := fs.AppendRun(p, 1, 0, [][]byte{fill(1, 70), fill(2, 70), fill(3, 70)})
+			addrs, err := fs.AppendRun(p, 1, 0, nil, [][]byte{fill(1, 70), fill(2, 70), fill(3, 70)})
 			if err != nil {
 				t.Fatalf("AppendRun: %v", err)
 			}

@@ -63,7 +63,7 @@ func quickModelEquivalence(t *testing.T, journal int) {
 					for j := range run {
 						run[j] = bytes.Repeat([]byte{op.Fill + byte(j)}, 1+int(op.Fill)%32)
 					}
-					_, err := fs.AppendRun(p, uint32(file), uint32(len(blocks)), run)
+					_, err := fs.AppendRun(p, uint32(file), uint32(len(blocks)), nil, run)
 					switch {
 					case !exists:
 						if !errors.Is(err, ErrNotFound) {

@@ -102,10 +102,10 @@ func init() {
 				return ReadResp{Data: data, Addr: addr}, err
 			}}),
 		msg.Cmd(msg.Def[*Node, WriteReq, WriteResp]{Name: "write",
-			ReqSize: func(b WriteReq) int { return 16 + len(b.Data) }, RespSize: msg.Flat[WriteResp](12),
+			ReqSize: func(b WriteReq) int { return 16 + int(b.Head.Len) + len(b.Data) }, RespSize: msg.Flat[WriteResp](12),
 			Serve: deduped(func(r WriteReq) uint64 { return r.OpID }, nil,
 				func(n *Node, p sim.Proc, _ msg.Addr, r WriteReq) (WriteResp, error) {
-					addr, err := n.fs.WriteBlock(p, r.FileID, r.BlockNum, r.Data, r.Hint)
+					addr, err := n.fs.WriteBlockHead(p, r.FileID, r.BlockNum, r.Head.Bytes(), r.Data, r.Hint)
 					return WriteResp{Addr: addr}, err
 				})}),
 		msg.Cmd(msg.Def[*Node, ReadVecReq, ReadVecResp]{Name: "readvec", Serve: (*Node).readVec,
@@ -120,8 +120,9 @@ func init() {
 		msg.Cmd(msg.Def[*Node, WriteVecReq, WriteVecResp]{Name: "writevec",
 			ReqSize: func(b WriteVecReq) int {
 				n := 24
-				for _, v := range b.Blocks {
-					n += 8 + len(v.Data)
+				for i := range b.Blocks {
+					v := &b.Blocks[i]
+					n += 8 + int(v.Head.Len) + len(v.Data)
 				}
 				return n
 			},

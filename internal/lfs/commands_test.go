@@ -15,10 +15,14 @@ import (
 
 // TestWireSizesPinned pins what the bandwidth model charges for
 // representative LFS bodies — zero values, a 960-byte block, a 3-block
-// vector, a failed status with a detail and an unknown body — so that moving
-// the prices around the code cannot re-price a message by accident.
+// vector, each write also as a header beside its payload, a failed status
+// with a detail and an unknown body — so that moving the prices around the
+// code cannot re-price a message by accident.
 func TestWireSizesPinned(t *testing.T) {
 	blk := bytes.Repeat([]byte{1}, efs.DataBytes-40)
+	// A server write: the 40-byte Bridge header beside its 920-byte payload
+	// is priced as the joined block it replaced.
+	head, pay := Head{Len: HeadBytes}, blk[:len(blk)-HeadBytes]
 	failed := msg.Failed(CodeNotFound, "efs: file not found")
 	problems := efs.CheckReport{Problems: []string{"ab", "cde"}}
 	for _, tc := range []struct {
@@ -31,11 +35,13 @@ func TestWireSizesPinned(t *testing.T) {
 		{"ReadResp payload", ReadResp{Data: blk, Addr: 7}, 972},
 		{"ReadResp failed", ReadResp{Status: failed}, 12},
 		{"WriteReq payload", WriteReq{FileID: 1, Data: blk, OpID: 9}, 976},
+		{"WriteReq header beside payload", WriteReq{FileID: 1, Head: head, Data: pay, OpID: 9}, 976},
 		{"WriteResp", WriteResp{Addr: 7}, 12},
 		{"ReadVecReq vector", ReadVecReq{FileID: 1, Blocks: []uint32{1, 2, 3}}, 28},
 		{"ReadVecResp vector", ReadVecResp{Blocks: []VecRead{{Data: blk}, {Data: blk}, {Data: blk, Status: failed}}}, 2912},
 		{"WriteVecReq zero", WriteVecReq{}, 24},
 		{"WriteVecReq vector", WriteVecReq{Blocks: []VecWrite{{Data: blk}, {Data: blk}, {Data: blk}}, OpID: 9}, 2928},
+		{"WriteVecReq headers beside payloads", WriteVecReq{Blocks: []VecWrite{{Head: head, Data: pay}, {Head: head, Data: pay}, {Head: head, Data: pay}}, OpID: 9}, 2928},
 		{"WriteVecResp vector", WriteVecResp{Blocks: make([]VecWritten, 3)}, 32},
 		{"CreateReq", CreateReq{FileID: 1}, 8},
 		{"DeleteReq", DeleteReq{FileID: 1, Fast: true}, 8},

@@ -92,6 +92,23 @@ func Err(st msg.Status) error {
 	return fmt.Errorf("%w: %s", base, detail)
 }
 
+// HeadBytes is the most a Head holds: the Bridge header.
+const HeadBytes = 40
+
+// Head is the front of a block's data area, carried by value beside the
+// rest of it in a write: the Bridge header before a payload. The writer
+// never joins the two into one buffer; EFS writes Head, then Data, straight
+// into the block image. The zero Head is empty.
+type Head struct {
+	Buf [HeadBytes]byte
+	Len uint8
+}
+
+// Bytes returns the head's bytes. A Len past HeadBytes, which no writer
+// builds but a peer's message could carry, reads as the whole buffer rather
+// than failing the node.
+func (h *Head) Bytes() []byte { return h.Buf[:min(int(h.Len), HeadBytes)] }
+
 // Request and reply bodies. Replies carry the disk address of the block
 // touched, which the stateless protocol returns to callers as the hint for
 // their next request.
@@ -130,12 +147,14 @@ type (
 	}
 
 	// WriteReq writes one logical block (append when BlockNum equals the
-	// file size). A non-zero OpID enables dedup of retransmitted or
-	// duplicated copies: without it, a delayed duplicate arriving after a
-	// newer write to the same block would silently revert the data.
+	// file size): Head, then Data. A non-zero OpID enables dedup of
+	// retransmitted or duplicated copies: without it, a delayed duplicate
+	// arriving after a newer write to the same block would silently revert
+	// the data.
 	WriteReq struct {
 		FileID   uint32
 		BlockNum uint32
+		Head     Head
 		Data     []byte
 		Hint     int32
 		OpID     uint64
@@ -170,9 +189,10 @@ type (
 		msg.Status
 	}
 
-	// VecWrite is one block of a WriteVecReq.
+	// VecWrite is one block of a WriteVecReq: Head, then Data.
 	VecWrite struct {
 		BlockNum uint32
+		Head     Head
 		Data     []byte
 	}
 	// WriteVecReq writes a run of logical blocks in one request (appends

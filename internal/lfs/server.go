@@ -412,11 +412,18 @@ func (n *Node) appendRunVec(p sim.Proc, r WriteVecReq) (resp WriteVecResp, ran b
 			return WriteVecResp{}, false
 		}
 	}
+	var heads [][]byte // stays nil for a tool's raw blocks, which carry none
 	datas := make([][]byte, len(r.Blocks))
-	for i, w := range r.Blocks {
-		datas[i] = w.Data
+	for i := range r.Blocks {
+		w := &r.Blocks[i]
+		if datas[i] = w.Data; w.Head.Len > 0 {
+			if heads == nil {
+				heads = make([][]byte, len(r.Blocks))
+			}
+			heads[i] = w.Head.Bytes()
+		}
 	}
-	addrs, err := n.fs.AppendRun(p, r.FileID, r.Blocks[0].BlockNum, datas)
+	addrs, err := n.fs.AppendRun(p, r.FileID, r.Blocks[0].BlockNum, heads, datas)
 	if errors.Is(err, efs.ErrNotAppend) {
 		// The run does not start at the file's append point (an overwrite
 		// batch, or a stale size): per-block dispatch decides block by block.
@@ -460,8 +467,9 @@ func (n *Node) writeVec(p sim.Proc, _ msg.Addr, r WriteVecReq) (WriteVecResp, er
 	}
 	resp := WriteVecResp{Blocks: make([]VecWritten, len(r.Blocks))}
 	hint := r.Hint
-	for i, w := range r.Blocks {
-		addr, err := n.fs.WriteBlock(p, r.FileID, w.BlockNum, w.Data, hint)
+	for i := range r.Blocks {
+		w := &r.Blocks[i]
+		addr, err := n.fs.WriteBlockHead(p, r.FileID, w.BlockNum, w.Head.Bytes(), w.Data, hint)
 		resp.Blocks[i] = VecWritten{Addr: addr, Status: StatusFor(err)}
 		if err == nil {
 			hint = addr

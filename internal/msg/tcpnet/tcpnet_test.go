@@ -184,6 +184,11 @@ func fill(v reflect.Value) {
 		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
 		fill(v.Index(0))
 		fill(v.Index(1))
+	case reflect.Array:
+		// lfs.Head.Buf: a block's header travels by value.
+		for i := 0; i < v.Len(); i++ {
+			fill(v.Index(i))
+		}
 	case reflect.Pointer:
 		v.Set(reflect.New(v.Type().Elem()))
 		fill(v.Elem())

@@ -305,14 +305,16 @@ func (g *mergeGroup) runWriter(p sim.Proc, network *msg.Network, node msg.NodeID
 			}
 			delete(pending, nextSeq)
 			// Refresh the Bridge header so the destination block
-			// carries its own global block number.
+			// carries its own global block number. The record is this
+			// writer's own, so the header is rewritten in place.
 			h, payload, err := core.DecodeBlock(raw)
 			if err != nil {
 				return fmt.Errorf("merge writer %d: decode seq %d: %w", i, nextSeq, err)
 			}
 			h.GlobalBlock = nextSeq
 			h.P = uint16(len(g.nodes))
-			if err := out.put(core.EncodeBlock(h, payload)); err != nil {
+			core.PutHeader(raw, h, len(payload))
+			if err := out.put(raw[:core.HeaderBytes+len(payload)]); err != nil {
 				return fmt.Errorf("merge writer %d: %w", i, err)
 			}
 			nextSeq += t
