@@ -178,7 +178,10 @@ var (
 	// ErrDeferredWrite reports that previously acknowledged write-behind
 	// blocks failed to reach the disks: the file was rolled back to its
 	// durable prefix, and this error surfaced exactly once on the first
-	// operation to touch the file afterwards. See Config.WriteBehind.
+	// operation to touch the file afterwards. A call that carries no
+	// operation id (Open, Stat, ReadAt, Scrub, a plain Fsck) reports it
+	// at most once: if that call's reply is lost, its retry succeeds
+	// against the rolled-back size. See Config.WriteBehind.
 	ErrDeferredWrite = core.ErrDeferredWrite
 	// ErrBothCopiesLost reports a mirror read with neither copy reachable.
 	// It is ErrTooManyFailures under the mirror's name.
@@ -274,14 +277,8 @@ type Config struct {
 	// Seek switches to the richer seek/rotation disk model.
 	Seek bool
 	// Trace records every message send and disk access with simulated
-	// timestamps; dump with Session.WriteTrace.
+	// timestamps; dump with Session.Inspect().TraceDump.
 	Trace bool
-	// RealTime runs against the wall clock (scaled by TimeScale) instead
-	// of the deterministic virtual clock.
-	RealTime bool
-	// TimeScale compresses real time: 0.001 makes a 15ms disk access
-	// cost 15µs of host time. Only used with RealTime. Default 0.001.
-	TimeScale float64
 	// Health enables the Bridge Server's heartbeat monitor. Every call the
 	// server makes to a node marked Dead — data, metadata or maintenance —
 	// fast-fails with ErrNodeDown instead of waiting out the LFS timeout,
@@ -351,13 +348,25 @@ type System struct {
 	cfg Config
 }
 
-// New validates the configuration.
+// New validates the configuration. A negative count or duration is an
+// ErrBadArg naming the field.
 func New(cfg Config) (*System, error) {
-	if cfg.Nodes < 0 || cfg.DiskBlocks < 0 || cfg.Journal < 0 {
-		return nil, fmt.Errorf("bridge: negative configuration values")
-	}
-	if cfg.Servers < 0 {
-		return nil, fmt.Errorf("%w: Servers = %d", ErrBadArg, cfg.Servers)
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{
+		{"Nodes", cfg.Nodes < 0},
+		{"Servers", cfg.Servers < 0},
+		{"DiskBlocks", cfg.DiskBlocks < 0},
+		{"Journal", cfg.Journal < 0},
+		{"DiskLatency", cfg.DiskLatency < 0},
+		{"LFSTimeout", cfg.LFSTimeout < 0},
+		{"ReadAhead", cfg.ReadAhead < 0},
+		{"WriteBehind", cfg.WriteBehind < 0},
+	} {
+		if f.negative {
+			return nil, fmt.Errorf("%w: negative %s", ErrBadArg, f.name)
+		}
 	}
 	if err := core.CheckGroup(cfg.Replicas, cfg.Health != nil, cfg.ReadAhead); err != nil {
 		return nil, err
@@ -371,9 +380,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.DiskLatency == 0 {
 		cfg.DiskLatency = 15 * time.Millisecond
 	}
-	if cfg.TimeScale == 0 {
-		cfg.TimeScale = 0.001
-	}
 	return &System{cfg: cfg}, nil
 }
 
@@ -381,12 +387,7 @@ func New(cfg Config) (*System, error) {
 // shuts the cluster down, and drains the simulation. It returns fn's error,
 // or the simulation's (for example a detected deadlock).
 func (s *System) Run(fn func(*Session) error) error {
-	var rt sim.Runtime
-	if s.cfg.RealTime {
-		rt = sim.NewReal(s.cfg.TimeScale)
-	} else {
-		rt = sim.NewVirtual()
-	}
+	rt := sim.NewVirtual()
 	var timing disk.TimingModel = disk.FixedTiming{Latency: s.cfg.DiskLatency}
 	if s.cfg.Seek {
 		timing = disk.WrenSeekRotate()
@@ -893,9 +894,6 @@ func (s *Session) Cluster() *core.Cluster { return s.cl }
 
 // Proc exposes the session's process handle for spawning workers.
 func (s *Session) Proc() sim.Proc { return s.proc }
-
-// Network returns the message network, for custom tool wiring.
-func (s *Session) Network() *msg.Network { return s.cl.Net }
 
 // ParallelReadAll reads the whole file through a parallel-open job of
 // width t: the second Bridge view, in which each read round moves t blocks

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -200,34 +201,6 @@ func TestFacadeSimulatedTimeAdvances(t *testing.T) {
 	}
 }
 
-func TestFacadeRealTimeMode(t *testing.T) {
-	// Keep the scale coarse enough that scaled sleeps stay above OS
-	// timer granularity.
-	sys, err := New(Config{Nodes: 2, RealTime: true, TimeScale: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = sys.Run(func(s *Session) error {
-		// At extreme compression, OS sleep granularity inflates apparent
-		// simulated durations; disable the call timeout.
-		s.SetTimeout(0)
-		if err := s.Create("f"); err != nil {
-			return err
-		}
-		if err := s.Append("f", []byte("wall clock")); err != nil {
-			return err
-		}
-		data, err := s.ReadAt("f", 0)
-		if err != nil || string(data) != "wall clock" {
-			return fmt.Errorf("read = %q, %v", data, err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
 func TestFacadeSeekModel(t *testing.T) {
 	sys, err := New(Config{Nodes: 2, Seek: true})
 	if err != nil {
@@ -256,7 +229,23 @@ func TestFacadeRunPropagatesError(t *testing.T) {
 }
 
 func TestNewRejectsNegative(t *testing.T) {
-	if _, err := New(Config{Nodes: -1}); err == nil {
-		t.Error("New with negative nodes succeeded")
+	for _, c := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Nodes", Config{Nodes: -1}},
+		{"Servers", Config{Servers: -1}},
+		{"Replicas", Config{Replicas: -1}},
+		{"DiskBlocks", Config{DiskBlocks: -1}},
+		{"Journal", Config{Journal: -1}},
+		{"DiskLatency", Config{DiskLatency: -time.Millisecond}},
+		{"LFSTimeout", Config{LFSTimeout: -time.Second}},
+		{"ReadAhead", Config{ReadAhead: -1}},
+		{"WriteBehind", Config{WriteBehind: -1}},
+	} {
+		_, err := New(c.cfg)
+		if !errors.Is(err, ErrBadArg) || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("New with negative %s = %v, want ErrBadArg naming the field", c.field, err)
+		}
 	}
 }

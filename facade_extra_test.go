@@ -130,7 +130,7 @@ func TestFacadeTraceDisabled(t *testing.T) {
 	err := sys.Run(func(s *Session) error {
 		var buf bytes.Buffer
 		if err := s.Inspect().TraceDump(&buf); err == nil {
-			return fmt.Errorf("WriteTrace without Config.Trace succeeded")
+			return fmt.Errorf("TraceDump without Config.Trace succeeded")
 		}
 		return nil
 	})

@@ -7,9 +7,10 @@
 // state it touches breaks replay. Process code must spawn concurrency with
 // Runtime.Go or Proc.Go.
 //
-// Exempt: internal/sim itself (the runtime is built out of goroutines),
-// internal/msg/tcpnet (real network I/O), package main, and _test.go files
-// (test harnesses legitimately pump the host side).
+// Exempt: internal/sim itself (the virtual runtime is built out of
+// goroutines, each parked by its scheduler), internal/msg/tcpnet (real
+// network I/O, kept only as the benchmark's probe target), package main,
+// and _test.go files (test harnesses legitimately pump the host side).
 package rawgoroutine
 
 import (

@@ -9,9 +9,9 @@
 // *rand.Rand seeded from the run's seed (rand.New(rand.NewSource(seed))),
 // and time from the runtime's virtual clock (Proc.Now, Proc.Sleep).
 //
-// Exempt: package main (host-side drivers), internal/msg/tcpnet (the real
-// network transport), and internal/sim/real.go (the wall-clock runtime is
-// the one place host time is the point).
+// Exempt: package main (host-side drivers) and internal/msg/tcpnet (the
+// real network transport, kept as a benchmark probe target). No file of
+// internal/sim is exempt: the virtual clock is the only clock there is.
 package simdeterminism
 
 import (
@@ -44,12 +44,6 @@ var seededConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 }
 
-// exemptFile reports files that exist to touch the host clock.
-func exemptFile(filename string) bool {
-	f := strings.ReplaceAll(filename, "\\", "/")
-	return strings.HasSuffix(f, "internal/sim/real.go")
-}
-
 func run(pass *analysis.Pass) error {
 	if pass.Pkg == nil || pass.Pkg.Name() == "main" {
 		return nil
@@ -58,9 +52,6 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if exemptFile(pass.Fset.Position(f.Pos()).Filename) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

@@ -12,7 +12,7 @@ func TestSimdeterminism(t *testing.T) {
 	analysistest.Run(t, "../testdata", []*analysis.Analyzer{simdeterminism.Analyzer},
 		"simdet_flag",                // every wall-clock and global-rand call flagged
 		"simdet_clean",               // seeded sources, duration arithmetic, escape hatch
-		"bridge/internal/sim",        // real.go file exemption
+		"simdet_sim/internal/sim",    // no file of internal/sim is exempt
 		"bridge/internal/msg/tcpnet", // real-transport package exemption
 	)
 }

@@ -93,7 +93,7 @@ const (
 	ropSeqRead
 	ropWBDirty   // file entered write-behind buffering at committed size Blocks
 	ropWBFlushed // durable prefix advanced to Blocks (N=1: fully drained)
-	ropWBFail    // rollback to Blocks; ErrS surfaces (to Op, or arms deferred)
+	ropWBFail    // rollback to Blocks; ErrS surfaces to its caller, or arms deferred when client-less
 	ropWBClear   // deferred error consumed by operation Op
 	ropFixup     // effect failed after commit: size corrected (Blocks<0: file removed)
 )
@@ -666,13 +666,19 @@ func (s *Server) apply(op rop) {
 		}
 		ent.meta.Blocks = op.Blocks
 		delete(g.wbLow, op.Name)
-		if op.Op != 0 {
+		switch {
+		case op.Op != 0:
 			// The failing operation consumes the error itself; record it
 			// so a retransmission replays the same failure.
 			g.record(op, ropRec{Kind: op.Kind, Name: op.Name, ErrS: op.ErrS}, nil)
-		} else {
+		case op.Client == (msg.Addr{}):
+			// No request waits for it (parkDeferred, a takeover): arm it
+			// for the next operation on the file.
 			g.deferred[op.Name] = op.ErrS
 		}
+		// Otherwise a call with no OpID (Open, Stat, a random read,
+		// Scrub, a plain Fsck) failed its own drain and returns the error
+		// itself, at most once: nothing replays it to a retransmission.
 	case ropWBClear:
 		delete(g.deferred, op.Name)
 		g.record(op, ropRec{Kind: op.Kind, Name: op.Name, ErrS: op.ErrS}, nil)
@@ -982,10 +988,9 @@ func (s *Server) wbMayStep(p sim.Proc) bool {
 
 // drainWB is the write-behind barrier every handler runs before it reads
 // or overwrites a file, asks its size, or moves its name: it surfaces any
-// armed deferred error, then lands the file's buffered blocks and commits
-// the matching marker so every member's committed size catches up with
-// what landed. A deferred write failure surfaces here, exactly once,
-// wrapped in ErrDeferredWrite.
+// armed deferred error, then lands the file's buffered blocks (landWB). A
+// deferred write failure surfaces here, exactly once, wrapped in
+// ErrDeferredWrite.
 func (s *Server) drainWB(p sim.Proc, name string, from msg.Addr, opID uint64) (int, error) {
 	if s.wb == nil {
 		return 0, nil
@@ -993,6 +998,16 @@ func (s *Server) drainWB(p sim.Proc, name string, from msg.Addr, opID uint64) (i
 	if err := s.surfaceDeferred(p, name, from, opID); err != nil {
 		return 0, err
 	}
+	return s.landWB(p, name, true, from, opID)
+}
+
+// landWB lands a file's buffered blocks and commits the matching marker so
+// every member's committed size catches up with what landed. If landing
+// fails, acknowledged blocks roll back. With answer set the failure is the
+// answer of request (from, opID), and the rollback is replicated under it;
+// otherwise no caller returns it, and it is parked for the file's next
+// operation.
+func (s *Server) landWB(p sim.Proc, name string, answer bool, from msg.Addr, opID uint64) (int, error) {
 	ent, ok := s.dir[name]
 	if !ok {
 		return 0, nil
@@ -1005,6 +1020,10 @@ func (s *Server) drainWB(p sim.Proc, name string, from msg.Addr, opID uint64) (i
 		return 0, err
 	}
 	flushed, err := s.wbBarrier(ent)
+	if err != nil && !answer {
+		s.parkDeferred(p, ent, err)
+		return flushed, err
+	}
 	if err != nil {
 		// Acknowledged blocks were rolled back (wbBarrier already shrank
 		// the size); replicate the rollback under the surfacing op.
@@ -1025,7 +1044,9 @@ func (s *Server) drainWB(p sim.Proc, name string, from msg.Addr, opID uint64) (i
 
 // drainWBAll drains every file with write-behind or deferred state, in
 // name order for determinism. All files are drained even if one fails; the
-// first error (in name order) is reported.
+// first error (in name order) is reported. It is the only one the call
+// returns, so every later file keeps its armed error, and a landing that
+// fails there is parked for that file's next operation.
 func (s *Server) drainWBAll(p sim.Proc, from msg.Addr, opID uint64) (int, error) {
 	if s.wb == nil {
 		return 0, nil
@@ -1053,11 +1074,14 @@ func (s *Server) drainWBAll(p sim.Proc, from msg.Addr, opID uint64) (int, error)
 	total := 0
 	var firstErr error
 	for _, name := range sorted {
+		if firstErr != nil {
+			n, _ := s.landWB(p, name, false, msg.Addr{}, 0)
+			total += n
+			continue
+		}
 		n, err := s.drainWB(p, name, from, opID)
 		total += n
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
+		firstErr = err
 	}
 	return total, firstErr
 }

@@ -31,7 +31,11 @@ import (
 //     operation's own answer. One found by an idle step has no request to
 //     answer, so it is parked until the next operation on the file
 //     (parkDeferred: in the cache for a group of one, a client-less
-//     ropWBFail for a replicated group). Deleting the file drops it.
+//     ropWBFail for a replicated group); so is a sweep's (drainWBAll)
+//     failure on any file after the first, which the sweep does not
+//     return. Deleting the file drops it. An operation without an OpID
+//     (Open, Stat, a random read, Scrub, a plain Fsck) surfaces it at most
+//     once: if its reply is lost, its retransmission cannot replay it.
 type wbEntry struct {
 	ent      *dirent
 	buf      [][]byte  // acknowledged payloads not yet armed, copies in win

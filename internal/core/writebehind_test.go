@@ -571,6 +571,155 @@ func TestWriteBehindStepFailureSurfacesOnce(t *testing.T) {
 	}
 }
 
+// TestWriteBehindDrainFailureSurfacesOnce: a read or Stat whose own drain
+// fails — the buffered tail cannot land on a failing disk — returns
+// ErrDeferredWrite, and that call consumes it. The next operation on the
+// file succeeds at both group sizes: a replicated group must not also arm
+// the error for later, as it does for a rollback no request waits for.
+func TestWriteBehindDrainFailureSurfacesOnce(t *testing.T) {
+	for _, replicas := range []int{1, 3} {
+		for _, first := range []string{"read", "stat"} {
+			cfg := wbCfg(4, 2)
+			cfg.Replicas = replicas
+			withCluster(t, cfg, func(p sim.Proc, cl *Cluster, c *Client) {
+				cell := fmt.Sprintf("Replicas=%d/%s", replicas, first)
+				if _, err := c.Create("f"); err != nil {
+					t.Errorf("%s: Create: %v", cell, err)
+					return
+				}
+				for i := 0; i < 20; i++ {
+					if err := c.SeqWrite("f", payload(i)); err != nil {
+						t.Errorf("%s: SeqWrite %d: %v", cell, i, err)
+						return
+					}
+				}
+				fault := &writeFault{armed: true}
+				cl.Nodes[1].Disk.SetFault(fault, "victim")
+				var err error
+				if first == "read" {
+					_, err = c.ReadAt("f", 0)
+				} else {
+					_, err = c.Stat("f")
+				}
+				if !errors.Is(err, ErrDeferredWrite) {
+					t.Errorf("%s: the draining call = %v; want ErrDeferredWrite", cell, err)
+				}
+				fault.armed = false
+				if _, err := c.Stat("f"); err != nil {
+					t.Errorf("%s: Stat after the error surfaced: %v; want it surfaced once", cell, err)
+				}
+				if got, err := c.ReadAt("f", 0); err != nil || !bytes.Equal(got, payload(0)) {
+					t.Errorf("%s: ReadAt 0 after the error: %v", cell, err)
+				}
+			})
+		}
+	}
+}
+
+// TestWriteBehindSweepParksLaterFailures: a sweep that drains every
+// buffered file — Scrub, which carries no OpID, or FlushAll, which does —
+// answers with the first file's failure only. A later file whose landing
+// fails on the same disk keeps its error for its own next operation, which
+// surfaces it exactly once, at both group sizes.
+func TestWriteBehindSweepParksLaterFailures(t *testing.T) {
+	for _, replicas := range []int{1, 3} {
+		for _, sweep := range []string{"scrub", "flushall"} {
+			cfg := wbCfg(4, 2)
+			cfg.Replicas = replicas
+			withCluster(t, cfg, func(p sim.Proc, cl *Cluster, c *Client) {
+				cell := fmt.Sprintf("Replicas=%d/%s", replicas, sweep)
+				for _, name := range []string{"a", "b"} {
+					if _, err := c.Create(name); err != nil {
+						t.Errorf("%s: Create %s: %v", cell, name, err)
+						return
+					}
+					for i := 0; i < 20; i++ {
+						if err := c.SeqWrite(name, payload(i)); err != nil {
+							t.Errorf("%s: SeqWrite %s %d: %v", cell, name, i, err)
+							return
+						}
+					}
+				}
+				fault := &writeFault{armed: true}
+				cl.Nodes[1].Disk.SetFault(fault, "victim")
+				var err error
+				if sweep == "scrub" {
+					_, err = c.Scrub(0)
+				} else {
+					_, err = c.FlushAll()
+				}
+				if !errors.Is(err, ErrDeferredWrite) || !strings.Contains(err.Error(), " a: ") {
+					t.Errorf("%s: the sweep = %v; want a's ErrDeferredWrite", cell, err)
+				}
+				fault.armed = false
+				if _, err := c.Stat("a"); err != nil {
+					t.Errorf("%s: Stat a after the sweep returned its error: %v", cell, err)
+				}
+				if _, err := c.Stat("b"); !errors.Is(err, ErrDeferredWrite) {
+					t.Errorf("%s: Stat b = %v; want the ErrDeferredWrite the sweep did not return", cell, err)
+				}
+				if _, err := c.Stat("b"); err != nil {
+					t.Errorf("%s: second Stat b: %v; want it surfaced once", cell, err)
+				}
+			})
+		}
+	}
+}
+
+// replyDropper drops the next reply to one client while armed.
+type replyDropper struct {
+	client  msg.Addr
+	armed   bool
+	dropped int
+}
+
+func (h *replyDropper) Deliver(_ time.Duration, _ msg.NodeID, to msg.Addr, _ *msg.Message) msg.Fate {
+	if h.armed && to == h.client {
+		h.armed = false
+		h.dropped++
+		return msg.Fate{Drop: true}
+	}
+	return msg.Fate{}
+}
+
+// TestWriteBehindDrainFailureLostReply pins the rule for calls that carry
+// no OpID (Open, Stat, a random read): a deferred-write error they surface
+// is reported at most once. When the reply of the Stat whose drain failed
+// is lost, nothing can replay it: the client's retransmission finds the
+// file already rolled back and succeeds with the shrunken size.
+func TestWriteBehindDrainFailureLostReply(t *testing.T) {
+	cfg := wbCfg(4, 2)
+	cfg.Replicas = 3
+	withCluster(t, cfg, func(p sim.Proc, cl *Cluster, c *Client) {
+		if _, err := c.Create("f"); err != nil {
+			t.Errorf("Create: %v", err)
+			return
+		}
+		for i := 0; i < 20; i++ {
+			if err := c.SeqWrite("f", payload(i)); err != nil {
+				t.Errorf("SeqWrite %d: %v", i, err)
+				return
+			}
+		}
+		fault := &writeFault{armed: true}
+		cl.Nodes[1].Disk.SetFault(fault, "victim")
+		drop := &replyDropper{client: c.Msg().Addr(), armed: true}
+		cl.Net.SetFault(drop)
+		defer cl.Net.SetFault(nil)
+		meta, err := c.Stat("f")
+		if drop.dropped != 1 {
+			t.Errorf("dropped %d replies; want the Stat's one", drop.dropped)
+		}
+		if err != nil || meta.Blocks >= 20 {
+			t.Errorf("retried Stat = %d blocks, %v; want the rolled-back size and no error", meta.Blocks, err)
+		}
+		fault.armed = false
+		if _, err := c.Stat("f"); err != nil {
+			t.Errorf("next Stat: %v; want nothing armed", err)
+		}
+	})
+}
+
 // deposeHook cuts a leader's node off from its peers while cut is set, and
 // holds every reply to its LFS client back by hold.
 type deposeHook struct {

@@ -206,7 +206,7 @@ func runCorruptionChaos(t *testing.T, seed int64) (string, [][]byte) {
 			}
 			contents = append(contents, data)
 		}
-		stats := s.Network().Stats()
+		stats := s.Cluster().Net.Stats()
 		if got := stats.Get("bridge.readrepair_mirror"); got == 0 {
 			t.Error("no mirror read-repairs recorded")
 		}

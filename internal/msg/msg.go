@@ -8,8 +8,9 @@
 // processes on the same node are cheap (shared-memory queues), messages
 // between nodes pay a base latency plus a per-byte cost, and both sender and
 // receiver pay a small CPU charge per message. The paper notes the design
-// "could be realized equally well on any local area network"; the tcpnet
-// subpackage provides that realization for wall-clock runs.
+// "could be realized equally well on any local area network"; another
+// network is another set of these constants, measured in the same virtual
+// time.
 package msg
 
 import (

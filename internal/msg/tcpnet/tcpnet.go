@@ -4,11 +4,11 @@
 // ports of one or more nodes and routes messages to remote peers over
 // gob-encoded streams.
 //
-// tcpnet is for wall-clock deployments and cross-checking; the simulated
-// in-process network (package msg) remains the substrate for the
-// deterministic experiments. Message bodies must be gob-registered;
-// RegisterTypes registers the LFS, agent, Bridge Server and consensus
-// protocols.
+// No runtime here runs on the wall clock, so nothing deploys over tcpnet:
+// it remains only as the target of the benchmark's tcpnet.rpc probe, and
+// the simulated in-process network (package msg) carries every experiment.
+// Message bodies must be gob-registered; RegisterTypes registers the LFS,
+// agent, Bridge Server and consensus protocols.
 package tcpnet
 
 import (

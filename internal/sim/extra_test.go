@@ -93,9 +93,6 @@ func TestRuntimeNowFromOutside(t *testing.T) {
 	if rt.Now() != 42*time.Millisecond {
 		t.Errorf("final Now = %v, want 42ms", rt.Now())
 	}
-	if !rt.Virtual() {
-		t.Error("Virtual() = false")
-	}
 	if rt.Err() != nil {
 		t.Errorf("Err = %v", rt.Err())
 	}

@@ -5,16 +5,13 @@ import (
 	"time"
 )
 
-// Runtime is the substrate every Bridge process runs on. Implementations:
-// the deterministic virtual-time runtime (NewVirtual) and the wall-clock
-// runtime (NewReal).
+// Runtime is the substrate every Bridge process runs on. Its one
+// implementation is the deterministic virtual-time runtime (NewVirtual): every
+// simulated number the repository reports comes from its clock.
 type Runtime interface {
-	// Virtual reports whether this runtime uses the discrete-event clock.
-	Virtual() bool
-
 	// Go creates a new process. The process starts when the scheduler
-	// first selects it (virtual) or immediately (real). fn must use only
-	// runtime primitives to block. The name is used in diagnostics.
+	// first selects it. fn must use only runtime primitives to block. The
+	// name is used in diagnostics.
 	Go(name string, fn func(Proc))
 
 	// NewQueue creates an unbounded message queue. The name is used in
@@ -25,8 +22,8 @@ type Runtime interface {
 	// creation. Safe to call from any goroutine.
 	Now() time.Duration
 
-	// Wait blocks until every process has exited. Under the virtual
-	// clock it also drives the simulation. It returns ErrDeadlock (with
+	// Wait blocks until every process has exited, driving the
+	// simulation. It returns ErrDeadlock (with
 	// diagnostics) if at any point all remaining processes were blocked
 	// on queues with no pending timers; when that happens all queues are
 	// closed so that well-behaved processes unwind and exit.
@@ -49,8 +46,8 @@ type Proc interface {
 	// Now returns the current simulated time.
 	Now() time.Duration
 
-	// Sleep suspends the process for d of simulated time. Under the
-	// virtual clock this is also how CPU cost is modeled. Non-positive
+	// Sleep suspends the process for d of simulated time. This is also
+	// how CPU cost is modeled. Non-positive
 	// durations yield without advancing time.
 	Sleep(d time.Duration)
 

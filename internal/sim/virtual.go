@@ -44,8 +44,6 @@ type vRuntime struct {
 
 var _ Runtime = (*vRuntime)(nil)
 
-func (rt *vRuntime) Virtual() bool { return true }
-
 func (rt *vRuntime) Now() time.Duration {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

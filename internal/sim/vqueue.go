@@ -195,9 +195,9 @@ func (q *vQueue) closeLocked() {
 
 // itemHeap is a binary min-heap of items ordered by (at, seq), so
 // simultaneous sends preserve FIFO. The order is total (seq is unique per
-// runtime or queue), so every correct heap pops the same sequence; push and
-// pop are typed because container/heap would box each vitem into an any,
-// one allocation per call. Shared by the virtual and wall-clock queues.
+// runtime), so every correct heap pops the same sequence; push and pop are
+// typed because container/heap would box each vitem into an any, one
+// allocation per call.
 type itemHeap []vitem
 
 func (h itemHeap) Len() int { return len(h) }
