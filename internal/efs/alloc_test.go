@@ -218,6 +218,37 @@ func TestAllocsWalkAndDeleteOverCachedBlocks(t *testing.T) {
 	})
 }
 
+// TestAllocsHintedWalk: a lookup whose valid hint is the nearest anchor
+// walks from the hint over cached blocks, and weighing the hint against the
+// file's two ends allocates nothing — the candidates are an array, not a
+// slice the hint is appended to.
+func TestAllocsHintedWalk(t *testing.T) {
+	skipUnderRace(t)
+	const runs, k = 10, 16
+	run(t, func(p sim.Proc) {
+		fs := warmVolume(t, p, 1024, 1024)
+		addrs := fileOf(t, p, fs, 1, 2*k)
+		bb, i, err := fs.findEntry(p, 1)
+		if err != nil {
+			t.Fatalf("findEntry: %v", err)
+		}
+		e := &bb.b.Entries[i]
+		steps := fs.Stats().Get("efs.walk_steps")
+		allocs := testing.AllocsPerRun(runs, func() {
+			delete(fs.loc, fileKey{fileID: 1, blockNum: k}) // force the walk
+			if addr, _, err := fs.findBlock(p, e, 1, k, addrs[k-2]); err != nil || addr != addrs[k] {
+				t.Errorf("findBlock = %d, %v; want %d", addr, err, addrs[k])
+			}
+		})
+		if got := fs.Stats().Get("efs.walk_steps") - steps; got != 2*(runs+1) {
+			t.Fatalf("%d hinted lookups walked %d steps, want 2 each; test setup wrong", runs+1, got)
+		}
+		if allocs != 0 {
+			t.Errorf("a hinted 2-step walk allocates %v objects, want 0", allocs)
+		}
+	})
+}
+
 // TestAllocsWriteThroughAppend: a one-block append on an unjournaled volume
 // encodes the new block in the volume's scratch block, writes it and the old
 // tail's new link through over images the device already holds, and copies

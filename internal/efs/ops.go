@@ -698,15 +698,17 @@ func (fs *FS) findBlock(p sim.Proc, e *dirEntry, fileID, blockNum uint32, hint i
 		delete(fs.loc, fileKey{fileID: fileID, blockNum: blockNum})
 	}
 
-	// Candidate anchors: (address, block number) pairs.
+	// Candidate anchors: (address, block number) pairs — both ends and a
+	// valid hint, in an array so the lookup allocates nothing.
 	type anchor struct {
 		addr int32
 		num  uint32
 	}
-	cands := []anchor{
+	cands := [3]anchor{
 		{e.First, 0},
 		{e.Last, uint32(e.Blocks - 1)},
 	}
+	n := 2
 	if hint != nilAddr && fs.liveData(hint) {
 		// Validate the hint: it must be a live block, checksum clean, and
 		// point into the correct file; a bad hint is ignored, never fatal.
@@ -716,13 +718,14 @@ func (fs *FS) findBlock(p sim.Proc, e *dirEntry, fileID, blockNum uint32, hint i
 				if h.BlockNum == blockNum {
 					return hint, raw, nil
 				}
-				cands = append(cands, anchor{hint, h.BlockNum})
+				cands[n] = anchor{hint, h.BlockNum}
+				n++
 			}
 		}
 	}
 	best := cands[0]
 	bestDist := distance(best.num, blockNum)
-	for _, c := range cands[1:] {
+	for _, c := range cands[1:n] {
 		if d := distance(c.num, blockNum); d < bestDist {
 			best, bestDist = c, d
 		}

@@ -100,6 +100,11 @@ type Node struct {
 	dedup  map[writeKey]any
 	dedupQ []writeKey
 
+	// runHeads and runDatas are appendRunVec's scratch, owned by the
+	// server process like fs; emptied after each run so the node pins no
+	// payload between requests.
+	runHeads, runDatas [][]byte
+
 	sm scrubMetrics
 }
 
@@ -413,17 +418,19 @@ func (n *Node) appendRunVec(p sim.Proc, r WriteVecReq) (resp WriteVecResp, ran b
 		}
 	}
 	var heads [][]byte // stays nil for a tool's raw blocks, which carry none
-	datas := make([][]byte, len(r.Blocks))
+	datas := growScratch(&n.runDatas, len(r.Blocks))
 	for i := range r.Blocks {
 		w := &r.Blocks[i]
 		if datas[i] = w.Data; w.Head.Len > 0 {
 			if heads == nil {
-				heads = make([][]byte, len(r.Blocks))
+				heads = growScratch(&n.runHeads, len(r.Blocks))
 			}
 			heads[i] = w.Head.Bytes()
 		}
 	}
 	addrs, err := n.fs.AppendRun(p, r.FileID, r.Blocks[0].BlockNum, heads, datas)
+	clear(datas) // EFS keeps neither slice
+	clear(heads)
 	if errors.Is(err, efs.ErrNotAppend) {
 		// The run does not start at the file's append point (an overwrite
 		// batch, or a stale size): per-block dispatch decides block by block.
@@ -441,6 +448,15 @@ func (n *Node) appendRunVec(p sim.Proc, r WriteVecReq) (resp WriteVecResp, ran b
 		resp.Blocks[i] = VecWritten{Addr: addr}
 	}
 	return resp, true
+}
+
+// growScratch returns (*s)[:n], growing *s first if it is shorter. Every
+// element is nil: users clear what they set before the next call.
+func growScratch(s *[][]byte, n int) [][]byte {
+	if cap(*s) < n {
+		*s = make([][]byte, n)
+	}
+	return (*s)[:n]
 }
 
 // readVec serves a ReadVecReq, block by block.

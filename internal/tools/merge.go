@@ -24,11 +24,16 @@ import (
 // record sorts first (or ties), it forwards the token along its own ring
 // and then emits the record to the destination writer for that sequence
 // number — the record's send is off the token's serial path; otherwise it
-// sends a fresh token back to the originator. Correctness rests on the
-// paper's invariant, restated for that order: every token hop that writes is
-// followed by its holder emitting that record before it receives again — so
-// each sequence number is emitted once, in nondecreasing key order. Writers
-// reorder by sequence number, since a record may arrive after its successors.
+// sends the token back to the originator, now advertising its own key.
+// Correctness rests on the paper's invariant, restated for that order: every
+// token hop that writes is followed by its holder emitting that record before
+// it receives again — so each sequence number is emitted once, in
+// nondecreasing key order. Writers reorder by sequence number, since a record
+// may arrive after its successors.
+//
+// As in the paper there is one token per merge: one message, made by start.
+// It belongs to whichever reader holds it, which rewrites it in place, sends
+// it on and does not touch it after the send.
 
 // Messages of the merge protocol.
 type (
@@ -52,16 +57,27 @@ type (
 	mergeFinish struct{ Total int64 }
 )
 
+// recordEnvelope is a shipped record and the message that carries it, made
+// in one allocation. It belongs to the writer that receives it.
+type recordEnvelope struct {
+	m msg.Message
+	r mergeRecord
+}
+
+// mergeWireSize prices a merge body. A body it does not know is a bug, not
+// an 8-byte message: it panics rather than silently move every sort number.
 func mergeWireSize(body any) int {
 	switch b := body.(type) {
-	case mergeToken:
+	case *mergeToken:
 		return 48 + len(b.Key)
-	case mergeRecord:
+	case *mergeRecord:
 		return 16 + len(b.Raw)
 	case mergeFinish:
 		return 16
-	default:
+	case mergeStop:
 		return 8
+	default:
+		panic(fmt.Sprintf("tools: merge body %T has no wire size", body))
 	}
 }
 
@@ -99,9 +115,10 @@ func newMergeGroup(network *msg.Network, seq uint64, pass, group int, nodes []ms
 	return g
 }
 
-// start injects the Start token into the first process of input A.
+// start makes the group's one token message and injects it, as the Start
+// token, into the first process of input A.
 func (g *mergeGroup) start(pc sim.Proc, network *msg.Network) {
-	tok := mergeToken{Start: true}
+	tok := &mergeToken{Start: true}
 	_ = network.Send(pc, 0, g.readerPorts[0].Addr(), &msg.Message{Body: tok, Size: mergeWireSize(tok)})
 }
 
@@ -206,9 +223,19 @@ func (g *mergeGroup) runReader(p sim.Proc, network *msg.Network, node msg.NodeID
 	send := func(to msg.Addr, body any) {
 		_ = network.Send(p, node, to, &msg.Message{From: me, Body: body, Size: mergeWireSize(body)})
 	}
+	// pass hands the token on: m is the group's one token message, *tp its
+	// body, which this reader owns until the send.
+	pass := func(to msg.Addr, m *msg.Message, tp *mergeToken, next mergeToken) {
+		*tp = next
+		m.From, m.Size = me, mergeWireSize(tp)
+		_ = network.Send(p, node, to, m)
+	}
+	// emit ships the current record in its own envelope: one allocation,
+	// which the writer keeps.
 	emit := func(seq int64) {
-		rec := mergeRecord{Seq: seq, Raw: cur}
-		send(g.writerFor(seq), rec)
+		e := &recordEnvelope{r: mergeRecord{Seq: seq, Raw: cur}}
+		e.m = msg.Message{From: me, Body: &e.r, Size: mergeWireSize(&e.r)}
+		_ = network.Send(p, node, g.writerFor(seq), &e.m)
 	}
 	finishAll := func(totalRecords int64) {
 		// DONE: stop every other reader and tell the writers the total.
@@ -230,16 +257,19 @@ func (g *mergeGroup) runReader(p sim.Proc, network *msg.Network, node msg.NodeID
 		if !ok {
 			return nil
 		}
-		switch tok := m.Body.(type) {
+		switch tp := m.Body.(type) {
 		case mergeStop:
 			return nil
-		case mergeToken:
+		case *mergeToken:
+			// The sender is done with the token; read it from a local
+			// copy, since pass rewrites it.
+			tok := *tp
 			switch {
 			case tok.Start:
 				if atEOF() {
-					send(g.otherFirst(i), mergeToken{End: true, Seq: 0, Orig: me})
+					pass(g.otherFirst(i), m, tp, mergeToken{End: true, Seq: 0, Orig: me})
 				} else {
-					send(g.otherFirst(i), mergeToken{Key: key, Orig: me, Seq: 0})
+					pass(g.otherFirst(i), m, tp, mergeToken{Key: key, Orig: me, Seq: 0})
 				}
 			case tok.End:
 				if atEOF() {
@@ -248,7 +278,7 @@ func (g *mergeGroup) runReader(p sim.Proc, network *msg.Network, node msg.NodeID
 					finishAll(tok.Seq)
 					return nil
 				}
-				send(g.ringNext(i), mergeToken{End: true, Seq: tok.Seq + 1, Orig: tok.Orig})
+				pass(g.ringNext(i), m, tp, mergeToken{End: true, Seq: tok.Seq + 1, Orig: tok.Orig})
 				emit(tok.Seq)
 				if err := readNext(); err != nil {
 					return err
@@ -257,17 +287,17 @@ func (g *mergeGroup) runReader(p sim.Proc, network *msg.Network, node msg.NodeID
 				if atEOF() {
 					// My input file is exhausted at this point of the
 					// ring traversal; drain the other file.
-					send(tok.Orig, mergeToken{End: true, Seq: tok.Seq, Orig: me})
+					pass(tok.Orig, m, tp, mergeToken{End: true, Seq: tok.Seq, Orig: me})
 					continue
 				}
 				if bytes.Compare(key, tok.Key) <= 0 {
-					send(g.ringNext(i), mergeToken{Key: tok.Key, Orig: tok.Orig, Seq: tok.Seq + 1})
+					pass(g.ringNext(i), m, tp, mergeToken{Key: tok.Key, Orig: tok.Orig, Seq: tok.Seq + 1})
 					emit(tok.Seq)
 					if err := readNext(); err != nil {
 						return err
 					}
 				} else {
-					send(tok.Orig, mergeToken{Key: key, Orig: me, Seq: tok.Seq})
+					pass(tok.Orig, m, tp, mergeToken{Key: key, Orig: me, Seq: tok.Seq})
 				}
 			}
 		default:
@@ -332,7 +362,7 @@ func (g *mergeGroup) runWriter(p sim.Proc, network *msg.Network, node msg.NodeID
 			return nil
 		}
 		switch b := m.Body.(type) {
-		case mergeRecord:
+		case *mergeRecord:
 			pending[b.Seq] = b.Raw
 			if err := drain(); err != nil {
 				return err

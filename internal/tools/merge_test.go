@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -11,6 +12,7 @@ import (
 
 	"bridge/internal/core"
 	"bridge/internal/disk"
+	"bridge/internal/israce"
 	"bridge/internal/lfs"
 	"bridge/internal/msg"
 	"bridge/internal/sim"
@@ -84,13 +86,14 @@ func readColumns(proc sim.Proc, network *msg.Network, nodes []msg.NodeID, fileID
 // runOneMerge executes a single merge group over fresh LFS columns.
 func runOneMerge(t *testing.T, tWidth int, keysA, keysB []uint64) [][]byte {
 	t.Helper()
-	merged, _ := runTimedMerge(t, tWidth, keysA, keysB)
+	merged, _, _ := runTimedMerge(t, tWidth, keysA, keysB)
 	return merged
 }
 
 // runTimedMerge is runOneMerge that also returns how long the merge took,
-// from its Start token until every reader and writer is done.
-func runTimedMerge(t *testing.T, tWidth int, keysA, keysB []uint64) ([][]byte, time.Duration) {
+// from its Start token until every reader and writer is done, and how many
+// heap objects the host allocated over that span.
+func runTimedMerge(t *testing.T, tWidth int, keysA, keysB []uint64) ([][]byte, time.Duration, uint64) {
 	t.Helper()
 	rt := sim.NewVirtual()
 	cl, err := core.StartCluster(rt, core.ClusterConfig{
@@ -103,6 +106,7 @@ func runTimedMerge(t *testing.T, tWidth int, keysA, keysB []uint64) ([][]byte, t
 	var merged [][]byte
 	var mergeErr error
 	var took time.Duration
+	var allocs uint64
 	rt.Go("merge-driver", func(proc sim.Proc) {
 		defer cl.Stop()
 		nodes := cl.NodeIDs()
@@ -123,6 +127,9 @@ func runTimedMerge(t *testing.T, tWidth int, keysA, keysB []uint64) ([][]byte, t
 			return
 		}
 		seq := toolSeq.Add(1)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		mallocs := ms.Mallocs
 		g := newMergeGroup(cl.Net, seq, 1, 0, nodes, inID, outID, mergeTestKeyBytes)
 		start := proc.Now()
 		g.start(proc, cl.Net)
@@ -148,6 +155,8 @@ func runTimedMerge(t *testing.T, tWidth int, keysA, keysB []uint64) ([][]byte, t
 			}
 		}
 		took = proc.Now() - start
+		runtime.ReadMemStats(&ms)
+		allocs = ms.Mallocs - mallocs
 		g.close()
 		if mergeErr != nil {
 			return
@@ -160,7 +169,7 @@ func runTimedMerge(t *testing.T, tWidth int, keysA, keysB []uint64) ([][]byte, t
 	if mergeErr != nil {
 		t.Fatalf("merge: %v", mergeErr)
 	}
-	return merged, took
+	return merged, took, allocs
 }
 
 // verifyMerge checks sortedness and multiset preservation.
@@ -238,10 +247,10 @@ func TestMergeTokenLeavesBeforeItsRecord(t *testing.T) {
 	for i := range lo {
 		lo[i], hi[i] = uint64(i), uint64(perInput+i)
 	}
-	merged, took := runTimedMerge(t, tWidth, lo, hi)
+	merged, took, _ := runTimedMerge(t, tWidth, lo, hi)
 	verifyMerge(t, merged, lo, hi)
 	cfg := msg.DefaultConfig() // the cluster's cost model
-	tok := mergeToken{Key: make([]byte, mergeTestKeyBytes)}
+	tok := &mergeToken{Key: make([]byte, mergeTestKeyBytes)}
 	hop := cfg.RemoteLatency + time.Duration(int64(mergeWireSize(tok)+cfg.HeaderBytes)*int64(time.Second)/cfg.BytesPerSec)
 	perRecord := cfg.RecvCPU + cfg.SendCPU + hop
 	if bound := time.Duration(1.05 * float64(len(merged)) * float64(perRecord)); took > bound {
@@ -293,5 +302,60 @@ func TestQuickMergeRandomInputs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMergeWireSizes pins the price of every merge body: the sort's numbers
+// move with any of them. A body the table does not know panics rather than
+// passing as a small message.
+func TestMergeWireSizes(t *testing.T) {
+	for _, tc := range []struct {
+		body any
+		want int
+	}{
+		{&mergeToken{Start: true}, 48},
+		{&mergeToken{End: true, Seq: 9}, 48},
+		{&mergeToken{Key: make([]byte, mergeTestKeyBytes)}, 48 + mergeTestKeyBytes},
+		{&mergeRecord{Seq: 3, Raw: make([]byte, 100)}, 16 + 100},
+		{mergeFinish{Total: 7}, 16},
+		{mergeStop{}, 8},
+	} {
+		if got := mergeWireSize(tc.body); got != tc.want {
+			t.Errorf("mergeWireSize(%T %+v) = %d, want %d", tc.body, tc.body, got, tc.want)
+		}
+	}
+	for _, body := range []any{mergeToken{Start: true}, mergeRecord{}, &mergeFinish{}, nil} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("mergeWireSize(%T) did not panic", body)
+				}
+			}()
+			mergeWireSize(body)
+		}()
+	}
+}
+
+// TestAllocsMerge bounds the host objects one merge pass allocates per
+// record: about 5, the reader's block reads and the writer's appends among
+// them. The token is one message for the whole merge and a shipped record
+// one object; a fresh message and boxed token per hop and per bounce, and a
+// boxed record beside its message, made it about 10. The bound sits halfway.
+// It skips under the race detector, whose instrumentation allocates.
+func TestAllocsMerge(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const tWidth, perInput = 4, 256
+	lo, hi := make([]uint64, perInput), make([]uint64, perInput)
+	for i := range lo {
+		// Interleaved keys: the token bounces between the inputs.
+		lo[i], hi[i] = uint64(2*i), uint64(2*i+1)
+	}
+	merged, _, allocs := runTimedMerge(t, tWidth, lo, hi)
+	verifyMerge(t, merged, lo, hi)
+	const bound = 7.5
+	if perRecord := float64(allocs) / float64(len(merged)); perRecord > bound {
+		t.Errorf("merging %d records allocates %.2f objects a record, want at most %v", len(merged), perRecord, bound)
 	}
 }
