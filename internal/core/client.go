@@ -170,6 +170,10 @@ func (c *Client) targets() []msg.Addr {
 // cluster-structure requests (Fsck, Scrub, GetInfo) any server can answer.
 func (c *Client) first() msg.Addr { return c.groups[0][c.leaders[0]] }
 
+// Replicated reports whether the client's directory groups are
+// Raft-replicated (more than one member each).
+func (c *Client) Replicated() bool { return c.replicated }
+
 // Msg exposes the underlying message client, for tools that mix Bridge
 // calls with direct LFS traffic.
 func (c *Client) Msg() *msg.Client { return c.mc }

@@ -39,25 +39,32 @@ type ChunkReorgRow struct {
 	MovedChunk int64
 }
 
+// PlacementResult is the A1 ablation: each strategy's windows, and what
+// growing a file costs each.
+type PlacementResult struct {
+	Windows []PlacementRow
+	Growth  []ChunkReorgRow
+}
+
 // Placement runs the Section 3 ablation analytically.
-func Placement(cfg Config) ([]PlacementRow, []ChunkReorgRow, error) {
+func Placement(cfg Config) (*PlacementResult, error) {
 	if err := cfg.prepare(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	const windows = 2000
 	var rows []PlacementRow
 	for _, p := range cfg.Ps {
 		rr, err := distrib.New(distrib.Spec{Kind: distrib.RoundRobin, P: p})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		h, err := distrib.New(distrib.Spec{Kind: distrib.Hashed, P: p, Seed: uint64(cfg.Seed)})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		ch, err := distrib.New(distrib.Spec{Kind: distrib.Chunked, P: p, TotalBlocks: int64(cfg.Records)})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, s := range []struct {
 			name string
@@ -85,7 +92,7 @@ func Placement(cfg Config) ([]PlacementRow, []ChunkReorgRow, error) {
 			MovedChunk: distrib.ChunkedAppendMoves(p, old, grown),
 		})
 	}
-	return rows, reorg, nil
+	return &PlacementResult{Windows: rows, Growth: reorg}, nil
 }
 
 // --- A2: Create initiation, sequential loop vs embedded binary tree
@@ -101,11 +108,7 @@ type CreateTreeRow struct {
 
 // CreateTree measures Create with both initiation strategies.
 func CreateTree(cfg Config) ([]CreateTreeRow, error) {
-	if err := cfg.prepare(); err != nil {
-		return nil, err
-	}
-	rows := make([]CreateTreeRow, 0, len(cfg.Ps))
-	for _, p := range cfg.Ps {
+	return sweep(cfg, func(p int, cfg Config) (CreateTreeRow, error) {
 		row := CreateTreeRow{P: p}
 		err := runSim(p, cfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
 			const trials = 4
@@ -126,12 +129,8 @@ func CreateTree(cfg Config) ([]CreateTreeRow, error) {
 			row.Tree = (proc.Now() - start) / trials
 			return nil
 		})
-		if err != nil {
-			return nil, fmt.Errorf("createtree p=%d: %w", p, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+		return row, err
+	})
 }
 
 // --- A3: parallel-open virtual parallelism (Section 4.1) ---
@@ -148,35 +147,19 @@ type ParallelOpenRow struct {
 // reaches the interleaving breadth p, after which the Bridge Server
 // simulates the extra parallelism in lock-step groups of p and the curve
 // flattens — "hidden serialization ... may lead to unexpected performance".
-func ParallelOpen(cfg Config, p int, widths []int) ([]ParallelOpenRow, error) {
+func ParallelOpen(cfg Config, p int) ([]ParallelOpenRow, error) {
 	if err := cfg.prepare(p); err != nil {
 		return nil, err
 	}
-	if len(widths) == 0 {
-		widths = []int{1, 2, 4, 8, 16, 32}
-	}
-	rows := make([]ParallelOpenRow, 0, len(widths))
-	for _, t := range widths {
+	rows := make([]ParallelOpenRow, 0, len(popenWidths))
+	for _, t := range popenWidths {
 		t := t
 		var elapsed time.Duration
 		err := runSim(p, cfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
 			if err := fill(proc, c, cfg, "f"); err != nil {
 				return err
 			}
-			workers := make([]msg.Addr, t)
-			jws := make([]*core.JobWorker, t)
-			for w := 0; w < t; w++ {
-				jw := core.NewJobWorker(cl.Net, 0, fmt.Sprintf("po.w%d", w))
-				jws[w] = jw
-				workers[w] = jw.Addr()
-				proc.Go(fmt.Sprintf("po.worker%d", w), func(wp sim.Proc) {
-					for {
-						if _, ok := jw.Next(wp); !ok {
-							return
-						}
-					}
-				})
-			}
+			workers, jws := jobWorkers(proc, cl, "po", t, false)
 			job, err := c.ParallelOpen("f", workers)
 			if err != nil {
 				return err
@@ -225,156 +208,99 @@ func ToolVsNaive(cfg Config, p int) ([]AccessMethodRow, error) {
 	if err := cfg.prepare(p); err != nil {
 		return nil, err
 	}
-	var rows []AccessMethodRow
-
-	// Conventional sequential file system: one node, one server.
-	var seqTime time.Duration
-	err := runSim(1, cfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
-		if err := fill(proc, c, cfg, "src"); err != nil {
-			return err
-		}
+	// Each method copies the filled standard file src to dst on its own
+	// cluster and returns how long the copy took.
+	naive := func(proc sim.Proc, _ *core.Cluster, c *core.Client) (time.Duration, error) {
 		start := proc.Now()
 		n, err := seqfs.Copy(proc, c, "src", "dst")
-		if err != nil {
-			return err
+		if err == nil && n != int64(cfg.Records) {
+			err = fmt.Errorf("naive copy moved %d, want %d", n, cfg.Records)
 		}
-		if n != int64(cfg.Records) {
-			return fmt.Errorf("seq copy moved %d, want %d", n, cfg.Records)
-		}
-		seqTime = proc.Now() - start
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("seqfs copy: %w", err)
+		return proc.Now() - start, err
 	}
-	rows = append(rows, AccessMethodRow{Method: "sequential FS (p=1)", P: 1, Time: seqTime, RecPerSec: recPerSec(cfg.Records, seqTime)})
-
-	// Naive interface on p nodes (striping without parallel software).
-	var naiveTime time.Duration
-	err = runSim(p, cfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
-		if err := fill(proc, c, cfg, "src"); err != nil {
-			return err
-		}
-		start := proc.Now()
-		if _, err := seqfs.Copy(proc, c, "src", "dst"); err != nil {
-			return err
-		}
-		naiveTime = proc.Now() - start
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("naive copy: %w", err)
-	}
-	rows = append(rows, AccessMethodRow{Method: "naive interface", P: p, Time: naiveTime, RecPerSec: recPerSec(cfg.Records, naiveTime)})
-
-	// Batched naive interface: the same sequential client, but moving
-	// runs of blocks per request (SeqReadN/AppendN) with server
-	// read-ahead, so every round trip drives all p disks.
-	var batchedTime time.Duration
+	// The batched naive interface: the same sequential client, but moving
+	// runs of blocks per request (SeqReadN/AppendN) with server read-ahead,
+	// so every round trip drives all p disks.
 	bcfg := cfg
 	bcfg.ReadAhead = raStripes
-	err = runSim(p, bcfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
-		if err := fill(proc, c, cfg, "src"); err != nil {
-			return err
-		}
-		if _, err := c.Create("dst"); err != nil {
-			return err
-		}
-		if _, err := c.Open("src"); err != nil {
-			return err
-		}
-		batch := 4 * p
-		start := proc.Now()
-		moved := 0
-		for {
-			blocks, eof, err := c.SeqReadN("src", batch)
-			if err != nil {
+	methods := []struct {
+		name string
+		p    int
+		cfg  Config
+		copy func(proc sim.Proc, cl *core.Cluster, c *core.Client) (time.Duration, error)
+	}{
+		// A conventional sequential file system: one node, one server.
+		{"sequential FS (p=1)", 1, cfg, naive},
+		// Striping without parallel software.
+		{"naive interface", p, cfg, naive},
+		{"naive batched (vec)", p, bcfg, func(proc sim.Proc, _ *core.Cluster, c *core.Client) (time.Duration, error) {
+			if _, err := c.Create("dst"); err != nil {
+				return 0, err
+			}
+			if _, err := c.Open("src"); err != nil {
+				return 0, err
+			}
+			start := proc.Now()
+			moved := 0
+			for {
+				blocks, eof, err := c.SeqReadN("src", 4*p)
+				if err != nil {
+					return 0, err
+				}
+				if len(blocks) > 0 {
+					n, err := c.AppendN("dst", blocks)
+					if err != nil {
+						return 0, err
+					}
+					moved += n
+				}
+				if eof {
+					break
+				}
+			}
+			if moved != cfg.Records {
+				return 0, fmt.Errorf("batched copy moved %d, want %d", moved, cfg.Records)
+			}
+			return proc.Now() - start, nil
+		}},
+		// A parallel-open job of width p: read rounds feed write rounds.
+		{"parallel open (t=p)", p, cfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) (time.Duration, error) {
+			if _, err := c.Create("dst"); err != nil {
+				return 0, err
+			}
+			start := proc.Now()
+			err := jobCopy(proc, cl, c, "src", "dst", p)
+			return proc.Now() - start, err
+		}},
+		{"copy tool", p, cfg, func(proc sim.Proc, _ *core.Cluster, c *core.Client) (time.Duration, error) {
+			start := proc.Now()
+			_, err := tools.Copy(proc, c, "src", "dst")
+			return proc.Now() - start, err
+		}},
+	}
+	rows := make([]AccessMethodRow, 0, len(methods))
+	for _, m := range methods {
+		var elapsed time.Duration
+		err := runSim(m.p, m.cfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
+			if err := fill(proc, c, cfg, "src"); err != nil {
 				return err
 			}
-			if len(blocks) > 0 {
-				n, err := c.AppendN("dst", blocks)
-				if err != nil {
-					return err
-				}
-				moved += n
-			}
-			if eof {
-				break
-			}
+			var err error
+			elapsed, err = m.copy(proc, cl, c)
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s copy: %w", m.name, err)
 		}
-		if moved != cfg.Records {
-			return fmt.Errorf("batched copy moved %d, want %d", moved, cfg.Records)
-		}
-		batchedTime = proc.Now() - start
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("batched naive copy: %w", err)
+		rows = append(rows, AccessMethodRow{Method: m.name, P: m.p, Time: elapsed, RecPerSec: recPerSec(cfg.Records, elapsed)})
 	}
-	rows = append(rows, AccessMethodRow{Method: "naive batched (vec)", P: p, Time: batchedTime, RecPerSec: recPerSec(cfg.Records, batchedTime)})
-
-	// Parallel-open job of width p: read rounds feed write rounds.
-	var jobTime time.Duration
-	err = runSim(p, cfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
-		if err := fill(proc, c, cfg, "src"); err != nil {
-			return err
-		}
-		if _, err := c.Create("dst"); err != nil {
-			return err
-		}
-		start := proc.Now()
-		if err := jobCopy(proc, cl, c, "src", "dst", p); err != nil {
-			return err
-		}
-		jobTime = proc.Now() - start
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("job copy: %w", err)
-	}
-	rows = append(rows, AccessMethodRow{Method: "parallel open (t=p)", P: p, Time: jobTime, RecPerSec: recPerSec(cfg.Records, jobTime)})
-
-	// Tool copy.
-	var toolTime time.Duration
-	err = runSim(p, cfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
-		if err := fill(proc, c, cfg, "src"); err != nil {
-			return err
-		}
-		start := proc.Now()
-		if _, err := tools.Copy(proc, c, "src", "dst"); err != nil {
-			return err
-		}
-		toolTime = proc.Now() - start
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("tool copy: %w", err)
-	}
-	rows = append(rows, AccessMethodRow{Method: "copy tool", P: p, Time: toolTime, RecPerSec: recPerSec(cfg.Records, toolTime)})
 	return rows, nil
 }
 
 // jobCopy copies src to dst through a parallel-open job: each read round's
 // blocks are echoed back in the following write round by the same workers.
 func jobCopy(proc sim.Proc, cl *core.Cluster, c *core.Client, src, dst string, t int) error {
-	workers := make([]msg.Addr, t)
-	jws := make([]*core.JobWorker, t)
-	for w := 0; w < t; w++ {
-		jw := core.NewJobWorker(cl.Net, 0, fmt.Sprintf("jc.w%d", w))
-		jws[w] = jw
-		workers[w] = jw.Addr()
-		proc.Go(fmt.Sprintf("jc.worker%d", w), func(wp sim.Proc) {
-			for {
-				d, ok := jw.Next(wp)
-				if !ok {
-					return
-				}
-				if err := jw.Supply(wp, d.Data, d.EOF); err != nil {
-					return
-				}
-			}
-		})
-	}
+	workers, jws := jobWorkers(proc, cl, "jc", t, true)
 	rjob, err := c.ParallelOpen(src, workers)
 	if err != nil {
 		return err
@@ -405,6 +331,28 @@ func jobCopy(proc sim.Proc, cl *core.Cluster, c *core.Client, src, dst string, t
 		jw.Close()
 	}
 	return nil
+}
+
+// jobWorkers starts t job workers on node 0, named after prefix, that take
+// each transfer their job hands them and, if echo, supply it back to the
+// next one, until the job closes.
+func jobWorkers(proc sim.Proc, cl *core.Cluster, prefix string, t int, echo bool) ([]msg.Addr, []*core.JobWorker) {
+	workers := make([]msg.Addr, t)
+	jws := make([]*core.JobWorker, t)
+	for w := 0; w < t; w++ {
+		jw := core.NewJobWorker(cl.Net, 0, fmt.Sprintf("%s.w%d", prefix, w))
+		jws[w] = jw
+		workers[w] = jw.Addr()
+		proc.Go(fmt.Sprintf("%s.worker%d", prefix, w), func(wp sim.Proc) {
+			for {
+				d, ok := jw.Next(wp)
+				if !ok || echo && jw.Supply(wp, d.Data, d.EOF) != nil {
+					return
+				}
+			}
+		})
+	}
+	return workers, jws
 }
 
 // --- A4b: fault intolerance and the replication/parity remedies
@@ -548,4 +496,115 @@ func Faults(cfg Config, p int) (*FaultReport, error) {
 		return nil, err
 	}
 	return rep, nil
+}
+
+func placementReport(r *PlacementResult, _ Config) Report {
+	at := map[string]PlacementRow{} // each strategy at fixedP if the sweep reaches it
+	for _, w := range r.Windows {
+		if at[w.Strategy].P != fixedP {
+			at[w.Strategy] = w
+		}
+	}
+	rr, hashed, growth := at["round-robin"], at["hashed"], r.Growth[len(r.Growth)-1]
+	return Report{
+		Tables: []Table{{
+			Caption: "Windows of p consecutive blocks, per strategy (Section 3):",
+			Header:  []string{"p", "strategy", "P(window on p distinct nodes)", "mean max load", "effective parallelism"},
+			Rows: cells(r.Windows, func(w PlacementRow) []string {
+				return []string{fmt.Sprint(w.P), w.Strategy, fmt.Sprintf("%.4f", w.DistinctFrac), fmt.Sprintf("%.2f", w.MeanMaxLoad), fmt.Sprintf("%.1f", w.EffParallelism)}
+			}),
+		}, {
+			Caption: "Growing a file by 50% (blocks that must move between nodes):",
+			Header:  []string{"p", "old blocks", "new blocks", "round-robin moves", "chunked moves"},
+			Rows: cells(r.Growth, func(g ChunkReorgRow) []string {
+				return []string{fmt.Sprint(g.P), fmt.Sprint(g.OldBlocks), fmt.Sprint(g.NewBlocks), fmt.Sprint(g.MovedRR), fmt.Sprint(g.MovedChunk)}
+			}),
+		}},
+		Summary: fmt.Sprintf("a window of p blocks lands on p distinct nodes with probability %.4f under round-robin and %.4f hashed at p = %d; "+
+			"growing a file by half moves %d chunked blocks and %d round-robin ones at p = %d",
+			rr.DistinctFrac, hashed.DistinctFrac, hashed.P, growth.MovedChunk, growth.MovedRR, growth.P),
+	}
+}
+
+func createTreeReport(rows []CreateTreeRow, _ Config) Report {
+	saving := func(r CreateTreeRow) float64 { return 1 - float64(r.Tree)/float64(r.Sequential) }
+	first, last := rows[0], rows[len(rows)-1]
+	return Report{
+		Tables: []Table{{
+			Caption: "Create startup, sequential loop vs binary tree (Section 4.5):",
+			Header:  []string{"p", "sequential", "tree", "saving"},
+			Rows: cells(rows, func(r CreateTreeRow) []string {
+				return []string{fmt.Sprint(r.P), fmtDur(r.Sequential), fmtDur(r.Tree), fmt.Sprintf("%.0f%%", saving(r)*100)}
+			}),
+		}},
+		Summary: fmt.Sprintf("the tree saves %.0f%% at p = %d and %.0f%% at p = %d",
+			saving(first)*100, first.P, saving(last)*100, last.P),
+	}
+}
+
+func popenReport(rows []ParallelOpenRow, cfg Config) Report {
+	at := func(t int) float64 {
+		for _, r := range rows {
+			if r.T == t {
+				return r.RecPerSec
+			}
+		}
+		return 0
+	}
+	return Report{
+		Tables: []Table{{
+			Caption: fmt.Sprintf("Parallel-open job width on %d nodes, %d records (Section 4.1):", fixedP, cfg.Records),
+			Header:  []string{"t (workers)", "read time", "rec/s"},
+			Rows: cells(rows, func(r ParallelOpenRow) []string {
+				return []string{fmt.Sprint(r.T), fmtDur(r.Time), fmt.Sprintf("%.0f", r.RecPerSec)}
+			}),
+			Note: fmt.Sprintf("Widths beyond p = %d proceed in lock-step groups of p (virtual parallelism).", fixedP),
+		}},
+		Summary: fmt.Sprintf("%.0f rec/s at t = 1, %.0f at t = p = %d, %.0f at t = %d",
+			at(1), at(fixedP), fixedP, rows[len(rows)-1].RecPerSec, rows[len(rows)-1].T),
+	}
+}
+
+func methodsReport(rows []AccessMethodRow, cfg Config) Report {
+	seq, naive, batched, job, tool := rows[0], rows[1], rows[2], rows[3], rows[4]
+	return Report{
+		Tables: []Table{{
+			Caption: fmt.Sprintf("Copy of %d records, four ways (Section 6):", cfg.Records),
+			Header:  []string{"method", "p", "time", "rec/s"},
+			Rows: cells(rows, func(r AccessMethodRow) []string {
+				return []string{r.Method, fmt.Sprint(r.P), fmtDur(r.Time), fmt.Sprintf("%.0f", r.RecPerSec)}
+			}),
+			Note: "The batched naive copy, not in the paper, reads and appends through `SeqReadN`/`AppendN` with server read-ahead.",
+		}},
+		Summary: fmt.Sprintf("tool %s, batched naive %s, parallel open %s, naive %s, sequential file system %s: "+
+			"the tool is %.0f× the naive copy",
+			fmtDur(tool.Time), fmtDur(batched.Time), fmtDur(job.Time), fmtDur(naive.Time), fmtDur(seq.Time), float64(naive.Time)/float64(tool.Time)),
+	}
+}
+
+func faultsReport(r *FaultReport, _ Config) Report {
+	survives := func(ok bool) string {
+		if ok {
+			return "survives"
+		}
+		return "lost"
+	}
+	ruined := "ruined"
+	if !r.UnprotectedRuined {
+		ruined = "readable"
+	}
+	return Report{
+		Tables: []Table{{
+			Caption: fmt.Sprintf("One node of %d failed (Section 7):", r.P),
+			Header:  []string{"file", "after the failure", "write cost", "storage", "degraded read", "paper"},
+			Rows: [][]string{
+				{"unprotected", ruined + " (reads of the failed node's blocks fail)", "baseline", "baseline", "-", `"a failure anywhere in the system is fatal"`},
+				{"2-way mirror", survives(r.MirrorSurvives), fmt.Sprintf("%.1f×", r.MirrorWriteFactor), fmt.Sprintf("%.1f×", r.MirrorStorageFactor), "-", `"storage capacity must be doubled"`},
+				{"parity column", survives(r.ParitySurvives), fmt.Sprintf("%.1f×", r.ParityWriteFactor), fmt.Sprintf("%.2f×", r.ParityStorageFactor),
+					fmt.Sprintf("%.1f×", r.ParityDegradedReadFactor), `"we see no obvious way to do so"`},
+			},
+		}},
+		Summary: fmt.Sprintf("after one failure a plain file is %s, a mirror (%.1f× storage) %s and a parity column (%.2f×) %s; they write at %.1f× and %.1f× a plain file's cost",
+			ruined, r.MirrorStorageFactor, survives(r.MirrorSurvives), r.ParityStorageFactor, survives(r.ParitySurvives), r.MirrorWriteFactor, r.ParityWriteFactor),
+	}
 }

@@ -9,8 +9,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"io"
-	"text/tabwriter"
 	"time"
 
 	"bridge/internal/core"
@@ -20,86 +18,17 @@ import (
 	"bridge/internal/workload"
 )
 
-// ScrubOverheadPoint compares the batched-naive sequential read with and
-// without the background scrubber enabled on every node.
-type ScrubOverheadPoint struct {
-	P        int
-	Plain    time.Duration // per-block batched read, scrubber off
-	Scrubbed time.Duration // per-block batched read, scrubber on
-}
-
-// Overhead returns the fractional slowdown the scrubber imposes on the
-// batched read path (0.02 = 2% slower). Negative values are simulation
-// noise from scheduling order and mean "no measurable overhead".
-func (pt ScrubOverheadPoint) Overhead() float64 {
-	if pt.Plain <= 0 {
-		return 0
-	}
-	return float64(pt.Scrubbed-pt.Plain) / float64(pt.Plain)
-}
-
 // ScrubOverhead measures the batched sequential read of the standard
 // workload file twice per processor count — once on a plain cluster, once
 // with the default idle-time scrubber running on every node.
-func ScrubOverhead(cfg Config) ([]ScrubOverheadPoint, error) {
-	if err := cfg.prepare(); err != nil {
-		return nil, err
-	}
-	if cfg.CacheBlocks == 0 {
-		// Match Table 2's small cache so the "no scrub" column equals its
-		// batched-naive row and the comparison is apples to apples.
-		cfg.CacheBlocks = 16
-	}
-	var pts []ScrubOverheadPoint
-	for _, p := range cfg.Ps {
-		pt := ScrubOverheadPoint{P: p}
-		var err error
-		if pt.Plain, err = measureBatchedRead(p, cfg, nil); err != nil {
-			return nil, fmt.Errorf("scrub overhead p=%d plain: %w", p, err)
+func ScrubOverhead(cfg Config) ([]OverheadPoint, error) {
+	cfg.smallCache()
+	return overheads(cfg, func(p int, cfg Config, on bool) (time.Duration, error) {
+		if on {
+			cfg.Scrub = &lfs.ScrubConfig{}
 		}
-		if pt.Scrubbed, err = measureBatchedRead(p, cfg, &lfs.ScrubConfig{}); err != nil {
-			return nil, fmt.Errorf("scrub overhead p=%d scrubbed: %w", p, err)
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
-}
-
-// measureBatchedRead is measureTable2Batched with a configurable scrubber:
-// fill the standard file, then time a SeqReadN sweep over it.
-func measureBatchedRead(p int, cfg Config, scrub *lfs.ScrubConfig) (time.Duration, error) {
-	bcfg := cfg
-	bcfg.ReadAhead = raStripes
-	bcfg.Scrub = scrub
-	var perBlock time.Duration
-	err := runSim(p, bcfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
-		n := cfg.Records
-		if err := fill(proc, c, cfg, "f"); err != nil {
-			return err
-		}
-		if _, err := c.Open("f"); err != nil {
-			return err
-		}
-		batch := 4 * p
-		start := proc.Now()
-		got := 0
-		for {
-			blocks, eof, err := c.SeqReadN("f", batch)
-			if err != nil {
-				return err
-			}
-			got += len(blocks)
-			if eof {
-				break
-			}
-		}
-		if got != n {
-			return fmt.Errorf("batched read returned %d blocks, want %d", got, n)
-		}
-		perBlock = (proc.Now() - start) / time.Duration(n)
-		return nil
+		return batchedRead(p, cfg, nil)
 	})
-	return perBlock, err
 }
 
 // CorruptionPoint summarizes one corruption-recovery run: k silent
@@ -218,27 +147,29 @@ func corruptionRecoveryAt(p int, cfg Config) (CorruptionPoint, error) {
 	return pt, err
 }
 
-// RenderScrubOverhead writes the scrub-overhead comparison.
-func RenderScrubOverhead(w io.Writer, pts []ScrubOverheadPoint, records int) {
-	fmt.Fprintf(w, "Scrub overhead: batched naive read of a %d-block file (per block)\n", records)
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "p\tno scrub\tscrub on\toverhead")
-	for _, pt := range pts {
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%.1f%%\n", pt.P, fmtDur(pt.Plain), fmtDur(pt.Scrubbed), pt.Overhead()*100)
+func scrubReport(pts []OverheadPoint, cfg Config) Report {
+	return Report{
+		Tables: []Table{overheadTable(fmt.Sprintf("Batched naive read of a %d-block file, per block, with and without every node's idle-time scrubber:", cfg.Records), "scrub", pts)},
+		Summary: fmt.Sprintf("the scrubber costs the batched read %.1f%% at p = %d",
+			pts[len(pts)-1].Overhead()*100, pts[len(pts)-1].P),
 	}
-	tw.Flush()
-	fmt.Fprintln(w, "(idle-time scrubbing: increments defer to foreground traffic)")
 }
 
-// RenderCorruption writes the corruption-recovery experiment.
-func RenderCorruption(w io.Writer, pts []CorruptionPoint) {
-	fmt.Fprintf(w, "Corruption recovery: %d silent bit-flips per node, mirrored file\n", corruptionFlips)
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "p\tinjected\tdetected\trepaired\tresidual\tsweep (virtual)")
+func corruptionReport(pts []CorruptionPoint, _ Config) Report {
+	injected, repaired, residual := 0, 0, 0
 	for _, pt := range pts {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%s\n",
-			pt.P, pt.Injected, pt.Detected, pt.Repaired, pt.Residual, fmtDur(pt.SweepMs))
+		injected += pt.Injected
+		repaired += pt.Repaired
+		residual += pt.Residual
 	}
-	tw.Flush()
-	fmt.Fprintln(w, "(detect: scrub sweep; repair: read-repair from mirror + resilver)")
+	return Report{
+		Tables: []Table{{
+			Caption: fmt.Sprintf("%d silent bit-flips per node under a mirrored file; detect with a scrub sweep, repair by read-repair from the mirror and `Resilver`:", corruptionFlips),
+			Header:  []string{"p", "injected", "detected", "repaired", "residual", "sweep (virtual)"},
+			Rows: cells(pts, func(pt CorruptionPoint) []string {
+				return []string{fmt.Sprint(pt.P), fmt.Sprint(pt.Injected), fmt.Sprint(pt.Detected), fmt.Sprint(pt.Repaired), fmt.Sprint(pt.Residual), fmtDur(pt.SweepMs)}
+			}),
+		}},
+		Summary: fmt.Sprintf("%d of %d injected flips repaired, %d left after the final sweep", repaired, injected, residual),
+	}
 }

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"text/tabwriter"
 	"time"
 
 	"bridge/internal/core"
@@ -95,17 +93,19 @@ func Disordered(cfg Config, p int) (*DisorderedResult, error) {
 	return res, nil
 }
 
-// RenderDisordered writes the A5 comparison.
-func RenderDisordered(w io.Writer, r *DisorderedResult) {
-	fmt.Fprintf(w, "Ablation A5: disordered (linked-list) files vs strict interleaving (p=%d, %d blocks)\n", r.P, r.Blocks)
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "operation\tinterleaved\tdisordered\tratio")
-	row := func(name string, a, b time.Duration) {
-		fmt.Fprintf(tw, "%s\t%s\t%s\tx%.1f\n", name, fmtDur(a), fmtDur(b), float64(b)/float64(a))
+func disorderedReport(r *DisorderedResult, _ Config) Report {
+	x := func(a, b time.Duration) string { return fmt.Sprintf("×%.1f", float64(b)/float64(a)) }
+	return Report{
+		Tables: []Table{{
+			Caption: fmt.Sprintf("Disordered (linked-list) files against strict interleaving, %d blocks on %d nodes (Section 3):", r.Blocks, r.P),
+			Header:  []string{"operation", "interleaved", "disordered", "ratio"},
+			Rows: [][]string{
+				{"append (per block)", fmtDur(r.AppendRR), fmtDur(r.AppendChain), x(r.AppendRR, r.AppendChain)},
+				{"sequential read (per block)", fmtDur(r.SeqRR), fmtDur(r.SeqChain), x(r.SeqRR, r.SeqChain)},
+				{fmt.Sprintf("random read (block %d)", r.Blocks/2), fmtDur(r.RandRR), fmtDur(r.RandChain), x(r.RandRR, r.RandChain)},
+			},
+		}},
+		Summary: fmt.Sprintf("against interleaving, a random read costs %s, a sequential read %s, an append %s",
+			x(r.RandRR, r.RandChain), x(r.SeqRR, r.SeqChain), x(r.AppendRR, r.AppendChain)),
 	}
-	row("append (per block)", r.AppendRR, r.AppendChain)
-	row("sequential read (per block)", r.SeqRR, r.SeqChain)
-	row(fmt.Sprintf("random read (block %d)", r.Blocks/2), r.RandRR, r.RandChain)
-	tw.Flush()
-	fmt.Fprintln(w, `(the paper: "arbitrary scattering of blocks at the expense of very slow random access")`)
 }

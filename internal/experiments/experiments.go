@@ -11,6 +11,10 @@
 // measures simulated time under the deterministic virtual clock, with
 // 15 ms Wren-class disks, exactly as the paper's own methodology (their
 // disks were also RAM-backed simulations with a 15 ms sleep).
+//
+// Experiments lists them in one order. A Run measures each at most once
+// and renders its Report as markdown: the block cmd/bridgebench prints and
+// EXPERIMENTS.md holds, regenerated by TestExperimentsDocUpToDate.
 package experiments
 
 import (
@@ -21,6 +25,7 @@ import (
 	"bridge/internal/disk"
 	"bridge/internal/efs"
 	"bridge/internal/lfs"
+	"bridge/internal/obs"
 	"bridge/internal/sim"
 	"bridge/internal/workload"
 )
@@ -29,7 +34,9 @@ import (
 // the paper's own configuration: a 10 MB file of 10240 one-block records on
 // 15 ms disks.
 type Config struct {
-	// Ps is the processor sweep. Default {2, 4, 8, 16, 32}.
+	// Ps is the processor sweep. Nil runs each experiment of a Run over
+	// its own sweep, and a measurement called directly over
+	// {2, 4, 8, 16, 32}.
 	Ps []int
 	// Records is the workload file size in one-block records. Default
 	// 10240 (the paper's 10 MB file). Benchmarks use smaller values.
@@ -73,10 +80,10 @@ type Config struct {
 // in flight behind it is the server's own constant (core's raDepth).
 const raStripes = 2
 
+// paperPs is the paper's processor sweep.
+var paperPs = []int{2, 4, 8, 16, 32}
+
 func (c *Config) applyDefaults() {
-	if len(c.Ps) == 0 {
-		c.Ps = []int{2, 4, 8, 16, 32}
-	}
 	if c.Records == 0 {
 		c.Records = 10240
 	}
@@ -102,12 +109,25 @@ func (c *Config) applyDefaults() {
 // divides by it.
 func (c *Config) prepare(ps ...int) error {
 	c.applyDefaults()
+	if len(c.Ps) == 0 {
+		c.Ps = paperPs
+	}
 	for _, p := range append(ps, c.Ps...) {
 		if p < 1 {
 			return fmt.Errorf("%w: p = %d", core.ErrBadArg, p)
 		}
 	}
 	return nil
+}
+
+// smallCache gives c, unless it sets its own, the two-track EFS cache of
+// Table 2 and every batched read compared with it: sequential reads stay
+// track-buffered without whole test files going cache-resident, which
+// would hide the Read startup term.
+func (c *Config) smallCache() {
+	if c.CacheBlocks == 0 {
+		c.CacheBlocks = 16
+	}
 }
 
 // sweep prepares cfg and measures at(p, cfg) for each p in cfg.Ps, in
@@ -127,7 +147,8 @@ func sweep[T any](cfg Config, at func(p int, cfg Config) (T, error)) ([]T, error
 	return out, nil
 }
 
-// PaperScale returns the paper's full-scale configuration.
+// PaperScale returns the paper's full-scale configuration, each experiment
+// over its own processor sweep.
 func PaperScale() Config {
 	var c Config
 	c.applyDefaults()
@@ -213,6 +234,99 @@ func awaitAll(proc sim.Proc, done sim.Queue, n int) error {
 func fill(proc sim.Proc, c *core.Client, cfg Config, name string) error {
 	recs := workload.Records(cfg.Seed, cfg.Records, cfg.PayloadBytes)
 	return workload.Fill(proc, c, name, recs)
+}
+
+// batchedRead fills the standard file on a p-node cluster with read-ahead on
+// and returns the per-block cost of one SeqReadN sweep over it. rec, when
+// set, records the whole run, fill included: the worst case for recording
+// volume.
+func batchedRead(p int, cfg Config, rec *obs.Recorder) (time.Duration, error) {
+	bcfg := cfg
+	bcfg.ReadAhead = raStripes
+	var perBlock time.Duration
+	err := runSim(p, bcfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
+		if rec != nil {
+			cl.Net.SetRecorder(rec)
+			for _, nd := range cl.Nodes {
+				nd.Disk.SetRecorder(rec, int(nd.ID))
+			}
+		}
+		if err := fill(proc, c, cfg, "f"); err != nil {
+			return err
+		}
+		if _, err := c.Open("f"); err != nil {
+			return err
+		}
+		start := proc.Now()
+		if err := readAllN(c, "f", p, cfg.Records); err != nil {
+			return err
+		}
+		perBlock = (proc.Now() - start) / time.Duration(cfg.Records)
+		return nil
+	})
+	return perBlock, err
+}
+
+// OverheadPoint compares one path measured plain and with one addition
+// switched on, at one processor count.
+type OverheadPoint struct {
+	P     int
+	Plain time.Duration
+	With  time.Duration
+}
+
+// Overhead returns the fractional slowdown the addition imposes (0.02 = 2%
+// slower).
+func (pt OverheadPoint) Overhead() float64 {
+	if pt.Plain <= 0 {
+		return 0
+	}
+	return float64(pt.With-pt.Plain) / float64(pt.Plain)
+}
+
+// overheads measures, at each p of cfg.Ps, one path plain (on false) and
+// with its addition switched on.
+func overheads(cfg Config, measure func(p int, cfg Config, on bool) (time.Duration, error)) ([]OverheadPoint, error) {
+	return sweep(cfg, func(p int, cfg Config) (OverheadPoint, error) {
+		pt := OverheadPoint{P: p}
+		var err error
+		if pt.Plain, err = measure(p, cfg, false); err != nil {
+			return pt, fmt.Errorf("plain: %w", err)
+		}
+		pt.With, err = measure(p, cfg, true)
+		return pt, err
+	})
+}
+
+// overheadTable tabulates pts, the addition named on.
+func overheadTable(caption, on string, pts []OverheadPoint) Table {
+	return Table{
+		Caption: caption,
+		Header:  []string{"p", "no " + on, on + " on", "overhead"},
+		Rows: cells(pts, func(pt OverheadPoint) []string {
+			return []string{fmt.Sprint(pt.P), fmtDur(pt.Plain), fmtDur(pt.With), fmt.Sprintf("%.1f%%", pt.Overhead()*100)}
+		}),
+	}
+}
+
+// readAllN reads the open file name to its end through SeqReadN in batches
+// of 4p, checking that it held n blocks.
+func readAllN(c *core.Client, name string, p, n int) error {
+	got := 0
+	for {
+		blocks, eof, err := c.SeqReadN(name, 4*p)
+		if err != nil {
+			return err
+		}
+		got += len(blocks)
+		if eof {
+			break
+		}
+	}
+	if got != n {
+		return fmt.Errorf("batched read returned %d blocks, want %d", got, n)
+	}
+	return nil
 }
 
 // recPerSec converts a duration for cfg.Records records into a rate.

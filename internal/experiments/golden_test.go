@@ -140,13 +140,13 @@ func benchRows(t *testing.T) []benchRow {
 		{"sort_merge_sim_ms", simMs(sr.Merge)},
 		// The batched read with every node's scrubber running, and with the
 		// span recorder on the network and every disk.
-		{"batched_read_scrub_blk_sim_ms", simMs(so.Scrubbed)},
+		{"batched_read_scrub_blk_sim_ms", simMs(so.With)},
 		{"scrub_overhead_frac", so.Overhead()},
-		{"batched_read_obs_blk_sim_ms", simMs(oo.Observed)},
+		{"batched_read_obs_blk_sim_ms", simMs(oo.With)},
 		{"obs_overhead_frac", oo.Overhead()},
 		// The batched append on plain and on journaled volumes.
 		{"batched_write_blk_sim_ms", simMs(jo.Plain)},
-		{"batched_write_jnl_blk_sim_ms", simMs(jo.Journaled)},
+		{"batched_write_jnl_blk_sim_ms", simMs(jo.With)},
 		{"journal_overhead_frac", jo.Overhead()},
 		{"wb_write_blk_sim_ms", simMs(wc.WBWritePerBlock)},
 		{"wb_write_speedup", wc.WriteSpeedup()},
@@ -191,7 +191,6 @@ func benchBlock(rows []benchRow) string {
 		gates[g.key] = g.String()
 	}
 	var b strings.Builder
-	b.WriteString(blockBegin)
 	b.WriteString("| `BENCH.json` row | value | gate |\n|---|---|---|\n")
 	for _, r := range rows {
 		v := fmt.Sprint(r.val)
@@ -200,8 +199,18 @@ func benchBlock(rows []benchRow) string {
 		}
 		fmt.Fprintf(&b, "| `%s` | %s | %s |\n", r.key, v, gates[r.key])
 	}
-	b.WriteString(blockEnd)
 	return b.String()
+}
+
+// splice returns doc with the text between the markers begin and end
+// replaced by body, and the text it replaced; ok is false when doc lacks
+// the markers.
+func splice(doc, begin, end, body string) (out, old string, ok bool) {
+	i, j := strings.Index(doc, begin), strings.Index(doc, end)
+	if i < 0 || j < i {
+		return doc, "", false
+	}
+	return doc[:i+len(begin)] + body + doc[j:], doc[i+len(begin) : j], true
 }
 
 // movedRows lists each key whose value differs between the committed
@@ -253,11 +262,10 @@ func TestBenchGolden(t *testing.T) {
 	got := benchJSON(t, rows)
 	readme, err := os.ReadFile(readmePath)
 	must(t, err)
-	begin, end := bytes.Index(readme, []byte(blockBegin)), bytes.Index(readme, []byte(blockEnd))
-	if begin < 0 || end < begin {
+	newReadme, _, ok := splice(string(readme), blockBegin, blockEnd, benchBlock(rows))
+	if !ok {
 		t.Fatalf("%s has no %q … %q block", readmePath, blockBegin, blockEnd)
 	}
-	newReadme := string(readme[:begin]) + benchBlock(rows) + string(readme[end+len(blockEnd):])
 
 	if os.Getenv("UPDATE_BENCH") != "" {
 		must(t, os.WriteFile(benchPath, got, 0o644))

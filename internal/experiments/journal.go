@@ -8,30 +8,12 @@ package experiments
 // small; the perf gate holds it to <=5%.
 
 import (
-	"fmt"
 	"time"
 
 	"bridge/internal/core"
 	"bridge/internal/sim"
 	"bridge/internal/workload"
 )
-
-// JournalOverheadPoint compares the batched append path with and without
-// the write-ahead intent journal on every node's volume.
-type JournalOverheadPoint struct {
-	P         int
-	Plain     time.Duration // per-block batched append, no journal
-	Journaled time.Duration // per-block batched append, intent journal on
-}
-
-// Overhead returns the fractional slowdown journaling imposes on the
-// batched write path.
-func (pt JournalOverheadPoint) Overhead() float64 {
-	if pt.Plain <= 0 {
-		return 0
-	}
-	return float64(pt.Journaled-pt.Plain) / float64(pt.Plain)
-}
 
 // journalBlocksForBench sizes the per-node journal region for the
 // overhead runs: comfortably above the minimum for bench-scale volumes,
@@ -40,25 +22,13 @@ const journalBlocksForBench = 48
 
 // JournalOverhead measures the batched sequential append twice per
 // processor count — on plain volumes, then on journaled ones.
-func JournalOverhead(cfg Config) ([]JournalOverheadPoint, error) {
-	if err := cfg.prepare(); err != nil {
-		return nil, err
-	}
-	var pts []JournalOverheadPoint
-	for _, p := range cfg.Ps {
-		pt := JournalOverheadPoint{P: p}
-		var err error
-		if pt.Plain, err = measureBatchedWrite(p, cfg); err != nil {
-			return nil, fmt.Errorf("journal overhead p=%d plain: %w", p, err)
+func JournalOverhead(cfg Config) ([]OverheadPoint, error) {
+	return overheads(cfg, func(p int, cfg Config, on bool) (time.Duration, error) {
+		if on {
+			cfg.JournalBlocks = journalBlocksForBench
 		}
-		jcfg := cfg
-		jcfg.JournalBlocks = journalBlocksForBench
-		if pt.Journaled, err = measureBatchedWrite(p, jcfg); err != nil {
-			return nil, fmt.Errorf("journal overhead p=%d journaled: %w", p, err)
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
+		return measureBatchedWrite(p, cfg)
+	})
 }
 
 // measureBatchedWrite appends cfg.Records records through AppendN in

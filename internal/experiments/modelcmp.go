@@ -2,8 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"text/tabwriter"
+	"math"
 	"time"
 
 	"bridge/internal/model"
@@ -25,22 +24,16 @@ func (r ModelRow) Err() float64 {
 }
 
 // ModelComparison validates the closed-form analytical model (the
-// counterpart of the paper's reference [17]) against the simulator, the
-// way the paper reports that "the results we obtain for the constants on
-// the Butterfly agree quite nicely with empirical data".
-func ModelComparison(cfg Config) ([]ModelRow, error) {
+// counterpart of the paper's reference [17]) against the simulated Tables
+// 2–4 measured at cfg, the way the paper reports that "the results we
+// obtain for the constants on the Butterfly agree quite nicely with
+// empirical data".
+func ModelComparison(cfg Config, t2 *Table2Result, copyRows []CopyRow, sortRows []SortRow) ([]ModelRow, error) {
 	if err := cfg.prepare(); err != nil {
 		return nil, err
 	}
-	m := model.Default()
-	m.InCore = cfg.InCore
-	m.DiskLatency = cfg.DiskLatency
+	m := modelAt(cfg)
 	var rows []ModelRow
-
-	t2, err := Table2(cfg)
-	if err != nil {
-		return nil, err
-	}
 	for _, pt := range t2.Points {
 		rows = append(rows,
 			ModelRow{fmt.Sprintf("naive read/blk (p=%d)", pt.P), m.NaiveRead(), pt.ReadPerBlock},
@@ -48,18 +41,10 @@ func ModelComparison(cfg Config) ([]ModelRow, error) {
 			ModelRow{fmt.Sprintf("delete total (p=%d)", pt.P), m.DeleteTotal(cfg.Records, pt.P), pt.DeleteTotal},
 		)
 	}
-	t3, err := Table3Copy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range t3 {
+	for _, r := range copyRows {
 		rows = append(rows, ModelRow{fmt.Sprintf("copy tool (p=%d)", r.P), m.CopyTime(cfg.Records, r.P), r.Time})
 	}
-	t4, err := Table4Sort(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range t4 {
+	for _, r := range sortRows {
 		rows = append(rows,
 			ModelRow{fmt.Sprintf("sort local (p=%d)", r.P), m.SortLocalTime(cfg.Records, r.P), r.Local},
 			ModelRow{fmt.Sprintf("sort merge (p=%d)", r.P), m.SortMergeTime(cfg.Records, r.P), r.Merge},
@@ -68,14 +53,46 @@ func ModelComparison(cfg Config) ([]ModelRow, error) {
 	return rows, nil
 }
 
-// RenderModel writes the comparison table.
-func RenderModel(w io.Writer, rows []ModelRow, saturation int) {
-	fmt.Fprintln(w, "Analytical model vs simulation (closed forms vs discrete events)")
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "quantity\tpredicted\tsimulated\terror")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%+.0f%%\n", r.Name, fmtDur(r.Predicted), fmtDur(r.Measured), r.Err()*100)
+// modelAt is the analytical model of the machine cfg simulates.
+func modelAt(cfg Config) model.Params {
+	m := model.Default()
+	m.InCore = cfg.InCore
+	m.DiskLatency = cfg.DiskLatency
+	return m
+}
+
+// measureModel compares the model against the run's own Tables 2–4.
+func measureModel(r *Run, cfg Config) ([]ModelRow, error) {
+	t2, err := Result[*Table2Result](r, "table2")
+	if err != nil {
+		return nil, err
 	}
-	tw.Flush()
-	fmt.Fprintf(w, "token-ring merge saturation width (model): t ≈ %d writers per group\n", saturation)
+	copyRows, err := Result[[]CopyRow](r, "table3")
+	if err != nil {
+		return nil, err
+	}
+	sortRows, err := Result[[]SortRow](r, "table4")
+	if err != nil {
+		return nil, err
+	}
+	return ModelComparison(cfg, t2, copyRows, sortRows)
+}
+
+func modelReport(rows []ModelRow, cfg Config) Report {
+	worst := 0.0
+	for _, r := range rows {
+		worst = math.Max(worst, math.Abs(r.Err()))
+	}
+	sat := modelAt(cfg).MergeSaturationWidth()
+	return Report{
+		Tables: []Table{{
+			Caption: "Closed forms (`internal/model`) against discrete events:",
+			Header:  []string{"quantity", "predicted", "simulated", "error"},
+			Rows: cells(rows, func(r ModelRow) []string {
+				return []string{r.Name, fmtDur(r.Predicted), fmtDur(r.Measured), fmt.Sprintf("%+.0f%%", r.Err()*100)}
+			}),
+			Note: fmt.Sprintf("Token-ring merge saturation width (model): t ≈ %d writers per group.", sat),
+		}},
+		Summary: fmt.Sprintf("every quantity within %.0f%% of the simulation; the merge token saturates at t ≈ %d", math.Ceil(worst*100), sat),
+	}
 }

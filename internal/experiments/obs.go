@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"text/tabwriter"
 	"time"
 
 	"bridge/internal/core"
@@ -19,46 +18,17 @@ import (
 	"bridge/internal/tools"
 )
 
-// ObsOverheadPoint compares the batched sequential read with and without
-// the observability recorder attached to the network and every disk.
-type ObsOverheadPoint struct {
-	P        int
-	Plain    time.Duration // per-block batched read, recorder off
-	Observed time.Duration // per-block batched read, recorder on
-}
-
-// Overhead returns the fractional slowdown observability imposes on the
-// batched read path. Spans charge no simulated time, so anything beyond
-// scheduling noise is a bug.
-func (pt ObsOverheadPoint) Overhead() float64 {
-	if pt.Plain <= 0 {
-		return 0
-	}
-	return float64(pt.Observed-pt.Plain) / float64(pt.Plain)
-}
-
 // ObsOverhead measures the batched sequential read twice per processor
 // count — plain, then with a recorder capturing every span.
-func ObsOverhead(cfg Config) ([]ObsOverheadPoint, error) {
-	if err := cfg.prepare(); err != nil {
-		return nil, err
-	}
-	if cfg.CacheBlocks == 0 {
-		cfg.CacheBlocks = 16 // match Table 2's batched-naive row
-	}
-	var pts []ObsOverheadPoint
-	for _, p := range cfg.Ps {
-		pt := ObsOverheadPoint{P: p}
-		var err error
-		if pt.Plain, err = measureBatchedRead(p, cfg, nil); err != nil {
-			return nil, fmt.Errorf("obs overhead p=%d plain: %w", p, err)
+func ObsOverhead(cfg Config) ([]OverheadPoint, error) {
+	cfg.smallCache()
+	return overheads(cfg, func(p int, cfg Config, on bool) (time.Duration, error) {
+		var rec *obs.Recorder
+		if on {
+			rec = newRecorder()
 		}
-		if pt.Observed, _, err = measureBatchedReadObs(p, cfg); err != nil {
-			return nil, fmt.Errorf("obs overhead p=%d observed: %w", p, err)
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
+		return batchedRead(p, cfg, rec)
+	})
 }
 
 // WriteObsTrace runs the observed batched read at p and writes the run's
@@ -67,57 +37,15 @@ func WriteObsTrace(cfg Config, p int, w io.Writer) error {
 	if err := cfg.prepare(p); err != nil {
 		return err
 	}
-	if cfg.CacheBlocks == 0 {
-		cfg.CacheBlocks = 16
-	}
-	_, rec, err := measureBatchedReadObs(p, cfg)
-	if err != nil {
+	cfg.smallCache()
+	rec := newRecorder()
+	if _, err := batchedRead(p, cfg, rec); err != nil {
 		return err
 	}
 	return rec.WriteChromeTrace(w)
 }
 
-// measureBatchedReadObs is measureBatchedRead with a recorder attached to
-// the network and every disk for the whole run (fill included), the worst
-// case for recording volume.
-func measureBatchedReadObs(p int, cfg Config) (time.Duration, *obs.Recorder, error) {
-	bcfg := cfg
-	bcfg.ReadAhead = raStripes
-	rec := obs.NewRecorder(obs.Config{}.WithDefaults())
-	var perBlock time.Duration
-	err := runSim(p, bcfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
-		cl.Net.SetRecorder(rec)
-		for _, nd := range cl.Nodes {
-			nd.Disk.SetRecorder(rec, int(nd.ID))
-		}
-		n := cfg.Records
-		if err := fill(proc, c, cfg, "f"); err != nil {
-			return err
-		}
-		if _, err := c.Open("f"); err != nil {
-			return err
-		}
-		batch := 4 * p
-		start := proc.Now()
-		got := 0
-		for {
-			blocks, eof, err := c.SeqReadN("f", batch)
-			if err != nil {
-				return err
-			}
-			got += len(blocks)
-			if eof {
-				break
-			}
-		}
-		if got != n {
-			return fmt.Errorf("batched read returned %d blocks, want %d", got, n)
-		}
-		perBlock = (proc.Now() - start) / time.Duration(n)
-		return nil
-	})
-	return perBlock, rec, err
-}
+func newRecorder() *obs.Recorder { return obs.NewRecorder(obs.Config{}.WithDefaults()) }
 
 // LatencyRow is one access method's per-layer latency breakdown: the mean
 // span duration at each layer, computed from the op-kind histograms of an
@@ -168,7 +96,7 @@ func layerP95(hists []obs.HistSnapshot, prefix string) time.Duration {
 // attached after the fill, so only the measured access pattern lands in
 // the histograms) and returns the run's histogram snapshots.
 func measureObserved(p int, cfg Config, fn func(proc sim.Proc, c *core.Client) error) ([]obs.HistSnapshot, error) {
-	rec := obs.NewRecorder(obs.Config{}.WithDefaults())
+	rec := newRecorder()
 	err := runSim(p, cfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
 		if err := fill(proc, c, cfg, "src"); err != nil {
 			return err
@@ -192,9 +120,7 @@ func LatencyBreakdown(cfg Config) ([]LatencyRow, error) {
 	if err := cfg.prepare(); err != nil {
 		return nil, err
 	}
-	if cfg.CacheBlocks == 0 {
-		cfg.CacheBlocks = 16
-	}
+	cfg.smallCache()
 	p := cfg.Ps[0]
 	n := cfg.Records
 
@@ -224,21 +150,7 @@ func LatencyBreakdown(cfg Config) ([]LatencyRow, error) {
 			if _, err := c.Open("src"); err != nil {
 				return err
 			}
-			got := 0
-			for {
-				blocks, eof, err := c.SeqReadN("src", 4*p)
-				if err != nil {
-					return err
-				}
-				got += len(blocks)
-				if eof {
-					break
-				}
-			}
-			if got != n {
-				return fmt.Errorf("batched read returned %d blocks, want %d", got, n)
-			}
-			return nil
+			return readAllN(c, "src", p, n)
 		}},
 		{"copy tool", cfg, func(proc sim.Proc, c *core.Client) error {
 			st, err := tools.Copy(proc, c, "src", "dst")
@@ -269,27 +181,25 @@ func LatencyBreakdown(cfg Config) ([]LatencyRow, error) {
 	return rows, nil
 }
 
-// RenderObsOverhead writes the observability-overhead comparison.
-func RenderObsOverhead(w io.Writer, pts []ObsOverheadPoint, records int) {
-	fmt.Fprintf(w, "Observability overhead: batched naive read of a %d-block file (per block)\n", records)
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "p\tno obs\tobs on\toverhead")
-	for _, pt := range pts {
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%.1f%%\n", pt.P, fmtDur(pt.Plain), fmtDur(pt.Observed), pt.Overhead()*100)
+func obsReport(pts []OverheadPoint, cfg Config) Report {
+	last := pts[len(pts)-1]
+	return Report{
+		Tables:  []Table{overheadTable(fmt.Sprintf("Batched naive read of a %d-block file, per block, with and without the span recorder on the network and every disk:", cfg.Records), "obs", pts)},
+		Summary: fmt.Sprintf("recording costs the batched read %.1f%% at p = %d", last.Overhead()*100, last.P),
 	}
-	tw.Flush()
-	fmt.Fprintln(w, "(spans charge no simulated time; any overhead is a bug)")
 }
 
-// RenderLatencyBreakdown writes the per-layer latency table.
-func RenderLatencyBreakdown(w io.Writer, rows []LatencyRow, p, records int) {
-	fmt.Fprintf(w, "Per-layer mean latency per span, %d records, p=%d (client spans are whole ops):\n", records, p)
-	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "method\tclient ops\tclient mean\tclient p95\tserver\tlfs\tdisk")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\t%s\t%s\n",
-			r.Method, r.ClientOps, fmtDur(r.Client), fmtDur(r.ClientP95),
-			fmtDur(r.Server), fmtDur(r.LFS), fmtDur(r.Disk))
+func latencyReport(rows []LatencyRow, cfg Config) Report {
+	naive, tool := rows[0], rows[len(rows)-1]
+	return Report{
+		Tables: []Table{{
+			Caption: fmt.Sprintf("Mean span duration per layer, %d records, p = %d; client spans are whole operations:", cfg.Records, cfg.Ps[0]),
+			Header:  []string{"method", "client ops", "client mean", "client p95", "server", "lfs", "disk"},
+			Rows: cells(rows, func(r LatencyRow) []string {
+				return []string{r.Method, fmt.Sprint(r.ClientOps), fmtDur(r.Client), fmtDur(r.ClientP95), fmtDur(r.Server), fmtDur(r.LFS), fmtDur(r.Disk)}
+			}),
+		}},
+		Summary: fmt.Sprintf("the naive read makes %d client calls of %s over storage calls of %s; the copy tool makes %d",
+			naive.ClientOps, fmtDur(naive.Client), fmtDur(naive.LFS), tool.ClientOps),
 	}
-	tw.Flush()
 }

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"text/tabwriter"
 	"time"
 
 	"bridge/internal/core"
@@ -95,14 +93,16 @@ func ServerScaling(cfg Config, p, clients int) ([]ServerScalingRow, error) {
 	return rows, nil
 }
 
-// RenderServerScaling writes the comparison.
-func RenderServerScaling(w io.Writer, rows []ServerScalingRow, p int) {
-	fmt.Fprintf(w, "Ablation A6: distributed Bridge Servers (%d nodes, %d concurrent naive readers)\n", p, rows[0].Clients)
-	fmt.Fprintln(w, `(the paper: "the same functionality could be provided by a distributed collection of processes")`)
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "servers\tmakespan\taggregate rec/s")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%s\t%.0f\n", r.Servers, fmtDur(r.Makespan), r.RecPerSec)
+func serverScalingReport(rows []ServerScalingRow, _ Config) Report {
+	return Report{
+		Tables: []Table{{
+			Caption: fmt.Sprintf("%d concurrent naive readers on %d nodes, one file each:", rows[0].Clients, fixedP),
+			Header:  []string{"servers", "makespan", "aggregate rec/s"},
+			Rows: cells(rows, func(r ServerScalingRow) []string {
+				return []string{fmt.Sprint(r.Servers), fmtDur(r.Makespan), fmt.Sprintf("%.0f", r.RecPerSec)}
+			}),
+		}},
+		Summary: fmt.Sprintf("%d server processes serve %.1f× the aggregate rate of one",
+			rows[len(rows)-1].Servers, rows[len(rows)-1].RecPerSec/rows[0].RecPerSec),
 	}
-	tw.Flush()
 }

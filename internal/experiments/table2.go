@@ -49,7 +49,7 @@ type Table2Result struct {
 
 // PaperTable2 holds the published formulas for side-by-side display.
 var PaperTable2 = map[string]string{
-	"Delete": "20 * filesize/p ms",
+	"Delete": "20·filesize/p ms",
 	"Create": "145 + 17.5p ms",
 	"Open":   "80 ms",
 	"Read":   "9.0 + 500p/filesize ms",
@@ -64,19 +64,15 @@ func Table2(cfg Config) (*Table2Result, error) {
 	if err := cfg.prepare(); err != nil {
 		return nil, err
 	}
-	if cfg.CacheBlocks == 0 {
-		// A small cache (two tracks) keeps sequential reads track-
-		// buffered without letting whole test files go cache-resident,
-		// which would hide the Read startup term.
-		cfg.CacheBlocks = 16
-	}
+	cfg.smallCache()
 	res := &Table2Result{Records: cfg.Records}
 	for _, p := range cfg.Ps {
 		pt := Table2Point{P: p}
 		if err := measureTable2(p, cfg, &pt); err != nil {
 			return nil, fmt.Errorf("table2 p=%d: %w", p, err)
 		}
-		if err := measureTable2Batched(p, cfg, &pt); err != nil {
+		var err error
+		if pt.ReadBatchPerBlock, err = batchedRead(p, cfg, nil); err != nil {
 			return nil, fmt.Errorf("table2 batched p=%d: %w", p, err)
 		}
 		res.Points = append(res.Points, pt)
@@ -228,37 +224,31 @@ func measureTable2(p int, cfg Config, pt *Table2Point) error {
 	})
 }
 
-// measureTable2Batched reads the standard file through SeqReadN on a
-// cluster with read-ahead enabled — the batched-naive column. A separate
-// simulation keeps the cache from perturbing the per-block measurements.
-func measureTable2Batched(p int, cfg Config, pt *Table2Point) error {
-	bcfg := cfg
-	bcfg.ReadAhead = raStripes
-	return runSim(p, bcfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
-		n := cfg.Records
-		if err := fill(proc, c, cfg, "f"); err != nil {
-			return err
-		}
-		if _, err := c.Open("f"); err != nil {
-			return err
-		}
-		batch := 4 * p
-		start := proc.Now()
-		got := 0
-		for {
-			blocks, eof, err := c.SeqReadN("f", batch)
-			if err != nil {
-				return err
-			}
-			got += len(blocks)
-			if eof {
-				break
-			}
-		}
-		if got != n {
-			return fmt.Errorf("batched read returned %d blocks, want %d", got, n)
-		}
-		pt.ReadBatchPerBlock = (proc.Now() - start) / time.Duration(n)
-		return nil
-	})
+func table2Report(r *Table2Result, _ Config) Report {
+	first, last := r.Points[0], r.Points[len(r.Points)-1]
+	return Report{
+		Tables: []Table{{
+			Caption: fmt.Sprintf("Naive interface, %d-block file:", r.Records),
+			Header:  []string{"p", "Create", "Open", "Read/blk", "ReadN/blk", "Write/blk", "Delete total", "Delete c (c·n/p ms)"},
+			Rows: cells(r.Points, func(pt Table2Point) []string {
+				return []string{fmt.Sprint(pt.P), fmtDur(pt.CreateTime), fmtDur(pt.OpenTime), fmtDur(pt.ReadPerBlock),
+					fmtDur(pt.ReadBatchPerBlock), fmtDur(pt.WritePerBlock), fmtDur(pt.DeleteTotal), fmt.Sprintf("%.1f", pt.DeleteCoeff)}
+			}),
+			Note: "ReadN/blk, not in the paper, is the batched naive read: vectored scatter-gather plus server read-ahead.",
+		}, {
+			Caption: "Fitted against the paper's formulas:",
+			Header:  []string{"op", "measured (fit)", "paper"},
+			Rows: [][]string{
+				{"Create", fmt.Sprintf("%.0f + %.1fp ms", r.CreateBase, r.CreateSlope), PaperTable2["Create"]},
+				{"Open", fmt.Sprintf("%.0f ms", r.OpenMean), PaperTable2["Open"]},
+				{"Read", fmt.Sprintf("%.1f + %.0fp/filesize ms", r.ReadBase, r.ReadSlope), PaperTable2["Read"]},
+				{"Write", fmt.Sprintf("%.0f ms", r.WriteMean), PaperTable2["Write"]},
+				{"Delete", fmt.Sprintf("%.1f·filesize/p ms", r.DeleteCoeffMean), PaperTable2["Delete"]},
+			},
+		}},
+		Summary: fmt.Sprintf("Read %.1f ms/blk (paper 9.0); Write %.0f ms (paper 31); Delete %.1f·n/p ms (paper 20·n/p); "+
+			"Create %.0f + %.1fp ms (paper 145 + 17.5p); the batched read %s/blk at p = %d, %s/blk at p = %d",
+			r.ReadBase, r.WriteMean, r.DeleteCoeffMean, r.CreateBase, r.CreateSlope,
+			fmtDur(first.ReadBatchPerBlock), first.P, fmtDur(last.ReadBatchPerBlock), last.P),
+	}
 }

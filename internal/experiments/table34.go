@@ -46,11 +46,7 @@ type CopyRow struct {
 // Table3Copy reproduces Table 3 and the copy records/second figure: the
 // copy tool over the standard file for each processor count.
 func Table3Copy(cfg Config) ([]CopyRow, error) {
-	if err := cfg.prepare(); err != nil {
-		return nil, err
-	}
-	rows := make([]CopyRow, 0, len(cfg.Ps))
-	for _, p := range cfg.Ps {
+	rows, err := sweep(cfg, func(p int, cfg Config) (CopyRow, error) {
 		var elapsed time.Duration
 		err := runSim(p, cfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
 			if err := fill(proc, c, cfg, "src"); err != nil {
@@ -67,15 +63,10 @@ func Table3Copy(cfg Config) ([]CopyRow, error) {
 			elapsed = proc.Now() - start
 			return nil
 		})
-		if err != nil {
-			return nil, fmt.Errorf("table3 p=%d: %w", p, err)
-		}
-		rows = append(rows, CopyRow{
-			P:         p,
-			Time:      elapsed,
-			RecPerSec: recPerSec(cfg.Records, elapsed),
-			PaperTime: PaperCopyTimes[p],
-		})
+		return CopyRow{P: p, Time: elapsed, RecPerSec: recPerSec(cfg.Records, elapsed), PaperTime: PaperCopyTimes[p]}, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(rows) > 0 {
 		base := rows[0]
@@ -145,4 +136,63 @@ func Table4Sort(cfg Config) ([]SortRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+func copyReport(rows []CopyRow, cfg Config) Report {
+	last := rows[len(rows)-1]
+	return Report{
+		Tables: []Table{{
+			Caption: fmt.Sprintf("Copy tool, %d-record file:", cfg.Records),
+			Header:  []string{"p", "copy time", "rec/s", "speedup", "paper time", "paper speedup"},
+			Rows: cells(rows, func(r CopyRow) []string {
+				paperS := "-"
+				if r.PaperTime > 0 {
+					paperS = fmt.Sprintf("%.1f", r.PaperSpeedup)
+				}
+				return []string{fmt.Sprint(r.P), fmtDur(r.Time), fmt.Sprintf("%.0f", r.RecPerSec), fmt.Sprintf("%.1f", r.Speedup), fmtDur(r.PaperTime), paperS}
+			}),
+		}, {
+			Caption: "Copy figure: records per second vs processors",
+			Chart:   rateChart(rows, func(r CopyRow) (int, float64) { return r.P, r.RecPerSec }),
+		}},
+		Summary: fmt.Sprintf("speedup %.1f at p = %d (paper %.1f); %s at p = %d against the paper's %s",
+			last.Speedup, last.P, last.PaperSpeedup, fmtDur(last.Time), last.P, fmtDur(last.PaperTime)),
+	}
+}
+
+func sortReport(rows []SortRow, cfg Config) Report {
+	if len(rows) == 0 {
+		return Report{Summary: "no power-of-two p in the sweep"}
+	}
+	first, last := rows[0], rows[len(rows)-1]
+	var phase []chartPoint
+	cross := "no p"
+	for _, r := range rows {
+		phase = append(phase,
+			chartPoint{X: float64(r.P), Y: r.Local.Minutes(), Mark: 'L'},
+			chartPoint{X: float64(r.P), Y: r.Merge.Minutes(), Mark: 'M'})
+		if r.Merge > r.Local && cross == "no p" {
+			cross = fmt.Sprintf("p = %d", r.P)
+		}
+	}
+	return Report{
+		Tables: []Table{{
+			Caption: fmt.Sprintf("Merge sort tool, %d-record file, %d-record in-core buffer:", cfg.Records, cfg.InCore),
+			Header:  []string{"p", "local sort", "merge", "total", "rec/s", "paper local", "paper merge", "paper total"},
+			Rows: cells(rows, func(r SortRow) []string {
+				return []string{fmt.Sprint(r.P), fmtDur(r.Local), fmtDur(r.Merge), fmtDur(r.Total), fmt.Sprintf("%.0f", r.RecPerSec),
+					fmtDur(r.PaperLocal), fmtDur(r.PaperMerge), fmtDur(r.PaperTotal)}
+			}),
+		}, {
+			Caption: "Sort figure: records per second vs processors",
+			Chart:   rateChart(rows, func(r SortRow) (int, float64) { return r.P, r.RecPerSec }),
+		}, {
+			Caption: "Sort figure: phase times vs processors (L = local sort, M = merge)",
+			Chart:   chart(phase, 48, 14, "minutes"),
+		}},
+		Summary: fmt.Sprintf("from p = %d to %d the local phase gets %.0f× faster (paper %.0f×), the merge %.2f× (paper %.1f×); "+
+			"the merge phase overtakes the local one at %s (paper p = 16)",
+			first.P, last.P, float64(first.Local)/float64(last.Local), float64(first.PaperLocal)/float64(last.PaperLocal),
+			float64(first.Merge)/float64(last.Merge), float64(first.PaperMerge)/float64(last.PaperMerge), cross),
+	}
 }

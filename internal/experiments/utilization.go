@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"text/tabwriter"
 	"time"
 
 	"bridge/internal/core"
@@ -77,15 +75,17 @@ func Utilization(cfg Config, p int) ([]UtilizationRow, error) {
 	return rows, nil
 }
 
-// RenderUtilization writes the comparison.
-func RenderUtilization(w io.Writer, rows []UtilizationRow, p, records int) {
-	fmt.Fprintf(w, "Disk utilization during a %d-record copy on %d nodes\n", records, p)
-	fmt.Fprintln(w, `(the paper: "algorithms will continue to scale so long as all the disks are busy all the time")`)
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "method\telapsed\tdisk busy min\tavg\tmax")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%.0f%%\t%.0f%%\t%.0f%%\n",
-			r.Method, fmtDur(r.Elapsed), r.MinBusy*100, r.AvgBusy*100, r.MaxBusy*100)
+func utilizationReport(rows []UtilizationRow, cfg Config) Report {
+	pct := func(f float64) string { return fmt.Sprintf("%.0f%%", f*100) }
+	return Report{
+		Tables: []Table{{
+			Caption: fmt.Sprintf("Per-disk busy time during a %d-record copy on %d nodes:", cfg.Records, fixedP),
+			Header:  []string{"method", "elapsed", "disk busy min", "avg", "max"},
+			Rows: cells(rows, func(r UtilizationRow) []string {
+				return []string{r.Method, fmtDur(r.Elapsed), pct(r.MinBusy), pct(r.AvgBusy), pct(r.MaxBusy)}
+			}),
+		}},
+		Summary: fmt.Sprintf("the naive copy keeps the disks %s busy on average, the tool %s (each disk %s–%s)",
+			pct(rows[0].AvgBusy), pct(rows[1].AvgBusy), pct(rows[1].MinBusy), pct(rows[1].MaxBusy)),
 	}
-	tw.Flush()
 }

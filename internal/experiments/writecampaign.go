@@ -7,8 +7,7 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"text/tabwriter"
+	"math"
 	"time"
 
 	"bridge/internal/core"
@@ -163,32 +162,48 @@ func writeCampaignAt(p int, cfg Config) (WriteCampaignPoint, error) {
 	return pt, err
 }
 
-// RenderWriteCampaign writes the write campaign's three tables: sequential
-// appends, whole-file deletes and redundant appends, one row per p.
-func RenderWriteCampaign(w io.Writer, pts []WriteCampaignPoint, records int) {
-	ms := func(d time.Duration) string { return fmt.Sprintf("%.1f ms/blk", float64(d)/float64(time.Millisecond)) }
-	fmt.Fprintf(w, "Sequential appends (%d-record file, write-behind windows of %d stripes, timed through the final Flush)\n", records, wbStripes)
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "p\tnaive\twrite-behind\tspeedup")
-	for _, pt := range pts {
-		fmt.Fprintf(tw, "%d\t%s\t%.2f ms/blk\t%.1fx\n", pt.P, ms(pt.NaiveWritePerBlock),
-			float64(pt.WBWritePerBlock)/float64(time.Millisecond), pt.WriteSpeedup())
+func writeCampaignReport(pts []WriteCampaignPoint, cfg Config) Report {
+	ms := func(d time.Duration, prec int) string {
+		return fmt.Sprintf("%.*f ms", prec, float64(d)/float64(time.Millisecond))
 	}
-	tw.Flush()
-	fmt.Fprintln(w, "\nWhole-file delete")
-	tw = tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "p\tserial\tparallel (tool)\tspeedup")
-	for _, pt := range pts {
-		fmt.Fprintf(tw, "%d\t%.0f ms\t%.0f ms\t%.1fx\n", pt.P, float64(pt.SerialDeleteTotal)/float64(time.Millisecond),
-			float64(pt.ParallelDeleteTotal)/float64(time.Millisecond), pt.DeleteSpeedup())
+	x := func(f float64, prec int) string { return fmt.Sprintf("%.*f×", prec, f) }
+	// span is the lowest and highest of f over the sweep.
+	span := func(f func(WriteCampaignPoint) float64) string {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, pt := range pts {
+			lo, hi = math.Min(lo, f(pt)), math.Max(hi, f(pt))
+		}
+		return x(lo, 1) + "–" + x(hi, 1)
 	}
-	tw.Flush()
-	fmt.Fprintln(w, "\nRedundant appends")
-	tw = tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "p\tmirror\tRS(k,2)\tmirror storage\tRS storage")
+	var rs WriteCampaignPoint // RS(6,2) if the sweep reaches p = 8
 	for _, pt := range pts {
-		fmt.Fprintf(tw, "%d\t%s\tRS(%d,%d): %s\t%.2fx\t%.2fx\n", pt.P, ms(pt.MirrorAppendPerBlock),
-			pt.RSK, pt.RSM, ms(pt.RSAppendPerBlock), pt.MirrorOverhead, pt.RSOverhead)
+		if rs.P != fixedP {
+			rs = pt
+		}
 	}
-	tw.Flush()
+	return Report{
+		Tables: []Table{{
+			Caption: fmt.Sprintf("Sequential appends, per block, %d-record file: synchronous against write-behind windows of %d stripes, timed through the final `Flush`:", cfg.Records, wbStripes),
+			Header:  []string{"p", "naive", "write-behind", "speedup"},
+			Rows: cells(pts, func(pt WriteCampaignPoint) []string {
+				return []string{fmt.Sprint(pt.P), ms(pt.NaiveWritePerBlock, 1), ms(pt.WBWritePerBlock, 2), x(pt.WriteSpeedup(), 1)}
+			}),
+		}, {
+			Caption: "Whole-file delete: the server's serial chain walk against the tool-mode delete:",
+			Header:  []string{"p", "serial", "parallel (tool)", "speedup"},
+			Rows: cells(pts, func(pt WriteCampaignPoint) []string {
+				return []string{fmt.Sprint(pt.P), ms(pt.SerialDeleteTotal, 0), ms(pt.ParallelDeleteTotal, 0), x(pt.DeleteSpeedup(), 1)}
+			}),
+		}, {
+			Caption: "Redundant appends, per block, and storage per data block: RS(p−2, 2) against the 2-way mirror:",
+			Header:  []string{"p", "mirror", "RS(k,2)", "mirror storage", "RS storage"},
+			Rows: cells(pts, func(pt WriteCampaignPoint) []string {
+				return []string{fmt.Sprint(pt.P), ms(pt.MirrorAppendPerBlock, 1), fmt.Sprintf("RS(%d,%d): %s", pt.RSK, pt.RSM, ms(pt.RSAppendPerBlock, 1)),
+					x(pt.MirrorOverhead, 2), x(pt.RSOverhead, 2)}
+			}),
+		}},
+		Summary: fmt.Sprintf("write-behind appends %s faster, the tool-mode delete %s; RS(%d,%d) stores %s against the mirror's %s, appending at %s a block against the mirror's %s",
+			span(WriteCampaignPoint.WriteSpeedup), span(WriteCampaignPoint.DeleteSpeedup),
+			rs.RSK, rs.RSM, x(rs.RSOverhead, 2), x(rs.MirrorOverhead, 2), ms(rs.RSAppendPerBlock, 1), ms(rs.MirrorAppendPerBlock, 1)),
+	}
 }

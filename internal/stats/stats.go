@@ -2,12 +2,13 @@
 // used to instrument the simulated disks, the message network, and the file
 // system layers. All methods are safe for concurrent use.
 //
-// As of the observability PR this package is a thin compatibility shim over
-// the typed metrics registry in internal/obs: every Counters is backed by
-// an obs.Registry, so stringly Add/Get call sites and typed obs handles
-// read and write the same values. New code should register typed metrics
-// via Registry(); the stringly methods remain for one PR while call sites
-// migrate.
+// This package is a thin compatibility shim over the typed metrics
+// registry in internal/obs: every Counters is backed by an obs.Registry, so
+// stringly Add/Get call sites and typed obs handles read and write the same
+// values. New code should register typed metrics via Registry(). What keeps
+// the shim alive is the benchmark module's three Stats().Registry() reads
+// (benchmark/measure.go, benchmark/probes.go): it goes when the benchmark
+// reads the obs registries directly.
 package stats
 
 import (

@@ -141,16 +141,23 @@ func openMeta(c *core.Client, name string) (core.Meta, error) {
 // access to it works immediately — and checks that it did. Only a directory
 // group of one asks the storage nodes for a file's size on Open; a
 // replicated group trusts its log, never saw these writes, and would go on
-// serving the file as empty, so that case fails here instead.
+// serving the file as empty, so that case fails here as a bad argument. On
+// a group of one a mismatch means the storage nodes hold other than what
+// the workers wrote.
 func refreshSize(c *core.Client, name string, wrote int64) error {
 	meta, err := c.Open(name)
 	if err != nil {
 		return fmt.Errorf("tools: refreshing %s: %w", name, err)
 	}
-	if meta.Blocks != wrote {
+	switch {
+	case meta.Blocks == wrote:
+		return nil
+	case c.Replicated():
 		return fmt.Errorf("%w: tools: the workers wrote %d blocks of %s but the server reports %d: "+
 			"tool writes need a directory group of one (Replicas <= 1), a replicated group does not see writes made behind its log",
 			core.ErrBadArg, wrote, name, meta.Blocks)
+	default:
+		return fmt.Errorf("%w: tools: the workers wrote %d blocks of %s but its storage nodes hold %d",
+			core.ErrLFSFailed, wrote, name, meta.Blocks)
 	}
-	return nil
 }

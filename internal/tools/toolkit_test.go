@@ -2,6 +2,7 @@ package tools
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -202,6 +203,29 @@ func TestToolFailureKeepsItsClass(t *testing.T) {
 		})
 		if err == nil || err.Error() != "tools: worker 0: worker exploded" {
 			t.Errorf("opaque worker failure = %v", err)
+		}
+	})
+}
+
+// TestRefreshSizeOnGroupOfOne: on a group of one the server reads a file's
+// size from its storage nodes, so a count that disagrees with what the
+// workers wrote is a storage failure naming both counts, not the
+// replicated-directory misuse ErrBadArg reports.
+func TestRefreshSizeOnGroupOfOne(t *testing.T) {
+	withCluster(t, fastCfg(4), func(p sim.Proc, cl *core.Cluster, c *core.Client) {
+		if err := workload.Fill(p, c, "f", workload.Records(1, 6, 64)); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := refreshSize(c, "f", 6); err != nil {
+			t.Errorf("matching count: %v", err)
+		}
+		err := refreshSize(c, "f", 9)
+		if !errors.Is(err, core.ErrLFSFailed) || errors.Is(err, core.ErrBadArg) {
+			t.Errorf("wrong count on a group of one = %v, want ErrLFSFailed and not ErrBadArg", err)
+		}
+		if err == nil || !strings.Contains(err.Error(), "wrote 9 blocks") || !strings.Contains(err.Error(), "hold 6") {
+			t.Errorf("wrong count on a group of one = %v, want both counts named", err)
 		}
 	})
 }
