@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"bridge/internal/distrib"
 	"bridge/internal/lfs"
@@ -351,6 +352,87 @@ func TestAllocsServerWrite(t *testing.T) {
 		}
 		if batched > 971 {
 			t.Errorf("WriteAtN(%d) allocates %.0f bytes per block, want <= 971", vec, batched)
+		}
+	})
+}
+
+// TestAllocsReplicatedApply guards what a member's decoder allocates for the
+// directory churn of a metadata workload. The create, open and delete of one
+// file that a 3-member group committed are decoded again against a detached
+// directory, and the create and the delete applied to it: the create
+// allocates exactly one name, which its dirent, its Meta and its session
+// record share, and its node list is the server's; the open and the delete
+// allocate no name and no node list. Decoding and applying the create and
+// the delete again costs 2 objects, that name and the dirent (the session,
+// which holds the later delete's request, records no repeat of the create);
+// a decoder that copies every name and node list, and a dirent that makes
+// its hints map at once, make it 8.
+func TestAllocsReplicatedApply(t *testing.T) {
+	const name = "churn-00042" // a one-byte string would never allocate
+	withCluster(t, repCfg(4), func(p sim.Proc, cl *Cluster, c *Client) {
+		for _, step := range []func() error{
+			func() error { _, err := c.Create(name); return err },
+			func() error { _, err := c.Open(name); return err },
+			func() error { _, err := c.Delete(name); return err },
+		} {
+			if err := step(); err != nil {
+				t.Errorf("churn: %v", err)
+				return
+			}
+		}
+		srv := cl.Servers[awaitLeader(t, p, cl)]
+		entries := map[uint8][]byte{}
+		for _, e := range srv.grp.node.CommittedSince(0) {
+			if op, err := decodeRop(e.Data, nil, nil, nil); err == nil && op.Name == name {
+				entries[op.Kind] = e.Data
+			}
+		}
+		if len(entries) != 3 {
+			t.Errorf("the group committed %d of the create, open and delete of %s", len(entries), name)
+			return
+		}
+		s := &Server{dir: map[string]*dirent{}, cursors: map[cursorKey]*cursor{}, nodes: srv.nodes, nextID: srv.nextID, grp: &member{ports: portTab{}}}
+		decode := func(kind uint8) (op rop, allocs float64) {
+			allocs = testing.AllocsPerRun(100, func() {
+				var err error
+				if op, err = decodeRop(entries[kind], s.grp.ports, s.dir, s.nodes); err != nil {
+					t.Fatalf("decode: %v", err)
+				}
+			})
+			return op, allocs
+		}
+		shared := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+		onNodes := func(l []msg.NodeID) bool { return len(l) > 0 && &l[0] == &s.nodes[0] }
+
+		create, allocs := decode(ropCreate)
+		if allocs != 1 || !shared(create.Name, create.Meta.Name) || !onNodes(create.Meta.Nodes) {
+			t.Errorf("decoding a create allocates %v objects, want 1: one name its Meta shares, and the server's node list", allocs)
+		}
+		s.apply(create)
+		ent := s.dir[name]
+		if rec := s.grp.sess.m[create.Client].held[0].Rec; !shared(ent.meta.Name, create.Name) || !shared(rec.Name, create.Name) || !onNodes(ent.meta.Nodes) {
+			t.Error("applying the create copied its name or its node list")
+		}
+		open, allocs := decode(ropOpen)
+		if allocs != 0 || !shared(open.Name, ent.meta.Name) {
+			t.Errorf("decoding an open allocates %v objects, want 0: the dirent's name", allocs)
+		}
+		del, allocs := decode(ropDelete)
+		if allocs != 0 || !shared(del.Name, ent.meta.Name) || !shared(del.Meta.Name, ent.meta.Name) || !onNodes(del.Meta.Nodes) {
+			t.Errorf("decoding a delete allocates %v objects, want 0: the dirent's name, the server's node list", allocs)
+		}
+		s.apply(del)
+		churn := testing.AllocsPerRun(100, func() {
+			for _, kind := range []uint8{ropCreate, ropDelete} {
+				op, err := decodeRop(entries[kind], s.grp.ports, s.dir, s.nodes)
+				if err != nil {
+					t.Fatalf("decode: %v", err)
+				}
+				s.apply(op)
+			}
+		})
+		if churn > 2 || len(s.dir) != 0 {
+			t.Errorf("decoding and applying a create and a delete allocates %v objects, want at most 2 (%d files left)", churn, len(s.dir))
 		}
 	})
 }

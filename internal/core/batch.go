@@ -144,7 +144,7 @@ func readRun(ent *dirent, run vecRun, m *msg.Message, err error, out [][]byte, s
 		if err := lfs.Err(v.Status); err != nil {
 			return fmt.Errorf("%w: block %d: %w", ErrLFSFailed, run.globals[j], err)
 		}
-		ent.hints[run.node] = v.Addr
+		ent.setHint(run.node, v.Addr)
 		_, payload, err := DecodeBlock(v.Data)
 		if err != nil {
 			return err
@@ -182,7 +182,7 @@ func (s *Server) takeWrite(st *vecStream, ent *dirent) (int, error) {
 				continue
 			}
 			landed[g-start] = true
-			ent.hints[c.run.node] = resp.Blocks[j].Addr
+			ent.setHint(c.run.node, resp.Blocks[j].Addr)
 		}
 		return true
 	})

@@ -13,6 +13,12 @@
 // re-encodes to its input.
 // Counts and lengths are checked against the bytes that remain before
 // anything is allocated.
+//
+// A member's decoder allocates only what is new to its directory: a name
+// already in it decodes to its dirent's string, a Meta.Name equal to its
+// record's Name to that same string, a node list equal to a prefix of the
+// server's to that prefix, and a client port to the member's portTab copy.
+// Interning shares memory and never changes a value.
 package core
 
 import (
@@ -194,6 +200,8 @@ type logDec struct {
 	b     []byte
 	err   error
 	ports portTab
+	dir   map[string]*dirent // names a decoded one may share; nil shares none
+	nodes []msg.NodeID       // the node list a decoded one may share a prefix of
 }
 
 // portTab holds one copy of every client port name its owner has decoded,
@@ -317,6 +325,38 @@ func (d *logDec) bytes() []byte {
 
 func (d *logDec) str() string { return string(d.bytes()) }
 
+// name reads a file name: like when equal to it, else the name of the
+// directory entry it keys, else a copy.
+func (d *logDec) name(like string) string {
+	b := d.bytes()
+	if string(b) == like {
+		return like
+	}
+	if ent, ok := d.dir[string(b)]; ok && ent.meta.Name == string(b) {
+		return ent.meta.Name
+	}
+	return string(b)
+}
+
+// nodeList reads n node ids: a prefix of d.nodes, capped, when equal to
+// one, else a list of their own.
+func (d *logDec) nodeList(n int) []msg.NodeID {
+	for i := 0; i < n; i++ {
+		id := msg.NodeID(d.num())
+		if i < len(d.nodes) && id == d.nodes[i] {
+			continue
+		}
+		l := make([]msg.NodeID, n)
+		copy(l, d.nodes[:i])
+		l[i] = id
+		for i++; i < n; i++ {
+			l[i] = msg.NodeID(d.num())
+		}
+		return l
+	}
+	return d.nodes[:n:n]
+}
+
 func (d *logDec) addr() msg.Addr {
 	node, b := msg.NodeID(d.num()), d.bytes()
 	port, ok := d.ports[string(b)]
@@ -332,8 +372,9 @@ func (d *logDec) addr() msg.Addr {
 	return msg.Addr{Node: node, Port: port}
 }
 
-func (d *logDec) meta(m *Meta) {
-	m.Name = d.str()
+// meta reads a Meta; like is the name its record already holds.
+func (d *logDec) meta(m *Meta, like string) {
+	m.Name = d.name(like)
 	m.FileID = d.u32()
 	m.LFSFileID = d.u32()
 	m.Spec.Kind = distrib.Kind(d.u8())
@@ -342,10 +383,7 @@ func (d *logDec) meta(m *Meta) {
 	m.Spec.TotalBlocks = d.varint()
 	m.Spec.Seed = d.u64()
 	if n := d.count(1); n > 0 {
-		m.Nodes = make([]msg.NodeID, n)
-		for i := range m.Nodes {
-			m.Nodes[i] = msg.NodeID(d.num())
-		}
+		m.Nodes = d.nodeList(n)
 	}
 	m.Blocks = d.varint()
 	if d.flag() {
@@ -384,9 +422,9 @@ func (d *logDec) rop(op *rop) {
 			d.fail("scatter item out of range")
 		}
 	}
-	op.Name = d.str()
-	op.New = d.str()
-	d.meta(&op.Meta)
+	op.Name = d.name("")
+	op.New = d.name("")
+	d.meta(&op.Meta, op.Name)
 	op.NextID = d.u32()
 	op.At = d.varint()
 	op.N = d.num()
@@ -407,7 +445,7 @@ func (d *logDec) rec(r *ropRec) {
 	r.Name = d.str()
 	if d.flag() {
 		r.Meta = new(Meta)
-		d.meta(r.Meta)
+		d.meta(r.Meta, r.Name)
 	}
 	r.At = d.varint()
 	r.N = d.num()
@@ -431,10 +469,12 @@ func (d *logDec) session(x *rsnapSession) {
 	}
 }
 
-// decodeRop decodes one log entry's payload.
-func decodeRop(data []byte, ports portTab) (rop, error) {
+// decodeRop decodes one log entry's payload, sharing what it can with a
+// member's directory and node list (both may be nil).
+func decodeRop(data []byte, ports portTab, dir map[string]*dirent, nodes []msg.NodeID) (rop, error) {
 	var op rop
 	d := newLogDec(data, ports)
+	d.dir, d.nodes = dir, nodes
 	d.rop(&op)
 	return op, d.finish()
 }
@@ -448,7 +488,7 @@ func decodeSnap(data []byte, ports portTab) (rsnap, error) {
 		snap.Files = make([]rsnapFile, n)
 		for i := range snap.Files {
 			f := &snap.Files[i]
-			d.meta(&f.Meta)
+			d.meta(&f.Meta, "")
 			f.WBDirty = d.flag()
 			f.Deferred = d.str()
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -202,7 +203,7 @@ func TestLogCodecRoundTrip(t *testing.T) {
 	for i, op := range rops {
 		enc := appendRop(nil, &op)
 		total += len(enc)
-		got, err := decodeRop(enc, nil)
+		got, err := decodeRop(enc, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("rop %d (kind %d): decode: %v", i, op.Kind, err)
 		}
@@ -212,11 +213,11 @@ func TestLogCodecRoundTrip(t *testing.T) {
 		if !bytes.Equal(enc, appendRop(nil, &again[i])) {
 			t.Fatalf("rop %d: identical ops encode to different bytes", i)
 		}
-		if interned, err := decodeRop(enc, portTab{}); err != nil || !reflect.DeepEqual(interned, op) {
+		if interned, err := decodeRop(enc, portTab{}, nil, nil); err != nil || !reflect.DeepEqual(interned, op) {
 			t.Fatalf("rop %d: decode with a port table: %+v, %v", i, interned, err)
 		}
 		if op.Kind != ropWrite { // write payloads make the prefix sweep quadratic in kilobytes
-			checkStrict(t, fmt.Sprintf("rop %d", i), enc, func(b []byte) error { _, err := decodeRop(b, nil); return err })
+			checkStrict(t, fmt.Sprintf("rop %d", i), enc, func(b []byte) error { _, err := decodeRop(b, nil, nil, nil); return err })
 		}
 	}
 	for i, snap := range snaps {
@@ -329,11 +330,11 @@ func TestLogCodecRejects(t *testing.T) {
 		{"item flagged zero", func() []byte { b := bytes.Clone(item); b[6] = 0; return b }()},
 		{"item on a create", func() []byte { b := bytes.Clone(item); b[1] = ropCreate | itemFlag; return b }()},
 	} {
-		if _, err := decodeRop(tc.data, nil); !errors.Is(err, errLogCorrupt) || errors.As(err, &fe) {
+		if _, err := decodeRop(tc.data, nil, nil, nil); !errors.Is(err, errLogCorrupt) || errors.As(err, &fe) {
 			t.Errorf("%s: err = %v, want errLogCorrupt", tc.what, err)
 		}
 	}
-	if op, err := decodeRop(item, nil); err != nil || op.request() != 3 {
+	if op, err := decodeRop(item, nil, nil, nil); err != nil || op.request() != 3 {
 		t.Errorf("the scatter item decodes to %+v, %v; want request 3", op, err)
 	}
 	twice := rsnap{Sessions: []rsnapSession{{Client: op.Client, Op: 1}, {Client: op.Client, Op: 2}}}
@@ -350,7 +351,7 @@ func TestLogCodecRejects(t *testing.T) {
 	}
 	// An image of an older format names its version rather than decoding
 	// into garbage or panicking.
-	decodeEntry := func(b []byte) error { _, err := decodeRop(b, nil); return err }
+	decodeEntry := func(b []byte) error { _, err := decodeRop(b, nil, nil, nil); return err }
 	decodeSnapshot := func(b []byte) error { _, err := decodeSnap(b, nil); return err }
 	for _, tc := range []struct {
 		what    string
@@ -407,7 +408,7 @@ func FuzzDecodeRop(f *testing.F) {
 	f.Add(format1Write)
 	f.Add(appendRop(nil, &rop{Kind: ropWrite, Client: msg.Addr{Port: "c"}, Op: 1<<32 + 9, Item: 3, Name: "f", N: 1, Data: [][]byte{{7}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		op, err := decodeRop(data, nil)
+		op, err := decodeRop(data, nil, nil, nil)
 		if err != nil {
 			return
 		}
@@ -416,6 +417,23 @@ func FuzzDecodeRop(f *testing.F) {
 		}
 		if n := op.footprint(); n > len(data) {
 			t.Fatalf("%d bytes decoded into %d elements", len(data), n)
+		}
+		// Interning shares memory, never changes a value: decoded against a
+		// directory holding its names and a node list its own extends, or
+		// one that parts from its own at the last node, it is the same op.
+		dir := map[string]*dirent{}
+		for _, name := range []string{op.Name, op.New} {
+			dir[name] = &dirent{meta: Meta{Name: strings.Clone(name)}}
+		}
+		nodes := append(slices.Clone(op.Meta.Nodes), 7)
+		parted := slices.Clone(op.Meta.Nodes)
+		if n := len(parted); n > 0 {
+			parted[n-1]++
+		}
+		for _, nodes := range [][]msg.NodeID{nodes, parted} {
+			if again, err := decodeRop(data, portTab{}, dir, nodes); err != nil || !reflect.DeepEqual(again, op) {
+				t.Fatalf("decoded against a directory and node list: %+v, %v; want %+v", again, err, op)
+			}
 		}
 	})
 }

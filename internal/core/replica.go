@@ -351,8 +351,12 @@ func (s *Server) next(p sim.Proc) (*msg.Message, bool) {
 	}
 	for !g.dead.Load() {
 		if len(g.parked) > 0 {
+			// Shift in place, as noteFx does: re-slicing forward would walk
+			// the queue off its array, and every park would allocate again.
 			m := g.parked[0]
-			g.parked = g.parked[1:]
+			n := copy(g.parked, g.parked[1:])
+			g.parked[n] = nil
+			g.parked = g.parked[:n]
 			return m, true
 		}
 		wait := g.node.Deadline() - p.Now()
@@ -400,11 +404,11 @@ func (s *Server) pump(p sim.Proc) {
 		if len(ents) == 0 {
 			break
 		}
+		// ents is the log's own range: apply calls nothing in the node.
 		for _, e := range ents {
 			if e.Data != nil {
-				op, err := decodeRop(e.Data, g.ports)
-				if err != nil {
-					g.halt(fmt.Errorf("bridge: committed log entry %d: %w", e.Index, err))
+				op, ok := s.decodeEntry(e)
+				if !ok {
 					return
 				}
 				s.apply(op)
@@ -422,6 +426,7 @@ func (s *Server) pump(p sim.Proc) {
 		g.halt(fmt.Errorf("bridge: persist replicated log: %w", err))
 		return
 	}
+	// out is the node's own queue, valid until the next Flush.
 	for _, o := range out {
 		if o.To == g.spec.id || o.To < 0 || o.To >= len(g.spec.peers) {
 			continue
@@ -433,6 +438,19 @@ func (s *Server) pump(p sim.Proc) {
 		})
 	}
 	g.syncMetrics()
+}
+
+// decodeEntry decodes a committed entry's operation against this member's
+// directory and node list, so it allocates only the names and placements
+// the directory does not hold yet. An entry that does not decode halts the
+// member: applying past it would fork this directory from its peers'.
+func (s *Server) decodeEntry(e raft.Entry) (rop, bool) {
+	op, err := decodeRop(e.Data, s.grp.ports, s.dir, s.nodes)
+	if err != nil {
+		s.grp.halt(fmt.Errorf("bridge: committed log entry %d: %w", e.Index, err))
+		return rop{}, false
+	}
+	return op, true
 }
 
 func (s *Server) maybeCompact() {
@@ -571,13 +589,7 @@ func (s *Server) apply(op rop) {
 	switch op.Kind {
 	case ropCreate:
 		s.nextID = op.NextID
-		// A file on the cluster's first P nodes in order — any placed
-		// without a Subset — shares the server's list, never written,
-		// rather than holding a copy of its own.
-		if n := len(op.Meta.Nodes); n <= len(s.nodes) && slices.Equal(op.Meta.Nodes, s.nodes[:n]) {
-			op.Meta.Nodes = s.nodes[:n:n]
-		}
-		s.dir[op.Meta.Name] = &dirent{meta: op.Meta, hints: make(map[msg.NodeID]int32)}
+		s.dir[op.Meta.Name] = &dirent{meta: op.Meta}
 		g.record(op, ropRec{Kind: op.Kind, Name: op.Name}, &op.Meta)
 		g.noteFx(op)
 	case ropDelete, ropRelease:
@@ -754,7 +766,7 @@ func (s *Server) restore(data []byte) error {
 	g.wbLow = make(map[string]int64)
 	g.deferred = make(map[string]string)
 	for _, f := range snap.Files {
-		s.dir[f.Meta.Name] = &dirent{meta: f.Meta, hints: make(map[msg.NodeID]int32)}
+		s.dir[f.Meta.Name] = &dirent{meta: f.Meta}
 		if f.WBDirty {
 			g.wbLow[f.Meta.Name] = f.Meta.Blocks
 		}
@@ -1156,9 +1168,8 @@ func (s *Server) takeover(p sim.Proc) {
 		if e.Data == nil {
 			continue
 		}
-		op, err := decodeRop(e.Data, g.ports)
-		if err != nil {
-			g.halt(fmt.Errorf("bridge: committed log entry %d: %w", e.Index, err))
+		op, ok := s.decodeEntry(e)
+		if !ok {
 			return
 		}
 		replay = append(replay, op)

@@ -362,7 +362,7 @@ func TestScatterExactlyOnceAcrossFailover(t *testing.T) {
 			if e.Data == nil {
 				continue
 			}
-			op, err := decodeRop(e.Data, srv.grp.ports)
+			op, err := decodeRop(e.Data, srv.grp.ports, nil, nil)
 			if err != nil {
 				t.Errorf("log entry %d: %v", e.Index, err)
 				return

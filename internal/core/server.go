@@ -189,7 +189,10 @@ func (t *sessionTab[T]) open(client msg.Addr, op uint64) (*session[T], int) {
 }
 
 type dirent struct {
-	meta  Meta
+	meta Meta
+	// hints is where each node last put one of the file's blocks, the EFS
+	// address hint of its next access there. Made by the first setHint: a
+	// file only created, opened and deleted never needs it.
 	hints map[msg.NodeID]int32
 	// lay memoizes layout() for laySpec; see there.
 	lay     distrib.Layout
@@ -259,7 +262,7 @@ func (s *Server) Restore(snap DirSnapshot) {
 	s.nextID = snap.NextID
 	s.nextJob = snap.NextJob
 	for _, meta := range snap.Files {
-		s.dir[meta.Name] = &dirent{meta: meta, hints: make(map[msg.NodeID]int32)}
+		s.dir[meta.Name] = &dirent{meta: meta}
 	}
 }
 
@@ -511,12 +514,14 @@ func (s *Server) planCreate(r CreateReq) (Meta, error) {
 		}
 	}
 	fileID := s.cfg.IDBase + (s.nextID+1)*s.cfg.IDStride
-	nodes := append([]msg.NodeID(nil), s.nodes[:spec.P]...)
+	// A file on the cluster's first P nodes in order shares the server's
+	// list, which no one writes, rather than holding a copy of its own.
+	nodes := s.nodes[:spec.P:spec.P]
 	if len(r.Subset) > 0 {
 		if len(r.Subset) != spec.P {
 			return Meta{}, fmt.Errorf("%w: subset of %d nodes for P=%d", ErrBadArg, len(r.Subset), spec.P)
 		}
-		nodes = nodes[:0]
+		nodes = make([]msg.NodeID, 0, spec.P)
 		for _, idx := range r.Subset {
 			if idx < 0 || idx >= len(s.nodes) {
 				return Meta{}, fmt.Errorf("%w: subset index %d out of range", ErrBadArg, idx)
@@ -851,7 +856,7 @@ func (s *Server) lfsReadFinish(p sim.Proc, ent *dirent, blockNum int64, c lfsPen
 		}
 		return BlockHeader{}, nil, fmt.Errorf("%w: %w", ErrLFSFailed, err)
 	}
-	ent.hints[c.Node] = resp.Addr
+	ent.setHint(c.Node, resp.Addr)
 	return DecodeBlock(resp.Data)
 }
 
@@ -864,6 +869,14 @@ func (s *Server) lfsRead(p sim.Proc, ent *dirent, blockNum int64) ([]byte, error
 	}
 	_, payload, err := s.lfsReadFinish(p, ent, blockNum, c)
 	return payload, err
+}
+
+// setHint notes the address node answered for one of the file's blocks.
+func (ent *dirent) setHint(node msg.NodeID, addr int32) {
+	if ent.hints == nil {
+		ent.hints = make(map[msg.NodeID]int32)
+	}
+	ent.hints[node] = addr
 }
 
 func (ent *dirent) hintFor(node msg.NodeID) int32 {
@@ -907,7 +920,7 @@ func (s *Server) lfsWriteFinish(p sim.Proc, ent *dirent, c lfsPend) error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrLFSFailed, err)
 	}
-	ent.hints[c.Node] = resp.Addr
+	ent.setHint(c.Node, resp.Addr)
 	return nil
 }
 

@@ -390,7 +390,7 @@ func TestSessionScatterHealsAfterSnapshotInstall(t *testing.T) {
 			if e.Data == nil {
 				continue
 			}
-			op, err := decodeRop(e.Data, srv.grp.ports)
+			op, err := decodeRop(e.Data, srv.grp.ports, nil, nil)
 			if err != nil {
 				t.Fatalf("log entry %d: %v", e.Index, err)
 			}

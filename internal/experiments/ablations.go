@@ -112,7 +112,7 @@ func CreateTree(cfg Config) ([]CreateTreeRow, error) {
 		row := CreateTreeRow{P: p}
 		err := runSim(p, cfg, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
 			const trials = 4
-			proc.Sleep(2 * time.Second) // let boot-time formatting settle
+			settle(proc)
 			start := proc.Now()
 			for i := 0; i < trials; i++ {
 				if _, err := c.CreateSpec(fmt.Sprintf("seq%d", i), distrib.Spec{}, false); err != nil {

@@ -134,8 +134,9 @@ func measureTable2(p int, cfg Config, pt *Table2Point) error {
 		n := cfg.Records
 		recs := workload.Records(cfg.Seed, n, cfg.PayloadBytes)
 
-		// Create: average of a few fresh creates.
+		// Create: average of a few fresh creates, on a settled cluster.
 		const createTrials = 4
+		settle(proc)
 		start := proc.Now()
 		for i := 0; i < createTrials; i++ {
 			if _, err := c.Create(fmt.Sprintf("c%d", i)); err != nil {

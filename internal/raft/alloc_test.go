@@ -82,3 +82,54 @@ func TestAllocsLeaseExpiry(t *testing.T) {
 		t.Errorf("LeaseValid allocates %v objects, want 0", allocs)
 	}
 }
+
+// TestAllocsRaftHandOffs: neither hand-off copies. A steady cycle allocates
+// 10 objects: per follower its AppendReq's entry copy, the boxed AppendReq
+// and the boxed AppendResp (six, which cross the network), and four inbox
+// slices of the test harness. A Flush that grows a fresh queue, or a
+// TakeCommitted that copies its range, costs a cycle 17.
+func TestAllocsRaftHandOffs(t *testing.T) {
+	const bound = 10
+	_, cycle := steadyLeader(t, 1)
+	if objs, _ := cycleCost(cycle); objs > bound {
+		t.Errorf("a steady cycle allocates %d objects, want at most %d", objs, bound)
+	}
+}
+
+// TestAllocsNoHandOffCopies: TakeCommitted returns the log's own range,
+// capped so an append cannot write into the log, and Flush the node's own
+// queue, cleared when the next Flush takes it back so it pins no body.
+func TestAllocsNoHandOffCopies(t *testing.T) {
+	h, _ := steadyLeader(t, 47)
+	lead := h.nodes[h.leader()]
+	if _, _, ok := lead.Propose([]byte("shared"), h.now); !ok {
+		t.Fatal("leader refused a proposal")
+	}
+	h.run(3)
+	ents := lead.TakeCommitted()
+	if len(ents) != 1 || string(ents[0].Data) != "shared" {
+		t.Fatalf("TakeCommitted = %+v, want the one proposal", ents)
+	}
+	if at := ents[0].Index - lead.snapIndex - 1; &ents[0] != &lead.log[at] || cap(ents) != len(ents) {
+		t.Errorf("TakeCommitted returned a copy (or an uncapped range) of log entry %d", ents[0].Index)
+	}
+	lead.Tick(lead.Deadline()) // a heartbeat to each follower
+	first, err := lead.Flush(h.proc)
+	if err != nil || len(first) != 2 {
+		t.Fatalf("Flush = %d messages, %v; want the two heartbeats", len(first), err)
+	}
+	lead.Tick(lead.Deadline())
+	if _, err := lead.Flush(h.proc); err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range first {
+		if o != (Outbound{}) {
+			t.Errorf("message %d of a queue the next Flush took back still holds %+v", i, o)
+		}
+	}
+	lead.Tick(lead.Deadline())
+	third, err := lead.Flush(h.proc)
+	if err != nil || len(third) != 2 || &third[0] != &first[0] {
+		t.Errorf("the third Flush did not reuse the first one's queue (%d messages, %v)", len(third), err)
+	}
+}

@@ -113,6 +113,9 @@ type Install struct {
 // Node is one consensus participant. It is passive: the owning process
 // calls Tick when Deadline passes, Step for each peer message, Propose to
 // append, and then Flush/TakeCommitted to persist, transmit, and apply.
+// Neither hand-off copies: Flush returns the node's own outbound queue and
+// TakeCommitted the log's own range, each valid until the next call that
+// reuses it.
 // All methods are mutex-guarded so other processes may read Status while
 // the owner runs, but only one process may drive the node.
 type Node struct {
@@ -150,7 +153,8 @@ type Node struct {
 	logFrom   uint64
 
 	lease     []time.Duration // leaseExpiry's scratch, one slot per peer
-	out       []Outbound
+	out       []Outbound      // queued for the next Flush
+	sent      []Outbound      // what the last Flush returned; the next one's queue
 	installed *Install
 	tallies   Tallies
 }
@@ -668,7 +672,9 @@ func (n *Node) advanceCommit() {
 
 // Flush persists what changed since the last Flush (before any message
 // promising it can leave) and returns the queued outbound messages. Call
-// after every Tick, Step, Propose, or Compact.
+// after every Tick, Step, Propose, or Compact. The slice is the node's own
+// queue, valid until the next Flush: the two queues alternate, so only the
+// Outbound values, never the slice, may be kept.
 func (n *Node) Flush(p sim.Proc) ([]Outbound, error) {
 	n.mu.Lock()
 	dirty := n.dirty
@@ -695,14 +701,21 @@ func (n *Node) Flush(p sim.Proc) ([]Outbound, error) {
 		}
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	// The last Flush's queue becomes the next one's, cleared so it pins no
+	// message body the caller has sent.
+	clear(n.sent)
 	out := n.out
-	n.out = nil
-	n.mu.Unlock()
+	n.out, n.sent = n.sent[:0], out
 	return out, nil
 }
 
 // TakeCommitted returns the newly committed entries since the last call,
-// in log order. The owner applies them to its state machine.
+// in log order. The owner applies them to its state machine. The slice is
+// the log's own range, capped so an append cannot write into the log: it
+// is valid until the next call into the node, since only those (a
+// truncation or snapshot install in Step, a Compact) rewrite the log's
+// array. An entry's Data is never rewritten.
 func (n *Node) TakeCommitted() []Entry {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -720,7 +733,7 @@ func (n *Node) TakeCommitted() []Entry {
 			to = len(n.log)
 		}
 	}
-	ents := append([]Entry(nil), n.log[from:to]...)
+	ents := n.log[from:to:to]
 	n.delivered = n.commit
 	n.tallies.Committed += int64(len(ents))
 	return ents
