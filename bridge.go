@@ -51,7 +51,6 @@ import (
 	"bridge/internal/replica"
 	"bridge/internal/sim"
 	"bridge/internal/tools"
-	"bridge/internal/trace"
 )
 
 // Re-exported types from the implementation packages, so the whole public
@@ -276,9 +275,6 @@ type Config struct {
 	DiskLatency time.Duration
 	// Seek switches to the richer seek/rotation disk model.
 	Seek bool
-	// Trace records every message send and disk access with simulated
-	// timestamps; dump with Session.Inspect().TraceDump.
-	Trace bool
 	// Health enables the Bridge Server's heartbeat monitor. Every call the
 	// server makes to a node marked Dead — data, metadata or maintenance —
 	// fast-fails with ErrNodeDown instead of waiting out the LFS timeout,
@@ -333,10 +329,11 @@ type Config struct {
 	Scrub *ScrubConfig
 	// Obs enables virtual-time observability: every client operation opens
 	// a trace whose spans flow through the server, LFS, and disk layers;
-	// latency histograms accumulate per op kind; and a sampler records
-	// per-node queue depth and disk utilization at fixed virtual
-	// intervals. Inspect with Session.Inspect() — WriteChromeTrace dumps
-	// Chrome trace_event JSON (byte-identical across same-seed runs),
+	// every message send, injected fault, disk crash and health change is
+	// recorded as an event; latency histograms accumulate per op kind; and
+	// a sampler records per-node queue depth and disk utilization at fixed
+	// virtual intervals. Inspect with Session.Inspect() — WriteChromeTrace
+	// dumps Chrome trace_event JSON (byte-identical across same-seed runs),
 	// WriteTop a per-node text report. Use &ObsConfig{} for the defaults.
 	// Observability charges no simulated time, so enabling it does not
 	// perturb measured performance.
@@ -430,14 +427,6 @@ func (s *System) Run(fn func(*Session) error) error {
 	if err != nil {
 		return err
 	}
-	var tr *trace.Tracer
-	if s.cfg.Trace {
-		tr = trace.New(1 << 18)
-		cl.Net.SetTracer(tr)
-		for i, n := range cl.Nodes {
-			n.Disk.SetTracer(tr, fmt.Sprintf("disk%d", i))
-		}
-	}
 	var rec *obs.Recorder
 	var obsStop *msg.Port
 	if s.cfg.Obs != nil {
@@ -450,9 +439,7 @@ func (s *System) Run(fn func(*Session) error) error {
 		obsStop = startSampler(rt, cl, rec, ocfg.SampleEvery)
 	}
 	if s.cfg.Fault != nil {
-		if tr != nil {
-			s.cfg.Fault.SetTracer(tr)
-		}
+		s.cfg.Fault.SetRecorder(rec)
 		s.cfg.Fault.AttachNetwork(cl.Net)
 		for i, n := range cl.Nodes {
 			s.cfg.Fault.AttachDisk(n.Disk, fmt.Sprintf("disk%d", i))
@@ -474,12 +461,11 @@ func (s *System) Run(fn func(*Session) error) error {
 			defer obsStop.Close()
 		}
 		sess := &Session{
-			proc:   proc,
-			cl:     cl,
-			c:      cl.NewClient(proc, 0, "session"),
-			tracer: tr,
-			rec:    rec,
-			pdel:   s.cfg.ParallelDelete,
+			proc: proc,
+			cl:   cl,
+			c:    cl.NewClient(proc, 0, "session"),
+			rec:  rec,
+			pdel: s.cfg.ParallelDelete,
 		}
 		if retry != nil {
 			// A distinct stream label keeps the session's jitter sequence
@@ -507,12 +493,11 @@ func (s *System) Run(fn func(*Session) error) error {
 // Bridge client plus the standard tools; it is bound to the session process
 // and must not be used concurrently.
 type Session struct {
-	proc   sim.Proc
-	cl     *core.Cluster
-	c      *core.Client
-	tracer *trace.Tracer
-	rec    *obs.Recorder // nil = observability off
-	pdel   bool          // Config.ParallelDelete
+	proc sim.Proc
+	cl   *core.Cluster
+	c    *core.Client
+	rec  *obs.Recorder // nil = observability off
+	pdel bool          // Config.ParallelDelete
 }
 
 // startSampler runs the observability gauge sampler: every interval of
@@ -1120,15 +1105,6 @@ func (i Inspector) Metrics() MetricsSnapshot {
 		Values:     i.s.cl.Net.Stats().Registry().Values(),
 		Histograms: i.s.rec.Histograms(),
 	}
-}
-
-// TraceDump writes the legacy event timeline (requires Config.Trace).
-func (i Inspector) TraceDump(w io.Writer) error {
-	if i.s.tracer == nil {
-		return errors.New("bridge: tracing not enabled (set Config.Trace)")
-	}
-	_, err := i.s.tracer.WriteTo(w)
-	return err
 }
 
 // WriteChromeTrace writes the recorded op spans, events, and gauge samples

@@ -7,8 +7,9 @@
 //
 //	go run ./examples/chaos [-seed N]
 //
-// Two runs with the same seed print identical output, including the trace
-// fingerprint; a different seed injects a different fault pattern.
+// Two runs with the same seed print identical output, including the
+// fingerprint of the run's Chrome trace (every span, message send and
+// injected fault); a different seed injects a different fault pattern.
 package main
 
 import (
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"log"
-	"strings"
 	"time"
 
 	"bridge"
@@ -54,14 +54,14 @@ func main() {
 		Health:     &bridge.HealthConfig{},
 		Retry:      &bridge.RetryPolicy{Seed: *seed},
 		LFSTimeout: time.Second,
-		Trace:      true,
 		Fault:      inj,
+		Obs:        &bridge.ObsConfig{},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	var traceDump strings.Builder
+	var traceDump bytes.Buffer
 	err = sys.Run(func(s *bridge.Session) error {
 		s.SetTimeout(2 * time.Second)
 		m, err := s.NewMirror("journal")
@@ -133,7 +133,7 @@ func main() {
 			}
 		}
 		fmt.Printf("[%8v] all %d blocks verified intact\n", s.Now(), n)
-		return s.Inspect().TraceDump(&traceDump)
+		return s.Inspect().WriteChromeTrace(&traceDump)
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -144,5 +144,5 @@ func main() {
 		st.Get("fault.msg_dropped"), st.Get("fault.msg_duplicated"), st.Get("fault.msg_delayed"),
 		st.Get("fault.node_crashes"), st.Get("fault.node_restarts"))
 	fmt.Printf("trace fingerprint (seed %d): %08x over %d bytes\n",
-		*seed, crc32.ChecksumIEEE([]byte(traceDump.String())), traceDump.Len())
+		*seed, crc32.ChecksumIEEE(traceDump.Bytes()), traceDump.Len())
 }

@@ -2,6 +2,7 @@ package bridge
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -96,41 +97,69 @@ func TestFacadeCustomTool(t *testing.T) {
 	}
 }
 
+// TestFacadeTrace: an Obs run's Chrome trace holds every message send with
+// its body type — tool traffic, which opens no span, among them — and every
+// device access annotated with its block range.
 func TestFacadeTrace(t *testing.T) {
-	sys, err := New(Config{Nodes: 2, Trace: true, DiskLatency: time.Millisecond})
+	sys, err := New(Config{Nodes: 2, DiskLatency: time.Millisecond, Obs: &ObsConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var trc bytes.Buffer
 	err = sys.Run(func(s *Session) error {
-		s.Create("f")
-		s.Append("f", []byte("traced"))
-		s.ReadAt("f", 0)
-		var sb strings.Builder
-		if err := s.Inspect().TraceDump(&sb); err != nil {
+		if err := s.Create("f"); err != nil {
 			return err
 		}
-		out := sb.String()
-		if !strings.Contains(out, "msg.send") {
-			return fmt.Errorf("trace missing message events: %.200s", out)
+		for i := 0; i < 6; i++ {
+			if err := s.Append("f", []byte(fmt.Sprintf("record %02d", 6-i))); err != nil {
+				return err
+			}
 		}
-		// The read of block 0 hits the write-through cache, so only
-		// writes are guaranteed to reach the device.
-		if !strings.Contains(out, "disk.write") {
-			return fmt.Errorf("trace missing disk events: %.200s", out)
+		if _, err := s.Sort("f", "sorted", SortOptions{InCore: 2}); err != nil {
+			return err
 		}
-		return nil
+		return s.Inspect().WriteChromeTrace(&trc)
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Args struct {
+				Detail string   `json:"detail"`
+				Ann    []string `json:"ann"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(trc.Bytes(), &doc); err != nil {
+		t.Fatalf("Chrome trace is not valid JSON: %v", err)
+	}
+	sends, tokens, writes := 0, 0, 0
+	for _, e := range doc.TraceEvents {
+		switch e.Name {
+		case "msg.send":
+			sends++
+			if strings.Contains(e.Args.Detail, "*tools.mergeToken") {
+				tokens++
+			}
+		case "disk.write":
+			if len(e.Args.Ann) != 1 || !strings.Contains(e.Args.Ann[0], " block ") || !strings.Contains(e.Args.Ann[0], "(+") {
+				t.Errorf("disk.write annotations = %q, want its block range", e.Args.Ann)
+			}
+			writes++
+		}
+	}
+	if sends == 0 || tokens == 0 || writes == 0 {
+		t.Errorf("trace holds %d msg.send events (%d of *tools.mergeToken) and %d disk.write spans; want each > 0", sends, tokens, writes)
 	}
 }
 
 func TestFacadeTraceDisabled(t *testing.T) {
 	sys := fastSystem(t, 2)
 	err := sys.Run(func(s *Session) error {
-		var buf bytes.Buffer
-		if err := s.Inspect().TraceDump(&buf); err == nil {
-			return fmt.Errorf("TraceDump without Config.Trace succeeded")
+		if err := s.Inspect().WriteChromeTrace(&bytes.Buffer{}); !errors.Is(err, ErrObsDisabled) {
+			return fmt.Errorf("WriteChromeTrace without Config.Obs: err = %v, want ErrObsDisabled", err)
 		}
 		return nil
 	})

@@ -2,11 +2,11 @@
 // into observable simulation state.
 //
 // Go randomizes map iteration order on purpose, so a map-range loop that
-// sends messages, writes trace events, or builds a result slice produces a
-// different message/trace/result order on every run — the one thing the
-// virtual-clock methodology cannot tolerate. The fix is always the same:
-// collect the keys, sort them, iterate the sorted slice. A loop that
-// appends to an escaping slice is not flagged when the slice is sorted
+// sends messages, records spans, events or samples, or builds a result
+// slice produces a different message/trace/result order on every run — the
+// one thing the virtual-clock methodology cannot tolerate. The fix is always
+// the same: collect the keys, sort them, iterate the sorted slice. A loop
+// that appends to an escaping slice is not flagged when the slice is sorted
 // later in the same block (the collect-then-sort idiom).
 package maporder
 
@@ -28,11 +28,13 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // observableCalls maps package-path base → method/function names whose
-// call order is observable simulation state.
+// call order is observable simulation state. The recorder's span ids are
+// sequential, so the order spans start in is observable as much as the
+// order of its events and samples.
 var observableCalls = map[string]map[string]bool{
-	"sim":   {"Send": true, "SendDelayed": true, "Close": true},
-	"msg":   {"Send": true, "SendDelayed": true, "Call": true, "CallTimeout": true, "Close": true},
-	"trace": nil, // every call into the trace package is observable
+	"sim": {"Send": true, "SendDelayed": true, "Close": true},
+	"msg": {"Send": true, "SendDelayed": true, "Call": true, "CallTimeout": true, "Close": true},
+	"obs": {"Event": true, "Start": true, "Sample": true},
 }
 
 func run(pass *analysis.Pass) error {

@@ -25,6 +25,12 @@ type Span struct {
 	Err   string
 }
 
+// Event records an instantaneous event.
+func (r *Recorder) Event(at time.Duration, trace TraceID, kind, detail string) {}
+
+// Sample records one gauge observation.
+func (r *Recorder) Sample(at time.Duration, node int, name string, v int64) {}
+
 func (r *Recorder) NewTrace() TraceID {
 	r.lastTrace++
 	return TraceID(r.lastTrace)

@@ -4,7 +4,9 @@ package maporder_clean
 
 import (
 	"sort"
+	"time"
 
+	"bridge/internal/obs"
 	"bridge/internal/sim"
 )
 
@@ -60,4 +62,16 @@ func PerEntry(m map[string][]int) int {
 		n += len(row)
 	}
 	return n
+}
+
+// Recording events over sorted keys fixes their order in the trace.
+func EventSorted(rec *obs.Recorder, m map[string]int) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		rec.Event(time.Second, 0, "disk.sync", k)
+	}
 }

@@ -2,6 +2,9 @@
 package maporder_flag
 
 import (
+	"time"
+
+	"bridge/internal/obs"
 	"bridge/internal/sim"
 )
 
@@ -29,5 +32,19 @@ func ChannelSend(m map[int]int, ch chan int) {
 func CloseInOrder(qs map[int]sim.Queue) {
 	for _, q := range qs { // want `map iteration order reaches sim\.Close`
 		q.Close()
+	}
+}
+
+// The recorder's events land in the trace in call order.
+func EventInOrder(rec *obs.Recorder, m map[string]int) {
+	for name := range m { // want `map iteration order reaches obs\.Event`
+		rec.Event(time.Second, 0, "disk.sync", name)
+	}
+}
+
+// Span ids are handed out in start order.
+func StartInOrder(rec *obs.Recorder, m map[int]string) {
+	for node, kind := range m { // want `map iteration order reaches obs\.Start`
+		rec.Start(0, 0, 0, kind, node).End(time.Second, nil)
 	}
 }

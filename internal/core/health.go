@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -139,8 +140,8 @@ func (s *Server) reportProbe(now time.Duration, n msg.NodeID, ok bool) {
 		return
 	}
 	s.m.healthTransitions.Add(1)
-	if t := s.net.Tracer(); t != nil {
-		t.Emitf(now, "health."+state.String(), "node n%d", n)
+	if r := s.net.Recorder(); r != nil {
+		r.Event(now, 0, "health."+state.String(), fmt.Sprintf("node n%d", n))
 	}
 }
 

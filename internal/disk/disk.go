@@ -19,7 +19,6 @@ import (
 	"bridge/internal/obs"
 	"bridge/internal/sim"
 	"bridge/internal/stats"
-	"bridge/internal/trace"
 )
 
 // Errors returned by disk operations.
@@ -136,8 +135,6 @@ type CrashHook interface {
 type Disk struct {
 	cfg       Config
 	stats     *stats.Counters
-	tracer    *trace.Tracer // nil = tracing off
-	name      string
 	fault     FaultHook    // nil = no fault injection
 	corrupter Corrupter    // d.fault's Corrupter side, if it has one
 	latent    LatentFaults // d.fault's LatentFaults side, if it has one
@@ -232,15 +229,12 @@ func (d *Disk) Config() Config { return d.cfg }
 // Stats returns the device counters: ops, blocks transferred, busy time.
 func (d *Disk) Stats() *stats.Counters { return d.stats }
 
-// SetTracer enables per-access tracing under the given name (nil disables).
-func (d *Disk) SetTracer(t *trace.Tracer, name string) {
-	d.mu.Lock()
-	d.tracer, d.name = t, name
-	d.mu.Unlock()
-}
-
 // SetRecorder enables per-access span recording onto rec (nil disables);
-// node is the cluster node index stamped on the spans.
+// node is the cluster node index stamped on the spans. Each access span is
+// annotated with its block range, each sync with the blocks it flushed, and
+// a crash is recorded as an event (the fault injector records the errors it
+// injects); the device is named by its fault label, or by its node when it
+// has none.
 func (d *Disk) SetRecorder(rec *obs.Recorder, node int) {
 	d.mu.Lock()
 	d.rec, d.node = rec, node
@@ -317,9 +311,9 @@ func (d *Disk) Crash(now time.Duration) {
 		copy(b[:torn], d.pending[bn][:torn])
 		d.commit(bn, b)
 	}
-	if d.tracer != nil {
-		d.tracer.Emitf(now, "disk.crash", "%s lost %d unsynced writes (kept %d, torn %d bytes)",
-			d.name, len(d.pendingOrder)-keep, keep, torn)
+	if d.rec != nil {
+		d.rec.Event(now, 0, "disk.crash", fmt.Sprintf("%s lost %d unsynced writes (kept %d, torn %d bytes)",
+			d.devName(), len(d.pendingOrder)-keep, keep, torn))
 	}
 	d.pending = make(map[int][]byte)
 	d.pendingOrder = nil
@@ -388,11 +382,9 @@ func (d *Disk) Sync(p sim.Proc) error {
 		t = d.cfg.SyncTime
 		d.m.syncs.Add(1)
 		d.m.busy.Add(t)
-		if d.tracer != nil {
-			d.tracer.Emitf(p.Now(), "disk.sync", "%s flushed %d blocks %v", d.name, flushed, t)
-		}
 		if d.rec != nil {
 			sp := d.rec.Start(p.Now(), d.trace, d.parent, "disk.sync", d.node)
+			sp.Annotate(fmt.Sprintf("%s flushed %d blocks", d.devName(), flushed))
 			sp.End(p.Now()+t, nil)
 		}
 	}
@@ -447,16 +439,22 @@ func (d *Disk) access(p sim.Proc, op Op, bn int, blocks int) time.Duration {
 		d.nWrites++
 	}
 	d.m.busy.Add(t)
-	if d.tracer != nil {
-		d.tracer.Emitf(p.Now(), kind, "%s block %d (+%d) %v", d.name, bn, blocks, t)
-	}
 	if d.rec != nil {
 		// The access is a complete span: service begins now and the caller
 		// charges t after unlocking, so the device is busy [now, now+t).
 		sp := d.rec.Start(p.Now(), d.trace, d.parent, kind, d.node)
+		sp.Annotate(fmt.Sprintf("%s block %d (+%d)", d.devName(), bn, blocks))
 		sp.End(p.Now()+t, nil)
 	}
 	return t
+}
+
+// devName names the device in recorded details. Callers hold d.mu.
+func (d *Disk) devName() string {
+	if d.label != "" {
+		return d.label
+	}
+	return fmt.Sprintf("n%d", d.node)
 }
 
 // charge sleeps for a device delay; call without holding d.mu.
@@ -487,12 +485,6 @@ func (d *Disk) inject(p sim.Proc, op Op, bn, blocks int) (extra time.Duration, t
 	if err != nil {
 		t = d.access(p, op, bn, blocks)
 		d.m.faultErrors.Add(1)
-		if d.tracer != nil {
-			d.tracer.Emitf(p.Now(), "disk.fault", "%s block %d: %v", d.name, bn, err)
-		}
-		if d.rec != nil {
-			d.rec.Event(p.Now(), d.trace, "disk.fault", fmt.Sprintf("%s block %d: %v", d.name, bn, err))
-		}
 	}
 	return extra, t, err
 }

@@ -3,6 +3,8 @@ package fault_test
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -12,9 +14,9 @@ import (
 	"bridge/internal/disk"
 	"bridge/internal/fault"
 	"bridge/internal/lfs"
+	"bridge/internal/obs"
 	"bridge/internal/replica"
 	"bridge/internal/sim"
-	"bridge/internal/trace"
 )
 
 func chaosPayload(i int) []byte {
@@ -29,8 +31,9 @@ func chaosPayload(i int) []byte {
 // a lossy/delaying message window, a limping disk, and a node crash in the
 // middle of a stream of appends, followed by restart, directory repair,
 // resilvering, and full verification (contents plus a per-node EFS
-// consistency check). It returns the virtual-time trace and the file's
-// final contents so callers can assert exact replay.
+// consistency check). It returns the run's Chrome trace — every span,
+// message send, disk access and injected fault — and the file's final
+// contents so callers can assert exact replay.
 func runChaos(t *testing.T, seed int64) (string, [][]byte) {
 	t.Helper()
 	const (
@@ -38,9 +41,7 @@ func runChaos(t *testing.T, seed int64) (string, [][]byte) {
 		n = 40
 	)
 	rt := sim.NewVirtual()
-	tr := trace.New(1 << 20)
 	inj := fault.New(seed)
-	inj.SetTracer(tr)
 	inj.MsgWindow(2*time.Second, 5*time.Second, fault.MsgFaults{
 		DropProb:  0.05,
 		DupProb:   0.05,
@@ -69,11 +70,7 @@ func runChaos(t *testing.T, seed int64) (string, [][]byte) {
 	if err != nil {
 		t.Fatalf("StartCluster: %v", err)
 	}
-	cl.Net.SetTracer(tr)
-	inj.AttachNetwork(cl.Net)
-	for i, nd := range cl.Nodes {
-		inj.AttachDisk(nd.Disk, fmt.Sprintf("disk%d", i))
-	}
+	rec := observe(inj, cl)
 	inj.Drive(rt, cl)
 	var contents [][]byte
 	rt.Go("chaos-client", func(proc sim.Proc) {
@@ -155,11 +152,48 @@ func runChaos(t *testing.T, seed int64) (string, [][]byte) {
 	if retries == 0 {
 		t.Error("no retransmissions — the retry (and jitter) path never bit")
 	}
+	return chromeTrace(t, rec), contents
+}
+
+// observe attaches inj to cl's network and disks and records all of them —
+// spans, message sends, device accesses and injected faults — on one
+// recorder large enough that a chaos run drops nothing.
+func observe(inj *fault.Injector, cl *core.Cluster) *obs.Recorder {
+	rec := obs.NewRecorder(obs.Config{SpanCap: 1 << 20})
+	inj.SetRecorder(rec)
+	cl.Net.SetRecorder(rec)
+	inj.AttachNetwork(cl.Net)
+	for i, nd := range cl.Nodes {
+		nd.Disk.SetRecorder(rec, int(nd.ID))
+		inj.AttachDisk(nd.Disk, fmt.Sprintf("disk%d", i))
+	}
+	return rec
+}
+
+// chromeTrace exports a recorder (or a facade Inspector) as a Chrome trace.
+// A trace cut at the cap would compare less than the run held, so drop
+// metadata in the export fails t.
+func chromeTrace(t *testing.T, rec interface{ WriteChromeTrace(io.Writer) error }) string {
+	t.Helper()
 	var sb strings.Builder
-	if _, err := tr.WriteTo(&sb); err != nil {
+	if err := rec.WriteChromeTrace(&sb); err != nil {
 		t.Fatalf("trace: %v", err)
 	}
-	return sb.String(), contents
+	if strings.Contains(sb.String(), `"metadata":{"dropped_`) {
+		t.Errorf("the recorder dropped records at its cap: %s", sb.String()[strings.LastIndex(sb.String(), "]"):])
+	}
+	return sb.String()
+}
+
+// dumpTrace writes a replay test's trace to <$env>.seed<N> when env is set,
+// so CI can cmp the traces of two processes.
+func dumpTrace(t *testing.T, env string, seed int64, trace string) {
+	t.Helper()
+	if out := os.Getenv(env); out != "" {
+		if err := os.WriteFile(fmt.Sprintf("%s.seed%d", out, seed), []byte(trace), 0o644); err != nil {
+			t.Fatalf("dump trace: %v", err)
+		}
+	}
 }
 
 // msgSeed is the message-fault suite's seed: BRIDGE_MSG_SEED, or 42. A
@@ -175,13 +209,16 @@ func TestChaosRunRepairsAndVerifies(t *testing.T) {
 	runChaos(t, msgSeed(t))
 }
 
+// TestChaosReplaysExactly: the same seed gives a byte-identical Chrome
+// trace and identical contents. With BRIDGE_MSG_TRACE_OUT set the trace is
+// also written to <path>.seed<N>, so CI can compare it across processes.
 func TestChaosReplaysExactly(t *testing.T) {
-	// Same seed: identical virtual-time trace and identical contents.
 	seed := msgSeed(t)
 	tr1, c1 := runChaos(t, seed)
 	if t.Failed() {
 		return
 	}
+	dumpTrace(t, "BRIDGE_MSG_TRACE_OUT", seed, tr1)
 	tr2, c2 := runChaos(t, seed)
 	if tr1 != tr2 {
 		t.Error("same seed produced different traces")

@@ -3,7 +3,6 @@ package fault_test
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"bridge"
@@ -43,7 +42,7 @@ func parityPayload(i int) []byte {
 // sweep confirms every corruption, reads come back byte-correct via
 // read-repair, Resilver/Rebuild heal the copies reads do not touch, and the
 // run ends with a clean scrub and a clean fsck on every node. Returns the
-// virtual-time trace and the final contents for exact-replay assertions.
+// run's Chrome trace and the final contents for exact-replay assertions.
 func runCorruptionChaos(t *testing.T, seed int64) (string, [][]byte) {
 	t.Helper()
 	const (
@@ -54,16 +53,17 @@ func runCorruptionChaos(t *testing.T, seed int64) (string, [][]byte) {
 	inj := bridge.NewFaultInjector(seed)
 	sys, err := bridge.New(bridge.Config{
 		Nodes: p,
-		Trace: true,
 		Fault: inj,
 		Scrub: &bridge.ScrubConfig{},
+		Obs:   &bridge.ObsConfig{},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	var trc strings.Builder
+	var insp bridge.Inspector
 	var contents [][]byte
 	err = sys.Run(func(s *bridge.Session) error {
+		insp = s.Inspect()
 		m, err := s.NewMirror("mf")
 		if err != nil {
 			return fmt.Errorf("NewMirror: %w", err)
@@ -222,24 +222,29 @@ func runCorruptionChaos(t *testing.T, seed int64) (string, [][]byte) {
 		if inj.Stats().Get("fault.disk_misdirected") != 1 {
 			t.Errorf("injector misdirected %d writes, want 1", inj.Stats().Get("fault.disk_misdirected"))
 		}
-		return s.Inspect().TraceDump(&trc)
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("run (seed %d): %v", seed, err)
 	}
-	return trc.String(), contents
+	return chromeTrace(t, insp), contents
 }
 
 func TestCorruptionChaosRepairsAndVerifies(t *testing.T) {
 	runCorruptionChaos(t, corruptionSeed(t))
 }
 
+// TestCorruptionChaosReplaysExactly: the same seed gives a byte-identical
+// Chrome trace and identical contents. With BRIDGE_CHAOS_TRACE_OUT set the
+// trace is also written to <path>.seed<N>, so CI can compare it across
+// processes.
 func TestCorruptionChaosReplaysExactly(t *testing.T) {
 	seed := corruptionSeed(t)
 	tr1, c1 := runCorruptionChaos(t, seed)
 	if t.Failed() {
 		return
 	}
+	dumpTrace(t, "BRIDGE_CHAOS_TRACE_OUT", seed, tr1)
 	tr2, c2 := runCorruptionChaos(t, seed)
 	if tr1 != tr2 {
 		t.Error("same seed produced different traces")

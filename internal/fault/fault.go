@@ -24,7 +24,6 @@ import (
 	"bridge/internal/msg"
 	"bridge/internal/obs"
 	"bridge/internal/stats"
-	"bridge/internal/trace"
 )
 
 // ErrInjected is the base error of every injected disk fault, so callers
@@ -116,7 +115,7 @@ type Injector struct {
 	// unlocked rand.Rand would corrupt its own state — and with it the
 	// determinism contract. Never use global math/rand here.
 	mu          sync.Mutex
-	tracer      *trace.Tracer
+	rec         *obs.Recorder // nil = faults are not recorded
 	rng         *rand.Rand
 	msgRules    []msgRule
 	partitions  []partition
@@ -195,11 +194,13 @@ func (in *Injector) Seed() int64 { return in.seed }
 // Stats returns the injector's counters: faults injected by kind.
 func (in *Injector) Stats() *stats.Counters { return in.stats }
 
-// SetTracer emits an event for every injected fault (nil disables). The
-// hooks read the tracer under in.mu, so installation must hold it too.
-func (in *Injector) SetTracer(t *trace.Tracer) {
+// SetRecorder records an event for every injected fault on rec (nil
+// disables). A dropped message is left to the network's net.drop event and
+// a crash's lost writes to the disk's disk.crash. The hooks read the
+// recorder under in.mu, so installation must hold it too.
+func (in *Injector) SetRecorder(rec *obs.Recorder) {
 	in.mu.Lock()
-	in.tracer = t
+	in.rec = rec
 	in.mu.Unlock()
 }
 
@@ -310,9 +311,7 @@ func (in *Injector) OnCrash(now time.Duration, label string, pending []int) disk
 		// least one byte did not.
 		out.TornBytes = 1 + in.rng.Intn(bs-1)
 		in.m.diskTorn.Add(1)
-		in.emit(now, "fault.torn", "%s block %d first %d bytes", label, pending[out.Keep], out.TornBytes)
 	}
-	in.emit(now, "fault.lostwrites", "%s kept %d of %d unsynced", label, out.Keep, len(pending))
 	return out
 }
 
@@ -323,7 +322,6 @@ func (in *Injector) Deliver(now time.Duration, from msg.NodeID, to msg.Addr, m *
 	for _, p := range in.partitions {
 		if p.contains(now) && ((p.a == from && p.b == to.Node) || (p.b == from && p.a == to.Node)) {
 			in.m.msgPartitioned.Add(1)
-			in.emit(now, "fault.partition", "n%d -/- %v", from, to)
 			return msg.Fate{Drop: true}
 		}
 	}
@@ -339,7 +337,6 @@ func (in *Injector) Deliver(now time.Duration, from msg.NodeID, to msg.Addr, m *
 		delay := in.rng.Float64() < r.f.DelayProb
 		if drop {
 			in.m.msgDropped.Add(1)
-			in.emit(now, "fault.drop", "n%d -> %v %T", from, to, m.Body)
 			return msg.Fate{Drop: true}
 		}
 		if dup {
@@ -458,7 +455,7 @@ func opName(op disk.Op) string {
 
 // emit records a fault event; callers hold in.mu.
 func (in *Injector) emit(now time.Duration, kind, format string, args ...any) {
-	if in.tracer != nil {
-		in.tracer.Emitf(now, kind, format, args...)
+	if in.rec != nil {
+		in.rec.Event(now, 0, kind, fmt.Sprintf(format, args...))
 	}
 }

@@ -2,8 +2,6 @@ package fault_test
 
 import (
 	"bytes"
-	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -12,14 +10,13 @@ import (
 	"bridge/internal/fault"
 	"bridge/internal/lfs"
 	"bridge/internal/sim"
-	"bridge/internal/trace"
 )
 
 // runVecChaos drives the vectored scatter-gather path (WriteAtN / SeqReadN
 // with server read-ahead) through a seeded chaos scenario: a lossy message
 // window over the batched traffic, then a node crash that batched reads
 // must fail fast on rather than hang, then restart + RepairNode + a full
-// batched rewrite and verification. Returns the virtual-time trace and the
+// batched rewrite and verification. Returns the run's Chrome trace and the
 // final contents for exact-replay assertions.
 func runVecChaos(t *testing.T, seed int64) (string, [][]byte) {
 	t.Helper()
@@ -29,9 +26,7 @@ func runVecChaos(t *testing.T, seed int64) (string, [][]byte) {
 		batch = 16
 	)
 	rt := sim.NewVirtual()
-	tr := trace.New(1 << 20)
 	inj := fault.New(seed)
-	inj.SetTracer(tr)
 	inj.MsgWindow(2*time.Second, 7*time.Second, fault.MsgFaults{
 		DropProb:  0.05,
 		DupProb:   0.05,
@@ -56,11 +51,7 @@ func runVecChaos(t *testing.T, seed int64) (string, [][]byte) {
 	if err != nil {
 		t.Fatalf("StartCluster: %v", err)
 	}
-	cl.Net.SetTracer(tr)
-	inj.AttachNetwork(cl.Net)
-	for i, nd := range cl.Nodes {
-		inj.AttachDisk(nd.Disk, fmt.Sprintf("disk%d", i))
-	}
+	rec := observe(inj, cl)
 	inj.Drive(rt, cl)
 	pay := func(version, i int) []byte {
 		b := make([]byte, core.PayloadBytes)
@@ -258,11 +249,7 @@ func runVecChaos(t *testing.T, seed int64) (string, [][]byte) {
 	if cl.Net.Stats().Get("bridge.ra_hits") == 0 {
 		t.Error("no read-ahead hits — the batched reads bypassed the cache")
 	}
-	var sb strings.Builder
-	if _, err := tr.WriteTo(&sb); err != nil {
-		t.Fatalf("trace: %v", err)
-	}
-	return sb.String(), contents
+	return chromeTrace(t, rec), contents
 }
 
 func TestVecChaosSurvivesAndVerifies(t *testing.T) {

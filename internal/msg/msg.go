@@ -17,12 +17,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bridge/internal/obs"
 	"bridge/internal/sim"
 	"bridge/internal/stats"
-	"bridge/internal/trace"
 )
 
 // NodeID identifies a processor node. The Bridge Server conventionally runs
@@ -115,12 +115,12 @@ type FaultHook interface {
 
 // Network connects ports and applies the cost model.
 type Network struct {
-	rt     sim.Runtime
-	cfg    Config
-	stats  *stats.Counters
-	tracer *trace.Tracer // nil = tracing off
-	rec    *obs.Recorder // nil = observability off
-	fault  FaultHook     // nil = no fault injection
+	rt    sim.Runtime
+	cfg   Config
+	stats *stats.Counters
+	rec   *obs.Recorder // nil = observability off
+	fault FaultHook     // nil = no fault injection
+	seq   atomic.Uint64
 
 	m netMetrics
 
@@ -162,17 +162,15 @@ func (n *Network) Config() Config { return n.cfg }
 // remote traffic).
 func (n *Network) Stats() *stats.Counters { return n.stats }
 
-// SetTracer enables event tracing of every Send (nil disables). Set it
-// before the simulation starts.
-func (n *Network) SetTracer(t *trace.Tracer) { n.tracer = t }
+// Seq returns the next number of a sequence that starts at 1 on every
+// network. A port name built from it is unique on the network and the same
+// in every run of one seed, which a process-wide counter's is not.
+func (n *Network) Seq() uint64 { return n.seq.Add(1) }
 
-// Tracer returns the installed tracer (nil when tracing is off), so layers
-// built on the network can emit events onto the same timeline.
-func (n *Network) Tracer() *trace.Tracer { return n.tracer }
-
-// SetRecorder installs the observability recorder (nil disables). Set it
-// before the simulation starts. Layers built on the network fetch it with
-// Recorder to open spans on the same timeline.
+// SetRecorder installs the observability recorder (nil disables): every
+// Send is recorded on it as a msg.send event, and layers built on the
+// network fetch it with Recorder to open spans and record events on the
+// same timeline. Set it before the simulation starts.
 func (n *Network) SetRecorder(r *obs.Recorder) { n.rec = r }
 
 // Recorder returns the installed span recorder (nil when observability is
@@ -241,8 +239,8 @@ func (n *Network) Send(p sim.Proc, fromNode NodeID, to Addr, m *Message) error {
 		n.m.remote.Add(1)
 		n.m.remoteBytes.Add(int64(m.Size + n.cfg.HeaderBytes))
 	}
-	if n.tracer != nil {
-		n.tracer.Emitf(n.rt.Now(), "msg.send", "n%d -> %v %T (%dB)", fromNode, to, m.Body, m.Size)
+	if n.rec != nil {
+		n.rec.Event(n.rt.Now(), m.Trace, "msg.send", fmt.Sprintf("n%d -> %v %T (%dB)", fromNode, to, m.Body, m.Size))
 	}
 	d := n.delay(fromNode, to.Node, m.Size)
 	if n.fault != nil {

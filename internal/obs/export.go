@@ -90,7 +90,8 @@ func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond)
 // WriteChromeTrace writes the recorder's spans, events, and gauge samples
 // as Chrome trace_event JSON (load in about://tracing or Perfetto). The
 // output is byte-identical across same-seed runs: virtual timestamps only,
-// struct-ordered keys, spans sorted by (start, span ID).
+// struct-ordered keys, spans sorted by (start, span ID). When anything was
+// dropped at the SpanCap, the trace's metadata counts it.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	if r == nil {
 		return ErrNoRecorder
@@ -199,7 +200,11 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			return err
 		}
 	}
-	_, err := io.WriteString(w, "\n]}\n")
+	tail := "\n]}\n"
+	if ds, de := r.DroppedSpans(), r.DroppedEvents(); ds+de > 0 {
+		tail = fmt.Sprintf("\n],\"metadata\":{\"dropped_events\":%d,\"dropped_spans\":%d}}\n", de, ds)
+	}
+	_, err := io.WriteString(w, tail)
 	return err
 }
 
@@ -215,7 +220,8 @@ type topNode struct {
 
 // WriteTop writes a plain-text per-node report (a deterministic
 // "bridgetop"): span counts, disk busy time and utilization, queue-depth
-// statistics, and the per-op-kind latency histograms.
+// statistics, what was dropped at the SpanCap, and the per-op-kind latency
+// histograms.
 func (r *Recorder) WriteTop(w io.Writer) error {
 	if r == nil {
 		return ErrNoRecorder
@@ -284,6 +290,12 @@ func (r *Recorder) WriteTop(w io.Writer) error {
 			qd = fmt.Sprintf("%.1f/%d", float64(t.qSum)/float64(t.qCnt), t.qMax)
 		}
 		if _, err := fmt.Fprintf(w, "%-6d %8d %6d %12s %7s %14s\n", n, t.spans, t.errs, busy, util, qd); err != nil {
+			return err
+		}
+	}
+
+	if ds, de := r.DroppedSpans(), r.DroppedEvents(); ds+de > 0 {
+		if _, err := fmt.Fprintf(w, "\ndropped at the cap: %d spans, %d events\n", ds, de); err != nil {
 			return err
 		}
 	}

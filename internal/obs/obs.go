@@ -27,9 +27,11 @@ type SpanID uint64
 
 // Config configures a Recorder and the facade's gauge sampler.
 type Config struct {
-	// SpanCap bounds the number of retained spans; spans started beyond
-	// the cap are counted (and their lifecycle still tracked) but their
-	// payload is dropped. Default 1<<18.
+	// SpanCap bounds the number of retained spans and, separately, of
+	// retained events and of gauge samples. Spans started beyond the cap
+	// are counted (and their lifecycle still tracked) but their payload is
+	// dropped; events and samples beyond it are only counted. Default
+	// 1<<18.
 	SpanCap int
 	// SampleEvery is the virtual-time interval at which per-node gauges
 	// (queue depth, disk utilization) are sampled. Default 250ms.

@@ -66,7 +66,9 @@ type Recorder struct {
 	doubleEnds int
 	events     []Event
 	samples    []Sample
-	hists      map[string]*hist
+	// droppedEvents counts events and samples past the cap.
+	droppedEvents int
+	hists         map[string]*hist
 }
 
 // NewRecorder creates a recorder with the given config.
@@ -113,23 +115,31 @@ func (r *Recorder) Start(at time.Duration, trace TraceID, parent SpanID, kind st
 	return SpanRef{r: r, id: id}
 }
 
-// Event records an instantaneous event.
+// Event records an instantaneous event; past the cap it is only counted.
 func (r *Recorder) Event(at time.Duration, trace TraceID, kind, detail string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.events = append(r.events, Event{At: at, Trace: trace, Kind: kind, Detail: detail})
+	if len(r.events) < r.cap {
+		r.events = append(r.events, Event{At: at, Trace: trace, Kind: kind, Detail: detail})
+	} else {
+		r.droppedEvents++
+	}
 	r.mu.Unlock()
 }
 
-// Sample records one gauge observation.
+// Sample records one gauge observation; past the cap it is only counted.
 func (r *Recorder) Sample(at time.Duration, node int, name string, v int64) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.samples = append(r.samples, Sample{At: at, Node: node, Name: name, Value: v})
+	if len(r.samples) < r.cap {
+		r.samples = append(r.samples, Sample{At: at, Node: node, Name: name, Value: v})
+	} else {
+		r.droppedEvents++
+	}
 	r.mu.Unlock()
 }
 
@@ -203,6 +213,17 @@ func (r *Recorder) DroppedSpans() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
+}
+
+// DroppedEvents returns how many events and samples were dropped at the
+// SpanCap.
+func (r *Recorder) DroppedEvents() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.droppedEvents
 }
 
 // SpanRef is a handle to an in-flight span. The zero value is valid and

@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"fmt"
+
 	"bridge/internal/core"
 	"bridge/internal/obs"
 )
@@ -60,9 +62,9 @@ func newMetrics(r *obs.Registry, scheme string) stripeMetrics {
 	return met
 }
 
-// emit records a replica-layer event on the network's tracer, if any.
+// emit records a replica-layer event on the network's recorder, if any.
 func emit(c *core.Client, kind, format string, args ...any) {
-	if t := c.Msg().Net().Tracer(); t != nil {
-		t.Emitf(c.Msg().Proc().Now(), kind, format, args...)
+	if r := c.Msg().Net().Recorder(); r != nil {
+		r.Event(c.Msg().Proc().Now(), 0, kind, fmt.Sprintf(format, args...))
 	}
 }

@@ -77,7 +77,7 @@ func rawBlocks(p sim.Proc, cl *core.Cluster, c *core.Client, name string) ([]cor
 	if err != nil {
 		return nil, nil, err
 	}
-	lc := lfs.NewClient(p, cl.Net, 0, fmt.Sprintf("raw-%d", toolSeq.Add(1)))
+	lc := lfs.NewClient(p, cl.Net, 0, fmt.Sprintf("raw-%d", cl.Net.Seq()))
 	defer lc.C.Close()
 	hs := make([]core.BlockHeader, meta.Blocks)
 	payloads := make([][]byte, meta.Blocks)
@@ -259,7 +259,7 @@ func noScratch(t *testing.T, p sim.Proc, cl *core.Cluster, i int) {
 // rot flips a bit of one local block of a file on the medium, and has a scrub
 // drop the node's cached clean copy so that reads verify against it.
 func rot(t *testing.T, p sim.Proc, cl *core.Cluster, c *core.Client, nodeIdx int, file, local uint32) bool {
-	lc := lfs.NewClient(p, cl.Net, 0, fmt.Sprintf("rot-%d", toolSeq.Add(1)))
+	lc := lfs.NewClient(p, cl.Net, 0, fmt.Sprintf("rot-%d", cl.Net.Seq()))
 	defer lc.C.Close()
 	node := cl.Nodes[nodeIdx]
 	_, addr, err := lc.Read(node.ID, file, local, -1)

@@ -35,7 +35,7 @@ func record(key uint64, tag int) []byte {
 // writeColumns distributes records round-robin across the given nodes as
 // local file fileID.
 func writeColumns(proc sim.Proc, network *msg.Network, nodes []msg.NodeID, fileID uint32, recs [][]byte) error {
-	lc := lfs.NewClient(proc, network, 0, fmt.Sprintf("mt-write-%d", toolSeq.Add(1)))
+	lc := lfs.NewClient(proc, network, 0, fmt.Sprintf("mt-write-%d", network.Seq()))
 	defer lc.C.Close()
 	for _, n := range nodes {
 		if err := lc.Create(n, fileID); err != nil {
@@ -55,7 +55,7 @@ func writeColumns(proc sim.Proc, network *msg.Network, nodes []msg.NodeID, fileI
 
 // readColumns reassembles an interleaved file from its local columns.
 func readColumns(proc sim.Proc, network *msg.Network, nodes []msg.NodeID, fileID uint32) ([][]byte, error) {
-	lc := lfs.NewClient(proc, network, 0, fmt.Sprintf("mt-read-%d", toolSeq.Add(1)))
+	lc := lfs.NewClient(proc, network, 0, fmt.Sprintf("mt-read-%d", network.Seq()))
 	defer lc.C.Close()
 	sizes := make([]int, len(nodes))
 	total := 0
@@ -126,7 +126,7 @@ func runTimedMerge(t *testing.T, tWidth int, keysA, keysB []uint64) ([][]byte, t
 			mergeErr = err
 			return
 		}
-		seq := toolSeq.Add(1)
+		seq := cl.Net.Seq()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		mallocs := ms.Mallocs

@@ -76,7 +76,7 @@ func Sort(pc sim.Proc, c *core.Client, src, dst string, opts SortOptions) (st So
 		return st, fmt.Errorf("tools: creating %s: %w", dst, err)
 	}
 	network := c.Msg().Net()
-	seq := toolSeq.Add(1)
+	seq := network.Seq()
 	ctrl := lfs.NewClient(pc, network, 0, fmt.Sprintf("tool.sort.%d.ctl", seq))
 	defer ctrl.C.Close()
 	// The output of pass k: one scratch id per intermediate pass, the same on

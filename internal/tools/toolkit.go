@@ -14,16 +14,12 @@ package tools
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"bridge/internal/core"
 	"bridge/internal/lfs"
 	"bridge/internal/msg"
 	"bridge/internal/sim"
 )
-
-// toolSeq disambiguates port names when one controller runs several tools.
-var toolSeq atomic.Uint64
 
 // WorkerCtx is handed to exported worker code running on a storage node.
 type WorkerCtx struct {
@@ -68,7 +64,7 @@ func (d workerDone) err() error {
 // of LFS", followed by an O(log p)-cheap completion wave. Every call a worker
 // makes is bounded (lfs.Client), so the wait for completions needs no bound.
 func RunOnNodes(pc sim.Proc, network *msg.Network, nodes []msg.NodeID, name string, fn WorkerFn) ([]any, error) {
-	seq := toolSeq.Add(1)
+	seq := network.Seq()
 	ctrl := lfs.NewClient(pc, network, 0, fmt.Sprintf("tool.%s.%d.ctl", name, seq))
 	defer ctrl.C.Close()
 	donePort := network.NewPort(msg.Addr{Node: 0, Port: fmt.Sprintf("tool.%s.%d.done", name, seq)})

@@ -482,7 +482,7 @@ func TestLocalMergeJoinsShortestRuns(t *testing.T) {
 		_, err = RunOnNodes(p, cl.Net, meta.Nodes, "sortlocal", func(ctx *WorkerCtx) (any, error) {
 			opts := SortOptions{InCore: inCore}
 			opts.applyDefaults()
-			return localSortWorker(ctx, meta, lfs.ScratchBase+1, true, toolSeq.Add(1), opts)
+			return localSortWorker(ctx, meta, lfs.ScratchBase+1, true, cl.Net.Seq(), opts)
 		})
 		if err != nil {
 			t.Errorf("local sort: %v", err)
