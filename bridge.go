@@ -264,10 +264,12 @@ type Config struct {
 	// comfortable choice for the default geometry.
 	Journal int
 	// DataDir, when non-empty, backs every node's disk with a durable
-	// image file (<DataDir>/node<i>.disk): committed blocks survive the
-	// host process, and a rerun against the same directory remounts the
-	// volumes — with journal replay and an fsck verifier when Journal is
-	// set (inspect via Inspect().Recovery).
+	// store file (<DataDir>/node<i>.disk, a disk.FileStore written in
+	// place): committed blocks survive the host process, and a rerun
+	// against the same directory remounts the volumes — with journal
+	// replay and an fsck verifier when Journal is set (inspect via
+	// Inspect().Recovery). These files are what the bridgefs command keeps
+	// in its state directory too; Run closes them when it returns.
 	DataDir string
 	// DiskLatency is the per-access device time. Default 15ms (CDC
 	// Wren class, as in the paper). Set Seek to use a seek+rotation
@@ -381,8 +383,9 @@ func New(cfg Config) (*System, error) {
 }
 
 // Run boots the cluster, executes fn as a client process of the system,
-// shuts the cluster down, and drains the simulation. It returns fn's error,
-// or the simulation's (for example a detected deadlock).
+// shuts the cluster down, drains the simulation and closes the DataDir
+// stores. It returns fn's error, or the simulation's (for example a detected
+// deadlock), or the error of closing a store.
 func (s *System) Run(fn func(*Session) error) error {
 	rt := sim.NewVirtual()
 	var timing disk.TimingModel = disk.FixedTiming{Latency: s.cfg.DiskLatency}
@@ -483,10 +486,14 @@ func (s *System) Run(fn func(*Session) error) error {
 		}
 	})
 	simErr := rt.Wait()
+	closeErr := cl.Close()
 	if fnErr != nil {
 		return fnErr
 	}
-	return simErr
+	if simErr != nil {
+		return simErr
+	}
+	return closeErr
 }
 
 // Session is the handle user code gets inside Run. It wraps the naive

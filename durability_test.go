@@ -3,6 +3,8 @@ package bridge
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"runtime/debug"
 	"testing"
 )
 
@@ -224,5 +226,40 @@ func TestReplicatedRerunIsANewClient(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
+	}
+}
+
+// TestRunClosesStores: a Run on a DataDir closes every store it opened, the
+// nodes' and, in a replicated group, each member's consensus disk, so ten
+// Runs leave the process's open files where they started. Garbage
+// collection is off, so no finalizer closes what a Run leaks.
+func TestRunClosesStores(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count open files")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	openFiles := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	for _, replicas := range []int{1, 3} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			sys, err := New(Config{Nodes: 4, DiskBlocks: 512, Journal: 64, DataDir: t.TempDir(), Replicas: replicas})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			before := openFiles()
+			for i := 0; i < 10; i++ {
+				if err := sys.Run(func(s *Session) error { return s.Sync() }); err != nil {
+					t.Fatalf("run %d: %v", i, err)
+				}
+			}
+			if after := openFiles(); after != before {
+				t.Errorf("ten Runs took the open files from %d to %d", before, after)
+			}
+		})
 	}
 }

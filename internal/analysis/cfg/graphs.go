@@ -9,8 +9,7 @@ import (
 // Graphs is the per-package CFG suite: one Graph per function declaration
 // and function literal, in source order.
 type Graphs struct {
-	graphs map[ast.Node]*Graph
-	order  []ast.Node
+	graphs []*Graph
 }
 
 type graphsKey struct{}
@@ -20,7 +19,7 @@ type graphsKey struct{}
 // run share a single construction.
 func PackageGraphs(pass *analysis.Pass) *Graphs {
 	return pass.Shared.Fact(graphsKey{}, func() any {
-		gs := &Graphs{graphs: make(map[ast.Node]*Graph)}
+		gs := &Graphs{}
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch fn := n.(type) {
@@ -40,18 +39,13 @@ func PackageGraphs(pass *analysis.Pass) *Graphs {
 }
 
 func (gs *Graphs) add(fn ast.Node, pass *analysis.Pass) {
-	gs.graphs[fn] = New(fn, pass.Fset, pass.TypesInfo)
-	gs.order = append(gs.order, fn)
+	gs.graphs = append(gs.graphs, New(fn, pass.Fset, pass.TypesInfo))
 }
-
-// FuncGraph returns the graph for fn (a *ast.FuncDecl or *ast.FuncLit), or
-// nil when none was built (bodyless declaration).
-func (gs *Graphs) FuncGraph(fn ast.Node) *Graph { return gs.graphs[fn] }
 
 // All calls visit for every graph in source order.
 func (gs *Graphs) All(visit func(*Graph)) {
-	for _, fn := range gs.order {
-		visit(gs.graphs[fn])
+	for _, g := range gs.graphs {
+		visit(g)
 	}
 }
 

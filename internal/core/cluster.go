@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -33,8 +34,9 @@ type ClusterConfig struct {
 	// with Replicas: the topology is Servers shard groups × Replicas
 	// members each.
 	Servers int
-	// Disks, if non-nil, supplies pre-loaded disks (for image
-	// persistence); len must equal P and each is mounted, not formatted.
+	// Disks, if non-nil, supplies existing disks, one per node, each
+	// mounted rather than formatted: tests remount one cluster's volumes
+	// under another.
 	Disks []*disk.Disk
 	// Replicas is the size of each shard group; 0 and 1 both mean a group
 	// of one. Above 1 each group is a Raft-replicated set of that many
@@ -120,6 +122,7 @@ func StartCluster(rt sim.Runtime, cfg ClusterConfig) (*Cluster, error) {
 		}
 		node, err := lfs.StartNode(rt, network, id, cfg.Node, existing)
 		if err != nil {
+			cl.Close()
 			return nil, err
 		}
 		cl.Nodes = append(cl.Nodes, node)
@@ -135,6 +138,7 @@ func StartCluster(rt sim.Runtime, cfg ClusterConfig) (*Cluster, error) {
 	if size > 1 && cfg.RaftDir != "" {
 		var err error
 		if cl.start, err = countStart(cfg.RaftDir); err != nil {
+			cl.Close()
 			return nil, fmt.Errorf("core: count cluster starts: %w", err)
 		}
 	}
@@ -156,6 +160,7 @@ func StartCluster(rt sim.Runtime, cfg ClusterConfig) (*Cluster, error) {
 				flat := g*size + j
 				store, d, err := openRaftStore(cfg.RaftDir, flat)
 				if err != nil {
+					cl.Close()
 					return nil, err
 				}
 				cl.raftDisks = append(cl.raftDisks, d)
@@ -214,13 +219,15 @@ func openRaftStore(dir string, flat int) (store raft.Store, d *disk.Disk, err er
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: open raft disk %d: %w", flat, err)
 	}
-	if d, err = disk.NewWithStore(dcfg, st); err != nil {
-		return nil, nil, fmt.Errorf("core: raft disk %d: %w", flat, err)
+	if d, err = disk.NewWithStore(dcfg, st); err == nil {
+		if store, err = raft.NewDiskStore(d); err == nil {
+			return store, d, nil
+		}
 	}
-	if store, err = raft.NewDiskStore(d); err != nil {
-		return nil, nil, fmt.Errorf("core: raft store %d: %w", flat, err)
+	if cerr := st.Close(); cerr != nil {
+		return nil, nil, fmt.Errorf("core: raft disk %d: %w (and closing store: %v)", flat, err, cerr)
 	}
-	return store, d, nil
+	return nil, nil, fmt.Errorf("core: raft disk %d: %w", flat, err)
 }
 
 // countStart returns how many clusters started on dir's replicated state
@@ -316,6 +323,28 @@ func (cl *Cluster) SyncAll(p sim.Proc) error {
 		}
 	}
 	return firstErr
+}
+
+// Close releases the durable stores of every node and consensus disk (the
+// DiskDir and RaftDir files). Call it once the runtime has drained, not
+// from Stop: servers may still write while their processes wind down.
+func (cl *Cluster) Close() error {
+	var errs []error
+	for _, n := range cl.Nodes {
+		errs = append(errs, closeStore(n.Disk))
+	}
+	for _, d := range cl.raftDisks {
+		errs = append(errs, closeStore(d))
+	}
+	return errors.Join(errs...)
+}
+
+// closeStore closes d's durable store; a nil or memory-backed d has none.
+func closeStore(d *disk.Disk) error {
+	if d == nil || d.Store() == nil {
+		return nil
+	}
+	return d.Store().Close()
 }
 
 // Stop shuts down the servers and every node so all processes exit.

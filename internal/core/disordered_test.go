@@ -166,7 +166,7 @@ func TestDisorderedDelete(t *testing.T) {
 
 func TestDisorderedSnapshotRestore(t *testing.T) {
 	// The chain state must survive a directory snapshot/restore cycle
-	// (the bridgefs persistence path).
+	// (the path bridgefs takes between invocations).
 	rt := sim.NewVirtual()
 	cl, err := StartCluster(rt, fastCfg(3))
 	if err != nil {
@@ -181,7 +181,7 @@ func TestDisorderedSnapshotRestore(t *testing.T) {
 			c.SeqWrite("d", payload(i))
 		}
 		// Flush the write-behind LFS metadata so the disks remount
-		// cleanly (what bridgefs does before saving images).
+		// cleanly (what bridgefs does before it exits).
 		lc := lfs.NewClient(p, cl.Net, 0, "snap-sync")
 		defer lc.C.Close()
 		for _, id := range cl.NodeIDs() {

@@ -61,9 +61,12 @@ type Config struct {
 	WriteBehind int
 }
 
+// DefaultOpCPU is the Bridge Server's per-request processor charge.
+const DefaultOpCPU = 500 * time.Microsecond
+
 func (c *Config) applyDefaults() {
 	if c.OpCPU == 0 {
-		c.OpCPU = 500 * time.Microsecond
+		c.OpCPU = DefaultOpCPU
 	}
 	if c.LFSTimeout == 0 {
 		c.LFSTimeout = lfs.DefaultTimeout

@@ -95,15 +95,23 @@ type Config struct {
 	SyncTime time.Duration
 }
 
+// The defaults of a device: the paper's 1 KB blocks on a CDC Wren-class
+// drive, approximated as a fixed 15 ms per access.
+const (
+	DefaultBlockSize      = 1024
+	DefaultBlocksPerTrack = 8
+	DefaultLatency        = 15 * time.Millisecond
+)
+
 func (c *Config) applyDefaults() {
 	if c.BlockSize == 0 {
-		c.BlockSize = 1024
+		c.BlockSize = DefaultBlockSize
 	}
 	if c.BlocksPerTrack == 0 {
-		c.BlocksPerTrack = 8
+		c.BlocksPerTrack = DefaultBlocksPerTrack
 	}
 	if c.Timing == nil {
-		c.Timing = FixedTiming{Latency: 15 * time.Millisecond}
+		c.Timing = FixedTiming{Latency: DefaultLatency}
 	}
 	if c.SyncTime == 0 {
 		c.SyncTime = 5 * time.Millisecond
@@ -208,7 +216,7 @@ func NewWithStore(cfg Config, st *FileStore) (*Disk, error) {
 	cfg.applyDefaults()
 	if st.BlockSize() != cfg.BlockSize || st.NumBlocks() != cfg.NumBlocks {
 		return nil, fmt.Errorf("%w: store geometry %dx%d, device %dx%d",
-			ErrBadImage, st.NumBlocks(), st.BlockSize(), cfg.NumBlocks, cfg.BlockSize)
+			ErrBadStore, st.NumBlocks(), st.BlockSize(), cfg.NumBlocks, cfg.BlockSize)
 	}
 	d := New(cfg)
 	blocks, err := st.ReadAll()
@@ -648,10 +656,10 @@ func (d *Disk) copyOut(bn int) []byte {
 }
 
 // Peek returns the raw block image as a read would see it (buffered writes
-// included) without charging time or copying; for tests and image
-// persistence only. A nil result means a never-written block. The image is
-// live: the next write to the block changes it in place, so a caller that
-// compares across writes copies it first.
+// included) without charging time or copying; for tests only. A nil result
+// means a never-written block. The image is live: the next write to the
+// block changes it in place, so a caller that compares across writes copies
+// it first.
 func (d *Disk) Peek(bn int) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()

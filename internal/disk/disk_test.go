@@ -196,51 +196,6 @@ func TestSeekRotateTimingMonotoneInDistance(t *testing.T) {
 	}
 }
 
-func TestImageRoundTrip(t *testing.T) {
-	d := testDisk(64)
-	run(t, func(p sim.Proc) {
-		for _, bn := range []int{0, 7, 63} {
-			d.WriteBlock(p, bn, bytes.Repeat([]byte{byte(bn + 1)}, 1024))
-		}
-	})
-	var buf bytes.Buffer
-	if err := d.SaveImage(&buf); err != nil {
-		t.Fatalf("SaveImage: %v", err)
-	}
-	d2 := testDisk(64)
-	if err := d2.LoadImage(&buf); err != nil {
-		t.Fatalf("LoadImage: %v", err)
-	}
-	for _, bn := range []int{0, 7, 63} {
-		want := bytes.Repeat([]byte{byte(bn + 1)}, 1024)
-		if got := d2.Peek(bn); !bytes.Equal(got, want) {
-			t.Errorf("block %d differs after image round trip", bn)
-		}
-	}
-	if d2.Peek(1) != nil {
-		t.Error("unwritten block materialized by image round trip")
-	}
-}
-
-func TestImageGeometryMismatch(t *testing.T) {
-	d := testDisk(64)
-	var buf bytes.Buffer
-	if err := d.SaveImage(&buf); err != nil {
-		t.Fatalf("SaveImage: %v", err)
-	}
-	d2 := testDisk(32)
-	if err := d2.LoadImage(&buf); !errors.Is(err, ErrBadImage) {
-		t.Errorf("LoadImage mismatched = %v, want ErrBadImage", err)
-	}
-}
-
-func TestImageCorrupt(t *testing.T) {
-	d := testDisk(8)
-	if err := d.LoadImage(bytes.NewReader([]byte("not an image"))); err == nil {
-		t.Error("LoadImage on garbage succeeded")
-	}
-}
-
 // Property: any sequence of valid writes followed by reads behaves like a
 // map from block number to last-written contents.
 func TestQuickDiskActsLikeMap(t *testing.T) {

@@ -36,7 +36,6 @@ var ErrBadStore = errors.New("disk: bad file store")
 type FileStore struct {
 	mu         sync.Mutex
 	f          *os.File
-	path       string
 	blockSize  int
 	numBlocks  int
 	mountCount uint32
@@ -59,7 +58,6 @@ func OpenFileStore(path string, blockSize, numBlocks int) (*FileStore, error) {
 	}
 	s := &FileStore{
 		f:         f,
-		path:      path,
 		blockSize: blockSize,
 		numBlocks: numBlocks,
 		written:   make([]byte, (numBlocks+7)/8),
@@ -72,11 +70,11 @@ func OpenFileStore(path string, blockSize, numBlocks int) (*FileStore, error) {
 	if fi.Size() == 0 {
 		// Fresh store: lay down the header and bitmap, sized for the full
 		// device so block offsets never move.
-		if err := s.initFile(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	} else if err := s.readHeader(); err != nil {
+		err = s.initFile()
+	} else {
+		err = s.readHeader(fi.Size())
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -94,9 +92,6 @@ func (s *FileStore) BlockSize() int { return s.blockSize }
 
 // NumBlocks returns the store's capacity in blocks.
 func (s *FileStore) NumBlocks() int { return s.numBlocks }
-
-// Path returns the backing file's path.
-func (s *FileStore) Path() string { return s.path }
 
 // MountCount returns how many times the store has been opened, including
 // the current open.
@@ -126,7 +121,12 @@ func (s *FileStore) initFile() error {
 	return s.writeHeader(0, 0, 0, false)
 }
 
-func (s *FileStore) readHeader() error {
+// readHeader loads an existing store's header and bitmap; size is the
+// file's length, which a store's geometry fixes.
+func (s *FileStore) readHeader(size int64) error {
+	if size < storeHeaderLen {
+		return fmt.Errorf("%w: %d-byte file", ErrBadStore, size)
+	}
 	hdr := make([]byte, storeHeaderLen)
 	if _, err := s.f.ReadAt(hdr, 0); err != nil {
 		return fmt.Errorf("disk: reading store header: %w", err)
@@ -141,6 +141,9 @@ func (s *FileStore) readHeader() error {
 	nb := int(binary.LittleEndian.Uint32(hdr[16:]))
 	if bs != s.blockSize || nb != s.numBlocks {
 		return fmt.Errorf("%w: store geometry %dx%d, want %dx%d", ErrBadStore, nb, bs, s.numBlocks, s.blockSize)
+	}
+	if want := s.blockOff(s.numBlocks); size != want {
+		return fmt.Errorf("%w: %d-byte file, want %d", ErrBadStore, size, want)
 	}
 	s.mountCount = binary.LittleEndian.Uint32(hdr[20:])
 	s.clean = binary.LittleEndian.Uint32(hdr[24:]) == 1
@@ -250,20 +253,6 @@ func (s *FileStore) Sync(reads, writes, syncs uint64) error {
 	err := s.werr
 	s.werr = nil
 	return err
-}
-
-// Counters returns the op tallies recorded in the store header at the last
-// Sync, re-read from the file; for inspection tools.
-func (s *FileStore) Counters() (reads, writes, syncs uint64, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	hdr := make([]byte, storeHeaderLen)
-	if _, err := s.f.ReadAt(hdr, 0); err != nil {
-		return 0, 0, 0, fmt.Errorf("disk: reading store header: %w", err)
-	}
-	return binary.LittleEndian.Uint64(hdr[28:]),
-		binary.LittleEndian.Uint64(hdr[36:]),
-		binary.LittleEndian.Uint64(hdr[44:]), nil
 }
 
 // Close releases the backing file without an implicit Sync: the caller

@@ -38,19 +38,24 @@ func (h rngHook) OnCrash(now time.Duration, label string, pending []int) disk.Cr
 
 var journalTestOpts = Options{JournalBlocks: 32, DirBuckets: 4, CacheBlocks: 8}
 
-// cloneDisk copies a device's current contents onto a fresh device with the
+// cloneDisk copies a device's stable contents onto a fresh device with the
 // same configuration, so several mounts can replay the same crashed image
-// independently.
+// independently. Never-written blocks stay never-written on the clone.
 func cloneDisk(t *testing.T, src *disk.Disk) *disk.Disk {
 	t.Helper()
-	var img bytes.Buffer
-	if err := src.SaveImage(&img); err != nil {
-		t.Fatalf("SaveImage: %v", err)
-	}
 	d := disk.New(src.Config())
-	if err := d.LoadImage(&img); err != nil {
-		t.Fatalf("LoadImage: %v", err)
-	}
+	run(t, func(p sim.Proc) {
+		for bn := 0; bn < src.Config().NumBlocks; bn++ {
+			if b := src.PeekStable(bn); b != nil {
+				if err := d.WriteBlock(p, bn, b); err != nil {
+					t.Fatalf("cloning block %d: %v", bn, err)
+				}
+			}
+		}
+		if err := d.Sync(p); err != nil {
+			t.Fatalf("cloning: %v", err)
+		}
+	})
 	return d
 }
 

@@ -88,14 +88,6 @@ type diskBlock struct {
 	bn    int
 }
 
-// bitrotRule flips bits in stored blocks read inside a window, each read
-// independently with the given probability — silent corruption, no error.
-type bitrotRule struct {
-	window
-	label string // "" matches every disk
-	prob  float64
-}
-
 // misdirect reroutes the next write of fromBn on the labeled disk to toBn.
 type misdirect struct {
 	label  string
@@ -122,8 +114,7 @@ type Injector struct {
 	diskRules   []diskRule
 	badBlocks   map[diskBlock]bool
 	rotPending  map[diskBlock]bool // one-shot bitrot applied at the next read
-	rotRules    []bitrotRule
-	misdirects  map[misdirect]int // fromBn -> toBn, one-shot
+	misdirects  map[misdirect]int  // fromBn -> toBn, one-shot
 	schedule    []NodeEvent
 	srvSchedule []ServerEvent
 	crashModel  CrashModel
@@ -243,15 +234,6 @@ func (in *Injector) Bitrot(label string, bn int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.rotPending[diskBlock{label, bn}] = true
-}
-
-// BitrotWindow rots blocks probabilistically: inside the window, every read
-// of a stored block on the labeled disk ("" matches all) flips one seeded
-// bit with probability prob.
-func (in *Injector) BitrotWindow(from, to time.Duration, label string, prob float64) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.rotRules = append(in.rotRules, bitrotRule{window{from, to}, label, prob})
 }
 
 // MisdirectWrite makes the next write of fromBn on the labeled disk silently
@@ -401,28 +383,16 @@ func (in *Injector) Latent(label string, bn int) bool {
 
 // CorruptBlock implements disk.Corrupter: called on every read of a stored
 // block, it may flip a seeded bit in the device's own buffer — the read then
-// succeeds with wrong contents. One-shot rot planted with Bitrot applies at
-// the block's next read; window rules draw per read, only inside an active
-// window, so the randomness consumed is schedule-independent.
+// succeeds with wrong contents. Rot planted with Bitrot applies at the
+// block's next read, so the randomness consumed is schedule-independent.
 func (in *Injector) CorruptBlock(now time.Duration, label string, bn int, data []byte) bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	key := diskBlock{label, bn}
-	rot := in.rotPending[key]
-	if rot {
-		delete(in.rotPending, key)
-	}
-	for _, r := range in.rotRules {
-		if !r.contains(now) || (r.label != "" && r.label != label) {
-			continue
-		}
-		if in.rng.Float64() < r.prob {
-			rot = true
-		}
-	}
-	if !rot {
+	if !in.rotPending[key] {
 		return false
 	}
+	delete(in.rotPending, key)
 	bit := in.rng.Intn(len(data) * 8)
 	data[bit/8] ^= 1 << (uint(bit) % 8)
 	in.m.diskBitrot.Add(1)

@@ -21,8 +21,8 @@ import (
 // corresponds to the paper's exportation of user-level code to LFS nodes.
 type WorkerFunc func(p sim.Proc, node msg.NodeID)
 
-// spawnCPU models 1988-era process creation cost on the node.
-const spawnCPU = 2 * time.Millisecond
+// SpawnCPU models 1988-era process creation cost on the node.
+const SpawnCPU = 2 * time.Millisecond
 
 type (
 	// SpawnReq asks the agent to start a worker process on its node.
@@ -81,7 +81,7 @@ func (a *agent) run(p sim.Proc) {
 
 // spawn starts a tool worker on the agent's node.
 func (a *agent) spawn(p sim.Proc, _ msg.Addr, r SpawnReq) (SpawnResp, error) {
-	p.Sleep(spawnCPU)
+	p.Sleep(SpawnCPU)
 	a.spawned++
 	name := fmt.Sprintf("n%d/%s#%d", a.node, r.Name, a.spawned)
 	node := a.node

@@ -23,13 +23,14 @@ type Config struct {
 	// turns on the write-ahead intent journal and with it the disk's
 	// volatile write cache, so crashes exercise real kill-9 semantics.
 	EFS efs.Options
-	// DiskDir, when non-empty, backs the node's disk with a durable image
-	// file (<DiskDir>/node<ID>.disk): committed blocks survive the
-	// process, and StartNode mounts instead of formatting when the file
-	// already holds a volume.
+	// DiskDir, when non-empty, backs the node's disk with a durable
+	// disk.FileStore (StorePath: <DiskDir>/node<ID>.disk): committed blocks
+	// survive the process, and StartNode mounts instead of formatting when
+	// the store already holds a volume.
 	DiskDir string
 	// OpCPU is the processor time the LFS charges per request on top of
-	// device time (request decode, cache lookup bookkeeping).
+	// device time (request decode, cache lookup bookkeeping). Default
+	// DefaultOpCPU.
 	OpCPU time.Duration
 	// Scrub enables the background integrity scrubber on this node (nil =
 	// off). Between requests the server sweeps the volume incrementally,
@@ -61,15 +62,18 @@ func (c *ScrubConfig) applyDefaults() {
 	}
 }
 
+// DefaultOpCPU is the LFS's per-request processor charge.
+const DefaultOpCPU = 300 * time.Microsecond
+
 func (c *Config) applyDefaults() {
 	if c.DiskBlocks == 0 {
 		c.DiskBlocks = 8192
 	}
 	if c.Timing == nil {
-		c.Timing = disk.FixedTiming{Latency: 15 * time.Millisecond}
+		c.Timing = disk.FixedTiming{Latency: disk.DefaultLatency}
 	}
 	if c.OpCPU == 0 {
-		c.OpCPU = 300 * time.Microsecond
+		c.OpCPU = DefaultOpCPU
 	}
 	if c.Scrub != nil {
 		c.Scrub.applyDefaults()
@@ -148,9 +152,7 @@ func StartNode(rt sim.Runtime, net *msg.Network, id msg.NodeID, cfg Config, exis
 			WriteBack: cfg.EFS.JournalBlocks > 0,
 		}
 		if cfg.DiskDir != "" {
-			st, err := disk.OpenFileStore(
-				filepath.Join(cfg.DiskDir, fmt.Sprintf("node%d.disk", id)),
-				efs.BlockSize, cfg.DiskBlocks)
+			st, err := disk.OpenFileStore(StorePath(cfg.DiskDir, id), efs.BlockSize, cfg.DiskBlocks)
 			if err != nil {
 				return nil, fmt.Errorf("lfs: node %d: %w", id, err)
 			}
@@ -186,14 +188,19 @@ func StartNode(rt sim.Runtime, net *msg.Network, id msg.NodeID, cfg Config, exis
 	return n, nil
 }
 
+// StorePath is the durable store of node id's disk under a DiskDir.
+func StorePath(dir string, id msg.NodeID) string {
+	return filepath.Join(dir, fmt.Sprintf("node%d.disk", id))
+}
+
 // Addr returns the LFS server address.
 func (n *Node) Addr() msg.Addr { return n.port.Addr() }
 
 // AgentAddr returns the node agent address.
 func (n *Node) AgentAddr() msg.Addr { return msg.Addr{Node: n.ID, Port: AgentPortName} }
 
-// FS exposes the EFS volume for tests and for image persistence; do not
-// call it concurrently with a running simulation.
+// FS exposes the EFS volume for tests and measurements; do not call it
+// concurrently with a running simulation.
 func (n *Node) FS() *efs.FS { return n.fs }
 
 // Fail simulates a node crash: the disk fails and both service ports close,

@@ -18,11 +18,17 @@ import (
 	"math/bits"
 	"slices"
 	"time"
+
+	"bridge/internal/core"
+	"bridge/internal/disk"
+	"bridge/internal/lfs"
+	"bridge/internal/msg"
+	"bridge/internal/tools"
 )
 
-// Params holds the hardware and software constants. They mirror the
-// simulator's defaults (msg.DefaultConfig, 15 ms Wren-class disks, the LFS
-// and Bridge Server CPU charges).
+// Params holds the hardware and software constants. Default takes them from
+// the simulator's defaults (msg.DefaultConfig, 15 ms Wren-class disks, the
+// LFS and Bridge Server CPU charges).
 type Params struct {
 	// DiskLatency is one device access (D).
 	DiskLatency time.Duration
@@ -55,21 +61,23 @@ type Params struct {
 const runBlocks = 8
 
 // Default returns the constants matching the simulator's defaults.
+// Each is read from the package that charges it, so the two cannot drift.
 func Default() Params {
+	net := msg.DefaultConfig()
 	return Params{
-		DiskLatency:      15 * time.Millisecond,
-		BlocksPerTrack:   8,
-		SendCPU:          800 * time.Microsecond,
-		RecvCPU:          800 * time.Microsecond,
-		LocalLatency:     100 * time.Microsecond,
-		RemoteLatency:    500 * time.Microsecond,
-		BytesPerSec:      4 << 20,
-		BlockBytes:       1024,
-		LFSCPU:           300 * time.Microsecond,
-		ServerCPU:        500 * time.Microsecond,
-		SpawnCPU:         2 * time.Millisecond,
-		SortCPUPerRecord: 30 * time.Microsecond,
-		InCore:           512,
+		DiskLatency:      disk.DefaultLatency,
+		BlocksPerTrack:   disk.DefaultBlocksPerTrack,
+		SendCPU:          net.SendCPU,
+		RecvCPU:          net.RecvCPU,
+		LocalLatency:     net.LocalLatency,
+		RemoteLatency:    net.RemoteLatency,
+		BytesPerSec:      net.BytesPerSec,
+		BlockBytes:       disk.DefaultBlockSize,
+		LFSCPU:           lfs.DefaultOpCPU,
+		ServerCPU:        core.DefaultOpCPU,
+		SpawnCPU:         lfs.SpawnCPU,
+		SortCPUPerRecord: tools.DefaultCPUPerRecord,
+		InCore:           tools.DefaultInCore,
 	}
 }
 
@@ -243,11 +251,6 @@ func (p Params) SortMergeTime(records, procs int) time.Duration {
 		total += p.MergePassTime(records, procs, t) + p.discardColumn(ceilDiv(records, procs))
 	}
 	return total
-}
-
-// SortTotalTime is both phases.
-func (p Params) SortTotalTime(records, procs int) time.Duration {
-	return p.SortLocalTime(records, procs) + p.SortMergeTime(records, procs)
 }
 
 // MergeSaturationWidth is the paper's parallelism bound for the merge: the

@@ -28,15 +28,22 @@ type SortOptions struct {
 	CPUPerRecord time.Duration
 }
 
+// The sort's defaults: the prototype's in-core buffer, and a 1988-era
+// compare/move cost.
+const (
+	DefaultInCore       = 512
+	DefaultCPUPerRecord = 30 * time.Microsecond
+)
+
 func (o *SortOptions) applyDefaults() {
 	if o.InCore <= 0 {
-		o.InCore = 512
+		o.InCore = DefaultInCore
 	}
 	if o.KeyBytes <= 0 {
 		o.KeyBytes = 8
 	}
 	if o.CPUPerRecord <= 0 {
-		o.CPUPerRecord = 30 * time.Microsecond
+		o.CPUPerRecord = DefaultCPUPerRecord
 	}
 }
 
