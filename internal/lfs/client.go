@@ -200,15 +200,8 @@ func (c *Client) Usage(node msg.NodeID) (total, free int, err error) {
 	return r.TotalBlocks, r.FreeBlocks, err
 }
 
-// Check runs the volume consistency checker on a node of blocks blocks: it
-// walks every chained block.
-func (c *Client) Check(node msg.NodeID, blocks int64) (efs.CheckReport, error) {
-	r, err := call[CheckResp](c, node, CheckReq{}, blocks)
-	return r.Report, err
-}
-
-// Repair runs the checker with bitmap repair on a node of blocks blocks: a
-// walk, then Check's.
+// Repair runs the volume consistency checker with bitmap repair on a node of
+// blocks blocks: a walk to repair, then one to check.
 func (c *Client) Repair(node msg.NodeID, blocks int64) (efs.CheckReport, int, error) {
 	req := CheckReq{Repair: true}
 	r, err := call[CheckResp](c, node, req, 2*blocks)

@@ -32,12 +32,12 @@ func TestUsageAndCheckOverProtocol(t *testing.T) {
 		if err != nil || free0-free1 != 10 {
 			t.Errorf("Usage after writes: free %d -> %d, %v", free0, free1, err)
 		}
-		rep, err := c.Check(node, 512)
+		r, err := call[CheckResp](c, node, CheckReq{}, 512)
 		if err != nil {
 			t.Errorf("Check: %v", err)
 			return
 		}
-		if !rep.OK() || rep.Files != 1 || rep.ChainBlocks != 10 {
+		if rep := r.Report; !rep.OK() || rep.Files != 1 || rep.ChainBlocks != 10 {
 			t.Errorf("Check = %+v", rep)
 		}
 		rep, fixes, err := c.Repair(node, 512)
@@ -178,7 +178,7 @@ func TestChainWalksOutlastTheBound(t *testing.T) {
 			name string
 			run  func() error
 		}{
-			{"Check", func() error { _, err := c.Check(node, 1024); return err }},
+			{"Check", func() error { _, err := call[CheckResp](c, node, CheckReq{}, 1024); return err }},
 			{"Repair", func() error { _, _, err := c.Repair(node, 1024); return err }},
 			{"Delete", func() error { _, err := c.Delete(node, 1, blocks, true); return err }},
 		}
