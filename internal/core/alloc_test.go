@@ -178,6 +178,60 @@ func TestAllocsStream(t *testing.T) {
 	})
 }
 
+// TestAllocsReadAhead guards what serving a sequential reader from read-ahead
+// allocates per block: a detached server reads a file four times the nodes'
+// caches window by window through its cache, topping the reader up after
+// each request as the request loop does, so every block but the first
+// window's arrives in a prefetched run. What it counts is the server's and
+// the storage nodes' work together — the runs' requests, replies, track reads
+// and buffers. The bound sits halfway between the figure with a run of two
+// windows per call (2.64 objects) and with one (4.13).
+func TestAllocsReadAhead(t *testing.T) {
+	const p4, stripes, blocks = 4, 2, 2048
+	const window = stripes * p4
+	withCluster(t, wrenCfg(p4), func(p sim.Proc, cl *Cluster, c *Client) {
+		if _, err := c.Create("f"); err != nil {
+			t.Errorf("Create: %v", err)
+			return
+		}
+		for at := 0; at < blocks; at += 64 {
+			batch := make([][]byte, 64)
+			for i := range batch {
+				batch[i] = payload(at + i)
+			}
+			if _, err := c.AppendN("f", batch); err != nil {
+				t.Errorf("AppendN: %v", err)
+				return
+			}
+		}
+		s := &Server{net: cl.Net, m: newSrvMetrics(obs.NewRegistry()), ra: newRACache(stripes)}
+		s.lc = lfs.NewClient(p, cl.Net, 0, "allocs-lfs")
+		defer s.lc.C.Close()
+		s.vec = vecStream{C: s.lc, Finish: func(_ *lfs.Client, c vecCall) (*msg.Message, error) { return s.lfsFinish(p, c.lfsPend) }}
+		ent := &dirent{meta: cl.Servers[0].dir["f"].meta, hints: make(map[msg.NodeID]int32)}
+		reader := msg.Addr{Node: 0, Port: "allocs-reader"}
+		pass := func() {
+			for pos := int64(0); pos < blocks; pos += window {
+				got, err := s.ra.read(s, ent, reader, pos, window)
+				if err != nil || len(got) != window {
+					t.Errorf("read at %d: %d blocks, %v", pos, len(got), err)
+					return
+				}
+				s.raAhead(p, 0, 0)
+			}
+		}
+		pass() // the first pass warms the node's free lists and maps
+		perBlock := testing.AllocsPerRun(4, pass) / blocks
+		t.Logf("%.3f objects per block served from read-ahead", perBlock)
+		if perBlock > 3.4 {
+			t.Errorf("serving from read-ahead allocates %.3f objects per block, want <= 3.4", perBlock)
+		}
+		if pending, _ := s.lc.C.Parked(); pending != 0 {
+			t.Errorf("%d replies parked after the reader reached the end", pending)
+		}
+	})
+}
+
 // TestAllocsCommandTable guards what reading the command table costs a
 // request: finding its entry, its span name, its price, the name it routes
 // by and its operation id allocate nothing, and a reply built from the table

@@ -20,6 +20,7 @@ type lfsPend struct {
 	lfs.Call
 	port string
 	body any
+	walk int64 // blocks the call may walk on its node (lfs.Client.AwaitWalk)
 }
 
 // down is the health fast-fail: ErrNodeDown for a node the monitor has
@@ -56,16 +57,18 @@ func (s *Server) lfsStart(node msg.NodeID, port string, body any) (lfsPend, erro
 // reused verbatim, so the node's dedup still holds) and reporting full
 // timeouts to the health tracker.
 func (s *Server) lfsFinish(p sim.Proc, c lfsPend) (*msg.Message, error) {
-	m, err := s.lc.Await(c.Call)
+	m, err := s.lc.AwaitWalk(c.Call, c.walk)
 	if s.retry != nil {
 		for retry := 1; retry < s.retry.p.Attempts && errors.Is(err, msg.ErrTimeout); retry++ {
 			p.Sleep(s.retry.backoff(retry))
 			s.m.lfsRetries.Add(1)
 			s.curSpan.Annotate(fmt.Sprintf("lfs retry %d n%d", retry, c.Node))
-			if c, err = s.lfsStart(c.Node, c.port, c.body); err != nil {
+			var again lfsPend
+			if again, err = s.lfsStart(c.Node, c.port, c.body); err != nil {
 				return nil, err
 			}
-			m, err = s.lc.Await(c.Call)
+			c.Call = again.Call
+			m, err = s.lc.AwaitWalk(c.Call, c.walk)
 		}
 	}
 	if errors.Is(err, msg.ErrTimeout) {
@@ -89,6 +92,29 @@ func lfsCallAs[T msg.Reply](s *Server, p sim.Proc, node msg.NodeID, body any) (T
 	m, err := s.lfsCall(p, node, body)
 	if err != nil {
 		var zero T
+		return zero, lfsErr(err)
+	}
+	return lfs.Reply[T](m, nil)
+}
+
+// lfsSweepAs is lfsCallAs for a command that walks the node's whole volume
+// (a check, a scrub): it asks the node for its size first, then gives the
+// call lfs.Client's allowance per block it walks, walks times over (a repair
+// walks the volume twice, as lfs.Client.Repair does). LFSTimeout alone would
+// fail a sweep of a large, fragmented volume while the node is still walking.
+func lfsSweepAs[T msg.Reply](s *Server, p sim.Proc, node msg.NodeID, body any, walks int64) (T, error) {
+	var zero T
+	u, err := lfsCallAs[lfs.UsageResp](s, p, node, lfs.UsageReq{})
+	if err != nil {
+		return zero, err
+	}
+	c, err := s.lfsStart(node, lfs.PortName, body)
+	if err != nil {
+		return zero, err
+	}
+	c.walk = walks * int64(u.TotalBlocks)
+	m, err := s.lfsFinish(p, c)
+	if err != nil {
 		return zero, lfsErr(err)
 	}
 	return lfs.Reply[T](m, nil)

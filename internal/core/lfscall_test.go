@@ -425,3 +425,93 @@ func TestRefusingNodeFailsTheCall(t *testing.T) {
 		}
 	})
 }
+
+// TestSweepOutlastsLFSTimeout: a check, a repair and a scrub walk the node's
+// whole volume, which on a fragmented volume of 15 ms disks takes far longer
+// than a short LFSTimeout. The server grants each sweep lfs.Client's
+// allowance per block of the volume (twice for a repair), so each completes
+// with a clean report instead of timing out while the node is still walking,
+// and the node is free for the next request.
+func TestSweepOutlastsLFSTimeout(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	cfg := wrenCfg(4)
+	cfg.Server.LFSTimeout = timeout
+	withCluster(t, cfg, func(p sim.Proc, cl *Cluster, c *Client) {
+		p.Sleep(2 * time.Second) // the nodes format their volumes at boot
+		// Four files appended in turn, a stripe at a time, interleave every
+		// node's chains.
+		const files, rounds = 4, 96
+		for f := 0; f < files; f++ {
+			if _, err := c.Create(fmt.Sprintf("f%d", f)); err != nil {
+				t.Errorf("Create: %v", err)
+				return
+			}
+		}
+		for r := 0; r < rounds; r++ {
+			for f := 0; f < files; f++ {
+				blocks := make([][]byte, 4)
+				for i := range blocks {
+					blocks[i] = payload(r*4 + i)
+				}
+				if _, err := c.AppendN(fmt.Sprintf("f%d", f), blocks); err != nil {
+					t.Errorf("AppendN: %v", err)
+					return
+				}
+			}
+		}
+		// Node 0 holds one block of each 4-block append.
+		checked := func(rep efs.CheckReport) error {
+			if !rep.OK() || rep.Files != files || rep.ChainBlocks != files*rounds {
+				return fmt.Errorf("report %+v, want %d clean files of %d blocks in all", rep, files, files*rounds)
+			}
+			return nil
+		}
+		sweeps := []struct {
+			name string
+			run  func() error
+		}{
+			{"fsck", func() error {
+				rep, err := c.Fsck(0)
+				if err != nil {
+					return err
+				}
+				return checked(rep)
+			}},
+			{"repair", func() error {
+				rep, fixes, err := c.FsckRepair(0)
+				if err != nil {
+					return err
+				}
+				if fixes != 0 {
+					return fmt.Errorf("%d fixes on a clean volume", fixes)
+				}
+				return checked(rep)
+			}},
+			{"scrub", func() error {
+				rep, err := c.Scrub(0)
+				if err != nil {
+					return err
+				}
+				if len(rep.Errors) != 0 || rep.Scanned < files*rounds {
+					return fmt.Errorf("scrub scanned %d blocks and found %d errors", rep.Scanned, len(rep.Errors))
+				}
+				return nil
+			}},
+		}
+		for _, sw := range sweeps {
+			start := p.Now()
+			err := sw.run()
+			took := p.Now() - start
+			if err != nil {
+				t.Errorf("%s: %v after %v", sw.name, err, took)
+				continue
+			}
+			if took <= timeout {
+				t.Errorf("%s took %v, within the %v LFSTimeout: the test shows nothing", sw.name, took, timeout)
+			}
+			if _, err := c.ReadAt("f0", 0); err != nil {
+				t.Errorf("read after the %s: %v", sw.name, err)
+			}
+		}
+	})
+}

@@ -10,25 +10,37 @@ import (
 
 // Server-side read-ahead for naive sequential readers (DESIGN.md "Windowed
 // streams"). Instead of one round trip per block, the server fetches a whole
-// window (ReadAhead stripes of p blocks) with one scatter-gather and keeps
-// the next raDepth windows in flight on the reader's stream. A request starts
-// only the windows its own blocks run into; raAhead, after the reply, tops
-// the reader up. Entries are keyed by (client, file), and a mutation drops a
-// file's entries — their windows in flight discarded — before any block is
-// written, so no interleaving of readers and writers can serve stale bytes.
+// window (ReadAhead stripes of p blocks) with one scatter-gather on a miss,
+// and keeps the next raDepth runs of raRun windows in flight on the reader's
+// stream, each run one vectored call per node. A request starts only the
+// runs its own blocks run into; raAhead, after the reply, tops the reader
+// up. Entries are keyed by (client, file), and a mutation drops a file's
+// entries — their runs in flight discarded — before any block is written, so
+// no interleaving of readers and writers can serve stale bytes.
 
 // raEntryCap bounds the (client, file) buffers, evicted FIFO, and so memory:
-// at most raEntryCap × (1 + raDepth) windows of at most maxBatchBlocks blocks.
+// at most raEntryCap × (1 + raDepth) runs of at most maxBatchBlocks blocks.
 const raEntryCap = 64
 
-// raDepth is how many windows a reader keeps in flight past the one it is
-// served from. A request's server work (≈15–17 ms on stream_read) is shorter
-// than an LFS round trip with a 15 ms track read; three is the least depth at
-// which no fill waits (TestReadAheadStaysAhead). stream_read (ReadN(32),
-// 32-block windows over 8 nodes) by depth, sim ms/op and slowest op: 1 →
-// 0.654, 30.0; 2 → 0.484, 30.9; 3 → 0.467 (the messaging floor), 31.7; 4 →
-// 0.467, 38.1 — deeper windows only queue on the disks.
-const raDepth = 3
+// raRun is how many consecutive windows one prefetch fetches, as one vectored
+// call per node. Every LFS call costs the server a message's CPU however many
+// blocks it carries, and a node's disk reads a whole 8-block track per access:
+// on stream_read (ReadN(32), 32-block windows over 8 nodes) a run of two is
+// one track per node per call. By run (at the best depth), sim ms/op, LFS
+// calls per block, disk utilisation, and tail / slowest op in ms: 1 →
+// 0.467, 0.25, 0.50, 18.9 / 31.7; 2 → 0.295, 0.125, 0.80, 10.3 / 30.0; 3 →
+// 0.256, 0.084, 0.92, 13.7 / 43.8; 4 → 0.251, 0.063, 0.94, 15.6 / 44.7 —
+// longer runs make the read that waits for one slower. A miss still fetches a
+// single window: a miss run of two made the cold first read 45.9 ms, not 30.0.
+const raRun = 2
+
+// raDepth is how many runs a reader keeps in flight past the one it is served
+// from. Two requests' server work is shorter than an LFS round trip with a
+// 15 ms track read; two is the least depth at which no fill waits
+// (TestReadAheadStaysAhead). stream_read by depth at raRun 2, sim ms/op and
+// slowest op: 1 → 0.436, 30.0; 2 → 0.295, 30.0; 3 → 0.295, 30.0; 4 → 0.295,
+// 34.1 — deeper runs only queue on the disks.
+const raDepth = 2
 
 // raKey identifies one sequential reader's buffer.
 type raKey struct {
@@ -36,11 +48,12 @@ type raKey struct {
 	name   string
 }
 
-// raEntry is one reader's window plus the windows in flight after it.
+// raEntry is one reader's buffered window or run plus the runs in flight
+// after it.
 type raEntry struct {
 	start  int64     // global block number of blocks[0]
 	blocks [][]byte  // contiguous run of payloads
-	st     vecStream // the windows in flight, in file order
+	st     vecStream // the runs in flight, in file order, one stream window each
 	next   int64     // the first block neither buffered nor in flight
 }
 
@@ -50,7 +63,7 @@ type raCache struct {
 	order   []raKey // FIFO eviction order of the live entries
 	byName  map[string][]raKey
 	// due is the reader the request being served left short of raDepth
-	// windows in flight, for raAhead to top up; nil when there is none.
+	// runs in flight, for raAhead to top up; nil when there is none.
 	due    *raEntry
 	dueEnt *dirent
 }
@@ -63,10 +76,10 @@ func newRACache(stripes int) *raCache {
 	}
 }
 
-// window is the fetch size at pos: ReadAhead stripes of p blocks, clipped
-// to the file's end.
-func (c *raCache) window(ent *dirent, pos int64) int {
-	w := max(1, min(c.stripes*ent.meta.Spec.P, maxBatchBlocks))
+// window is the fetch size at pos of windows consecutive windows of
+// ReadAhead stripes of p blocks, clipped to maxBatchBlocks and the file's end.
+func (c *raCache) window(ent *dirent, pos int64, windows int) int {
+	w := min(windows*max(1, c.stripes*ent.meta.Spec.P), maxBatchBlocks)
 	if remain := ent.meta.Blocks - pos; int64(w) > remain {
 		w = int(remain)
 	}
@@ -102,10 +115,10 @@ func (c *raCache) read(s *Server, ent *dirent, client msg.Addr, pos int64, count
 				continue
 			}
 		}
-		// Miss (cold start, a rewind, a failed prefetch): drop the windows
-		// in flight and fetch one synchronously, with its own retries.
+		// Miss (cold start, a rewind, a failed prefetch): drop the runs in
+		// flight and fetch one window synchronously, with its own retries.
 		e.st.Drop()
-		w := c.window(ent, pos)
+		w := c.window(ent, pos, 1)
 		blocks, err := s.lfsReadN(ent, pos, w)
 		if err != nil {
 			return nil, err
@@ -128,9 +141,9 @@ func (c *raCache) read(s *Server, ent *dirent, client msg.Addr, pos int64, count
 	return out, nil
 }
 
-// fill takes the entry's oldest window into its buffer. When the request runs
+// fill takes the entry's oldest run into its buffer. When the request runs
 // past it (to end) and nothing after it is in flight, the next is started
-// first, so a batch larger than a window overlaps each fetch with the one
+// first, so a batch larger than a run overlaps each fetch with the one
 // before. A failed take leaves the buffer as it was: the read misses there.
 func (c *raCache) fill(s *Server, ent *dirent, e *raEntry, end int64) {
 	at, n := e.st.Window(0)
@@ -145,16 +158,16 @@ func (c *raCache) fill(s *Server, ent *dirent, e *raEntry, end int64) {
 	e.start, e.blocks = at, blocks
 }
 
-// prefetch opens the window at the entry's next block and reports whether it
-// did: not at the end of the file, at raDepth windows in flight, or on a node
+// prefetch opens the run at the entry's next block and reports whether it
+// did: not at the end of the file, at raDepth runs in flight, or on a node
 // that cannot even be started (the demand path reports that error).
 func (c *raCache) prefetch(s *Server, ent *dirent, e *raEntry) bool {
 	if e.st.Windows() == raDepth || e.next >= ent.meta.Blocks {
 		return false
 	}
-	// next moves first: the window is in flight while its runs are sent.
+	// next moves first: the run is in flight while its calls are sent.
 	at := e.next
-	w := c.window(ent, at)
+	w := c.window(ent, at, raRun)
 	e.next += int64(w)
 	if s.openVec(&e.st, ent, at, w, nil) != nil {
 		e.next = at
@@ -164,7 +177,7 @@ func (c *raCache) prefetch(s *Server, ent *dirent, e *raEntry) bool {
 }
 
 // raAhead is the request loop's post-reply step: it tops the reader the last
-// request served up to raDepth windows in flight, its sends off the client's
+// request served up to raDepth runs in flight, its sends off the client's
 // path, traced as server.prefetch under the request (parent) that queued it.
 func (s *Server) raAhead(p sim.Proc, trace obs.TraceID, parent obs.SpanID) {
 	if s.ra == nil || s.ra.due == nil {
@@ -198,7 +211,7 @@ func (c *raCache) insert(s *Server, key raKey) *raEntry {
 	return e
 }
 
-// remove forgets one reader's entry, abandoning its windows in flight.
+// remove forgets one reader's entry, abandoning its runs in flight.
 func (c *raCache) remove(key raKey) {
 	e := c.entries[key]
 	e.st.Drop()

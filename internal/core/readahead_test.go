@@ -464,15 +464,16 @@ func TestReadAheadDifferential(t *testing.T) {
 
 // TestReadAheadStaysAhead pins the pipeline's payoff on stream_read's shape:
 // a steady sequential reader of 32-block windows over eight nodes, from a
-// file far larger than the nodes' caches, so every other window costs each
-// node a 15 ms track read. Each window is started raDepth requests before it
-// is read, after the reply that queued it, so from the third request on no
-// fill waits for a reply: a request's server time is exactly OpCPU, the
-// reply's send and a whole number of receives (a window's replies may be
-// taken off the port while the server gathers the one before), and the
-// requests receive no more replies than the windows they read. The
+// file far larger than the nodes' caches. The cold first request fetches one
+// window; every later fetch is a run of raRun windows, one call per node, so
+// a run of two costs each node one 15 ms track read. Each run is started
+// raDepth runs before it is read, after the reply that queued it, so from the
+// third request on no fill waits for a reply: a request's server time is
+// exactly OpCPU, the reply's send and a whole number of receives (a run's
+// replies may be taken off the port while the server gathers the one before),
+// and the requests receive no more replies than the runs they read. The
 // post-reply step, a server.prefetch span under the request with the LFS
-// calls under it, is exactly one send per node per window.
+// calls under it, is exactly one send per node per run.
 func TestReadAheadStaysAhead(t *testing.T) {
 	const nodes, window, windows = 8, 32, 48 // 192 blocks a node, 128 cached
 	cfg := wrenCfg(nodes)
@@ -532,12 +533,15 @@ func TestReadAheadStaysAhead(t *testing.T) {
 			}
 			received += d
 		}
-		if want := time.Duration(nodes*(windows-2)) * net.RecvCPU; received > want {
-			t.Errorf("requests 2 on spent %v receiving, more than the %v their windows' replies cost", received, want)
+		// The miss fetched window 0; runs carry the rest, and request 1
+		// gathers the first of them.
+		runs := (windows - 1 + raRun - 1) / raRun
+		if want := time.Duration(nodes*(runs-1)) * net.RecvCPU; received > want {
+			t.Errorf("requests 2 on spent %v receiving, more than the %v their runs' replies cost", received, want)
 		}
-		// The first request starts raDepth windows, every later one the one
-		// it consumed, until the file runs out.
-		if want := windows - raDepth; len(prefetches) != want {
+		// The first request starts raDepth runs, every later one that fills
+		// a run the one it consumed, until the file runs out.
+		if want := runs - raDepth + 1; len(prefetches) != want {
 			t.Errorf("%d server.prefetch spans, want %d", len(prefetches), want)
 		}
 		under := map[obs.SpanID]int{}
@@ -568,9 +572,10 @@ func TestReadAheadStaysAhead(t *testing.T) {
 }
 
 // TestReadAheadBatchPastTheWindow: a batch larger than the window waits
-// for its first window only. Each later window it runs into is started
-// before the one before it is gathered, so a cold 40-block SeqReadN over
-// 4-block windows is one synchronous fetch and nine prefetches.
+// for its first window only. Each later run it runs into is started before
+// the one before it is gathered, so a cold 40-block SeqReadN over 4-block
+// windows is one synchronous window and five prefetched runs (four of two
+// windows, the last one the file's final window).
 func TestReadAheadBatchPastTheWindow(t *testing.T) {
 	withCluster(t, raCfg(4, 1), func(p sim.Proc, cl *Cluster, c *Client) {
 		const n = 40
@@ -595,8 +600,195 @@ func TestReadAheadBatchPastTheWindow(t *testing.T) {
 			}
 		}
 		st := cl.Net.Stats()
-		if misses, fills := st.Get("bridge.ra_misses"), st.Get("bridge.ra_fills"); misses != 4 || fills != n/4-1 {
-			t.Errorf("%d blocks missed and %d windows filled; want 4 and %d", misses, fills, n/4-1)
+		runs := (n/4 - 1 + raRun - 1) / raRun
+		if misses, fills := st.Get("bridge.ra_misses"), st.Get("bridge.ra_fills"); misses != 4 || fills != int64(runs) {
+			t.Errorf("%d blocks missed and %d runs filled; want 4 and %d", misses, fills, runs)
+		}
+	})
+}
+
+// raOnly is the one read-ahead entry a test's single reader has, or nil.
+func raOnly(ra *raCache) *raEntry {
+	if len(ra.order) != 1 {
+		return nil
+	}
+	return ra.entries[ra.order[0]]
+}
+
+// TestReadAheadMutationDropsRunInFlight: a write, and then a delete, that
+// land while a run of raRun windows is in flight drop it before any block is
+// written. The reader is served the new bytes, never the run's, and every
+// reply of the dropped calls is discarded on receipt, none left parked.
+func TestReadAheadMutationDropsRunInFlight(t *testing.T) {
+	const nodes, stripes = 4, 1
+	const window = nodes * stripes
+	cfg := wrenCfg(nodes) // 15 ms disks: a run is still in flight when the writer's request lands
+	cfg.Server.ReadAhead = stripes
+	withCluster(t, cfg, func(p sim.Proc, cl *Cluster, a *Client) {
+		b := cl.NewClient(p, 0, "ra-run-b")
+		defer b.Close()
+		srv := cl.Servers[0]
+		const n = 40
+		if _, err := b.Create("f"); err != nil {
+			t.Errorf("Create: %v", err)
+			return
+		}
+		blocks := make([][]byte, n)
+		for i := range blocks {
+			blocks[i] = payload(i)
+		}
+		if _, err := b.AppendN("f", blocks); err != nil {
+			t.Errorf("AppendN: %v", err)
+			return
+		}
+		// warm reads block 0 and waits out the post-reply top-up's sends: the
+		// miss buffered one window, and raDepth runs are in flight behind it.
+		warm := func(what string) bool {
+			if _, err := a.Open("f"); err != nil {
+				t.Errorf("%s: Open: %v", what, err)
+				return false
+			}
+			if _, _, err := a.SeqRead("f"); err != nil {
+				t.Errorf("%s: SeqRead: %v", what, err)
+				return false
+			}
+			p.Sleep(5 * time.Millisecond)
+			e := raOnly(srv.ra)
+			if e == nil || e.st.Windows() != raDepth {
+				t.Errorf("%s: no reader with %d runs in flight", what, raDepth)
+				return false
+			}
+			if at, count := e.st.Window(0); at != window || count != raRun*window {
+				t.Errorf("%s: the oldest run in flight is %d blocks from %d, want %d from %d", what, count, at, raRun*window, window)
+				return false
+			}
+			return true
+		}
+		// drain reads blocks from up to to, each of which must be want(i).
+		drain := func(what string, from, to int, want func(i int) []byte) {
+			for i := from; i < to; i++ {
+				data, _, err := a.SeqRead("f")
+				if err != nil || !bytes.Equal(data, want(i)) {
+					t.Errorf("%s: block %d is %q (%v), want %q", what, i, head(data), err, head(want(i)))
+					return
+				}
+			}
+		}
+
+		if !warm("write") {
+			return
+		}
+		// Block 6 is in the oldest run, block 14 in the one after it.
+		fresh := map[int]int{6: 106, 14: 114}
+		for _, blk := range []int{6, 14} {
+			if err := b.WriteAt("f", int64(blk), payload(fresh[blk])); err != nil {
+				t.Errorf("WriteAt %d: %v", blk, err)
+				return
+			}
+		}
+		if len(srv.ra.entries) != 0 {
+			t.Errorf("the write left %d read-ahead entries", len(srv.ra.entries))
+		}
+		drain("after the write", 1, n, func(i int) []byte {
+			if v, ok := fresh[i]; ok {
+				return payload(v)
+			}
+			return payload(i)
+		})
+
+		if !warm("delete") {
+			return
+		}
+		if _, err := b.Delete("f"); err != nil {
+			t.Errorf("Delete: %v", err)
+			return
+		}
+		if len(srv.ra.entries) != 0 {
+			t.Errorf("the delete left %d read-ahead entries", len(srv.ra.entries))
+		}
+		if _, err := b.Create("f"); err != nil {
+			t.Errorf("recreate: %v", err)
+			return
+		}
+		const m = 24
+		for i := range blocks[:m] {
+			blocks[i] = payload(1000 + i)
+		}
+		if _, err := b.AppendN("f", blocks[:m]); err != nil {
+			t.Errorf("AppendN: %v", err)
+			return
+		}
+		if _, err := a.Open("f"); err != nil {
+			t.Errorf("open the new f: %v", err)
+			return
+		}
+		drain("after the delete", 0, m, func(i int) []byte { return payload(1000 + i) })
+
+		p.Sleep(time.Second) // every dropped call's reply arrives
+		if _, _, err := a.SeqRead("f"); err != nil {
+			t.Errorf("read at the end: %v", err)
+		}
+		if pending, discarded := srv.lc.C.Parked(); pending != 0 || discarded != 0 {
+			t.Errorf("%d replies parked and %d discarded calls unanswered in the server's LFS client", pending, discarded)
+		}
+		if got := cl.Net.Stats().Get("bridge.ra_invalidations"); got < 2 {
+			t.Errorf("%d read-ahead invalidations, want the write's and the delete's", got)
+		}
+	})
+}
+
+// TestReadAheadMissFetchesOneWindow: a cold read and a rewind each wait for
+// one window, fetched synchronously, and leave the longer runs to the
+// prefetches behind it; a miss run would make the cold read wait for more.
+func TestReadAheadMissFetchesOneWindow(t *testing.T) {
+	const nodes, stripes = 4, 2
+	const window = nodes * stripes
+	withCluster(t, raCfg(nodes, stripes), func(p sim.Proc, cl *Cluster, c *Client) {
+		const n = 64
+		if _, err := c.Create("f"); err != nil {
+			t.Errorf("Create: %v", err)
+			return
+		}
+		blocks := make([][]byte, n)
+		for i := range blocks {
+			blocks[i] = payload(i)
+		}
+		if _, err := c.AppendN("f", blocks); err != nil {
+			t.Errorf("AppendN: %v", err)
+			return
+		}
+		st, ra := cl.Net.Stats(), cl.Servers[0].ra
+		for _, what := range []string{"cold read", "rewind"} {
+			if _, err := c.Open("f"); err != nil {
+				t.Errorf("%s: Open: %v", what, err)
+				return
+			}
+			misses := st.Get("bridge.ra_misses")
+			if data, _, err := c.SeqRead("f"); err != nil || !bytes.Equal(data, payload(0)) {
+				t.Errorf("%s: SeqRead: %q, %v", what, head(data), err)
+				return
+			}
+			e := raOnly(ra)
+			if e == nil {
+				t.Errorf("%s: no read-ahead entry", what)
+				return
+			}
+			if e.start != 0 || len(e.blocks) != window {
+				t.Errorf("%s: the miss buffered %d blocks from %d, want one window of %d from 0", what, len(e.blocks), e.start, window)
+				return
+			}
+			if got := st.Get("bridge.ra_misses") - misses; got != 1 {
+				t.Errorf("%s: %d blocks missed, want 1", what, got)
+			}
+			// The batch runs through the buffered window into the first run.
+			got, _, err := c.SeqReadN("f", 2*window)
+			if err != nil || len(got) != 2*window || !bytes.Equal(got[0], payload(1)) {
+				t.Errorf("%s: SeqReadN: %d blocks, %v", what, len(got), err)
+				return
+			}
+			if e.start != window || len(e.blocks) != raRun*window {
+				t.Errorf("%s: the fill buffered %d blocks from %d, want a run of %d from %d", what, len(e.blocks), e.start, raRun*window, window)
+			}
 		}
 	})
 }

@@ -1015,7 +1015,11 @@ func (s *Server) fsck(p sim.Proc, from msg.Addr, r FsckReq) (FsckResp, error) {
 	if err := s.sweepBarrier(p, from, r.OpID); err != nil {
 		return FsckResp{}, err
 	}
-	resp, err := lfsCallAs[lfs.CheckResp](s, p, node, lfs.CheckReq{Repair: r.Repair})
+	walks := int64(1)
+	if r.Repair {
+		walks = 2
+	}
+	resp, err := lfsSweepAs[lfs.CheckResp](s, p, node, lfs.CheckReq{Repair: r.Repair}, walks)
 	return FsckResp{Report: resp.Report, Fixes: resp.Fixes}, err
 }
 
@@ -1041,7 +1045,7 @@ func (s *Server) scrub(p sim.Proc, from msg.Addr, r ScrubReq) (ScrubResp, error)
 	if err := s.sweepBarrier(p, from, 0); err != nil {
 		return ScrubResp{}, err
 	}
-	resp, err := lfsCallAs[lfs.ScrubResp](s, p, node, lfs.ScrubReq{Full: true})
+	resp, err := lfsSweepAs[lfs.ScrubResp](s, p, node, lfs.ScrubReq{Full: true}, 1)
 	return ScrubResp{Report: resp.Report}, err
 }
 

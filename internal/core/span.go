@@ -29,7 +29,7 @@ func newSrvMetrics(r *obs.Registry) srvMetrics {
 		nodeRepairs:       r.Counter("bridge.node_repairs", "repairs", "RepairNode sweeps that re-registered files on a restarted node."),
 		raHits:            r.Counter("bridge.ra_hits", "blocks", "Sequential-read blocks served from the read-ahead buffer."),
 		raMisses:          r.Counter("bridge.ra_misses", "blocks", "Sequential-read blocks that waited for a synchronous window fetch."),
-		raFills:           r.Counter("bridge.ra_fills", "windows", "Asynchronous prefetch windows gathered into the read-ahead buffer."),
+		raFills:           r.Counter("bridge.ra_fills", "runs", "Asynchronous prefetch runs gathered into the read-ahead buffer."),
 		raInvalidations:   r.Counter("bridge.ra_invalidations", "files", "Read-ahead buffer invalidations caused by file mutations."),
 		wbBuffered:        r.Counter("bridge.wb_buffered", "blocks", "Appends acknowledged into the write-behind buffer before landing."),
 		wbFlushes:         r.Counter("bridge.wb_flushes", "windows", "Write-behind windows flushed as vectored group commits."),

@@ -41,9 +41,11 @@ type Params struct {
 	// LocalLatency and RemoteLatency are message transfer delays.
 	LocalLatency  time.Duration
 	RemoteLatency time.Duration
-	// BytesPerSec is internode bandwidth; BlockBytes the payload size.
+	// BytesPerSec is internode bandwidth; BlockBytes the payload size, and
+	// HeaderBytes the header every message carries with it.
 	BytesPerSec int64
 	BlockBytes  int
+	HeaderBytes int
 	// LFSCPU and ServerCPU are per-request charges at the LFS and the
 	// Bridge Server.
 	LFSCPU    time.Duration
@@ -73,6 +75,7 @@ func Default() Params {
 		RemoteLatency:    net.RemoteLatency,
 		BytesPerSec:      net.BytesPerSec,
 		BlockBytes:       disk.DefaultBlockSize,
+		HeaderBytes:      net.HeaderBytes,
 		LFSCPU:           lfs.DefaultOpCPU,
 		ServerCPU:        core.DefaultOpCPU,
 		SpawnCPU:         lfs.SpawnCPU,
@@ -81,14 +84,15 @@ func Default() Params {
 	}
 }
 
-// transfer returns the wire delay for one block-sized message.
+// transfer returns the wire delay for one block-sized message, its header
+// priced with its payload as the simulator's network prices it.
 func (p Params) transfer(local bool) time.Duration {
 	if local {
 		return p.LocalLatency
 	}
 	d := p.RemoteLatency
 	if p.BytesPerSec > 0 {
-		d += time.Duration(int64(p.BlockBytes) * int64(time.Second) / p.BytesPerSec)
+		d += time.Duration(int64(p.BlockBytes+p.HeaderBytes) * int64(time.Second) / p.BytesPerSec)
 	}
 	return d
 }
