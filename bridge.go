@@ -267,8 +267,9 @@ type Config struct {
 	// store file (<DataDir>/node<i>.disk, a disk.FileStore written in
 	// place): committed blocks survive the host process, and a rerun
 	// against the same directory remounts the volumes — with journal
-	// replay and an fsck verifier when Journal is set (inspect via
-	// Inspect().Recovery). These files are what the bridgefs command keeps
+	// replay when Journal is set, and an fsck verifier unless the store
+	// was clean at open (inspect via Inspect().Recovery; Session.Fsck
+	// walks on demand). These files are what the bridgefs command keeps
 	// in its state directory too; Run closes them when it returns.
 	DataDir string
 	// DiskLatency is the per-access device time. Default 15ms (CDC

@@ -3,9 +3,10 @@
 // state directory (node<ID>.disk, the format bridge.Config.DataDir uses),
 // written in place; manifest.json holds the geometry and the Bridge
 // directory. Every invocation boots the cluster, mounts the volumes —
-// replaying each journal and checking each volume — performs one
+// replaying each journal, and walking a volume whose store a killed
+// invocation, or a walk that found problems, left dirty — performs one
 // operation, syncs, and rewrites the manifest, so files survive across
-// invocations.
+// invocations. fsck checks every volume.
 //
 // Usage:
 //
@@ -19,11 +20,12 @@
 //	bridgefs -dir STATE sort SRC DST        parallel merge sort tool
 //	bridgefs -dir STATE grep NAME PATTERN   parallel search tool
 //	bridgefs -dir STATE wc NAME             parallel summary tool
-//	bridgefs -dir STATE fsck [-repair]      each volume's mount check
+//	bridgefs -dir STATE fsck [-repair]      check every volume
 //	bridgefs -dir STATE info                cluster structure
 //
-// Every operation reports the simulated time it took on the modeled
-// hardware (15 ms Wren-class disks, Butterfly-class messaging).
+// Every command but init reports its mount and every operation the
+// simulated time it took on the modeled hardware (15 ms Wren-class disks,
+// Butterfly-class messaging).
 package main
 
 import (
@@ -84,9 +86,7 @@ func run(argv []string) error {
 	if err != nil {
 		return err
 	}
-	// fsck runs on volumes that failed their mount check: it is how the
-	// user sees, and with -repair mends, what is wrong.
-	return withCluster(*dir, m, cmd != "fsck", op)
+	return withCluster(*dir, m, cmd, op)
 }
 
 func initCluster(dir string, args []string) error {
@@ -104,7 +104,7 @@ func initCluster(dir string, args []string) error {
 	}
 	m := &manifest{Nodes: *nodes, DiskBlocks: *blocks}
 	// The stores do not exist yet, so every node formats its volume.
-	return withCluster(dir, m, false, func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
+	return withCluster(dir, m, "init", func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
 		fmt.Printf("initialized %d-node Bridge cluster (%d KB per disk) in %s\n", *nodes, *blocks, dir)
 		return nil
 	})
@@ -131,15 +131,14 @@ func load(dir string) (*manifest, error) {
 	return &m, nil
 }
 
-// withCluster boots the cluster on the stores in dir, refuses a volume
-// whose mount check failed when check is set, runs op as a client process,
-// syncs every volume and then rewrites the manifest. A failed op is
-// persisted like a successful one: the volumes changed in place, so the
+// withCluster boots the cluster on the stores in dir, waits for the mounts
+// of subcommand cmd (init formats, so it has none), runs op as a client
+// process, syncs every volume and then rewrites the manifest. A failed op
+// is persisted like a successful one: the volumes changed in place, so the
 // manifest must name what they hold.
-func withCluster(dir string, m *manifest, check bool, op opFunc) error {
+func withCluster(dir string, m *manifest, cmd string, op opFunc) error {
 	rt := sim.NewVirtual()
-	// Each node formats its volume the first time and mounts it after,
-	// replaying its journal and checking the volume before it answers.
+	// Each node formats its volume the first time and mounts it after.
 	cl, err := core.StartCluster(rt, core.ClusterConfig{
 		P: m.Nodes,
 		Node: lfs.Config{
@@ -160,8 +159,12 @@ func withCluster(dir string, m *manifest, check bool, op opFunc) error {
 	ran := false
 	rt.Go("bridgefs", func(proc sim.Proc) {
 		defer cl.Stop()
-		if check {
-			if _, opErr = mountReports(proc, cl, true); opErr != nil {
+		// fsck waits for the mounts itself: it checks a volume that needs
+		// no mount walk while another's mount walks, and it runs on
+		// volumes whose walk found problems, to list them and, with
+		// -repair, mend them.
+		if cmd != "init" && cmd != "fsck" {
+			if opErr = mount(proc, cl); opErr != nil {
 				return
 			}
 		}
@@ -193,39 +196,89 @@ func withCluster(dir string, m *manifest, check bool, op opFunc) error {
 }
 
 // mountAccesses is how many disk accesses mountBound allows per block of
-// the volume: the mount check makes one per chained block, whatever the
-// layout (TestMountBoundCoversCheck), and the second is margin.
+// the volume: the walk of a dirty mount makes one per chained block,
+// whatever the layout (TestMountBoundCoversCheck), and the second is margin.
 const mountAccesses = 2
 
 // mountBound bounds a call that waits on a node's mount, on the server and
-// in mountReports, so a full volume of any size answers.
+// in mount, so a dirty full volume of any size answers.
 func mountBound(blocks int) time.Duration {
 	return max(lfs.DefaultTimeout, time.Duration(blocks*mountAccesses)*disk.DefaultLatency)
 }
 
-// mountReports collects every node's mount check: the fsck that verified
-// the mounted volume, chained blocks' checksums included. With refuse it
-// fails on a volume that did not come up clean, naming the node and what
-// is wrong with it.
-func mountReports(proc sim.Proc, cl *core.Cluster, refuse bool) ([]efs.CheckReport, error) {
+// mount waits for every node's mount and prints when the last ended and how
+// many volumes were walked. It fails on a walked volume that did not check
+// clean, naming the node and what is wrong with it.
+func mount(proc sim.Proc, cl *core.Cluster) error {
 	c := cl.NewClient(proc, 0, "bridgefs-mount")
 	defer c.Close()
 	c.SetTimeout(mountBound(cl.Nodes[0].Disk.Config().NumBlocks))
-	reps := make([]efs.CheckReport, len(cl.Nodes))
-	for i := range reps {
+	walked := 0
+	for i := range cl.Nodes {
 		rep, err := c.Recovery(i)
-		switch {
-		case err != nil:
-			return nil, fmt.Errorf("node %d: %w", i, err)
-		case rep.FsckErr != "":
-			return nil, fmt.Errorf("node %d: checking the volume: %s", i, rep.FsckErr)
-		case refuse && !rep.Fsck.OK():
-			return nil, fmt.Errorf("node %d: volume failed its mount check (bridgefs fsck lists it): %s",
-				i, strings.Join(rep.Fsck.Problems, "; "))
+		if err == nil && !rep.CleanAtOpen {
+			walked++
+			if err = mountErr(rep); err == nil && !rep.Fsck.OK() {
+				err = fmt.Errorf("volume failed its mount walk (bridgefs fsck lists it): %s", strings.Join(rep.Fsck.Problems, "; "))
+			}
 		}
-		reps[i] = rep.Fsck
+		if err != nil {
+			return fmt.Errorf("node %d: %w", i, err)
+		}
 	}
-	return reps, nil
+	printMount(proc.Now(), walked, len(cl.Nodes))
+	return nil
+}
+
+// mountErr reports a mount walk that could not run to its end.
+func mountErr(rep lfs.RecoveryReport) error {
+	if rep.FsckErr != "" {
+		return fmt.Errorf("checking the volume: %s", rep.FsckErr)
+	}
+	return nil
+}
+
+func printMount(at time.Duration, walked, nodes int) {
+	fmt.Printf("[mount: %.2fs simulated, %d of %d volumes walked]\n", at.Seconds(), walked, nodes)
+}
+
+// fsckResult is one node's part of fsck: when its mount report arrived,
+// whether the mount walked the volume, and the volume's check.
+type fsckResult struct {
+	lfs.CheckResp
+	mounted time.Duration
+	walked  bool
+	err     error
+}
+
+// fsckNode waits for node n's mount report and checks its volume. A volume
+// its mount walked is not walked again unless it is to be repaired: the
+// mount's report is its check.
+func fsckNode(p sim.Proc, net *msg.Network, n *lfs.Node, repair bool) (r fsckResult) {
+	lc := lfs.NewClient(p, net, 0, fmt.Sprintf("bridgefs-fsck%d", n.ID))
+	defer lc.C.Close()
+	blocks := int64(n.Disk.Config().NumBlocks)
+	call, err := lc.Start(n.Addr(), lfs.RecoveryReq{})
+	if err != nil {
+		return fsckResult{err: err}
+	}
+	rec, err := lfs.Reply[lfs.RecoveryResp](lc.AwaitWalk(call, blocks))
+	if err != nil {
+		return fsckResult{err: err}
+	}
+	r.mounted, r.walked = p.Now(), !rec.Report.CleanAtOpen
+	if r.walked && !repair {
+		r.Report, r.err = rec.Report.Fsck, mountErr(rec.Report)
+		return r
+	}
+	if call, r.err = lc.Start(n.Addr(), lfs.CheckReq{Repair: repair}); r.err != nil {
+		return r
+	}
+	if repair {
+		blocks *= 2 // to repair, then to check
+	}
+	r.CheckResp, r.err = lfs.Reply[lfs.CheckResp](lc.AwaitWalk(call, blocks))
+	return r
 }
 
 // saveManifest replaces the manifest crash-safely: it is written to a temp
@@ -402,30 +455,38 @@ func makeOp(cmd string, args []string) (opFunc, error) {
 				return nil, err
 			}
 		}
-		// Every node checked its volume at mount: fsck prints those reports
-		// and walks the volumes again only to repair them.
+		// One process per node waits for the node's mount and checks its
+		// volume, so the walks overlap, the mount walks too.
 		return func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
-			reps, err := mountReports(proc, cl, false)
-			if err != nil {
-				return err
+			res := make([]fsckResult, len(cl.Nodes))
+			done := proc.Runtime().NewQueue("bridgefs-fsck")
+			for i, n := range cl.Nodes {
+				proc.Runtime().Go(fmt.Sprintf("bridgefs-fsck%d", i), func(p sim.Proc) {
+					res[i] = fsckNode(p, cl.Net, n, repair)
+					done.Send(i)
+				})
 			}
-			if repair {
-				lc := lfs.NewClient(proc, cl.Net, 0, "bridgefs-fsck")
-				defer lc.C.Close()
-				for i, n := range cl.Nodes {
-					rep, fixes, err := lc.Repair(n.ID, int64(n.Disk.Config().NumBlocks))
-					if err != nil {
-						return fmt.Errorf("node %d: %w", i, err)
-					}
-					if fixes > 0 {
-						fmt.Printf("node %d: repaired %d bitmap entries\n", i, fixes)
-					}
-					reps[i] = rep
+			var mounted time.Duration
+			walked := 0
+			for range cl.Nodes {
+				done.Recv(proc)
+			}
+			for i, r := range res {
+				if r.err != nil {
+					return fmt.Errorf("node %d: %w", i, r.err)
+				}
+				mounted = max(mounted, r.mounted)
+				if r.walked {
+					walked++
 				}
 			}
+			printMount(mounted, walked, len(cl.Nodes))
 			bad := 0
-			for i, rep := range reps {
-				status := "clean"
+			for i, r := range res {
+				if r.Fixes > 0 {
+					fmt.Printf("node %d: repaired %d bitmap entries\n", i, r.Fixes)
+				}
+				rep, status := r.Report, "clean"
 				if !rep.OK() {
 					status = fmt.Sprintf("%d PROBLEMS", len(rep.Problems))
 					bad++
@@ -436,7 +497,7 @@ func makeOp(cmd string, args []string) (opFunc, error) {
 				}
 			}
 			if bad > 0 {
-				return fmt.Errorf("%d of %d volumes have problems", bad, len(reps))
+				return fmt.Errorf("%d of %d volumes have problems", bad, len(res))
 			}
 			return nil
 		}, nil

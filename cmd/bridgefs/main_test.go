@@ -14,6 +14,8 @@ import (
 	"bridge/internal/core"
 	"bridge/internal/disk"
 	"bridge/internal/efs"
+	"bridge/internal/lfs"
+	"bridge/internal/msg"
 	"bridge/internal/sim"
 )
 
@@ -62,10 +64,14 @@ func TestCLILifecycle(t *testing.T) {
 		t.Errorf("put output: %q", out)
 	}
 
-	// List shows it (persistence across invocations).
+	// List shows it (persistence across invocations). The last invocation
+	// synced every store, so this mount walks none.
 	out, err = runQuiet(t, "-dir", state, "ls")
 	if err != nil || !strings.Contains(out, "doc") {
 		t.Fatalf("ls: %q, %v", out, err)
+	}
+	if !strings.Contains(out, "0 of 4 volumes walked]") {
+		t.Errorf("ls after a clean put walked a volume: %q", out)
 	}
 
 	// Copy with the tool; grep the copy.
@@ -205,9 +211,12 @@ func TestCLIStateDirectory(t *testing.T) {
 }
 
 // TestCLICorruptBlockRefused flips one byte of a block the stored file owns,
-// in the store at rest: the next invocation must refuse, naming the node and
-// the block, rather than serve the file or write over the volume. fsck
-// still runs and lists the damage.
+// in the store at rest. The store is still clean, so the next mount does not
+// walk it: ls, which reads no data block, serves, and get refuses, naming the
+// node and the block. Once the store's clean flag is cleared the next mount
+// walks it and refuses before any operation, naming them too, and so does
+// every mount after it: a walk that found damage keeps the store dirty.
+// fsck still runs and lists the damage, and a write is refused after it.
 func TestCLICorruptBlockRefused(t *testing.T) {
 	dir := t.TempDir()
 	state := filepath.Join(dir, "cluster")
@@ -239,20 +248,42 @@ func TestCLICorruptBlockRefused(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	for _, cmd := range [][]string{{"ls"}, {"get", "doc", filepath.Join(dir, "out")}} {
+	namesBlock := regexp.MustCompile(fmt.Sprintf(`\bat (block )?%d\b`, bn))
+	refused := func(cmd ...string) {
+		t.Helper()
 		_, err := runQuiet(t, append([]string{"-dir", state}, cmd...)...)
 		if err == nil {
 			t.Fatalf("%s on a corrupt volume succeeded", cmd[0])
 		}
-		if !strings.Contains(err.Error(), "node 1:") || !regexp.MustCompile(fmt.Sprintf(`\bat %d\b`, bn)).MatchString(err.Error()) {
+		if !strings.Contains(err.Error(), "node 1") || !namesBlock.MatchString(err.Error()) {
 			t.Errorf("%s: %v; want it to name node 1 and block %d", cmd[0], err, bn)
 		}
 	}
+
+	if out, err := runQuiet(t, "-dir", state, "ls"); err != nil || !strings.Contains(out, "0 of 2 volumes walked]") {
+		t.Fatalf("ls on a clean store with a flipped data byte: %v\n%s", err, out)
+	}
+	refused("get", "doc", filepath.Join(dir, "out"))
+
+	// Byte 24 of the store's header is its clean flag.
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0}, 24); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	refused("ls")
+	refused("ls")
+
 	out, err := runQuiet(t, "-dir", state, "fsck")
 	if err == nil || !strings.Contains(out, fmt.Sprintf("at %d checksum mismatch", bn)) {
 		t.Errorf("fsck on the corrupt volume: %v\n%s", err, out)
 	}
+	refused("rm", "doc")
 }
 
 // TestCLIOldStateDirectory: a state directory of whole-image files from an
@@ -318,22 +349,67 @@ func TestCLIFailedPutLeavesPartialFile(t *testing.T) {
 	}
 }
 
-// TestMountBoundCoversCheck: on a full, fragmented volume the mount check
-// costs one disk access per chained block, so mountBound, which allows
-// mountAccesses per block of the volume, lets a full volume of any size
-// answer its recovery call.
+// TestMountBoundCoversCheck: on a full, fragmented volume whose store is
+// dirty, the mount's walk costs one disk access per chained block, so
+// mountBound, which allows mountAccesses per block of the volume, lets a
+// full volume of any size answer its recovery call.
 func TestMountBoundCoversCheck(t *testing.T) {
+	const nodes, blocks = 2, 1024
+	state, m := fullCluster(t, nodes, blocks)
+	// Opened and closed without a Sync, each store is dirty at the next
+	// open, so every node walks its volume before it answers.
+	for i := 1; i <= nodes; i++ {
+		st, err := disk.OpenFileStore(lfs.StorePath(state, msg.NodeID(i)), efs.BlockSize, blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+	}
+	// The op starts once the mounts are done: when the fullest volume is
+	// walked.
+	var took time.Duration
+	walked := 0
+	measure := func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
+		took = proc.Now()
+		for i := range cl.Nodes {
+			rep, err := c.Recovery(i)
+			if err != nil {
+				return err
+			}
+			if rep.CleanAtOpen {
+				t.Errorf("node %d: a store opened without a Sync read clean", i)
+			}
+			walked = max(walked, rep.Fsck.ChainBlocks)
+		}
+		return nil
+	}
+	if err := withCluster(state, m, "ls", measure); err != nil {
+		t.Fatal(err)
+	}
+	if walked < blocks*3/4 {
+		t.Fatalf("the fullest volume has %d of %d blocks chained; the test needs a full one", walked, blocks)
+	}
+	per := took / time.Duration(walked)
+	t.Logf("dirty mount: %v for %d chained blocks, %v a block", took, walked, per)
+	if per > mountAccesses*disk.DefaultLatency {
+		t.Errorf("the mount's walk costs %v a block, past mountBound's %d accesses of %v",
+			per, mountAccesses, disk.DefaultLatency)
+	}
+}
+
+// fullCluster makes a cluster of nodes volumes of blocks blocks and fills
+// it with eight files written a block at a time in turn until the volumes
+// are full: on each node their chains interleave, so no read is sequential.
+func fullCluster(t *testing.T, nodes, blocks int) (string, *manifest) {
+	t.Helper()
 	state := filepath.Join(t.TempDir(), "cluster")
-	const blocks = 1024
-	if _, err := runQuiet(t, "-dir", state, "init", "-nodes", "2", "-blocks", fmt.Sprint(blocks)); err != nil {
+	if _, err := runQuiet(t, "-dir", state, "init", "-nodes", fmt.Sprint(nodes), "-blocks", fmt.Sprint(blocks)); err != nil {
 		t.Fatalf("init: %v", err)
 	}
 	m, err := load(state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Eight files written a block at a time in turn until the volumes are
-	// full: on each node their chains interleave, so no read is sequential.
 	fill := func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
 		const files = 8
 		for f := 0; f < files; f++ {
@@ -346,31 +422,106 @@ func TestMountBoundCoversCheck(t *testing.T) {
 		}
 		return nil
 	}
-	// Unchecked, the op starts as the mounts do: its first recovery call
-	// returns when the fullest volume is checked.
-	var reps []efs.CheckReport
-	var took time.Duration
-	measure := func(proc sim.Proc, cl *core.Cluster, c *core.Client) (err error) {
-		reps, err = mountReports(proc, cl, false)
-		took = proc.Now()
-		return err
+	if err := withCluster(state, m, "put", fill); err != nil {
+		t.Fatal(err)
 	}
-	for _, op := range []opFunc{fill, measure} {
-		if err := withCluster(state, m, false, op); err != nil {
-			t.Fatal(err)
+	return state, m
+}
+
+// opTime is the simulated time an invocation's output reports for its
+// operation.
+func opTime(t *testing.T, out string) time.Duration {
+	t.Helper()
+	return printedTime(t, out, `\[simulated time: (\S+)\]`)
+}
+
+// mountTime returns the simulated time at which out's mount line says the
+// mounts ended.
+func mountTime(t *testing.T, out string) time.Duration {
+	t.Helper()
+	return printedTime(t, out, `\[mount: (\S+) simulated`)
+}
+
+func printedTime(t *testing.T, out, pattern string) time.Duration {
+	t.Helper()
+	sm := regexp.MustCompile(pattern).FindStringSubmatch(out)
+	if sm == nil {
+		t.Fatalf("no simulated time in %q", out)
+	}
+	d, err := time.ParseDuration(sm[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestFsckWalksOverlap: fsck starts every node's walk before it awaits any,
+// so on volumes filled alike it costs its mount's replay and about one walk,
+// however many nodes there are, and a repair, which walks twice, about two.
+// A check of one volume at a time would cost one walk per node. On stores
+// left dirty the mounts walk, and fsck reports those walks instead of
+// walking again; with one store dirty it checks the clean volumes while
+// that mount walks. Either way it still costs about one walk.
+func TestFsckWalksOverlap(t *testing.T) {
+	const nodes = 4
+	state, _ := fullCluster(t, nodes, 512)
+	out, err := runQuiet(t, "-dir", state, "fsck")
+	if err != nil || strings.Count(out, ": clean") != nodes {
+		t.Fatalf("fsck: %v\n%s", err, out)
+	}
+	check, replay := opTime(t, out), mountTime(t, out)
+	out, err = runQuiet(t, "-dir", state, "fsck", "-repair")
+	if err != nil || strings.Count(out, ": clean") != nodes {
+		t.Fatalf("fsck -repair: %v\n%s", err, out)
+	}
+	repair := opTime(t, out)
+	// The slowest walk, measured by one node's check alone after the mount.
+	var one time.Duration
+	measure := func(proc sim.Proc, cl *core.Cluster, c *core.Client) error {
+		lc := lfs.NewClient(proc, cl.Net, 0, "one")
+		defer lc.C.Close()
+		for _, n := range cl.Nodes {
+			start := proc.Now()
+			call, err := lc.Start(n.Addr(), lfs.CheckReq{})
+			if err != nil {
+				return err
+			}
+			if _, err := lfs.Reply[lfs.CheckResp](lc.AwaitWalk(call, 512)); err != nil {
+				return err
+			}
+			one = max(one, proc.Now()-start)
 		}
+		return nil
 	}
-	walked := 0
-	for _, rep := range reps {
-		walked = max(walked, rep.ChainBlocks)
+	m, err := load(state)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if walked < blocks*3/4 {
-		t.Fatalf("the fullest volume has %d of %d blocks chained; the test needs a full one", walked, blocks)
+	if err := withCluster(state, m, "ls", measure); err != nil {
+		t.Fatal(err)
 	}
-	per := took / time.Duration(walked)
-	t.Logf("mount check: %v for %d chained blocks, %v a block", took, walked, per)
-	if per > mountAccesses*disk.DefaultLatency {
-		t.Errorf("the mount check costs %v a block, past mountBound's %d accesses of %v",
-			per, mountAccesses, disk.DefaultLatency)
+	t.Logf("slowest walk %v; fsck %v (replay %v), fsck -repair %v on %d nodes", one, check, replay, repair, nodes)
+	// A round trip per node is a few milliseconds; a walk is seconds.
+	bound := replay + one + time.Duration(nodes)*10*time.Millisecond
+	if check > bound || repair > bound+one {
+		t.Errorf("fsck %v and fsck -repair %v on %d nodes, past a replay of %v and one and two walks of %v", check, repair, nodes, replay, one)
+	}
+
+	for _, dirty := range [][]int{{1, 2, 3, 4}, {2}} {
+		// Opened and closed without a Sync, as a killed process leaves it.
+		for _, id := range dirty {
+			st, err := disk.OpenFileStore(lfs.StorePath(state, msg.NodeID(id)), efs.BlockSize, 512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+		}
+		out, err = runQuiet(t, "-dir", state, "fsck")
+		if err != nil || strings.Count(out, ": clean") != nodes || !strings.Contains(out, fmt.Sprintf(" %d of %d volumes walked]", len(dirty), nodes)) {
+			t.Fatalf("fsck on %d dirty stores: %v\n%s", len(dirty), err, out)
+		}
+		if took := opTime(t, out); took > bound {
+			t.Errorf("fsck on %d dirty stores took %v, past %v: it walked a volume after its mount walked", len(dirty), took, bound)
+		}
 	}
 }

@@ -14,8 +14,9 @@ import (
 // directory — no explicit Sync required, because Run quiesces every live
 // volume on shutdown. The Bridge name directory itself is a single
 // in-memory authority (see ROADMAP: metadata HA), so the second process
-// verifies at the volume level: clean recovery reports and the exact
-// number of chain blocks.
+// verifies at the volume level: recovery reports that replayed each clean
+// store without walking it, and an explicit Fsck's exact number of chain
+// blocks.
 func TestCleanShutdownDurable(t *testing.T) {
 	const nodes, blocks = 4, 32
 	dir := t.TempDir()
@@ -53,9 +54,9 @@ func TestCleanShutdownDurable(t *testing.T) {
 				t.Errorf("node %d: recovery report: %v", i, err)
 				continue
 			}
-			if !rep.Journaled || !rep.Clean() {
-				t.Errorf("node %d: remount recovery not clean: journaled %v, fsck err %q, problems %v",
-					i, rep.Journaled, rep.FsckErr, rep.Fsck.Problems)
+			if !rep.Journaled || !rep.CleanAtOpen || !rep.Clean() {
+				t.Errorf("node %d: remount recovery not clean at open: journaled %v, clean at open %v, fsck err %q, problems %v",
+					i, rep.Journaled, rep.CleanAtOpen, rep.FsckErr, rep.Fsck.Problems)
 			}
 			ck, err := s.Fsck(i)
 			if err != nil {

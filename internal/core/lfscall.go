@@ -100,7 +100,7 @@ func lfsCallAs[T msg.Reply](s *Server, p sim.Proc, node msg.NodeID, body any) (T
 // lfsSweepAs is lfsCallAs for a command that walks the node's whole volume
 // (a check, a scrub): it asks the node for its size first, then gives the
 // call lfs.Client's allowance per block it walks, walks times over (a repair
-// walks the volume twice, as lfs.Client.Repair does). LFSTimeout alone would
+// walks the volume twice, to repair and then to check). LFSTimeout alone would
 // fail a sweep of a large, fragmented volume while the node is still walking.
 func lfsSweepAs[T msg.Reply](s *Server, p sim.Proc, node msg.NodeID, body any, walks int64) (T, error) {
 	var zero T

@@ -231,6 +231,16 @@ func NewWithStore(cfg Config, st *FileStore) (*Disk, error) {
 // Store returns the durable backing store, or nil for a RAM-only device.
 func (d *Disk) Store() *FileStore { return d.store }
 
+// HoldDirty holds the backing store's clean flag down (FileStore.HoldDirty)
+// while hold is true. A RAM-only or failed device ignores it.
+func (d *Disk) HoldDirty(hold bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.store != nil && !d.failed {
+		d.store.HoldDirty(hold)
+	}
+}
+
 // Config returns the device configuration.
 func (d *Disk) Config() Config { return d.cfg }
 

@@ -19,7 +19,10 @@ import (
 // Write ordering contract: WriteBlockAt goes straight to the file but is
 // not forced to the platter; Sync persists the bitmap and header and
 // fsyncs. The Disk calls WriteBlockAt only for committed (stable) blocks,
-// so the file always holds a superset of the simulated stable medium.
+// so the file always holds a superset of the simulated stable medium. Sync
+// sets the header's clean flag, unless the owner holds it down (HoldDirty),
+// and the next write clears it, so a store clean at open holds exactly the
+// bytes of its last Sync.
 
 var storeMagic = [8]byte{'B', 'R', 'D', 'G', 'D', 'S', 'K', '1'}
 
@@ -40,6 +43,8 @@ type FileStore struct {
 	numBlocks  int
 	mountCount uint32
 	clean      bool
+	openClean  bool   // clean when opened, before the open dirtied it
+	held       bool   // HoldDirty: Sync leaves the clean flag down
 	written    []byte // bitmap mirror, one bit per block
 	werr       error  // first host write error, surfaced by Sync
 }
@@ -47,7 +52,7 @@ type FileStore struct {
 // OpenFileStore opens the store at path, creating and formatting it if it
 // does not exist. An existing store must match the requested geometry.
 // Opening bumps the mount count and marks the store dirty until the next
-// Sync.
+// Sync; CleanAtOpen reports whether it was clean before.
 func OpenFileStore(path string, blockSize, numBlocks int) (*FileStore, error) {
 	if blockSize <= 0 || numBlocks <= 0 {
 		return nil, fmt.Errorf("%w: geometry %dx%d", ErrBadStore, numBlocks, blockSize)
@@ -79,7 +84,7 @@ func OpenFileStore(path string, blockSize, numBlocks int) (*FileStore, error) {
 		return nil, err
 	}
 	s.mountCount++
-	s.clean = false
+	s.openClean, s.clean = s.clean, false
 	if err := s.writeHeader(0, 0, 0, true); err != nil {
 		f.Close()
 		return nil, err
@@ -101,12 +106,23 @@ func (s *FileStore) MountCount() uint32 {
 	return s.mountCount
 }
 
-// Clean reports whether the last header write marked the store cleanly
-// synced (true only between a Sync and the next write or open).
-func (s *FileStore) Clean() bool {
+// CleanAtOpen reports whether nothing was written to the store between its
+// last Sync and this open. A fresh store is not clean.
+func (s *FileStore) CleanAtOpen() bool { return s.openClean }
+
+// HoldDirty keeps the header's clean flag down while hold is true: Sync
+// still persists every block but leaves the store dirty, so its next open
+// is not clean at open. A held store that is clean now is dirtied at once.
+func (s *FileStore) HoldDirty(hold bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.clean
+	s.held = hold
+	if hold && s.clean {
+		s.clean = false
+		if err := s.writeHeader(0, 0, 0, false); err != nil {
+			s.setErr(err)
+		}
+	}
 }
 
 func (s *FileStore) bitmapOff() int64 { return storeHeaderLen }
@@ -236,8 +252,9 @@ func (s *FileStore) setErr(err error) {
 	}
 }
 
-// Sync persists the bitmap and a clean header with the given cumulative op
-// counters, then fsyncs the backing file. It returns the first host write
+// Sync persists the bitmap and a header with the given cumulative op
+// counters, clean unless the store is held dirty, then fsyncs the backing
+// file. It returns the first host write
 // error seen since the previous Sync, if any.
 func (s *FileStore) Sync(reads, writes, syncs uint64) error {
 	s.mu.Lock()
@@ -245,7 +262,7 @@ func (s *FileStore) Sync(reads, writes, syncs uint64) error {
 	if _, err := s.f.WriteAt(s.written, s.bitmapOff()); err != nil {
 		s.setErr(fmt.Errorf("disk: writing store bitmap: %w", err))
 	}
-	s.clean = true
+	s.clean = !s.held
 	if err := s.writeHeader(reads, writes, syncs, true); err != nil {
 		s.setErr(err)
 		s.clean = false

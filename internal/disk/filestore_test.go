@@ -27,7 +27,8 @@ func storeDisk(t *testing.T, path string, nblocks int) *Disk {
 
 // TestFileStoreReopen: what a file-backed device synced is on the device
 // the store next opens under, never-written blocks stay never-written, and
-// each open counts as a mount.
+// each open counts as a mount. A store reopens clean after a Sync, and
+// dirty once it was written after its last Sync.
 func TestFileStoreReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "node1.disk")
 	d := storeDisk(t, path, 64)
@@ -41,8 +42,8 @@ func TestFileStoreReopen(t *testing.T) {
 			t.Fatalf("Sync: %v", err)
 		}
 	})
-	if !d.Store().Clean() {
-		t.Error("store not clean after Sync")
+	if d.Store().CleanAtOpen() {
+		t.Error("a fresh store reads clean at open")
 	}
 	if err := d.Store().Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -61,8 +62,56 @@ func TestFileStoreReopen(t *testing.T) {
 	if n := d2.Store().MountCount(); n != 2 {
 		t.Errorf("mount count %d after two opens, want 2", n)
 	}
-	if d2.Store().Clean() {
-		t.Error("a reopened store reads clean before its first Sync")
+	if !d2.Store().CleanAtOpen() {
+		t.Error("a store synced before it closed reopens dirty")
+	}
+	run(t, func(p sim.Proc) {
+		if err := d2.WriteBlock(p, 1, bytes.Repeat([]byte{9}, 1024)); err != nil {
+			t.Fatalf("WriteBlock: %v", err)
+		}
+	})
+	if err := d2.Store().Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if d3 := storeDisk(t, path, 64); d3.Store().CleanAtOpen() {
+		t.Error("a store written after its last Sync reopens clean")
+	}
+}
+
+// TestFileStoreHoldDirty: a held store's Syncs persist its blocks but leave
+// it dirty, also when it was clean as the hold began; after the hold is let
+// go the next Sync marks it clean.
+func TestFileStoreHoldDirty(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node1.disk")
+	reopen := func(hold bool, sync bool) bool {
+		t.Helper()
+		d := storeDisk(t, path, 64)
+		clean := d.Store().CleanAtOpen()
+		run(t, func(p sim.Proc) {
+			if sync {
+				if err := d.Sync(p); err != nil {
+					t.Fatalf("Sync: %v", err)
+				}
+			}
+			d.HoldDirty(hold)
+			if err := d.Sync(p); err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+		})
+		if err := d.Store().Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		return clean
+	}
+	reopen(true, false)
+	if reopen(true, true) {
+		t.Error("a store held dirty through its Syncs reopens clean")
+	}
+	if reopen(false, false) {
+		t.Error("a store held dirty after a Sync marked it clean reopens clean")
+	}
+	if !reopen(false, false) {
+		t.Error("a store synced after its hold was let go reopens dirty")
 	}
 }
 

@@ -199,11 +199,3 @@ func (c *Client) Usage(node msg.NodeID) (total, free int, err error) {
 	r, err := call[UsageResp](c, node, UsageReq{}, 0)
 	return r.TotalBlocks, r.FreeBlocks, err
 }
-
-// Repair runs the volume consistency checker with bitmap repair on a node of
-// blocks blocks: a walk to repair, then one to check.
-func (c *Client) Repair(node msg.NodeID, blocks int64) (efs.CheckReport, int, error) {
-	req := CheckReq{Repair: true}
-	r, err := call[CheckResp](c, node, req, 2*blocks)
-	return r.Report, r.Fixes, err
-}

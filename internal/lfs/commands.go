@@ -139,13 +139,16 @@ func init() {
 			Serve: func(n *Node, p sim.Proc, _ msg.Addr, _ SyncReq) (SyncResp, error) { return SyncResp{}, n.fs.Sync(p) }}),
 		msg.Cmd(msg.Def[*Node, CheckReq, CheckResp]{Name: "check", ReqSize: msg.Flat[CheckReq](8),
 			RespSize: func(b CheckResp) int { return 16 + b.Report.TextBytes() },
-			Serve: func(n *Node, p sim.Proc, _ msg.Addr, r CheckReq) (CheckResp, error) {
+			Serve: func(n *Node, p sim.Proc, _ msg.Addr, r CheckReq) (resp CheckResp, err error) {
 				if r.Repair {
-					rep, fixes, err := n.fs.Repair(p)
-					return CheckResp{Report: rep, Fixes: fixes}, err
+					resp.Report, resp.Fixes, err = n.fs.Repair(p)
+				} else {
+					resp.Report, err = n.fs.Check(p)
 				}
-				rep, err := n.fs.Check(p)
-				return CheckResp{Report: rep}, err
+				// The store stays dirty, and its every mount walks, until a
+				// check passes.
+				n.Disk.HoldDirty(err != nil || !resp.Report.OK())
+				return resp, err
 			}}),
 		msg.Cmd(msg.Def[*Node, ScrubReq, ScrubResp]{Name: "scrub", ReqSize: msg.Flat[ScrubReq](8), Serve: (*Node).scrub,
 			RespSize: func(b ScrubResp) int { return 16 + 12*len(b.Report.Errors) }}),

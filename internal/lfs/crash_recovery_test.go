@@ -48,6 +48,7 @@ func (h *chaosHook) OnCrash(now time.Duration, label string, pending []int) disk
 type chaosClient struct {
 	c       *Client
 	node    msg.NodeID
+	disk    *disk.Disk // the node's device, when recovery may check its volume
 	down    bool
 	refused error // the boot failure a node that could not boot answered with
 }
@@ -166,7 +167,9 @@ func (cc *chaosClient) sync() bool {
 
 // recovery returns the node's boot report. fresh is true when the boot
 // formatted the device — a format a crash cut short is redone — and so had
-// nothing to recover.
+// nothing to recover. A volume whose store was clean at open was not walked
+// at its mount: recovery walks it with a CheckReq and reports that walk as
+// the report's Fsck, so every remount is verified either way.
 func (cc *chaosClient) recovery() (rep RecoveryReport, fresh, ok bool) {
 	b, ok := cc.call(RecoveryReq{})
 	if !ok {
@@ -176,7 +179,22 @@ func (cc *chaosClient) recovery() (rep RecoveryReport, fresh, ok bool) {
 	if err := Err(r.Status); err != nil {
 		return rep, errors.Is(err, efs.ErrNotFound), errors.Is(err, efs.ErrNotFound)
 	}
-	return r.Report, false, true
+	rep = r.Report
+	if rep.CleanAtOpen {
+		// A node that crashes mid-walk still sends the walk's reply, full
+		// of the failed device's errors: serve looks for a crash only
+		// before it serves a request (ROADMAP item 29). That reply is no
+		// check.
+		if b, ok = cc.call(CheckReq{}); !ok || cc.disk.Failed() {
+			cc.down = true
+			return rep, false, false
+		}
+		ck := b.(CheckResp)
+		if rep.Fsck = ck.Report; !ck.OK() {
+			rep.FsckErr = ck.Detail()
+		}
+	}
+	return rep, false, true
 }
 
 func sortedIDs(m map[uint32][][]byte) []uint32 {
@@ -230,7 +248,7 @@ func runChaosKill9(t *testing.T, seed int64, dir string, rounds int) string {
 		})
 
 		rt.Go("workload", func(p sim.Proc) {
-			cc := &chaosClient{c: NewClient(p, net, 0, "chaos"), node: node.ID}
+			cc := &chaosClient{c: NewClient(p, net, 0, "chaos"), node: node.ID, disk: node.Disk}
 			if round > 0 {
 				if rep, fresh, ok := cc.recovery(); fresh {
 					// Only a format that never finished is formatted again,
@@ -345,7 +363,7 @@ func runChaosKill9(t *testing.T, seed int64, dir string, rounds int) string {
 	}
 	rt.Go("final", func(p sim.Proc) {
 		defer node.Stop()
-		cc := &chaosClient{c: NewClient(p, net, 0, "final"), node: node.ID}
+		cc := &chaosClient{c: NewClient(p, net, 0, "final"), node: node.ID, disk: node.Disk}
 		rep, fresh, ok := cc.recovery()
 		switch {
 		case fresh:

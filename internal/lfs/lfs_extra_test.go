@@ -40,9 +40,9 @@ func TestUsageAndCheckOverProtocol(t *testing.T) {
 		if rep := r.Report; !rep.OK() || rep.Files != 1 || rep.ChainBlocks != 10 {
 			t.Errorf("Check = %+v", rep)
 		}
-		rep, fixes, err := c.Repair(node, 512)
-		if err != nil || fixes != 0 || !rep.OK() {
-			t.Errorf("Repair clean volume = %d fixes, %v", fixes, err)
+		r, err = call[CheckResp](c, node, CheckReq{Repair: true}, 2*512)
+		if err != nil || r.Fixes != 0 || !r.Report.OK() {
+			t.Errorf("Repair clean volume = %d fixes, %v", r.Fixes, err)
 		}
 	})
 	if err := rt.Wait(); err != nil {
@@ -179,7 +179,7 @@ func TestChainWalksOutlastTheBound(t *testing.T) {
 			run  func() error
 		}{
 			{"Check", func() error { _, err := call[CheckResp](c, node, CheckReq{}, 1024); return err }},
-			{"Repair", func() error { _, _, err := c.Repair(node, 1024); return err }},
+			{"Repair", func() error { _, err := call[CheckResp](c, node, CheckReq{Repair: true}, 2*1024); return err }},
 			{"Delete", func() error { _, err := c.Delete(node, 1, blocks, true); return err }},
 		}
 		for _, w := range walks {

@@ -279,13 +279,16 @@ type (
 
 // RecoveryReport describes what a node did to come back from a crash: the
 // journal replay (when the volume is journaled) and the fsck that verified
-// the result. It is built once per mount and served unchanged afterwards.
+// the result, unless the store was clean at open — it held exactly its last
+// sync barrier, so the volume is replayed, not walked, and Fsck is zero. It
+// is built once per mount and served unchanged afterwards.
 type RecoveryReport struct {
-	Journaled bool            // volume has a write-ahead journal
-	Replay    efs.ReplayStats // journal replay outcome (zero when !Journaled)
-	Fsck      efs.CheckReport // post-mount verifier result
-	FsckErr   string          // fsck infrastructure failure, "" when it ran
+	Journaled   bool            // volume has a write-ahead journal
+	CleanAtOpen bool            // store was clean at open: replayed, not walked
+	Replay      efs.ReplayStats // journal replay outcome (zero when !Journaled)
+	Fsck        efs.CheckReport // post-mount verifier result
+	FsckErr     string          // fsck infrastructure failure, "" when it ran
 }
 
-// Clean reports whether recovery left the volume verified consistent.
+// Clean reports whether recovery found nothing wrong with the volume.
 func (r RecoveryReport) Clean() bool { return r.FsckErr == "" && r.Fsck.OK() }

@@ -26,7 +26,8 @@ type Config struct {
 	// DiskDir, when non-empty, backs the node's disk with a durable
 	// disk.FileStore (StorePath: <DiskDir>/node<ID>.disk): committed blocks
 	// survive the process, and StartNode mounts instead of formatting when
-	// the store already holds a volume.
+	// the store already holds a volume, walking it only if the store was
+	// not clean at open (RecoveryReport.CleanAtOpen).
 	DiskDir string
 	// OpCPU is the processor time the LFS charges per request on top of
 	// device time (request decode, cache lookup bookkeeping). Default
@@ -94,8 +95,8 @@ type Node struct {
 	fs *efs.FS
 
 	// recovery is the report of the most recent journaled mount: replay
-	// stats plus the fsck that verified the result. Nil until such a
-	// mount completes; served unchanged by RecoveryReq afterwards.
+	// stats plus the fsck of a walked volume. Nil until such a mount
+	// completes; served unchanged by RecoveryReq afterwards.
 	recovery *RecoveryReport
 
 	// Write dedup state, owned by the server process; reset on restart
@@ -141,7 +142,7 @@ func StartNode(rt sim.Runtime, net *msg.Network, id msg.NodeID, cfg Config, exis
 		cfg.EFS.Metrics = reg
 	}
 	d := existing
-	mount := existing != nil
+	mount, cleanAtOpen := existing != nil, false
 	if d == nil {
 		dcfg := disk.Config{
 			NumBlocks: cfg.DiskBlocks,
@@ -164,7 +165,7 @@ func StartNode(rt sim.Runtime, net *msg.Network, id msg.NodeID, cfg Config, exis
 			}
 			// A store that already holds blocks is a prior life of this
 			// node: mount what it left behind instead of formatting.
-			mount = !d.Blank()
+			mount, cleanAtOpen = !d.Blank(), st.CleanAtOpen()
 		} else {
 			d = disk.New(dcfg)
 		}
@@ -183,7 +184,7 @@ func StartNode(rt sim.Runtime, net *msg.Network, id msg.NodeID, cfg Config, exis
 	}
 	n.agent = startAgent(rt, net, id)
 	rt.Go(n.port.Addr().String(), func(p sim.Proc) {
-		n.serve(p, mount)
+		n.serve(p, mount, cleanAtOpen)
 	})
 	return n, nil
 }
@@ -222,16 +223,16 @@ func (n *Node) Crash(now time.Duration) {
 }
 
 // Restart power-cycles a failed node: the disk comes back with its
-// surviving blocks and the services restart by mounting the volume. The
-// mounted metadata is whatever the node last synced — files registered
-// after that sync are gone here even though their data blocks survive;
-// core's RepairNode plus replica-layer repair restore them.
+// surviving blocks and the services restart by mounting and walking the
+// volume. The mounted metadata is whatever the node last synced — files
+// registered after that sync are gone here even though their data blocks
+// survive; core's RepairNode plus replica-layer repair restore them.
 func (n *Node) Restart(rt sim.Runtime) {
 	n.Disk.Restore()
 	n.port = n.net.NewPort(msg.Addr{Node: n.ID, Port: PortName})
 	n.agent = startAgent(rt, n.net, n.ID)
 	rt.Go(n.port.Addr().String(), func(p sim.Proc) {
-		n.serve(p, true)
+		n.serve(p, true, false)
 	})
 }
 
@@ -245,8 +246,12 @@ func (n *Node) Stop() {
 // observability gauge sampler.
 func (n *Node) QueueLen() int { return n.port.QueueLen() }
 
-func (n *Node) serve(p sim.Proc, mount bool) {
+func (n *Node) serve(p sim.Proc, mount, cleanAtOpen bool) {
 	bootStart := p.Now()
+	// A mount that walks holds the store dirty until a walk passes, so a
+	// volume whose walk found problems, or was cut short, is walked again
+	// at the next open even though the replay's barrier syncs the store.
+	n.Disk.HoldDirty(mount && !cleanAtOpen)
 	mounted, err := n.boot(p, mount)
 	if err != nil {
 		// A boot the disk failed under is a crash: the node stays silent.
@@ -257,7 +262,9 @@ func (n *Node) serve(p sim.Proc, mount bool) {
 		return
 	}
 	if mounted && n.fs.Journaled() {
-		n.recoverVolume(p, bootStart)
+		n.recoverVolume(p, bootStart, cleanAtOpen)
+	} else {
+		n.Disk.HoldDirty(false) // nothing walks a fresh or unjournaled volume
 	}
 	n.dedup = make(map[writeKey]any)
 	n.dedupQ = nil
@@ -272,7 +279,9 @@ func (n *Node) serve(p sim.Proc, mount bool) {
 			var timedOut bool
 			req, ok, timedOut = n.port.RecvTimeout(p, n.cfg.Scrub.Interval)
 			if timedOut {
-				n.scrubTick(p)
+				// A failed increment (directory chains unreadable) sweeps
+				// nothing; every client operation sees and reports it.
+				n.scrub(p, msg.Addr{}, ScrubReq{})
 				continue
 			}
 		} else {
@@ -357,13 +366,15 @@ func (n *Node) refuse(p sim.Proc, bootErr error) {
 	}
 }
 
-// recoverVolume verifies a journaled volume after a mount. The journal
-// replay itself already ran inside efs.Mount; this runs the fsck verifier
-// over the result, builds the node's RecoveryReport, and records the whole
-// boot as its own trace (lfs.mount with lfs.replay and lfs.fsck children —
-// the replay span is retroactive, stamped from the replay's own clock).
-func (n *Node) recoverVolume(p sim.Proc, bootStart time.Duration) {
-	rep := RecoveryReport{Journaled: true}
+// recoverVolume finishes a journaled mount. The journal replay itself
+// already ran inside efs.Mount; unless the store was clean at open, this
+// runs the fsck verifier over the result and lets the store be marked
+// clean again only if the walk passed. It builds the node's
+// RecoveryReport and records the whole boot as its own trace (lfs.mount
+// with lfs.replay and lfs.fsck children — the replay span is retroactive,
+// stamped from the replay's own clock).
+func (n *Node) recoverVolume(p sim.Proc, bootStart time.Duration, cleanAtOpen bool) {
+	rep := RecoveryReport{Journaled: true, CleanAtOpen: cleanAtOpen}
 	if st := n.fs.LastReplay(); st != nil {
 		rep.Replay = *st
 	}
@@ -374,36 +385,26 @@ func (n *Node) recoverVolume(p sim.Proc, bootStart time.Duration) {
 		root = rec.Start(bootStart, tr, 0, "lfs.mount", int(n.ID))
 		rsp := rec.Start(rep.Replay.Started, tr, root.ID(), "lfs.replay", int(n.ID))
 		rsp.EndErr(rep.Replay.Ended, "")
-		fsp = rec.Start(p.Now(), tr, root.ID(), "lfs.fsck", int(n.ID))
+		if !cleanAtOpen {
+			fsp = rec.Start(p.Now(), tr, root.ID(), "lfs.fsck", int(n.ID))
+		}
 	}
-	check, err := n.fs.Check(p)
-	rep.Fsck = check
-	if err != nil {
-		rep.FsckErr = err.Error()
+	errText := ""
+	if !cleanAtOpen {
+		check, err := n.fs.Check(p)
+		rep.Fsck = check
+		if err != nil {
+			rep.FsckErr = err.Error()
+		}
+		errText = rep.FsckErr
+		if errText == "" && !check.OK() {
+			errText = fmt.Sprintf("fsck: %d problems", len(check.Problems))
+		}
+		fsp.EndErr(p.Now(), errText)
+		n.Disk.HoldDirty(errText != "")
 	}
-	errText := rep.FsckErr
-	if errText == "" && !check.OK() {
-		errText = fmt.Sprintf("fsck: %d problems", len(check.Problems))
-	}
-	fsp.EndErr(p.Now(), errText)
 	root.EndErr(p.Now(), errText)
 	n.recovery = &rep
-}
-
-// scrubTick runs one budgeted scrub increment and records its counters.
-func (n *Node) scrubTick(p sim.Proc) {
-	rep, err := n.fs.ScrubStep(p, n.cfg.Scrub.Budget)
-	if err != nil {
-		// Directory chains unreadable: nothing to sweep this tick. The
-		// condition is also visible to every client operation, which is
-		// where it gets reported and repaired.
-		return
-	}
-	n.sm.blocks.Add(int64(rep.Scanned))
-	n.sm.errors.Add(int64(len(rep.Errors)))
-	if rep.Wrapped {
-		n.sm.sweeps.Add(1)
-	}
 }
 
 // appendRunVec serves a WriteVecReq whose blocks form one consecutive
@@ -501,7 +502,8 @@ func (n *Node) writeVec(p sim.Proc, _ msg.Addr, r WriteVecReq) (WriteVecResp, er
 	return resp, nil
 }
 
-// scrub serves a ScrubReq: a full sweep, or one budgeted increment.
+// scrub serves a ScrubReq: a full sweep, or one budgeted increment, which
+// is also what the idle scrubber runs.
 func (n *Node) scrub(p sim.Proc, _ msg.Addr, r ScrubReq) (ScrubResp, error) {
 	var rep efs.ScrubReport
 	var err error
