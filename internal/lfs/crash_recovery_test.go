@@ -48,7 +48,6 @@ func (h *chaosHook) OnCrash(now time.Duration, label string, pending []int) disk
 type chaosClient struct {
 	c       *Client
 	node    msg.NodeID
-	disk    *disk.Disk // the node's device, when recovery may check its volume
 	down    bool
 	refused error // the boot failure a node that could not boot answered with
 }
@@ -181,11 +180,9 @@ func (cc *chaosClient) recovery() (rep RecoveryReport, fresh, ok bool) {
 	}
 	rep = r.Report
 	if rep.CleanAtOpen {
-		// A node that crashes mid-walk still sends the walk's reply, full
-		// of the failed device's errors: serve looks for a crash only
-		// before it serves a request (ROADMAP item 29). That reply is no
-		// check.
-		if b, ok = cc.call(CheckReq{}); !ok || cc.disk.Failed() {
+		// A node that crashes mid-walk sends no reply, so the call times
+		// out like any call into a dead node.
+		if b, ok = cc.call(CheckReq{}); !ok {
 			cc.down = true
 			return rep, false, false
 		}
@@ -248,7 +245,7 @@ func runChaosKill9(t *testing.T, seed int64, dir string, rounds int) string {
 		})
 
 		rt.Go("workload", func(p sim.Proc) {
-			cc := &chaosClient{c: NewClient(p, net, 0, "chaos"), node: node.ID, disk: node.Disk}
+			cc := &chaosClient{c: NewClient(p, net, 0, "chaos"), node: node.ID}
 			if round > 0 {
 				if rep, fresh, ok := cc.recovery(); fresh {
 					// Only a format that never finished is formatted again,
@@ -363,7 +360,7 @@ func runChaosKill9(t *testing.T, seed int64, dir string, rounds int) string {
 	}
 	rt.Go("final", func(p sim.Proc) {
 		defer node.Stop()
-		cc := &chaosClient{c: NewClient(p, net, 0, "final"), node: node.ID, disk: node.Disk}
+		cc := &chaosClient{c: NewClient(p, net, 0, "final"), node: node.ID}
 		rep, fresh, ok := cc.recovery()
 		switch {
 		case fresh:

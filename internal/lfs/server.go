@@ -313,6 +313,18 @@ func (n *Node) serve(p sim.Proc, mount, cleanAtOpen bool) {
 		if rec != nil {
 			n.Disk.SetTrace(0, 0)
 		}
+		errText := ""
+		if st, _ := msg.StatusOf(body); !st.OK() {
+			errText = Err(st).Error()
+		}
+		if n.port.Closed() {
+			// The node crashed, failed or stopped while it served this
+			// request: a dead node answers nothing, least of all with the
+			// errors of the device that died under it. A device that failed
+			// under a live node (Disk.Fail alone) still answers with them.
+			sp.EndErr(p.Now(), errText)
+			return
+		}
 		// Replies to dead clients drop silently.
 		_ = n.net.Send(p, n.ID, req.From, &msg.Message{
 			From:  n.port.Addr(),
@@ -322,10 +334,6 @@ func (n *Node) serve(p sim.Proc, mount, cleanAtOpen bool) {
 			Trace: req.Trace,
 			Span:  req.Span,
 		})
-		errText := ""
-		if st, _ := msg.StatusOf(body); !st.OK() {
-			errText = Err(st).Error()
-		}
 		sp.EndErr(p.Now(), errText)
 	}
 }

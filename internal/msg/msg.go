@@ -189,7 +189,7 @@ func (n *Network) NewPort(addr Addr) *Port {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	dup := n.ports[addr]
-	if dup != nil && !dup.isClosed() {
+	if dup != nil && !dup.Closed() {
 		panic(fmt.Sprintf("msg: duplicate port %v", addr))
 	}
 	p := &Port{net: n, addr: addr, q: n.rt.NewQueue(addr.String())}
@@ -291,8 +291,9 @@ type Port struct {
 	closed bool
 }
 
-// isClosed reports whether Close has been called on this port.
-func (p *Port) isClosed() bool {
+// Closed reports whether Close has been called on this port: the service
+// behind it has crashed, failed or stopped.
+func (p *Port) Closed() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.closed
