@@ -10,12 +10,13 @@
 // reveal, so this analyzer proves them on the control-flow graph with a
 // forward must-happen-before lattice:
 //
-//   - A WriteBlock whose address derives from a homeWrite (the commit
-//     plan's deferred-apply record) must have a Sync barrier on every path
-//     from function entry — the journal records written before the barrier
-//     are what make the apply redoable.
+//   - A device write (WriteBlock, or a WriteRun of several blocks) whose
+//     address derives from a homeWrite (the commit plan's deferred-apply
+//     record) must have a Sync barrier on every path from function entry —
+//     the journal records written before the barrier are what make the
+//     apply redoable.
 //   - A function applying homeWrites must also append journal records
-//     (a WriteBlock addressed through the journal cursor).
+//     (a device write addressed through the journal cursor).
 //   - An increment of a journal epoch field must have a Sync on every
 //     path from function entry — checkpoint may not invalidate records
 //     whose home writes are still volatile.
@@ -74,8 +75,8 @@ func run(pass *analysis.Pass) error {
 
 func checkFunc(pass *analysis.Pass, g *cfg.Graph) {
 	info := pass.TypesInfo
-	var homeApplies []*ast.CallExpr // WriteBlock of a homeWrite-derived address
-	var journalAppends int          // WriteBlock addressed through the journal cursor
+	var homeApplies []*ast.CallExpr // device write of a homeWrite-derived address
+	var journalAppends int          // device write addressed through the journal cursor
 	var epochBumps []ast.Node
 	var syncs, releases []*ast.CallExpr // barriers; writeHeld calls
 
@@ -93,7 +94,7 @@ func checkFunc(pass *analysis.Pass, g *cfg.Graph) {
 			if fn != nil && fn.Name() == "writeHeld" {
 				releases = append(releases, n)
 			}
-			if fn == nil || fn.Name() != "WriteBlock" || len(n.Args) < 2 {
+			if fn == nil || !isDeviceWrite(fn.Name()) || len(n.Args) < 2 {
 				return true
 			}
 			addr := n.Args[1]
@@ -137,7 +138,7 @@ func checkFunc(pass *analysis.Pass, g *cfg.Graph) {
 	for _, call := range homeApplies {
 		if flow.Before(call)&synced == 0 {
 			pass.Reportf(call.Pos(),
-				"home write applied before the journal barrier: this WriteBlock lands a deferred homeWrite, so a d.Sync hardening the journal records must dominate it")
+				"home write applied before the journal barrier: this %s lands a deferred homeWrite, so a d.Sync hardening the journal records must dominate it", analysis.Callee(info, call).Name())
 		}
 	}
 	if len(homeApplies) > 0 && journalAppends == 0 {
@@ -168,6 +169,11 @@ func checkFunc(pass *analysis.Pass, g *cfg.Graph) {
 		}
 	}
 }
+
+// isDeviceWrite reports whether a method of this name writes blocks to the
+// device: one (WriteBlock) or a run on one track (WriteRun), each with the
+// block address as its second argument.
+func isDeviceWrite(name string) bool { return name == "WriteBlock" || name == "WriteRun" }
 
 // nodeReaches reports whether some path runs from just after node a to
 // node b.

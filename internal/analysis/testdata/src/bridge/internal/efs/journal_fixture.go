@@ -12,6 +12,9 @@ type disk struct{ blocks [][]byte }
 func (d *disk) WriteBlock(p proc, addr int, b []byte) { d.blocks[addr] = b }
 func (d *disk) Sync(p proc)                           {}
 
+// WriteRun writes consecutive blocks from addr with one access.
+func (d *disk) WriteRun(p proc, addr int, bs [][]byte) { copy(d.blocks[addr:], bs) }
+
 // homeWrite is a deferred in-place write recorded by the journal.
 type homeWrite struct {
 	addr uint32
@@ -56,6 +59,31 @@ func (fs *fsys) commitNoBarrier(p proc, writes []homeWrite) {
 	}
 	for _, w := range writes {
 		fs.d.WriteBlock(p, int(w.addr), w.buf) // want `home write applied before the journal barrier`
+	}
+}
+
+// A deferred home write landed through a write run is a home write all
+// the same: before the barrier it is flagged like a WriteBlock.
+func (fs *fsys) commitRunNoBarrier(p proc, writes []homeWrite) {
+	fs.writeHeld(p)
+	for i, w := range writes {
+		fs.d.WriteRun(p, int(fs.jnl.cursor)+i, [][]byte{encode(w)})
+	}
+	for _, w := range writes {
+		fs.d.WriteRun(p, int(w.addr), [][]byte{w.buf}) // want `home write applied before the journal barrier: this WriteRun`
+	}
+	fs.d.Sync(p)
+}
+
+// The same run after the barrier is the correct apply.
+func (fs *fsys) commitRunGood(p proc, writes []homeWrite) {
+	fs.writeHeld(p)
+	for i, w := range writes {
+		fs.d.WriteRun(p, int(fs.jnl.cursor)+i, [][]byte{encode(w)})
+	}
+	fs.d.Sync(p)
+	for _, w := range writes {
+		fs.d.WriteRun(p, int(w.addr), [][]byte{w.buf})
 	}
 }
 

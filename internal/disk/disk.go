@@ -8,6 +8,8 @@
 // block of a track for a single access charge, which is what makes the
 // EFS full-track read-ahead buffer (and the paper's 9 ms average
 // sequential-read time, well under the 15 ms device latency) possible.
+// WriteRun is its write twin: a run of consecutive blocks on one track is
+// written for one access charge, and WriteBlock is a run of one.
 package disk
 
 import (
@@ -26,6 +28,7 @@ var (
 	ErrOutOfRange = errors.New("disk: block number out of range")
 	ErrBadSize    = errors.New("disk: data size does not match block size")
 	ErrFailed     = errors.New("disk: device failed")
+	ErrOffTrack   = errors.New("disk: write run leaves its track")
 )
 
 // FaultHook is consulted before every access when installed with SetFault:
@@ -78,13 +81,13 @@ type Config struct {
 	BlockSize int
 	// NumBlocks is the device capacity in blocks.
 	NumBlocks int
-	// BlocksPerTrack controls track granularity for ReadTrack and for
-	// seek-distance computation. Default 8.
+	// BlocksPerTrack controls track granularity for ReadTrack, WriteRun
+	// and seek-distance computation. Default 8.
 	BlocksPerTrack int
 	// Timing is the access-time model. Default: FixedTiming{15ms}, the
 	// paper's Wren-class approximation.
 	Timing TimingModel
-	// WriteBack enables a volatile write cache: WriteBlock buffers data
+	// WriteBack enables a volatile write cache: a write buffers data
 	// and only Sync makes it stable. A Crash then loses everything after
 	// the last sync barrier (minus whatever luck the crash hook grants),
 	// exactly like kill -9 on a process with a dirty page cache. Off by
@@ -438,7 +441,7 @@ func (d *Disk) track(bn int) int { return bn / d.cfg.BlocksPerTrack }
 // stall any other process contending for this device at the host level,
 // invisible to the virtual scheduler.
 func (d *Disk) access(p sim.Proc, op Op, bn int, blocks int) time.Duration {
-	t := d.cfg.Timing.Access(op, d.head, bn, d.cfg)
+	t := d.cfg.Timing.Access(op, d.head, bn, blocks, d.cfg)
 	d.head = bn + blocks - 1
 	if d.head >= d.cfg.NumBlocks {
 		d.head = d.cfg.NumBlocks - 1
@@ -492,19 +495,26 @@ func (d *Disk) check(bn int) error {
 	return nil
 }
 
-// inject consults the fault hook for an access. Callers hold d.mu. On an
-// injected error the access is still accounted (the device spun and failed),
-// and the returned duration must be charged by the caller after unlocking.
-func (d *Disk) inject(p sim.Proc, op Op, bn, blocks int) (extra time.Duration, t time.Duration, err error) {
+// inject consults the fault hook for an access of blocks blocks at bn,
+// about each of its first consult blocks in ascending order, and stops at
+// the first error. The access is slowed by the largest extra latency any
+// block drew: a limping device limps once per access. Callers hold d.mu. On
+// an injected error the access is still accounted (the device spun and
+// failed), and the returned duration must be charged by the caller after
+// unlocking.
+func (d *Disk) inject(p sim.Proc, op Op, bn, consult, blocks int) (extra time.Duration, t time.Duration, err error) {
 	if d.fault == nil {
 		return 0, 0, nil
 	}
-	extra, err = d.fault.BeforeOp(p.Now(), d.label, op, bn)
-	if err != nil {
-		t = d.access(p, op, bn, blocks)
-		d.m.faultErrors.Add(1)
+	for b := bn; b < bn+consult; b++ {
+		e, ferr := d.fault.BeforeOp(p.Now(), d.label, op, b)
+		extra = max(extra, e)
+		if ferr != nil {
+			d.m.faultErrors.Add(1)
+			return extra, d.access(p, op, bn, blocks), ferr
+		}
 	}
-	return extra, t, err
+	return extra, 0, nil
 }
 
 // ReadBlock returns a copy of block bn, charging one access.
@@ -514,7 +524,7 @@ func (d *Disk) ReadBlock(p sim.Proc, bn int) ([]byte, error) {
 		d.mu.Unlock()
 		return nil, err
 	}
-	extra, ft, ferr := d.inject(p, OpRead, bn, 1)
+	extra, ft, ferr := d.inject(p, OpRead, bn, 1, 1)
 	if ferr != nil {
 		d.mu.Unlock()
 		charge(p, ft+extra)
@@ -547,7 +557,7 @@ func (d *Disk) ReadTrack(p sim.Proc, bn int, fn func(bn int, img []byte)) error 
 	if last > d.cfg.NumBlocks {
 		last = d.cfg.NumBlocks
 	}
-	extra, ft, ferr := d.inject(p, OpRead, bn, last-first)
+	extra, ft, ferr := d.inject(p, OpRead, bn, 1, last-first)
 	if ferr != nil {
 		d.mu.Unlock()
 		charge(p, ft+extra)
@@ -574,64 +584,111 @@ func (d *Disk) ReadTrack(p sim.Proc, bn int, fn func(bn int, img []byte)) error 
 }
 
 // WriteBlock stores a copy of data into block bn, charging one access;
-// the caller keeps data. len(data) must equal the block size.
+// the caller keeps data. len(data) must equal the block size. It is a
+// WriteRun of one block.
 func (d *Disk) WriteBlock(p sim.Proc, bn int, data []byte) error {
+	one := [1][]byte{data}
+	return d.WriteRun(p, bn, one[:])
+}
+
+// WriteRun stores a copy of imgs[i] into block bn+i for every i, charging a
+// single access: the write twin of ReadTrack, a run of consecutive blocks
+// written under one rotation. The run must lie on one track (ErrOffTrack)
+// and every image must be one block; the caller keeps imgs. An empty run
+// writes nothing and charges nothing.
+//
+// The fault hook is consulted for every block of the run, in ascending
+// order; an injected error fails the whole run, charged one access, and
+// nothing lands. A misdirected write (Corrupter.RedirectWrite) is decided
+// per block. Under WriteBack each block is its own buffered write, in
+// ascending order, so a crash keeps a prefix of the run and may tear one
+// block, exactly as separate WriteBlocks would.
+func (d *Disk) WriteRun(p sim.Proc, bn int, imgs [][]byte) error {
+	k := len(imgs)
+	if k == 0 {
+		return nil
+	}
 	d.mu.Lock()
-	if err := d.check(bn); err != nil {
+	if err := d.checkRun(bn, imgs); err != nil {
 		d.mu.Unlock()
 		return err
 	}
-	if len(data) != d.cfg.BlockSize {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: got %d, want %d", ErrBadSize, len(data), d.cfg.BlockSize)
-	}
-	extra, ft, ferr := d.inject(p, OpWrite, bn, 1)
+	extra, ft, ferr := d.inject(p, OpWrite, bn, k, k)
 	if ferr != nil {
 		d.mu.Unlock()
 		charge(p, ft+extra)
 		return ferr
 	}
-	t := d.access(p, OpWrite, bn, 1)
-	target := bn
-	if d.corrupter != nil {
-		if to := d.corrupter.RedirectWrite(p.Now(), d.label, bn); to >= 0 && to < d.cfg.NumBlocks {
-			// A misdirected write: the controller believes it wrote bn
-			// (timing and head position already accounted there), but the
-			// data silently lands on another block.
-			target = to
-		}
-	}
-	if d.cfg.WriteBack {
-		// Buffer in the volatile write cache. A rewrite of an already
-		// buffered block moves it to the back of the order, so the
-		// surviving-prefix crash model can never keep a newer write while
-		// dropping an older one.
-		b, ok := d.pending[target]
-		if ok {
-			for i, bn := range d.pendingOrder {
-				if bn == target {
-					d.pendingOrder = append(d.pendingOrder[:i], d.pendingOrder[i+1:]...)
-					break
-				}
+	t := d.access(p, OpWrite, bn, k)
+	for i, data := range imgs {
+		target := bn + i
+		if d.corrupter != nil {
+			if to := d.corrupter.RedirectWrite(p.Now(), d.label, target); to >= 0 && to < d.cfg.NumBlocks {
+				// A misdirected write: the controller believes it wrote
+				// bn+i (timing and head position already accounted there),
+				// but the data silently lands on another block.
+				target = to
 			}
-		} else {
-			b = make([]byte, d.cfg.BlockSize)
-			d.pending[target] = b
 		}
-		copy(b, data)
-		d.pendingOrder = append(d.pendingOrder, target)
-	} else {
-		// Write-through: the new image overwrites the stable one in place.
-		b := d.blocks[target]
-		if b == nil {
-			b = make([]byte, d.cfg.BlockSize)
-		}
-		copy(b, data)
-		d.commit(target, b)
+		d.land(target, data)
 	}
 	d.mu.Unlock()
 	charge(p, t+extra)
 	return nil
+}
+
+// checkRun validates a write run: the device is up, the run lies on one
+// track of the device, and every image is one block. Callers hold d.mu.
+func (d *Disk) checkRun(bn int, imgs [][]byte) error {
+	if err := d.check(bn); err != nil {
+		return err
+	}
+	last := bn + len(imgs) - 1
+	if err := d.check(last); err != nil {
+		return err
+	}
+	if d.track(bn) != d.track(last) {
+		return fmt.Errorf("%w: blocks %d..%d", ErrOffTrack, bn, last)
+	}
+	for _, data := range imgs {
+		if len(data) != d.cfg.BlockSize {
+			return fmt.Errorf("%w: got %d, want %d", ErrBadSize, len(data), d.cfg.BlockSize)
+		}
+	}
+	return nil
+}
+
+// land stores a copy of data as block bn's image: buffered in the volatile
+// write cache under WriteBack, else straight onto the stable medium.
+// Callers hold d.mu.
+func (d *Disk) land(bn int, data []byte) {
+	if !d.cfg.WriteBack {
+		// Write-through: the new image overwrites the stable one in place.
+		b := d.blocks[bn]
+		if b == nil {
+			b = make([]byte, d.cfg.BlockSize)
+		}
+		copy(b, data)
+		d.commit(bn, b)
+		return
+	}
+	// Buffer in the volatile write cache. A rewrite of an already buffered
+	// block moves it to the back of the order, so the surviving-prefix crash
+	// model can never keep a newer write while dropping an older one.
+	b, ok := d.pending[bn]
+	if ok {
+		for i, pb := range d.pendingOrder {
+			if pb == bn {
+				d.pendingOrder = append(d.pendingOrder[:i], d.pendingOrder[i+1:]...)
+				break
+			}
+		}
+	} else {
+		b = make([]byte, d.cfg.BlockSize)
+		d.pending[bn] = b
+	}
+	copy(b, data)
+	d.pendingOrder = append(d.pendingOrder, bn)
 }
 
 // image returns the device's current view of block bn — the buffered

@@ -185,14 +185,226 @@ func TestWriteIsolation(t *testing.T) {
 func TestSeekRotateTimingMonotoneInDistance(t *testing.T) {
 	m := WrenSeekRotate()
 	cfg := Config{BlockSize: 1024, NumBlocks: 10000, BlocksPerTrack: 8}
-	near := m.Access(OpRead, 0, 8, cfg)
-	far := m.Access(OpRead, 0, 8000, cfg)
+	near := m.Access(OpRead, 0, 8, 1, cfg)
+	far := m.Access(OpRead, 0, 8000, 1, cfg)
 	if near >= far {
 		t.Errorf("near seek %v >= far seek %v", near, far)
 	}
-	same := m.Access(OpRead, 16, 17, cfg)
+	same := m.Access(OpRead, 16, 17, 1, cfg)
 	if same >= near {
 		t.Errorf("same-track %v >= one-track %v", same, near)
+	}
+}
+
+// TestSeekRotateChargesTransferPerBlock: an access that moves a whole track
+// (a track read or a write run) pays the transfer of every block it moves,
+// on top of the one seek and half rotation.
+func TestSeekRotateChargesTransferPerBlock(t *testing.T) {
+	m := WrenSeekRotate()
+	d := New(Config{NumBlocks: 64, BlocksPerTrack: 8, Timing: m})
+	one := m.Base + m.Rotation/2 + m.TransferPerBlock
+	track := m.Base + m.Rotation/2 + 8*m.TransferPerBlock
+	run(t, func(p sim.Proc) {
+		// The head starts at block 0, so every access below is on track 0.
+		start := p.Now()
+		if err := d.WriteBlock(p, 3, make([]byte, 1024)); err != nil {
+			t.Fatalf("WriteBlock: %v", err)
+		}
+		if got := p.Now() - start; got != one {
+			t.Errorf("one-block write charged %v, want %v", got, one)
+		}
+		start = p.Now()
+		if err := d.ReadTrack(p, 5, func(int, []byte) {}); err != nil {
+			t.Fatalf("ReadTrack: %v", err)
+		}
+		if got := p.Now() - start; got != track {
+			t.Errorf("track read charged %v, want %v (8 blocks transferred)", got, track)
+		}
+		start = p.Now()
+		if err := d.WriteRun(p, 0, blockImages(8, 1)); err != nil {
+			t.Fatalf("WriteRun: %v", err)
+		}
+		if got := p.Now() - start; got != track {
+			t.Errorf("8-block write run charged %v, want %v", got, track)
+		}
+	})
+}
+
+// blockImages returns k one-block images, the i-th filled with fill+i.
+func blockImages(k int, fill byte) [][]byte {
+	imgs := make([][]byte, k)
+	for i := range imgs {
+		imgs[i] = bytes.Repeat([]byte{fill + byte(i)}, 1024)
+	}
+	return imgs
+}
+
+// TestWriteRunSingleCharge: a run of k blocks on one track costs one access
+// and moves k blocks, and each block holds its own image.
+func TestWriteRunSingleCharge(t *testing.T) {
+	d := New(Config{NumBlocks: 32, BlocksPerTrack: 8, Timing: FixedTiming{Latency: 15 * time.Millisecond}})
+	run(t, func(p sim.Proc) {
+		imgs := blockImages(5, 10)
+		if err := d.WriteRun(p, 10, imgs); err != nil {
+			t.Fatalf("WriteRun: %v", err)
+		}
+		if p.Now() != 15*time.Millisecond {
+			t.Errorf("a run of 5 charged %v, want one access (15ms)", p.Now())
+		}
+		imgs[0][0] = 99 // the caller keeps its images
+		for i := 0; i < 5; i++ {
+			if got := d.Peek(10 + i); got == nil || got[0] != byte(10+i) || got[1023] != byte(10+i) {
+				t.Errorf("block %d does not hold image %d", 10+i, i)
+			}
+		}
+	})
+	if ops, blocks := d.Stats().Get("disk.ops"), d.Stats().Get("disk.blocks"); ops != 1 || blocks != 5 {
+		t.Errorf("disk.ops %d, disk.blocks %d; want 1 and 5", ops, blocks)
+	}
+}
+
+// TestWriteRunRefused: a run that leaves its track, runs off the device or
+// carries a short image is refused before it costs anything or lands.
+func TestWriteRunRefused(t *testing.T) {
+	d := New(Config{NumBlocks: 20, BlocksPerTrack: 8, Timing: FixedTiming{Latency: 15 * time.Millisecond}})
+	run(t, func(p sim.Proc) {
+		if err := d.WriteRun(p, 6, blockImages(3, 1)); !errors.Is(err, ErrOffTrack) {
+			t.Errorf("run 6..8 across a track boundary = %v, want ErrOffTrack", err)
+		}
+		if err := d.WriteRun(p, 17, blockImages(4, 1)); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("run 17..20 past the device = %v, want ErrOutOfRange", err)
+		}
+		short := blockImages(2, 1)
+		short[1] = short[1][:100]
+		if err := d.WriteRun(p, 0, short); !errors.Is(err, ErrBadSize) {
+			t.Errorf("run with a short image = %v, want ErrBadSize", err)
+		}
+		if p.Now() != 0 {
+			t.Errorf("refused runs charged %v, want nothing", p.Now())
+		}
+	})
+	for bn := 0; bn < 20; bn++ {
+		if d.Peek(bn) != nil {
+			t.Errorf("block %d landed from a refused run", bn)
+		}
+	}
+}
+
+// failAt is a FaultHook that fails writes of one block and records the
+// blocks it was consulted about.
+type failAt struct {
+	bn    int
+	asked []int
+}
+
+func (f *failAt) BeforeOp(_ time.Duration, _ string, op Op, bn int) (time.Duration, error) {
+	f.asked = append(f.asked, bn)
+	if op == OpWrite && bn == f.bn {
+		return 0, errors.New("injected")
+	}
+	return 0, nil
+}
+
+// TestWriteRunFaultLandsNothing: the fault hook is asked about the blocks
+// of a run in ascending order; a fault on a middle block fails the whole
+// run, charged one access, and no block of it lands.
+func TestWriteRunFaultLandsNothing(t *testing.T) {
+	for _, wb := range []bool{false, true} {
+		d := New(Config{NumBlocks: 16, BlocksPerTrack: 8, Timing: FixedTiming{Latency: 15 * time.Millisecond}, WriteBack: wb})
+		hook := &failAt{bn: 10}
+		d.SetFault(hook, "d")
+		run(t, func(p sim.Proc) {
+			if err := d.WriteRun(p, 8, blockImages(6, 1)); err == nil {
+				t.Fatal("a run with a faulty middle block succeeded")
+			}
+			if p.Now() != 15*time.Millisecond {
+				t.Errorf("write-back %v: the failed run charged %v, want one access", wb, p.Now())
+			}
+		})
+		if want := []int{8, 9, 10}; !slices.Equal(hook.asked, want) {
+			t.Errorf("write-back %v: hook asked about %v, want %v", wb, hook.asked, want)
+		}
+		for bn := 8; bn < 14; bn++ {
+			if d.Peek(bn) != nil {
+				t.Errorf("write-back %v: block %d landed from a failed run", wb, bn)
+			}
+		}
+	}
+}
+
+// keepTorn is a CrashHook that keeps a fixed prefix and tears the next
+// write, recording the pending list it was shown.
+type keepTorn struct {
+	out     CrashOutcome
+	pending []int
+}
+
+func (h *keepTorn) OnCrash(_ time.Duration, _ string, pending []int) CrashOutcome {
+	h.pending = pending
+	return h.out
+}
+
+// TestWriteRunCrashLikeSeparateWrites: under WriteBack a run is k buffered
+// writes in ascending order, so a crash keeps a prefix of it and may tear
+// one block — the same stable bytes as k separate WriteBlocks, for every
+// prefix, torn or not.
+func TestWriteRunCrashLikeSeparateWrites(t *testing.T) {
+	const k = 6
+	for keep := 0; keep <= k; keep++ {
+		for _, torn := range []int{0, 300} {
+			out := CrashOutcome{Keep: keep, TornBytes: torn}
+			stable := func(useRun bool) ([][]byte, []int) {
+				d := New(Config{NumBlocks: 16, BlocksPerTrack: 8, Timing: FixedTiming{}, WriteBack: true})
+				hook := &keepTorn{out: out}
+				d.SetCrashHook(hook)
+				run(t, func(p sim.Proc) {
+					if err := d.WriteRun(p, 8, blockImages(k, 0xA0)); err != nil { // the old images, synced
+						t.Fatalf("WriteRun: %v", err)
+					}
+					if err := d.Sync(p); err != nil {
+						t.Fatalf("Sync: %v", err)
+					}
+					imgs := blockImages(k, 1)
+					if useRun {
+						if err := d.WriteRun(p, 8, imgs); err != nil {
+							t.Fatalf("WriteRun: %v", err)
+						}
+					} else {
+						for i, img := range imgs {
+							if err := d.WriteBlock(p, 8+i, img); err != nil {
+								t.Fatalf("WriteBlock: %v", err)
+							}
+						}
+					}
+					d.Crash(p.Now())
+				})
+				var got [][]byte
+				for bn := 8; bn < 8+k; bn++ {
+					got = append(got, bytes.Clone(d.PeekStable(bn)))
+				}
+				return got, hook.pending
+			}
+			runImgs, runPending := stable(true)
+			sepImgs, sepPending := stable(false)
+			if !slices.Equal(runPending, sepPending) || !slices.Equal(runPending, []int{8, 9, 10, 11, 12, 13}) {
+				t.Errorf("pending writes %v (run) and %v (separate), want 8..13 in order", runPending, sepPending)
+			}
+			for i := range runImgs {
+				if !bytes.Equal(runImgs[i], sepImgs[i]) {
+					t.Errorf("keep %d torn %d: block %d differs between a run and separate writes", keep, torn, 8+i)
+				}
+				want := byte(0xA0 + i) // lost: the old image
+				if i < keep {
+					want = byte(1 + i)
+				}
+				if runImgs[i][len(runImgs[i])-1] != want {
+					t.Errorf("keep %d torn %d: block %d ends in %#x, want %#x", keep, torn, 8+i, runImgs[i][1023], want)
+				}
+				if i == keep && torn > 0 && runImgs[i][0] != byte(1+i) {
+					t.Errorf("keep %d: block %d was not torn: front %#x", keep, 8+i, runImgs[i][0])
+				}
+			}
+		}
 	}
 }
 
@@ -233,8 +445,9 @@ func TestQuickDiskActsLikeMap(t *testing.T) {
 }
 
 // TestAllocsWriteBlockRewrite: a write-through over a block that already
-// has a stable image copies into that image in place, and a track read
-// lends out the device's own images, so neither allocates.
+// has a stable image copies into that image in place, as does a write run
+// over a written track, and a track read lends out the device's own images,
+// so none of them allocates.
 func TestAllocsWriteBlockRewrite(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -257,6 +470,18 @@ func TestAllocsWriteBlockRewrite(t *testing.T) {
 		}
 		if got := d.PeekStable(3); &got[0] != &img[0] || got[0] != data[0] {
 			t.Errorf("the rewrite did not land in the block's existing image")
+		}
+		imgs := blockImages(8, 1)
+		if err := d.WriteRun(p, 8, imgs); err != nil {
+			t.Fatalf("WriteRun: %v", err)
+		}
+		allocs = testing.AllocsPerRun(1000, func() {
+			if err := d.WriteRun(p, 8, imgs); err != nil {
+				t.Errorf("WriteRun: %v", err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("rewriting a written track in one run allocates %v objects, want 0", allocs)
 		}
 		sum := 0
 		allocs = testing.AllocsPerRun(1000, func() {

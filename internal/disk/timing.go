@@ -4,9 +4,11 @@ import "time"
 
 // TimingModel computes the simulated duration of one device access.
 type TimingModel interface {
-	// Access returns the time for an access of op at block bn, with the
-	// head currently at block head. blocks in cfg give geometry.
-	Access(op Op, head, bn int, cfg Config) time.Duration
+	// Access returns the time for an access of op that moves blocks
+	// consecutive blocks from bn on (a track read or a write run moves
+	// more than one), with the head currently at block head. cfg gives
+	// the geometry.
+	Access(op Op, head, bn, blocks int, cfg Config) time.Duration
 }
 
 // FixedTiming charges a constant latency per access — the model the Bridge
@@ -19,11 +21,11 @@ type FixedTiming struct {
 var _ TimingModel = FixedTiming{}
 
 // Access implements TimingModel.
-func (t FixedTiming) Access(Op, int, int, Config) time.Duration { return t.Latency }
+func (t FixedTiming) Access(Op, int, int, int, Config) time.Duration { return t.Latency }
 
 // SeekRotateTiming is a richer deterministic model: a base command
 // overhead, a seek cost proportional to track distance, an average
-// half-rotation, and a per-block transfer time. It exists for ablations
+// half-rotation, and a transfer time per block moved. It exists for ablations
 // showing that Bridge's speedups do not depend on the fixed-latency
 // simplification.
 type SeekRotateTiming struct {
@@ -53,7 +55,7 @@ func WrenSeekRotate() SeekRotateTiming {
 }
 
 // Access implements TimingModel.
-func (t SeekRotateTiming) Access(op Op, head, bn int, cfg Config) time.Duration {
+func (t SeekRotateTiming) Access(op Op, head, bn, blocks int, cfg Config) time.Duration {
 	bpt := cfg.BlocksPerTrack
 	if bpt <= 0 {
 		bpt = 1
@@ -62,6 +64,5 @@ func (t SeekRotateTiming) Access(op Op, head, bn int, cfg Config) time.Duration 
 	if dist < 0 {
 		dist = -dist
 	}
-	d := t.Base + time.Duration(dist)*t.SeekPerTrack + t.Rotation/2 + t.TransferPerBlock
-	return d
+	return t.Base + time.Duration(dist)*t.SeekPerTrack + t.Rotation/2 + time.Duration(blocks)*t.TransferPerBlock
 }

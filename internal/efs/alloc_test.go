@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bridge/internal/disk"
 	"bridge/internal/israce"
 	"bridge/internal/sim"
 )
@@ -274,4 +275,48 @@ func TestAllocsWriteThroughAppend(t *testing.T) {
 			t.Errorf("fsck after the appends: %v %v", err, rep.Problems)
 		}
 	})
+}
+
+// TestAllocsAppendRunGathered: a run of 8 appended onto a file gathers its
+// images in the volume's track scratch, not in a buffer per block. On an
+// unjournaled volume over images the device already holds, that leaves the
+// address list AppendRun hands back. A journaled volume adds its held tail,
+// and its write cache a buffer for each block it has not buffered yet plus
+// the growth of its pending list: 17 objects a run, as many as when each
+// block was written with an access of its own.
+func TestAllocsAppendRunGathered(t *testing.T) {
+	skipUnderRace(t)
+	const runs = 20
+	for _, c := range []struct {
+		journal int
+		want    float64
+	}{{0, 1}, {32, 17}} {
+		run(t, func(p sim.Proc) {
+			var fs *FS
+			if c.journal == 0 {
+				fs = warmVolume(t, p, 128, 8*(runs+2))
+			} else {
+				d := disk.New(disk.Config{NumBlocks: 8*(runs+2) + 256, Timing: disk.FixedTiming{}, WriteBack: true})
+				var err error
+				if fs, err = Format(p, d, Options{CacheBlocks: 128, JournalBlocks: c.journal}); err != nil {
+					t.Fatalf("Format: %v", err)
+				}
+			}
+			fileOf(t, p, fs, 1, 1)
+			datas := blocksOf(8, 7)
+			n := uint32(1)
+			allocs := testing.AllocsPerRun(runs, func() {
+				if _, err := fs.AppendRun(p, 1, n, nil, datas); err != nil {
+					t.Errorf("append at %d: %v", n, err)
+				}
+				n += 8
+			})
+			if allocs > c.want {
+				t.Errorf("journal %d: a run of 8 allocates %v objects, want at most %v", c.journal, allocs, c.want)
+			}
+			if rep, err := fs.Check(p); err != nil || !rep.OK() {
+				t.Errorf("journal %d: fsck after the appends: %v %v", c.journal, err, rep.Problems)
+			}
+		})
+	}
 }

@@ -74,6 +74,14 @@ type FS struct {
 	// scratch is the block the volume encodes an image in when the disk
 	// and the cache, which each copy what they keep, are its only readers.
 	scratch []byte
+	// track holds one track of such images, gathered for one disk write
+	// run: run.n images of consecutive blocks from run.first (see
+	// gatherBuf).
+	track [][]byte
+	run   struct {
+		first int32
+		n     int
+	}
 	// buckets caches directory bucket chains by home bucket index.
 	buckets map[int]*bucketChain
 	dirty   struct {
@@ -148,6 +156,7 @@ func Format(p sim.Proc, d *disk.Disk, opts Options) (*FS, error) {
 		cache:   newBlockCache(opts.CacheBlocks),
 		loc:     make(map[fileKey]int32),
 		scratch: make([]byte, BlockSize),
+		track:   newTrack(d.Config().BlocksPerTrack),
 		buckets: make(map[int]*bucketChain),
 		stats:   st,
 		m:       newFSMetrics(st.Registry()),
@@ -234,6 +243,7 @@ func Mount(p sim.Proc, d *disk.Disk, opts Options) (*FS, error) {
 		cache:   newBlockCache(opts.CacheBlocks),
 		loc:     make(map[fileKey]int32),
 		scratch: make([]byte, BlockSize),
+		track:   newTrack(d.Config().BlocksPerTrack),
 		buckets: make(map[int]*bucketChain),
 		stats:   st,
 		m:       newFSMetrics(st.Registry()),
@@ -325,6 +335,55 @@ func (fs *FS) writeThrough(p sim.Proc, addr int32, data []byte) error {
 		return fmt.Errorf("efs: writing block %d: %w", addr, err)
 	}
 	fs.cacheInsert(addr, data)
+	return nil
+}
+
+// newTrack returns n block images carved from one allocation.
+func newTrack(n int) [][]byte {
+	buf := make([]byte, n*BlockSize)
+	t := make([][]byte, n)
+	for i := range t {
+		t[i] = buf[i*BlockSize : (i+1)*BlockSize : (i+1)*BlockSize]
+	}
+	return t
+}
+
+// gatherBuf returns the buffer to build data block addr's image in, the
+// next one of the track scratch. The images gathered since the last
+// writeRun are a run of consecutive blocks on one track; an addr that does
+// not extend the run writes it first.
+func (fs *FS) gatherBuf(p sim.Proc, addr int32) ([]byte, error) {
+	r := &fs.run
+	if r.n > 0 && (addr != r.first+int32(r.n) || int(addr)%len(fs.track) == 0) {
+		if err := fs.writeRun(p); err != nil {
+			return nil, err
+		}
+	}
+	if r.n == 0 {
+		r.first = addr
+	}
+	r.n++
+	return fs.track[r.n-1], nil
+}
+
+// writeRun seals the gathered images, writes them to disk with one access
+// and caches them, as writeThrough does one block; the gather is empty
+// afterwards whether or not the write landed.
+func (fs *FS) writeRun(p sim.Proc) error {
+	first, imgs := fs.run.first, fs.track[:fs.run.n]
+	fs.run.n = 0
+	if len(imgs) == 0 {
+		return nil
+	}
+	for i, b := range imgs {
+		seal(first+int32(i), b, dataSumOff)
+	}
+	if err := fs.d.WriteRun(p, int(first), imgs); err != nil {
+		return fmt.Errorf("efs: writing blocks %d..%d: %w", first, first+int32(len(imgs))-1, err)
+	}
+	for i, b := range imgs {
+		fs.cacheInsert(first+int32(i), b)
+	}
 	return nil
 }
 

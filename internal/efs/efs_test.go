@@ -496,8 +496,9 @@ func (f failWrite) BeforeOp(_ time.Duration, _ string, op disk.Op, bn int) (time
 // pointer, after the new blocks are down — takes its allocation back: the
 // file, the free count and fsck are as they were. A single-block WriteBlock
 // append is a run of one and undoes itself like any other run. On a
-// journaled volume the old tail is held, and the failed write is its first:
-// the tail stays held with its wrap link, and the next Sync writes it.
+// journaled volume the old tail is held and written first, in the run with
+// the new blocks: the failed run lands nothing, the tail stays held with
+// its wrap link, and the next Sync writes it.
 func TestFailedTailFixLeaksNothing(t *testing.T) {
 	appends := []struct {
 		name string

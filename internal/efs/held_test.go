@@ -50,8 +50,9 @@ func runOf(k int, b byte) [][]byte {
 // as runs of one — cost k data writes each, the first one k-1: the run's
 // tail is held until the next append sets its link, and the last tail is
 // written by the Sync, before its barrier. There is no link-fix record and
-// no commit before the Sync. An unjournaled volume still pays k+1 accesses
+// no commit before the Sync. An unjournaled volume still writes k+1 blocks
 // per append (k for the first): the new blocks, then the old tail's pointer.
+// (TestAppendRunWritesATrackAtATime counts the accesses those writes take.)
 func TestJournaledAppendWritesEachBlockOnce(t *testing.T) {
 	sizes := []int{4, 4, 4, 4, 1, 1, 1}
 	total := 0

@@ -118,15 +118,16 @@ func (fs *FS) WriteBlockHead(p sim.Proc, fileID, blockNum uint32, head, data []b
 
 // AppendRun appends a run of blocks in one operation: the whole run is
 // allocated up front (near-chained for locality), every new block is written
-// once with its final links already in place, and the old tail's next
-// pointer is fixed exactly once for the entire run — one device access per
-// block plus one tail fix (on a journaled volume just one per block: see
-// appendRun), instead of the two accesses per block that appending the
-// blocks one at a time pays on an unjournaled one. startBlock must equal
-// the file's current size (the caller's view of the append point; a stale
-// view gets ErrNotAppend so the caller can fall back to the per-block path).
-// Block j's data area is heads[j], then datas[j]; a nil heads gives every
-// block an empty head. As in WriteBlock, EFS keeps no slice it is handed.
+// once with its final links already in place, each stretch of consecutive
+// new blocks on one track in a single device access, and the old tail's
+// next pointer is fixed exactly once for the entire run — for a run of 8
+// that lands on one track, two accesses on an unjournaled volume (one on a
+// journaled one: see appendRun), where appending the blocks one at a time
+// pays two per block. startBlock must equal the file's current size (the
+// caller's view of the append point; a stale view gets ErrNotAppend so the
+// caller can fall back to the per-block path). Block j's data area is
+// heads[j], then datas[j]; a nil heads gives every block an empty head. As
+// in WriteBlock, EFS keeps no slice it is handed.
 func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, heads, datas [][]byte) ([]int32, error) {
 	if len(datas) == 0 {
 		return nil, nil
@@ -159,19 +160,26 @@ func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, heads, datas [][]
 // file's tail and fills addrs, the caller's scratch of the same length, with
 // the new blocks' addresses.
 //
-// On an unjournaled volume a run of k blocks costs k+1 device accesses: the
-// new blocks, then the old tail's pointer — for k = 1 the two accesses of
-// the paper's 31 ms sequential write. On a journaled volume it costs k: the
-// run's last block is held in memory until its link is final (holdTail),
-// an old tail that is itself held is written through now with its link set,
-// and only a committed old tail is left to a journaled link fix.
+// The new blocks are gathered into the track scratch and written a run at a
+// time: each stretch of consecutive addresses on one track is one device
+// access (gatherBuf, writeRun). On an unjournaled volume the old tail's
+// pointer is then rewritten with an access of its own, after the run, so
+// the link never reaches the medium before the blocks it names: a run of k
+// blocks on t tracks costs t+1 accesses, and k = 1 the two of the paper's
+// 31 ms sequential write. On a journaled volume the run's last block is
+// held in memory until its link is final (holdTail); an old tail that is
+// itself held is referenced by no committed state, so it joins the run's
+// writes with its link set, and only a committed old tail is left to a
+// journaled link fix.
 //
-// The run is atomic: the old tail's pointer is rewritten only after every
-// new block is written, so a failure mid-run frees the whole allocation and
-// leaves the file exactly as it was — a held old tail keeps its held image
-// and wrap link, the written blocks are unreachable and their bitmap bits
-// are cleared, the same freed-but-flagged state a fast delete leaves, which
-// the bitmap-authoritative liveData guard and Fsck already tolerate.
+// The run is atomic: the file's entry and its committed old tail name no new
+// block until every one is written, so a failure mid-run frees the whole
+// allocation and leaves the file exactly as it was — a held old tail keeps
+// its held image and wrap link (whatever reached the disk for it is stale
+// until it is written again), the written blocks are unreachable and their
+// bitmap bits are cleared, the same freed-but-flagged state a fast delete
+// leaves, which the bitmap-authoritative liveData guard and Fsck already
+// tolerate.
 func (fs *FS) appendRun(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32, heads, datas [][]byte, addrs []int32) error {
 	// undo frees the first n allocations; nothing links to the run yet, so
 	// that restores the file exactly.
@@ -194,9 +202,10 @@ func (fs *FS) appendRun(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32,
 		}
 		near = addrs[j] + 1
 	}
-	if fs.jnl != nil {
+	jnl := fs.jnl
+	if jnl != nil {
 		for _, a := range addrs {
-			if fs.jnl.logged[a] {
+			if jnl.logged[a] {
 				// The freed-and-reused address still has a live intent record
 				// from an earlier commit. The new block goes down
 				// write-through, outside the journal, so a crash now would
@@ -208,6 +217,17 @@ func (fs *FS) appendRun(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32,
 				break
 			}
 		}
+	}
+	heldOld := jnl != nil && e.Blocks > 0 && jnl.held[e.Last]
+	if heldOld {
+		buf, err := fs.gatherBuf(p, e.Last)
+		if err != nil {
+			return undo(len(addrs), err)
+		}
+		copy(buf, jnl.data[e.Last])
+		oh := decodeHeader(buf)
+		oh.Next = addrs[0]
+		encodeHeader(buf, oh)
 	}
 	startBlock := uint32(e.Blocks)
 	head := e.First
@@ -233,22 +253,30 @@ func (fs *FS) appendRun(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint32,
 		} else if e.Blocks > 0 {
 			h.Prev = e.Last
 		}
-		if fs.jnl != nil && j+1 == len(datas) {
+		if jnl != nil && j+1 == len(datas) {
 			held = make([]byte, BlockSize) // the journal keeps a held tail
 			encodeData(held, h, hd, data)
 			continue
 		}
-		encodeData(fs.scratch, h, hd, data)
-		if err := fs.writeThrough(p, addrs[j], fs.scratch); err != nil {
+		buf, err := fs.gatherBuf(p, addrs[j])
+		if err != nil {
 			return undo(len(addrs), err)
 		}
+		encodeData(buf, h, hd, data)
 	}
-	if e.Blocks > 0 {
+	if err := fs.writeRun(p); err != nil {
+		return undo(len(addrs), err)
+	}
+	switch {
+	case heldOld:
+		// Its link is on disk now, written once with the run.
+		jnl.dropDeferred(e.Last)
+	case e.Blocks > 0:
 		// One tail fix for the whole run.
 		if err := fs.linkTail(p, e, fileID, addrs[0]); err != nil {
 			return undo(len(addrs), err)
 		}
-	} else {
+	default:
 		e.First = addrs[0]
 	}
 	if held != nil {
@@ -268,26 +296,12 @@ func headAt(heads [][]byte, j int) []byte {
 	return heads[j]
 }
 
-// linkTail points the file's old tail at next, the first block of a run
-// whose blocks are written. A held tail is referenced by no committed state
-// and its link is final now, so it is written once, with no record; it is
-// released only when the write lands, so a failure keeps the held image and
-// its wrap link. A committed tail on a journaled volume could tear if
+// linkTail points the file's committed old tail at next, the first block of
+// a run whose blocks are written (a held old tail is written with the run
+// instead: see appendRun). On a journaled volume the tail could tear if
 // rewritten in place, so its update is journaled as a link fix and applied
 // once the intent record is durable. An unjournaled volume writes through.
 func (fs *FS) linkTail(p sim.Proc, e *dirEntry, fileID uint32, next int32) error {
-	if j := fs.jnl; j != nil && j.held[e.Last] {
-		old := fs.scratch
-		copy(old, j.data[e.Last])
-		oh := decodeHeader(old)
-		oh.Next = next
-		encodeHeader(old, oh)
-		if err := fs.writeThrough(p, e.Last, old); err != nil {
-			return err
-		}
-		j.dropDeferred(e.Last)
-		return nil
-	}
 	raw, err := fs.readCached(p, e.Last)
 	if err == nil {
 		err = verifyData(e.Last, raw)

@@ -167,11 +167,24 @@ func (p Params) readColumn(blocks int) time.Duration {
 }
 
 // appendColumn is a tool writing a local file: one LFS round trip per run,
-// and per run one access for each block plus one for the old tail's pointer
-// (r+1 accesses per r blocks, where block-at-a-time paid 2 per block).
+// and per run one access for each track its new blocks touch plus one for
+// the old tail's pointer (where block-at-a-time paid 2 per block).
 func (p Params) appendColumn(blocks int) time.Duration {
 	runs := ceilDiv(blocks, runBlocks)
-	return time.Duration(runs)*p.lfsCall(0, true) + time.Duration(blocks+runs)*p.DiskLatency
+	d := time.Duration(runs) * (p.lfsCall(0, true) + p.DiskLatency) // the tail fixes
+	for left := blocks; left > 0; left -= runBlocks {
+		d += p.runDevice(min(left, runBlocks))
+	}
+	return d
+}
+
+// runDevice is the device time of writing n consecutive new blocks, one
+// access per track they touch. A file starts wherever the allocator finds
+// room, so where a run starts on its track is taken as uniform: n blocks
+// touch 1 + (n-1)/BlocksPerTrack tracks on average.
+func (p Params) runDevice(n int) time.Duration {
+	b := time.Duration(p.BlocksPerTrack)
+	return (b + time.Duration(n-1)) * p.DiskLatency / b
 }
 
 // discardColumn is freeing a scratch file: one request, and the chain walk's

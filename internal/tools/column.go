@@ -11,10 +11,12 @@ import (
 // of the package reads or writes file blocks (TestOneColumnPath).
 
 // runBlocks is the length of a run: one LFS round trip, one track read, or
-// runBlocks+1 device accesses appended (block at a time: 2 per block). Lengths
-// 4 / 8 / 16 / 32 measure 9.93 / 8.99 / 8.55 / 8.38 sim ms/op on
-// tool_copy_sort (seed 1988); 8, one track, holds a node's LFS at most 135 ms
-// per request, so a tool cannot starve a naive client of the same node.
+// appended one device access per track the run touches plus one for the old
+// tail's link (block at a time: 2 per block). Lengths 4 / 8 / 16 / 32
+// measure 6.68 / 5.33 / 4.77 / 4.53 sim ms/op on tool_copy_sort (seed 1988);
+// 8, one track, is one access a read and at most three an append, so a
+// request holds a node's LFS at most 45 ms on 15 ms disks and a tool cannot
+// starve a naive client of the same node.
 const runBlocks = 8
 
 // colReader reads one local file front to back on a stream, the address
@@ -30,8 +32,8 @@ type colReader struct {
 
 // colReadDepth is how many runs a reader keeps in flight past the one it hands
 // out: one. Without it a merge reader's token stalls behind the co-located
-// writer's run (tool_copy_sort's merge phase 142.5 s, with it 90.0 s), and
-// the single-process loops gain a little (local sort 70.9 s, with it 69.2 s).
+// writer's run (tool_copy_sort's merge phase 101.2 s, with it 66.9 s), and
+// the single-process loops gain a little (local sort 33.4 s, with it 31.7 s).
 const colReadDepth = 1
 
 func newColReader(lc *lfs.Client, node msg.NodeID, file uint32, size int64) *colReader {
@@ -104,7 +106,7 @@ type colWriter struct {
 // colWriteDepth is how many runs a writer leaves in flight when put or flush
 // returns: none, so a put that fails leaves only whole earlier runs behind
 // (and a landed run's slice is the next run's). Depth 1, drained at the end,
-// would take 1.1 s off tool_copy_sort's 184 s.
+// would take 1.1 s off tool_copy_sort's 109 s.
 const colWriteDepth = 0
 
 // newColWriter writes file from its start: every tool output is a new file.

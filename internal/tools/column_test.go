@@ -380,6 +380,32 @@ func (at readsFailFrom) BeforeOp(now time.Duration, _ string, op disk.Op, _ int)
 	return 0, nil
 }
 
+// writeRuns is a disk fault hook that injects nothing and remembers the
+// latest write run: the device consults it about every block of a run, in
+// ascending order, at the instant the access starts.
+type writeRuns struct {
+	start      time.Duration
+	last, size int
+}
+
+func (w *writeRuns) BeforeOp(now time.Duration, _ string, op disk.Op, bn int) (time.Duration, error) {
+	if op == disk.OpWrite {
+		if now == w.start && bn == w.last+1 {
+			w.size++
+		} else {
+			w.start, w.size = now, 1
+		}
+		w.last = bn
+	}
+	return 0, nil
+}
+
+// inService reports whether a write run of two or more blocks, each access
+// taking latency, is in service at now.
+func (w *writeRuns) inService(now, latency time.Duration) bool {
+	return w.size >= 2 && now < w.start+latency
+}
+
 // A sort that fails gives back every scratch block and file it made, on every
 // node that can still answer — whichever phase it fails in.
 func TestFailedSortLeavesNoScratch(t *testing.T) {
@@ -466,12 +492,20 @@ func TestFailedSortLeavesNoScratch(t *testing.T) {
 			})
 		}
 	}
-	// The device dies under a writer's run; the node then answers nothing
-	// more, so the discards that follow give up on it.
+	// The device dies under a writer's run: the first write run of two or
+	// more blocks in service from midway through the pass on. The access in
+	// service lands, the request's next one fails, and the node answers
+	// with the device's error; it then answers nothing more, so the
+	// discards that follow give up on it.
 	t.Run("disk dies in a merge pass", func(t *testing.T) {
 		midMerge(t, 4, func(cl *core.Cluster, at time.Duration) {
+			runs := &writeRuns{}
+			cl.Nodes[2].Disk.SetFault(runs, "victim")
 			cl.Runtime().Go("kill-disk", func(kp sim.Proc) {
 				kp.Sleep(at - kp.Now())
+				for !runs.inService(kp.Now(), 15*time.Millisecond) {
+					kp.Sleep(time.Millisecond)
+				}
 				cl.Nodes[2].Disk.Fail()
 			})
 		}, disk.ErrFailed.Error())
