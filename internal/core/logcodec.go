@@ -1,24 +1,21 @@
-// The replicated log and snapshot format: one hand-written codec for rop,
-// ropRec, Meta/ChainInfo and rsnap.
+// The replicated log and snapshot format: the record layouts of rop,
+// ropRec, Meta/ChainInfo and rsnap, written by hand with package wire's
+// primitives and under its rules — one encoding per value, so identical
+// states encode to identical bytes and whatever decodes re-encodes to its
+// input, and every count checked against the bytes that remain before
+// anything is allocated.
 //
 // A record is a format-version byte followed by the struct's fields in
 // declaration order (rop.Item only when set, flagged in the Kind byte).
-// Unsigned integers are uvarints, signed ones zigzag varints, Kind fields
-// and booleans one byte, strings and byte slices a uvarint length then the
-// bytes, slices a uvarint count then the elements, an optional struct
-// (ChainInfo, a record's Meta) a presence byte first.
-// Every value has exactly one encoding — varints must be minimal, booleans 0
-// or 1, integers inside their field's range, nothing may follow the last
-// field — so identical states encode to identical bytes and whatever decodes
-// re-encodes to its input.
-// Counts and lengths are checked against the bytes that remain before
-// anything is allocated.
+// Kind fields are one byte, and an optional struct (ChainInfo, a record's
+// Meta) is a presence byte first.
 //
 // A member's decoder allocates only what is new to its directory: a name
 // already in it decodes to its dirent's string, a Meta.Name equal to its
 // record's Name to that same string, a node list equal to a prefix of the
 // server's to that prefix, and a client port to the member's portTab copy.
-// Interning shares memory and never changes a value.
+// Interning shares memory and never changes a value, and a decoded byte
+// slice aliases the record: log entries and snapshots are immutable.
 package core
 
 import (
@@ -29,6 +26,7 @@ import (
 
 	"bridge/internal/distrib"
 	"bridge/internal/msg"
+	"bridge/internal/msg/wire"
 )
 
 // logFormat is the version byte that opens every log entry and snapshot.
@@ -56,25 +54,13 @@ var errLogCorrupt = errors.New("bridge: corrupt replicated log record")
 
 // ---- encoding ----
 
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 func appendAddr(b []byte, a msg.Addr) []byte {
 	b = binary.AppendVarint(b, int64(a.Node))
-	return appendStr(b, a.Port)
+	return wire.AppendString(b, a.Port)
 }
 
 func appendMeta(b []byte, m *Meta) []byte {
-	b = appendStr(b, m.Name)
+	b = wire.AppendString(b, m.Name)
 	b = binary.AppendUvarint(b, uint64(m.FileID))
 	b = binary.AppendUvarint(b, uint64(m.LFSFileID))
 	b = append(b, byte(m.Spec.Kind))
@@ -87,7 +73,7 @@ func appendMeta(b []byte, m *Meta) []byte {
 		b = binary.AppendVarint(b, int64(n))
 	}
 	b = binary.AppendVarint(b, m.Blocks)
-	b = appendBool(b, m.Chain != nil)
+	b = wire.AppendBool(b, m.Chain != nil)
 	if c := m.Chain; c != nil {
 		b = binary.AppendUvarint(b, uint64(c.HeadNode))
 		b = binary.AppendUvarint(b, uint64(c.HeadLocal))
@@ -114,33 +100,32 @@ func appendRopFields(b []byte, op *rop) []byte {
 	if op.Item != 0 {
 		b = binary.AppendUvarint(b, op.Item)
 	}
-	b = appendStr(b, op.Name)
-	b = appendStr(b, op.New)
+	b = wire.AppendString(b, op.Name)
+	b = wire.AppendString(b, op.New)
 	b = appendMeta(b, &op.Meta)
 	b = binary.AppendUvarint(b, uint64(op.NextID))
 	b = binary.AppendVarint(b, op.At)
 	b = binary.AppendVarint(b, int64(op.N))
 	b = binary.AppendUvarint(b, uint64(len(op.Data)))
 	for _, blk := range op.Data {
-		b = binary.AppendUvarint(b, uint64(len(blk)))
-		b = append(b, blk...)
+		b = wire.AppendBytes(b, blk)
 	}
 	b = binary.AppendVarint(b, op.Blocks)
-	b = appendBool(b, op.EOF)
-	return appendStr(b, op.ErrS)
+	b = wire.AppendBool(b, op.EOF)
+	return wire.AppendString(b, op.ErrS)
 }
 
 func appendRec(b []byte, r *ropRec) []byte {
 	b = append(b, r.Kind)
-	b = appendBool(b, r.EOF)
-	b = appendStr(b, r.Name)
-	b = appendBool(b, r.Meta != nil)
+	b = wire.AppendBool(b, r.EOF)
+	b = wire.AppendString(b, r.Name)
+	b = wire.AppendBool(b, r.Meta != nil)
 	if r.Meta != nil {
 		b = appendMeta(b, r.Meta)
 	}
 	b = binary.AppendVarint(b, r.At)
 	b = binary.AppendVarint(b, int64(r.N))
-	return appendStr(b, r.ErrS)
+	return wire.AppendString(b, r.ErrS)
 }
 
 // appendRop appends op's log-entry encoding to b.
@@ -157,13 +142,13 @@ func appendSnap(b []byte, snap *rsnap) []byte {
 	for i := range snap.Files {
 		f := &snap.Files[i]
 		b = appendMeta(b, &f.Meta)
-		b = appendBool(b, f.WBDirty)
-		b = appendStr(b, f.Deferred)
+		b = wire.AppendBool(b, f.WBDirty)
+		b = wire.AppendString(b, f.Deferred)
 	}
 	b = binary.AppendUvarint(b, uint64(len(snap.Cursors)))
 	for _, c := range snap.Cursors {
 		b = appendAddr(b, c.Client)
-		b = appendStr(b, c.Name)
+		b = wire.AppendString(b, c.Name)
 		b = binary.AppendVarint(b, c.Pos)
 	}
 	b = binary.AppendUvarint(b, uint64(len(snap.Sessions)))
@@ -194,11 +179,10 @@ const (
 	minSessBytes = 4 // client, op, record count
 )
 
-// logDec reads one record. The first failure sticks: every later read
-// returns zero and finish reports it.
+// logDec reads one record with the shared primitives, interning as the
+// header says.
 type logDec struct {
-	b     []byte
-	err   error
+	wire.Decoder
 	ports portTab
 	dir   map[string]*dirent // names a decoded one may share; nil shares none
 	nodes []msg.NodeID       // the node list a decoded one may share a prefix of
@@ -214,121 +198,22 @@ const portTabCap = 1024
 
 // newLogDec checks the version byte.
 func newLogDec(data []byte, ports portTab) logDec {
-	d := logDec{b: data, ports: ports}
-	if len(data) == 0 {
-		d.fail("empty record")
-	} else if data[0] != logFormat {
-		d.err, d.b = &LogFormatError{Version: data[0]}, nil
-	} else {
-		d.b = data[1:]
+	d := logDec{Decoder: wire.NewDecoder(data, errLogCorrupt), ports: ports}
+	switch {
+	case len(data) == 0:
+		d.Fail("empty record")
+	case data[0] != logFormat:
+		d.Stop(&LogFormatError{Version: data[0]})
+	default:
+		d.U8()
 	}
 	return d
 }
 
-func (d *logDec) fail(why string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", errLogCorrupt, why)
-	}
-	d.b = nil
-}
-
-func (d *logDec) finish() error {
-	if d.err == nil && len(d.b) != 0 {
-		d.fail("trailing bytes")
-	}
-	return d.err
-}
-
-func (d *logDec) u8() byte {
-	if len(d.b) == 0 {
-		d.fail("truncated")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *logDec) flag() bool {
-	v := d.u8()
-	if v > 1 {
-		d.fail("boolean out of range")
-	}
-	return v == 1
-}
-
-// advance consumes an n-byte varint binary.(U)varint just read; a final
-// zero byte past the first means the value had a shorter encoding.
-func (d *logDec) advance(n int) bool {
-	if n <= 0 || n > 1 && d.b[n-1] == 0 {
-		d.fail("truncated or overlong varint")
-		return false
-	}
-	d.b = d.b[n:]
-	return true
-}
-
-func (d *logDec) u64() uint64 { return d.uvarint(math.MaxUint64) }
-func (d *logDec) u32() uint32 { return uint32(d.uvarint(math.MaxUint32)) }
-func (d *logDec) u16() uint16 { return uint16(d.uvarint(math.MaxUint16)) }
-
-func (d *logDec) uvarint(max uint64) uint64 {
-	v, n := binary.Uvarint(d.b)
-	if !d.advance(n) {
-		return 0
-	}
-	if v > max {
-		d.fail("integer out of range")
-		return 0
-	}
-	return v
-}
-
-func (d *logDec) varint() int64 {
-	v, n := binary.Varint(d.b)
-	if !d.advance(n) {
-		return 0
-	}
-	return v
-}
-
-func (d *logDec) num() int {
-	v := d.varint()
-	if int64(int(v)) != v {
-		d.fail("integer out of range")
-		return 0
-	}
-	return int(v)
-}
-
-// count reads an element count, refusing one the remaining bytes could not
-// hold at min bytes an element.
-func (d *logDec) count(min int) int {
-	n := d.u64()
-	if n > uint64(len(d.b)/min) {
-		d.fail("count exceeds the record")
-		return 0
-	}
-	return int(n)
-}
-
-// bytes aliases the record: log entries and snapshots are immutable.
-func (d *logDec) bytes() []byte {
-	n := d.count(1)
-	if n == 0 {
-		return nil
-	}
-	v := d.b[:n:n]
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *logDec) str() string { return string(d.bytes()) }
-
 // name reads a file name: like when equal to it, else the name of the
 // directory entry it keys, else a copy.
 func (d *logDec) name(like string) string {
-	b := d.bytes()
+	b := d.Bytes()
 	if string(b) == like {
 		return like
 	}
@@ -342,7 +227,7 @@ func (d *logDec) name(like string) string {
 // one, else a list of their own.
 func (d *logDec) nodeList(n int) []msg.NodeID {
 	for i := 0; i < n; i++ {
-		id := msg.NodeID(d.num())
+		id := msg.NodeID(d.Num())
 		if i < len(d.nodes) && id == d.nodes[i] {
 			continue
 		}
@@ -350,7 +235,7 @@ func (d *logDec) nodeList(n int) []msg.NodeID {
 		copy(l, d.nodes[:i])
 		l[i] = id
 		for i++; i < n; i++ {
-			l[i] = msg.NodeID(d.num())
+			l[i] = msg.NodeID(d.Num())
 		}
 		return l
 	}
@@ -358,7 +243,7 @@ func (d *logDec) nodeList(n int) []msg.NodeID {
 }
 
 func (d *logDec) addr() msg.Addr {
-	node, b := msg.NodeID(d.num()), d.bytes()
+	node, b := msg.NodeID(d.Num()), d.Bytes()
 	port, ok := d.ports[string(b)]
 	if !ok {
 		port = string(b)
@@ -375,27 +260,27 @@ func (d *logDec) addr() msg.Addr {
 // meta reads a Meta; like is the name its record already holds.
 func (d *logDec) meta(m *Meta, like string) {
 	m.Name = d.name(like)
-	m.FileID = d.u32()
-	m.LFSFileID = d.u32()
-	m.Spec.Kind = distrib.Kind(d.u8())
-	m.Spec.P = d.num()
-	m.Spec.Start = d.num()
-	m.Spec.TotalBlocks = d.varint()
-	m.Spec.Seed = d.u64()
-	if n := d.count(1); n > 0 {
+	m.FileID = d.U32()
+	m.LFSFileID = d.U32()
+	m.Spec.Kind = distrib.Kind(d.U8())
+	m.Spec.P = d.Num()
+	m.Spec.Start = d.Num()
+	m.Spec.TotalBlocks = d.Varint()
+	m.Spec.Seed = d.U64()
+	if n := d.Count(1); n > 0 {
 		m.Nodes = d.nodeList(n)
 	}
-	m.Blocks = d.varint()
-	if d.flag() {
+	m.Blocks = d.Varint()
+	if d.Flag() {
 		c := &ChainInfo{}
-		c.HeadNode = d.u16()
-		c.HeadLocal = d.u32()
-		c.TailNode = d.u16()
-		c.TailLocal = d.u32()
-		if n := d.count(1); n > 0 {
+		c.HeadNode = d.U16()
+		c.HeadLocal = d.U32()
+		c.TailNode = d.U16()
+		c.TailLocal = d.U32()
+		if n := d.Count(1); n > 0 {
 			c.LocalCounts = make([]int64, n)
 			for i := range c.LocalCounts {
-				c.LocalCounts[i] = d.varint()
+				c.LocalCounts[i] = d.Varint()
 			}
 		}
 		m.Chain = c
@@ -406,63 +291,63 @@ func (d *logDec) meta(m *Meta, like string) {
 // silent no-op here and as something else on a build that knows it.
 func (d *logDec) kind(k uint8) uint8 {
 	if k < ropCreate || k > ropFixup {
-		d.fail("unknown operation kind")
+		d.Fail("unknown operation kind")
 	}
 	return k
 }
 
 func (d *logDec) rop(op *rop) {
-	k := d.u8()
+	k := d.U8()
 	op.Kind = d.kind(k &^ itemFlag)
 	op.Client = d.addr()
-	op.Op = d.u64()
+	op.Op = d.U64()
 	if k&itemFlag != 0 {
 		// Only a write item has one, and a request id is at least 1.
-		if op.Item = d.uvarint(max(op.Op, 1) - 1); op.Item == 0 || op.Kind != ropWrite {
-			d.fail("scatter item out of range")
+		if op.Item = d.Uvarint(max(op.Op, 1) - 1); op.Item == 0 || op.Kind != ropWrite {
+			d.Fail("scatter item out of range")
 		}
 	}
 	op.Name = d.name("")
 	op.New = d.name("")
 	d.meta(&op.Meta, op.Name)
-	op.NextID = d.u32()
-	op.At = d.varint()
-	op.N = d.num()
-	if n := d.count(1); n > 0 {
+	op.NextID = d.U32()
+	op.At = d.Varint()
+	op.N = d.Num()
+	if n := d.Count(1); n > 0 {
 		op.Data = make([][]byte, n)
 		for i := range op.Data {
-			op.Data[i] = d.bytes()
+			op.Data[i] = d.Bytes()
 		}
 	}
-	op.Blocks = d.varint()
-	op.EOF = d.flag()
-	op.ErrS = d.str()
+	op.Blocks = d.Varint()
+	op.EOF = d.Flag()
+	op.ErrS = d.Str()
 }
 
 func (d *logDec) rec(r *ropRec) {
-	r.Kind = d.kind(d.u8())
-	r.EOF = d.flag()
-	r.Name = d.str()
-	if d.flag() {
+	r.Kind = d.kind(d.U8())
+	r.EOF = d.Flag()
+	r.Name = d.Str()
+	if d.Flag() {
 		r.Meta = new(Meta)
 		d.meta(r.Meta, r.Name)
 	}
-	r.At = d.varint()
-	r.N = d.num()
-	r.ErrS = d.str()
+	r.At = d.Varint()
+	r.N = d.Num()
+	r.ErrS = d.Str()
 }
 
 // session reads one client session; its records' ids ascend from the
 // request's.
 func (d *logDec) session(x *rsnapSession) {
-	x.Client, x.Op = d.addr(), d.u64()
-	if n := d.count(1 + minRecBytes); n > 0 {
+	x.Client, x.Op = d.addr(), d.U64()
+	if n := d.Count(1 + minRecBytes); n > 0 {
 		x.Recs = make([]opRec, n)
 		for i := range x.Recs {
 			r := &x.Recs[i]
-			r.Op = x.Op + d.uvarint(math.MaxUint64-x.Op)
+			r.Op = x.Op + d.Uvarint(math.MaxUint64-x.Op)
 			if i > 0 && r.Op <= x.Recs[i-1].Op {
-				d.fail("session records out of order")
+				d.Fail("session records out of order")
 			}
 			d.rec(&r.Rec)
 		}
@@ -476,47 +361,47 @@ func decodeRop(data []byte, ports portTab, dir map[string]*dirent, nodes []msg.N
 	d := newLogDec(data, ports)
 	d.dir, d.nodes = dir, nodes
 	d.rop(&op)
-	return op, d.finish()
+	return op, d.Finish()
 }
 
 // decodeSnap decodes a state-machine snapshot.
 func decodeSnap(data []byte, ports portTab) (rsnap, error) {
 	var snap rsnap
 	d := newLogDec(data, ports)
-	snap.NextID = d.u32()
-	if n := d.count(minMetaBytes + 2); n > 0 {
+	snap.NextID = d.U32()
+	if n := d.Count(minMetaBytes + 2); n > 0 {
 		snap.Files = make([]rsnapFile, n)
 		for i := range snap.Files {
 			f := &snap.Files[i]
 			d.meta(&f.Meta, "")
-			f.WBDirty = d.flag()
-			f.Deferred = d.str()
+			f.WBDirty = d.Flag()
+			f.Deferred = d.Str()
 		}
 	}
-	if n := d.count(4); n > 0 {
+	if n := d.Count(4); n > 0 {
 		snap.Cursors = make([]rsnapCursor, n)
 		for i := range snap.Cursors {
-			snap.Cursors[i] = rsnapCursor{Client: d.addr(), Name: d.str(), Pos: d.varint()}
+			snap.Cursors[i] = rsnapCursor{Client: d.addr(), Name: d.Str(), Pos: d.Varint()}
 		}
 	}
-	if n := d.count(minSessBytes); n > dedupCap {
-		d.fail("more sessions than dedupCap")
+	if n := d.Count(minSessBytes); n > dedupCap {
+		d.Fail("more sessions than dedupCap")
 	} else if n > 0 {
 		snap.Sessions = make([]rsnapSession, n)
 		seen := make(map[msg.Addr]bool, n)
 		for i := range snap.Sessions {
 			x := &snap.Sessions[i]
 			if d.session(x); seen[x.Client] {
-				d.fail("a client with two sessions")
+				d.Fail("a client with two sessions")
 			}
 			seen[x.Client] = true
 		}
 	}
-	if n := d.count(minRopBytes); n > 0 {
+	if n := d.Count(minRopBytes); n > 0 {
 		snap.Pending = make([]rop, n)
 		for i := range snap.Pending {
 			d.rop(&snap.Pending[i])
 		}
 	}
-	return snap, d.finish()
+	return snap, d.Finish()
 }

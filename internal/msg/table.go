@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"unsafe"
 
+	"bridge/internal/msg/wire"
 	"bridge/internal/sim"
 )
 
@@ -136,6 +137,7 @@ type Table[S any] struct {
 	prices  map[reflect.Type]func(any) int
 	price   int
 	unknown *Command[S]
+	codec   *wire.Codec
 }
 
 // NewTable indexes a command set. price is what a body costs whose entry
@@ -157,6 +159,7 @@ func NewTable[S any](price int, fail func(error) Status, unknown func(req any) e
 			t.prices[reflect.TypeOf(b)] = c.Size
 		}
 	}
+	t.codec = wire.NewCodec(t.Bodies())
 	return t
 }
 
@@ -186,3 +189,8 @@ func (t *Table[S]) Bodies() []any {
 	}
 	return out
 }
+
+// Codec encodes and decodes the bodies the table declares, each as its index
+// in Bodies, then its fields. Nothing on the send path calls it: a body
+// crosses the simulated network by reference, priced by the table.
+func (t *Table[S]) Codec() *wire.Codec { return t.codec }

@@ -1,61 +1,49 @@
 // Package tcpnet realizes the Bridge message layer over real TCP sockets,
 // backing the paper's remark that the message-passing design "could be
 // realized equally well on any local area network". Each Peer hosts the
-// ports of one or more nodes and routes messages to remote peers over
-// gob-encoded streams.
+// ports of one or more nodes and routes messages to remote peers over TCP
+// streams of frames: a frame is its length, then the message encoded with
+// the protocols' one codec (package wire).
 //
 // No runtime here runs on the wall clock, so nothing deploys over tcpnet:
 // it remains only as the target of the benchmark's tcpnet.rpc probe, and
 // the simulated in-process network (package msg) carries every experiment.
-// Message bodies must be gob-registered; RegisterTypes registers the LFS,
-// agent, Bridge Server and consensus protocols.
+// A message crosses to another peer only if its body is one the LFS,
+// agent, Bridge Server or consensus tables declare; lfs.SpawnReq, whose
+// worker is a func, has no encoding and is refused.
 package tcpnet
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 
 	"bridge/internal/core"
 	"bridge/internal/lfs"
 	"bridge/internal/msg"
+	"bridge/internal/msg/wire"
 	"bridge/internal/raft"
 )
 
-// bodies is every message body the protocols send, read from their command
-// tables: the Bridge Server's (with the job-transfer one-ways), the LFS
-// server's and node agent's (with the bare status that answers a request no
-// table declares) and the consensus protocol's. The one body gob cannot
-// carry is lfs.SpawnReq, whose worker is a func: it is left out.
-var bodies = func() []any {
-	var out []any
-	for _, v := range append(append(core.Bodies(), lfs.Bodies()...), raft.Bodies()...) {
-		if _, spawn := v.(lfs.SpawnReq); !spawn {
-			out = append(out, v)
-		}
-	}
-	return out
-}()
-
-// RegisterTypes registers every protocol body with gob. Call once per
-// process before sending.
-func RegisterTypes() {
-	registerOnce.Do(func() {
-		for _, v := range bodies {
-			gob.Register(v)
-		}
-	})
-}
-
-var registerOnce sync.Once
-
-// wireMsg is the on-the-wire envelope.
+// wireMsg is a frame's content: the destination, then the message, whose
+// body the codec encodes as its index among the bodies, then its fields.
 type wireMsg struct {
 	To  msg.Addr
 	Msg msg.Message
 }
+
+// codec encodes a wireMsg and every body of the Bridge Server's table (with
+// the job one-ways), the LFS server's and node agent's (with the bare
+// status that answers a request no table declares) and the consensus
+// protocol's.
+var codec = wire.NewCodec(append(append(append([]any{wireMsg{}}, core.Bodies()...), lfs.Bodies()...), raft.Bodies()...))
+
+// maxFrame bounds a frame, so that a corrupt length is not an allocation.
+const maxFrame = 64 << 20
 
 // ErrClosed is returned after a Peer has been closed.
 var ErrClosed = errors.New("tcpnet: peer closed")
@@ -109,14 +97,13 @@ type Peer struct {
 
 type outConn struct {
 	mu  sync.Mutex
-	enc *gob.Encoder
+	buf []byte // the last frame sent, reused by the next
 	c   net.Conn
 }
 
 // Listen starts a peer on the given TCP address ("127.0.0.1:0" for an
 // ephemeral port).
 func Listen(addr string) (*Peer, error) {
-	RegisterTypes()
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", addr, err)
@@ -179,7 +166,16 @@ func (p *Peer) Send(to msg.Addr, m *msg.Message) error {
 	}
 	conn.mu.Lock()
 	defer conn.mu.Unlock()
-	if err := conn.enc.Encode(wireMsg{To: to, Msg: *m}); err != nil {
+	frame, err := codec.Append(append(conn.buf[:0], 0, 0, 0, 0), wireMsg{To: to, Msg: *m})
+	if err == nil && len(frame) > 4+maxFrame {
+		err = fmt.Errorf("a frame of %d bytes exceeds %d", len(frame)-4, maxFrame)
+	}
+	if err != nil {
+		return fmt.Errorf("tcpnet: sending to %v: %w", to, err)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	conn.buf = frame
+	if _, err := conn.c.Write(frame); err != nil {
 		// Drop the broken connection; the next send re-dials.
 		p.mu.Lock()
 		delete(p.conns, route)
@@ -215,7 +211,7 @@ func (p *Peer) dial(route string) (*outConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: dialing %s: %w", route, err)
 	}
-	oc := &outConn{enc: gob.NewEncoder(c), c: c}
+	oc := &outConn{c: c}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -258,11 +254,28 @@ func (p *Peer) serveConn(c net.Conn) {
 		delete(p.inbound, c)
 		p.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(c)
+	r := bufio.NewReader(c)
+	var hdr [4]byte
+	var buf []byte // reused: a decoded message aliases none of it
 	for {
-		var wm wireMsg
-		if err := dec.Decode(&wm); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
+		}
+		n := binary.BigEndian.Uint32(hdr[:])
+		if n > maxFrame {
+			return
+		}
+		if cap(buf) < int(n) {
+			buf = make([]byte, n)
+		}
+		buf = buf[:n]
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return
+		}
+		body, err := codec.Decode(buf)
+		wm, ok := body.(wireMsg)
+		if err != nil || !ok {
+			return // a peer that sends what it cannot mean is cut off
 		}
 		p.mu.Lock()
 		port, ok := p.ports[wm.To]

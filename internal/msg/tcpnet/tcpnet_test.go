@@ -10,6 +10,8 @@ import (
 	"bridge/internal/core"
 	"bridge/internal/lfs"
 	"bridge/internal/msg"
+	"bridge/internal/msg/wire"
+	"bridge/internal/msg/wire/wiretest"
 	"bridge/internal/raft"
 )
 
@@ -56,7 +58,7 @@ func TestCrossPeerRoundTrip(t *testing.T) {
 			if !ok {
 				return
 			}
-			reply := &msg.Message{From: server.Addr(), ReqID: m.ReqID, Body: "echo:" + m.Body.(string)}
+			reply := &msg.Message{From: server.Addr(), ReqID: m.ReqID, Body: core.StatResp{Meta: core.Meta{Name: "echo:" + m.Body.(core.StatReq).Name}}}
 			if err := b.Send(m.From, reply); err != nil {
 				t.Errorf("server send: %v", err)
 				return
@@ -65,7 +67,7 @@ func TestCrossPeerRoundTrip(t *testing.T) {
 	}()
 
 	for i := 0; i < 10; i++ {
-		req := &msg.Message{From: client.Addr(), ReqID: uint64(i + 1), Body: fmt.Sprintf("ping%d", i)}
+		req := &msg.Message{From: client.Addr(), ReqID: uint64(i + 1), Body: core.StatReq{Name: fmt.Sprintf("ping%d", i)}}
 		if err := a.Send(server.Addr(), req); err != nil {
 			t.Fatalf("client send: %v", err)
 		}
@@ -73,7 +75,7 @@ func TestCrossPeerRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatal("client port closed")
 		}
-		if m.Body != fmt.Sprintf("echo:ping%d", i) || m.ReqID != uint64(i+1) {
+		if r, ok := m.Body.(core.StatResp); !ok || r.Meta.Name != fmt.Sprintf("echo:ping%d", i) || m.ReqID != uint64(i+1) {
 			t.Fatalf("reply %d = %+v", i, m)
 		}
 	}
@@ -121,15 +123,15 @@ func TestNoRoute(t *testing.T) {
 func TestUnknownPortDropsSilently(t *testing.T) {
 	a, b := twoPeers(t)
 	// Node 2 routes to peer b, but the port does not exist there.
-	if err := a.Send(msg.Addr{Node: 2, Port: "ghost"}, &msg.Message{Body: "x"}); err != nil {
+	if err := a.Send(msg.Addr{Node: 2, Port: "ghost"}, &msg.Message{Body: lfs.PingReq{}}); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	// Existing traffic still flows afterwards.
 	port := b.NewPort(msg.Addr{Node: 2, Port: "real"})
-	if err := a.Send(port.Addr(), &msg.Message{Body: "y"}); err != nil {
+	if err := a.Send(port.Addr(), &msg.Message{Body: lfs.SyncReq{}}); err != nil {
 		t.Fatalf("Send real: %v", err)
 	}
-	if m, ok := port.Recv(); !ok || m.Body != "y" {
+	if m, ok := port.Recv(); !ok || m.Body != (lfs.SyncReq{}) {
 		t.Fatalf("Recv = %v/%v", m, ok)
 	}
 }
@@ -168,54 +170,12 @@ func TestDuplicatePortPanics(t *testing.T) {
 	a.NewPort(msg.Addr{Node: 1, Port: "dup"})
 }
 
-// fill sets everything gob can see of v to something other than its zero
-// value, so that a field the wire drops shows up when the copy is compared.
-func fill(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Bool:
-		v.SetBool(true)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(7)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		v.SetUint(7)
-	case reflect.String:
-		v.SetString("seven")
-	case reflect.Slice:
-		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
-		fill(v.Index(0))
-		fill(v.Index(1))
-	case reflect.Array:
-		// lfs.Head.Buf: a block's header travels by value.
-		for i := 0; i < v.Len(); i++ {
-			fill(v.Index(i))
-		}
-	case reflect.Pointer:
-		v.Set(reflect.New(v.Type().Elem()))
-		fill(v.Elem())
-	case reflect.Interface:
-		// lfs.TreeReq.Op: any registered body.
-		v.Set(reflect.ValueOf(lfs.StatReq{FileID: 7}))
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if v.Field(i).CanSet() {
-				fill(v.Field(i))
-			}
-		}
-	default:
-		panic(fmt.Sprintf("fill: no rule for a %v", v.Type()))
-	}
-}
-
-// TestEveryProtocolBodyOverWire sends a filled-in value of every body the
-// command tables of the Bridge, LFS, node-agent and consensus protocols
-// declare from one peer to another: a type that RegisterTypes left out fails
-// in Send, a field gob cannot carry fails the comparison. lfs.SpawnReq, whose
-// payload is a func, is the one exemption.
+// TestEveryProtocolBodyOverWire sends every body the command tables of the
+// Bridge, LFS, node-agent and consensus protocols declare from one peer to
+// another, as its zero value and as wiretest's filled sample, and requires
+// the copy to equal it. lfs.SpawnReq, whose payload is a func, is refused at
+// Send, as is a body no table declares; the connection carries on after.
 func TestEveryProtocolBodyOverWire(t *testing.T) {
-	registered := map[reflect.Type]bool{}
-	for _, v := range bodies {
-		registered[reflect.TypeOf(v)] = true
-	}
 	all := append(append(core.Bodies(), lfs.Bodies()...), raft.Bodies()...)
 	if len(all) < 80 {
 		t.Fatalf("the tables declare only %d protocol bodies: %v", len(all), all)
@@ -223,27 +183,28 @@ func TestEveryProtocolBodyOverWire(t *testing.T) {
 
 	a, b := twoPeers(t)
 	sink := b.NewPort(msg.Addr{Node: 2, Port: "sink"})
-	for _, v := range all {
-		rt := reflect.TypeOf(v)
+	for _, body := range []any{lfs.SpawnReq{Name: "w"}, "an undeclared string"} {
+		if err := a.Send(sink.Addr(), &msg.Message{ReqID: 1, Body: body}); !errors.Is(err, wire.ErrNoEncoding) {
+			t.Errorf("Send(%T) = %v, want wire.ErrNoEncoding", body, err)
+		}
+	}
+	for _, zero := range all {
+		rt := reflect.TypeOf(zero)
 		if rt == reflect.TypeOf(lfs.SpawnReq{}) {
 			continue
 		}
-		if !registered[rt] {
-			t.Errorf("%v is not in tcpnet's bodies: Send would fail with \"gob: type not registered for interface\"", rt)
-			continue
-		}
-		want := reflect.New(rt).Elem()
-		fill(want)
-		if err := a.Send(sink.Addr(), &msg.Message{ReqID: 1, Body: want.Interface()}); err != nil {
-			t.Errorf("%v: Send: %v", rt, err)
-			continue
-		}
-		m, ok := sink.Recv()
-		if !ok {
-			t.Fatalf("%v: sink closed", rt)
-		}
-		if !reflect.DeepEqual(m.Body, want.Interface()) {
-			t.Errorf("%v crossed the wire as %+v, sent %+v", rt, m.Body, want.Interface())
+		for _, want := range []any{zero, wiretest.Sample(codec, rt)} {
+			if err := a.Send(sink.Addr(), &msg.Message{ReqID: 1, Body: want}); err != nil {
+				t.Errorf("%v: Send: %v", rt, err)
+				continue
+			}
+			m, ok := sink.Recv()
+			if !ok {
+				t.Fatalf("%v: sink closed", rt)
+			}
+			if !reflect.DeepEqual(m.Body, want) {
+				t.Errorf("%v crossed the wire as %+v, sent %+v", rt, m.Body, want)
+			}
 		}
 	}
 }

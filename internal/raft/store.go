@@ -3,11 +3,11 @@ package raft
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 
 	"bridge/internal/disk"
+	"bridge/internal/msg/wire"
 	"bridge/internal/sim"
 )
 
@@ -56,7 +56,9 @@ type Edit struct {
 
 // Store persists consensus state. Save must be a durability barrier: when
 // it returns, a crash cannot roll the state back past it. Load reports
-// ok=false on a fresh (never-saved) store; a Node calls it before any
+// ok=false on a fresh (never-saved) store, and an error on one it cannot
+// read, never ok=false: a member that booted such a store as fresh would
+// forget its vote and could vote twice in a term. A Node calls it before any
 // Save, and the Entries it returns become the node's log, so the store
 // must not keep them.
 type Store interface {
@@ -119,7 +121,7 @@ func (m *MemStore) Save(p sim.Proc, e Edit) error {
 // DiskStore persists State on a simulated disk with a ping-pong layout:
 // blocks 0 and 1 are alternating CRC'd headers, the rest splits into two
 // payload regions written on alternating saves. A save applies the edit to
-// the state it holds, gob-encodes that whole state, writes the payload
+// the state it holds, encodes that whole state (package wire), writes the payload
 // blocks that changed since that region was last written, then the header,
 // then syncs — so a torn save (the header missing or corrupt) falls back to
 // the other region's intact image, the snapshot and the log edit land
@@ -131,10 +133,49 @@ type DiskStore struct {
 	regionBlocks int
 	seq          uint64
 	st           State       // the state as of the last Load or Save
+	img          []byte      // the last save's encoding, reused by the next
 	last         [2][][]byte // per-region block images as of their last save
 }
 
-const storeMagic = "BRFTLG1\x00"
+// A header opens with storeMagic: storeFamily, the format version as one
+// digit, and a zero byte. Version 1 was a gob stream; version 2 is the
+// State body of stateCodec.
+const (
+	storeFamily  = "BRFTLG"
+	storeVersion = 2
+	storeMagic   = storeFamily + "2\x00"
+)
+
+// stateCodec encodes the persistent state, the one body of its table.
+var stateCodec = wire.NewCodec([]any{State{}})
+
+// StoreFormatError reports a store this build cannot read: a header of
+// another format version, or a region whose checksum holds but whose state
+// does not decode. Load never reports such a store as fresh.
+type StoreFormatError struct {
+	Version int   // the header's format version
+	Err     error // why the state did not decode; nil for another version
+}
+
+func (e *StoreFormatError) Error() string {
+	if e.Err != nil {
+		return fmt.Sprintf("raft: store format version %d: %v", e.Version, e.Err)
+	}
+	return fmt.Sprintf("raft: store format version %d, this build reads version %d", e.Version, storeVersion)
+}
+
+func (e *StoreFormatError) Unwrap() error { return e.Err }
+
+// otherVersion reports a header written by another format version of the
+// store. Anything else that is not storeMagic — a blank header, or the
+// front of a first save torn over one — was never a whole header.
+func otherVersion(hdr []byte) (version int, ok bool) {
+	v := hdr[len(storeFamily)]
+	if string(hdr[:len(storeFamily)]) != storeFamily || hdr[len(storeFamily)+1] != 0 || v < '1' || v > '9' {
+		return 0, false
+	}
+	return int(v - '0'), true
+}
 
 // NewDiskStore wraps a disk. The geometry needs at least 4 blocks; the
 // usable capacity per image is (NumBlocks-2)/2 blocks.
@@ -147,9 +188,12 @@ func NewDiskStore(d *disk.Disk) (*DiskStore, error) {
 }
 
 // Load reads both headers, validates their payloads, and returns the
-// state with the highest intact sequence number. It also resets the held
-// state and the dirty-block cache, so it must be called after every disk
-// Restore.
+// state with the highest intact sequence number. A region whose header is
+// missing or torn, or whose payload fails its checksum, is skipped: it is
+// a save a crash cut short. A header of another format version, or a
+// checksummed payload that does not decode, fails Load with a
+// StoreFormatError. It also resets the held state and the dirty-block
+// cache, so it must be called after every disk Restore.
 func (s *DiskStore) Load(p sim.Proc) (State, bool, error) {
 	s.last = [2][][]byte{}
 	s.seq = 0
@@ -164,7 +208,10 @@ func (s *DiskStore) Load(p sim.Proc) (State, bool, error) {
 		if err != nil {
 			return State{}, false, err
 		}
-		if string(hdr[:8]) != storeMagic {
+		if string(hdr[:len(storeMagic)]) != storeMagic {
+			if v, ok := otherVersion(hdr); ok {
+				return State{}, false, &StoreFormatError{Version: v}
+			}
 			continue
 		}
 		seq := binary.BigEndian.Uint64(hdr[8:16])
@@ -180,10 +227,11 @@ func (s *DiskStore) Load(p sim.Proc) (State, bool, error) {
 		if crc32.ChecksumIEEE(buf) != crc {
 			continue
 		}
-		var st State
-		if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&st); err != nil {
-			continue
+		body, err := stateCodec.Decode(buf)
+		if err != nil {
+			return State{}, false, &StoreFormatError{Version: storeVersion, Err: err}
 		}
+		st := body.(State)
 		if !found || seq > bestSeq {
 			best, bestSeq, found = st, seq, true
 		}
@@ -219,11 +267,11 @@ func (s *DiskStore) readRegion(p sim.Proc, region, length int) ([]byte, error) {
 // block writes plus the sync barrier.
 func (s *DiskStore) Save(p sim.Proc, e Edit) error {
 	s.st.apply(e)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&s.st); err != nil {
+	img, err := stateCodec.Append(s.img[:0], s.st)
+	if err != nil {
 		return fmt.Errorf("raft: encode state: %w", err)
 	}
-	img := buf.Bytes()
+	s.img = img
 	if len(img) > s.regionBlocks*s.bs {
 		return fmt.Errorf("raft: state of %d bytes exceeds store capacity %d", len(img), s.regionBlocks*s.bs)
 	}

@@ -2,14 +2,17 @@ package raft
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"bridge/internal/disk"
+	"bridge/internal/msg/wire"
 	"bridge/internal/sim"
 )
 
@@ -26,7 +29,7 @@ func persisted(n *Node) State {
 }
 
 // diffState describes how got differs from want ("" when it does not).
-// Empty and nil byte slices are equal, as they are to gob.
+// Empty and nil byte slices are equal, as they are to the codec.
 func diffState(got, want State) string {
 	if got.Term != want.Term || got.VotedFor != want.VotedFor || got.SnapIndex != want.SnapIndex || got.SnapTerm != want.SnapTerm {
 		return fmt.Sprintf("term/vote/snapshot (%d, %d, %d, %d), want (%d, %d, %d, %d)",
@@ -400,4 +403,135 @@ func TestSnapshotBeforeTruncationSurvivesCrash(t *testing.T) {
 			t.Fatalf("snapshot plus log replay %v, want %v", got, want)
 		}
 	}
+}
+
+// withStoreDisk runs fn on a fresh write-back disk of blocks blocks of
+// 64 bytes, with a DiskStore on it.
+func withStoreDisk(t testing.TB, blocks int, fn func(p sim.Proc, d *disk.Disk, s *DiskStore)) {
+	t.Helper()
+	err := sim.NewVirtual().Run("driver", func(p sim.Proc) {
+		d := disk.New(disk.Config{BlockSize: 64, NumBlocks: blocks, Timing: disk.FixedTiming{}, WriteBack: true})
+		s, err := NewDiskStore(d)
+		if err != nil {
+			t.Errorf("new store: %v", err)
+			return
+		}
+		fn(p, d, s)
+	})
+	if err != nil {
+		t.Fatalf("runtime: %v", err)
+	}
+}
+
+// writeImage writes a hand-built save into region: a header opening with
+// magic over seq, the payload's length and its CRC, and the payload at the
+// region's first blocks.
+func writeImage(t testing.TB, p sim.Proc, d *disk.Disk, s *DiskStore, region int, magic string, seq uint64, payload []byte) {
+	t.Helper()
+	hdr := make([]byte, s.bs)
+	copy(hdr, magic)
+	binary.BigEndian.PutUint64(hdr[8:16], seq)
+	binary.BigEndian.PutUint32(hdr[16:20], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[20:24], crc32.ChecksumIEEE(payload))
+	for i := 0; i*s.bs < len(payload); i++ {
+		blk := make([]byte, s.bs)
+		copy(blk, payload[i*s.bs:])
+		if err := d.WriteBlock(p, 2+region*s.regionBlocks+i, blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.WriteBlock(p, region, hdr); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A store Load cannot read fails it with a StoreFormatError, whatever the
+// other region holds; it is never reported as fresh, which would boot its
+// member at term 0 with no vote. A blank store, and a first save torn
+// inside its magic, are fresh.
+func TestDiskStoreLoadRefusesWhatItCannotRead(t *testing.T) {
+	good, err := stateCodec.Append(nil, State{Term: 3, VotedFor: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		what    string
+		write   func(p sim.Proc, d *disk.Disk, s *DiskStore)
+		version int  // of the StoreFormatError wanted; 0 for none
+		fresh   bool // with no error: Load's ok is false
+	}{
+		{what: "blank", fresh: true, write: func(sim.Proc, *disk.Disk, *DiskStore) {}},
+		{what: "a first save torn inside its magic", fresh: true, write: func(p sim.Proc, d *disk.Disk, s *DiskStore) {
+			writeImage(t, p, d, s, 1, storeMagic[:5], 1, good)
+		}},
+		{what: "a gob-era header with a valid checksum", version: 1, write: func(p sim.Proc, d *disk.Disk, s *DiskStore) {
+			writeImage(t, p, d, s, 1, "BRFTLG1\x00", 1, []byte("\x1f\xff\x81\x03\x01\x01\x05State\x01\xff\x82"))
+		}},
+		{what: "a gob-era header beside a readable region", version: 1, write: func(p sim.Proc, d *disk.Disk, s *DiskStore) {
+			writeImage(t, p, d, s, 0, storeMagic, 2, good)
+			writeImage(t, p, d, s, 1, "BRFTLG1\x00", 1, good)
+		}},
+		{what: "a checksummed state that does not decode", version: storeVersion, write: func(p sim.Proc, d *disk.Disk, s *DiskStore) {
+			writeImage(t, p, d, s, 1, storeMagic, 1, append(bytes.Clone(good), 0))
+		}},
+		{what: "a readable state", write: func(p sim.Proc, d *disk.Disk, s *DiskStore) {
+			writeImage(t, p, d, s, 1, storeMagic, 1, good)
+		}},
+	} {
+		withStoreDisk(t, 8, func(p sim.Proc, d *disk.Disk, s *DiskStore) {
+			tc.write(p, d, s)
+			st, ok, err := s.Load(p)
+			var fe *StoreFormatError
+			switch {
+			case tc.version != 0:
+				if !errors.As(err, &fe) || fe.Version != tc.version || ok {
+					t.Errorf("%s: Load = ok %v, %v; want a StoreFormatError for version %d", tc.what, ok, err, tc.version)
+				}
+				if tc.version == storeVersion && !errors.Is(err, wire.ErrCorrupt) {
+					t.Errorf("%s: %v does not wrap the decoder's failure", tc.what, err)
+				}
+			case err != nil || ok == tc.fresh:
+				t.Errorf("%s: Load = ok %v, %v; want ok %v", tc.what, ok, err, !tc.fresh)
+			case ok && (st.Term != 3 || st.VotedFor != 1):
+				t.Errorf("%s: loaded term %d vote %d, want 3 and 1", tc.what, st.Term, st.VotedFor)
+			}
+		})
+	}
+}
+
+// FuzzDiskStoreLoad: whatever two headers and a payload hold, Load returns
+// a state, fresh, or an error; it never panics.
+func FuzzDiskStoreLoad(f *testing.F) {
+	good, _ := stateCodec.Append(nil, State{Term: 2, VotedFor: -1, Entries: []Entry{{Index: 1, Term: 2, Data: []byte("x")}}})
+	hdr := func(magic string, seq uint64, payload []byte) []byte {
+		h := make([]byte, 24)
+		copy(h, magic)
+		binary.BigEndian.PutUint64(h[8:16], seq)
+		binary.BigEndian.PutUint32(h[16:20], uint32(len(payload)))
+		binary.BigEndian.PutUint32(h[20:24], crc32.ChecksumIEEE(payload))
+		return h
+	}
+	f.Add([]byte(nil), hdr(storeMagic, 1, good), good)
+	f.Add(hdr(storeMagic, 2, good), []byte(nil), good)
+	f.Add([]byte(nil), hdr("BRFTLG1\x00", 1, good), good)
+	f.Add([]byte(nil), hdr(storeMagic, 1, good[:3]), good[:3])
+	f.Fuzz(func(t *testing.T, h0, h1, payload []byte) {
+		withStoreDisk(t, 8, func(p sim.Proc, d *disk.Disk, s *DiskStore) {
+			for bn, img := range [][]byte{h0, h1} {
+				blk := make([]byte, s.bs)
+				copy(blk, img)
+				if err := d.WriteBlock(p, bn, blk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for bn := 2; bn < 8 && (bn-2)*s.bs < len(payload); bn++ {
+				blk := make([]byte, s.bs)
+				copy(blk, payload[(bn-2)*s.bs:])
+				if err := d.WriteBlock(p, bn, blk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, _ = s.Load(p)
+		})
+	})
 }

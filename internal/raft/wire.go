@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"bridge/internal/msg"
+	"bridge/internal/msg/wire"
 )
 
 // Entry is one replicated log record. Data is opaque to the raft layer;
@@ -91,7 +92,7 @@ type SnapResp struct {
 // The consensus protocol is declared once, in exchanges: each entry pairs a
 // request with its reply and prices both for the transport's latency model
 // (msg.Table). The owning server tells consensus traffic from client
-// requests by it, and the TCP transport registers its bodies from it.
+// requests by it, and its codec encodes every body.
 // Node.Step's switch is the algorithm, not a list of the protocol.
 var exchanges = msg.NewTable[any](24, nil, nil,
 	msg.Cmd(msg.Def[any, VoteReq, VoteResp]{ReqSize: msg.Flat[VoteReq](40), RespSize: msg.Flat[VoteResp](24)}),
@@ -120,3 +121,6 @@ func IsMessage(body any) bool {
 
 // Bodies returns a zero value of every consensus message, in exchange order.
 func Bodies() []any { return exchanges.Bodies() }
+
+// Codec encodes and decodes every consensus message.
+func Codec() *wire.Codec { return exchanges.Codec() }

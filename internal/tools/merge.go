@@ -64,21 +64,24 @@ type recordEnvelope struct {
 	r mergeRecord
 }
 
-// mergeWireSize prices a merge body. A body it does not know is a bug, not
-// an 8-byte message: it panics rather than silently move every sort number.
+// mergeProtocol declares the merge's bodies and their prices: all one-way,
+// a token and a record sent by reference, as each is shipped.
+var mergeProtocol = msg.NewTable[any](0, nil, nil,
+	msg.OneWay[any](func(b *mergeToken) int { return 48 + len(b.Key) }),
+	msg.OneWay[any](func(b *mergeRecord) int { return 16 + len(b.Raw) }),
+	msg.OneWay[any](msg.Flat[mergeFinish](16)),
+	msg.OneWay[any](msg.Flat[mergeStop](8)),
+)
+
+// mergeWireSize prices a merge body. A body the table does not know is a
+// bug, not a small message: it panics rather than silently move every sort
+// number.
 func mergeWireSize(body any) int {
-	switch b := body.(type) {
-	case *mergeToken:
-		return 48 + len(b.Key)
-	case *mergeRecord:
-		return 16 + len(b.Raw)
-	case mergeFinish:
-		return 16
-	case mergeStop:
-		return 8
-	default:
+	n, ok := mergeProtocol.Price(body)
+	if !ok {
 		panic(fmt.Sprintf("tools: merge body %T has no wire size", body))
 	}
+	return n
 }
 
 // mergeGroup describes one merge: group nodes (t of them, t even; the first
