@@ -79,18 +79,16 @@ func statusFor(err error) msg.Status {
 	return msg.Failed(codeOther, err.Error())
 }
 
-// statusErr is the client's half: nil for a success, otherwise the code's
-// sentinel wrapped around the detail, so errors.Is works across the message
+// statusErr is the client's half: nil for a success, otherwise an error of
+// the code's class (msg.Status.Err), so errors.Is works across the message
 // boundary. A code outside the table is an opaque error with the detail's
 // text.
 func statusErr(st msg.Status) error {
-	if st.OK() {
-		return nil
+	var class error
+	if c := int(st.Code()); c < len(classes) {
+		class = classes[c]
 	}
-	if c := int(st.Code()); c < len(classes) && classes[c] != nil {
-		return fmt.Errorf("%w (%s)", classes[c], st.Detail())
-	}
-	return errors.New(st.Detail())
+	return st.Err(class)
 }
 
 // reply ends every client call: the transport error, or else the reply as

@@ -72,6 +72,12 @@ func TestStatusCorruptDualClass(t *testing.T) {
 		}
 	}
 
+	// The detail already says both classes: the rebuilt error says each
+	// once, and is the detail.
+	if got.Error() != err.Error() {
+		t.Errorf("rebuilt error %q, want the detail %q: no sentinel said twice", got, err)
+	}
+
 	// A bare corrupt status (what Fsck passes up) is ErrCorrupt alone.
 	bare := statusErr(statusFor(fmt.Errorf("%w: checksum mismatch in directory bucket at block 2", ErrCorrupt)))
 	if !errors.Is(bare, ErrCorrupt) || errors.Is(bare, ErrLFSFailed) {

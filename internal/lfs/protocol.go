@@ -7,8 +7,6 @@ package lfs
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 
 	"bridge/internal/efs"
 	"bridge/internal/msg"
@@ -72,24 +70,13 @@ func StatusFor(err error) msg.Status {
 }
 
 // Err rebuilds the error a transported status stands for: nil for a
-// success, otherwise its code's sentinel wrapped around the detail.
+// success, otherwise an error of its code's class (msg.Status.Err).
 func Err(st msg.Status) error {
-	if st.OK() {
-		return nil
-	}
 	base := errIO
 	if c := int(st.Code()); c > 0 && c < len(classes) {
 		base = classes[c]
 	}
-	detail := st.Detail()
-	if detail == "" {
-		return base
-	}
-	// Details usually embed the base message already; don't repeat it.
-	if rest, found := strings.CutPrefix(detail, base.Error()); found {
-		return fmt.Errorf("%w%s", base, rest)
-	}
-	return fmt.Errorf("%w: %s", base, detail)
+	return st.Err(base)
 }
 
 // HeadBytes is the most a Head holds: the Bridge header.

@@ -1,6 +1,10 @@
 package msg
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"strings"
+)
 
 // Code is the class of a failed call: the thing a caller branches on. The
 // codes belong to the protocols — each keeps one table beside its sentinel
@@ -52,6 +56,43 @@ func (s Status) Detail() string {
 	}
 	return s.Fail.Detail
 }
+
+// Err turns a status back into an error of the given class, the sentinel
+// its code stands for: nil for a success; otherwise an error that
+// errors.Is class, and reads as the detail with, in front, each sentinel of
+// class (class itself, or each error it joins) whose text the detail does
+// not already hold, so no sentinel is said twice. An empty detail gives
+// class itself; a nil class gives the detail alone.
+func (s Status) Err(class error) error {
+	text := s.Detail()
+	switch {
+	case s.OK():
+		return nil
+	case class == nil:
+		return errors.New(text)
+	case text == "":
+		return class
+	}
+	sentinels := []error{class}
+	if j, ok := class.(interface{ Unwrap() []error }); ok {
+		sentinels = j.Unwrap()
+	}
+	for i := len(sentinels) - 1; i >= 0; i-- {
+		if p := sentinels[i].Error(); !strings.Contains(text, p) {
+			text = p + ": " + text
+		}
+	}
+	return &statusError{text: text, class: class}
+}
+
+// statusError is a failure rebuilt from a status: its text, and its class.
+type statusError struct {
+	text  string
+	class error
+}
+
+func (e *statusError) Error() string { return e.text }
+func (e *statusError) Unwrap() error { return e.class }
 
 // Reply is any body that answers a request: it embeds a Status. A bare
 // Status is itself a Reply, the one a server gives to a request it does not
