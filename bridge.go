@@ -385,8 +385,10 @@ func New(cfg Config) (*System, error) {
 
 // Run boots the cluster, executes fn as a client process of the system,
 // shuts the cluster down, drains the simulation and closes the DataDir
-// stores. It returns fn's error, or the simulation's (for example a detected
-// deadlock), or the error of closing a store.
+// stores. It returns fn's error, joined with why each directory member that
+// halted itself did so (a consensus store this build cannot read, for
+// one), or the simulation's error (for example a detected deadlock), or
+// the error of closing a store.
 func (s *System) Run(fn func(*Session) error) error {
 	rt := sim.NewVirtual()
 	var timing disk.TimingModel = disk.FixedTiming{Latency: s.cfg.DiskLatency}
@@ -489,6 +491,9 @@ func (s *System) Run(fn func(*Session) error) error {
 	simErr := rt.Wait()
 	closeErr := cl.Close()
 	if fnErr != nil {
+		if faults := cl.Faults(); faults != nil {
+			return errors.Join(fnErr, faults)
+		}
 		return fnErr
 	}
 	if simErr != nil {

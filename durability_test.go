@@ -2,10 +2,17 @@ package bridge
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"path/filepath"
 	"runtime/debug"
 	"testing"
+
+	"bridge/internal/disk"
+	"bridge/internal/raft"
 )
 
 // TestCleanShutdownDurable is the facade durability contract: with
@@ -262,5 +269,44 @@ func TestRunClosesStores(t *testing.T) {
 				t.Errorf("ten Runs took the open files from %d to %d", before, after)
 			}
 		})
+	}
+}
+
+// TestGobEraRaftStoreRefused: a replicated DataDir whose consensus stores
+// hold headers of the gob-era format (BRFTLG1, checksums valid) is refused,
+// loudly: no member boots it as a fresh store at term 0 with no vote, every
+// member halts, and the Run's error names the store's format version.
+func TestGobEraRaftStoreRefused(t *testing.T) {
+	dir := t.TempDir()
+	sys, err := New(Config{Nodes: 4, DiskBlocks: 512, Journal: 64, DataDir: dir, Replicas: 3})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := sys.Run(func(s *Session) error { return s.Create("a") }); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		st, err := disk.OpenFileStore(filepath.Join(dir, fmt.Sprintf("raft%d.disk", i)), 1024, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for region := 0; region < 2; region++ {
+			hdr := make([]byte, 1024)
+			copy(hdr, "BRFTLG1\x00")
+			binary.BigEndian.PutUint64(hdr[8:16], uint64(2+region))
+			binary.BigEndian.PutUint32(hdr[20:24], crc32.ChecksumIEEE(nil))
+			st.WriteBlockAt(region, hdr)
+		}
+		if err := st.Sync(0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = sys.Run(func(s *Session) error { _, err := s.Stat("a"); return err })
+	var fe *raft.StoreFormatError
+	if !errors.As(err, &fe) || fe.Version != 1 {
+		t.Fatalf("second run: %v; want a StoreFormatError for version 1", err)
 	}
 }

@@ -339,6 +339,19 @@ func (cl *Cluster) Close() error {
 	return errors.Join(errs...)
 }
 
+// Faults joins why each directory member that halted itself did so (a
+// consensus store it could not read, a committed entry it could not
+// apply), each named by its shard and index; nil when none did.
+func (cl *Cluster) Faults() error {
+	var errs []error
+	for flat, s := range cl.Servers {
+		if err := s.Fault(); err != nil {
+			errs = append(errs, fmt.Errorf("shard %d member %d: %w", flat/cl.groupSize, flat%cl.groupSize, err))
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // closeStore closes d's durable store; a nil or memory-backed d has none.
 func closeStore(d *disk.Disk) error {
 	if d == nil || d.Store() == nil {

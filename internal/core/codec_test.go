@@ -8,6 +8,6 @@ import (
 
 // Every body of the Bridge Server's protocol, with the job one-ways round-trips through the codec, as its zero value and
 // as a filled sample.
-func TestCodecRoundTrip(t *testing.T) { wiretest.RoundTrip(t, Codec()) }
+func TestCodecRoundTrip(t *testing.T) { wiretest.RoundTrip(t, commands.Codec()) }
 
-func FuzzBridgeBodies(f *testing.F) { wiretest.Fuzz(f, Codec()) }
+func FuzzBridgeBodies(f *testing.F) { wiretest.Fuzz(f, commands.Codec()) }

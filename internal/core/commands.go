@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bridge/internal/msg"
-	"bridge/internal/msg/wire"
 	"bridge/internal/sim"
 )
 
@@ -33,9 +32,6 @@ func WireSize(body any) int {
 // Bodies returns a zero value of every body of the protocol: requests and
 // replies in table order, then the job one-ways.
 func Bodies() []any { return commands.Bodies() }
-
-// Codec encodes and decodes every body of the protocol.
-func Codec() *wire.Codec { return commands.Codec() }
 
 // oneWayMsg is a job one-way from the given port, priced by the table.
 func oneWayMsg(from msg.Addr, body any) *msg.Message {

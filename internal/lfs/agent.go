@@ -36,7 +36,10 @@ type (
 	// TreeReq broadcasts an LFS operation to Targets through an embedded
 	// binary tree: the receiving agent is Targets[0]; it forwards the
 	// request to the heads of the two halves of Targets[1:], delivers Op
-	// to its local LFS, and acknowledges once its subtree completes.
+	// to its local LFS, and acknowledges once its subtree completes. Op is
+	// a body of the LFS server's table, so a codec that carries a TreeReq
+	// is built from both tables (wire.NewCodec(Bodies())), not from the
+	// agent's alone.
 	TreeReq struct {
 		Targets []msg.NodeID
 		Op      any

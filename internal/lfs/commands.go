@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"bridge/internal/msg"
-	"bridge/internal/msg/wire"
 	"bridge/internal/sim"
 )
 
@@ -20,7 +19,6 @@ const defaultSize = 16
 var (
 	nodeCommands  *msg.Table[*Node]
 	agentCommands *msg.Table[*agent]
-	codec         *wire.Codec
 )
 
 // WireSize estimates the on-wire payload size of a protocol body, used by
@@ -36,11 +34,6 @@ func WireSize(body any) int {
 // Bodies returns a zero value of every body of the two protocols, in table
 // order.
 func Bodies() []any { return append(nodeCommands.Bodies(), agentCommands.Bodies()...) }
-
-// Codec encodes and decodes every body of the two protocols, indexed as
-// Bodies lists them: one codec for both tables, because a TreeReq carries a
-// node request as its Op.
-func Codec() *wire.Codec { return codec }
 
 // deduped runs a write at most once per (caller, OpID): a retransmitted copy
 // that already executed gets the cached reply back instead of writing again,
@@ -181,5 +174,4 @@ func init() {
 				return TreeResp{Status: a.tree(r)}, nil
 			}}),
 	)
-	codec = wire.NewCodec(Bodies())
 }

@@ -165,13 +165,11 @@ func (c *Codec) appendValue(b []byte, v reflect.Value, depth int) ([]byte, error
 // Decode decodes one body, which must fill data exactly.
 func (c *Codec) Decode(data []byte) (any, error) {
 	d := NewDecoder(data, nil)
-	body := c.Read(&d)
+	body := c.read(&d, 0)
 	return body, d.Finish()
 }
 
-// Read reads one body from d; nil on a failure, which d records.
-func (c *Codec) Read(d *Decoder) any { return c.read(d, 0) }
-
+// read reads one body from d; nil on a failure, which d records.
 func (c *Codec) read(d *Decoder, depth int) any {
 	i := d.Uvarint(uint64(len(c.bodies)))
 	if i == 0 || d.err != nil {

@@ -80,9 +80,6 @@ func (d *Decoder) Stop(err error) {
 	d.b = nil
 }
 
-// Err is the failure recorded so far.
-func (d *Decoder) Err() error { return d.err }
-
 // Finish reports the record's failure: the first one recorded, or bytes
 // left after the last field.
 func (d *Decoder) Finish() error {

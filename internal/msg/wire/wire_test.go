@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"bridge/internal/msg/wire"
@@ -93,20 +94,19 @@ func TestCodecRefuses(t *testing.T) {
 // The sentinel a decoder wraps is its maker's; the first failure sticks.
 func TestDecoderFailureSticks(t *testing.T) {
 	mine := errors.New("my record")
-	d := wire.NewDecoder([]byte{0x80}, mine)
-	if d.U64(); !errors.Is(d.Err(), mine) {
-		t.Fatalf("err = %v, want it to wrap the decoder's sentinel", d.Err())
+	d := wire.NewDecoder([]byte{0x80, 0x00, 1, 1}, mine)
+	if d.U64() != 0 || d.Flag() || d.Str() != "" || d.Num() != 0 {
+		t.Fatal("a read after a failure returned a value")
 	}
-	first := d.Err()
-	if d.Flag() || d.Str() != "" || d.Num() != 0 || d.Finish() != first {
-		t.Fatalf("a read after the failure returned a value or replaced the error: %v", d.Err())
+	if err := d.Finish(); !errors.Is(err, mine) || !strings.Contains(err.Error(), "varint") {
+		t.Fatalf("err = %v, want the first failure, wrapping the decoder's sentinel", err)
 	}
 	d = wire.NewDecoder([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, nil)
-	if n := d.Count(1); n != 0 || !errors.Is(d.Err(), wire.ErrCorrupt) {
-		t.Fatalf("a count of 2^32-1 in no bytes: %d, %v", n, d.Err())
+	if n := d.Count(1); n != 0 || !errors.Is(d.Finish(), wire.ErrCorrupt) {
+		t.Fatalf("a count of 2^32-1 in no bytes: %d, %v", n, d.Finish())
 	}
 	d = wire.NewDecoder([]byte{0x80, 0x80, 0x04}, nil)
-	if d.Uvarint(math.MaxUint16); d.Err() == nil {
+	if d.Uvarint(math.MaxUint16); d.Finish() == nil {
 		t.Fatal("65536 read as a uint16: no range failure")
 	}
 }

@@ -8,6 +8,6 @@ import (
 
 // Every body of the consensus protocol round-trips through the codec, as its zero value and
 // as a filled sample.
-func TestCodecRoundTrip(t *testing.T) { wiretest.RoundTrip(t, Codec()) }
+func TestCodecRoundTrip(t *testing.T) { wiretest.RoundTrip(t, exchanges.Codec()) }
 
-func FuzzRaftBodies(f *testing.F) { wiretest.Fuzz(f, Codec()) }
+func FuzzRaftBodies(f *testing.F) { wiretest.Fuzz(f, exchanges.Codec()) }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"bridge/internal/msg"
-	"bridge/internal/msg/wire"
 )
 
 // Entry is one replicated log record. Data is opaque to the raft layer;
@@ -121,6 +120,3 @@ func IsMessage(body any) bool {
 
 // Bodies returns a zero value of every consensus message, in exchange order.
 func Bodies() []any { return exchanges.Bodies() }
-
-// Codec encodes and decodes every consensus message.
-func Codec() *wire.Codec { return exchanges.Codec() }

@@ -35,9 +35,9 @@ func TestProtocolTablesDoc(t *testing.T) {
 		codec *wire.Codec
 		price func(any) int
 	}{
-		{"Bridge", core.Codec(), core.WireSize},
-		{"LFS + agent", lfs.Codec(), lfs.WireSize},
-		{"consensus", raft.Codec(), raft.WireSize},
+		{"Bridge", wire.NewCodec(core.Bodies()), core.WireSize},
+		{"LFS + agent", wire.NewCodec(lfs.Bodies()), lfs.WireSize},
+		{"consensus", wire.NewCodec(raft.Bodies()), raft.WireSize},
 		{"merge", mergeProtocol.Codec(), mergeWireSize},
 	} {
 		for _, zero := range p.codec.Bodies() {
