@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"unsafe"
 
-	"bridge/internal/msg/wire"
 	"bridge/internal/sim"
 )
 
@@ -137,7 +136,6 @@ type Table[S any] struct {
 	prices  map[reflect.Type]func(any) int
 	price   int
 	unknown *Command[S]
-	codec   *wire.Codec
 }
 
 // NewTable indexes a command set. price is what a body costs whose entry
@@ -159,7 +157,6 @@ func NewTable[S any](price int, fail func(error) Status, unknown func(req any) e
 			t.prices[reflect.TypeOf(b)] = c.Size
 		}
 	}
-	t.codec = wire.NewCodec(t.Bodies())
 	return t
 }
 
@@ -189,8 +186,3 @@ func (t *Table[S]) Bodies() []any {
 	}
 	return out
 }
-
-// Codec encodes and decodes the bodies the table declares, each as its index
-// in Bodies, then its fields. Nothing on the send path calls it: a body
-// crosses the simulated network by reference, priced by the table.
-func (t *Table[S]) Codec() *wire.Codec { return t.codec }

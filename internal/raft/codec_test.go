@@ -3,11 +3,12 @@ package raft
 import (
 	"testing"
 
+	"bridge/internal/msg/wire"
 	"bridge/internal/msg/wire/wiretest"
 )
 
 // Every body of the consensus protocol round-trips through the codec, as its zero value and
 // as a filled sample.
-func TestCodecRoundTrip(t *testing.T) { wiretest.RoundTrip(t, exchanges.Codec()) }
+func TestCodecRoundTrip(t *testing.T) { wiretest.RoundTrip(t, wire.NewCodec(Bodies())) }
 
-func FuzzRaftBodies(f *testing.F) { wiretest.Fuzz(f, exchanges.Codec()) }
+func FuzzRaftBodies(f *testing.F) { wiretest.Fuzz(f, wire.NewCodec(Bodies())) }

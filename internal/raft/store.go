@@ -137,20 +137,22 @@ type DiskStore struct {
 	last         [2][][]byte // per-region block images as of their last save
 }
 
-// A header opens with storeMagic: storeFamily, the format version as one
-// digit, and a zero byte. Version 1 was a gob stream; version 2 is the
-// State body of stateCodec.
+// A header is storeMagic (the format version is its digit), the save's
+// sequence number, the payload's length and its CRC, then a CRC of those
+// fields, so a header torn anywhere in them fails its own check. Version 1
+// was a gob stream; version 2 is the State body of stateCodec.
 const (
-	storeFamily  = "BRFTLG"
 	storeVersion = 2
-	storeMagic   = storeFamily + "2\x00"
+	storeMagic   = "BRFTLG2\x00"
+	gobMagic     = "BRFTLG1\x00" // version 1's
+	headerLen    = 28
 )
 
 // stateCodec encodes the persistent state, the one body of its table.
 var stateCodec = wire.NewCodec([]any{State{}})
 
 // StoreFormatError reports a store this build cannot read: a header of
-// another format version, or a region whose checksum holds but whose state
+// another format version, or a region whose checksums hold but whose state
 // does not decode. Load never reports such a store as fresh.
 type StoreFormatError struct {
 	Version int   // the header's format version
@@ -166,32 +168,31 @@ func (e *StoreFormatError) Error() string {
 
 func (e *StoreFormatError) Unwrap() error { return e.Err }
 
-// otherVersion reports a header written by another format version of the
-// store. Anything else that is not storeMagic — a blank header, or the
-// front of a first save torn over one — was never a whole header.
-func otherVersion(hdr []byte) (version int, ok bool) {
-	v := hdr[len(storeFamily)]
-	if string(hdr[:len(storeFamily)]) != storeFamily || hdr[len(storeFamily)+1] != 0 || v < '1' || v > '9' {
-		return 0, false
-	}
-	return int(v - '0'), true
+// putHeader writes a save's header at the front of hdr.
+func putHeader(hdr []byte, magic string, seq uint64, payload []byte) {
+	copy(hdr, magic)
+	binary.BigEndian.PutUint64(hdr[8:16], seq)
+	binary.BigEndian.PutUint32(hdr[16:20], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[20:24], crc32.ChecksumIEEE(payload))
+	binary.BigEndian.PutUint32(hdr[24:headerLen], crc32.ChecksumIEEE(hdr[:24]))
 }
 
-// NewDiskStore wraps a disk. The geometry needs at least 4 blocks; the
-// usable capacity per image is (NumBlocks-2)/2 blocks.
+// NewDiskStore wraps a disk. The geometry needs at least 4 blocks, each
+// large enough for a header; the usable capacity per image is
+// (NumBlocks-2)/2 blocks.
 func NewDiskStore(d *disk.Disk) (*DiskStore, error) {
 	cfg := d.Config()
-	if cfg.NumBlocks < 4 {
-		return nil, fmt.Errorf("raft: store disk of %d blocks, need at least 4", cfg.NumBlocks)
+	if cfg.NumBlocks < 4 || cfg.BlockSize < headerLen {
+		return nil, fmt.Errorf("raft: store disk of %d blocks of %d bytes, need at least 4 of %d", cfg.NumBlocks, cfg.BlockSize, headerLen)
 	}
 	return &DiskStore{d: d, bs: cfg.BlockSize, regionBlocks: (cfg.NumBlocks - 2) / 2}, nil
 }
 
 // Load reads both headers, validates their payloads, and returns the
 // state with the highest intact sequence number. A region whose header is
-// missing or torn, or whose payload fails its checksum, is skipped: it is
-// a save a crash cut short. A header of another format version, or a
-// checksummed payload that does not decode, fails Load with a
+// missing or fails its own checksum, or whose payload fails its checksum,
+// is skipped: it is a save a crash cut short. A header of another format
+// version, or a checksummed payload that does not decode, fails Load with a
 // StoreFormatError. It also resets the held state and the dirty-block
 // cache, so it must be called after every disk Restore.
 func (s *DiskStore) Load(p sim.Proc) (State, bool, error) {
@@ -208,10 +209,10 @@ func (s *DiskStore) Load(p sim.Proc) (State, bool, error) {
 		if err != nil {
 			return State{}, false, err
 		}
-		if string(hdr[:len(storeMagic)]) != storeMagic {
-			if v, ok := otherVersion(hdr); ok {
-				return State{}, false, &StoreFormatError{Version: v}
-			}
+		if string(hdr[:len(gobMagic)]) == gobMagic {
+			return State{}, false, &StoreFormatError{Version: 1}
+		}
+		if string(hdr[:len(storeMagic)]) != storeMagic || crc32.ChecksumIEEE(hdr[:24]) != binary.BigEndian.Uint32(hdr[24:headerLen]) {
 			continue
 		}
 		seq := binary.BigEndian.Uint64(hdr[8:16])
@@ -298,10 +299,7 @@ func (s *DiskStore) Save(p sim.Proc, e Edit) error {
 		s.last[region][i] = blk
 	}
 	hdr := make([]byte, s.bs)
-	copy(hdr, storeMagic)
-	binary.BigEndian.PutUint64(hdr[8:16], s.seq)
-	binary.BigEndian.PutUint32(hdr[16:20], uint32(len(img)))
-	binary.BigEndian.PutUint32(hdr[20:24], crc32.ChecksumIEEE(img))
+	putHeader(hdr, storeMagic, s.seq, img)
 	if err := s.d.WriteBlock(p, region, hdr); err != nil {
 		return err
 	}

@@ -2,10 +2,8 @@ package raft
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
@@ -423,16 +421,17 @@ func withStoreDisk(t testing.TB, blocks int, fn func(p sim.Proc, d *disk.Disk, s
 	}
 }
 
-// writeImage writes a hand-built save into region: a header opening with
-// magic over seq, the payload's length and its CRC, and the payload at the
-// region's first blocks.
-func writeImage(t testing.TB, p sim.Proc, d *disk.Disk, s *DiskStore, region int, magic string, seq uint64, payload []byte) {
+// writeImage writes a hand-built save into region: the payload at the
+// region's first blocks, then a header opening with magic over seq, cut
+// to its first keep bytes (all of it when keep is 0), as a crash tears it
+// over a blank block.
+func writeImage(t testing.TB, p sim.Proc, d *disk.Disk, s *DiskStore, region int, magic string, seq uint64, payload []byte, keep int) {
 	t.Helper()
 	hdr := make([]byte, s.bs)
-	copy(hdr, magic)
-	binary.BigEndian.PutUint64(hdr[8:16], seq)
-	binary.BigEndian.PutUint32(hdr[16:20], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[20:24], crc32.ChecksumIEEE(payload))
+	putHeader(hdr, magic, seq, payload)
+	if keep > 0 {
+		clear(hdr[keep:])
+	}
 	for i := 0; i*s.bs < len(payload); i++ {
 		blk := make([]byte, s.bs)
 		copy(blk, payload[i*s.bs:])
@@ -447,37 +446,51 @@ func writeImage(t testing.TB, p sim.Proc, d *disk.Disk, s *DiskStore, region int
 
 // A store Load cannot read fails it with a StoreFormatError, whatever the
 // other region holds; it is never reported as fresh, which would boot its
-// member at term 0 with no vote. A blank store, and a first save torn
-// inside its magic, are fresh.
+// member at term 0 with no vote. A blank store is fresh, and a save torn
+// anywhere in its header is skipped: the other region loads, or the store
+// is fresh.
 func TestDiskStoreLoadRefusesWhatItCannotRead(t *testing.T) {
 	good, err := stateCodec.Append(nil, State{Term: 3, VotedFor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
+	type testCase struct {
 		what    string
 		write   func(p sim.Proc, d *disk.Disk, s *DiskStore)
 		version int  // of the StoreFormatError wanted; 0 for none
 		fresh   bool // with no error: Load's ok is false
-	}{
+	}
+	cases := []testCase{
 		{what: "blank", fresh: true, write: func(sim.Proc, *disk.Disk, *DiskStore) {}},
-		{what: "a first save torn inside its magic", fresh: true, write: func(p sim.Proc, d *disk.Disk, s *DiskStore) {
-			writeImage(t, p, d, s, 1, storeMagic[:5], 1, good)
-		}},
 		{what: "a gob-era header with a valid checksum", version: 1, write: func(p sim.Proc, d *disk.Disk, s *DiskStore) {
-			writeImage(t, p, d, s, 1, "BRFTLG1\x00", 1, []byte("\x1f\xff\x81\x03\x01\x01\x05State\x01\xff\x82"))
+			writeImage(t, p, d, s, 1, gobMagic, 1, []byte("\x1f\xff\x81\x03\x01\x01\x05State\x01\xff\x82"), 0)
 		}},
 		{what: "a gob-era header beside a readable region", version: 1, write: func(p sim.Proc, d *disk.Disk, s *DiskStore) {
-			writeImage(t, p, d, s, 0, storeMagic, 2, good)
-			writeImage(t, p, d, s, 1, "BRFTLG1\x00", 1, good)
+			writeImage(t, p, d, s, 0, storeMagic, 2, good, 0)
+			writeImage(t, p, d, s, 1, gobMagic, 1, good, 0)
 		}},
 		{what: "a checksummed state that does not decode", version: storeVersion, write: func(p sim.Proc, d *disk.Disk, s *DiskStore) {
-			writeImage(t, p, d, s, 1, storeMagic, 1, append(bytes.Clone(good), 0))
+			writeImage(t, p, d, s, 1, storeMagic, 1, append(bytes.Clone(good), 0), 0)
 		}},
 		{what: "a readable state", write: func(p sim.Proc, d *disk.Disk, s *DiskStore) {
-			writeImage(t, p, d, s, 1, storeMagic, 1, good)
+			writeImage(t, p, d, s, 1, storeMagic, 1, good, 0)
 		}},
-	} {
+	}
+	// A first save torn at keep bytes, over a blank store; a second torn
+	// over a blank region 0, beside the first's intact region 1. A tear
+	// that keeps the magic but not the length leaves a zero length and a
+	// zero CRC, which is the CRC of an empty payload.
+	for keep := 1; keep < headerLen; keep++ {
+		cases = append(cases, testCase{what: fmt.Sprintf("a first save torn at %d bytes", keep), fresh: true,
+			write: func(p sim.Proc, d *disk.Disk, s *DiskStore) {
+				writeImage(t, p, d, s, 1, storeMagic, 1, good, keep)
+			}}, testCase{what: fmt.Sprintf("a second save torn at %d bytes", keep),
+			write: func(p sim.Proc, d *disk.Disk, s *DiskStore) {
+				writeImage(t, p, d, s, 1, storeMagic, 1, good, 0)
+				writeImage(t, p, d, s, 0, storeMagic, 2, good, keep)
+			}})
+	}
+	for _, tc := range cases {
 		withStoreDisk(t, 8, func(p sim.Proc, d *disk.Disk, s *DiskStore) {
 			tc.write(p, d, s)
 			st, ok, err := s.Load(p)
@@ -504,16 +517,13 @@ func TestDiskStoreLoadRefusesWhatItCannotRead(t *testing.T) {
 func FuzzDiskStoreLoad(f *testing.F) {
 	good, _ := stateCodec.Append(nil, State{Term: 2, VotedFor: -1, Entries: []Entry{{Index: 1, Term: 2, Data: []byte("x")}}})
 	hdr := func(magic string, seq uint64, payload []byte) []byte {
-		h := make([]byte, 24)
-		copy(h, magic)
-		binary.BigEndian.PutUint64(h[8:16], seq)
-		binary.BigEndian.PutUint32(h[16:20], uint32(len(payload)))
-		binary.BigEndian.PutUint32(h[20:24], crc32.ChecksumIEEE(payload))
+		h := make([]byte, headerLen)
+		putHeader(h, magic, seq, payload)
 		return h
 	}
 	f.Add([]byte(nil), hdr(storeMagic, 1, good), good)
 	f.Add(hdr(storeMagic, 2, good), []byte(nil), good)
-	f.Add([]byte(nil), hdr("BRFTLG1\x00", 1, good), good)
+	f.Add([]byte(nil), hdr(gobMagic, 1, good), good)
 	f.Add([]byte(nil), hdr(storeMagic, 1, good[:3]), good[:3])
 	f.Fuzz(func(t *testing.T, h0, h1, payload []byte) {
 		withStoreDisk(t, 8, func(p sim.Proc, d *disk.Disk, s *DiskStore) {

@@ -38,7 +38,7 @@ func TestProtocolTablesDoc(t *testing.T) {
 		{"Bridge", wire.NewCodec(core.Bodies()), core.WireSize},
 		{"LFS + agent", wire.NewCodec(lfs.Bodies()), lfs.WireSize},
 		{"consensus", wire.NewCodec(raft.Bodies()), raft.WireSize},
-		{"merge", mergeProtocol.Codec(), mergeWireSize},
+		{"merge", wire.NewCodec(mergeProtocol.Bodies()), mergeWireSize},
 	} {
 		for _, zero := range p.codec.Bodies() {
 			typ := reflect.TypeOf(zero)
