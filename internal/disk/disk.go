@@ -164,9 +164,12 @@ type Disk struct {
 
 	// Volatile write cache (WriteBack mode): buffered writes not yet
 	// covered by a sync barrier, and their order of first durability
-	// obligation (a rewrite moves a block to the back of the order).
+	// obligation (a rewrite moves a block to the back of the order). spare
+	// holds the stable images a barrier displaced, device-owned buffers no
+	// one else holds, for land to buffer the next writes in.
 	pending      map[int][]byte
 	pendingOrder []int
+	spare        [][]byte
 
 	// Durable backing store; nil for a RAM-only device. The stable blocks
 	// array mirrors the store exactly: commit writes through to both.
@@ -388,11 +391,14 @@ func (d *Disk) Sync(p sim.Proc) error {
 		return ErrFailed
 	}
 	for _, bn := range d.pendingOrder {
+		if old := d.blocks[bn]; old != nil {
+			d.spare = append(d.spare, old)
+		}
 		d.commit(bn, d.pending[bn])
 	}
 	flushed := len(d.pendingOrder)
-	d.pending = make(map[int][]byte)
-	d.pendingOrder = nil
+	d.pending = make(map[int][]byte) // clear would keep the largest set's buckets
+	d.pendingOrder = d.pendingOrder[:0]
 	var t time.Duration
 	var err error
 	if d.cfg.WriteBack || d.store != nil {
@@ -672,7 +678,8 @@ func (d *Disk) land(bn int, data []byte) {
 		d.commit(bn, b)
 		return
 	}
-	// Buffer in the volatile write cache. A rewrite of an already buffered
+	// Buffer in the volatile write cache, in a stable image the last
+	// barrier displaced when one is spare. A rewrite of an already buffered
 	// block moves it to the back of the order, so the surviving-prefix crash
 	// model can never keep a newer write while dropping an older one.
 	b, ok := d.pending[bn]
@@ -683,6 +690,10 @@ func (d *Disk) land(bn int, data []byte) {
 				break
 			}
 		}
+	} else if n := len(d.spare); n > 0 {
+		b = d.spare[n-1]
+		d.spare = d.spare[:n-1]
+		d.pending[bn] = b
 	} else {
 		b = make([]byte, d.cfg.BlockSize)
 		d.pending[bn] = b
@@ -739,7 +750,9 @@ func (d *Disk) Peek(bn int) []byte {
 // PeekStable returns the raw stable (synced) image of block bn, ignoring
 // the volatile write cache; for crash tests comparing medium state. A nil
 // result means the block was never made stable. The image is live: the
-// next write that reaches the medium for this block changes it in place.
+// next write that reaches the medium for this block changes it in place,
+// and on a write-back device a barrier that displaces it hands it to
+// another block's next write.
 func (d *Disk) PeekStable(bn int) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -99,6 +99,33 @@ func warmVolume(t *testing.T, p sim.Proc, cacheBlocks, n int) *FS {
 	if err != nil {
 		t.Fatalf("Format: %v", err)
 	}
+	churn(t, p, fs, n)
+	return fs
+}
+
+// warmJournaled is warmVolume for a journaled volume over a write-back
+// device, churned twice with a barrier after each: the second barrier
+// displaces the first pass's stable images, and the device's write cache
+// buffers the next n first writes in them.
+func warmJournaled(t *testing.T, p sim.Proc, cacheBlocks, n, journal int) *FS {
+	t.Helper()
+	d := disk.New(disk.Config{NumBlocks: n + 256, Timing: disk.FixedTiming{}, WriteBack: true})
+	fs, err := Format(p, d, Options{CacheBlocks: cacheBlocks, JournalBlocks: journal})
+	if err != nil {
+		t.Fatalf("Format: %v", err)
+	}
+	for range 2 {
+		churn(t, p, fs, n)
+		if err := fs.Sync(p); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+	}
+	return fs
+}
+
+// churn writes a file of n blocks and fast-deletes it.
+func churn(t *testing.T, p sim.Proc, fs *FS, n int) {
+	t.Helper()
 	if err := fs.Create(p, 99); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -108,7 +135,6 @@ func warmVolume(t *testing.T, p sim.Proc, cacheBlocks, n int) *FS {
 	if _, err := fs.DeleteFast(p, 99); err != nil {
 		t.Fatalf("DeleteFast: %v", err)
 	}
-	return fs
 }
 
 // blocksOf returns n blocks of data, each 40 bytes of b.
@@ -280,27 +306,22 @@ func TestAllocsWriteThroughAppend(t *testing.T) {
 // TestAllocsAppendRunGathered: a run of 8 appended onto a file gathers its
 // images in the volume's track scratch, not in a buffer per block. On an
 // unjournaled volume over images the device already holds, that leaves the
-// address list AppendRun hands back. A journaled volume adds its held tail,
-// and its write cache a buffer for each block it has not buffered yet plus
-// the growth of its pending list: 17 objects a run, as many as when each
-// block was written with an access of its own.
+// address list AppendRun hands back. A journaled volume adds its held tail;
+// its write cache buffers each block in a stable image that a barrier
+// displaced, where a buffer of its own would cost 8 objects more a run.
 func TestAllocsAppendRunGathered(t *testing.T) {
 	skipUnderRace(t)
 	const runs = 20
 	for _, c := range []struct {
 		journal int
 		want    float64
-	}{{0, 1}, {32, 17}} {
+	}{{0, 1}, {32, 2}} {
 		run(t, func(p sim.Proc) {
 			var fs *FS
 			if c.journal == 0 {
 				fs = warmVolume(t, p, 128, 8*(runs+2))
 			} else {
-				d := disk.New(disk.Config{NumBlocks: 8*(runs+2) + 256, Timing: disk.FixedTiming{}, WriteBack: true})
-				var err error
-				if fs, err = Format(p, d, Options{CacheBlocks: 128, JournalBlocks: c.journal}); err != nil {
-					t.Fatalf("Format: %v", err)
-				}
+				fs = warmJournaled(t, p, 128, 8*(runs+2), c.journal)
 			}
 			fileOf(t, p, fs, 1, 1)
 			datas := blocksOf(8, 7)

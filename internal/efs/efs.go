@@ -34,8 +34,8 @@ import (
 type Options struct {
 	// DirBuckets is the number of directory hash buckets. Default 16.
 	DirBuckets int
-	// CacheBlocks is the block cache capacity. Default 128 (a few
-	// tracks).
+	// CacheBlocks is the block cache capacity. Default
+	// DefaultCacheBlocks.
 	CacheBlocks int
 	// JournalBlocks reserves a write-ahead intent journal of this many
 	// blocks at the end of the device (see journal.go); 0 disables
@@ -46,12 +46,16 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
+// DefaultCacheBlocks is the block cache capacity a volume gets when its
+// Options name none: sixteen tracks.
+const DefaultCacheBlocks = 128
+
 func (o *Options) applyDefaults() {
 	if o.DirBuckets <= 0 {
 		o.DirBuckets = 16
 	}
 	if o.CacheBlocks <= 0 {
-		o.CacheBlocks = 128
+		o.CacheBlocks = DefaultCacheBlocks
 	}
 }
 

@@ -58,6 +58,9 @@ func modelAt(cfg Config) model.Params {
 	m := model.Default()
 	m.InCore = cfg.InCore
 	m.DiskLatency = cfg.DiskLatency
+	if cfg.CacheBlocks > 0 {
+		m.CacheBlocks = cfg.CacheBlocks
+	}
 	return m
 }
 

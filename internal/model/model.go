@@ -15,12 +15,14 @@
 package model
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 	"time"
 
 	"bridge/internal/core"
 	"bridge/internal/disk"
+	"bridge/internal/efs"
 	"bridge/internal/lfs"
 	"bridge/internal/msg"
 	"bridge/internal/tools"
@@ -56,11 +58,10 @@ type Params struct {
 	SortCPUPerRecord time.Duration
 	// InCore is the sort's in-core buffer in records.
 	InCore int
+	// CacheBlocks is each node's EFS block cache, least recently used out
+	// first.
+	CacheBlocks int
 }
-
-// runBlocks is how many blocks a tool moves per LFS request (r): the constant
-// of the same name in internal/tools/column.go, and like it not a parameter.
-const runBlocks = 8
 
 // Default returns the constants matching the simulator's defaults.
 // Each is read from the package that charges it, so the two cannot drift.
@@ -81,6 +82,7 @@ func Default() Params {
 		SpawnCPU:         lfs.SpawnCPU,
 		SortCPUPerRecord: tools.DefaultCPUPerRecord,
 		InCore:           tools.DefaultInCore,
+		CacheBlocks:      efs.DefaultCacheBlocks,
 	}
 }
 
@@ -160,28 +162,47 @@ func (p Params) ToolStartup(procs int) time.Duration {
 func ceilDiv(total, n int) int { return (total + n - 1) / n }
 
 // readColumn is a tool reading a local file front to back: one LFS round
-// trip per run of runBlocks, one device access per track.
+// trip per run of tools.RunBlocks (r, not a parameter: the tools' constant),
+// one device access per track.
 func (p Params) readColumn(blocks int) time.Duration {
-	return time.Duration(ceilDiv(blocks, runBlocks))*p.lfsCall(0, true) +
+	return time.Duration(ceilDiv(blocks, tools.RunBlocks))*p.lfsCall(0, true) +
 		time.Duration(ceilDiv(blocks, p.BlocksPerTrack))*p.DiskLatency
 }
 
-// appendColumn is a tool writing a local file: one LFS round trip per run,
-// and per run one access for each track its new blocks touch plus one for
-// the old tail's pointer (where block-at-a-time paid 2 per block).
+// readBack is readColumn of a column written just before, as Tables 3 and 4
+// fill their source and then run the tool on it: the first blocks are still
+// in the cache. Block j is reached after the blocks written after it and the
+// j read and about j written since, so it is a hit while blocks+j fit in
+// the cache.
+func (p Params) readBack(blocks int) time.Duration {
+	hits := min(max(p.CacheBlocks-blocks, 0), blocks)
+	return time.Duration(ceilDiv(blocks, tools.RunBlocks))*p.lfsCall(0, true) +
+		time.Duration(ceilDiv(blocks-hits, p.BlocksPerTrack))*p.DiskLatency
+}
+
+// appendColumn is a tool writing a new local file: one appendRun per run,
+// less the first run's tail fix — a new file has no old tail to link.
 func (p Params) appendColumn(blocks int) time.Duration {
-	runs := ceilDiv(blocks, runBlocks)
-	d := time.Duration(runs) * (p.lfsCall(0, true) + p.DiskLatency) // the tail fixes
-	for left := blocks; left > 0; left -= runBlocks {
-		d += p.runDevice(min(left, runBlocks))
+	d := -p.DiskLatency
+	for left := blocks; left > 0; left -= tools.RunBlocks {
+		d += p.appendRun(min(left, tools.RunBlocks))
 	}
 	return d
+}
+
+// appendRun is one run of n blocks appended to a file that has blocks
+// already: one LFS round trip, one access for each track the new blocks
+// touch, and one for the old tail's pointer (where block-at-a-time paid 2 per
+// block).
+func (p Params) appendRun(n int) time.Duration {
+	return p.lfsCall(0, true) + p.runDevice(n) + p.DiskLatency
 }
 
 // runDevice is the device time of writing n consecutive new blocks, one
 // access per track they touch. A file starts wherever the allocator finds
 // room, so where a run starts on its track is taken as uniform: n blocks
-// touch 1 + (n-1)/BlocksPerTrack tracks on average.
+// touch 1 + (n-1)/BlocksPerTrack tracks on average, whether n is less than a
+// track or spans several (Hermite's identity).
 func (p Params) runDevice(n int) time.Duration {
 	b := time.Duration(p.BlocksPerTrack)
 	return (b + time.Duration(n-1)) * p.DiskLatency / b
@@ -193,57 +214,79 @@ func (p Params) discardColumn(blocks int) time.Duration {
 	return p.lfsCall(0, true) + time.Duration(ceilDiv(blocks, p.BlocksPerTrack))*p.DiskLatency
 }
 
-// CopyTime predicts the copy tool: each node moves records/procs blocks
-// through its one LFS and disk, a run at a time, plus startup and completion.
+// CopyTime predicts the copy tool on a file just written: the create of the
+// destination, then each node moves records/procs blocks through its one LFS
+// and disk, a run at a time, plus startup and completion.
 // (The worker's read-ahead hides none of this: reads and appends queue at the
 // same LFS, so the round trips add up whoever waits for them.)
 func (p Params) CopyTime(records, procs int) time.Duration {
 	perNode := ceilDiv(records, procs)
-	return p.readColumn(perNode) + p.appendColumn(perNode) + 2*p.ToolStartup(procs)
+	return p.CreateTime(procs) + p.readBack(perNode) + p.appendColumn(perNode) + 2*p.ToolStartup(procs)
 }
 
-// SortLocalTime predicts the local external sort phase on each node: run
-// formation (read and write every block, sort InCore at a time) and then
-// two-way merges of the two shortest runs until one is left, each reading and
-// writing the blocks of its two inputs and discarding them — the tool's
-// order, so the blocks moved are counted merge by merge, not as passes x
-// blocks.
+// SortLocalTime predicts the local external sort phase on each node, one
+// worker a node started and awaited like the copy's: run formation (read and
+// write every block, sort InCore at a time) and then two-way merges of the
+// two shortest runs until one is left, each reading and writing the blocks
+// of its two inputs and discarding them — the tool's order, so the blocks
+// moved are counted merge by merge, not as passes x blocks. The run written
+// last is read back while the cache still holds it, as the source is.
 func (p Params) SortLocalTime(records, procs int) time.Duration {
 	perNode := ceilDiv(records, procs)
 	log2InCore := max(1, bits.Len(uint(p.InCore-1))) // compares per record of an in-core sort
-	total := p.readColumn(perNode) + p.appendColumn(perNode) +
+	total := 2*p.ToolStartup(procs) + p.readBack(perNode) + p.appendColumn(perNode) +
 		time.Duration(perNode*log2InCore)*p.SortCPUPerRecord
-	var runs []int
+	type run struct{ blocks, seq int } // seq: the order runs are written in
+	var runs []run
 	for left := perNode; left > 0; left -= p.InCore {
-		runs = append(runs, min(left, p.InCore))
+		runs = append(runs, run{min(left, p.InCore), len(runs)})
+	}
+	newest := len(runs) - 1
+	read := func(r run) time.Duration {
+		if r.seq == newest {
+			return p.readBack(r.blocks)
+		}
+		return p.readColumn(r.blocks)
 	}
 	for len(runs) > 1 {
-		slices.Sort(runs)
-		m := runs[0] + runs[1]
-		total += p.readColumn(m) + p.appendColumn(m) + time.Duration(m)*p.SortCPUPerRecord +
-			p.discardColumn(runs[0]) + p.discardColumn(runs[1])
-		runs = append(runs[2:], m)
+		slices.SortFunc(runs, func(x, y run) int { return cmp.Or(cmp.Compare(x.blocks, y.blocks), cmp.Compare(x.seq, y.seq)) })
+		a, b := runs[0], runs[1]
+		m := a.blocks + b.blocks
+		total += read(a) + read(b) + p.appendColumn(m) + time.Duration(m)*p.SortCPUPerRecord +
+			p.discardColumn(a.blocks) + p.discardColumn(b.blocks)
+		newest++
+		runs = append(runs[2:], run{m, newest})
 	}
 	return total
 }
 
-// TokenCycle is the serial cost per emitted record in the token-ring merge.
-// The holder receives the token and sends it to its successor; its record's
-// send to a writer follows, off the token's path, and its next record is
-// already in core (the column reader runs a track ahead), so no LFS call is
-// on the token's path either. With keys in random order every second record
-// on average comes from the other input, which costs one more hop that emits
-// nothing.
-func (p Params) TokenCycle() time.Duration {
+// TokenCycle is the serial cost per emitted record in a token-ring merge of
+// group width t. With keys in random order every second record on average
+// comes from the other input, which costs one more hop that emits nothing.
+// In a ring of two or more readers per input (t >= 4) the holder that emits
+// receives the token and sends it to its successor; its record's send to a
+// writer follows, off the token's path, and its next record is already in
+// core (the column reader runs a run ahead), so no LFS call is on the path
+// either. At t = 2 each input has one reader, its own successor: it gets the
+// token back only after its own record's send and, once a run, the send and
+// receive of its next read.
+func (p Params) TokenCycle(t int) time.Duration {
 	hop := p.RecvCPU + p.SendCPU + p.RemoteLatency
-	return hop + hop/2
+	if t > 2 {
+		return hop + hop/2
+	}
+	self := p.RecvCPU + 2*p.SendCPU + p.msgCost()/tools.RunBlocks
+	return self + hop/2
 }
 
 // WriterCycle is the per-record cost at one node of a merge group: its
-// writer's share of a run append plus its reader's share of a track read,
-// which queue at the node's one LFS and disk.
+// writer's share of a run append plus its reader's share of the track reads,
+// which queue at the node's one LFS and disk. Both columns are long, so the
+// run is one in their middle: it has an old tail to link, and its reads
+// share their first and last track with the runs before and after it.
 func (p Params) WriterCycle() time.Duration {
-	return (p.readColumn(runBlocks) + p.appendColumn(runBlocks)) / time.Duration(runBlocks)
+	read := p.lfsCall(0, true) + tools.RunBlocks*p.DiskLatency/time.Duration(p.BlocksPerTrack)
+	return (read + p.appendRun(tools.RunBlocks)) / tools.RunBlocks
 }
 
 // MergePassTime predicts one merge pass over the whole file on p nodes:
@@ -253,7 +296,7 @@ func (p Params) WriterCycle() time.Duration {
 // bottleneck cycle.
 func (p Params) MergePassTime(records, procs, t int) time.Duration {
 	perGroup := records * t / procs
-	cycle := p.TokenCycle()
+	cycle := p.TokenCycle(t)
 	if w := p.WriterCycle() / time.Duration(t); w > cycle {
 		cycle = w
 	}
@@ -275,9 +318,10 @@ func (p Params) SortMergeTime(records, procs int) time.Duration {
 // writer cycle — beyond it extra writers no longer help a group ("with
 // sufficiently large p, the token will eventually be unable to complete a
 // circuit of the nodes in the time it takes to read and write a record").
+// A group is at least two wide.
 func (p Params) MergeSaturationWidth() int {
-	t := 1
-	for p.WriterCycle()/time.Duration(t) > p.TokenCycle() {
+	t := 2
+	for p.WriterCycle()/time.Duration(t) > p.TokenCycle(t) {
 		t++
 	}
 	return t

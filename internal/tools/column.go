@@ -3,6 +3,7 @@ package tools
 import (
 	"fmt"
 
+	"bridge/internal/disk"
 	"bridge/internal/lfs"
 	"bridge/internal/msg"
 )
@@ -10,14 +11,17 @@ import (
 // Every tool moves a node's column through this file, in runs; no other file
 // of the package reads or writes file blocks (TestOneColumnPath).
 
-// runBlocks is the length of a run: one LFS round trip, one track read, or
-// appended one device access per track the run touches plus one for the old
-// tail's link (block at a time: 2 per block). Lengths 4 / 8 / 16 / 32
-// measure 6.68 / 5.33 / 4.77 / 4.53 sim ms/op on tool_copy_sort (seed 1988);
-// 8, one track, is one access a read and at most three an append, so a
-// request holds a node's LFS at most 45 ms on 15 ms disks and a tool cannot
-// starve a naive client of the same node.
-const runBlocks = 8
+// RunBlocks is the length of a run: one LFS round trip, its blocks read a
+// track at a time, or appended one device access per track the run touches
+// plus one for the old tail's link (block at a time: 2 per block). Lengths
+// 4 / 8 / 16 / 32 measure 6.68 / 5.33 / 4.77 / 4.53 sim ms/op on
+// tool_copy_sort (seed 1988); 16, two tracks, touches at most three, so a
+// request holds a node's LFS for at most four accesses, 60 ms on 15 ms disks
+// (32: 90 ms, for 4.9 % more). A worker keeps at most two requests at its
+// LFS, its reader's next run and its writer's run, so a naive client of the
+// same node waits behind at most seven accesses and their CPU
+// (TestToolRunBoundsNaiveQueueWait). internal/model reads it.
+const RunBlocks = 2 * disk.DefaultBlocksPerTrack
 
 // colReader reads one local file front to back on a stream, the address
 // hint threaded from run to run.
@@ -67,7 +71,7 @@ func (r *colReader) next() (raw []byte, num int64, err error) {
 			at, count := r.st.Window(n - 1)
 			from = at + int64(count)
 		}
-		n := min(r.size-from, runBlocks)
+		n := min(r.size-from, RunBlocks)
 		if n <= 0 {
 			break
 		}
@@ -118,7 +122,7 @@ func newColWriter(lc *lfs.Client, node msg.NodeID, file uint32) *colWriter {
 func (w *colWriter) put(raw []byte) error {
 	w.run = append(w.run, lfs.VecWrite{BlockNum: w.at, Data: raw})
 	w.at++
-	if len(w.run) < runBlocks {
+	if len(w.run) < RunBlocks {
 		return nil
 	}
 	return w.flush()

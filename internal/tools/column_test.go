@@ -18,6 +18,7 @@ import (
 	"bridge/internal/efs"
 	"bridge/internal/lfs"
 	"bridge/internal/msg"
+	"bridge/internal/obs"
 	"bridge/internal/sim"
 	"bridge/internal/workload"
 )
@@ -109,11 +110,11 @@ func sum(xs []int) (s int) {
 }
 
 // TestToolsDifferential runs every tool over files whose columns end before,
-// on and after a run boundary, and compares each with a few lines of
-// in-memory reference.
+// on and after a track boundary inside the first run and a run boundary, and
+// compares each with a few lines of in-memory reference.
 func TestToolsDifferential(t *testing.T) {
-	const P, inCore = 4, 8
-	for _, n := range []int{0, 1, P - 1, P, runBlocks*P - 1, runBlocks * P, runBlocks*P + 1, 3*inCore*P + 5} {
+	const P, inCore, track = 4, 8, disk.DefaultBlocksPerTrack
+	for _, n := range []int{0, 1, P - 1, P, track*P - 1, track * P, track*P + 1, RunBlocks*P - 1, RunBlocks * P, RunBlocks*P + 1, 3*inCore*P + 5} {
 		for seed := int64(1); seed <= 3; seed++ {
 			n, seed := n, seed
 			t.Run(fmt.Sprintf("n%d/seed%d", n, seed), func(t *testing.T) {
@@ -288,7 +289,7 @@ func rot(t *testing.T, p sim.Proc, cl *core.Cluster, c *core.Client, nodeIdx int
 // whole earlier runs only — never a run cut short at the bad block.
 func TestRottedBlockInARunFailsTheToolAtThatBlock(t *testing.T) {
 	withCluster(t, fastCfg(4), func(p sim.Proc, cl *core.Cluster, c *core.Client) {
-		if err := workload.Fill(p, c, "src", workload.Records(1, 4*3*runBlocks, 64)); err != nil {
+		if err := workload.Fill(p, c, "src", workload.Records(1, 4*3*RunBlocks, 64)); err != nil {
 			t.Error(err)
 			return
 		}
@@ -297,7 +298,7 @@ func TestRottedBlockInARunFailsTheToolAtThatBlock(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		const bad = runBlocks + 3 // the fourth block of node 1's second run
+		const bad = RunBlocks + 3 // the fourth block of node 1's second run
 		if !rot(t, p, cl, c, 1, src.LFSFileID, bad) {
 			return
 		}
@@ -323,9 +324,9 @@ func TestRottedBlockInARunFailsTheToolAtThatBlock(t *testing.T) {
 		lc := lfs.NewClient(p, cl.Net, 0, "dst-stat")
 		defer lc.C.Close()
 		for i, node := range dst.Nodes {
-			wantBlocks := 3 * runBlocks
+			wantBlocks := 3 * RunBlocks
 			if i == 1 {
-				wantBlocks = runBlocks
+				wantBlocks = RunBlocks
 			}
 			if info, err := lc.Stat(node, dst.LFSFileID); err != nil || info.Blocks != wantBlocks {
 				t.Errorf("dst column %d holds %d blocks (%v), want %d", i, info.Blocks, err, wantBlocks)
@@ -338,7 +339,7 @@ func TestRottedBlockInARunFailsTheToolAtThatBlock(t *testing.T) {
 // a client that lives on: the reply is dropped when it arrives, not parked.
 func TestColumnReaderStopLeavesNothingParked(t *testing.T) {
 	withCluster(t, fastCfg(2), func(p sim.Proc, cl *core.Cluster, c *core.Client) {
-		if err := workload.Fill(p, c, "src", workload.Records(1, 2*3*runBlocks, 64)); err != nil {
+		if err := workload.Fill(p, c, "src", workload.Records(1, 2*3*RunBlocks, 64)); err != nil {
 			t.Error(err)
 			return
 		}
@@ -381,29 +382,32 @@ func (at readsFailFrom) BeforeOp(now time.Duration, _ string, op disk.Op, _ int)
 }
 
 // writeRuns is a disk fault hook that injects nothing and remembers the
-// latest write run: the device consults it about every block of a run, in
-// ascending order, at the instant the access starts.
+// latest access: the device consults it about every block of a write run, in
+// ascending order, and once about a read, at the instant the access starts.
+// The accesses of one LFS request follow each other back to back, and the
+// node's CPU charge opens a gap before a request's first.
 type writeRuns struct {
+	latency    time.Duration // every access takes this long
 	start      time.Duration
 	last, size int
+	opens      bool // the latest access is a write that began its request
 }
 
 func (w *writeRuns) BeforeOp(now time.Duration, _ string, op disk.Op, bn int) (time.Duration, error) {
-	if op == disk.OpWrite {
-		if now == w.start && bn == w.last+1 {
-			w.size++
-		} else {
-			w.start, w.size = now, 1
-		}
-		w.last = bn
+	if op == disk.OpWrite && now == w.start && bn == w.last+1 {
+		w.size++
+	} else {
+		w.opens = op == disk.OpWrite && now > w.start+w.latency
+		w.start, w.size = now, 1
 	}
+	w.last = bn
 	return 0, nil
 }
 
-// inService reports whether a write run of two or more blocks, each access
-// taking latency, is in service at now.
-func (w *writeRuns) inService(now, latency time.Duration) bool {
-	return w.size >= 2 && now < w.start+latency
+// inService reports whether the first access of a request that writes a run
+// of two or more blocks is in service at now.
+func (w *writeRuns) inService(now time.Duration) bool {
+	return w.opens && w.size >= 2 && now < w.start+w.latency
 }
 
 // A sort that fails gives back every scratch block and file it made, on every
@@ -492,18 +496,22 @@ func TestFailedSortLeavesNoScratch(t *testing.T) {
 			})
 		}
 	}
-	// The device dies under a writer's run: the first write run of two or
-	// more blocks in service from midway through the pass on. The access in
-	// service lands, the request's next one fails, and the node answers
-	// with the device's error; it then answers nothing more, so the
-	// discards that follow give up on it.
+	// The device dies under the first access of a writer's run, the first
+	// such access in service from midway through the pass on. The request
+	// has another access to go — a run of RunBlocks spans two tracks, and a
+	// later run links the old tail — so the access in service lands, the
+	// next one fails, and the node answers with the device's error; it then
+	// answers nothing more, so the discards that follow give up on it. (Under
+	// a run's last access the request would land whole: the first run of a
+	// new file links no tail, and the writer's next run would meet a silent
+	// node and time out.)
 	t.Run("disk dies in a merge pass", func(t *testing.T) {
 		midMerge(t, 4, func(cl *core.Cluster, at time.Duration) {
-			runs := &writeRuns{}
+			runs := &writeRuns{latency: 15 * time.Millisecond}
 			cl.Nodes[2].Disk.SetFault(runs, "victim")
 			cl.Runtime().Go("kill-disk", func(kp sim.Proc) {
 				kp.Sleep(at - kp.Now())
-				for !runs.inService(kp.Now(), 15*time.Millisecond) {
+				for !runs.inService(kp.Now()) {
 					kp.Sleep(time.Millisecond)
 				}
 				cl.Nodes[2].Disk.Fail()
@@ -579,5 +587,80 @@ func TestToolCallPastTheBoundTimesOut(t *testing.T) {
 		if pending, discarded := c.Msg().Parked(); pending != 0 || discarded != 0 {
 			t.Errorf("the tool's client holds %d parked replies and %d discarded ids", pending, discarded)
 		}
+	})
+}
+
+// A tool cannot starve a naive client of its node: while a Copy runs on 15 ms
+// disks, a client reading a block of another file from one of the copying
+// nodes waits in that LFS's queue at most for the two requests the worker
+// keeps there at once, its reader's next run and its writer's run. A run of
+// RunBlocks touches at most three tracks; the read misses them all only on
+// its file's first run, and the write adds one access for the old tail's
+// link. Each request also holds the LFS for its CPU: receive, serve, answer.
+func TestToolRunBoundsNaiveQueueWait(t *testing.T) {
+	const P, perNode, latency = 4, 640, 15 * time.Millisecond
+	net := msg.DefaultConfig()
+	cpu := net.RecvCPU + lfs.DefaultOpCPU + net.SendCPU
+	hold := (3+4)*latency + 2*cpu
+	withCluster(t, wrenCfg(P), func(p sim.Proc, cl *core.Cluster, c *core.Client) {
+		if err := workload.Fill(p, c, "other", workload.Records(2, P, 64)); err != nil {
+			t.Error(err)
+			return
+		}
+		// Columns longer than the cache: every run reaches the disk.
+		if err := workload.Fill(p, c, "src", workload.Records(1, P*perNode, 64)); err != nil {
+			t.Error(err)
+			return
+		}
+		rec := obs.NewRecorder(obs.Config{})
+		cl.Net.SetRecorder(rec)
+		copying := true
+		exited := cl.Runtime().NewQueue("naive.exited")
+		cl.Runtime().Go("naive", func(np sim.Proc) {
+			defer exited.Send(nil)
+			nc := cl.NewClient(np, 0, "naive")
+			defer nc.Close()
+			// Block 1 lives on node 1. Reads 7 ms apart, a period prime to
+			// the 15 ms accesses, land in every phase of a run.
+			for np.Sleep(100 * time.Millisecond); copying; np.Sleep(7 * time.Millisecond) {
+				if _, err := nc.ReadAt("other", 1); err != nil {
+					t.Errorf("naive read: %v", err)
+					return
+				}
+			}
+		})
+		_, err := Copy(p, c, "src", "dst")
+		copying = false
+		exited.Recv(p)
+		if err != nil {
+			t.Errorf("Copy: %v", err)
+			return
+		}
+		naive := map[obs.TraceID]bool{}
+		spans := rec.Spans()
+		for _, sp := range spans {
+			if sp.Kind == "client.readat" {
+				naive[sp.Trace] = true
+			}
+		}
+		reads, waited, longest := 0, 0, time.Duration(0)
+		for _, sp := range spans {
+			if !naive[sp.Trace] || !strings.HasPrefix(sp.Kind, "lfs.") {
+				continue
+			}
+			reads++
+			if sp.QueueWait > latency {
+				waited++
+			}
+			longest = max(longest, sp.QueueWait)
+		}
+		if reads < 10 || waited == 0 {
+			t.Errorf("%d naive reads reached the LFS, %d waited behind an access: the copy was not contended", reads, waited)
+			return
+		}
+		if longest > hold {
+			t.Errorf("a naive read waited %v in the LFS queue, more than a read run and a write run hold it (%v)", longest, hold)
+		}
+		t.Logf("%d naive reads, %d waited longer than an access, the longest %v (bound %v)", reads, waited, longest, hold)
 	})
 }

@@ -458,7 +458,7 @@ func TestLocalMergeJoinsShortestRuns(t *testing.T) {
 	// old tail once more per run after the first, for its link. (A run's
 	// new blocks on one track share one device access, so accesses would
 	// count the layout, not the merge order.)
-	appendWrites := func(blocks int) int64 { return int64(blocks + (blocks+runBlocks-1)/runBlocks - 1) }
+	appendWrites := func(blocks int) int64 { return int64(blocks + (blocks+RunBlocks-1)/RunBlocks - 1) }
 	var want int64
 	for _, r := range runs {
 		want += appendWrites(r)
